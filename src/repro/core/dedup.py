@@ -234,17 +234,19 @@ class DedupStore:
         before the index adopts them, and an undo-log rollback restores
         the index without deleting the abandoned object.  Index-first
         write ordering guarantees the converse (referenced-but-missing)
-        cannot happen, so sweeping unreferenced ``obj:`` files after
+        cannot happen, so sweeping unreferenced ``obj:`` keys after
         crash recovery is always safe.
         """
+        # The candidates come from a key scan, not list_paths(): a stranded
+        # upload has chunks but no metadata yet (close() writes it).  Only
+        # for the store's sole writer: on a store shared with live peers an
+        # unreferenced object may be a peer's upload still streaming.
         referenced = {object_id for object_id, _ in self._index.values()}
-        removed = 0
-        for path in list(self._pfs.list_paths()):
-            if path.startswith(_OBJECT_PREFIX) and path not in referenced:
-                # Orphaned object blobs were never cached (see _commit).
-                self._pfs.remove(path)
-                removed += 1
-        return removed
+        orphans = sorted(self._pfs.owners(_OBJECT_PREFIX) - referenced)
+        for path in orphans:
+            # Orphaned object blobs were never cached (see _commit).
+            self._pfs.purge(path)
+        return len(orphans)
 
     def object_count(self) -> int:
         return len(self._index)

@@ -392,8 +392,13 @@ class SeGShareEnclave(Enclave):
                     self.guard.accept_current_state()
                 if self.group_guard is not None:
                     self.group_guard.accept_current_state()
-            if self.manager is not None and self.manager.dedup is not None:
-                self.manager.dedup.sweep_orphans()
+        # An upload streams its chunks before its transaction opens, so a
+        # crash strands them whether or not a batch was open: every restart
+        # over our own store sweeps.  A takeover never does — on the shared
+        # store an unreferenced object may be a live peer's upload.
+        shared = self._options.replica or self._options.shared_store
+        if not shared and self.manager is not None and self.manager.dedup is not None:
+            self.manager.dedup.sweep_orphans()
         journal.recover_finish()
 
     def _counter_probe(self, counter: "MonotonicCounter | RoteCounterService | None"):

@@ -15,7 +15,9 @@ The fix is a classic undo journal, kept *inside* the trust boundary:
 2.  Before the first mutation of each key in the batch, the journal
     persists an encrypted **undo entry** holding the key's pre-image (or
     an "absent" tombstone).  Entries are written *before* the mutation
-    they cover, so a crash can always undo it.
+    they cover, so a crash can always undo it.  A *deleted* value is not
+    copied: the entry seals its SHA-256 and the delete is a rename of the
+    value to the entry's ``saved`` slot.
 3.  ``commit()`` deletes the marker — one atomic object delete is the
     commit point — then sweeps the entries as garbage.
 
@@ -55,6 +57,7 @@ option off no wrapper is installed and no overhead exists.
 from __future__ import annotations
 
 import contextlib
+import hashlib
 from dataclasses import dataclass
 from typing import Callable, Iterator, Optional
 
@@ -82,12 +85,18 @@ MAX_COUNTER_LAG = 4096
 
 _MARKER_KEY = "\x00journal:batch"
 _ENTRY_PREFIX = "\x00journal:entry:"
+_SAVED_PREFIX = "\x00journal:saved:"
 _STAMP_KEY = "\x00journal:stamp"
 _EPOCH_KEY = "\x00journal:epoch"
 _MARKER_AAD = b"segshare-journal:marker"
 _ENTRY_AAD = b"segshare-journal:"
 _STAMP_AAD = b"segshare-journal:stamp"
 _EPOCH_AAD = b"segshare-journal:epoch"
+
+#: Undo-entry kinds: the key was absent / the entry carries a copy of the
+#: stored bytes / the stored bytes were moved to the entry's saved slot
+#: and the entry carries their SHA-256.
+_ABSENT, _COPIED, _MOVED = 0, 1, 2
 
 
 @dataclass(frozen=True)
@@ -114,7 +123,7 @@ class WriteAheadJournal:
     """Undo journal over the three untrusted stores of one deployment.
 
     ``crash_hook`` is called with a site name (``journal:begin``,
-    ``journal:entry``, ``journal:mutate``, ``journal:commit``,
+    ``journal:entry``, ``journal:saved``, ``journal:mutate``, ``journal:commit``,
     ``journal:committed``) at every step boundary; wiring it to
     :meth:`SgxPlatform.crashpoint` lets a fault plan kill the enclave at
     any individual journal step (the crash-matrix tests enumerate them).
@@ -139,6 +148,8 @@ class WriteAheadJournal:
         self._epoch = False
         self._seq = 0
         self._recorded: set[tuple[int, str]] = set()
+        #: Entry sequence number -> store holding that entry's saved value.
+        self._moved: dict[int, UntrustedStore] = {}
         self._poisoned: Optional[str] = None
         #: Set by :meth:`recover_restore` when the crashed batch was a
         #: group-commit epoch; the recovery epilogue reads it to rebuild
@@ -186,26 +197,31 @@ class WriteAheadJournal:
         self._recorded.clear()
         self.crashpoint("journal:begin")
 
-    def record(self, tag: int, key: str) -> None:
+    def record(self, tag: int, key: str, deleting: bool = False) -> bool:
         """Persist the pre-image of ``(tag, key)`` before its first mutation."""
+        # ``deleting`` moves a present value to the entry's saved slot instead
+        # of copying it; True means that move (the delete itself) is done.
         if not self._active or (tag, key) in self._recorded:
-            return
+            return False
         store = self._tagged[tag]
         present = store.exists(key)
         pre_image = store.get(key) if present else b""
+        kind = (_MOVED if deleting else _COPIED) if present else _ABSENT
+        if kind == _MOVED:
+            pre_image = hashlib.sha256(pre_image).digest()
         entry_key = f"{_ENTRY_PREFIX}{self._seq:08d}"
-        plaintext = (
-            Writer().u8(tag).str(key).u8(1 if present else 0).raw(pre_image).take()
-        )
-        self._backend.put(
-            entry_key,
-            self._pae.encrypt(
-                self._key, plaintext, aad=_ENTRY_AAD + entry_key.encode("utf-8")
-            ),
-        )
+        plaintext = Writer().u8(tag).str(key).u8(kind).raw(pre_image).take()
+        sealed = self._pae.encrypt(self._key, plaintext, aad=_ENTRY_AAD + entry_key.encode("utf-8"))
+        self._backend.put(entry_key, sealed)
+        if kind == _MOVED:
+            self.crashpoint("journal:saved")
+            store.rename(key, f"{_SAVED_PREFIX}{self._seq:08d}")
+            self._moved[self._seq] = store
         self._seq += 1
         self._recorded.add((tag, key))
-        self.crashpoint("journal:entry")
+        if kind != _MOVED:
+            self.crashpoint("journal:entry")
+        return kind == _MOVED
 
     def commit(self) -> None:
         """Commit the batch: the marker delete is the atomic commit point."""
@@ -217,10 +233,7 @@ class WriteAheadJournal:
         self.crashpoint("journal:committed")
         # Commit is the hot path: sweep the entries written this batch by
         # sequence number instead of scanning the whole key space.
-        for seq in range(self._seq):
-            entry_key = f"{_ENTRY_PREFIX}{seq:08d}"
-            if self._backend.exists(entry_key):
-                self._backend.delete(entry_key)
+        self._sweep_entries(range(self._seq))
         self._recorded.clear()
 
     # -- group-commit epochs ---------------------------------------------------
@@ -283,10 +296,7 @@ class WriteAheadJournal:
             _EPOCH_KEY, self._pae.encrypt(self._key, plaintext, aad=_EPOCH_AAD)
         )
         self.crashpoint("journal:committed")
-        for seq in range(member_base, watermark):
-            entry_key = f"{_ENTRY_PREFIX}{seq:08d}"
-            if self._backend.exists(entry_key):
-                self._backend.delete(entry_key)
+        self._sweep_entries(range(member_base, watermark))
         self._recorded.clear()
 
     def rollback_member(self, member_base: int) -> None:
@@ -300,10 +310,7 @@ class WriteAheadJournal:
         if not self.in_epoch:
             raise StorageError("no group-commit epoch is open")
         self._restore_entries(min_seq=member_base)
-        for seq in range(member_base, self._seq):
-            entry_key = f"{_ENTRY_PREFIX}{seq:08d}"
-            if self._backend.exists(entry_key):
-                self._backend.delete(entry_key)
+        self._sweep_entries(range(member_base, self._seq))
         self._seq = member_base
         self._recorded.clear()
 
@@ -495,9 +502,24 @@ class WriteAheadJournal:
     def _entry_keys(self) -> list[str]:
         return sorted(self._backend.scan(_ENTRY_PREFIX))
 
-    def _sweep_entries(self) -> None:
-        for key in self._entry_keys():
-            self._backend.delete(key)
+    def _sweep_entries(self, seqs: Optional[range] = None) -> None:
+        # Entries numbered ``seqs`` (this batch's own) or whatever a scan
+        # finds, each after the value its move saved: a saved value never
+        # outlives its entry, so a slot about to be used is always empty.
+        if seqs is None:
+            for store in self._tagged:
+                for key in list(store.scan(_SAVED_PREFIX)):
+                    store.delete(key)
+            for key in self._entry_keys():
+                self._backend.delete(key)
+            return
+        for seq in seqs:
+            store, saved = self._moved.pop(seq, None), f"{_SAVED_PREFIX}{seq:08d}"
+            if store is not None and store.exists(saved):
+                store.delete(saved)
+            entry_key = f"{_ENTRY_PREFIX}{seq:08d}"
+            if self._backend.exists(entry_key):
+                self._backend.delete(entry_key)
 
     def _restore_entries(self, min_seq: int = 0) -> list[tuple[int, str]]:
         restored: list[tuple[int, str]] = []
@@ -527,10 +549,19 @@ class WriteAheadJournal:
                 r = Reader(plaintext)
                 tag = r.u8()
                 key = r.str()
-                present = r.u8()
+                kind = r.u8()
                 pre_image = r.raw(r.remaining)
                 store = self._tagged[tag]
-                if present:
+                if kind == _MOVED:
+                    # Idempotent: a value already back under ``key`` (or never
+                    # moved) counts, provided it is the one the entry sealed.
+                    saved = _SAVED_PREFIX + entry_key[len(_ENTRY_PREFIX) :]
+                    source = saved if store.exists(saved) else key
+                    if not store.exists(source) or hashlib.sha256(store.get(source)).digest() != pre_image:
+                        raise RollbackDetected(f"value saved by {entry_key!r} is missing or altered")
+                    if source == saved:
+                        store.rename(saved, key)
+                elif kind == _COPIED:
                     # The pre-image is the raw *stored* byte string captured
                     # before the batch ran — already PAE ciphertext from the
                     # protected store, never enclave plaintext.  (`plaintext`
@@ -566,8 +597,8 @@ class JournaledStore(UntrustedStore):
         self._journal.crashpoint("journal:mutate")
 
     def delete(self, key: str) -> None:
-        self._journal.record(self._tag, key)
-        self.inner.delete(key)
+        if not self._journal.record(self._tag, key, deleting=True):
+            self.inner.delete(key)
         self._journal.crashpoint("journal:mutate")
 
     def rename(self, old: str, new: str) -> None:

@@ -16,23 +16,20 @@ _HASH_LEN = hashlib.sha256().digest_size
 
 def hkdf_extract(salt: bytes, ikm: bytes) -> bytes:
     """HKDF-Extract: PRK = HMAC(salt, ikm)."""
-    if not salt:
-        salt = bytes(_HASH_LEN)
-    return hmac.new(salt, ikm, hashlib.sha256).digest()
+    return hmac.digest(salt or bytes(_HASH_LEN), ikm, "sha256")
 
 
 def hkdf_expand(prk: bytes, info: bytes, length: int) -> bytes:
     """HKDF-Expand: derive ``length`` bytes of output keyed by ``info``."""
     if length > 255 * _HASH_LEN:
         raise ValueError("HKDF output too long")
-    blocks = []
-    block = b""
+    okm = block = b""
     counter = 1
-    while sum(len(b) for b in blocks) < length:
-        block = hmac.new(prk, block + info + bytes([counter]), hashlib.sha256).digest()
-        blocks.append(block)
+    while len(okm) < length:
+        block = hmac.digest(prk, block + info + bytes([counter]), "sha256")
+        okm += block
         counter += 1
-    return b"".join(blocks)[:length]
+    return okm[:length]
 
 
 def derive_key(root_key: bytes, label: str, context: bytes = b"", length: int = 32) -> bytes:

@@ -42,6 +42,14 @@ class MerkleTree:
         self._levels: list[list[bytes]] = []
         self._rebuild()
 
+    @classmethod
+    def from_leaf_hashes(cls, leaf_hashes: list[bytes]) -> "MerkleTree":
+        """A tree over leaves already reduced to their :func:`hash_leaf` digests."""
+        tree = cls()
+        tree._leaf_hashes = list(leaf_hashes)
+        tree._rebuild()
+        return tree
+
     def __len__(self) -> int:
         return len(self._leaf_hashes)
 

@@ -25,7 +25,9 @@ from __future__ import annotations
 import hashlib
 import hmac
 import secrets
+import threading
 from abc import ABC, abstractmethod
+from typing import Any
 
 try:
     import numpy as _np
@@ -62,9 +64,28 @@ class Pae(ABC):
     def decrypt(self, key: bytes, blob: bytes, aad: bytes = b"") -> bytes:
         """PAE_Dec; raises :class:`IntegrityError` if the blob is not authentic."""
 
-    def _check_key(self, key: bytes) -> None:
+    #: Per-key contexts kept at most; the oldest is evicted first.
+    _CACHE_LIMIT = 64
+
+    def __init__(self) -> None:
+        self._cache: dict[bytes, Any] = {}
+        self._cache_lock = threading.Lock()  # misses only; a hit is one dict.get
+
+    @abstractmethod
+    def _new_context(self, key: bytes) -> Any:
+        """Key-dependent state worth reusing across calls (key schedules)."""
+
+    def _context(self, key: bytes) -> Any:
         if len(key) != KEY_SIZE:
             raise KeyError_(f"PAE key must be {KEY_SIZE} bytes, got {len(key)}")
+        context = self._cache.get(key)
+        if context is None:
+            context = self._new_context(key)
+            with self._cache_lock:
+                if len(self._cache) >= self._CACHE_LIMIT:
+                    self._cache.pop(next(iter(self._cache)))
+                self._cache[key] = context
+        return context
 
 
 class AesGcmPae(Pae):
@@ -77,50 +98,43 @@ class AesGcmPae(Pae):
     iv_size = AesGcm.NONCE_SIZE
     tag_size = AesGcm.TAG_SIZE
 
-    _CACHE_LIMIT = 64
-
-    def __init__(self) -> None:
-        self._cache: dict[bytes, AesGcm] = {}
-
-    def _gcm(self, key: bytes) -> AesGcm:
-        self._check_key(key)
-        gcm = self._cache.get(key)
-        if gcm is None:
-            if len(self._cache) >= self._CACHE_LIMIT:
-                self._cache.pop(next(iter(self._cache)))
-            gcm = AesGcm(key)
-            self._cache[key] = gcm
-        return gcm
+    def _new_context(self, key: bytes) -> AesGcm:
+        return AesGcm(key)
 
     def encrypt_with_iv(self, key: bytes, iv: bytes, plaintext: bytes, aad: bytes = b"") -> bytes:
         if len(iv) != self.iv_size:
             raise KeyError_(f"IV must be {self.iv_size} bytes")
-        return iv + self._gcm(key).encrypt(iv, plaintext, aad)
+        return iv + self._context(key).encrypt(iv, plaintext, aad)
 
     def decrypt(self, key: bytes, blob: bytes, aad: bytes = b"") -> bytes:
         if len(blob) < self.overhead:
             raise IntegrityError("ciphertext too short")
         iv, body = blob[: self.iv_size], blob[self.iv_size :]
-        return self._gcm(key).decrypt(iv, body, aad)
+        return self._context(key).decrypt(iv, body, aad)
 
 
 class HmacStreamPae(Pae):
     """SHAKE-256 stream cipher + HMAC-SHA256 encrypt-then-MAC backend (fast)."""
 
+    # A key's context is the SHAKE state that has absorbed the encryption
+    # subkey and the HMAC object keyed with the MAC subkey; each call copies
+    # both, so a chunk costs one keystream and one MAC pass and no key setup.
+
     iv_size = 16
     tag_size = 32
 
-    @staticmethod
-    def _subkeys(key: bytes) -> tuple[bytes, bytes]:
-        enc = hmac.new(key, b"repro.pae.enc", hashlib.sha256).digest()
-        mac = hmac.new(key, b"repro.pae.mac", hashlib.sha256).digest()
-        return enc, mac
+    def _new_context(self, key: bytes) -> tuple[Any, hmac.HMAC]:
+        enc_key = hmac.digest(key, b"repro.pae.enc", "sha256")
+        mac_key = hmac.digest(key, b"repro.pae.mac", "sha256")
+        return hashlib.shake_256(enc_key), hmac.new(mac_key, digestmod=hashlib.sha256)
 
     @staticmethod
-    def _keystream_xor(enc_key: bytes, iv: bytes, data: bytes) -> bytes:
+    def _keystream_xor(stream: Any, iv: bytes, data: bytes) -> bytes:
         if not data:
             return b""
-        keystream = hashlib.shake_256(enc_key + iv).digest(len(data))
+        stream = stream.copy()
+        stream.update(iv)
+        keystream = stream.digest(len(data))
         # numpy XOR runs at memory bandwidth; the big-int fallback keeps the
         # module importable without numpy (an order of magnitude slower).
         if _np is not None:
@@ -131,33 +145,27 @@ class HmacStreamPae(Pae):
         return x.to_bytes(len(data), "big")
 
     def encrypt_with_iv(self, key: bytes, iv: bytes, plaintext: bytes, aad: bytes = b"") -> bytes:
-        self._check_key(key)
+        stream, keyed = self._context(key)
         if len(iv) != self.iv_size:
             raise KeyError_(f"IV must be {self.iv_size} bytes")
-        enc_key, mac_key = self._subkeys(key)
-        body = self._keystream_xor(enc_key, iv, plaintext)
-        tag = self._tag(mac_key, iv, aad, body)
-        return iv + body + tag
+        body = self._keystream_xor(stream, iv, plaintext)
+        return iv + body + self._tag(keyed, iv, aad, body)
 
     def decrypt(self, key: bytes, blob: bytes, aad: bytes = b"") -> bytes:
-        self._check_key(key)
+        stream, keyed = self._context(key)
         if len(blob) < self.overhead:
             raise IntegrityError("ciphertext too short")
         iv = blob[: self.iv_size]
         body = blob[self.iv_size : -self.tag_size]
-        tag = blob[-self.tag_size :]
-        enc_key, mac_key = self._subkeys(key)
-        if not ct_equal(self._tag(mac_key, iv, aad, body), tag):
+        if not ct_equal(self._tag(keyed, iv, aad, body), blob[-self.tag_size :]):
             raise IntegrityError("PAE tag mismatch")
-        return self._keystream_xor(enc_key, iv, body)
+        return self._keystream_xor(stream, iv, body)
 
     @staticmethod
-    def _tag(mac_key: bytes, iv: bytes, aad: bytes, body: bytes) -> bytes:
-        mac = hmac.new(mac_key, digestmod=hashlib.sha256)
+    def _tag(keyed: hmac.HMAC, iv: bytes, aad: bytes, body: bytes) -> bytes:
+        mac = keyed.copy()
         # Unambiguous framing: fixed-width lengths precede variable fields.
-        mac.update(len(aad).to_bytes(8, "big"))
-        mac.update(iv)
-        mac.update(aad)
+        mac.update(len(aad).to_bytes(8, "big") + iv + aad)
         mac.update(body)
         return mac.digest()
 

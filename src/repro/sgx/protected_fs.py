@@ -23,7 +23,7 @@ import hmac
 from dataclasses import dataclass
 
 from repro.crypto import default_pae, derive_key
-from repro.crypto.merkle import MerkleTree
+from repro.crypto.merkle import MerkleTree, hash_leaf
 from repro.errors import IntegrityError, ProtectedFsError
 from repro.sgx.enclave import Enclave
 from repro.sgx.sealing import SealPolicy
@@ -39,8 +39,10 @@ def _chunk_key(path: str, index: int) -> str:
     return f"{path}\x00chunk\x00{index}"
 
 
-def _chunk_aad(path: str, index: int) -> bytes:
-    return Writer().str(path).u32(index).take()
+def _chunk_aad(path: str) -> bytes:
+    # What the associated data of every chunk of ``path`` starts with; the
+    # chunk index follows as a big-endian u32.
+    return Writer().str(path).take()
 
 
 @dataclass
@@ -180,6 +182,21 @@ class ProtectedFs:
             if key.endswith(_META_SUFFIX)
         )
 
+    def owners(self, prefix: str) -> set[str]:
+        """Paths under ``prefix`` owning any stored key, metadata *or* chunk."""
+        # Unlike list_paths this sees what a crash left of a file whose write
+        # had not reached close() or whose removal had only begun.  Every key
+        # is ``path + "\x00..."``; paths themselves hold no NUL.
+        return {key.partition("\x00")[0] for key in self._store.scan(prefix)} - {""}
+
+    def purge(self, path: str) -> None:
+        """Delete whatever keys ``path`` owns, without needing its metadata."""
+        if path in self._open_writers or self._open_readers.get(path):
+            raise ProtectedFsError(f"{path!r} has open handles")
+        self._charge_ocall()
+        for key in list(self._store.scan(path + "\x00")):
+            self._store.delete(key)
+
     def stored_size(self, path: str) -> int:
         """Total untrusted bytes used by the file (meta + chunks)."""
         meta = self._load_meta(path)
@@ -192,16 +209,17 @@ class ProtectedFs:
 
     def open_write(self, path: str) -> "WriteHandle":
         self._acquire_writer(path)
-        return WriteHandle(self, path)
+        return WriteHandle(self, path, self._file_key(path))
 
     def open_read(self, path: str) -> "ReadHandle":
-        meta = self._load_meta(path)
+        file_key = self._file_key(path)
+        meta = self._load_meta(path, file_key)
         self._acquire_reader(path)
-        return ReadHandle(self, path, meta)
+        return ReadHandle(self, path, meta, file_key)
 
     # -- internals -----------------------------------------------------------
 
-    def _load_meta(self, path: str) -> _Meta:
+    def _load_meta(self, path: str, file_key: bytes | None = None) -> _Meta:
         self._charge_ocall()
         key = path + _META_SUFFIX
         if not self._store.exists(key):
@@ -209,28 +227,28 @@ class ProtectedFs:
         blob = self._store.get(key)
         self._charge_read(len(blob))
         try:
-            plain = self._pae.decrypt(self._file_key(path), blob, aad=b"pfs-meta\x00" + path.encode())
+            plain = self._pae.decrypt(file_key or self._file_key(path), blob, aad=b"pfs-meta\x00" + path.encode())
         except IntegrityError as exc:
             raise ProtectedFsError(f"metadata of {path!r} failed verification") from exc
         return _Meta.deserialize(plain)
 
-    def _store_meta(self, path: str, meta: _Meta) -> None:
+    def _store_meta(self, path: str, meta: _Meta, file_key: bytes) -> None:
         plain = meta.serialize()
         self._charge_crypto(len(plain))
-        blob = self._pae.encrypt(self._file_key(path), plain, aad=b"pfs-meta\x00" + path.encode())
+        blob = self._pae.encrypt(file_key, plain, aad=b"pfs-meta\x00" + path.encode())
         self._charge_ocall()
         self._store.put(path + _META_SUFFIX, blob)
 
-    def _write_chunk(self, path: str, index: int, chunk: bytes) -> bytes:
-        """Encrypt and store one chunk; returns the ciphertext (Merkle leaf)."""
+    def _write_chunk(self, path: str, index: int, chunk: bytes, file_key: bytes, aad: bytes) -> bytes:
+        """Encrypt and store one chunk; returns its Merkle leaf digest."""
         self._charge_crypto(len(chunk))
-        blob = self._pae.encrypt(self._file_key(path), chunk, aad=_chunk_aad(path, index))
+        blob = self._pae.encrypt(file_key, chunk, aad=aad + index.to_bytes(4, "big"))
         self._charge_ocall()
         self._store.put(_chunk_key(path, index), blob)
-        return blob
+        return hash_leaf(blob)
 
-    def _read_chunk(self, path: str, index: int) -> tuple[bytes, bytes]:
-        """Load one chunk; returns (plaintext, ciphertext)."""
+    def _read_chunk(self, path: str, index: int, file_key: bytes, aad: bytes) -> tuple[bytes, bytes]:
+        """Load one chunk; returns (plaintext, Merkle leaf digest)."""
         self._charge_ocall()
         key = _chunk_key(path, index)
         if not self._store.exists(key):
@@ -238,22 +256,23 @@ class ProtectedFs:
         blob = self._store.get(key)
         self._charge_read(len(blob))
         try:
-            plain = self._pae.decrypt(self._file_key(path), blob, aad=_chunk_aad(path, index))
+            plain = self._pae.decrypt(file_key, blob, aad=aad + index.to_bytes(4, "big"))
         except IntegrityError as exc:
             raise ProtectedFsError(f"chunk {index} of {path!r} failed verification") from exc
-        return plain, blob
+        return plain, hash_leaf(blob)
 
 
 class WriteHandle:
     """Exclusive, append-only writer.  Closing finalizes the Merkle root."""
 
-    def __init__(self, fs: ProtectedFs, path: str) -> None:
+    def __init__(self, fs: ProtectedFs, path: str, file_key: bytes) -> None:
         self._fs = fs
         self._path = path
+        self._key = file_key
+        self._aad = _chunk_aad(path)
         self._buffer = bytearray()
         self._size = 0
-        self._index = 0
-        self._leaves: list[bytes] = []
+        self._leaves: list[bytes] = []  # 32-byte leaf digests, not ciphertexts
         self._closed = False
 
     def write(self, data: bytes) -> None:
@@ -264,27 +283,27 @@ class WriteHandle:
         while len(self._buffer) >= CHUNK_SIZE:
             chunk = bytes(self._buffer[:CHUNK_SIZE])
             del self._buffer[:CHUNK_SIZE]
-            self._leaves.append(self._fs._write_chunk(self._path, self._index, chunk))
-            self._index += 1
+            self._put_chunk(chunk)
+
+    def _put_chunk(self, chunk: bytes) -> None:
+        index = len(self._leaves)
+        self._leaves.append(self._fs._write_chunk(self._path, index, chunk, self._key, self._aad))
 
     def close(self) -> None:
         if self._closed:
             return
         self._closed = True
         try:
-            if self._buffer or self._index == 0:
-                chunk = bytes(self._buffer)
-                self._leaves.append(self._fs._write_chunk(self._path, self._index, chunk))
-                self._index += 1
+            if self._buffer or not self._leaves:
+                self._put_chunk(bytes(self._buffer))
             # Remove stale chunks from a previous, longer version of the file.
-            stale = self._index
+            stale = len(self._leaves)
             while self._fs._store.exists(_chunk_key(self._path, stale)):
                 self._fs._store.delete(_chunk_key(self._path, stale))
                 stale += 1
-            root = MerkleTree(self._leaves).root()
-            self._fs._store_meta(
-                self._path, _Meta(size=self._size, chunk_count=self._index, merkle_root=root)
-            )
+            root = MerkleTree.from_leaf_hashes(self._leaves).root()
+            meta = _Meta(size=self._size, chunk_count=len(self._leaves), merkle_root=root)
+            self._fs._store_meta(self._path, meta, self._key)
         finally:
             self._fs._release_writer(self._path)
 
@@ -302,13 +321,13 @@ class WriteHandle:
 class ReadHandle:
     """Shared, sequential reader with chunk-by-chunk verification."""
 
-    def __init__(self, fs: ProtectedFs, path: str, meta: _Meta) -> None:
+    def __init__(self, fs: ProtectedFs, path: str, meta: _Meta, file_key: bytes) -> None:
         self._fs = fs
         self._path = path
         self._meta = meta
-        self._index = 0
-        self._leaves: list[bytes] = []
-        self._pending = bytearray()
+        self._key = file_key
+        self._aad = _chunk_aad(path)
+        self._leaves: list[bytes] = []  # 32-byte leaf digests, not ciphertexts
         self._closed = False
 
     @property
@@ -324,12 +343,12 @@ class ReadHandle:
         """
         if self._closed:
             raise ProtectedFsError("read on closed handle")
-        if self._index >= self._meta.chunk_count:
+        index = len(self._leaves)
+        if index >= self._meta.chunk_count:
             return None
-        plain, blob = self._fs._read_chunk(self._path, self._index)
-        self._leaves.append(blob)
-        self._index += 1
-        if self._index == self._meta.chunk_count:
+        plain, leaf = self._fs._read_chunk(self._path, index, self._key, self._aad)
+        self._leaves.append(leaf)
+        if len(self._leaves) == self._meta.chunk_count:
             self._verify_root()
         return plain
 
@@ -343,7 +362,7 @@ class ReadHandle:
         return data
 
     def _verify_root(self) -> None:
-        if not hmac.compare_digest(MerkleTree(self._leaves).root(), self._meta.merkle_root):
+        if not hmac.compare_digest(MerkleTree.from_leaf_hashes(self._leaves).root(), self._meta.merkle_root):
             raise ProtectedFsError(f"Merkle root mismatch for {self._path!r}")
 
     def close(self) -> None:

@@ -655,6 +655,10 @@ class StorageEngine:
                 # restoring the pre-images is the whole rollback: no
                 # re-anchor, and the epoch stays open for other members.
                 journal.rollback_member(member_base)
+                if self.dedup is not None:
+                    # The in-memory index must follow the restored bytes,
+                    # exactly as on the serial path (_reanchor_guards).
+                    self.dedup.reload_index()
             except EnclaveCrashed:
                 raise
             except ReproError as rollback_exc:

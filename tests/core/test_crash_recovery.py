@@ -18,12 +18,14 @@ import random
 import pytest
 
 from repro.core.enclave_app import SeGShareOptions
+from repro.core.journal import JournaledStore, WriteAheadJournal
 from repro.core.requests import Op, Request, Status
 from repro.core.server import SeGShareServer
-from repro.errors import EnclaveCrashed
-from repro.faults import FaultPlan, faulty_stores
+from repro.errors import EnclaveCrashed, RollbackDetected
+from repro.faults import FaultPlan, FaultyStore, faulty_stores
 from repro.netsim import azure_wan_env
 from repro.pki import CertificateAuthority
+from repro.storage.backends import InMemoryStore
 from repro.storage.stores import StoreSet
 
 #: One CA for the whole module — its RSA key generation dominates setup.
@@ -384,6 +386,81 @@ class TestRecoveryDetails:
         if not server.enclave.manager.exists("/d/new"):
             assert raw_objects() == baseline, "crash stranded a dedup object"
 
+    @staticmethod
+    def _unindexed_objects(server: SeGShareServer) -> set[str]:
+        indexed = {object_id for object_id, _ in server.enclave.manager.dedup._index.values()}
+        stored = {
+            key.partition("\x00")[0]
+            for key in server.stores.dedup.keys()
+            if key.startswith("obj:")
+        }
+        return stored - indexed
+
+    def test_upload_crashed_mid_stream_is_swept_on_restart(self):
+        """Streamed chunks land before the PUT_FILE transaction opens: no
+        journal batch covers them and `close` has not written metadata."""
+        server = build_server(enable_dedup=True)
+        prime(server)
+        sink = server.enclave.handler.open_upload("alice", "/d/streamed")
+        sink.write(b"s" * (3 * 4096 + 9))  # three chunks flushed, no finish
+        assert len(self._unindexed_objects(server)) == 1
+        assert not server.stores.content.exists("\x00journal:batch")
+
+        server.restart_enclave()  # the crash
+        server.enclave.guard.verify_restored_state()
+        assert self._unindexed_objects(server) == set()
+        assert not server.enclave.manager.exists("/d/streamed")
+        assert server.enclave.manager.read_content("/d/f") == b"victim content"
+        # The path is free again.
+        response = server.enclave.handler.put_file("alice", "/d/streamed", b"second try")
+        assert response.status is Status.OK
+
+    def test_abort_crashed_at_any_store_op_is_swept_on_restart(self):
+        """`abort` seals the temporary object and removes it, metadata
+        first — outside any journal batch.  Die at each of its dedup-store
+        operations, including between the meta delete and the last chunk
+        delete, where the leftover chunks have no metadata to be found by."""
+
+        def aborting_server(crash_at: int | None):
+            plan = FaultPlan()
+            stores = faulty_stores(StoreSet.in_memory(), plan)
+            options = SeGShareOptions(
+                rollback="whole_fs", counter_kind="rote", rollback_buckets=8,
+                journal=True, enable_dedup=True,
+            )
+            server = SeGShareServer(
+                azure_wan_env(), _CA.public_key, stores=stores, options=options
+            )
+            prime(server)
+            plan.attach_platform(server.platform)
+            sink = server.enclave.handler.open_upload("alice", "/d/aborted")
+            sink.write(b"a" * (2 * 4096 + 1))
+            if crash_at is not None:
+                plan.crash_after_ops(nth=crash_at, store="dedup")
+            return server, plan, sink
+
+        server, plan, sink = aborting_server(None)
+        before = plan.store_ops
+        sink.abort()
+        total = plan.store_ops - before  # an upper bound on the dedup-store ops
+        assert self._unindexed_objects(server) == set()
+
+        headless = 0
+        for nth in range(1, total + 1):
+            server, plan, sink = aborting_server(nth)
+            try:
+                sink.abort()
+            except EnclaveCrashed:
+                pass
+            else:
+                break  # past the last dedup-store operation
+            plan.detach()
+            for object_id in self._unindexed_objects(server):
+                headless += not server.stores.dedup.exists(object_id + "\x00meta")
+            server.restart_enclave()
+            assert self._unindexed_objects(server) == set(), f"dedup op {nth}: debris left"
+        assert headless >= 2, "no crash fell between the meta delete and the last chunk delete"
+
     def test_in_process_fault_rolls_back_without_restart(self):
         """A transient store fault mid-batch aborts the request in place:
         the handler answers RETRY and the enclave keeps serving."""
@@ -421,6 +498,442 @@ class TestRecoveryDetails:
         response = handler.handle("alice", Request(op=Op.MOVE, args=("/d/f", "/f2")))
         assert response.status is Status.OK
         assert manager.read_content("/f2") == b"victim content"
+
+
+# -- moved pre-images ------------------------------------------------------------
+#
+# Deleting a present key does not copy its value into the undo entry: the
+# entry seals the value's SHA-256 and the value is renamed to
+# ``\x00journal:saved:<seq>`` on its own store.  The unit-level classes
+# drive a bare journal over three stores and crash it at *every store
+# operation* (finer than the crashpoints, and the only way to die inside a
+# restore or a sweep, which carry none); the server-level class names the
+# ``journal:saved`` crashpoint between the entry put and the move.
+
+_SAVED = "\x00journal:saved:"
+_ROOT_KEY = bytes(range(32))
+_CHUNK = 4144  # a 4 KiB chunk's ciphertext
+
+
+def _object(object_id: str, fill: int) -> dict[str, bytes]:
+    """The stored keys of a three-chunk protected file."""
+    keys = {f"{object_id}\x00chunk\x00{i}": bytes([fill + i]) * _CHUNK for i in range(3)}
+    keys[f"{object_id}\x00meta"] = bytes([fill]) * 92
+    return keys
+
+
+def _stores(kind: str, plan: FaultPlan | None = None) -> StoreSet:
+    """Three stores, or three views of a 3-way shard router (where a move
+    is a cross-shard copy+delete); ``plan`` sees every backend operation."""
+
+    def backend(index: int):
+        store = InMemoryStore()
+        return store if plan is None else FaultyStore(store, plan, name=f"backend{index}")
+
+    if kind == "sharded":
+        return StoreSet.sharded([backend(i) for i in range(3)])
+    return StoreSet(content=backend(0), group=backend(1), dedup=backend(2))
+
+
+def _seed(stores: StoreSet) -> None:
+    stores.content.put("/keep", b"k" * 100)
+    stores.content.put("/edit", b"old" * 50)
+    stores.group.put("members", b"g" * 80)
+    for object_id, fill in (("obj:1", 10), ("obj:2", 20)):
+        for key, value in _object(object_id, fill).items():
+            stores.dedup.put(key, value)
+
+
+def _snapshot(stores: StoreSet) -> dict[str, dict[str, bytes]]:
+    views = {"content": stores.content, "group": stores.group, "dedup": stores.dedup}
+    return {name: {key: view.get(key) for key in view.keys()} for name, view in views.items()}
+
+
+def _journal_keys(stores: StoreSet) -> list[str]:
+    return [
+        key
+        for view in (stores.content, stores.group, stores.dedup)
+        for key in view.keys()
+        if key.startswith("\x00journal:")
+    ]
+
+
+def _views(stores: StoreSet, journal: WriteAheadJournal) -> list[JournaledStore]:
+    raw = (stores.content, stores.group, stores.dedup)
+    return [JournaledStore(store, journal, tag) for tag, store in enumerate(raw)]
+
+
+class _StopHere(Exception):
+    """Raised by a crash hook to abandon a batch at a chosen journal step."""
+
+
+def _stop_at(site: str, nth: int = 1):
+    seen = [0]
+
+    def hook(reached: str) -> None:
+        if reached == site:
+            seen[0] += 1
+            if seen[0] == nth:
+                raise _StopHere(site)
+
+    return hook
+
+
+def _run_batch(stores: StoreSet, crash_hook=None) -> None:
+    """One batch mixing all three entry kinds around a multi-chunk delete."""
+    journal = WriteAheadJournal(stores, _ROOT_KEY, crash_hook=crash_hook)
+    content, group, dedup = _views(stores, journal)
+    journal.begin("remove-big")
+    content.put("/edit", b"new" * 60)  # copied pre-image
+    for key in _object("obj:1", 10):
+        dedup.delete(key)  # moved pre-images, one per chunk and the meta
+    group.delete("members")  # a move on another store
+    content.put("/fresh", b"f" * 10)  # absent tombstone
+    dedup.put("obj:1\x00meta", b"re-created inside the batch")
+    journal.commit()
+
+
+def _recover(stores: StoreSet) -> bool:
+    journal = WriteAheadJournal(stores, _ROOT_KEY)
+    recovered = journal.recover_restore()
+    journal.recover_finish()
+    return recovered
+
+
+def _count_ops(kind: str, run) -> int:
+    plan = FaultPlan()
+    stores = _stores(kind, plan)
+    _seed(stores)
+    before = plan.store_ops
+    run(stores)
+    return plan.store_ops - before
+
+
+def _crashed_world(kind: str, run, nth: int) -> tuple[StoreSet, FaultPlan]:
+    """Seed a world, then kill ``run`` as its ``nth`` store operation begins."""
+    plan = FaultPlan()
+    stores = _stores(kind, plan)
+    _seed(stores)
+    plan.crash_after_ops(nth)
+    with pytest.raises(EnclaveCrashed):
+        run(stores)
+    return stores, plan
+
+
+@pytest.mark.parametrize("kind", ["separate", "sharded"])
+class TestMovedPreImages:
+    def _end_states(self, kind: str):
+        stores = _stores(kind)
+        _seed(stores)
+        before = _snapshot(stores)
+        _run_batch(stores)
+        return before, _snapshot(stores)
+
+    def test_committed_batch_leaves_no_journal_key(self, kind):
+        before, after = self._end_states(kind)
+        assert "obj:1\x00chunk\x000" in before["dedup"]
+        assert "obj:1\x00chunk\x000" not in after["dedup"]
+        assert after["dedup"]["obj:1\x00meta"] == b"re-created inside the batch"
+        assert "members" not in after["group"]
+        assert not any(key.startswith("\x00journal:") for view in after.values() for key in view)
+
+    def test_delete_moves_the_value_and_seals_only_its_digest(self, kind):
+        stores = _stores(kind)
+        _seed(stores)
+        with pytest.raises(_StopHere):
+            _run_batch(stores, crash_hook=_stop_at("journal:commit"))
+        saved = sorted(key for key in stores.dedup.keys() if key.startswith(_SAVED))
+        assert len(saved) == 4  # three chunks and the meta
+        assert {stores.dedup.get(key) for key in saved} == set(_object("obj:1", 10).values())
+        entries = [key for key in stores.content.keys() if key.startswith("\x00journal:entry:")]
+        # Seven entries; only the copied pre-image of /edit is value-sized.
+        assert len(entries) == 7
+        assert sum(stores.content.size(key) for key in entries) < _CHUNK
+
+    def test_in_process_rollback_moves_everything_back(self, kind):
+        stores = _stores(kind)
+        _seed(stores)
+        before = _snapshot(stores)
+        journal = WriteAheadJournal(stores, _ROOT_KEY, crash_hook=_stop_at("journal:commit"))
+        content, group, dedup = _views(stores, journal)
+        journal.begin("doomed")
+        for key in _object("obj:2", 20):
+            dedup.delete(key)
+        content.delete("/keep")
+        journal.rollback()
+        journal.clear()
+        assert _snapshot(stores) == before
+
+    def test_crash_at_every_store_op_is_all_or_nothing(self, kind):
+        """Covers dying after the entry put and before the move, between
+        the copy and the delete of a move, and anywhere inside the
+        post-commit sweep."""
+        before, after = self._end_states(kind)
+        total = _count_ops(kind, _run_batch)
+        assert total > 40
+        for nth in range(1, total + 1):
+            stores, _ = _crashed_world(kind, _run_batch, nth)
+            recovered = _recover(stores)
+            state = _snapshot(stores)
+            assert state in (before, after), f"store op {nth}: torn state"
+            assert state == before or not recovered, f"store op {nth}: half undone"
+            assert _journal_keys(stores) == [], f"store op {nth}: journal residue"
+
+    def test_crash_inside_the_restore_is_repaired_by_the_next(self, kind):
+        def until_commit(stores: StoreSet) -> None:
+            with pytest.raises(_StopHere):
+                _run_batch(stores, crash_hook=_stop_at("journal:commit"))
+
+        reference = _stores(kind)
+        _seed(reference)
+        before = _snapshot(reference)
+        until_commit(reference)
+        plan = FaultPlan()
+        counting = _stores(kind, plan)
+        _seed(counting)
+        until_commit(counting)
+        ops_before = plan.store_ops
+        assert _recover(counting)
+        recovery_ops = plan.store_ops - ops_before
+        assert _snapshot(counting) == before
+        for nth in range(1, recovery_ops + 1):
+            plan = FaultPlan()
+            stores = _stores(kind, plan)
+            _seed(stores)
+            until_commit(stores)
+            plan.crash_after_ops(nth)
+            with pytest.raises(EnclaveCrashed):
+                _recover(stores)
+            _recover(stores)
+            assert _snapshot(stores) == before, f"recovery op {nth}: not the pre-batch state"
+            assert _journal_keys(stores) == []
+
+    @pytest.mark.parametrize("attack", ["tamper", "swap", "delete", "replace-unmoved"])
+    def test_altered_saved_value_is_rollback_detected(self, kind, attack):
+        stores = _stores(kind)
+        _seed(stores)
+        if attack == "replace-unmoved":
+            # Die between the entry put and the move: the value is still
+            # under its own key, and the entry's digest still binds it.
+            with pytest.raises(_StopHere):
+                _run_batch(stores, crash_hook=_stop_at("journal:saved", nth=2))
+            victim = list(_object("obj:1", 10))[1]
+            assert stores.dedup.exists(victim)
+            stores.dedup.put(victim, stores.dedup.get("obj:2\x00chunk\x000"))
+        else:
+            with pytest.raises(_StopHere):
+                _run_batch(stores, crash_hook=_stop_at("journal:commit"))
+            first, second = sorted(k for k in stores.dedup.keys() if k.startswith(_SAVED))[:2]
+            if attack == "tamper":
+                blob = bytearray(stores.dedup.get(first))
+                blob[len(blob) // 2] ^= 1
+                stores.dedup.put(first, bytes(blob))
+            elif attack == "swap":
+                a, b = stores.dedup.get(first), stores.dedup.get(second)
+                stores.dedup.put(first, b)
+                stores.dedup.put(second, a)
+            else:
+                stores.dedup.delete(first)
+        with pytest.raises(RollbackDetected):
+            WriteAheadJournal(stores, _ROOT_KEY).recover_restore()
+
+
+def _run_epoch(stores: StoreSet, done: list[int], crash_hook=None) -> None:
+    """Two members of one group-commit epoch, each deleting an object."""
+    journal = WriteAheadJournal(stores, _ROOT_KEY, crash_hook=crash_hook)
+    content, _, dedup = _views(stores, journal)
+    journal.open_epoch("epoch")
+    for member, (object_id, fill) in enumerate((("obj:1", 10), ("obj:2", 20)), start=1):
+        base = journal.begin_member()
+        for key in _object(object_id, fill):
+            dedup.delete(key)
+        content.put("/edit", b"member %d" % member)
+        journal.commit_member(base, b"", b"", member, f"m{member}")
+        done.append(member)
+    journal.close_epoch()
+
+
+@pytest.mark.parametrize("kind", ["separate", "sharded"])
+class TestMovedPreImagesInEpochs:
+    def _states(self, kind: str) -> list[dict]:
+        """The state after 0, 1 and 2 committed members."""
+        states = []
+        for members in range(3):
+            stores = _stores(kind)
+            _seed(stores)
+            if members:
+                # One member: stop as the second reaches its commit and let
+                # recovery undo it.  Two: run the epoch to its close.
+                hook = _stop_at("journal:commit", nth=members + 1) if members < 2 else None
+                try:
+                    _run_epoch(stores, [], crash_hook=hook)
+                except _StopHere:
+                    pass
+                _recover(stores)
+            states.append(_snapshot(stores))
+        assert states[0] != states[1] != states[2]
+        return states
+
+    def test_crash_at_every_store_op_keeps_each_member_whole(self, kind):
+        """Entries (and saved values) below the last record's watermark
+        belong to committed members — left by a sweep that died — and must
+        be swept, never restored; those above it are the in-flight member's
+        and are moved back."""
+        states = self._states(kind)
+        total = _count_ops(kind, lambda stores: _run_epoch(stores, []))
+        for nth in range(1, total + 1):
+            done: list[int] = []
+            stores, _ = _crashed_world(kind, lambda s, d=done: _run_epoch(s, d), nth)
+            _recover(stores)
+            state = _snapshot(stores)
+            # A crash inside commit_member lands on either side of its record.
+            allowed = states[len(done) : len(done) + 2]
+            assert state in allowed, f"store op {nth}: member torn or lost"
+            assert _journal_keys(stores) == [], f"store op {nth}: journal residue"
+
+    def test_member_rollback_moves_back_only_its_own_values(self, kind):
+        states = self._states(kind)
+        stores = _stores(kind)
+        _seed(stores)
+        journal = WriteAheadJournal(stores, _ROOT_KEY)
+        content, _, dedup = _views(stores, journal)
+        journal.open_epoch("epoch")
+        base = journal.begin_member()
+        for key in _object("obj:1", 10):
+            dedup.delete(key)
+        content.put("/edit", b"member 1")
+        journal.commit_member(base, b"", b"", 1, "m1")
+        base = journal.begin_member()
+        for key in _object("obj:2", 20):
+            dedup.delete(key)
+        journal.rollback_member(base)
+        assert not any(key.startswith(_SAVED) for key in stores.dedup.keys())
+        journal.close_epoch()
+        assert _snapshot(stores) == states[1]
+        assert _journal_keys(stores) == []
+
+
+_BIG = bytes(i % 251 for i in range(2 * 4096 + 100))  # three chunks
+
+
+def _saved_anywhere(server: SeGShareServer) -> list[str]:
+    stores = server.stores
+    return [
+        key
+        for store in (stores.content, stores.group, stores.dedup)
+        for key in store.keys()
+        if key.startswith(_SAVED)
+    ]
+
+
+def _prime_big(server: SeGShareServer) -> None:
+    prime(server)
+    assert server.enclave.handler.put_file("alice", "/d/big", _BIG).status is Status.OK
+
+
+def _remove_big(server: SeGShareServer) -> None:
+    if not server.enclave.manager.exists("/d/big"):
+        return  # a post-commit crash already removed it
+    response = server.enclave.handler.handle("alice", Request(op=Op.REMOVE, args=("/d/big",)))
+    assert response.status is Status.OK
+
+
+@pytest.mark.parametrize("dedup", [False, True], ids=["inline", "dedup"])
+class TestMultiChunkDeleteCrashes:
+    """REMOVE of a three-chunk file: its chunks leave by rename."""
+
+    def _crash_cells(self, site: str, dedup: bool):
+        probe = build_server(enable_dedup=dedup)
+        _prime_big(probe)
+        plan = FaultPlan().crash_at_point(nth=10**9, site_prefix=site)
+        plan.attach_platform(probe.platform)
+        _remove_big(probe)
+        plan.detach()
+        steps = plan.seen_crashpoints(site)
+        assert steps >= 4, f"a three-chunk delete passed only {steps} {site} crashpoints"
+        assert _saved_anywhere(probe) == []
+        for step in range(1, steps + 1):
+            server = build_server(enable_dedup=dedup)
+            _prime_big(server)
+            plan = FaultPlan().crash_at_point(nth=step, site_prefix=site)
+            plan.attach_platform(server.platform)
+            with pytest.raises(EnclaveCrashed):
+                _remove_big(server)
+            plan.detach()
+            yield step, server
+
+    def test_crash_between_entry_and_move(self, dedup):
+        for step, server in self._crash_cells("journal:saved", dedup):
+            server.restart_enclave()
+            server.enclave.guard.verify_restored_state()
+            manager = server.enclave.manager
+            # No journal:saved step lies past the commit point.
+            assert manager.read_content("/d/big") == _BIG, f"step {step}: pre-batch state lost"
+            assert "/d/big" in manager.read_dir("/d/").children
+            assert _saved_anywhere(server) == []
+            _remove_big(server)
+            assert not manager.exists("/d/big") and _saved_anywhere(server) == []
+
+    def test_crash_after_a_move(self, dedup):
+        # Every third journal:mutate step keeps the matrix affordable; the
+        # unit-level classes above die at every single store operation.
+        for step, server in self._crash_cells("journal:mutate", dedup):
+            if step % 3:
+                continue
+            server.restart_enclave()
+            server.enclave.guard.verify_restored_state()
+            manager = server.enclave.manager
+            if manager.exists("/d/big"):
+                assert manager.read_content("/d/big") == _BIG, f"step {step}: torn"
+            else:
+                assert "/d/big" not in manager.read_dir("/d/").children
+            assert manager.read_content("/keep") == b"other file"
+            assert _saved_anywhere(server) == []
+
+    def test_tampered_saved_chunk_fails_recovery(self, dedup):
+        for _, server in self._crash_cells("journal:mutate", dedup):
+            store = server.stores.dedup if dedup else server.stores.content
+            saved = [key for key in store.keys() if key.startswith(_SAVED)]
+            if len(saved) < 2:
+                continue
+            blob = bytearray(store.get(saved[0]))
+            blob[40] ^= 0x10
+            store.put(saved[0], bytes(blob))
+            with pytest.raises(RollbackDetected):
+                server.restart_enclave()
+            return
+        pytest.fail("no crash cell held two saved values")
+
+
+def test_sharded_deployment_leaves_no_saved_key():
+    """Through the shard router a move is a cross-shard copy+delete; after a
+    committed and after a recovered batch no saved key is left on any shard."""
+    options = SeGShareOptions(
+        rollback="whole_fs", counter_kind="rote", rollback_buckets=8, journal=True,
+        enable_dedup=True,
+    )
+    backends = [InMemoryStore() for _ in range(3)]
+    server = SeGShareServer(
+        azure_wan_env(), _CA.public_key, stores=StoreSet.sharded(backends), options=options
+    )
+    _prime_big(server)
+
+    def saved_on_shards() -> list[str]:
+        return [key for shard in backends for key in shard.keys() if _SAVED in key]
+
+    plan = FaultPlan().crash_at_point(nth=5, site_prefix="journal:mutate")
+    plan.attach_platform(server.platform)
+    with pytest.raises(EnclaveCrashed):
+        _remove_big(server)
+    plan.detach()
+    assert saved_on_shards(), "the crash should have caught values in their saved slots"
+    server.restart_enclave()
+    server.enclave.guard.verify_restored_state()
+    assert saved_on_shards() == []
+    assert server.enclave.manager.read_content("/d/big") == _BIG
+    _remove_big(server)
+    assert not server.enclave.manager.exists("/d/big")
+    assert saved_on_shards() == []
 
 
 class TestDegradedMode:

@@ -144,3 +144,55 @@ class TestSystemLevel:
         used_with = sum(with_dedup.manager.stored_bytes().values())
         used_without = sum(without.manager.stored_bytes().values())
         assert used_with < used_without / 5
+
+
+class TestSweepOrphans:
+    """A crash strands `obj:` keys the index never adopted — and a stranded
+    upload has chunks but no metadata yet, so the sweep must not depend on
+    metadata to find (or to remove) them."""
+
+    @staticmethod
+    def _object_keys(store) -> set[str]:
+        return {key.partition("\x00")[0] for key in store.keys() if key.startswith("obj:")}
+
+    def _reopened(self, store):
+        return DedupStore(ProtectedFs(store, master_key=bytes(16)), bytes(32))
+
+    def test_upload_that_crashed_after_k_chunks_is_swept(self):
+        store = InMemoryStore()
+        dedup = self._reopened(store)
+        kept = dedup.put(b"indexed content" * 1000)
+        upload = dedup.begin_upload()
+        upload.write(b"s" * (3 * 4096 + 5))  # three chunks flushed, then the crash
+        assert len(self._object_keys(store)) == 2
+        assert not dedup._pfs.exists(upload._object_id)  # no metadata: list_paths is blind
+
+        restarted = self._reopened(store)
+        assert restarted.sweep_orphans() == 1
+        assert self._object_keys(store) == {restarted._index[kept][0]}
+        assert restarted.get(kept) == b"indexed content" * 1000
+        assert restarted.sweep_orphans() == 0
+
+    def test_remove_that_crashed_after_the_meta_delete_is_swept(self):
+        store = InMemoryStore()
+        dedup = self._reopened(store)
+        kept = dedup.put(b"still referenced")
+        upload = dedup.begin_upload()
+        upload.write(b"a" * (2 * 4096 + 1))
+        upload._handle.close()  # sealed, about to be dropped by abort() ...
+        store.delete(upload._object_id + "\x00meta")  # ... which got this far
+        store.delete(upload._object_id + "\x00chunk\x000")
+
+        restarted = self._reopened(store)
+        assert restarted.sweep_orphans() == 1
+        assert self._object_keys(store) == {restarted._index[kept][0]}
+
+    def test_sealed_but_unreferenced_object_is_still_swept(self):
+        store = InMemoryStore()
+        dedup = self._reopened(store)
+        upload = dedup.begin_upload()
+        upload.write(b"closed, never committed")
+        upload._handle.close()
+        restarted = self._reopened(store)
+        assert restarted.sweep_orphans() == 1
+        assert self._object_keys(store) == set()

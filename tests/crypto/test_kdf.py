@@ -65,3 +65,32 @@ class TestDeriveKey:
     def test_length_parameter(self):
         assert len(derive_key(bytes(32), "l", length=16)) == 16
         assert len(derive_key(bytes(32), "l", length=64)) == 64
+
+
+class TestKnownAnswers:
+    """Keys computed by the ``hmac.new``-per-block implementation (commit
+    e3ccc33): the one-shot ``hmac.digest`` rewrite must derive the same."""
+
+    def test_file_key_default_length(self):
+        key = derive_key(b"root-key-material", "segshare/file-key", b"/docs/a.txt")
+        assert key.hex() == "689f0a9229c4a3868b5162f96f5be88a3e4513adac45097bf24c8f7de7bfd1cb"
+
+    def test_pfs_file_key(self):
+        key = derive_key(bytes(range(32)), "pfs/file-key", b"obj:0011", length=16)
+        assert key.hex() == "1b01c89fbac19487c399ce609c887840"
+
+    def test_multi_block_output(self):
+        assert derive_key(b"k", "label", length=80).hex() == (
+            "0214384c7f2295db91ce5ab92cfaca2f030ee4261648bdddbb253b613eb45bd3"
+            "01fd6cfeea9c85a1fbb0586d17ccb0108a2471a62f0edf513b0fa7d8a7d3f678"
+            "ce9de99ae2aee19a1688365b46b92c9b"
+        )
+
+    def test_extract_with_empty_salt_and_expand(self):
+        assert hkdf_extract(b"", b"ikm").hex() == (
+            "7e353801993517a0c8465d3631b3033ff18748561c5f44b159311a936706703d"
+        )
+        assert hkdf_expand(bytes(32), b"info", 42).hex() == (
+            "d3dbc270ada4bfd42baf1210c7487eac8e021d5d9104b1aba3373d9fc6304421"
+            "353e25117f2678e9b77e"
+        )

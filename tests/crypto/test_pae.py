@@ -1,6 +1,9 @@
 """The PAE contract, for both backends: round trips, tamper, properties."""
 
+import hashlib
 import secrets
+import sys
+import threading
 
 import pytest
 from hypothesis import given, settings
@@ -112,3 +115,99 @@ def test_large_payload_round_trip():
     pae = HmacStreamPae()
     data = secrets.token_bytes(3 * 1024 * 1024)
     assert pae.decrypt(KEY, pae.encrypt(KEY, data)) == data
+
+
+class TestKnownAnswers:
+    """Blobs computed by the pre-keyed-context implementation (commit
+    e3ccc33): the context cache must not change a single output byte."""
+
+    IV = bytes(range(16, 32))
+
+    def test_empty_plaintext_and_aad(self):
+        assert HmacStreamPae().encrypt_with_iv(KEY, self.IV, b"").hex() == (
+            "101112131415161718191a1b1c1d1e1f"
+            "e3b7cfcef0f7f7a65f812da076f15c7b7c4eb47aa7d5466d92dc64befd0bdec4"
+        )
+
+    def test_short_plaintext_with_aad(self):
+        blob = HmacStreamPae().encrypt_with_iv(KEY, self.IV, b"hello world", b"aad-1")
+        assert blob.hex() == (
+            "101112131415161718191a1b1c1d1e1f"
+            "1636f3168b227aeba626e8"
+            "50d481618f9c57b3e629029748003e3223cb1a4df8f8342601fd5270488351a2"
+        )
+
+    def test_chunk_sized_plaintext(self):
+        blob = HmacStreamPae().encrypt_with_iv(
+            bytes(16), bytes(16), bytes(range(256)) * 17, b"pfs-meta\x00/a/b"
+        )
+        assert len(blob) == 4400
+        assert hashlib.sha256(blob).hexdigest() == (
+            "35ba951fa0550e6f71fd072446e797f7e363cc41f56b800e2aff74a81890fc03"
+        )
+
+    def test_warm_context_gives_the_same_blob(self):
+        pae = HmacStreamPae()
+        cold = pae.encrypt_with_iv(KEY, self.IV, b"hello world", b"aad-1")
+        assert pae.encrypt_with_iv(KEY, self.IV, b"hello world", b"aad-1") == cold
+        assert pae.decrypt(KEY, cold, b"aad-1") == b"hello world"
+
+
+class TestContextCache:
+    def _keys(self, count):
+        return [index.to_bytes(KEY_SIZE, "big") for index in range(count)]
+
+    def test_eviction_never_serves_another_keys_context(self, pae):
+        keys = self._keys(pae._CACHE_LIMIT + 9)
+        blobs = [pae.encrypt(key, b"owned by %d" % index) for index, key in enumerate(keys)]
+        assert len(pae._cache) <= pae._CACHE_LIMIT
+        assert keys[0] not in pae._cache  # the oldest went first
+        for index, key in enumerate(keys):  # evicted keys rebuild their own context
+            assert pae.decrypt(key, blobs[index]) == b"owned by %d" % index
+            with pytest.raises(IntegrityError):
+                pae.decrypt(key, blobs[index - 1])
+        assert len(pae._cache) <= pae._CACHE_LIMIT
+
+    def test_interleaved_keys_decrypt_only_their_own_blobs(self, pae):
+        a, b = self._keys(2)
+        blobs_a, blobs_b = [], []
+        for round_ in range(4):
+            blobs_a.append(pae.encrypt(a, b"a%d" % round_, b"aad"))
+            blobs_b.append(pae.encrypt(b, b"b%d" % round_, b"aad"))
+        for round_ in range(4):
+            assert pae.decrypt(a, blobs_a[round_], b"aad") == b"a%d" % round_
+            assert pae.decrypt(b, blobs_b[round_], b"aad") == b"b%d" % round_
+            with pytest.raises(IntegrityError):
+                pae.decrypt(a, blobs_b[round_], b"aad")
+            with pytest.raises(IntegrityError):
+                pae.decrypt(b, blobs_a[round_], b"aad")
+
+    def test_concurrent_misses_keep_the_cache_bounded_and_correct(self):
+        """More workers than cores, each cycling through more keys than the
+        cache holds: every round trip must still come back intact."""
+        pae = HmacStreamPae()
+        failures: list[str] = []
+
+        def worker(offset: int) -> None:
+            for index in range(300):
+                key = ((offset * 7 + index) % 150).to_bytes(KEY_SIZE, "big")
+                text = b"%d:%d" % (offset, index)
+                try:
+                    if pae.decrypt(key, pae.encrypt(key, text)) != text:
+                        failures.append(f"wrong plaintext for {offset}:{index}")
+                except Exception as exc:  # noqa: BLE001 - reported below
+                    failures.append(repr(exc))
+
+        threads = [threading.Thread(target=worker, args=(n,)) for n in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not failures, failures[:3]
+        assert len(pae._cache) <= pae._CACHE_LIMIT

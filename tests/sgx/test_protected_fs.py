@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.crypto.merkle import MerkleTree
 from repro.errors import ProtectedFsError
 from repro.sgx.protected_fs import CHUNK_SIZE, ProtectedFs, _chunk_key
 from repro.storage.backends import InMemoryStore
@@ -129,6 +130,33 @@ class TestHandles:
         handle.close()
         pfs.open_write("/f").close()
 
+    def test_handles_keep_leaf_digests_not_chunk_ciphertexts(self, pfs, store):
+        """A handle's enclave memory is constant in file size: after every
+        write/read_chunk returns it holds one 32-byte digest per chunk."""
+        data = bytes(i % 251 for i in range(2 * CHUNK_SIZE + 100))
+        writer = pfs.open_write("/f")
+        for offset in range(0, len(data), CHUNK_SIZE):
+            writer.write(data[offset : offset + CHUNK_SIZE])
+            assert all(len(leaf) == 32 for leaf in writer._leaves)
+        writer.close()
+        assert len(writer._leaves) == 3
+        assert all(len(leaf) == 32 for leaf in writer._leaves)
+
+        reader = pfs.open_read("/f")
+        parts = []
+        while (chunk := reader.read_chunk()) is not None:
+            parts.append(chunk)
+            assert all(len(leaf) == 32 for leaf in reader._leaves)
+        reader.close()
+        assert b"".join(parts) == data and len(reader._leaves) == 3
+
+    def test_meta_root_is_the_tree_over_the_stored_ciphertexts(self, pfs, store):
+        """The root in the metadata node is still what the pre-digest code
+        computed: a Merkle tree over the chunk ciphertexts as stored."""
+        pfs.write_file("/f", b"z" * (2 * CHUNK_SIZE + 1))
+        stored = [store.get(_chunk_key("/f", index)) for index in range(3)]
+        assert pfs._load_meta("/f").merkle_root == MerkleTree(stored).root()
+
     def test_many_readers_allowed(self, pfs):
         pfs.write_file("/f", b"data")
         r1 = pfs.open_read("/f")
@@ -184,3 +212,31 @@ def test_round_trip_property(data):
     pfs = ProtectedFs(InMemoryStore(), master_key=KEY)
     pfs.write_file("/p", data)
     assert pfs.read_file("/p") == data
+
+
+class TestDebris:
+    """What a crash leaves of a half-written or half-removed file."""
+
+    def test_owners_sees_chunks_without_metadata(self, pfs, store):
+        pfs.write_file("obj:whole", b"x" * (CHUNK_SIZE + 1))
+        writer = pfs.open_write("obj:torn")
+        writer.write(b"y" * (2 * CHUNK_SIZE))  # never closed: no metadata
+        pfs.write_file("/other", b"not under the prefix")
+        assert pfs.list_paths() == ["/other", "obj:whole"]
+        assert pfs.owners("obj:") == {"obj:whole", "obj:torn"}
+
+    def test_purge_needs_no_metadata(self, pfs, store):
+        pfs.write_file("obj:ab", b"keep" * CHUNK_SIZE)
+        pfs.write_file("obj:a", b"x" * (2 * CHUNK_SIZE + 5))
+        store.delete("obj:a\x00meta")  # a remove() that got no further
+        with pytest.raises(ProtectedFsError):
+            pfs.remove("obj:a")
+        pfs.purge("obj:a")
+        assert pfs.owners("obj:") == {"obj:ab"}
+        assert pfs.read_file("obj:ab") == b"keep" * CHUNK_SIZE
+
+    def test_purge_refuses_a_file_with_open_handles(self, pfs):
+        writer = pfs.open_write("obj:a")
+        with pytest.raises(ProtectedFsError):
+            pfs.purge("obj:a")
+        writer.close()

@@ -16,6 +16,7 @@ from repro.bench.concurrency import parallel_env
 from repro.core.enclave_app import SeGShareOptions
 from repro.core.requests import Op, Request, Status
 from repro.core.server import SeGShareServer
+from repro.errors import EnclaveCrashed
 from repro.faults import FaultPlan, faulty_stores
 from repro.netsim import azure_wan_env
 from repro.pki import CertificateAuthority
@@ -247,3 +248,125 @@ class TestEpochDurability:
         engine.quiesce()
         # The aborted member's stamp never reached the committed slot.
         assert server.handle.call("cluster_last_committed_stamp") == committed_before
+
+
+class TestMovedPreImagesInAnEpoch:
+    """Two members of one epoch each remove a three-chunk file.
+
+    A member's delete moves the chunk to ``\\x00journal:saved:<seq>``
+    rather than copying it into the undo entry.  Crash between an entry
+    put and its move (``journal:saved``) in either member: recovery moves
+    back only what lies at or above the last epoch record's watermark — a
+    committed member's saved values are garbage to sweep, never to
+    restore — and no saved key survives on any store.
+    """
+
+    #: Two three-chunk files with different content (dedup keeps both).
+    BIG = {
+        "/d/big1": bytes(i % 249 for i in range(2 * 4096 + 77)),
+        "/d/big2": bytes((i + 1) % 249 for i in range(2 * 4096 + 77)),
+    }
+
+    def _primed(self, stores=None) -> SeGShareServer:
+        server = build_server(stores=stores, enable_dedup=True)
+        setup_dir(server)
+        handler = server.enclave.handler
+        for path, content in self.BIG.items():
+            assert handler.put_file("alice", path, content).status is Status.OK
+        server.enclave.engine.quiesce()
+        return server
+
+    @staticmethod
+    def _remove_pair(server: SeGShareServer) -> None:
+        handler = server.enclave.handler
+        manager = server.enclave.manager
+        t0 = server.env.clock.now()
+        for path in ("/d/big1", "/d/big2"):
+            if not manager.exists(path):
+                continue  # an earlier attempt's member already committed
+
+            def thunk(p=path):
+                response = handler.handle("alice", Request(op=Op.REMOVE, args=(p,)))
+                assert response.status is Status.OK
+
+            server.switchless.dispatch(thunk, arrival=t0)
+        server.enclave.engine.quiesce()
+
+    @staticmethod
+    def _saved(server: SeGShareServer) -> list[str]:
+        stores = server.stores
+        return [
+            key
+            for store in (stores.content, stores.group, stores.dedup)
+            for key in store.keys()
+            if key.startswith("\x00journal:saved:")
+        ]
+
+    def test_crash_between_entry_and_move_in_either_member(self):
+        probe = self._primed()
+        plan = FaultPlan().crash_at_point(nth=10**9, site_prefix="journal:saved")
+        plan.attach_platform(probe.platform)
+        self._remove_pair(probe)
+        plan.detach()
+        # Not vacuous: both removals really did share one epoch.
+        assert probe.enclave.engine.group_commit.stats.histogram.get("2", 0) >= 1
+        steps = plan.seen_crashpoints("journal:saved")
+        assert steps >= 8, "two three-chunk deletes should move at least eight values"
+        assert self._saved(probe) == []
+
+        survivors = set()
+        for step in range(1, steps + 1):
+            server = self._primed()
+            plan = FaultPlan().crash_at_point(nth=step, site_prefix="journal:saved")
+            plan.attach_platform(server.platform)
+            with pytest.raises(EnclaveCrashed):
+                self._remove_pair(server)
+            plan.detach()
+
+            server.restart_enclave()
+            server.enclave.guard.verify_restored_state()
+            manager = server.enclave.manager
+            present = tuple(manager.exists(path) for path in self.BIG)
+            survivors.add(present)
+            for path, content in self.BIG.items():
+                if manager.exists(path):
+                    assert manager.read_content(path) == content, f"step {step}: {path} torn"
+                else:
+                    assert path not in manager.read_dir("/d/").children
+            # Members commit in order: the second removal cannot have
+            # survived a crash that undid the first.
+            assert present != (True, False), f"step {step}: later member outlived earlier"
+            assert self._saved(server) == [], f"step {step}: saved value left behind"
+            self._remove_pair(server)
+            assert not any(manager.exists(path) for path in self.BIG)
+            assert self._saved(server) == []
+        # The sweep crossed the watermark: crashes in member one undid
+        # everything, crashes in member two kept member one's removal.
+        assert survivors == {(True, True), (False, True)}
+
+    def test_member_abort_moves_back_only_that_members_chunks(self):
+        plan = FaultPlan()
+        server = self._primed(stores=faulty_stores(StoreSet.in_memory(), plan))
+        handler = server.enclave.handler
+        t0 = server.env.clock.now()
+
+        def remove_first():
+            response = handler.handle("alice", Request(op=Op.REMOVE, args=("/d/big1",)))
+            assert response.status is Status.OK
+
+        ops0 = plan.store_ops
+        server.switchless.dispatch(remove_first, arrival=t0)
+        per_remove = plan.store_ops - ops0
+        plan.fail_nth(nth=per_remove // 2)
+
+        def failing():
+            response = handler.handle("alice", Request(op=Op.REMOVE, args=("/d/big2",)))
+            assert response.status is Status.RETRY
+
+        server.switchless.dispatch(failing, arrival=t0)
+        server.enclave.engine.quiesce()
+        manager = server.enclave.manager
+        assert not manager.exists("/d/big1")
+        assert manager.read_content("/d/big2") == self.BIG["/d/big2"]
+        assert self._saved(server) == []
+        server.enclave.guard.verify_restored_state()
