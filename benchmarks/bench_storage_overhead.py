@@ -28,7 +28,7 @@ def test_storage_overhead(benchmark, make_deployment, entries):
 
     def measure():
         stored = manager.content_stored_size("/f.dat")
-        stored += manager._content.stored_size(manager._sp(acl_path("/f.dat")))
+        stored += manager.content.pfs.stored_size(manager._sp(acl_path("/f.dat")))
         return stored
 
     stored = benchmark(measure)

@@ -14,7 +14,9 @@ nothing exercises it.  This rule proves the coverage bidirectionally:
   literal in the crash-test tree (``test_paths``, resolved relative to
   the boundary file).  Test literals act as prefixes, mirroring
   ``crash_at_point`` semantics: a test naming ``journal:`` exercises
-  every ``journal:*`` site.
+  every ``journal:*`` site.  An ID is a string literal at the call
+  site, or ``self.NAME`` naming class-level string constants (a shared
+  base class declares each subclass's ID).
 * **mutating -> declared**: every function in the configured mutation
   modules that performs a persisted mutation (a bare configured call
   such as ``raw_write``, an ``os``-module call such as ``os.replace``,
@@ -39,7 +41,7 @@ from repro.analysis.engine import Finding
 from repro.analysis.rules.base import call_name, segments
 
 if TYPE_CHECKING:
-    from repro.analysis.callgraph import FunctionInfo
+    from repro.analysis.callgraph import CallGraph, FunctionInfo
     from repro.analysis.engine import AnalysisContext
 
 RULE = "crashpoint-coverage"
@@ -49,7 +51,6 @@ _DEFAULT_CRASHPOINT_CALLS = ("crashpoint", "_crashpoint", "crash_hook")
 _DEFAULT_MUTATION_CALLS = (
     "raw_write",
     "raw_delete",
-    "raw_group_write",
 )
 #: ``replace``/``remove``/``unlink`` are persisted mutations only as
 #: ``os``-module calls; the same bare names on sets and dicts are not.
@@ -71,6 +72,56 @@ def _literal_prefix(node: ast.expr) -> str | None:
         if isinstance(head, ast.Constant) and isinstance(head.value, str):
             return head.value
     return None
+
+
+def _site_ids(graph: "CallGraph", node: ast.expr) -> list[str]:
+    """The crashpoint ids an argument may name.
+
+    A literal names itself.  ``self.NAME``/``cls.NAME`` names every class
+    constant ``NAME`` in the tree: a call site in a shared base class
+    declares each subclass's id, exactly as if the call were written out
+    in every subclass.
+    """
+    literal = _literal_prefix(node)
+    if literal is not None:
+        return [literal]
+    if (
+        isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id in ("self", "cls")
+    ):
+        return graph.class_constants(node.attr)
+    return []
+
+
+def declared_sites(
+    graph: "CallGraph",
+    scope: tuple[str, ...],
+    prefixes: tuple[str, ...],
+    crashpoint_calls: frozenset[str] = frozenset(_DEFAULT_CRASHPOINT_CALLS),
+) -> list[tuple[str, "FunctionInfo", int]]:
+    """(site id, declaring function, line) of every crashpoint under ``prefixes``."""
+    declared: list[tuple[str, "FunctionInfo", int]] = []
+    for info in graph.functions_in(scope).values():
+        for site in info.calls:
+            if site.name not in crashpoint_calls:
+                continue
+            call_node = None
+            for node in ast.walk(info.node):
+                if (
+                    isinstance(node, ast.Call)
+                    and node.lineno == site.line
+                    and call_name(node) in crashpoint_calls
+                    and node.args
+                ):
+                    call_node = node
+                    break
+            if call_node is None:
+                continue
+            for site_id in _site_ids(graph, call_node.args[0]):
+                if site_id.startswith(prefixes):
+                    declared.append((site_id, info, site.line))
+    return declared
 
 
 def _test_literals(paths: list[Path], prefixes: tuple[str, ...]) -> set[str]:
@@ -118,27 +169,7 @@ def check(ctx: "AnalysisContext") -> Iterator[Finding]:
     test_paths = [Path(base_dir, p) for p in test_paths_cfg]
     literals = _test_literals(test_paths, prefixes) if test_paths else None
 
-    declared: list[tuple[str, "FunctionInfo", int]] = []
-    for info in graph.functions_in(declare_scope).values():
-        for site in info.calls:
-            if site.name not in crashpoint_calls:
-                continue
-            call_node = None
-            for node in ast.walk(info.node):
-                if (
-                    isinstance(node, ast.Call)
-                    and node.lineno == site.line
-                    and call_name(node) in crashpoint_calls
-                    and node.args
-                ):
-                    call_node = node
-                    break
-            if call_node is None:
-                continue
-            site_id = _literal_prefix(call_node.args[0])
-            if site_id is None or not site_id.startswith(prefixes):
-                continue
-            declared.append((site_id, info, site.line))
+    declared = declared_sites(graph, declare_scope, prefixes, crashpoint_calls)
 
     if literals is not None:
         for site_id, info, line in declared:
@@ -197,4 +228,4 @@ def check(ctx: "AnalysisContext") -> Iterator[Finding]:
         )
 
 
-__all__ = ["RULE", "check"]
+__all__ = ["RULE", "check", "declared_sites"]

@@ -111,6 +111,41 @@ class DriverResult:
         }
 
 
+def run_closed_loop(
+    clock: ParallelClock,
+    clients: list[list[Any]],
+    issue: Callable[[int, int, float], OpRecord],
+    quiesce: Callable[[], None],
+) -> DriverResult:
+    """The closed-loop arrival loop of both drivers.
+
+    ``clients[c]`` is client ``c``'s ordered stream of operations; the
+    stream is closed-loop (op ``k+1`` arrives when op ``k`` completes).
+    Operations across clients are issued in global arrival order, ties
+    broken by client index — deterministic, so a given schedule is
+    exactly reproducible.  ``issue(c, k, arrival)`` runs one operation
+    and returns its record.  ``quiesce`` closes any open commit epoch:
+    before the measured window, so the deferred guard flush and counter
+    increments of setup traffic are not billed to this run; and after
+    the last write, whose flush is part of the work and belongs in the
+    makespan, not in the next measurement.
+    """
+    quiesce()
+    begin = clock.now()
+    # (arrival, client, op_index) — heap pops give global arrival order.
+    ready = [(begin, c, 0) for c in range(len(clients)) if clients[c]]
+    heapq.heapify(ready)
+    records: list[OpRecord] = []
+    while ready:
+        arrival, c, k = heapq.heappop(ready)
+        record = issue(c, k, arrival)
+        records.append(record)
+        if k + 1 < len(clients[c]):
+            heapq.heappush(ready, (record.end, c, k + 1))
+    quiesce()
+    return DriverResult(ops=records, makespan=clock.now() - begin)
+
+
 class ConcurrentDriver:
     """Drive N closed-loop clients through a server's switchless pool.
 
@@ -131,46 +166,22 @@ class ConcurrentDriver:
         self._queue = server.switchless
 
     def run(self, clients: list[list[Callable[[], Any]]]) -> DriverResult:
-        """Run every client's operation list to completion.
+        """Run every client's thunk list to completion (see :func:`run_closed_loop`)."""
+        queue = self._queue
 
-        ``clients[c]`` is client ``c``'s ordered stream of thunks; the
-        stream is closed-loop (op ``k+1`` arrives when op ``k``
-        completes).  Operations across clients are dispatched in global
-        arrival order, ties broken by client index — deterministic, so
-        a given schedule is exactly reproducible.
-        """
-        clock, queue = self._clock, self._queue
-        # Setup traffic (priming PUTs) may have left a commit epoch open;
-        # close it *before* the measured window so its deferred guard
-        # flush and counter increments are not billed to this run.
-        engine = getattr(getattr(self._server, "enclave", None), "engine", None)
-        if engine is not None:
-            engine.quiesce()
-        begin = clock.now()
-        # (arrival, client, op_index) — heap pops give global arrival order.
-        ready = [(begin, c, 0) for c in range(len(clients)) if clients[c]]
-        heapq.heapify(ready)
-        records: list[OpRecord] = []
-        while ready:
-            arrival, c, k = heapq.heappop(ready)
+        def issue(c: int, k: int, arrival: float) -> OpRecord:
             queue.dispatch(clients[c][k], arrival=arrival, label=f"c{c}/op{k}")
             track = queue.last_track
             assert track is not None and track.end is not None
-            records.append(
-                OpRecord(
-                    client=c,
-                    index=k,
-                    label=track.label,
-                    start=track.start,
-                    end=track.end,
-                    accounts=dict(track.accounts),
-                )
+            return OpRecord(
+                client=c,
+                index=k,
+                label=track.label,
+                start=track.start,
+                end=track.end,
+                accounts=dict(track.accounts),
             )
-            if k + 1 < len(clients[c]):
-                heapq.heappush(ready, (track.end, c, k + 1))
-        # Close any commit epoch still open after the last write: its
-        # deferred guard flush is part of the work and belongs in the
-        # makespan, not in the next measurement.
-        if engine is not None:
-            engine.quiesce()
-        return DriverResult(ops=records, makespan=clock.now() - begin)
+
+        engine = getattr(getattr(self._server, "enclave", None), "engine", None)
+        quiesce = engine.quiesce if engine is not None else lambda: None
+        return run_closed_loop(self._clock, clients, issue, quiesce)

@@ -303,7 +303,7 @@ def storage(sizes_mb: tuple[int, ...] = (10, 200), acl_entries: tuple[int, ...] 
             stored = manager.content_stored_size("/f.dat")
             from repro.core.acl import acl_path
 
-            stored += manager._content.stored_size(manager._sp(acl_path("/f.dat")))
+            stored += manager.content.pfs.stored_size(manager._sp(acl_path("/f.dat")))
             result.add(
                 size_mb=size_mb,
                 acl_entries=entries,

@@ -12,10 +12,9 @@ witness.
 
 from __future__ import annotations
 
-import heapq
 from typing import Any, Callable
 
-from repro.bench.concurrency import DriverResult, OpRecord
+from repro.bench.concurrency import DriverResult, OpRecord, run_closed_loop
 from repro.cluster.router import SeGShareCluster
 from repro.netsim import ParallelClock
 
@@ -39,29 +38,14 @@ class ClusterDriver:
         self._clock = clock
 
     def run(self, clients: list[list[Callable[[float], Any]]]) -> DriverResult:
-        clock = self._clock
-        # Flush setup traffic's open epochs outside the measured window.
-        self._cluster.quiesce()
-        begin = clock.now()
-        ready = [(begin, c, 0) for c in range(len(clients)) if clients[c]]
-        heapq.heapify(ready)
-        records: list[OpRecord] = []
-        while ready:
-            arrival, c, k = heapq.heappop(ready)
+        cluster = self._cluster
+
+        def issue(c: int, k: int, arrival: float) -> OpRecord:
             clients[c][k](arrival)
-            end = max(self._cluster.last_completion, arrival)
-            records.append(
-                OpRecord(
-                    client=c,
-                    index=k,
-                    label=f"c{c}/op{k}",
-                    start=arrival,
-                    end=end,
-                    accounts={},
-                )
+            end = max(cluster.last_completion, arrival)
+            return OpRecord(
+                client=c, index=k, label=f"c{c}/op{k}", start=arrival, end=end, accounts={}
             )
-            if k + 1 < len(clients[c]):
-                heapq.heappush(ready, (end, c, k + 1))
-        # Flush any replica's open commit epoch into the makespan.
-        self._cluster.quiesce()
-        return DriverResult(ops=records, makespan=clock.now() - begin)
+
+        # Quiescing the cluster flushes every replica's open commit epoch.
+        return run_closed_loop(self._clock, clients, issue, cluster.quiesce)

@@ -223,10 +223,7 @@ class CoherenceManager:
 
     def _full_discard(self) -> None:
         self.stats.full_discards += 1
-        if self._engine.cache is not None:
-            self._engine.cache.clear()
-        if self._engine.dedup is not None:
-            self._engine.dedup.reload_index()
+        self._engine.drop_derived_state()
 
     # -- wire format ------------------------------------------------------
 

@@ -35,7 +35,6 @@ from typing import TYPE_CHECKING, Iterator
 
 from repro.core.acl import (
     GROUP_LIST_PATH,
-    USER_REGISTRY_ID,
     AclFile,
     GroupListFile,
     MemberListFile,
@@ -69,14 +68,135 @@ GUARD_PREFIX = "\x00rb:"
 #: Same, for the group store's flat guard (node + anchor).
 GROUP_GUARD_PREFIX = "\x00rbg:"
 
-#: Metadata-cache namespaces, one per store.
-_NS_CONTENT = "content"
-_NS_GROUP = "group"
-
 #: Group-store prefix for authorization-backend records (envelope state).
 #: Contains NUL, which is invalid in user ids and paths, so the records
 #: can never collide with member lists, quota ledgers, or guard objects.
 AUTHZ_PREFIX = "\x00authz:"
+
+
+class Mount:
+    """One protected store as the enclave sees it.
+
+    Bundles the ProtectedFs mount, its metadata-cache namespace, the
+    logical-path prefix of its rollback-guard objects, and the attached
+    guard (``None`` = unguarded).  The content and the group store are
+    two instances; every read and write of either goes through here.
+    """
+
+    def __init__(
+        self, manager: "TrustedFileManager", pfs: ProtectedFs, namespace: str, guard_prefix: str
+    ) -> None:
+        self._engine = manager.engine
+        self._sp = manager._sp
+        self._content_hash = manager._content_hash
+        self.pfs = pfs
+        self.namespace = namespace
+        self.guard_prefix = guard_prefix
+        self.guard: "RollbackGuard | FlatStoreGuard | None" = None
+
+    def _load(self, path: str) -> bytes:
+        """Decrypt the stored object; a missing one is a FileSystemError."""
+        sp = self._sp(path)
+        try:
+            return self.pfs.read_file(sp)
+        except ProtectedFsError:
+            if self.pfs.exists(sp):
+                raise  # present but failing verification: not "missing"
+            raise FileSystemError(f"no file at {path!r}") from None
+
+    def _current_hash(self, path: str) -> bytes:
+        """Content hash of the stored version (the guard's ``old_hash``)."""
+        old = self._engine.lookup(self.namespace, path)
+        if old is None:
+            old = self._load(path)
+        return self._content_hash(old)
+
+    # -- guarded I/O ---------------------------------------------------------------
+
+    def guarded_read(self, path: str) -> bytes:
+        if not self.raw_exists(path):
+            raise FileSystemError(f"no file at {path!r}")
+        # Cache hit: the plaintext was verified when it entered the cache
+        # (or written by this enclave); serving it from enclave memory
+        # skips the PFS decrypt AND the per-level guard recomputation.
+        cached = self._engine.lookup(self.namespace, path)
+        if cached is not None:
+            return cached
+        data = self._load(path)
+        if self.guard is not None:
+            self.guard.verify_read(path, self._content_hash(data))
+        self._engine.fill(self.namespace, path, data)
+        return data
+
+    def guarded_write(self, path: str, data: bytes) -> None:
+        old_hash = None
+        if self.guard is not None and self.raw_exists(path):
+            old_hash = self._current_hash(path)
+        self._engine.invalidate(self.namespace, path)
+        self.pfs.write_file(self._sp(path), data)
+        if self.guard is not None:
+            self.guard.on_write(path, self._content_hash(data), old_hash)
+        self._engine.write_back(self.namespace, path, data)
+
+    def guarded_delete(self, path: str) -> None:
+        if not self.raw_exists(path):
+            raise FileSystemError(f"no file at {path!r}")
+        old_hash = self._current_hash(path) if self.guard is not None else None
+        self.raw_delete(path)
+        if self.guard is not None:
+            self.guard.on_delete(path, old_hash)
+
+    # -- unverified access (guard internals, self-authenticating records) --------------
+
+    def raw_read(self, path: str) -> bytes:
+        """Read without rollback verification.
+
+        Consults the cache (entries are only ever inserted verified or
+        write-through, so they are at least as fresh as storage) but fills
+        it only for guard objects: a guard node read here still gets
+        authenticated by its parent's bucket up to the counter-checked
+        anchor, whereas a sibling file read during bucket recomputation is
+        never individually verified and must not be laundered into the
+        cache.
+        """
+        cached = self._engine.lookup(self.namespace, path)
+        if cached is not None:
+            return cached
+        data = self._load(path)
+        if path.startswith(self.guard_prefix):
+            self._engine.fill(self.namespace, path, data)
+        return data
+
+    def raw_exists(self, path: str) -> bool:
+        if self._engine.cached(self.namespace, path):
+            return True
+        return self.pfs.exists(self._sp(path))
+
+    def raw_write(self, path: str, data: bytes) -> None:
+        """Write without guard hooks (guard nodes, unguarded records)."""
+        self._engine.invalidate(self.namespace, path)
+        self.pfs.write_file(self._sp(path), data)
+        self._engine.write_back(self.namespace, path, data)
+
+    def raw_delete(self, path: str) -> None:
+        self._engine.invalidate(self.namespace, path)
+        self.pfs.remove(self._sp(path))
+
+    def read_record(self, path: str) -> bytes | None:
+        """An unguarded record (quota ledger, authz envelopes), or None.
+
+        These are unguarded in the uncached baseline too: the PFS Merkle
+        check is all the integrity either path provides, and whole-FS
+        freshness rides the relation files every decision reads — so
+        caching the decrypted record loses nothing.
+        """
+        data = self._engine.lookup(self.namespace, path)
+        if data is None:
+            if not self.raw_exists(path):
+                return None
+            data = self._load(path)
+            self._engine.fill(self.namespace, path, data)
+        return data
 
 
 class TrustedFileManager:
@@ -106,19 +226,20 @@ class TrustedFileManager:
             )
         self._engine = engine
         backends = engine.backends
-        self._content = ProtectedFs(
-            backends.content, master_key=derive_key(root_key, "segshare/store/content", length=16),
-            enclave=enclave,
-        )
-        self._group = ProtectedFs(
-            backends.group, master_key=derive_key(root_key, "segshare/store/group", length=16),
-            enclave=enclave,
-        )
-        self._dedup_pfs = ProtectedFs(
-            backends.dedup, master_key=derive_key(root_key, "segshare/store/dedup", length=16),
-            enclave=enclave,
-        )
+
+        def pfs(store, name: str) -> ProtectedFs:
+            key = derive_key(root_key, f"segshare/store/{name}", length=16)
+            return ProtectedFs(store, master_key=key, enclave=enclave)
+
         self._transform = HmacPathTransform(root_key) if hide_paths else IdentityTransform()
+        self.content = Mount(self, pfs(backends.content, "content"), "content", GUARD_PREFIX)
+        self.group = Mount(self, pfs(backends.group, "group"), "group", GROUP_GUARD_PREFIX)
+        engine.mounts = (self.content, self.group)
+        #: Unverified content-store access for the audit chain, whose
+        #: records authenticate themselves (repro/core/audit.py).
+        self.raw_read, self.raw_write = self.content.raw_read, self.content.raw_write
+        self.raw_exists = self.content.raw_exists
+        self._dedup_pfs = pfs(backends.dedup, "dedup")
         self.dedup: DedupStore | None = (
             DedupStore(self._dedup_pfs, root_key, engine=engine) if enable_dedup else None
         )
@@ -141,19 +262,19 @@ class TrustedFileManager:
 
     @property
     def guard(self) -> "RollbackGuard | None":
-        return self._engine.guard
+        return self.content.guard
 
     @guard.setter
     def guard(self, guard: "RollbackGuard | None") -> None:
-        self._engine.guard = guard
+        self.content.guard = guard
 
     @property
     def group_guard(self) -> "FlatStoreGuard | None":
-        return self._engine.group_guard
+        return self.group.guard
 
     @group_guard.setter
     def group_guard(self, guard: "FlatStoreGuard | None") -> None:
-        self._engine.group_guard = guard
+        self.group.guard = guard
 
     def transaction(self, label: str) -> "contextlib.AbstractContextManager[None]":
         """Run a multi-key mutation as one all-or-nothing engine span.
@@ -183,18 +304,15 @@ class TrustedFileManager:
 
     def exists(self, path: str) -> bool:
         """Table IV ``exists_f``: is there a stored file at ``path``?"""
-        if self._engine.cached(_NS_CONTENT, path):
-            return True
-        return self._content.exists(self._sp(path))
+        return self.content.raw_exists(path)
 
     # -- directory files ------------------------------------------------------------
 
     def read_dir(self, path: str) -> DirectoryFile:
-        data = self._read_guarded(path)
-        return DirectoryFile.deserialize(data)
+        return DirectoryFile.deserialize(self.content.guarded_read(path))
 
     def write_dir(self, path: str, directory: DirectoryFile) -> None:
-        self._write_guarded(path, directory.serialize())
+        self.content.guarded_write(path, directory.serialize())
 
     # -- content files ---------------------------------------------------------------
 
@@ -206,12 +324,12 @@ class TrustedFileManager:
         else:
             record = Writer().u8(_KIND_INLINE).raw(data).take()
         old_pointer = self._pointer_target(path)
-        self._write_guarded(path, record)
+        self.content.guarded_write(path, record)
         if old_pointer is not None and self.dedup is not None:
             self.dedup.release(old_pointer)
 
     def read_content(self, path: str) -> bytes:
-        record = self._read_guarded(path)
+        record = self.content.guarded_read(path)
         r = Reader(record)
         kind = r.u8()
         if kind == _KIND_INLINE:
@@ -223,7 +341,7 @@ class TrustedFileManager:
         raise FileSystemError(f"corrupt content record at {path!r}")
 
     def content_size(self, path: str) -> int:
-        record = self._read_guarded(path)
+        record = self.content.guarded_read(path)
         r = Reader(record)
         kind = r.u8()
         if kind == _KIND_INLINE:
@@ -233,12 +351,12 @@ class TrustedFileManager:
 
     def _pointer_target(self, path: str) -> str | None:
         """The dedup hName the current record points to, if any."""
-        record = self._engine.lookup(_NS_CONTENT, path)
+        record = self._engine.lookup(self.content.namespace, path)
         if record is None:
             if not self.exists(path):
                 return None
             try:
-                record = self._content.read_file(self._sp(path))
+                record = self.content._load(path)
             except ProtectedFsError:
                 return None
         r = Reader(record)
@@ -249,7 +367,7 @@ class TrustedFileManager:
     def delete_content(self, path: str) -> None:
         """Delete a content or directory file (releasing dedup references)."""
         pointer = self._pointer_target(path)
-        self._delete_guarded(path)
+        self.content.guarded_delete(path)
         if pointer is not None and self.dedup is not None:
             self.dedup.release(pointer)
 
@@ -266,7 +384,7 @@ class TrustedFileManager:
         guarded reads verify before streaming; the chunks still cross the
         channel one at a time.
         """
-        record = self._read_guarded(path)
+        record = self.content.guarded_read(path)
         r = Reader(record)
         kind = r.u8()
         if kind == _KIND_INLINE:
@@ -291,91 +409,54 @@ class TrustedFileManager:
         return self.exists(acl_path(path))
 
     def read_acl(self, path: str) -> AclFile:
-        return AclFile.deserialize(self._read_guarded(acl_path(path)))
+        return AclFile.deserialize(self.content.guarded_read(acl_path(path)))
 
     def write_acl(self, path: str, acl: AclFile) -> None:
-        self._write_guarded(acl_path(path), acl.serialize())
+        self.content.guarded_write(acl_path(path), acl.serialize())
 
     def delete_acl(self, path: str) -> None:
-        self._delete_guarded(acl_path(path))
+        self.content.guarded_delete(acl_path(path))
 
     # -- group store -------------------------------------------------------------------
 
-    def _group_read_guarded(self, logical_path: str) -> bytes:
-        cached = self._engine.lookup(_NS_GROUP, logical_path)
-        if cached is not None:
-            return cached
-        data = self._group.read_file(self._sp(logical_path))
-        if self.group_guard is not None:
-            self.group_guard.verify_read(logical_path, self._content_hash(data))
-        self._engine.fill(_NS_GROUP, logical_path, data)
-        return data
-
-    def _group_write_guarded(self, logical_path: str, data: bytes) -> None:
-        sp = self._sp(logical_path)
-        old_hash = None
-        if self.group_guard is not None and self._group.exists(sp):
-            old = self._engine.lookup(_NS_GROUP, logical_path)
-            if old is None:
-                old = self._group.read_file(sp)
-            old_hash = self._content_hash(old)
-        self._engine.invalidate(_NS_GROUP, logical_path)
-        self._group.write_file(sp, data)
-        if self.group_guard is not None:
-            self.group_guard.on_write(logical_path, self._content_hash(data), old_hash)
-        self._engine.write_back(_NS_GROUP, logical_path, data)
+    def _group_file(self, kind: type, path: str):
+        """A guarded group-store file, deserialized; absent reads as empty."""
+        try:
+            data = self.group.guarded_read(path)
+        except FileSystemError:
+            return kind()
+        return kind.deserialize(data)
 
     def read_group_list(self) -> GroupListFile:
-        if not self._engine.cached(_NS_GROUP, GROUP_LIST_PATH):
-            if not self._group.exists(self._sp(GROUP_LIST_PATH)):
-                return GroupListFile()
-        return GroupListFile.deserialize(self._group_read_guarded(GROUP_LIST_PATH))
+        return self._group_file(GroupListFile, GROUP_LIST_PATH)
 
     def write_group_list(self, group_list: GroupListFile) -> None:
-        self._group_write_guarded(GROUP_LIST_PATH, group_list.serialize())
+        self.group.guarded_write(GROUP_LIST_PATH, group_list.serialize())
 
     def member_list_exists(self, user_id: str) -> bool:
-        if self._engine.cached(_NS_GROUP, member_list_path(user_id)):
-            return True
-        return self._group.exists(self._sp(member_list_path(user_id)))
+        return self.group.raw_exists(member_list_path(user_id))
 
     def read_member_list(self, user_id: str) -> MemberListFile:
-        if not self.member_list_exists(user_id):
-            return MemberListFile()
-        return MemberListFile.deserialize(
-            self._group_read_guarded(member_list_path(user_id))
-        )
+        return self._group_file(MemberListFile, member_list_path(user_id))
 
     def write_member_list(self, user_id: str, members: MemberListFile) -> None:
-        self._group_write_guarded(member_list_path(user_id), members.serialize())
+        self.group.guarded_write(member_list_path(user_id), members.serialize())
 
     # -- quota ledger (group store; resource accounting, not a security
     # -- boundary — see repro/core/request_handler.py) --------------------------------
 
     def read_quota(self, user_id: str) -> int:
         """Bytes currently accounted to ``user_id``."""
-        key = quota_path(user_id)
-        data = self._engine.lookup(_NS_GROUP, key)
+        data = self.group.read_record(quota_path(user_id))
         if data is None:
-            sp = self._sp(key)
-            if not self._group.exists(sp):
-                return 0
-            data = self._group.read_file(sp)
-            # Quota records are unguarded in the baseline too: the PFS
-            # Merkle check is all the integrity either path provides,
-            # so caching the decrypted record loses nothing.
-            self._engine.fill(_NS_GROUP, key, data)
+            return 0
         r = Reader(data)
         used = r.u64()
         r.expect_end()
         return used
 
     def write_quota(self, user_id: str, used: int) -> None:
-        key = quota_path(user_id)
-        blob = Writer().u64(used).take()
-        self._engine.invalidate(_NS_GROUP, key)
-        self._group.write_file(self._sp(key), blob)
-        self._engine.write_back(_NS_GROUP, key, blob)
+        self.group.raw_write(quota_path(user_id), Writer().u64(used).take())
 
     # -- authorization-backend records (group store; envelope state for the
     # -- crypto backends — see repro/core/authz) --------------------------------------
@@ -390,153 +471,14 @@ class TrustedFileManager:
         return derive_key(self._root_key, label, length=length)
 
     def read_authz_record(self, name: str) -> bytes | None:
-        key = AUTHZ_PREFIX + name
-        data = self._engine.lookup(_NS_GROUP, key)
-        if data is None:
-            sp = self._sp(key)
-            if not self._group.exists(sp):
-                return None
-            data = self._group.read_file(sp)
-            # Unguarded like the quota ledger: the records hold only
-            # wrapped keys whose integrity the PFS Merkle check covers;
-            # whole-FS freshness rides the relation files every decision
-            # reads, so caching the decrypted record loses nothing.
-            self._engine.fill(_NS_GROUP, key, data)
-        return data
+        return self.group.read_record(AUTHZ_PREFIX + name)
 
     def write_authz_record(self, name: str, data: bytes) -> None:
-        key = AUTHZ_PREFIX + name
-        self._engine.invalidate(_NS_GROUP, key)
-        self._group.write_file(self._sp(key), data)
-        self._engine.write_back(_NS_GROUP, key, data)
+        self.group.raw_write(AUTHZ_PREFIX + name, data)
 
     def delete_authz_record(self, name: str) -> None:
-        key = AUTHZ_PREFIX + name
-        self._engine.invalidate(_NS_GROUP, key)
-        sp = self._sp(key)
-        if self._group.exists(sp):
-            self._group.remove(sp)
-
-    # -- unverified group access for the flat rollback guard -------------------------
-
-    def raw_group_read(self, logical_path: str) -> bytes:
-        # Same policy as raw_read: consult always, fill guard objects only.
-        cached = self._engine.lookup(_NS_GROUP, logical_path)
-        if cached is not None:
-            return cached
-        data = self._group.read_file(self._sp(logical_path))
-        if logical_path.startswith(GROUP_GUARD_PREFIX):
-            self._engine.fill(_NS_GROUP, logical_path, data)
-        return data
-
-    def raw_group_write(self, logical_path: str, data: bytes) -> None:
-        self._engine.invalidate(_NS_GROUP, logical_path)
-        self._group.write_file(self._sp(logical_path), data)
-        self._engine.write_back(_NS_GROUP, logical_path, data)
-
-    def raw_group_exists(self, logical_path: str) -> bool:
-        if self._engine.cached(_NS_GROUP, logical_path):
-            return True
-        return self._group.exists(self._sp(logical_path))
-
-    def group_logical_paths(self) -> list[str]:
-        """All guarded group-store files: group list, registry, member lists.
-
-        Enumerated through the user registry so the list works under path
-        hiding too (storage keys are HMACs and cannot be enumerated).
-        """
-        paths = []
-        registry_path = member_list_path(USER_REGISTRY_ID)
-        for path in (GROUP_LIST_PATH, registry_path):
-            if self.raw_group_exists(path):
-                paths.append(path)
-        if self.raw_group_exists(registry_path):
-            registry = MemberListFile.deserialize(self.raw_group_read(registry_path))
-            for user_id in registry.groups:
-                path = member_list_path(user_id)
-                if self.raw_group_exists(path):
-                    paths.append(path)
-        return paths
-
-    # -- guarded low-level I/O ------------------------------------------------------------
-
-    def _read_guarded(self, path: str) -> bytes:
-        # Cache hit: the plaintext was verified when it entered the cache
-        # (or written by this enclave); serving it from enclave memory
-        # skips the PFS decrypt AND the per-level guard recomputation.
-        cached = self._engine.lookup(_NS_CONTENT, path)
-        if cached is not None:
-            return cached
-        if not self.exists(path):
-            raise FileSystemError(f"no file at {path!r}")
-        data = self._content.read_file(self._sp(path))
-        if self.guard is not None:
-            self.guard.verify_read(path, self._content_hash(data))
-        self._engine.fill(_NS_CONTENT, path, data)
-        return data
-
-    def _write_guarded(self, path: str, data: bytes) -> None:
-        old_hash = None
-        if self.guard is not None and self.exists(path):
-            old = self._engine.lookup(_NS_CONTENT, path)
-            if old is None:
-                old = self._content.read_file(self._sp(path))
-            old_hash = self._content_hash(old)
-        self._engine.invalidate(_NS_CONTENT, path)
-        self._content.write_file(self._sp(path), data)
-        if self.guard is not None:
-            self.guard.on_write(path, self._content_hash(data), old_hash)
-        self._engine.write_back(_NS_CONTENT, path, data)
-
-    def _delete_guarded(self, path: str) -> None:
-        if not self.exists(path):
-            raise FileSystemError(f"no file at {path!r}")
-        old_hash = None
-        if self.guard is not None:
-            old = self._engine.lookup(_NS_CONTENT, path)
-            if old is None:
-                old = self._content.read_file(self._sp(path))
-            old_hash = self._content_hash(old)
-        self._engine.invalidate(_NS_CONTENT, path)
-        self._content.remove(self._sp(path))
-        if self.guard is not None:
-            self.guard.on_delete(path, old_hash)
-
-    # -- unverified access for the rollback guard -----------------------------------------
-
-    def raw_read(self, path: str) -> bytes:
-        """Read without rollback verification (guard internals only).
-
-        Consults the cache (entries are only ever inserted verified or
-        write-through, so they are at least as fresh as storage) but fills
-        it only for guard objects: a guard node read here still gets
-        authenticated by its parent's bucket up to the counter-checked
-        anchor, whereas a sibling file read during bucket recomputation is
-        never individually verified and must not be laundered into the
-        cache.
-        """
-        cached = self._engine.lookup(_NS_CONTENT, path)
-        if cached is not None:
-            return cached
-        data = self._content.read_file(self._sp(path))
-        if path.startswith(GUARD_PREFIX):
-            self._engine.fill(_NS_CONTENT, path, data)
-        return data
-
-    def raw_exists(self, path: str) -> bool:
-        if self._engine.cached(_NS_CONTENT, path):
-            return True
-        return self._content.exists(self._sp(path))
-
-    def raw_write(self, path: str, data: bytes) -> None:
-        """Write without guard hooks (guard node persistence)."""
-        self._engine.invalidate(_NS_CONTENT, path)
-        self._content.write_file(self._sp(path), data)
-        self._engine.write_back(_NS_CONTENT, path, data)
-
-    def raw_delete(self, path: str) -> None:
-        self._engine.invalidate(_NS_CONTENT, path)
-        self._content.remove(self._sp(path))
+        if self.group.raw_exists(AUTHZ_PREFIX + name):
+            self.group.raw_delete(AUTHZ_PREFIX + name)
 
     # -- statistics -------------------------------------------------------------------------
 
@@ -550,7 +492,7 @@ class TrustedFileManager:
 
     def content_stored_size(self, path: str) -> int:
         """Untrusted bytes behind one file (following dedup pointers)."""
-        total = self._content.stored_size(self._sp(path))
+        total = self.content.pfs.stored_size(self._sp(path))
         pointer = self._pointer_target(path)
         if pointer is not None and self.dedup is not None:
             object_id = self.dedup._index[pointer][0]
@@ -592,7 +534,7 @@ class ContentUpload:
         else:
             assert self._inline_parts is not None
             record = Writer().u8(_KIND_INLINE).raw(b"".join(self._inline_parts)).take()
-        manager._write_guarded(self._path, record)
+        manager.content.guarded_write(self._path, record)
         if old_pointer is not None and manager.dedup is not None:
             manager.dedup.release(old_pointer)
 

@@ -20,22 +20,36 @@ enabled (Section V-E) every update also increments a TEE monotonic
 counter whose value is stored in the anchor, so replaying an old
 *complete* file system (anchor included) is detected on the next read.
 
-Guard node objects and the anchor live in the content store under a
-NUL-prefixed namespace that user paths cannot reach; their freshness
+Guard node objects and the anchor live in the guarded store itself under
+a NUL-prefixed namespace that user paths cannot reach; their freshness
 needs no separate protection because each is authenticated by its
 parent's bucket digest, up to the counter-protected root.
+
+The paper calls protecting the group store "a straightforward adaption",
+and the code says the same: :class:`_GuardCore` owns everything that
+does not depend on the store's shape — key, batches, the counter-bound
+anchor, leaf hashing, the restore checks — over one
+:class:`~repro.core.file_manager.Mount`, and the two layouts add only
+their node naming/encoding, node main hash, node locks, and the
+update/verify walks: :class:`RollbackGuard` is the tree over the content
+store, :class:`FlatStoreGuard` the single node over the group store.
 """
 
 from __future__ import annotations
 
 import hashlib
 import hmac
+from contextlib import AbstractContextManager
 from dataclasses import asdict, dataclass
 
-from contextlib import AbstractContextManager, nullcontext
-
-from repro.core.acl import acl_path
-from repro.core.file_manager import GROUP_GUARD_PREFIX, GUARD_PREFIX, TrustedFileManager
+from repro.core.acl import (
+    GROUP_LIST_PATH,
+    USER_REGISTRY_ID,
+    MemberListFile,
+    acl_path,
+    member_list_path,
+)
+from repro.core.file_manager import Mount, TrustedFileManager
 from repro.core.locks import LockManager
 from repro.crypto import derive_key
 from repro.crypto.mset_hash import MSetXorHash
@@ -45,7 +59,6 @@ from repro.sgx.counters import MonotonicCounter, RoteCounterService
 from repro.sgx.enclave import Enclave
 from repro.util.serialization import Reader, Writer
 
-_ANCHOR_PATH = GUARD_PREFIX + "anchor"
 ROOT = "/"
 
 
@@ -65,70 +78,57 @@ class GuardStats:
         return asdict(self)
 
 
-def _node_path(dir_path: str) -> str:
-    return GUARD_PREFIX + "node:" + dir_path
+def _pack_buckets(buckets: list[MSetXorHash]) -> bytes:
+    w = Writer().u32(len(buckets))
+    for bucket in buckets:
+        w.bytes(bucket.serialize())
+    return w.take()
 
 
-@dataclass
-class _Node:
-    """Inner-node state for one directory."""
-
-    path: str
-    dir_hash: bytes
-    buckets: list[MSetXorHash]
-
-    def serialize(self) -> bytes:
-        w = Writer().str(self.path).bytes(self.dir_hash).u32(len(self.buckets))
-        for bucket in self.buckets:
-            w.bytes(bucket.serialize())
-        return w.take()
-
-    @classmethod
-    def deserialize(cls, key: bytes, data: bytes) -> "_Node":
-        r = Reader(data)
-        path = r.str()
-        dir_hash = r.bytes()
-        count = r.u32()
-        buckets = [MSetXorHash.deserialize(key, r.bytes()) for _ in range(count)]
-        r.expect_end()
-        return cls(path=path, dir_hash=dir_hash, buckets=buckets)
+def _unpack_buckets(key: bytes, r: Reader) -> list[MSetXorHash]:
+    buckets = [MSetXorHash.deserialize(key, r.bytes()) for _ in range(r.u32())]
+    r.expect_end()
+    return buckets
 
 
-class RollbackGuard:
-    """The hash tree over the content store.
+class _GuardCore:
+    """What both guards share, over one :class:`Mount`.
 
     ``counter``/``counter_id`` enable whole-file-system protection; pass a
     :class:`MonotonicCounter` or :class:`RoteCounterService` plus the
     enclave that owns the counter.
+
+    A layout class supplies ``_WHAT`` (for messages), the two crashpoint
+    ids, ``_node_path``/``_encode_node``/``_decode_node``, ``_node_main``,
+    ``_node_lock``/``_anchor_lock`` (kept literal there: seglint reads
+    lock names at the call site), ``_bootstrap``, and the public walks
+    ``on_write``/``on_delete``/``verify_read``/``recompute_main``/
+    ``rebuild``.
     """
+
+    _WHAT: str
+    _NODE_WRITE: str
+    _COUNTER_INCREMENTED: str
 
     def __init__(
         self,
-        manager: TrustedFileManager,
-        root_key: bytes,
-        buckets: int = 64,
-        enclave: Enclave | None = None,
-        counter: "MonotonicCounter | RoteCounterService | None" = None,
-        counter_id: str = "segshare-fs",
-        locks: LockManager | None = None,
-        lock_shards: int = 16,
+        mount: Mount,
+        key: bytes,
+        buckets: int,
+        enclave: Enclave | None,
+        counter: "MonotonicCounter | RoteCounterService | None",
+        counter_id: str,
+        locks: LockManager | None,
     ) -> None:
-        self._manager = manager
-        self._key = derive_key(root_key, "segshare/rollback")
+        self._mount = mount
+        self._key = key
         self._buckets = buckets
         self._enclave = enclave
         self._counter = counter
         self._counter_id = counter_id
-        # Sharded node locks: concurrent requests updating disjoint files
-        # still meet at shared inner nodes (every write propagates to the
-        # root), so each node's load-modify-save runs under a serial shard
-        # keyed by the node's path.  Node *reads* on the verify path ride
-        # on the request-level path locks — a native implementation would
-        # use per-node reader-writer locks there, and exclusive read-side
-        # shards would serialize the disjoint-read fast path this model
-        # exists to exhibit.
-        self._locks = locks
-        self._lock_shards = lock_shards
+        #: Without a lock manager (unit tests), a clock-less one whose
+        #: serial resources never wait.
+        self._locks = locks if locks is not None else LockManager()
         #: With the counter service unreachable (ROTE quorum lost), reads
         #: may proceed on the hash chain alone; writes still fail because
         #: the anchor cannot be re-counted.  Set False to fail reads too.
@@ -139,19 +139,19 @@ class RollbackGuard:
         # Batch mode: node updates and the anchor write are deferred and
         # flushed once at commit — O(dirty nodes) instead of O(N·depth).
         self._batching = False
-        self._pending_nodes: dict[str, _Node] = {}
-        self._pending_root_main: bytes | None = None
+        self._pending_nodes: dict = {}
+        self._pending_main: bytes | None = None
         if counter is not None and enclave is None:
             raise RollbackDetected("whole-FS protection needs the owning enclave")
         if counter is not None and not counter.exists(counter_id):
             counter.create(enclave, counter_id)
-        if not self._manager.raw_exists(_node_path(ROOT)):
+        if not mount.raw_exists(self._node_path(ROOT)):
             self._bootstrap()
 
     # -- batched updates ------------------------------------------------------------
     #
     # Within a StorageEngine transaction, every on_write/on_delete still
-    # updates the tree — but the updated nodes accumulate in enclave
+    # updates the nodes — but the updated nodes accumulate in enclave
     # memory and the anchor write (with its monotonic-counter increment)
     # is deferred.  commit_batch() then persists each dirty node once and
     # the anchor once.  Reads *inside* the batch verify against the
@@ -166,7 +166,7 @@ class RollbackGuard:
             return
         self._batching = True
         self._pending_nodes = {}
-        self._pending_root_main = None
+        self._pending_main = None
 
     def commit_batch(self) -> None:
         """Flush dirty nodes and the deferred anchor; leaves batch mode."""
@@ -174,11 +174,11 @@ class RollbackGuard:
             return
         self._batching = False
         pending, self._pending_nodes = self._pending_nodes, {}
-        root_main, self._pending_root_main = self._pending_root_main, None
-        for node in pending.values():
-            self._save_node(node)
-        if root_main is not None:
-            self._write_anchor(root_main)
+        main, self._pending_main = self._pending_main, None
+        for dir_path, node in pending.items():
+            self._save_node(dir_path, node)
+        if main is not None:
+            self._write_anchor(main)
         self.stats.batches += 1
         self.stats.nodes_flushed += len(pending)
         self.stats.last_batch_nodes = len(pending)
@@ -187,7 +187,7 @@ class RollbackGuard:
         """Drop pending state without persisting (undo-journal rollback)."""
         self._batching = False
         self._pending_nodes = {}
-        self._pending_root_main = None
+        self._pending_main = None
 
     # -- group-commit epoch support ------------------------------------------------
     #
@@ -198,23 +198,21 @@ class RollbackGuard:
     def snapshot_pending(self) -> tuple[dict[str, bytes], bytes | None]:
         """Deep-copy the pending batch state (taken at member begin)."""
         return (
-            {path: node.serialize() for path, node in self._pending_nodes.items()},
-            self._pending_root_main,
+            {path: self._encode_node(node) for path, node in self._pending_nodes.items()},
+            self._pending_main,
         )
 
     def restore_pending(self, snap: tuple[dict[str, bytes], bytes | None]) -> None:
         """Rewind the pending batch state to a member-begin snapshot."""
-        nodes, root_main = snap
+        nodes, main = snap
         self._batching = True
-        self._pending_nodes = {
-            path: _Node.deserialize(self._key, data) for path, data in nodes.items()
-        }
-        self._pending_root_main = root_main
+        self._pending_nodes = {path: self._decode_node(data) for path, data in nodes.items()}
+        self._pending_main = main
 
     def expected_main(self) -> bytes:
         """The root main hash the current (possibly pending) state anchors to."""
-        if self._batching and self._pending_root_main is not None:
-            return self._pending_root_main
+        if self._batching and self._pending_main is not None:
+            return self._pending_main
         return self._read_anchor()[0]
 
     # -- hashing -------------------------------------------------------------------
@@ -231,83 +229,43 @@ class RollbackGuard:
             self._key, b"leaf\x00" + path.encode("utf-8") + b"\x00" + content_hash, hashlib.sha256
         ).digest()
 
-    def _node_main(self, node: _Node) -> bytes:
-        mac = hmac.new(self._key, b"node\x00", hashlib.sha256)
-        mac.update(node.path.encode("utf-8") + b"\x00")
-        mac.update(node.dir_hash)
-        for bucket in node.buckets:
-            mac.update(bucket.digest())
-        self._charge_hash(64 + 40 * len(node.buckets))
-        return mac.digest()
-
     def _bucket_of(self, child_path: str) -> int:
         digest = hashlib.sha256(child_path.encode("utf-8")).digest()
         return int.from_bytes(digest[:4], "big") % self._buckets
 
-    # -- sharded node locks ---------------------------------------------------
-
-    def _node_lock(self, dir_path: str) -> AbstractContextManager[None]:
-        """The serial shard guarding one inner node's load-modify-save."""
-        if self._locks is None:
-            return nullcontext()
-        digest = hashlib.sha256(dir_path.encode("utf-8")).digest()
-        return self._locks.shard(
-            "rb-node", int.from_bytes(digest[:4], "big"), shards=self._lock_shards
-        )
-
-    def _anchor_lock(self) -> AbstractContextManager[None]:
-        """The anchor write — and its counter increment — is one serial
-        resource for the whole file system."""
-        if self._locks is None:
-            return nullcontext()
-        return self._locks.serial("rb-anchor", account="anchor-wait")
+    def _empty_buckets(self) -> list[MSetXorHash]:
+        return [MSetXorHash(self._key) for _ in range(self._buckets)]
 
     # -- node persistence --------------------------------------------------------------
 
-    def _empty_node(self, dir_path: str, dir_hash: bytes) -> _Node:
-        return _Node(
-            path=dir_path,
-            dir_hash=dir_hash,
-            buckets=[MSetXorHash(self._key) for _ in range(self._buckets)],
-        )
+    def _crashpoint(self, site: str) -> None:
+        if self._enclave is not None:
+            self._enclave.platform.crashpoint(site)
 
-    def _load_node(self, dir_path: str) -> _Node:
+    def _load_node(self, dir_path: str = ROOT):
         if self._batching:
             pending = self._pending_nodes.get(dir_path)
             if pending is not None:
                 return pending
-        data = self._manager.raw_read(_node_path(dir_path))
-        return _Node.deserialize(self._key, data)
+        return self._decode_node(self._mount.raw_read(self._node_path(dir_path)))
 
-    def _save_node(self, node: _Node) -> None:
+    def _save_node(self, dir_path: str, node) -> None:
         if self._batching:
-            self._pending_nodes[node.path] = node
+            self._pending_nodes[dir_path] = node
             return
-        if self._enclave is not None:
-            self._enclave.platform.crashpoint("anchor:fs-node-write")
-        self._manager.raw_write(_node_path(node.path), node.serialize())
+        self._crashpoint(self._NODE_WRITE)
+        self._mount.raw_write(self._node_path(dir_path), self._encode_node(node))
         self.stats.node_saves += 1
 
-    def _delete_node(self, dir_path: str) -> None:
-        """Remove a directory's node (pending copy and persisted object)."""
-        if self._batching:
-            self._pending_nodes.pop(dir_path, None)
-        node_path = _node_path(dir_path)
-        if self._manager.raw_exists(node_path):
-            if self._enclave is not None:
-                self._enclave.platform.crashpoint("anchor:fs-node-delete")
-            self._manager.raw_delete(node_path)
-
-    def _node_exists(self, dir_path: str) -> bool:
-        if self._batching and dir_path in self._pending_nodes:
-            return True
-        return self._manager.raw_exists(_node_path(dir_path))
+    def root_hash(self) -> bytes:
+        """Main hash of the stored (or pending) root node."""
+        return self._node_main(self._load_node(ROOT))
 
     # -- anchor ---------------------------------------------------------------------------
 
-    def _write_anchor(self, root_main: bytes) -> None:
+    def _write_anchor(self, main: bytes) -> None:
         if self._batching:
-            self._pending_root_main = root_main
+            self._pending_main = main
             return
         with self._anchor_lock():
             counter_value = 0
@@ -317,30 +275,31 @@ class RollbackGuard:
                 # already advanced but the anchor naming the new value is
                 # not yet persisted.  A successor's recovery rolls the
                 # batch back and re-anchors, re-counting the anchor.
-                if self._enclave is not None:
-                    self._enclave.platform.crashpoint("anchor:fs-counter-incremented")
-            blob = Writer().bytes(root_main).u64(counter_value).take()
-            self._manager.raw_write(_ANCHOR_PATH, blob)
+                self._crashpoint(self._COUNTER_INCREMENTED)
+            blob = Writer().bytes(main).u64(counter_value).take()
+            self._mount.raw_write(self._mount.guard_prefix + "anchor", blob)
         self.stats.anchor_writes += 1
 
     def _read_anchor(self) -> tuple[bytes, int]:
-        r = Reader(self._manager.raw_read(_ANCHOR_PATH))
-        root_main = r.bytes()
+        r = Reader(self._mount.raw_read(self._mount.guard_prefix + "anchor"))
+        main = r.bytes()
         counter_value = r.u64()
         r.expect_end()
-        return root_main, counter_value
+        return main, counter_value
 
-    def _verify_anchor(self, root_main: bytes) -> None:
-        if self._batching and self._pending_root_main is not None:
+    def _verify_anchor(self, main: bytes) -> None:
+        if self._batching and self._pending_main is not None:
             # Mid-batch, the persisted anchor is stale by design: the
             # authoritative root lives in enclave memory until commit.
             # Enclave memory needs no counter freshness check.
-            if root_main != self._pending_root_main:
-                raise RollbackDetected("root hash does not match the pending anchor")
+            if main != self._pending_main:
+                raise RollbackDetected(
+                    f"{self._WHAT} root hash does not match the pending anchor"
+                )
             return
         stored_main, stored_counter = self._read_anchor()
-        if stored_main != root_main:
-            raise RollbackDetected("root hash does not match the anchored value")
+        if stored_main != main:
+            raise RollbackDetected(f"{self._WHAT} root hash does not match the anchored value")
         if self._counter is not None:
             try:
                 current = self._counter.read(self._enclave, self._counter_id)
@@ -353,9 +312,146 @@ class RollbackGuard:
                 return
             if stored_counter != current:
                 raise RollbackDetected(
-                    "file system rolled back: anchor counter "
+                    f"{self._WHAT} rolled back: anchor counter "
                     f"{stored_counter} != TEE counter {current}"
                 )
+
+    # -- maintenance ---------------------------------------------------------------------------
+
+    def verify_restored_state(self) -> None:
+        """Check a restored store's internal consistency (paper §V-G).
+
+        The main hash recomputed from the stored files must match both
+        the restored anchor's value and the restored root node — i.e. the
+        store is one complete, untampered snapshot, not a mix of two.
+        Crash recovery runs this too: a host that kills the enclave
+        mid-batch and swaps in older objects is caught here, before the
+        re-anchor would bless them.  The counter is *not* checked; the
+        caller re-anchors afterwards with :meth:`accept_current_state`.
+        """
+        recomputed = self.recompute_main()
+        stored_main, _ = self._read_anchor()
+        if recomputed != stored_main or recomputed != self.root_hash():
+            raise RollbackDetected(f"restored {self._WHAT} is internally inconsistent")
+
+    def accept_current_state(self) -> None:
+        """Re-anchor the *current* storage state (CA-authorized reset, §V-G).
+
+        Recomputes nothing — the stored nodes are taken as-is and the
+        anchor (plus counter) is rewritten to match them.  Only recovery
+        and the backup-restore flow may call this, after
+        :meth:`verify_restored_state`.
+        """
+        self._write_anchor(self.root_hash())
+
+    def verify_anchor_fresh(self) -> None:
+        """Prove the anchor is both ours and *fresh* — degraded mode off.
+
+        A replica catching up after join (or takeover) must not start
+        serving from a rolled-back snapshot just because the quorum is
+        momentarily unreachable, so this check refuses the degraded-read
+        escape hatch that normal reads are allowed.
+        """
+        saved, self.allow_degraded_reads = self.allow_degraded_reads, False
+        try:
+            self._verify_anchor(self.root_hash())
+        finally:
+            self.allow_degraded_reads = saved
+
+
+@dataclass
+class _Node:
+    """Inner-node state for one directory."""
+
+    path: str
+    dir_hash: bytes
+    buckets: list[MSetXorHash]
+
+
+class RollbackGuard(_GuardCore):
+    """The hash tree over the content store."""
+
+    _WHAT = "file system"
+    _NODE_WRITE = "anchor:fs-node-write"
+    _COUNTER_INCREMENTED = "anchor:fs-counter-incremented"
+
+    def __init__(
+        self,
+        manager: TrustedFileManager,
+        root_key: bytes,
+        buckets: int = 64,
+        enclave: Enclave | None = None,
+        counter: "MonotonicCounter | RoteCounterService | None" = None,
+        counter_id: str = "segshare-fs",
+        locks: LockManager | None = None,
+        lock_shards: int = 16,
+    ) -> None:
+        self._lock_shards = lock_shards
+        key = derive_key(root_key, "segshare/rollback")
+        super().__init__(manager.content, key, buckets, enclave, counter, counter_id, locks)
+
+    # -- node naming, encoding, main hash ----------------------------------------------
+
+    def _node_path(self, dir_path: str) -> str:
+        return self._mount.guard_prefix + "node:" + dir_path
+
+    def _encode_node(self, node: _Node) -> bytes:
+        return Writer().str(node.path).bytes(node.dir_hash).raw(_pack_buckets(node.buckets)).take()
+
+    def _decode_node(self, data: bytes) -> _Node:
+        r = Reader(data)
+        return _Node(r.str(), r.bytes(), _unpack_buckets(self._key, r))
+
+    def _node_main(self, node: _Node) -> bytes:
+        mac = hmac.new(self._key, b"node\x00", hashlib.sha256)
+        mac.update(node.path.encode("utf-8") + b"\x00")
+        mac.update(node.dir_hash)
+        for bucket in node.buckets:
+            mac.update(bucket.digest())
+        self._charge_hash(64 + 40 * len(node.buckets))
+        return mac.digest()
+
+    # -- locks ---------------------------------------------------------------------------
+
+    # Sharded node locks: concurrent requests updating disjoint files
+    # still meet at shared inner nodes (every write propagates to the
+    # root), so each node's load-modify-save runs under a serial shard
+    # keyed by the node's path.  Node *reads* on the verify path ride on
+    # the request-level path locks — a native implementation would use
+    # per-node reader-writer locks there, and exclusive read-side shards
+    # would serialize the disjoint-read fast path this model exists to
+    # exhibit.
+
+    def _node_lock(self, dir_path: str) -> AbstractContextManager[None]:
+        """The serial shard guarding one inner node's load-modify-save."""
+        digest = hashlib.sha256(dir_path.encode("utf-8")).digest()
+        return self._locks.shard(
+            "rb-node", int.from_bytes(digest[:4], "big"), shards=self._lock_shards
+        )
+
+    def _anchor_lock(self) -> AbstractContextManager[None]:
+        """The anchor write — and its counter increment — is one serial
+        resource for the whole file system."""
+        return self._locks.serial("rb-anchor", account="anchor-wait")
+
+    # -- node persistence --------------------------------------------------------------
+
+    def _empty_node(self, dir_path: str, dir_hash: bytes) -> _Node:
+        return _Node(path=dir_path, dir_hash=dir_hash, buckets=self._empty_buckets())
+
+    def _delete_node(self, dir_path: str) -> None:
+        """Remove a directory's node (pending copy and persisted object)."""
+        if self._batching:
+            self._pending_nodes.pop(dir_path, None)
+        node_path = self._node_path(dir_path)
+        if self._mount.raw_exists(node_path):
+            self._crashpoint("anchor:fs-node-delete")
+            self._mount.raw_delete(node_path)
+
+    def _node_exists(self, dir_path: str) -> bool:
+        if self._batching and dir_path in self._pending_nodes:
+            return True
+        return self._mount.raw_exists(self._node_path(dir_path))
 
     def _bootstrap(self) -> None:
         """First-ever start: anchor the current (normally empty) root directory.
@@ -364,24 +460,25 @@ class RollbackGuard:
         a migration, not a bootstrap — the tree must be built with
         :meth:`rebuild` in that case.
         """
-        if self._manager.raw_exists(ROOT):
-            root_dir_data = self._manager.raw_read(ROOT)
+        if self._mount.raw_exists(ROOT):
+            root_dir_data = self._mount.raw_read(ROOT)
         else:
             root_dir_data = DirectoryFile().serialize()
         root = self._empty_node(ROOT, hashlib.sha256(root_dir_data).digest())
-        self._save_node(root)
+        self._save_node(ROOT, root)
         self._write_anchor(self._node_main(root))
 
     def rebuild(self) -> None:
         """Rebuild the whole tree from current storage and re-anchor it.
 
         Used when enabling rollback protection on an existing share and by
-        the backup-restore flow after a CA-signed reset.
+        epoch crash recovery, whose stored nodes predate the committed
+        members.
         """
         self._walk_dir(ROOT, save=True)
         self._write_anchor(self.root_hash())
 
-    # -- update hooks (called by the trusted file manager) -----------------------------------
+    # -- update hooks (called by the mount) ---------------------------------------------------
 
     def on_write(self, path: str, new_hash: bytes, old_hash: bytes | None) -> None:
         """A file at ``path`` now has content hash ``new_hash``."""
@@ -409,13 +506,11 @@ class RollbackGuard:
                 node = self._load_node(path)
                 old_main = self._node_main(node)
                 node.dir_hash = new_hash
-                self._save_node(node)
-                new_main = self._node_main(node)
             else:
                 node = self._empty_node(path, new_hash)
                 old_main = None
-                self._save_node(node)
-                new_main = self._node_main(node)
+            self._save_node(path, node)
+            new_main = self._node_main(node)
         if path == ROOT:
             self._write_anchor(new_main)
         else:
@@ -438,7 +533,7 @@ class RollbackGuard:
                 node = self._load_node(dir_path)
                 old_main = self._node_main(node)
                 node.buckets[self._bucket_of(child_path)].update(old_child_main, new_child_main)
-                self._save_node(node)
+                self._save_node(dir_path, node)
                 new_main = self._node_main(node)
             if dir_path == ROOT:
                 self._write_anchor(new_main)
@@ -455,7 +550,7 @@ class RollbackGuard:
             return target_main
         if member.endswith("/"):
             return self._node_main(self._load_node(member))
-        data = self._manager.raw_read(member)
+        data = self._mount.raw_read(member)
         self._charge_hash(len(data))
         return self._leaf_main(member, hashlib.sha256(data).digest())
 
@@ -469,14 +564,14 @@ class RollbackGuard:
         mismatches), and multi-step operations like move may transiently
         leave a listing ahead of the object it names.
         """
-        directory = DirectoryFile.deserialize(self._manager.raw_read(node.path))
+        directory = DirectoryFile.deserialize(self._mount.raw_read(node.path))
         members = []
         for child in directory.children:
             for candidate in (child, acl_path(child)):
                 if candidate.endswith("/"):
                     present = self._node_exists(candidate)
                 else:
-                    present = self._manager.raw_exists(candidate)
+                    present = self._mount.raw_exists(candidate)
                 if present and self._bucket_of(candidate) == bucket:
                     members.append(candidate)
         return members
@@ -489,6 +584,7 @@ class RollbackGuard:
         finally compare the root main hash (and counter) with the anchor.
         """
         self.stats.verifies += 1
+        child = path
         if path.endswith("/"):
             node = self._load_node(path)
             if node.dir_hash != content_hash:
@@ -497,9 +593,7 @@ class RollbackGuard:
             if path == ROOT:
                 self._verify_anchor(child_main)
                 return
-            child = path
         else:
-            child = path
             child_main = self._leaf_main(path, content_hash)
 
         dir_path = parent(child)
@@ -526,87 +620,45 @@ class RollbackGuard:
 
     # -- maintenance ---------------------------------------------------------------------------
 
-    def root_hash(self) -> bytes:
-        """Current root main hash (for backup/reset flows)."""
-        return self._node_main(self._load_node(ROOT))
-
-    def recompute_root_hash(self) -> bytes:
+    def recompute_main(self) -> bytes:
         """Full recomputation of the root main hash from storage, without
-        modifying any node — the consistency check of the restore flow."""
+        modifying any node — the consistency check of the restore flows."""
         return self._walk_dir(ROOT, save=False)
 
     def _walk_dir(self, dir_path: str, save: bool) -> bytes:
         """Recompute one directory's node bottom-up; optionally persist it."""
-        dir_data = self._manager.raw_read(dir_path)
+        dir_data = self._mount.raw_read(dir_path)
         node = self._empty_node(dir_path, hashlib.sha256(dir_data).digest())
         directory = DirectoryFile.deserialize(dir_data)
         for child in directory.children:
             for candidate in (child, acl_path(child)):
                 if candidate.endswith("/"):
                     main = self._walk_dir(candidate, save)
-                elif self._manager.raw_exists(candidate):
-                    data = self._manager.raw_read(candidate)
+                elif self._mount.raw_exists(candidate):
+                    data = self._mount.raw_read(candidate)
                     main = self._leaf_main(candidate, hashlib.sha256(data).digest())
                 else:
                     continue
                 node.buckets[self._bucket_of(candidate)].add(main)
         if save:
-            self._save_node(node)
+            self._save_node(dir_path, node)
         return self._node_main(node)
 
-    def verify_restored_state(self) -> None:
-        """Check a restored backup's internal consistency (paper §V-G).
 
-        The recomputed root hash must match both the restored anchor's
-        value and the restored root node — i.e. the backup is a complete,
-        untampered snapshot.  The counter is *not* checked here; the
-        caller re-anchors afterwards with :meth:`accept_current_state`.
-        """
-        recomputed = self.recompute_root_hash()
-        stored_main, _ = self._read_anchor()
-        if recomputed != stored_main or recomputed != self.root_hash():
-            raise RollbackDetected("restored file system is internally inconsistent")
-
-    def accept_current_state(self) -> None:
-        """Re-anchor the *current* storage state (CA-authorized reset, §V-G).
-
-        Recomputes nothing — the hash tree in storage is taken as-is and
-        the anchor (plus counter) is rewritten to match it.  Only the
-        backup-restore flow may call this, after checking the CA's signed
-        reset message.
-        """
-        self._write_anchor(self.root_hash())
-
-    def verify_anchor_fresh(self) -> None:
-        """Prove the anchor is both ours and *fresh* — degraded mode off.
-
-        A replica catching up after join (or takeover) must not start
-        serving from a rolled-back snapshot just because the quorum is
-        momentarily unreachable, so this check refuses the degraded-read
-        escape hatch that normal reads are allowed.
-        """
-        saved, self.allow_degraded_reads = self.allow_degraded_reads, False
-        try:
-            self._verify_anchor(self.root_hash())
-        finally:
-            self.allow_degraded_reads = saved
-
-
-class FlatStoreGuard:
-    """Rollback protection for the group store (paper: "protecting the
-    group store ... is a straightforward adaption").
+class FlatStoreGuard(_GuardCore):
+    """Rollback protection for the group store.
 
     The group store is flat — the group list, the user registry, and one
     member list per user — so the tree degenerates to a single inner node
-    with bucket multiset hashes over all leaves.  Leaf enumeration comes
-    from the user registry (itself a protected leaf, so a stale registry
-    is caught like any other leaf).  The node's main hash is anchored,
-    optionally bound to a monotonic counter, exactly as for the content
-    store.
+    (a bare bucket list, stored under ``ROOT``'s name) with bucket
+    multiset hashes over all leaves.  Leaf enumeration comes from the
+    user registry (itself a protected leaf, so a stale registry is caught
+    like any other leaf).
     """
 
-    _NODE_PATH = GROUP_GUARD_PREFIX + "node"
-    _ANCHOR_PATH = GROUP_GUARD_PREFIX + "anchor"
+    _WHAT = "group store"
+    _NODE_WRITE = "anchor:group-node-write"
+    _COUNTER_INCREMENTED = "anchor:group-counter-incremented"
 
     def __init__(
         self,
@@ -618,115 +670,19 @@ class FlatStoreGuard:
         counter_id: str = "segshare-group",
         locks: LockManager | None = None,
     ) -> None:
-        self._manager = manager
-        self._key = derive_key(root_key, "segshare/rollback-group")
-        self._buckets = buckets
-        self._enclave = enclave
-        self._counter = counter
-        self._counter_id = counter_id
-        # The group store degenerates to one inner node, so its guard has
-        # a single serial lock instead of shards.
-        self._locks = locks
-        self.allow_degraded_reads = True
-        self.degraded_reads = 0
-        self.stats = GuardStats()
-        # Batch mode mirrors RollbackGuard: the single node and anchor
-        # are flushed once per StorageEngine transaction.
-        self._batching = False
-        self._pending_buckets: list[MSetXorHash] | None = None
-        self._pending_main: bytes | None = None
-        if counter is not None and enclave is None:
-            raise RollbackDetected("whole-FS protection needs the owning enclave")
-        if counter is not None and not counter.exists(counter_id):
-            counter.create(enclave, counter_id)
-        if not self._manager.raw_group_exists(self._NODE_PATH):
-            self._bootstrap()
+        key = derive_key(root_key, "segshare/rollback-group")
+        super().__init__(manager.group, key, buckets, enclave, counter, counter_id, locks)
 
-    # -- batched updates ------------------------------------------------------------
+    # -- node naming, encoding, main hash ----------------------------------------------
 
-    def begin_batch(self) -> None:
-        if self._batching:
-            return
-        self._batching = True
-        self._pending_buckets = None
-        self._pending_main = None
+    def _node_path(self, dir_path: str) -> str:
+        return self._mount.guard_prefix + "node"
 
-    def commit_batch(self) -> None:
-        if not self._batching:
-            return
-        self._batching = False
-        pending, self._pending_buckets = self._pending_buckets, None
-        main, self._pending_main = self._pending_main, None
-        if pending is not None:
-            self._save_node(pending)
-            self.stats.nodes_flushed += 1
-            self.stats.last_batch_nodes = 1
-        else:
-            self.stats.last_batch_nodes = 0
-        if main is not None:
-            self._write_anchor(main)
-        self.stats.batches += 1
+    def _encode_node(self, buckets: list[MSetXorHash]) -> bytes:
+        return _pack_buckets(buckets)
 
-    def abort_batch(self) -> None:
-        self._batching = False
-        self._pending_buckets = None
-        self._pending_main = None
-
-    # -- group-commit epoch support (see RollbackGuard) -----------------------------
-
-    def snapshot_pending(self) -> tuple[bytes | None, bytes | None]:
-        if self._pending_buckets is None:
-            serialized = None
-        else:
-            w = Writer().u32(len(self._pending_buckets))
-            for bucket in self._pending_buckets:
-                w.bytes(bucket.serialize())
-            serialized = w.take()
-        return serialized, self._pending_main
-
-    def restore_pending(self, snap: tuple[bytes | None, bytes | None]) -> None:
-        serialized, main = snap
-        self._batching = True
-        if serialized is None:
-            self._pending_buckets = None
-        else:
-            r = Reader(serialized)
-            count = r.u32()
-            self._pending_buckets = [
-                MSetXorHash.deserialize(self._key, r.bytes()) for _ in range(count)
-            ]
-            r.expect_end()
-        self._pending_main = main
-
-    def expected_main(self) -> bytes:
-        """The node main hash the current (possibly pending) state anchors to."""
-        if self._batching and self._pending_main is not None:
-            return self._pending_main
-        r = Reader(self._manager.raw_group_read(self._ANCHOR_PATH))
-        stored_main = r.bytes()
-        r.u64()
-        r.expect_end()
-        return stored_main
-
-    def recompute_main(self) -> bytes:
-        """Recompute the node main hash from stored group files, writing
-        nothing — the consistency check of epoch crash recovery."""
-        buckets = [MSetXorHash(self._key) for _ in range(self._buckets)]
-        for path in self._manager.group_logical_paths():
-            data = self._manager.raw_group_read(path)
-            buckets[self._bucket_of(path)].add(
-                self._leaf_main(path, hashlib.sha256(data).digest())
-            )
-        return self._node_main(buckets)
-
-    def _leaf_main(self, path: str, content_hash: bytes) -> bytes:
-        return hmac.new(
-            self._key, b"leaf\x00" + path.encode("utf-8") + b"\x00" + content_hash, hashlib.sha256
-        ).digest()
-
-    def _bucket_of(self, path: str) -> int:
-        digest = hashlib.sha256(path.encode("utf-8")).digest()
-        return int.from_bytes(digest[:4], "big") % self._buckets
+    def _decode_node(self, data: bytes) -> list[MSetXorHash]:
+        return _unpack_buckets(self._key, Reader(data))
 
     def _node_main(self, buckets: list[MSetXorHash]) -> bytes:
         mac = hmac.new(self._key, b"flatnode\x00", hashlib.sha256)
@@ -734,105 +690,81 @@ class FlatStoreGuard:
             mac.update(bucket.digest())
         return mac.digest()
 
-    # -- node/anchor persistence -------------------------------------------------
+    def _charge_hash(self, nbytes: int) -> None:
+        """This guard's hashing has never been charged to the clock;
+        starting to is a benchmark-visible change of its own."""
 
-    def _load_node(self) -> list[MSetXorHash]:
-        if self._batching and self._pending_buckets is not None:
-            return self._pending_buckets
-        r = Reader(self._manager.raw_group_read(self._NODE_PATH))
-        count = r.u32()
-        buckets = [MSetXorHash.deserialize(self._key, r.bytes()) for _ in range(count)]
-        r.expect_end()
-        return buckets
-
-    def _save_node(self, buckets: list[MSetXorHash]) -> None:
-        if self._batching:
-            self._pending_buckets = buckets
-            return
-        w = Writer().u32(len(buckets))
-        for bucket in buckets:
-            w.bytes(bucket.serialize())
-        if self._enclave is not None:
-            self._enclave.platform.crashpoint("anchor:group-node-write")
-        self._manager.raw_group_write(self._NODE_PATH, w.take())
-        self.stats.node_saves += 1
+    # -- locks ---------------------------------------------------------------------------
 
     def _node_lock(self) -> AbstractContextManager[None]:
-        if self._locks is None:
-            return nullcontext()
+        """One inner node, so a single serial lock instead of shards."""
         return self._locks.serial("rbg-node", account="guard-shard-wait")
 
-    def _write_anchor(self, main: bytes) -> None:
-        if self._batching:
-            self._pending_main = main
-            return
-        with self._locks.serial("rbg-anchor", account="anchor-wait") if self._locks else nullcontext():
-            counter_value = 0
-            if self._counter is not None:
-                counter_value = self._counter.increment(self._enclave, self._counter_id)
-                if self._enclave is not None:
-                    self._enclave.platform.crashpoint("anchor:group-counter-incremented")
-            self._manager.raw_group_write(
-                self._ANCHOR_PATH, Writer().bytes(main).u64(counter_value).take()
-            )
-        self.stats.anchor_writes += 1
+    def _anchor_lock(self) -> AbstractContextManager[None]:
+        return self._locks.serial("rbg-anchor", account="anchor-wait")
 
-    def _verify_anchor(self, main: bytes) -> None:
-        if self._batching and self._pending_main is not None:
-            if main != self._pending_main:
-                raise RollbackDetected(
-                    "group store root hash does not match the pending anchor"
-                )
-            return
-        r = Reader(self._manager.raw_group_read(self._ANCHOR_PATH))
-        stored_main = r.bytes()
-        stored_counter = r.u64()
-        r.expect_end()
-        if stored_main != main:
-            raise RollbackDetected("group store root hash does not match the anchor")
-        if self._counter is not None:
-            try:
-                current = self._counter.read(self._enclave, self._counter_id)
-            except CounterError:
-                if not self.allow_degraded_reads:
-                    raise
-                self.degraded_reads += 1
-                return
-            if stored_counter != current:
-                raise RollbackDetected(
-                    "group store rolled back: anchor counter "
-                    f"{stored_counter} != TEE counter {current}"
-                )
+    # -- leaves ----------------------------------------------------------------------------
+
+    def _leaves(self) -> list[str]:
+        """All guarded group-store files: group list, registry, member lists.
+
+        Enumerated through the user registry so the list works under path
+        hiding too (storage keys are HMACs and cannot be enumerated).
+        """
+        paths = []
+        registry_path = member_list_path(USER_REGISTRY_ID)
+        for path in (GROUP_LIST_PATH, registry_path):
+            if self._mount.raw_exists(path):
+                paths.append(path)
+        if self._mount.raw_exists(registry_path):
+            registry = MemberListFile.deserialize(self._mount.raw_read(registry_path))
+            for user_id in registry.groups:
+                path = member_list_path(user_id)
+                if self._mount.raw_exists(path):
+                    paths.append(path)
+        return paths
+
+    def _stored_leaf_main(self, path: str) -> bytes:
+        data = self._mount.raw_read(path)
+        return self._leaf_main(path, hashlib.sha256(data).digest())
+
+    def _recompute_buckets(self) -> list[MSetXorHash]:
+        buckets = self._empty_buckets()
+        for path in self._leaves():
+            buckets[self._bucket_of(path)].add(self._stored_leaf_main(path))
+        return buckets
+
+    # -- maintenance ---------------------------------------------------------------------------
+
+    def recompute_main(self) -> bytes:
+        """Recompute the node main hash from stored group files, writing
+        nothing — the consistency check of the restore flows."""
+        return self._node_main(self._recompute_buckets())
+
+    def rebuild(self) -> None:
+        """Recompute the node from the stored group files and re-anchor it."""
+        buckets = self._recompute_buckets()
+        self._save_node(ROOT, buckets)
+        self._write_anchor(self._node_main(buckets))
 
     def _bootstrap(self) -> None:
-        buckets = [MSetXorHash(self._key) for _ in range(self._buckets)]
-        for path in self._manager.group_logical_paths():
-            data = self._manager.raw_group_read(path)
-            buckets[self._bucket_of(path)].add(
-                self._leaf_main(path, hashlib.sha256(data).digest())
-            )
-        self._save_node(buckets)
-        self._write_anchor(self._node_main(buckets))
+        self.rebuild()
 
     # -- hooks ----------------------------------------------------------------------
 
     def on_write(self, path: str, new_hash: bytes, old_hash: bytes | None) -> None:
-        self.stats.updates += 1
-        with self._node_lock():
-            buckets = self._load_node()
-            bucket: set = buckets[self._bucket_of(path)]
-            if old_hash is not None:
-                bucket.remove(self._leaf_main(path, old_hash))
-            bucket.add(self._leaf_main(path, new_hash))
-            self._save_node(buckets)
-        self._write_anchor(self._node_main(buckets))
+        old_main = self._leaf_main(path, old_hash) if old_hash is not None else None
+        self._update(path, old_main, self._leaf_main(path, new_hash))
 
     def on_delete(self, path: str, old_hash: bytes) -> None:
+        self._update(path, self._leaf_main(path, old_hash), None)
+
+    def _update(self, path: str, old_main: bytes | None, new_main: bytes | None) -> None:
         self.stats.updates += 1
         with self._node_lock():
             buckets = self._load_node()
-            buckets[self._bucket_of(path)].remove(self._leaf_main(path, old_hash))
-            self._save_node(buckets)
+            buckets[self._bucket_of(path)].update(old_main, new_main)
+            self._save_node(ROOT, buckets)
         self._write_anchor(self._node_main(buckets))
 
     def verify_read(self, path: str, content_hash: bytes) -> None:
@@ -843,32 +775,17 @@ class FlatStoreGuard:
         target_bucket = self._bucket_of(path)
         recomputed = MSetXorHash(self._key)
         seen_target = False
-        for member in self._manager.group_logical_paths():
+        for member in self._leaves():
             if self._bucket_of(member) != target_bucket:
                 continue
             if member == path:
-                main = self._leaf_main(member, content_hash)
+                recomputed.add(self._leaf_main(member, content_hash))
                 seen_target = True
             else:
-                data = self._manager.raw_group_read(member)
-                main = self._leaf_main(member, hashlib.sha256(data).digest())
-            recomputed.add(main)
+                recomputed.add(self._stored_leaf_main(member))
         if not seen_target or recomputed.digest() != buckets[target_bucket].digest():
             raise RollbackDetected(
                 f"group store bucket mismatch for {path!r}: a member list or "
                 "the group list was rolled back"
             )
         self._verify_anchor(self._node_main(buckets))
-
-    def accept_current_state(self) -> None:
-        """Re-anchor the current group store (CA-authorized restore)."""
-        self._bootstrap()
-
-    def verify_anchor_fresh(self) -> None:
-        """Prove the group-store anchor is fresh; see
-        :meth:`RollbackGuard.verify_anchor_fresh`."""
-        saved, self.allow_degraded_reads = self.allow_degraded_reads, False
-        try:
-            self._verify_anchor(self._node_main(self._load_node()))
-        finally:
-            self.allow_degraded_reads = saved

@@ -55,7 +55,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.cache import MetadataCache
     from repro.core.coherence import CoherenceManager
     from repro.core.dedup import DedupStore
-    from repro.core.rollback import FlatStoreGuard, RollbackGuard
+    from repro.core.file_manager import Mount
     from repro.sgx.enclave import Enclave
 
 #: Values above this are never buffered: the enclave streams large
@@ -363,8 +363,10 @@ class StorageEngine:
         self.cache = cache
         self._enclave = enclave
         self._guard_batching = guard_batching and journal is not None
-        self.guard: "RollbackGuard | None" = None
-        self.group_guard: "FlatStoreGuard | None" = None
+        #: The content- and group-store mounts, in that order; installed by
+        #: the trusted file manager.  Each carries its attached rollback
+        #: guard (or ``None``), which is all the engine needs of them.
+        self.mounts: "tuple[Mount, ...]" = ()
         self.dedup: "DedupStore | None" = None
         self.stats = TransactionStats()
         #: Group-commit coordinator; installed by :meth:`enable_group_commit`
@@ -418,6 +420,25 @@ class StorageEngine:
         """The dedup index must be re-read after an undo-log restore."""
         self.dedup = dedup
 
+    @property
+    def guards(self) -> list:
+        """The attached rollback guards, content store first."""
+        return [mount.guard for mount in self.mounts if mount.guard is not None]
+
+    def drop_derived_state(self) -> None:
+        """Forget everything derived from storage that may now be stale.
+
+        Cached plaintext and the in-memory dedup index describe the store
+        as this enclave last saw it; after an undo-log restore, a backup
+        restore, a takeover, or a coherence anomaly they must go before
+        anything reads storage again.  Always safe: the next read
+        re-verifies from storage.
+        """
+        if self.cache is not None:
+            self.cache.clear()
+        if self.dedup is not None:
+            self.dedup.reload_index()
+
     def attach_coherence(self, coherence: "CoherenceManager | None") -> None:
         """Join the cluster's invalidation log (see :mod:`repro.core.coherence`).
 
@@ -464,7 +485,7 @@ class StorageEngine:
         clock = self._enclave.platform.clock
         if not isinstance(clock, ParallelClock):
             return
-        if (self.guard is not None or self.group_guard is not None) and not self._guard_batching:
+        if self.guards and not self._guard_batching:
             return
         self.group_commit = GroupCommitCoordinator()
 
@@ -610,10 +631,7 @@ class StorageEngine:
             group.members = 0
             group.release = clock.now()
         member_base = journal.begin_member()
-        snap_fs = self.guard.snapshot_pending() if self.guard is not None else None
-        snap_group = (
-            self.group_guard.snapshot_pending() if self.group_guard is not None else None
-        )
+        snapshots = [(guard, guard.snapshot_pending()) for guard in self.guards]
         for store in self._deferred:
             store.arm()
         stamp, self.pending_stamp = self.pending_stamp, None
@@ -629,15 +647,11 @@ class StorageEngine:
             yield
             with self._commit_point():
                 self._flush_deferred()
-                journal.commit_member(
-                    member_base,
-                    self.guard.expected_main() if self.guard is not None else b"",
-                    self.group_guard.expected_main()
-                    if self.group_guard is not None
-                    else b"",
-                    group.members + 1,
-                    label,
-                )
+                mains = [
+                    mount.guard.expected_main() if mount.guard is not None else b""
+                    for mount in self.mounts
+                ]
+                journal.commit_member(member_base, *mains, group.members + 1, label)
         except EnclaveCrashed:
             raise
         except BaseException:
@@ -645,10 +659,8 @@ class StorageEngine:
                 store.discard()
             self._write_backs.clear()
             self._txn_touched.clear()
-            if self.guard is not None and snap_fs is not None:
-                self.guard.restore_pending(snap_fs)
-            if self.group_guard is not None and snap_group is not None:
-                self.group_guard.restore_pending(snap_group)
+            for guard, snapshot in snapshots:
+                guard.restore_pending(snapshot)
             try:
                 # No anchor was written and no counter incremented since
                 # this member began (both are deferred to epoch close), so
@@ -727,7 +739,7 @@ class StorageEngine:
             stats.max_members = members
         if members > 1:
             saved = members - 1
-            guards = (self.guard is not None) + (self.group_guard is not None)
+            guards = len(self.guards)
             stats.marker_writes_saved += saved
             stats.anchor_writes_saved += saved * guards
             stats.counter_increments_saved += saved * guards
@@ -758,22 +770,16 @@ class StorageEngine:
         """
         if not self._guard_batching:
             return
-        if self.guard is not None:
-            self.guard.begin_batch()
-        if self.group_guard is not None:
-            self.group_guard.begin_batch()
+        for guard in self.guards:
+            guard.begin_batch()
 
     def _commit_guard_batches(self) -> None:
-        if self.guard is not None:
-            self.guard.commit_batch()
-        if self.group_guard is not None:
-            self.group_guard.commit_batch()
+        for guard in self.guards:
+            guard.commit_batch()
 
     def _abort_guard_batches(self) -> None:
-        if self.guard is not None:
-            self.guard.abort_batch()
-        if self.group_guard is not None:
-            self.group_guard.abort_batch()
+        for guard in self.guards:
+            guard.abort_batch()
 
     def _reanchor_guards(self) -> None:
         """Resync in-memory state after an undo-log restore.
@@ -789,14 +795,9 @@ class StorageEngine:
         stale cached entry must never feed the new anchor.
         """
         self._abort_guard_batches()
-        if self.cache is not None:
-            self.cache.clear()
-        if self.dedup is not None:
-            self.dedup.reload_index()
-        if self.guard is not None:
-            self.guard.accept_current_state()
-        if self.group_guard is not None:
-            self.group_guard.accept_current_state()
+        self.drop_derived_state()
+        for guard in self.guards:
+            guard.accept_current_state()
 
     def _flush_deferred(self) -> None:
         total = 0

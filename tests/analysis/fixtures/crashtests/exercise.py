@@ -5,4 +5,4 @@ its string literals, mirroring how the real matrices sweep
 ``crash_at_point(nth, prefix)`` over literal site prefixes.
 """
 
-EXERCISED = ["fix:page-write"]
+EXERCISED = ["fix:page-write", "fix:ledger-covered"]

@@ -4,6 +4,9 @@
 ``prune`` declares one nothing exercises (dead assurance);
 ``write_uncovered`` mutates with no crashpoint at all;
 ``discard_tracking`` calls ``set.remove``, which is not persistence.
+``Ledger.append`` names its crashpoint through a class constant, so each
+subclass's value is a declared id: ``CoveredLedger``'s is exercised,
+``DeadLedger``'s is not.
 """
 
 
@@ -26,3 +29,23 @@ class Pager:
 
     def discard_tracking(self, item):
         self.seen.remove(item)
+
+
+class Ledger:
+    _SITE: str
+
+    def __init__(self, platform, backend):
+        self.platform = platform
+        self.backend = backend
+
+    def append(self, path, data):
+        self.platform.crashpoint(self._SITE)
+        self.backend.raw_write(path, data)
+
+
+class CoveredLedger(Ledger):
+    _SITE = "fix:ledger-covered"
+
+
+class DeadLedger(Ledger):
+    _SITE = "fix:ledger-dead"

@@ -259,6 +259,16 @@ def test_crashpoint_coverage_flags_unexercised_declaration(findings):
     )
 
 
+def test_crashpoint_coverage_resolves_class_constant_ids(findings):
+    """A base-class call site naming ``self._SITE`` declares every
+    subclass's id: the unexercised one is flagged, the exercised one and
+    the (crashpoint-bearing) shared mutation are not."""
+    flagged = symbols(findings, "crashpoint-coverage")
+    assert "proj.enclave.persist:fix:ledger-dead" in flagged
+    assert "proj.enclave.persist:fix:ledger-covered" not in flagged
+    assert "proj.enclave.persist:Ledger.append" not in flagged
+
+
 def test_crashpoint_coverage_flags_mutation_without_crashpoint(findings):
     assert "proj.enclave.persist:Pager.write_uncovered" in symbols(
         findings, "crashpoint-coverage"

@@ -17,7 +17,9 @@ from pathlib import Path
 import pytest
 
 from repro.analysis import BoundaryMap, analyze_paths
-from repro.analysis.engine import Baseline
+from repro.analysis.callgraph import CallGraph
+from repro.analysis.engine import Baseline, load_modules
+from repro.analysis.rules.crashpoint_coverage import declared_sites
 from repro.core.enclave_app import SeGShareEnclave
 
 REPO = Path(__file__).resolve().parents[2]
@@ -50,6 +52,21 @@ def test_source_tree_is_seglint_clean(boundary):
     assert new == [], "\n".join(f.format() for f in new)
     stale = sorted(key for key, count in budget.items() if count > 0)
     assert not stale, f"stale baseline entries (delete them): {stale}"
+
+
+def test_declared_anchor_crashpoints_are_pinned():
+    """The guards' crashpoint ids survive refactors of where they are
+    written: the shared guard core names two of them through class
+    constants, and the set the crash matrices must cover stays exact."""
+    graph = CallGraph(load_modules([SRC / "repro" / "core"]))
+    declared = declared_sites(graph, ("repro.core.rollback",), ("anchor:",))
+    assert sorted({site_id for site_id, _, _ in declared}) == [
+        "anchor:fs-counter-incremented",
+        "anchor:fs-node-delete",
+        "anchor:fs-node-write",
+        "anchor:group-counter-incremented",
+        "anchor:group-node-write",
+    ]
 
 
 def test_every_baseline_entry_has_a_rationale():

@@ -16,6 +16,7 @@ import pytest
 from repro.core.cache import MetadataCache
 from repro.core.coherence import CoherenceManager
 from repro.netsim.coherence import CoherenceBoard
+from repro.store.engine import StorageEngine
 
 _ROOT_KEY = b"\x07" * 32
 
@@ -31,11 +32,14 @@ class _DedupStub:
 
 
 class _EngineStub:
-    """The two attributes CoherenceManager touches on its engine."""
+    """What CoherenceManager touches on its engine: cache, dedup, and the
+    real full-discard routine over them."""
 
     def __init__(self, dedup: _DedupStub | None = None) -> None:
         self.cache = MetadataCache(capacity_bytes=64 * 1024)
         self.dedup = dedup
+
+    drop_derived_state = StorageEngine.drop_derived_state
 
 
 def make_pair(capacity: int = 8, dedup: _DedupStub | None = None):

@@ -48,7 +48,7 @@ class TestLogUnit:
     def test_deleted_record_detected(self, world, log):
         log.append(0.0, "alice", "PUT_FILE", ("/f",), "ok")
         log.append(0.0, "alice", "REMOVE", ("/f",), "ok")
-        world.manager.raw_delete("\x00audit:rec:0")
+        world.manager.content.raw_delete("\x00audit:rec:0")
         with pytest.raises(RollbackDetected):
             log.read_all()
 

@@ -4,7 +4,7 @@ import pytest
 
 from repro.core.backup import authorize_restore, ca_signed_reset, restore_backup, take_backup
 from repro.core.enclave_app import SeGShareOptions
-from repro.errors import AccessDenied, RequestError
+from repro.errors import AccessDenied, RequestError, RollbackDetected
 
 
 @pytest.fixture()
@@ -94,3 +94,28 @@ class TestProtectedRestore:
         restore_backup(deployment.server, snapshot)
         with pytest.raises(Exception):
             authorize_restore(deployment.ca, deployment.server)
+
+    def test_restore_mixing_two_group_snapshots_rejected(self, protected_deployment):
+        """A CA-authorized restore must be ONE snapshot.  A later backup
+        with an earlier backup's member lists spliced into its group
+        store would resurrect a revoked membership; the reset's
+        consistency check covers the group store and refuses it."""
+        deployment = protected_deployment
+        alice = deployment.new_user("alice")
+        bob = deployment.new_user("bob")
+        alice.upload("/secret", b"s")
+        alice.add_user("bob", "g")
+        alice.set_permission("/secret", "g", "r")
+        early = take_backup(deployment.server)
+        alice.remove_user("bob", "g")
+        late = take_backup(deployment.server)
+        spliced = {
+            key: value
+            for key, value in early["group"].items()
+            if not key.startswith("\x00rbg:")
+        }
+        restore_backup(deployment.server, {**late, "group": {**late["group"], **spliced}})
+        with pytest.raises(RollbackDetected):
+            authorize_restore(deployment.ca, deployment.server)
+        with pytest.raises((RequestError, AccessDenied)):
+            bob.download("/secret")

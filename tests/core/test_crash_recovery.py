@@ -265,6 +265,88 @@ class TestGroupMutations:
             assert "eng" not in server.enclave.access.user_groups("bob")
 
 
+    @staticmethod
+    def _bob_reads(server: SeGShareServer) -> bool:
+        response = server.enclave.handler.handle("bob", Request(op=Op.GET, args=("/d/f",)))
+        return getattr(response, "status", Status.OK) is Status.OK
+
+    def _revoke_then_interrupt_unrelated_upload(self, interrupt: str, swap: bool):
+        """Share ``/d/f`` with eng, revoke bob, then interrupt an unrelated
+        upload mid-batch: ``"crash"`` kills the enclave at a journal step
+        (the host then has the store to itself until the restart),
+        ``"fault"`` fails one store put (the live enclave rolls the batch
+        back and re-anchors).  With ``swap`` the host first writes the
+        group store's pre-revocation data objects back."""
+        plan = FaultPlan()
+        server = SeGShareServer(
+            azure_wan_env(),
+            _CA.public_key,
+            stores=faulty_stores(StoreSet.in_memory(), plan),
+            options=SeGShareOptions(
+                rollback="whole_fs", counter_kind="rote", rollback_buckets=8, journal=True
+            ),
+        )
+        prime(server)
+        self._prime_groups(server)
+        handler = server.enclave.handler
+        grant = Request(op=Op.SET_PERM, args=("/d/f", "eng", "r"))
+        assert handler.handle("alice", grant).status is Status.OK
+        assert self._bob_reads(server)
+        group = server.stores.group.inner
+        pre_revocation = {
+            key: group.get(key)
+            for key in group.keys()
+            if not key.startswith(("\x00rbg:", "\x00journal:"))
+        }
+        self._run_revoke(server)
+        assert not self._bob_reads(server)
+        if interrupt == "fault":
+            if swap:
+                for key, value in pre_revocation.items():
+                    group.put(key, value)
+            plan.fail_nth(nth=3, op="put", store="content")
+            assert handler.put_file("alice", "/unrelated", b"x").status is Status.RETRY
+            return server
+        plan.crash_at_point(nth=2, site_prefix="journal:").attach_platform(server.platform)
+        with pytest.raises(EnclaveCrashed):
+            handler.put_file("alice", "/unrelated", b"x")
+        plan.detach()
+        if swap:
+            for key, value in pre_revocation.items():
+                group.put(key, value)
+        return server
+
+    def test_member_list_swapped_during_crash_is_detected(self):
+        """Immediate revocation must survive a crash: recovery re-anchors
+        the group store only after checking it is one consistent
+        snapshot, so a pre-revocation member list slipped in while the
+        enclave was down is a detected rollback — not a blessed state in
+        which the revoked user reads the file again."""
+        server = self._revoke_then_interrupt_unrelated_upload("crash", swap=True)
+        with pytest.raises(RollbackDetected):
+            server.restart_enclave()
+
+    def test_member_list_swapped_before_an_aborted_request_stays_revoked(self):
+        """The same swap against a live enclave: an aborted request
+        re-anchors the stored guard node as it is — it must not rebuild
+        the node from (swapped) data and bless it."""
+        server = self._revoke_then_interrupt_unrelated_upload("fault", swap=True)
+        assert not self._bob_reads(server)
+        with pytest.raises(RollbackDetected):
+            server.enclave.access.user_groups("bob")
+
+    @pytest.mark.parametrize("interrupt", ["crash", "fault"])
+    def test_honest_interruption_after_revocation_keeps_it_revoked(self, interrupt):
+        server = self._revoke_then_interrupt_unrelated_upload(interrupt, swap=False)
+        if interrupt == "crash":
+            server.restart_enclave()
+        for guard in server.enclave.engine.guards:
+            guard.verify_restored_state()
+        assert not self._bob_reads(server)
+        assert "eng" not in server.enclave.access.user_groups("bob")
+        assert not server.enclave.manager.exists("/unrelated")
+
+
 class TestEpochCrashMatrix:
     """Crash at every journal and anchor step inside a coalesced epoch.
 

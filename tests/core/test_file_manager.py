@@ -136,8 +136,63 @@ class TestPathHiding:
 
     def test_raw_access_uses_transform(self):
         manager = TrustedFileManager(StoreSet.in_memory(), bytes(32), hide_paths=True)
+        for mount, store in ((manager.content, "content"), (manager.group, "group")):
+            mount.raw_write("/x", b"blob")
+            assert mount.raw_exists("/x")
+            assert mount.raw_read("/x") == b"blob"
+            assert not getattr(manager._stores, store).exists("/x\x00meta")  # hidden key
+            mount.raw_delete("/x")
+            assert not mount.raw_exists("/x")
+
+    def test_manager_raw_access_is_the_content_mount(self, manager):
+        """core.audit's entry points are the content mount's, not copies."""
         manager.raw_write("/x", b"blob")
-        assert manager.raw_exists("/x")
-        assert manager.raw_read("/x") == b"blob"
-        manager.raw_delete("/x")
-        assert not manager.raw_exists("/x")
+        assert manager.raw_exists("/x") and manager.content.raw_read("/x") == b"blob"
+        assert not manager.group.raw_exists("/x")
+
+
+@pytest.fixture()
+def cached_manager():
+    from repro.core.cache import MetadataCache
+
+    return TrustedFileManager(StoreSet.in_memory(), ROOT_KEY, cache=MetadataCache(1 << 20))
+
+
+@pytest.mark.parametrize("store", ["content", "group"])
+class TestMountCachePolicy:
+    """One fill policy for both stores (was two copies of each routine)."""
+
+    def test_raw_read_fills_only_guard_objects(self, cached_manager, store):
+        mount = getattr(cached_manager, store)
+        cache = cached_manager.cache
+        for path in ("/sibling", mount.guard_prefix + "node"):
+            mount.raw_write(path, b"data")
+        cache.clear()
+        assert mount.raw_read("/sibling") == b"data"
+        assert not cache.contains(mount.namespace, "/sibling")  # never laundered
+        assert mount.raw_read(mount.guard_prefix + "node") == b"data"
+        assert cache.contains(mount.namespace, mount.guard_prefix + "node")
+
+    def test_guarded_and_record_reads_fill(self, cached_manager, store):
+        mount = getattr(cached_manager, store)
+        cache = cached_manager.cache
+        mount.guarded_write("/f", b"v")
+        mount.raw_write("/rec", b"r")
+        cache.clear()
+        assert mount.guarded_read("/f") == b"v" and mount.read_record("/rec") == b"r"
+        assert cache.contains(mount.namespace, "/f")
+        assert cache.contains(mount.namespace, "/rec")
+        assert mount.read_record("/absent") is None
+
+    def test_missing_object_is_a_file_system_error(self, cached_manager, store):
+        mount = getattr(cached_manager, store)
+        for read in (mount.guarded_read, mount.raw_read, mount.guarded_delete):
+            with pytest.raises(FileSystemError):
+                read("/ghost")
+
+    def test_namespaces_are_disjoint(self, cached_manager, store):
+        mount = getattr(cached_manager, store)
+        other = cached_manager.group if store == "content" else cached_manager.content
+        mount.guarded_write("/f", b"mine")
+        assert mount.guarded_read("/f") == b"mine"
+        assert not other.raw_exists("/f")

@@ -1,9 +1,13 @@
 """Rollback protection: the multiset-hash tree and the flat group guard."""
 
+from types import SimpleNamespace
+
 import pytest
 
-from repro.core.rollback import RollbackGuard
-from repro.errors import RollbackDetected
+from repro.core.rollback import FlatStoreGuard, RollbackGuard
+from repro.errors import CounterError, RollbackDetected
+from repro.sgx.costmodel import SgxCostModel
+from repro.sgx.counters import RoteCounterService
 from repro.storage.stores import StoreSet
 
 from tests.core.conftest import ROOT_KEY
@@ -154,7 +158,7 @@ class TestAnchoring:
         guarded.handler.put_file("alice", "/d/f", b"x")
         guarded.handler.put_file("alice", "/g", b"y")
         guarded.handler.remove("alice", "/g")
-        assert guarded.guard.recompute_root_hash() == guarded.guard.root_hash()
+        assert guarded.guard.recompute_main() == guarded.guard.root_hash()
 
     def test_rebuild_restores_verifiability(self, make_world):
         """Enabling the guard over an existing unguarded share via rebuild."""
@@ -198,3 +202,138 @@ class TestFlatGuardUnit:
             world.handler.add_user("alice", f"u{i}", "eng")
             assert "eng" in world.access.user_groups(f"u{i}")
         assert len(world.access.known_users()) == 13  # 12 members + alice
+
+
+# -- the shared guard core, once per layout ---------------------------------------
+#
+# Batch lifecycle, pending snapshots, the counter-bound anchor and the
+# restore checks are one implementation; every case below drives it
+# through the interface both layouts expose, over a counter-bound guard.
+
+_ENCLAVE = SimpleNamespace(
+    platform=SimpleNamespace(clock=None, crashpoint=lambda site: None),
+    signer_id=lambda: b"test-signer",
+)
+
+
+@pytest.fixture(params=["fs", "group"])
+def counted(request, make_world):
+    """One guard with whole-FS protection plus the means to exercise it:
+    ``touch()`` mutates its store, ``read()`` is a guarded read of it,
+    ``objects`` names the data objects ``touch`` rewrites."""
+    world = make_world()
+    counter = RoteCounterService(None, SgxCostModel())
+    shared = dict(buckets=4, enclave=_ENCLAVE, counter=counter)
+    world.manager.guard = RollbackGuard(world.manager, ROOT_KEY, **shared)
+    world.manager.group_guard = FlatStoreGuard(world.manager, ROOT_KEY, **shared)
+    serial = iter(range(1000))
+    if request.param == "fs":
+        world.handler.put_file("alice", "/f", b"v0")
+        return SimpleNamespace(
+            guard=world.manager.guard,
+            counter=counter,
+            counter_id="segshare-fs",
+            store=world.stores.content,
+            objects="/f",
+            touch=lambda: world.handler.put_file("alice", "/f", b"v%d" % (next(serial) + 1)),
+            read=lambda: world.manager.read_content("/f"),
+        )
+    world.handler.add_user("alice", "bob", "g0")
+    return SimpleNamespace(
+        guard=world.manager.group_guard,
+        counter=counter,
+        counter_id="segshare-group",
+        store=world.stores.group,
+        objects="member:bob",
+        touch=lambda: world.handler.add_user("alice", "bob", "g%d" % (next(serial) + 1)),
+        read=lambda: world.access.user_groups("bob"),
+    )
+
+
+class TestSharedGuardCore:
+    def test_batch_defers_nodes_and_anchor_to_commit(self, counted):
+        guard, stats = counted.guard, counted.guard.stats
+        anchored = guard.expected_main()
+        before = stats.snapshot()
+        guard.begin_batch()
+        counted.touch()
+        counted.touch()
+        assert (stats.node_saves, stats.anchor_writes) == (
+            before["node_saves"],
+            before["anchor_writes"],
+        )
+        assert guard.expected_main() == guard.root_hash() != anchored
+        counted.read()  # verifies against the pending root, in enclave memory
+        guard.commit_batch()
+        assert stats.anchor_writes == before["anchor_writes"] + 1
+        assert stats.batches == before["batches"] + 1
+        assert stats.last_batch_nodes >= 1
+        assert stats.nodes_flushed == before["nodes_flushed"] + stats.last_batch_nodes
+        assert guard.expected_main() == guard.root_hash()
+        counted.read()
+        guard.verify_restored_state()
+
+    def test_abort_drops_pending_state_and_persists_nothing(self, counted):
+        guard = counted.guard
+        anchored = guard.expected_main()
+        writes = guard.stats.anchor_writes
+        guard.begin_batch()
+        counted.touch()
+        guard.abort_batch()
+        assert guard.expected_main() == guard.root_hash() == anchored
+        assert guard.stats.anchor_writes == writes
+        # The data write itself was not undone (that is the journal's
+        # job), so the stored nodes no longer describe it ...
+        with pytest.raises(RollbackDetected):
+            guard.verify_restored_state()
+        guard.rebuild()  # ... until they are rebuilt from it.
+        guard.verify_restored_state()
+        counted.read()
+
+    def test_snapshot_restore_rewinds_one_member(self, counted):
+        guard = counted.guard
+        guard.begin_batch()
+        counted.touch()
+        member_begin = guard.snapshot_pending()
+        main = guard.expected_main()
+        counted.touch()
+        assert guard.expected_main() != main
+        guard.restore_pending(member_begin)
+        assert guard.expected_main() == guard.root_hash() == main
+
+    def test_counter_mismatch_is_a_rollback(self, counted):
+        counted.read()
+        counted.counter.increment(_ENCLAVE, counted.counter_id)  # anchor now stale
+        with pytest.raises(RollbackDetected):
+            counted.read()
+        with pytest.raises(RollbackDetected):
+            counted.guard.verify_anchor_fresh()
+        counted.guard.accept_current_state()  # re-counted against the TEE
+        counted.read()
+
+    def test_degraded_reads_but_never_a_degraded_freshness_proof(self, counted):
+        guard = counted.guard
+        for replica in (0, 1, 2):
+            counted.counter.set_replica_up(replica, False)
+        counted.read()  # hash chain verified, counter bound skipped
+        assert guard.degraded_reads == 1
+        with pytest.raises(CounterError):
+            guard.verify_anchor_fresh()
+        assert guard.allow_degraded_reads  # the refusal was scoped to the proof
+        with pytest.raises(CounterError):
+            guard.accept_current_state()  # an anchor write cannot be re-counted
+        guard.allow_degraded_reads = False
+        with pytest.raises(CounterError):
+            counted.read()
+        for replica in (0, 1, 2):
+            counted.counter.set_replica_up(replica, True)
+        guard.verify_anchor_fresh()
+
+    def test_restore_check_rejects_a_mixed_snapshot(self, counted):
+        counted.guard.verify_restored_state()
+        old = snapshot_matching(counted.store, counted.objects)
+        counted.touch()
+        counted.guard.verify_restored_state()
+        restore(counted.store, old)
+        with pytest.raises(RollbackDetected):
+            counted.guard.verify_restored_state()

@@ -134,7 +134,7 @@ def test_soak_workload(org):
     assert total_used == sum(len(v) for v in model.values())
 
     # 4. The rollback trees accept a full recomputation.
-    assert enclave.guard.recompute_root_hash() == enclave.guard.root_hash()
+    assert enclave.guard.recompute_main() == enclave.guard.root_hash()
 
     # 5. The audit chain verifies end to end and recorded the offboarding.
     records = enclave.audit_log.read_all()
@@ -236,5 +236,5 @@ def test_fault_seeded_soak(user_key):
     for path, expected in sorted(model.items()):
         assert alice.download(path) == expected, path
     enclave = deployment.server.enclave
-    assert enclave.guard.recompute_root_hash() == enclave.guard.root_hash()
+    assert enclave.guard.recompute_main() == enclave.guard.root_hash()
     assert not deployment.server.stores.content.exists("\x00journal:batch")
