@@ -12,9 +12,20 @@ files, via the trusted file manager:
 
 Every user is implicitly a member of their default group ``g_u``, so the
 group machinery uniformly covers individual-user sharing.
+
+:class:`AccessControl` is also the ``enclave_acl`` authorization backend
+(``repro.core.authz``): with enclave enforcement, granting and revoking
+is purely a metadata edit — the O(1)-revocation property the head-to-head
+benchmark measures against the IBBE envelope backend, which extends this
+class.  All mutations run inside the caller's ``StorageEngine``
+transaction (the request handler brackets every mutating opcode), so
+crash recovery, group commit and cross-replica coherence are identical
+across backends.
 """
 
 from __future__ import annotations
+
+from typing import TYPE_CHECKING, Callable, Iterable
 
 from repro.core.acl import USER_REGISTRY_ID, AclFile
 from repro.core.file_manager import TrustedFileManager
@@ -23,18 +34,53 @@ from repro.core.model import (
     default_group,
     is_default_group,
     validate_group_id,
+    validate_user_id,
 )
 from repro.errors import RequestError
 from repro.fsmodel import parent
 
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.sgx.enclave import Enclave
+
 _USER_LIST_PATH = USER_REGISTRY_ID
+
+#: Fault-injection hook signature (``SgxPlatform.crashpoint``).
+CrashHook = Callable[[str], None]
+
+#: Every backend reports the same counter keys so benchmark cells are
+#: directly comparable; the metadata backend keeps the crypto counters
+#: at zero.
+COUNTER_KEYS = (
+    "membership_updates",
+    "revocations",
+    "rekeys",
+    "member_envelopes_wrapped",
+    "file_envelopes_wrapped",
+    "file_envelopes_rewrapped",
+    "bytes_reencrypted",
+)
 
 
 class AccessControl:
-    """Authorization checks and relation updates."""
+    """Authorization checks and relation updates (the ``enclave_acl`` backend)."""
 
-    def __init__(self, manager: TrustedFileManager) -> None:
+    #: Registry key (``SeGShareOptions.authz_backend``) and stats label.
+    name = "enclave_acl"
+
+    def __init__(
+        self,
+        manager: TrustedFileManager,
+        enclave: "Enclave | None" = None,
+        crash_hook: CrashHook | None = None,
+    ) -> None:
         self._manager = manager
+        self._enclave = enclave
+        self._crash_hook = crash_hook
+        self._counters: dict[str, int] = {key: 0 for key in COUNTER_KEYS}
+
+    def _crashpoint(self, site: str) -> None:
+        if self._crash_hook is not None:
+            self._crash_hook(site)
 
     # -- relation lookups -----------------------------------------------------
 
@@ -116,6 +162,7 @@ class AccessControl:
         members = self._manager.read_member_list(creator_id)
         members.add(group_id)
         self._manager.write_member_list(creator_id, members)
+        self._counters["membership_updates"] += 1
 
     def add_member(self, user_id: str, group_id: str) -> None:
         """updateRel(g, g ∪ u): touches only ``user_id``'s member list."""
@@ -123,12 +170,15 @@ class AccessControl:
         members = self._manager.read_member_list(user_id)
         members.add(group_id)
         self._manager.write_member_list(user_id, members)
+        self._counters["membership_updates"] += 1
 
     def remove_member(self, user_id: str, group_id: str) -> None:
         """updateRel(g, g \\ u): immediate revocation, one member list."""
         members = self._manager.read_member_list(user_id)
         members.remove(group_id)
         self._manager.write_member_list(user_id, members)
+        self._counters["membership_updates"] += 1
+        self._counters["revocations"] += 1
 
     def add_group_owner(self, group_id: str, owner_group: str) -> None:
         """Extend rGO: ``owner_group`` now also owns ``group_id``."""
@@ -137,6 +187,7 @@ class AccessControl:
             raise RequestError(f"no group {owner_group!r}")
         group_list.add_owner(group_id, owner_group)
         self._manager.write_group_list(group_list)
+        self._counters["membership_updates"] += 1
 
     def delete_group(self, group_id: str) -> int:
         """Delete a group: scan all member lists (the paper's known-slow path).
@@ -160,7 +211,76 @@ class AccessControl:
                     members.remove(group_id)
                     self._manager.write_member_list(user_id, members)
                     touched += 1
-            return touched
+        self._counters["membership_updates"] += touched + 1
+        self._counters["revocations"] += 1
+        return touched
+
+    def bootstrap_group(
+        self, owner_id: str, group_id: str, members: Iterable[str]
+    ) -> None:
+        """Create ``group_id`` with ``members`` as ONE transaction.
+
+        The benchmark seeding path: equivalent to ``create_group`` plus
+        N ``add_member`` calls, but the user registry is read and written
+        once — before the first member-list write, see ``create_group`` —
+        so seeding 10^5 members does not go quadratic in registry
+        rewrites.  Crypto backends key the group for the full roster in
+        the same span.
+        """
+        roster = list(members)
+        validate_group_id(group_id)
+        for user_id in (owner_id, *roster):
+            validate_user_id(user_id)
+        with self._manager.transaction("authz_bootstrap"):
+            registry = self._manager.read_member_list(_USER_LIST_PATH)
+            registry.update([owner_id, *roster])
+            self._manager.write_member_list(_USER_LIST_PATH, registry)
+            group_list = self._manager.read_group_list()
+            group_list.create(group_id, default_group(owner_id))
+            self._manager.write_group_list(group_list)
+            for user_id in (owner_id, *roster):
+                member_list = self._manager.read_member_list(user_id)
+                member_list.add(group_id)
+                self._manager.write_member_list(user_id, member_list)
+            self._counters["membership_updates"] += len(roster) + 1
+            self._bootstrap_crypto(owner_id, group_id, roster)
+
+    def _bootstrap_crypto(
+        self, owner_id: str, group_id: str, members: list[str]
+    ) -> None:
+        """Hook for crypto backends to key the freshly seeded group."""
+
+    # -- grant lifecycle hooks ---------------------------------------------------
+    #
+    # Called by the request handler AFTER the corresponding ACL mutation,
+    # inside the same transaction.  Enclave-enforced ACLs need no state
+    # here; envelope backends maintain their per-file key records.
+
+    def on_grant(self, path: str, group_id: str) -> None:
+        """``group_id`` gained an entry (permission or ownership) on ``path``."""
+
+    def on_grant_removed(self, path: str, group_id: str) -> None:
+        """``group_id`` lost its entry on ``path``."""
+
+    def on_file_removed(self, path: str) -> None:
+        """``path`` (and its ACL) was deleted."""
+
+    def on_file_moved(self, src: str, dst: str) -> None:
+        """``src`` was re-encrypted under ``dst``'s path key by a move."""
+
+    # -- maintenance -------------------------------------------------------------
+
+    def reconcile(self) -> dict[str, int]:
+        """Flush deferred authorization work (lazy envelope re-wraps).
+
+        Runs in its own storage transaction and returns per-call work
+        counters; enclave-enforced ACLs owe nothing and return ``{}``.
+        """
+        return {}
+
+    def counters(self) -> dict[str, int]:
+        """Cumulative work counters (:data:`COUNTER_KEYS`)."""
+        return dict(self._counters)
 
     # -- user registry (supports the delete-group scan) ----------------------------
 

@@ -1,8 +1,9 @@
-"""Pluggable authorization backends (paper Section VII / ROADMAP item 5).
+"""The authorization-backend registry (paper Section VII / ROADMAP item 5).
 
 ``enclave_acl`` is the paper's design — enclave-checked ACLs, O(1)
-metadata per membership change; ``ibbe`` is the opposing cryptographic
-design — per-receiver envelopes, O(|group|) re-key plus lazy content
+metadata per membership change (:class:`repro.core.access_control.AccessControl`);
+``ibbe`` extends it into the opposing cryptographic design —
+per-receiver envelopes, O(|group|) re-key plus lazy content
 re-encryption on revocation.  ``benchmarks/bench_revocation.py`` runs
 them head to head; docs/ACCESS_CONTROL.md has the cost model.
 """
@@ -11,8 +12,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from repro.core.authz.base import COUNTER_KEYS, AuthzBackend, CrashHook
-from repro.core.authz.enclave_acl import EnclaveAclBackend
+from repro.core.access_control import AccessControl, CrashHook
 from repro.core.authz.ibbe import IbbeEnvelopeBackend
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -20,8 +20,8 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sgx.enclave import Enclave
 
 #: Option value (``SeGShareOptions.authz_backend``) -> implementation.
-AUTHZ_BACKENDS: dict[str, type[EnclaveAclBackend]] = {
-    EnclaveAclBackend.name: EnclaveAclBackend,
+AUTHZ_BACKENDS: dict[str, type[AccessControl]] = {
+    AccessControl.name: AccessControl,
     IbbeEnvelopeBackend.name: IbbeEnvelopeBackend,
 }
 
@@ -31,7 +31,7 @@ def build_backend(
     manager: "TrustedFileManager",
     enclave: "Enclave | None" = None,
     crash_hook: CrashHook | None = None,
-) -> AuthzBackend:
+) -> AccessControl:
     """Instantiate the configured authorization backend."""
     try:
         backend_cls = AUTHZ_BACKENDS[name]
@@ -42,12 +42,4 @@ def build_backend(
     return backend_cls(manager, enclave=enclave, crash_hook=crash_hook)
 
 
-__all__ = [
-    "AUTHZ_BACKENDS",
-    "COUNTER_KEYS",
-    "AuthzBackend",
-    "CrashHook",
-    "EnclaveAclBackend",
-    "IbbeEnvelopeBackend",
-    "build_backend",
-]
+__all__ = ["AUTHZ_BACKENDS", "build_backend"]

@@ -31,8 +31,7 @@ from __future__ import annotations
 import secrets
 from typing import TYPE_CHECKING
 
-from repro.core.authz.base import CrashHook
-from repro.core.authz.enclave_acl import EnclaveAclBackend
+from repro.core.access_control import AccessControl, CrashHook
 from repro.core.model import default_group_member, is_default_group
 from repro.crypto import default_pae, derive_key
 from repro.fsmodel import is_dir_path
@@ -124,7 +123,7 @@ class FileKeyRecord:
         return record
 
 
-class IbbeEnvelopeBackend(EnclaveAclBackend):
+class IbbeEnvelopeBackend(AccessControl):
     """Per-receiver envelopes: O(|group|) re-key + lazy re-encryption."""
 
     name = "ibbe"

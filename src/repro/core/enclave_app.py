@@ -19,14 +19,15 @@ from __future__ import annotations
 import secrets
 from dataclasses import dataclass
 
-from repro.core.authz import AUTHZ_BACKENDS, AuthzBackend, build_backend
+from repro.core.access_control import AccessControl
+from repro.core.authz import AUTHZ_BACKENDS, build_backend
 from repro.core.audit import AuditLog, export_message_bytes
 from repro.core.cache import MetadataCache
 from repro.core.coherence import CoherenceManager
 from repro.core.file_manager import TrustedFileManager
 from repro.core.journal import WriteAheadJournal
 from repro.core.locks import LockManager
-from repro.core.request_handler import RequestHandler, UploadSink
+from repro.core.request_handler import RequestHandler, UploadSink, response_for
 from repro.core.requests import Op, Request, Response
 from repro.core.rollback import FlatStoreGuard, RollbackGuard
 from repro.core.rotation import (
@@ -112,8 +113,6 @@ class SeGShareOptions:
     #: executing requests when the platform clock is a ``ParallelClock``
     #: (mirrors the SDK's ``uworkers``/``tworkers`` setting).
     switchless_workers: int = 4
-    #: Shard count for the rollback-guard / Merkle-bucket serial locks.
-    lock_shards: int = 16
     #: The enclave serves one repository shared with live peers (cluster
     #: members over one backend).  A booting enclave must then leave the
     #: journal untouched: the marker on the store may be another member's
@@ -135,8 +134,6 @@ class SeGShareOptions:
             raise ValueError("metadata_cache_bytes must be positive or None")
         if self.switchless_workers < 1:
             raise ValueError("switchless_workers must be at least 1")
-        if self.lock_shards < 1:
-            raise ValueError("lock_shards must be at least 1")
         if self.authz_backend not in AUTHZ_BACKENDS:
             raise ValueError(
                 f"bad authz backend {self.authz_backend!r}; "
@@ -153,8 +150,6 @@ class SeGShareEnclave(Enclave):
         "repro.core.acl",
         "repro.core.audit",
         "repro.core.authz",
-        "repro.core.authz.base",
-        "repro.core.authz.enclave_acl",
         "repro.core.authz.ibbe",
         "repro.core.cache",
         "repro.core.coherence",
@@ -197,7 +192,7 @@ class SeGShareEnclave(Enclave):
     #: enclave is 8441).  Set to the measured total; a change that grows the
     #: enclave past it fails tests/core/test_enclave_app.py — lower it when
     #: the total drops, never raise it to make room.
-    TCB_LOC_CEILING = 8629
+    TCB_LOC_CEILING = 8518
 
     def __init__(
         self,
@@ -215,7 +210,7 @@ class SeGShareEnclave(Enclave):
         self._tls_key: rsa.RsaPrivateKey | None = None
         self._pending_join: object | None = None
         self.handler: RequestHandler | None = None
-        self.access: AuthzBackend | None = None
+        self.access: AccessControl | None = None
         self.locks: LockManager | None = None
         self.engine: StorageEngine | None = None
         self.manager: TrustedFileManager | None = None
@@ -339,7 +334,7 @@ class SeGShareEnclave(Enclave):
                 locks=self.locks,
             )
             self.guard = self.manager.guard = RollbackGuard(
-                self.manager, self._root_key, lock_shards=self._options.lock_shards, **shared
+                self.manager, self._root_key, **shared
             )
             self.group_guard = self.manager.group_guard = FlatStoreGuard(
                 self.manager, self._root_key, **shared
@@ -551,13 +546,12 @@ class SeGShareEnclave(Enclave):
             if self.audit_log is not None:
                 return _AuditedSink(self, client_cert.user_id, request, sink)
             return sink
-        except AccessDenied:
-            self._audit(client_cert.user_id, Op.PUT_FILE.name, request.args, "denied")
-            return _RejectingSink(Response.denied())
         except EnclaveCrashed:
             raise
         except ReproError as exc:
-            return _RejectingSink(Response.error(str(exc)))
+            if isinstance(exc, AccessDenied):
+                self._audit(client_cert.user_id, Op.PUT_FILE.name, request.args, "denied")
+            return _RejectingSink(response_for(exc))
 
     def _handle_webdav(self, client_cert: Certificate, raw: bytes) -> bytes:
         """Section VI front end: a WebDAV message over the secure channel."""

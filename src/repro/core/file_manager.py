@@ -209,21 +209,12 @@ class TrustedFileManager:
         enclave: Enclave | None = None,
         hide_paths: bool = False,
         enable_dedup: bool = False,
-        journal: "WriteAheadJournal | None" = None,
-        cache: "MetadataCache | None" = None,
-        guard_batching: bool = True,
         engine: StorageEngine | None = None,
     ) -> None:
         self._root_key = root_key
         self._enclave = enclave
         if engine is None:
-            engine = StorageEngine(
-                stores,
-                journal=journal,
-                cache=cache,
-                guard_batching=guard_batching,
-                enclave=enclave,
-            )
+            engine = StorageEngine(stores, enclave=enclave)
         self._engine = engine
         backends = engine.backends
 

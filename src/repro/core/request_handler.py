@@ -22,10 +22,8 @@ Fidelity notes, matching Algo. 1 line by line:
 
 from __future__ import annotations
 
-from typing import Iterator
-
+from repro.core.access_control import AccessControl
 from repro.core.acl import AclFile
-from repro.core.authz import AuthzBackend
 from repro.core.file_manager import ContentUpload, TrustedFileManager
 from repro.core.locks import LockManager
 from repro.core.model import (
@@ -82,6 +80,30 @@ _MUTATING_OPS = frozenset(
 )
 
 
+def response_for(exc: ReproError) -> Response:
+    """The one failure -> response table, shared by every door.
+
+    A request answers what the access-control model says or one of these
+    typed failures: DENIED is opaque, a rollback names itself, RETRY and
+    UNAVAILABLE tell a client whether backing off can help, and a failure
+    outside the table is reported by type only — its message may quote
+    enclave state.
+    """
+    if isinstance(exc, AccessDenied):
+        return Response.denied()
+    if isinstance(exc, RollbackDetected):
+        return Response.error(f"integrity violation: {exc}")
+    if isinstance(exc, ServiceUnavailableError):
+        return Response.unavailable(str(exc))
+    if isinstance(exc, CounterError):
+        return Response.unavailable(f"freshness counter unreachable: {exc}")
+    if isinstance(exc, FaultError):
+        return Response.retryable(str(exc))
+    if isinstance(exc, (RequestError, PathError, FileSystemError)):
+        return Response.error(str(exc))
+    return Response.error(f"internal error: {type(exc).__name__}")
+
+
 def _validate_user_path(path: str) -> None:
     """Paths from users: well-formed, not the ACL namespace."""
     validate_path(path)
@@ -95,7 +117,7 @@ class RequestHandler:
     def __init__(
         self,
         manager: TrustedFileManager,
-        access: AuthzBackend,
+        access: AccessControl,
         quota_bytes: int | None = None,
         locks: LockManager | None = None,
     ) -> None:
@@ -134,20 +156,8 @@ class RequestHandler:
             # Not a request failure: the enclave itself is gone.  Restart
             # recovery (not a response) is the only way forward.
             raise
-        except AccessDenied:
-            return Response.denied()
-        except RollbackDetected as exc:
-            return Response.error(f"integrity violation: {exc}")
-        except ServiceUnavailableError as exc:
-            return Response.unavailable(str(exc))
-        except CounterError as exc:
-            return Response.unavailable(f"freshness counter unreachable: {exc}")
-        except FaultError as exc:
-            return Response.retryable(str(exc))
-        except (RequestError, PathError, FileSystemError) as exc:
-            return Response.error(str(exc))
         except ReproError as exc:
-            return Response.error(f"internal error: {type(exc).__name__}")
+            return response_for(exc)
 
     def _dispatch(self, user_id: str, request: Request) -> "Response | StreamingResponse":
         op = request.op
@@ -254,13 +264,16 @@ class RequestHandler:
 
     def put_file(self, user_id: str, path: str, content: bytes) -> Response:
         """Non-streaming convenience used by tests and the WebDAV adapter."""
+        sink = None
         try:
             sink = self.open_upload(user_id, path)
-        except AccessDenied:
-            return Response.denied()
-        except (RequestError, PathError, FileSystemError) as exc:
-            return Response.error(str(exc))
-        sink.write(content)
+            sink.write(content)
+        except EnclaveCrashed:
+            raise
+        except ReproError as exc:
+            if sink is not None:
+                sink.abort()
+            return response_for(exc)
         return Response.deserialize(sink.finish())
 
     def _commit_upload(self, user_id: str, path: str, upload: ContentUpload) -> Response:
@@ -280,9 +293,8 @@ class RequestHandler:
                 # Raised, not returned: the refusal must ABORT the
                 # PUT_FILE transaction (rolling back the sealed request
                 # stamp with it) so "stamp committed" keeps implying
-                # "request answered OK" for cluster failover.  The
-                # except ReproError arm in UploadSink.finish turns it
-                # into the same error response as before.
+                # "request answered OK" for cluster failover;
+                # UploadSink.finish maps it to the error response.
                 raise QuotaExceeded(
                     f"quota exceeded: {used - refund + upload._size} "
                     f"> {self._quota_bytes} bytes"
@@ -608,29 +620,12 @@ class UploadSink:
                     )
         except EnclaveCrashed:
             raise
-        except AccessDenied:
-            self._upload.abort()
-            response = Response.denied()
-        except ServiceUnavailableError as exc:
-            self._upload.abort()
-            response = Response.unavailable(str(exc))
-        except CounterError as exc:
-            self._upload.abort()
-            response = Response.unavailable(f"freshness counter unreachable: {exc}")
-        except FaultError as exc:
-            self._upload.abort()
-            response = Response.retryable(str(exc))
         except ReproError as exc:
             self._upload.abort()
-            response = Response.error(str(exc))
+            response = response_for(exc)
         return response.serialize()
 
     def abort(self) -> None:
         if not self._aborted:
             self._aborted = True
             self._upload.abort()
-
-
-def response_iterator(chunks: Iterator[bytes]) -> Iterator[bytes]:
-    """Re-exported helper for adapters that relay streamed responses."""
-    return chunks

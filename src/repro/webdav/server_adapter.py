@@ -36,7 +36,11 @@ def _status_of(response: Response, created: bool = False) -> HttpResponse:
         return HttpResponse(200, "OK")
     if response.status is Status.DENIED:
         return HttpResponse(403, "Forbidden")
-    return HttpResponse(409, "Conflict", body=response.message.encode("utf-8"))
+    body = response.message.encode("utf-8")
+    if response.status in (Status.RETRY, Status.UNAVAILABLE):
+        # Transient: the same request may succeed later, unlike a conflict.
+        return HttpResponse(503, "Service Unavailable", body=body)
+    return HttpResponse(409, "Conflict", body=body)
 
 
 class WebDavAdapter:

@@ -11,6 +11,8 @@ list.
 
 from __future__ import annotations
 
+import ast
+import re
 from collections import Counter
 from pathlib import Path
 
@@ -100,3 +102,23 @@ def test_trusted_modules_never_classified_untrusted(boundary):
         if boundary.is_untrusted(module)
     ]
     assert not both
+
+
+def test_failure_responses_are_built_only_in_response_for():
+    """One failure -> status table (docs/FAULTS.md): under ``repro.core``
+    the denied/retryable/unavailable responses are constructed nowhere but
+    ``request_handler.response_for``, so no door can drift from the others."""
+    pattern = re.compile(r"Response\.(retryable|unavailable|denied)\(")
+    handler = SRC / "repro" / "core" / "request_handler.py"
+    (table,) = (
+        node
+        for node in ast.parse(handler.read_text()).body
+        if isinstance(node, ast.FunctionDef) and node.name == "response_for"
+    )
+    stray = []
+    for path in sorted((SRC / "repro" / "core").rglob("*.py")):
+        for lineno, line in enumerate(path.read_text().splitlines(), start=1):
+            inside = path == handler and table.lineno <= lineno <= table.end_lineno
+            if pattern.search(line) and not inside:
+                stray.append(f"{path.relative_to(REPO)}:{lineno}")
+    assert not stray, f"failure responses built outside response_for: {stray}"

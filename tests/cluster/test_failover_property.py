@@ -10,33 +10,31 @@ and was transparently re-executed on a survivor.  Afterwards the
 crashed replica restarts, re-joins, and serves reads with anchors
 verified fresh against the quorum.
 
-The schedule machinery mirrors tests/core/test_linearizability.py; the
-witness is a plain single server running the cluster's option profile.
+The schedule machinery is tests/support/schedules.py; the witness is a
+plain single server running the cluster's option profile.
 """
 
 from __future__ import annotations
 
-import hashlib
 import random
 
 import pytest
 
 from repro.cluster import ClusterDriver, build_cluster, cluster_options
-from repro.core.requests import Op, Request
 from repro.core.server import SeGShareServer
 from repro.faults import FaultPlan
-from repro.fsmodel import is_dir_path
 from repro.netsim import azure_wan_env
 from repro.pki import CertificateAuthority
+from tests.support.schedules import (
+    USERS,
+    apply_descriptor,
+    logical_state,
+    prime,
+    random_descriptor,
+)
 
 #: One CA for the whole module — RSA keygen dominates setup otherwise.
 _CA = CertificateAuthority(key_bits=1024)
-
-USERS = ("u0", "u1", "u2")
-GROUPS = ("eng", "ops")
-DIRS = ("/a/", "/b/", "/a/sub/")
-FILES = ("/a/f", "/b/f", "/top", "/a/sub/g")
-MOVE_DSTS = ("/moved", "/b/moved")
 
 #: The issue's floor is 50 seeded schedules; chunked for pytest -x ergonomics.
 SEEDS = 60
@@ -52,130 +50,12 @@ def build_witness() -> SeGShareServer:
     )
 
 
-def prime(handler) -> None:
-    """Identical starting state for the cluster and the witness."""
-    for user in USERS:
-        assert (
-            handler.handle("u0", Request(op=Op.ADD_USER, args=(user, "eng"))).status.name
-            == "OK"
-        )
-    assert (
-        handler.handle("u1", Request(op=Op.ADD_USER, args=("u1", "ops"))).status.name
-        == "OK"
-    )
-    for path in ("/a/", "/b/"):
-        assert (
-            handler.handle("u0", Request(op=Op.PUT_DIR, args=(path,))).status.name
-            == "OK"
-        )
-    assert handler.put_file("u0", "/a/f", b"seed content a").status.name == "OK"
-    assert handler.put_file("u1", "/top", b"seed content top").status.name == "OK"
-
-
-def random_descriptor(rng: random.Random, user: str, nonce: int) -> tuple:
-    roll = rng.randrange(9)
-    if roll == 0:
-        return ("handle", user, Request(op=Op.PUT_DIR, args=(rng.choice(DIRS),)))
-    if roll == 1:
-        content = f"content {user} {nonce}".encode()
-        return ("put_file", user, rng.choice(FILES), content)
-    if roll == 2:
-        return ("handle", user, Request(op=Op.GET, args=(rng.choice(FILES + DIRS),)))
-    if roll == 3:
-        return ("handle", user, Request(op=Op.REMOVE, args=(rng.choice(FILES + DIRS),)))
-    if roll == 4:
-        return (
-            "handle",
-            user,
-            Request(
-                op=Op.SET_PERM,
-                args=(rng.choice(FILES + DIRS), rng.choice(GROUPS), rng.choice(("r", "rw"))),
-            ),
-        )
-    if roll == 5:
-        return (
-            "handle",
-            user,
-            Request(op=Op.MOVE, args=(rng.choice(FILES), rng.choice(MOVE_DSTS))),
-        )
-    if roll == 6:
-        return (
-            "handle",
-            user,
-            Request(op=Op.ADD_USER, args=(rng.choice(USERS), rng.choice(GROUPS))),
-        )
-    if roll == 7:
-        return ("handle", user, Request(op=Op.STAT, args=(rng.choice(FILES + DIRS),)))
-    return ("handle", user, Request(op=Op.MY_GROUPS, args=()))
-
-
 def make_schedule(seed: int) -> list[list[tuple]]:
     rng = random.Random(seed)
     return [
         [random_descriptor(rng, USERS[c], c * 100 + k) for k in range(OPS_PER_CLIENT)]
         for c in range(len(USERS))
     ]
-
-
-def to_result(response) -> str:
-    if hasattr(response, "chunks"):
-        data = b"".join(response.chunks)
-        return "STREAM:" + hashlib.sha256(data).hexdigest()
-    extra = ""
-    if response.listing:
-        extra = ":" + ",".join(response.listing)
-    return response.status.name + extra
-
-
-def apply_via_cluster(cluster, desc: tuple, arrival: float) -> str:
-    if desc[0] == "put_file":
-        _, user, path, content = desc
-        return to_result(cluster.put_file(user, path, content, arrival=arrival))
-    _, user, request = desc
-    return to_result(cluster.handle(user, request, arrival=arrival))
-
-
-def apply_on_witness(server: SeGShareServer, desc: tuple) -> str:
-    handler = server.enclave.handler
-    if desc[0] == "put_file":
-        _, user, path, content = desc
-        return to_result(handler.put_file(user, path, content))
-    _, user, request = desc
-    return to_result(handler.handle(user, request))
-
-
-def logical_state(server: SeGShareServer) -> dict:
-    """The decrypted view: tree, content hashes, ACLs, memberships."""
-    manager = server.enclave.manager
-    access = server.enclave.access
-    state: dict = {}
-
-    def visit(path: str) -> None:
-        if is_dir_path(path):
-            directory = manager.read_dir(path)
-            state[("dir", path)] = tuple(sorted(directory.children))
-            for child in directory.children:
-                visit(child)
-        else:
-            content = manager.read_content(path)
-            state[("file", path)] = hashlib.sha256(content).hexdigest()
-        if manager.acl_exists(path):
-            acl = manager.read_acl(path)
-            state[("acl", path)] = (
-                tuple(sorted(acl.owners)),
-                tuple(
-                    sorted(
-                        (group, tuple(sorted(p.name for p in acl.lookup(group))))
-                        for group in acl.groups_with_entries()
-                    )
-                ),
-                acl.inherit,
-            )
-
-    visit("/")
-    for user in sorted(access.known_users()):
-        state[("groups", user)] = tuple(sorted(access.user_groups(user)))
-    return state
 
 
 def run_cluster_schedule(seed: int, plan: FaultPlan | None, victim: str):
@@ -196,7 +76,7 @@ def run_cluster_schedule(seed: int, plan: FaultPlan | None, victim: str):
     def thunk_for(desc: tuple):
         def thunk(arrival: float):
             executed.append(desc)
-            results.append(apply_via_cluster(cluster, desc, arrival))
+            results.append(apply_descriptor(cluster, desc, arrival=arrival))
 
         return thunk
 
@@ -211,7 +91,7 @@ def run_cluster_schedule(seed: int, plan: FaultPlan | None, victim: str):
 def run_witness(executed: list[tuple]):
     server = build_witness()
     prime(server.enclave.handler)
-    results = [apply_on_witness(server, desc) for desc in executed]
+    results = [apply_descriptor(server.enclave.handler, desc) for desc in executed]
     return server, results
 
 

@@ -6,7 +6,8 @@ from dataclasses import dataclass
 
 import pytest
 
-from repro.core.authz import AuthzBackend, build_backend
+from repro.core.access_control import AccessControl
+from repro.core.authz import build_backend
 from repro.core.file_manager import TrustedFileManager
 from repro.core.request_handler import RequestHandler
 from repro.core.rollback import FlatStoreGuard, RollbackGuard
@@ -19,7 +20,7 @@ ROOT_KEY = bytes(range(32))
 class HandlerWorld:
     stores: StoreSet
     manager: TrustedFileManager
-    access: AuthzBackend
+    access: AccessControl
     handler: RequestHandler
     guard: RollbackGuard | None = None
     group_guard: FlatStoreGuard | None = None

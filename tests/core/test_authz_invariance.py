@@ -1,6 +1,6 @@
 """Backend invariance: both authorization backends decide identically.
 
-The AuthzBackend contract: the IBBE envelope backend pays a completely
+The backend contract: the IBBE envelope backend pays a completely
 different *cost* for revocation (re-key now, re-encrypt later), but
 every authorization *decision* — auth_f across permissions, inheritance
 and deny entries, auth_g, exists_g, user_groups — and every request

@@ -154,8 +154,11 @@ class TestPathHiding:
 @pytest.fixture()
 def cached_manager():
     from repro.core.cache import MetadataCache
+    from repro.store.engine import StorageEngine
 
-    return TrustedFileManager(StoreSet.in_memory(), ROOT_KEY, cache=MetadataCache(1 << 20))
+    stores = StoreSet.in_memory()
+    engine = StorageEngine(stores, cache=MetadataCache(1 << 20))
+    return TrustedFileManager(stores, ROOT_KEY, engine=engine)
 
 
 @pytest.mark.parametrize("store", ["content", "group"])

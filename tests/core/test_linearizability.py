@@ -23,29 +23,27 @@ docs/FAULTS.md).
 
 from __future__ import annotations
 
-import hashlib
 import random
 
 import pytest
 
 from repro.bench.concurrency import ConcurrentDriver, parallel_env
 from repro.core.enclave_app import SeGShareOptions
-from repro.core.requests import Op, Request
 from repro.core.server import SeGShareServer
 from repro.errors import EnclaveCrashed
 from repro.faults import FaultPlan
-from repro.fsmodel import is_dir_path
 from repro.netsim import azure_wan_env
 from repro.pki import CertificateAuthority
+from tests.support.schedules import (
+    USERS,
+    apply_descriptor,
+    logical_state,
+    prime,
+    random_descriptor,
+)
 
 #: One CA for the whole module — RSA keygen dominates setup otherwise.
 _CA = CertificateAuthority(key_bits=1024)
-
-USERS = ("u0", "u1", "u2")
-GROUPS = ("eng", "ops")
-DIRS = ("/a/", "/b/", "/a/sub/")
-FILES = ("/a/f", "/b/f", "/top", "/a/sub/g")
-MOVE_DSTS = ("/moved", "/b/moved")
 
 SEEDS = 100
 OPS_PER_CLIENT = 4
@@ -64,119 +62,12 @@ def build_server(parallel: bool) -> SeGShareServer:
     return SeGShareServer(env, _CA.public_key, options=options)
 
 
-def prime(server: SeGShareServer) -> None:
-    """Identical starting state for the concurrent and serial runs."""
-    handler = server.enclave.handler
-    for user in USERS:
-        assert handler.handle(
-            "u0", Request(op=Op.ADD_USER, args=(user, "eng"))
-        ).status.name == "OK"
-    assert handler.handle(
-        "u1", Request(op=Op.ADD_USER, args=("u1", "ops"))
-    ).status.name == "OK"
-    for path in ("/a/", "/b/"):
-        assert handler.handle(
-            "u0", Request(op=Op.PUT_DIR, args=(path,))
-        ).status.name == "OK"
-    assert handler.put_file("u0", "/a/f", b"seed content a").status.name == "OK"
-    assert handler.put_file("u1", "/top", b"seed content top").status.name == "OK"
-
-
-def random_descriptor(rng: random.Random, user: str, nonce: int) -> tuple:
-    """One request descriptor — replayable on any server."""
-    roll = rng.randrange(9)
-    if roll == 0:
-        return ("handle", user, Request(op=Op.PUT_DIR, args=(rng.choice(DIRS),)))
-    if roll == 1:
-        content = f"content {user} {nonce}".encode()
-        return ("put_file", user, rng.choice(FILES), content)
-    if roll == 2:
-        return ("handle", user, Request(op=Op.GET, args=(rng.choice(FILES + DIRS),)))
-    if roll == 3:
-        return ("handle", user, Request(op=Op.REMOVE, args=(rng.choice(FILES + DIRS),)))
-    if roll == 4:
-        return (
-            "handle",
-            user,
-            Request(
-                op=Op.SET_PERM,
-                args=(rng.choice(FILES + DIRS), rng.choice(GROUPS), rng.choice(("r", "rw"))),
-            ),
-        )
-    if roll == 5:
-        return (
-            "handle",
-            user,
-            Request(op=Op.MOVE, args=(rng.choice(FILES), rng.choice(MOVE_DSTS))),
-        )
-    if roll == 6:
-        return (
-            "handle",
-            user,
-            Request(op=Op.ADD_USER, args=(rng.choice(USERS), rng.choice(GROUPS))),
-        )
-    if roll == 7:
-        return ("handle", user, Request(op=Op.STAT, args=(rng.choice(FILES + DIRS),)))
-    return ("handle", user, Request(op=Op.MY_GROUPS, args=()))
-
-
 def make_schedule(seed: int) -> list[list[tuple]]:
     rng = random.Random(seed)
     return [
         [random_descriptor(rng, USERS[c], c * 100 + k) for k in range(OPS_PER_CLIENT)]
         for c in range(len(USERS))
     ]
-
-
-def apply_descriptor(server: SeGShareServer, desc: tuple) -> str:
-    """Execute one descriptor; the result string captures what the client saw."""
-    handler = server.enclave.handler
-    if desc[0] == "put_file":
-        _, user, path, content = desc
-        return handler.put_file(user, path, content).status.name
-    _, user, request = desc
-    response = handler.handle(user, request)
-    if hasattr(response, "chunks"):
-        data = b"".join(response.chunks)
-        return "STREAM:" + hashlib.sha256(data).hexdigest()
-    extra = ""
-    if response.listing:
-        extra = ":" + ",".join(response.listing)
-    return response.status.name + extra
-
-
-def logical_state(server: SeGShareServer) -> dict:
-    """The decrypted view: tree, content hashes, ACLs, memberships."""
-    manager = server.enclave.manager
-    access = server.enclave.access
-    state: dict = {}
-
-    def visit(path: str) -> None:
-        if is_dir_path(path):
-            directory = manager.read_dir(path)
-            state[("dir", path)] = tuple(sorted(directory.children))
-            for child in directory.children:
-                visit(child)
-        else:
-            content = manager.read_content(path)
-            state[("file", path)] = hashlib.sha256(content).hexdigest()
-        if manager.acl_exists(path):
-            acl = manager.read_acl(path)
-            state[("acl", path)] = (
-                tuple(sorted(acl.owners)),
-                tuple(
-                    sorted(
-                        (group, tuple(sorted(p.name for p in acl.lookup(group))))
-                        for group in acl.groups_with_entries()
-                    )
-                ),
-                acl.inherit,
-            )
-
-    visit("/")
-    for user in sorted(access.known_users()):
-        state[("groups", user)] = tuple(sorted(access.user_groups(user)))
-    return state
 
 
 def run_concurrent(seed: int):
@@ -187,7 +78,7 @@ def run_concurrent(seed: int):
     compares against.
     """
     server = build_server(parallel=True)
-    prime(server)
+    prime(server.enclave.handler)
     schedule = make_schedule(seed)
     executed: list[tuple] = []
     results: list[str] = []
@@ -195,7 +86,7 @@ def run_concurrent(seed: int):
     def thunk_for(desc: tuple):
         def thunk():
             executed.append(desc)
-            results.append(apply_descriptor(server, desc))
+            results.append(apply_descriptor(server.enclave.handler, desc))
 
         return thunk
 
@@ -207,8 +98,8 @@ def run_concurrent(seed: int):
 
 def run_serial(executed: list[tuple]):
     server = build_server(parallel=False)
-    prime(server)
-    results = [apply_descriptor(server, desc) for desc in executed]
+    prime(server.enclave.handler)
+    results = [apply_descriptor(server.enclave.handler, desc) for desc in executed]
     return server, results
 
 
@@ -250,7 +141,7 @@ class TestCrashDuringConcurrentSchedule:
 
     def _count_steps(self, seed: int) -> int:
         server = build_server(parallel=True)
-        prime(server)
+        prime(server.enclave.handler)
         plan = FaultPlan().crash_at_point(nth=10**9, site_prefix="journal:")
         plan.attach_platform(server.platform)
         # Re-run the schedule on this plan-armed server.
@@ -260,7 +151,12 @@ class TestCrashDuringConcurrentSchedule:
         driver.run(
             [
                 [
-                    (lambda d=desc: (executed.append(d), apply_descriptor(server, d)))
+                    (
+                        lambda d=desc: (
+                            executed.append(d),
+                            apply_descriptor(server.enclave.handler, d),
+                        )
+                    )
                     for desc in stream
                 ]
                 for stream in schedule
@@ -277,7 +173,7 @@ class TestCrashDuringConcurrentSchedule:
         step = random.Random(seed).randint(1, steps)
 
         server = build_server(parallel=True)
-        prime(server)
+        prime(server.enclave.handler)
         old_locks = server.enclave.locks
         schedule = make_schedule(seed)
         completed: list[tuple] = []
@@ -287,7 +183,7 @@ class TestCrashDuringConcurrentSchedule:
 
         def thunk_for(desc: tuple):
             def thunk():
-                apply_descriptor(server, desc)
+                apply_descriptor(server.enclave.handler, desc)
                 completed.append(desc)  # only reached if the op finished
 
             return thunk

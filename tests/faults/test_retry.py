@@ -3,11 +3,14 @@
 import pytest
 
 from repro.core.enclave_app import SeGShareOptions
+from repro.core.model import default_group
 from repro.core.replication import transfer_root_key
 from repro.core.server import SeGShareServer, deploy, provision_certificate
+from repro.core.requests import Op, Request, Response, Status
 from repro.errors import (
     FaultError,
     NetworkError,
+    RequestError,
     RetryPolicy,
     ServiceUnavailableError,
 )
@@ -16,6 +19,7 @@ from repro.netsim import azure_wan_env
 from repro.sgx import SgxPlatform
 from repro.storage.backends import InMemoryStore
 from repro.storage.stores import StoreSet
+from repro.webdav import HttpRequest, Method
 
 POLICY = RetryPolicy(attempts=5, base_delay=0.05, max_delay=1.0)
 
@@ -25,7 +29,90 @@ def flaky_deployment(plan: FaultPlan, **deploy_kwargs):
     return deploy(env=azure_wan_env(), stores=stores, **deploy_kwargs)
 
 
+GUARDED = SeGShareOptions(rollback="whole_fs", counter_kind="rote", journal=True)
+
+
+def _handle_door(enclave, alice, path, op):
+    # A GET writes nothing, so the put fault needs a mutating opcode.
+    args = (path,) if op == "get" else (path, default_group("bob"), "r")
+    request = Request(op=Op.GET if op == "get" else Op.SET_PERM, args=args)
+    result = enclave.handler.handle("alice", request)
+    assert isinstance(result, Response)
+    return result.status
+
+
+def _put_file_door(enclave, alice, path, op):
+    return enclave.handler.put_file("alice", path, b"v2").status
+
+
+def _native_door(enclave, alice, path, op):
+    with pytest.raises(FaultError):  # how the client reports Status.RETRY
+        alice.upload(path, b"v2")
+    return Status.RETRY
+
+
+def _webdav_door(enclave, alice, path, op):
+    reply = enclave.webdav.dispatch("alice", HttpRequest(Method.PUT, path, body=b"v2"))
+    return {503: Status.RETRY, 201: Status.OK}[reply.status]
+
+
+DOORS = [_handle_door, _put_file_door, _native_door, _webdav_door]
+#: (faulted op, path): "/d/f" reads its parent's ACL to authorize, so the
+#: get fault hits the upload's OPEN phase; "/f" under the root reads
+#: nothing until the commit phase; the first put is the journal marker.
+FAULTS = [("get", "/d/f"), ("get", "/f"), ("put", "/d/f")]
+
+
 class TestTransientStorageFaults:
+    def _world(self, user_key, retry=None):
+        plan = FaultPlan()
+        deployment = flaky_deployment(plan, options=GUARDED)
+        alice = deployment.connect(
+            deployment.user_identity("alice", key=user_key), retry=retry
+        )
+        alice.mkdir("/d/")
+        for path in ("/d/f", "/f"):
+            alice.upload(path, b"v1")
+        return plan, deployment, alice
+
+    @pytest.mark.parametrize("op,path", FAULTS)
+    @pytest.mark.parametrize("door", DOORS)
+    def test_every_door_answers_one_transient_fault_with_retry(
+        self, user_key, door, op, path
+    ):
+        plan, deployment, alice = self._world(user_key)
+        plan.fail_nth(nth=1, op=op, store="content")
+        assert door(deployment.server.enclave, alice, path, op) is Status.RETRY
+        # The fault was transient and nothing was torn: v1 is intact and
+        # the very next upload goes through.
+        assert alice.download(path) == b"v1"
+        alice.upload(path, b"v2")
+        assert alice.download(path) == b"v2"
+
+    @pytest.mark.parametrize("op,path", FAULTS)
+    def test_policy_client_completes_the_upload(self, user_key, op, path):
+        plan, deployment, alice = self._world(user_key, retry=POLICY)
+        plan.fail_nth(nth=1, op=op, store="content")
+        alice.upload(path, b"v2")
+        assert alice.download(path) == b"v2"
+        assert deployment.env.clock.accounts().get("client-backoff", 0.0) > 0.0
+
+    def test_rolled_back_acl_is_an_integrity_violation_at_every_door(self, user_key):
+        plan, deployment, alice = self._world(user_key)
+        enclave = deployment.server.enclave
+        content = deployment.server.stores.content.inner
+        stale = {k: v for k, v in content.snapshot().items() if k.startswith("/d.acl")}
+        alice.set_permission("/d/", default_group("bob"), "rw")
+        for key, value in stale.items():  # the host replays the old /d/ ACL
+            content.put(key, value)
+        get = enclave.handler.handle("alice", Request(op=Op.GET, args=("/d/",)))
+        put = enclave.handler.put_file("alice", "/d/f", b"v2")
+        for response in (get, put):
+            assert response.status is Status.ERROR
+            assert response.message.startswith("integrity violation:")
+        with pytest.raises(RequestError, match="^integrity violation:"):
+            alice.upload("/d/f", b"v2")
+
     def test_client_retries_through_transient_fault(self, user_key):
         plan = FaultPlan()
         deployment = flaky_deployment(

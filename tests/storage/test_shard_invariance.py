@@ -18,29 +18,27 @@ prefix on a single backend: cross-shard atomicity, and invariance again.
 
 from __future__ import annotations
 
-import hashlib
 import random
 
 import pytest
 
 from repro.core.enclave_app import SeGShareOptions
-from repro.core.requests import Op, Request
 from repro.core.server import SeGShareServer
 from repro.errors import EnclaveCrashed
 from repro.faults import FaultPlan
-from repro.fsmodel import is_dir_path
 from repro.netsim import azure_wan_env
 from repro.pki import CertificateAuthority
 from repro.storage import InMemoryStore, StoreSet
+from tests.support.schedules import (
+    USERS,
+    apply_descriptor,
+    logical_state,
+    prime,
+    random_descriptor,
+)
 
 #: One CA for the whole module — RSA keygen dominates setup otherwise.
 _CA = CertificateAuthority(key_bits=1024)
-
-USERS = ("u0", "u1", "u2")
-GROUPS = ("eng", "ops")
-DIRS = ("/a/", "/b/", "/a/sub/")
-FILES = ("/a/f", "/b/f", "/top", "/a/sub/g")
-MOVE_DSTS = ("/moved", "/b/moved")
 
 SEEDS = range(6)
 TRACE_LEN = 24
@@ -65,114 +63,11 @@ def build_server(stores: StoreSet) -> SeGShareServer:
     return SeGShareServer(azure_wan_env(), _CA.public_key, stores=stores, options=options)
 
 
-def prime(server: SeGShareServer) -> None:
-    handler = server.enclave.handler
-    for user in USERS:
-        assert handler.handle(
-            "u0", Request(op=Op.ADD_USER, args=(user, "eng"))
-        ).status.name == "OK"
-    assert handler.handle(
-        "u1", Request(op=Op.ADD_USER, args=("u1", "ops"))
-    ).status.name == "OK"
-    for path in ("/a/", "/b/"):
-        assert handler.handle(
-            "u0", Request(op=Op.PUT_DIR, args=(path,))
-        ).status.name == "OK"
-    assert handler.put_file("u0", "/a/f", b"seed content a").status.name == "OK"
-    assert handler.put_file("u1", "/top", b"seed content top").status.name == "OK"
-
-
-def random_descriptor(rng: random.Random, nonce: int) -> tuple:
-    user = rng.choice(USERS)
-    roll = rng.randrange(9)
-    if roll == 0:
-        return ("handle", user, Request(op=Op.PUT_DIR, args=(rng.choice(DIRS),)))
-    if roll == 1:
-        content = f"content {user} {nonce}".encode()
-        return ("put_file", user, rng.choice(FILES), content)
-    if roll == 2:
-        return ("handle", user, Request(op=Op.GET, args=(rng.choice(FILES + DIRS),)))
-    if roll == 3:
-        return ("handle", user, Request(op=Op.REMOVE, args=(rng.choice(FILES + DIRS),)))
-    if roll == 4:
-        return (
-            "handle",
-            user,
-            Request(
-                op=Op.SET_PERM,
-                args=(rng.choice(FILES + DIRS), rng.choice(GROUPS), rng.choice(("r", "rw"))),
-            ),
-        )
-    if roll == 5:
-        return (
-            "handle",
-            user,
-            Request(op=Op.MOVE, args=(rng.choice(FILES), rng.choice(MOVE_DSTS))),
-        )
-    if roll == 6:
-        return (
-            "handle",
-            user,
-            Request(op=Op.ADD_USER, args=(rng.choice(USERS), rng.choice(GROUPS))),
-        )
-    if roll == 7:
-        return ("handle", user, Request(op=Op.STAT, args=(rng.choice(FILES + DIRS),)))
-    return ("handle", user, Request(op=Op.MY_GROUPS, args=()))
-
-
 def make_trace(seed: int) -> list[tuple]:
     rng = random.Random(seed)
-    return [random_descriptor(rng, nonce) for nonce in range(TRACE_LEN)]
-
-
-def apply_descriptor(server: SeGShareServer, desc: tuple) -> str:
-    handler = server.enclave.handler
-    if desc[0] == "put_file":
-        _, user, path, content = desc
-        return handler.put_file(user, path, content).status.name
-    _, user, request = desc
-    response = handler.handle(user, request)
-    if hasattr(response, "chunks"):
-        data = b"".join(response.chunks)
-        return "STREAM:" + hashlib.sha256(data).hexdigest()
-    extra = ""
-    if response.listing:
-        extra = ":" + ",".join(response.listing)
-    return response.status.name + extra
-
-
-def logical_state(server: SeGShareServer) -> dict:
-    """The decrypted view: tree, content hashes, ACLs, memberships."""
-    manager = server.enclave.manager
-    access = server.enclave.access
-    state: dict = {}
-
-    def visit(path: str) -> None:
-        if is_dir_path(path):
-            directory = manager.read_dir(path)
-            state[("dir", path)] = tuple(sorted(directory.children))
-            for child in directory.children:
-                visit(child)
-        else:
-            content = manager.read_content(path)
-            state[("file", path)] = hashlib.sha256(content).hexdigest()
-        if manager.acl_exists(path):
-            acl = manager.read_acl(path)
-            state[("acl", path)] = (
-                tuple(sorted(acl.owners)),
-                tuple(
-                    sorted(
-                        (group, tuple(sorted(p.name for p in acl.lookup(group))))
-                        for group in acl.groups_with_entries()
-                    )
-                ),
-                acl.inherit,
-            )
-
-    visit("/")
-    for user in sorted(access.known_users()):
-        state[("groups", user)] = tuple(sorted(access.user_groups(user)))
-    return state
+    return [
+        random_descriptor(rng, rng.choice(USERS), nonce) for nonce in range(TRACE_LEN)
+    ]
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -181,8 +76,8 @@ def test_shard_count_is_invisible(seed):
     runs: dict[str, tuple[SeGShareServer, list[str]]] = {}
     for name, stores in store_variants().items():
         server = build_server(stores)
-        prime(server)
-        results = [apply_descriptor(server, desc) for desc in trace]
+        prime(server.enclave.handler)
+        results = [apply_descriptor(server.enclave.handler, desc) for desc in trace]
         runs[name] = (server, results)
 
     baseline_server, baseline_results = runs["one-backend"]
@@ -210,11 +105,11 @@ class TestCrashMidCommitOnShardedStore:
 
     def _count_steps(self, seed: int) -> int:
         server = build_server(store_variants()["eight-shards"])
-        prime(server)
+        prime(server.enclave.handler)
         plan = FaultPlan().crash_at_point(nth=10**9, site_prefix="journal:")
         plan.attach_platform(server.platform)
         for desc in make_trace(seed):
-            apply_descriptor(server, desc)
+            apply_descriptor(server.enclave.handler, desc)
         plan.detach()
         return plan.seen_crashpoints("journal:")
 
@@ -226,7 +121,7 @@ class TestCrashMidCommitOnShardedStore:
         step = random.Random(seed).randint(1, steps)
 
         server = build_server(store_variants()["eight-shards"])
-        prime(server)
+        prime(server.enclave.handler)
         plan = FaultPlan().crash_at_point(nth=step, site_prefix="journal:")
         plan.attach_platform(server.platform)
 
@@ -234,7 +129,7 @@ class TestCrashMidCommitOnShardedStore:
         completed: list[tuple] = []
         with pytest.raises(EnclaveCrashed):
             for desc in trace:
-                apply_descriptor(server, desc)
+                apply_descriptor(server.enclave.handler, desc)
                 completed.append(desc)  # only reached if the op finished
         plan.detach()
 
@@ -249,9 +144,9 @@ class TestCrashMidCommitOnShardedStore:
         # single-backend replay of one of those two prefixes.
         def replay(prefix: list[tuple]) -> dict:
             witness = build_server(store_variants()["one-backend"])
-            prime(witness)
+            prime(witness.enclave.handler)
             for desc in prefix:
-                apply_descriptor(witness, desc)
+                apply_descriptor(witness.enclave.handler, desc)
             return logical_state(witness)
 
         interrupted = trace[len(completed)]

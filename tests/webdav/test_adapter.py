@@ -7,15 +7,20 @@ from repro.core.file_manager import TrustedFileManager
 from repro.core.model import default_group
 from repro.core.request_handler import RequestHandler
 from repro.errors import WebDavError
+from repro.faults import FaultPlan, faulty_stores
 from repro.storage.stores import StoreSet
 from repro.webdav import HttpRequest, Method, WebDavAdapter
 
 
-@pytest.fixture()
-def adapter():
-    manager = TrustedFileManager(StoreSet.in_memory(), bytes(32))
+def make_adapter(stores):
+    manager = TrustedFileManager(stores, bytes(32))
     handler = RequestHandler(manager, build_backend("enclave_acl", manager))
     return WebDavAdapter(handler)
+
+
+@pytest.fixture()
+def adapter():
+    return make_adapter(StoreSet.in_memory())
 
 
 def req(method, path, body=b"", **headers):
@@ -123,3 +128,12 @@ class TestStatusMapping:
     def test_conflict_is_409(self, adapter):
         response = adapter.dispatch("alice", req(Method.MKCOL, "/a/b/c/"))
         assert response.status == 409
+
+    def test_transient_fault_is_503_not_a_conflict(self):
+        plan = FaultPlan()
+        adapter = make_adapter(faulty_stores(StoreSet.in_memory(), plan))
+        adapter.dispatch("alice", req(Method.PUT, "/f", b"data"))
+        plan.fail_nth(nth=1, op="get", store="content")
+        response = adapter.dispatch("alice", req(Method.GET, "/f"))
+        assert response.status == 503 and response.body  # the fault's message
+        assert adapter.dispatch("alice", req(Method.GET, "/f")).body == b"data"
