@@ -27,7 +27,7 @@ from typing import TYPE_CHECKING
 from repro.crypto import derive_key
 from repro.errors import StorageError
 from repro.sgx.protected_fs import ProtectedFs
-from repro.util.serialization import Reader, Writer
+from repro.util.serialization import SerializationError, pack_str, pack_u32, unpack_str, unpack_u32
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.store.engine import StorageEngine
@@ -75,8 +75,10 @@ class DedupStore:
         # under the "dedup" namespace, so a rebuild of this store object
         # (reload, enclave component rebuild) skips the PFS decrypt.
         self._engine = engine if engine is not None else _NullEngine()
-        # hName -> (object id, reference count)
-        self._index: dict[str, tuple[str, int]] = {}
+        # hName -> (object id, reference count, the entry as the index
+        # file encodes it).  The bytes are kept so that persisting the
+        # index re-encodes only the entry that changed.
+        self._index: dict[str, tuple[str, int, bytes]] = {}
         if self._pfs.exists(_INDEX_PATH):
             self._load_index()
 
@@ -87,25 +89,26 @@ class DedupStore:
         if data is None:
             data = self._pfs.read_file(_INDEX_PATH)
             self._engine.fill(_NS_DEDUP, _INDEX_PATH, data)
-        r = Reader(data)
-        count = r.u32()
+        count, offset = unpack_u32(data)
         self._index = {}
         for _ in range(count):
-            h_name = r.str()
-            object_id = r.str()
-            refcount = r.u32()
-            self._index[h_name] = (object_id, refcount)
-        r.expect_end()
+            start = offset
+            h_name, offset = unpack_str(data, offset)
+            object_id, offset = unpack_str(data, offset)
+            refcount, offset = unpack_u32(data, offset)
+            # The encoding is canonical, so the slice is what _set would build.
+            self._index[h_name] = (object_id, refcount, data[start:offset])
+        if offset != len(data):
+            raise SerializationError(f"{len(data) - offset} trailing bytes")
+
+    def _set(self, h_name: str, object_id: str, refcount: int) -> None:
+        """Every change to an entry lands here, so its encoding never goes stale."""
+        encoded = pack_str(h_name) + pack_str(object_id) + pack_u32(refcount)
+        self._index[h_name] = (object_id, refcount, encoded)
 
     def _store_index(self) -> None:
-        w = Writer()
-        w.u32(len(self._index))
-        for h_name in sorted(self._index):
-            object_id, refcount = self._index[h_name]
-            w.str(h_name)
-            w.str(object_id)
-            w.u32(refcount)
-        blob = w.take()
+        index = self._index
+        blob = pack_u32(len(index)) + b"".join([index[h_name][2] for h_name in sorted(index)])
         self._engine.invalidate(_NS_DEDUP, _INDEX_PATH)
         self._pfs.write_file(_INDEX_PATH, blob)
         self._engine.write_back(_NS_DEDUP, _INDEX_PATH, blob)
@@ -135,9 +138,9 @@ class DedupStore:
             # `obj:*` blobs are never metadata-cached; only the index file
             # is, and _store_index() below invalidates it before writing.
             self._pfs.remove(object_id)
-            self._index[h_name] = (existing[0], existing[1] + 1)
+            self._set(h_name, existing[0], existing[1] + 1)
         else:
-            self._index[h_name] = (object_id, 1)
+            self._set(h_name, object_id, 1)
         self._store_index()
         return h_name
 
@@ -189,8 +192,8 @@ class DedupStore:
     def add_reference(self, h_name: str) -> None:
         """A second content file now points at ``h_name``."""
         self._engine.coherence_check()
-        object_id, refcount = self._index[h_name]
-        self._index[h_name] = (object_id, refcount + 1)
+        object_id, refcount, _ = self._index[h_name]
+        self._set(h_name, object_id, refcount + 1)
         self._store_index()
 
     def release(self, h_name: str) -> None:
@@ -199,13 +202,13 @@ class DedupStore:
         entry = self._index.get(h_name)
         if entry is None:
             raise StorageError(f"no deduplicated object {h_name!r}")
-        object_id, refcount = entry
+        object_id, refcount, _ = entry
         if refcount <= 1:
             del self._index[h_name]
             # Object blobs bypass the metadata cache (see _commit).
             self._pfs.remove(object_id)
         else:
-            self._index[h_name] = (object_id, refcount - 1)
+            self._set(h_name, object_id, refcount - 1)
         self._store_index()
 
     def refcount(self, h_name: str) -> int:
@@ -241,7 +244,7 @@ class DedupStore:
         # upload has chunks but no metadata yet (close() writes it).  Only
         # for the store's sole writer: on a store shared with live peers an
         # unreferenced object may be a peer's upload still streaming.
-        referenced = {object_id for object_id, _ in self._index.values()}
+        referenced = {entry[0] for entry in self._index.values()}
         orphans = sorted(self._pfs.owners(_OBJECT_PREFIX) - referenced)
         for path in orphans:
             # Orphaned object blobs were never cached (see _commit).

@@ -39,6 +39,7 @@ docs/FAULTS.md.
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
 from contextlib import AbstractContextManager, contextmanager
 from dataclasses import asdict, dataclass
 from typing import TYPE_CHECKING, Iterator, Sequence
@@ -90,14 +91,6 @@ class _PathLocks:
     subtree_read_release: float = 0.0
     subtree_write_release: float = 0.0
 
-    def idle(self) -> bool:
-        return not (
-            self.read_release
-            or self.write_release
-            or self.subtree_read_release
-            or self.subtree_write_release
-        )
-
 
 @dataclass
 class LockStats:
@@ -113,14 +106,6 @@ class LockStats:
         return asdict(self)
 
 
-def _covers(root: str, path: str) -> bool:
-    """True if the subtree rooted at ``root`` contains ``path``."""
-    if root == path:
-        return True
-    prefix = root if root.endswith("/") else root + "/"
-    return path.startswith(prefix)
-
-
 class LockManager:
     """Reader–writer path locks on virtual time.
 
@@ -132,7 +117,12 @@ class LockManager:
 
     def __init__(self, clock: SimClock | None = None) -> None:
         self._clock = clock
+        #: One small record per distinct path ever locked.  Never pruned:
+        #: on a ParallelClock nothing bounds a later acquirer's ``now()``
+        #: from below, so no release time is ever provably in the past.
         self._paths: dict[str, _PathLocks] = {}
+        #: The same paths in sorted order — a subtree is one contiguous range.
+        self._sorted: list[str] = []
         self.stats = LockStats()
 
     # -- time plumbing --------------------------------------------------------
@@ -143,28 +133,50 @@ class LockManager:
     # -- conflict computation -------------------------------------------------
 
     def _wait_for(self, spec: LockSpec) -> float:
-        """Until when must ``spec``'s acquisition wait?  0.0 if free."""
+        """Until when must ``spec``'s acquisition wait?  0.0 if free.
+
+        The subtree rooted at ``root`` covers ``root`` itself and every
+        path that starts with ``root`` plus a ``"/"`` (unless ``root``
+        already ends in one).  Only the records that rule lets conflict
+        are read, so the cost follows the path's depth (and, for a
+        subtree spec, the subtree's population) — not the table's size.
+        """
+        path, write, records = spec.path, spec.write, self._paths
+        # Plain *and* subtree locks conflict when recorded inside our
+        # scope: at the path itself and, for a subtree spec, below it.
+        inside = [path]
+        if spec.subtree:
+            prefix = path if path.endswith("/") else path + "/"
+            # Exactly the keys that start with `prefix`: "0" follows "/".
+            inside += self._sorted[
+                bisect_left(self._sorted, prefix) : bisect_left(self._sorted, prefix[:-1] + "0")
+            ]
         wait = 0.0
-        for path, rec in self._paths.items():
-            same = path == spec.path
-            ours_covers = spec.subtree and _covers(spec.path, path)
-            theirs_covers = _covers(path, spec.path)
-            if same or ours_covers:
-                # Plain locks recorded at `path` lie inside our scope.
-                if spec.write:
-                    wait = max(wait, rec.read_release, rec.write_release)
-                else:
-                    wait = max(wait, rec.write_release)
-            if same or ours_covers or theirs_covers:
-                # Subtree locks recorded at `path` overlap our scope.
-                if spec.write:
-                    wait = max(wait, rec.subtree_read_release, rec.subtree_write_release)
-                else:
+        for inner in inside:
+            rec = records.get(inner)
+            if rec is not None:
+                wait = max(wait, rec.write_release, rec.subtree_write_release)
+                if write:
+                    wait = max(wait, rec.read_release, rec.subtree_read_release)
+        # From above only subtree locks conflict, and a covering root may
+        # be recorded with or without its trailing slash ("" covers every
+        # absolute path): two candidate roots per "/" of the path.
+        cut = path.find("/")
+        while cut >= 0:
+            for root in (path[:cut], path[: cut + 1]):
+                rec = records.get(root)
+                if rec is not None:
                     wait = max(wait, rec.subtree_write_release)
+                    if write:
+                        wait = max(wait, rec.subtree_read_release)
+            cut = path.find("/", cut + 1)
         return wait
 
     def _release(self, spec: LockSpec, timestamp: float) -> None:
-        rec = self._paths.setdefault(spec.path, _PathLocks())
+        rec = self._paths.get(spec.path)
+        if rec is None:
+            rec = self._paths[spec.path] = _PathLocks()
+            insort(self._sorted, spec.path)
         if spec.write:
             if spec.subtree:
                 rec.subtree_write_release = max(rec.subtree_write_release, timestamp)

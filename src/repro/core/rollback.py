@@ -52,7 +52,7 @@ from repro.core.acl import (
 from repro.core.file_manager import Mount, TrustedFileManager
 from repro.core.locks import LockManager
 from repro.crypto import derive_key
-from repro.crypto.mset_hash import MSetXorHash
+from repro.crypto.mset_hash import MSetXorBuckets, MSetXorHash
 from repro.errors import CounterError, RollbackDetected
 from repro.fsmodel import DirectoryFile, parent
 from repro.sgx.counters import MonotonicCounter, RoteCounterService
@@ -78,19 +78,6 @@ class GuardStats:
         return asdict(self)
 
 
-def _pack_buckets(buckets: list[MSetXorHash]) -> bytes:
-    w = Writer().u32(len(buckets))
-    for bucket in buckets:
-        w.bytes(bucket.serialize())
-    return w.take()
-
-
-def _unpack_buckets(key: bytes, r: Reader) -> list[MSetXorHash]:
-    buckets = [MSetXorHash.deserialize(key, r.bytes()) for _ in range(r.u32())]
-    r.expect_end()
-    return buckets
-
-
 class _GuardCore:
     """What both guards share, over one :class:`Mount`.
 
@@ -98,6 +85,7 @@ class _GuardCore:
     :class:`MonotonicCounter` or :class:`RoteCounterService` plus the
     enclave that owns the counter.
 
+    A node is whatever the layout decodes — anything with a ``copy()``.
     A layout class supplies ``_WHAT`` (for messages), the two crashpoint
     ids, ``_node_path``/``_encode_node``/``_decode_node``, ``_node_main``,
     ``_node_lock``/``_anchor_lock`` (kept literal there: seglint reads
@@ -195,18 +183,19 @@ class _GuardCore:
     # aborting one member must rewind the in-enclave pending state to
     # where that member started without touching earlier members' nodes.
 
-    def snapshot_pending(self) -> tuple[dict[str, bytes], bytes | None]:
+    def snapshot_pending(self) -> tuple[dict, bytes | None]:
         """Deep-copy the pending batch state (taken at member begin)."""
         return (
-            {path: self._encode_node(node) for path, node in self._pending_nodes.items()},
+            {path: node.copy() for path, node in self._pending_nodes.items()},
             self._pending_main,
         )
 
-    def restore_pending(self, snap: tuple[dict[str, bytes], bytes | None]) -> None:
+    def restore_pending(self, snap: tuple[dict, bytes | None]) -> None:
         """Rewind the pending batch state to a member-begin snapshot."""
         nodes, main = snap
         self._batching = True
-        self._pending_nodes = {path: self._decode_node(data) for path, data in nodes.items()}
+        # Copied again: the snapshot stays good for a second rewind.
+        self._pending_nodes = {path: node.copy() for path, node in nodes.items()}
         self._pending_main = main
 
     def expected_main(self) -> bytes:
@@ -225,16 +214,13 @@ class _GuardCore:
 
     def _leaf_main(self, path: str, content_hash: bytes) -> bytes:
         self._charge_hash(len(path) + len(content_hash))
-        return hmac.new(
-            self._key, b"leaf\x00" + path.encode("utf-8") + b"\x00" + content_hash, hashlib.sha256
-        ).digest()
+        return hmac.digest(
+            self._key, b"leaf\x00" + path.encode("utf-8") + b"\x00" + content_hash, "sha256"
+        )
 
     def _bucket_of(self, child_path: str) -> int:
         digest = hashlib.sha256(child_path.encode("utf-8")).digest()
         return int.from_bytes(digest[:4], "big") % self._buckets
-
-    def _empty_buckets(self) -> list[MSetXorHash]:
-        return [MSetXorHash(self._key) for _ in range(self._buckets)]
 
     # -- node persistence --------------------------------------------------------------
 
@@ -365,7 +351,10 @@ class _Node:
 
     path: str
     dir_hash: bytes
-    buckets: list[MSetXorHash]
+    buckets: MSetXorBuckets
+
+    def copy(self) -> "_Node":
+        return _Node(self.path, self.dir_hash, self.buckets.copy())
 
 
 class RollbackGuard(_GuardCore):
@@ -396,20 +385,19 @@ class RollbackGuard(_GuardCore):
         return self._mount.guard_prefix + "node:" + dir_path
 
     def _encode_node(self, node: _Node) -> bytes:
-        return Writer().str(node.path).bytes(node.dir_hash).raw(_pack_buckets(node.buckets)).take()
+        return Writer().str(node.path).bytes(node.dir_hash).raw(node.buckets.serialize()).take()
 
     def _decode_node(self, data: bytes) -> _Node:
         r = Reader(data)
-        return _Node(r.str(), r.bytes(), _unpack_buckets(self._key, r))
+        return _Node(r.str(), r.bytes(), MSetXorBuckets.deserialize(self._key, r.raw(r.remaining)))
 
     def _node_main(self, node: _Node) -> bytes:
-        mac = hmac.new(self._key, b"node\x00", hashlib.sha256)
-        mac.update(node.path.encode("utf-8") + b"\x00")
-        mac.update(node.dir_hash)
-        for bucket in node.buckets:
-            mac.update(bucket.digest())
         self._charge_hash(64 + 40 * len(node.buckets))
-        return mac.digest()
+        return hmac.digest(
+            self._key,
+            b"node\x00" + node.path.encode("utf-8") + b"\x00" + node.dir_hash + node.buckets.digests(),
+            "sha256",
+        )
 
     # -- locks ---------------------------------------------------------------------------
 
@@ -437,7 +425,7 @@ class RollbackGuard(_GuardCore):
     # -- node persistence --------------------------------------------------------------
 
     def _empty_node(self, dir_path: str, dir_hash: bytes) -> _Node:
-        return _Node(path=dir_path, dir_hash=dir_hash, buckets=self._empty_buckets())
+        return _Node(dir_path, dir_hash, MSetXorBuckets.empty(self._key, self._buckets))
 
     def _delete_node(self, dir_path: str) -> None:
         """Remove a directory's node (pending copy and persisted object)."""
@@ -532,7 +520,7 @@ class RollbackGuard(_GuardCore):
             with self._node_lock(dir_path):
                 node = self._load_node(dir_path)
                 old_main = self._node_main(node)
-                node.buckets[self._bucket_of(child_path)].update(old_child_main, new_child_main)
+                node.buckets.update(self._bucket_of(child_path), old_child_main, new_child_main)
                 self._save_node(dir_path, node)
                 new_main = self._node_main(node)
             if dir_path == ROOT:
@@ -600,13 +588,12 @@ class RollbackGuard(_GuardCore):
         while True:
             node = self._load_node(dir_path)
             bucket = self._bucket_of(child)
-            expected = node.buckets[bucket]
             recomputed = MSetXorHash(self._key)
             seen_target = False
             for member in self._bucket_members(node, bucket):
                 recomputed.add(self._member_main(member, child, child_main))
                 seen_target = seen_target or member == child
-            if not seen_target or recomputed.digest() != expected.digest():
+            if not seen_target or recomputed.digest() != node.buckets.digest(bucket):
                 raise RollbackDetected(
                     f"bucket hash mismatch for {child!r} under {dir_path!r}: "
                     "a file in this bucket was rolled back or removed"
@@ -639,7 +626,7 @@ class RollbackGuard(_GuardCore):
                     main = self._leaf_main(candidate, hashlib.sha256(data).digest())
                 else:
                     continue
-                node.buckets[self._bucket_of(candidate)].add(main)
+                node.buckets.update(self._bucket_of(candidate), None, main)
         if save:
             self._save_node(dir_path, node)
         return self._node_main(node)
@@ -678,17 +665,14 @@ class FlatStoreGuard(_GuardCore):
     def _node_path(self, dir_path: str) -> str:
         return self._mount.guard_prefix + "node"
 
-    def _encode_node(self, buckets: list[MSetXorHash]) -> bytes:
-        return _pack_buckets(buckets)
+    def _encode_node(self, buckets: MSetXorBuckets) -> bytes:
+        return buckets.serialize()
 
-    def _decode_node(self, data: bytes) -> list[MSetXorHash]:
-        return _unpack_buckets(self._key, Reader(data))
+    def _decode_node(self, data: bytes) -> MSetXorBuckets:
+        return MSetXorBuckets.deserialize(self._key, data)
 
-    def _node_main(self, buckets: list[MSetXorHash]) -> bytes:
-        mac = hmac.new(self._key, b"flatnode\x00", hashlib.sha256)
-        for bucket in buckets:
-            mac.update(bucket.digest())
-        return mac.digest()
+    def _node_main(self, buckets: MSetXorBuckets) -> bytes:
+        return hmac.digest(self._key, b"flatnode\x00" + buckets.digests(), "sha256")
 
     def _charge_hash(self, nbytes: int) -> None:
         """This guard's hashing has never been charged to the clock;
@@ -728,10 +712,10 @@ class FlatStoreGuard(_GuardCore):
         data = self._mount.raw_read(path)
         return self._leaf_main(path, hashlib.sha256(data).digest())
 
-    def _recompute_buckets(self) -> list[MSetXorHash]:
-        buckets = self._empty_buckets()
+    def _recompute_buckets(self) -> MSetXorBuckets:
+        buckets = MSetXorBuckets.empty(self._key, self._buckets)
         for path in self._leaves():
-            buckets[self._bucket_of(path)].add(self._stored_leaf_main(path))
+            buckets.update(self._bucket_of(path), None, self._stored_leaf_main(path))
         return buckets
 
     # -- maintenance ---------------------------------------------------------------------------
@@ -763,7 +747,7 @@ class FlatStoreGuard(_GuardCore):
         self.stats.updates += 1
         with self._node_lock():
             buckets = self._load_node()
-            buckets[self._bucket_of(path)].update(old_main, new_main)
+            buckets.update(self._bucket_of(path), old_main, new_main)
             self._save_node(ROOT, buckets)
         self._write_anchor(self._node_main(buckets))
 
@@ -783,7 +767,7 @@ class FlatStoreGuard(_GuardCore):
                 seen_target = True
             else:
                 recomputed.add(self._stored_leaf_main(member))
-        if not seen_target or recomputed.digest() != buckets[target_bucket].digest():
+        if not seen_target or recomputed.digest() != buckets.digest(target_bucket):
             raise RollbackDetected(
                 f"group store bucket mismatch for {path!r}: a member list or "
                 "the group list was rolled back"

@@ -146,10 +146,9 @@ class ParallelClock(SimClock):
 
     def __init__(self) -> None:
         super().__init__()
+        #: Open tracks only, innermost last: a closed track belongs to
+        #: whoever kept the object ``track()``/``open_track()`` returned.
         self._stack: list[TrackClock] = []
-        #: Every track ever opened, in open order (benchmarks read these
-        #: for per-request latencies and account breakdowns).
-        self.tracks: list[TrackClock] = []
 
     # -- routing --------------------------------------------------------------
 
@@ -190,7 +189,6 @@ class ParallelClock(SimClock):
         """
         track = TrackClock(label, self.now() if start is None else start)
         self._stack.append(track)
-        self.tracks.append(track)
         return track
 
     def close_track(self, track: TrackClock, join: bool = True) -> None:

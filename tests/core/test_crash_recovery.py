@@ -470,7 +470,7 @@ class TestRecoveryDetails:
 
     @staticmethod
     def _unindexed_objects(server: SeGShareServer) -> set[str]:
-        indexed = {object_id for object_id, _ in server.enclave.manager.dedup._index.values()}
+        indexed = {entry[0] for entry in server.enclave.manager.dedup._index.values()}
         stored = {
             key.partition("\x00")[0]
             for key in server.stores.dedup.keys()

@@ -1,11 +1,17 @@
 """Deduplication: single stored copy, refcounts, content addressing."""
 
+import hashlib
+import itertools
+
 import pytest
 
 from repro.core.dedup import DedupStore
 from repro.errors import StorageError
 from repro.sgx.protected_fs import ProtectedFs
 from repro.storage.backends import InMemoryStore
+from repro.util.serialization import SerializationError
+
+from tests.support.calls import python_calls
 
 
 @pytest.fixture()
@@ -196,3 +202,104 @@ class TestSweepOrphans:
         restarted = self._reopened(store)
         assert restarted.sweep_orphans() == 1
         assert self._object_keys(store) == set()
+
+
+# -- the index file's bytes may not move ------------------------------------------
+#
+# Known answers computed at the commit *before* entries carried their own
+# encoding (the whole index went through a Writer, field by field, on
+# every store).  Object ids are random; the script pins them.
+
+
+@pytest.fixture()
+def numbered_objects(monkeypatch):
+    serial = itertools.count()
+    monkeypatch.setattr(
+        "repro.core.dedup.secrets.token_hex", lambda nbytes: "%0*x" % (2 * nbytes, next(serial))
+    )
+
+
+INDEX_AFTER = [  # (step, length, sha256) of the stored index after each step
+    ("commit a", 116, "f056cd5abbaa5987bb3d3cb4a0f73361eea6bc3340ee87dc07221b61580976b8"),
+    ("commit b", 228, "75025cc58dd3c73daab246df0a8854d84b661f1d0fa53f3109e15d3fd2c91155"),
+    ("duplicate a", 228, "f160dc9537b069ff079d89ca4a9d555e0448436d90c95c12dfd37bf19cafe114"),
+    ("commit c", 340, "84b27a9850aba8df39c71c479061e27f7ec96c42b0c74622ec4a2d377c75cb9c"),
+    ("release a", 340, "9bda71db9f65d606277fbe57619808c715c45cec5aa9c1ec37e6a7b80ee9743a"),
+    ("last release b", 228, "4ce11dcff28dbedcfa4344a9c98560786ed3ebebc1c3369c3ba0fa5851c20438"),
+    ("add_reference c", 228, "800fd5125843ea8e8bada374d9ea03557a071f621eb005babcdf29e614835884"),
+]
+FINAL_INDEX_HEX = (
+    "00000002"
+    "00000040" + b"2d2d7a188391eb25e2c8fd973356e1f9343ee2b74837591dfa8bfa0065b78464".hex()
+    + "00000024" + b"obj:00000000000000000000000000000000".hex() + "00000001"
+    "00000040" + b"fcee629ec02a614e1fad18d883553a0b0fd80350f7a2557c6a6ad69727126309".hex()
+    + "00000024" + b"obj:00000000000000000000000000000003".hex() + "00000002"
+)
+
+
+class TestIndexBytes:
+    def test_known_answer_index_after_each_step(self, dedup, numbered_objects):
+        names = {}
+        steps = iter(INDEX_AFTER)
+
+        def check():
+            step, length, digest = next(steps)
+            blob = dedup._pfs.read_file("dedup-index")
+            assert (len(blob), hashlib.sha256(blob).hexdigest()) == (length, digest), step
+            return blob
+
+        names["a"] = dedup.put(b"alpha")
+        check()
+        names["b"] = dedup.put(b"beta")
+        check()
+        dedup.put(b"alpha")
+        check()
+        names["c"] = dedup.put(b"gamma")
+        check()
+        dedup.release(names["a"])
+        check()
+        dedup.release(names["b"])
+        check()
+        dedup.add_reference(names["c"])
+        assert check().hex() == FINAL_INDEX_HEX
+
+    def test_reloaded_index_stores_the_same_bytes(self, dedup, numbered_objects):
+        for i in range(20):
+            dedup.put(b"content-%d" % (i % 13))
+        stored = dedup._pfs.read_file("dedup-index")
+        before = dict(dedup._index)
+        dedup.reload_index()
+        assert dedup._index == before  # entries and their kept encodings
+        dedup._store_index()
+        assert dedup._pfs.read_file("dedup-index") == stored
+
+    def test_trailing_bytes_in_the_index_are_rejected(self, dedup):
+        dedup.put(b"x")
+        blob = dedup._pfs.read_file("dedup-index")
+        dedup._pfs.write_file("dedup-index", blob + b"\x00")
+        with pytest.raises(SerializationError):
+            dedup.reload_index()
+
+    def test_building_the_blob_does_not_cost_per_entry(self):
+        """Calls, not seconds: each entry's bytes are encoded once, when
+        it changes, so building the blob for 2 000 entries costs the
+        Python calls it costs for 50.  The fake file system records the
+        write instead of chunking and encrypting it."""
+
+        class RecordingFs:
+            def __init__(self):
+                self.files = {}
+
+            def exists(self, path):
+                return path in self.files
+
+            def write_file(self, path, data):
+                self.files[path] = data
+
+        def cost(entries):
+            store = DedupStore(RecordingFs(), bytes(32))
+            for i in range(entries):
+                store._commit("obj:%032x" % i, "%064x" % i)
+            return python_calls(store._store_index)
+
+        assert cost(2000) <= cost(50) + 5

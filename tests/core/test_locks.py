@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from repro.core.locks import (
@@ -15,6 +17,8 @@ from repro.core.locks import (
 )
 from repro.core.requests import Op, Request
 from repro.netsim import ParallelClock
+
+from tests.support.calls import python_calls
 
 
 def overlap_wait(first_specs, second_specs, hold=1.0):
@@ -229,3 +233,87 @@ class TestLockPlans:
             plan_for_upload("alice", "/shared/f1"), plan_for_upload("bob", "/shared/f2")
         )
         assert wait == pytest.approx(1.0)
+
+
+# -- the indexed lookup against the scan it replaced -----------------------------
+#
+# `_wait_for` used to walk every recorded path.  That scan is kept here,
+# verbatim, as the reference: the index may only change which records are
+# *looked at*, never the wait that comes out.
+
+
+def _covers(root: str, path: str) -> bool:
+    """True if the subtree rooted at ``root`` contains ``path``."""
+    if root == path:
+        return True
+    prefix = root if root.endswith("/") else root + "/"
+    return path.startswith(prefix)
+
+
+def reference_wait(paths, spec: LockSpec) -> float:
+    """Until when must ``spec``'s acquisition wait?  0.0 if free."""
+    wait = 0.0
+    for path, rec in paths.items():
+        same = path == spec.path
+        ours_covers = spec.subtree and _covers(spec.path, path)
+        theirs_covers = _covers(path, spec.path)
+        if same or ours_covers:
+            # Plain locks recorded at `path` lie inside our scope.
+            if spec.write:
+                wait = max(wait, rec.read_release, rec.write_release)
+            else:
+                wait = max(wait, rec.write_release)
+        if same or ours_covers or theirs_covers:
+            # Subtree locks recorded at `path` overlap our scope.
+            if spec.write:
+                wait = max(wait, rec.subtree_read_release, rec.subtree_write_release)
+            else:
+                wait = max(wait, rec.subtree_write_release)
+    return wait
+
+
+def _path_pool(rng: random.Random) -> list[str]:
+    """Nested paths in file and directory form, string-prefix siblings
+    that are not segment prefixes, and the malformed shapes a lock plan
+    can be handed (plans run before validation)."""
+    segments = ["a", "ab", "a.b", "b", "0", "\x00", "é"]
+    pool = {"", "/", "//", "a", "a/", "a/b", "ab", "/a//b", "/a//", "//a", GROUP_NS, QUOTA_KEY}
+    pool |= {GROUP_NS[:-1], member_key("alice"), member_key("al"), member_key("alice/x")}
+    for _ in range(150):
+        path = "/" + "/".join(rng.choice(segments) for _ in range(rng.randint(1, 4)))
+        pool |= {path, path + "/"}
+    return sorted(pool)
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_indexed_lookup_equals_the_full_scan(seed):
+    rng = random.Random(seed)
+    pool = _path_pool(rng)
+    manager = LockManager()
+    for step in range(12_000):
+        spec = LockSpec(rng.choice(pool), write=rng.random() < 0.5, subtree=rng.random() < 0.3)
+        assert manager._wait_for(spec) == reference_wait(manager._paths, spec), (step, spec)
+        # Release times arrive out of order on a ParallelClock; ties happen.
+        manager._release(spec, float(rng.randint(1, 4000)))
+    assert manager._sorted == sorted(manager._paths)
+    assert len(manager._paths) > 150
+
+
+def test_plain_acquisition_cost_does_not_follow_the_table_size():
+    """Calls, not seconds: one GET-shaped acquisition costs the same with
+    100 and with 10 000 recorded paths."""
+
+    def cost(recorded: int) -> int:
+        manager = LockManager(clock=ParallelClock())
+        for i in range(recorded):
+            with manager.write(f"/home/u{i % 97}/d{i}/f"):
+                pass
+        specs = [LockSpec(member_key("alice")), LockSpec("/home/u5/d5/f")]
+
+        def acquire():
+            with manager.acquire(specs):
+                pass
+
+        return python_calls(acquire)
+
+    assert abs(cost(10_000) - cost(100)) <= 2

@@ -1,5 +1,6 @@
 """Rollback protection: the multiset-hash tree and the flat group guard."""
 
+import hashlib
 from types import SimpleNamespace
 
 import pytest
@@ -9,8 +10,10 @@ from repro.errors import CounterError, RollbackDetected
 from repro.sgx.costmodel import SgxCostModel
 from repro.sgx.counters import RoteCounterService
 from repro.storage.stores import StoreSet
+from repro.util.serialization import SerializationError
 
 from tests.core.conftest import ROOT_KEY
+from tests.support.calls import python_calls
 
 
 def snapshot_matching(store, prefix):
@@ -301,6 +304,32 @@ class TestSharedGuardCore:
         guard.restore_pending(member_begin)
         assert guard.expected_main() == guard.root_hash() == main
 
+    def test_snapshot_is_not_aliased_to_the_pending_nodes(self, counted):
+        """A snapshot copies buffers: later updates must not reach it, and
+        a rewind hands out copies again, so it stays good for a second one."""
+        guard = counted.guard
+
+        def encoded(nodes):
+            return {path: guard._encode_node(node) for path, node in nodes.items()}
+
+        guard.begin_batch()
+        counted.touch()
+        member_begin = guard.snapshot_pending()
+        frozen = encoded(member_begin[0])
+        assert frozen
+        main = guard.expected_main()
+        counted.touch()  # updates the pending nodes in place, through the hooks
+        assert guard.root_hash() != main
+        assert encoded(member_begin[0]) == frozen
+        guard.restore_pending(member_begin)
+        assert guard.expected_main() == guard.root_hash() == main
+        for node in guard._pending_nodes.values():
+            getattr(node, "buckets", node).update(0, None, b"scribble")
+        assert guard.root_hash() != main
+        assert encoded(member_begin[0]) == frozen
+        guard.restore_pending(member_begin)
+        assert guard.root_hash() == main
+
     def test_counter_mismatch_is_a_rollback(self, counted):
         counted.read()
         counted.counter.increment(_ENCLAVE, counted.counter_id)  # anchor now stale
@@ -337,3 +366,140 @@ class TestSharedGuardCore:
         restore(counted.store, old)
         with pytest.raises(RollbackDetected):
             counted.guard.verify_restored_state()
+
+
+# -- stored bytes and hashes may not move ------------------------------------------
+#
+# Known answers computed at the commit *before* guard nodes held their
+# buckets as one buffer (a list of MSetXorHash objects, a per-bucket
+# Writer/Reader codec, 64 incremental MAC updates).  Node bytes and main
+# hashes are what is persisted and anchored: a faster codec must
+# reproduce them exactly.
+
+
+def scripted_world(make_world, buckets):
+    """A fixed script touching every update path of both guards."""
+    world = make_world(rollback=True, buckets=buckets)
+    handler = world.handler
+    handler.put_dir("alice", "/d/")
+    handler.put_dir("alice", "/d/e/")
+    for i in range(6):
+        handler.put_file("alice", f"/d/f{i}", b"content-%d" % i)
+    handler.put_file("alice", "/d/e/deep", b"deep")
+    handler.put_file("alice", "/top", b"top-v1")
+    handler.put_file("alice", "/top", b"top-v2")
+    handler.add_user("alice", "bob", "eng")
+    handler.add_user("alice", "carol", "eng")
+    handler.add_user("alice", "carol", "ops")
+    handler.set_permission("alice", "/d/", "eng", "r")
+    handler.remove_user("alice", "bob", "eng")
+    handler.remove("alice", "/d/f3")
+    handler.move("alice", "/d/f4", "/d/e/moved")
+    return world
+
+
+def _fingerprint(blob: bytes) -> tuple[int, str]:
+    return len(blob), hashlib.sha256(blob).hexdigest()
+
+
+KNOWN_ANSWERS = {
+    1: dict(
+        nodes={
+            "/": (93, "9766f8209bfca13b3cf3356f245df08defc779a9c4c125e037dc2fe116b772fc"),
+            "/d/": (95, "15e83113d9a29ce6b5beb9660cef7eec45cf606c4f10173c2a4eb15526168453"),
+            "/d/e/": (97, "b8cb54e09ac7409ab6634cc1150258a52bbb817485033e7259a69bdd7dfb4b74"),
+        },
+        fs_main="ed8aeeaf98f25f4a4083b4bb58353b9a0745b0e0e158f0b2434fc716996bda6a",
+        group_node=(52, "ecd32677991e178155e10639b3a77784b7d298f3503380e343e9035ab4c0dc87"),
+        group_main="8d36bfb062764ee74977bc44b2f357f859fb443b659d9b16a90b5d48454b8b25",
+    ),
+    16: dict(
+        nodes={
+            "/": (813, "2db48462507c0c0296bbe9212092c6e9e692199bc5f2dfc4274cef834f219783"),
+            "/d/": (815, "c2ef752f2989e6ac800336413bd455a3c00b95d5a7cb1299ed9c5c4a3cf2cdce"),
+            "/d/e/": (817, "837e35a63ea3151aea22cf17a85ba0bd2b5a61a941af000e7c4a1a4662495f17"),
+        },
+        fs_main="fcc3060b29b3139c7865a3c67e95bbeb257c6163a3bca0e25876bb1a7fa1668c",
+        group_node=(772, "77c7075194934958b25e5577a720b11dc1ac02bf9c965bbda8578ac8ab865da7"),
+        group_main="17920e1b1888c3c94c6478a6cc67caf4522ec33afaeb37bf2583201c5be4d372",
+    ),
+    64: dict(
+        nodes={
+            "/": (3117, "f202144a6f035c75aa1070b7763ae36ebaebb64cd346895e8ba47a902c2a6f5a"),
+            "/d/": (3119, "00a7f3abc3cb1a539ff5820e04c7ac6d1b268f94836c3e127ec8a7adbccec26f"),
+            "/d/e/": (3121, "94e4937f0c99978ada23614fbd5d9dae9927ea44e4f39c4315127af605193c84"),
+        },
+        fs_main="cb20fdfdf6d6cc8cf641e08d54950705e11de47e50d369d2027bcb9e3b927983",
+        group_node=(3076, "965d3e2d29bfbbd694c7c735b72559ff14b58953da809594c689ebc764f7f1e0"),
+        group_main="94547a3c9d5d24bb88c0c6459c59458518fc75b6cc3e7fee8cb0ae7711c18656",
+    ),
+}
+
+
+class TestKnownAnswers:
+    @pytest.mark.parametrize("buckets", sorted(KNOWN_ANSWERS))
+    def test_node_bytes_and_main_hashes(self, make_world, buckets):
+        world = scripted_world(make_world, buckets)
+        known = KNOWN_ANSWERS[buckets]
+        guard, group_guard = world.guard, world.group_guard
+        for dir_path, expected in known["nodes"].items():
+            stored = world.manager.content.raw_read(guard._node_path(dir_path))
+            assert _fingerprint(stored) == expected, dir_path
+            assert guard._encode_node(guard._decode_node(stored)) == stored
+        assert guard.root_hash().hex() == known["fs_main"]
+        stored = world.manager.group.raw_read(group_guard._node_path("/"))
+        assert _fingerprint(stored) == known["group_node"]
+        assert group_guard._encode_node(group_guard._decode_node(stored)) == stored
+        assert group_guard.root_hash().hex() == known["group_main"]
+        for each in (guard, group_guard):
+            assert each.recompute_main() == each.root_hash() == each.expected_main()
+
+    @pytest.mark.parametrize("which", ["fs", "group"])
+    @pytest.mark.parametrize(
+        "mangle",
+        [
+            pytest.param(lambda blob: blob[:-1], id="truncated"),
+            pytest.param(lambda blob: blob + b"\x00", id="one-trailing-byte"),
+            pytest.param(lambda blob: blob[:-41] + b"\x21" + blob[-40:], id="wrong-inner-length"),
+            pytest.param(
+                lambda blob: blob[: -4 * 48 - 1] + b"\x05" + blob[-4 * 48 :], id="count-above-the-body"
+            ),
+        ],
+    )
+    def test_malformed_nodes_are_rejected(self, make_world, which, mangle):
+        world = make_world(rollback=True, buckets=4)
+        guard = world.guard if which == "fs" else world.group_guard
+        mount = world.manager.content if which == "fs" else world.manager.group
+        blob = mount.raw_read(guard._node_path("/"))
+        guard._decode_node(blob)
+        with pytest.raises(SerializationError):
+            guard._decode_node(mangle(blob))
+
+
+def test_node_cost_does_not_follow_the_bucket_count(make_world):
+    """Calls, not seconds (the virtual clock already charges per byte):
+    decoding, MAC-ing, updating and encoding a node handle one buffer,
+    so B = 256 may not cost 2x the Python calls of B = 16."""
+
+    def costs(buckets):
+        world = make_world(rollback=True, buckets=buckets)
+        world.handler.put_file("alice", "/f", b"v0")
+        out = []
+        for guard, mount in ((world.guard, world.manager.content), (world.group_guard, world.manager.group)):
+            blob = mount.raw_read(guard._node_path("/"))
+            node = guard._decode_node(blob)
+            vector = getattr(node, "buckets", node)
+            guard.begin_batch()
+            guard._save_node("/", node)
+            out += [
+                python_calls(lambda: guard._decode_node(blob)),
+                python_calls(lambda: guard._node_main(node)),
+                python_calls(lambda: vector.update(buckets - 1, b"old", b"new")),
+                python_calls(lambda: guard._encode_node(node)),
+                python_calls(guard.snapshot_pending),
+            ]
+            guard.abort_batch()
+        return out
+
+    for small, large in zip(costs(16), costs(256)):
+        assert large <= 2 * small

@@ -1,10 +1,15 @@
 """MSet-XOR-Hash: incremental multiset-hash algebra and properties."""
 
+import hashlib
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.crypto.mset_hash import MSetXorHash
+from repro.crypto.mset_hash import MSetXorBuckets, MSetXorHash
+from repro.util.serialization import SerializationError
+
+from tests.support.calls import python_calls
 
 KEY = b"test-key"
 
@@ -78,12 +83,19 @@ class TestAlgebra:
 
 
 class TestSerialization:
+    """Values are stored only as the bucket vector of a guard node."""
+
     def test_round_trip(self):
         h = MSetXorHash(KEY)
         h.add(b"alpha")
         h.add(b"beta")
-        restored = MSetXorHash.deserialize(KEY, h.serialize())
-        assert restored == h
+        vector = MSetXorBuckets.empty(KEY, 3)
+        vector.update(1, None, b"alpha")
+        vector.update(1, None, b"beta")
+        restored = MSetXorBuckets.deserialize(KEY, vector.serialize())
+        assert len(restored) == 3
+        assert restored.digest(1) == h.digest()
+        assert restored.digests() == vector.digests()
 
     def test_copy_is_independent(self):
         h = MSetXorHash(KEY)
@@ -91,9 +103,133 @@ class TestSerialization:
         c = h.copy()
         c.add(b"y")
         assert c != h
+        vector = MSetXorBuckets.empty(KEY, 2)
+        vector.update(0, None, b"x")
+        clone = vector.copy()
+        clone.update(0, None, b"y")
+        assert vector.digest(0) == h.digest()
+        assert clone.digest(0) == c.digest()
 
     def test_digest_length(self):
         assert len(MSetXorHash(KEY).digest()) == 40  # 32-byte acc + 8-byte count
+        assert len(MSetXorBuckets.empty(KEY, 5).digests()) == 5 * 40
+        assert MSetXorBuckets.empty(KEY, 5).digest(4) == MSetXorHash(KEY).digest()
+
+
+def scripted_vector(buckets: int) -> MSetXorBuckets:
+    """The fixed update script the known answers below were computed on."""
+    vector = MSetXorBuckets.empty(b"known-answer-key", buckets)
+    for i in range(48):
+        vector.update((i * 5 + 3) % buckets, None, b"main-%d" % i)
+    for i in range(0, 48, 3):
+        vector.update((i * 5 + 3) % buckets, b"main-%d" % i, b"next-%d" % i)
+    for i in range(1, 48, 6):
+        vector.update((i * 5 + 3) % buckets, b"main-%d" % i, None)
+    return vector
+
+
+class TestBucketVector:
+    #: B -> (encoded length, sha256 of the encoding, sha256 of the B digests
+    #: concatenated).  Computed at the commit *before* the one-buffer vector
+    #: existed, from a list of ``MSetXorHash`` objects and the per-bucket
+    #: ``Writer`` encoder: the stored bytes must never move.
+    KNOWN = {
+        1: (
+            52,
+            "95555aa98695c34dadb7731246efbe69d6525e8c4f83eea1968a162eab3c75cc",
+            "cc5817f83217aeda4e2e9fd4c5e1c4fc745c03cde72eff3851f2536608af346d",
+        ),
+        16: (
+            772,
+            "cc4021b1de36e6afddd67a3c0683525860718072fe6bfc835aa9630f7a7e2d93",
+            "ece8454be5650dd00d83095acc2d0e2d2512976ebfa04683e11d0341c57685dd",
+        ),
+        64: (
+            3076,
+            "688a1bad77e3d1f3cef30267076e9bc72a6c7318f4db0f82076b00df147ef614",
+            "4db13a681bc3cd8c16f92895dad7693f3c2e00b5967a982bb329e90a3adb98a8",
+        ),
+    }
+    KNOWN_B1_HEX = (
+        "000000010000002c00000020f564cd4888f5690ede7df6a8f28bf70e16e21ee3"
+        "b3a9abfae0f262ecd23e55c80000000000000028"
+    )
+
+    @pytest.mark.parametrize("buckets", sorted(KNOWN))
+    def test_known_answers(self, buckets):
+        vector = scripted_vector(buckets)
+        blob = vector.serialize()
+        length, blob_sha, digests_sha = self.KNOWN[buckets]
+        assert len(blob) == length == 4 + 48 * buckets
+        assert hashlib.sha256(blob).hexdigest() == blob_sha
+        assert hashlib.sha256(vector.digests()).hexdigest() == digests_sha
+        if buckets == 1:
+            assert blob.hex() == self.KNOWN_B1_HEX
+        assert MSetXorBuckets.deserialize(b"known-answer-key", blob).serialize() == blob
+
+    def test_each_bucket_is_an_independent_multiset_hash(self):
+        vector = MSetXorBuckets.empty(KEY, 4)
+        singles = [MSetXorHash(KEY) for _ in range(4)]
+        for i, element in enumerate((b"a", b"b", b"c", b"a", b"d", b"e")):
+            vector.update(i % 4, None, element)
+            singles[i % 4].add(element)
+        vector.update(0, b"a", b"z")
+        singles[0].update(b"a", b"z")
+        vector.update(1, b"b", None)
+        singles[1].remove(b"b")
+        assert [vector.digest(i) for i in range(4)] == [one.digest() for one in singles]
+        assert vector.digests() == b"".join(one.digest() for one in singles)
+
+    @pytest.mark.parametrize("index", [-1, 4, 400])
+    def test_a_bucket_index_out_of_range_is_an_error(self, index):
+        """A node stored with fewer buckets than the guard now hashes into
+        must fail loudly, as indexing a list did — not grow the buffer."""
+        vector = MSetXorBuckets.empty(KEY, 4)
+        with pytest.raises(IndexError):
+            vector.update(index, None, b"x")
+        with pytest.raises(IndexError):
+            vector.digest(index)
+        assert vector.digests() == bytes(4 * 40)
+
+    @pytest.mark.parametrize(
+        "mangle",
+        [
+            pytest.param(lambda blob: blob[:-1], id="truncated"),
+            pytest.param(lambda blob: blob[:3], id="truncated-count"),
+            pytest.param(lambda blob: blob + b"\x00", id="one-trailing-byte"),
+            pytest.param(lambda blob: blob[:11] + b"\x21" + blob[12:], id="wrong-inner-length"),
+            pytest.param(lambda blob: blob[:7] + b"\x2d" + blob[8:], id="wrong-outer-length"),
+            pytest.param(
+                lambda blob: blob[:4 + 48 + 7] + b"\x2b" + blob[4 + 48 + 8:], id="wrong-length-in-a-later-bucket"
+            ),
+            pytest.param(lambda blob: b"\x00\x00\x00\x05" + blob[4:], id="count-above-the-body"),
+            pytest.param(lambda blob: b"\x00\x00\x00\x03" + blob[4:], id="count-below-the-body"),
+        ],
+    )
+    def test_malformed_encodings_are_rejected(self, mangle):
+        blob = scripted_vector(4).serialize()
+        MSetXorBuckets.deserialize(KEY, blob)
+        with pytest.raises(SerializationError):
+            MSetXorBuckets.deserialize(KEY, mangle(blob))
+
+    def test_cost_does_not_follow_the_bucket_count(self):
+        """Calls, not seconds: decode, update, digests and encode handle
+        one buffer, so B = 256 may not cost 2x what B = 16 does."""
+
+        def cost(buckets):
+            blob = scripted_vector(buckets).serialize()
+            holder = []
+            decode = python_calls(lambda: holder.append(MSetXorBuckets.deserialize(KEY, blob)))
+            vector = holder[0]
+            return (
+                decode,
+                python_calls(lambda: vector.update(buckets - 1, b"old", b"new")),
+                python_calls(vector.digests),
+                python_calls(vector.serialize),
+            )
+
+        for small, large in zip(cost(16), cost(256)):
+            assert large <= 2 * small
 
 
 @settings(max_examples=50, deadline=None)

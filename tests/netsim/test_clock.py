@@ -1,5 +1,8 @@
 """Virtual clock: charges, accounts, stopwatch, parallel tracks."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.netsim.clock import ParallelClock, SimClock, Stopwatch
@@ -150,10 +153,14 @@ class TestParallelClock:
         assert track.elapsed == pytest.approx(2.0)
         assert track.accounts["lock-wait"] == pytest.approx(1.5)
 
-    def test_tracks_recorded_in_open_order(self):
+    def test_closed_tracks_are_not_retained(self):
+        """One track opens per dispatched request: a clock that kept them
+        would grow for the life of the server."""
         clock = ParallelClock()
-        with clock.track("first"):
-            pass
-        with clock.track("second"):
-            pass
-        assert [t.label for t in clock.tracks] == ["first", "second"]
+        with clock.track("request") as track:
+            clock.charge(1.0, "work")
+        assert track.elapsed == pytest.approx(1.0)  # the caller's object stays usable
+        probe = weakref.ref(track)
+        del track
+        gc.collect()
+        assert probe() is None

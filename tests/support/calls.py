@@ -1,0 +1,31 @@
+"""Count Python-level calls — a cost measure that repeats exactly.
+
+The same technique as ``trace.py_calls_per_op`` in ``benchmarks/e2e``:
+``sys.setprofile`` delivers one ``call`` event per Python frame entered
+(functions, comprehensions on 3.11, and every *resume* of a generator),
+and none for C builtins.  Scaling tests compare counts at two sizes, so
+they need no timer and no tolerance for a noisy machine.
+"""
+
+from __future__ import annotations
+
+import sys
+from typing import Any, Callable
+
+
+def python_calls(fn: Callable[[], Any]) -> int:
+    """Python ``call`` events raised while ``fn()`` runs (``fn``'s own included)."""
+    calls = 0
+
+    def profiler(frame: Any, event: str, arg: Any) -> None:
+        nonlocal calls
+        if event == "call":
+            calls += 1
+
+    previous = sys.getprofile()
+    sys.setprofile(profiler)
+    try:
+        fn()
+    finally:
+        sys.setprofile(previous)
+    return calls
