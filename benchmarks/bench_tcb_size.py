@@ -5,7 +5,7 @@ from repro.core.enclave_app import SeGShareEnclave
 
 def test_tcb_report(benchmark, make_deployment):
     deployment = make_deployment()
-    report = benchmark(deployment.server.enclave.tcb_loc_report)
+    report = benchmark(deployment.server.enclave.tcb_report)
     benchmark.extra_info["tcb_loc_total"] = report.total
     benchmark.extra_info["tcb_modules"] = len(report.per_module)
     tls_loc = sum(

@@ -3,11 +3,11 @@
 A ``==``/``!=`` over digests, MAC tags, or key material short-circuits
 at the first differing byte, and the timing difference leaks how much of
 a forgery matched — the classic MAC-forgery oracle (the GCM and PAE
-implementations already use :func:`repro.util.encoding.ct_equal` for
-exactly this reason).  In the modules the boundary map puts in scope
+implementations already use :func:`hmac.compare_digest` for exactly
+this reason).  In the modules the boundary map puts in scope
 (``repro.crypto.*``, ``repro.sgx.*``, and the dedup store, whose
 ``hName`` is an HMAC), any equality whose operands *look like* secret
-material must go through ``hmac.compare_digest``/``ct_equal`` instead.
+material must go through ``hmac.compare_digest`` instead.
 
 Heuristics keep the noise down: comparisons against integer literals
 (length/count checks) are skipped, and only the final identifier of each
@@ -101,7 +101,7 @@ def check(ctx: "AnalysisContext") -> Iterator[Finding]:
                     line=node.lineno,
                     symbol=f"{module.name}:{qualname}",
                     message=(
-                        f"non-constant-time comparison of {secret!r}; use "
-                        f"hmac.compare_digest / repro.util.encoding.ct_equal"
+                        f"non-constant-time comparison of {secret!r}; "
+                        "use hmac.compare_digest"
                     ),
                 )

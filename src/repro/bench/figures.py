@@ -323,7 +323,7 @@ def table3() -> str:
 
 def tcb() -> str:
     deployment = _deploy()
-    report = deployment.server.enclave.tcb_loc_report()
+    report = deployment.server.enclave.tcb_report()
     return (
         report.format()
         + "\n\nPaper: 8441 LoC total (8102 + TLS glue), excluding the Intel SGX SDK."

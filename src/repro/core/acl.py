@@ -125,9 +125,6 @@ class AclFile:
 
     # -- permissions (rP) ------------------------------------------------------
 
-    def permission_count(self) -> int:
-        return len(self._entries)
-
     def groups_with_entries(self) -> list[str]:
         return [group for group, _ in self._entries]
 

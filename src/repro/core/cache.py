@@ -125,10 +125,6 @@ class MetadataCache:
         with self._lock:
             return len(self._entries)
 
-    @property
-    def capacity_bytes(self) -> int:
-        return self._capacity
-
     def get(self, namespace: str, key: str) -> bytes | None:
         """The entry's plaintext, or None; a hit refreshes LRU order."""
         with self._lock:

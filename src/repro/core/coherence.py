@@ -116,10 +116,6 @@ class CoherenceManager:
         self._syncing = False
         self.stats = CoherenceStats()
 
-    @property
-    def applied_epoch(self) -> int:
-        return self._applied
-
     # -- publish ----------------------------------------------------------
 
     def publish(self, keys: Iterable[Tuple[str, str]], label: str) -> None:

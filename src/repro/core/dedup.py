@@ -240,10 +240,10 @@ class DedupStore:
         cannot happen, so sweeping unreferenced ``obj:`` keys after
         crash recovery is always safe.
         """
-        # The candidates come from a key scan, not list_paths(): a stranded
-        # upload has chunks but no metadata yet (close() writes it).  Only
-        # for the store's sole writer: on a store shared with live peers an
-        # unreferenced object may be a peer's upload still streaming.
+        # The candidates come from a scan of every key, not of metadata: a
+        # stranded upload has chunks but no metadata yet (close() writes
+        # it).  Only for the store's sole writer: on a store shared with live
+        # peers an unreferenced object may be a peer's upload still streaming.
         referenced = {entry[0] for entry in self._index.values()}
         orphans = sorted(self._pfs.owners(_OBJECT_PREFIX) - referenced)
         for path in orphans:

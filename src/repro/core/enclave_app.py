@@ -10,7 +10,7 @@ built for it.
 The ECALL surface is deliberately tiny — certification (CSR/certificate
 installation), TLS session management, record forwarding, replication,
 and backup reset — mirroring the paper's "well-defined interface"
-argument.  :meth:`tcb_loc_report` reproduces the enclave-LoC accounting
+argument.  :meth:`tcb_report` reproduces the enclave-LoC accounting
 (the paper's 8441 lines).
 """
 
@@ -52,7 +52,7 @@ from repro.errors import (
 from repro.pki import Certificate, CertificateSigningRequest, CertificateUsage
 from repro.sgx import attestation as att
 from repro.sgx.counters import MonotonicCounter, RoteCounterService
-from repro.sgx.enclave import Enclave, TcbReport, ecall
+from repro.sgx.enclave import Enclave, ecall
 from repro.sgx.sealing import seal, unseal
 from repro.storage.stores import StoreSet
 from repro.store.engine import StorageEngine
@@ -182,7 +182,6 @@ class SeGShareEnclave(Enclave):
         "repro.tls.handshake",
         "repro.tls.records",
         "repro.tls.session",
-        "repro.util.encoding",
         "repro.util.serialization",
         "repro.webdav.http",
         "repro.webdav.server_adapter",
@@ -194,7 +193,9 @@ class SeGShareEnclave(Enclave):
     #: the total drops, never raise it to make room.  (One rise so far,
     #: named by its issue beforehand and recorded in EXPERIMENTS.md §E7:
     #: 8518 → 8556 for the O(request) bookkeeping of docs/PERF.md §8.)
-    TCB_LOC_CEILING = 8556
+    #: tests/analysis/test_src_tree.py::test_trusted_code_is_reached keeps
+    #: capability that only tests run from growing it back.
+    TCB_LOC_CEILING = 8377
 
     def __init__(
         self,
@@ -441,7 +442,7 @@ class SeGShareEnclave(Enclave):
         self._check_alive()
         key = rsa.generate_keypair(1024)
         self._tls_key = key
-        self.charge_if_clocked(self.platform.costs.rsa_sign * 40, "keygen")
+        self.charge(self.platform.costs.rsa_sign * 40, "keygen")
         csr = CertificateSigningRequest(
             subject="segshare-enclave",
             usage=CertificateUsage.SERVER,
@@ -483,10 +484,6 @@ class SeGShareEnclave(Enclave):
             self._tls_key = key
             assert self.tls is not None
             self.tls.install_identity(ServerIdentity(cert, key))
-
-    def charge_if_clocked(self, seconds: float, account: str) -> None:
-        if self.platform.clock is not None:
-            self.charge(seconds, account)
 
     # -- TLS ECALLs ------------------------------------------------------------------------
 
@@ -870,12 +867,6 @@ class SeGShareEnclave(Enclave):
         if self.access is not None:
             stats["authz"] = {"backend": self.access.name, **self.access.counters()}
         return stats
-
-    # -- introspection ------------------------------------------------------------------------------
-
-    def tcb_loc_report(self) -> TcbReport:
-        """Lines of code inside the enclave — the paper's Table-less 8441-LoC claim."""
-        return self.tcb_report()
 
 
 class _AuditedSink:

@@ -56,7 +56,6 @@ option off no wrapper is installed and no overhead exists.
 
 from __future__ import annotations
 
-import contextlib
 import hashlib
 from dataclasses import dataclass
 from typing import Callable, Iterator, Optional
@@ -68,7 +67,7 @@ from repro.errors import (
     ServiceUnavailableError,
     StorageError,
 )
-from repro.storage.backends import TransactionalStore, UntrustedStore
+from repro.storage.backends import UntrustedStore
 from repro.storage.stores import StoreSet
 from repro.util.serialization import Reader, Writer
 
@@ -375,10 +374,6 @@ class WriteAheadJournal:
         """Refuse further batches (rollback itself failed); reads continue."""
         self._poisoned = reason
 
-    @property
-    def poisoned(self) -> Optional[str]:
-        return self._poisoned
-
     # -- recovery (enclave start) ----------------------------------------------
 
     def recover_restore(self) -> bool:
@@ -523,54 +518,48 @@ class WriteAheadJournal:
 
     def _restore_entries(self, min_seq: int = 0) -> list[tuple[int, str]]:
         restored: list[tuple[int, str]] = []
-        restore = (
-            self._backend.batch()
-            if isinstance(self._backend, TransactionalStore)
-            else contextlib.nullcontext()
-        )
         entry_keys = [
             k for k in self._entry_keys() if int(k[len(_ENTRY_PREFIX) :]) >= min_seq
         ]
         # Descending: if a key was recorded more than once (recording
         # restarts per epoch member), the earliest pre-image wins.
         entry_keys.reverse()
-        with restore:
-            for entry_key in entry_keys:
-                try:
-                    plaintext = self._pae.decrypt(
-                        self._key,
-                        self._backend.get(entry_key),
-                        aad=_ENTRY_AAD + entry_key.encode("utf-8"),
-                    )
-                except IntegrityError:
-                    raise RollbackDetected(
-                        f"write-ahead journal entry {entry_key!r} is corrupt"
-                    ) from None
-                r = Reader(plaintext)
-                tag = r.u8()
-                key = r.str()
-                kind = r.u8()
-                pre_image = r.raw(r.remaining)
-                store = self._tagged[tag]
-                if kind == _MOVED:
-                    # Idempotent: a value already back under ``key`` (or never
-                    # moved) counts, provided it is the one the entry sealed.
-                    saved = _SAVED_PREFIX + entry_key[len(_ENTRY_PREFIX) :]
-                    source = saved if store.exists(saved) else key
-                    if not store.exists(source) or hashlib.sha256(store.get(source)).digest() != pre_image:
-                        raise RollbackDetected(f"value saved by {entry_key!r} is missing or altered")
-                    if source == saved:
-                        store.rename(saved, key)
-                elif kind == _COPIED:
-                    # The pre-image is the raw *stored* byte string captured
-                    # before the batch ran — already PAE ciphertext from the
-                    # protected store, never enclave plaintext.  (`plaintext`
-                    # above is the decrypted journal record, whose payload is
-                    # that ciphertext.)
-                    store.put(key, pre_image)  # seglint: ignore[plaintext-escape]
-                elif store.exists(key):
-                    store.delete(key)
-                restored.append((tag, key))
+        for entry_key in entry_keys:
+            try:
+                plaintext = self._pae.decrypt(
+                    self._key,
+                    self._backend.get(entry_key),
+                    aad=_ENTRY_AAD + entry_key.encode("utf-8"),
+                )
+            except IntegrityError:
+                raise RollbackDetected(
+                    f"write-ahead journal entry {entry_key!r} is corrupt"
+                ) from None
+            r = Reader(plaintext)
+            tag = r.u8()
+            key = r.str()
+            kind = r.u8()
+            pre_image = r.raw(r.remaining)
+            store = self._tagged[tag]
+            if kind == _MOVED:
+                # Idempotent: a value already back under ``key`` (or never
+                # moved) counts, provided it is the one the entry sealed.
+                saved = _SAVED_PREFIX + entry_key[len(_ENTRY_PREFIX) :]
+                source = saved if store.exists(saved) else key
+                if not store.exists(source) or hashlib.sha256(store.get(source)).digest() != pre_image:
+                    raise RollbackDetected(f"value saved by {entry_key!r} is missing or altered")
+                if source == saved:
+                    store.rename(saved, key)
+            elif kind == _COPIED:
+                # The pre-image is the raw *stored* byte string captured
+                # before the batch ran — already PAE ciphertext from the
+                # protected store, never enclave plaintext.  (`plaintext`
+                # above is the decrypted journal record, whose payload is
+                # that ciphertext.)
+                store.put(key, pre_image)  # seglint: ignore[plaintext-escape]
+            elif store.exists(key):
+                store.delete(key)
+            restored.append((tag, key))
         if self.on_restore is not None:
             self.on_restore()
         return restored

@@ -33,17 +33,6 @@ class Permission(enum.Enum):
     WRITE = "w"
     DENY = "deny"
 
-    @classmethod
-    def from_wire(cls, value: str) -> "Permission":
-        try:
-            return cls(value)
-        except ValueError:
-            raise RequestError(f"unknown permission {value!r}") from None
-
-
-#: Permission sets as stored in ACL entries: a frozenset of Permission.
-PermissionSet = frozenset
-
 
 def default_group(user_id: str) -> str:
     """The default group ``g_u`` of user ``u`` — a group containing only u.

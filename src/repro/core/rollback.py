@@ -81,13 +81,14 @@ class GuardStats:
 class _GuardCore:
     """What both guards share, over one :class:`Mount`.
 
-    ``counter``/``counter_id`` enable whole-file-system protection; pass a
+    ``counter`` enables whole-file-system protection; pass a
     :class:`MonotonicCounter` or :class:`RoteCounterService` plus the
     enclave that owns the counter.
 
     A node is whatever the layout decodes — anything with a ``copy()``.
-    A layout class supplies ``_WHAT`` (for messages), the two crashpoint
-    ids, ``_node_path``/``_encode_node``/``_decode_node``, ``_node_main``,
+    A layout class supplies ``_WHAT`` (for messages), ``_COUNTER_ID`` (its
+    counter's name in the counter service), the two crashpoint ids,
+    ``_node_path``/``_encode_node``/``_decode_node``, ``_node_main``,
     ``_node_lock``/``_anchor_lock`` (kept literal there: seglint reads
     lock names at the call site), ``_bootstrap``, and the public walks
     ``on_write``/``on_delete``/``verify_read``/``recompute_main``/
@@ -95,6 +96,7 @@ class _GuardCore:
     """
 
     _WHAT: str
+    _COUNTER_ID: str
     _NODE_WRITE: str
     _COUNTER_INCREMENTED: str
 
@@ -105,7 +107,6 @@ class _GuardCore:
         buckets: int,
         enclave: Enclave | None,
         counter: "MonotonicCounter | RoteCounterService | None",
-        counter_id: str,
         locks: LockManager | None,
     ) -> None:
         self._mount = mount
@@ -113,7 +114,6 @@ class _GuardCore:
         self._buckets = buckets
         self._enclave = enclave
         self._counter = counter
-        self._counter_id = counter_id
         #: Without a lock manager (unit tests), a clock-less one whose
         #: serial resources never wait.
         self._locks = locks if locks is not None else LockManager()
@@ -131,8 +131,8 @@ class _GuardCore:
         self._pending_main: bytes | None = None
         if counter is not None and enclave is None:
             raise RollbackDetected("whole-FS protection needs the owning enclave")
-        if counter is not None and not counter.exists(counter_id):
-            counter.create(enclave, counter_id)
+        if counter is not None and not counter.exists(self._COUNTER_ID):
+            counter.create(enclave, self._COUNTER_ID)
         if not mount.raw_exists(self._node_path(ROOT)):
             self._bootstrap()
 
@@ -256,7 +256,7 @@ class _GuardCore:
         with self._anchor_lock():
             counter_value = 0
             if self._counter is not None:
-                counter_value = self._counter.increment(self._enclave, self._counter_id)
+                counter_value = self._counter.increment(self._enclave, self._COUNTER_ID)
                 # The window a cluster failover must close: the quorum
                 # already advanced but the anchor naming the new value is
                 # not yet persisted.  A successor's recovery rolls the
@@ -288,7 +288,7 @@ class _GuardCore:
             raise RollbackDetected(f"{self._WHAT} root hash does not match the anchored value")
         if self._counter is not None:
             try:
-                current = self._counter.read(self._enclave, self._counter_id)
+                current = self._counter.read(self._enclave, self._COUNTER_ID)
             except CounterError:
                 if not self.allow_degraded_reads:
                     raise
@@ -361,6 +361,7 @@ class RollbackGuard(_GuardCore):
     """The hash tree over the content store."""
 
     _WHAT = "file system"
+    _COUNTER_ID = "segshare-fs"
     _NODE_WRITE = "anchor:fs-node-write"
     _COUNTER_INCREMENTED = "anchor:fs-counter-incremented"
 
@@ -371,13 +372,10 @@ class RollbackGuard(_GuardCore):
         buckets: int = 64,
         enclave: Enclave | None = None,
         counter: "MonotonicCounter | RoteCounterService | None" = None,
-        counter_id: str = "segshare-fs",
         locks: LockManager | None = None,
-        lock_shards: int = 16,
     ) -> None:
-        self._lock_shards = lock_shards
         key = derive_key(root_key, "segshare/rollback")
-        super().__init__(manager.content, key, buckets, enclave, counter, counter_id, locks)
+        super().__init__(manager.content, key, buckets, enclave, counter, locks)
 
     # -- node naming, encoding, main hash ----------------------------------------------
 
@@ -413,9 +411,7 @@ class RollbackGuard(_GuardCore):
     def _node_lock(self, dir_path: str) -> AbstractContextManager[None]:
         """The serial shard guarding one inner node's load-modify-save."""
         digest = hashlib.sha256(dir_path.encode("utf-8")).digest()
-        return self._locks.shard(
-            "rb-node", int.from_bytes(digest[:4], "big"), shards=self._lock_shards
-        )
+        return self._locks.shard("rb-node", int.from_bytes(digest[:4], "big"))
 
     def _anchor_lock(self) -> AbstractContextManager[None]:
         """The anchor write — and its counter increment — is one serial
@@ -644,6 +640,7 @@ class FlatStoreGuard(_GuardCore):
     """
 
     _WHAT = "group store"
+    _COUNTER_ID = "segshare-group"
     _NODE_WRITE = "anchor:group-node-write"
     _COUNTER_INCREMENTED = "anchor:group-counter-incremented"
 
@@ -654,11 +651,10 @@ class FlatStoreGuard(_GuardCore):
         buckets: int = 64,
         enclave: Enclave | None = None,
         counter: "MonotonicCounter | RoteCounterService | None" = None,
-        counter_id: str = "segshare-group",
         locks: LockManager | None = None,
     ) -> None:
         key = derive_key(root_key, "segshare/rollback-group")
-        super().__init__(manager.group, key, buckets, enclave, counter, counter_id, locks)
+        super().__init__(manager.group, key, buckets, enclave, counter, locks)
 
     # -- node naming, encoding, main hash ----------------------------------------------
 

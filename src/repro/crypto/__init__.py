@@ -19,8 +19,6 @@ from repro.crypto.pae import (
     HmacStreamPae,
     Pae,
     default_pae,
-    pae_dec,
-    pae_enc,
 )
 
 __all__ = [
@@ -32,6 +30,4 @@ __all__ = [
     "derive_key",
     "hkdf_expand",
     "hkdf_extract",
-    "pae_dec",
-    "pae_enc",
 ]

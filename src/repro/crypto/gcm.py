@@ -8,11 +8,11 @@ speed; it remains the fidelity backend, not the throughput backend.
 
 from __future__ import annotations
 
+import hmac
 import struct
 
 from repro.crypto.aes import Aes
 from repro.errors import IntegrityError, KeyError_
-from repro.util.encoding import ct_equal
 
 _R = 0xE1000000000000000000000000000000  # GCM reduction polynomial (high bits)
 
@@ -68,10 +68,6 @@ class Ghash:
     def __init__(self, tables: list[list[int]]) -> None:
         self._tables = tables
         self._y = 0
-
-    @classmethod
-    def for_key(cls, h: bytes) -> "Ghash":
-        return cls(_build_table(int.from_bytes(h, "big")))
 
     def update(self, data: bytes) -> None:
         """Absorb ``data``, zero-padded to a multiple of 16 bytes."""
@@ -146,7 +142,7 @@ class AesGcm:
         j0 = nonce + b"\x00\x00\x00\x01"
         tag_mask = self._aes.encrypt_block(j0)
         expected = bytes(a ^ b for a, b in zip(s, tag_mask))
-        if not ct_equal(expected, tag):
+        if not hmac.compare_digest(expected, tag):
             raise IntegrityError("GCM tag mismatch")
         stream = self._ctr_stream(j0, len(ciphertext))
         return bytes(a ^ b for a, b in zip(ciphertext, stream))

@@ -10,8 +10,8 @@ MSet-XOR-Hash represents a multiset M of byte strings as::
     H(M) = XOR over m in M of H_K(m),  together with |M| mod 2^64
 
 where ``H_K`` is HMAC-SHA256 under a fixed key.  XOR is commutative and
-self-inverse, which gives exactly the add/remove/combine operations the
-tree needs.  Security (set-collision resistance for a secret key) is
+self-inverse, which gives exactly the add/remove operations the tree
+needs.  Security (set-collision resistance for a secret key) is
 inherited from the PRF; see the cited paper for the proof.
 
 The count is tracked because the plain XOR collapses duplicate elements;
@@ -70,12 +70,6 @@ class MSetXorHash:
             self.remove(old)
         if new is not None:
             self.add(new)
-
-    def combine(self, other: "MSetXorHash") -> None:
-        """Fold another multiset hash (same key) into this one."""
-        if not hmac.compare_digest(other._key, self._key):
-            raise ValueError("cannot combine multiset hashes under different keys")
-        self._xor(other._acc, other._count)
 
     def digest(self) -> bytes:
         """The 40-byte hash value: 32-byte accumulator || 8-byte count."""

@@ -36,7 +36,6 @@ except ImportError:  # pragma: no cover - numpy is a standard dependency here
 
 from repro.crypto.gcm import AesGcm
 from repro.errors import IntegrityError, KeyError_
-from repro.util.encoding import ct_equal
 
 KEY_SIZE = 16  # AES-128 keys, as in the paper.
 
@@ -157,7 +156,7 @@ class HmacStreamPae(Pae):
             raise IntegrityError("ciphertext too short")
         iv = blob[: self.iv_size]
         body = blob[self.iv_size : -self.tag_size]
-        if not ct_equal(self._tag(keyed, iv, aad, body), blob[-self.tag_size :]):
+        if not hmac.compare_digest(self._tag(keyed, iv, aad, body), blob[-self.tag_size :]):
             raise IntegrityError("PAE tag mismatch")
         return self._keystream_xor(stream, iv, body)
 
@@ -176,13 +175,3 @@ _DEFAULT = HmacStreamPae()
 def default_pae() -> Pae:
     """The process-wide default PAE backend (the fast one)."""
     return _DEFAULT
-
-
-def pae_enc(key: bytes, iv: bytes, value: bytes, aad: bytes = b"") -> bytes:
-    """PAE_Enc(SK, IV, v) with the default backend — the paper's notation."""
-    return _DEFAULT.encrypt_with_iv(key, iv, value, aad)
-
-
-def pae_dec(key: bytes, ciphertext: bytes, aad: bytes = b"") -> bytes:
-    """PAE_Dec(SK, c) with the default backend — the paper's notation."""
-    return _DEFAULT.decrypt(key, ciphertext, aad)

@@ -65,16 +65,3 @@ def generate_prime(bits: int) -> int:
         candidate = secrets.randbits(bits) | (1 << (bits - 1)) | (1 << (bits - 2)) | 1
         if is_probable_prime(candidate):
             return candidate
-
-
-def generate_safe_prime(bits: int) -> int:
-    """Generate a safe prime p (p = 2q + 1 with q prime).
-
-    Only used by tests of the DH substrate; the TLS layer itself uses the
-    fixed RFC 3526 group, so this never runs on the hot path.
-    """
-    while True:
-        q = generate_prime(bits - 1)
-        p = 2 * q + 1
-        if is_probable_prime(p):
-            return p

@@ -15,7 +15,7 @@ import hashlib
 import secrets
 from dataclasses import dataclass
 
-from repro.crypto.primes import generate_prime, is_probable_prime
+from repro.crypto.primes import generate_prime
 from repro.errors import CryptoError, KeyError_
 from repro.util.serialization import Reader, Writer
 
@@ -173,13 +173,3 @@ def verify(key: RsaPublicKey, message: bytes, signature: bytes) -> bool:
     except CryptoError:
         return False
     return secrets.compare_digest(em, expected)
-
-
-def validate_keypair(key: RsaPrivateKey) -> bool:
-    """Self-check a key pair: prime factors, e*d inverse, sign/verify round trip."""
-    if key.p * key.q != key.n:
-        return False
-    if not (is_probable_prime(key.p) and is_probable_prime(key.q)):
-        return False
-    probe = b"keypair validation probe"
-    return verify(key.public_key, probe, sign(key, probe))

@@ -10,14 +10,13 @@ fault sequences deterministic under a seed.
 
 from __future__ import annotations
 
-import contextlib
 from typing import Iterator
 
 from repro.faults.plan import FaultPlan
-from repro.storage.backends import TransactionalStore, UntrustedStore
+from repro.storage.backends import UntrustedStore
 
 
-class FaultyStore(TransactionalStore):
+class FaultyStore(UntrustedStore):
     """Wrap ``inner`` so ``plan`` can inject faults into every operation."""
 
     def __init__(self, inner: UntrustedStore, plan: FaultPlan, name: str = "store") -> None:
@@ -58,11 +57,3 @@ class FaultyStore(TransactionalStore):
         # Accounting reads bypass injection: benchmarks inspect storage
         # overhead without perturbing the fault schedule.
         return self.inner.total_bytes()
-
-    @contextlib.contextmanager
-    def batch(self) -> Iterator[None]:
-        if isinstance(self.inner, TransactionalStore):
-            with self.inner.batch():
-                yield
-        else:
-            yield

@@ -5,7 +5,6 @@ from repro.fsmodel.paths import (
     ROOT,
     ancestors,
     is_dir_path,
-    is_valid_path,
     join,
     name_of,
     parent,
@@ -17,7 +16,6 @@ __all__ = [
     "DirectoryFile",
     "ancestors",
     "is_dir_path",
-    "is_valid_path",
     "join",
     "name_of",
     "parent",

@@ -19,22 +19,13 @@ from repro.errors import PathError
 ROOT = "/"
 
 # Characters disallowed in names beyond "/": NUL breaks the storage-key
-# encoding and the two suffix markers are reserved for sibling files.
+# encoding.
 _FORBIDDEN = {"\x00"}
-RESERVED_SUFFIXES = (".acl",)
 
 
 def is_dir_path(path: str) -> bool:
     """True iff ``path`` is syntactically a directory path (ends with "/")."""
     return path.endswith("/")
-
-
-def is_valid_path(path: str) -> bool:
-    try:
-        validate_path(path)
-    except PathError:
-        return False
-    return True
 
 
 def validate_path(path: str) -> None:

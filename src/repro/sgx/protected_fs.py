@@ -6,11 +6,10 @@ kept in an encrypted metadata node.  On read, confidentiality and
 integrity of every chunk is verified.  At any point, a file may have one
 writer handle or any number of reader handles.
 
-Keys: the file-system master key is either provided manually or derived
-from the enclave's sealing key — both options the real library offers.
-Each file gets its own key derived from the master key and the file path,
-and every chunk's associated data binds (path, chunk index) so chunks
-cannot be swapped between files or positions.
+Keys: the file-system master key is provided by the caller (the enclave
+derives it from its root key).  Each file gets its own key derived from
+the master key and the file path, and every chunk's associated data binds
+(path, chunk index) so chunks cannot be swapped between files or positions.
 
 Note the scope: this protects *individual file* integrity.  Freshness of
 the file *system* (rollback across files) is the job of
@@ -26,7 +25,6 @@ from repro.crypto import default_pae, derive_key
 from repro.crypto.merkle import MerkleTree, hash_leaf
 from repro.errors import IntegrityError, ProtectedFsError
 from repro.sgx.enclave import Enclave
-from repro.sgx.sealing import SealPolicy
 from repro.storage.backends import UntrustedStore
 from repro.util.serialization import Reader, Writer
 
@@ -65,27 +63,16 @@ class _Meta:
 class ProtectedFs:
     """A protected file system over an untrusted store.
 
-    ``master_key`` may be passed explicitly; otherwise it is derived from
-    the enclave's platform fuse key and signer identity (the "derive from
-    sealing key" mode of the real library), in which case ``enclave`` is
-    required.
+    ``enclave`` is only the clock to charge crypto and OCALL time to;
+    without one nothing is charged.
     """
 
     def __init__(
         self,
         store: UntrustedStore,
-        master_key: bytes | None = None,
+        master_key: bytes,
         enclave: Enclave | None = None,
     ) -> None:
-        if master_key is None:
-            if enclave is None:
-                raise ProtectedFsError("need a master key or an enclave to derive one")
-            master_key = derive_key(
-                enclave.platform.fuse_key,
-                f"pfs/master/{SealPolicy.MRSIGNER.value}",
-                enclave.signer_id(),
-                length=16,
-            )
         self._master_key = master_key
         self._store = store
         self._enclave = enclave
@@ -174,19 +161,11 @@ class ProtectedFs:
         for index in range(meta.chunk_count):
             self._store.delete(_chunk_key(path, index))
 
-    def list_paths(self) -> list[str]:
-        """All protected file paths in the store."""
-        return sorted(
-            key[: -len(_META_SUFFIX)]
-            for key in self._store.keys()
-            if key.endswith(_META_SUFFIX)
-        )
-
     def owners(self, prefix: str) -> set[str]:
         """Paths under ``prefix`` owning any stored key, metadata *or* chunk."""
-        # Unlike list_paths this sees what a crash left of a file whose write
-        # had not reached close() or whose removal had only begun.  Every key
-        # is ``path + "\x00..."``; paths themselves hold no NUL.
+        # Chunks count too, so this sees what a crash left of a file whose
+        # write had not reached close() or whose removal had only begun.  Every
+        # key is ``path + "\x00..."``; paths themselves hold no NUL.
         return {key.partition("\x00")[0] for key in self._store.scan(prefix)} - {""}
 
     def purge(self, path: str) -> None:

@@ -75,23 +75,7 @@ class UntrustedStore(ABC):
         self.delete(old)
 
 
-class TransactionalStore(UntrustedStore):
-    """An :class:`UntrustedStore` that can group operations into a batch.
-
-    ``batch()`` is a no-op hook: the base implementation provides no
-    atomicity, it only marks the span a caller *wants* treated as one
-    unit.  The enclave's write-ahead journal enters a ``batch()`` while
-    restoring pre-images so smarter backends (a future SQL or object
-    store) can make the restore itself atomic.
-    """
-
-    @contextlib.contextmanager
-    def batch(self) -> Iterator[None]:
-        """Group subsequent operations; no-op in the base class."""
-        yield
-
-
-class InMemoryStore(TransactionalStore):
+class InMemoryStore(UntrustedStore):
     """Dict-backed store; thread-safe because the server may use worker threads."""
 
     def __init__(self) -> None:
@@ -148,7 +132,7 @@ class InMemoryStore(TransactionalStore):
             self._objects = dict(snapshot)
 
 
-class DiskStore(TransactionalStore):
+class DiskStore(UntrustedStore):
     """Directory-backed store.
 
     Keys may contain characters that are not filesystem-safe (SeGShare

@@ -159,14 +159,10 @@ class DeferredStore(UntrustedStore):
         inner: UntrustedStore,
         enclave: "Enclave | None" = None,
         stats: TransactionStats | None = None,
-        max_value_bytes: int = MAX_BUFFERED_VALUE,
-        buffer_bytes: int = BUFFER_BUDGET,
     ) -> None:
         self.inner = inner
         self._enclave = enclave
         self._stats = stats
-        self._max_value = max_value_bytes
-        self._budget = buffer_bytes
         self._armed = False
         #: key -> value, or None for a buffered delete (tombstone).
         self._pending: "OrderedDict[str, bytes | None]" = OrderedDict()
@@ -249,8 +245,8 @@ class DeferredStore(UntrustedStore):
             self.inner.put(key, value)
             self._charge()
             return
-        fits = len(value) <= self._max_value and (
-            self._pending_bytes - self._entry_bytes(key) + len(value) <= self._budget
+        fits = len(value) <= MAX_BUFFERED_VALUE and (
+            self._pending_bytes - self._entry_bytes(key) + len(value) <= BUFFER_BUDGET
         )
         if fits:
             self._set_pending(key, bytes(value))

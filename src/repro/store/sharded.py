@@ -23,14 +23,14 @@ import threading
 from typing import Any, Iterator, Sequence
 
 from repro.errors import StorageError
-from repro.storage.backends import TransactionalStore, UntrustedStore
+from repro.storage.backends import UntrustedStore
 
 #: Fixed, public placement key.  Not a secret: it only decorrelates
 #: placement from attacker-chosen key strings.
 _PLACEMENT_KEY = b"segshare-shard-placement-v1"
 
 
-class ShardedStore(TransactionalStore):
+class ShardedStore(UntrustedStore):
     """An :class:`UntrustedStore` over N backends with deterministic placement.
 
     Each key maps to one shard via HMAC; the mapping is stable across

@@ -143,7 +143,9 @@ class TrustedTlsInterface:
         return session_id
 
     def close_session(self, session_id: int) -> None:
-        self._sessions.pop(session_id, None)
+        session = self._sessions.pop(session_id, None)
+        if session is not None:
+            session.abort_upload()
 
     def on_record(self, session_id: int, raw: bytes) -> list[bytes]:
         """Process one incoming record; returns records to send back.
@@ -257,7 +259,6 @@ class _ServerSession:
             self._upload.write(chunk)
             if self._expect_chunks == 0:
                 if self._body_remaining != 0:
-                    self._upload.abort()
                     raise TlsError("stream underflow: fewer bytes than announced")
                 return self._finish_upload()
             return []
@@ -275,6 +276,13 @@ class _ServerSession:
         sink = self._upload
         self._upload = None
         return self._respond(sink.finish())
+
+    def abort_upload(self) -> None:
+        """Every way a session is dropped comes here: a half-streamed upload
+        must not leave its chunks behind in untrusted storage."""
+        if self._upload is not None:
+            sink, self._upload = self._upload, None
+            sink.abort()
 
     def _respond(self, response: "bytes | StreamingResponse") -> list[bytes]:
         assert self._session is not None

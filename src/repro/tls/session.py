@@ -92,14 +92,6 @@ class TlsSession:
         self._recv_seq += 1
         return plaintext
 
-    @property
-    def records_sent(self) -> int:
-        return self._send_seq
-
-    @property
-    def records_received(self) -> int:
-        return self._recv_seq
-
 
 def chunk_payload(payload: bytes, chunk_size: int = STREAM_CHUNK) -> list[bytes]:
     """Split ``payload`` into streaming chunks; empty payloads are one chunk."""

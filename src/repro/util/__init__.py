@@ -1,11 +1,5 @@
-"""Small shared utilities: serialization, encoding, and byte helpers."""
+"""Small shared utilities: length-prefixed binary serialization."""
 
-from repro.util.encoding import (
-    ct_equal,
-    from_hex,
-    read_exact,
-    to_hex,
-)
 from repro.util.serialization import (
     Reader,
     Writer,
@@ -22,14 +16,10 @@ from repro.util.serialization import (
 __all__ = [
     "Reader",
     "Writer",
-    "ct_equal",
-    "from_hex",
     "pack_bytes",
     "pack_str",
     "pack_u32",
     "pack_u64",
-    "read_exact",
-    "to_hex",
     "unpack_bytes",
     "unpack_str",
     "unpack_u32",

@@ -122,3 +122,98 @@ def test_failure_responses_are_built_only_in_response_for():
             if pattern.search(line) and not inside:
                 stray.append(f"{path.relative_to(REPO)}:{lineno}")
     assert not stray, f"failure responses built outside response_for: {stray}"
+
+
+#: Trusted routines that nothing under src/, benchmarks/ or examples/ names,
+#: each with the reason it stays.  Qualified name -> one-line why; an entry
+#: that is reached after all, or that names no routine, fails the gate.
+ALLOWED_UNREACHED: dict[str, str] = {
+    "repro.core.dedup.DedupStore.refcount": (
+        "test observer: tests/core/test_dedup.py and tests/faults/test_retry.py "
+        "state the exact-refcount invariant through it instead of reading _index"
+    ),
+    "repro.fsmodel.paths.name_of": (
+        "unreached §II-C path algebra, a deletion candidate: ISSUE 19 fixed the set "
+        "of tests that may go and test_name_of / test_parent_inverts_join are not in it"
+    ),
+    "repro.fsmodel.paths.ancestors": (
+        "as name_of: unreached, kept only because TestAncestors is outside ISSUE 19's "
+        "removable set (CHANGES.md lists both as the next cut)"
+    ),
+}
+
+
+def _definitions(tree: ast.Module, module: str):
+    """(qualified name, name, is_method) of every function and class of
+    ``module``, nested classes included, dunder methods left out."""
+
+    def walk(body, prefix, in_class):
+        for node in body:
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                continue
+            if not (node.name.startswith("__") and node.name.endswith("__")):
+                yield f"{prefix}.{node.name}", node.name, in_class
+            if isinstance(node, ast.ClassDef):
+                yield from walk(node.body, f"{prefix}.{node.name}", True)
+
+    yield from walk(tree.body, module, False)
+
+
+def _code_nodes(node: ast.AST):
+    """Every node under ``node`` except docstrings and ``__all__`` lists —
+    a mention in prose names nothing, and a re-export is not a caller."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.Expr) and isinstance(child.value, ast.Constant):
+            continue
+        if isinstance(child, ast.Assign) and any(
+            isinstance(target, ast.Name) and target.id == "__all__" for target in child.targets
+        ):
+            continue
+        yield child
+        yield from _code_nodes(child)
+
+
+def test_trusted_code_is_reached():
+    """Every function, class, method and property of the trusted modules is
+    named by something a request, ECALL, recovery path, benchmark or example
+    runs — what only tests call is not part of the enclave.
+
+    "Named" means, somewhere under src/, benchmarks/ or examples/: as an
+    attribute or a whole quoted string (``getattr`` and
+    ``handle.call("ecall")`` targets, the benchmark's span-name tuples) or,
+    for a module-level function or class only, as a bare identifier — a
+    local variable that shares a method's name does not reach the method.
+    Imports name nothing either (an alias is neither of these nodes).
+
+    A name-level check is a floor, not a proof: it cannot see that
+    ``MerkleTree.update`` is dead while ``dict.update`` is alive.  Unreached
+    routines either go or are listed in ``ALLOWED_UNREACHED`` with the
+    reason; stale entries fail too.
+    """
+    modules = load_modules([SRC, REPO / "benchmarks", REPO / "examples"])
+    identifiers: set[str] = set()
+    attributes: set[str] = set()
+    for module in modules:
+        for node in _code_nodes(module.tree):
+            if isinstance(node, ast.Name):
+                identifiers.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                attributes.add(node.attr)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                attributes.add(node.value)
+    trusted = {*SeGShareEnclave.TCB_MODULES, SeGShareEnclave.__module__}
+    assert trusted <= {module.name for module in modules}
+    unreached = {
+        qualified
+        for module in modules
+        if module.name in trusted
+        for qualified, name, is_method in _definitions(module.tree, module.name)
+        if name not in attributes and (is_method or name not in identifiers)
+    }
+    unexplained = sorted(unreached - set(ALLOWED_UNREACHED))
+    assert not unexplained, (
+        "trusted routines nothing under src/, benchmarks/ or examples/ names "
+        f"(delete them, or add to ALLOWED_UNREACHED with the reason): {unexplained}"
+    )
+    stale = sorted(set(ALLOWED_UNREACHED) - unreached)
+    assert not stale, f"ALLOWED_UNREACHED entries that are reached or name nothing: {stale}"

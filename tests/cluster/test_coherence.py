@@ -190,7 +190,7 @@ class TestColdStart:
 
         # Empty caches make history vacuously applied: no catch-up scan,
         # no discard, fast-path current from the first serve.
-        assert joiner.applied_epoch == board.epoch == 5
+        assert joiner.snapshot()["applied_epoch"] == board.epoch == 5
         joiner.sync()
         stats = joiner.snapshot()
         assert stats["syncs"] == 0
@@ -205,7 +205,7 @@ class TestRace:
         b.publish([("meta", "/from-b")], "tb")
         a.publish([("meta", "/from-a")], "ta")
         assert board.epoch == 2
-        assert a.applied_epoch == 2
+        assert a.snapshot()["applied_epoch"] == 2
 
         fresh = CoherenceManager(board, _ROOT_KEY, _EngineStub())
         fresh._applied = 0  # force a full catch-up scan

@@ -71,13 +71,13 @@ class TestAclFile:
         acl.set_permission("eng", RW)
         acl.set_permission("eng", DENY)
         assert acl.lookup("eng") == DENY
-        assert acl.permission_count() == 1
+        assert acl.groups_with_entries() == ["eng"]
 
     def test_empty_set_removes_entry(self):
         acl = AclFile()
         acl.set_permission("eng", R)
         acl.set_permission("eng", frozenset())
-        assert acl.permission_count() == 0
+        assert acl.groups_with_entries() == []
         # Removing a non-existent entry is a no-op, not an error.
         acl.set_permission("ghost", frozenset())
 
@@ -188,4 +188,4 @@ def test_acl_round_trip_property(entries, inherit):
     assert restored.inherit == inherit
     for group, perms in entries.items():
         assert restored.lookup(group) == perms
-    assert restored.permission_count() == len(entries)
+    assert restored.groups_with_entries() == sorted(entries)

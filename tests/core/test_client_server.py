@@ -4,7 +4,10 @@ import pytest
 
 from repro.core.enclave_app import SeGShareOptions
 from repro.core.model import default_group
-from repro.errors import AccessDenied, RequestError
+from repro.core.requests import Op, Request
+from repro.errors import AccessDenied, RequestError, TlsError
+from repro.tls import records
+from repro.tls.channel import _KIND_STREAM, _message_header
 from repro.tls.session import STREAM_CHUNK
 
 
@@ -179,3 +182,43 @@ class TestErrorMapping:
         assert not alice.exists("/nope")
         alice.upload("/yes", b"")
         assert alice.exists("/yes")
+
+
+class TestDroppedSessionMidUpload:
+    """A session torn down mid-upload takes its streamed chunks with it: a
+    shared dedup store never sweeps orphans, so nothing may be left behind."""
+
+    @pytest.fixture()
+    def streaming(self, make_deployment):
+        """Alice's channel with a two-chunk PUT_FILE announced and its first
+        8 KiB chunk already streamed into the dedup store."""
+        deployment = make_deployment(SeGShareOptions(enable_dedup=True))
+        alice = deployment.new_user("alice")
+        alice.upload("/kept", b"k" * 100)
+        dedup = deployment.server.stores.dedup
+        before = set(dedup.keys())
+        tls = alice._tls
+
+        def send(plaintext: bytes) -> None:
+            tls._send_record(records.data_record(tls._session.protect(plaintext)))
+
+        header = Request(op=Op.PUT_FILE, args=("/evil",)).serialize()
+        send(_message_header(_KIND_STREAM, header, 2, 8192))
+        send(bytes(8192))
+        assert set(dedup.keys()) > before  # the chunks are out there
+        return deployment, alice, send, lambda: set(dedup.keys()) ^ before
+
+    def test_overflowing_stream_is_aborted(self, streaming):
+        _, alice, send, changed_keys = streaming
+        send(bytes(8192))  # 16 KiB against the 8 KiB announced
+        with pytest.raises(TlsError, match="session error"):
+            records.parse_record(alice._tls._conn.recv(), records.ContentType.APPLICATION_DATA)
+        assert changed_keys() == set()
+
+    def test_disconnect_is_aborted(self, streaming):
+        deployment, _, _, changed_keys = streaming
+        session_id = max(deployment.server.enclave.tls._sessions)
+        deployment.server.handle.call("close_session", session_id)
+        assert changed_keys() == set()
+        reconnected = deployment.connect(deployment.user_identity("alice"))
+        assert reconnected.download("/kept") == b"k" * 100

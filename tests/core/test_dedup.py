@@ -171,7 +171,7 @@ class TestSweepOrphans:
         upload = dedup.begin_upload()
         upload.write(b"s" * (3 * 4096 + 5))  # three chunks flushed, then the crash
         assert len(self._object_keys(store)) == 2
-        assert not dedup._pfs.exists(upload._object_id)  # no metadata: list_paths is blind
+        assert not dedup._pfs.exists(upload._object_id)  # no metadata: only a key scan sees it
 
         restarted = self._reopened(store)
         assert restarted.sweep_orphans() == 1

@@ -79,12 +79,12 @@ class TestPersistence:
 
 class TestTcb:
     def test_report_covers_declared_modules(self, deployment):
-        report = deployment.server.enclave.tcb_loc_report()
+        report = deployment.server.enclave.tcb_report()
         assert set(SeGShareEnclave.TCB_MODULES) <= set(report.per_module)
 
     def test_enclave_loc_budget_only_shrinks(self, deployment):
         """The paper's enclave is 8441 LoC; ours is a tracked budget."""
-        report = deployment.server.enclave.tcb_loc_report()
+        report = deployment.server.enclave.tcb_report()
         ceiling = SeGShareEnclave.TCB_LOC_CEILING
         assert report.total <= ceiling, (
             f"enclave grew to {report.total} LoC, over the {ceiling} ceiling:\n"
@@ -92,7 +92,7 @@ class TestTcb:
         )
 
     def test_untrusted_modules_stay_outside(self, deployment):
-        report = deployment.server.enclave.tcb_loc_report()
+        report = deployment.server.enclave.tcb_report()
         for module in ("repro.core.server", "repro.netsim.network", "repro.sgx.attestation"):
             assert module not in report.per_module
 

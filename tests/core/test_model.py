@@ -3,7 +3,6 @@
 import pytest
 
 from repro.core.model import (
-    Permission,
     default_group,
     default_group_member,
     is_default_group,
@@ -50,13 +49,3 @@ class TestValidation:
         creating group "u:bob" would grant its members bob's identity."""
         with pytest.raises(RequestError):
             validate_group_id(default_group("bob"))
-
-
-class TestPermission:
-    def test_wire_round_trip(self):
-        for p in Permission:
-            assert Permission.from_wire(p.value) is p
-
-    def test_unknown_wire_value(self):
-        with pytest.raises(RequestError):
-            Permission.from_wire("x")

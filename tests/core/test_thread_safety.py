@@ -91,7 +91,8 @@ class TestMetadataCacheThreading:
 
     def test_eviction_race_keeps_capacity_bound(self):
         """Concurrent inserts never leave the cache over capacity."""
-        cache = MetadataCache(capacity_bytes=8 * 1024, max_entry_bytes=1024)
+        capacity = 8 * 1024
+        cache = MetadataCache(capacity_bytes=capacity, max_entry_bytes=1024)
         barrier = threading.Barrier(THREADS)
 
         def writer(seed):
@@ -103,7 +104,7 @@ class TestMetadataCacheThreading:
             return run
 
         _run_threads([writer(s) for s in range(THREADS)])
-        assert cache.stats.current_bytes <= cache.capacity_bytes
+        assert cache.stats.current_bytes <= capacity
         assert cache.stats.current_bytes == sum(
             len(v) for v in cache._entries.values()
         )

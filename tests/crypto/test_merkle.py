@@ -1,13 +1,10 @@
-"""Merkle tree: roots, updates, inclusion proofs, domain separation."""
+"""Merkle tree: roots, odd-node promotion, domain separation."""
 
 import hashlib
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.crypto.merkle import MerkleTree, hash_leaf, hash_node
-from repro.errors import IntegrityError
 
 
 class TestBasics:
@@ -34,60 +31,6 @@ class TestBasics:
         left, right = hash_leaf(b"a"), hash_leaf(b"b")
         assert hash_node(left, right) != hash_leaf(left + right)
 
-    def test_append_changes_root(self):
-        tree = MerkleTree([b"a"])
-        before = tree.root()
-        tree.append(b"b")
-        assert tree.root() != before
-        assert len(tree) == 2
-
-
-class TestUpdate:
-    def test_update_matches_rebuild(self):
-        leaves = [f"leaf{i}".encode() for i in range(7)]
-        tree = MerkleTree(leaves)
-        tree.update(3, b"replacement")
-        rebuilt = MerkleTree(leaves[:3] + [b"replacement"] + leaves[4:])
-        assert tree.root() == rebuilt.root()
-
-    def test_update_out_of_range(self):
-        with pytest.raises(IndexError):
-            MerkleTree([b"a"]).update(1, b"x")
-
-
-class TestProofs:
-    @pytest.mark.parametrize("size", [1, 2, 3, 5, 8, 13])
-    def test_all_proofs_verify(self, size):
-        leaves = [f"leaf{i}".encode() for i in range(size)]
-        tree = MerkleTree(leaves)
-        for index, leaf in enumerate(leaves):
-            MerkleTree.verify_proof(leaf, index, tree.proof(index), tree.root())
-
-    def test_wrong_leaf_rejected(self):
-        tree = MerkleTree([b"a", b"b", b"c"])
-        with pytest.raises(IntegrityError):
-            MerkleTree.verify_proof(b"x", 0, tree.proof(0), tree.root())
-
-    def test_wrong_root_rejected(self):
-        tree = MerkleTree([b"a", b"b"])
-        with pytest.raises(IntegrityError):
-            MerkleTree.verify_proof(b"a", 0, tree.proof(0), bytes(32))
-
-    def test_proof_for_missing_index(self):
-        with pytest.raises(IndexError):
-            MerkleTree([b"a"]).proof(5)
-
-
-@settings(max_examples=30, deadline=None)
-@given(st.lists(st.binary(max_size=20), min_size=1, max_size=20), st.data())
-def test_incremental_update_equals_rebuild(leaves, data):
-    tree = MerkleTree(leaves)
-    index = data.draw(st.integers(min_value=0, max_value=len(leaves) - 1))
-    new_leaf = data.draw(st.binary(max_size=20))
-    tree.update(index, new_leaf)
-    expected = MerkleTree(leaves[:index] + [new_leaf] + leaves[index + 1 :])
-    assert tree.root() == expected.root()
-
 
 class TestFromLeafHashes:
     #: Roots of ``MerkleTree([bytes([i]) * 40 for i in range(n)])`` at commit
@@ -107,17 +50,46 @@ class TestFromLeafHashes:
         assert MerkleTree(leaves).root().hex() == self.PARENT_ROOTS[count]
         from_hashes = MerkleTree.from_leaf_hashes([hash_leaf(leaf) for leaf in leaves])
         assert from_hashes.root().hex() == self.PARENT_ROOTS[count]
-        assert len(from_hashes) == count
-
-    def test_proofs_verify_against_the_leaf_values(self):
-        leaves = [b"a", b"b", b"c", b"d", b"e"]
-        tree = MerkleTree.from_leaf_hashes([hash_leaf(leaf) for leaf in leaves])
-        for index, leaf in enumerate(leaves):
-            MerkleTree.verify_proof(leaf, index, tree.proof(index), tree.root())
 
     def test_does_not_alias_the_callers_list(self):
         hashes = [hash_leaf(b"a"), hash_leaf(b"b")]
         tree = MerkleTree.from_leaf_hashes(hashes)
         root = tree.root()
         hashes.append(hash_leaf(b"c"))
-        assert tree.root() == root and len(tree) == 2
+        assert tree.root() == root
+
+
+class _LevelTree:
+    """The level-building tree ``root()`` replaced, kept as its reference."""
+
+    def __init__(self, leaf_hashes):
+        self._leaf_hashes = leaf_hashes
+        self._rebuild()
+
+    def _rebuild(self) -> None:
+        levels = [list(self._leaf_hashes)]
+        while len(levels[-1]) > 1:
+            prev = levels[-1]
+            nxt = []
+            for i in range(0, len(prev), 2):
+                if i + 1 < len(prev):
+                    nxt.append(hash_node(prev[i], prev[i + 1]))
+                else:
+                    nxt.append(prev[i])
+            levels.append(nxt)
+        self._levels = levels
+
+    def root(self) -> bytes:
+        if not self._leaf_hashes:
+            return hashlib.sha256(b"").digest()
+        return self._levels[-1][0]
+
+
+def test_root_fold_equals_the_level_building_tree():
+    """Every leaf count 0..65: even, odd, and each power of two +/- 1."""
+    for count in range(66):
+        leaves = [b"leaf %d" % i for i in range(count)]
+        hashes = [hash_leaf(leaf) for leaf in leaves]
+        expected = _LevelTree(hashes).root()
+        assert MerkleTree(leaves).root() == expected, count
+        assert MerkleTree.from_leaf_hashes(hashes).root() == expected, count

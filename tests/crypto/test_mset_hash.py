@@ -59,21 +59,6 @@ class TestAlgebra:
         assert twice != MSetXorHash(KEY)
         assert twice.count == 2
 
-    def test_combine(self):
-        a = MSetXorHash(KEY)
-        a.add(b"x")
-        b = MSetXorHash(KEY)
-        b.add(b"y")
-        a.combine(b)
-        expected = MSetXorHash(KEY)
-        expected.add(b"x")
-        expected.add(b"y")
-        assert a == expected
-
-    def test_combine_rejects_different_keys(self):
-        with pytest.raises(ValueError):
-            MSetXorHash(b"k1").combine(MSetXorHash(b"k2"))
-
     def test_key_separates(self):
         a = MSetXorHash(b"k1")
         b = MSetXorHash(b"k2")

@@ -13,9 +13,6 @@ from repro.crypto.pae import (
     KEY_SIZE,
     AesGcmPae,
     HmacStreamPae,
-    default_pae,
-    pae_dec,
-    pae_enc,
 )
 from repro.errors import IntegrityError, KeyError_
 
@@ -89,12 +86,6 @@ class TestCrossBackend:
         blob = fast.encrypt(KEY, b"data")
         with pytest.raises(IntegrityError):
             gcm.decrypt(KEY, blob)
-
-    def test_module_level_helpers_use_default_backend(self):
-        iv = secrets.token_bytes(default_pae().iv_size)
-        blob = pae_enc(KEY, iv, b"value", b"aad")
-        assert pae_dec(KEY, blob, b"aad") == b"value"
-        assert default_pae().decrypt(KEY, blob, b"aad") == b"value"
 
 
 @settings(max_examples=25, deadline=None)

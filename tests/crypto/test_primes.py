@@ -1,6 +1,6 @@
 """Miller–Rabin and prime generation."""
 
-from repro.crypto.primes import generate_prime, generate_safe_prime, is_probable_prime
+from repro.crypto.primes import generate_prime, is_probable_prime
 
 KNOWN_PRIMES = [2, 3, 5, 7, 97, 7919, 104729, 2**31 - 1, 2**61 - 1]
 KNOWN_COMPOSITES = [0, 1, 4, 100, 561, 41041, 2**31, 7919 * 104729]
@@ -33,8 +33,3 @@ class TestGeneration:
         assert p.bit_length() == 128
         assert p % 2 == 1
         assert is_probable_prime(p)
-
-    def test_safe_prime(self):
-        p = generate_safe_prime(64)
-        assert is_probable_prime(p)
-        assert is_probable_prime((p - 1) // 2)

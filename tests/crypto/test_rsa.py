@@ -27,9 +27,6 @@ class TestKeyGeneration:
         assert key.d_q == key.d % (key.q - 1)
         assert (key.q_inv * key.q) % key.p == 1
 
-    def test_validate_keypair(self, key):
-        assert rsa.validate_keypair(key)
-
     def test_too_small_rejected(self):
         with pytest.raises(KeyError_):
             rsa.generate_keypair(256)

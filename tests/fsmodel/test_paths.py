@@ -9,7 +9,6 @@ from repro.fsmodel import (
     ROOT,
     ancestors,
     is_dir_path,
-    is_valid_path,
     join,
     name_of,
     parent,
@@ -23,7 +22,6 @@ class TestValidation:
     )
     def test_valid(self, path):
         validate_path(path)
-        assert is_valid_path(path)
 
     @pytest.mark.parametrize(
         "path", ["", "f", "D/", "//", "/D//f", "/D/\x00/", "relative/p"]
@@ -31,7 +29,6 @@ class TestValidation:
     def test_invalid(self, path):
         with pytest.raises(PathError):
             validate_path(path)
-        assert not is_valid_path(path)
 
 
 class TestDirSyntax:

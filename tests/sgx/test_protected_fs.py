@@ -46,11 +46,6 @@ class TestRoundTrip:
         with pytest.raises(ProtectedFsError):
             pfs.read_file("/f")
 
-    def test_list_paths(self, pfs):
-        pfs.write_file("/b", b"")
-        pfs.write_file("/a", b"")
-        assert pfs.list_paths() == ["/a", "/b"]
-
     def test_stored_size_includes_overhead(self, pfs):
         pfs.write_file("/f", b"x" * 10000)
         stored = pfs.stored_size("/f")
@@ -222,7 +217,8 @@ class TestDebris:
         writer = pfs.open_write("obj:torn")
         writer.write(b"y" * (2 * CHUNK_SIZE))  # never closed: no metadata
         pfs.write_file("/other", b"not under the prefix")
-        assert pfs.list_paths() == ["/other", "obj:whole"]
+        assert pfs.exists("obj:whole") and pfs.exists("/other")
+        assert not pfs.exists("obj:torn")
         assert pfs.owners("obj:") == {"obj:whole", "obj:torn"}
 
     def test_purge_needs_no_metadata(self, pfs, store):

@@ -24,8 +24,6 @@ class TestRecordProtection:
         client, server = pair()
         for i in range(3):
             assert server.unprotect(client.protect(bytes([i]))) == bytes([i])
-        assert client.records_sent == 3
-        assert server.records_received == 3
 
     def test_replay_rejected(self):
         client, server = pair()
