@@ -190,12 +190,13 @@ class SeGShareEnclave(Enclave):
     #: Shrink-only budget for the summed LoC of ``TCB_MODULES`` (the paper's
     #: enclave is 8441).  Set to the measured total; a change that grows the
     #: enclave past it fails tests/core/test_enclave_app.py — lower it when
-    #: the total drops, never raise it to make room.  (One rise so far,
-    #: named by its issue beforehand and recorded in EXPERIMENTS.md §E7:
-    #: 8518 → 8556 for the O(request) bookkeeping of docs/PERF.md §8.)
+    #: the total drops, never raise it to make room.  (Two rises so far,
+    #: each named by its issue beforehand and recorded in EXPERIMENTS.md
+    #: §E7: 8518 → 8556 for the O(request) bookkeeping of docs/PERF.md §8,
+    #: 8377 → 8410 for §9's download framing and group undo entries.)
     #: tests/analysis/test_src_tree.py::test_trusted_code_is_reached keeps
     #: capability that only tests run from growing it back.
-    TCB_LOC_CEILING = 8377
+    TCB_LOC_CEILING = 8410
 
     def __init__(
         self,

@@ -12,12 +12,14 @@ The fix is a classic undo journal, kept *inside* the trust boundary:
 1.  ``begin(label)`` writes an encrypted **batch marker** to the content
     store before the first mutation.  The marker records the whole-FS
     counter value, freshness-binding the journal itself (see below).
-2.  Before the first mutation of each key in the batch, the journal
-    persists an encrypted **undo entry** holding the key's pre-image (or
-    an "absent" tombstone).  Entries are written *before* the mutation
-    they cover, so a crash can always undo it.  A *deleted* value is not
-    copied: the entry seals its SHA-256 and the delete is a rename of the
-    value to the entry's ``saved`` slot.
+2.  Before the first mutation of a group of keys — one flushed write
+    buffer, or a single put, delete or rename — the journal persists one
+    encrypted **undo entry** listing, for every key of the group the
+    batch has not recorded yet, its pre-image (or an "absent" tombstone).
+    The entry is written *before* every mutation it covers, so a crash
+    can always undo them.  A *deleted* value is not copied: the entry
+    seals its SHA-256 and the delete is a rename of the value to
+    ``saved:<seq>.<i>``, the slot of item ``i`` of entry ``seq``.
 3.  ``commit()`` deletes the marker — one atomic object delete is the
     commit point — then sweeps the entries as garbage.
 
@@ -58,7 +60,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Callable, Iterator, Optional
+from typing import Callable, Collection, Iterator, Optional
 
 from repro.crypto import default_pae, derive_key
 from repro.errors import (
@@ -147,8 +149,9 @@ class WriteAheadJournal:
         self._epoch = False
         self._seq = 0
         self._recorded: set[tuple[int, str]] = set()
-        #: Entry sequence number -> store holding that entry's saved value.
-        self._moved: dict[int, UntrustedStore] = {}
+        #: Entry sequence number -> the store holding that entry's saved
+        #: values, and their slots.
+        self._moved: dict[int, tuple[UntrustedStore, Collection[str]]] = {}
         self._poisoned: Optional[str] = None
         #: Set by :meth:`recover_restore` when the crashed batch was a
         #: group-commit epoch; the recovery epilogue reads it to rebuild
@@ -196,31 +199,40 @@ class WriteAheadJournal:
         self._recorded.clear()
         self.crashpoint("journal:begin")
 
-    def record(self, tag: int, key: str, deleting: bool = False) -> bool:
-        """Persist the pre-image of ``(tag, key)`` before its first mutation."""
-        # ``deleting`` moves a present value to the entry's saved slot instead
-        # of copying it; True means that move (the delete itself) is done.
-        if not self._active or (tag, key) in self._recorded:
-            return False
-        store = self._tagged[tag]
-        present = store.exists(key)
-        pre_image = store.get(key) if present else b""
-        kind = (_MOVED if deleting else _COPIED) if present else _ABSENT
-        if kind == _MOVED:
-            pre_image = hashlib.sha256(pre_image).digest()
-        entry_key = f"{_ENTRY_PREFIX}{self._seq:08d}"
-        plaintext = Writer().u8(tag).str(key).u8(kind).raw(pre_image).take()
-        sealed = self._pae.encrypt(self._key, plaintext, aad=_ENTRY_AAD + entry_key.encode("utf-8"))
+    def record(self, tag: int, group: Collection[tuple[str, bool]]) -> Collection[str]:
+        """Seal the pre-images of a group of ``(key, deleting)`` mutations on
+        store ``tag`` into one entry, stored before the first of them lands.
+
+        Keys the batch already recorded are left out.  Returns the keys whose
+        delete is done: a present value being deleted is not copied but moved
+        to ``saved:<seq>.<i>`` (``i`` its place in the entry), under its SHA-256.
+        """
+        fresh = [k for k in group if (tag, k[0]) not in self._recorded] if self._active else []
+        if not fresh:
+            return ()
+        store, seq = self._tagged[tag], self._seq
+        body = Writer().u8(tag).u32(len(fresh))
+        moves: dict[str, str] = {}
+        for i, (key, deleting) in enumerate(fresh):
+            if not store.exists(key):
+                body.str(key).u8(_ABSENT).bytes(b"")
+            elif deleting:
+                body.str(key).u8(_MOVED).bytes(hashlib.sha256(store.get(key)).digest())
+                moves[key] = f"{_SAVED_PREFIX}{seq:08d}.{i}"
+            else:
+                body.str(key).u8(_COPIED).bytes(store.get(key))
+        entry_key = f"{_ENTRY_PREFIX}{seq:08d}"
+        sealed = self._pae.encrypt(self._key, body.take(), aad=_ENTRY_AAD + entry_key.encode("utf-8"))
         self._backend.put(entry_key, sealed)
-        if kind == _MOVED:
-            self.crashpoint("journal:saved")
-            store.rename(key, f"{_SAVED_PREFIX}{self._seq:08d}")
-            self._moved[self._seq] = store
         self._seq += 1
-        self._recorded.add((tag, key))
-        if kind != _MOVED:
-            self.crashpoint("journal:entry")
-        return kind == _MOVED
+        self._recorded.update((tag, key) for key, _ in fresh)
+        if moves:
+            self._moved[seq] = (store, moves.values())
+        self.crashpoint("journal:entry")
+        for key, saved in moves.items():
+            self.crashpoint("journal:saved")
+            store.rename(key, saved)
+        return moves
 
     def commit(self) -> None:
         """Commit the batch: the marker delete is the atomic commit point."""
@@ -331,7 +343,7 @@ class WriteAheadJournal:
         self.crashpoint("journal:epoch-closed")
         if self._backend.exists(_EPOCH_KEY):
             self._backend.delete(_EPOCH_KEY)
-        self._sweep_entries()
+        self._sweep_entries(range(self._seq))
         self._recorded.clear()
 
     def rollback(self) -> None:
@@ -437,22 +449,18 @@ class WriteAheadJournal:
             fs_main = er.bytes()
             group_main = er.bytes()
             er.expect_end()
-            restored = self._restore_entries(min_seq=watermark)
-            seqs = [int(k[len(_ENTRY_PREFIX) :]) for k in self._entry_keys()]
-            self._seq = max(seqs) + 1 if seqs else watermark
-            self._recorded = set(restored)
+            self._recorded = set(self._restore_entries(min_seq=watermark))
+            self._seq = max(self._seq, watermark)
             self._active = True
             self._epoch = True
             self.recovered_epoch = EpochRecord(
                 epoch_label, watermark, members, fs_main, group_main
             )
             return True
-        restored = self._restore_entries()
         # Keep recording while the caller verifies and re-anchors: new
         # slots continue the batch's numbering and already-recorded keys
         # keep their original pre-images.
-        self._seq = len(restored)
-        self._recorded = set(restored)
+        self._recorded = set(self._restore_entries())
         self._active = True
         return True
 
@@ -499,7 +507,7 @@ class WriteAheadJournal:
 
     def _sweep_entries(self, seqs: Optional[range] = None) -> None:
         # Entries numbered ``seqs`` (this batch's own) or whatever a scan
-        # finds, each after the value its move saved: a saved value never
+        # finds, each after the values its moves saved: a saved value never
         # outlives its entry, so a slot about to be used is always empty.
         if seqs is None:
             for store in self._tagged:
@@ -509,18 +517,21 @@ class WriteAheadJournal:
                 self._backend.delete(key)
             return
         for seq in seqs:
-            store, saved = self._moved.pop(seq, None), f"{_SAVED_PREFIX}{seq:08d}"
-            if store is not None and store.exists(saved):
-                store.delete(saved)
+            store, slots = self._moved.pop(seq, (self._backend, ()))
+            for saved in slots:
+                if store.exists(saved):
+                    store.delete(saved)
             entry_key = f"{_ENTRY_PREFIX}{seq:08d}"
             if self._backend.exists(entry_key):
                 self._backend.delete(entry_key)
 
     def _restore_entries(self, min_seq: int = 0) -> list[tuple[int, str]]:
         restored: list[tuple[int, str]] = []
-        entry_keys = [
-            k for k in self._entry_keys() if int(k[len(_ENTRY_PREFIX) :]) >= min_seq
-        ]
+        entry_keys = self._entry_keys()
+        if entry_keys:
+            # Entries written from here on are numbered above every one found.
+            self._seq = max(self._seq, int(entry_keys[-1][len(_ENTRY_PREFIX) :]) + 1)
+        entry_keys = [k for k in entry_keys if int(k[len(_ENTRY_PREFIX) :]) >= min_seq]
         # Descending: if a key was recorded more than once (recording
         # restarts per epoch member), the earliest pre-image wins.
         entry_keys.reverse()
@@ -537,29 +548,30 @@ class WriteAheadJournal:
                 ) from None
             r = Reader(plaintext)
             tag = r.u8()
-            key = r.str()
-            kind = r.u8()
-            pre_image = r.raw(r.remaining)
             store = self._tagged[tag]
-            if kind == _MOVED:
-                # Idempotent: a value already back under ``key`` (or never
-                # moved) counts, provided it is the one the entry sealed.
-                saved = _SAVED_PREFIX + entry_key[len(_ENTRY_PREFIX) :]
-                source = saved if store.exists(saved) else key
-                if not store.exists(source) or hashlib.sha256(store.get(source)).digest() != pre_image:
-                    raise RollbackDetected(f"value saved by {entry_key!r} is missing or altered")
-                if source == saved:
-                    store.rename(saved, key)
-            elif kind == _COPIED:
-                # The pre-image is the raw *stored* byte string captured
-                # before the batch ran — already PAE ciphertext from the
-                # protected store, never enclave plaintext.  (`plaintext`
-                # above is the decrypted journal record, whose payload is
-                # that ciphertext.)
-                store.put(key, pre_image)  # seglint: ignore[plaintext-escape]
-            elif store.exists(key):
-                store.delete(key)
-            restored.append((tag, key))
+            items = [(r.str(), r.u8(), r.bytes()) for _ in range(r.u32())]
+            r.expect_end()
+            seq = entry_key[len(_ENTRY_PREFIX) :]
+            for i, (key, kind, pre_image) in reversed(list(enumerate(items))):
+                if kind == _MOVED:
+                    # Idempotent: a value already back under ``key`` (or never
+                    # moved) counts, provided it is the one the entry sealed.
+                    saved = f"{_SAVED_PREFIX}{seq}.{i}"
+                    source = saved if store.exists(saved) else key
+                    if not store.exists(source) or hashlib.sha256(store.get(source)).digest() != pre_image:
+                        raise RollbackDetected(f"value saved by {entry_key!r} is missing or altered")
+                    if source == saved:
+                        store.rename(saved, key)
+                elif kind == _COPIED:
+                    # The pre-image is the raw *stored* byte string captured
+                    # before the batch ran — already PAE ciphertext from the
+                    # protected store, never enclave plaintext.  (`plaintext`
+                    # above is the decrypted journal record, whose payload is
+                    # that ciphertext.)
+                    store.put(key, pre_image)
+                elif store.exists(key):
+                    store.delete(key)
+                restored.append((tag, key))
         if self.on_restore is not None:
             self.on_restore()
         return restored
@@ -581,20 +593,29 @@ class JournaledStore(UntrustedStore):
         self._tag = tag
 
     def put(self, key: str, value: bytes) -> None:
-        self._journal.record(self._tag, key)
+        self._journal.record(self._tag, ((key, False),))
         self.inner.put(key, value)
         self._journal.crashpoint("journal:mutate")
 
     def delete(self, key: str) -> None:
-        if not self._journal.record(self._tag, key, deleting=True):
+        if key not in self._journal.record(self._tag, ((key, True),)):
             self.inner.delete(key)
         self._journal.crashpoint("journal:mutate")
 
     def rename(self, old: str, new: str) -> None:
-        self._journal.record(self._tag, old)
-        self._journal.record(self._tag, new)
+        self._journal.record(self._tag, ((old, False), (new, False)))
         self.inner.rename(old, new)
         self._journal.crashpoint("journal:mutate")
+
+    def apply(self, group: Collection[tuple[str, Optional[bytes]]]) -> None:
+        """The whole group under one undo entry, stored before its first mutation."""
+        moved = self._journal.record(self._tag, [(k, v is None) for k, v in group])
+        for key, value in group:
+            if value is not None:
+                self.inner.put(key, value)
+            elif key not in moved and self.inner.exists(key):
+                self.inner.delete(key)
+            self._journal.crashpoint("journal:mutate")
 
     def get(self, key: str) -> bytes:
         return self.inner.get(key)

@@ -24,7 +24,7 @@ import os
 import tempfile
 import threading
 from abc import ABC, abstractmethod
-from typing import Callable, Iterator
+from typing import Callable, Collection, Iterator
 
 from repro.errors import StorageError
 
@@ -73,6 +73,14 @@ class UntrustedStore(ABC):
         """Move an object; default implementation is copy+delete."""
         self.put(new, self.get(old))
         self.delete(old)
+
+    def apply(self, group: "Collection[tuple[str, bytes | None]]") -> None:
+        """Apply ``(key, value)`` puts in order; ``None`` deletes the key if present."""
+        for key, value in group:
+            if value is not None:
+                self.put(key, value)
+            elif self.exists(key):
+                self.delete(key)
 
 
 class InMemoryStore(UntrustedStore):

@@ -209,19 +209,13 @@ class DeferredStore(UntrustedStore):
         """Apply the overlay to the inner store as one group; return op count.
 
         A fault part-way leaves the inner store partially updated — the
-        journal's pre-images (recorded by the JournaledStore underneath
-        as each op lands) are what repair it, exactly as for un-deferred
-        writes.
+        journal's pre-images (one entry for the group, persisted by the
+        JournaledStore underneath before its first op lands) are what
+        repair it, exactly as for un-deferred writes.
         """
         pending = self._pending
         try:
-            for key, value in pending.items():
-                if value is None:
-                    # The key may have existed only in the overlay.
-                    if self.inner.exists(key):
-                        self.inner.delete(key)
-                else:
-                    self.inner.put(key, value)
+            self.inner.apply(pending.items())
         finally:
             self._account(-self._pending_bytes)
             self._pending = OrderedDict()

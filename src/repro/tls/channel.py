@@ -75,9 +75,15 @@ def _parse_message_header(data: bytes) -> tuple[int, int, int, bytes]:
     return kind, n_chunks, body_len, header_payload
 
 
+def _records_for(body_len: int) -> int:
+    """Body records of a streamed response: STREAM_CHUNK each, the last short."""
+    return -(-body_len // STREAM_CHUNK)
+
+
 @dataclass
 class StreamingResponse:
-    """A response the enclave streams chunk by chunk (e.g. file download)."""
+    """A response the enclave streams (e.g. file download): ``chunks`` of any
+    sizes summing to ``body_len``, pulled lazily into ``STREAM_CHUNK`` records."""
 
     header: bytes
     chunks: Iterable[bytes]
@@ -286,16 +292,33 @@ class _ServerSession:
 
     def _respond(self, response: "bytes | StreamingResponse") -> list[bytes]:
         assert self._session is not None
-        out = []
-        if isinstance(response, StreamingResponse):
-            chunks = list(response.chunks)
-            header = _message_header(_KIND_STREAM, response.header, len(chunks), response.body_len)
-            out.append(records.data_record(self._session.protect(header)))
-            for chunk in chunks:
-                out.append(records.data_record(self._session.protect(chunk)))
-        else:
+        protect = self._session.protect
+        if not isinstance(response, StreamingResponse):
             header = _message_header(_KIND_SINGLE, response, 0, 0)
-            out.append(records.data_record(self._session.protect(header)))
+            return [records.data_record(protect(header))]
+        # The body leaves in STREAM_CHUNK records whatever size the
+        # application's chunks are: the record count is announced from
+        # ``body_len`` and the chunks are pulled as records fill, so the
+        # plaintext held is below STREAM_CHUNK plus the chunk just pulled.
+        body_len = response.body_len
+        header = _message_header(_KIND_STREAM, response.header, _records_for(body_len), body_len)
+        out = [records.data_record(protect(header))]
+        held: list[bytes] = []
+        pulled = sent = 0
+        for chunk in response.chunks:
+            held.append(chunk)
+            pulled += len(chunk)
+            if pulled > body_len:
+                raise TlsError("stream overflow: more bytes than announced")
+            if pulled - sent >= STREAM_CHUNK:
+                pieces = chunk_payload(b"".join(held))
+                held = [pieces.pop()] if (pulled - sent) % STREAM_CHUNK else []
+                out.extend(records.data_record(protect(piece)) for piece in pieces)
+                sent += len(pieces) * STREAM_CHUNK
+        if pulled != body_len:
+            raise TlsError("stream underflow: fewer bytes than announced")
+        if pulled > sent:
+            out.append(records.data_record(protect(b"".join(held))))
         return out
 
 
@@ -464,6 +487,8 @@ class TlsClient:
         )
         if kind == _KIND_SINGLE:
             return header_payload, b""
+        if n_chunks != _records_for(body_len):
+            raise TlsError("streamed response record count does not match its length")
         parts = []
         received = 0
         for _ in range(n_chunks):

@@ -27,6 +27,8 @@ from repro.netsim import azure_wan_env
 from repro.pki import CertificateAuthority
 from repro.storage.backends import InMemoryStore
 from repro.storage.stores import StoreSet
+from tests.support.crashpoints import StopHere as _StopHere
+from tests.support.crashpoints import stop_at as _stop_at
 
 #: One CA for the whole module — its RSA key generation dominates setup.
 _CA = CertificateAuthority(key_bits=1024)
@@ -645,22 +647,6 @@ def _views(stores: StoreSet, journal: WriteAheadJournal) -> list[JournaledStore]
     return [JournaledStore(store, journal, tag) for tag, store in enumerate(raw)]
 
 
-class _StopHere(Exception):
-    """Raised by a crash hook to abandon a batch at a chosen journal step."""
-
-
-def _stop_at(site: str, nth: int = 1):
-    seen = [0]
-
-    def hook(reached: str) -> None:
-        if reached == site:
-            seen[0] += 1
-            if seen[0] == nth:
-                raise _StopHere(site)
-
-    return hook
-
-
 def _run_batch(stores: StoreSet, crash_hook=None) -> None:
     """One batch mixing all three entry kinds around a multi-chunk delete."""
     journal = WriteAheadJournal(stores, _ROOT_KEY, crash_hook=crash_hook)
@@ -893,6 +879,144 @@ class TestMovedPreImagesInEpochs:
         journal.close_epoch()
         assert _snapshot(stores) == states[1]
         assert _journal_keys(stores) == []
+
+
+# -- group entries ---------------------------------------------------------------
+#
+# A flushed write buffer reaches the journal as one group: one sealed entry
+# lists every key's pre-image (or digest) and is stored before the first
+# value moves or changes; moved values sit at ``saved:<seq>.<i>``.
+
+_ENTRY = "\x00journal:entry:"
+
+_DEDUP_GROUP = [
+    *((key, None) for key in _object("obj:1", 10)),  # four deletes
+    ("obj:2\x00meta", b"overwritten meta"),
+    ("obj:2\x00chunk\x001", b"\x07" * _CHUNK),
+    ("obj:3\x00meta", b"created"),
+    ("obj:3\x00chunk\x000", b"\x08" * _CHUNK),
+    ("obj:9\x00meta", None),  # a tombstone for a key that was never stored
+]
+_CONTENT_GROUP = [("/edit", b"new" * 60), ("/keep", None), ("/fresh", b"f" * 10)]
+_MOVES = 5  # obj:1's three chunks and meta, then /keep
+
+
+def _run_group_batch(stores: StoreSet, crash_hook=None) -> None:
+    """One batch of two flushed groups, then a second write to a recorded key."""
+    journal = WriteAheadJournal(stores, _ROOT_KEY, crash_hook=crash_hook)
+    content, _, dedup = _views(stores, journal)
+    journal.begin("flush")
+    dedup.apply(_DEDUP_GROUP)
+    content.apply(_CONTENT_GROUP)
+    dedup.apply([("obj:2\x00meta", None), ("obj:1\x00meta", b"back again")])
+    journal.commit()
+
+
+@pytest.mark.parametrize("kind", ["separate", "sharded"])
+class TestGroupEntries:
+    def _before(self, kind: str):
+        stores = _stores(kind)
+        _seed(stores)
+        return _snapshot(stores)
+
+    def _stopped(self, kind: str, site: str, nth: int = 1) -> StoreSet:
+        stores = _stores(kind)
+        _seed(stores)
+        with pytest.raises(_StopHere):
+            _run_group_batch(stores, crash_hook=_stop_at(site, nth))
+        return stores
+
+    def test_a_group_is_one_entry_and_its_moves_are_numbered_by_item(self, kind):
+        stores = self._stopped(kind, "journal:commit")
+        entries = sorted(k for k in stores.content.keys() if k.startswith(_ENTRY))
+        # Two groups; the third recorded nothing new, so it wrote nothing.
+        assert entries == [f"{_ENTRY}00000000", f"{_ENTRY}00000001"]
+        assert sorted(k for k in stores.dedup.keys() if k.startswith(_SAVED)) == [
+            f"{_SAVED}00000000.{i}" for i in range(4)
+        ]
+        assert [k for k in stores.content.keys() if k.startswith(_SAVED)] == [
+            f"{_SAVED}00000001.1"
+        ]
+        # Digests for the moved values, copies only for the three overwritten.
+        assert sum(stores.content.size(k) for k in entries) < 2 * _CHUNK
+
+    def test_the_entry_is_stored_before_anything_moves_or_changes(self, kind):
+        stores = self._stopped(kind, "journal:entry")
+        state = _snapshot(stores)
+        entry = state["content"].pop(f"{_ENTRY}00000000")
+        assert len(entry) > _CHUNK  # the overwritten chunk's copy is inside
+        marker = state["content"].pop("\x00journal:batch")
+        assert marker and state == self._before(kind)
+
+    @pytest.mark.parametrize(
+        "site, nth",
+        [("journal:entry", 1), ("journal:entry", 2)]
+        + [("journal:saved", n) for n in (1, 3, _MOVES)]
+        + [("journal:mutate", n) for n in (1, 5, 9, 12, 14)],
+    )
+    def test_crash_inside_a_group_recovers_the_pre_batch_bytes(self, kind, site, nth):
+        stores = self._stopped(kind, site, nth)
+        assert _recover(stores)
+        assert _snapshot(stores) == self._before(kind)
+        assert _journal_keys(stores) == []
+
+    def test_crash_at_every_store_op_is_all_or_nothing(self, kind):
+        before = self._before(kind)
+        done = _stores(kind)
+        _seed(done)
+        _run_group_batch(done)
+        after = _snapshot(done)
+        assert after["dedup"]["obj:1\x00meta"] == b"back again"
+        assert "obj:2\x00meta" not in after["dedup"] and "/keep" not in after["content"]
+        assert _journal_keys(done) == []
+        total = _count_ops(kind, _run_group_batch)
+        for nth in range(1, total + 1):
+            stores, _ = _crashed_world(kind, _run_group_batch, nth)
+            recovered = _recover(stores)
+            state = _snapshot(stores)
+            assert state in (before, after), f"store op {nth}: torn state"
+            assert state == before or not recovered, f"store op {nth}: half undone"
+            assert _journal_keys(stores) == [], f"store op {nth}: journal residue"
+
+    def test_a_recorded_key_keeps_its_first_pre_image(self, kind):
+        """The third group rewrites two keys the first one recorded: no new
+        entry, and the restore brings back the values from before the batch."""
+        stores = self._stopped(kind, "journal:commit")
+        before = self._before(kind)
+        assert stores.dedup.get("obj:1\x00meta") == b"back again"
+        assert _recover(stores)
+        assert _snapshot(stores)["dedup"] == before["dedup"]
+
+    def test_altered_saved_slot_is_rollback_detected(self, kind):
+        stores = self._stopped(kind, "journal:commit")
+        slot = f"{_SAVED}00000000.2"
+        blob = bytearray(stores.dedup.get(slot))
+        blob[100] ^= 0x20
+        stores.dedup.put(slot, bytes(blob))
+        with pytest.raises(RollbackDetected):
+            WriteAheadJournal(stores, _ROOT_KEY).recover_restore()
+
+    def test_altered_value_not_yet_moved_is_rollback_detected(self, kind):
+        # Two of the group's moves are done; the third value is still in place.
+        stores = self._stopped(kind, "journal:saved", nth=3)
+        victim = _DEDUP_GROUP[2][0]
+        assert stores.dedup.exists(victim) and not stores.dedup.exists(_DEDUP_GROUP[1][0])
+        stores.dedup.put(victim, stores.dedup.get("obj:2\x00chunk\x000"))
+        with pytest.raises(RollbackDetected):
+            WriteAheadJournal(stores, _ROOT_KEY).recover_restore()
+
+    def test_in_process_rollback_restores_a_half_applied_group(self, kind):
+        stores = _stores(kind)
+        _seed(stores)
+        before = _snapshot(stores)
+        journal = WriteAheadJournal(stores, _ROOT_KEY, crash_hook=_stop_at("journal:mutate", 6))
+        dedup = _views(stores, journal)[2]
+        journal.begin("doomed")
+        with pytest.raises(_StopHere):
+            dedup.apply(_DEDUP_GROUP)
+        journal.rollback()
+        journal.clear()
+        assert _snapshot(stores) == before
 
 
 _BIG = bytes(i % 251 for i in range(2 * 4096 + 100))  # three chunks

@@ -14,6 +14,7 @@ import pytest
 
 from repro.bench.concurrency import parallel_env
 from repro.core.enclave_app import SeGShareOptions
+from repro.core.journal import TAG_CONTENT, TAG_DEDUP, JournaledStore, WriteAheadJournal
 from repro.core.requests import Op, Request, Status
 from repro.core.server import SeGShareServer
 from repro.errors import EnclaveCrashed
@@ -21,6 +22,8 @@ from repro.faults import FaultPlan, faulty_stores
 from repro.netsim import azure_wan_env
 from repro.pki import CertificateAuthority
 from repro.storage.stores import StoreSet
+from repro.store.engine import DeferredStore
+from tests.support.crashpoints import StopHere, stop_at
 
 #: One CA for the whole module — RSA keygen dominates setup otherwise.
 _CA = CertificateAuthority(key_bits=1024)
@@ -370,3 +373,83 @@ class TestMovedPreImagesInAnEpoch:
         assert manager.read_content("/d/big2") == self.BIG["/d/big2"]
         assert self._saved(server) == []
         server.enclave.guard.verify_restored_state()
+
+
+class TestGroupEntriesInAnEpoch:
+    """A bare journal under armed write buffers: every member flushes its
+    writes as groups, one undo entry each.  Recovery restores the groups at
+    or above the last epoch record's watermark and sweeps the ones below it."""
+
+    KEY = bytes(range(32))
+
+    def _world(self, stop_site: str, nth: int):
+        stores = StoreSet.in_memory()
+        for name in "ab":
+            for i in range(4):
+                stores.dedup.put(f"{name}{i}", (name + str(i)).encode() * 200)
+        stores.content.put("/doc", b"v0")
+        journal = WriteAheadJournal(stores, self.KEY, crash_hook=stop_at(stop_site, nth))
+        content = DeferredStore(JournaledStore(stores.content, journal, TAG_CONTENT))
+        dedup = DeferredStore(JournaledStore(stores.dedup, journal, TAG_DEDUP))
+        return stores, journal, content, dedup
+
+    @staticmethod
+    def _state(stores: StoreSet) -> dict:
+        return {
+            name: {key: store.get(key) for key in store.keys()}
+            for name, store in (("content", stores.content), ("dedup", stores.dedup))
+        }
+
+    def _run(self, stop_site: str, nth: int) -> StoreSet:
+        stores, journal, content, dedup = self._world(stop_site, nth)
+        journal.open_epoch("epoch")
+        with pytest.raises(StopHere):
+            for member, name in enumerate("ab", start=1):
+                base = journal.begin_member()
+                dedup.arm()
+                content.arm()
+                for i in range(4):
+                    dedup.delete(f"{name}{i}")
+                content.put("/doc", b"member %d" % member)
+                content.put(f"/new{member}", b"n")
+                dedup.flush()
+                content.flush()
+                # A second group of the same member over keys the first recorded.
+                content.arm()
+                content.put("/doc", b"member %d, again" % member)
+                content.delete(f"/new{member}")
+                content.flush()
+                journal.commit_member(base, b"", b"", member, f"m{member}")
+            journal.close_epoch()
+        recovery = WriteAheadJournal(stores, self.KEY)
+        assert recovery.recover_restore()
+        recovery.recover_finish()
+        return stores
+
+    def _after_members(self, count: int) -> dict:
+        dedup = {f"{n}{i}": (n + str(i)).encode() * 200 for n in "ab"[count:] for i in range(4)}
+        doc = b"member %d, again" % count if count else b"v0"
+        return {"content": {"/doc": doc}, "dedup": dedup}
+
+    def test_only_the_group_above_the_watermark_is_restored(self):
+        # Member two dies at its commit: its three groups are undone, and
+        # /doc returns to what member one committed, not to the epoch's start.
+        assert self._state(self._run("journal:commit", 2)) == self._after_members(1)
+
+    def test_groups_below_the_watermark_are_swept_not_restored(self):
+        # Member one dies after its record, before its sweep: its entries
+        # and saved slots are garbage of a committed member.
+        assert self._state(self._run("journal:committed", 1)) == self._after_members(1)
+
+    @pytest.mark.parametrize("nth", [1, 3, 4, 5, 8])
+    def test_crash_between_the_moves_of_a_group(self, nth):
+        # journal:saved steps 1-4 lie in member one, 5-8 in member two.
+        expected = self._after_members(0 if nth <= 4 else 1)
+        assert self._state(self._run("journal:saved", nth)) == expected
+
+    def test_a_recorded_key_keeps_its_first_pre_image_within_the_member(self):
+        # Stop inside member two's *second* content group: /doc was recorded
+        # by its first group, so the restore target is member one's value.
+        stores = self._run("journal:mutate", 2 * 8 - 1)
+        assert stores.content.get("/doc") == b"member 1, again"
+        assert not stores.content.exists("/new2")
