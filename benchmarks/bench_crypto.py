@@ -8,6 +8,7 @@ from repro.crypto.mset_hash import MSetXorHash
 from repro.crypto.pae import AesGcmPae, HmacStreamPae
 from repro.sgx.protected_fs import ProtectedFs
 from repro.storage.backends import InMemoryStore
+from tests.support.platform import loaded_enclave
 
 KEY = bytes(16)
 MB1 = pseudo_bytes("crypto", 1_000_000)
@@ -63,11 +64,11 @@ class TestRsa:
 
 class TestProtectedFs:
     def test_write_1mb(self, benchmark):
-        pfs = ProtectedFs(InMemoryStore(), master_key=KEY)
+        pfs = ProtectedFs(InMemoryStore(), master_key=KEY, enclave=loaded_enclave())
         counter = iter(range(100_000))
         benchmark(lambda: pfs.write_file(f"/f{next(counter)}", MB1))
 
     def test_read_1mb(self, benchmark):
-        pfs = ProtectedFs(InMemoryStore(), master_key=KEY)
+        pfs = ProtectedFs(InMemoryStore(), master_key=KEY, enclave=loaded_enclave())
         pfs.write_file("/f", MB1)
         assert benchmark(lambda: pfs.read_file("/f")) == MB1

@@ -49,7 +49,7 @@ class SeGShareCluster:
 
     def __init__(
         self,
-        clock: SimClock | None,
+        clock: SimClock,
         membership: ClusterMembership,
         heartbeat_interval: float = 0.025,
         miss_threshold: int = 3,
@@ -230,9 +230,7 @@ class SeGShareCluster:
             self.routed_by_member[name] = self.routed_by_member.get(name, 0) + 1
             # Re-executions arrive *after* failover detection, never at
             # the original arrival time.
-            when = arrival if (arrival is not None and attempts == 0) else (
-                self._clock.now() if self._clock is not None else None
-            )
+            when = arrival if (arrival is not None and attempts == 0) else self._clock.now()
 
             def run(target: SeGShareServer = server) -> Any:
                 target.handle.call("cluster_begin_request", token)
@@ -248,16 +246,14 @@ class SeGShareCluster:
                     raise
                 synthesized = self._failover(name, token)
                 if synthesized is not None:
-                    self.last_completion = (
-                        self._clock.now() if self._clock is not None else 0.0
-                    )
+                    self.last_completion = self._clock.now()
                     return synthesized
                 continue
             track = server.switchless.last_track
             self.last_completion = (
                 track.end
                 if track is not None and track.end is not None
-                else (self._clock.now() if self._clock is not None else 0.0)
+                else self._clock.now()
             )
             return response
 

@@ -25,7 +25,7 @@ across backends.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Iterable
+from typing import TYPE_CHECKING, Iterable
 
 from repro.core.acl import USER_REGISTRY_ID, AclFile
 from repro.core.file_manager import TrustedFileManager
@@ -43,9 +43,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sgx.enclave import Enclave
 
 _USER_LIST_PATH = USER_REGISTRY_ID
-
-#: Fault-injection hook signature (``SgxPlatform.crashpoint``).
-CrashHook = Callable[[str], None]
 
 #: Every backend reports the same counter keys so benchmark cells are
 #: directly comparable; the metadata backend keeps the crypto counters
@@ -70,17 +67,14 @@ class AccessControl:
     def __init__(
         self,
         manager: TrustedFileManager,
-        enclave: "Enclave | None" = None,
-        crash_hook: CrashHook | None = None,
+        enclave: "Enclave",
     ) -> None:
         self._manager = manager
         self._enclave = enclave
-        self._crash_hook = crash_hook
         self._counters: dict[str, int] = {key: 0 for key in COUNTER_KEYS}
 
     def _crashpoint(self, site: str) -> None:
-        if self._crash_hook is not None:
-            self._crash_hook(site)
+        self._enclave.platform.crashpoint(site)
 
     # -- relation lookups -----------------------------------------------------
 

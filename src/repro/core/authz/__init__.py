@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from repro.core.access_control import AccessControl, CrashHook
+from repro.core.access_control import AccessControl
 from repro.core.authz.ibbe import IbbeEnvelopeBackend
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -29,8 +29,7 @@ AUTHZ_BACKENDS: dict[str, type[AccessControl]] = {
 def build_backend(
     name: str,
     manager: "TrustedFileManager",
-    enclave: "Enclave | None" = None,
-    crash_hook: CrashHook | None = None,
+    enclave: "Enclave",
 ) -> AccessControl:
     """Instantiate the configured authorization backend."""
     try:
@@ -39,7 +38,7 @@ def build_backend(
         raise ValueError(
             f"unknown authz backend {name!r}; known: {sorted(AUTHZ_BACKENDS)}"
         ) from None
-    return backend_cls(manager, enclave=enclave, crash_hook=crash_hook)
+    return backend_cls(manager, enclave)
 
 
 __all__ = ["AUTHZ_BACKENDS", "build_backend"]

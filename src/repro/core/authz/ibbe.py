@@ -31,7 +31,7 @@ from __future__ import annotations
 import secrets
 from typing import TYPE_CHECKING
 
-from repro.core.access_control import AccessControl, CrashHook
+from repro.core.access_control import AccessControl
 from repro.core.model import default_group_member, is_default_group
 from repro.crypto import default_pae, derive_key
 from repro.fsmodel import is_dir_path
@@ -131,10 +131,9 @@ class IbbeEnvelopeBackend(AccessControl):
     def __init__(
         self,
         manager: "TrustedFileManager",
-        enclave: "Enclave | None" = None,
-        crash_hook: CrashHook | None = None,
+        enclave: "Enclave",
     ) -> None:
-        super().__init__(manager, enclave=enclave, crash_hook=crash_hook)
+        super().__init__(manager, enclave)
         self._pae = default_pae()
         self._master = manager.derive_subkey("segshare/authz/ibbe")
         #: group id -> (epoch, plaintext GDK); enclave-resident only.
@@ -166,7 +165,7 @@ class IbbeEnvelopeBackend(AccessControl):
         wrapped key.
         """
         enclave = self._enclave
-        if count <= 0 or enclave is None or enclave.platform.clock is None:
+        if count <= 0:
             return
         costs = enclave.platform.costs
         enclave.charge(

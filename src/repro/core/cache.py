@@ -100,7 +100,7 @@ class MetadataCache:
     def __init__(
         self,
         capacity_bytes: int,
-        epc: "EpcModel | None" = None,
+        epc: "EpcModel",
         max_entry_bytes: int | None = None,
     ) -> None:
         if capacity_bytes <= 0:
@@ -134,15 +134,13 @@ class MetadataCache:
                 return None
             self._entries.move_to_end((namespace, key))
             self.stats.hits += 1
-            if self._epc is not None:
-                # A hit is not free: the bytes are copied out of (MEE-decrypted)
-                # EPC memory, and an oversized cache pays paging on top.
-                self._epc.touch(len(entry))
-                if self._epc.clock is not None:
-                    self._epc.clock.charge(
-                        len(entry) / self._epc.costs.enclave_memcpy_bytes_per_second,
-                        account="metadata-cache",
-                    )
+            # A hit is not free: the bytes are copied out of (MEE-decrypted)
+            # EPC memory, and an oversized cache pays paging on top.
+            self._epc.touch(len(entry))
+            self._epc.clock.charge(
+                len(entry) / self._epc.costs.enclave_memcpy_bytes_per_second,
+                account="metadata-cache",
+            )
             return entry
 
     def contains(self, namespace: str, key: str) -> bool:
@@ -210,10 +208,8 @@ class MetadataCache:
     def _charge(self, nbytes: int) -> None:
         self.stats.current_bytes += nbytes
         self.stats.epc_charged_bytes += nbytes
-        if self._epc is not None:
-            self._epc.alloc_cache(nbytes)
+        self._epc.alloc_cache(nbytes)
 
     def _release(self, nbytes: int) -> None:
         self.stats.current_bytes -= nbytes
-        if self._epc is not None:
-            self._epc.free_cache(nbytes)
+        self._epc.free_cache(nbytes)

@@ -81,9 +81,7 @@ class SeGShareClient:
         if attempt >= self._retry.attempts:
             return False
         delay = self._retry.delay(attempt, self._retry_rng)
-        clock = getattr(self._tls, "_clock", None)
-        if clock is not None:
-            clock.charge(delay, account="client-backoff")
+        self._tls.clock.charge(delay, account="client-backoff")
         return True
 
     def _call(self, op: Op, *args: str) -> Response:

@@ -39,42 +39,18 @@ _OBJECT_PREFIX = "obj:"
 _NS_DEDUP = "dedup"
 
 
-class _NullEngine:
-    """Cache facade stub for standalone DedupStore use (tests, tools)."""
-
-    @staticmethod
-    def lookup(namespace: str, key: str) -> bytes | None:
-        return None
-
-    @staticmethod
-    def fill(namespace: str, key: str, value: bytes) -> None:
-        pass
-
-    @staticmethod
-    def invalidate(namespace: str, key: str) -> None:
-        pass
-
-    @staticmethod
-    def write_back(namespace: str, key: str, value: bytes) -> None:
-        pass
-
-    @staticmethod
-    def coherence_check() -> None:
-        pass
-
-
 class DedupStore:
     """The deduplication store: content-addressed objects plus an index."""
 
     def __init__(
-        self, pfs: ProtectedFs, root_key: bytes, engine: "StorageEngine | None" = None
+        self, pfs: ProtectedFs, root_key: bytes, engine: "StorageEngine"
     ) -> None:
         self._pfs = pfs
         self._hmac_key = derive_key(root_key, "segshare/dedup-hmac")
         # The storage engine's cache facade holds the serialized index
         # under the "dedup" namespace, so a rebuild of this store object
         # (reload, enclave component rebuild) skips the PFS decrypt.
-        self._engine = engine if engine is not None else _NullEngine()
+        self._engine = engine
         # hName -> (object id, reference count, the entry as the index
         # file encodes it).  The bytes are kept so that persisting the
         # index re-encodes only the entry that changed.

@@ -37,7 +37,7 @@ from repro.core.rotation import (
     snapshot_state,
     wipe_stores,
 )
-from repro.crypto import derive_key, rsa
+from repro.crypto import default_pae, derive_key, rsa
 from repro.errors import (
     AccessDenied,
     AttestationError,
@@ -60,7 +60,7 @@ from repro.tls.channel import StreamingResponse, TrustedTlsInterface
 from repro.tls.handshake import ServerIdentity
 from repro.tls.session import CryptoCostProfile
 from repro.util.serialization import Writer
-from repro.webdav.http import HttpRequest
+from repro.webdav.http import HttpRequest, HttpResponse
 from repro.webdav.server_adapter import WebDavAdapter
 
 #: Prefix selecting the WebDAV protocol on the TLS channel (Section VI).
@@ -195,8 +195,10 @@ class SeGShareEnclave(Enclave):
     #: §E7: 8518 → 8556 for the O(request) bookkeeping of docs/PERF.md §8,
     #: 8377 → 8410 for §9's download framing and group undo entries.)
     #: tests/analysis/test_src_tree.py::test_trusted_code_is_reached keeps
-    #: capability that only tests run from growing it back.
-    TCB_LOC_CEILING = 8410
+    #: capability that only tests run from growing it back, and
+    #: test_required_collaborators_are_never_optional the unclocked /
+    #: un-enclaved construction mode whose removal brought 8410 → 8346.
+    TCB_LOC_CEILING = 8346
 
     def __init__(
         self,
@@ -307,18 +309,16 @@ class SeGShareEnclave(Enclave):
                 CoherenceManager(board, self._root_key, self.engine)
             )
         self.manager = TrustedFileManager(
-            self._stores,
+            self.engine,
             self._root_key,
             enclave=self,
             hide_paths=self._options.hide_paths,
             enable_dedup=self._options.enable_dedup,
-            engine=self.engine,
         )
         self.access = build_backend(
             self._options.authz_backend,
             self.manager,
             enclave=self,
-            crash_hook=self.platform.crashpoint,
         )
         # Enclave-memory-only request locks: a fresh manager per build, so
         # a crash/restart clears every held lock (journal replay is the
@@ -555,8 +555,6 @@ class SeGShareEnclave(Enclave):
 
     def _handle_webdav(self, client_cert: Certificate, raw: bytes) -> bytes:
         """Section VI front end: a WebDAV message over the secure channel."""
-        from repro.webdav.http import HttpResponse
-
         op = "DAV"
         args: tuple[str, ...] = ()
         try:
@@ -571,8 +569,7 @@ class SeGShareEnclave(Enclave):
 
     def _audit(self, user_id: str, op: str, args: tuple, outcome: str) -> None:
         if self.audit_log is not None:
-            now = self.platform.clock.now() if self.platform.clock else 0.0
-            self.audit_log.append(now, user_id, op, tuple(args), outcome)
+            self.audit_log.append(self.platform.clock.now(), user_id, op, tuple(args), outcome)
 
     @ecall
     def audit_export(self, nonce: bytes, signature: bytes) -> list[bytes]:
@@ -621,8 +618,6 @@ class SeGShareEnclave(Enclave):
         keypair, own_quote = att.enclave_key_exchange_offer(self, qe)
         shared = att.enclave_key_exchange_finish(keypair, peer_public)
         channel_key = derive_key(shared, "segshare/replication", length=16)
-        from repro.crypto import default_pae
-
         wrapped = default_pae().encrypt(channel_key, self._root_key, aad=b"segshare-root-key")
         return own_quote.serialize(), keypair.public_bytes(), wrapped
 
@@ -639,8 +634,6 @@ class SeGShareEnclave(Enclave):
         self._verify_peer_quote(quote, root_public)
         shared = att.enclave_key_exchange_finish(keypair, root_public)
         channel_key = derive_key(shared, "segshare/replication", length=16)
-        from repro.crypto import default_pae
-
         self._root_key = default_pae().decrypt(channel_key, wrapped_key, aad=b"segshare-root-key")
         self._stores.content.put(self._slot(_SEALED_ROOT_KEY), seal(self, self._root_key))
         self._build_components()

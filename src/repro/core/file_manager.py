@@ -49,13 +49,11 @@ from repro.errors import FileSystemError, ProtectedFsError
 from repro.fsmodel import DirectoryFile
 from repro.sgx.enclave import Enclave
 from repro.sgx.protected_fs import ProtectedFs
-from repro.storage.stores import StoreSet
 from repro.store.engine import StorageEngine
 from repro.util.serialization import Reader, Writer
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.cache import MetadataCache
-    from repro.core.journal import WriteAheadJournal
     from repro.core.rollback import FlatStoreGuard, RollbackGuard
 
 _KIND_INLINE = 0
@@ -204,17 +202,14 @@ class TrustedFileManager:
 
     def __init__(
         self,
-        stores: StoreSet,
+        engine: StorageEngine,
         root_key: bytes,
-        enclave: Enclave | None = None,
+        enclave: Enclave,
         hide_paths: bool = False,
         enable_dedup: bool = False,
-        engine: StorageEngine | None = None,
     ) -> None:
         self._root_key = root_key
         self._enclave = enclave
-        if engine is None:
-            engine = StorageEngine(stores, enclave=enclave)
         self._engine = engine
         backends = engine.backends
 
@@ -248,10 +243,6 @@ class TrustedFileManager:
         return self._engine.cache
 
     @property
-    def journal(self) -> "WriteAheadJournal | None":
-        return self._engine.journal
-
-    @property
     def guard(self) -> "RollbackGuard | None":
         return self.content.guard
 
@@ -282,10 +273,9 @@ class TrustedFileManager:
         return self._transform.storage_path(path)
 
     def _charge_hash(self, nbytes: int) -> None:
-        if self._enclave is not None and self._enclave.platform.clock is not None:
-            self._enclave.charge(
-                self._enclave.platform.costs.hash_time(nbytes), account="hashing"
-            )
+        self._enclave.charge(
+            self._enclave.platform.costs.hash_time(nbytes), account="hashing"
+        )
 
     def _content_hash(self, data: bytes) -> bytes:
         self._charge_hash(len(data))

@@ -110,12 +110,10 @@ class LockManager:
     """Reader–writer path locks on virtual time.
 
     ``clock`` is the platform clock (ideally a
-    :class:`~repro.netsim.clock.ParallelClock`); with ``None`` the
-    manager still tracks statistics but all waits are zero — useful for
-    unclocked unit tests.
+    :class:`~repro.netsim.clock.ParallelClock`).
     """
 
-    def __init__(self, clock: SimClock | None = None) -> None:
+    def __init__(self, clock: SimClock) -> None:
         self._clock = clock
         #: One small record per distinct path ever locked.  Never pruned:
         #: on a ParallelClock nothing bounds a later acquirer's ``now()``
@@ -124,11 +122,6 @@ class LockManager:
         #: The same paths in sorted order — a subtree is one contiguous range.
         self._sorted: list[str] = []
         self.stats = LockStats()
-
-    # -- time plumbing --------------------------------------------------------
-
-    def _now(self) -> float:
-        return self._clock.now() if self._clock is not None else 0.0
 
     # -- conflict computation -------------------------------------------------
 
@@ -207,16 +200,15 @@ class LockManager:
         wait = 0.0
         for spec in specs:
             wait = max(wait, self._wait_for(spec))
-        now = self._now()
+        now = self._clock.now()
         if wait > now:
             self.stats.contended += 1
             self.stats.wait_seconds += wait - now
-            if self._clock is not None:
-                self._clock.advance_to(wait, account="lock-wait")
+            self._clock.advance_to(wait, account="lock-wait")
         try:
             yield
         finally:
-            end = self._now()
+            end = self._clock.now()
             for spec in specs:
                 self._release(spec, end)
 
@@ -242,19 +234,14 @@ class LockManager:
 
     # -- serial resources -----------------------------------------------------
 
-    @contextmanager
-    def serial(self, name: str, account: str = "serialize-wait") -> Iterator[None]:
+    def serial(self, name: str, account: str = "serialize-wait") -> AbstractContextManager[None]:
         """An exclusive rendezvous on a named serial resource.
 
         Delegates to the clock's release-time table; used for the anchor
         write (with its monotonic-counter increment) and the journal's
         commit record, which serialize across all requests.
         """
-        if self._clock is None:
-            yield
-            return
-        with self._clock.exclusive(name, account=account):
-            yield
+        return self._clock.exclusive(name, account=account)
 
     def shard(self, prefix: str, bucket: int, shards: int = 16) -> AbstractContextManager[None]:
         """A sharded serial resource — rollback-guard / Merkle bucket locks."""

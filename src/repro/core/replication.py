@@ -34,6 +34,7 @@ from repro.errors import (
     RetryPolicy,
     StorageError,
 )
+from repro.netsim.clock import SimClock
 from repro.sgx import AttestationService
 
 
@@ -41,7 +42,7 @@ def _with_retry(
     step: Callable[[], object],
     retry: RetryPolicy | None,
     rng: random.Random,
-    clock,
+    clock: SimClock,
 ) -> object:
     """Run one join-protocol step, retrying transient faults.
 
@@ -58,8 +59,7 @@ def _with_retry(
             if retry is None or attempt >= retry.attempts:
                 raise
             delay = retry.delay(attempt, rng)
-            if clock is not None:
-                clock.charge(delay, account="replication-backoff")
+            clock.charge(delay, account="replication-backoff")
             attempt += 1
 
 

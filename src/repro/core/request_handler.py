@@ -118,15 +118,14 @@ class RequestHandler:
         self,
         manager: TrustedFileManager,
         access: AccessControl,
+        locks: LockManager,
         quota_bytes: int | None = None,
-        locks: LockManager | None = None,
     ) -> None:
         self._manager = manager
         self._access = access
         self._quota_bytes = quota_bytes
-        #: Path-granular request locks; a private manager when the caller
-        #: provides none, so the locking protocol is unconditional.
-        self.locks = locks if locks is not None else LockManager()
+        #: Path-granular request locks (the enclave's lock table).
+        self.locks = locks
         self.ensure_root()
 
     def ensure_root(self) -> None:
@@ -252,8 +251,6 @@ class RequestHandler:
         )
         if parent_path != ROOT and not self._manager.exists(parent_path):
             raise RequestError(f"parent directory {parent_path!r} does not exist")
-        if self._manager.exists(path) and is_dir_path(path):
-            raise RequestError(f"{path!r} is a directory")
         if not allowed:
             raise AccessDenied()
 

@@ -154,7 +154,10 @@ class Response:
     @classmethod
     def deserialize(cls, data: bytes) -> "Response":
         r = Reader(data)
-        status = Status(r.u8())
+        try:
+            status = Status(r.u8())
+        except ValueError as exc:
+            raise RequestError(f"unknown status: {exc}") from exc
         message = r.str()
         payload = r.bytes()
         listing = tuple(r.str_list())

@@ -105,18 +105,16 @@ class _GuardCore:
         mount: Mount,
         key: bytes,
         buckets: int,
-        enclave: Enclave | None,
+        enclave: Enclave,
         counter: "MonotonicCounter | RoteCounterService | None",
-        locks: LockManager | None,
+        locks: LockManager,
     ) -> None:
         self._mount = mount
         self._key = key
         self._buckets = buckets
         self._enclave = enclave
         self._counter = counter
-        #: Without a lock manager (unit tests), a clock-less one whose
-        #: serial resources never wait.
-        self._locks = locks if locks is not None else LockManager()
+        self._locks = locks
         #: With the counter service unreachable (ROTE quorum lost), reads
         #: may proceed on the hash chain alone; writes still fail because
         #: the anchor cannot be re-counted.  Set False to fail reads too.
@@ -129,8 +127,6 @@ class _GuardCore:
         self._batching = False
         self._pending_nodes: dict = {}
         self._pending_main: bytes | None = None
-        if counter is not None and enclave is None:
-            raise RollbackDetected("whole-FS protection needs the owning enclave")
         if counter is not None and not counter.exists(self._COUNTER_ID):
             counter.create(enclave, self._COUNTER_ID)
         if not mount.raw_exists(self._node_path(ROOT)):
@@ -207,10 +203,9 @@ class _GuardCore:
     # -- hashing -------------------------------------------------------------------
 
     def _charge_hash(self, nbytes: int) -> None:
-        if self._enclave is not None and self._enclave.platform.clock is not None:
-            self._enclave.charge(
-                self._enclave.platform.costs.hash_time(nbytes), account="rollback"
-            )
+        self._enclave.charge(
+            self._enclave.platform.costs.hash_time(nbytes), account="rollback"
+        )
 
     def _leaf_main(self, path: str, content_hash: bytes) -> bytes:
         self._charge_hash(len(path) + len(content_hash))
@@ -225,8 +220,7 @@ class _GuardCore:
     # -- node persistence --------------------------------------------------------------
 
     def _crashpoint(self, site: str) -> None:
-        if self._enclave is not None:
-            self._enclave.platform.crashpoint(site)
+        self._enclave.platform.crashpoint(site)
 
     def _load_node(self, dir_path: str = ROOT):
         if self._batching:
@@ -369,10 +363,10 @@ class RollbackGuard(_GuardCore):
         self,
         manager: TrustedFileManager,
         root_key: bytes,
+        enclave: Enclave,
+        locks: LockManager,
         buckets: int = 64,
-        enclave: Enclave | None = None,
         counter: "MonotonicCounter | RoteCounterService | None" = None,
-        locks: LockManager | None = None,
     ) -> None:
         key = derive_key(root_key, "segshare/rollback")
         super().__init__(manager.content, key, buckets, enclave, counter, locks)
@@ -648,10 +642,10 @@ class FlatStoreGuard(_GuardCore):
         self,
         manager: TrustedFileManager,
         root_key: bytes,
+        enclave: Enclave,
+        locks: LockManager,
         buckets: int = 64,
-        enclave: Enclave | None = None,
         counter: "MonotonicCounter | RoteCounterService | None" = None,
-        locks: LockManager | None = None,
     ) -> None:
         key = derive_key(root_key, "segshare/rollback-group")
         super().__init__(manager.group, key, buckets, enclave, counter, locks)

@@ -48,7 +48,7 @@ class HeartbeatMonitor:
 
     def __init__(
         self,
-        clock: SimClock | None,
+        clock: SimClock,
         interval: float = 0.025,
         miss_threshold: int = 3,
         probe_cost: float = 0.0002,
@@ -85,8 +85,7 @@ class HeartbeatMonitor:
         down: List[str] = []
         for name, probe in sorted(self._probes.items()):
             self.stats.probes += 1
-            if self._clock is not None:
-                self._clock.charge(self.probe_cost, account="heartbeat")
+            self._clock.charge(self.probe_cost, account="heartbeat")
             if not probe():
                 down.append(name)
         return down
@@ -103,6 +102,5 @@ class HeartbeatMonitor:
         timeout = self.detection_timeout
         self.stats.failures_detected += 1
         self.stats.detection_seconds += timeout
-        if self._clock is not None:
-            self._clock.charge(timeout, account="failover-detect")
+        self._clock.charge(timeout, account="failover-detect")
         return timeout

@@ -19,7 +19,7 @@ to the enclave identity through the PSE).
 from __future__ import annotations
 
 import hmac
-from contextlib import AbstractContextManager, nullcontext
+from contextlib import AbstractContextManager
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -30,14 +30,12 @@ from repro.sgx.enclave import Enclave
 
 
 def _increment_rendezvous(
-    clock: SimClock | None, counter_id: str
+    clock: SimClock, counter_id: str
 ) -> AbstractContextManager[None]:
     """Counter increments are inherently serial: the hardware (or ROTE
     quorum) processes one at a time.  On a parallel clock, overlapping
     requests incrementing the same counter rendezvous here; on a serial
     clock this never waits."""
-    if clock is None:
-        return nullcontext()
     return clock.exclusive(f"counter:{counter_id}", account="counter-wait")
 
 
@@ -52,7 +50,7 @@ class _CounterState:
 class MonotonicCounter:
     """SGX-style hardware monotonic counter service for one platform."""
 
-    def __init__(self, clock: SimClock | None, costs: SgxCostModel) -> None:
+    def __init__(self, clock: SimClock, costs: SgxCostModel) -> None:
         self._clock = clock
         self._costs = costs
         self._counters: dict[str, _CounterState] = {}
@@ -74,16 +72,14 @@ class MonotonicCounter:
 
     def read(self, enclave: Enclave, counter_id: str) -> int:
         state = self._state(enclave, counter_id)
-        if self._clock is not None:
-            self._clock.charge(self._costs.counter_read, account="counter")
+        self._clock.charge(self._costs.counter_read, account="counter")
         return state.value
 
     def increment(self, enclave: Enclave, counter_id: str) -> int:
         """Increment and return the new value.  Slow, and wears the counter."""
         state = self._state(enclave, counter_id)
         with _increment_rendezvous(self._clock, counter_id):
-            if self._clock is not None:
-                self._clock.charge(self._costs.counter_increment, account="counter")
+            self._clock.charge(self._costs.counter_increment, account="counter")
             state.value += 1
             state.increments += 1
             if state.increments >= self._costs.counter_wear_limit:
@@ -135,7 +131,7 @@ class RoteCounterService:
     increment costs one LAN quorum round trip.
     """
 
-    def __init__(self, clock: SimClock | None, costs: SgxCostModel, replicas: int = 4) -> None:
+    def __init__(self, clock: SimClock, costs: SgxCostModel, replicas: int = 4) -> None:
         if replicas < 3:
             raise CounterError("ROTE needs at least 3 replicas for a meaningful quorum")
         self._clock = clock
@@ -173,8 +169,7 @@ class RoteCounterService:
         up = self._up_replicas()
         if len(up) < self.quorum:
             raise CounterError("cannot reach a read quorum of ROTE replicas")
-        if self._clock is not None:
-            self._clock.charge(self._costs.rote_read, account="counter")
+        self._clock.charge(self._costs.rote_read, account="counter")
         return max(replica.values[counter_id] for replica in up[: self.quorum])
 
     def increment(self, enclave: Enclave, counter_id: str) -> int:
@@ -183,8 +178,7 @@ class RoteCounterService:
         if len(up) < self.quorum:
             raise CounterError("cannot reach a write quorum of ROTE replicas")
         with _increment_rendezvous(self._clock, counter_id):
-            if self._clock is not None:
-                self._clock.charge(self._costs.rote_increment, account="counter")
+            self._clock.charge(self._costs.rote_increment, account="counter")
             new_value = max(replica.values[counter_id] for replica in up) + 1
             for replica in up:
                 replica.values[counter_id] = new_value

@@ -159,15 +159,11 @@ class Enclave:
 
     def ocall(self, account: str = "transitions") -> None:
         """Charge one OCALL transition (call out of the enclave)."""
-        clock = self.platform.clock
-        if clock is not None:
-            clock.charge(self.platform.costs.ocall_transition, account=account)
+        self.platform.clock.charge(self.platform.costs.ocall_transition, account=account)
 
     def charge(self, seconds: float, account: str) -> None:
         """Charge in-enclave compute time to the platform clock."""
-        clock = self.platform.clock
-        if clock is not None:
-            clock.charge(seconds, account=account)
+        self.platform.clock.charge(seconds, account=account)
 
     @property
     def alive(self) -> bool:
@@ -208,14 +204,12 @@ class EnclaveHandle:
         if method is None or not getattr(method, _ECALL_MARKER, False):
             raise EnclaveError(f"{name!r} is not an ECALL of {type(self._enclave).__name__}")
         self.calls += 1
-        clock = self._platform.clock
-        if clock is not None:
-            cost = (
-                self._platform.costs.switchless_call
-                if self._switchless
-                else self._platform.costs.ecall_transition
-            )
-            clock.charge(cost, account="transitions")
+        cost = (
+            self._platform.costs.switchless_call
+            if self._switchless
+            else self._platform.costs.ecall_transition
+        )
+        self._platform.clock.charge(cost, account="transitions")
         return method(self._enclave, *args, **kwargs)
 
     def measurement(self) -> bytes:
@@ -242,7 +236,7 @@ class SgxPlatform:
 
     def __init__(
         self,
-        clock: SimClock | None = None,
+        clock: SimClock,
         costs: SgxCostModel = DEFAULT_COSTS,
         platform_id: str | None = None,
         fuse_key: bytes | None = None,

@@ -38,7 +38,7 @@ class EpcStats:
 class EpcModel:
     """EPC accounting shared by all enclaves on one platform."""
 
-    clock: SimClock | None
+    clock: SimClock
     costs: SgxCostModel
     capacity: int = EPC_BYTES
     stats: EpcStats = field(default_factory=EpcStats)
@@ -58,8 +58,7 @@ class EpcModel:
         if overflow > 0:
             pages = (overflow + self.costs.page_size - 1) // self.costs.page_size
             self.stats.page_swaps += pages
-            if self.clock is not None:
-                self.clock.charge(pages * self.costs.epc_page_swap, account="epc-paging")
+            self.clock.charge(pages * self.costs.epc_page_swap, account="epc-paging")
 
     def free(self, nbytes: int) -> None:
         """Release ``nbytes`` of enclave memory."""
@@ -98,5 +97,4 @@ class EpcModel:
         pages = int(miss_fraction * nbytes / self.costs.page_size)
         if pages > 0:
             self.stats.page_swaps += pages
-            if self.clock is not None:
-                self.clock.charge(pages * self.costs.epc_page_swap, account="epc-paging")
+            self.clock.charge(pages * self.costs.epc_page_swap, account="epc-paging")

@@ -63,15 +63,14 @@ class _Meta:
 class ProtectedFs:
     """A protected file system over an untrusted store.
 
-    ``enclave`` is only the clock to charge crypto and OCALL time to;
-    without one nothing is charged.
+    ``enclave`` is only the clock to charge crypto and OCALL time to.
     """
 
     def __init__(
         self,
         store: UntrustedStore,
         master_key: bytes,
-        enclave: Enclave | None = None,
+        enclave: Enclave,
     ) -> None:
         self._master_key = master_key
         self._store = store
@@ -83,23 +82,19 @@ class ProtectedFs:
     # -- cost accounting ------------------------------------------------------
 
     def _charge_crypto(self, nbytes: int) -> None:
-        if self._enclave is not None and self._enclave.platform.clock is not None:
-            self._enclave.charge(
-                self._enclave.platform.costs.aead_time(nbytes), account="pfs-crypto"
-            )
+        self._enclave.charge(
+            self._enclave.platform.costs.aead_time(nbytes), account="pfs-crypto"
+        )
 
     def _charge_read(self, nbytes: int) -> None:
         """The read path pays decryption plus integrity-verification time."""
-        if self._enclave is not None and self._enclave.platform.clock is not None:
-            costs = self._enclave.platform.costs
-            self._enclave.charge(
-                costs.aead_time(nbytes) + nbytes / costs.pfs_read_bytes_per_second,
-                account="pfs-crypto",
-            )
+        costs = self._enclave.platform.costs
+        self._enclave.charge(
+            costs.aead_time(nbytes) + nbytes / costs.pfs_read_bytes_per_second,
+            account="pfs-crypto",
+        )
 
     def _charge_ocall(self) -> None:
-        if self._enclave is None:
-            return
         if getattr(self._store, "owns_ocall_accounting", False):
             # The storage engine's deferred stores charge per actual
             # round-trip themselves — buffered ops are charged once per

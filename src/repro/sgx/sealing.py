@@ -49,11 +49,10 @@ def _sealing_key(enclave: Enclave, policy: SealPolicy) -> bytes:
 def seal(enclave: Enclave, data: bytes, policy: SealPolicy = SealPolicy.MRSIGNER) -> bytes:
     """Seal ``data`` for later unsealing by an enclave matching ``policy``."""
     key = _sealing_key(enclave, policy)
-    if enclave.platform.clock is not None:
-        enclave.charge(
-            enclave.platform.costs.seal_fixed + enclave.platform.costs.aead_time(len(data)),
-            account="sealing",
-        )
+    enclave.charge(
+        enclave.platform.costs.seal_fixed + enclave.platform.costs.aead_time(len(data)),
+        account="sealing",
+    )
     blob = default_pae().encrypt(key, data, aad=_MAGIC + policy.value.encode())
     return Writer().raw(_MAGIC).str(policy.value).bytes(blob).take()
 
@@ -74,11 +73,10 @@ def unseal(enclave: Enclave, sealed: bytes) -> bytes:
         raise SealingError(f"malformed sealed blob: {exc}") from exc
 
     key = _sealing_key(enclave, policy)
-    if enclave.platform.clock is not None:
-        enclave.charge(
-            enclave.platform.costs.seal_fixed + enclave.platform.costs.aead_time(len(blob)),
-            account="sealing",
-        )
+    enclave.charge(
+        enclave.platform.costs.seal_fixed + enclave.platform.costs.aead_time(len(blob)),
+        account="sealing",
+    )
     try:
         return default_pae().decrypt(key, blob, aad=_MAGIC + policy.value.encode())
     except IntegrityError as exc:

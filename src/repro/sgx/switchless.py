@@ -17,10 +17,6 @@ Two entry points:
   pool is saturated pays the regular transition cost *and* queues until
   the earliest worker frees — so the pool genuinely bounds request
   parallelism rather than merely repricing calls.
-
-In-flight accounting reflects *actual overlap*: a task counts while its
-track spans the query time, which the legacy ``concurrency()`` shim tops
-up for call sites that model external load without real tracks.
 """
 
 from __future__ import annotations
@@ -57,14 +53,13 @@ class SwitchlessQueue:
 
     ``workers`` mirrors the SDK's ``uworkers``/``tworkers`` setting.  Use
     :meth:`submit` to run a callable as a switchless call on the current
-    timeline, :meth:`dispatch` to run it on a parallel track through the
-    worker pool, and :meth:`concurrency` as a context manager to model
-    concurrent load at legacy call sites.
+    timeline and :meth:`dispatch` to run it on a parallel track through
+    the worker pool.
     """
 
     def __init__(
         self,
-        clock: SimClock | None,
+        clock: SimClock,
         costs: SgxCostModel,
         workers: int = 4,
         spin_window: float = 100e-6,
@@ -83,58 +78,29 @@ class SwitchlessQueue:
         #: Lazily seeded on the first dispatch: the pool spins up when
         #: service starts, not at t=0 (setup work predates traffic).
         self._primed = False
-        #: Extra load injected by the :meth:`concurrency` shim.
-        self._extra_load = 0
         #: Tasks currently executing (their track or submit call is open).
         self._open = 0
-        #: (start, end) spans of completed dispatched tracks, for overlap
-        #: queries at timestamps that fall inside already-finished tasks.
-        self._spans: list[tuple[float, float]] = []
         #: Min-heap of worker release times; grows to ``workers`` entries.
         self._worker_free: list[float] = []
         #: The track of the most recent :meth:`dispatch` (schedulers read
         #: its ``end`` to learn the completion time).
         self.last_track: TrackClock | None = None
 
-    # -- load accounting ------------------------------------------------------
-
-    def load_at(self, timestamp: float) -> int:
-        """Tasks in flight at ``timestamp``: open tasks, finished tracks
-        whose span covers it, plus any :meth:`concurrency` shim load."""
-        overlapping = sum(1 for start, end in self._spans if start <= timestamp < end)
-        return self._extra_load + self._open + overlapping
-
-    @property
-    def in_flight(self) -> int:
-        """Tasks in flight right now (at the clock's current time)."""
-        return self.load_at(self._clock.now() if self._clock is not None else 0.0)
-
-    def _prune(self, horizon: float) -> None:
-        """Drop recorded spans that ended at or before ``horizon``.
-
-        Dispatch arrivals are non-decreasing in any real driver, so spans
-        older than the newest arrival can never overlap a later query.
-        """
-        if len(self._spans) > 4 * self.workers:
-            self._spans = [span for span in self._spans if span[1] > horizon]
-
     # -- synchronous calls (legacy single-flow model) -------------------------
 
     def submit(self, fn: Callable[..., Any], *args: Any, **kwargs: Any) -> Any:
         """Run ``fn`` as a switchless call on the caller's timeline."""
         self.stats.submitted += 1
-        now = self._clock.now() if self._clock is not None else 0.0
         self._open += 1
         try:
-            if self.load_at(now) <= self.workers:
+            if self._open <= self.workers:
                 self.stats.fast += 1
                 cost = self._costs.switchless_call
             else:
                 # No free worker: the SDK falls back to a real transition.
                 self.stats.fallback += 1
                 cost = self._costs.ocall_transition
-            if self._clock is not None:
-                self._clock.charge(cost, account="transitions")
+            self._clock.charge(cost, account="transitions")
             return fn(*args, **kwargs)
         finally:
             self._open -= 1
@@ -169,7 +135,6 @@ class SwitchlessQueue:
         self.stats.submitted += 1
         self.stats.dispatched += 1
         when = clock.now() if arrival is None else arrival
-        self._prune(when)
         if not self._primed:
             self._primed = True
             self._worker_free = [when] * self.workers
@@ -212,23 +177,4 @@ class SwitchlessQueue:
             self._open -= 1
             heapq.heappush(self._worker_free, track.now())
             clock.close_track(track)
-            end = track.end if track.end is not None else track.now()
-            self._spans.append((track.start, end))
             self.last_track = track
-
-    # -- legacy load shim -----------------------------------------------------
-
-    class _Concurrency:
-        def __init__(self, queue: "SwitchlessQueue", n: int) -> None:
-            self._queue = queue
-            self._n = n
-
-        def __enter__(self) -> None:
-            self._queue._extra_load += self._n
-
-        def __exit__(self, *exc_info: object) -> None:
-            self._queue._extra_load -= self._n
-
-    def concurrency(self, n: int) -> "_Concurrency":
-        """Model ``n`` other tasks being in flight for the duration."""
-        return self._Concurrency(self, n)

@@ -157,8 +157,8 @@ class DeferredStore(UntrustedStore):
     def __init__(
         self,
         inner: UntrustedStore,
-        enclave: "Enclave | None" = None,
-        stats: TransactionStats | None = None,
+        enclave: "Enclave",
+        stats: TransactionStats,
     ) -> None:
         self.inner = inner
         self._enclave = enclave
@@ -171,8 +171,7 @@ class DeferredStore(UntrustedStore):
     # -- accounting ----------------------------------------------------------
 
     def _charge(self) -> None:
-        if self._enclave is not None:
-            self._enclave.ocall(account="pfs-io")
+        self._enclave.ocall(account="pfs-io")
 
     def _entry_bytes(self, key: str) -> int:
         value = self._pending.get(key)
@@ -191,13 +190,12 @@ class DeferredStore(UntrustedStore):
 
     def _account(self, delta: int) -> None:
         self._pending_bytes += delta
-        if self._enclave is not None:
-            epc = self._enclave.platform.epc
-            if delta > 0:
-                epc.alloc(delta)
-            elif delta < 0:
-                epc.free(-delta)
-        if self._stats is not None and self._pending_bytes > self._stats.pending_bytes_peak:
+        epc = self._enclave.platform.epc
+        if delta > 0:
+            epc.alloc(delta)
+        elif delta < 0:
+            epc.free(-delta)
+        if self._pending_bytes > self._stats.pending_bytes_peak:
             self._stats.pending_bytes_peak = self._pending_bytes
 
     # -- transaction hooks ---------------------------------------------------
@@ -233,7 +231,7 @@ class DeferredStore(UntrustedStore):
     # -- UntrustedStore ------------------------------------------------------
 
     def put(self, key: str, value: bytes) -> None:
-        if self._stats is not None and self._armed:
+        if self._armed:
             self._stats.puts += 1
         if not self._armed:
             self.inner.put(key, value)
@@ -252,8 +250,7 @@ class DeferredStore(UntrustedStore):
         self._drop_pending(key)
         self.inner.put(key, value)
         self._charge()
-        if self._stats is not None:
-            self._stats.bypass_writes += 1
+        self._stats.bypass_writes += 1
 
     def get(self, key: str) -> bytes:
         if self._armed and key in self._pending:
@@ -343,10 +340,10 @@ class StorageEngine:
     def __init__(
         self,
         stores: StoreSet,
+        enclave: "Enclave",
         journal: WriteAheadJournal | None = None,
         cache: "MetadataCache | None" = None,
         guard_batching: bool = True,
-        enclave: "Enclave | None" = None,
     ) -> None:
         self.raw = stores
         self.journal = journal
@@ -470,7 +467,7 @@ class StorageEngine:
         batching (the epoch defers the guards' node/anchor flush to its
         close).
         """
-        if self.journal is None or self._enclave is None:
+        if self.journal is None:
             return
         clock = self._enclave.platform.clock
         if not isinstance(clock, ParallelClock):
@@ -602,7 +599,7 @@ class StorageEngine:
         journal = self.journal
         group = self.group_commit
         clock = self._enclave.platform.clock
-        assert journal is not None and group is not None and clock is not None
+        assert journal is not None and group is not None
         if self.coherence is not None:
             self.coherence.sync()
         now = clock.now()
@@ -697,7 +694,7 @@ class StorageEngine:
         journal = self.journal
         group = self.group_commit
         clock = self._enclave.platform.clock
-        assert journal is not None and group is not None and clock is not None
+        assert journal is not None and group is not None
         bg = clock.open_track("group-commit-close", start=group.release)
         try:
             with self._commit_point():
@@ -744,8 +741,6 @@ class StorageEngine:
         writers pay each other's commit latency while readers stay
         unaffected.  On a serial clock this is a no-op.
         """
-        if self._enclave is None or self._enclave.platform.clock is None:
-            return contextlib.nullcontext()
         return self._enclave.platform.clock.exclusive(
             "journal-commit", account="commit-wait"
         )

@@ -55,10 +55,9 @@ _HS_VERIFY = 20e-6
 _HS_DH = 250e-6
 
 
-def _charge_handshake(clock: SimClock | None, account: str) -> None:
-    if clock is not None:
-        # One signature, two verifications (peer cert + peer KX), one DH.
-        clock.charge(_HS_SIGN + 2 * _HS_VERIFY + _HS_DH, account=account)
+def _charge_handshake(clock: SimClock, account: str) -> None:
+    # One signature, two verifications (peer cert + peer KX), one DH.
+    clock.charge(_HS_SIGN + 2 * _HS_VERIFY + _HS_DH, account=account)
 
 
 def _message_header(kind: int, header_payload: bytes, n_chunks: int, body_len: int) -> bytes:
@@ -117,7 +116,7 @@ class TrustedTlsInterface:
         self,
         application: TlsApplication,
         ca_public_key: rsa.RsaPublicKey,
-        clock: SimClock | None = None,
+        clock: SimClock,
         costs: CryptoCostProfile | None = None,
     ) -> None:
         self._application = application
@@ -177,7 +176,7 @@ class _ServerSession:
     """Per-connection state inside the trusted interface."""
 
     def __init__(
-        self, handshake: ServerHandshake, clock: SimClock | None, costs: CryptoCostProfile
+        self, handshake: ServerHandshake, clock: SimClock, costs: CryptoCostProfile
     ) -> None:
         self._handshake: ServerHandshake | None = handshake
         self._clock = clock
@@ -366,7 +365,7 @@ class TlsClient:
         conn: Connection,
         identity: ClientIdentity,
         ca_public_key: rsa.RsaPublicKey,
-        clock: SimClock | None = None,
+        clock: SimClock,
         costs: CryptoCostProfile | None = None,
         retry: RetryPolicy | None = None,
         retry_seed: int = 0,
@@ -374,7 +373,7 @@ class TlsClient:
         self._conn = conn
         self._identity = identity
         self._ca_public_key = ca_public_key
-        self._clock = clock
+        self.clock = clock
         self._costs = costs or CryptoCostProfile()
         self._session: TlsSession | None = None
         self._retry = retry
@@ -399,8 +398,7 @@ class TlsClient:
                 if self._retry is None or attempt >= self._retry.attempts:
                     raise
                 delay = self._retry.delay(attempt, self._retry_rng)
-                if self._clock is not None:
-                    self._clock.charge(delay, account="client-backoff")
+                self.clock.charge(delay, account="client-backoff")
                 attempt += 1
 
     def handshake(self) -> None:
@@ -413,13 +411,13 @@ class TlsClient:
         self._send_record(records.handshake_record(hs.client_finished()))
         server_finished = records.parse_record(self._conn.recv(), ContentType.HANDSHAKE)
         hs.verify_server_finished(server_finished)
-        _charge_handshake(self._clock, "client-crypto")
+        _charge_handshake(self.clock, "client-crypto")
         assert hs.keys is not None
         self.server_certificate = hs.server_certificate
         self._session = TlsSession(
             hs.keys,
             is_client=True,
-            clock=self._clock,
+            clock=self.clock,
             costs=self._costs,
             cost_account="client-crypto",
         )

@@ -42,7 +42,7 @@ class TlsSession:
         self,
         keys: SessionKeys,
         is_client: bool,
-        clock: SimClock | None = None,
+        clock: SimClock,
         costs: CryptoCostProfile | None = None,
         cost_account: str = "tls-crypto",
     ) -> None:
@@ -56,11 +56,10 @@ class TlsSession:
         self._pae = default_pae()
 
     def _charge(self, nbytes: int) -> None:
-        if self._clock is not None:
-            self._clock.charge(
-                self._costs.per_record + nbytes / self._costs.aead_bytes_per_second,
-                account=self._account,
-            )
+        self._clock.charge(
+            self._costs.per_record + nbytes / self._costs.aead_bytes_per_second,
+            account=self._account,
+        )
 
     def _aad(self, sending: bool, seq: int) -> bytes:
         direction = "c2s" if (sending == self._is_client) else "s2c"

@@ -16,6 +16,14 @@ from repro.errors import WebDavError
 CRLF = b"\r\n"
 
 
+def _number(text: str, what: str) -> int:
+    """A decimal field from the wire; anything else is a malformed message."""
+    try:
+        return int(text)
+    except ValueError:
+        raise WebDavError(f"{what} is not a number: {text!r}") from None
+
+
 class Method(enum.Enum):
     GET = "GET"
     PUT = "PUT"
@@ -66,7 +74,7 @@ class HttpRequest:
                 raise WebDavError(f"malformed header line: {line!r}")
             headers[name.strip().lower()] = value.strip()
         declared = headers.get("content-length")
-        if declared is not None and int(declared) != len(body):
+        if declared is not None and _number(declared, "Content-Length") != len(body):
             raise WebDavError("Content-Length does not match body size")
         return cls(method=method, path=parts[1], headers=headers, body=body)
 
@@ -101,7 +109,7 @@ class HttpResponse:
             if not sep:
                 raise WebDavError(f"malformed header line: {line!r}")
             headers[name.strip().lower()] = value.strip()
-        return cls(status=int(parts[1]), reason=parts[2], headers=headers, body=body)
+        return cls(status=_number(parts[1], "status code"), reason=parts[2], headers=headers, body=body)
 
     @property
     def ok(self) -> bool:

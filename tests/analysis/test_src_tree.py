@@ -217,3 +217,77 @@ def test_trusted_code_is_reached():
     )
     stale = sorted(set(ALLOWED_UNREACHED) - unreached)
     assert not stale, f"ALLOWED_UNREACHED entries that are reached or name nothing: {stale}"
+
+
+#: What every shipped configuration hands the trusted stack.  Production
+#: constructors take these unconditionally; a parameter or dataclass field
+#: that admits ``None`` for one of them re-opens the test-only construction
+#: mode (null objects, ``if clock is not None`` arms) ISSUE 23 removed.
+REQUIRED_COLLABORATORS = frozenset(
+    {"SimClock", "Enclave", "StorageEngine", "LockManager", "EpcModel", "TransactionStats"}
+)
+
+#: Packages whose callers really do differ, or that hold no runtime stack.
+_OPTIONAL_ALLOWED_IN = ("repro.baselines", "repro.analysis")
+
+
+def _union_members(annotation: ast.expr | None) -> set[str]:
+    """Names joined by ``|`` / ``Optional[...]`` in an annotation; string
+    annotations are parsed, ``None`` counts as the member ``"None"``."""
+    if annotation is None:
+        return set()
+    if isinstance(annotation, ast.Constant):
+        if annotation.value is None:
+            return {"None"}
+        if isinstance(annotation.value, str):
+            try:
+                return _union_members(ast.parse(annotation.value, mode="eval").body)
+            except SyntaxError:
+                return set()
+        return set()
+    if isinstance(annotation, ast.BinOp) and isinstance(annotation.op, ast.BitOr):
+        return _union_members(annotation.left) | _union_members(annotation.right)
+    if isinstance(annotation, ast.Subscript) and ast.unparse(annotation.value).endswith("Optional"):
+        return _union_members(annotation.slice) | {"None"}
+    if isinstance(annotation, ast.Name):
+        return {annotation.id}
+    if isinstance(annotation, ast.Attribute):
+        return {annotation.attr}
+    return set()
+
+
+def optional_collaborator_sites(src: Path) -> list[str]:
+    """``path:line name`` of every function parameter and class-level
+    (dataclass) field under ``src/repro`` annotated ``<collaborator> | None``.
+    ``self.x: T | None = None`` declarations inside methods are not
+    parameters: the not-yet-provisioned enclave legitimately has them."""
+    sites = []
+    for module in load_modules([src]):
+        if module.name.startswith(_OPTIONAL_ALLOWED_IN):
+            continue
+        declared: list[tuple[int, str, ast.expr | None]] = []
+        for node in ast.walk(module.tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                spec = node.args
+                params = [*spec.posonlyargs, *spec.args, *spec.kwonlyargs, spec.vararg, spec.kwarg]
+                declared += [(p.lineno, f"{node.name}({p.arg})", p.annotation) for p in params if p]
+            elif isinstance(node, ast.ClassDef):
+                declared += [
+                    (field.lineno, f"{node.name}.{ast.unparse(field.target)}", field.annotation)
+                    for field in node.body
+                    if isinstance(field, ast.AnnAssign)
+                ]
+        for lineno, name, annotation in declared:
+            members = _union_members(annotation)
+            if "None" in members and members & REQUIRED_COLLABORATORS:
+                sites.append(f"{module.rel_path}:{lineno} {name}")
+    return sorted(sites)
+
+
+def test_required_collaborators_are_never_optional():
+    sites = optional_collaborator_sites(SRC)
+    assert not sites, (
+        "clock, enclave, engine, lock table, EPC model and transaction stats are "
+        "required collaborators (pass a real one; tests build theirs through "
+        "tests/support/platform.py) — optional again at:\n  " + "\n  ".join(sites)
+    )

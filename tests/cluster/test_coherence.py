@@ -17,6 +17,7 @@ from repro.core.cache import MetadataCache
 from repro.core.coherence import CoherenceManager
 from repro.netsim.coherence import CoherenceBoard
 from repro.store.engine import StorageEngine
+from tests.support.platform import sim_platform
 
 _ROOT_KEY = b"\x07" * 32
 
@@ -36,7 +37,7 @@ class _EngineStub:
     real full-discard routine over them."""
 
     def __init__(self, dedup: _DedupStub | None = None) -> None:
-        self.cache = MetadataCache(capacity_bytes=64 * 1024)
+        self.cache = MetadataCache(capacity_bytes=64 * 1024, epc=sim_platform().epc)
         self.dedup = dedup
 
     drop_derived_state = StorageEngine.drop_derived_state

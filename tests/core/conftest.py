@@ -9,9 +9,12 @@ import pytest
 from repro.core.access_control import AccessControl
 from repro.core.authz import build_backend
 from repro.core.file_manager import TrustedFileManager
+from repro.core.locks import LockManager
 from repro.core.request_handler import RequestHandler
 from repro.core.rollback import FlatStoreGuard, RollbackGuard
+from repro.sgx.enclave import Enclave
 from repro.storage.stores import StoreSet
+from tests.support.platform import engine_for, loaded_enclave
 
 ROOT_KEY = bytes(range(32))
 
@@ -22,44 +25,55 @@ class HandlerWorld:
     manager: TrustedFileManager
     access: AccessControl
     handler: RequestHandler
+    enclave: Enclave
+    locks: LockManager
     guard: RollbackGuard | None = None
     group_guard: FlatStoreGuard | None = None
 
 
+def build_world(
+    hide_paths: bool = False,
+    enable_dedup: bool = False,
+    rollback: bool = False,
+    buckets: int = 16,
+    stores: StoreSet | None = None,
+    authz: str = "enclave_acl",
+) -> HandlerWorld:
+    """A request-handler stack with selectable extensions."""
+    stores = stores or StoreSet.in_memory()
+    enclave = loaded_enclave()
+    manager = TrustedFileManager(
+        engine_for(stores, enclave),
+        ROOT_KEY,
+        enclave,
+        hide_paths=hide_paths,
+        enable_dedup=enable_dedup,
+    )
+    access = build_backend(authz, manager, enclave)
+    locks = LockManager(enclave.platform.clock)
+    handler = RequestHandler(manager, access, locks)
+    guard = group_guard = None
+    if rollback:
+        guard = RollbackGuard(manager, ROOT_KEY, enclave, locks, buckets=buckets)
+        manager.guard = guard
+        group_guard = FlatStoreGuard(manager, ROOT_KEY, enclave, locks, buckets=buckets)
+        manager.group_guard = group_guard
+    return HandlerWorld(
+        stores=stores,
+        manager=manager,
+        access=access,
+        handler=handler,
+        enclave=enclave,
+        locks=locks,
+        guard=guard,
+        group_guard=group_guard,
+    )
+
+
 @pytest.fixture()
 def make_world():
-    """Factory for a request-handler stack with selectable extensions."""
-
-    def factory(
-        hide_paths: bool = False,
-        enable_dedup: bool = False,
-        rollback: bool = False,
-        buckets: int = 16,
-        stores: StoreSet | None = None,
-        authz: str = "enclave_acl",
-    ) -> HandlerWorld:
-        stores = stores or StoreSet.in_memory()
-        manager = TrustedFileManager(
-            stores, ROOT_KEY, hide_paths=hide_paths, enable_dedup=enable_dedup
-        )
-        access = build_backend(authz, manager)
-        handler = RequestHandler(manager, access)
-        guard = group_guard = None
-        if rollback:
-            guard = RollbackGuard(manager, ROOT_KEY, buckets=buckets)
-            manager.guard = guard
-            group_guard = FlatStoreGuard(manager, ROOT_KEY, buckets=buckets)
-            manager.group_guard = group_guard
-        return HandlerWorld(
-            stores=stores,
-            manager=manager,
-            access=access,
-            handler=handler,
-            guard=guard,
-            group_guard=group_guard,
-        )
-
-    return factory
+    """Factory fixture: :func:`build_world`."""
+    return build_world
 
 
 @pytest.fixture()

@@ -54,7 +54,7 @@ class TestBackendSelection:
 
         world = make_world()
         with pytest.raises(ValueError):
-            build_backend("nope", world.manager)
+            build_backend("nope", world.manager, world.enclave)
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_stats_name_the_backend(self, backend):

@@ -9,14 +9,23 @@ from repro.core.dedup import DedupStore
 from repro.errors import StorageError
 from repro.sgx.protected_fs import ProtectedFs
 from repro.storage.backends import InMemoryStore
+from repro.storage.stores import StoreSet
 from repro.util.serialization import SerializationError
 
 from tests.support.calls import python_calls
+from tests.support.platform import engine_for, loaded_enclave
+
+
+def dedup_over(store):
+    """A standalone dedup store (fresh enclave, journal-less engine) over ``store``."""
+    enclave = loaded_enclave()
+    engine = engine_for(StoreSet(InMemoryStore(), InMemoryStore(), store), enclave)
+    return DedupStore(ProtectedFs(store, master_key=bytes(16), enclave=enclave), bytes(32), engine)
 
 
 @pytest.fixture()
 def dedup():
-    return DedupStore(ProtectedFs(InMemoryStore(), master_key=bytes(16)), bytes(32))
+    return dedup_over(InMemoryStore())
 
 
 class TestStoreLevel:
@@ -84,10 +93,8 @@ class TestStoreLevel:
 
     def test_index_survives_reload(self):
         backend = InMemoryStore()
-        pfs = ProtectedFs(backend, master_key=bytes(16))
-        store = DedupStore(pfs, bytes(32))
-        h = store.put(b"persisted")
-        reloaded = DedupStore(ProtectedFs(backend, master_key=bytes(16)), bytes(32))
+        h = dedup_over(backend).put(b"persisted")
+        reloaded = dedup_over(backend)
         assert reloaded.get(h) == b"persisted"
         assert reloaded.refcount(h) == 1
 
@@ -162,7 +169,7 @@ class TestSweepOrphans:
         return {key.partition("\x00")[0] for key in store.keys() if key.startswith("obj:")}
 
     def _reopened(self, store):
-        return DedupStore(ProtectedFs(store, master_key=bytes(16)), bytes(32))
+        return dedup_over(store)
 
     def test_upload_that_crashed_after_k_chunks_is_swept(self):
         store = InMemoryStore()
@@ -297,7 +304,8 @@ class TestIndexBytes:
                 self.files[path] = data
 
         def cost(entries):
-            store = DedupStore(RecordingFs(), bytes(32))
+            engine = engine_for(StoreSet.in_memory(), loaded_enclave())
+            store = DedupStore(RecordingFs(), bytes(32), engine)
             for i in range(entries):
                 store._commit("obj:%032x" % i, "%064x" % i)
             return python_calls(store._store_index)

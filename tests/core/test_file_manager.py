@@ -6,18 +6,25 @@ from repro.core.file_manager import TrustedFileManager
 from repro.errors import FileSystemError
 from repro.fsmodel import DirectoryFile
 from repro.storage.stores import StoreSet
+from tests.support.platform import engine_for, loaded_enclave
 
 ROOT_KEY = bytes(range(32))
 
 
+def make_manager(stores=None, root_key=ROOT_KEY, **features):
+    enclave = loaded_enclave()
+    engine = engine_for(stores or StoreSet.in_memory(), enclave)
+    return TrustedFileManager(engine, root_key, enclave, **features)
+
+
 @pytest.fixture()
 def manager():
-    return TrustedFileManager(StoreSet.in_memory(), ROOT_KEY)
+    return make_manager()
 
 
 @pytest.fixture()
 def dedup_manager():
-    return TrustedFileManager(StoreSet.in_memory(), ROOT_KEY, enable_dedup=True)
+    return make_manager(enable_dedup=True)
 
 
 class TestContentRecords:
@@ -41,7 +48,7 @@ class TestContentRecords:
         """A pointer record persisted with dedup on cannot be followed by a
         manager built without the dedup store."""
         dedup_manager.write_content("/f", b"x")
-        plain = TrustedFileManager(dedup_manager._stores, ROOT_KEY, enable_dedup=False)
+        plain = make_manager(dedup_manager._stores, enable_dedup=False)
         with pytest.raises(FileSystemError):
             plain.read_content("/f")
 
@@ -130,12 +137,12 @@ class TestAccounting:
 
 class TestPathHiding:
     def test_same_key_different_shares_disjoint(self):
-        a = TrustedFileManager(StoreSet.in_memory(), bytes(32), hide_paths=True)
-        b = TrustedFileManager(StoreSet.in_memory(), bytes(31) + b"\x01", hide_paths=True)
+        a = make_manager(root_key=bytes(32), hide_paths=True)
+        b = make_manager(root_key=bytes(31) + b"\x01", hide_paths=True)
         assert a._sp("/f") != b._sp("/f")
 
     def test_raw_access_uses_transform(self):
-        manager = TrustedFileManager(StoreSet.in_memory(), bytes(32), hide_paths=True)
+        manager = make_manager(root_key=bytes(32), hide_paths=True)
         for mount, store in ((manager.content, "content"), (manager.group, "group")):
             mount.raw_write("/x", b"blob")
             assert mount.raw_exists("/x")
@@ -154,11 +161,10 @@ class TestPathHiding:
 @pytest.fixture()
 def cached_manager():
     from repro.core.cache import MetadataCache
-    from repro.store.engine import StorageEngine
 
-    stores = StoreSet.in_memory()
-    engine = StorageEngine(stores, cache=MetadataCache(1 << 20))
-    return TrustedFileManager(stores, ROOT_KEY, engine=engine)
+    enclave = loaded_enclave()
+    engine = engine_for(StoreSet.in_memory(), enclave, cache=MetadataCache(1 << 20, enclave.platform.epc))
+    return TrustedFileManager(engine, ROOT_KEY, enclave)
 
 
 @pytest.mark.parametrize("store", ["content", "group"])

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from repro.core.requests import Request, Response, Status
 from repro.errors import ReproError, TlsError
 from repro.tls.records import TlsRecord
+from repro.webdav.http import HttpRequest, HttpResponse
 
 
 @pytest.fixture(scope="module")
@@ -50,8 +51,6 @@ def test_garbage_request_payloads_yield_error_responses(shared_deployment, paylo
         return  # session torn down with an alert — acceptable
     if header.startswith(b"HTTP/1.1"):
         # The payload selected the WebDAV protocol; garbage maps to 4xx.
-        from repro.webdav.http import HttpResponse
-
         assert HttpResponse.parse(header).status >= 400
         return
     response = Response.deserialize(header)
@@ -72,5 +71,19 @@ def test_request_deserialize_never_crashes(data):
 def test_response_deserialize_never_crashes(data):
     try:
         Response.deserialize(data)
-    except (ReproError, ValueError):
+    except ReproError:
         pass
+
+
+@settings(max_examples=60, deadline=None)
+@given(head=st.binary(max_size=60), length=st.text(max_size=6), body=st.binary(max_size=20))
+def test_http_parsers_never_crash(head, length, body):
+    """Free-form bytes, and a well-formed start line over a free-form
+    Content-Length: a WebDavError or a parsed message, nothing else."""
+    framed = b"\r\nContent-Length: " + length.encode("utf-8") + b"\r\n\r\n" + body
+    for raw in (head, b"PUT /a HTTP/1.1" + framed, b"HTTP/1.1 " + head + framed):
+        for parse in (HttpRequest.parse, HttpResponse.parse):
+            try:
+                parse(raw)
+            except ReproError:
+                pass

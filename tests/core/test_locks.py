@@ -16,7 +16,7 @@ from repro.core.locks import (
     plan_for_upload,
 )
 from repro.core.requests import Op, Request
-from repro.netsim import ParallelClock
+from repro.netsim import ParallelClock, SimClock
 
 from tests.support.calls import python_calls
 
@@ -94,13 +94,18 @@ class TestConflictRules:
 
 
 class TestManagerBehaviour:
-    def test_unclocked_manager_never_waits(self):
-        manager = LockManager()
+    def test_serial_clock_never_waits(self):
+        """On a serial clock every release is in the past: the statistics
+        count, and nothing but the work lands on the clock it was given."""
+        clock = SimClock()
+        manager = LockManager(clock)
         with manager.write("/a", subtree=True):
-            pass
+            clock.charge(1.0, "work")
         with manager.read("/a"):
             pass
+        assert manager.stats.acquisitions == 2
         assert manager.stats.contended == 0
+        assert clock.now() == 1.0
 
     def test_stats_counting(self):
         clock = ParallelClock()
@@ -289,7 +294,7 @@ def _path_pool(rng: random.Random) -> list[str]:
 def test_indexed_lookup_equals_the_full_scan(seed):
     rng = random.Random(seed)
     pool = _path_pool(rng)
-    manager = LockManager()
+    manager = LockManager(ParallelClock())
     for step in range(12_000):
         spec = LockSpec(rng.choice(pool), write=rng.random() < 0.5, subtree=rng.random() < 0.3)
         assert manager._wait_for(spec) == reference_wait(manager._paths, spec), (step, spec)

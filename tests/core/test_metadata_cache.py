@@ -20,12 +20,13 @@ from repro.core.requests import Op, Request, Status
 from repro.core.server import SeGShareServer
 from repro.errors import EnclaveCrashed
 from repro.faults import FaultPlan, faulty_stores
-from repro.netsim import azure_wan_env
+from repro.netsim import SimClock, azure_wan_env
 from repro.pki import CertificateAuthority
 from repro.sgx.costmodel import SgxCostModel
 from repro.sgx.epc import EpcModel
 from repro.storage.stores import StoreSet
 from repro.tls.channel import StreamingResponse
+from tests.support.platform import sim_platform
 
 #: One CA for the whole module — RSA keygen dominates setup otherwise.
 _CA = CertificateAuthority(key_bits=1024)
@@ -62,7 +63,7 @@ def prime(server: SeGShareServer) -> None:
 
 class TestLruMechanics:
     def test_hit_miss_counting_and_lru_eviction(self):
-        cache = MetadataCache(capacity_bytes=100, max_entry_bytes=100)
+        cache = MetadataCache(capacity_bytes=100, epc=sim_platform().epc, max_entry_bytes=100)
         cache.put("content", "a", b"x" * 40)
         cache.put("content", "b", b"y" * 40)
         assert cache.get("content", "a") == b"x" * 40  # refreshes "a"
@@ -78,21 +79,21 @@ class TestLruMechanics:
         assert cache.stats.current_bytes == 80
 
     def test_namespaces_do_not_collide(self):
-        cache = MetadataCache(capacity_bytes=4096)
+        cache = MetadataCache(capacity_bytes=4096, epc=sim_platform().epc)
         cache.put("content", "k", b"content bytes")
         cache.put("group", "k", b"group bytes")
         assert cache.get("content", "k") == b"content bytes"
         assert cache.get("group", "k") == b"group bytes"
 
     def test_replacement_updates_accounting(self):
-        cache = MetadataCache(capacity_bytes=100, max_entry_bytes=100)
+        cache = MetadataCache(capacity_bytes=100, epc=sim_platform().epc, max_entry_bytes=100)
         cache.put("content", "a", b"x" * 60)
         cache.put("content", "a", b"y" * 10)
         assert cache.stats.current_bytes == 10
         assert cache.get("content", "a") == b"y" * 10
 
     def test_oversize_value_skipped_and_stale_entry_dropped(self):
-        cache = MetadataCache(capacity_bytes=100, max_entry_bytes=50)
+        cache = MetadataCache(capacity_bytes=100, epc=sim_platform().epc, max_entry_bytes=50)
         cache.put("content", "a", b"small")
         cache.put("content", "a", b"L" * 51)  # outgrew the cache
         # The stale small version must be gone, not served.
@@ -101,7 +102,7 @@ class TestLruMechanics:
         assert cache.stats.current_bytes == 0
 
     def test_discard_and_clear(self):
-        cache = MetadataCache(capacity_bytes=4096)
+        cache = MetadataCache(capacity_bytes=4096, epc=sim_platform().epc)
         cache.put("content", "a", b"aa")
         cache.put("content", "b", b"bb")
         cache.discard("content", "a")
@@ -114,7 +115,7 @@ class TestLruMechanics:
 
 class TestEpcCharging:
     def _epc(self, capacity: int = 1 << 20) -> EpcModel:
-        return EpcModel(clock=None, costs=SgxCostModel(), capacity=capacity)
+        return EpcModel(clock=SimClock(), costs=SgxCostModel(), capacity=capacity)
 
     def test_resident_bytes_are_real_epc_allocations(self):
         epc = self._epc()

@@ -65,7 +65,10 @@ class TestJoin:
 
         identity = deployment.user_identity("alice", key=user_key)
         tls = TlsClient(
-            replica.endpoint().connect(), identity, deployment.ca.public_key
+            replica.endpoint().connect(),
+            identity,
+            deployment.ca.public_key,
+            clock=replica.env.clock,
         )
         tls.handshake()
         assert SeGShareClient(tls).download("/shared") == b"via root"

@@ -169,7 +169,7 @@ class TestAnchoring:
         plain = make_world(stores=stores)
         plain.handler.put_dir("alice", "/d/")
         plain.handler.put_file("alice", "/d/f", b"migrated")
-        guard = RollbackGuard(plain.manager, ROOT_KEY, buckets=16)
+        guard = RollbackGuard(plain.manager, ROOT_KEY, plain.enclave, plain.locks, buckets=16)
         guard.rebuild()
         plain.manager.guard = guard
         assert plain.manager.read_content("/d/f") == b"migrated"
@@ -213,20 +213,14 @@ class TestFlatGuardUnit:
 # restore checks are one implementation; every case below drives it
 # through the interface both layouts expose, over a counter-bound guard.
 
-_ENCLAVE = SimpleNamespace(
-    platform=SimpleNamespace(clock=None, crashpoint=lambda site: None),
-    signer_id=lambda: b"test-signer",
-)
-
-
 @pytest.fixture(params=["fs", "group"])
 def counted(request, make_world):
     """One guard with whole-FS protection plus the means to exercise it:
     ``touch()`` mutates its store, ``read()`` is a guarded read of it,
     ``objects`` names the data objects ``touch`` rewrites."""
     world = make_world()
-    counter = RoteCounterService(None, SgxCostModel())
-    shared = dict(buckets=4, enclave=_ENCLAVE, counter=counter)
+    counter = RoteCounterService(world.enclave.platform.clock, SgxCostModel())
+    shared = dict(buckets=4, enclave=world.enclave, locks=world.locks, counter=counter)
     world.manager.guard = RollbackGuard(world.manager, ROOT_KEY, **shared)
     world.manager.group_guard = FlatStoreGuard(world.manager, ROOT_KEY, **shared)
     serial = iter(range(1000))
@@ -234,6 +228,7 @@ def counted(request, make_world):
         world.handler.put_file("alice", "/f", b"v0")
         return SimpleNamespace(
             guard=world.manager.guard,
+            enclave=world.enclave,
             counter=counter,
             counter_id="segshare-fs",
             store=world.stores.content,
@@ -244,6 +239,7 @@ def counted(request, make_world):
     world.handler.add_user("alice", "bob", "g0")
     return SimpleNamespace(
         guard=world.manager.group_guard,
+        enclave=world.enclave,
         counter=counter,
         counter_id="segshare-group",
         store=world.stores.group,
@@ -332,7 +328,7 @@ class TestSharedGuardCore:
 
     def test_counter_mismatch_is_a_rollback(self, counted):
         counted.read()
-        counted.counter.increment(_ENCLAVE, counted.counter_id)  # anchor now stale
+        counted.counter.increment(counted.enclave, counted.counter_id)  # anchor now stale
         with pytest.raises(RollbackDetected):
             counted.read()
         with pytest.raises(RollbackDetected):

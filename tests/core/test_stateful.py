@@ -11,14 +11,10 @@ import pytest
 from hypothesis import settings
 from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
 
-from repro.core.authz import build_backend
-from repro.core.file_manager import TrustedFileManager
-from repro.core.request_handler import RequestHandler
 from repro.core.requests import Status
-from repro.core.rollback import FlatStoreGuard, RollbackGuard
 from repro.errors import AccessDenied, RequestError
-from repro.storage.stores import StoreSet
 from repro.tls.channel import StreamingResponse
+from tests.core.conftest import build_world
 
 OWNER = "owner"
 OTHER = "other"
@@ -31,13 +27,9 @@ _content = st.binary(max_size=200)
 class SeGShareMachine(RuleBasedStateMachine):
     @initialize()
     def setup(self) -> None:
-        stores = StoreSet.in_memory()
-        manager = TrustedFileManager(stores, bytes(32), enable_dedup=True)
-        access = build_backend("enclave_acl", manager)
-        self.handler = RequestHandler(manager, access)
-        manager.guard = RollbackGuard(manager, bytes(32), buckets=4)
-        manager.group_guard = FlatStoreGuard(manager, bytes(32), buckets=4)
-        self.manager = manager
+        world = build_world(enable_dedup=True, rollback=True, buckets=4)
+        self.handler = world.handler
+        self.manager = world.manager
         # Reference model.
         self.files: dict[str, bytes] = {}
         self.dirs: set[str] = {"/"}

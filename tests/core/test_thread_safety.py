@@ -24,6 +24,7 @@ import pytest
 from repro.core.cache import MetadataCache
 from repro.errors import StorageError
 from repro.storage import DiskStore, InMemoryStore
+from tests.support.platform import sim_platform
 
 THREADS = 4
 ROUNDS = 400
@@ -54,7 +55,7 @@ def _run_threads(workers):
 class TestMetadataCacheThreading:
     def test_read_hit_vs_invalidation(self):
         """Readers hammer get() while writers put() and clear() underneath."""
-        cache = MetadataCache(capacity_bytes=64 * 1024, max_entry_bytes=4096)
+        cache = MetadataCache(capacity_bytes=64 * 1024, epc=sim_platform().epc, max_entry_bytes=4096)
         keys = [f"/f{i}" for i in range(32)]
         for key in keys:
             cache.put("content", key, key.encode() * 8)
@@ -92,7 +93,7 @@ class TestMetadataCacheThreading:
     def test_eviction_race_keeps_capacity_bound(self):
         """Concurrent inserts never leave the cache over capacity."""
         capacity = 8 * 1024
-        cache = MetadataCache(capacity_bytes=capacity, max_entry_bytes=1024)
+        cache = MetadataCache(capacity_bytes=capacity, epc=sim_platform().epc, max_entry_bytes=1024)
         barrier = threading.Barrier(THREADS)
 
         def writer(seed):

@@ -7,6 +7,7 @@ from repro.faults import FaultPlan, FaultyStore, faulty_env, faulty_stores
 from repro.netsim.transport import connection_pair
 from repro.storage.backends import InMemoryStore
 from repro.storage.stores import StoreSet
+from tests.support.platform import sim_platform
 
 
 class TestFaultPlanDeterminism:
@@ -133,13 +134,12 @@ class TestFaultyLink:
 
 class TestCrashpoints:
     def test_crash_at_point_kills_loaded_enclave(self):
-        from repro.sgx import SgxPlatform
         from repro.sgx.enclave import Enclave
 
         class Dummy(Enclave):
             pass
 
-        platform = SgxPlatform()
+        platform = sim_platform()
         handle = platform.load(Dummy())
         plan = FaultPlan().crash_at_point(nth=2, site_prefix="journal:")
         plan.attach_platform(platform)

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import AttestationError
-from repro.sgx import AttestationService, QuotingEnclave, SgxPlatform
+from repro.sgx import AttestationService, QuotingEnclave
 from repro.sgx.attestation import (
     Quote,
     bind_public_value,
@@ -12,6 +12,7 @@ from repro.sgx.attestation import (
     verifier_key_exchange,
 )
 from repro.sgx.enclave import Enclave, ecall
+from tests.support.platform import sim_platform
 
 
 class AppEnclave(Enclave):
@@ -28,7 +29,7 @@ class OtherEnclave(Enclave):
 
 @pytest.fixture()
 def world():
-    platform = SgxPlatform()
+    platform = sim_platform()
     enclave = AppEnclave()
     platform.load(enclave)
     qe = QuotingEnclave(platform)
@@ -78,7 +79,7 @@ class TestQuotes:
     def test_foreign_enclave_cannot_be_quoted(self, world):
         _, _, qe, _ = world
         foreign = AppEnclave()
-        SgxPlatform().load(foreign)
+        sim_platform().load(foreign)
         with pytest.raises(AttestationError):
             qe.quote(foreign, b"rd")
 

@@ -6,6 +6,7 @@ from repro.errors import EnclaveCrashed, EnclaveError
 from repro.netsim import SimClock
 from repro.sgx import SgxPlatform
 from repro.sgx.enclave import Enclave, count_loc, ecall
+from tests.support.platform import sim_platform
 
 
 class Counter(Enclave):
@@ -32,22 +33,22 @@ class OtherEnclave(Enclave):
 
 class TestEcallSurface:
     def test_registered_ecall_works(self):
-        handle = SgxPlatform().load(Counter())
+        handle = sim_platform().load(Counter())
         assert handle.call("increment", 5) == 5
         assert handle.call("increment") == 6
 
     def test_non_ecall_method_unreachable(self):
-        handle = SgxPlatform().load(Counter())
+        handle = sim_platform().load(Counter())
         with pytest.raises(EnclaveError):
             handle.call("secret_internal")
 
     def test_unknown_name_unreachable(self):
-        handle = SgxPlatform().load(Counter())
+        handle = sim_platform().load(Counter())
         with pytest.raises(EnclaveError):
             handle.call("does_not_exist")
 
     def test_calls_are_counted(self):
-        handle = SgxPlatform().load(Counter())
+        handle = sim_platform().load(Counter())
         handle.call("increment")
         handle.call("increment")
         assert handle.calls == 2
@@ -56,19 +57,19 @@ class TestEcallSurface:
 class TestLifecycle:
     def test_double_load_rejected(self):
         enclave = Counter()
-        SgxPlatform().load(enclave)
+        sim_platform().load(enclave)
         with pytest.raises(EnclaveError):
-            SgxPlatform().load(enclave)
+            sim_platform().load(enclave)
 
     def test_destroy_loses_state(self):
-        handle = SgxPlatform().load(Counter(start=10))
+        handle = sim_platform().load(Counter(start=10))
         handle.destroy()
         with pytest.raises(EnclaveCrashed):
             handle.call("increment")
 
     def test_destroy_drops_attributes(self):
         enclave = Counter(start=42)
-        handle = SgxPlatform().load(enclave)
+        handle = sim_platform().load(enclave)
         handle.destroy()
         assert not hasattr(enclave, "value")
 
@@ -97,8 +98,8 @@ class TestCosts:
 class TestMeasurement:
     def test_same_class_same_measurement(self):
         a, b = Counter(), Counter()
-        SgxPlatform().load(a)
-        SgxPlatform().load(b)
+        sim_platform().load(a)
+        sim_platform().load(b)
         assert a.measurement() == b.measurement()
 
     def test_different_class_different_measurement(self):
@@ -133,9 +134,9 @@ class TestTcbReport:
 
 class TestPlatform:
     def test_fuse_keys_differ_per_platform(self):
-        assert SgxPlatform().fuse_key != SgxPlatform().fuse_key
+        assert sim_platform().fuse_key != sim_platform().fuse_key
 
     def test_loaded_enclaves_tracked(self):
-        platform = SgxPlatform()
+        platform = sim_platform()
         handle = platform.load(Counter())
         assert handle in platform.loaded_enclaves

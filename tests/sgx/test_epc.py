@@ -9,7 +9,7 @@ from repro.sgx.epc import EPC_BYTES, EpcModel
 
 
 def make_epc(clock=None, capacity=EPC_BYTES):
-    return EpcModel(clock=clock, costs=SgxCostModel(), capacity=capacity)
+    return EpcModel(clock=clock if clock is not None else SimClock(), costs=SgxCostModel(), capacity=capacity)
 
 
 class TestAllocation:

@@ -8,6 +8,7 @@ from repro.crypto.merkle import MerkleTree
 from repro.errors import ProtectedFsError
 from repro.sgx.protected_fs import CHUNK_SIZE, ProtectedFs, _chunk_key
 from repro.storage.backends import InMemoryStore
+from tests.support.platform import loaded_enclave
 
 KEY = bytes(16)
 
@@ -19,7 +20,7 @@ def store():
 
 @pytest.fixture()
 def pfs(store):
-    return ProtectedFs(store, master_key=KEY)
+    return ProtectedFs(store, master_key=KEY, enclave=loaded_enclave())
 
 
 class TestRoundTrip:
@@ -110,8 +111,8 @@ class TestIntegrity:
             pfs.read_file("/f")
 
     def test_different_master_keys_isolate(self, store):
-        a = ProtectedFs(store, master_key=bytes(16))
-        b = ProtectedFs(store, master_key=bytes(15) + b"\x01")
+        a = ProtectedFs(store, master_key=bytes(16), enclave=loaded_enclave())
+        b = ProtectedFs(store, master_key=bytes(15) + b"\x01", enclave=loaded_enclave())
         a.write_file("/f", b"secret")
         with pytest.raises(ProtectedFsError):
             b.read_file("/f")
@@ -204,7 +205,7 @@ class TestHandles:
 @settings(max_examples=20, deadline=None)
 @given(st.binary(max_size=3 * CHUNK_SIZE))
 def test_round_trip_property(data):
-    pfs = ProtectedFs(InMemoryStore(), master_key=KEY)
+    pfs = ProtectedFs(InMemoryStore(), master_key=KEY, enclave=loaded_enclave())
     pfs.write_file("/p", data)
     assert pfs.read_file("/p") == data
 

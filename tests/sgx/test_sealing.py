@@ -3,8 +3,9 @@
 import pytest
 
 from repro.errors import SealingError
-from repro.sgx import SealPolicy, SgxPlatform, seal, unseal
+from repro.sgx import SealPolicy, seal, unseal
 from repro.sgx.enclave import Enclave, ecall
+from tests.support.platform import sim_platform
 
 
 class EnclaveA(Enclave):
@@ -29,7 +30,7 @@ class EnclaveASameVendor(Enclave):
 
 def loaded(enclave_cls, platform=None):
     enclave = enclave_cls()
-    (platform or SgxPlatform()).load(enclave)
+    (platform or sim_platform()).load(enclave)
     return enclave
 
 
@@ -44,7 +45,7 @@ class TestRoundTrip:
         assert unseal(enclave, blob) == b"secret"
 
     def test_same_class_same_platform_unseals(self):
-        platform = SgxPlatform()
+        platform = sim_platform()
         first = loaded(EnclaveA, platform)
         second = loaded(EnclaveA, platform)
         blob = seal(first, b"secret", SealPolicy.MRENCLAVE)
@@ -58,7 +59,7 @@ class TestPolicyBoundaries:
             unseal(loaded(EnclaveA), blob)  # new platform, new fuse key
 
     def test_mrenclave_blocks_same_vendor_different_code(self):
-        platform = SgxPlatform()
+        platform = sim_platform()
         a = loaded(EnclaveA, platform)
         same_vendor = loaded(EnclaveASameVendor, platform)
         blob = seal(a, b"secret", SealPolicy.MRENCLAVE)
@@ -66,7 +67,7 @@ class TestPolicyBoundaries:
             unseal(same_vendor, blob)
 
     def test_mrsigner_allows_same_vendor_different_code(self):
-        platform = SgxPlatform()
+        platform = sim_platform()
         a = loaded(EnclaveA, platform)
         same_vendor = loaded(EnclaveASameVendor, platform)
         blob = seal(a, b"secret", SealPolicy.MRSIGNER)

@@ -8,7 +8,7 @@ from repro.sgx.costmodel import SgxCostModel
 
 
 def test_submit_runs_and_returns():
-    queue = SwitchlessQueue(None, SgxCostModel(), workers=2)
+    queue = SwitchlessQueue(SimClock(), SgxCostModel(), workers=2)
     assert queue.submit(lambda a, b: a + b, 2, 3) == 5
     assert queue.stats.submitted == 1
     assert queue.stats.fast == 1
@@ -26,14 +26,15 @@ def test_exhausted_workers_fall_back_to_transition():
     clock = SimClock()
     costs = SgxCostModel()
     queue = SwitchlessQueue(clock, costs, workers=2)
-    with queue.concurrency(2):  # both workers busy
-        queue.submit(lambda: None)
+    # Calls nested deeper than the pool: the third finds both workers busy.
+    queue.submit(queue.submit, queue.submit, lambda: None)
+    assert queue.stats.fast == 2
     assert queue.stats.fallback == 1
-    assert clock.now() == pytest.approx(costs.ocall_transition)
+    assert clock.now() == pytest.approx(2 * costs.switchless_call + costs.ocall_transition)
 
 
 def test_exception_propagates_and_releases_slot():
-    queue = SwitchlessQueue(None, SgxCostModel(), workers=1)
+    queue = SwitchlessQueue(SimClock(), SgxCostModel(), workers=1)
 
     def boom():
         raise RuntimeError("task failed")
@@ -116,20 +117,6 @@ class TestDispatch:
         assert four == pytest.approx(
             (1.0 + costs.switchless_call) + costs.switchless_call + 1.0
         )
-
-    def test_in_flight_reflects_overlap(self):
-        clock, queue = self._queue(workers=4)
-        queue.dispatch(lambda: clock.charge(2.0, "work"), arrival=0.0)
-        queue.dispatch(lambda: clock.charge(2.0, "work"), arrival=0.0)
-        # Both finished tracks span t=1.0, so load there is 2.
-        assert queue.load_at(1.0) == 2
-        assert queue.load_at(100.0) == 0
-
-    def test_concurrency_shim_still_tops_up_load(self):
-        clock, queue = self._queue(workers=4)
-        with queue.concurrency(3):
-            assert queue.load_at(0.0) == 3
-        assert queue.load_at(0.0) == 0
 
     def test_exception_releases_worker_and_closes_track(self):
         clock, queue = self._queue(workers=1)

@@ -22,8 +22,9 @@ from repro.faults import FaultPlan, faulty_stores
 from repro.netsim import azure_wan_env
 from repro.pki import CertificateAuthority
 from repro.storage.stores import StoreSet
-from repro.store.engine import DeferredStore
+from repro.store.engine import DeferredStore, TransactionStats
 from tests.support.crashpoints import StopHere, stop_at
+from tests.support.platform import loaded_enclave
 
 #: One CA for the whole module — RSA keygen dominates setup otherwise.
 _CA = CertificateAuthority(key_bits=1024)
@@ -389,8 +390,9 @@ class TestGroupEntriesInAnEpoch:
                 stores.dedup.put(f"{name}{i}", (name + str(i)).encode() * 200)
         stores.content.put("/doc", b"v0")
         journal = WriteAheadJournal(stores, self.KEY, crash_hook=stop_at(stop_site, nth))
-        content = DeferredStore(JournaledStore(stores.content, journal, TAG_CONTENT))
-        dedup = DeferredStore(JournaledStore(stores.dedup, journal, TAG_DEDUP))
+        enclave, stats = loaded_enclave(), TransactionStats()
+        content = DeferredStore(JournaledStore(stores.content, journal, TAG_CONTENT), enclave, stats)
+        dedup = DeferredStore(JournaledStore(stores.dedup, journal, TAG_DEDUP), enclave, stats)
         return stores, journal, content, dedup
 
     @staticmethod

@@ -121,13 +121,14 @@ class TestFailureModes:
             Endpoint(world["listener"]).connect(),
             ClientIdentity(world["client"]._identity.certificate, world["client"]._identity.private_key),
             world["ca"].public_key,
+            clock=world["env"].clock,
         )
         with pytest.raises(TlsError):
             fresh.request(b"early")
 
     def test_server_without_identity_rejects_sessions(self, user_key):
         ca = CertificateAuthority(key_bits=1024)
-        trusted = TrustedTlsInterface(EchoApp(), ca.public_key)
+        trusted = TrustedTlsInterface(EchoApp(), ca.public_key, clock=lan_env().clock)
         with pytest.raises(TlsError):
             trusted.new_session()
 

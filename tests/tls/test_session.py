@@ -11,7 +11,8 @@ KEYS = SessionKeys(client_write=bytes(16), server_write=bytes(15) + b"\x01")
 
 
 def pair():
-    return TlsSession(KEYS, is_client=True), TlsSession(KEYS, is_client=False)
+    clock = SimClock()
+    return TlsSession(KEYS, is_client=True, clock=clock), TlsSession(KEYS, is_client=False, clock=clock)
 
 
 class TestRecordProtection:

@@ -2,20 +2,16 @@
 
 import pytest
 
-from repro.core.authz import build_backend
-from repro.core.file_manager import TrustedFileManager
 from repro.core.model import default_group
-from repro.core.request_handler import RequestHandler
 from repro.errors import WebDavError
 from repro.faults import FaultPlan, faulty_stores
 from repro.storage.stores import StoreSet
 from repro.webdav import HttpRequest, Method, WebDavAdapter
+from tests.core.conftest import build_world
 
 
 def make_adapter(stores):
-    manager = TrustedFileManager(stores, bytes(32))
-    handler = RequestHandler(manager, build_backend("enclave_acl", manager))
-    return WebDavAdapter(handler)
+    return WebDavAdapter(build_world(stores=stores).handler)
 
 
 @pytest.fixture()

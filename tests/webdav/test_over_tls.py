@@ -40,6 +40,20 @@ class TestVerbsOverTls:
         reply = alice._tls.request(WEBDAV_MARKER + b"garbage not http")
         assert HttpResponse.parse(reply).status == 400
 
+    def test_bad_content_length_is_400_and_the_session_survives(self, make_deployment):
+        """A header that is not a number is one more malformed message:
+        answered 400 and audited, not a reason to drop the session."""
+        from repro.webdav.client import WEBDAV_MARKER
+        from repro.webdav.http import HttpResponse
+
+        deployment = make_deployment(SeGShareOptions(audit=True))
+        alice = deployment.new_user("alice")
+        raw = WEBDAV_MARKER + b"PUT /a HTTP/1.1\r\nContent-Length: x\r\n\r\nhello"
+        assert HttpResponse.parse(alice._tls.request(raw)).status == 400
+        assert WebDavTlsClient(alice._tls).put("/a", b"hello").status == 201  # same session
+        outcomes = [(r.op, r.outcome) for r in deployment.server.enclave.audit_log.read_all()]
+        assert outcomes == [("DAV", "400"), ("DAV-PUT", "201")]
+
 
 class TestCrossUserOverTls:
     def test_sharing_via_proppatch(self, deployment):
