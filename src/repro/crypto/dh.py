@@ -5,6 +5,13 @@ buys nothing for the reproduction, so we substitute the classic
 finite-field construction over the 2048-bit MODP group from RFC 3526
 (group 14).  The security-relevant properties the TLS layer needs —
 ephemeral per-handshake secrets and forward secrecy — are preserved.
+
+Private exponents are 256 bits, not 2048: the group itself is worth
+about 110 bits, Pollard's lambda against a 256-bit exponent costs 2^128,
+and a safe-prime group has no small subgroup to leak exponent bits once
+a peer value is checked to lie in [2, p-2].  RFC 7919 section 5.2 (225
+bits at 2048), RFC 3526 section 8 (220) and NIST SP 800-56A rev. 3 (224
+to 2047) size it this way.
 """
 
 from __future__ import annotations
@@ -14,7 +21,7 @@ from dataclasses import dataclass
 
 from repro.errors import CryptoError
 
-# RFC 3526, 2048-bit MODP Group (id 14).  Generator 2.
+# RFC 3526, 2048-bit MODP Group (id 14); its generator is 2.
 RFC3526_GROUP14_PRIME = int(
     "FFFFFFFFFFFFFFFFC90FDAA22168C234C4C6628B80DC1CD1"
     "29024E088A67CC74020BBEA63B139B22514A08798E3404DD"
@@ -29,7 +36,6 @@ RFC3526_GROUP14_PRIME = int(
     "15728E5A8AACAA68FFFFFFFFFFFFFFFF",
     16,
 )
-RFC3526_GROUP14_GENERATOR = 2
 
 
 @dataclass(frozen=True)
@@ -44,7 +50,10 @@ class DhParams:
         return (self.p.bit_length() + 7) // 8
 
 
-GROUP14 = DhParams(p=RFC3526_GROUP14_PRIME, g=RFC3526_GROUP14_GENERATOR)
+GROUP14 = DhParams(p=RFC3526_GROUP14_PRIME, g=2)
+
+# Twice a 128-bit security level; see the module docstring.
+_EXPONENT_BITS = 256
 
 
 @dataclass(frozen=True)
@@ -60,8 +69,8 @@ class DhKeyPair:
 
 
 def generate_keypair(params: DhParams = GROUP14) -> DhKeyPair:
-    """Generate an ephemeral key pair: x random in [2, p-2], X = g^x mod p."""
-    private = secrets.randbelow(params.p - 3) + 2
+    """Generate an ephemeral key pair: x random in [2, 2^256), X = g^x mod p."""
+    private = secrets.randbelow((1 << _EXPONENT_BITS) - 2) + 2
     public = pow(params.g, private, params.p)
     return DhKeyPair(params=params, private=private, public=public)
 
@@ -69,11 +78,12 @@ def generate_keypair(params: DhParams = GROUP14) -> DhKeyPair:
 def public_from_bytes(data: bytes, params: DhParams = GROUP14) -> int:
     """Parse and validate a peer public value.
 
-    Rejects degenerate values (0, 1, p-1, out of range) that would force
-    the shared secret into a tiny subgroup.
+    Rejects any width but the one :meth:`DhKeyPair.public_bytes` emits and
+    degenerate values (0, 1, p-1, out of range) that would force the shared
+    secret into a tiny subgroup.
     """
     value = int.from_bytes(data, "big")
-    if not 2 <= value <= params.p - 2:
+    if len(data) != params.size_bytes or not 2 <= value <= params.p - 2:
         raise CryptoError("invalid DH public value")
     return value
 

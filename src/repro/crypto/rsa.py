@@ -45,8 +45,7 @@ class RsaPublicKey:
     @classmethod
     def deserialize(cls, data: bytes) -> "RsaPublicKey":
         r = Reader(data)
-        n = _int_from_bytes(r.bytes())
-        e = _int_from_bytes(r.bytes())
+        n, e = (int.from_bytes(r.bytes(), "big") for _ in range(2))
         r.expect_end()
         return cls(n=n, e=e)
 
@@ -85,17 +84,13 @@ class RsaPrivateKey:
     @classmethod
     def deserialize(cls, data: bytes) -> "RsaPrivateKey":
         r = Reader(data)
-        n, e, d, p, q = (_int_from_bytes(r.bytes()) for _ in range(5))
+        n, e, d, p, q = (int.from_bytes(r.bytes(), "big") for _ in range(5))
         r.expect_end()
         return _with_crt(n, e, d, p, q)
 
 
 def _int_to_bytes(value: int) -> bytes:
     return value.to_bytes((value.bit_length() + 7) // 8 or 1, "big")
-
-
-def _int_from_bytes(data: bytes) -> int:
-    return int.from_bytes(data, "big")
 
 
 def _with_crt(n: int, e: int, d: int, p: int, q: int) -> RsaPrivateKey:
@@ -114,8 +109,8 @@ def _with_crt(n: int, e: int, d: int, p: int, q: int) -> RsaPrivateKey:
 def generate_keypair(bits: int = 2048) -> RsaPrivateKey:
     """Generate an RSA key pair with an n of ``bits`` bits.
 
-    2048-bit generation takes a second or two in pure Python; tests and the
-    simulated CA cache keys where repeated generation would dominate.
+    Nothing in ``src/`` caches keys: every CA, attestation service, enclave
+    and new user pays one generation, tens of milliseconds at their 1024 bits.
     """
     if bits < 512:
         raise KeyError_("RSA modulus below 512 bits is not supported")
@@ -149,7 +144,7 @@ def _emsa_pkcs1_v15(message: bytes, em_len: int) -> bytes:
 def sign(key: RsaPrivateKey, message: bytes) -> bytes:
     """Sign ``message`` (SHA-256, PKCS#1 v1.5 padding) with CRT exponentiation."""
     em = _emsa_pkcs1_v15(message, key.size_bytes)
-    m = _int_from_bytes(em)
+    m = int.from_bytes(em, "big")
     if m >= key.n:
         raise CryptoError("encoded message out of range")
     # CRT: s = q_inv * (s_p - s_q) mod p * q + s_q
@@ -164,7 +159,7 @@ def verify(key: RsaPublicKey, message: bytes, signature: bytes) -> bool:
     """Verify a signature produced by :func:`sign`.  Returns False on any mismatch."""
     if len(signature) != key.size_bytes:
         return False
-    s = _int_from_bytes(signature)
+    s = int.from_bytes(signature, "big")
     if s >= key.n:
         return False
     em = pow(s, key.e, key.n).to_bytes(key.size_bytes, "big")

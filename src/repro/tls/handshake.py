@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 from repro.crypto import dh, rsa
 from repro.crypto.kdf import derive_key, hkdf_expand, hkdf_extract
-from repro.errors import CertificateError, TlsError
+from repro.errors import CertificateError, CryptoError, TlsError
 from repro.pki import Certificate, CertificateUsage
 from repro.util.serialization import Reader, Writer
 
@@ -144,6 +144,13 @@ def _client_signing_input(
     )
 
 
+def _shared_secret(keypair: dh.DhKeyPair, peer_public: bytes) -> bytes:
+    try:
+        return dh.shared_secret(keypair, dh.public_from_bytes(peer_public))
+    except CryptoError as exc:
+        raise TlsError("peer DH public value rejected") from exc
+
+
 def derive_session_keys(shared_secret: bytes, client_random: bytes, server_random: bytes) -> SessionKeys:
     prk = hkdf_extract(client_random + server_random, shared_secret)
     material = hkdf_expand(prk, b"tls-record-keys", 32)
@@ -199,8 +206,7 @@ class ClientHandshake:
         kx = ClientKeyExchange(dh_public=client_dh, signature=signature).serialize()
         self._transcript += kx
 
-        peer = dh.public_from_bytes(hello.dh_public)
-        secret = dh.shared_secret(self._dh_keypair, peer)
+        secret = _shared_secret(self._dh_keypair, hello.dh_public)
         self.keys = derive_session_keys(secret, self._client_random, hello.server_random)
         return kx
 
@@ -271,8 +277,7 @@ class ServerHandshake:
         )
         if not rsa.verify(self.client_certificate.public_key, signing_input, kx.signature):
             raise TlsError("client key-exchange signature is invalid")
-        peer = dh.public_from_bytes(kx.dh_public)
-        secret = dh.shared_secret(self._dh_keypair, peer)
+        secret = _shared_secret(self._dh_keypair, kx.dh_public)
         self.keys = derive_session_keys(secret, self._client_random, self._server_random)
 
     def verify_client_finished(self, data: bytes) -> bytes:

@@ -5,7 +5,7 @@ import pytest
 from repro.core.enclave_app import SeGShareOptions
 from repro.core.replication import ReplicaSet, transfer_root_key
 from repro.core.server import SeGShareServer, deploy, provision_certificate
-from repro.errors import MembershipError, ReplicationError
+from repro.errors import MembershipError, ReplicationError, ReproError
 from repro.netsim import azure_wan_env
 from repro.pki import CertificateAuthority
 from repro.sgx import SgxPlatform
@@ -143,6 +143,29 @@ class TestRejections:
         replica = add_replica()
         with pytest.raises(Exception):
             replica.handle.call("replication_share_root_key", b"", b"")
+
+    @pytest.mark.parametrize(
+        "reshape", [lambda v: b"\x00" + v, lambda v: v[1:]], ids=["zero-padded", "truncated"]
+    )
+    def test_host_reshaped_dh_value_is_a_typed_error(self, cluster, reshape):
+        """The untrusted host carries the DH values between the enclaves; a
+        re-encoded one (same number, other width) is refused in both
+        directions with a typed error, and no key moves."""
+        deployment, add_replica, _ = cluster
+        replica = add_replica()
+        replica_quote, replica_pub = replica.handle.call("replication_begin_join")
+        with pytest.raises(ReproError):
+            deployment.server.handle.call(
+                "replication_share_root_key", replica_quote, reshape(replica_pub)
+            )
+        root_quote, root_pub, wrapped = deployment.server.handle.call(
+            "replication_share_root_key", replica_quote, replica_pub
+        )
+        with pytest.raises(ReproError):
+            replica.handle.call(
+                "replication_complete_join", root_quote, reshape(root_pub), wrapped
+            )
+        assert not replica.enclave.ready
 
     def test_complete_join_without_begin_rejected(self, cluster):
         deployment, add_replica, _ = cluster

@@ -37,6 +37,19 @@ class TestAgreement:
         a, b = dh.generate_keypair(), dh.generate_keypair()
         assert len(dh.shared_secret(a, b.public)) == dh.GROUP14.size_bytes
 
+    def test_private_exponent_is_256_bits(self):
+        """RFC 7919 §5.2 sizing: short, but never accidentally tiny."""
+        draws = [dh.generate_keypair().private for _ in range(200)]
+        assert all(2 <= x < 2**256 for x in draws)
+        assert max(draws) >= 2**248
+        assert len(set(draws)) == len(draws)
+
+    def test_short_exponent_keypair_is_consistent(self):
+        kp = dh.generate_keypair()
+        assert kp.public == pow(dh.GROUP14.g, kp.private, dh.GROUP14.p)
+        assert 2 <= kp.public <= dh.GROUP14.p - 2
+        assert len(kp.public_bytes()) == dh.GROUP14.size_bytes
+
 
 class TestValidation:
     @pytest.mark.parametrize("bad", [0, 1])
@@ -56,5 +69,22 @@ class TestValidation:
 
     def test_shared_secret_validates_peer(self):
         kp = dh.generate_keypair()
+        for bad in (0, 1, dh.GROUP14.p - 1, dh.GROUP14.p):
+            with pytest.raises(CryptoError):
+                dh.shared_secret(kp, bad)
+
+    @pytest.mark.parametrize("width", [0, 3, 255, 257, 300])
+    def test_wrong_width_rejected(self, width):
+        """Only the fixed-width encoding public_bytes() emits parses: not a
+        short in-range value, not a zero-padded long one."""
+        value = (5).to_bytes(width, "big") if width else b""
         with pytest.raises(CryptoError):
-            dh.shared_secret(kp, 1)
+            dh.public_from_bytes(value)
+        assert dh.public_from_bytes((5).to_bytes(dh.GROUP14.size_bytes, "big")) == 5
+
+    def test_padded_real_value_rejected(self):
+        kp = dh.generate_keypair()
+        with pytest.raises(CryptoError):
+            dh.public_from_bytes(b"\x00" + kp.public_bytes())
+        with pytest.raises(CryptoError):
+            dh.public_from_bytes(kp.public_bytes().lstrip(b"\x00")[1:])

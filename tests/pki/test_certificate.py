@@ -1,10 +1,13 @@
 """Certificates and CSRs: serialization, verification, usage checks."""
 
+import hashlib
+
 import pytest
 
 from repro.crypto import rsa
 from repro.errors import CertificateError
 from repro.pki import Certificate, CertificateSigningRequest, CertificateUsage
+from tests.crypto.test_rsa import FIXED_KEY
 
 
 @pytest.fixture(scope="module")
@@ -43,6 +46,12 @@ class TestCertificate:
         cert = make_cert(ca_key, subject_key, mail="a@example.com", uid="alice")
         restored = Certificate.deserialize(cert.serialize())
         assert restored == cert
+
+    def test_known_answer(self):
+        """Certificate bytes for a fixed key are what they always were."""
+        fixed = rsa.RsaPrivateKey.deserialize(FIXED_KEY)
+        digest = hashlib.sha256(make_cert(fixed, fixed).serialize()).hexdigest()
+        assert digest == "ca859e0c27420d15577d20152a9d8f283a9c98aaeba559b902fbb2a6ffcfa073"
 
     def test_verify_accepts_valid(self, ca_key, subject_key):
         make_cert(ca_key, subject_key).verify(ca_key.public_key)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.errors import AttestationError
+from repro.errors import AttestationError, CryptoError
 from repro.sgx import AttestationService, QuotingEnclave
 from repro.sgx.attestation import (
     Quote,
@@ -101,6 +101,23 @@ class TestAttestedKeyExchange:
         other_keypair, _ = enclave_key_exchange_offer(enclave, qe)
         with pytest.raises(AttestationError):
             verifier_key_exchange(service, quote, other_keypair.public_bytes())
+
+    @pytest.mark.parametrize(
+        "reshape",
+        [lambda v: b"\x00" + v, lambda v: v[1:], lambda v: b"\x05"],
+        ids=["zero-padded", "truncated", "one-byte"],
+    )
+    def test_wrong_width_public_value_is_a_typed_error(self, world, reshape):
+        """A DH value in any but the fixed-width encoding is refused on both
+        sides of the join — even when a genuine quote binds it."""
+        _, enclave, qe, service = world
+        keypair, _ = enclave_key_exchange_offer(enclave, qe)
+        bad = reshape(keypair.public_bytes())
+        quote = qe.quote(enclave, bind_public_value(bad))
+        with pytest.raises(CryptoError, match="DH public value"):
+            verifier_key_exchange(service, quote, bad, enclave.measurement())
+        with pytest.raises(CryptoError, match="DH public value"):
+            enclave_key_exchange_finish(keypair, bad)
 
     def test_bind_public_value_is_injective_in_practice(self):
         assert bind_public_value(b"a") != bind_public_value(b"b")

@@ -2,17 +2,24 @@
 
 import pytest
 
+from repro.crypto import rsa
 from repro.errors import TlsError
+from repro.netsim import lan_env
 from repro.pki import CertificateAuthority, CertificateUsage
 from repro.pki.certificate import CertificateSigningRequest
+from repro.tls import TrustedTlsInterface
 from repro.tls.handshake import (
     ClientHandshake,
+    ClientHello,
     ClientIdentity,
     ClientKeyExchange,
     ServerHandshake,
     ServerHello,
     ServerIdentity,
+    _client_signing_input,
+    _server_signing_input,
 )
+from repro.tls.records import ContentType, handshake_record, parse_record
 
 
 @pytest.fixture(scope="module")
@@ -28,6 +35,29 @@ def world(user_key, second_key):
         "client": ClientIdentity(client_cert, user_key),
         "server": ServerIdentity(server_cert, second_key),
     }
+
+
+# In-range values in any but the 256-byte encoding, and a degenerate value
+# in the right one: what a *certified* peer could sign and send.
+REFUSED_DH_VALUES = {
+    **{f"5-in-{width}-bytes": (5).to_bytes(width, "big") for width in (3, 255, 257, 300)},
+    "1-in-256-bytes": (1).to_bytes(256, "big"),
+}
+refused_dh_values = pytest.mark.parametrize(
+    "dh_public", REFUSED_DH_VALUES.values(), ids=REFUSED_DH_VALUES.keys()
+)
+
+
+def signed_client_kx(world, client_hello: bytes, server_hello: bytes, dh_public: bytes) -> bytes:
+    """The ClientKeyExchange a certified client would send for ``dh_public``:
+    correctly signed, so only the DH value itself can be what is refused."""
+    hello = ServerHello.deserialize(server_hello)
+    client_random = ClientHello.deserialize(client_hello).client_random
+    signing_input = _client_signing_input(
+        client_random, hello.server_random, hello.dh_public, dh_public
+    )
+    signature = rsa.sign(world["client"].private_key, signing_input)
+    return ClientKeyExchange(dh_public=dh_public, signature=signature).serialize()
 
 
 def run_handshake(client_hs: ClientHandshake, server_hs: ServerHandshake):
@@ -131,6 +161,54 @@ class TestActiveAttacks:
         forged = ClientKeyExchange(dh_public=mitm.public_bytes(), signature=kx.signature)
         with pytest.raises(TlsError, match="signature"):
             server_hs.handle_client_key_exchange(forged.serialize())
+
+    @refused_dh_values
+    def test_signed_bad_server_dh_rejected(self, world, dh_public):
+        """A certified server that signs a DH value the client must refuse
+        gets a TlsError, not a bare CryptoError."""
+        client_hs = ClientHandshake(world["client"], world["ca"].public_key)
+        client_random = ClientHello.deserialize(client_hs.client_hello()).client_random
+        server_random = b"\x5a" * 32
+        forged = ServerHello(
+            server_random=server_random,
+            certificate=world["server"].certificate,
+            dh_public=dh_public,
+            signature=rsa.sign(
+                world["server"].private_key,
+                _server_signing_input(client_random, server_random, dh_public),
+            ),
+        )
+        with pytest.raises(TlsError, match="DH public value"):
+            client_hs.handle_server_hello(forged.serialize())
+        assert client_hs.keys is None
+
+    @refused_dh_values
+    def test_signed_bad_client_dh_rejected(self, world, dh_public):
+        client_hello = ClientHandshake(world["client"], world["ca"].public_key).client_hello()
+        server_hs = ServerHandshake(world["server"], world["ca"].public_key)
+        server_hello = server_hs.handle_client_hello(client_hello)
+        forged = signed_client_kx(world, client_hello, server_hello, dh_public)
+        with pytest.raises(TlsError, match="DH public value"):
+            server_hs.handle_client_key_exchange(forged)
+        assert server_hs.keys is None
+
+    @refused_dh_values
+    def test_signed_bad_client_dh_ends_in_an_alert(self, world, dh_public):
+        """Through the enclave's record interface the same message tears the
+        session down with one alert record and nothing else."""
+        trusted = TrustedTlsInterface(None, world["ca"].public_key, clock=lan_env().clock)
+        trusted.install_identity(world["server"])
+        session_id = trusted.new_session()
+        client_hello = ClientHandshake(world["client"], world["ca"].public_key).client_hello()
+        (reply,) = trusted.on_record(session_id, handshake_record(client_hello))
+        server_hello = parse_record(reply, ContentType.HANDSHAKE)
+        forged = signed_client_kx(world, client_hello, server_hello, dh_public)
+        (alert,) = trusted.on_record(session_id, handshake_record(forged))
+        with pytest.raises(TlsError, match="alert: session error"):
+            parse_record(alert, ContentType.HANDSHAKE)
+        (gone,) = trusted.on_record(session_id, handshake_record(b"anything"))
+        with pytest.raises(TlsError, match="alert: unknown session"):
+            parse_record(gone, ContentType.HANDSHAKE)
 
     def test_wrong_finished_mac_rejected(self, world):
         client_hs = ClientHandshake(world["client"], world["ca"].public_key)
