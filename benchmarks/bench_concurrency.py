@@ -72,9 +72,7 @@ def build_server(workers: int) -> SeGShareServer:
         rollback="whole_fs",
         counter_kind="rote",
         rollback_buckets=16,
-        journal=True,
         metadata_cache_bytes=512 * KB,
-        guard_batching=True,
         switchless_workers=workers,
     )
     stores = StoreSet.sharded([InMemoryStore() for _ in range(SHARDS)])

@@ -67,7 +67,6 @@ def build_server(backend: str, members: int) -> SeGShareServer:
         # fixed buckets over 10^5 member-list leaves would measure the
         # guard's bucket rehash, not the authorization backend.
         rollback_buckets=max(16, members // 64),
-        journal=True,
         metadata_cache_bytes=512 * 1024,
         authz_backend=backend,
     )

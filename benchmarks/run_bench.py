@@ -1,17 +1,17 @@
 #!/usr/bin/env python
-"""Single-entry benchmark pipeline: uncached baseline vs metadata cache.
+"""Single-entry benchmark pipeline: uncached vs metadata cache.
 
 Runs reduced-but-fixed versions of the paper's workloads (Fig. 3 reads,
 Fig. 4 metadata mutations, Fig. 5 rollback ablation) plus the batched
-multi-file mutation workloads against two server configurations:
+multi-file mutation workloads against two server configurations.  Both
+run every mutation in the journaled transaction, so both flush each
+dirty guard node and the anchor (one ROTE quorum increment) once per
+commit; they differ only in the cache:
 
-* ``baseline`` — metadata cache off, rollback-guard batching off: every
-  read pays PFS decrypt + Merkle + guard verification (with a ROTE
-  quorum read), every journaled write pays one anchor write (ROTE quorum
-  increment) per touched leaf.
-* ``cached`` — the enclave-resident metadata cache on, guard batching
-  on: hot metadata is served from EPC-charged enclave memory; a batch
-  flushes each dirty guard node and the anchor once at commit.
+* ``uncached`` — metadata cache off: every read pays PFS decrypt +
+  Merkle + guard verification (with a ROTE quorum read).
+* ``cached`` — the enclave-resident metadata cache on: hot metadata is
+  served from EPC-charged enclave memory.
 
 Latencies are **virtual-clock seconds** from the calibrated Azure cost
 model (the same clock the figure reproductions use), so the comparison
@@ -20,7 +20,7 @@ not Python interpreter noise.  Results land in ``BENCH_pipeline.json``;
 docs/PERF.md explains how to read them.
 
 Exit status is non-zero if the cached configuration is *slower* than
-the baseline on the Fig. 3 repeated-read workload — the regression gate
+the uncached one on the Fig. 3 repeated-read workload — the regression gate
 CI runs on every push (``--quick``).
 """
 
@@ -46,19 +46,22 @@ _CA = CertificateAuthority(key_bits=1024)
 CACHE_BYTES = 512 * 1024
 
 CONFIGS = {
-    "baseline": dict(metadata_cache_bytes=None, guard_batching=False),
-    "cached": dict(metadata_cache_bytes=CACHE_BYTES, guard_batching=True),
+    "uncached": dict(metadata_cache_bytes=None),
+    "cached": dict(metadata_cache_bytes=CACHE_BYTES),
 }
 
 
-def build_server(**overrides) -> SeGShareServer:
-    options = SeGShareOptions(
+def protected(**overrides) -> SeGShareOptions:
+    """Whole-FS rollback protection over ROTE (every arm but ``no_rollback``)."""
+    return SeGShareOptions(
         rollback="whole_fs",
         counter_kind="rote",
         rollback_buckets=16,
-        journal=True,
         **overrides,
     )
+
+
+def build_server(options: SeGShareOptions) -> SeGShareServer:
     return SeGShareServer(azure_wan_env(), _CA.public_key, options=options)
 
 
@@ -89,7 +92,7 @@ def bench_fig3_read(repeats: int, file_kb: int = 4) -> dict:
     out: dict = {"repeats": repeats, "file_kb": file_kb}
     content = unique_bytes("run-bench/fig3", 0, file_kb * KB)
     for name, overrides in CONFIGS.items():
-        server = build_server(**overrides)
+        server = build_server(protected(**overrides))
         handler = server.enclave.handler
         ok(handler.handle("alice", Request(op=Op.PUT_DIR, args=("/data/",))))
         ok(handler.put_file("alice", "/data/doc", content))
@@ -107,17 +110,17 @@ def bench_fig3_read(repeats: int, file_kb: int = 4) -> dict:
             stats = server.stats()
             out[name]["cache"] = stats["cache"]
             out[name]["epc_cache_bytes"] = stats["epc"]["cache_bytes"]
-    out["speedup"] = out["baseline"]["latency_s"] / out["cached"]["latency_s"]
+    out["speedup"] = out["uncached"]["latency_s"] / out["cached"]["latency_s"]
     return out
 
 
 def bench_fig4_metadata(count: int) -> dict:
     """Fig. 4's shape: a stream of small metadata mutations (mkdir, put,
-    set_permission), each its own journaled batch.  Guard batching turns
-    per-leaf anchor writes (ROTE quorum increments) into one per op."""
+    set_permission), each its own journaled batch with one anchor write
+    (ROTE quorum increment) per op; the cache saves the reads."""
     out: dict = {"count": count}
     for name, overrides in CONFIGS.items():
-        server = build_server(**overrides)
+        server = build_server(protected(**overrides))
         handler = server.enclave.handler
         ok(handler.handle("alice", Request(op=Op.ADD_USER, args=("bob", "eng"))))
 
@@ -142,7 +145,7 @@ def bench_fig4_metadata(count: int) -> dict:
             stats = server.stats()
             out[name]["cache"] = stats["cache"]
             out[name]["rollback_guard"] = stats["rollback_guard"]
-    out["speedup"] = out["baseline"]["latency_s"] / out["cached"]["latency_s"]
+    out["speedup"] = out["uncached"]["latency_s"] / out["cached"]["latency_s"]
     return out
 
 
@@ -152,7 +155,7 @@ def bench_mutation_batch(members: int) -> dict:
     every member list, the paper's known-slow revocation path."""
     out: dict = {"members": members}
     for name, overrides in CONFIGS.items():
-        server = build_server(**overrides)
+        server = build_server(protected(**overrides))
         handler = server.enclave.handler
         for i in range(members):
             ok(handler.handle("alice", Request(op=Op.ADD_USER, args=(f"u{i}", "eng"))))
@@ -167,7 +170,7 @@ def bench_mutation_batch(members: int) -> dict:
             stats = server.stats()
             out[name]["cache"] = stats["cache"]
             out[name]["group_guard"] = stats["group_guard"]
-    out["speedup"] = out["baseline"]["latency_s"] / out["cached"]["latency_s"]
+    out["speedup"] = out["uncached"]["latency_s"] / out["cached"]["latency_s"]
     return out
 
 
@@ -177,19 +180,13 @@ def bench_fig5_rollback(repeats: int) -> dict:
     metadata cache — how much of the integrity tax the cache refunds."""
     content = unique_bytes("run-bench/fig5", 0, 4 * KB)
     variants = {
-        "no_rollback": dict(rollback=None, counter_kind="none", journal=False),
-        "whole_fs": dict(metadata_cache_bytes=None, guard_batching=False),
-        "whole_fs_cached": dict(
-            metadata_cache_bytes=CACHE_BYTES, guard_batching=True
-        ),
+        "no_rollback": SeGShareOptions(),
+        "whole_fs": protected(metadata_cache_bytes=None),
+        "whole_fs_cached": protected(metadata_cache_bytes=CACHE_BYTES),
     }
     out: dict = {"repeats": repeats}
-    for name, overrides in variants.items():
-        if name == "no_rollback":
-            options = SeGShareOptions(journal=False)
-            server = SeGShareServer(azure_wan_env(), _CA.public_key, options=options)
-        else:
-            server = build_server(**overrides)
+    for name, options in variants.items():
+        server = build_server(options)
         handler = server.enclave.handler
         ok(handler.put_file("alice", "/doc", content))
         assert get_file(server, "alice", "/doc") == content
@@ -212,9 +209,7 @@ def bench_cache_size_ablation(repeats: int) -> list[dict]:
     rows = []
     paths = [f"/w/f{i}" for i in range(12)]
     for capacity in (8 * KB, 64 * KB, 512 * KB):
-        server = build_server(
-            metadata_cache_bytes=capacity, guard_batching=True
-        )
+        server = build_server(protected(metadata_cache_bytes=capacity))
         handler = server.enclave.handler
         ok(handler.handle("alice", Request(op=Op.PUT_DIR, args=("/w/",))))
         for i, path in enumerate(paths):
@@ -267,20 +262,20 @@ def main(argv: list[str] | None = None) -> int:
 
     print("fig3 repeated-read ...", flush=True)
     fig3 = bench_fig3_read(fig3_repeats)
-    print(f"  baseline {fig3['baseline']['latency_s'] * 1e3:.3f} ms/op   "
+    print(f"  uncached {fig3['uncached']['latency_s'] * 1e3:.3f} ms/op   "
           f"cached {fig3['cached']['latency_s'] * 1e3:.3f} ms/op   "
           f"speedup {fig3['speedup']:.2f}x   "
           f"hit rate {fig3['cached']['cache']['hit_rate']:.2f}")
 
     print("fig4 metadata mutations ...", flush=True)
     fig4 = bench_fig4_metadata(fig4_count)
-    print(f"  baseline {fig4['baseline']['latency_s'] * 1e3:.3f} ms/op   "
+    print(f"  uncached {fig4['uncached']['latency_s'] * 1e3:.3f} ms/op   "
           f"cached {fig4['cached']['latency_s'] * 1e3:.3f} ms/op   "
           f"speedup {fig4['speedup']:.2f}x")
 
     print("delete_group mutation batch ...", flush=True)
     batch = bench_mutation_batch(members)
-    print(f"  baseline {batch['baseline']['latency_s'] * 1e3:.2f} ms   "
+    print(f"  uncached {batch['uncached']['latency_s'] * 1e3:.2f} ms   "
           f"cached {batch['cached']['latency_s'] * 1e3:.2f} ms   "
           f"speedup {batch['speedup']:.2f}x")
 
@@ -321,7 +316,7 @@ def main(argv: list[str] | None = None) -> int:
     print(f"criteria: {json.dumps(criteria)}")
 
     if not criteria["cached_not_slower"]:
-        print("FAIL: cached configuration is slower than the baseline", file=sys.stderr)
+        print("FAIL: cached configuration is slower than the uncached one", file=sys.stderr)
         return 1
     return 0
 

@@ -34,9 +34,7 @@ def main() -> None:
     plan = FaultPlan(seed=11)
     deployment = deploy(
         stores=faulty_stores(StoreSet.in_memory(), plan),
-        options=SeGShareOptions(
-            rollback="whole_fs", counter_kind="rote", journal=True
-        ),
+        options=SeGShareOptions(rollback="whole_fs", counter_kind="rote"),
     )
     plan.attach_platform(deployment.server.platform)
     identity = deployment.user_identity("alice")

@@ -2,9 +2,10 @@
 """The metadata cache at work: watch the enclave stop re-reading the world.
 
 Two identical servers handle the same little office workload — one with
-the enclave-resident metadata cache and batched rollback-guard flushes,
-one the way SeGShare ships in the paper (every request re-fetches,
-re-decrypts, and re-verifies every ACL, member list, and guard node).
+the enclave-resident metadata cache, one without it (every request
+re-fetches, re-decrypts, and re-verifies every ACL, member list, and
+guard node).  Both flush their rollback-guard nodes once per journaled
+batch.
 ``SeGShareServer.stats()`` exposes the counters that explain the gap:
 
 * ``cache``  — hits/misses/evictions, resident bytes, EPC charge;
@@ -24,9 +25,7 @@ def build(cached: bool):
     options = SeGShareOptions(
         rollback="whole_fs",
         counter_kind="rote",
-        journal=True,
         metadata_cache_bytes=256 * 1024 if cached else None,
-        guard_batching=cached,
     )
     return deploy(options=options)
 

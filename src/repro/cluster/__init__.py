@@ -55,9 +55,9 @@ def cluster_options(
 ) -> SeGShareOptions:
     """Force the invariants replicated serving depends on.
 
-    * ``journal=True`` + ``rollback="whole_fs"`` + ``counter_kind="rote"``
-      — failover recovers in-flight batches through the shared journal
-      and verifies freshness against the shared quorum.
+    * ``rollback="whole_fs"`` + ``counter_kind="rote"`` — failover
+      recovers in-flight batches through the shared journal (every
+      enclave runs one) and verifies freshness against the shared quorum.
     * ``metadata_cache_bytes`` and ``enable_dedup`` stay **on** (the
       ``cached`` default): replicas mutate the repository behind each
       other's backs, but the coherence log (:mod:`repro.core.coherence`)
@@ -82,7 +82,6 @@ def cluster_options(
     )
     return replace(
         base,
-        journal=True,
         rollback="whole_fs",
         counter_kind="rote",
         metadata_cache_bytes=cache_bytes if cached else None,

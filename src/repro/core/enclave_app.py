@@ -96,19 +96,12 @@ class SeGShareOptions:
     replica: bool = False
     audit: bool = False
     quota_bytes: int | None = None
-    #: Crash-consistent mutations: every multi-key request runs under the
-    #: encrypted write-ahead journal (repro/core/journal.py) and is rolled
-    #: back on enclave restart if it did not commit.
-    journal: bool = False
+    #: Accepted only as True: benchmarks/e2e/workloads.py still passes it.
+    journal: bool = True
     #: Enclave-resident metadata cache capacity (repro/core/cache.py);
     #: ``None`` disables the cache entirely.  Occupancy is charged against
     #: the platform's EPC model.
     metadata_cache_bytes: int | None = None
-    #: Flush rollback-guard nodes and the anchor once per journal batch
-    #: instead of per touched leaf.  Only takes effect with ``journal=True``
-    #: (an abort must be able to discard the pending nodes); ``False``
-    #: reproduces the per-leaf baseline for benchmarking.
-    guard_batching: bool = True
     #: Size of the switchless worker pool — the bound on concurrently
     #: executing requests when the platform clock is a ``ParallelClock``
     #: (mirrors the SDK's ``uworkers``/``tworkers`` setting).
@@ -126,6 +119,8 @@ class SeGShareOptions:
     authz_backend: str = "enclave_acl"
 
     def __post_init__(self) -> None:
+        if not self.journal:
+            raise ValueError("the journaled transaction is the only write path")
         if self.rollback not in ("off", "individual", "whole_fs"):
             raise ValueError(f"bad rollback mode {self.rollback!r}")
         if self.counter_kind not in ("sgx", "rote"):
@@ -197,8 +192,9 @@ class SeGShareEnclave(Enclave):
     #: tests/analysis/test_src_tree.py::test_trusted_code_is_reached keeps
     #: capability that only tests run from growing it back, and
     #: test_required_collaborators_are_never_optional the unclocked /
-    #: un-enclaved construction mode whose removal brought 8410 → 8346.
-    TCB_LOC_CEILING = 8346
+    #: un-enclaved construction mode whose removal brought 8410 → 8346,
+    #: and the journal-less engine whose removal brought 8346 → 8316.
+    TCB_LOC_CEILING = 8316
 
     def __init__(
         self,
@@ -271,29 +267,25 @@ class SeGShareEnclave(Enclave):
         counter = None
         if self._options.rollback == "whole_fs":
             counter = self._platform_counter()
-        journal = None
-        recovered = False
-        if self._options.journal:
-            journal = WriteAheadJournal(
-                self._stores,
-                self._root_key,
-                crash_hook=self.platform.crashpoint,
-                counter_probe=self._counter_probe(counter),
-            )
-            # Roll back any batch a crash left uncommitted BEFORE the
-            # trusted components read storage, so the dedup index, guard
-            # nodes, and directory files all come back pre-batch.  Not on
-            # a shared store: its journal marker may be a LIVE member's
-            # open commit epoch, not a crashed batch — only the cluster
-            # (takeover recovery, admission quiesce) knows which, so a
-            # booting cluster member must leave the journal alone.
-            if not (self._options.replica or self._options.shared_store):
-                recovered = journal.recover_restore()
+        journal = WriteAheadJournal(
+            self._stores,
+            self._root_key,
+            crash_hook=self.platform.crashpoint,
+            counter_probe=self._counter_probe(counter),
+        )
+        # Roll back any batch a crash left uncommitted BEFORE the trusted
+        # components read storage, so the dedup index, guard nodes, and
+        # directory files all come back pre-batch.  Not on a shared store:
+        # its journal marker may be a LIVE member's open commit epoch, not
+        # a crashed batch — only the cluster (takeover recovery, admission
+        # quiesce) knows which, so a booting cluster member must leave the
+        # journal alone.
+        own_store = not (self._options.replica or self._options.shared_store)
+        recovered = own_store and journal.recover_restore()
         self.engine = StorageEngine(
             self._stores,
             journal=journal,
             cache=self.cache,
-            guard_batching=self._options.guard_batching and self._options.journal,
             enclave=self,
         )
         # Cluster deployments install the shared coherence board on the
@@ -343,9 +335,7 @@ class SeGShareEnclave(Enclave):
             self.group_guard = self.manager.group_guard = FlatStoreGuard(
                 self.manager, self._root_key, **shared
             )
-        if journal is not None and not (
-            self._options.replica or self._options.shared_store
-        ):
+        if own_store:
             self._finish_journal_recovery(journal, recovered)
         # Overlapping transactions may now share one commit epoch; a no-op
         # on serial clocks (and until here, so the setup transactions above
@@ -755,8 +745,8 @@ class SeGShareEnclave(Enclave):
     def cluster_last_committed_stamp(self) -> str | None:
         """The token of the last request whose transaction committed."""
         self._check_alive()
-        if self.engine is None or self.engine.journal is None:
-            raise EnclaveError("cluster stamps require the write-ahead journal")
+        if self.engine is None:
+            raise EnclaveError("enclave is not ready")
         return self.engine.journal.read_committed_stamp()
 
     @ecall
@@ -772,8 +762,8 @@ class SeGShareEnclave(Enclave):
         Returns True when an uncommitted batch was rolled back.
         """
         self._check_alive()
-        if self.engine is None or self.engine.journal is None:
-            raise EnclaveError("takeover recovery requires the write-ahead journal")
+        if self.engine is None:
+            raise EnclaveError("enclave is not ready")
         if self.engine.group_commit is not None:
             # Our own open epoch would read as "transaction in flight";
             # flush it before adjudicating the crashed peer's journal.

@@ -484,10 +484,11 @@ class TrustedFileManager:
 class ContentUpload:
     """Streaming upload sink used by the request handler.
 
-    Chunks flow straight into the deduplication store (or an inline
-    record) while a SHA-256 for the rollback guard and, with dedup, the
-    HMAC for ``hName`` are computed incrementally — the enclave holds one
-    chunk at a time.
+    With dedup, chunks flow straight into the deduplication store while
+    the HMAC for ``hName`` is computed incrementally — the enclave holds
+    one chunk at a time.  Without dedup, ``_inline_parts`` holds the whole
+    upload until :meth:`finish` writes it as one inline record (not
+    charged to the EPC model; see DESIGN.md's streaming note).
     """
 
     def __init__(self, manager: TrustedFileManager, path: str) -> None:

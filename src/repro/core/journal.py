@@ -52,8 +52,9 @@ of it, which is outright forgery).  Without whole-FS protection there is
 no counter and the check is vacuous, matching the (weaker) guarantees of
 those modes.
 
-Everything here is opt-in via ``SeGShareOptions(journal=True)``; with the
-option off no wrapper is installed and no overhead exists.
+Every enclave runs its mutations under this journal: the storage
+engine (:mod:`repro.store.engine`) wraps each store in a
+:class:`JournaledStore` and its transaction span is the only write path.
 """
 
 from __future__ import annotations
@@ -581,7 +582,7 @@ class JournaledStore(UntrustedStore):
     """Store wrapper that records undo entries before every mutation.
 
     Installed between the :class:`~repro.sgx.protected_fs.ProtectedFs`
-    instances and the raw backends when journaling is enabled; reads pass
+    instances and the raw backends by the storage engine; reads pass
     straight through, mutations first persist the key's pre-image while a
     batch is open.  The journal's own keys live on the raw backend, so
     its writes never recurse through this wrapper.

@@ -60,9 +60,9 @@ from repro.tls.channel import StreamingResponse
 
 ROOT = "/"
 
-#: Requests that mutate multiple untrusted keys and therefore run inside a
-#: write-ahead journal batch when the enclave has journaling enabled.
-#: (PUT_FILE streams; its batch opens in :meth:`UploadSink.finish`.)
+#: Requests that mutate multiple untrusted keys and therefore run inside
+#: one engine transaction (one write-ahead journal batch).  (PUT_FILE
+#: streams; its batch opens in :meth:`UploadSink.finish`.)
 _MUTATING_OPS = frozenset(
     {
         Op.PUT_DIR,

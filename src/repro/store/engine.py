@@ -330,26 +330,23 @@ class DeferredStore(UntrustedStore):
 class StorageEngine:
     """Owns the journal, guards, cache, and deferred stores of one enclave.
 
-    ``backends`` is what the ProtectedFs mounts sit on: with a journal,
-    each store is wrapped ``DeferredStore -> JournaledStore -> raw``;
-    without one (the bench baseline), the raw stores pass through and
-    :meth:`transaction` is free.  ``raw`` keeps the unwrapped stores for
-    stats, sealed slots, and the journal's own marker/entry keys.
+    ``backends`` is what the ProtectedFs mounts sit on: each store is
+    wrapped ``DeferredStore -> JournaledStore -> raw``.  ``raw`` keeps the
+    unwrapped stores for stats, sealed slots, and the journal's own
+    marker/entry keys.
     """
 
     def __init__(
         self,
         stores: StoreSet,
         enclave: "Enclave",
-        journal: WriteAheadJournal | None = None,
+        journal: WriteAheadJournal,
         cache: "MetadataCache | None" = None,
-        guard_batching: bool = True,
     ) -> None:
         self.raw = stores
         self.journal = journal
         self.cache = cache
         self._enclave = enclave
-        self._guard_batching = guard_batching and journal is not None
         #: The content- and group-store mounts, in that order; installed by
         #: the trusted file manager.  Each carries its attached rollback
         #: guard (or ``None``), which is all the engine needs of them.
@@ -382,26 +379,22 @@ class StorageEngine:
         #: (namespace, key) -> value; deferred cache write-through,
         #: last write per key wins.
         self._write_backs: "OrderedDict[tuple[str, str], bytes]" = OrderedDict()
-        if journal is not None and cache is not None:
+        if cache is not None:
             # Belt and braces: ANY undo-log restore — including recovery
             # paths that bypass transaction() — drops the cache before
             # restored bytes can coexist with stale entries.
             journal.on_restore = cache.clear
-        self._deferred: tuple[DeferredStore, ...] = ()
-        if journal is not None:
-            self._deferred = tuple(
-                DeferredStore(
-                    JournaledStore(store, journal, tag), enclave=enclave, stats=self.stats
-                )
-                for store, tag in (
-                    (stores.content, TAG_CONTENT),
-                    (stores.group, TAG_GROUP),
-                    (stores.dedup, TAG_DEDUP),
-                )
+        self._deferred = tuple(
+            DeferredStore(
+                JournaledStore(store, journal, tag), enclave=enclave, stats=self.stats
             )
-            self.backends = StoreSet(*self._deferred)
-        else:
-            self.backends = stores
+            for store, tag in (
+                (stores.content, TAG_CONTENT),
+                (stores.group, TAG_GROUP),
+                (stores.dedup, TAG_DEDUP),
+            )
+        )
+        self.backends = StoreSet(*self._deferred)
 
     def attach_dedup(self, dedup: "DedupStore | None") -> None:
         """The dedup index must be re-read after an undo-log restore."""
@@ -460,21 +453,13 @@ class StorageEngine:
     def enable_group_commit(self) -> None:
         """Let overlapping transactions share one journal-commit epoch.
 
-        Only meaningful on a parallel clock (a serial timeline never
+        Only meaningful on a parallel clock: a serial timeline never
         overlaps, so every epoch would close at K=1 having paid the epoch
         bookkeeping for nothing — the serial model stays bit-identical by
-        not installing the coordinator at all) and only correct with guard
-        batching (the epoch defers the guards' node/anchor flush to its
-        close).
+        not installing the coordinator at all.
         """
-        if self.journal is None:
-            return
-        clock = self._enclave.platform.clock
-        if not isinstance(clock, ParallelClock):
-            return
-        if self.guards and not self._guard_batching:
-            return
-        self.group_commit = GroupCommitCoordinator()
+        if isinstance(self._enclave.platform.clock, ParallelClock):
+            self.group_commit = GroupCommitCoordinator()
 
     def quiesce(self) -> None:
         """Close any open epoch (bench boundaries, cluster hand-offs)."""
@@ -488,17 +473,13 @@ class StorageEngine:
     def transaction(self, label: str) -> Iterator[None]:
         """Run a multi-key mutation as one all-or-nothing unit.
 
-        Without a journal this is free.  With one, the span carries the
-        undo-journal batch, the guard node/anchor batches, the deferred
-        write buffers, and the cache write-backs: a crash inside it is
-        rolled back on restart; a non-crash failure is rolled back
-        immediately (pre-images restored, cache cleared, guards
-        re-anchored).  Nested transactions join the outer one.
+        The span carries the undo-journal batch, the guard node/anchor
+        batches, the deferred write buffers, and the cache write-backs: a
+        crash inside it is rolled back on restart; a non-crash failure is
+        rolled back immediately (pre-images restored, cache cleared,
+        guards re-anchored).  Nested transactions join the outer one.
         """
         journal = self.journal
-        if journal is None:
-            yield
-            return
         group = self.group_commit
         if group is not None:
             if group.in_member or (journal.active and not group.open):
@@ -599,7 +580,7 @@ class StorageEngine:
         journal = self.journal
         group = self.group_commit
         clock = self._enclave.platform.clock
-        assert journal is not None and group is not None
+        assert group is not None
         if self.coherence is not None:
             self.coherence.sync()
         now = clock.now()
@@ -694,7 +675,7 @@ class StorageEngine:
         journal = self.journal
         group = self.group_commit
         clock = self._enclave.platform.clock
-        assert journal is not None and group is not None
+        assert group is not None
         bg = clock.open_track("group-commit-close", start=group.release)
         try:
             with self._commit_point():
@@ -748,13 +729,10 @@ class StorageEngine:
     def _begin_guard_batches(self) -> None:
         """Defer guard node/anchor persistence until the transaction commits.
 
-        Only safe under an open undo-journal batch: an abort rolls back
-        the data writes the pending nodes describe, so dropping them is
-        consistent.  Disabled entirely with ``guard_batching=False`` (the
-        benchmark baseline).
+        Safe because every transaction runs under an open undo-journal
+        batch: an abort rolls back the data writes the pending nodes
+        describe, so dropping them is consistent.
         """
-        if not self._guard_batching:
-            return
         for guard in self.guards:
             guard.begin_batch()
 
@@ -823,7 +801,6 @@ class StorageEngine:
         self._epoch_touched = set()
         if not touched:
             return
-        assert self.journal is not None
         self.journal.crashpoint("coherence:publish")
         self.coherence.publish(touched, label)
 
@@ -876,7 +853,7 @@ class StorageEngine:
         self._touch_coherence(namespace, key)
         if self.cache is None:
             return
-        if self.journal is not None and self.journal.active:
+        if self.journal.active:
             self._write_backs.pop((namespace, key), None)
             self._write_backs[(namespace, key)] = value
         else:
@@ -892,9 +869,5 @@ class StorageEngine:
         index re-reads triggered by a sync) are not captured: they do
         not change committed shared state from a peer's point of view.
         """
-        if (
-            self.coherence is not None
-            and self.journal is not None
-            and self.journal.active
-        ):
+        if self.coherence is not None and self.journal.active:
             self._txn_touched.add((namespace, key))

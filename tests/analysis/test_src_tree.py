@@ -224,7 +224,15 @@ def test_trusted_code_is_reached():
 #: that admits ``None`` for one of them re-opens the test-only construction
 #: mode (null objects, ``if clock is not None`` arms) ISSUE 23 removed.
 REQUIRED_COLLABORATORS = frozenset(
-    {"SimClock", "Enclave", "StorageEngine", "LockManager", "EpcModel", "TransactionStats"}
+    {
+        "SimClock",
+        "Enclave",
+        "StorageEngine",
+        "LockManager",
+        "EpcModel",
+        "TransactionStats",
+        "WriteAheadJournal",
+    }
 )
 
 #: Packages whose callers really do differ, or that hold no runtime stack.
@@ -287,7 +295,8 @@ def optional_collaborator_sites(src: Path) -> list[str]:
 def test_required_collaborators_are_never_optional():
     sites = optional_collaborator_sites(SRC)
     assert not sites, (
-        "clock, enclave, engine, lock table, EPC model and transaction stats are "
-        "required collaborators (pass a real one; tests build theirs through "
+        "clock, enclave, engine, write-ahead journal, lock table, EPC model and "
+        "transaction stats are required collaborators (the journaled transaction "
+        "is the only write path; pass a real one; tests build theirs through "
         "tests/support/platform.py) — optional again at:\n  " + "\n  ".join(sites)
     )

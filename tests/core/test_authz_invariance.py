@@ -247,7 +247,6 @@ def build_server(backend: str) -> SeGShareServer:
         rollback="whole_fs",
         counter_kind="rote",
         rollback_buckets=8,
-        journal=True,
         authz_backend=backend,
     )
     return SeGShareServer(azure_wan_env(), _CA.public_key, options=options)

@@ -39,7 +39,6 @@ def build_server(**option_overrides) -> SeGShareServer:
         rollback="whole_fs",
         counter_kind="rote",
         rollback_buckets=8,
-        journal=True,
         **option_overrides,
     )
     return SeGShareServer(azure_wan_env(), _CA.public_key, options=options)
@@ -55,7 +54,6 @@ def build_parallel_server(**option_overrides) -> SeGShareServer:
         rollback="whole_fs",
         counter_kind="rote",
         rollback_buckets=8,
-        journal=True,
         switchless_workers=4,
         **option_overrides,
     )
@@ -285,7 +283,7 @@ class TestGroupMutations:
             _CA.public_key,
             stores=faulty_stores(StoreSet.in_memory(), plan),
             options=SeGShareOptions(
-                rollback="whole_fs", counter_kind="rote", rollback_buckets=8, journal=True
+                rollback="whole_fs", counter_kind="rote", rollback_buckets=8
             ),
         )
         prime(server)
@@ -510,7 +508,7 @@ class TestRecoveryDetails:
             stores = faulty_stores(StoreSet.in_memory(), plan)
             options = SeGShareOptions(
                 rollback="whole_fs", counter_kind="rote", rollback_buckets=8,
-                journal=True, enable_dedup=True,
+                enable_dedup=True,
             )
             server = SeGShareServer(
                 azure_wan_env(), _CA.public_key, stores=stores, options=options
@@ -551,7 +549,7 @@ class TestRecoveryDetails:
         plan = FaultPlan()
         stores = faulty_stores(StoreSet.in_memory(), plan)
         options = SeGShareOptions(
-            rollback="whole_fs", counter_kind="rote", rollback_buckets=8, journal=True
+            rollback="whole_fs", counter_kind="rote", rollback_buckets=8
         )
         server = SeGShareServer(
             azure_wan_env(), _CA.public_key, stores=stores, options=options
@@ -1115,7 +1113,7 @@ def test_sharded_deployment_leaves_no_saved_key():
     """Through the shard router a move is a cross-shard copy+delete; after a
     committed and after a recovered batch no saved key is left on any shard."""
     options = SeGShareOptions(
-        rollback="whole_fs", counter_kind="rote", rollback_buckets=8, journal=True,
+        rollback="whole_fs", counter_kind="rote", rollback_buckets=8,
         enable_dedup=True,
     )
     backends = [InMemoryStore() for _ in range(3)]

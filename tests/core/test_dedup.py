@@ -17,7 +17,7 @@ from tests.support.platform import engine_for, loaded_enclave
 
 
 def dedup_over(store):
-    """A standalone dedup store (fresh enclave, journal-less engine) over ``store``."""
+    """A standalone dedup store (fresh enclave and engine) over ``store``."""
     enclave = loaded_enclave()
     engine = engine_for(StoreSet(InMemoryStore(), InMemoryStore(), store), enclave)
     return DedupStore(ProtectedFs(store, master_key=bytes(16), enclave=enclave), bytes(32), engine)

@@ -111,3 +111,8 @@ class TestReadiness:
             SeGShareOptions(rollback="sometimes")
         with pytest.raises(ValueError):
             SeGShareOptions(counter_kind="hope")
+
+    def test_journal_cannot_be_turned_off(self):
+        assert SeGShareOptions().journal
+        with pytest.raises(ValueError, match="only write path"):
+            SeGShareOptions(journal=False)

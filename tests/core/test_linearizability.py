@@ -54,7 +54,6 @@ def build_server(parallel: bool) -> SeGShareServer:
         rollback="whole_fs",
         counter_kind="rote",
         rollback_buckets=8,
-        journal=True,
         metadata_cache_bytes=256 * 1024,
         switchless_workers=4,
     )

@@ -39,7 +39,6 @@ def build_server(stores: StoreSet | None = None, **option_overrides) -> SeGShare
         rollback="whole_fs",
         counter_kind="rote",
         rollback_buckets=8,
-        journal=True,
         metadata_cache_bytes=_CACHE_BYTES,
         **option_overrides,
     )
@@ -314,7 +313,6 @@ class TestEffectiveness:
                 rollback="whole_fs",
                 counter_kind="rote",
                 rollback_buckets=8,
-                journal=True,
                 metadata_cache_bytes=cache_bytes,
             )
             server = SeGShareServer(
@@ -346,16 +344,6 @@ class TestEffectiveness:
         # despite the put touching the file, its ACL, and the directory.
         assert guard_stats.anchor_writes == anchors_before + 1
         assert guard_stats.last_batch_nodes >= 1
-
-    def test_unbatched_guard_pays_per_leaf(self):
-        batched = build_server()
-        prime(batched)
-        unbatched = build_server(guard_batching=False)
-        prime(unbatched)
-        assert (
-            unbatched.enclave.guard.stats.anchor_writes
-            > batched.enclave.guard.stats.anchor_writes
-        )
 
 
 # -- the equivalence property --------------------------------------------------------
@@ -459,10 +447,8 @@ def test_cached_and_uncached_servers_are_byte_identical(seed):
             rollback="whole_fs",
             counter_kind="rote",
             rollback_buckets=8,
-            journal=True,
             enable_dedup=True,
             metadata_cache_bytes=None,
-            guard_batching=False,
         ),
     )
     cached_out = _play(cached, script)

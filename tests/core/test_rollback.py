@@ -217,7 +217,9 @@ class TestFlatGuardUnit:
 def counted(request, make_world):
     """One guard with whole-FS protection plus the means to exercise it:
     ``touch()`` mutates its store, ``read()`` is a guarded read of it,
-    ``objects`` names the data objects ``touch`` rewrites."""
+    ``objects`` names the data objects ``touch`` rewrites, and
+    ``transaction(label)`` opens the engine span that batches the guard
+    (a ``touch`` inside it joins the span instead of committing its own)."""
     world = make_world()
     counter = RoteCounterService(world.enclave.platform.clock, SgxCostModel())
     shared = dict(buckets=4, enclave=world.enclave, locks=world.locks, counter=counter)
@@ -235,6 +237,7 @@ def counted(request, make_world):
             objects="/f",
             touch=lambda: world.handler.put_file("alice", "/f", b"v%d" % (next(serial) + 1)),
             read=lambda: world.manager.read_content("/f"),
+            transaction=world.manager.transaction,
         )
     world.handler.add_user("alice", "bob", "g0")
     return SimpleNamespace(
@@ -246,6 +249,7 @@ def counted(request, make_world):
         objects="member:bob",
         touch=lambda: world.handler.add_user("alice", "bob", "g%d" % (next(serial) + 1)),
         read=lambda: world.access.user_groups("bob"),
+        transaction=world.manager.transaction,
     )
 
 
@@ -254,16 +258,15 @@ class TestSharedGuardCore:
         guard, stats = counted.guard, counted.guard.stats
         anchored = guard.expected_main()
         before = stats.snapshot()
-        guard.begin_batch()
-        counted.touch()
-        counted.touch()
-        assert (stats.node_saves, stats.anchor_writes) == (
-            before["node_saves"],
-            before["anchor_writes"],
-        )
-        assert guard.expected_main() == guard.root_hash() != anchored
-        counted.read()  # verifies against the pending root, in enclave memory
-        guard.commit_batch()
+        with counted.transaction("batch"):
+            counted.touch()
+            counted.touch()
+            assert (stats.node_saves, stats.anchor_writes) == (
+                before["node_saves"],
+                before["anchor_writes"],
+            )
+            assert guard.expected_main() == guard.root_hash() != anchored
+            counted.read()  # verifies against the pending root, in enclave memory
         assert stats.anchor_writes == before["anchor_writes"] + 1
         assert stats.batches == before["batches"] + 1
         assert stats.last_batch_nodes >= 1
@@ -276,29 +279,30 @@ class TestSharedGuardCore:
         guard = counted.guard
         anchored = guard.expected_main()
         writes = guard.stats.anchor_writes
-        guard.begin_batch()
-        counted.touch()
-        guard.abort_batch()
-        assert guard.expected_main() == guard.root_hash() == anchored
-        assert guard.stats.anchor_writes == writes
-        # The data write itself was not undone (that is the journal's
-        # job), so the stored nodes no longer describe it ...
-        with pytest.raises(RollbackDetected):
+        with counted.transaction("abort"):
+            counted.touch()
+            guard.abort_batch()
+            assert guard.expected_main() == guard.root_hash() == anchored
+            assert guard.stats.anchor_writes == writes
+            # The data write itself was not undone (that is the journal's
+            # job), so the stored nodes no longer describe it ...
+            with pytest.raises(RollbackDetected):
+                guard.verify_restored_state()
+            guard.rebuild()  # ... until they are rebuilt from it.
             guard.verify_restored_state()
-        guard.rebuild()  # ... until they are rebuilt from it.
+            counted.read()
         guard.verify_restored_state()
-        counted.read()
 
     def test_snapshot_restore_rewinds_one_member(self, counted):
         guard = counted.guard
-        guard.begin_batch()
-        counted.touch()
-        member_begin = guard.snapshot_pending()
-        main = guard.expected_main()
-        counted.touch()
-        assert guard.expected_main() != main
-        guard.restore_pending(member_begin)
-        assert guard.expected_main() == guard.root_hash() == main
+        with counted.transaction("members"):
+            counted.touch()
+            member_begin = guard.snapshot_pending()
+            main = guard.expected_main()
+            counted.touch()
+            assert guard.expected_main() != main
+            guard.restore_pending(member_begin)
+            assert guard.expected_main() == guard.root_hash() == main
 
     def test_snapshot_is_not_aliased_to_the_pending_nodes(self, counted):
         """A snapshot copies buffers: later updates must not reach it, and
@@ -308,23 +312,23 @@ class TestSharedGuardCore:
         def encoded(nodes):
             return {path: guard._encode_node(node) for path, node in nodes.items()}
 
-        guard.begin_batch()
-        counted.touch()
-        member_begin = guard.snapshot_pending()
-        frozen = encoded(member_begin[0])
-        assert frozen
-        main = guard.expected_main()
-        counted.touch()  # updates the pending nodes in place, through the hooks
-        assert guard.root_hash() != main
-        assert encoded(member_begin[0]) == frozen
-        guard.restore_pending(member_begin)
-        assert guard.expected_main() == guard.root_hash() == main
-        for node in guard._pending_nodes.values():
-            getattr(node, "buckets", node).update(0, None, b"scribble")
-        assert guard.root_hash() != main
-        assert encoded(member_begin[0]) == frozen
-        guard.restore_pending(member_begin)
-        assert guard.root_hash() == main
+        with counted.transaction("members"):
+            counted.touch()
+            member_begin = guard.snapshot_pending()
+            frozen = encoded(member_begin[0])
+            assert frozen
+            main = guard.expected_main()
+            counted.touch()  # updates the pending nodes in place, through the hooks
+            assert guard.root_hash() != main
+            assert encoded(member_begin[0]) == frozen
+            guard.restore_pending(member_begin)
+            assert guard.expected_main() == guard.root_hash() == main
+            for node in guard._pending_nodes.values():
+                getattr(node, "buckets", node).update(0, None, b"scribble")
+            assert guard.root_hash() != main
+            assert encoded(member_begin[0]) == frozen
+            guard.restore_pending(member_begin)
+            assert guard.root_hash() == main
 
     def test_counter_mismatch_is_a_rollback(self, counted):
         counted.read()

@@ -179,7 +179,6 @@ def test_fault_seeded_soak(user_key):
             rollback="whole_fs",
             counter_kind="rote",
             rollback_buckets=8,
-            journal=True,
             enable_dedup=True,
             metadata_cache_bytes=128 * 1024,
         ),

@@ -29,7 +29,7 @@ def flaky_deployment(plan: FaultPlan, **deploy_kwargs):
     return deploy(env=azure_wan_env(), stores=stores, **deploy_kwargs)
 
 
-GUARDED = SeGShareOptions(rollback="whole_fs", counter_kind="rote", journal=True)
+GUARDED = SeGShareOptions(rollback="whole_fs", counter_kind="rote")
 
 
 def _handle_door(enclave, alice, path, op):
@@ -117,9 +117,7 @@ class TestTransientStorageFaults:
         plan = FaultPlan()
         deployment = flaky_deployment(
             plan,
-            options=SeGShareOptions(
-                rollback="whole_fs", counter_kind="rote", journal=True
-            ),
+            options=GUARDED,
         )
         identity = deployment.user_identity("alice", key=user_key)
         alice = deployment.connect(identity, retry=POLICY)
@@ -143,9 +141,7 @@ class TestTransientStorageFaults:
         plan = FaultPlan()
         deployment = flaky_deployment(
             plan,
-            options=SeGShareOptions(
-                rollback="whole_fs", counter_kind="rote", journal=True
-            ),
+            options=GUARDED,
         )
         identity = deployment.user_identity("alice", key=user_key)
         alice = deployment.connect(identity)  # no retry policy
@@ -160,9 +156,7 @@ class TestTransientStorageFaults:
         plan = FaultPlan()
         deployment = flaky_deployment(
             plan,
-            options=SeGShareOptions(
-                rollback="whole_fs", counter_kind="rote", journal=True
-            ),
+            options=GUARDED,
         )
         identity = deployment.user_identity("alice", key=user_key)
         alice = deployment.connect(
@@ -189,7 +183,6 @@ class TestTransientStorageFaults:
             options=SeGShareOptions(
                 rollback="whole_fs",
                 counter_kind="rote",
-                journal=True,
                 enable_dedup=True,
             ),
         )
@@ -252,9 +245,7 @@ class TestUnavailability:
     def test_quorum_loss_raises_service_unavailable(self, user_key):
         deployment = deploy(
             env=azure_wan_env(),
-            options=SeGShareOptions(
-                rollback="whole_fs", counter_kind="rote", journal=True
-            ),
+            options=GUARDED,
         )
         identity = deployment.user_identity("alice", key=user_key)
         alice = deployment.connect(identity, retry=POLICY)

@@ -57,7 +57,6 @@ def build_server(stores: StoreSet) -> SeGShareServer:
         rollback="whole_fs",
         counter_kind="rote",
         rollback_buckets=8,
-        journal=True,
         metadata_cache_bytes=256 * 1024,
     )
     return SeGShareServer(azure_wan_env(), _CA.public_key, stores=stores, options=options)

@@ -35,7 +35,6 @@ def build_server(parallel: bool = True, stores=None, **overrides) -> SeGShareSer
         rollback="whole_fs",
         counter_kind="rote",
         rollback_buckets=8,
-        journal=True,
         switchless_workers=4,
         **overrides,
     )

@@ -3,7 +3,7 @@
 Production code takes its clock, enclave and engine unconditionally; unit
 tests that exercise one component get them here instead of passing
 ``None``: a minimal :class:`Enclave` loaded on a platform with a serial
-:class:`SimClock`, and a :class:`StorageEngine` over it.
+:class:`SimClock`, and a journaled :class:`StorageEngine` over it.
 """
 
 from __future__ import annotations
@@ -33,8 +33,9 @@ def loaded_enclave(clock: SimClock | None = None, costs: SgxCostModel = DEFAULT_
 def engine_for(
     stores: StoreSet,
     enclave: Enclave,
-    journal: WriteAheadJournal | None = None,
     cache: MetadataCache | None = None,
 ) -> StorageEngine:
-    """The storage engine ``enclave`` would build over ``stores``."""
+    """The storage engine ``enclave`` would build over ``stores``: journaled,
+    with the journal's steps wired to the platform's crashpoints."""
+    journal = WriteAheadJournal(stores, bytes(32), crash_hook=enclave.platform.crashpoint)
     return StorageEngine(stores, enclave, journal=journal, cache=cache)
