@@ -55,6 +55,10 @@ class DedupStore:
         # file encodes it).  The bytes are kept so that persisting the
         # index re-encodes only the entry that changed.
         self._index: dict[str, tuple[str, int, bytes]] = {}
+        #: The index changed since it was last sealed.  Inside a storage
+        #: engine span the seal waits for the span's end (``seal_index``),
+        #: so a request that touches several entries writes it once.
+        self._dirty = False
         if self._pfs.exists(_INDEX_PATH):
             self._load_index()
 
@@ -82,12 +86,24 @@ class DedupStore:
         encoded = pack_str(h_name) + pack_str(object_id) + pack_u32(refcount)
         self._index[h_name] = (object_id, refcount, encoded)
 
+    def _changed(self) -> None:
+        """Seal now, or at the end of the engine span this change belongs to."""
+        self._dirty = True
+        if not self._engine.in_span:
+            self.seal_index()
+
+    def seal_index(self) -> None:
+        """Write the index if it changed since it was last sealed."""
+        if self._dirty:
+            self._store_index()
+
     def _store_index(self) -> None:
         index = self._index
         blob = pack_u32(len(index)) + b"".join([index[h_name][2] for h_name in sorted(index)])
         self._engine.invalidate(_NS_DEDUP, _INDEX_PATH)
         self._pfs.write_file(_INDEX_PATH, blob)
         self._engine.write_back(_NS_DEDUP, _INDEX_PATH, blob)
+        self._dirty = False
 
     # -- content hashing -----------------------------------------------------
 
@@ -112,12 +128,12 @@ class DedupStore:
         existing = self._index.get(h_name)
         if existing is not None:
             # `obj:*` blobs are never metadata-cached; only the index file
-            # is, and _store_index() below invalidates it before writing.
+            # is, and _store_index() invalidates it before writing.
             self._pfs.remove(object_id)
             self._set(h_name, existing[0], existing[1] + 1)
         else:
             self._set(h_name, object_id, 1)
-        self._store_index()
+        self._changed()
         return h_name
 
     def put(self, content: bytes) -> str:
@@ -170,7 +186,7 @@ class DedupStore:
         self._engine.coherence_check()
         object_id, refcount, _ = self._index[h_name]
         self._set(h_name, object_id, refcount + 1)
-        self._store_index()
+        self._changed()
 
     def release(self, h_name: str) -> None:
         """Drop one reference; the last reference reclaims the object."""
@@ -185,7 +201,7 @@ class DedupStore:
             self._pfs.remove(object_id)
         else:
             self._set(h_name, object_id, refcount - 1)
-        self._store_index()
+        self._changed()
 
     def refcount(self, h_name: str) -> int:
         self._engine.coherence_check()
@@ -197,8 +213,16 @@ class DedupStore:
 
         An undo-journal rollback restores the on-disk index bytes
         underneath this cache; the in-memory copy must follow or later
-        refcounts act on the aborted batch's state.
+        refcounts act on the aborted batch's state.  Unsealed changes go
+        with it: they belong to the aborted span.
         """
+        # A reload while a span still runs (a peer invalidation, or a host
+        # bumping the coherence board) would drop the span's unsealed
+        # changes while its object links commit.  Fail the span instead;
+        # its rollback reloads.
+        if self._dirty and self._engine.in_span:
+            raise StorageError("dedup index invalidated under an uncommitted change")
+        self._dirty = False
         # Re-read storage, not a cached copy of the aborted state.
         self._engine.invalidate(_NS_DEDUP, _INDEX_PATH)
         if self._pfs.exists(_INDEX_PATH):
@@ -211,10 +235,10 @@ class DedupStore:
 
         A crash can strand objects: streamed chunks land in the store
         before the index adopts them, and an undo-log rollback restores
-        the index without deleting the abandoned object.  Index-first
-        write ordering guarantees the converse (referenced-but-missing)
-        cannot happen, so sweeping unreferenced ``obj:`` keys after
-        crash recovery is always safe.
+        the index without deleting the abandoned object.  The converse
+        (referenced-but-missing) cannot happen: the index and the object
+        links commit atomically in one journaled span, so sweeping
+        unreferenced ``obj:`` keys after crash recovery is always safe.
         """
         # The candidates come from a scan of every key, not of metadata: a
         # stranded upload has chunks but no metadata yet (close() writes

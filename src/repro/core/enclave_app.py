@@ -194,7 +194,9 @@ class SeGShareEnclave(Enclave):
     #: test_required_collaborators_are_never_optional the unclocked /
     #: un-enclaved construction mode whose removal brought 8410 → 8346,
     #: and the journal-less engine whose removal brought 8346 → 8316.
-    TCB_LOC_CEILING = 8316
+    #: docs/PERF.md §11 paid for its per-span index seal by deleting
+    #: test-only path, key-fingerprint and multiset routines: 8316 → 8297.
+    TCB_LOC_CEILING = 8297
 
     def __init__(
         self,

@@ -540,17 +540,21 @@ class RollbackGuard(_GuardCore):
         missing files are skipped: an attacker deleting a file cannot hide
         it (its main hash is still in the stored bucket, so recomputation
         mismatches), and multi-step operations like move may transiently
-        leave a listing ahead of the object it names.
+        leave a listing ahead of the object it names.  The bucket test
+        comes first: only the ~1/B of candidates in ``bucket`` are
+        looked up in storage.
         """
         directory = DirectoryFile.deserialize(self._mount.raw_read(node.path))
         members = []
         for child in directory.children:
             for candidate in (child, acl_path(child)):
+                if self._bucket_of(candidate) != bucket:
+                    continue
                 if candidate.endswith("/"):
                     present = self._node_exists(candidate)
                 else:
                     present = self._mount.raw_exists(candidate)
-                if present and self._bucket_of(candidate) == bucket:
+                if present:
                     members.append(candidate)
         return members
 
@@ -679,24 +683,25 @@ class FlatStoreGuard(_GuardCore):
 
     # -- leaves ----------------------------------------------------------------------------
 
-    def _leaves(self) -> list[str]:
+    def _leaves(self, bucket: int | None = None) -> list[str]:
         """All guarded group-store files: group list, registry, member lists.
 
         Enumerated through the user registry so the list works under path
         hiding too (storage keys are HMACs and cannot be enumerated).
+        With ``bucket``, only the files falling into it — filtered before
+        the existence check, so a verify looks up ~1/B of them.
         """
-        paths = []
         registry_path = member_list_path(USER_REGISTRY_ID)
-        for path in (GROUP_LIST_PATH, registry_path):
-            if self._mount.raw_exists(path):
-                paths.append(path)
+        candidates = [GROUP_LIST_PATH, registry_path]
         if self._mount.raw_exists(registry_path):
             registry = MemberListFile.deserialize(self._mount.raw_read(registry_path))
-            for user_id in registry.groups:
-                path = member_list_path(user_id)
-                if self._mount.raw_exists(path):
-                    paths.append(path)
-        return paths
+            candidates += [member_list_path(user_id) for user_id in registry.groups]
+        return [
+            path
+            for path in candidates
+            if (bucket is None or self._bucket_of(path) == bucket)
+            and self._mount.raw_exists(path)
+        ]
 
     def _stored_leaf_main(self, path: str) -> bytes:
         data = self._mount.raw_read(path)
@@ -749,9 +754,7 @@ class FlatStoreGuard(_GuardCore):
         target_bucket = self._bucket_of(path)
         recomputed = MSetXorHash(self._key)
         seen_target = False
-        for member in self._leaves():
-            if self._bucket_of(member) != target_bucket:
-                continue
+        for member in self._leaves(target_bucket):
             if member == path:
                 recomputed.add(self._leaf_main(member, content_hash))
                 seen_target = True

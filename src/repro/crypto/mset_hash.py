@@ -75,13 +75,6 @@ class MSetXorHash:
         """The 40-byte hash value: 32-byte accumulator || 8-byte count."""
         return self._acc + self._count.to_bytes(8, "big")
 
-    @property
-    def count(self) -> int:
-        return self._count
-
-    def copy(self) -> "MSetXorHash":
-        return MSetXorHash(self._key, self._acc, self._count)
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, MSetXorHash):
             return NotImplemented

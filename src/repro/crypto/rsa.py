@@ -49,10 +49,6 @@ class RsaPublicKey:
         r.expect_end()
         return cls(n=n, e=e)
 
-    def fingerprint(self) -> bytes:
-        """SHA-256 over the canonical serialization; identifies the key."""
-        return hashlib.sha256(self.serialize()).digest()
-
 
 @dataclass(frozen=True)
 class RsaPrivateKey:

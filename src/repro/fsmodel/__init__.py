@@ -3,10 +3,7 @@
 from repro.fsmodel.directory import DirectoryFile
 from repro.fsmodel.paths import (
     ROOT,
-    ancestors,
     is_dir_path,
-    join,
-    name_of,
     parent,
     validate_path,
 )
@@ -14,10 +11,7 @@ from repro.fsmodel.paths import (
 __all__ = [
     "ROOT",
     "DirectoryFile",
-    "ancestors",
     "is_dir_path",
-    "join",
-    "name_of",
     "parent",
     "validate_path",
 ]

@@ -61,52 +61,3 @@ def parent(path: str) -> str:
     trimmed = path[:-1] if path.endswith("/") else path
     cut = trimmed.rfind("/")
     return trimmed[: cut + 1]
-
-
-def name_of(path: str) -> str:
-    """The final name component (directory name or filename).
-
-    >>> name_of("/D/F")
-    'F'
-    >>> name_of("/D/E/")
-    'E'
-    """
-    validate_path(path)
-    if path == ROOT:
-        return "/"
-    trimmed = path[:-1] if path.endswith("/") else path
-    return trimmed[trimmed.rfind("/") + 1 :]
-
-
-def join(directory: str, name: str, is_dir: bool = False) -> str:
-    """Append ``name`` to directory path ``directory``.
-
-    >>> join("/D/", "F")
-    '/D/F'
-    >>> join("/", "E", is_dir=True)
-    '/E/'
-    """
-    if not is_dir_path(directory):
-        raise PathError(f"{directory!r} is not a directory path")
-    if "/" in name or not name:
-        raise PathError(f"invalid name {name!r}")
-    result = directory + name + ("/" if is_dir else "")
-    validate_path(result)
-    return result
-
-
-def ancestors(path: str) -> list[str]:
-    """All ancestor directories from the root down, excluding ``path`` itself.
-
-    >>> ancestors("/D/E/F")
-    ['/', '/D/', '/D/E/']
-    """
-    validate_path(path)
-    if path == ROOT:
-        return []
-    result = [ROOT]
-    trimmed = path[1:-1] if path.endswith("/") else path[1:]
-    components = trimmed.split("/")
-    for component in components[:-1]:
-        result.append(result[-1] + component + "/")
-    return result

@@ -131,9 +131,6 @@ class GroupCommitCoordinator:
         self.open = False
         self.release = 0.0
         self.members = 0
-        #: True while a member transaction span is executing; transactions
-        #: started inside it are nested and must join it, not the epoch.
-        self.in_member = False
 
 
 class DeferredStore(UntrustedStore):
@@ -352,6 +349,11 @@ class StorageEngine:
         #: guard (or ``None``), which is all the engine needs of them.
         self.mounts: "tuple[Mount, ...]" = ()
         self.dedup: "DedupStore | None" = None
+        #: True while the body of an outermost span (a serial transaction
+        #: or an epoch member) runs: transactions started inside it are
+        #: nested and join it, and the dedup index waits for its end to
+        #: be sealed once.
+        self.in_span = False
         self.stats = TransactionStats()
         #: Group-commit coordinator; installed by :meth:`enable_group_commit`
         #: once the guards are wired (``None`` keeps the serial commit path
@@ -482,12 +484,15 @@ class StorageEngine:
         journal = self.journal
         group = self.group_commit
         if group is not None:
-            if group.in_member or (journal.active and not group.open):
+            if self.in_span or (journal.active and not group.open):
                 # Nested inside an epoch member — or the journal is active
                 # without an epoch of ours, i.e. crash recovery restored an
                 # epoch and kept recording open (takeover): join it as a
                 # plain span so recovery writes stay journaled until
                 # recover_finish, instead of opening a second epoch over it.
+                # A takeover span leaves in_span False, so a dedup change
+                # made in it is sealed at once, not left for a span end
+                # that never comes.
                 yield
                 return
             with self._group_member(label):
@@ -513,12 +518,15 @@ class StorageEngine:
             key, sealed = journal.seal_stamp(stamp)
             self.backends.content.put(key, sealed)
         puts_before = self.stats.puts
+        self.in_span = True
         try:
             yield
-            # Commit inside the try: a fault while persisting the batched
-            # guard nodes or flushing the buffers rolls the whole
-            # transaction back like any other fault.  Guard batches commit
-            # first so their node/anchor writes join the buffered group.
+            # Commit inside the try: a fault while sealing the index,
+            # persisting the batched guard nodes or flushing the buffers
+            # rolls the whole transaction back like any other fault.  Guard
+            # batches commit first so their node/anchor writes join the
+            # buffered group.
+            self._seal_dedup_index()
             with self._commit_point():
                 self._commit_guard_batches()
                 self._flush_deferred()
@@ -526,6 +534,9 @@ class StorageEngine:
             # The enclave is gone; restart recovery replays the undo log.
             raise
         except BaseException:
+            # The body is over: the rollback's index reload may now drop
+            # its unsealed changes.
+            self.in_span = False
             self._abort_guard_batches()
             for store in self._deferred:
                 store.discard()
@@ -563,6 +574,8 @@ class StorageEngine:
             self._publish_coherence(label)
             self.stats.commits += 1
             self.stats.last_commit_puts = self.stats.puts - puts_before
+        finally:
+            self.in_span = False
 
     # -- group commit ---------------------------------------------------------
 
@@ -610,9 +623,12 @@ class StorageEngine:
             key, sealed = journal.seal_stamp(stamp)
             self.backends.content.put(key, sealed)
         puts_before = self.stats.puts
-        group.in_member = True
+        self.in_span = True
         try:
             yield
+            # Sealed per member, never at epoch close: the index must be
+            # durable at this member's commit record.
+            self._seal_dedup_index()
             with self._commit_point():
                 self._flush_deferred()
                 mains = [
@@ -623,6 +639,7 @@ class StorageEngine:
         except EnclaveCrashed:
             raise
         except BaseException:
+            self.in_span = False
             for store in self._deferred:
                 store.discard()
             self._write_backs.clear()
@@ -660,7 +677,7 @@ class StorageEngine:
             self.stats.commits += 1
             self.stats.last_commit_puts = self.stats.puts - puts_before
         finally:
-            group.in_member = False
+            self.in_span = False
 
     def _close_epoch(self, reason: str) -> None:
         """Flush the epoch's deferred guard state and drop the marker.
@@ -725,6 +742,11 @@ class StorageEngine:
         return self._enclave.platform.clock.exclusive(
             "journal-commit", account="commit-wait"
         )
+
+    def _seal_dedup_index(self) -> None:
+        """One index write per span, outside the serialized commit section."""
+        if self.dedup is not None:
+            self.dedup.seal_index()
 
     def _begin_guard_batches(self) -> None:
         """Defer guard node/anchor persistence until the transaction commits.

@@ -132,14 +132,6 @@ ALLOWED_UNREACHED: dict[str, str] = {
         "test observer: tests/core/test_dedup.py and tests/faults/test_retry.py "
         "state the exact-refcount invariant through it instead of reading _index"
     ),
-    "repro.fsmodel.paths.name_of": (
-        "unreached §II-C path algebra, a deletion candidate: ISSUE 19 fixed the set "
-        "of tests that may go and test_name_of / test_parent_inverts_join are not in it"
-    ),
-    "repro.fsmodel.paths.ancestors": (
-        "as name_of: unreached, kept only because TestAncestors is outside ISSUE 19's "
-        "removable set (CHANGES.md lists both as the next cut)"
-    ),
 }
 
 

@@ -5,8 +5,11 @@ import itertools
 
 import pytest
 
+from repro.core.coherence import CoherenceManager
 from repro.core.dedup import DedupStore
+from repro.core.requests import Status
 from repro.errors import StorageError
+from repro.netsim.coherence import CoherenceBoard
 from repro.sgx.protected_fs import ProtectedFs
 from repro.storage.backends import InMemoryStore
 from repro.storage.stores import StoreSet
@@ -157,6 +160,80 @@ class TestSystemLevel:
         used_with = sum(with_dedup.manager.stored_bytes().values())
         used_without = sum(without.manager.stored_bytes().values())
         assert used_with < used_without / 5
+
+
+class TestIndexSeals:
+    """Counts, not seconds: inside an engine span the index is sealed once,
+    at the span's end; outside one, every change is sealed at once."""
+
+    @staticmethod
+    def _index_writes(monkeypatch) -> list[int]:
+        writes = []
+        original = ProtectedFs.write_file
+
+        def recording(self, path, data):
+            if path == "dedup-index":
+                writes.append(len(data))
+            return original(self, path, data)
+
+        monkeypatch.setattr(ProtectedFs, "write_file", recording)
+        return writes
+
+    def test_overwriting_upload_seals_the_index_once(self, make_world, monkeypatch):
+        world = make_world(enable_dedup=True)
+        world.handler.put_file("alice", "/a", b"v1")
+        dedup = world.manager.dedup
+        writes = self._index_writes(monkeypatch)
+        world.handler.put_file("alice", "/a", b"v2")  # adopts v2, releases v1
+        assert len(writes) == 1
+        in_memory = dict(dedup._index)
+        dedup.reload_index()
+        assert dedup._index == in_memory
+        assert world.manager.read_content("/a") == b"v2"
+
+    def test_a_board_bump_mid_upload_cannot_drop_the_adoption(
+        self, make_world, monkeypatch
+    ):
+        """The host bumps the coherence board between the upload adopting v2
+        and the release of v1.  The forced index reload must not throw away
+        the unsealed adoption while the content file commits pointing at
+        it: the PUT fails and the share stays at v1."""
+        world = make_world(enable_dedup=True)
+        engine = world.manager.engine
+        board = CoherenceBoard()
+        engine.attach_coherence(CoherenceManager(board, bytes(32), engine))
+        world.handler.put_file("alice", "/a", b"v1")
+        dedup = world.manager.dedup
+        h_v1, h_v2 = dedup.h_name(b"v1"), dedup.h_name(b"v2")
+        original = DedupStore.release
+
+        def bump_then_release(self, h_name):
+            board._epoch += 1  # no entry behind it: a forced full discard
+            return original(self, h_name)
+
+        monkeypatch.setattr(DedupStore, "release", bump_then_release)
+        assert world.handler.put_file("alice", "/a", b"v2").status is Status.ERROR
+        monkeypatch.undo()
+
+        assert not dedup._dirty
+        assert world.manager.read_content("/a") == b"v1"
+        assert (dedup.refcount(h_v1), dedup.refcount(h_v2)) == (1, 0)
+        in_memory = dict(dedup._index)
+        dedup.reload_index()
+        assert dedup._index == in_memory
+        assert world.handler.put_file("alice", "/a", b"v2").status is Status.OK
+        assert world.manager.read_content("/a") == b"v2"
+        assert (dedup.refcount(h_v1), dedup.refcount(h_v2)) == (0, 1)
+
+    def test_a_change_outside_any_span_is_sealed_at_once(self, monkeypatch):
+        backend = InMemoryStore()
+        dedup = dedup_over(backend)
+        writes = self._index_writes(monkeypatch)
+        h_name = dedup.put(b"alone")
+        assert len(writes) == 1
+        dedup.release(dedup.put(b"other"))
+        assert len(writes) == 3
+        assert dedup_over(backend).refcount(h_name) == 1
 
 
 class TestSweepOrphans:

@@ -5,8 +5,11 @@ from types import SimpleNamespace
 
 import pytest
 
+from repro.core.acl import acl_path, member_list_path
+from repro.core.file_manager import Mount
 from repro.core.rollback import FlatStoreGuard, RollbackGuard
 from repro.errors import CounterError, RollbackDetected
+from repro.fsmodel import DirectoryFile
 from repro.sgx.costmodel import SgxCostModel
 from repro.sgx.counters import RoteCounterService
 from repro.storage.stores import StoreSet
@@ -64,6 +67,46 @@ class TestHappyPath:
             world.handler.put_file("alice", f"/f{i}", bytes([i]))
         for i in range(20):
             assert world.manager.read_content(f"/f{i}") == bytes([i])
+
+
+def test_bucket_walk_looks_up_only_the_targets_bucket(make_world, monkeypatch):
+    """Counts, not seconds: a verify under a directory listing 1 000 files
+    checks storage only for the ~2·1000/B candidates (file and ACL) that
+    share the target's bucket, not for every child.  Listed-but-missing
+    children (990 of them here) are skipped as before."""
+    buckets = 64
+    world = make_world(rollback=True, buckets=buckets)
+    guard = world.guard
+    world.handler.put_dir("alice", "/big/")
+    for i in range(10):
+        world.handler.put_file("alice", f"/big/f{i:04d}", b"x%d" % i)
+    listing = DirectoryFile.deserialize(guard._mount.raw_read("/big/"))
+    for i in range(10, 1000):
+        listing.add(f"/big/f{i:04d}")
+    guard._mount.raw_write("/big/", listing.serialize())
+
+    target = "/big/f0003"
+    in_bucket = {
+        level: [
+            candidate
+            for child in DirectoryFile.deserialize(guard._mount.raw_read(level)).children
+            for candidate in (child, acl_path(child))
+            if guard._bucket_of(candidate) == guard._bucket_of(through)
+        ]
+        for level, through in (("/big/", target), ("/", "/big/"))
+    }
+    checks = []
+    original = Mount.raw_exists
+
+    def counting(self, path):
+        checks.append(path)
+        return original(self, path)
+
+    monkeypatch.setattr(Mount, "raw_exists", counting)
+    assert world.manager.read_content(target) == b"x3"
+    # One check for the read itself, then exactly the in-bucket candidates.
+    assert len(checks) == 1 + sum(len(found) for found in in_bucket.values())
+    assert len(checks) <= 2 * (2 * 1000 / buckets) + 8  # the parent made 2 003
 
 
 class TestContentRollbackAttacks:
@@ -145,6 +188,29 @@ class TestGroupStoreGuard:
         restore(store, old)
         with pytest.raises(RollbackDetected):
             guarded.access.exists_g("sales")
+
+    def test_verify_checks_only_the_targets_bucket(self, make_world, monkeypatch):
+        """Counts, not seconds: with 200 member lists, verifying one looks
+        up the registry plus the leaves in the target's bucket only."""
+        world = make_world(rollback=True, buckets=16)
+        for i in range(200):
+            world.handler.add_user("alice", f"u{i:03d}", "eng")
+        guard = world.group_guard
+        target = member_list_path("u007")
+        leaves = guard._leaves()
+        assert len(leaves) == 203  # group list, registry, alice and 200 members
+        in_bucket = [leaf for leaf in leaves if guard._bucket_of(leaf) == guard._bucket_of(target)]
+        data = guard._mount._load(target)
+        checks = []
+        original = Mount.raw_exists
+
+        def counting(self, path):
+            checks.append(path)
+            return original(self, path)
+
+        monkeypatch.setattr(Mount, "raw_exists", counting)
+        guard.verify_read(target, guard._mount._content_hash(data))
+        assert len(checks) == 1 + len(in_bucket)  # the parent made 204
 
 
 class TestAnchoring:

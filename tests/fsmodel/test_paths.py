@@ -5,15 +5,40 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.errors import PathError
-from repro.fsmodel import (
-    ROOT,
-    ancestors,
-    is_dir_path,
-    join,
-    name_of,
-    parent,
-    validate_path,
-)
+from repro.fsmodel import ROOT, is_dir_path, parent, validate_path
+
+
+# Path helpers the enclave has no use for, kept here to state the rules
+# Section II-C implies (names, joining, the ancestor chain) as tests.
+
+
+def name_of(path: str) -> str:
+    """The final name component (directory name or filename)."""
+    validate_path(path)
+    if path == ROOT:
+        return "/"
+    trimmed = path[:-1] if path.endswith("/") else path
+    return trimmed[trimmed.rfind("/") + 1 :]
+
+
+def join(directory: str, name: str, is_dir: bool = False) -> str:
+    """Append ``name`` to directory path ``directory``."""
+    if not is_dir_path(directory):
+        raise PathError(f"{directory!r} is not a directory path")
+    if "/" in name or not name:
+        raise PathError(f"invalid name {name!r}")
+    result = directory + name + ("/" if is_dir else "")
+    validate_path(result)
+    return result
+
+
+def ancestors(path: str) -> list[str]:
+    """All ancestor directories, root first, built by repeated ``parent``."""
+    chain = []
+    while path != ROOT:
+        path = parent(path)
+        chain.append(path)
+    return chain[::-1]
 
 
 class TestValidation:

@@ -13,13 +13,15 @@ from __future__ import annotations
 import pytest
 
 from repro.bench.concurrency import parallel_env
+from repro.core.coherence import CoherenceManager
 from repro.core.enclave_app import SeGShareOptions
 from repro.core.journal import TAG_CONTENT, TAG_DEDUP, JournaledStore, WriteAheadJournal
 from repro.core.requests import Op, Request, Status
 from repro.core.server import SeGShareServer
-from repro.errors import EnclaveCrashed
+from repro.errors import EnclaveCrashed, StorageError
 from repro.faults import FaultPlan, faulty_stores
 from repro.netsim import azure_wan_env
+from repro.netsim.coherence import CoherenceBoard
 from repro.pki import CertificateAuthority
 from repro.storage.stores import StoreSet
 from repro.store.engine import DeferredStore, TransactionStats
@@ -191,6 +193,86 @@ class TestMemberAtomicity:
         server.switchless.dispatch(put_thunk(server, "/d/bad", b"doomed"), arrival=t2)
         engine.quiesce()
         assert manager.read_content("/d/bad") == b"doomed"
+
+    def test_member_abort_after_an_index_change_keeps_the_index_sealed(self):
+        """Member 1 commits a dedup upload; member 2 of the same epoch
+        changes the index and aborts.  The index is sealed per member, so
+        member 1's refcounts are durable at its commit record, and the
+        abort leaves memory equal to the persisted blob."""
+        server = build_server(enable_dedup=True)
+        engine = server.enclave.engine
+        dedup = server.enclave.manager.dedup
+        setup_dir(server)
+        server.enclave.handler.put_file("alice", "/d/first", b"shared")
+        engine.quiesce()
+        h_shared = dedup.h_name(b"shared")
+        stats = engine.group_commit.stats
+        epochs0, members0 = stats.epochs, stats.members_total
+        aborts0 = engine.stats.aborts
+
+        t0 = server.env.clock.now()
+        server.switchless.dispatch(put_thunk(server, "/d/second", b"shared"), arrival=t0)
+
+        def doomed():
+            with pytest.raises(RuntimeError):
+                with engine.transaction("doomed"):
+                    dedup.release(h_shared)
+                    dedup.put(b"never adopted")
+                    assert dedup._dirty
+                    raise RuntimeError("abort after changing the index")
+
+        server.switchless.dispatch(doomed, arrival=t0)
+        assert engine.group_commit.open and engine.group_commit.members == 1
+        assert engine.stats.aborts == aborts0 + 1
+        assert not dedup._dirty
+        assert dedup.refcount(h_shared) == 2
+        in_memory = dict(dedup._index)
+        dedup.reload_index()
+        assert dedup._index == in_memory
+
+        engine.quiesce()
+        assert (stats.epochs, stats.members_total) == (epochs0 + 1, members0 + 1)
+        server.restart_enclave()
+        assert server.enclave.manager.dedup.refcount(h_shared) == 2
+        assert server.enclave.manager.read_content("/d/second") == b"shared"
+
+    def test_a_board_bump_inside_a_member_aborts_it_not_its_index_change(self):
+        """A member changes the index, then the host bumps the coherence
+        board and the member's next lookup syncs.  The forced reload must
+        not drop the member's unsealed change while the member commits:
+        the member aborts, and the member before it stands."""
+        server = build_server(enable_dedup=True)
+        engine = server.enclave.engine
+        dedup = server.enclave.manager.dedup
+        board = CoherenceBoard()
+        engine.attach_coherence(CoherenceManager(board, bytes(32), engine))
+        setup_dir(server)
+        h_shared = dedup.h_name(b"shared")
+        aborts0 = engine.stats.aborts
+
+        t0 = server.env.clock.now()
+        server.switchless.dispatch(put_thunk(server, "/d/first", b"shared"), arrival=t0)
+
+        def bumped():
+            with pytest.raises(StorageError):
+                with engine.transaction("bumped"):
+                    dedup.put(b"shared")
+                    board._epoch += 1  # no entry behind it: a forced full discard
+                    dedup.refcount(h_shared)
+
+        server.switchless.dispatch(bumped, arrival=t0)
+        assert engine.group_commit.open and engine.group_commit.members == 1
+        assert engine.stats.aborts == aborts0 + 1
+        assert not dedup._dirty
+        assert dedup.refcount(h_shared) == 1
+        in_memory = dict(dedup._index)
+        dedup.reload_index()
+        assert dedup._index == in_memory
+
+        engine.quiesce()
+        server.restart_enclave()
+        assert server.enclave.manager.dedup.refcount(h_shared) == 1
+        assert server.enclave.manager.read_content("/d/first") == b"shared"
 
 
 class TestEpochDurability:
