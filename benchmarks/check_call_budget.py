@@ -14,8 +14,8 @@ for every workload, each in its own process, and exits non-zero if one
 exceeds its budget.  Each budget sits between the count measured with the
 change that set it and the count before it (§8's ledger table, §9's for
 ``bulk_stream``, whose count is per-chunk framing and undo entries, and
-§11's for ``edit_churn``, whose count is index seals and bucket walks;
-all on Python 3.11).
+§12's for ``edit_churn`` and ``cluster_fanout``, whose counts are dedup
+record seals and peer re-reads; all on Python 3.11).
 """
 
 from __future__ import annotations
@@ -32,9 +32,9 @@ from e2e.cli import child  # noqa: E402
 METRIC = "trace.py_calls_per_op"
 BUDGETS = {
     "browse_hot": 1000.0,
-    "edit_churn": 3100.0,
+    "edit_churn": 2800.0,
     "bulk_stream": 25000.0,
-    "cluster_fanout": 1300.0,
+    "cluster_fanout": 710.0,
 }
 
 

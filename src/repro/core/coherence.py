@@ -15,12 +15,13 @@ wins them back with an invalidation protocol over the untrusted
 * **Sync** — before serving from cache, a replica compares its applied
   epoch against the board counter (one untrusted int read, no ocall
   cost).  On lag it decrypts and applies the queued entries in order,
-  discarding exactly the named ``(namespace, key)`` pairs.
+  discarding exactly the named ``(namespace, key)`` pairs and re-reading
+  exactly the named dedup records.
 * **Fall back** — any anomaly (missing epoch, failed authentication,
   counter rewind, reset entry) degrades to a strict full cache discard
-  plus dedup index re-read, the same posture an uncached cluster is
-  always in.  The host can therefore slow a replica down, never feed it
-  stale plaintext.
+  plus a re-read of every dedup record, the same posture an uncached
+  cluster is always in.  The host can therefore slow a replica down,
+  never feed it stale plaintext.
 
 Entries are encrypted rather than bare-MACed because cache keys are
 logical paths: under ``hide_paths`` the host must not learn which files
@@ -35,6 +36,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Dict, Iterable, Tuple
 
+from repro.core.dedup import NS_DEDUP
 from repro.crypto import default_pae, derive_key
 from repro.errors import ReproError
 from repro.util.serialization import (
@@ -47,11 +49,6 @@ from repro.util.serialization import (
 if TYPE_CHECKING:
     from repro.netsim.coherence import CoherenceBoard
     from repro.store.engine import StorageEngine
-
-#: Namespace the dedup index is cached under (``repro.core.dedup``).
-#: Discarding a key in it means the enclave-resident index object is
-#: stale too, so the manager triggers a full index re-read.
-_NS_DEDUP = "dedup"
 
 _KIND_INVALIDATE = 0
 _KIND_RESET = 1
@@ -113,7 +110,6 @@ class CoherenceManager:
         self._key = derive_key(root_key, "segshare/coherence", length=16)
         self._pae = default_pae()
         self._applied = board.epoch
-        self._syncing = False
         self.stats = CoherenceStats()
 
     # -- publish ----------------------------------------------------------
@@ -163,59 +159,51 @@ class CoherenceManager:
         memory.  Anything irregular lands on :meth:`_full_discard`:
         correctness never depends on the host maintaining the log.
         """
-        if self._syncing:
-            # Re-entered from a discard hook (dedup index re-read goes
-            # through the engine cache facade); the outer sync settles it.
-            return
         shared = self.board.epoch
         if shared == self._applied:
             return
-        self._syncing = True
-        try:
-            self.stats.syncs += 1
-            lag = shared - self._applied
-            if lag < 0:
-                # Counter rewind: a host replaying an old board state.
-                # Nothing it can show us is trustworthy-fresh.
+        self.stats.syncs += 1
+        lag = shared - self._applied
+        if lag < 0:
+            # Counter rewind: a host replaying an old board state.
+            # Nothing it can show us is trustworthy-fresh.
+            self._full_discard()
+            return
+        self.stats.epoch_lag_last = lag
+        if lag > self.stats.epoch_lag_max:
+            self.stats.epoch_lag_max = lag
+        for epoch in range(self._applied + 1, shared + 1):
+            blob = self.board.entry(epoch)
+            if blob is None:
+                # Evicted past our lag, or a torn/truncated log.
                 self._full_discard()
+                self._applied = shared
                 return
-            self.stats.epoch_lag_last = lag
-            if lag > self.stats.epoch_lag_max:
-                self.stats.epoch_lag_max = lag
-            for epoch in range(self._applied + 1, shared + 1):
-                blob = self.board.entry(epoch)
-                if blob is None:
-                    # Evicted past our lag, or a torn/truncated log.
-                    self._full_discard()
-                    self._applied = shared
-                    return
-                try:
-                    payload = self._pae.decrypt(self._key, blob, aad=_aad(epoch))
-                    kind, pairs = self._decode(payload)
-                except ReproError:
-                    self._full_discard()
-                    self._applied = shared
-                    return
-                if kind == _KIND_RESET:
-                    self._full_discard()
-                else:
-                    self._apply(pairs)
-                self.stats.entries_applied += 1
-                self._applied = epoch
-        finally:
-            self._syncing = False
+            try:
+                payload = self._pae.decrypt(self._key, blob, aad=_aad(epoch))
+                kind, pairs = self._decode(payload)
+            except ReproError:
+                self._full_discard()
+                self._applied = shared
+                return
+            if kind == _KIND_RESET:
+                self._full_discard()
+            else:
+                self._apply(pairs)
+            self.stats.entries_applied += 1
+            self._applied = epoch
 
     def _apply(self, pairs: "list[Tuple[str, str]]") -> None:
         cache = self._engine.cache
-        reload_dedup = False
+        records = []
         for namespace, key in pairs:
             if cache is not None:
                 cache.discard(namespace, key)
-            if namespace == _NS_DEDUP:
-                reload_dedup = True
+            if namespace == NS_DEDUP:
+                records.append(key)
             self.stats.invalidations_applied += 1
-        if reload_dedup and self._engine.dedup is not None:
-            self._engine.dedup.reload_index()
+        if records and self._engine.dedup is not None:
+            self._engine.dedup.reload_records(records)
 
     def _full_discard(self) -> None:
         self.stats.full_discards += 1

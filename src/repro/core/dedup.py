@@ -14,7 +14,19 @@ kept, shared across users and groups.  Per the paper:
   symbolic-link-like indirection.
 
 Beyond the paper, the store reference-counts ``hName`` entries so that
-deleting the last referring file reclaims the stored copy.
+deleting the last referring file reclaims the stored copy.  Each entry
+is one sealed record, the protected file ``idx:<hName>`` holding the
+object id and the reference count, so a change seals only the records it
+touched and a peer replica re-reads only the records a coherence epoch
+names.  The enclave keeps every entry in memory, loaded once from a
+sorted scan of the ``idx:`` keys; the record bytes are never cached.
+
+A record is bound to its ``hName`` by its protected-file key, not kept
+fresh: the host may replay, delete or mix records of different ages.
+Object ids are never reused and an object is adopted only under the
+``hName`` of its content, so any object a record names holds exactly
+that content — a stale record costs a refcount or an availability
+error, never other bytes.
 """
 
 from __future__ import annotations
@@ -22,7 +34,7 @@ from __future__ import annotations
 import hashlib
 import hmac
 import secrets
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterable
 
 from repro.crypto import derive_key
 from repro.errors import StorageError
@@ -32,78 +44,65 @@ from repro.util.serialization import SerializationError, pack_str, pack_u32, unp
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.store.engine import StorageEngine
 
-_INDEX_PATH = "dedup-index"
+_RECORD_PREFIX = "idx:"
 _OBJECT_PREFIX = "obj:"
 
-#: Metadata-cache namespace for the serialized index.
-_NS_DEDUP = "dedup"
+#: Coherence namespace of the records: a committed change publishes
+#: ``(NS_DEDUP, hName)``, and a peer re-reads exactly that record.
+NS_DEDUP = "dedup"
 
 
 class DedupStore:
-    """The deduplication store: content-addressed objects plus an index."""
+    """The deduplication store: content-addressed objects plus one record each."""
 
     def __init__(
         self, pfs: ProtectedFs, root_key: bytes, engine: "StorageEngine"
     ) -> None:
         self._pfs = pfs
         self._hmac_key = derive_key(root_key, "segshare/dedup-hmac")
-        # The storage engine's cache facade holds the serialized index
-        # under the "dedup" namespace, so a rebuild of this store object
-        # (reload, enclave component rebuild) skips the PFS decrypt.
         self._engine = engine
-        # hName -> (object id, reference count, the entry as the index
-        # file encodes it).  The bytes are kept so that persisting the
-        # index re-encodes only the entry that changed.
-        self._index: dict[str, tuple[str, int, bytes]] = {}
-        #: The index changed since it was last sealed.  Inside a storage
-        #: engine span the seal waits for the span's end (``seal_index``),
-        #: so a request that touches several entries writes it once.
-        self._dirty = False
-        if self._pfs.exists(_INDEX_PATH):
-            self._load_index()
+        #: hName -> (object id, reference count), one entry per record.
+        self._index: dict[str, tuple[str, int]] = {}
+        #: hNames whose entry changed since its record was last sealed.
+        #: Inside a storage engine span the seal waits for the span's end
+        #: (``seal_index``), so a request writes each touched record once.
+        self._dirty: set[str] = set()
+        self.reload_index()
 
-    # -- index persistence -----------------------------------------------------
+    # -- record persistence ------------------------------------------------------
 
-    def _load_index(self) -> None:
-        data = self._engine.lookup(_NS_DEDUP, _INDEX_PATH)
-        if data is None:
-            data = self._pfs.read_file(_INDEX_PATH)
-            self._engine.fill(_NS_DEDUP, _INDEX_PATH, data)
-        count, offset = unpack_u32(data)
-        self._index = {}
-        for _ in range(count):
-            start = offset
-            h_name, offset = unpack_str(data, offset)
-            object_id, offset = unpack_str(data, offset)
-            refcount, offset = unpack_u32(data, offset)
-            # The encoding is canonical, so the slice is what _set would build.
-            self._index[h_name] = (object_id, refcount, data[start:offset])
+    def _reread(self, h_name: str) -> None:
+        """Replace the entry of ``h_name`` with its sealed record, if any."""
+        path = _RECORD_PREFIX + h_name
+        if not self._pfs.exists(path):
+            self._index.pop(h_name, None)
+            return
+        data = self._pfs.read_file(path)
+        object_id, offset = unpack_str(data)
+        refcount, offset = unpack_u32(data, offset)
         if offset != len(data):
             raise SerializationError(f"{len(data) - offset} trailing bytes")
+        self._index[h_name] = (object_id, refcount)
 
-    def _set(self, h_name: str, object_id: str, refcount: int) -> None:
-        """Every change to an entry lands here, so its encoding never goes stale."""
-        encoded = pack_str(h_name) + pack_str(object_id) + pack_u32(refcount)
-        self._index[h_name] = (object_id, refcount, encoded)
-
-    def _changed(self) -> None:
+    def _changed(self, h_name: str) -> None:
         """Seal now, or at the end of the engine span this change belongs to."""
-        self._dirty = True
+        self._dirty.add(h_name)
         if not self._engine.in_span:
             self.seal_index()
 
     def seal_index(self) -> None:
-        """Write the index if it changed since it was last sealed."""
-        if self._dirty:
-            self._store_index()
-
-    def _store_index(self) -> None:
-        index = self._index
-        blob = pack_u32(len(index)) + b"".join([index[h_name][2] for h_name in sorted(index)])
-        self._engine.invalidate(_NS_DEDUP, _INDEX_PATH)
-        self._pfs.write_file(_INDEX_PATH, blob)
-        self._engine.write_back(_NS_DEDUP, _INDEX_PATH, blob)
-        self._dirty = False
+        """Write every changed record; remove those whose last reference went."""
+        for h_name in sorted(self._dirty):
+            path = _RECORD_PREFIX + h_name
+            # Names the record in this span's coherence entry; no record
+            # bytes are cached, so there is nothing to write back.
+            self._engine.invalidate(NS_DEDUP, h_name)
+            entry = self._index.get(h_name)
+            if entry is not None:
+                self._pfs.write_file(path, pack_str(entry[0]) + pack_u32(entry[1]))
+            elif self._pfs.exists(path):
+                self._pfs.remove(path)
+        self._dirty.clear()
 
     # -- content hashing -----------------------------------------------------
 
@@ -127,13 +126,12 @@ class DedupStore:
         self._engine.coherence_check()
         existing = self._index.get(h_name)
         if existing is not None:
-            # `obj:*` blobs are never metadata-cached; only the index file
-            # is, and _store_index() invalidates it before writing.
+            # `obj:*` blobs are never metadata-cached.
             self._pfs.remove(object_id)
-            self._set(h_name, existing[0], existing[1] + 1)
+            self._index[h_name] = (existing[0], existing[1] + 1)
         else:
-            self._set(h_name, object_id, 1)
-        self._changed()
+            self._index[h_name] = (object_id, 1)
+        self._changed(h_name)
         return h_name
 
     def put(self, content: bytes) -> str:
@@ -145,10 +143,18 @@ class DedupStore:
     # -- access and lifecycle ---------------------------------------------------
     #
     # Every entry point that consults ``self._index`` calls
-    # ``coherence_check()`` first: the index is enclave-resident derived
+    # ``coherence_check()`` first: the entries are enclave-resident derived
     # state, so in a cluster "verify on hit" means applying any peer
-    # invalidation epochs (which reload the index) before trusting it.
-    # Object *contents* are self-verifying via content addressing.
+    # invalidation epochs (which re-read the records they name) before
+    # trusting them.  Object *contents* are self-verifying via content
+    # addressing.
+
+    def _entry(self, h_name: str) -> tuple[str, int]:
+        self._engine.coherence_check()
+        entry = self._index.get(h_name)
+        if entry is None:
+            raise StorageError(f"no deduplicated object {h_name!r}")
+        return entry
 
     def get(self, h_name: str) -> bytes:
         """Read an object, verifying it still hashes to ``h_name``.
@@ -157,88 +163,85 @@ class DedupStore:
         replaying an *older* object under the same name changes its HMAC
         and is caught here.
         """
-        self._engine.coherence_check()
-        entry = self._index.get(h_name)
-        if entry is None:
-            raise StorageError(f"no deduplicated object {h_name!r}")
-        content = self._pfs.read_file(entry[0])
+        content = self._pfs.read_file(self._entry(h_name)[0])
         if not hmac.compare_digest(self.h_name(content), h_name):
             raise StorageError(f"deduplicated object {h_name!r} failed content check")
         return content
 
     def open_read(self, h_name: str):
-        self._engine.coherence_check()
-        entry = self._index.get(h_name)
-        if entry is None:
-            raise StorageError(f"no deduplicated object {h_name!r}")
-        return self._pfs.open_read(entry[0])
+        return self._pfs.open_read(self._entry(h_name)[0])
 
     def size(self, h_name: str) -> int:
-        self._engine.coherence_check()
-        entry = self._index.get(h_name)
-        if entry is None:
-            raise StorageError(f"no deduplicated object {h_name!r}")
-        with self._pfs.open_read(entry[0]) as handle:
+        with self._pfs.open_read(self._entry(h_name)[0]) as handle:
             return handle.size
+
+    def stored_size(self, h_name: str) -> int:
+        """Untrusted bytes behind ``h_name``: its object plus its record."""
+        object_id = self._entry(h_name)[0]
+        return self._pfs.stored_size(object_id) + self._pfs.stored_size(_RECORD_PREFIX + h_name)
 
     def add_reference(self, h_name: str) -> None:
         """A second content file now points at ``h_name``."""
-        self._engine.coherence_check()
-        object_id, refcount, _ = self._index[h_name]
-        self._set(h_name, object_id, refcount + 1)
-        self._changed()
+        object_id, refcount = self._entry(h_name)
+        self._index[h_name] = (object_id, refcount + 1)
+        self._changed(h_name)
 
     def release(self, h_name: str) -> None:
         """Drop one reference; the last reference reclaims the object."""
-        self._engine.coherence_check()
-        entry = self._index.get(h_name)
-        if entry is None:
-            raise StorageError(f"no deduplicated object {h_name!r}")
-        object_id, refcount, _ = entry
+        object_id, refcount = self._entry(h_name)
         if refcount <= 1:
             del self._index[h_name]
             # Object blobs bypass the metadata cache (see _commit).
             self._pfs.remove(object_id)
         else:
-            self._set(h_name, object_id, refcount - 1)
-        self._changed()
+            self._index[h_name] = (object_id, refcount - 1)
+        self._changed(h_name)
 
     def refcount(self, h_name: str) -> int:
         self._engine.coherence_check()
         entry = self._index.get(h_name)
         return 0 if entry is None else entry[1]
 
-    def reload_index(self) -> None:
-        """Drop the in-memory index and re-read the persisted one.
+    def _refuse_reload(self, h_names: Iterable[str]) -> None:
+        # Re-reading a record while a span still runs (a peer invalidation,
+        # or a host bumping the coherence board) would drop the span's
+        # unsealed change to it while its object links commit.  Fail the
+        # span instead; its rollback reloads.
+        if self._engine.in_span and not self._dirty.isdisjoint(h_names):
+            raise StorageError("dedup records invalidated under an uncommitted change")
 
-        An undo-journal rollback restores the on-disk index bytes
-        underneath this cache; the in-memory copy must follow or later
-        refcounts act on the aborted batch's state.  Unsealed changes go
-        with it: they belong to the aborted span.
+    def reload_records(self, h_names: list[str]) -> None:
+        """Re-read the named records: a peer's commit changed them."""
+        self._refuse_reload(h_names)
+        for h_name in h_names:
+            self._reread(h_name)
+
+    def reload_index(self) -> None:
+        """Drop every entry and re-read all records.
+
+        An undo-journal rollback restores the stored records underneath
+        this copy; the in-memory entries must follow or later refcounts
+        act on the aborted batch's state.  Unsealed changes go with them:
+        they belong to the aborted span.
         """
-        # A reload while a span still runs (a peer invalidation, or a host
-        # bumping the coherence board) would drop the span's unsealed
-        # changes while its object links commit.  Fail the span instead;
-        # its rollback reloads.
-        if self._dirty and self._engine.in_span:
-            raise StorageError("dedup index invalidated under an uncommitted change")
-        self._dirty = False
-        # Re-read storage, not a cached copy of the aborted state.
-        self._engine.invalidate(_NS_DEDUP, _INDEX_PATH)
-        if self._pfs.exists(_INDEX_PATH):
-            self._load_index()
-        else:
-            self._index = {}
+        self._refuse_reload(self._dirty)  # every unsealed change would go
+        self._dirty.clear()
+        self._index = {}
+        for path in sorted(self._pfs.owners(_RECORD_PREFIX)):
+            self._reread(path[len(_RECORD_PREFIX):])
 
     def sweep_orphans(self) -> int:
-        """Reclaim objects the index does not reference; returns the count.
+        """Reclaim objects no record references; returns the count.
 
         A crash can strand objects: streamed chunks land in the store
-        before the index adopts them, and an undo-log rollback restores
-        the index without deleting the abandoned object.  The converse
-        (referenced-but-missing) cannot happen: the index and the object
-        links commit atomically in one journaled span, so sweeping
-        unreferenced ``obj:`` keys after crash recovery is always safe.
+        before a record adopts them, and an undo-log rollback restores
+        the records without deleting the abandoned object.  The converse
+        (referenced-but-missing) cannot happen honestly: the records and
+        the object links commit atomically in one journaled span, so
+        sweeping unreferenced ``obj:`` keys after crash recovery is
+        always safe.  Only ``obj:`` keys are swept; ``idx:`` records are
+        removed by the seal of the span that released their last
+        reference.
         """
         # The candidates come from a scan of every key, not of metadata: a
         # stranded upload has chunks but no metadata yet (close() writes

@@ -196,7 +196,8 @@ class SeGShareEnclave(Enclave):
     #: and the journal-less engine whose removal brought 8346 → 8316.
     #: docs/PERF.md §11 paid for its per-span index seal by deleting
     #: test-only path, key-fingerprint and multiset routines: 8316 → 8297.
-    TCB_LOC_CEILING = 8297
+    #: §12's per-hName dedup records left the index code smaller: 8297 → 8293.
+    TCB_LOC_CEILING = 8293
 
     def __init__(
         self,

@@ -225,9 +225,8 @@ class TrustedFileManager:
         #: records authenticate themselves (repro/core/audit.py).
         self.raw_read, self.raw_write = self.content.raw_read, self.content.raw_write
         self.raw_exists = self.content.raw_exists
-        self._dedup_pfs = pfs(backends.dedup, "dedup")
         self.dedup: DedupStore | None = (
-            DedupStore(self._dedup_pfs, root_key, engine=engine) if enable_dedup else None
+            DedupStore(pfs(backends.dedup, "dedup"), root_key, engine=engine) if enable_dedup else None
         )
         engine.attach_dedup(self.dedup)
         self._stores = engine.raw
@@ -476,8 +475,7 @@ class TrustedFileManager:
         total = self.content.pfs.stored_size(self._sp(path))
         pointer = self._pointer_target(path)
         if pointer is not None and self.dedup is not None:
-            object_id = self.dedup._index[pointer][0]
-            total += self._dedup_pfs.stored_size(object_id)
+            total += self.dedup.stored_size(pointer)
         return total
 
 

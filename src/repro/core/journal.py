@@ -1,7 +1,7 @@
 """Encrypted write-ahead (undo) journal for crash-consistent mutations.
 
 The problem: one SeGShare request mutates *many* untrusted keys — content
-chunks, directory files, ACLs, quota records, dedup index, rollback-guard
+chunks, directory files, ACLs, quota records, dedup records, rollback-guard
 nodes, the anchor, and the monotonic counter.  A crash between any two of
 those writes leaves the store permanently failing ``verify_read`` (the
 anchor no longer matches storage), which is indistinguishable from a

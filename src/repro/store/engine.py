@@ -351,8 +351,8 @@ class StorageEngine:
         self.dedup: "DedupStore | None" = None
         #: True while the body of an outermost span (a serial transaction
         #: or an epoch member) runs: transactions started inside it are
-        #: nested and join it, and the dedup index waits for its end to
-        #: be sealed once.
+        #: nested and join it, and the dedup records it changed wait for
+        #: its end to be sealed once each.
         self.in_span = False
         self.stats = TransactionStats()
         #: Group-commit coordinator; installed by :meth:`enable_group_commit`
@@ -399,7 +399,7 @@ class StorageEngine:
         self.backends = StoreSet(*self._deferred)
 
     def attach_dedup(self, dedup: "DedupStore | None") -> None:
-        """The dedup index must be re-read after an undo-log restore."""
+        """The dedup records must be re-read after an undo-log restore."""
         self.dedup = dedup
 
     @property
@@ -410,7 +410,7 @@ class StorageEngine:
     def drop_derived_state(self) -> None:
         """Forget everything derived from storage that may now be stale.
 
-        Cached plaintext and the in-memory dedup index describe the store
+        Cached plaintext and the in-memory dedup entries describe the store
         as this enclave last saw it; after an undo-log restore, a backup
         restore, a takeover, or a coherence anomaly they must go before
         anything reads storage again.  Always safe: the next read
@@ -445,9 +445,9 @@ class StorageEngine:
     def coherence_check(self) -> None:
         """Apply pending peer invalidations before trusting derived state.
 
-        The dedup index calls this on every hit: the index object lives
-        in enclave memory, so "verify on hit" means proving no peer epoch
-        has invalidated it since we last looked.
+        The dedup store calls this on every hit: its entries live in
+        enclave memory, so "verify on hit" means proving no peer epoch
+        has invalidated them since we last looked.
         """
         if self.coherence is not None:
             self.coherence.sync()
@@ -521,7 +521,7 @@ class StorageEngine:
         self.in_span = True
         try:
             yield
-            # Commit inside the try: a fault while sealing the index,
+            # Commit inside the try: a fault while sealing dedup records,
             # persisting the batched guard nodes or flushing the buffers
             # rolls the whole transaction back like any other fault.  Guard
             # batches commit first so their node/anchor writes join the
@@ -534,7 +534,7 @@ class StorageEngine:
             # The enclave is gone; restart recovery replays the undo log.
             raise
         except BaseException:
-            # The body is over: the rollback's index reload may now drop
+            # The body is over: the rollback's dedup reload may now drop
             # its unsealed changes.
             self.in_span = False
             self._abort_guard_batches()
@@ -626,8 +626,8 @@ class StorageEngine:
         self.in_span = True
         try:
             yield
-            # Sealed per member, never at epoch close: the index must be
-            # durable at this member's commit record.
+            # Sealed per member, never at epoch close: the records must
+            # be durable at this member's commit record.
             self._seal_dedup_index()
             with self._commit_point():
                 self._flush_deferred()
@@ -653,8 +653,8 @@ class StorageEngine:
                 # re-anchor, and the epoch stays open for other members.
                 journal.rollback_member(member_base)
                 if self.dedup is not None:
-                    # The in-memory index must follow the restored bytes,
-                    # exactly as on the serial path (_reanchor_guards).
+                    # The in-memory entries must follow the restored
+                    # records, exactly as on the serial path (_reanchor_guards).
                     self.dedup.reload_index()
             except EnclaveCrashed:
                 raise
@@ -744,7 +744,7 @@ class StorageEngine:
         )
 
     def _seal_dedup_index(self) -> None:
-        """One index write per span, outside the serialized commit section."""
+        """Each changed dedup record, once per span, outside the commit section."""
         if self.dedup is not None:
             self.dedup.seal_index()
 
@@ -772,8 +772,8 @@ class StorageEngine:
         The restore brought back the pre-batch anchors byte-for-byte, but
         the monotonic counter kept the increments the aborted transaction
         made — the anchors must be rewritten against the current counter
-        value.  The dedup index cache likewise still holds the aborted
-        transaction's refcounts and must follow the restored bytes.
+        value.  The in-memory dedup entries likewise still hold the aborted
+        transaction's refcounts and must follow the restored records.
 
         Ordering matters: pending guard batches are dropped and the
         metadata cache cleared FIRST — re-anchoring reads storage, and a
@@ -888,7 +888,7 @@ class StorageEngine:
         (before the store write) with ``write_back`` (after it), so
         capturing here makes the published invalidation set complete by
         construction.  Mutations outside a journal batch (recovery,
-        index re-reads triggered by a sync) are not captured: they do
+        record re-reads triggered by a sync) are not captured: they do
         not change committed shared state from a peer's point of view.
         """
         if self.coherence is not None and self.journal.active:

@@ -23,13 +23,17 @@ _ROOT_KEY = b"\x07" * 32
 
 
 class _DedupStub:
-    """Counts the index re-reads a discard triggers."""
+    """Records the full index re-reads and the named record re-reads."""
 
     def __init__(self) -> None:
         self.reloads = 0
+        self.records: list[list[str]] = []
 
     def reload_index(self) -> None:
         self.reloads += 1
+
+    def reload_records(self, h_names) -> None:
+        self.records.append(list(h_names))
 
 
 class _EngineStub:
@@ -90,12 +94,19 @@ class TestApply:
         assert publisher._engine.cache.contains("meta", "/a")
 
     def test_dedup_namespace_triggers_index_reload(self):
+        """A dedup entry re-reads exactly the records it names, once per
+        epoch; only a full discard re-reads the whole index."""
         dedup = _DedupStub()
-        _, publisher, subscriber = make_pair(dedup=dedup)
-        publisher.publish([("dedup", "index")], "t1")
+        board, publisher, subscriber = make_pair(dedup=dedup)
+        publisher.publish([("dedup", "h2"), ("meta", "/a"), ("dedup", "h1")], "t1")
+        publisher.publish([("meta", "/b")], "t2")
         subscriber.sync()
-        assert dedup.reloads == 1
+        assert dedup.records == [["h1", "h2"]]
+        assert dedup.reloads == 0
         assert subscriber.snapshot()["full_discards"] == 0
+        board._epoch += 1  # no entry behind it: a forced full discard
+        subscriber.sync()
+        assert (dedup.records, dedup.reloads) == ([["h1", "h2"]], 1)
 
 
 class TestFallback:

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import os
 import random
+from collections import Counter
 
 import pytest
 
@@ -106,8 +107,33 @@ def crash_restart_check(run_op, step: int, check_outcome, **overrides) -> None:
     server.enclave.guard.verify_restored_state()
     assert server.enclave.manager.read_content("/keep") == b"other file"
     check_outcome(server)
+    if overrides.get("enable_dedup"):
+        check_dedup_records(server)
     # The server must be fully operational again.
     run_op(server)
+
+
+#: Every content path the operations under test create.
+_PATHS = ("/keep", "/d/f", "/d/new", "/f2", "/d/g1", "/d/g2")
+
+
+def check_dedup_records(server: SeGShareServer) -> None:
+    """Records, objects and content files agree after recovery.
+
+    Every ``idx:`` record on the store is a whole entry, every entry names
+    a stored object and every stored object is named — the restart's sweep
+    reclaimed the unreferenced ``obj:`` keys and nothing else — and each
+    hName carries one reference per live file holding its content.
+    """
+    manager = server.enclave.manager
+    dedup = manager.dedup
+    keys = list(server.stores.dedup.keys())
+    assert {key.partition("\x00")[0][4:] for key in keys if key.startswith("idx:")} == set(dedup._index)
+    objects = {key.partition("\x00")[0] for key in keys if key.startswith("obj:")}
+    assert objects == {object_id for object_id, _ in dedup._index.values()}
+    files = [path for path in _PATHS if manager.exists(path)]
+    expected = Counter(dedup.h_name(manager.read_content(path)) for path in files)
+    assert {h_name: refcount for h_name, (_, refcount) in dedup._index.items()} == expected
 
 
 # -- the operations under test -------------------------------------------------
@@ -187,6 +213,10 @@ _MATRIX = {
     "put_new": (run_put, check_put, {}),
     "overwrite": (run_overwrite, check_overwrite, {}),
     "put_dedup": (run_put, check_put, {"enable_dedup": True}),
+    # An overwrite writes the adopted record and removes the released one;
+    # a remove removes its record.
+    "overwrite_dedup": (run_overwrite, check_overwrite, {"enable_dedup": True}),
+    "remove_dedup": (run_remove, check_remove, {"enable_dedup": True}),
     "move_hidden": (run_move, check_move, {"hide_paths": True}),
     # Cached variants: the enclave-resident metadata cache must never let
     # a value written by the rolled-back batch survive the crash — the
@@ -374,8 +404,8 @@ class TestEpochCrashMatrix:
             server.switchless.dispatch(thunk, arrival=t0)
         engine.quiesce()
 
-    def _armed_server(self) -> SeGShareServer:
-        server = build_parallel_server()
+    def _armed_server(self, **options) -> SeGShareServer:
+        server = build_parallel_server(**options)
         prime(server)
         # prime() drives the handler directly, which also opens an epoch
         # on a parallel clock; close it so the matrix enumerates only the
@@ -383,8 +413,8 @@ class TestEpochCrashMatrix:
         server.enclave.engine.quiesce()
         return server
 
-    def _count(self, prefix: str) -> int:
-        server = self._armed_server()
+    def _count(self, prefix: str, **options) -> int:
+        server = self._armed_server(**options)
         plan = FaultPlan().crash_at_point(nth=10**9, site_prefix=prefix)
         plan.attach_platform(server.platform)
         self._run_epoch_pair(server)
@@ -395,10 +425,18 @@ class TestEpochCrashMatrix:
 
     @pytest.mark.parametrize("prefix", ["journal:", "anchor:"])
     def test_epoch_crash_matrix(self, prefix):
-        steps = self._count(prefix)
+        self._matrix(prefix)
+
+    @pytest.mark.parametrize("prefix", ["journal:", "anchor:"])
+    def test_epoch_crash_matrix_with_dedup(self, prefix):
+        """Each member seals its own records before its commit record."""
+        self._matrix(prefix, enable_dedup=True)
+
+    def _matrix(self, prefix: str, **options) -> None:
+        steps = self._count(prefix, **options)
         assert steps > 0, f"epoch pair hit no {prefix} crashpoints"
         for step in range(1, steps + 1):
-            server = self._armed_server()
+            server = self._armed_server(**options)
             plan = FaultPlan().crash_at_point(nth=step, site_prefix=prefix)
             plan.attach_platform(server.platform)
             with pytest.raises(EnclaveCrashed):
@@ -420,6 +458,8 @@ class TestEpochCrashMatrix:
                 assert manager.exists("/d/g1"), (
                     f"{prefix} step {step}: later member outlived earlier one"
                 )
+            if options.get("enable_dedup"):
+                check_dedup_records(server)
             # The server keeps working: both uploads land on retry.
             self._run_epoch_pair(server)
             assert manager.read_content("/d/g1") == b"epoch one"

@@ -1,20 +1,20 @@
 """Deduplication: single stored copy, refcounts, content addressing."""
 
-import hashlib
 import itertools
 
 import pytest
 
 from repro.core.coherence import CoherenceManager
-from repro.core.dedup import DedupStore
-from repro.core.requests import Status
-from repro.errors import StorageError
+from repro.core.dedup import NS_DEDUP, DedupStore
+from repro.core.requests import Op, Request, StatInfo, Status
+from repro.errors import ProtectedFsError, StorageError
 from repro.netsim.coherence import CoherenceBoard
 from repro.sgx.protected_fs import ProtectedFs
 from repro.storage.backends import InMemoryStore
 from repro.storage.stores import StoreSet
 from repro.util.serialization import SerializationError
 
+from tests.core.conftest import build_world
 from tests.support.calls import python_calls
 from tests.support.platform import engine_for, loaded_enclave
 
@@ -163,29 +163,39 @@ class TestSystemLevel:
 
 
 class TestIndexSeals:
-    """Counts, not seconds: inside an engine span the index is sealed once,
-    at the span's end; outside one, every change is sealed at once."""
+    """Counts, not seconds: inside an engine span each changed record is
+    sealed once, at the span's end; outside one, every change is sealed at
+    once.  A change seals only the records it touched."""
 
     @staticmethod
-    def _index_writes(monkeypatch) -> list[int]:
-        writes = []
-        original = ProtectedFs.write_file
+    def _record_io(monkeypatch) -> list[tuple[str, str]]:
+        io = []
+        write_file, remove = ProtectedFs.write_file, ProtectedFs.remove
 
-        def recording(self, path, data):
-            if path == "dedup-index":
-                writes.append(len(data))
-            return original(self, path, data)
+        def recording_write(self, path, data):
+            if path.startswith("idx:"):
+                io.append(("write", path))
+            return write_file(self, path, data)
 
-        monkeypatch.setattr(ProtectedFs, "write_file", recording)
-        return writes
+        def recording_remove(self, path):
+            if path.startswith("idx:"):
+                io.append(("remove", path))
+            return remove(self, path)
+
+        monkeypatch.setattr(ProtectedFs, "write_file", recording_write)
+        monkeypatch.setattr(ProtectedFs, "remove", recording_remove)
+        return io
 
     def test_overwriting_upload_seals_the_index_once(self, make_world, monkeypatch):
         world = make_world(enable_dedup=True)
+        for i in range(20):
+            world.handler.put_file("alice", f"/other{i}", b"other %d" % i)
         world.handler.put_file("alice", "/a", b"v1")
         dedup = world.manager.dedup
-        writes = self._index_writes(monkeypatch)
+        io = self._record_io(monkeypatch)
         world.handler.put_file("alice", "/a", b"v2")  # adopts v2, releases v1
-        assert len(writes) == 1
+        h_v1, h_v2 = dedup.h_name(b"v1"), dedup.h_name(b"v2")
+        assert sorted(io) == [("remove", "idx:" + h_v1), ("write", "idx:" + h_v2)]
         in_memory = dict(dedup._index)
         dedup.reload_index()
         assert dedup._index == in_memory
@@ -195,9 +205,9 @@ class TestIndexSeals:
         self, make_world, monkeypatch
     ):
         """The host bumps the coherence board between the upload adopting v2
-        and the release of v1.  The forced index reload must not throw away
-        the unsealed adoption while the content file commits pointing at
-        it: the PUT fails and the share stays at v1."""
+        and the release of v1.  The forced reload must not throw away the
+        unsealed adoption while the content file commits pointing at it:
+        the PUT fails and the share stays at v1."""
         world = make_world(enable_dedup=True)
         engine = world.manager.engine
         board = CoherenceBoard()
@@ -228,12 +238,71 @@ class TestIndexSeals:
     def test_a_change_outside_any_span_is_sealed_at_once(self, monkeypatch):
         backend = InMemoryStore()
         dedup = dedup_over(backend)
-        writes = self._index_writes(monkeypatch)
+        io = self._record_io(monkeypatch)
         h_name = dedup.put(b"alone")
-        assert len(writes) == 1
-        dedup.release(dedup.put(b"other"))
-        assert len(writes) == 3
+        assert io == [("write", "idx:" + h_name)]
+        h_other = dedup.put(b"other")
+        dedup.release(h_other)
+        assert io[1:] == [("write", "idx:" + h_other), ("remove", "idx:" + h_other)]
         assert dedup_over(backend).refcount(h_name) == 1
+
+
+class TestPeerRereads:
+    """A peer applying a coherence epoch re-reads exactly the records the
+    epoch names, however many the index holds."""
+
+    @staticmethod
+    def _replica(stores: StoreSet, board: CoherenceBoard) -> DedupStore:
+        enclave = loaded_enclave()
+        engine = engine_for(stores, enclave)
+        engine.attach_coherence(CoherenceManager(board, bytes(32), engine))
+        store = DedupStore(ProtectedFs(engine.backends.dedup, master_key=bytes(16), enclave=enclave), bytes(32), engine)
+        engine.attach_dedup(store)
+        return store
+
+    def test_a_peer_reads_only_the_records_an_epoch_names(self, monkeypatch):
+        stores, board = StoreSet.in_memory(), CoherenceBoard()
+        writer = self._replica(stores, board)
+        with writer._engine.transaction("preload"):
+            for i in range(50):
+                writer.put(b"entry %d" % i)
+        peer = self._replica(stores, board)
+        assert peer._index == writer._index
+        h_old, h_new = writer.h_name(b"entry 7"), writer.h_name(b"fresh")
+        with writer._engine.transaction("overwrite"):
+            writer.put(b"fresh")
+            writer.release(h_old)
+
+        reads = []
+        read_file = ProtectedFs.read_file
+
+        def recording(self, path):
+            reads.append(path)
+            return read_file(self, path)
+
+        monkeypatch.setattr(ProtectedFs, "read_file", recording)
+        assert peer.refcount(h_new) == 1  # applies the writer's epoch first
+        assert reads == ["idx:" + h_new]  # the released record is gone, not read
+        assert peer.refcount(h_old) == 0
+        assert peer._index == writer._index
+
+    def test_a_named_record_under_an_unsealed_change_aborts_the_span(self):
+        """An epoch naming a record this span changed but has not sealed
+        (a peer's commit, or a host replaying an entry) fails the span;
+        one naming any other record is simply re-read."""
+        stores, board = StoreSet.in_memory(), CoherenceBoard()
+        writer, peer = self._replica(stores, board), self._replica(stores, board)
+        with writer._engine.transaction("first"):
+            h_name, h_other = writer.put(b"shared"), writer.put(b"other")
+        with pytest.raises(StorageError):
+            with peer._engine.transaction("conflict"):
+                peer.put(b"shared")  # applies "first", then dirties the record
+                writer._engine.coherence.publish([(NS_DEDUP, h_other)], "elsewhere")
+                assert peer.refcount(h_other) == 1
+                writer._engine.coherence.publish([(NS_DEDUP, h_name)], "here")
+                peer.refcount(h_name)  # re-reading it would drop the adoption
+        assert not peer._dirty
+        assert peer.refcount(h_name) == writer.refcount(h_name) == 1
 
 
 class TestSweepOrphans:
@@ -288,11 +357,10 @@ class TestSweepOrphans:
         assert self._object_keys(store) == set()
 
 
-# -- the index file's bytes may not move ------------------------------------------
+# -- the records' bytes may not move -------------------------------------------------
 #
-# Known answers computed at the commit *before* entries carried their own
-# encoding (the whole index went through a Writer, field by field, on
-# every store).  Object ids are random; the script pins them.
+# One protected file ``idx:<hName>`` per entry, holding ``str object id ||
+# u32 refcount``.  Object ids are random; the script pins them.
 
 
 @pytest.fixture()
@@ -303,88 +371,272 @@ def numbered_objects(monkeypatch):
     )
 
 
-INDEX_AFTER = [  # (step, length, sha256) of the stored index after each step
-    ("commit a", 116, "f056cd5abbaa5987bb3d3cb4a0f73361eea6bc3340ee87dc07221b61580976b8"),
-    ("commit b", 228, "75025cc58dd3c73daab246df0a8854d84b661f1d0fa53f3109e15d3fd2c91155"),
-    ("duplicate a", 228, "f160dc9537b069ff079d89ca4a9d555e0448436d90c95c12dfd37bf19cafe114"),
-    ("commit c", 340, "84b27a9850aba8df39c71c479061e27f7ec96c42b0c74622ec4a2d377c75cb9c"),
-    ("release a", 340, "9bda71db9f65d606277fbe57619808c715c45cec5aa9c1ec37e6a7b80ee9743a"),
-    ("last release b", 228, "4ce11dcff28dbedcfa4344a9c98560786ed3ebebc1c3369c3ba0fa5851c20438"),
-    ("add_reference c", 228, "800fd5125843ea8e8bada374d9ea03557a071f621eb005babcdf29e614835884"),
+H_ALPHA = "2d2d7a188391eb25e2c8fd973356e1f9343ee2b74837591dfa8bfa0065b78464"
+H_BETA = "b119f13a4001f7ac541127bc8ae723bb5e2e381d3667d48ccf40a6575ddea90b"
+H_GAMMA = "fcee629ec02a614e1fad18d883553a0b0fd80350f7a2557c6a6ad69727126309"
+
+
+def record_hex(object_number: int, refcount: int) -> str:
+    return "00000024" + (b"obj:%032x" % object_number).hex() + "%08x" % refcount
+
+
+RECORDS_AFTER = [  # (step, {hName: (object number, refcount)}) of the stored records
+    ("commit a", {H_ALPHA: (0, 1)}),
+    ("commit b", {H_ALPHA: (0, 1), H_BETA: (1, 1)}),
+    ("duplicate a", {H_ALPHA: (0, 2), H_BETA: (1, 1)}),
+    ("commit c", {H_ALPHA: (0, 2), H_BETA: (1, 1), H_GAMMA: (3, 1)}),
+    ("release a", {H_ALPHA: (0, 1), H_BETA: (1, 1), H_GAMMA: (3, 1)}),
+    ("last release b", {H_ALPHA: (0, 1), H_GAMMA: (3, 1)}),
+    ("add_reference c", {H_ALPHA: (0, 1), H_GAMMA: (3, 2)}),
 ]
-FINAL_INDEX_HEX = (
-    "00000002"
-    "00000040" + b"2d2d7a188391eb25e2c8fd973356e1f9343ee2b74837591dfa8bfa0065b78464".hex()
-    + "00000024" + b"obj:00000000000000000000000000000000".hex() + "00000001"
-    "00000040" + b"fcee629ec02a614e1fad18d883553a0b0fd80350f7a2557c6a6ad69727126309".hex()
-    + "00000024" + b"obj:00000000000000000000000000000003".hex() + "00000002"
-)
+FINAL_RECORDS_HEX = {
+    "idx:" + H_ALPHA: "00000024" + b"obj:00000000000000000000000000000000".hex() + "00000001",
+    "idx:" + H_GAMMA: "00000024" + b"obj:00000000000000000000000000000003".hex() + "00000002",
+}
+
+
+def stored_records(dedup: DedupStore) -> dict[str, str]:
+    return {path: dedup._pfs.read_file(path).hex() for path in sorted(dedup._pfs.owners("idx:"))}
 
 
 class TestIndexBytes:
     def test_known_answer_index_after_each_step(self, dedup, numbered_objects):
-        names = {}
-        steps = iter(INDEX_AFTER)
+        steps = iter(RECORDS_AFTER)
 
         def check():
-            step, length, digest = next(steps)
-            blob = dedup._pfs.read_file("dedup-index")
-            assert (len(blob), hashlib.sha256(blob).hexdigest()) == (length, digest), step
-            return blob
+            step, entries = next(steps)
+            expected = {"idx:" + h: record_hex(*entry) for h, entry in entries.items()}
+            assert stored_records(dedup) == expected, step
 
-        names["a"] = dedup.put(b"alpha")
+        assert dedup.put(b"alpha") == H_ALPHA
         check()
-        names["b"] = dedup.put(b"beta")
+        assert dedup.put(b"beta") == H_BETA
         check()
         dedup.put(b"alpha")
         check()
-        names["c"] = dedup.put(b"gamma")
+        assert dedup.put(b"gamma") == H_GAMMA
         check()
-        dedup.release(names["a"])
+        dedup.release(H_ALPHA)
         check()
-        dedup.release(names["b"])
+        dedup.release(H_BETA)
         check()
-        dedup.add_reference(names["c"])
-        assert check().hex() == FINAL_INDEX_HEX
+        dedup.add_reference(H_GAMMA)
+        check()
+        assert stored_records(dedup) == FINAL_RECORDS_HEX
+        assert not any(key.startswith("idx:" + H_BETA) for key in dedup._pfs._store.keys())
 
     def test_reloaded_index_stores_the_same_bytes(self, dedup, numbered_objects):
         for i in range(20):
             dedup.put(b"content-%d" % (i % 13))
-        stored = dedup._pfs.read_file("dedup-index")
+        stored = stored_records(dedup)
         before = dict(dedup._index)
         dedup.reload_index()
-        assert dedup._index == before  # entries and their kept encodings
-        dedup._store_index()
-        assert dedup._pfs.read_file("dedup-index") == stored
+        assert dedup._index == before
+        dedup._dirty.update(dedup._index)
+        dedup.seal_index()
+        assert stored_records(dedup) == stored
 
     def test_trailing_bytes_in_the_index_are_rejected(self, dedup):
-        dedup.put(b"x")
-        blob = dedup._pfs.read_file("dedup-index")
-        dedup._pfs.write_file("dedup-index", blob + b"\x00")
+        h_name = dedup.put(b"x")
+        path = "idx:" + h_name
+        dedup._pfs.write_file(path, dedup._pfs.read_file(path) + b"\x00")
+        with pytest.raises(SerializationError):
+            dedup.reload_records([h_name])
         with pytest.raises(SerializationError):
             dedup.reload_index()
 
-    def test_building_the_blob_does_not_cost_per_entry(self):
-        """Calls, not seconds: each entry's bytes are encoded once, when
-        it changes, so building the blob for 2 000 entries costs the
-        Python calls it costs for 50.  The fake file system records the
-        write instead of chunking and encrypting it."""
-
-        class RecordingFs:
-            def __init__(self):
-                self.files = {}
-
-            def exists(self, path):
-                return path in self.files
-
-            def write_file(self, path, data):
-                self.files[path] = data
+    def test_sealing_a_change_does_not_cost_per_entry(self):
+        """Calls, not seconds: a seal writes the records the span changed,
+        so with 2 000 live entries it costs the Python calls it costs with
+        50."""
 
         def cost(entries):
             engine = engine_for(StoreSet.in_memory(), loaded_enclave())
-            store = DedupStore(RecordingFs(), bytes(32), engine)
+            store = DedupStore(
+                ProtectedFs(engine.backends.dedup, master_key=bytes(16), enclave=engine._enclave),
+                bytes(32),
+                engine,
+            )
+            engine.in_span = True  # changes wait for seal_index
             for i in range(entries):
                 store._commit("obj:%032x" % i, "%064x" % i)
-            return python_calls(store._store_index)
+            store.seal_index()
+            # Two fresh records: the PAE's per-key context cache then
+            # misses alike at both sizes.
+            for i in (entries, entries + 1):
+                store._commit("obj:%032x" % i, "%064x" % i)
+            return python_calls(store.seal_index)
 
-        assert cost(2000) <= cost(50) + 5
+        assert cost(2000) == cost(50)
+
+
+# -- a host that lies about the dedup store ------------------------------------------
+#
+# A record is bound to its hName, not kept fresh.  Between requests the host
+# replays, deletes or mixes records; a peer replica then re-reads the records
+# the writer's last epoch names, and a restart re-reads all of them.  Whatever
+# they read, every GET, size and STAT answers the model's bytes or a typed
+# error — never other content, never an unhandled exception.
+
+A, B, X = b"alpha content" * 300, b"beta content", b"released content"
+
+
+def assert_serves_model(world, model: dict[str, bytes]) -> None:
+    manager = world.manager
+
+    def streamed(path):
+        size, chunks = manager.iter_content(path)
+        data = b"".join(chunks)
+        assert size == len(data)
+        return data
+
+    for path, content in model.items():
+        for read, expected in (
+            (manager.read_content, content),
+            (streamed, content),
+            (manager.content_size, len(content)),
+        ):
+            try:
+                answer = read(path)
+            except (StorageError, ProtectedFsError):
+                continue
+            assert answer == expected, (read, path)
+        response = world.handler.handle("alice", Request(op=Op.STAT, args=(path,)))
+        if response.status is Status.OK:
+            assert StatInfo.deserialize(response.payload).size == len(content)
+        else:
+            assert response.status is Status.ERROR
+
+
+class _Share:
+    """A writer and a peer replica over one store, and the model of the share."""
+
+    def __init__(self) -> None:
+        self.stores = StoreSet.in_memory()
+        self.board = CoherenceBoard()
+        self.writer, self.peer = self.replica(), self.replica()
+        self.model: dict[str, bytes] = {}
+        self.put("/a", A)
+        self.put("/b", B)
+        assert_serves_model(self.peer, self.model)  # the peer is current
+
+    def replica(self):
+        world = build_world(enable_dedup=True, stores=self.stores)
+        engine = world.manager.engine
+        engine.attach_coherence(CoherenceManager(self.board, bytes(32), engine))
+        return world
+
+    def put(self, path: str, content: bytes, world=None) -> None:
+        world = world or self.writer
+        assert world.handler.put_file("alice", path, content).status is Status.OK
+        self.model[path] = content
+
+    def remove(self, path: str, world=None) -> bool:
+        world = world or self.writer
+        response = world.handler.handle("alice", Request(op=Op.REMOVE, args=(path,)))
+        if response.status is Status.OK:
+            del self.model[path]
+            return True
+        assert response.status is Status.ERROR
+        return False
+
+    def h_name(self, content: bytes) -> str:
+        return self.writer.manager.dedup.h_name(content)
+
+    def keys(self, owner: str) -> dict[str, bytes]:
+        dedup = self.stores.dedup
+        return {key: dedup.get(key) for key in dedup.scan(owner + "\x00")}
+
+    def record(self, content: bytes) -> dict[str, bytes]:
+        return self.keys("idx:" + self.h_name(content))
+
+    def write(self, keys: dict[str, bytes]) -> None:
+        for key, value in keys.items():
+            self.stores.dedup.put(key, value)
+
+    def restart(self):
+        """A fresh enclave over the store, as a restart builds it — or None
+        when it refuses to start with a typed error."""
+        try:
+            world = build_world(enable_dedup=True, stores=self.stores)
+        except (StorageError, ProtectedFsError):
+            return None
+        world.manager.dedup.sweep_orphans()
+        assert_serves_model(world, self.model)
+        return world
+
+
+class TestByzantineRecords:
+    def test_an_older_record_with_a_lower_refcount(self):
+        share = _Share()
+        older = share.record(A)  # one reference
+        share.put("/c", A)
+        share.write(older)
+        assert_serves_model(share.peer, share.model)
+        assert share.peer.manager.dedup.refcount(share.h_name(A)) == 1
+        # The replayed count lets the peer reclaim A with /c still on it:
+        # from here /c fails typed — lost, never wrong.
+        assert share.remove("/a", share.peer)
+        with pytest.raises(StorageError):
+            share.peer.manager.read_content("/c")
+        for world in (share.peer, share.writer, share.restart()):
+            assert_serves_model(world, share.model)
+
+    def test_an_older_record_with_a_higher_refcount(self):
+        share = _Share()
+        share.put("/c", A)
+        older = share.record(A)  # two references
+        assert share.remove("/c")
+        share.write(older)
+        assert_serves_model(share.peer, share.model)
+        assert share.remove("/a", share.peer)
+        # A leaked object, not a lost one.
+        assert share.peer.manager.dedup.refcount(share.h_name(A)) == 1
+        restarted = share.restart()
+        assert restarted.manager.dedup.refcount(share.h_name(A)) == 1
+        share.put("/a", A, restarted)
+        assert restarted.manager.read_content("/a") == A
+
+    def test_a_deleted_record(self):
+        share = _Share()
+        share.put("/d", B)
+        for key in share.record(B):
+            share.stores.dedup.delete(key)
+        assert_serves_model(share.peer, share.model)
+        with pytest.raises(StorageError):
+            share.peer.manager.read_content("/b")
+        assert not share.remove("/b", share.peer)
+        restarted = share.restart()
+        assert restarted.manager.dedup.refcount(share.h_name(B)) == 0
+        assert_serves_model(share.writer, share.model)
+
+    def test_a_record_copied_under_another_name(self):
+        share = _Share()
+        share.put("/d", B)
+        h_a, h_b = share.h_name(A), share.h_name(B)
+        share.write({key.replace(h_a, h_b): value for key, value in share.record(A).items()})
+        # The record's file key is derived from its name: the peer cannot
+        # open it, so every dedup read of the peer fails typed.
+        with pytest.raises(ProtectedFsError):
+            share.peer.manager.read_content("/a")
+        assert_serves_model(share.peer, share.model)
+        assert not share.remove("/a", share.peer)
+        assert_serves_model(share.writer, share.model)
+        assert share.restart() is None
+
+    def test_a_released_object_and_its_record_replayed(self):
+        share = _Share()
+        share.put("/x", X)
+        record = share.record(X)
+        obj = share.keys(share.writer.manager.dedup._index[share.h_name(X)][0])
+        assert share.remove("/x")
+        assert not share.record(X) and not share.stores.dedup.exists(next(iter(obj)))
+        share.write(record)
+        share.write(obj)
+        assert_serves_model(share.peer, share.model)
+        # The resurrected object holds exactly X, so adopting it is correct.
+        share.put("/y", X, share.peer)
+        assert share.peer.manager.read_content("/y") == X
+        restarted = share.restart()
+        assert restarted.manager.read_content("/y") == X
+        assert_serves_model(share.writer, share.model)

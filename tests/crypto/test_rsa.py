@@ -31,11 +31,6 @@ FIXED_SIGNATURE = bytes.fromhex(
 FIXED_FINGERPRINT = "97db30a33c5136906e0222c12a218fb3097dfa70713d51a525e6660ee8cb11ff"
 
 
-def fingerprint(public_key: rsa.RsaPublicKey) -> bytes:
-    """SHA-256 over the canonical serialization; identifies the key."""
-    return hashlib.sha256(public_key.serialize()).digest()
-
-
 @pytest.fixture(scope="module")
 def key() -> rsa.RsaPrivateKey:
     return rsa.generate_keypair(1024)
@@ -105,7 +100,8 @@ class TestSignatures:
     def test_known_answer(self):
         fixed = rsa.RsaPrivateKey.deserialize(FIXED_KEY)
         assert fixed.serialize() == FIXED_KEY
-        assert fingerprint(fixed.public_key).hex() == FIXED_FINGERPRINT
+        # The digest pins the canonical public-key encoding.
+        assert hashlib.sha256(fixed.public_key.serialize()).hexdigest() == FIXED_FINGERPRINT
         assert rsa.sign(fixed, FIXED_MESSAGE) == FIXED_SIGNATURE
         assert rsa.verify(fixed.public_key, FIXED_MESSAGE, FIXED_SIGNATURE)
 
@@ -121,8 +117,3 @@ class TestSerialization:
         assert restored.d == key.d
         assert restored.q_inv == key.q_inv  # CRT params recomputed
         assert rsa.verify(restored.public_key, b"x", rsa.sign(restored, b"x"))
-
-    def test_fingerprint_is_stable_and_distinct(self, key):
-        other = rsa.generate_keypair(1024)
-        assert fingerprint(key.public_key) == fingerprint(key.public_key)
-        assert fingerprint(key.public_key) != fingerprint(other.public_key)

@@ -8,39 +8,6 @@ from repro.errors import PathError
 from repro.fsmodel import ROOT, is_dir_path, parent, validate_path
 
 
-# Path helpers the enclave has no use for, kept here to state the rules
-# Section II-C implies (names, joining, the ancestor chain) as tests.
-
-
-def name_of(path: str) -> str:
-    """The final name component (directory name or filename)."""
-    validate_path(path)
-    if path == ROOT:
-        return "/"
-    trimmed = path[:-1] if path.endswith("/") else path
-    return trimmed[trimmed.rfind("/") + 1 :]
-
-
-def join(directory: str, name: str, is_dir: bool = False) -> str:
-    """Append ``name`` to directory path ``directory``."""
-    if not is_dir_path(directory):
-        raise PathError(f"{directory!r} is not a directory path")
-    if "/" in name or not name:
-        raise PathError(f"invalid name {name!r}")
-    result = directory + name + ("/" if is_dir else "")
-    validate_path(result)
-    return result
-
-
-def ancestors(path: str) -> list[str]:
-    """All ancestor directories, root first, built by repeated ``parent``."""
-    chain = []
-    while path != ROOT:
-        path = parent(path)
-        chain.append(path)
-    return chain[::-1]
-
-
 class TestValidation:
     @pytest.mark.parametrize(
         "path", ["/", "/f", "/D/", "/D/f", "/D/E/", "/D/E/f.txt", "/a b/c"]
@@ -77,40 +44,57 @@ class TestParent:
 
 
 class TestNameAndJoin:
+    """A path is its parent's path plus one name; a name is whatever
+    ``validate_path`` accepts as a single component."""
+
     def test_name_of(self):
-        assert name_of("/D/f.txt") == "f.txt"
-        assert name_of("/D/E/") == "E"
-        assert name_of("/") == "/"
+        for path, name in (("/D/f.txt", "f.txt"), ("/D/E/", "E/"), ("/f", "f")):
+            assert path[len(parent(path)) :] == name
 
     def test_join_file(self):
-        assert join("/D/", "f") == "/D/f"
+        validate_path("/D/" + "f")
+        assert not is_dir_path("/D/" + "f")
+        assert parent("/D/" + "f") == "/D/"
 
     def test_join_dir(self):
-        assert join("/", "E", is_dir=True) == "/E/"
+        validate_path("/" + "E" + "/")
+        assert is_dir_path("/" + "E" + "/")
+        assert parent("/E/") == ROOT
 
     def test_join_rejects_bad_name(self):
+        # A "/" inside a name makes two components, an empty name none.
+        assert parent("/D/" + "a/b") == "/D/a/"
         with pytest.raises(PathError):
-            join("/D/", "a/b")
-        with pytest.raises(PathError):
-            join("/D/", "")
+            validate_path("/D/" + "" + "/")
 
     def test_join_rejects_file_base(self):
-        with pytest.raises(PathError):
-            join("/D", "f")
+        # Only a directory path ends in "/", so only it can be a parent.
+        assert not is_dir_path("/D")
+        assert all(is_dir_path(parent(p)) for p in ("/D", "/D/f", "/D/E/"))
 
 
 class TestAncestors:
+    """The ancestor chain is ``parent`` applied until the root."""
+
     def test_chain(self):
-        assert ancestors("/D/E/f") == ["/", "/D/", "/D/E/"]
+        assert parent("/D/E/f") == "/D/E/"
+        assert parent("/D/E/") == "/D/"
+        assert parent("/D/") == ROOT
 
     def test_root(self):
-        assert ancestors("/") == []
+        validate_path(ROOT)
+        assert is_dir_path(ROOT)
+        with pytest.raises(PathError):
+            parent(ROOT)
 
     def test_top_level(self):
-        assert ancestors("/f") == ["/"]
+        assert parent("/f") == ROOT
+        assert parent("/E/") == ROOT
 
     def test_dir_excludes_itself(self):
-        assert ancestors("/D/E/") == ["/", "/D/"]
+        for path in ("/D/", "/D/E/", "/a b/c/"):
+            assert parent(path) != path
+            assert path.startswith(parent(path))
 
 
 _name = st.text(
@@ -122,10 +106,16 @@ _name = st.text(
 
 @given(st.lists(_name, min_size=1, max_size=5), st.booleans())
 def test_parent_inverts_join(names, is_dir):
-    path = "/"
+    path = ROOT
     for name in names[:-1]:
-        path = join(path, name, is_dir=True)
-    full = join(path, names[-1], is_dir=is_dir)
+        path = path + name + "/"
+    full = path + names[-1] + ("/" if is_dir else "")
+    validate_path(full)
+    assert is_dir_path(full) == is_dir
     assert parent(full) == path
-    assert name_of(full) == names[-1]
-    assert ancestors(full)[-1] == path if path != "/" else True
+    assert full[len(path) :].rstrip("/") == names[-1]
+    # Walking up visits one ancestor per name and ends at the root.
+    chain = [full]
+    while chain[-1] != ROOT:
+        chain.append(parent(chain[-1]))
+    assert len(chain) == len(names) + 1

@@ -196,9 +196,10 @@ class TestMemberAtomicity:
 
     def test_member_abort_after_an_index_change_keeps_the_index_sealed(self):
         """Member 1 commits a dedup upload; member 2 of the same epoch
-        changes the index and aborts.  The index is sealed per member, so
-        member 1's refcounts are durable at its commit record, and the
-        abort leaves memory equal to the persisted blob."""
+        changes the index and aborts.  The records are sealed per member,
+        so member 1's refcounts are durable at its commit record, and the
+        abort leaves memory equal to the stored records, as a restart
+        reads them too."""
         server = build_server(enable_dedup=True)
         engine = server.enclave.engine
         dedup = server.enclave.manager.dedup
@@ -233,6 +234,7 @@ class TestMemberAtomicity:
         engine.quiesce()
         assert (stats.epochs, stats.members_total) == (epochs0 + 1, members0 + 1)
         server.restart_enclave()
+        assert server.enclave.manager.dedup._index == in_memory
         assert server.enclave.manager.dedup.refcount(h_shared) == 2
         assert server.enclave.manager.read_content("/d/second") == b"shared"
 
@@ -271,6 +273,7 @@ class TestMemberAtomicity:
 
         engine.quiesce()
         server.restart_enclave()
+        assert server.enclave.manager.dedup._index == in_memory
         assert server.enclave.manager.dedup.refcount(h_shared) == 1
         assert server.enclave.manager.read_content("/d/first") == b"shared"
 
