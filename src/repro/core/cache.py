@@ -47,8 +47,9 @@ from typing import TYPE_CHECKING, Iterable
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.sgx.epc import EpcModel
 
-#: Default bound for one entry: larger objects (big inline content
-#: files) bypass the cache rather than evicting all hot metadata.
+#: Default bound for one entry: larger objects (a directory file of a
+#: huge directory, a long ACL) bypass the cache rather than evicting all
+#: hot metadata.
 DEFAULT_MAX_ENTRY_FRACTION = 8
 
 

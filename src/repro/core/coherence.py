@@ -202,7 +202,7 @@ class CoherenceManager:
             if namespace == NS_DEDUP:
                 records.append(key)
             self.stats.invalidations_applied += 1
-        if records and self._engine.dedup is not None:
+        if records:
             self._engine.dedup.reload_records(records)
 
     def _full_discard(self) -> None:

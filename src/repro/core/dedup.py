@@ -1,32 +1,32 @@
-"""Server-side, file-based deduplication (paper Section V-A).
+"""The object store: every file's content, deduplicated on request (paper §V-A).
 
-Uploaded plaintext is deduplicated *inside* the enclave — possible only
-because the enclave holds the file keys — and a single encrypted copy is
-kept, shared across users and groups.  Per the paper:
+Every content file is a symbolic-link-like pointer to one object here:
+an upload streams into a fresh object under a unique random id, one PFS
+chunk at a time, before its ``PUT_FILE`` transaction opens, and the
+transaction adopts it under a *name*.  Deduplication decides only that
+name.  With it on, the name is the paper's ``hName``: the hex HMAC of the
+content under a key derived from the root key SK_r, computed as the
+chunks stream past.  If an object for ``hName`` already exists the fresh
+copy is deleted, otherwise it is adopted, so one encrypted copy is shared
+across users and groups — possible only because the enclave holds the
+file keys.  With it off, the name is the object's own random id (32 hex
+digits, never a 64-digit ``hName``) at refcount 1: nothing derived from
+the content is stored, and equal uploads stay separate objects.
 
-* the incoming file is streamed into the deduplication store under a
-  unique random name while an HMAC over its content (keyed with the root
-  key SK_r) is computed,
-* the HMAC's hex string ``hName`` identifies the content; if an object
-  for ``hName`` already exists the fresh copy is deleted, otherwise it is
-  adopted,
-* the content file in the content store holds only ``hName`` — a
-  symbolic-link-like indirection.
+Beyond the paper, the store reference-counts names so that deleting the
+last referring file reclaims the object.  Each name has one sealed
+record, the protected file ``idx:<name>`` holding the object id and the
+reference count, so a change seals only the records it touched and a
+peer replica re-reads only the records a coherence epoch names.  The
+enclave keeps every entry in memory, loaded once from a sorted scan of
+the ``idx:`` keys; the record bytes are never cached.
 
-Beyond the paper, the store reference-counts ``hName`` entries so that
-deleting the last referring file reclaims the stored copy.  Each entry
-is one sealed record, the protected file ``idx:<hName>`` holding the
-object id and the reference count, so a change seals only the records it
-touched and a peer replica re-reads only the records a coherence epoch
-names.  The enclave keeps every entry in memory, loaded once from a
-sorted scan of the ``idx:`` keys; the record bytes are never cached.
-
-A record is bound to its ``hName`` by its protected-file key, not kept
-fresh: the host may replay, delete or mix records of different ages.
-Object ids are never reused and an object is adopted only under the
-``hName`` of its content, so any object a record names holds exactly
-that content — a stale record costs a refcount or an availability
-error, never other bytes.
+A record is bound to its name by its protected-file key, not kept fresh:
+the host may replay, delete or mix records of different ages.  Object
+ids are never reused, an object is written once, and it is adopted only
+under the ``hName`` of its content or under its own id, so any object a
+record names holds exactly the bytes that name was given — a stale
+record costs a refcount or an availability error, never other bytes.
 """
 
 from __future__ import annotations
@@ -48,22 +48,27 @@ _RECORD_PREFIX = "idx:"
 _OBJECT_PREFIX = "obj:"
 
 #: Coherence namespace of the records: a committed change publishes
-#: ``(NS_DEDUP, hName)``, and a peer re-reads exactly that record.
+#: ``(NS_DEDUP, name)``, and a peer re-reads exactly that record.
 NS_DEDUP = "dedup"
+
+#: Length of an ``hName``; a plain object's name is half as long.
+_HNAME_LENGTH = 64
 
 
 class DedupStore:
-    """The deduplication store: content-addressed objects plus one record each."""
+    """The object store: named objects plus one record per name."""
 
     def __init__(
-        self, pfs: ProtectedFs, root_key: bytes, engine: "StorageEngine"
+        self, pfs: ProtectedFs, root_key: bytes, engine: "StorageEngine", deduplicate: bool = True
     ) -> None:
         self._pfs = pfs
         self._hmac_key = derive_key(root_key, "segshare/dedup-hmac")
         self._engine = engine
-        #: hName -> (object id, reference count), one entry per record.
+        #: Name new objects by their content's ``hName`` (else by their id).
+        self.deduplicate = deduplicate
+        #: name -> (object id, reference count), one entry per record.
         self._index: dict[str, tuple[str, int]] = {}
-        #: hNames whose entry changed since its record was last sealed.
+        #: Names whose entry changed since its record was last sealed.
         #: Inside a storage engine span the seal waits for the span's end
         #: (``seal_index``), so a request writes each touched record once.
         self._dirty: set[str] = set()
@@ -121,18 +126,18 @@ class DedupStore:
         object_id = _OBJECT_PREFIX + secrets.token_hex(16)
         return DedupUpload(self, object_id)
 
-    def _commit(self, object_id: str, h_name: str) -> str:
-        """Adopt or discard a freshly written object; returns the ``hName``."""
+    def _commit(self, object_id: str, name: str) -> str:
+        """Adopt or discard a freshly written object; returns its name."""
         self._engine.coherence_check()
-        existing = self._index.get(h_name)
+        existing = self._index.get(name)
         if existing is not None:
             # `obj:*` blobs are never metadata-cached.
             self._pfs.remove(object_id)
-            self._index[h_name] = (existing[0], existing[1] + 1)
+            self._index[name] = (existing[0], existing[1] + 1)
         else:
-            self._index[h_name] = (object_id, 1)
-        self._changed(h_name)
-        return h_name
+            self._index[name] = (object_id, 1)
+        self._changed(name)
+        return name
 
     def put(self, content: bytes) -> str:
         """Non-streaming ingestion of a whole value."""
@@ -147,24 +152,33 @@ class DedupStore:
     # state, so in a cluster "verify on hit" means applying any peer
     # invalidation epochs (which re-read the records they name) before
     # trusting them.  Object *contents* are self-verifying via content
-    # addressing.
+    # addressing, or written once under a never-reused id.
 
     def _entry(self, h_name: str) -> tuple[str, int]:
         self._engine.coherence_check()
         entry = self._index.get(h_name)
+        if entry is None and h_name not in self._dirty:
+            # A replica without a coherence log shares the store with
+            # writers whose records it never loaded: read the one asked
+            # for, as a restart would.
+            self._reread(h_name)
+            entry = self._index.get(h_name)
         if entry is None:
             raise StorageError(f"no deduplicated object {h_name!r}")
         return entry
 
     def get(self, h_name: str) -> bytes:
-        """Read an object, verifying it still hashes to ``h_name``.
+        """Read an object, verifying a content-addressed one still hashes
+        to its ``hName``.
 
         Content addressing doubles as rollback protection for this store:
         replaying an *older* object under the same name changes its HMAC
-        and is caught here.
+        and is caught here.  A plain object is written once, so it has no
+        older version to replay.
         """
         content = self._pfs.read_file(self._entry(h_name)[0])
-        if not hmac.compare_digest(self.h_name(content), h_name):
+        addressed = len(h_name) == _HNAME_LENGTH
+        if addressed and not hmac.compare_digest(self.h_name(content), h_name):
             raise StorageError(f"deduplicated object {h_name!r} failed content check")
         return content
 
@@ -233,9 +247,10 @@ class DedupStore:
     def sweep_orphans(self) -> int:
         """Reclaim objects no record references; returns the count.
 
-        A crash can strand objects: streamed chunks land in the store
-        before a record adopts them, and an undo-log rollback restores
-        the records without deleting the abandoned object.  The converse
+        A crash can strand objects, with dedup on or off: every upload's
+        streamed chunks land in the store before a record adopts them,
+        and an undo-log rollback restores the records without deleting
+        the abandoned object.  The converse
         (referenced-but-missing) cannot happen honestly: the records and
         the object links commit atomically in one journaled span, so
         sweeping unreferenced ``obj:`` keys after crash recovery is
@@ -259,25 +274,29 @@ class DedupStore:
 
 
 class DedupUpload:
-    """A streaming upload into the deduplication store."""
+    """A streaming upload into the object store."""
 
     def __init__(self, store: DedupStore, object_id: str) -> None:
         self._store = store
         self._object_id = object_id
         self._handle = store._pfs.open_write(object_id)
-        self._hasher = store.hasher()
+        self._hasher = store.hasher() if store.deduplicate else None
         self._done = False
 
     def write(self, chunk: bytes) -> None:
-        self._hasher.update(chunk)
+        if self._hasher is not None:
+            self._hasher.update(chunk)
         self._handle.write(chunk)
 
     def finish(self) -> str:
-        """Close the object and commit it; returns the content's ``hName``."""
+        """Close the object and commit it; returns its name: the content's
+        ``hName``, or without dedup the object's own random id."""
         if self._done:
             raise StorageError("upload already finished")
         self._done = True
         self._handle.close()
+        if self._hasher is None:
+            return self._store._commit(self._object_id, self._object_id[len(_OBJECT_PREFIX):])
         return self._store._commit(self._object_id, self._hasher.hexdigest())
 
     def abort(self) -> None:

@@ -197,7 +197,9 @@ class SeGShareEnclave(Enclave):
     #: docs/PERF.md §11 paid for its per-span index seal by deleting
     #: test-only path, key-fingerprint and multiset routines: 8316 → 8297.
     #: §12's per-hName dedup records left the index code smaller: 8297 → 8293.
-    TCB_LOC_CEILING = 8293
+    #: One content layout (every file a pointer to a streamed object; the
+    #: inline layout and its whole-upload buffer gone): 8293 → 8273.
+    TCB_LOC_CEILING = 8273
 
     def __init__(
         self,
@@ -380,8 +382,8 @@ class SeGShareEnclave(Enclave):
         # crash strands them whether or not a batch was open: every restart
         # over our own store sweeps.  A takeover never does — on the shared
         # store an unreferenced object may be a live peer's upload.
-        shared = self._options.replica or self._options.shared_store
-        if not shared and self.manager is not None and self.manager.dedup is not None:
+        if not (self._options.replica or self._options.shared_store):
+            assert self.manager is not None
             self.manager.dedup.sweep_orphans()
         journal.recover_finish()
 

@@ -22,9 +22,11 @@ Content-store plaintext formats:
 
 * directory files (paths ending in ``/``): a serialized
   :class:`repro.fsmodel.DirectoryFile`,
-* content files: one kind byte — INLINE (0) followed by raw bytes, or
-  POINTER (1) followed by a dedup ``hName`` (the symbolic-link-style
-  indirection of Section V-A).
+* content files: the kind byte POINTER (1) followed by the name of an
+  object in the object store (:mod:`repro.core.dedup`) — the
+  symbolic-link-style indirection of Section V-A, for every file: the
+  content's ``hName`` with dedup, a random name without.  Any other kind
+  byte is a :class:`FileSystemError`.
 """
 
 from __future__ import annotations
@@ -56,7 +58,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.cache import MetadataCache
     from repro.core.rollback import FlatStoreGuard, RollbackGuard
 
-_KIND_INLINE = 0
 _KIND_POINTER = 1
 
 #: Logical-path prefix for rollback-guard node objects.  Contains NUL,
@@ -225,8 +226,8 @@ class TrustedFileManager:
         #: records authenticate themselves (repro/core/audit.py).
         self.raw_read, self.raw_write = self.content.raw_read, self.content.raw_write
         self.raw_exists = self.content.raw_exists
-        self.dedup: DedupStore | None = (
-            DedupStore(pfs(backends.dedup, "dedup"), root_key, engine=engine) if enable_dedup else None
+        self.dedup = DedupStore(
+            pfs(backends.dedup, "dedup"), root_key, engine=engine, deduplicate=enable_dedup
         )
         engine.attach_dedup(self.dedup)
         self._stores = engine.raw
@@ -297,40 +298,36 @@ class TrustedFileManager:
     # -- content files ---------------------------------------------------------------
 
     def write_content(self, path: str, data: bytes) -> None:
-        """Store a content file, deduplicating when enabled."""
-        if self.dedup is not None:
-            h_name = self.dedup.put(data)
-            record = Writer().u8(_KIND_POINTER).str(h_name).take()
-        else:
-            record = Writer().u8(_KIND_INLINE).raw(data).take()
-        old_pointer = self._pointer_target(path)
-        self.content.guarded_write(path, record)
-        if old_pointer is not None and self.dedup is not None:
-            self.dedup.release(old_pointer)
+        """Store a content file: a new object, and ``path`` pointing at it."""
+        self._point(path, self.dedup.put(data), self._pointer_target(path))
+
+    def _point(self, path: str, name: str, old_name: str | None) -> None:
+        """Make ``path`` a pointer to ``name``, releasing the object it replaced."""
+        self.content.guarded_write(path, Writer().u8(_KIND_POINTER).str(name).take())
+        if old_name is not None:
+            self.dedup.release(old_name)
+
+    def _object_name(self, path: str) -> str:
+        """The object a content file points to, read guard-verified."""
+        r = Reader(self.content.guarded_read(path))
+        if r.u8() != _KIND_POINTER:
+            raise FileSystemError(f"corrupt content record at {path!r}")
+        return r.str()
 
     def read_content(self, path: str) -> bytes:
-        record = self.content.guarded_read(path)
-        r = Reader(record)
-        kind = r.u8()
-        if kind == _KIND_INLINE:
-            return r.raw(r.remaining)
-        if kind == _KIND_POINTER:
-            if self.dedup is None:
-                raise FileSystemError(f"{path!r} is a dedup pointer but dedup is disabled")
-            return self.dedup.get(r.str())
-        raise FileSystemError(f"corrupt content record at {path!r}")
+        return self.dedup.get(self._object_name(path))
 
     def content_size(self, path: str) -> int:
-        record = self.content.guarded_read(path)
-        r = Reader(record)
-        kind = r.u8()
-        if kind == _KIND_INLINE:
-            return r.remaining
-        assert self.dedup is not None
-        return self.dedup.size(r.str())
+        return self.dedup.size(self._object_name(path))
+
+    def move_content(self, src: str, dst: str) -> None:
+        """Re-point: ``dst`` takes ``src``'s record; the object and its
+        reference count stay, and no payload byte is read."""
+        self.content.guarded_write(dst, self.content.guarded_read(src))
+        self.content.guarded_delete(src)
 
     def _pointer_target(self, path: str) -> str | None:
-        """The dedup hName the current record points to, if any."""
+        """The object name the current record points to, if any."""
         record = self._engine.lookup(self.content.namespace, path)
         if record is None:
             if not self.exists(path):
@@ -345,10 +342,10 @@ class TrustedFileManager:
         return r.str()
 
     def delete_content(self, path: str) -> None:
-        """Delete a content or directory file (releasing dedup references)."""
+        """Delete a content or directory file (releasing its object reference)."""
         pointer = self._pointer_target(path)
         self.content.guarded_delete(path)
-        if pointer is not None and self.dedup is not None:
+        if pointer is not None:
             self.dedup.release(pointer)
 
     # -- streaming content -----------------------------------------------------------
@@ -360,21 +357,10 @@ class TrustedFileManager:
     def iter_content(self, path: str) -> tuple[int, Iterator[bytes]]:
         """(plaintext size, chunk iterator) for a streamed download.
 
-        The rollback guard, when active, needs the full content hash, so
-        guarded reads verify before streaming; the chunks still cross the
-        channel one at a time.
+        The rollback guard verifies the small pointer record; the object's
+        chunks are then pulled one at a time as the response needs them.
         """
-        record = self.content.guarded_read(path)
-        r = Reader(record)
-        kind = r.u8()
-        if kind == _KIND_INLINE:
-            data = r.raw(r.remaining)
-            from repro.tls.session import chunk_payload  # local import avoids cycle
-
-            return len(data), iter(chunk_payload(data))
-        assert self.dedup is not None
-        h_name = r.str()
-        handle = self.dedup.open_read(h_name)
+        handle = self.dedup.open_read(self._object_name(path))
 
         def chunks() -> Iterator[bytes]:
             with handle:
@@ -471,10 +457,10 @@ class TrustedFileManager:
         }
 
     def content_stored_size(self, path: str) -> int:
-        """Untrusted bytes behind one file (following dedup pointers)."""
+        """Untrusted bytes behind one file (following its pointer)."""
         total = self.content.pfs.stored_size(self._sp(path))
         pointer = self._pointer_target(path)
-        if pointer is not None and self.dedup is not None:
+        if pointer is not None:
             total += self.dedup.stored_size(pointer)
         return total
 
@@ -482,43 +468,27 @@ class TrustedFileManager:
 class ContentUpload:
     """Streaming upload sink used by the request handler.
 
-    With dedup, chunks flow straight into the deduplication store while
-    the HMAC for ``hName`` is computed incrementally — the enclave holds
-    one chunk at a time.  Without dedup, ``_inline_parts`` holds the whole
-    upload until :meth:`finish` writes it as one inline record (not
-    charged to the EPC model; see DESIGN.md's streaming note).
+    Chunks flow straight into a fresh object in the object store as they
+    arrive (with dedup, while the HMAC for ``hName`` is computed
+    incrementally), so the enclave holds one chunk at a time whatever the
+    file size.  :meth:`finish`, inside the ``PUT_FILE`` transaction,
+    adopts the object and points ``path`` at it.
     """
 
     def __init__(self, manager: TrustedFileManager, path: str) -> None:
         self._manager = manager
         self._path = path
         self._size = 0
-        self._dedup_upload = manager.dedup.begin_upload() if manager.dedup else None
-        self._inline_parts: list[bytes] | None = None if manager.dedup else []
+        self._object = manager.dedup.begin_upload()
 
     def write(self, chunk: bytes) -> None:
         self._size += len(chunk)
-        if self._dedup_upload is not None:
-            self._dedup_upload.write(chunk)
-        else:
-            assert self._inline_parts is not None
-            self._inline_parts.append(chunk)
+        self._object.write(chunk)
 
     def finish(self) -> None:
         """Commit the upload as the content of ``path``."""
-        manager = self._manager
-        old_pointer = manager._pointer_target(self._path)
-        if self._dedup_upload is not None:
-            h_name = self._dedup_upload.finish()
-            record = Writer().u8(_KIND_POINTER).str(h_name).take()
-        else:
-            assert self._inline_parts is not None
-            record = Writer().u8(_KIND_INLINE).raw(b"".join(self._inline_parts)).take()
-        manager.content.guarded_write(self._path, record)
-        if old_pointer is not None and manager.dedup is not None:
-            manager.dedup.release(old_pointer)
+        old_name = self._manager._pointer_target(self._path)
+        self._manager._point(self._path, self._object.finish(), old_name)
 
     def abort(self) -> None:
-        if self._dedup_upload is not None:
-            self._dedup_upload.abort()
-        self._inline_parts = None
+        self._object.abort()

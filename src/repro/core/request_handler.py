@@ -407,8 +407,8 @@ class RequestHandler:
     def _move_tree(self, src: str, dst: str) -> int:
         """Relocate a subtree: per-file re-encryption under the new path key.
 
-        Deduplicated content moves by re-pointing — only the small pointer
-        record is re-encrypted, never the payload.
+        A file moves by re-pointing — only its small pointer record is
+        re-encrypted, never the payload.
         """
         count = 1
         acl = self._manager.read_acl(src) if self._manager.acl_exists(src) else None
@@ -427,9 +427,7 @@ class RequestHandler:
                 count += self._move_tree(child, new_child)
             self._manager.delete_content(src)
         else:
-            content = self._manager.read_content(src)
-            self._manager.write_content(dst, content)
-            self._manager.delete_content(src)
+            self._manager.move_content(src, dst)
         if acl is not None:
             self._manager.delete_acl(src)
             self._access.on_file_moved(src, dst)

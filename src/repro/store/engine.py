@@ -398,7 +398,7 @@ class StorageEngine:
         )
         self.backends = StoreSet(*self._deferred)
 
-    def attach_dedup(self, dedup: "DedupStore | None") -> None:
+    def attach_dedup(self, dedup: "DedupStore") -> None:
         """The dedup records must be re-read after an undo-log restore."""
         self.dedup = dedup
 

@@ -224,6 +224,7 @@ REQUIRED_COLLABORATORS = frozenset(
         "EpcModel",
         "TransactionStats",
         "WriteAheadJournal",
+        "DedupStore",
     }
 )
 
@@ -287,8 +288,8 @@ def optional_collaborator_sites(src: Path) -> list[str]:
 def test_required_collaborators_are_never_optional():
     sites = optional_collaborator_sites(SRC)
     assert not sites, (
-        "clock, enclave, engine, write-ahead journal, lock table, EPC model and "
-        "transaction stats are required collaborators (the journaled transaction "
+        "clock, enclave, engine, write-ahead journal, lock table, EPC model, "
+        "transaction stats and object store are required collaborators (the journaled transaction "
         "is the only write path; pass a real one; tests build theirs through "
         "tests/support/platform.py) — optional again at:\n  " + "\n  ".join(sites)
     )

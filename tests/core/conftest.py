@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import pytest
@@ -67,6 +68,15 @@ def build_world(
         locks=locks,
         guard=guard,
         group_guard=group_guard,
+    )
+
+
+@pytest.fixture()
+def numbered_objects(monkeypatch):
+    """Object ids 0, 1, 2, ... instead of random ones: for known answers."""
+    serial = itertools.count()
+    monkeypatch.setattr(
+        "repro.core.dedup.secrets.token_hex", lambda nbytes: "%0*x" % (2 * nbytes, next(serial))
     )
 
 

@@ -107,8 +107,7 @@ def crash_restart_check(run_op, step: int, check_outcome, **overrides) -> None:
     server.enclave.guard.verify_restored_state()
     assert server.enclave.manager.read_content("/keep") == b"other file"
     check_outcome(server)
-    if overrides.get("enable_dedup"):
-        check_dedup_records(server)
+    check_dedup_records(server)
     # The server must be fully operational again.
     run_op(server)
 
@@ -117,23 +116,34 @@ def crash_restart_check(run_op, step: int, check_outcome, **overrides) -> None:
 _PATHS = ("/keep", "/d/f", "/d/new", "/f2", "/d/g1", "/d/g2")
 
 
+def object_state(server: SeGShareServer) -> tuple[dict[str, tuple[str, int]], set[str]]:
+    """The in-enclave object entries and the object ids on the store."""
+    keys = server.stores.dedup.keys()
+    objects = {key.partition("\x00")[0] for key in keys if key.startswith("obj:")}
+    return dict(server.enclave.manager.dedup._index), objects
+
+
 def check_dedup_records(server: SeGShareServer) -> None:
     """Records, objects and content files agree after recovery.
 
     Every ``idx:`` record on the store is a whole entry, every entry names
     a stored object and every stored object is named — the restart's sweep
     reclaimed the unreferenced ``obj:`` keys and nothing else — and each
-    hName carries one reference per live file holding its content.
+    name carries one reference per live file pointing at it: with dedup,
+    one per live file holding its content.
     """
     manager = server.enclave.manager
     dedup = manager.dedup
     keys = list(server.stores.dedup.keys())
     assert {key.partition("\x00")[0][4:] for key in keys if key.startswith("idx:")} == set(dedup._index)
-    objects = {key.partition("\x00")[0] for key in keys if key.startswith("obj:")}
-    assert objects == {object_id for object_id, _ in dedup._index.values()}
+    index, objects = object_state(server)
+    assert objects == {object_id for object_id, _ in index.values()}
     files = [path for path in _PATHS if manager.exists(path)]
-    expected = Counter(dedup.h_name(manager.read_content(path)) for path in files)
-    assert {h_name: refcount for h_name, (_, refcount) in dedup._index.items()} == expected
+    if dedup.deduplicate:
+        expected = Counter(dedup.h_name(manager.read_content(path)) for path in files)
+    else:
+        expected = Counter(manager._pointer_target(path) for path in files)
+    assert {name: refcount for name, (_, refcount) in index.items()} == expected
 
 
 # -- the operations under test -------------------------------------------------
@@ -158,6 +168,19 @@ def check_move(server: SeGShareServer) -> None:
     assert manager.read_content(where) == b"victim content"
     assert ("/d/f" in manager.read_dir("/d/").children) == at_src
     assert ("/f2" in manager.read_dir("/").children) == at_dst
+
+
+def run_move_recording_objects(server: SeGShareServer) -> None:
+    """``run_move``, remembering the object state the move starts from."""
+    server.objects_before_move = object_state(server)
+    run_move(server)
+
+
+def check_move_repoints(server: SeGShareServer) -> None:
+    """A move re-points: whichever side of the crash recovery lands on,
+    every refcount and every stored object is as before the move."""
+    check_move(server)
+    assert object_state(server) == server.objects_before_move
 
 
 def run_remove(server: SeGShareServer) -> None:
@@ -217,6 +240,7 @@ _MATRIX = {
     # a remove removes its record.
     "overwrite_dedup": (run_overwrite, check_overwrite, {"enable_dedup": True}),
     "remove_dedup": (run_remove, check_remove, {"enable_dedup": True}),
+    "move_dedup": (run_move_recording_objects, check_move_repoints, {"enable_dedup": True}),
     "move_hidden": (run_move, check_move, {"hide_paths": True}),
     # Cached variants: the enclave-resident metadata cache must never let
     # a value written by the rolled-back batch survive the crash — the
@@ -458,8 +482,7 @@ class TestEpochCrashMatrix:
                 assert manager.exists("/d/g1"), (
                     f"{prefix} step {step}: later member outlived earlier one"
                 )
-            if options.get("enable_dedup"):
-                check_dedup_records(server)
+            check_dedup_records(server)
             # The server keeps working: both uploads land on retry.
             self._run_epoch_pair(server)
             assert manager.read_content("/d/g1") == b"epoch one"
@@ -490,23 +513,56 @@ class TestRecoveryDetails:
         run_move(server)
         assert server.enclave.manager.read_content("/f2") == b"victim content"
 
-    def test_dedup_orphans_swept_on_recovery(self):
-        server = build_server(enable_dedup=True)
+    @staticmethod
+    def _faulty_server(enable_dedup: bool) -> tuple[SeGShareServer, FaultPlan]:
+        """A primed server whose stores report to a live fault plan."""
+        plan = FaultPlan()
+        options = SeGShareOptions(
+            rollback="whole_fs", counter_kind="rote", rollback_buckets=8,
+            enable_dedup=enable_dedup,
+        )
+        server = SeGShareServer(
+            azure_wan_env(), _CA.public_key,
+            stores=faulty_stores(StoreSet.in_memory(), plan), options=options,
+        )
         prime(server)
-
-        def raw_objects() -> int:
-            return sum(1 for key in server.stores.dedup.keys() if "obj:" in key)
-
-        baseline = raw_objects()
-        plan = FaultPlan().crash_at_point(nth=6, site_prefix="journal:")
         plan.attach_platform(server.platform)
-        with pytest.raises(EnclaveCrashed):
-            server.enclave.handler.put_file("alice", "/d/new", b"unique new bytes")
-        plan.detach()
-        server.restart_enclave()
-        server.enclave.guard.verify_restored_state()
-        if not server.enclave.manager.exists("/d/new"):
-            assert raw_objects() == baseline, "crash stranded a dedup object"
+        return server, plan
+
+    @pytest.mark.parametrize("enable_dedup", [True, False], ids=["dedup", "plain"])
+    def test_dedup_orphans_swept_on_recovery(self, enable_dedup):
+        """Die at every object-store operation of a three-chunk upload —
+        streaming its chunks, closing the object, adopting it, sealing its
+        record — and restart: the file is whole or absent, and every stored
+        object is referenced."""
+        content = b"n" * (3 * 4096 + 9)
+
+        def upload(server: SeGShareServer) -> None:
+            assert server.enclave.handler.put_file("alice", "/d/new", content).status is Status.OK
+
+        server, plan = self._faulty_server(enable_dedup)
+        before = plan.store_ops
+        upload(server)
+        total = plan.store_ops - before  # an upper bound on the dedup-store ops
+
+        crashes = 0
+        for nth in range(1, total + 1):
+            server, plan = self._faulty_server(enable_dedup)
+            plan.crash_after_ops(nth=nth, store="dedup")
+            try:
+                upload(server)
+            except EnclaveCrashed:
+                crashes += 1
+            else:
+                break  # past the last dedup-store operation
+            plan.detach()
+            server.restart_enclave()
+            server.enclave.guard.verify_restored_state()
+            manager = server.enclave.manager
+            if manager.exists("/d/new"):
+                assert manager.read_content("/d/new") == content
+            check_dedup_records(server)
+        assert crashes > 4, "the upload passed too few object-store operations"
 
     @staticmethod
     def _unindexed_objects(server: SeGShareServer) -> set[str]:
@@ -518,10 +574,11 @@ class TestRecoveryDetails:
         }
         return stored - indexed
 
-    def test_upload_crashed_mid_stream_is_swept_on_restart(self):
+    @pytest.mark.parametrize("enable_dedup", [True, False], ids=["dedup", "plain"])
+    def test_upload_crashed_mid_stream_is_swept_on_restart(self, enable_dedup):
         """Streamed chunks land before the PUT_FILE transaction opens: no
         journal batch covers them and `close` has not written metadata."""
-        server = build_server(enable_dedup=True)
+        server = build_server(enable_dedup=enable_dedup)
         prime(server)
         sink = server.enclave.handler.open_upload("alice", "/d/streamed")
         sink.write(b"s" * (3 * 4096 + 9))  # three chunks flushed, no finish
@@ -537,24 +594,15 @@ class TestRecoveryDetails:
         response = server.enclave.handler.put_file("alice", "/d/streamed", b"second try")
         assert response.status is Status.OK
 
-    def test_abort_crashed_at_any_store_op_is_swept_on_restart(self):
+    @pytest.mark.parametrize("enable_dedup", [True, False], ids=["dedup", "plain"])
+    def test_abort_crashed_at_any_store_op_is_swept_on_restart(self, enable_dedup):
         """`abort` seals the temporary object and removes it, metadata
         first — outside any journal batch.  Die at each of its dedup-store
         operations, including between the meta delete and the last chunk
         delete, where the leftover chunks have no metadata to be found by."""
 
         def aborting_server(crash_at: int | None):
-            plan = FaultPlan()
-            stores = faulty_stores(StoreSet.in_memory(), plan)
-            options = SeGShareOptions(
-                rollback="whole_fs", counter_kind="rote", rollback_buckets=8,
-                enable_dedup=True,
-            )
-            server = SeGShareServer(
-                azure_wan_env(), _CA.public_key, stores=stores, options=options
-            )
-            prime(server)
-            plan.attach_platform(server.platform)
+            server, plan = self._faulty_server(enable_dedup)
             sink = server.enclave.handler.open_upload("alice", "/d/aborted")
             sink.write(b"a" * (2 * 4096 + 1))
             if crash_at is not None:
@@ -1136,7 +1184,7 @@ class TestMultiChunkDeleteCrashes:
 
     def test_tampered_saved_chunk_fails_recovery(self, dedup):
         for _, server in self._crash_cells("journal:mutate", dedup):
-            store = server.stores.dedup if dedup else server.stores.content
+            store = server.stores.dedup  # a file's chunks are its object's
             saved = [key for key in store.keys() if key.startswith(_SAVED)]
             if len(saved) < 2:
                 continue

@@ -1,7 +1,5 @@
 """Deduplication: single stored copy, refcounts, content addressing."""
 
-import itertools
-
 import pytest
 
 from repro.core.coherence import CoherenceManager
@@ -19,11 +17,12 @@ from tests.support.calls import python_calls
 from tests.support.platform import engine_for, loaded_enclave
 
 
-def dedup_over(store):
+def dedup_over(store, deduplicate=True):
     """A standalone dedup store (fresh enclave and engine) over ``store``."""
     enclave = loaded_enclave()
     engine = engine_for(StoreSet(InMemoryStore(), InMemoryStore(), store), enclave)
-    return DedupStore(ProtectedFs(store, master_key=bytes(16), enclave=enclave), bytes(32), engine)
+    pfs = ProtectedFs(store, master_key=bytes(16), enclave=enclave)
+    return DedupStore(pfs, bytes(32), engine, deduplicate=deduplicate)
 
 
 @pytest.fixture()
@@ -56,6 +55,26 @@ class TestStoreLevel:
         assert dedup.refcount(h) == 0
         with pytest.raises(StorageError):
             dedup.get(h)
+
+    def test_without_dedup_equal_content_stays_apart(self):
+        """Plain objects are named by their random id: nothing derived from
+        the content is stored, and equal uploads are never shared."""
+        store = dedup_over(InMemoryStore(), deduplicate=False)
+        first, second = store.put(b"same"), store.put(b"same")
+        assert first != second and len(first) == 32 and first != store.h_name(b"same")
+        assert store.object_count() == 2 and store.refcount(first) == 1
+        assert store.get(first) == store.get(second) == b"same"
+        store.release(first)
+        assert store.object_count() == 1 and store.get(second) == b"same"
+
+    def test_a_name_never_loaded_is_read_from_storage(self):
+        """A replica without a coherence log (paper §V-F) reads an object
+        another enclave adopted after it loaded its entries."""
+        backend = InMemoryStore()
+        reader = dedup_over(backend)
+        name = dedup_over(backend, deduplicate=False).put(b"written elsewhere")
+        assert reader.get(name) == b"written elsewhere"
+        assert reader.refcount(name) == 1
 
     def test_streaming_upload_matches_oneshot(self, dedup):
         upload = dedup.begin_upload()
@@ -360,15 +379,8 @@ class TestSweepOrphans:
 # -- the records' bytes may not move -------------------------------------------------
 #
 # One protected file ``idx:<hName>`` per entry, holding ``str object id ||
-# u32 refcount``.  Object ids are random; the script pins them.
-
-
-@pytest.fixture()
-def numbered_objects(monkeypatch):
-    serial = itertools.count()
-    monkeypatch.setattr(
-        "repro.core.dedup.secrets.token_hex", lambda nbytes: "%0*x" % (2 * nbytes, next(serial))
-    )
+# u32 refcount``.  Object ids are random; the script pins them
+# (``numbered_objects``, tests/core/conftest.py).
 
 
 H_ALPHA = "2d2d7a188391eb25e2c8fd973356e1f9343ee2b74837591dfa8bfa0065b78464"
@@ -520,8 +532,8 @@ class _Share:
         self.put("/b", B)
         assert_serves_model(self.peer, self.model)  # the peer is current
 
-    def replica(self):
-        world = build_world(enable_dedup=True, stores=self.stores)
+    def replica(self, enable_dedup: bool = True):
+        world = build_world(enable_dedup=enable_dedup, stores=self.stores)
         engine = world.manager.engine
         engine.attach_coherence(CoherenceManager(self.board, bytes(32), engine))
         return world
@@ -549,6 +561,12 @@ class _Share:
 
     def record(self, content: bytes) -> dict[str, bytes]:
         return self.keys("idx:" + self.h_name(content))
+
+    def put_plain(self, path: str, content: bytes) -> str:
+        """Upload through a replica without dedup; returns the object's name."""
+        plain = self.replica(enable_dedup=False)
+        self.put(path, content, plain)
+        return plain.manager._pointer_target(path)
 
     def write(self, keys: dict[str, bytes]) -> None:
         for key, value in keys.items():
@@ -640,3 +658,51 @@ class TestByzantineRecords:
         restarted = share.restart()
         assert restarted.manager.read_content("/y") == X
         assert_serves_model(share.writer, share.model)
+
+    # A plain object's record is named by the object's random id.  The host
+    # has the same moves against it, with the same outcome.
+
+    def test_a_released_plain_record_and_its_object_replayed(self):
+        share = _Share()
+        name = share.put_plain("/p", X)
+        assert len(name) == 32
+        record, obj = share.keys("idx:" + name), share.keys("obj:" + name)
+        share.put_plain("/p", B)  # releases the first object
+        assert not share.keys("idx:" + name) and not share.keys("obj:" + name)
+        share.write(record)
+        share.write(obj)
+        assert_serves_model(share.peer, share.model)
+        restarted = share.restart()
+        # A leaked object nothing points at, and no identical upload
+        # is ever deduplicated against it.
+        assert restarted.manager.dedup.refcount(name) == 1
+        share.put("/y", X, restarted)
+        assert restarted.manager._pointer_target("/y") == share.h_name(X)
+        assert restarted.manager.read_content("/y") == X
+
+    def test_a_deleted_plain_record(self):
+        share = _Share()
+        name = share.put_plain("/p", X)
+        for key in share.keys("idx:" + name):
+            share.stores.dedup.delete(key)
+        with pytest.raises(StorageError):
+            share.peer.manager.read_content("/p")
+        assert_serves_model(share.peer, share.model)
+        assert not share.remove("/p", share.peer)
+        restarted = share.restart()
+        assert restarted.manager.dedup.refcount(name) == 0
+        assert not share.keys("obj:" + name)  # swept: nothing references it
+
+    def test_a_plain_record_swapped_with_a_content_addressed_one(self):
+        share = _Share()
+        share.put("/c", A)  # the peer will re-read A's record ...
+        name = share.put_plain("/p", X)  # ... and this one
+        h_a = share.h_name(A)
+        plain_record, addressed_record = share.keys("idx:" + name), share.record(A)
+        share.write({key.replace(name, h_a): value for key, value in plain_record.items()})
+        share.write({key.replace(h_a, name): value for key, value in addressed_record.items()})
+        for path in ("/a", "/p"):
+            with pytest.raises(ProtectedFsError):
+                share.peer.manager.read_content(path)
+        assert_serves_model(share.peer, share.model)
+        assert share.restart() is None

@@ -5,6 +5,7 @@ import pytest
 from repro.core.file_manager import TrustedFileManager
 from repro.errors import FileSystemError
 from repro.fsmodel import DirectoryFile
+from repro.sgx.protected_fs import CHUNK_SIZE
 from repro.storage.stores import StoreSet
 from tests.support.platform import engine_for, loaded_enclave
 
@@ -27,11 +28,22 @@ def dedup_manager():
     return make_manager(enable_dedup=True)
 
 
+def object_keys(manager) -> set[str]:
+    """The objects the store holds, by id."""
+    return manager.dedup._pfs.owners("obj:")
+
+
 class TestContentRecords:
     def test_inline_round_trip(self, manager):
-        manager.write_content("/f", b"inline payload")
-        assert manager.read_content("/f") == b"inline payload"
-        assert manager.content_size("/f") == 14
+        """Without dedup the payload still lives in an object: a plain one,
+        named by its own 32-hex-digit id at refcount 1, never by an hName."""
+        manager.write_content("/f", b"plain payload")
+        assert manager.read_content("/f") == b"plain payload"
+        assert manager.content_size("/f") == 13
+        name = manager._pointer_target("/f")
+        assert len(name) == 32 and object_keys(manager) == {"obj:" + name}
+        assert manager.dedup.refcount(name) == 1
+        assert name != manager.dedup.h_name(b"plain payload")
 
     def test_pointer_round_trip(self, dedup_manager):
         dedup_manager.write_content("/f", b"deduplicated payload")
@@ -44,13 +56,36 @@ class TestContentRecords:
         with pytest.raises(FileSystemError):
             manager.delete_content("/ghost")
 
-    def test_pointer_read_needs_dedup(self, dedup_manager):
-        """A pointer record persisted with dedup on cannot be followed by a
-        manager built without the dedup store."""
-        dedup_manager.write_content("/f", b"x")
-        plain = make_manager(dedup_manager._stores, enable_dedup=False)
-        with pytest.raises(FileSystemError):
-            plain.read_content("/f")
+    @pytest.mark.parametrize(
+        "before, after", [(False, True), (True, False)], ids=["plain_to_dedup", "dedup_to_plain"]
+    )
+    def test_files_outlive_a_dedup_toggle(self, before, after):
+        """Files written in one mode read, overwrite and release after a
+        restart in the other; an object of one kind is never shared with
+        an identical upload of the other."""
+        stores = StoreSet.in_memory()
+        first = make_manager(stores, enable_dedup=before)
+        first.write_content("/a", b"same bytes")
+        first.write_content("/b", b"doomed")
+        manager = make_manager(stores, enable_dedup=after)
+        assert manager.read_content("/a") == b"same bytes" and manager.content_size("/a") == 10
+        manager.write_content("/c", b"same bytes")
+        old_a, old_b, c = (manager._pointer_target(path) for path in ("/a", "/b", "/c"))
+        assert old_a != c and manager.dedup.refcount(old_a) == manager.dedup.refcount(c) == 1
+        manager.write_content("/a", b"version two")
+        manager.delete_content("/b")
+        assert manager.dedup.refcount(old_a) == manager.dedup.refcount(old_b) == 0
+        assert manager.read_content("/a") == b"version two"
+        assert manager.read_content("/c") == b"same bytes"
+        live = {manager._pointer_target("/a"), c}
+        assert object_keys(manager) == {manager.dedup._index[name][0] for name in live}
+        assert set(manager.dedup._index) == live
+
+    def test_a_record_of_another_kind_is_a_typed_error(self, manager):
+        manager.content.guarded_write("/f", b"\x00raw bytes")
+        for read in (manager.read_content, manager.content_size, manager.iter_content):
+            with pytest.raises(FileSystemError):
+                read("/f")
 
     def test_overwrite_releases_old_pointer(self, dedup_manager):
         dedup_manager.write_content("/f", b"v1")
@@ -75,10 +110,12 @@ class TestStreaming:
         assert dedup_manager.dedup.object_count() == 0
 
     def test_iter_content_inline(self, manager):
+        """A plain file streams from its object one PFS chunk at a time."""
         manager.write_content("/f", b"x" * 100_000)
         size, chunks = manager.iter_content("/f")
-        data = b"".join(chunks)
-        assert size == 100_000 and data == b"x" * 100_000
+        pieces = list(chunks)
+        assert size == 100_000 and b"".join(pieces) == b"x" * 100_000
+        assert len(pieces) == -(-100_000 // CHUNK_SIZE)
 
     def test_iter_content_dedup(self, dedup_manager):
         dedup_manager.write_content("/f", b"y" * 100_000)
@@ -129,10 +166,12 @@ class TestAccounting:
     def test_content_stored_size_follows_pointer(self, dedup_manager, manager):
         dedup_manager.write_content("/f", bytes(50_000))
         manager.write_content("/f", bytes(50_000))
-        with_pointer = dedup_manager.content_stored_size("/f")
-        inline = manager.content_stored_size("/f")
-        # Both report the full payload (±overhead), not just the pointer.
-        assert abs(with_pointer - inline) < 5_000
+        content_addressed = dedup_manager.content_stored_size("/f")
+        plain = manager.content_stored_size("/f")
+        # Both report the full payload plus overhead, not just the pointer;
+        # they differ only by the length of the object's name.
+        assert 50_000 < plain < content_addressed < plain + 200
+        assert manager.content.pfs.stored_size(manager._sp("/f")) < 1_000
 
 
 class TestPathHiding:

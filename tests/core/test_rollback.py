@@ -440,7 +440,8 @@ class TestSharedGuardCore:
 # buckets as one buffer (a list of MSetXorHash objects, a per-bucket
 # Writer/Reader codec, 64 incremental MAC updates).  Node bytes and main
 # hashes are what is persisted and anchored: a faster codec must
-# reproduce them exactly.
+# reproduce them exactly.  The content-store leaves are pointer records,
+# which name objects by random id, so the script pins the ids.
 
 
 def scripted_world(make_world, buckets):
@@ -471,31 +472,31 @@ def _fingerprint(blob: bytes) -> tuple[int, str]:
 KNOWN_ANSWERS = {
     1: dict(
         nodes={
-            "/": (93, "9766f8209bfca13b3cf3356f245df08defc779a9c4c125e037dc2fe116b772fc"),
-            "/d/": (95, "15e83113d9a29ce6b5beb9660cef7eec45cf606c4f10173c2a4eb15526168453"),
-            "/d/e/": (97, "b8cb54e09ac7409ab6634cc1150258a52bbb817485033e7259a69bdd7dfb4b74"),
+            "/": (93, "34e71158bd2f79a7e029e81d1413d8cd3729226218707c18d2ff7e020191d80f"),
+            "/d/": (95, "bcc9cc263c34c8a78cfbe62861bab09521fa25df17804e7889cd4378742a47b1"),
+            "/d/e/": (97, "0cbfb9415624ec108da611c9ed6470b37ca88a3e94e69262046151fc214e15e3"),
         },
-        fs_main="ed8aeeaf98f25f4a4083b4bb58353b9a0745b0e0e158f0b2434fc716996bda6a",
+        fs_main="e9ae5fc324c5e681c878c85725e794db5d4bcce68e73e5cc667a41d73211855e",
         group_node=(52, "ecd32677991e178155e10639b3a77784b7d298f3503380e343e9035ab4c0dc87"),
         group_main="8d36bfb062764ee74977bc44b2f357f859fb443b659d9b16a90b5d48454b8b25",
     ),
     16: dict(
         nodes={
-            "/": (813, "2db48462507c0c0296bbe9212092c6e9e692199bc5f2dfc4274cef834f219783"),
-            "/d/": (815, "c2ef752f2989e6ac800336413bd455a3c00b95d5a7cb1299ed9c5c4a3cf2cdce"),
-            "/d/e/": (817, "837e35a63ea3151aea22cf17a85ba0bd2b5a61a941af000e7c4a1a4662495f17"),
+            "/": (813, "fe88277bacf9b779595be05fc6749101f2e34b5a480a14d5f18233a04f135809"),
+            "/d/": (815, "edd9635210312401ff9496e3f91d91562c3c428b367bcc50d69173df3f8c8ae5"),
+            "/d/e/": (817, "758ba511223150b649a36e0111b1cc17259fbc7232ef95a261de1e0188f04191"),
         },
-        fs_main="fcc3060b29b3139c7865a3c67e95bbeb257c6163a3bca0e25876bb1a7fa1668c",
+        fs_main="529cd49b71d60513e6c5589236294b94b9426eef14eaccc592414708d36b07c6",
         group_node=(772, "77c7075194934958b25e5577a720b11dc1ac02bf9c965bbda8578ac8ab865da7"),
         group_main="17920e1b1888c3c94c6478a6cc67caf4522ec33afaeb37bf2583201c5be4d372",
     ),
     64: dict(
         nodes={
-            "/": (3117, "f202144a6f035c75aa1070b7763ae36ebaebb64cd346895e8ba47a902c2a6f5a"),
-            "/d/": (3119, "00a7f3abc3cb1a539ff5820e04c7ac6d1b268f94836c3e127ec8a7adbccec26f"),
-            "/d/e/": (3121, "94e4937f0c99978ada23614fbd5d9dae9927ea44e4f39c4315127af605193c84"),
+            "/": (3117, "fd54aae88d64661487a2de9bc1179eb0efa8c6f40b0db585fcd16f2169411b03"),
+            "/d/": (3119, "609134040acba62e751af6afa53e6eecc75777feada22c2f2133e08f24bde31d"),
+            "/d/e/": (3121, "73a11c55241e6301b6b0169936b0f8c9a3b02ae81edbba40f49095e60b65cd45"),
         },
-        fs_main="cb20fdfdf6d6cc8cf641e08d54950705e11de47e50d369d2027bcb9e3b927983",
+        fs_main="cd82973b225ba5c1a35cec45b582779e7c0fdd83cd39bc987633e1f2a8da541a",
         group_node=(3076, "965d3e2d29bfbbd694c7c735b72559ff14b58953da809594c689ebc764f7f1e0"),
         group_main="94547a3c9d5d24bb88c0c6459c59458518fc75b6cc3e7fee8cb0ae7711c18656",
     ),
@@ -504,7 +505,7 @@ KNOWN_ANSWERS = {
 
 class TestKnownAnswers:
     @pytest.mark.parametrize("buckets", sorted(KNOWN_ANSWERS))
-    def test_node_bytes_and_main_hashes(self, make_world, buckets):
+    def test_node_bytes_and_main_hashes(self, make_world, numbered_objects, buckets):
         world = scripted_world(make_world, buckets)
         known = KNOWN_ANSWERS[buckets]
         guard, group_guard = world.guard, world.group_guard
