@@ -5,7 +5,7 @@ import pytest
 from repro.bench.workloads import pseudo_bytes
 from repro.crypto import rsa
 from repro.crypto.mset_hash import MSetXorHash
-from repro.crypto.pae import AesGcmPae, HmacStreamPae
+from repro.crypto.pae import AesGcmPae, OpenSslGcmPae
 from repro.sgx.protected_fs import ProtectedFs
 from repro.storage.backends import InMemoryStore
 from tests.support.platform import loaded_enclave
@@ -16,13 +16,13 @@ SMALL = pseudo_bytes("crypto-small", 16_384)
 
 
 class TestPae:
-    def test_hmac_stream_encrypt_1mb(self, benchmark):
-        pae = HmacStreamPae()
+    def test_openssl_gcm_encrypt_1mb(self, benchmark):
+        pae = OpenSslGcmPae()
         blob = benchmark(lambda: pae.encrypt(KEY, MB1))
         assert len(blob) == len(MB1) + pae.overhead
 
-    def test_hmac_stream_decrypt_1mb(self, benchmark):
-        pae = HmacStreamPae()
+    def test_openssl_gcm_decrypt_1mb(self, benchmark):
+        pae = OpenSslGcmPae()
         blob = pae.encrypt(KEY, MB1)
         assert benchmark(lambda: pae.decrypt(KEY, blob)) == MB1
 

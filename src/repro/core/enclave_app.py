@@ -199,7 +199,9 @@ class SeGShareEnclave(Enclave):
     #: §12's per-hName dedup records left the index code smaller: 8297 → 8293.
     #: One content layout (every file a pointer to a streamed object; the
     #: inline layout and its whole-upload buffer gone): 8293 → 8273.
-    TCB_LOC_CEILING = 8273
+    #: AES-128-GCM on OpenSSL replaced the SHAKE-256/HMAC stream PAE
+    #: (docs/PERF.md §14): 8273 → 8249.
+    TCB_LOC_CEILING = 8249
 
     def __init__(
         self,

@@ -1,30 +1,31 @@
-"""From-scratch cryptographic primitives for the SeGShare reproduction.
+"""Cryptographic primitives for the SeGShare reproduction.
 
-Everything here is built on the Python standard library only
-(``hashlib``, ``hmac``, ``secrets``).  Two authenticated-encryption
-backends implement the paper's PAE abstraction:
+The key derivation, multiset hashes, RSA, DH and the reference AES are
+written here on the Python standard library (``hashlib``, ``hmac``,
+``secrets``).  Two AES-128-GCM backends implement the paper's PAE
+abstraction and produce identical bytes:
 
+* :class:`repro.crypto.pae.OpenSslGcmPae` — AES-128-GCM from OpenSSL
+  through the ``cryptography`` package (AES-NI, as in the paper).  The
+  default backend: every sealed byte goes through it.
 * :class:`repro.crypto.pae.AesGcmPae` — pure-Python AES-128-GCM, validated
-  against NIST test vectors.  Faithful to the paper but slow; use it for
-  small data and fidelity tests.
-* :class:`repro.crypto.pae.HmacStreamPae` — encrypt-then-MAC AEAD built on a
-  SHA-256 counter-mode keystream and HMAC-SHA256.  Fast enough for the
-  multi-megabyte benchmark workloads; the default backend.
+  against NIST test vectors.  Slow; the differential reference for tests
+  and the throughput figure.
 """
 
 from repro.crypto.kdf import derive_key, hkdf_expand, hkdf_extract
 from repro.crypto.mset_hash import MSetXorHash
 from repro.crypto.pae import (
     AesGcmPae,
-    HmacStreamPae,
+    OpenSslGcmPae,
     Pae,
     default_pae,
 )
 
 __all__ = [
     "AesGcmPae",
-    "HmacStreamPae",
     "MSetXorHash",
+    "OpenSslGcmPae",
     "Pae",
     "default_pae",
     "derive_key",

@@ -5,10 +5,10 @@ is intentionally not implemented.  The implementation is the classic
 table-driven one: four 256-entry T-tables combine SubBytes, ShiftRows and
 MixColumns into one lookup per byte per round.
 
-This is the fidelity backend: correct (validated against FIPS-197 and NIST
-GCM vectors) but orders of magnitude slower than AES-NI.  The benchmark
-workloads use :class:`repro.crypto.pae.HmacStreamPae` instead, as recorded
-in DESIGN.md's substitution table.
+This is the reference backend: correct (validated against FIPS-197 and NIST
+GCM vectors) but orders of magnitude slower than AES-NI.  It backs
+:class:`repro.crypto.pae.AesGcmPae`, which the tests hold byte for byte
+against the default :class:`repro.crypto.pae.OpenSslGcmPae` (OpenSSL).
 """
 
 from __future__ import annotations

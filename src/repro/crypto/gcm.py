@@ -3,7 +3,7 @@
 Implements AES-GCM per NIST SP 800-38D: CTR-mode encryption with GHASH
 authentication over AAD and ciphertext.  GHASH multiplication uses an
 8-bit table (256 precomputed multiples of H) for a reasonable pure-Python
-speed; it remains the fidelity backend, not the throughput backend.
+speed; it is the reference the OpenSSL backend is tested against.
 """
 
 from __future__ import annotations

@@ -2,37 +2,31 @@
 
 PAE_Enc takes a secret key SK, a random IV, and a plaintext v, and returns
 a ciphertext c; PAE_Dec takes SK and c and returns v iff c is authentic.
-Two interchangeable backends implement this contract:
+Both backends are AES-128-GCM, as the paper prescribes, and produce the
+same bytes for the same key, IV, plaintext and AAD:
+
+:class:`OpenSslGcmPae`
+    AES-128-GCM from OpenSSL (AES-NI where the CPU has it) through the
+    ``cryptography`` package.  :func:`default_pae` returns it, so every
+    sealed byte in the system goes through it.
 
 :class:`AesGcmPae`
-    AES-128-GCM exactly as the paper prescribes, on the pure-Python AES
-    from :mod:`repro.crypto.aes`.  Validated against NIST vectors; slow.
-    Use for fidelity tests and small metadata.
+    AES-128-GCM on the pure-Python AES from :mod:`repro.crypto.aes`.
+    Validated against NIST vectors; slow.  The differential reference for
+    the tests and the throughput figure; never the default.
 
-:class:`HmacStreamPae`
-    Encrypt-then-MAC AEAD built from stdlib primitives running at C speed:
-    a SHAKE-256 extendable-output keystream XORed over the plaintext, then
-    HMAC-SHA256 over ``iv || aad || ciphertext``.  This is a real AEAD (a
-    tampered ciphertext fails authentication; every encryption uses a fresh
-    random IV), so all security-relevant code paths behave exactly as with
-    GCM — only the algorithm differs, as recorded in DESIGN.md.
-
-The ciphertext blob layout is the same for both: ``iv || body || tag``.
+The ciphertext blob layout is ``iv(12) || ciphertext || tag(16)``.
 """
 
 from __future__ import annotations
 
-import hashlib
-import hmac
 import secrets
 import threading
 from abc import ABC, abstractmethod
 from typing import Any
 
-try:
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy is a standard dependency here
-    _np = None
+from cryptography.exceptions import InvalidTag
+from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 
 from repro.crypto.gcm import AesGcm
 from repro.errors import IntegrityError, KeyError_
@@ -88,7 +82,7 @@ class Pae(ABC):
 
 
 class AesGcmPae(Pae):
-    """AES-128-GCM backend (fidelity).
+    """AES-128-GCM backend on pure-Python AES (the reference).
 
     GCM instances are cached per key because building the GHASH tables
     dominates the cost of small encryptions.
@@ -112,66 +106,40 @@ class AesGcmPae(Pae):
         return self._context(key).decrypt(iv, body, aad)
 
 
-class HmacStreamPae(Pae):
-    """SHAKE-256 stream cipher + HMAC-SHA256 encrypt-then-MAC backend (fast)."""
+class OpenSslGcmPae(Pae):
+    """AES-128-GCM backend on OpenSSL (the default).
 
-    # A key's context is the SHAKE state that has absorbed the encryption
-    # subkey and the HMAC object keyed with the MAC subkey; each call copies
-    # both, so a chunk costs one keystream and one MAC pass and no key setup.
+    A key's context is its ``AESGCM`` object, which holds the expanded key.
+    ``encrypt`` is deliberately :class:`Pae`'s: the benchmark's ledger
+    wraps it there.
+    """
 
-    iv_size = 16
-    tag_size = 32
+    iv_size = 12  # 96-bit IVs, as SP 800-38D recommends
+    tag_size = 16
 
-    def _new_context(self, key: bytes) -> tuple[Any, hmac.HMAC]:
-        enc_key = hmac.digest(key, b"repro.pae.enc", "sha256")
-        mac_key = hmac.digest(key, b"repro.pae.mac", "sha256")
-        return hashlib.shake_256(enc_key), hmac.new(mac_key, digestmod=hashlib.sha256)
-
-    @staticmethod
-    def _keystream_xor(stream: Any, iv: bytes, data: bytes) -> bytes:
-        if not data:
-            return b""
-        stream = stream.copy()
-        stream.update(iv)
-        keystream = stream.digest(len(data))
-        # numpy XOR runs at memory bandwidth; the big-int fallback keeps the
-        # module importable without numpy (an order of magnitude slower).
-        if _np is not None:
-            a = _np.frombuffer(data, dtype=_np.uint8)
-            b = _np.frombuffer(keystream, dtype=_np.uint8)
-            return (a ^ b).tobytes()
-        x = int.from_bytes(data, "big") ^ int.from_bytes(keystream, "big")
-        return x.to_bytes(len(data), "big")
+    def _new_context(self, key: bytes) -> AESGCM:
+        return AESGCM(key)
 
     def encrypt_with_iv(self, key: bytes, iv: bytes, plaintext: bytes, aad: bytes = b"") -> bytes:
-        stream, keyed = self._context(key)
+        context = self._context(key)
         if len(iv) != self.iv_size:
             raise KeyError_(f"IV must be {self.iv_size} bytes")
-        body = self._keystream_xor(stream, iv, plaintext)
-        return iv + body + self._tag(keyed, iv, aad, body)
+        return iv + context.encrypt(iv, plaintext, aad)
 
     def decrypt(self, key: bytes, blob: bytes, aad: bytes = b"") -> bytes:
-        stream, keyed = self._context(key)
+        context = self._context(key)
         if len(blob) < self.overhead:
             raise IntegrityError("ciphertext too short")
-        iv = blob[: self.iv_size]
-        body = blob[self.iv_size : -self.tag_size]
-        if not hmac.compare_digest(self._tag(keyed, iv, aad, body), blob[-self.tag_size :]):
-            raise IntegrityError("PAE tag mismatch")
-        return self._keystream_xor(stream, iv, body)
-
-    @staticmethod
-    def _tag(keyed: hmac.HMAC, iv: bytes, aad: bytes, body: bytes) -> bytes:
-        mac = keyed.copy()
-        # Unambiguous framing: fixed-width lengths precede variable fields.
-        mac.update(len(aad).to_bytes(8, "big") + iv + aad)
-        mac.update(body)
-        return mac.digest()
+        view = memoryview(blob)
+        try:
+            return context.decrypt(view[: self.iv_size], view[self.iv_size :], aad)
+        except InvalidTag:
+            raise IntegrityError("PAE tag mismatch") from None
 
 
-_DEFAULT = HmacStreamPae()
+_DEFAULT = OpenSslGcmPae()
 
 
 def default_pae() -> Pae:
-    """The process-wide default PAE backend (the fast one)."""
+    """The process-wide default PAE backend (AES-128-GCM on OpenSSL)."""
     return _DEFAULT
