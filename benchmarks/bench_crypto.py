@@ -5,9 +5,10 @@ import pytest
 from repro.bench.workloads import pseudo_bytes
 from repro.crypto import rsa
 from repro.crypto.mset_hash import MSetXorHash
-from repro.crypto.pae import AesGcmPae, OpenSslGcmPae
+from repro.crypto.pae import OpenSslGcmPae
 from repro.sgx.protected_fs import ProtectedFs
 from repro.storage.backends import InMemoryStore
+from tests.support.gcm import AesGcmPae
 from tests.support.platform import loaded_enclave
 
 KEY = bytes(16)

@@ -32,7 +32,7 @@ _DEFAULT_MODULES = ("repro.crypto.*", "repro.sgx.*")
 _DEFAULT_PATTERN = (
     r"(digest|hmac|\bmac\b|_mac\b|\btag\b|_tag\b|fingerprint|signature|signer"
     r"|secret|token|h_?name|_key\b|\bkey\b|\bacc\b|_acc\b|\broot\b|_root\b"
-    r"|merkle_root|report_data)"
+    r"|report_data)"
 )
 # Identifiers that *contain* a secret-ish word but denote public metadata
 # about it: DIGEST_SIZE, key_count, tag_len are length checks, not tags.

@@ -27,7 +27,7 @@ from repro.core.features import format_table3
 from repro.core.model import default_group
 from repro.core.server import Deployment, deploy
 from repro.crypto import rsa
-from repro.crypto.pae import AesGcmPae, OpenSslGcmPae
+from repro.crypto.pae import OpenSslGcmPae
 from repro.netsim import azure_wan_env
 
 #: One RSA key shared by all benchmark users: pure-Python keygen is slow
@@ -479,27 +479,24 @@ def ablation_rotation(
 
 
 def crypto_throughput(size: int = 4 * MB) -> ExperimentResult:
-    """Real wall-clock throughput of the two PAE backends."""
+    """Real wall-clock throughput of the PAE (AES-128-GCM on OpenSSL)."""
     result = ExperimentResult(
         experiment="crypto",
         description=f"PAE backend throughput over {size // MB} MB (real time)",
         columns=["backend", "enc_mb_s", "dec_mb_s"],
-        notes="Both rows are AES-128-GCM: OpenSSL is the default, pure Python the reference.",
+        notes="The enclave's one PAE backend; the pure-Python reference is test code.",
     )
     key = bytes(16)
-    for name, backend, payload in (
-        ("aes-gcm (openssl)", OpenSslGcmPae(), pseudo_bytes("ct", size)),
-        ("aes-gcm (pure py)", AesGcmPae(), pseudo_bytes("ct", 64 * KB)),
-    ):
-        start = time.perf_counter()
-        blob = backend.encrypt(key, payload)
-        enc_time = time.perf_counter() - start
-        start = time.perf_counter()
-        backend.decrypt(key, blob)
-        dec_time = time.perf_counter() - start
-        result.add(
-            backend=name,
-            enc_mb_s=round(len(payload) / MB / enc_time, 2),
-            dec_mb_s=round(len(payload) / MB / dec_time, 2),
-        )
+    backend, payload = OpenSslGcmPae(), pseudo_bytes("ct", size)
+    start = time.perf_counter()
+    blob = backend.encrypt(key, payload)
+    enc_time = time.perf_counter() - start
+    start = time.perf_counter()
+    backend.decrypt(key, blob)
+    dec_time = time.perf_counter() - start
+    result.add(
+        backend="aes-gcm (openssl)",
+        enc_mb_s=round(len(payload) / MB / enc_time, 2),
+        dec_mb_s=round(len(payload) / MB / dec_time, 2),
+    )
     return result

@@ -3,7 +3,7 @@
 Every request pays a metadata tax: ``auth_f`` re-fetches and re-decrypts
 the file's ACL (and its parent's, under inheritance), the user's member
 list, and the group list through the protected file system — a 4 KiB
-chunked decrypt plus Merkle verification each time — and the rollback
+chunked decrypt plus chunk-tag verification each time — and the rollback
 guards re-read and re-verify node objects on both reads and writes.  The
 paper's core performance claim (Fig. 3/4: enclave-side authorization
 adds only small constant overhead per request) demands that this
@@ -17,7 +17,7 @@ charged against the EPC model so the simulation stays faithful to
 paging costs.  Entries are namespaced:
 
 * ``content`` — content-store plaintext (directory files, ACLs, content
-  records) that passed the full read path (PFS decrypt + Merkle +
+  records) that passed the full read path (PFS decrypt + tag digest +
   rollback-guard verification) or was just written by this enclave;
 * ``node`` / ``gnode`` — serialized rollback-guard nodes and anchors;
 * ``group`` — group-store plaintext (group list, member lists, quota

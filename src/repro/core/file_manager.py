@@ -4,8 +4,8 @@ The **trusted file manager** runs inside the enclave.  It encrypts and
 decrypts every stored file with PAE under a per-file key derived from the
 root key SK_r, optionally hides paths (Section V-C), deduplicates content
 (Section V-A), and drives the rollback guard (Section V-D).  Storage goes
-through the Protected File System Library clone, whose 4 KiB chunking and
-Merkle integrity mirror Intel's library.
+through the Protected File System Library clone, whose 4 KiB chunks,
+each authenticated by its own AES-GCM tag, mirror Intel's library.
 
 Persistence itself — the undo journal, the guard batches, the metadata
 cache, and the deferred write buffers — is owned by the
@@ -184,8 +184,8 @@ class Mount:
     def read_record(self, path: str) -> bytes | None:
         """An unguarded record (quota ledger, authz envelopes), or None.
 
-        These are unguarded in the uncached baseline too: the PFS Merkle
-        check is all the integrity either path provides, and whole-FS
+        These are unguarded in the uncached baseline too: the PFS chunk
+        tag check is all the integrity either path provides, and whole-FS
         freshness rides the relation files every decision reads — so
         caching the decrypted record loses nothing.
         """

@@ -2,18 +2,12 @@
 
 PAE_Enc takes a secret key SK, a random IV, and a plaintext v, and returns
 a ciphertext c; PAE_Dec takes SK and c and returns v iff c is authentic.
-Both backends are AES-128-GCM, as the paper prescribes, and produce the
-same bytes for the same key, IV, plaintext and AAD:
-
-:class:`OpenSslGcmPae`
-    AES-128-GCM from OpenSSL (AES-NI where the CPU has it) through the
-    ``cryptography`` package.  :func:`default_pae` returns it, so every
-    sealed byte in the system goes through it.
-
-:class:`AesGcmPae`
-    AES-128-GCM on the pure-Python AES from :mod:`repro.crypto.aes`.
-    Validated against NIST vectors; slow.  The differential reference for
-    the tests and the throughput figure; never the default.
+The one backend, :class:`OpenSslGcmPae`, is AES-128-GCM as the paper
+prescribes, from OpenSSL (AES-NI where the CPU has it) through the
+``cryptography`` package.  :func:`default_pae` returns it, so every sealed
+byte in the system goes through it.  The tests hold it byte for byte
+against a pure-Python AES-128-GCM reference (``tests/support/gcm.py``),
+which subclasses :class:`Pae` too.
 
 The ciphertext blob layout is ``iv(12) || ciphertext || tag(16)``.
 """
@@ -28,7 +22,6 @@ from typing import Any
 from cryptography.exceptions import InvalidTag
 from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 
-from repro.crypto.gcm import AesGcm
 from repro.errors import IntegrityError, KeyError_
 
 KEY_SIZE = 16  # AES-128 keys, as in the paper.
@@ -81,33 +74,8 @@ class Pae(ABC):
         return context
 
 
-class AesGcmPae(Pae):
-    """AES-128-GCM backend on pure-Python AES (the reference).
-
-    GCM instances are cached per key because building the GHASH tables
-    dominates the cost of small encryptions.
-    """
-
-    iv_size = AesGcm.NONCE_SIZE
-    tag_size = AesGcm.TAG_SIZE
-
-    def _new_context(self, key: bytes) -> AesGcm:
-        return AesGcm(key)
-
-    def encrypt_with_iv(self, key: bytes, iv: bytes, plaintext: bytes, aad: bytes = b"") -> bytes:
-        if len(iv) != self.iv_size:
-            raise KeyError_(f"IV must be {self.iv_size} bytes")
-        return iv + self._context(key).encrypt(iv, plaintext, aad)
-
-    def decrypt(self, key: bytes, blob: bytes, aad: bytes = b"") -> bytes:
-        if len(blob) < self.overhead:
-            raise IntegrityError("ciphertext too short")
-        iv, body = blob[: self.iv_size], blob[self.iv_size :]
-        return self._context(key).decrypt(iv, body, aad)
-
-
 class OpenSslGcmPae(Pae):
-    """AES-128-GCM backend on OpenSSL (the default).
+    """AES-128-GCM backend on OpenSSL (the default, and the only one).
 
     A key's context is its ``AESGCM`` object, which holds the expanded key.
     ``encrypt`` is deliberately :class:`Pae`'s: the benchmark's ledger

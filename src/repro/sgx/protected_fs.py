@@ -1,10 +1,10 @@
 """The Intel Protected File System Library, re-implemented (Section II-A).
 
-On write, data is split into 4 KiB chunks, each chunk is encrypted with
-PAE, and chunk integrity is bound into a Merkle hash tree whose root is
-kept in an encrypted metadata node.  On read, confidentiality and
-integrity of every chunk is verified.  At any point, a file may have one
-writer handle or any number of reader handles.
+On write, data is split into 4 KiB chunks, each sealed with PAE (AES-128-GCM).
+As in Intel's library, the GCM tags are the integrity values: an encrypted
+metadata node binds the size, the chunk count and SHA-256 over the tags in
+index order.  On read, every chunk and then that digest is verified.  At
+any point, a file may have one writer handle or any number of reader handles.
 
 Keys: the file-system master key is provided by the caller (the enclave
 derives it from its root key).  Each file gets its own key derived from
@@ -18,11 +18,11 @@ the file *system* (rollback across files) is the job of
 
 from __future__ import annotations
 
+import hashlib
 import hmac
 from dataclasses import dataclass
 
 from repro.crypto import default_pae, derive_key
-from repro.crypto.merkle import MerkleTree, hash_leaf
 from repro.errors import IntegrityError, ProtectedFsError
 from repro.sgx.enclave import Enclave
 from repro.storage.backends import UntrustedStore
@@ -47,15 +47,15 @@ def _chunk_aad(path: str) -> bytes:
 class _Meta:
     size: int
     chunk_count: int
-    merkle_root: bytes
+    tag_digest: bytes  # SHA-256 over the chunks' GCM tags, in index order
 
     def serialize(self) -> bytes:
-        return Writer().u64(self.size).u32(self.chunk_count).bytes(self.merkle_root).take()
+        return Writer().u64(self.size).u32(self.chunk_count).bytes(self.tag_digest).take()
 
     @classmethod
     def deserialize(cls, data: bytes) -> "_Meta":
         r = Reader(data)
-        meta = cls(size=r.u64(), chunk_count=r.u32(), merkle_root=r.bytes())
+        meta = cls(size=r.u64(), chunk_count=r.u32(), tag_digest=r.bytes())
         r.expect_end()
         return meta
 
@@ -214,15 +214,15 @@ class ProtectedFs:
         self._store.put(path + _META_SUFFIX, blob)
 
     def _write_chunk(self, path: str, index: int, chunk: bytes, file_key: bytes, aad: bytes) -> bytes:
-        """Encrypt and store one chunk; returns its Merkle leaf digest."""
+        """Encrypt and store one chunk; returns its GCM tag."""
         self._charge_crypto(len(chunk))
         blob = self._pae.encrypt(file_key, chunk, aad=aad + index.to_bytes(4, "big"))
         self._charge_ocall()
         self._store.put(_chunk_key(path, index), blob)
-        return hash_leaf(blob)
+        return blob[-self._pae.tag_size :]
 
     def _read_chunk(self, path: str, index: int, file_key: bytes, aad: bytes) -> tuple[bytes, bytes]:
-        """Load one chunk; returns (plaintext, Merkle leaf digest)."""
+        """Load and verify one chunk; returns (plaintext, GCM tag)."""
         self._charge_ocall()
         key = _chunk_key(path, index)
         if not self._store.exists(key):
@@ -233,11 +233,11 @@ class ProtectedFs:
             plain = self._pae.decrypt(file_key, blob, aad=aad + index.to_bytes(4, "big"))
         except IntegrityError as exc:
             raise ProtectedFsError(f"chunk {index} of {path!r} failed verification") from exc
-        return plain, hash_leaf(blob)
+        return plain, blob[-self._pae.tag_size :]
 
 
 class WriteHandle:
-    """Exclusive, append-only writer.  Closing finalizes the Merkle root."""
+    """Exclusive, append-only writer.  Closing seals the metadata node."""
 
     def __init__(self, fs: ProtectedFs, path: str, file_key: bytes) -> None:
         self._fs = fs
@@ -246,7 +246,8 @@ class WriteHandle:
         self._aad = _chunk_aad(path)
         self._buffer = bytearray()
         self._size = 0
-        self._leaves: list[bytes] = []  # 32-byte leaf digests, not ciphertexts
+        self._count = 0
+        self._tags = hashlib.sha256()
         self._closed = False
 
     def write(self, data: bytes) -> None:
@@ -260,23 +261,22 @@ class WriteHandle:
             self._put_chunk(chunk)
 
     def _put_chunk(self, chunk: bytes) -> None:
-        index = len(self._leaves)
-        self._leaves.append(self._fs._write_chunk(self._path, index, chunk, self._key, self._aad))
+        self._tags.update(self._fs._write_chunk(self._path, self._count, chunk, self._key, self._aad))
+        self._count += 1
 
     def close(self) -> None:
         if self._closed:
             return
         self._closed = True
         try:
-            if self._buffer or not self._leaves:
+            if self._buffer or not self._count:
                 self._put_chunk(bytes(self._buffer))
             # Remove stale chunks from a previous, longer version of the file.
-            stale = len(self._leaves)
+            stale = self._count
             while self._fs._store.exists(_chunk_key(self._path, stale)):
                 self._fs._store.delete(_chunk_key(self._path, stale))
                 stale += 1
-            root = MerkleTree.from_leaf_hashes(self._leaves).root()
-            meta = _Meta(size=self._size, chunk_count=len(self._leaves), merkle_root=root)
+            meta = _Meta(size=self._size, chunk_count=self._count, tag_digest=self._tags.digest())
             self._fs._store_meta(self._path, meta, self._key)
         finally:
             self._fs._release_writer(self._path)
@@ -301,7 +301,8 @@ class ReadHandle:
         self._meta = meta
         self._key = file_key
         self._aad = _chunk_aad(path)
-        self._leaves: list[bytes] = []  # 32-byte leaf digests, not ciphertexts
+        self._count = 0
+        self._tags = hashlib.sha256()
         self._closed = False
 
     @property
@@ -311,19 +312,19 @@ class ReadHandle:
     def read_chunk(self) -> bytes | None:
         """Next plaintext chunk, or None at end of file.
 
-        The Merkle root is checked once the final chunk has been read; a
-        truncated or spliced file therefore cannot be fully read without
-        raising.
+        The digest of the tags is checked once the final chunk has been
+        read; a replayed, truncated or spliced file therefore cannot be
+        fully read without raising.
         """
         if self._closed:
             raise ProtectedFsError("read on closed handle")
-        index = len(self._leaves)
-        if index >= self._meta.chunk_count:
+        if self._count >= self._meta.chunk_count:
             return None
-        plain, leaf = self._fs._read_chunk(self._path, index, self._key, self._aad)
-        self._leaves.append(leaf)
-        if len(self._leaves) == self._meta.chunk_count:
-            self._verify_root()
+        plain, tag = self._fs._read_chunk(self._path, self._count, self._key, self._aad)
+        self._tags.update(tag)
+        self._count += 1
+        if self._count == self._meta.chunk_count:
+            self._verify_tags()
         return plain
 
     def read_all(self) -> bytes:
@@ -335,9 +336,9 @@ class ReadHandle:
             raise ProtectedFsError(f"size mismatch reading {self._path!r}")
         return data
 
-    def _verify_root(self) -> None:
-        if not hmac.compare_digest(MerkleTree.from_leaf_hashes(self._leaves).root(), self._meta.merkle_root):
-            raise ProtectedFsError(f"Merkle root mismatch for {self._path!r}")
+    def _verify_tags(self) -> None:
+        if not hmac.compare_digest(self._tags.digest(), self._meta.tag_digest):
+            raise ProtectedFsError(f"chunk tags of {self._path!r} do not match its metadata")
 
     def close(self) -> None:
         if not self._closed:

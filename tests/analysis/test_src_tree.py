@@ -177,8 +177,8 @@ def test_trusted_code_is_reached():
     local variable that shares a method's name does not reach the method.
     Imports name nothing either (an alias is neither of these nodes).
 
-    A name-level check is a floor, not a proof: it cannot see that
-    ``MerkleTree.update`` is dead while ``dict.update`` is alive.  Unreached
+    A name-level check is a floor, not a proof: it cannot tell a
+    dead ``MSetXorHash.update`` from a live ``dict.update``.  Unreached
     routines either go or are listed in ``ALLOWED_UNREACHED`` with the
     reason; stale entries fail too.
     """

@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.crypto.aes import SBOX, Aes
 from repro.errors import KeyError_
+from tests.support.aes import SBOX, Aes
 
 
 class TestKnownAnswers:

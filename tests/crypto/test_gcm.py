@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.crypto.gcm import AesGcm
 from repro.errors import IntegrityError, KeyError_
+from tests.support.gcm import AesGcm
 
 KEY = bytes.fromhex("feffe9928665731c6d6a8f9467308308")
 IV = bytes.fromhex("cafebabefacedbaddecaf888")

@@ -1,6 +1,6 @@
-"""The PAE contract, for both AES-128-GCM backends: round trips, tamper,
-properties, and byte-for-byte agreement between OpenSSL and the
-pure-Python reference."""
+"""The PAE contract, for the enclave's AES-128-GCM backend and the
+pure-Python reference in tests/support: round trips, tamper, properties,
+and byte-for-byte agreement between the two."""
 
 import hashlib
 import os
@@ -17,11 +17,11 @@ from hypothesis import strategies as st
 import repro
 from repro.crypto.pae import (
     KEY_SIZE,
-    AesGcmPae,
     OpenSslGcmPae,
     default_pae,
 )
 from repro.errors import IntegrityError, KeyError_
+from tests.support.gcm import AesGcmPae
 
 KEY = bytes(range(KEY_SIZE))
 BACKENDS = [OpenSslGcmPae(), AesGcmPae()]

@@ -1,10 +1,12 @@
 """Protected File System Library clone: chunking, integrity, handles."""
 
+import hashlib
+import sys
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.crypto.merkle import MerkleTree
 from repro.errors import ProtectedFsError
 from repro.sgx.protected_fs import CHUNK_SIZE, ProtectedFs, _chunk_key
 from repro.storage.backends import InMemoryStore
@@ -100,13 +102,27 @@ class TestIntegrity:
         with pytest.raises(ProtectedFsError):
             pfs.read_file("/f")
 
-    def test_rolled_back_chunk_rejected(self, pfs, store):
-        """Replaying an old chunk of the SAME file at the SAME position is
-        caught by the Merkle root in the metadata node."""
-        pfs.write_file("/f", b"v1" * CHUNK_SIZE)
-        old_chunk = store.get(_chunk_key("/f", 0))
-        pfs.write_file("/f", b"v2" * CHUNK_SIZE)
-        store.put(_chunk_key("/f", 0), old_chunk)
+    @pytest.mark.parametrize(
+        "size, indices",
+        [
+            (2 * CHUNK_SIZE + 7, (0,)),
+            (2 * CHUNK_SIZE + 7, (1,)),
+            (2 * CHUNK_SIZE + 7, (2,)),
+            (CHUNK_SIZE, (0,)),
+            (2 * CHUNK_SIZE + 7, (0, 1, 2)),
+        ],
+        ids=["3-chunks-first", "3-chunks-middle", "3-chunks-short-last", "1-chunk", "3-chunks-all"],
+    )
+    def test_rolled_back_chunk_rejected(self, pfs, store, size, indices):
+        """Replaying old chunks of the SAME file at the SAME positions (the
+        last case: the previous version's whole chunk set under the current
+        metadata node) passes each chunk's own GCM check, same key and AAD,
+        and is caught by the digest of the chunk tags in the metadata node."""
+        pfs.write_file("/f", b"1" * size)
+        old_chunks = {index: store.get(_chunk_key("/f", index)) for index in indices}
+        pfs.write_file("/f", b"2" * size)
+        for index, blob in old_chunks.items():
+            store.put(_chunk_key("/f", index), blob)
         with pytest.raises(ProtectedFsError):
             pfs.read_file("/f")
 
@@ -126,32 +142,39 @@ class TestHandles:
         handle.close()
         pfs.open_write("/f").close()
 
-    def test_handles_keep_leaf_digests_not_chunk_ciphertexts(self, pfs, store):
-        """A handle's enclave memory is constant in file size: after every
-        write/read_chunk returns it holds one 32-byte digest per chunk."""
-        data = bytes(i % 251 for i in range(2 * CHUNK_SIZE + 100))
+    def test_meta_digest_is_sha256_over_the_stored_chunk_tags(self, pfs, store):
+        """The metadata node binds SHA-256 over each stored chunk's trailing
+        16 bytes (its GCM tag), in index order."""
+        pfs.write_file("/f", b"z" * (2 * CHUNK_SIZE + 1))
+        tags = b"".join(store.get(_chunk_key("/f", index))[-16:] for index in range(3))
+        meta = pfs._load_meta("/f")
+        assert meta.chunk_count == 3
+        assert meta.tag_digest == hashlib.sha256(tags).digest()
+
+    def test_handle_state_does_not_grow_with_chunk_count(self, pfs):
+        """A handle's enclave memory is constant in file size: its state
+        after the 64th chunk is the size it was after the first."""
+
+        def footprint(handle):
+            return {name: sys.getsizeof(value) for name, value in vars(handle).items()}
+
+        chunk = bytes(range(256)) * (CHUNK_SIZE // 256)
         writer = pfs.open_write("/f")
-        for offset in range(0, len(data), CHUNK_SIZE):
-            writer.write(data[offset : offset + CHUNK_SIZE])
-            assert all(len(leaf) == 32 for leaf in writer._leaves)
+        writer.write(chunk)
+        after_first = footprint(writer)
+        for _ in range(63):
+            writer.write(chunk)
+        assert footprint(writer) == after_first
         writer.close()
-        assert len(writer._leaves) == 3
-        assert all(len(leaf) == 32 for leaf in writer._leaves)
 
         reader = pfs.open_read("/f")
-        parts = []
-        while (chunk := reader.read_chunk()) is not None:
-            parts.append(chunk)
-            assert all(len(leaf) == 32 for leaf in reader._leaves)
+        assert reader.read_chunk() == chunk
+        after_first = footprint(reader)
+        for _ in range(63):
+            assert reader.read_chunk() == chunk
+        assert footprint(reader) == after_first
+        assert reader.read_chunk() is None
         reader.close()
-        assert b"".join(parts) == data and len(reader._leaves) == 3
-
-    def test_meta_root_is_the_tree_over_the_stored_ciphertexts(self, pfs, store):
-        """The root in the metadata node is still what the pre-digest code
-        computed: a Merkle tree over the chunk ciphertexts as stored."""
-        pfs.write_file("/f", b"z" * (2 * CHUNK_SIZE + 1))
-        stored = [store.get(_chunk_key("/f", index)) for index in range(3)]
-        assert pfs._load_meta("/f").merkle_root == MerkleTree(stored).root()
 
     def test_many_readers_allowed(self, pfs):
         pfs.write_file("/f", b"data")
