@@ -201,9 +201,7 @@ def run_cluster_disjoint_read(replicas: int, ops_per_client: int) -> dict:
     over 3 independent enclaves (worker pools, journals) against the one
     shared repository — throughput should rise accordingly versus the
     single-replica cluster."""
-    deployment = build_cluster(
-        replicas=replicas, parallel=True, ca=_CA, qe_key_bits=512
-    )
+    deployment = build_cluster(replicas=replicas, parallel=True, ca=_CA)
     cluster = deployment.cluster
 
     def cluster_get(user: str, path: str, arrival: float) -> None:
@@ -245,7 +243,7 @@ def run_cluster_cached_read(
     posture the whole cluster was stuck in before the invalidation log.
     """
     deployment = build_cluster(
-        replicas=replicas, parallel=True, ca=_CA, qe_key_bits=512, cached=cached
+        replicas=replicas, parallel=True, ca=_CA, cached=cached
     )
     cluster = deployment.cluster
 

@@ -20,7 +20,7 @@ from repro.faults import FaultPlan
 
 
 def main() -> None:
-    deployment = build_cluster(replicas=3, qe_key_bits=512)
+    deployment = build_cluster(replicas=3)
     cluster = deployment.cluster
     print(f"cluster up: members {cluster.membership.ring.members}")
 

@@ -112,7 +112,6 @@ def build_cluster(
     parallel: bool = False,
     options: SeGShareOptions | None = None,
     ca: CertificateAuthority | None = None,
-    qe_key_bits: int = 1024,
     seed: int = 0,
     cached: bool = True,
     authz_backend: str | None = None,
@@ -128,7 +127,6 @@ def build_cluster(
     the join instead of corrupting freshness), and — when ``cached`` —
     one coherence board, installed on every platform before server
     construction so even bootstrap commits publish their invalidations.
-    ``qe_key_bits`` trims quoting-enclave RSA keygen for test builds.
     ``authz_backend`` overrides the authorization backend on every
     replica (it otherwise passes through from ``options``); the backends
     keep all their state in the shared, journaled stores, so failover
@@ -150,7 +148,7 @@ def build_cluster(
     for i in range(replicas):
         name = f"r{i}"
         platform = SgxPlatform(clock=clock)
-        platform.quoting_enclave = QuotingEnclave(platform, key_bits=qe_key_bits)
+        platform.quoting_enclave = QuotingEnclave(platform)
         if board is not None:
             platform._segshare_coherence_board = board
         if i > 0:

@@ -51,8 +51,6 @@ class SeGShareCluster:
         self,
         clock: SimClock,
         membership: ClusterMembership,
-        heartbeat_interval: float = 0.025,
-        miss_threshold: int = 3,
         board: "CoherenceBoard | None" = None,
     ) -> None:
         self._clock = clock
@@ -63,9 +61,7 @@ class SeGShareCluster:
         #: sharing the same board and counts the takeover resets it
         #: triggers.
         self.coherence_board = board
-        self.heartbeats = HeartbeatMonitor(
-            clock, interval=heartbeat_interval, miss_threshold=miss_threshold
-        )
+        self.heartbeats = HeartbeatMonitor(clock)
         self._seq = 0
         #: Virtual completion time of the most recent routed request
         #: (closed-loop drivers schedule the client's next arrival here).

@@ -1,26 +1,23 @@
-"""RSA signatures from scratch (keygen, PKCS#1 v1.5-style signing).
+"""RSA keys and PKCS#1 v1.5 SHA-256 signatures on OpenSSL.
 
 The PKI layer signs certificates and the attestation layer signs quotes
-with these keys.  Signing uses the CRT for a ~4x speedup; verification is
-a single modular exponentiation with a small public exponent.
-
-The padding is deterministic EMSA-PKCS1-v1_5 with a SHA-256 DigestInfo
-prefix, byte-compatible with the real scheme, so signatures are stable
-across processes and suitable for hashing into measurements.
+with these keys.  OpenSSL (through ``cryptography``) generates, signs and
+verifies; this module keeps the key encodings, ``(n, e)`` and
+``(n, e, d, p, q)`` as length-prefixed big-endian integers.  The scheme
+is deterministic, so signatures are stable across processes.
 """
 
 from __future__ import annotations
 
-import hashlib
-import secrets
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
-from repro.crypto.primes import generate_prime
+from cryptography.exceptions import InvalidSignature
+from cryptography.hazmat.primitives import hashes
+from cryptography.hazmat.primitives.asymmetric import padding
+from cryptography.hazmat.primitives.asymmetric import rsa as _rsa
+
 from repro.errors import CryptoError, KeyError_
 from repro.util.serialization import Reader, Writer
-
-# ASN.1 DigestInfo prefix for SHA-256 (RFC 8017, section 9.2 note 1).
-_SHA256_PREFIX = bytes.fromhex("3031300d060960864801650304020105000420")
 
 PUBLIC_EXPONENT = 65537
 
@@ -31,10 +28,6 @@ class RsaPublicKey:
 
     n: int
     e: int
-
-    @property
-    def size_bytes(self) -> int:
-        return (self.n.bit_length() + 7) // 8
 
     def serialize(self) -> bytes:
         w = Writer()
@@ -52,24 +45,18 @@ class RsaPublicKey:
 
 @dataclass(frozen=True)
 class RsaPrivateKey:
-    """RSA private key with CRT parameters."""
+    """RSA private key (n, e, d, p, q) and the OpenSSL key built from it once."""
 
     n: int
     e: int
     d: int
     p: int
     q: int
-    d_p: int
-    d_q: int
-    q_inv: int
+    openssl_key: _rsa.RSAPrivateKey = field(repr=False, compare=False)
 
     @property
     def public_key(self) -> RsaPublicKey:
         return RsaPublicKey(n=self.n, e=self.e)
-
-    @property
-    def size_bytes(self) -> int:
-        return (self.n.bit_length() + 7) // 8
 
     def serialize(self) -> bytes:
         w = Writer()
@@ -79,88 +66,53 @@ class RsaPrivateKey:
 
     @classmethod
     def deserialize(cls, data: bytes) -> "RsaPrivateKey":
+        """Parse and validate a key; an inconsistent one raises :class:`KeyError_`."""
         r = Reader(data)
         n, e, d, p, q = (int.from_bytes(r.bytes(), "big") for _ in range(5))
         r.expect_end()
-        return _with_crt(n, e, d, p, q)
+        try:
+            crt = (_rsa.rsa_crt_dmp1(d, p), _rsa.rsa_crt_dmq1(d, q), _rsa.rsa_crt_iqmp(p, q))
+            numbers = _rsa.RSAPrivateNumbers(p, q, d, *crt, _rsa.RSAPublicNumbers(e, n))
+            # OpenSSL checks that the primes, exponents and CRT values agree.
+            openssl_key = numbers.private_key()
+        except ValueError as exc:
+            raise KeyError_("inconsistent RSA private key") from exc
+        return cls(n=n, e=e, d=d, p=p, q=q, openssl_key=openssl_key)
 
 
 def _int_to_bytes(value: int) -> bytes:
     return value.to_bytes((value.bit_length() + 7) // 8 or 1, "big")
 
 
-def _with_crt(n: int, e: int, d: int, p: int, q: int) -> RsaPrivateKey:
-    return RsaPrivateKey(
-        n=n,
-        e=e,
-        d=d,
-        p=p,
-        q=q,
-        d_p=d % (p - 1),
-        d_q=d % (q - 1),
-        q_inv=pow(q, -1, p),
-    )
-
-
 def generate_keypair(bits: int = 2048) -> RsaPrivateKey:
-    """Generate an RSA key pair with an n of ``bits`` bits.
+    """Generate an RSA key pair with an n of ``bits`` bits (at least 1024).
 
-    Nothing in ``src/`` caches keys: every CA, attestation service, enclave
-    and new user pays one generation, tens of milliseconds at their 1024 bits.
+    Nothing in ``src/`` caches keys: every principal pays one generation.
     """
-    if bits < 512:
-        raise KeyError_("RSA modulus below 512 bits is not supported")
-    half = bits // 2
-    while True:
-        p = generate_prime(half)
-        q = generate_prime(bits - half)
-        if p == q:
-            continue
-        n = p * q
-        if n.bit_length() != bits:
-            continue
-        phi = (p - 1) * (q - 1)
-        try:
-            d = pow(PUBLIC_EXPONENT, -1, phi)
-        except ValueError:
-            continue  # e not invertible mod phi; pick new primes
-        return _with_crt(n, PUBLIC_EXPONENT, d, p, q)
-
-
-def _emsa_pkcs1_v15(message: bytes, em_len: int) -> bytes:
-    """EMSA-PKCS1-v1_5 encoding of SHA-256(message)."""
-    digest = hashlib.sha256(message).digest()
-    t = _SHA256_PREFIX + digest
-    if em_len < len(t) + 11:
-        raise CryptoError("RSA modulus too small for SHA-256 signature")
-    padding = b"\xff" * (em_len - len(t) - 3)
-    return b"\x00\x01" + padding + b"\x00" + t
+    try:
+        openssl_key = _rsa.generate_private_key(PUBLIC_EXPONENT, bits)
+    except ValueError as exc:
+        raise KeyError_(f"RSA modulus of {bits} bits is not supported") from exc
+    numbers = openssl_key.private_numbers()
+    public = numbers.public_numbers
+    return RsaPrivateKey(public.n, public.e, numbers.d, numbers.p, numbers.q, openssl_key)
 
 
 def sign(key: RsaPrivateKey, message: bytes) -> bytes:
-    """Sign ``message`` (SHA-256, PKCS#1 v1.5 padding) with CRT exponentiation."""
-    em = _emsa_pkcs1_v15(message, key.size_bytes)
-    m = int.from_bytes(em, "big")
-    if m >= key.n:
-        raise CryptoError("encoded message out of range")
-    # CRT: s = q_inv * (s_p - s_q) mod p * q + s_q
-    s_p = pow(m % key.p, key.d_p, key.p)
-    s_q = pow(m % key.q, key.d_q, key.q)
-    h = (key.q_inv * (s_p - s_q)) % key.p
-    s = s_q + h * key.q
-    return s.to_bytes(key.size_bytes, "big")
+    """Sign ``message`` (SHA-256, PKCS#1 v1.5 padding)."""
+    try:
+        return key.openssl_key.sign(message, padding.PKCS1v15(), hashes.SHA256())
+    except ValueError as exc:
+        raise CryptoError("RSA modulus too small for SHA-256 signature") from exc
 
 
 def verify(key: RsaPublicKey, message: bytes, signature: bytes) -> bool:
-    """Verify a signature produced by :func:`sign`.  Returns False on any mismatch."""
-    if len(signature) != key.size_bytes:
-        return False
-    s = int.from_bytes(signature, "big")
-    if s >= key.n:
-        return False
-    em = pow(s, key.e, key.n).to_bytes(key.size_bytes, "big")
+    """Verify a signature produced by :func:`sign`.  Returns False on any
+    mismatch, and for a peer's public key OpenSSL refuses (``e`` < 3, ``n``
+    even or < 3)."""
     try:
-        expected = _emsa_pkcs1_v15(message, key.size_bytes)
-    except CryptoError:
+        public = _rsa.RSAPublicNumbers(key.e, key.n).public_key()
+        public.verify(signature, message, padding.PKCS1v15(), hashes.SHA256())
+    except (InvalidSignature, ValueError):
         return False
-    return secrets.compare_digest(em, expected)
+    return True

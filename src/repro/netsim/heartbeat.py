@@ -4,11 +4,11 @@ A replicated front door needs to *notice* that a replica died before it
 can fail over, and the paper's evaluation philosophy — simulate time,
 never wall-clock — applies to failure detection too.  The monitor
 models the classic heartbeat protocol: every member is probed each
-``interval`` simulated seconds over the LAN, and a member is declared
-failed after ``miss_threshold`` consecutive silent probes.  The
-detection *delay* (``interval * miss_threshold``) is charged to the
-clock when a failure is confirmed, so failover latency shows up in
-makespans and benchmark rows instead of being free.
+:data:`INTERVAL` simulated seconds over the LAN, and a member is declared
+failed after :data:`MISS_THRESHOLD` consecutive silent probes.  The
+detection *delay* (their product) is charged to the clock when a
+failure is confirmed, so failover latency shows up in makespans and
+benchmark rows instead of being free.
 
 The probes themselves are plain callables (``True`` while the member is
 alive); the cluster wires them to enclave liveness.  Everything here is
@@ -23,6 +23,13 @@ from dataclasses import asdict, dataclass
 from typing import Callable, Dict, List
 
 from repro.netsim.clock import SimClock
+
+#: Probe period and consecutive misses before a member is declared failed:
+#: the usual LAN defaults (tens of milliseconds, a few misses).
+INTERVAL = 0.025
+MISS_THRESHOLD = 3
+#: One LAN round trip, charged per probe so heavy polling is not free.
+PROBE_COST = 0.0002
 
 
 @dataclass
@@ -39,35 +46,17 @@ class HeartbeatStats:
 
 
 class HeartbeatMonitor:
-    """Periodic liveness probing with a miss-threshold failure detector.
+    """Periodic liveness probing with a miss-threshold failure detector."""
 
-    ``interval`` and ``miss_threshold`` follow the usual LAN defaults
-    (tens of milliseconds, a few misses); ``probe_cost`` is one LAN
-    round trip charged per probe so heavy polling is not free.
-    """
-
-    def __init__(
-        self,
-        clock: SimClock,
-        interval: float = 0.025,
-        miss_threshold: int = 3,
-        probe_cost: float = 0.0002,
-    ) -> None:
-        if interval <= 0:
-            raise ValueError("heartbeat interval must be positive")
-        if miss_threshold < 1:
-            raise ValueError("miss_threshold must be at least 1")
+    def __init__(self, clock: SimClock) -> None:
         self._clock = clock
-        self.interval = interval
-        self.miss_threshold = miss_threshold
-        self.probe_cost = probe_cost
         self._probes: Dict[str, Callable[[], bool]] = {}
         self.stats = HeartbeatStats()
 
     @property
     def detection_timeout(self) -> float:
         """Seconds of silence before a member is declared failed."""
-        return self.interval * self.miss_threshold
+        return INTERVAL * MISS_THRESHOLD
 
     @property
     def members(self) -> List[str]:
@@ -85,7 +74,7 @@ class HeartbeatMonitor:
         down: List[str] = []
         for name, probe in sorted(self._probes.items()):
             self.stats.probes += 1
-            self._clock.charge(self.probe_cost, account="heartbeat")
+            self._clock.charge(PROBE_COST, account="heartbeat")
             if not probe():
                 down.append(name)
         return down

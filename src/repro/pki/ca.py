@@ -25,8 +25,9 @@ from repro.pki.certificate import (
 class CertificateAuthority:
     """Issues and validates certificates for users and enclaves.
 
-    ``key_bits`` defaults to 1024 rather than 2048 to keep pure-Python key
-    generation snappy across many tests; the signature scheme is identical.
+    ``key_bits`` defaults to 1024 rather than 2048: the smallest size
+    OpenSSL generates, and the size of every other key in the deployment;
+    the signature scheme is identical.
     """
 
     def __init__(

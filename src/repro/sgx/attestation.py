@@ -83,9 +83,9 @@ class QuotingEnclave:
     hold.
     """
 
-    def __init__(self, platform: SgxPlatform, key_bits: int = 1024) -> None:
+    def __init__(self, platform: SgxPlatform) -> None:
         self._platform = platform
-        self._key = rsa.generate_keypair(key_bits)
+        self._key = rsa.generate_keypair(1024)
 
     @property
     def attestation_public_key(self) -> rsa.RsaPublicKey:
@@ -171,14 +171,12 @@ def verifier_key_exchange(
     if not hmac.compare_digest(quote.report_data, bind_public_value(enclave_public)):
         raise AttestationError("quote does not bind the offered public value")
     keypair = dh.generate_keypair()
-    peer = dh.public_from_bytes(enclave_public)
-    secret = dh.shared_secret(keypair, peer)
+    secret = dh.shared_secret(keypair, enclave_public)
     shared_key = derive_key(secret, "sgx/attested-channel", length=16)
     return keypair.public_bytes(), shared_key
 
 
 def enclave_key_exchange_finish(keypair: dh.DhKeyPair, verifier_public: bytes) -> bytes:
     """Enclave side, step 2: complete the exchange with the verifier's value."""
-    peer = dh.public_from_bytes(verifier_public)
-    secret = dh.shared_secret(keypair, peer)
+    secret = dh.shared_secret(keypair, verifier_public)
     return derive_key(secret, "sgx/attested-channel", length=16)

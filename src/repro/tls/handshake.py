@@ -146,7 +146,7 @@ def _client_signing_input(
 
 def _shared_secret(keypair: dh.DhKeyPair, peer_public: bytes) -> bytes:
     try:
-        return dh.shared_secret(keypair, dh.public_from_bytes(peer_public))
+        return dh.shared_secret(keypair, peer_public)
     except CryptoError as exc:
         raise TlsError("peer DH public value rejected") from exc
 

@@ -36,7 +36,7 @@ SITES = ("journal:", "anchor:", "coherence:")
 
 def build(seed: int = 0):
     return build_cluster(
-        replicas=REPLICAS, parallel=True, ca=_CA, qe_key_bits=512, seed=seed
+        replicas=REPLICAS, parallel=True, ca=_CA, seed=seed
     )
 
 
@@ -140,7 +140,6 @@ class TestQuotaRefusalFailover:
             replicas=REPLICAS,
             parallel=True,
             ca=_CA,
-            qe_key_bits=512,
             seed=seed,
             options=SeGShareOptions(rollback_buckets=8, quota_bytes=self.QUOTA),
         )
@@ -201,7 +200,7 @@ class TestJoinCatchupCrash:
         root = deployment.server("r0")
         clock = root.env.clock
         platform = SgxPlatform(clock=clock)
-        platform.quoting_enclave = QuotingEnclave(platform, key_bits=512)
+        platform.quoting_enclave = QuotingEnclave(platform)
         platform._segshare_counter_rote = root.platform._segshare_counter_rote
         # A cached cluster admits only candidates wired to its coherence
         # log; the router rejects the join otherwise.

@@ -63,7 +63,7 @@ def run_cluster_schedule(seed: int, plan: FaultPlan | None, victim: str):
     front door.  ``plan`` (if given) is attached to ``victim``'s platform
     after priming.  Returns (deployment, executed, results)."""
     deployment = build_cluster(
-        replicas=REPLICAS, parallel=True, ca=_CA, qe_key_bits=512, seed=seed
+        replicas=REPLICAS, parallel=True, ca=_CA, seed=seed
     )
     prime(deployment.server("r0").enclave.handler)
     if plan is not None:

@@ -18,7 +18,7 @@ _CA = CertificateAuthority(key_bits=1024)
 
 
 def small_cluster(replicas=3):
-    return build_cluster(replicas=replicas, ca=_CA, qe_key_bits=512)
+    return build_cluster(replicas=replicas, ca=_CA)
 
 
 def kill(server):
@@ -40,7 +40,7 @@ def make_candidate(deployment, register=True):
     root = deployment.server("r0")
     clock = root.env.clock
     platform = SgxPlatform(clock=clock)
-    platform.quoting_enclave = QuotingEnclave(platform, key_bits=512)
+    platform.quoting_enclave = QuotingEnclave(platform)
     platform._segshare_counter_rote = root.platform._segshare_counter_rote
     # A cached cluster admits only candidates wired to its coherence log.
     if deployment.board is not None:

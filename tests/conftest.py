@@ -1,8 +1,9 @@
 """Shared fixtures: the session key pool and deployment factories.
 
-Public-key work is what tier-1 would otherwise spend its time on (RSA key
-generation 173 s and DH 111 s of 348 s before docs/PERF.md §10).  The DH
-cost is fixed in ``repro.crypto``; key generation is served here from
+Public-key work was once what tier-1 spent its time on (RSA key
+generation 173 s and DH 111 s of 348 s before docs/PERF.md §10).  On
+OpenSSL a 1024-bit key costs about 15 ms and a key agreement under 1 ms
+(docs/PERF.md §16); key generation is still served here from
 :class:`tests.support.keypool.KeyPool`, because key *material* is never
 what a test asserts on — identities come from certificates, and every
 certificate still binds a distinct subject.  Tests of key generation

@@ -1,8 +1,7 @@
-"""Miller–Rabin and prime generation."""
+"""The Miller–Rabin reference (tests/support/primes.py) that checks OpenSSL's
+RSA factors."""
 
-import pytest
-
-from repro.crypto.primes import generate_prime, is_probable_prime
+from tests.support.primes import is_probable_prime
 
 KNOWN_PRIMES = [2, 3, 5, 7, 97, 7919, 104729, 2**31 - 1, 2**61 - 1]
 KNOWN_COMPOSITES = [0, 1, 4, 100, 561, 41041, 2**31, 7919 * 104729]
@@ -61,18 +60,3 @@ class TestIsProbablePrime:
         for n in range(-3, limit + 1):
             assert is_probable_prime(n) == bool(n >= 0 and sieve[n]), n
 
-
-class TestGeneration:
-    def test_generated_prime_properties(self):
-        """Whatever round count generation used (12 from 256 bits up), the
-        result passes the 40-round worst-case test."""
-        for bits in (128, 256, 512):
-            p = generate_prime(bits)
-            assert p.bit_length() == bits
-            assert p >> (bits - 2) == 3  # top two bits forced
-            assert p % 2 == 1
-            assert is_probable_prime(p)
-
-    def test_too_small_rejected(self):
-        with pytest.raises(ValueError):
-            generate_prime(7)

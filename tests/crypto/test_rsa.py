@@ -3,14 +3,14 @@
 import hashlib
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.crypto import rsa
-from repro.crypto.primes import is_probable_prime
-from repro.errors import KeyError_
-
-# This module tests key generation itself, so it gets the real function
-# (tests/support/keypool.py).
-pytestmark = pytest.mark.fresh_keys
+from repro.errors import CryptoError, KeyError_
+from repro.util.serialization import Writer
+from tests.support import rsa_ref
+from tests.support.primes import is_probable_prime
 
 # A 512-bit key generated once, and what the commit before docs/PERF.md §10
 # signed with it: signing and verification are not to change.
@@ -31,37 +31,55 @@ FIXED_SIGNATURE = bytes.fromhex(
 FIXED_FINGERPRINT = "97db30a33c5136906e0222c12a218fb3097dfa70713d51a525e6660ee8cb11ff"
 
 
+# A consistent 384-bit key: OpenSSL loads it, but its modulus is too small
+# for a SHA-256 PKCS#1 v1.5 signature.
+SMALL_KEY = bytes.fromhex(
+    "00000030bc8204648b9e98836ad58b3dea6d3ee3c31d0e97b70a19fba563b30c37067cc9"
+    "757118cb5bb5350e4920df427596b5e9000000030100010000003009fecee2d1f067dfd803"
+    "58adc0c76825458c3de0d788c695d4d2b3e5854d1469c79f058d51b0c227a488b78514dae3"
+    "8100000018c11c6b63bc9fac8af32f89383144edd4ab1f4c60e3eea4b100000018f9e5d61e"
+    "1cf1ebf43f73f00e657119982854856a1fb152b9"
+)
+
+
 @pytest.fixture(scope="module")
 def key() -> rsa.RsaPrivateKey:
     return rsa.generate_keypair(1024)
 
 
+def private_blob(n: int, e: int, d: int, p: int, q: int) -> bytes:
+    w = Writer()
+    for value in (n, e, d, p, q):
+        w.bytes(rsa._int_to_bytes(value))
+    return w.take()
+
+
+# This class tests key generation itself, so it gets the real function
+# (tests/support/keypool.py).
+@pytest.mark.fresh_keys
 class TestKeyGeneration:
     def test_modulus_size(self, key):
         assert key.n.bit_length() == 1024
-        assert key.size_bytes == 128
 
     def test_factors_are_prime(self, key):
         assert is_probable_prime(key.p)
         assert is_probable_prime(key.q)
         assert key.p * key.q == key.n
 
-    def test_crt_parameters(self, key):
-        assert key.d_p == key.d % (key.p - 1)
-        assert key.d_q == key.d % (key.q - 1)
-        assert (key.q_inv * key.q) % key.p == 1
+    @pytest.mark.parametrize("bits", [1024, 2048])
+    def test_generated_key_survives_validated_load(self, bits):
+        generated = rsa.generate_keypair(bits)
+        assert generated.n.bit_length() == bits
+        assert generated.p * generated.q == generated.n
+        assert generated.e == rsa.PUBLIC_EXPONENT == 65537
+        loaded = rsa.RsaPrivateKey.deserialize(generated.serialize())
+        assert loaded == generated
+        assert rsa.sign(loaded, b"x") == rsa.sign(generated, b"x")
 
     def test_too_small_rejected(self):
+        """OpenSSL generates nothing below 1024 bits."""
         with pytest.raises(KeyError_):
-            rsa.generate_keypair(256)
-
-    def test_smallest_modulus_has_prime_factors(self):
-        # 512 bits is the smallest modulus accepted: 256-bit primes, the
-        # smallest size the 12-round average-case bound covers.
-        small = rsa.generate_keypair(512)
-        assert small.n.bit_length() == 512
-        assert small.p.bit_length() == small.q.bit_length() == 256
-        assert is_probable_prime(small.p) and is_probable_prime(small.q)
+            rsa.generate_keypair(1023)
 
 
 class TestSignatures:
@@ -91,8 +109,7 @@ class TestSignatures:
         assert not rsa.verify(key.public_key, b"m", b"too short")
 
     def test_signature_out_of_range_rejected(self, key):
-        oversized = key.n.to_bytes(key.size_bytes + 1, "big")[1:]
-        assert not rsa.verify(key.public_key, b"m", oversized)
+        assert not rsa.verify(key.public_key, b"m", key.n.to_bytes(128, "big"))
 
     def test_empty_message(self, key):
         assert rsa.verify(key.public_key, b"", rsa.sign(key, b""))
@@ -115,5 +132,55 @@ class TestSerialization:
         restored = rsa.RsaPrivateKey.deserialize(key.serialize())
         assert restored.n == key.n
         assert restored.d == key.d
-        assert restored.q_inv == key.q_inv  # CRT params recomputed
         assert rsa.verify(restored.public_key, b"x", rsa.sign(restored, b"x"))
+
+
+class TestAgainstReference:
+    def test_openssl_matches_the_pure_python_scheme(self):
+        """OpenSSL's PKCS#1 v1.5 signature is byte-identical to the
+        hand-written EMSA-PKCS1-v1_5 one, and each side verifies the other."""
+        keys = [rsa.generate_keypair(1024) for _ in range(4)]
+
+        @settings(max_examples=40, deadline=None)
+        @given(key=st.sampled_from(keys), message=st.binary(max_size=4096))
+        def check(key, message):
+            signature = rsa.sign(key, message)
+            assert signature == rsa_ref.sign(key, message)
+            assert rsa_ref.verify(key.public_key, message, signature)
+            assert rsa.verify(key.public_key, message, rsa_ref.sign(key, message))
+
+        check()
+
+
+class TestHostileKeyMaterial:
+    """Keys arrive in certificates, quotes and key files a peer or the host
+    chose; what OpenSSL refuses is a typed error or a failed check."""
+
+    @pytest.mark.parametrize(
+        "refuse", rsa_ref.REFUSED_PUBLIC_KEYS.values(), ids=rsa_ref.REFUSED_PUBLIC_KEYS.keys()
+    )
+    def test_verify_is_false_for_a_refused_public_key(self, key, refuse):
+        assert not rsa.verify(refuse(key), b"m", rsa.sign(key, b"m"))
+
+    @pytest.mark.parametrize(
+        "reshape",
+        [
+            lambda k: (k.n, k.e, k.d + 2, k.p, k.q),
+            lambda k: (k.n + 2, k.e, k.d, k.p, k.q),
+            lambda k: (k.p * k.p, k.e, k.d, k.p, k.p),
+            lambda k: (k.n, k.e, k.d, 1, k.q),
+            lambda k: (k.n, k.e, k.d, k.p, 0),
+            lambda k: (k.n, 0, k.d, k.p, k.q),
+            lambda k: (k.n, 3, k.d, k.p, k.q),
+            lambda k: (0, 0, 0, 0, 0),
+        ],
+        ids=["d-off", "n-off", "p-equals-q", "p=1", "q=0", "e=0", "e-mismatch", "all-zero"],
+    )
+    def test_inconsistent_private_key_is_a_key_error(self, key, reshape):
+        with pytest.raises(KeyError_):
+            rsa.RsaPrivateKey.deserialize(private_blob(*reshape(key)))
+
+    def test_modulus_too_small_to_sign_is_a_crypto_error(self):
+        small = rsa.RsaPrivateKey.deserialize(SMALL_KEY)
+        with pytest.raises(CryptoError):
+            rsa.sign(small, b"m")

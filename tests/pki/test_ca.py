@@ -6,6 +6,7 @@ from repro.crypto import rsa
 from repro.errors import CertificateError
 from repro.pki import CertificateAuthority, CertificateUsage
 from repro.pki.certificate import CertificateSigningRequest
+from tests.support.rsa_ref import REFUSED_PUBLIC_KEYS
 
 
 @pytest.fixture(scope="module")
@@ -37,6 +38,12 @@ class TestClientCertificates:
         cert = authority.issue_client_certificate("alice", subject_key.public_key)
         with pytest.raises(CertificateError):
             authority.validate(cert, CertificateUsage.SERVER)
+
+    @pytest.mark.parametrize("refuse", REFUSED_PUBLIC_KEYS.values(), ids=REFUSED_PUBLIC_KEYS.keys())
+    def test_ca_key_openssl_refuses_is_a_certificate_error(self, authority, subject_key, refuse):
+        cert = authority.issue_client_certificate("alice", subject_key.public_key)
+        with pytest.raises(CertificateError, match="invalid signature"):
+            cert.verify(refuse(authority.public_key))
 
     def test_foreign_issuer_rejected(self, subject_key):
         ca_a = CertificateAuthority(name="ca-a", key_bits=1024)

@@ -13,6 +13,7 @@ from repro.sgx.attestation import (
 )
 from repro.sgx.enclave import Enclave, ecall
 from tests.support.platform import sim_platform
+from tests.support.rsa_ref import REFUSED_PUBLIC_KEYS
 
 
 class AppEnclave(Enclave):
@@ -75,6 +76,13 @@ class TestQuotes:
         )
         with pytest.raises(AttestationError):
             service.verify(forged)
+
+    @pytest.mark.parametrize("refuse", REFUSED_PUBLIC_KEYS.values(), ids=REFUSED_PUBLIC_KEYS.keys())
+    def test_platform_key_openssl_refuses_is_an_attestation_error(self, world, refuse):
+        platform, enclave, qe, service = world
+        service.register_platform(platform.platform_id, refuse(qe.attestation_public_key))
+        with pytest.raises(AttestationError, match="signature"):
+            service.verify(qe.quote(enclave, b"rd"))
 
     def test_foreign_enclave_cannot_be_quoted(self, world):
         _, _, qe, _ = world

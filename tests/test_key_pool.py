@@ -46,10 +46,10 @@ class TestWiring:
         assert not {user_key.n, second_key.n} & {key.n for key in dealt}
 
     def test_sizes_do_not_mix_and_validation_survives(self):
-        assert rsa.generate_keypair(512).n.bit_length() == 512
         assert rsa.generate_keypair(1024).n.bit_length() == 1024
+        assert rsa.generate_keypair(2048).n.bit_length() == 2048
         with pytest.raises(KeyError_):
-            rsa.generate_keypair(256)
+            rsa.generate_keypair(1023)
 
 
 class TestPool:

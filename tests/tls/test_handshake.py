@@ -20,6 +20,7 @@ from repro.tls.handshake import (
     _server_signing_input,
 )
 from repro.tls.records import ContentType, handshake_record, parse_record
+from tests.support.rsa_ref import REFUSED_PUBLIC_KEYS
 
 
 @pytest.fixture(scope="module")
@@ -37,11 +38,12 @@ def world(user_key, second_key):
     }
 
 
-# In-range values in any but the 256-byte encoding, and a degenerate value
-# in the right one: what a *certified* peer could sign and send.
+# Values in any but the 32-byte X25519 encoding, and low-order values in
+# it: what a *certified* peer could sign and send.
 REFUSED_DH_VALUES = {
-    **{f"5-in-{width}-bytes": (5).to_bytes(width, "big") for width in (3, 255, 257, 300)},
+    **{f"5-in-{width}-bytes": (5).to_bytes(width, "big") for width in (3, 31, 33, 255, 257, 300)},
     "1-in-256-bytes": (1).to_bytes(256, "big"),
+    **{f"{value}-in-32-bytes": value.to_bytes(32, "little") for value in (0, 1)},
 }
 refused_dh_values = pytest.mark.parametrize(
     "dh_public", REFUSED_DH_VALUES.values(), ids=REFUSED_DH_VALUES.keys()
@@ -128,6 +130,32 @@ class TestCertificateRejection:
         server_hello = server_hs.handle_client_hello(client_hs.client_hello())
         with pytest.raises(TlsError):
             client_hs.handle_server_hello(server_hello)
+
+
+class TestRefusedCertifiedKeys:
+    @pytest.mark.parametrize("refuse", REFUSED_PUBLIC_KEYS.values(), ids=REFUSED_PUBLIC_KEYS.keys())
+    def test_certified_key_openssl_refuses_is_a_tls_error(self, world, refuse):
+        """A CA-signed certificate whose key OpenSSL refuses ends the
+        handshake with a TlsError, in the ServerHello and the ClientHello."""
+        ca = world["ca"]
+        server_key = world["server"].private_key
+        csr = CertificateSigningRequest("server", CertificateUsage.SERVER, refuse(server_key.public_key))
+        refused_server = ServerIdentity(ca.sign_csr(csr), server_key)
+        client_hs = ClientHandshake(world["client"], ca.public_key)
+        server_hello = ServerHandshake(refused_server, ca.public_key).handle_client_hello(
+            client_hs.client_hello()
+        )
+        with pytest.raises(TlsError, match="signature"):
+            client_hs.handle_server_hello(server_hello)
+
+        client_key = world["client"].private_key
+        refused_cert = ca.issue_client_certificate("mallory", refuse(client_key.public_key))
+        client_hs = ClientHandshake(ClientIdentity(refused_cert, client_key), ca.public_key)
+        server_hs = ServerHandshake(world["server"], ca.public_key)
+        kx = client_hs.handle_server_hello(server_hs.handle_client_hello(client_hs.client_hello()))
+        with pytest.raises(TlsError, match="signature"):
+            server_hs.handle_client_key_exchange(kx)
+        assert server_hs.keys is None
 
 
 class TestActiveAttacks:
