@@ -13,13 +13,14 @@ file keys.  With it off, the name is the object's own random id (32 hex
 digits, never a 64-digit ``hName``) at refcount 1: nothing derived from
 the content is stored, and equal uploads stay separate objects.
 
-Beyond the paper, the store reference-counts names so that deleting the
-last referring file reclaims the object.  Each name has one sealed
-record, the protected file ``idx:<name>`` holding the object id and the
-reference count, so a change seals only the records it touched and a
-peer replica re-reads only the records a coherence epoch names.  The
-enclave keeps every entry in memory, loaded once from a sorted scan of
-the ``idx:`` keys; the record bytes are never cached.
+Beyond the paper, the store reference-counts names: the last reference
+going reclaims the object once its span commits and its last reader
+closes.  Each name has one sealed record, the protected file
+``idx:<name>`` holding the object id and the reference count, so a change
+seals only the records it touched and a peer replica re-reads only the
+records a coherence epoch names.  The enclave keeps every entry in
+memory, loaded once from a sorted scan of the ``idx:`` keys; the record
+bytes are never cached.
 
 A record is bound to its name by its protected-file key, not kept fresh:
 the host may replay, delete or mix records of different ages.  Object
@@ -62,6 +63,9 @@ class DedupStore:
         self, pfs: ProtectedFs, root_key: bytes, engine: "StorageEngine", deduplicate: bool = True
     ) -> None:
         self._pfs = pfs
+        pfs.on_last_reader = engine.reader_closed
+        #: True while a reader handle holds the named object open.
+        self.reading = pfs.has_reader
         self._hmac_key = derive_key(root_key, "segshare/dedup-hmac")
         self._engine = engine
         #: Name new objects by their content's ``hName`` (else by their id).
@@ -131,8 +135,9 @@ class DedupStore:
         self._engine.coherence_check()
         existing = self._index.get(name)
         if existing is not None:
-            # `obj:*` blobs are never metadata-cached.
-            self._pfs.remove(object_id)
+            # `obj:*` blobs are never metadata-cached.  Nothing refers to
+            # the fresh copy, so no undo may bring it back.
+            self._pfs.remove(object_id, delete=self._engine.delete_unjournaled)
             self._index[name] = (existing[0], existing[1] + 1)
         else:
             self._index[name] = (object_id, 1)
@@ -203,13 +208,14 @@ class DedupStore:
     def release(self, h_name: str) -> None:
         """Drop one reference; the last reference reclaims the object."""
         object_id, refcount = self._entry(h_name)
-        if refcount <= 1:
-            del self._index[h_name]
-            # Object blobs bypass the metadata cache (see _commit).
-            self._pfs.remove(object_id)
-        else:
+        if refcount > 1:
             self._index[h_name] = (object_id, refcount - 1)
+        else:
+            del self._index[h_name]
         self._changed(h_name)
+        if refcount <= 1:
+            # Object blobs bypass the metadata cache (see _commit).
+            self._engine.release_object(object_id, self._pfs.chunk_count(object_id))
 
     def refcount(self, h_name: str) -> int:
         self._engine.coherence_check()

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import contextlib
 import hashlib
-from typing import TYPE_CHECKING, Iterator
+from typing import TYPE_CHECKING
 
 from repro.core.acl import (
     GROUP_LIST_PATH,
@@ -50,7 +50,7 @@ from repro.crypto import derive_key
 from repro.errors import FileSystemError, ProtectedFsError
 from repro.fsmodel import DirectoryFile
 from repro.sgx.enclave import Enclave
-from repro.sgx.protected_fs import ProtectedFs
+from repro.sgx.protected_fs import ProtectedFs, ReadHandle
 from repro.store.engine import StorageEngine
 from repro.util.serialization import Reader, Writer
 
@@ -354,20 +354,15 @@ class TrustedFileManager:
         """Begin a chunk-by-chunk upload to ``path`` (constant enclave buffer)."""
         return ContentUpload(self, path)
 
-    def iter_content(self, path: str) -> tuple[int, Iterator[bytes]]:
+    def iter_content(self, path: str) -> tuple[int, ReadHandle]:
         """(plaintext size, chunk iterator) for a streamed download.
 
         The rollback guard verifies the small pointer record; the object's
-        chunks are then pulled one at a time as the response needs them.
+        chunks are then pulled one at a time from its reader handle, which
+        whoever ends the stream closes.
         """
         handle = self.dedup.open_read(self._object_name(path))
-
-        def chunks() -> Iterator[bytes]:
-            with handle:
-                while (chunk := handle.read_chunk()) is not None:
-                    yield chunk
-
-        return handle.size, chunks()
+        return handle.size, handle
 
     # -- ACL files -------------------------------------------------------------------
 

@@ -15,13 +15,18 @@ The fix is a classic undo journal, kept *inside* the trust boundary:
 2.  Before the first mutation of a group of keys — one flushed write
     buffer, or a single put, delete or rename — the journal persists one
     encrypted **undo entry** listing, for every key of the group the
-    batch has not recorded yet, its pre-image (or an "absent" tombstone).
-    The entry is written *before* every mutation it covers, so a crash
-    can always undo them.  A *deleted* value is not copied: the entry
-    seals its SHA-256 and the delete is a rename of the value to
-    ``saved:<seq>.<i>``, the slot of item ``i`` of entry ``seq``.
+    batch has not recorded yet, a copy of its stored bytes (or an
+    "absent" tombstone).  The entry is written *before* every mutation it
+    covers, so a crash can always undo them.
 3.  ``commit()`` deletes the marker — one atomic object delete is the
     commit point — then sweeps the entries as garbage.
+
+An object whose last reference a batch drops is not deleted under the
+journal: a sealed **reclaim intent** ``(object id, chunk count)``, durable
+before the commit point (in the journaled ``reclaim`` record, or in the
+epoch record), names it, and its keys go after the commit point.
+Recovery completes every intent it finds: each names a committed,
+unreferenced object, and object ids are never reused.
 
 On enclave restart, a surviving marker means the batch did not commit:
 every recorded pre-image is restored, the rollback guards re-anchor, and
@@ -59,7 +64,6 @@ engine (:mod:`repro.store.engine`) wraps each store in a
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 from typing import Callable, Collection, Iterator, Optional
 
@@ -70,6 +74,7 @@ from repro.errors import (
     ServiceUnavailableError,
     StorageError,
 )
+from repro.sgx.protected_fs import stored_keys
 from repro.storage.backends import UntrustedStore
 from repro.storage.stores import StoreSet
 from repro.util.serialization import Reader, Writer
@@ -87,18 +92,31 @@ MAX_COUNTER_LAG = 4096
 
 _MARKER_KEY = "\x00journal:batch"
 _ENTRY_PREFIX = "\x00journal:entry:"
-_SAVED_PREFIX = "\x00journal:saved:"
 _STAMP_KEY = "\x00journal:stamp"
 _EPOCH_KEY = "\x00journal:epoch"
+_RECLAIM_KEY = "\x00journal:reclaim"
 _MARKER_AAD = b"segshare-journal:marker"
 _ENTRY_AAD = b"segshare-journal:"
 _STAMP_AAD = b"segshare-journal:stamp"
 _EPOCH_AAD = b"segshare-journal:epoch"
+_RECLAIM_AAD = b"segshare-journal:reclaim"
 
 #: Undo-entry kinds: the key was absent / the entry carries a copy of the
-#: stored bytes / the stored bytes were moved to the entry's saved slot
-#: and the entry carries their SHA-256.
-_ABSENT, _COPIED, _MOVED = 0, 1, 2
+#: stored bytes.
+_ABSENT, _COPIED = 0, 1
+
+
+def _pack_intents(w: Writer, intents: dict[str, int]) -> Writer:
+    w.u32(len(intents))
+    for object_id, chunks in sorted(intents.items()):
+        w.str(object_id).u32(chunks)
+    return w
+
+
+def _read_intents(r: Reader) -> dict[str, int]:
+    intents = {r.str(): r.u32() for _ in range(r.u32())}
+    r.expect_end()
+    return intents
 
 
 @dataclass(frozen=True)
@@ -125,8 +143,9 @@ class WriteAheadJournal:
     """Undo journal over the three untrusted stores of one deployment.
 
     ``crash_hook`` is called with a site name (``journal:begin``,
-    ``journal:entry``, ``journal:saved``, ``journal:mutate``, ``journal:commit``,
-    ``journal:committed``) at every step boundary; wiring it to
+    ``journal:entry``, ``journal:mutate``, ``journal:commit``,
+    ``journal:committed``, ``journal:reclaim``, ``journal:reclaim-record``)
+    at every step boundary; wiring it to
     :meth:`SgxPlatform.crashpoint` lets a fault plan kill the enclave at
     any individual journal step (the crash-matrix tests enumerate them).
     ``counter_probe`` returns the current whole-FS counter value, or is
@@ -150,9 +169,10 @@ class WriteAheadJournal:
         self._epoch = False
         self._seq = 0
         self._recorded: set[tuple[int, str]] = set()
-        #: Entry sequence number -> the store holding that entry's saved
-        #: values, and their slots.
-        self._moved: dict[int, tuple[UntrustedStore, Collection[str]]] = {}
+        #: True once this journal may have stored the reclaim record.
+        self._intent_record = False
+        #: Intents completed by the recoveries this journal ran.
+        self.intents_recovered = 0
         self._poisoned: Optional[str] = None
         #: Set by :meth:`recover_restore` when the crashed batch was a
         #: group-commit epoch; the recovery epilogue reads it to rebuild
@@ -200,40 +220,28 @@ class WriteAheadJournal:
         self._recorded.clear()
         self.crashpoint("journal:begin")
 
-    def record(self, tag: int, group: Collection[tuple[str, bool]]) -> Collection[str]:
-        """Seal the pre-images of a group of ``(key, deleting)`` mutations on
-        store ``tag`` into one entry, stored before the first of them lands.
+    def record(self, tag: int, keys: Collection[str]) -> None:
+        """Seal the pre-images of a group of mutations of ``keys`` on store
+        ``tag`` into one entry, stored before the first of them lands.
 
-        Keys the batch already recorded are left out.  Returns the keys whose
-        delete is done: a present value being deleted is not copied but moved
-        to ``saved:<seq>.<i>`` (``i`` its place in the entry), under its SHA-256.
+        Keys the batch already recorded are left out.
         """
-        fresh = [k for k in group if (tag, k[0]) not in self._recorded] if self._active else []
+        fresh = [key for key in keys if (tag, key) not in self._recorded] if self._active else []
         if not fresh:
-            return ()
-        store, seq = self._tagged[tag], self._seq
+            return
+        store = self._tagged[tag]
         body = Writer().u8(tag).u32(len(fresh))
-        moves: dict[str, str] = {}
-        for i, (key, deleting) in enumerate(fresh):
-            if not store.exists(key):
-                body.str(key).u8(_ABSENT).bytes(b"")
-            elif deleting:
-                body.str(key).u8(_MOVED).bytes(hashlib.sha256(store.get(key)).digest())
-                moves[key] = f"{_SAVED_PREFIX}{seq:08d}.{i}"
-            else:
+        for key in fresh:
+            if store.exists(key):
                 body.str(key).u8(_COPIED).bytes(store.get(key))
-        entry_key = f"{_ENTRY_PREFIX}{seq:08d}"
+            else:
+                body.str(key).u8(_ABSENT).bytes(b"")
+        entry_key = f"{_ENTRY_PREFIX}{self._seq:08d}"
         sealed = self._pae.encrypt(self._key, body.take(), aad=_ENTRY_AAD + entry_key.encode("utf-8"))
         self._backend.put(entry_key, sealed)
         self._seq += 1
-        self._recorded.update((tag, key) for key, _ in fresh)
-        if moves:
-            self._moved[seq] = (store, moves.values())
+        self._recorded.update((tag, key) for key in fresh)
         self.crashpoint("journal:entry")
-        for key, saved in moves.items():
-            self.crashpoint("journal:saved")
-            store.rename(key, saved)
-        return moves
 
     def commit(self) -> None:
         """Commit the batch: the marker delete is the atomic commit point."""
@@ -281,13 +289,15 @@ class WriteAheadJournal:
         group_main: bytes,
         members: int,
         label: str,
+        intents: "dict[str, int] | None" = None,
     ) -> None:
         """Commit one member: the epoch-record put is its atomic commit point.
 
         The record carries the watermark (entries below it are now
-        committed garbage) and the guards' pending root hashes so a crash
+        committed garbage), the guards' pending root hashes so a crash
         later in the epoch can verify the restored data before rebuilding
-        the guard trees.  The member's own entries are swept afterwards —
+        the guard trees, and the reclaim ``intents`` not yet completed.
+        The member's own entries are swept afterwards —
         a crash mid-sweep leaves sub-watermark garbage that recovery
         ignores and :meth:`clear` removes.
         """
@@ -295,15 +305,8 @@ class WriteAheadJournal:
             raise StorageError("no group-commit epoch is open")
         self.crashpoint("journal:commit")
         watermark = self._seq
-        plaintext = (
-            Writer()
-            .str(label)
-            .u64(watermark)
-            .u32(members)
-            .bytes(fs_main)
-            .bytes(group_main)
-            .take()
-        )
+        record = Writer().str(label).u64(watermark).u32(members).bytes(fs_main).bytes(group_main)
+        plaintext = _pack_intents(record, intents or {}).take()
         self._backend.put(
             _EPOCH_KEY, self._pae.encrypt(self._key, plaintext, aad=_EPOCH_AAD)
         )
@@ -326,7 +329,7 @@ class WriteAheadJournal:
         self._seq = member_base
         self._recorded.clear()
 
-    def close_epoch(self) -> None:
+    def close_epoch(self, intents: "dict[str, int] | None" = None) -> None:
         """Close the epoch: the marker delete is the atomic close point.
 
         Ordering matters: the marker must go *before* the record — a
@@ -342,6 +345,8 @@ class WriteAheadJournal:
         self._active = False
         self._epoch = False
         self.crashpoint("journal:epoch-closed")
+        # Intents still open outlive the epoch record in the reclaim record.
+        self.keep_intents(intents or {})
         if self._backend.exists(_EPOCH_KEY):
             self._backend.delete(_EPOCH_KEY)
         self._sweep_entries(range(self._seq))
@@ -350,26 +355,16 @@ class WriteAheadJournal:
     def rollback(self) -> None:
         """In-process abort: restore every recorded pre-image.
 
-        The journal keys are deliberately *kept* — the caller re-anchors
-        the rollback guards first and then calls :meth:`clear`, so a crash
-        anywhere in between is repaired by restart recovery re-running the
-        (idempotent) restore.
-        """
-        self._active = False
-        self._restore_entries()
-
-    def resume_recording(self) -> None:
-        """Re-open pre-image recording on the still-persisted batch.
-
-        Called between :meth:`rollback` and :meth:`clear` so the re-anchor
-        writes that repair guard state are themselves journaled: the
-        anchor is a multi-key protected file, and an unjournaled rewrite
-        torn by a crash would be unrepairable (no pre-image anywhere).
-        With recording open, restart recovery rewinds to the restored
-        state and re-runs the re-anchor.  Keys the batch already recorded
-        keep their original pre-images (:meth:`record` skips them), so the
+        The journal keys are deliberately *kept* and recording stays open:
+        the caller re-anchors the rollback guards and then calls
+        :meth:`clear`.  The anchor is a multi-key protected file, so its
+        rewrite must be journaled too; a crash anywhere in between rewinds
+        to the restored state on restart and re-runs the re-anchor.  Keys
+        the batch already recorded keep their original pre-images, so the
         restore target stays the pre-batch state.
         """
+        self._active = False  # stays closed if the restore itself fails
+        self._restore_entries()
         self._active = True
 
     def clear(self) -> None:
@@ -386,6 +381,9 @@ class WriteAheadJournal:
     def poison(self, reason: str) -> None:
         """Refuse further batches (rollback itself failed); reads continue."""
         self._poisoned = reason
+        # Recording may still be open on the failed batch: a later span must
+        # meet the refusal in begin(), not join that batch.
+        self._active = False
 
     # -- recovery (enclave start) ----------------------------------------------
 
@@ -398,72 +396,71 @@ class WriteAheadJournal:
         recording stays open* — the invariant is that whenever the marker
         is persisted, every mutation records its pre-image, so a crash
         anywhere during recovery (including mid-re-anchor, a torn
-        multi-key anchor write) rewinds and re-runs it.
+        multi-key anchor write) rewinds and re-runs it.  Last, every
+        reclaim intent a committed batch or member left is completed.
         """
-        if not self._backend.exists(_MARKER_KEY):
+        recovered = self._backend.exists(_MARKER_KEY)
+        epoch = self._epoch_record()
+        if not recovered:
             # Entries without a marker are garbage from a commit that
             # crashed mid-sweep; the batch itself was fully applied.  A
             # record without a marker is a fully-closed epoch (the marker
             # delete is the close point) crashed before its own cleanup.
-            if self._backend.exists(_EPOCH_KEY):
-                self._backend.delete(_EPOCH_KEY)
             self._sweep_entries()
-            return False
-        try:
-            plaintext = self._pae.decrypt(
-                self._key, self._backend.get(_MARKER_KEY), aad=_MARKER_AAD
-            )
-        except IntegrityError:
-            raise RollbackDetected(
-                "write-ahead journal marker is corrupt or not ours"
-            ) from None
-        r = Reader(plaintext)
-        label = r.str()
-        counter_start = r.u64()
-        r.expect_end()
-        if self.counter_probe is not None:
-            current = self.counter_probe()
-            if current < counter_start or current - counter_start > MAX_COUNTER_LAG:
-                raise RollbackDetected(
-                    f"stale write-ahead journal for batch {label!r}: recorded "
-                    f"counter {counter_start}, TEE counter {current}"
-                )
-        if self._backend.exists(_EPOCH_KEY):
-            # A group-commit epoch crashed mid-flight.  The record marks
-            # the last committed member's watermark: entries at or above
-            # it belong to the uncommitted member (or the close-phase
-            # guard flush) and are restored; anything below is garbage
-            # from an interrupted sweep and must *not* be restored over
-            # committed members' writes.
-            try:
-                record = self._pae.decrypt(
-                    self._key, self._backend.get(_EPOCH_KEY), aad=_EPOCH_AAD
-                )
-            except IntegrityError:
-                raise RollbackDetected(
-                    "journal epoch record is corrupt or not ours"
-                ) from None
-            er = Reader(record)
-            epoch_label = er.str()
-            watermark = er.u64()
-            members = er.u32()
-            fs_main = er.bytes()
-            group_main = er.bytes()
-            er.expect_end()
-            self._recorded = set(self._restore_entries(min_seq=watermark))
-            self._seq = max(self._seq, watermark)
+        else:
+            r = Reader(self._open(_MARKER_KEY, _MARKER_AAD))
+            label = r.str()
+            counter_start = r.u64()
+            r.expect_end()
+            if self.counter_probe is not None:
+                current = self.counter_probe()
+                if current < counter_start or current - counter_start > MAX_COUNTER_LAG:
+                    raise RollbackDetected(
+                        f"stale write-ahead journal for batch {label!r}: recorded "
+                        f"counter {counter_start}, TEE counter {current}"
+                    )
+            if epoch is not None:
+                # A group-commit epoch crashed mid-flight.  The record marks
+                # the last committed member's watermark: entries at or above
+                # it belong to the uncommitted member (or the close-phase
+                # guard flush) and are restored; anything below is garbage
+                # from an interrupted sweep and must *not* be restored over
+                # committed members' writes.
+                watermark = epoch[0].watermark
+                self._recorded = set(self._restore_entries(min_seq=watermark))
+                self._seq = max(self._seq, watermark)
+                self._epoch = True
+                self.recovered_epoch = epoch[0]
+            else:
+                # Keep recording while the caller verifies and re-anchors:
+                # new slots continue the batch's numbering and
+                # already-recorded keys keep their original pre-images.
+                self._recorded = set(self._restore_entries())
             self._active = True
-            self._epoch = True
-            self.recovered_epoch = EpochRecord(
-                epoch_label, watermark, members, fs_main, group_main
-            )
-            return True
-        # Keep recording while the caller verifies and re-anchors: new
-        # slots continue the batch's numbering and already-recorded keys
-        # keep their original pre-images.
-        self._recorded = set(self._restore_entries())
-        self._active = True
-        return True
+        # Only now: the restore may have brought back the reclaim record
+        # that stood before the uncommitted batch rewrote it.
+        intents = epoch[1] if epoch is not None else {}
+        if self._backend.exists(_RECLAIM_KEY):
+            intents = {**intents, **_read_intents(Reader(self._open(_RECLAIM_KEY, _RECLAIM_AAD)))}
+        self._delete_objects(intents)
+        self.intents_recovered += len(intents)
+        if self._backend.exists(_RECLAIM_KEY):
+            self._backend.delete(_RECLAIM_KEY)
+        if not recovered and epoch is not None:
+            self._backend.delete(_EPOCH_KEY)
+        return recovered
+
+    def _open(self, key: str, aad: bytes) -> bytes:
+        try:
+            return self._pae.decrypt(self._key, self._backend.get(key), aad=aad)
+        except IntegrityError:
+            raise RollbackDetected(f"journal record {key!r} is corrupt or not ours") from None
+
+    def _epoch_record(self) -> Optional[tuple[EpochRecord, dict[str, int]]]:
+        if not self._backend.exists(_EPOCH_KEY):
+            return None
+        er = Reader(self._open(_EPOCH_KEY, _EPOCH_AAD))
+        return EpochRecord(er.str(), er.u64(), er.u32(), er.bytes(), er.bytes()), _read_intents(er)
 
     def recover_finish(self) -> None:
         """Finish recovery after the guards re-anchored."""
@@ -493,13 +490,42 @@ class WriteAheadJournal:
         """Token of the last *committed* stamped request, or ``None``."""
         if not self._backend.exists(_STAMP_KEY):
             return None
-        try:
-            plaintext = self._pae.decrypt(
-                self._key, self._backend.get(_STAMP_KEY), aad=_STAMP_AAD
-            )
-        except IntegrityError:
-            raise RollbackDetected("request stamp is corrupt or not ours") from None
-        return plaintext.decode("utf-8")
+        return self._open(_STAMP_KEY, _STAMP_AAD).decode("utf-8")
+
+    # -- reclaim intents (the post-commit phase) -----------------------------------
+
+    def seal_intents(self, intents: dict[str, int]) -> tuple[str, bytes]:
+        """(key, ciphertext) of the reclaim record naming ``intents``."""
+        self._intent_record = True
+        return _RECLAIM_KEY, self._pae.encrypt(self._key, _pack_intents(Writer(), intents).take(), aad=_RECLAIM_AAD)
+
+    def keep_intents(self, intents: dict[str, int]) -> None:
+        """Store committed ``intents`` as the reclaim record, or drop it."""
+        # Not dropped while a batch is open: its entries may hold the
+        # record's pre-image.
+        if intents:
+            self.crashpoint("journal:reclaim-record")
+            self._backend.put(*self.seal_intents(intents))
+        elif self._intent_record and not self._active:
+            self.crashpoint("journal:reclaim-record")
+            if self._backend.exists(_RECLAIM_KEY):
+                self._backend.delete(_RECLAIM_KEY)
+            self._intent_record = False
+
+    def reclaim(self, object_id: str, chunks: int) -> None:
+        """Delete a committed, unreferenced object, below the journal."""
+        # Its intent stays until keep_intents drops it: a crash or store
+        # fault part-way is finished later.
+        self.crashpoint("journal:reclaim")
+        self._delete_objects({object_id: chunks})
+
+    def _delete_objects(self, intents: dict[str, int]) -> None:
+        # Idempotent: recovery re-runs intents a crash interrupted.
+        store = self._tagged[TAG_DEDUP]
+        for object_id, chunks in intents.items():
+            for key in stored_keys(object_id, chunks):
+                if store.exists(key):
+                    store.delete(key)
 
     # -- internals ---------------------------------------------------------------
 
@@ -508,23 +534,11 @@ class WriteAheadJournal:
 
     def _sweep_entries(self, seqs: Optional[range] = None) -> None:
         # Entries numbered ``seqs`` (this batch's own) or whatever a scan
-        # finds, each after the values its moves saved: a saved value never
-        # outlives its entry, so a slot about to be used is always empty.
-        if seqs is None:
-            for store in self._tagged:
-                for key in list(store.scan(_SAVED_PREFIX)):
-                    store.delete(key)
-            for key in self._entry_keys():
+        # finds; str.format keeps the per-commit sweep free of Python frames.
+        keys = self._entry_keys() if seqs is None else map((_ENTRY_PREFIX + "{:08d}").format, seqs)
+        for key in keys:
+            if self._backend.exists(key):
                 self._backend.delete(key)
-            return
-        for seq in seqs:
-            store, slots = self._moved.pop(seq, (self._backend, ()))
-            for saved in slots:
-                if store.exists(saved):
-                    store.delete(saved)
-            entry_key = f"{_ENTRY_PREFIX}{seq:08d}"
-            if self._backend.exists(entry_key):
-                self._backend.delete(entry_key)
 
     def _restore_entries(self, min_seq: int = 0) -> list[tuple[int, str]]:
         restored: list[tuple[int, str]] = []
@@ -537,38 +551,17 @@ class WriteAheadJournal:
         # restarts per epoch member), the earliest pre-image wins.
         entry_keys.reverse()
         for entry_key in entry_keys:
-            try:
-                plaintext = self._pae.decrypt(
-                    self._key,
-                    self._backend.get(entry_key),
-                    aad=_ENTRY_AAD + entry_key.encode("utf-8"),
-                )
-            except IntegrityError:
-                raise RollbackDetected(
-                    f"write-ahead journal entry {entry_key!r} is corrupt"
-                ) from None
-            r = Reader(plaintext)
+            r = Reader(self._open(entry_key, _ENTRY_AAD + entry_key.encode("utf-8")))
             tag = r.u8()
             store = self._tagged[tag]
             items = [(r.str(), r.u8(), r.bytes()) for _ in range(r.u32())]
             r.expect_end()
-            seq = entry_key[len(_ENTRY_PREFIX) :]
-            for i, (key, kind, pre_image) in reversed(list(enumerate(items))):
-                if kind == _MOVED:
-                    # Idempotent: a value already back under ``key`` (or never
-                    # moved) counts, provided it is the one the entry sealed.
-                    saved = f"{_SAVED_PREFIX}{seq}.{i}"
-                    source = saved if store.exists(saved) else key
-                    if not store.exists(source) or hashlib.sha256(store.get(source)).digest() != pre_image:
-                        raise RollbackDetected(f"value saved by {entry_key!r} is missing or altered")
-                    if source == saved:
-                        store.rename(saved, key)
-                elif kind == _COPIED:
+            for key, kind, pre_image in reversed(items):
+                if kind == _COPIED:
                     # The pre-image is the raw *stored* byte string captured
                     # before the batch ran — already PAE ciphertext from the
-                    # protected store, never enclave plaintext.  (`plaintext`
-                    # above is the decrypted journal record, whose payload is
-                    # that ciphertext.)
+                    # protected store, never enclave plaintext.  (The
+                    # decrypted journal record's payload is that ciphertext.)
                     store.put(key, pre_image)
                 elif store.exists(key):
                     store.delete(key)
@@ -594,27 +587,25 @@ class JournaledStore(UntrustedStore):
         self._tag = tag
 
     def put(self, key: str, value: bytes) -> None:
-        self._journal.record(self._tag, ((key, False),))
+        # Outside a batch (an upload streaming its chunks) there is nothing
+        # to record.
+        if self._journal._active:
+            self._journal.record(self._tag, (key,))
         self.inner.put(key, value)
         self._journal.crashpoint("journal:mutate")
 
     def delete(self, key: str) -> None:
-        if key not in self._journal.record(self._tag, ((key, True),)):
-            self.inner.delete(key)
-        self._journal.crashpoint("journal:mutate")
-
-    def rename(self, old: str, new: str) -> None:
-        self._journal.record(self._tag, ((old, False), (new, False)))
-        self.inner.rename(old, new)
+        self._journal.record(self._tag, (key,))
+        self.inner.delete(key)
         self._journal.crashpoint("journal:mutate")
 
     def apply(self, group: Collection[tuple[str, Optional[bytes]]]) -> None:
         """The whole group under one undo entry, stored before its first mutation."""
-        moved = self._journal.record(self._tag, [(k, v is None) for k, v in group])
+        self._journal.record(self._tag, [key for key, _ in group])
         for key, value in group:
             if value is not None:
                 self.inner.put(key, value)
-            elif key not in moved and self.inner.exists(key):
+            elif self.inner.exists(key):
                 self.inner.delete(key)
             self._journal.crashpoint("journal:mutate")
 
@@ -632,6 +623,3 @@ class JournaledStore(UntrustedStore):
 
     def size(self, key: str) -> int:
         return self.inner.size(key)
-
-    def total_bytes(self) -> int:
-        return self.inner.total_bytes()

@@ -21,6 +21,7 @@ from __future__ import annotations
 import hashlib
 import hmac
 from dataclasses import dataclass
+from typing import Callable, Iterator
 
 from repro.crypto import default_pae, derive_key
 from repro.errors import IntegrityError, ProtectedFsError
@@ -35,6 +36,10 @@ _META_SUFFIX = "\x00meta"
 
 def _chunk_key(path: str, index: int) -> str:
     return f"{path}\x00chunk\x00{index}"
+
+
+def stored_keys(path: str, chunk_count: int) -> list[str]:
+    return [path + _META_SUFFIX] + [_chunk_key(path, index) for index in range(chunk_count)]
 
 
 def _chunk_aad(path: str) -> bytes:
@@ -78,6 +83,8 @@ class ProtectedFs:
         self._pae = default_pae()
         self._open_writers: set[str] = set()
         self._open_readers: dict[str, int] = {}
+        #: Called with a path when its last reader handle closes.
+        self.on_last_reader: Callable[[str], None] | None = None
 
     # -- cost accounting ------------------------------------------------------
 
@@ -125,11 +132,14 @@ class ProtectedFs:
         self._open_readers[path] = self._open_readers.get(path, 0) + 1
 
     def _release_reader(self, path: str) -> None:
-        count = self._open_readers.get(path, 0)
-        if count <= 1:
-            self._open_readers.pop(path, None)
-        else:
-            self._open_readers[path] = count - 1
+        count = self._open_readers.pop(path, 0) - 1
+        if count > 0:
+            self._open_readers[path] = count
+        elif self.on_last_reader is not None:
+            self.on_last_reader(path)
+
+    def has_reader(self, path: str) -> bool:
+        return path in self._open_readers
 
     # -- whole-file API -------------------------------------------------------
 
@@ -146,15 +156,17 @@ class ProtectedFs:
     def exists(self, path: str) -> bool:
         return self._store.exists(path + _META_SUFFIX)
 
-    def remove(self, path: str) -> None:
-        """Delete the file and all its chunks."""
+    def remove(self, path: str, delete: Callable[[str], None] | None = None) -> None:
+        """Delete the file and all its chunks (through ``delete`` if given)."""
         if path in self._open_writers or self._open_readers.get(path):
             raise ProtectedFsError(f"{path!r} has open handles")
         meta = self._load_meta(path)
         self._charge_ocall()
-        self._store.delete(path + _META_SUFFIX)
-        for index in range(meta.chunk_count):
-            self._store.delete(_chunk_key(path, index))
+        for key in stored_keys(path, meta.chunk_count):
+            (delete or self._store.delete)(key)
+
+    def chunk_count(self, path: str) -> int:
+        return self._load_meta(path).chunk_count
 
     def owners(self, prefix: str) -> set[str]:
         """Paths under ``prefix`` owning any stored key, metadata *or* chunk."""
@@ -344,6 +356,13 @@ class ReadHandle:
         if not self._closed:
             self._closed = True
             self._fs._release_reader(self._path)
+
+    def __iter__(self) -> Iterator[bytes]:
+        try:
+            while (chunk := self.read_chunk()) is not None:
+                yield chunk
+        finally:
+            self.close()
 
     def __enter__(self) -> "ReadHandle":
         return self

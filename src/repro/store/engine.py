@@ -82,6 +82,8 @@ class TransactionStats:
     bypass_writes: int = 0  # oversize/over-budget writes applied immediately
     write_backs: int = 0  # cache entries applied at commit
     pending_bytes_peak: int = 0  # high-water mark of one store's buffer
+    reclaimed: int = 0  # released objects deleted after their commit
+    reclaims_waited: int = 0  # of those, reclaims that waited for a reader
 
     def snapshot(self) -> dict:
         return asdict(self)
@@ -228,12 +230,11 @@ class DeferredStore(UntrustedStore):
     # -- UntrustedStore ------------------------------------------------------
 
     def put(self, key: str, value: bytes) -> None:
-        if self._armed:
-            self._stats.puts += 1
         if not self._armed:
             self.inner.put(key, value)
             self._charge()
             return
+        self._stats.puts += 1
         fits = len(value) <= MAX_BUFFERED_VALUE and (
             self._pending_bytes - self._entry_bytes(key) + len(value) <= BUFFER_BUDGET
         )
@@ -264,22 +265,9 @@ class DeferredStore(UntrustedStore):
             self.inner.delete(key)
             self._charge()
             return
-        if key in self._pending:
-            if self._pending[key] is None:
-                raise StorageError(f"no object at key {key!r}")
-            self._set_pending(key, None)
-            return
-        if not self.inner.exists(key):
+        if not self.exists(key):
             raise StorageError(f"no object at key {key!r}")
         self._set_pending(key, None)
-
-    def rename(self, old: str, new: str) -> None:
-        if not self._armed:
-            self.inner.rename(old, new)
-            self._charge()
-            return
-        self.put(new, self.get(old))
-        self.delete(old)
 
     def exists(self, key: str) -> bool:
         if self._armed and key in self._pending:
@@ -287,15 +275,7 @@ class DeferredStore(UntrustedStore):
         return self.inner.exists(key)
 
     def keys(self) -> Iterator[str]:
-        if not self._armed or not self._pending:
-            return self.inner.keys()
-        merged = set(self.inner.keys())
-        for key, value in self._pending.items():
-            if value is None:
-                merged.discard(key)
-            else:
-                merged.add(key)
-        return iter(merged)
+        return self.scan("")
 
     def scan(self, prefix: str) -> Iterator[str]:
         if not self._armed or not self._pending:
@@ -312,16 +292,8 @@ class DeferredStore(UntrustedStore):
 
     def size(self, key: str) -> int:
         if self._armed and key in self._pending:
-            value = self._pending[key]
-            if value is None:
-                raise StorageError(f"no object at key {key!r}")
-            return len(value)
+            return len(self.get(key))
         return self.inner.size(key)
-
-    def total_bytes(self) -> int:
-        if not self._armed or not self._pending:
-            return self.inner.total_bytes()
-        return sum(self.size(key) for key in self.keys())
 
 
 class StorageEngine:
@@ -381,6 +353,11 @@ class StorageEngine:
         #: (namespace, key) -> value; deferred cache write-through,
         #: last write per key wins.
         self._write_backs: "OrderedDict[tuple[str, str], bytes]" = OrderedDict()
+        #: object id -> chunk count: objects the open span released, and
+        #: committed releases not yet reclaimed (a reader holds them, or a
+        #: store fault cut the post-commit phase short).
+        self._released: dict[str, int] = {}
+        self._outstanding: dict[str, int] = {}
         if cache is not None:
             # Belt and braces: ANY undo-log restore — including recovery
             # paths that bypass transaction() — drops the cache before
@@ -420,6 +397,9 @@ class StorageEngine:
             self.cache.clear()
         if self.dedup is not None:
             self.dedup.reload_index()
+        # A restored store may reference them again; a committed intent
+        # keeps any that are still due.
+        self._outstanding.clear()
 
     def attach_coherence(self, coherence: "CoherenceManager | None") -> None:
         """Join the cluster's invalidation log (see :mod:`repro.core.coherence`).
@@ -507,18 +487,7 @@ class StorageEngine:
             self.coherence.sync()
         journal.begin(label)
         self._begin_guard_batches()
-        for store in self._deferred:
-            store.arm()
-        stamp, self.pending_stamp = self.pending_stamp, None
-        if stamp is not None:
-            # Buffered like any other write: the pre-image is journaled at
-            # flush, so an abort (or crash) restores the *previous*
-            # request's stamp and a commit publishes this one atomically
-            # with the batch.
-            key, sealed = journal.seal_stamp(stamp)
-            self.backends.content.put(key, sealed)
-        puts_before = self.stats.puts
-        self.in_span = True
+        puts_before = self._open_span()
         try:
             yield
             # Commit inside the try: a fault while sealing dedup records,
@@ -529,28 +498,23 @@ class StorageEngine:
             self._seal_dedup_index()
             with self._commit_point():
                 self._commit_guard_batches()
+                if self._released:
+                    # The intent is durable before the commit point and
+                    # rolls back with the batch (its pre-image is journaled).
+                    intents = {**self._outstanding, **self._released}
+                    self.backends.content.put(*journal.seal_intents(intents))
                 self._flush_deferred()
         except EnclaveCrashed:
             # The enclave is gone; restart recovery replays the undo log.
             raise
         except BaseException:
-            # The body is over: the rollback's dedup reload may now drop
-            # its unsealed changes.
-            self.in_span = False
             self._abort_guard_batches()
-            for store in self._deferred:
-                store.discard()
-            self._write_backs.clear()
-            # An abort restores the shared store to its pre-transaction
-            # bytes, so peers' caches are still correct: nothing to
-            # publish.
-            self._txn_touched.clear()
+            self._drop_span()
             try:
-                journal.rollback()
-                # Re-anchor under the journal's recording: the anchor is a
-                # multi-key protected file, and a crash tearing its rewrite
+                # Re-anchor under the journal's recording (still open after
+                # the restore): a crash tearing the multi-key anchor rewrite
                 # must rewind to the restored state on restart.
-                journal.resume_recording()
+                journal.rollback()
                 self._reanchor_guards()
                 journal.clear()
                 # The re-anchor deferred its anchor/node write-backs
@@ -572,8 +536,7 @@ class StorageEngine:
                 journal.commit()
             self._apply_write_backs()
             self._publish_coherence(label)
-            self.stats.commits += 1
-            self.stats.last_commit_puts = self.stats.puts - puts_before
+            self._committed(puts_before)
         finally:
             self.in_span = False
 
@@ -613,17 +576,7 @@ class StorageEngine:
             group.release = clock.now()
         member_base = journal.begin_member()
         snapshots = [(guard, guard.snapshot_pending()) for guard in self.guards]
-        for store in self._deferred:
-            store.arm()
-        stamp, self.pending_stamp = self.pending_stamp, None
-        if stamp is not None:
-            # Buffered and flushed with *this member's* group: the stamp
-            # becomes durable at the member's commit record, so a cluster
-            # successor sees it even though the epoch is still open.
-            key, sealed = journal.seal_stamp(stamp)
-            self.backends.content.put(key, sealed)
-        puts_before = self.stats.puts
-        self.in_span = True
+        puts_before = self._open_span()
         try:
             yield
             # Sealed per member, never at epoch close: the records must
@@ -635,15 +588,12 @@ class StorageEngine:
                     mount.guard.expected_main() if mount.guard is not None else b""
                     for mount in self.mounts
                 ]
-                journal.commit_member(member_base, *mains, group.members + 1, label)
+                intents = {**self._outstanding, **self._released}
+                journal.commit_member(member_base, *mains, group.members + 1, label, intents)
         except EnclaveCrashed:
             raise
         except BaseException:
-            self.in_span = False
-            for store in self._deferred:
-                store.discard()
-            self._write_backs.clear()
-            self._txn_touched.clear()
+            self._drop_span()
             for guard, snapshot in snapshots:
                 guard.restore_pending(snapshot)
             try:
@@ -674,10 +624,44 @@ class StorageEngine:
                 # close publishes them as one entry.
                 self._epoch_touched |= self._txn_touched
                 self._txn_touched = set()
-            self.stats.commits += 1
-            self.stats.last_commit_puts = self.stats.puts - puts_before
+            self._committed(puts_before)
         finally:
             self.in_span = False
+
+    def _open_span(self) -> int:
+        """Arm the write buffers and stage the cluster stamp; returns the
+        put count the span starts from."""
+        for store in self._deferred:
+            store.arm()
+        stamp, self.pending_stamp = self.pending_stamp, None
+        if stamp is not None:
+            # Buffered like any other write: the pre-image is journaled at
+            # flush, so an abort (or crash) restores the *previous*
+            # request's stamp, and the commit — for an epoch member, its
+            # commit record, so a cluster successor sees it while the epoch
+            # is still open — publishes this one atomically with the batch.
+            self.backends.content.put(*self.journal.seal_stamp(stamp))
+        self.in_span = True
+        return self.stats.puts
+
+    def _drop_span(self) -> None:
+        # The body is over: the rollback's dedup reload may now drop its
+        # unsealed changes.  An abort restores the shared store to its
+        # pre-transaction bytes, so peers' caches are still correct:
+        # nothing to publish.
+        self.in_span = False
+        self._released.clear()
+        for store in self._deferred:
+            store.discard()
+        self._write_backs.clear()
+        self._txn_touched.clear()
+
+    def _committed(self, puts_before: int) -> None:
+        self.stats.commits += 1
+        self.stats.last_commit_puts = self.stats.puts - puts_before
+        self._outstanding.update(self._released)
+        self._released = {}
+        self._finish_reclaims()
 
     def _close_epoch(self, reason: str) -> None:
         """Flush the epoch's deferred guard state and drop the marker.
@@ -697,7 +681,7 @@ class StorageEngine:
         try:
             with self._commit_point():
                 self._commit_guard_batches()
-                journal.close_epoch()
+                journal.close_epoch(self._outstanding)
                 # The guard flush above raw-wrote nodes and the anchor
                 # while the journal was still recording, deferring their
                 # cache write-backs.  Apply them NOW: a write-back that
@@ -728,6 +712,47 @@ class StorageEngine:
             stats.marker_writes_saved += saved
             stats.anchor_writes_saved += saved * guards
             stats.counter_increments_saved += saved * guards
+
+    # -- object reclaim ---------------------------------------------------------
+    #
+    # A span that drops an object's last reference only names it
+    # (release_object); its keys go after the commit point, below the
+    # journal, once no reader holds it — an abort keeps it referenced.
+
+    def release_object(self, object_id: str, chunks: int) -> None:
+        # Outside any span the release is durable at once.
+        (self._released if self.journal.active else self._outstanding)[object_id] = chunks
+        self._finish_reclaims()
+
+    def delete_unjournaled(self, key: str) -> None:
+        # A dedup-store key no undo may bring back, buffered value included.
+        self._deferred[TAG_DEDUP]._drop_pending(key)
+        if self.raw.dedup.exists(key):
+            self.raw.dedup.delete(key)
+
+    def reader_closed(self, object_id: str) -> None:
+        if object_id in self._outstanding:
+            self.stats.reclaims_waited += 1
+            self._finish_reclaims()
+
+    def _finish_reclaims(self) -> None:
+        # The post-commit phase.  The request already committed, so a store
+        # fault here must not fail it: the intent stays durable, and the
+        # next commit, reader close or restart finishes it.
+        if not self._outstanding or self.dedup is None:
+            return
+        try:
+            for object_id, chunks in list(self._outstanding.items()):
+                if not self.dedup.reading(object_id):
+                    self.journal.reclaim(object_id, chunks)
+                    del self._outstanding[object_id]
+                    self.stats.reclaimed += 1
+            if not self._outstanding:
+                self.journal.keep_intents({})
+        except EnclaveCrashed:
+            raise
+        except ReproError:
+            pass
 
     def _commit_point(self) -> "contextlib.AbstractContextManager[None]":
         """The journal's commit record is one serial resource.

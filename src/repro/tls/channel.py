@@ -23,6 +23,7 @@ chunk of buffer per request — the enclave's "small, constant size buffer".
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Protocol
@@ -87,6 +88,11 @@ class StreamingResponse:
     header: bytes
     chunks: Iterable[bytes]
     body_len: int
+
+    def close(self) -> None:
+        # ``chunks`` may hold a file reader: whoever ends the stream,
+        # drained or not, closes it.
+        getattr(self.chunks, "close", lambda: None)()
 
 
 class UploadSink(Protocol):
@@ -295,30 +301,31 @@ class _ServerSession:
         if not isinstance(response, StreamingResponse):
             header = _message_header(_KIND_SINGLE, response, 0, 0)
             return [records.data_record(protect(header))]
-        # The body leaves in STREAM_CHUNK records whatever size the
-        # application's chunks are: the record count is announced from
-        # ``body_len`` and the chunks are pulled as records fill, so the
-        # plaintext held is below STREAM_CHUNK plus the chunk just pulled.
-        body_len = response.body_len
-        header = _message_header(_KIND_STREAM, response.header, _records_for(body_len), body_len)
-        out = [records.data_record(protect(header))]
-        held: list[bytes] = []
-        pulled = sent = 0
-        for chunk in response.chunks:
-            held.append(chunk)
-            pulled += len(chunk)
-            if pulled > body_len:
-                raise TlsError("stream overflow: more bytes than announced")
-            if pulled - sent >= STREAM_CHUNK:
-                pieces = chunk_payload(b"".join(held))
-                held = [pieces.pop()] if (pulled - sent) % STREAM_CHUNK else []
-                out.extend(records.data_record(protect(piece)) for piece in pieces)
-                sent += len(pieces) * STREAM_CHUNK
-        if pulled != body_len:
-            raise TlsError("stream underflow: fewer bytes than announced")
-        if pulled > sent:
-            out.append(records.data_record(protect(b"".join(held))))
-        return out
+        with contextlib.closing(response):
+            # The body leaves in STREAM_CHUNK records whatever size the
+            # application's chunks are: the record count is announced from
+            # ``body_len`` and the chunks are pulled as records fill, so the
+            # plaintext held is below STREAM_CHUNK plus the chunk just pulled.
+            body_len = response.body_len
+            header = _message_header(_KIND_STREAM, response.header, _records_for(body_len), body_len)
+            out = [records.data_record(protect(header))]
+            held: list[bytes] = []
+            pulled = sent = 0
+            for chunk in response.chunks:
+                held.append(chunk)
+                pulled += len(chunk)
+                if pulled > body_len:
+                    raise TlsError("stream overflow: more bytes than announced")
+                if pulled - sent >= STREAM_CHUNK:
+                    pieces = chunk_payload(b"".join(held))
+                    held = [pieces.pop()] if (pulled - sent) % STREAM_CHUNK else []
+                    out.extend(records.data_record(protect(piece)) for piece in pieces)
+                    sent += len(pieces) * STREAM_CHUNK
+            if pulled != body_len:
+                raise TlsError("stream underflow: fewer bytes than announced")
+            if pulled > sent:
+                out.append(records.data_record(protect(b"".join(held))))
+            return out
 
 
 class UntrustedTlsInterface:

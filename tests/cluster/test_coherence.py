@@ -37,12 +37,14 @@ class _DedupStub:
 
 
 class _EngineStub:
-    """What CoherenceManager touches on its engine: cache, dedup, and the
-    real full-discard routine over them."""
+    """What CoherenceManager touches on its engine: cache, dedup, the
+    released objects awaiting reclaim, and the real full-discard routine
+    over them."""
 
     def __init__(self, dedup: _DedupStub | None = None) -> None:
         self.cache = MetadataCache(capacity_bytes=64 * 1024, epc=sim_platform().epc)
         self.dedup = dedup
+        self._outstanding: dict[str, int] = {}
 
     drop_derived_state = StorageEngine.drop_derived_state
 

@@ -22,7 +22,7 @@ from repro.core.enclave_app import SeGShareOptions
 from repro.core.journal import JournaledStore, WriteAheadJournal
 from repro.core.requests import Op, Request, Status
 from repro.core.server import SeGShareServer
-from repro.errors import EnclaveCrashed, RollbackDetected
+from repro.errors import EnclaveCrashed, FaultError, RollbackDetected
 from repro.faults import FaultPlan, FaultyStore, faulty_stores
 from repro.netsim import azure_wan_env
 from repro.pki import CertificateAuthority
@@ -670,17 +670,16 @@ class TestRecoveryDetails:
         assert manager.read_content("/f2") == b"victim content"
 
 
-# -- moved pre-images ------------------------------------------------------------
+# -- pre-images of deleted values ----------------------------------------------------
 #
-# Deleting a present key does not copy its value into the undo entry: the
-# entry seals the value's SHA-256 and the value is renamed to
-# ``\x00journal:saved:<seq>`` on its own store.  The unit-level classes
+# Deleting a present key copies its value into the undo entry, like an
+# overwrite; the value is then deleted in place.  The unit-level classes
 # drive a bare journal over three stores and crash it at *every store
 # operation* (finer than the crashpoints, and the only way to die inside a
-# restore or a sweep, which carry none); the server-level class names the
-# ``journal:saved`` crashpoint between the entry put and the move.
+# restore or a sweep, which carry none).  A deleting batch's entries are
+# sealed, so an altered, swapped or cut entry is a typed error.
 
-_SAVED = "\x00journal:saved:"
+_ENTRY = "\x00journal:entry:"
 _ROOT_KEY = bytes(range(32))
 _CHUNK = 4144  # a 4 KiB chunk's ciphertext
 
@@ -693,8 +692,8 @@ def _object(object_id: str, fill: int) -> dict[str, bytes]:
 
 
 def _stores(kind: str, plan: FaultPlan | None = None) -> StoreSet:
-    """Three stores, or three views of a 3-way shard router (where a move
-    is a cross-shard copy+delete); ``plan`` sees every backend operation."""
+    """Three stores, or three views of a 3-way shard router; ``plan`` sees
+    every backend operation."""
 
     def backend(index: int):
         store = InMemoryStore()
@@ -740,8 +739,8 @@ def _run_batch(stores: StoreSet, crash_hook=None) -> None:
     journal.begin("remove-big")
     content.put("/edit", b"new" * 60)  # copied pre-image
     for key in _object("obj:1", 10):
-        dedup.delete(key)  # moved pre-images, one per chunk and the meta
-    group.delete("members")  # a move on another store
+        dedup.delete(key)  # copied pre-images, one per chunk and the meta
+    group.delete("members")  # a delete on another store
     content.put("/fresh", b"f" * 10)  # absent tombstone
     dedup.put("obj:1\x00meta", b"re-created inside the batch")
     journal.commit()
@@ -792,17 +791,17 @@ class TestMovedPreImages:
         assert not any(key.startswith("\x00journal:") for view in after.values() for key in view)
 
     def test_delete_moves_the_value_and_seals_only_its_digest(self, kind):
+        """A delete copies the value into its entry and deletes it in place."""
         stores = _stores(kind)
         _seed(stores)
         with pytest.raises(_StopHere):
             _run_batch(stores, crash_hook=_stop_at("journal:commit"))
-        saved = sorted(key for key in stores.dedup.keys() if key.startswith(_SAVED))
-        assert len(saved) == 4  # three chunks and the meta
-        assert {stores.dedup.get(key) for key in saved} == set(_object("obj:1", 10).values())
-        entries = [key for key in stores.content.keys() if key.startswith("\x00journal:entry:")]
-        # Seven entries; only the copied pre-image of /edit is value-sized.
-        assert len(entries) == 7
-        assert sum(stores.content.size(key) for key in entries) < _CHUNK
+        deleted = [key for key in _object("obj:1", 10) if key != "obj:1\x00meta"]
+        assert not any(stores.dedup.exists(key) for key in deleted)
+        assert sorted(_journal_keys(stores)) == ["\x00journal:batch"] + [f"{_ENTRY}{i:08d}" for i in range(7)]
+        entries = [key for key in stores.content.keys() if key.startswith(_ENTRY)]
+        # Seven entries: the three chunks' copies are among them.
+        assert sum(stores.content.size(key) for key in entries) > 3 * _CHUNK
 
     def test_in_process_rollback_moves_everything_back(self, kind):
         stores = _stores(kind)
@@ -819,9 +818,8 @@ class TestMovedPreImages:
         assert _snapshot(stores) == before
 
     def test_crash_at_every_store_op_is_all_or_nothing(self, kind):
-        """Covers dying after the entry put and before the move, between
-        the copy and the delete of a move, and anywhere inside the
-        post-commit sweep."""
+        """Covers dying after the entry put and before the delete, and
+        anywhere inside the post-commit sweep."""
         before, after = self._end_states(kind)
         total = _count_ops(kind, _run_batch)
         assert total > 40
@@ -864,30 +862,28 @@ class TestMovedPreImages:
 
     @pytest.mark.parametrize("attack", ["tamper", "swap", "delete", "replace-unmoved"])
     def test_altered_saved_value_is_rollback_detected(self, kind, attack):
+        """The copy of a deleted chunk is sealed in its entry: the entry
+        altered, swapped with another, cut short (``delete``) or replaced
+        by another journal record is a typed error, never a restore."""
         stores = _stores(kind)
         _seed(stores)
-        if attack == "replace-unmoved":
-            # Die between the entry put and the move: the value is still
-            # under its own key, and the entry's digest still binds it.
-            with pytest.raises(_StopHere):
-                _run_batch(stores, crash_hook=_stop_at("journal:saved", nth=2))
-            victim = list(_object("obj:1", 10))[1]
-            assert stores.dedup.exists(victim)
-            stores.dedup.put(victim, stores.dedup.get("obj:2\x00chunk\x000"))
+        with pytest.raises(_StopHere):
+            _run_batch(stores, crash_hook=_stop_at("journal:commit"))
+        # Entries 1-3 hold the copies of obj:1's three chunks.
+        first, second = f"{_ENTRY}00000001", f"{_ENTRY}00000002"
+        assert stores.content.size(first) > _CHUNK
+        if attack == "tamper":
+            blob = bytearray(stores.content.get(first))
+            blob[len(blob) // 2] ^= 1
+            stores.content.put(first, bytes(blob))
+        elif attack == "swap":
+            a, b = stores.content.get(first), stores.content.get(second)
+            stores.content.put(first, b)
+            stores.content.put(second, a)
+        elif attack == "delete":
+            stores.content.put(first, stores.content.get(first)[:-100])
         else:
-            with pytest.raises(_StopHere):
-                _run_batch(stores, crash_hook=_stop_at("journal:commit"))
-            first, second = sorted(k for k in stores.dedup.keys() if k.startswith(_SAVED))[:2]
-            if attack == "tamper":
-                blob = bytearray(stores.dedup.get(first))
-                blob[len(blob) // 2] ^= 1
-                stores.dedup.put(first, bytes(blob))
-            elif attack == "swap":
-                a, b = stores.dedup.get(first), stores.dedup.get(second)
-                stores.dedup.put(first, b)
-                stores.dedup.put(second, a)
-            else:
-                stores.dedup.delete(first)
+            stores.content.put(first, stores.content.get("\x00journal:batch"))
         with pytest.raises(RollbackDetected):
             WriteAheadJournal(stores, _ROOT_KEY).recover_restore()
 
@@ -929,10 +925,10 @@ class TestMovedPreImagesInEpochs:
         return states
 
     def test_crash_at_every_store_op_keeps_each_member_whole(self, kind):
-        """Entries (and saved values) below the last record's watermark
-        belong to committed members — left by a sweep that died — and must
-        be swept, never restored; those above it are the in-flight member's
-        and are moved back."""
+        """Entries below the last record's watermark belong to committed
+        members — left by a sweep that died — and must be swept, never
+        restored; those above it are the in-flight member's and are
+        restored."""
         states = self._states(kind)
         total = _count_ops(kind, lambda stores: _run_epoch(stores, []))
         for nth in range(1, total + 1):
@@ -961,7 +957,7 @@ class TestMovedPreImagesInEpochs:
         for key in _object("obj:2", 20):
             dedup.delete(key)
         journal.rollback_member(base)
-        assert not any(key.startswith(_SAVED) for key in stores.dedup.keys())
+        assert stores.dedup.get("obj:2\x00chunk\x000") == _object("obj:2", 20)["obj:2\x00chunk\x000"]
         journal.close_epoch()
         assert _snapshot(stores) == states[1]
         assert _journal_keys(stores) == []
@@ -970,10 +966,8 @@ class TestMovedPreImagesInEpochs:
 # -- group entries ---------------------------------------------------------------
 #
 # A flushed write buffer reaches the journal as one group: one sealed entry
-# lists every key's pre-image (or digest) and is stored before the first
-# value moves or changes; moved values sit at ``saved:<seq>.<i>``.
-
-_ENTRY = "\x00journal:entry:"
+# lists every key's pre-image and is stored before the first value changes
+# or goes.
 
 _DEDUP_GROUP = [
     *((key, None) for key in _object("obj:1", 10)),  # four deletes
@@ -984,7 +978,6 @@ _DEDUP_GROUP = [
     ("obj:9\x00meta", None),  # a tombstone for a key that was never stored
 ]
 _CONTENT_GROUP = [("/edit", b"new" * 60), ("/keep", None), ("/fresh", b"f" * 10)]
-_MOVES = 5  # obj:1's three chunks and meta, then /keep
 
 
 def _run_group_batch(stores: StoreSet, crash_hook=None) -> None:
@@ -1013,18 +1006,16 @@ class TestGroupEntries:
         return stores
 
     def test_a_group_is_one_entry_and_its_moves_are_numbered_by_item(self, kind):
+        """One entry per group, numbered in flush order, holding a copy of
+        every recorded value: deleted and overwritten alike."""
         stores = self._stopped(kind, "journal:commit")
         entries = sorted(k for k in stores.content.keys() if k.startswith(_ENTRY))
         # Two groups; the third recorded nothing new, so it wrote nothing.
         assert entries == [f"{_ENTRY}00000000", f"{_ENTRY}00000001"]
-        assert sorted(k for k in stores.dedup.keys() if k.startswith(_SAVED)) == [
-            f"{_SAVED}00000000.{i}" for i in range(4)
-        ]
-        assert [k for k in stores.content.keys() if k.startswith(_SAVED)] == [
-            f"{_SAVED}00000001.1"
-        ]
-        # Digests for the moved values, copies only for the three overwritten.
-        assert sum(stores.content.size(k) for k in entries) < 2 * _CHUNK
+        assert sorted(_journal_keys(stores)) == ["\x00journal:batch", *entries]
+        # obj:1's three deleted chunks and obj:2's overwritten one.
+        assert stores.content.size(entries[0]) > 4 * _CHUNK
+        assert stores.content.size(entries[1]) < _CHUNK
 
     def test_the_entry_is_stored_before_anything_moves_or_changes(self, kind):
         stores = self._stopped(kind, "journal:entry")
@@ -1037,8 +1028,7 @@ class TestGroupEntries:
     @pytest.mark.parametrize(
         "site, nth",
         [("journal:entry", 1), ("journal:entry", 2)]
-        + [("journal:saved", n) for n in (1, 3, _MOVES)]
-        + [("journal:mutate", n) for n in (1, 5, 9, 12, 14)],
+        + [("journal:mutate", n) for n in (1, 2, 3, 5, 7, 9, 12, 14)],
     )
     def test_crash_inside_a_group_recovers_the_pre_batch_bytes(self, kind, site, nth):
         stores = self._stopped(kind, site, nth)
@@ -1074,22 +1064,31 @@ class TestGroupEntries:
         assert _snapshot(stores)["dedup"] == before["dedup"]
 
     def test_altered_saved_slot_is_rollback_detected(self, kind):
+        """The group's entry, holding the deleted chunks' copies, altered."""
         stores = self._stopped(kind, "journal:commit")
-        slot = f"{_SAVED}00000000.2"
-        blob = bytearray(stores.dedup.get(slot))
+        entry = f"{_ENTRY}00000000"
+        blob = bytearray(stores.content.get(entry))
         blob[100] ^= 0x20
-        stores.dedup.put(slot, bytes(blob))
+        stores.content.put(entry, bytes(blob))
         with pytest.raises(RollbackDetected):
             WriteAheadJournal(stores, _ROOT_KEY).recover_restore()
 
     def test_altered_value_not_yet_moved_is_rollback_detected(self, kind):
-        # Two of the group's moves are done; the third value is still in place.
-        stores = self._stopped(kind, "journal:saved", nth=3)
+        """Two of the group's deletes are done, the third value is still in
+        place: altering that value is undone from its copy, and altering
+        the copy (the entry) is a typed error."""
+        stores = self._stopped(kind, "journal:mutate", nth=2)
         victim = _DEDUP_GROUP[2][0]
         assert stores.dedup.exists(victim) and not stores.dedup.exists(_DEDUP_GROUP[1][0])
         stores.dedup.put(victim, stores.dedup.get("obj:2\x00chunk\x000"))
+        entry = f"{_ENTRY}00000000"
+        stores.content.put(entry, stores.content.get(entry)[::-1])
         with pytest.raises(RollbackDetected):
             WriteAheadJournal(stores, _ROOT_KEY).recover_restore()
+        stores = self._stopped(kind, "journal:mutate", nth=2)
+        stores.dedup.put(victim, b"altered")
+        assert _recover(stores)
+        assert _snapshot(stores) == self._before(kind)
 
     def test_in_process_rollback_restores_a_half_applied_group(self, kind):
         stores = _stores(kind)
@@ -1108,14 +1107,18 @@ class TestGroupEntries:
 _BIG = bytes(i % 251 for i in range(2 * 4096 + 100))  # three chunks
 
 
-def _saved_anywhere(server: SeGShareServer) -> list[str]:
+def _residue(server: SeGShareServer) -> list[str]:
+    """Journal keys left on any store, and objects no record names."""
     stores = server.stores
-    return [
+    keys = [
         key
         for store in (stores.content, stores.group, stores.dedup)
         for key in store.keys()
-        if key.startswith(_SAVED)
+        if key.startswith("\x00journal:")
     ]
+    _, objects = object_state(server)
+    referenced = {object_id for object_id, _ in server.enclave.manager.dedup._index.values()}
+    return keys + sorted(objects - referenced)
 
 
 def _prime_big(server: SeGShareServer) -> None:
@@ -1132,9 +1135,10 @@ def _remove_big(server: SeGShareServer) -> None:
 
 @pytest.mark.parametrize("dedup", [False, True], ids=["inline", "dedup"])
 class TestMultiChunkDeleteCrashes:
-    """REMOVE of a three-chunk file: its chunks leave by rename."""
+    """REMOVE of a three-chunk file: its pointer goes in the batch, its
+    object after the commit point (``journal:reclaim``)."""
 
-    def _crash_cells(self, site: str, dedup: bool):
+    def _crash_cells(self, site: str, dedup: bool, least: int):
         probe = build_server(enable_dedup=dedup)
         _prime_big(probe)
         plan = FaultPlan().crash_at_point(nth=10**9, site_prefix=site)
@@ -1142,8 +1146,8 @@ class TestMultiChunkDeleteCrashes:
         _remove_big(probe)
         plan.detach()
         steps = plan.seen_crashpoints(site)
-        assert steps >= 4, f"a three-chunk delete passed only {steps} {site} crashpoints"
-        assert _saved_anywhere(probe) == []
+        assert steps >= least, f"a three-chunk delete passed only {steps} {site} crashpoints"
+        assert _residue(probe) == []
         for step in range(1, steps + 1):
             server = build_server(enable_dedup=dedup)
             _prime_big(server)
@@ -1155,21 +1159,23 @@ class TestMultiChunkDeleteCrashes:
             yield step, server
 
     def test_crash_between_entry_and_move(self, dedup):
-        for step, server in self._crash_cells("journal:saved", dedup):
+        # Between the commit point and the object's deletes, and between
+        # those and the intent record's removal.
+        for step, server in self._crash_cells("journal:reclaim", dedup, least=2):
             server.restart_enclave()
             server.enclave.guard.verify_restored_state()
             manager = server.enclave.manager
-            # No journal:saved step lies past the commit point.
-            assert manager.read_content("/d/big") == _BIG, f"step {step}: pre-batch state lost"
-            assert "/d/big" in manager.read_dir("/d/").children
-            assert _saved_anywhere(server) == []
-            _remove_big(server)
-            assert not manager.exists("/d/big") and _saved_anywhere(server) == []
+            # Every journal:reclaim step lies past the commit point.
+            assert not manager.exists("/d/big"), f"step {step}: committed removal lost"
+            assert "/d/big" not in manager.read_dir("/d/").children
+            assert server.stats()["engine"]["intents_recovered"] == 1
+            assert _residue(server) == []
+            assert manager.read_content("/keep") == b"other file"
 
     def test_crash_after_a_move(self, dedup):
         # Every third journal:mutate step keeps the matrix affordable; the
         # unit-level classes above die at every single store operation.
-        for step, server in self._crash_cells("journal:mutate", dedup):
+        for step, server in self._crash_cells("journal:mutate", dedup, least=4):
             if step % 3:
                 continue
             server.restart_enclave()
@@ -1180,26 +1186,25 @@ class TestMultiChunkDeleteCrashes:
             else:
                 assert "/d/big" not in manager.read_dir("/d/").children
             assert manager.read_content("/keep") == b"other file"
-            assert _saved_anywhere(server) == []
+            assert _residue(server) == []
 
     def test_tampered_saved_chunk_fails_recovery(self, dedup):
-        for _, server in self._crash_cells("journal:mutate", dedup):
-            store = server.stores.dedup  # a file's chunks are its object's
-            saved = [key for key in store.keys() if key.startswith(_SAVED)]
-            if len(saved) < 2:
-                continue
-            blob = bytearray(store.get(saved[0]))
-            blob[40] ^= 0x10
-            store.put(saved[0], bytes(blob))
+        """The reclaim intent naming the chunks is sealed: altered, it
+        fails recovery instead of deleting whatever it would name."""
+        for _, server in self._crash_cells("journal:reclaim", dedup, least=2):
+            store = server.stores.content
+            blob = bytearray(store.get("\x00journal:reclaim"))
+            blob[10] ^= 0x10
+            store.put("\x00journal:reclaim", bytes(blob))
             with pytest.raises(RollbackDetected):
                 server.restart_enclave()
             return
-        pytest.fail("no crash cell held two saved values")
 
 
 def test_sharded_deployment_leaves_no_saved_key():
-    """Through the shard router a move is a cross-shard copy+delete; after a
-    committed and after a recovered batch no saved key is left on any shard."""
+    """Through the shard router, a crash between the commit point and the
+    reclaim leaves the object on the shards; restart completes the intent
+    and no object or journal key is left on any shard."""
     options = SeGShareOptions(
         rollback="whole_fs", counter_kind="rote", rollback_buckets=8,
         enable_dedup=True,
@@ -1209,23 +1214,52 @@ def test_sharded_deployment_leaves_no_saved_key():
         azure_wan_env(), _CA.public_key, stores=StoreSet.sharded(backends), options=options
     )
     _prime_big(server)
+    object_id = server.enclave.manager.dedup._index[server.enclave.manager._pointer_target("/d/big")][0]
 
-    def saved_on_shards() -> list[str]:
-        return [key for shard in backends for key in shard.keys() if _SAVED in key]
+    def object_on_shards() -> list[str]:
+        return [key for shard in backends for key in shard.keys() if object_id in key]
 
-    plan = FaultPlan().crash_at_point(nth=5, site_prefix="journal:mutate")
+    plan = FaultPlan().crash_at_point(nth=1, site_prefix="journal:reclaim")
     plan.attach_platform(server.platform)
     with pytest.raises(EnclaveCrashed):
         _remove_big(server)
     plan.detach()
-    assert saved_on_shards(), "the crash should have caught values in their saved slots"
+    assert len(object_on_shards()) == 4, "the crash should have caught the object whole"
     server.restart_enclave()
     server.enclave.guard.verify_restored_state()
-    assert saved_on_shards() == []
-    assert server.enclave.manager.read_content("/d/big") == _BIG
-    _remove_big(server)
+    assert object_on_shards() == []
     assert not server.enclave.manager.exists("/d/big")
-    assert saved_on_shards() == []
+    assert not any("\x00journal:" in key for shard in backends for key in shard.keys())
+    assert server.enclave.handler.put_file("alice", "/d/big", _BIG).status is Status.OK
+    assert server.enclave.manager.read_content("/d/big") == _BIG
+
+
+def test_a_failed_rollback_refuses_later_mutations_until_restart():
+    """An abort whose re-anchor fails poisons the journal with its batch
+    still persisted.  A later mutation must answer UNAVAILABLE, not join
+    the dead batch and answer OK for writes the restart would undo."""
+    plan = FaultPlan()
+    server = SeGShareServer(
+        azure_wan_env(), _CA.public_key, stores=faulty_stores(StoreSet.in_memory(), plan),
+        options=SeGShareOptions(rollback="whole_fs", counter_kind="rote", rollback_buckets=8),
+    )
+    prime(server)
+    engine, handler = server.enclave.engine, server.enclave.handler
+
+    def reanchor_fails() -> None:
+        raise FaultError("re-anchor failed")
+
+    engine._reanchor_guards = reanchor_fails
+    plan.fail_nth(nth=2, op="put")  # the marker, then the request's first entry
+    assert handler.handle("alice", Request(op=Op.PUT_DIR, args=("/e/",))).status is Status.RETRY
+    del engine._reanchor_guards
+    assert handler.handle("alice", Request(op=Op.PUT_DIR, args=("/g/",))).status is Status.UNAVAILABLE
+    server.restart_enclave()
+    server.enclave.guard.verify_restored_state()
+    manager = server.enclave.manager
+    assert not manager.exists("/e/") and not manager.exists("/g/")
+    response = server.enclave.handler.handle("alice", Request(op=Op.PUT_DIR, args=("/g/",)))
+    assert response.status is Status.OK
 
 
 class TestDegradedMode:

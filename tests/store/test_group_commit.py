@@ -341,12 +341,12 @@ class TestEpochDurability:
 class TestMovedPreImagesInAnEpoch:
     """Two members of one epoch each remove a three-chunk file.
 
-    A member's delete moves the chunk to ``\\x00journal:saved:<seq>``
-    rather than copying it into the undo entry.  Crash between an entry
-    put and its move (``journal:saved``) in either member: recovery moves
-    back only what lies at or above the last epoch record's watermark — a
-    committed member's saved values are garbage to sweep, never to
-    restore — and no saved key survives on any store.
+    A member's pointer and directory changes are journaled; its object is
+    named in the member's epoch record and deleted after that commit
+    point.  Crash at any journal step of either member: recovery undoes
+    only what lies at or above the last epoch record's watermark and
+    completes the intents a committed member left, so no object and no
+    journal key is stranded on any store.
     """
 
     #: Two three-chunk files with different content (dedup keeps both).
@@ -382,30 +382,34 @@ class TestMovedPreImagesInAnEpoch:
 
     @staticmethod
     def _saved(server: SeGShareServer) -> list[str]:
+        """Journal keys on any store, and objects no record names."""
         stores = server.stores
-        return [
+        journal = [
             key
             for store in (stores.content, stores.group, stores.dedup)
             for key in store.keys()
-            if key.startswith("\x00journal:saved:")
+            if key.startswith("\x00journal:")
         ]
+        objects = {key.partition("\x00")[0] for key in stores.dedup.keys() if key.startswith("obj:")}
+        named = {object_id for object_id, _ in server.enclave.manager.dedup._index.values()}
+        return journal + sorted(objects - named)
 
     def test_crash_between_entry_and_move_in_either_member(self):
         probe = self._primed()
-        plan = FaultPlan().crash_at_point(nth=10**9, site_prefix="journal:saved")
+        plan = FaultPlan().crash_at_point(nth=10**9, site_prefix="journal:")
         plan.attach_platform(probe.platform)
         self._remove_pair(probe)
         plan.detach()
         # Not vacuous: both removals really did share one epoch.
         assert probe.enclave.engine.group_commit.stats.histogram.get("2", 0) >= 1
-        steps = plan.seen_crashpoints("journal:saved")
-        assert steps >= 8, "two three-chunk deletes should move at least eight values"
+        steps = plan.seen_crashpoints("journal:")
+        assert steps >= 8, "two removals should pass at least eight journal steps"
         assert self._saved(probe) == []
 
         survivors = set()
         for step in range(1, steps + 1):
             server = self._primed()
-            plan = FaultPlan().crash_at_point(nth=step, site_prefix="journal:saved")
+            plan = FaultPlan().crash_at_point(nth=step, site_prefix="journal:")
             plan.attach_platform(server.platform)
             with pytest.raises(EnclaveCrashed):
                 self._remove_pair(server)
@@ -424,13 +428,14 @@ class TestMovedPreImagesInAnEpoch:
             # Members commit in order: the second removal cannot have
             # survived a crash that undid the first.
             assert present != (True, False), f"step {step}: later member outlived earlier"
-            assert self._saved(server) == [], f"step {step}: saved value left behind"
+            assert self._saved(server) == [], f"step {step}: key left behind"
             self._remove_pair(server)
             assert not any(manager.exists(path) for path in self.BIG)
             assert self._saved(server) == []
         # The sweep crossed the watermark: crashes in member one undid
-        # everything, crashes in member two kept member one's removal.
-        assert survivors == {(True, True), (False, True)}
+        # everything, crashes in member two kept member one's removal, and
+        # crashes past member two's record kept both.
+        assert survivors == {(True, True), (False, True), (False, False)}
 
     def test_member_abort_moves_back_only_that_members_chunks(self):
         plan = FaultPlan()
@@ -524,14 +529,15 @@ class TestGroupEntriesInAnEpoch:
 
     def test_groups_below_the_watermark_are_swept_not_restored(self):
         # Member one dies after its record, before its sweep: its entries
-        # and saved slots are garbage of a committed member.
+        # are garbage of a committed member.
         assert self._state(self._run("journal:committed", 1)) == self._after_members(1)
 
     @pytest.mark.parametrize("nth", [1, 3, 4, 5, 8])
     def test_crash_between_the_moves_of_a_group(self, nth):
-        # journal:saved steps 1-4 lie in member one, 5-8 in member two.
+        # Each member passes eight journal:mutate steps, its four deletes
+        # first: step 2n-1 lies in member one for n <= 4, in member two after.
         expected = self._after_members(0 if nth <= 4 else 1)
-        assert self._state(self._run("journal:saved", nth)) == expected
+        assert self._state(self._run("journal:mutate", 2 * nth - 1)) == expected
 
     def test_a_recorded_key_keeps_its_first_pre_image_within_the_member(self):
         # Stop inside member two's *second* content group: /doc was recorded
