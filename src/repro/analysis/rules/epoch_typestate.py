@@ -1,13 +1,15 @@
 """Rule ``epoch-typestate``: the journal epoch API is driven in protocol order.
 
-Group commit (PR 7) made the undo journal stateful: an epoch is opened
-once (``open_epoch``), members join it (``begin_member``), each member
-either commits (``commit_member``) or rolls back (``rollback_member``),
-and the epoch closes exactly once (``close_epoch``) with no member still
-open.  Driving the API out of order corrupts the watermark-based
-recovery — a ``commit_member`` without its pre-image flush would commit
-mutations recovery cannot undo, and a ``close_epoch`` with an open
-member drops that member's undo entries while its mutations stand.
+The undo journal has one commit protocol, and every transaction runs it:
+an epoch is opened once (``open_epoch``), members join it
+(``begin_member``), each member either commits (``commit_member``) or
+rolls back (``rollback_member``), and the epoch closes exactly once
+(``close_epoch``) with no member still open — on a serial clock right
+after its single member's commit, on a parallel one after K.  Driving
+the API out of order corrupts the watermark-based recovery — a
+``commit_member`` without its pre-image flush would commit mutations
+recovery cannot undo, and a ``close_epoch`` with an open member drops
+that member's undo entries while its mutations stand.
 
 The rule runs a small path-sensitive abstract interpretation over each
 function in scope.  The abstract state is (epoch phase, pre-image flag)

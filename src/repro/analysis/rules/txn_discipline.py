@@ -109,7 +109,8 @@ def check(ctx: "AnalysisContext") -> Iterator[Finding]:
 #   funnels every publish through one owner helper; this check verifies
 #   each call site of that helper (and any direct publish on a coherence
 #   receiver) is preceded, in the same function, by a journal
-#   commit/commit_member/close_epoch call.
+#   commit_member/close_epoch call (boundary.toml; the default list keeps
+#   a bare ``commit`` for projects without epochs).
 # * **sync-before-serve** — the cache facade's serve paths must apply
 #   peer epochs before reading, or a replica serves plaintext a peer
 #   already invalidated.  The check is line-order within the configured

@@ -152,9 +152,8 @@ class SeGShareCluster:
         an enclave crash, so a member that died mid-epoch still reads as
         open and gets recovered on the next routing switch.
         """
-        engine = getattr(server.enclave, "engine", None)
-        group = getattr(engine, "group_commit", None)
-        return group is not None and group.open
+        engine = server.enclave.engine
+        return engine is not None and engine.group_commit.open
 
     @staticmethod
     def _quiesce(server: SeGShareServer) -> bool:

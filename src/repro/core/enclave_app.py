@@ -47,8 +47,8 @@ from repro.errors import (
     ReplicationError,
     ReproError,
     RequestError,
-    RollbackDetected,
 )
+from repro.netsim.clock import ParallelClock
 from repro.pki import Certificate, CertificateSigningRequest, CertificateUsage
 from repro.sgx import attestation as att
 from repro.sgx.counters import MonotonicCounter, RoteCounterService
@@ -204,7 +204,9 @@ class SeGShareEnclave(Enclave):
     #: A released object is reclaimed after commit, not through the undo
     #: journal, whose moved pre-images fold into copies (docs/PERF.md §17):
     #: 7768 → 7768.
-    TCB_LOC_CEILING = 7768
+    #: One commit path, every transaction an epoch member and one abort
+    #: routine (docs/PERF.md §18): 7768 → 7730.
+    TCB_LOC_CEILING = 7730
 
     def __init__(
         self,
@@ -347,10 +349,9 @@ class SeGShareEnclave(Enclave):
             )
         if own_store:
             self._finish_journal_recovery(journal, recovered)
-        # Overlapping transactions may now share one commit epoch; a no-op
-        # on serial clocks (and until here, so the setup transactions above
-        # — ensure_root, guard bootstrap — always use the plain path).
-        self.engine.enable_group_commit()
+        # The deploy-time transactions above (ensure_root) closed their own
+        # epochs; from here on a parallel clock lets overlapping ones share.
+        self.engine.group_commit.solo = not isinstance(self.platform.clock, ParallelClock)
         self.webdav = WebDavAdapter(self.handler)
         if self._options.audit:
             self.audit_log = AuditLog(self.manager, self._root_key)
@@ -358,46 +359,21 @@ class SeGShareEnclave(Enclave):
     def _finish_journal_recovery(self, journal: WriteAheadJournal, recovered: bool) -> None:
         """Shared epilogue of crash recovery (restart and cluster takeover).
 
-        For a plain batch the restore rewound the anchors to their
-        pre-batch bytes but the counter kept the aborted batch's
-        increments: check each restored store is internally consistent —
-        the host had the enclave dead and the store to itself, and a
-        member list swapped for its pre-revocation bytes must not be
-        re-anchored as current — then re-anchor it.  For a group-commit
-        epoch the guards' stored nodes predate the committed members
-        (their flush was deferred to the epoch close the crash
-        pre-empted): verify the restored *data* against the root hashes
-        the last member's record captured, then rebuild the nodes from it.
+        The restore rewound the stores to the last committed member; the
+        engine's guard repair then checks the restored data and realigns
+        the guards with it (:meth:`StorageEngine.repair_guards`).
         """
         assert self.engine is not None
-        rec = journal.recovered_epoch if recovered else None
-        if rec is not None:
-            for mount, main in zip(self.engine.mounts, (rec.fs_main, rec.group_main)):
-                if mount.guard is None:
-                    continue
-                if main and mount.guard.recompute_main() != main:
-                    raise RollbackDetected(
-                        f"recovered {mount.namespace}-store state does not match "
-                        "the epoch's journal record"
-                    )
-                mount.guard.rebuild()
-        elif recovered:
-            self._accept_restored_state()
+        if recovered:
+            self.engine.repair_guards(journal.epoch)
         # An upload streams its chunks before its transaction opens, so a
-        # crash strands them whether or not a batch was open: every restart
+        # crash strands them whether or not an epoch was open: every restart
         # over our own store sweeps.  A takeover never does — on the shared
         # store an unreferenced object may be a live peer's upload.
         if not (self._options.replica or self._options.shared_store):
             assert self.manager is not None
             self.manager.dedup.sweep_orphans()
         journal.recover_finish()
-
-    def _accept_restored_state(self) -> None:
-        """Consistency-check, then re-anchor, every guarded store."""
-        assert self.engine is not None
-        for guard in self.engine.guards:
-            guard.verify_restored_state()
-            guard.accept_current_state()
 
     def _counter_probe(self, counter: "MonotonicCounter | RoteCounterService | None"):
         """A read-only probe of the whole-FS counter for the journal."""
@@ -678,7 +654,7 @@ class SeGShareEnclave(Enclave):
             # object and the in-memory dedup index describe the pre-restore
             # world and must go before the consistency walk reads storage.
             self.engine.drop_derived_state()
-            self._accept_restored_state()
+            self.engine.repair_guards(None)
 
     # -- root-key rotation (production extension; see repro/core/rotation.py) ----
 
@@ -778,10 +754,9 @@ class SeGShareEnclave(Enclave):
         self._check_alive()
         if self.engine is None:
             raise EnclaveError("enclave is not ready")
-        if self.engine.group_commit is not None:
-            # Our own open epoch would read as "transaction in flight";
-            # flush it before adjudicating the crashed peer's journal.
-            self.engine.quiesce()
+        # Our own open epoch would read as "transaction in flight"; flush
+        # it before adjudicating the crashed peer's journal.
+        self.engine.quiesce()
         journal = self.engine.journal
         if journal.active:
             raise EnclaveError("cannot take over with our own transaction in flight")
@@ -854,8 +829,7 @@ class SeGShareEnclave(Enclave):
         if self.engine is not None:
             stats["engine"] = self.engine.stats.snapshot()
             stats["engine"]["intents_recovered"] = self.engine.journal.intents_recovered
-            if self.engine.group_commit is not None:
-                stats["group_commit"] = self.engine.group_commit.stats.snapshot()
+            stats["group_commit"] = self.engine.group_commit.stats.snapshot()
             if self.engine.coherence is not None:
                 stats["coherence"] = self.engine.coherence.snapshot()
         if self.locks is not None:

@@ -7,45 +7,48 @@ those writes leaves the store permanently failing ``verify_read`` (the
 anchor no longer matches storage), which is indistinguishable from a
 rollback attack.
 
-The fix is a classic undo journal, kept *inside* the trust boundary:
+The fix is a classic undo journal, kept *inside* the trust boundary, run
+as **commit epochs**: one epoch carries one or more member transactions
+(the storage engine's group-commit coordinator decides how many).
 
-1.  ``begin(label)`` writes an encrypted **batch marker** to the content
-    store before the first mutation.  The marker records the whole-FS
-    counter value, freshness-binding the journal itself (see below).
+1.  :meth:`WriteAheadJournal.open_epoch` writes an encrypted **marker**
+    to the content store before the first mutation.  The marker records
+    the whole-FS counter value, freshness-binding the journal itself (see
+    below).
 2.  Before the first mutation of a group of keys — one flushed write
     buffer, or a single put, delete or rename — the journal persists one
     encrypted **undo entry** listing, for every key of the group the
-    batch has not recorded yet, a copy of its stored bytes (or an
+    member has not recorded yet, a copy of its stored bytes (or an
     "absent" tombstone).  The entry is written *before* every mutation it
     covers, so a crash can always undo them.
-3.  ``commit()`` deletes the marker — one atomic object delete is the
-    commit point — then sweeps the entries as garbage.
+3.  A member commits by persisting one small **epoch record**
+    (:meth:`WriteAheadJournal.commit_member` — a single object put is its
+    atomic commit point) carrying the entry-sequence watermark and the
+    guards' expected root hashes, then sweeps its entries.
+4.  :meth:`WriteAheadJournal.close_epoch` deletes the marker — the close
+    point — after the guards' batched flush, then drops the record and
+    any entries left.
 
-An object whose last reference a batch drops is not deleted under the
-journal: a sealed **reclaim intent** ``(object id, chunk count)``, durable
-before the commit point (in the journaled ``reclaim`` record, or in the
-epoch record), names it, and its keys go after the commit point.
-Recovery completes every intent it finds: each names a committed,
-unreferenced object, and object ids are never reused.
+A member that fails before its record rolls back its own entries
+(:meth:`WriteAheadJournal.rollback_member`).  A failure after the guard
+flush began restores everything above the last record's watermark
+(:meth:`WriteAheadJournal.rollback`) with recording left open, so the
+caller's guard repair is journaled too, and only then closes.
 
-On enclave restart, a surviving marker means the batch did not commit:
-every recorded pre-image is restored, the rollback guards re-anchor, and
-the batch is gone without a trace (all-or-nothing).  Entries *without* a
-marker are post-commit garbage and are swept.
+An object whose last reference a member drops is not deleted under the
+journal: a sealed **reclaim intent** ``(object id, chunk count)``,
+durable before the commit point in the epoch record, names it, and its
+keys go after the commit point; intents still open at the close move to
+the ``reclaim`` record.  Recovery completes every intent it finds: each
+names a committed, unreferenced object, and object ids are never reused.
 
-**Group-commit epochs** extend the same machinery to many transactions
-per marker (the storage engine's ``GroupCommitCoordinator``): an epoch
-opens with one marker (:meth:`WriteAheadJournal.open_epoch`), member
-transactions then commit individually by persisting one small **epoch
-record** (:meth:`WriteAheadJournal.commit_member` — a single object put
-is the per-member commit point) carrying the entry-sequence watermark
-and the guards' expected root hashes, and the epoch closes by deleting
-the marker (:meth:`WriteAheadJournal.close_epoch`) after the batched
-guard flush.  Recovery with a surviving marker *and* record restores
-only the entries at or above the watermark — the in-flight member —
-keeping every committed member's writes (per-transaction
-all-or-nothing); a marker without a record recovers exactly like a
-legacy single-transaction batch.
+On enclave restart, a surviving marker means the epoch did not close:
+every entry at or above the record's watermark (every entry, without a
+record) is restored — the in-flight member and the close-phase guard
+flush — while committed members' writes are kept (per-transaction
+all-or-nothing); the guards are then repaired from the restored data.
+Entries and a record *without* a marker are post-close garbage and are
+swept.
 
 Freshness of the journal: the marker and entries are PAE-encrypted under
 a key derived from SK_r, with the object key bound as AAD, so the host
@@ -69,7 +72,9 @@ from typing import Callable, Collection, Iterator, Optional
 
 from repro.crypto import default_pae, derive_key
 from repro.errors import (
+    EnclaveCrashed,
     IntegrityError,
+    ReproError,
     RollbackDetected,
     ServiceUnavailableError,
     StorageError,
@@ -144,8 +149,9 @@ class WriteAheadJournal:
 
     ``crash_hook`` is called with a site name (``journal:begin``,
     ``journal:entry``, ``journal:mutate``, ``journal:commit``,
-    ``journal:committed``, ``journal:reclaim``, ``journal:reclaim-record``)
-    at every step boundary; wiring it to
+    ``journal:committed``, ``journal:epoch-close``,
+    ``journal:epoch-closed``, ``journal:reclaim``,
+    ``journal:reclaim-record``) at every step boundary; wiring it to
     :meth:`SgxPlatform.crashpoint` lets a fault plan kill the enclave at
     any individual journal step (the crash-matrix tests enumerate them).
     ``counter_probe`` returns the current whole-FS counter value, or is
@@ -166,50 +172,57 @@ class WriteAheadJournal:
         self._crash_hook = crash_hook
         self.counter_probe = counter_probe
         self._active = False
-        self._epoch = False
         self._seq = 0
         self._recorded: set[tuple[int, str]] = set()
+        #: The open epoch's last member record, or ``None`` before its first
+        #: commit.  Recovery sets it from the stored record; the guard repair
+        #: (in process and at restart) verifies against it.
+        self.epoch: Optional[EpochRecord] = None
+        #: True while a closed epoch's record or entries may still be
+        #: stored (a fault cut its tidy-up short); the next open finishes it.
+        self._untidy = False
         #: True once this journal may have stored the reclaim record.
         self._intent_record = False
         #: Intents completed by the recoveries this journal ran.
         self.intents_recovered = 0
         self._poisoned: Optional[str] = None
-        #: Set by :meth:`recover_restore` when the crashed batch was a
-        #: group-commit epoch; the recovery epilogue reads it to rebuild
-        #: (rather than merely re-anchor) the guards.  Cleared by
-        #: :meth:`recover_finish`.
-        self.recovered_epoch: Optional[EpochRecord] = None
         #: Invoked after every undo restore (in-process rollback AND crash
         #: recovery).  The storage engine hangs the metadata cache's
         #: ``clear`` here so restored pre-images can never coexist with
-        #: cache entries from the aborted batch.
+        #: cache entries from the aborted member.
         self.on_restore: Optional[Callable[[], None]] = None
 
     # -- step boundaries -------------------------------------------------------
 
     @property
     def active(self) -> bool:
+        """True while an epoch's marker is persisted (between members too)."""
         return self._active
-
-    @property
-    def in_epoch(self) -> bool:
-        """True while a group-commit epoch is open (between members too)."""
-        return self._active and self._epoch
 
     def crashpoint(self, site: str) -> None:
         if self._crash_hook is not None:
             self._crash_hook(site)
 
-    # -- batch lifecycle -------------------------------------------------------
+    # -- epoch lifecycle ---------------------------------------------------------
+    #
+    # An epoch is a batch whose marker is shared by its member transactions.
+    # The per-member commit point is a single put of the epoch record; the
+    # epoch-wide close point is the marker delete.  The invariant "marker
+    # persisted => every mutation has a pre-image" holds throughout, with
+    # the refinement that entries below the record's watermark cover
+    # *committed* members and are garbage.
 
-    def begin(self, label: str) -> None:
-        """Open a batch: persist the marker before any data mutation."""
+    def open_epoch(self, label: str) -> None:
+        """Open an epoch: persist the marker before any data mutation."""
         if self._poisoned is not None:
             raise ServiceUnavailableError(
                 f"mutations are disabled: {self._poisoned} (restart the enclave)"
             )
         if self._active:
-            raise StorageError("journal batch already open")
+            raise StorageError("journal epoch already open")
+        if self._untidy:
+            # Before the marker: a stale record must never meet a new one.
+            self.clear()
         counter_start = self.counter_probe() if self.counter_probe is not None else 0
         plaintext = Writer().str(label).u64(counter_start).take()
         self._backend.put(
@@ -224,7 +237,7 @@ class WriteAheadJournal:
         """Seal the pre-images of a group of mutations of ``keys`` on store
         ``tag`` into one entry, stored before the first of them lands.
 
-        Keys the batch already recorded are left out.
+        Keys the member already recorded are left out.
         """
         fresh = [key for key in keys if (tag, key) not in self._recorded] if self._active else []
         if not fresh:
@@ -243,33 +256,6 @@ class WriteAheadJournal:
         self._recorded.update((tag, key) for key in fresh)
         self.crashpoint("journal:entry")
 
-    def commit(self) -> None:
-        """Commit the batch: the marker delete is the atomic commit point."""
-        if not self._active:
-            return
-        self.crashpoint("journal:commit")
-        self._backend.delete(_MARKER_KEY)
-        self._active = False
-        self.crashpoint("journal:committed")
-        # Commit is the hot path: sweep the entries written this batch by
-        # sequence number instead of scanning the whole key space.
-        self._sweep_entries(range(self._seq))
-        self._recorded.clear()
-
-    # -- group-commit epochs ---------------------------------------------------
-    #
-    # An epoch is a long-lived batch whose marker is shared by K member
-    # transactions.  The per-member commit point is a single put of the
-    # epoch record; the epoch-wide close point is the marker delete.  The
-    # invariant "marker persisted => every mutation has a pre-image"
-    # holds throughout, with the refinement that entries below the
-    # record's watermark cover *committed* members and are garbage.
-
-    def open_epoch(self, label: str) -> None:
-        """Open a group-commit epoch: one marker for many transactions."""
-        self.begin(label)
-        self._epoch = True
-
     def begin_member(self) -> int:
         """Start one member transaction; returns its entry-sequence base.
 
@@ -277,8 +263,8 @@ class WriteAheadJournal:
         *previous* member committed, so rolling one member back never
         rewinds past its predecessors.
         """
-        if not self.in_epoch:
-            raise StorageError("no group-commit epoch is open")
+        if not self._active:
+            raise StorageError("no commit epoch is open")
         self._recorded.clear()
         return self._seq
 
@@ -296,13 +282,13 @@ class WriteAheadJournal:
         The record carries the watermark (entries below it are now
         committed garbage), the guards' pending root hashes so a crash
         later in the epoch can verify the restored data before rebuilding
-        the guard trees, and the reclaim ``intents`` not yet completed.
-        The member's own entries are swept afterwards —
-        a crash mid-sweep leaves sub-watermark garbage that recovery
-        ignores and :meth:`clear` removes.
+        the guard trees (empty when the guards flushed with the member),
+        and the reclaim ``intents`` not yet completed.  The member's own
+        entries are swept afterwards; a fault or crash mid-sweep leaves
+        sub-watermark garbage that recovery ignores and the close removes.
         """
-        if not self.in_epoch:
-            raise StorageError("no group-commit epoch is open")
+        if not self._active:
+            raise StorageError("no commit epoch is open")
         self.crashpoint("journal:commit")
         watermark = self._seq
         record = Writer().str(label).u64(watermark).u32(members).bytes(fs_main).bytes(group_main)
@@ -310,9 +296,15 @@ class WriteAheadJournal:
         self._backend.put(
             _EPOCH_KEY, self._pae.encrypt(self._key, plaintext, aad=_EPOCH_AAD)
         )
+        self.epoch = EpochRecord(label, watermark, members, fs_main, group_main)
         self.crashpoint("journal:committed")
-        self._sweep_entries(range(member_base, watermark))
         self._recorded.clear()
+        try:
+            self._sweep_entries(range(member_base, watermark))
+        except EnclaveCrashed:
+            raise
+        except ReproError:
+            pass  # the member stands; the close sweeps what is left
 
     def rollback_member(self, member_base: int) -> None:
         """Abort one member: restore and drop its entries; the epoch lives on.
@@ -322,12 +314,29 @@ class WriteAheadJournal:
         the pre-images alone returns storage to the post-previous-member
         state — no re-anchor is needed and other members are untouched.
         """
-        if not self.in_epoch:
-            raise StorageError("no group-commit epoch is open")
+        if not self._active:
+            raise StorageError("no commit epoch is open")
         self._restore_entries(min_seq=member_base)
         self._sweep_entries(range(member_base, self._seq))
         self._seq = member_base
         self._recorded.clear()
+
+    def rollback(self) -> None:
+        """Restore every entry above the last committed member's watermark.
+
+        The journal half of an abort that may have reached past a guard
+        flush.  The marker, the record and the entries are deliberately
+        *kept* and recording stays open: the caller repairs the guards
+        (a multi-key rewrite that must be journaled too — a crash during
+        it rewinds to the restored state on restart and re-runs it) and
+        then closes the epoch.  Restored keys keep their original
+        pre-images, so the restore target stays the committed state.
+        """
+        watermark = self.epoch.watermark if self.epoch is not None else 0
+        self._recorded = set(self._restore_entries(min_seq=watermark))
+        # Repair entries are numbered above every committed one, even after
+        # a restart found the committed members' entries already swept.
+        self._seq = max(self._seq, watermark)
 
     def close_epoch(self, intents: "dict[str, int] | None" = None) -> None:
         """Close the epoch: the marker delete is the atomic close point.
@@ -335,77 +344,75 @@ class WriteAheadJournal:
         Ordering matters: the marker must go *before* the record — a
         crash in between leaves record-but-no-marker, which recovery
         treats as a fully-closed epoch (sweep the leftovers).  Deleting
-        the record first would resurrect the legacy restore-all path over
-        a committed epoch's garbage entries.
+        the record first would turn a committed epoch's garbage entries
+        into a marker-without-record restore-all.  The tidy-up after the
+        close point never fails the close.
         """
-        if not self.in_epoch:
-            raise StorageError("no group-commit epoch is open")
+        if not self._active:
+            raise StorageError("no commit epoch is open")
         self.crashpoint("journal:epoch-close")
         self._backend.delete(_MARKER_KEY)
         self._active = False
-        self._epoch = False
+        self._untidy = True
         self.crashpoint("journal:epoch-closed")
-        # Intents still open outlive the epoch record in the reclaim record.
-        self.keep_intents(intents or {})
-        if self._backend.exists(_EPOCH_KEY):
-            self._backend.delete(_EPOCH_KEY)
-        self._sweep_entries(range(self._seq))
-        self._recorded.clear()
+        try:
+            # Intents still open outlive the epoch record in the reclaim record.
+            self.keep_intents(intents or {})
+            self.clear()
+        except EnclaveCrashed:
+            raise
+        except ReproError:
+            pass  # the close stands; the next open_epoch finishes the tidy-up
 
-    def rollback(self) -> None:
-        """In-process abort: restore every recorded pre-image.
-
-        The journal keys are deliberately *kept* and recording stays open:
-        the caller re-anchors the rollback guards and then calls
-        :meth:`clear`.  The anchor is a multi-key protected file, so its
-        rewrite must be journaled too; a crash anywhere in between rewinds
-        to the restored state on restart and re-runs the re-anchor.  Keys
-        the batch already recorded keep their original pre-images, so the
-        restore target stays the pre-batch state.
-        """
-        self._active = False  # stays closed if the restore itself fails
-        self._restore_entries()
-        self._active = True
+    # benchmarks/e2e/layers.py wraps the journal by these older names too;
+    # they stay until that harness wraps by role (ROADMAP item 1).
+    begin = open_epoch
+    commit = close_epoch
 
     def clear(self) -> None:
-        """Drop the marker and all entries (after rollback + re-anchor)."""
+        """Drop the marker, the record and the epoch's numbered entries."""
         self._active = False
-        self._epoch = False
-        if self._backend.exists(_MARKER_KEY):
-            self._backend.delete(_MARKER_KEY)
-        if self._backend.exists(_EPOCH_KEY):
-            self._backend.delete(_EPOCH_KEY)
-        self._sweep_entries()
+        for key in (_MARKER_KEY, _EPOCH_KEY):
+            if self._backend.exists(key):
+                self._backend.delete(key)
+        self._sweep_entries(range(self._seq))
+        self.epoch = None
         self._recorded.clear()
+        self._untidy = False
 
     def poison(self, reason: str) -> None:
-        """Refuse further batches (rollback itself failed); reads continue."""
+        """Refuse further epochs (a rollback itself failed); reads continue."""
         self._poisoned = reason
-        # Recording may still be open on the failed batch: a later span must
-        # meet the refusal in begin(), not join that batch.
+        # Recording may still be open on the failed epoch: a later span must
+        # meet the refusal in open_epoch(), not join that epoch.
         self._active = False
 
     # -- recovery (enclave start) ----------------------------------------------
 
     def recover_restore(self) -> bool:
-        """Roll back an uncommitted batch left by a crash; True if one was.
+        """Roll back an epoch left open by a crash; True if one was.
 
         Runs before the trusted components are built so they observe the
-        restored bytes.  The caller re-anchors the guards and then calls
+        restored bytes.  The record, if any, marks the last committed
+        member's watermark: entries at or above it belong to the
+        uncommitted member (or the close-phase guard flush) and are
+        restored; anything below is garbage from an interrupted sweep and
+        must *not* be restored over committed members' writes.  The caller
+        repairs the guards against :attr:`epoch` and then calls
         :meth:`recover_finish`; until then the journal keys survive *and
         recording stays open* — the invariant is that whenever the marker
         is persisted, every mutation records its pre-image, so a crash
-        anywhere during recovery (including mid-re-anchor, a torn
-        multi-key anchor write) rewinds and re-runs it.  Last, every
-        reclaim intent a committed batch or member left is completed.
+        anywhere during recovery (including mid-repair, a torn multi-key
+        anchor write) rewinds and re-runs it.  Last, every reclaim intent
+        a committed member left is completed.
         """
         recovered = self._backend.exists(_MARKER_KEY)
-        epoch = self._epoch_record()
+        stored = self._epoch_record()
+        self.epoch = stored[0] if stored is not None else None
         if not recovered:
-            # Entries without a marker are garbage from a commit that
-            # crashed mid-sweep; the batch itself was fully applied.  A
-            # record without a marker is a fully-closed epoch (the marker
-            # delete is the close point) crashed before its own cleanup.
+            # Entries without a marker are garbage from a close that crashed
+            # mid-sweep; a record without a marker is a fully-closed epoch
+            # (the marker delete is the close point).
             self._sweep_entries()
         else:
             r = Reader(self._open(_MARKER_KEY, _MARKER_AAD))
@@ -419,35 +426,23 @@ class WriteAheadJournal:
                         f"stale write-ahead journal for batch {label!r}: recorded "
                         f"counter {counter_start}, TEE counter {current}"
                     )
-            if epoch is not None:
-                # A group-commit epoch crashed mid-flight.  The record marks
-                # the last committed member's watermark: entries at or above
-                # it belong to the uncommitted member (or the close-phase
-                # guard flush) and are restored; anything below is garbage
-                # from an interrupted sweep and must *not* be restored over
-                # committed members' writes.
-                watermark = epoch[0].watermark
-                self._recorded = set(self._restore_entries(min_seq=watermark))
-                self._seq = max(self._seq, watermark)
-                self._epoch = True
-                self.recovered_epoch = epoch[0]
-            else:
-                # Keep recording while the caller verifies and re-anchors:
-                # new slots continue the batch's numbering and
-                # already-recorded keys keep their original pre-images.
-                self._recorded = set(self._restore_entries())
+            # Keep recording while the caller verifies and repairs: new
+            # slots continue the numbering and already-recorded keys keep
+            # their original pre-images.
+            self.rollback()
             self._active = True
-        # Only now: the restore may have brought back the reclaim record
-        # that stood before the uncommitted batch rewrote it.
-        intents = epoch[1] if epoch is not None else {}
+        # The intents committed members left: in the record, and in the
+        # reclaim record an earlier close moved still-open ones to.
+        intents = stored[1] if stored is not None else {}
         if self._backend.exists(_RECLAIM_KEY):
             intents = {**intents, **_read_intents(Reader(self._open(_RECLAIM_KEY, _RECLAIM_AAD)))}
         self._delete_objects(intents)
         self.intents_recovered += len(intents)
         if self._backend.exists(_RECLAIM_KEY):
             self._backend.delete(_RECLAIM_KEY)
-        if not recovered and epoch is not None:
+        if not recovered and stored is not None:
             self._backend.delete(_EPOCH_KEY)
+            self.epoch = None
         return recovered
 
     def _open(self, key: str, aad: bytes) -> bytes:
@@ -463,9 +458,10 @@ class WriteAheadJournal:
         return EpochRecord(er.str(), er.u64(), er.u32(), er.bytes(), er.bytes()), _read_intents(er)
 
     def recover_finish(self) -> None:
-        """Finish recovery after the guards re-anchored."""
+        """Finish recovery after the guards were repaired: drop the journal,
+        entries a restart cannot number included."""
         self.clear()
-        self.recovered_epoch = None
+        self._sweep_entries()
 
     # -- request stamps (cluster exactly-once) ----------------------------------
 
@@ -475,7 +471,7 @@ class WriteAheadJournal:
         The cluster front door tags each routed request with a token; the
         storage engine persists the sealed stamp *through the journaled,
         deferred stack* so it commits or rolls back atomically with the
-        request's batch.  Because the stamp key is derived from SK_r, any
+        request's transaction.  Because the stamp key is derived from SK_r, any
         replica holding the root key — in particular a failover successor
         — can read which request last committed and suppress a duplicate
         re-execution.  PAE under the journal key with a distinct AAD: the
@@ -501,7 +497,7 @@ class WriteAheadJournal:
 
     def keep_intents(self, intents: dict[str, int]) -> None:
         """Store committed ``intents`` as the reclaim record, or drop it."""
-        # Not dropped while a batch is open: its entries may hold the
+        # Not dropped while an epoch is open: its entries may hold the
         # record's pre-image.
         if intents:
             self.crashpoint("journal:reclaim-record")
@@ -533,7 +529,7 @@ class WriteAheadJournal:
         return sorted(self._backend.scan(_ENTRY_PREFIX))
 
     def _sweep_entries(self, seqs: Optional[range] = None) -> None:
-        # Entries numbered ``seqs`` (this batch's own) or whatever a scan
+        # Entries numbered ``seqs`` (this epoch's own) or whatever a scan
         # finds; str.format keeps the per-commit sweep free of Python frames.
         keys = self._entry_keys() if seqs is None else map((_ENTRY_PREFIX + "{:08d}").format, seqs)
         for key in keys:
@@ -559,7 +555,7 @@ class WriteAheadJournal:
             for key, kind, pre_image in reversed(items):
                 if kind == _COPIED:
                     # The pre-image is the raw *stored* byte string captured
-                    # before the batch ran — already PAE ciphertext from the
+                    # before the member ran — already PAE ciphertext from the
                     # protected store, never enclave plaintext.  (The
                     # decrypted journal record's payload is that ciphertext.)
                     store.put(key, pre_image)
@@ -576,8 +572,8 @@ class JournaledStore(UntrustedStore):
 
     Installed between the :class:`~repro.sgx.protected_fs.ProtectedFs`
     instances and the raw backends by the storage engine; reads pass
-    straight through, mutations first persist the key's pre-image while a
-    batch is open.  The journal's own keys live on the raw backend, so
+    straight through, mutations first persist the key's pre-image while an
+    epoch is open.  The journal's own keys live on the raw backend, so
     its writes never recurse through this wrapper.
     """
 
@@ -587,7 +583,7 @@ class JournaledStore(UntrustedStore):
         self._tag = tag
 
     def put(self, key: str, value: bytes) -> None:
-        # Outside a batch (an upload streaming its chunks) there is nothing
+        # Outside an epoch (an upload streaming its chunks) there is nothing
         # to record.
         if self._journal._active:
             self._journal.record(self._tag, (key,))

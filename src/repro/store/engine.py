@@ -10,7 +10,7 @@ untrusted state, and its :meth:`StorageEngine.transaction` span is the
 only way to mutate it::
 
     Transaction span (engine API)
-      |- write-ahead journal batch          repro.core.journal
+      |- commit-epoch member                repro.core.journal
       |- rollback-guard node/anchor batch   repro.core.rollback
       |- metadata-cache write-through       repro.core.cache
       `- DeferredStore write buffers        this module
@@ -19,12 +19,15 @@ only way to mutate it::
                                             (InMemoryStore / DiskStore /
                                              repro.store.ShardedStore)
 
-On commit the engine flushes each store's buffered puts as one batched
-group — one simulated ocall round-trip per store instead of one per
-object — under the same ``clock.exclusive("journal-commit")`` critical
-section that already serializes the anchor and commit-marker writes.  On
-abort the buffers are discarded, the undo log restores pre-images, and
-the cache is cleared before the guards re-anchor.  The seglint
+Every outermost span is one member of a commit epoch; on a serial clock
+each member closes its own epoch, on a parallel one overlapping members
+share it.  On commit the engine flushes each store's buffered puts as one
+batched group — one simulated ocall round-trip per store instead of one
+per object — under the same ``clock.exclusive("journal-commit")``
+critical section that serializes the record, anchor and marker writes.
+On abort the buffers are discarded, the undo log restores pre-images,
+and the cache is cleared; one routine (:meth:`StorageEngine._abort`)
+covers a failed member and a failed epoch close.  The seglint
 ``txn-discipline`` rule enforces at lint time what this module enforces
 by construction.
 
@@ -43,11 +46,11 @@ from repro.core.journal import (
     TAG_CONTENT,
     TAG_DEDUP,
     TAG_GROUP,
+    EpochRecord,
     JournaledStore,
     WriteAheadJournal,
 )
-from repro.errors import EnclaveCrashed, ReproError, StorageError
-from repro.netsim.clock import ParallelClock
+from repro.errors import EnclaveCrashed, ReproError, RollbackDetected, StorageError
 from repro.storage.backends import UntrustedStore
 from repro.storage.stores import StoreSet
 
@@ -120,8 +123,7 @@ class GroupCommitCoordinator:
     a transaction that *begins* before it overlapped an in-flight member
     and joins the epoch; one that begins after it found the pipeline
     drained, so the epoch closes first (group commit never delays a lone
-    writer waiting for company — on a serial timeline every transaction
-    begins after the previous one's release and K stays 1).
+    writer waiting for company).
     """
 
     #: Epochs close at this many members even under continuous overlap, so
@@ -130,6 +132,11 @@ class GroupCommitCoordinator:
 
     def __init__(self) -> None:
         self.stats = GroupCommitStats()
+        #: No second member can join: each member closes its own epoch
+        #: right after its commit.  True on a serial clock, and on every clock
+        #: while the enclave builds, so deploy-time transactions leave no
+        #: epoch open behind them.
+        self.solo = True
         self.open = False
         self.release = 0.0
         self.members = 0
@@ -321,21 +328,18 @@ class StorageEngine:
         #: guard (or ``None``), which is all the engine needs of them.
         self.mounts: "tuple[Mount, ...]" = ()
         self.dedup: "DedupStore | None" = None
-        #: True while the body of an outermost span (a serial transaction
-        #: or an epoch member) runs: transactions started inside it are
+        #: True while the body of an outermost span (an epoch member)
+        #: runs: transactions started inside it are
         #: nested and join it, and the dedup records it changed wait for
         #: its end to be sealed once each.
         self.in_span = False
         self.stats = TransactionStats()
-        #: Group-commit coordinator; installed by :meth:`enable_group_commit`
-        #: once the guards are wired (``None`` keeps the serial commit path
-        #: byte-for-byte untouched).
-        self.group_commit: GroupCommitCoordinator | None = None
+        self.group_commit = GroupCommitCoordinator()
         #: Cluster request token to persist with the next transaction.
         #: Set via the ``cluster_begin_request`` ECALL before a routed
         #: request runs; the transaction writes the sealed stamp through
         #: the journaled stack so "this request committed" becomes part
-        #: of the batch's atomicity.  ``None`` (the default everywhere
+        #: of the member's atomicity.  ``None`` (the default everywhere
         #: outside cluster mode) adds zero writes and zero cost.
         self.pending_stamp: str | None = None
         #: Cross-replica invalidation publisher; installed by
@@ -432,21 +436,9 @@ class StorageEngine:
         if self.coherence is not None:
             self.coherence.sync()
 
-    def enable_group_commit(self) -> None:
-        """Let overlapping transactions share one journal-commit epoch.
-
-        Only meaningful on a parallel clock: a serial timeline never
-        overlaps, so every epoch would close at K=1 having paid the epoch
-        bookkeeping for nothing — the serial model stays bit-identical by
-        not installing the coordinator at all.
-        """
-        if isinstance(self._enclave.platform.clock, ParallelClock):
-            self.group_commit = GroupCommitCoordinator()
-
     def quiesce(self) -> None:
         """Close any open epoch (bench boundaries, cluster hand-offs)."""
-        group = self.group_commit
-        if group is not None and group.open:
+        if self.group_commit.open:
             self._close_epoch("quiesce")
 
     # -- the transaction span ------------------------------------------------
@@ -455,109 +447,32 @@ class StorageEngine:
     def transaction(self, label: str) -> Iterator[None]:
         """Run a multi-key mutation as one all-or-nothing unit.
 
-        The span carries the undo-journal batch, the guard node/anchor
-        batches, the deferred write buffers, and the cache write-backs: a
-        crash inside it is rolled back on restart; a non-crash failure is
-        rolled back immediately (pre-images restored, cache cleared,
-        guards re-anchored).  Nested transactions join the outer one.
+        The outermost span is one member of a (possibly shared) commit
+        epoch.  Its atomic commit point is a single epoch-record put
+        (:meth:`WriteAheadJournal.commit_member`); the marker persist,
+        batched guard-node flush, anchor write, and monotonic-counter
+        increment are paid once per *epoch*, at close — on a serial clock
+        each member closes its own.  Each member still records its own
+        undo pre-images, so aborting one rolls back exactly its writes
+        while earlier members' commits stand; a crash is rolled back on
+        restart.  Nested transactions join the outer one.
         """
         journal = self.journal
         group = self.group_commit
-        if group is not None:
-            if self.in_span or (journal.active and not group.open):
-                # Nested inside an epoch member — or the journal is active
-                # without an epoch of ours, i.e. crash recovery restored an
-                # epoch and kept recording open (takeover): join it as a
-                # plain span so recovery writes stay journaled until
-                # recover_finish, instead of opening a second epoch over it.
-                # A takeover span leaves in_span False, so a dedup change
-                # made in it is sealed at once, not left for a span end
-                # that never comes.
-                yield
-                return
-            with self._group_member(label):
-                yield
-            return
-        if journal.active:
+        if self.in_span or (journal.active and not group.open):
+            # Nested inside a member — or the journal is active without an
+            # epoch of ours, i.e. crash recovery restored an epoch and kept
+            # recording open (takeover): join it as a plain span so recovery
+            # writes stay journaled until recover_finish, instead of opening
+            # a second epoch over it.  A takeover span leaves in_span False,
+            # so a dedup change made in it is sealed at once, not left for a
+            # span end that never comes.
             yield
             return
+        clock = self._enclave.platform.clock
         if self.coherence is not None:
             # Start from a synced view: peer epochs applied before our
             # reads, so the span never builds writes over stale cache.
-            self.coherence.sync()
-        journal.begin(label)
-        self._begin_guard_batches()
-        puts_before = self._open_span()
-        try:
-            yield
-            # Commit inside the try: a fault while sealing dedup records,
-            # persisting the batched guard nodes or flushing the buffers
-            # rolls the whole transaction back like any other fault.  Guard
-            # batches commit first so their node/anchor writes join the
-            # buffered group.
-            self._seal_dedup_index()
-            with self._commit_point():
-                self._commit_guard_batches()
-                if self._released:
-                    # The intent is durable before the commit point and
-                    # rolls back with the batch (its pre-image is journaled).
-                    intents = {**self._outstanding, **self._released}
-                    self.backends.content.put(*journal.seal_intents(intents))
-                self._flush_deferred()
-        except EnclaveCrashed:
-            # The enclave is gone; restart recovery replays the undo log.
-            raise
-        except BaseException:
-            self._abort_guard_batches()
-            self._drop_span()
-            try:
-                # Re-anchor under the journal's recording (still open after
-                # the restore): a crash tearing the multi-key anchor rewrite
-                # must rewind to the restored state on restart.
-                journal.rollback()
-                self._reanchor_guards()
-                journal.clear()
-                # The re-anchor deferred its anchor/node write-backs
-                # (the journal was recording); apply them before leaving
-                # the span so none survives to be applied stale later.
-                self._apply_write_backs()
-            except EnclaveCrashed:
-                raise
-            except ReproError as rollback_exc:
-                # State may be inconsistent; refuse further mutations until
-                # a restart re-runs the (still persisted) undo log.
-                journal.poison(
-                    f"rollback of transaction {label!r} failed: {rollback_exc}"
-                )
-            self.stats.aborts += 1
-            raise
-        else:
-            with self._commit_point():
-                journal.commit()
-            self._apply_write_backs()
-            self._publish_coherence(label)
-            self._committed(puts_before)
-        finally:
-            self.in_span = False
-
-    # -- group commit ---------------------------------------------------------
-
-    @contextlib.contextmanager
-    def _group_member(self, label: str) -> Iterator[None]:
-        """One member transaction inside a (possibly shared) commit epoch.
-
-        The member's atomic commit point is a single epoch-record put
-        (:meth:`WriteAheadJournal.commit_member`); the marker persist,
-        batched guard-node flush, anchor write, and monotonic-counter
-        increment are all paid once per *epoch*, at close.  Each member
-        still records its own undo pre-images, so aborting one rolls back
-        exactly its writes while earlier members' commits stand.
-        """
-        journal = self.journal
-        group = self.group_commit
-        clock = self._enclave.platform.clock
-        assert group is not None
-        if self.coherence is not None:
             self.coherence.sync()
         now = clock.now()
         if group.open and (now > group.release or group.members >= group.MAX_MEMBERS):
@@ -579,39 +494,32 @@ class StorageEngine:
         puts_before = self._open_span()
         try:
             yield
-            # Sealed per member, never at epoch close: the records must
-            # be durable at this member's commit record.
+            # Commit inside the try: a fault while sealing dedup records,
+            # flushing the buffers or persisting the record rolls the
+            # member back like any other fault.  Sealed per member, never
+            # at epoch close: the records must be durable at this member's
+            # commit record.
             self._seal_dedup_index()
             with self._commit_point():
+                if group.solo:
+                    # No member can join: the guard nodes and anchor commit
+                    # into the armed buffers and flush in this member's
+                    # group, and the record needs no root hashes.
+                    self._commit_guard_batches()
                 self._flush_deferred()
                 mains = [
-                    mount.guard.expected_main() if mount.guard is not None else b""
+                    mount.guard.expected_main()
+                    if mount.guard is not None and not group.solo
+                    else b""
                     for mount in self.mounts
-                ]
+                ] or [b"", b""]  # a bare engine has no mounts
                 intents = {**self._outstanding, **self._released}
                 journal.commit_member(member_base, *mains, group.members + 1, label, intents)
         except EnclaveCrashed:
+            # The enclave is gone; restart recovery replays the undo log.
             raise
         except BaseException:
-            self._drop_span()
-            for guard, snapshot in snapshots:
-                guard.restore_pending(snapshot)
-            try:
-                # No anchor was written and no counter incremented since
-                # this member began (both are deferred to epoch close), so
-                # restoring the pre-images is the whole rollback: no
-                # re-anchor, and the epoch stays open for other members.
-                journal.rollback_member(member_base)
-                if self.dedup is not None:
-                    # The in-memory entries must follow the restored
-                    # records, exactly as on the serial path (_reanchor_guards).
-                    self.dedup.reload_index()
-            except EnclaveCrashed:
-                raise
-            except ReproError as rollback_exc:
-                journal.poison(
-                    f"rollback of transaction {label!r} failed: {rollback_exc}"
-                )
+            self._abort(label, (member_base, snapshots))
             self.stats.aborts += 1
             raise
         else:
@@ -619,12 +527,15 @@ class StorageEngine:
             group.members += 1
             group.stats.members_total += 1
             self._apply_write_backs()
-            if self.coherence is not None:
-                # Committed members pool their touched keys; the epoch
-                # close publishes them as one entry.
-                self._epoch_touched |= self._txn_touched
-                self._txn_touched = set()
+            # Committed members pool their touched keys; the epoch close
+            # publishes them as one entry.
+            self._epoch_touched |= self._txn_touched
+            self._txn_touched = set()
             self._committed(puts_before)
+            if group.solo:
+                # After the reclaim, which the record's intents keep
+                # durable until the marker goes.
+                self._close_epoch("solo")
         finally:
             self.in_span = False
 
@@ -637,9 +548,9 @@ class StorageEngine:
         if stamp is not None:
             # Buffered like any other write: the pre-image is journaled at
             # flush, so an abort (or crash) restores the *previous*
-            # request's stamp, and the commit — for an epoch member, its
-            # commit record, so a cluster successor sees it while the epoch
-            # is still open — publishes this one atomically with the batch.
+            # request's stamp, and the member's commit record — which a
+            # cluster successor sees while the epoch is still open —
+            # publishes this one atomically with the member's writes.
             self.backends.content.put(*self.journal.seal_stamp(stamp))
         self.in_span = True
         return self.stats.puts
@@ -671,17 +582,17 @@ class StorageEngine:
         member the epoch carried.  The work runs on a background track
         starting at the last member's release: no request waits on it
         directly, but the next epoch's opener meets it at the
-        "journal-commit" rendezvous and the makespan includes it.
+        "journal-commit" rendezvous and the makespan includes it; a solo
+        member closes inline.  A failure is repaired by :meth:`_abort` and
+        then raised to whoever asked for the close.
         """
-        journal = self.journal
-        group = self.group_commit
         clock = self._enclave.platform.clock
-        assert group is not None
-        bg = clock.open_track("group-commit-close", start=group.release)
+        group = self.group_commit
+        bg = None if group.solo else clock.open_track("group-commit-close", start=group.release)
         try:
             with self._commit_point():
                 self._commit_guard_batches()
-                journal.close_epoch(self._outstanding)
+                self.journal.close_epoch(self._outstanding)
                 # The guard flush above raw-wrote nodes and the anchor
                 # while the journal was still recording, deferring their
                 # cache write-backs.  Apply them NOW: a write-back that
@@ -696,8 +607,14 @@ class StorageEngine:
                 # committed but unpublished — healed by the takeover
                 # reset (see cluster_takeover_recover).
                 self._publish_coherence("epoch")
+        except EnclaveCrashed:
+            raise
+        except BaseException:
+            self._abort("epoch")
+            raise
         finally:
-            clock.close_track(bg, join=False)
+            if bg is not None:
+                clock.close_track(bg, join=False)
         group.open = False
         stats = group.stats
         members = group.members
@@ -712,6 +629,82 @@ class StorageEngine:
             stats.marker_writes_saved += saved
             stats.anchor_writes_saved += saved * guards
             stats.counter_increments_saved += saved * guards
+
+    def _abort(self, label: str, member: "tuple[int, list] | None" = None) -> None:
+        """The one rollback, for a failed member and a failed close alike.
+
+        A ``member`` (entry base, guard snapshots) of a shared epoch fails
+        before any guard flush: its entries are restored, the guards'
+        pending state rewinds to where it began, and the epoch lives on
+        for the other members.  Anything else — a solo member, whose guard
+        flush is part of its commit point, or a failed close — may have
+        left guard nodes half written
+        and the counter ahead of the anchor: the entries above the last
+        committed watermark are restored and the guards repaired from the
+        data exactly as restart recovery repairs a crash at that point;
+        only then does the marker go.  If the rollback itself fails, the
+        journal is poisoned with its marker still stored: the next
+        mutation answers UNAVAILABLE and restart recovery finishes the job.
+        """
+        journal = self.journal
+        group = self.group_commit
+        self._drop_span()
+        try:
+            if member is not None and not group.solo:
+                member_base, snapshots = member
+                for guard, snapshot in snapshots:
+                    guard.restore_pending(snapshot)
+                journal.rollback_member(member_base)
+            elif journal.active:
+                journal.rollback()
+                for guard in self.guards:
+                    guard.abort_batch()
+                self.repair_guards(journal.epoch)
+                journal.close_epoch(self._outstanding)
+                # The repair deferred its node/anchor write-backs (the
+                # journal was recording); apply them before leaving so none
+                # survives to be applied stale later.
+                self._apply_write_backs()
+                self._publish_coherence(label)
+            if self.dedup is not None:
+                # The in-memory entries must follow the restored records.
+                self.dedup.reload_index()
+        except EnclaveCrashed:
+            raise
+        except ReproError as rollback_exc:
+            journal.poison(f"rollback of transaction {label!r} failed: {rollback_exc}")
+        group.open = journal.active
+
+    def repair_guards(self, record: "EpochRecord | None") -> None:
+        """Bring the guards back in line with restored data.
+
+        The epilogue of every rollback that may have reached past a guard
+        flush: the in-process abort above, and crash recovery (restart and
+        cluster takeover).  With root hashes in the last member's record
+        the stored nodes predate the committed members (their flush was
+        deferred to the close): the data is checked against those hashes
+        — the host had the store to itself, and a member list swapped for
+        its pre-revocation bytes must not be blessed — and the trees are
+        rebuilt from it.  Without them (no member committed, or a solo
+        member whose guards flushed with it) the stored trees are current
+        but the counter may have run past their anchors: each store is
+        checked for internal consistency and re-anchored.
+        """
+        mains = (record.fs_main, record.group_main) if record is not None else (b"", b"")
+        for mount, main in zip(self.mounts, mains):
+            guard = mount.guard
+            if guard is None:
+                continue
+            if main:
+                if guard.recompute_main() != main:
+                    raise RollbackDetected(
+                        f"recovered {mount.namespace}-store state does not match "
+                        "the epoch's journal record"
+                    )
+                guard.rebuild()
+            else:
+                guard.verify_restored_state()
+                guard.accept_current_state()
 
     # -- object reclaim ---------------------------------------------------------
     #
@@ -777,7 +770,7 @@ class StorageEngine:
         """Defer guard node/anchor persistence until the transaction commits.
 
         Safe because every transaction runs under an open undo-journal
-        batch: an abort rolls back the data writes the pending nodes
+        epoch: an abort rolls back the data writes the pending nodes
         describe, so dropping them is consistent.
         """
         for guard in self.guards:
@@ -786,28 +779,6 @@ class StorageEngine:
     def _commit_guard_batches(self) -> None:
         for guard in self.guards:
             guard.commit_batch()
-
-    def _abort_guard_batches(self) -> None:
-        for guard in self.guards:
-            guard.abort_batch()
-
-    def _reanchor_guards(self) -> None:
-        """Resync in-memory state after an undo-log restore.
-
-        The restore brought back the pre-batch anchors byte-for-byte, but
-        the monotonic counter kept the increments the aborted transaction
-        made — the anchors must be rewritten against the current counter
-        value.  The in-memory dedup entries likewise still hold the aborted
-        transaction's refcounts and must follow the restored records.
-
-        Ordering matters: pending guard batches are dropped and the
-        metadata cache cleared FIRST — re-anchoring reads storage, and a
-        stale cached entry must never feed the new anchor.
-        """
-        self._abort_guard_batches()
-        self.drop_derived_state()
-        for guard in self.guards:
-            guard.accept_current_state()
 
     def _flush_deferred(self) -> None:
         total = 0
@@ -833,9 +804,8 @@ class StorageEngine:
     def _publish_coherence(self, label: str) -> None:
         """Publish the pending touched-key set as one coherence entry.
 
-        Serial commits publish their own transaction's set; an epoch
-        close publishes the union its members pooled.  Runs strictly
-        after the journal commit — the entry describes only durable
+        An epoch close publishes the union its members pooled.  Runs
+        strictly after the journal commit — the entry describes only durable
         state — and is skipped entirely when nothing was touched.  The
         crashpoint models the one new crash window the protocol adds:
         committed but unpublished, which takeover recovery heals with an
@@ -912,7 +882,7 @@ class StorageEngine:
         Every cached-key mutation in the code base pairs ``invalidate``
         (before the store write) with ``write_back`` (after it), so
         capturing here makes the published invalidation set complete by
-        construction.  Mutations outside a journal batch (recovery,
+        construction.  Mutations outside a journal epoch (recovery,
         record re-reads triggered by a sync) are not captured: they do
         not change committed shared state from a peer's point of view.
         """

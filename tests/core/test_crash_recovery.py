@@ -732,18 +732,23 @@ def _views(stores: StoreSet, journal: WriteAheadJournal) -> list[JournaledStore]
     return [JournaledStore(store, journal, tag) for tag, store in enumerate(raw)]
 
 
-def _run_batch(stores: StoreSet, crash_hook=None) -> None:
-    """One batch mixing all three entry kinds around a multi-chunk delete."""
+def _run_batch(stores: StoreSet, crash_hook=None, done: list | None = None) -> None:
+    """One epoch of one member mixing all three entry kinds around a
+    multi-chunk delete; ``done`` learns when the member's record is stored."""
     journal = WriteAheadJournal(stores, _ROOT_KEY, crash_hook=crash_hook)
     content, group, dedup = _views(stores, journal)
-    journal.begin("remove-big")
+    journal.open_epoch("remove-big")
+    base = journal.begin_member()
     content.put("/edit", b"new" * 60)  # copied pre-image
     for key in _object("obj:1", 10):
         dedup.delete(key)  # copied pre-images, one per chunk and the meta
     group.delete("members")  # a delete on another store
     content.put("/fresh", b"f" * 10)  # absent tombstone
     dedup.put("obj:1\x00meta", b"re-created inside the batch")
-    journal.commit()
+    journal.commit_member(base, b"", b"", 1, "remove-big")
+    if done is not None:
+        done.append(1)
+    journal.close_epoch()
 
 
 def _recover(stores: StoreSet) -> bool:
@@ -809,26 +814,29 @@ class TestMovedPreImages:
         before = _snapshot(stores)
         journal = WriteAheadJournal(stores, _ROOT_KEY, crash_hook=_stop_at("journal:commit"))
         content, group, dedup = _views(stores, journal)
-        journal.begin("doomed")
+        journal.open_epoch("doomed")
+        journal.begin_member()
         for key in _object("obj:2", 20):
             dedup.delete(key)
         content.delete("/keep")
         journal.rollback()
-        journal.clear()
+        journal.close_epoch()
         assert _snapshot(stores) == before
 
     def test_crash_at_every_store_op_is_all_or_nothing(self, kind):
         """Covers dying after the entry put and before the delete, and
-        anywhere inside the post-commit sweep."""
+        anywhere inside the post-commit sweep and the close."""
         before, after = self._end_states(kind)
         total = _count_ops(kind, _run_batch)
         assert total > 40
         for nth in range(1, total + 1):
-            stores, _ = _crashed_world(kind, _run_batch, nth)
-            recovered = _recover(stores)
+            done: list[int] = []
+            stores, _ = _crashed_world(kind, lambda s, d=done: _run_batch(s, done=d), nth)
+            _recover(stores)
             state = _snapshot(stores)
-            assert state in (before, after), f"store op {nth}: torn state"
-            assert state == before or not recovered, f"store op {nth}: half undone"
+            # A crash inside commit_member lands on either side of its record.
+            allowed = [after] if done else [before, after]
+            assert state in allowed, f"store op {nth}: torn state or committed member lost"
             assert _journal_keys(stores) == [], f"store op {nth}: journal residue"
 
     def test_crash_inside_the_restore_is_repaired_by_the_next(self, kind):
@@ -962,6 +970,55 @@ class TestMovedPreImagesInEpochs:
         assert _snapshot(stores) == states[1]
         assert _journal_keys(stores) == []
 
+    @staticmethod
+    def _first_member(stores: StoreSet) -> WriteAheadJournal:
+        journal = WriteAheadJournal(stores, _ROOT_KEY)
+        content, _, dedup = _views(stores, journal)
+        journal.open_epoch("epoch")
+        base = journal.begin_member()
+        for key in _object("obj:1", 10):
+            dedup.delete(key)
+        content.put("/edit", b"member 1")
+        journal.commit_member(base, b"", b"", 1, "m1")
+        return journal
+
+    def test_a_fault_in_a_members_sweep_keeps_the_member(self, kind):
+        """Past its record the member is committed: a fault sweeping its
+        entries leaves garbage below the watermark for the close."""
+        states = self._states(kind)
+        plan = FaultPlan()
+        stores = _stores(kind, plan)
+        _seed(stores)
+        # The member's own deletes, then the sweep's first entry.
+        plan.fail_nth(nth=len(_object("obj:1", 10)) + 1, op="delete")
+        journal = self._first_member(stores)
+        assert plan.events, "the fault should have hit the sweep"
+        journal.close_epoch()
+        assert _snapshot(stores) == states[1]
+        assert _journal_keys(stores) == []
+
+    def test_a_fault_past_the_close_point_is_tidied_before_the_next_marker(self, kind):
+        """The close stands when its tidy-up faults; the next epoch drops the
+        stale record before its marker, so a crash in that epoch restores
+        all of it, not just the entries above the old watermark."""
+        states = self._states(kind)
+        plan = FaultPlan()
+        stores = _stores(kind, plan)
+        _seed(stores)
+        journal = self._first_member(stores)
+        plan.fail_nth(nth=2, op="delete")  # the marker, then the record
+        journal.close_epoch()
+        assert plan.events and stores.content.exists("\x00journal:epoch")
+        _, _, dedup = _views(stores, journal)
+        journal.open_epoch("epoch")
+        journal.begin_member()
+        for key in _object("obj:2", 20):
+            dedup.delete(key)
+        _recover(stores)  # the enclave died before the member's record
+        assert _snapshot(stores) == states[1]
+        assert _journal_keys(stores) == []
+
+
 
 # -- group entries ---------------------------------------------------------------
 #
@@ -980,15 +1037,19 @@ _DEDUP_GROUP = [
 _CONTENT_GROUP = [("/edit", b"new" * 60), ("/keep", None), ("/fresh", b"f" * 10)]
 
 
-def _run_group_batch(stores: StoreSet, crash_hook=None) -> None:
-    """One batch of two flushed groups, then a second write to a recorded key."""
+def _run_group_batch(stores: StoreSet, crash_hook=None, done: list | None = None) -> None:
+    """One member of two flushed groups, then a second write to a recorded key."""
     journal = WriteAheadJournal(stores, _ROOT_KEY, crash_hook=crash_hook)
     content, _, dedup = _views(stores, journal)
-    journal.begin("flush")
+    journal.open_epoch("flush")
+    base = journal.begin_member()
     dedup.apply(_DEDUP_GROUP)
     content.apply(_CONTENT_GROUP)
     dedup.apply([("obj:2\x00meta", None), ("obj:1\x00meta", b"back again")])
-    journal.commit()
+    journal.commit_member(base, b"", b"", 1, "flush")
+    if done is not None:
+        done.append(1)
+    journal.close_epoch()
 
 
 @pytest.mark.parametrize("kind", ["separate", "sharded"])
@@ -1047,11 +1108,12 @@ class TestGroupEntries:
         assert _journal_keys(done) == []
         total = _count_ops(kind, _run_group_batch)
         for nth in range(1, total + 1):
-            stores, _ = _crashed_world(kind, _run_group_batch, nth)
-            recovered = _recover(stores)
+            done: list[int] = []
+            stores, _ = _crashed_world(kind, lambda s, d=done: _run_group_batch(s, done=d), nth)
+            _recover(stores)
             state = _snapshot(stores)
-            assert state in (before, after), f"store op {nth}: torn state"
-            assert state == before or not recovered, f"store op {nth}: half undone"
+            allowed = [after] if done else [before, after]
+            assert state in allowed, f"store op {nth}: torn state or committed member lost"
             assert _journal_keys(stores) == [], f"store op {nth}: journal residue"
 
     def test_a_recorded_key_keeps_its_first_pre_image(self, kind):
@@ -1096,11 +1158,12 @@ class TestGroupEntries:
         before = _snapshot(stores)
         journal = WriteAheadJournal(stores, _ROOT_KEY, crash_hook=_stop_at("journal:mutate", 6))
         dedup = _views(stores, journal)[2]
-        journal.begin("doomed")
+        journal.open_epoch("doomed")
+        journal.begin_member()
         with pytest.raises(_StopHere):
             dedup.apply(_DEDUP_GROUP)
         journal.rollback()
-        journal.clear()
+        journal.close_epoch()
         assert _snapshot(stores) == before
 
 
@@ -1159,9 +1222,9 @@ class TestMultiChunkDeleteCrashes:
             yield step, server
 
     def test_crash_between_entry_and_move(self, dedup):
-        # Between the commit point and the object's deletes, and between
-        # those and the intent record's removal.
-        for step, server in self._crash_cells("journal:reclaim", dedup, least=2):
+        # Between the commit point and the object's deletes; the intent
+        # rides in the epoch record, which goes with the close.
+        for step, server in self._crash_cells("journal:reclaim", dedup, least=1):
             server.restart_enclave()
             server.enclave.guard.verify_restored_state()
             manager = server.enclave.manager
@@ -1189,13 +1252,14 @@ class TestMultiChunkDeleteCrashes:
             assert _residue(server) == []
 
     def test_tampered_saved_chunk_fails_recovery(self, dedup):
-        """The reclaim intent naming the chunks is sealed: altered, it
-        fails recovery instead of deleting whatever it would name."""
-        for _, server in self._crash_cells("journal:reclaim", dedup, least=2):
+        """The reclaim intent naming the chunks is sealed in the member's
+        epoch record: altered, it fails recovery instead of deleting
+        whatever it would name."""
+        for _, server in self._crash_cells("journal:reclaim", dedup, least=1):
             store = server.stores.content
-            blob = bytearray(store.get("\x00journal:reclaim"))
+            blob = bytearray(store.get("\x00journal:epoch"))
             blob[10] ^= 0x10
-            store.put("\x00journal:reclaim", bytes(blob))
+            store.put("\x00journal:epoch", bytes(blob))
             with pytest.raises(RollbackDetected):
                 server.restart_enclave()
             return
@@ -1246,13 +1310,13 @@ def test_a_failed_rollback_refuses_later_mutations_until_restart():
     prime(server)
     engine, handler = server.enclave.engine, server.enclave.handler
 
-    def reanchor_fails() -> None:
+    def repair_fails(record) -> None:
         raise FaultError("re-anchor failed")
 
-    engine._reanchor_guards = reanchor_fails
+    engine.repair_guards = repair_fails
     plan.fail_nth(nth=2, op="put")  # the marker, then the request's first entry
     assert handler.handle("alice", Request(op=Op.PUT_DIR, args=("/e/",))).status is Status.RETRY
-    del engine._reanchor_guards
+    del engine.repair_guards
     assert handler.handle("alice", Request(op=Op.PUT_DIR, args=("/g/",))).status is Status.UNAVAILABLE
     server.restart_enclave()
     server.enclave.guard.verify_restored_state()

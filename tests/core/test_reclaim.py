@@ -234,9 +234,10 @@ class TestReclaimCrashes:
         self._overwrite(server)
         plan.detach()
         steps = plan.seen_crashpoints("journal:reclaim")
-        # journal:reclaim before the object's deletes; on the serial path
-        # also journal:reclaim-record before the intent's record goes.
-        assert steps == (1 if parallel else 2)
+        # journal:reclaim before the object's deletes, on both clocks: the
+        # intent rides in the member's epoch record, which a serial clock's
+        # member keeps until it closes its epoch after the reclaim.
+        assert steps == 1
         for step in range(1, steps + 1):
             server = primed(parallel=parallel, enable_dedup=True)
             old = object_of(server, "/d/f")

@@ -8,9 +8,11 @@ refcounts are exact, and the rollback guards accept a full recompute.
 
 import pytest
 
+from repro.bench.concurrency import parallel_env
 from repro.bench.workloads import unique_bytes
 from repro.core.enclave_app import SeGShareOptions
 from repro.errors import AccessDenied
+from repro.netsim import azure_wan_env
 
 pytestmark = pytest.mark.slow
 
@@ -18,7 +20,6 @@ pytestmark = pytest.mark.slow
 @pytest.fixture(scope="module")
 def org(user_key):
     from repro.core.server import deploy
-    from repro.netsim import azure_wan_env
 
     deployment = deploy(
         env=azure_wan_env(),
@@ -145,7 +146,8 @@ def test_soak_workload(org):
     assert len(denied) >= 2  # sales probe + offboarded contractor
 
 
-def test_fault_seeded_soak(user_key):
+@pytest.mark.parametrize("env", [azure_wan_env, parallel_env], ids=["serial", "parallel"])
+def test_fault_seeded_soak(user_key, env):
     """The soak's adversarial sibling: the same kind of workload with
     transient storage faults and scheduled enclave crashes injected from
     one seeded plan.  The client retries what it can; when the enclave
@@ -154,13 +156,14 @@ def test_fault_seeded_soak(user_key):
     interrupted operation completes the workload exactly.
 
     ``SEGSHARE_FAULT_SEED`` picks the schedule, so CI can sweep seeds.
+    Both clock kinds run it: on the parallel clock each request's opener
+    closes the previous one's epoch, so faults also land in epoch closes.
     """
     import os
 
     from repro.core.server import deploy
     from repro.errors import EnclaveCrashed, RetryPolicy, ServiceUnavailableError
     from repro.faults import FaultPlan, faulty_stores
-    from repro.netsim import azure_wan_env
     from repro.storage.stores import StoreSet
 
     from repro.errors import StorageError
@@ -173,7 +176,7 @@ def test_fault_seeded_soak(user_key):
 
     stores = faulty_stores(StoreSet.in_memory(), plan)
     deployment = deploy(
-        env=azure_wan_env(),
+        env=env(),
         stores=stores,
         options=SeGShareOptions(
             rollback="whole_fs",
@@ -235,5 +238,6 @@ def test_fault_seeded_soak(user_key):
     for path, expected in sorted(model.items()):
         assert alice.download(path) == expected, path
     enclave = deployment.server.enclave
+    enclave.engine.quiesce()
     assert enclave.guard.recompute_main() == enclave.guard.root_hash()
     assert not deployment.server.stores.content.exists("\x00journal:batch")

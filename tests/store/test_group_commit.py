@@ -18,7 +18,7 @@ from repro.core.enclave_app import SeGShareOptions
 from repro.core.journal import TAG_CONTENT, TAG_DEDUP, JournaledStore, WriteAheadJournal
 from repro.core.requests import Op, Request, Status
 from repro.core.server import SeGShareServer
-from repro.errors import EnclaveCrashed, StorageError
+from repro.errors import EnclaveCrashed, FaultError, StorageError
 from repro.faults import FaultPlan, faulty_stores
 from repro.netsim import azure_wan_env
 from repro.netsim.coherence import CoherenceBoard
@@ -63,16 +63,27 @@ def put_thunk(server: SeGShareServer, path: str, content: bytes):
 
 
 class TestCoordinatorWiring:
-    def test_serial_clock_has_no_coordinator(self):
+    def test_serial_clock_closes_epochs_at_one_member(self):
         server = build_server(parallel=False)
-        assert server.enclave.engine.group_commit is None
-        # Serial stats stay exactly as before: no group_commit section.
-        assert "group_commit" not in server.stats()
+        engine = server.enclave.engine
+        assert engine.group_commit.solo
+        before = server.stats()["group_commit"]
+        setup_dir(server)
+        assert server.enclave.handler.put_file("alice", "/d/x", b"x").status is Status.OK
+        # Each member closed its own epoch inside its commit point: nothing
+        # is left open for a quiesce, and nothing was amortized.
+        assert not engine.group_commit.open
+        assert not server.stores.content.exists("\x00journal:batch")
+        after = server.stats()["group_commit"]
+        assert after["epochs"] == after["members_total"] == before["epochs"] + 2
+        assert after["max_members"] == 1 and set(after["histogram"]) == {"1"}
+        assert after["closes"] == {"solo": after["epochs"]}
+        assert after["marker_writes_saved"] == 0
 
     def test_parallel_clock_installs_coordinator(self):
         server = build_server(parallel=True)
         engine = server.enclave.engine
-        assert engine.group_commit is not None
+        assert not engine.group_commit.solo
         stats = server.stats()
         assert set(stats["group_commit"]) >= {
             "epochs",
@@ -336,6 +347,82 @@ class TestEpochDurability:
         engine.quiesce()
         # The aborted member's stamp never reached the committed slot.
         assert server.handle.call("cluster_last_committed_stamp") == committed_before
+
+
+class TestCloseFaults:
+    """A transient store fault anywhere in an epoch close is repaired in
+    process, the way restart recovery repairs a crash at that point: the
+    request that met it answers RETRY, its retry OK, and every committed
+    file reads back, before and after a restart."""
+
+    MKDIR = Request(op=Op.PUT_DIR, args=("/d/e/",))
+
+    @staticmethod
+    def _world() -> tuple[SeGShareServer, FaultPlan]:
+        """A committed member of a still-open epoch over faulty stores."""
+        plan = FaultPlan()
+        server = build_server(stores=faulty_stores(StoreSet.in_memory(), plan))
+        setup_dir(server)
+        t0 = server.env.clock.now()
+        server.switchless.dispatch(put_thunk(server, "/d/a", b"committed"), arrival=t0)
+        assert server.enclave.engine.group_commit.open
+        return server, plan
+
+    @staticmethod
+    def _later(server: SeGShareServer) -> float:
+        """An arrival past the open epoch's window: its opener closes it."""
+        return server.env.clock.now() + 0.001
+
+    def _check(self, server: SeGShareServer) -> None:
+        server.enclave.engine.quiesce()
+        for _ in range(2):
+            manager = server.enclave.manager
+            assert manager.read_content("/d/a") == b"committed"
+            assert manager.exists("/d/e/")
+            for guard in (server.enclave.guard, server.enclave.group_guard):
+                assert guard.recompute_main() == guard.root_hash()
+            assert not server.stores.content.exists("\x00journal:batch")
+            server.restart_enclave()
+
+    def test_a_put_fault_in_the_openers_close(self):
+        faulted_closes = 0
+        for nth in range(1, 100):
+            server, plan = self._world()
+            handler = server.enclave.handler
+            closes = server.enclave.engine.group_commit.stats.closes
+            windows = closes.get("window", 0)
+            plan.fail_nth(nth=nth, op="put")
+            responses = []
+            server.switchless.dispatch(
+                lambda: responses.append(handler.handle("alice", self.MKDIR)),
+                arrival=self._later(server),
+            )
+            if closes.get("window", 0) > windows:
+                break  # the fault landed past the close, in the opener's own member
+            faulted_closes += 1
+            assert [r.status for r in responses] == [Status.RETRY], f"put {nth}"
+            assert handler.handle("alice", self.MKDIR).status is Status.OK, f"put {nth}"
+            self._check(server)
+        assert faulted_closes >= 2
+
+    def test_a_fault_at_any_store_op_of_a_quiesce_close(self):
+        repaired = 0
+        for nth in range(1, 200):
+            server, plan = self._world()
+            engine = server.enclave.engine
+            plan.fail_nth(nth=nth)
+            injected = len(plan.events)
+            try:
+                engine.quiesce()
+            except FaultError:
+                repaired += 1
+            else:
+                if len(plan.events) == injected:
+                    break  # the close ran out of store ops before the fault
+            response = server.enclave.handler.handle("alice", self.MKDIR)
+            assert response.status is Status.OK, f"store op {nth}"
+            self._check(server)
+        assert repaired >= 2
 
 
 class TestMovedPreImagesInAnEpoch:
