@@ -206,7 +206,9 @@ class SeGShareEnclave(Enclave):
     #: 7768 → 7768.
     #: One commit path, every transaction an epoch member and one abort
     #: routine (docs/PERF.md §18): 7768 → 7730.
-    TCB_LOC_CEILING = 7730
+    #: Sparse guard nodes, the codec's lines paid for inside
+    #: ``crypto.mset_hash`` (docs/PERF.md §19): 7730 → 7729.
+    TCB_LOC_CEILING = 7729
 
     def __init__(
         self,

@@ -659,8 +659,7 @@ class FlatStoreGuard(_GuardCore):
     def _node_path(self, dir_path: str) -> str:
         return self._mount.guard_prefix + "node"
 
-    def _encode_node(self, buckets: MSetXorBuckets) -> bytes:
-        return buckets.serialize()
+    _encode_node = staticmethod(MSetXorBuckets.serialize)
 
     def _decode_node(self, data: bytes) -> MSetXorBuckets:
         return MSetXorBuckets.deserialize(self._key, data)

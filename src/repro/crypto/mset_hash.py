@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import hmac
 import struct
+from itertools import compress
 
 from repro.util.serialization import SerializationError, pack_u32, unpack_u32
 
@@ -33,15 +34,7 @@ _COUNT_MASK = 0xFFFFFFFFFFFFFFFF
 
 
 class MSetXorHash:
-    """A mutable multiset hash value.
-
-    >>> a = MSetXorHash(b"k")
-    >>> a.add(b"x"); a.add(b"y"); a.remove(b"x")
-    >>> b = MSetXorHash(b"k")
-    >>> b.add(b"y")
-    >>> a == b
-    True
-    """
+    """A mutable multiset hash value."""
 
     __slots__ = ("_key", "_acc", "_count")
 
@@ -78,32 +71,26 @@ class MSetXorHash:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, MSetXorHash):
             return NotImplemented
-        return (
-            hmac.compare_digest(self._key, other._key)
-            and hmac.compare_digest(self._acc, other._acc)
-            and self._count == other._count
-        )
-
-    def __hash__(self) -> int:
-        return hash((self._acc, self._count))
+        # The digest is fixed-size, so equal concatenations mean equal keys.
+        return hmac.compare_digest(self._key + self.digest(), other._key + other.digest())
 
     def __repr__(self) -> str:
         return f"MSetXorHash(count={self._count}, acc={self._acc[:4].hex()}…)"
 
 
-#: What precedes each value on disk: the length of the (length-prefixed
-#: accumulator plus count) record, then the accumulator's own length.
-_VALUE_HEADER = pack_u32(4 + VALUE_SIZE) + pack_u32(DIGEST_SIZE)
-_RECORD_SIZE = len(_VALUE_HEADER) + VALUE_SIZE
+#: An empty bucket's value (accumulator 0, count 0), which no node stores.
+_EMPTY = bytes(VALUE_SIZE)
+_BITS = bytes.maketrans(b"\0\1", b"01")
 
 
 class MSetXorBuckets:
     """The B bucket hashes of one guard node, under one key.
 
     Held as a single buffer of B × 40 bytes — the concatenation of the
-    buckets' :meth:`MSetXorHash.digest` values — so loading, copying,
-    MAC-ing and storing a node handle one buffer, and an update touches
-    one 40-byte slot whatever B is.
+    buckets' :meth:`MSetXorHash.digest` values — so copying and MAC-ing a
+    node handle one buffer, and an update touches one 40-byte slot.
+    Stored sparse: only the non-empty buckets' values, so a node costs
+    O(children) bytes, not O(B).
     """
 
     __slots__ = ("_key", "_values")
@@ -131,9 +118,7 @@ class MSetXorBuckets:
         """Replace ``old`` with ``new`` in bucket ``index`` (either may be None)."""
         slot = self._slot(index)
         value = bytes(self._values[slot])
-        bucket = MSetXorHash(
-            self._key, value[:DIGEST_SIZE], int.from_bytes(value[DIGEST_SIZE:], "big")
-        )
+        bucket = MSetXorHash(self._key, value[:DIGEST_SIZE], int.from_bytes(value[DIGEST_SIZE:], "big"))
         bucket.update(old, new)
         self._values[slot] = bucket.digest()
 
@@ -149,18 +134,30 @@ class MSetXorBuckets:
         return MSetXorBuckets(self._key, self._values[:])
 
     def serialize(self) -> bytes:
-        """``u32 B`` then, per bucket, ``u32 44 ‖ u32 32 ‖ accumulator ‖ u64 count``."""
+        """``u32 B ‖ ⌈B/8⌉-byte bitmap ‖ the non-empty buckets' values in
+        bucket order``; bit i of the little-endian bitmap marks bucket i."""
         values = struct.unpack(f"{VALUE_SIZE}s" * len(self), self._values)
-        # join() writes its separator *between* items, so a leading empty
-        # item puts one header in front of every value.
-        return pack_u32(len(values)) + _VALUE_HEADER.join((b"", *values))
+        head = pack_u32(len(values))
+        if _EMPTY not in values:  # a full node stores its buffer as it is
+            return head + ((1 << len(values)) - 1).to_bytes(-(-len(values) // 8), "little") + self._values
+        kept = bytes([value != _EMPTY for value in values])
+        bitmap = int(kept[::-1].translate(_BITS), 2)
+        return b"".join((head, bitmap.to_bytes(-(-len(values) // 8), "little"), *compress(values, kept)))
 
     @classmethod
     def deserialize(cls, key: bytes, data: bytes) -> "MSetXorBuckets":
+        """The inverse of :meth:`serialize`, for its output only: a bit at or
+        above B, a stored empty value or a length off by a byte is an error."""
         buckets, start = unpack_u32(data)
-        if len(data) - start != buckets * _RECORD_SIZE:
-            raise SerializationError("bucket count disagrees with the encoded length")
-        fields = struct.unpack_from(f"{len(_VALUE_HEADER)}s{VALUE_SIZE}s" * buckets, data, start)
-        if fields[0::2] != (_VALUE_HEADER,) * buckets:
-            raise SerializationError("bad multiset hash length prefix")
-        return cls(key, bytearray(b"".join(fields[1::2])))
+        end = start + -(-buckets // 8)
+        bitmap = int.from_bytes(data[start:end], "little")
+        if bitmap >> buckets or len(data) != end + bitmap.bit_count() * VALUE_SIZE:
+            raise SerializationError("bucket bitmap disagrees with the encoded length")
+        values = struct.unpack_from(f"{VALUE_SIZE}s" * bitmap.bit_count(), data, end)
+        if _EMPTY in values:
+            raise SerializationError("an empty bucket is encoded")
+        if len(values) == buckets:  # a full node: the values are the buffer
+            return cls(key, bytearray(data[end:]))
+        # One "%s" per stored bucket, 40 zero bytes per empty one.
+        template = f"{bitmap:0{buckets}b}"[::-1].encode().replace(b"1", b"%s").replace(b"0", _EMPTY)
+        return cls(key, bytearray(template % values))

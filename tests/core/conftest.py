@@ -9,6 +9,7 @@ import pytest
 
 from repro.core.access_control import AccessControl
 from repro.core.authz import build_backend
+from repro.core.cache import MetadataCache
 from repro.core.file_manager import TrustedFileManager
 from repro.core.locks import LockManager
 from repro.core.request_handler import RequestHandler
@@ -39,12 +40,14 @@ def build_world(
     buckets: int = 16,
     stores: StoreSet | None = None,
     authz: str = "enclave_acl",
+    cache_bytes: int | None = None,
 ) -> HandlerWorld:
     """A request-handler stack with selectable extensions."""
     stores = stores or StoreSet.in_memory()
     enclave = loaded_enclave()
+    cache = MetadataCache(cache_bytes, enclave.platform.epc) if cache_bytes else None
     manager = TrustedFileManager(
-        engine_for(stores, enclave),
+        engine_for(stores, enclave, cache=cache),
         ROOT_KEY,
         enclave,
         hide_paths=hide_paths,

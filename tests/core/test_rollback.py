@@ -8,14 +8,16 @@ import pytest
 from repro.core.acl import acl_path, member_list_path
 from repro.core.file_manager import Mount
 from repro.core.rollback import FlatStoreGuard, RollbackGuard
+from repro.crypto.mset_hash import MSetXorBuckets
 from repro.errors import CounterError, RollbackDetected
 from repro.fsmodel import DirectoryFile
 from repro.sgx.costmodel import SgxCostModel
 from repro.sgx.counters import RoteCounterService
 from repro.storage.stores import StoreSet
-from repro.util.serialization import SerializationError
+from repro.util.serialization import SerializationError, pack_u32
 
 from tests.core.conftest import ROOT_KEY
+from tests.crypto.test_mset_hash import dense_encoding
 from tests.support.calls import python_calls
 
 
@@ -166,6 +168,25 @@ class TestContentRollbackAttacks:
         with pytest.raises(RollbackDetected):
             guarded.manager.read_content("/d/f")
 
+    def test_replayed_shorter_node_is_detected_once_evicted(self, make_world):
+        """A directory's node from before a child was added stores fewer
+        buckets, so it is shorter.  Replayed, it is masked only while the
+        enclave cache holds the fresh node; the next cold read fails."""
+        world = make_world(rollback=True, buckets=64, cache_bytes=1 << 20)
+        world.handler.put_dir("alice", "/d/")
+        world.handler.put_file("alice", "/d/a", b"first")
+        node_path = world.guard._node_path("/d/")
+        shorter = world.manager.content.raw_read(node_path)
+        old = snapshot_matching(world.stores.content, node_path)
+        world.handler.put_file("alice", "/d/b", b"second")
+        assert len(world.manager.content.raw_read(node_path)) > len(shorter)
+        restore(world.stores.content, old)
+        assert world.manager.read_content("/d/a") == b"first"
+        for path in (node_path, "/d/a"):
+            world.manager.cache.discard(world.manager.content.namespace, path)
+        with pytest.raises(RollbackDetected):
+            world.manager.read_content("/d/a")
+
 
 class TestGroupStoreGuard:
     def test_member_list_rollback_detected(self, guarded):
@@ -188,6 +209,23 @@ class TestGroupStoreGuard:
         restore(store, old)
         with pytest.raises(RollbackDetected):
             guarded.access.exists_g("sales")
+
+    def test_replayed_shorter_node_is_detected_once_evicted(self, make_world):
+        """The group node from before an ``add_user`` stores fewer buckets.
+        Replayed and evicted from the enclave cache, it fails the next read."""
+        world = make_world(rollback=True, buckets=64, cache_bytes=1 << 20)
+        world.handler.add_user("alice", "bob", "eng")
+        mount, node_path = world.manager.group, world.group_guard._node_path("/")
+        shorter = mount.raw_read(node_path)
+        old = snapshot_matching(world.stores.group, node_path)
+        world.handler.add_user("alice", "carol", "ops")
+        assert len(mount.raw_read(node_path)) > len(shorter)
+        restore(world.stores.group, old)
+        assert "eng" in world.access.user_groups("bob")
+        for path in (node_path, member_list_path("bob")):
+            world.manager.cache.discard(mount.namespace, path)
+        with pytest.raises(RollbackDetected):
+            world.access.user_groups("bob")
 
     def test_verify_checks_only_the_targets_bucket(self, make_world, monkeypatch):
         """Counts, not seconds: with 200 member lists, verifying one looks
@@ -436,12 +474,14 @@ class TestSharedGuardCore:
 
 # -- stored bytes and hashes may not move ------------------------------------------
 #
-# Known answers computed at the commit *before* guard nodes held their
+# Main hashes computed at the commit *before* guard nodes held their
 # buckets as one buffer (a list of MSetXorHash objects, a per-bucket
-# Writer/Reader codec, 64 incremental MAC updates).  Node bytes and main
-# hashes are what is persisted and anchored: a faster codec must
-# reproduce them exactly.  The content-store leaves are pointer records,
-# which name objects by random id, so the script pins the ids.
+# Writer/Reader codec, 64 incremental MAC updates): they are what is
+# anchored, and no codec may move them.  The node bytes are the sparse
+# codec's (only non-empty buckets stored), re-based when it replaced the
+# dense one; any later change to them is a change of the stored format.
+# The content-store leaves are pointer records, which name objects by
+# random id, so the script pins the ids.
 
 
 def scripted_world(make_world, buckets):
@@ -472,32 +512,32 @@ def _fingerprint(blob: bytes) -> tuple[int, str]:
 KNOWN_ANSWERS = {
     1: dict(
         nodes={
-            "/": (93, "34e71158bd2f79a7e029e81d1413d8cd3729226218707c18d2ff7e020191d80f"),
-            "/d/": (95, "bcc9cc263c34c8a78cfbe62861bab09521fa25df17804e7889cd4378742a47b1"),
-            "/d/e/": (97, "0cbfb9415624ec108da611c9ed6470b37ca88a3e94e69262046151fc214e15e3"),
+            "/": (86, "5f7701c99e90936fbf0a9bce2f640c7ddc8abd564919cbd2c9a32d02f73cf82d"),
+            "/d/": (88, "19b84ee793b1ac9ea500a3d32f9a1292f26a6aed7d7caef45367d083751f2a3c"),
+            "/d/e/": (90, "8a41808328fd4d506d566bb4fea3243332c21f3e952332539791b5e916558d02"),
         },
         fs_main="e9ae5fc324c5e681c878c85725e794db5d4bcce68e73e5cc667a41d73211855e",
-        group_node=(52, "ecd32677991e178155e10639b3a77784b7d298f3503380e343e9035ab4c0dc87"),
+        group_node=(45, "99cde0a6bd9c2e2ef508802fd60090bb4ee35c3711318592b972c1c8b88af02d"),
         group_main="8d36bfb062764ee74977bc44b2f357f859fb443b659d9b16a90b5d48454b8b25",
     ),
     16: dict(
         nodes={
-            "/": (813, "fe88277bacf9b779595be05fc6749101f2e34b5a480a14d5f18233a04f135809"),
-            "/d/": (815, "edd9635210312401ff9496e3f91d91562c3c428b367bcc50d69173df3f8c8ae5"),
-            "/d/e/": (817, "758ba511223150b649a36e0111b1cc17259fbc7232ef95a261de1e0188f04191"),
+            "/": (207, "c5241e67f13c05a89d0764592bac189890e406350718b6d6d89e3c3ca6cde61e"),
+            "/d/": (409, "4855ec549af921a951b97ff3e0e4087db589e4a966b1975cf24df02be0afd057"),
+            "/d/e/": (211, "be6ea2320863611d1ed142132ec588dd6054e28a83777578d33d47649432e68a"),
         },
         fs_main="529cd49b71d60513e6c5589236294b94b9426eef14eaccc592414708d36b07c6",
-        group_node=(772, "77c7075194934958b25e5577a720b11dc1ac02bf9c965bbda8578ac8ab865da7"),
+        group_node=(166, "4deb983590dfdae9306272683d319f9076a13a26793021344517e61bcf4235da"),
         group_main="17920e1b1888c3c94c6478a6cc67caf4522ec33afaeb37bf2583201c5be4d372",
     ),
     64: dict(
         nodes={
-            "/": (3117, "fd54aae88d64661487a2de9bc1179eb0efa8c6f40b0db585fcd16f2169411b03"),
-            "/d/": (3119, "609134040acba62e751af6afa53e6eecc75777feada22c2f2133e08f24bde31d"),
-            "/d/e/": (3121, "73a11c55241e6301b6b0169936b0f8c9a3b02ae81edbba40f49095e60b65cd45"),
+            "/": (213, "578f6d05d4ea126310b507341aba6e96c9e34d855f23cc3aa524991417a276e9"),
+            "/d/": (455, "28575d2d27e5ce4b37b17075863a383ba7fb20df63d4cdd00d3caa8b92dcec60"),
+            "/d/e/": (217, "9226766f79eefa250883a291ccdc2dc2cadf39560e5134467415e724780c5fe8"),
         },
         fs_main="cd82973b225ba5c1a35cec45b582779e7c0fdd83cd39bc987633e1f2a8da541a",
-        group_node=(3076, "965d3e2d29bfbbd694c7c735b72559ff14b58953da809594c689ebc764f7f1e0"),
+        group_node=(212, "42c229fb38ec7f0c110d1821f124ed773cbece3e2e6bd99895d32f6d3e516785"),
         group_main="94547a3c9d5d24bb88c0c6459c59458518fc75b6cc3e7fee8cb0ae7711c18656",
     ),
 }
@@ -525,22 +565,34 @@ class TestKnownAnswers:
     @pytest.mark.parametrize(
         "mangle",
         [
-            pytest.param(lambda blob: blob[:-1], id="truncated"),
-            pytest.param(lambda blob: blob + b"\x00", id="one-trailing-byte"),
-            pytest.param(lambda blob: blob[:-41] + b"\x21" + blob[-40:], id="wrong-inner-length"),
+            pytest.param(lambda section: section[:-1], id="truncated"),
+            pytest.param(lambda section: section + b"\x00", id="one-trailing-byte"),
+            pytest.param(lambda section: section[:-40] + bytes(40), id="stored-empty-value"),
+            # The lowest set bit moved to bit 4: the length still agrees.
             pytest.param(
-                lambda blob: blob[: -4 * 48 - 1] + b"\x05" + blob[-4 * 48 :], id="count-above-the-body"
+                lambda section: section[:4] + bytes([section[4] & (section[4] - 1) | 0x10]) + section[5:],
+                id="bit-past-the-count",
+            ),
+            pytest.param(lambda section: pack_u32(9) + section[4:], id="count-above-the-body"),
+            pytest.param(
+                lambda section: dense_encoding(MSetXorBuckets.deserialize(b"", section)),
+                id="dense-blob",
             ),
         ],
     )
     def test_malformed_nodes_are_rejected(self, make_world, which, mangle):
+        """Both guards' nodes end in the bucket codec; mangle only that part."""
         world = make_world(rollback=True, buckets=4)
+        world.handler.put_file("alice", "/f", b"a child in the root")
+        world.handler.add_user("alice", "bob", "eng")
         guard = world.guard if which == "fs" else world.group_guard
         mount = world.manager.content if which == "fs" else world.manager.group
         blob = mount.raw_read(guard._node_path("/"))
-        guard._decode_node(blob)
+        node = guard._decode_node(blob)
+        section = getattr(node, "buckets", node).serialize()
+        assert blob.endswith(section) and section[4] != 0
         with pytest.raises(SerializationError):
-            guard._decode_node(mangle(blob))
+            guard._decode_node(blob[: -len(section)] + mangle(section))
 
 
 def test_node_cost_does_not_follow_the_bucket_count(make_world):

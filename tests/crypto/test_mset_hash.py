@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.crypto.mset_hash import MSetXorBuckets, MSetXorHash
-from repro.util.serialization import SerializationError
+from repro.util.serialization import SerializationError, pack_u32
 
 from tests.support.calls import python_calls
 
@@ -119,30 +119,39 @@ def scripted_vector(buckets: int) -> MSetXorBuckets:
     return vector
 
 
+def dense_encoding(vector: MSetXorBuckets) -> bytes:
+    """The layout nodes were stored in before the sparse codec: ``u32 B``
+    then, per bucket, ``u32 44 ‖ u32 32 ‖ accumulator ‖ u64 count``."""
+    header = pack_u32(44) + pack_u32(32)
+    return pack_u32(len(vector)) + b"".join(header + vector.digest(i) for i in range(len(vector)))
+
+
 class TestBucketVector:
     #: B -> (encoded length, sha256 of the encoding, sha256 of the B digests
-    #: concatenated).  Computed at the commit *before* the one-buffer vector
-    #: existed, from a list of ``MSetXorHash`` objects and the per-bucket
-    #: ``Writer`` encoder: the stored bytes must never move.
+    #: concatenated).  The digests' SHAs were computed at the commit *before*
+    #: the one-buffer vector existed, from a list of ``MSetXorHash`` objects,
+    #: and may never move: they are what a node's main hash is taken over.
+    #: The encodings are the sparse codec's (a bitmap and the non-empty
+    #: buckets only: 1, 16 and 40 of them here), which stores those digests.
     KNOWN = {
         1: (
-            52,
-            "95555aa98695c34dadb7731246efbe69d6525e8c4f83eea1968a162eab3c75cc",
+            45,
+            "641c59896538d4fddbd3dd7ad9c2ef01c78ddbf1fbb9bb939163fd5cf165f1bb",
             "cc5817f83217aeda4e2e9fd4c5e1c4fc745c03cde72eff3851f2536608af346d",
         ),
         16: (
-            772,
-            "cc4021b1de36e6afddd67a3c0683525860718072fe6bfc835aa9630f7a7e2d93",
+            646,
+            "3f1245dc7f096554e1638d13d6626c3bade7eaf496f71120122c68c39f0a5d77",
             "ece8454be5650dd00d83095acc2d0e2d2512976ebfa04683e11d0341c57685dd",
         ),
         64: (
-            3076,
-            "688a1bad77e3d1f3cef30267076e9bc72a6c7318f4db0f82076b00df147ef614",
+            1612,
+            "8641873c68b9b407961f2ebd42ea3860b172af20c615d2a1a4efe078621c69d5",
             "4db13a681bc3cd8c16f92895dad7693f3c2e00b5967a982bb329e90a3adb98a8",
         ),
     }
     KNOWN_B1_HEX = (
-        "000000010000002c00000020f564cd4888f5690ede7df6a8f28bf70e16e21ee3"
+        "0000000101f564cd4888f5690ede7df6a8f28bf70e16e21ee3"
         "b3a9abfae0f262ecd23e55c80000000000000028"
     )
 
@@ -151,12 +160,25 @@ class TestBucketVector:
         vector = scripted_vector(buckets)
         blob = vector.serialize()
         length, blob_sha, digests_sha = self.KNOWN[buckets]
-        assert len(blob) == length == 4 + 48 * buckets
+        stored = sum(vector.digest(i) != bytes(40) for i in range(buckets))
+        assert len(blob) == length == 4 + -(-buckets // 8) + 40 * stored
         assert hashlib.sha256(blob).hexdigest() == blob_sha
         assert hashlib.sha256(vector.digests()).hexdigest() == digests_sha
         if buckets == 1:
             assert blob.hex() == self.KNOWN_B1_HEX
         assert MSetXorBuckets.deserialize(b"known-answer-key", blob).serialize() == blob
+
+    @pytest.mark.parametrize("buckets", [1, 8, 9, 64])
+    def test_empty_buckets_are_not_stored(self, buckets):
+        vector = MSetXorBuckets.empty(KEY, buckets)
+        assert vector.serialize() == pack_u32(buckets) + bytes(-(-buckets // 8))
+        vector.update(buckets - 1, None, b"x")
+        blob = vector.serialize()
+        assert blob[4:-40] == (1 << (buckets - 1)).to_bytes(-(-buckets // 8), "little")
+        assert blob[-40:] == vector.digest(buckets - 1)
+        assert MSetXorBuckets.deserialize(KEY, blob).digests() == vector.digests()
+        vector.update(buckets - 1, b"x", None)  # empty again: stored as never filled
+        assert vector.serialize() == pack_u32(buckets) + bytes(-(-buckets // 8))
 
     def test_each_bucket_is_an_independent_multiset_hash(self):
         vector = MSetXorBuckets.empty(KEY, 4)
@@ -187,28 +209,38 @@ class TestBucketVector:
         [
             pytest.param(lambda blob: blob[:-1], id="truncated"),
             pytest.param(lambda blob: blob[:3], id="truncated-count"),
+            pytest.param(lambda blob: blob[:4], id="truncated-bitmap"),
             pytest.param(lambda blob: blob + b"\x00", id="one-trailing-byte"),
-            pytest.param(lambda blob: blob[:11] + b"\x21" + blob[12:], id="wrong-inner-length"),
-            pytest.param(lambda blob: blob[:7] + b"\x2d" + blob[8:], id="wrong-outer-length"),
+            pytest.param(lambda blob: blob[:4] + b"\x07" + blob[5:], id="bit-cleared-under-a-stored-value"),
+            # Bit 0 moved to bit 4: the popcount, so the length, still agrees.
+            pytest.param(lambda blob: blob[:4] + b"\x1e" + blob[5:], id="bit-past-the-count"),
+            pytest.param(lambda blob: blob[:5] + bytes(40) + blob[45:], id="stored-empty-value"),
             pytest.param(
-                lambda blob: blob[:4 + 48 + 7] + b"\x2b" + blob[4 + 48 + 8:], id="wrong-length-in-a-later-bucket"
+                lambda blob: dense_encoding(MSetXorBuckets.deserialize(KEY, blob)), id="dense-blob"
             ),
-            pytest.param(lambda blob: b"\x00\x00\x00\x05" + blob[4:], id="count-above-the-body"),
+            # B = 9 needs a second bitmap byte, B = 3 has no bucket 3.
+            pytest.param(lambda blob: b"\x00\x00\x00\x09" + blob[4:], id="count-above-the-body"),
             pytest.param(lambda blob: b"\x00\x00\x00\x03" + blob[4:], id="count-below-the-body"),
         ],
     )
     def test_malformed_encodings_are_rejected(self, mangle):
         blob = scripted_vector(4).serialize()
+        assert blob[4] == 0x0F  # all four buckets stored
         MSetXorBuckets.deserialize(KEY, blob)
         with pytest.raises(SerializationError):
             MSetXorBuckets.deserialize(KEY, mangle(blob))
 
     def test_cost_does_not_follow_the_bucket_count(self):
-        """Calls, not seconds: decode, update, digests and encode handle
-        one buffer, so B = 256 may not cost 2x what B = 16 does."""
+        """Calls, not seconds: at equal fill (8 non-empty buckets) decode,
+        update, digests and encode cost the same at B = 16 and B = 256 —
+        a stored node grows with its children, not with B."""
 
         def cost(buckets):
-            blob = scripted_vector(buckets).serialize()
+            vector = MSetXorBuckets.empty(KEY, buckets)
+            for index in range(0, buckets, buckets // 8):
+                vector.update(index, None, b"child-%d" % index)
+            blob = vector.serialize()
+            assert len(blob) == 4 + buckets // 8 + 8 * 40
             holder = []
             decode = python_calls(lambda: holder.append(MSetXorBuckets.deserialize(KEY, blob)))
             vector = holder[0]
@@ -220,7 +252,7 @@ class TestBucketVector:
             )
 
         for small, large in zip(cost(16), cost(256)):
-            assert large <= 2 * small
+            assert large <= small
 
 
 @settings(max_examples=50, deadline=None)
