@@ -75,7 +75,10 @@ class DedupStore:
         #: Names whose entry changed since its record was last sealed.
         #: Inside a storage engine span the seal waits for the span's end
         #: (``seal_index``), so a request writes each touched record once.
-        self._dirty: set[str] = set()
+        #: Kept in insertion order: an ``hName`` is keyed by this
+        #: deployment's secret, so sorted names would seal in a different
+        #: order, charging the clocks in a different order, in every run.
+        self._dirty: dict[str, None] = {}
         self.reload_index()
 
     # -- record persistence ------------------------------------------------------
@@ -95,13 +98,13 @@ class DedupStore:
 
     def _changed(self, h_name: str) -> None:
         """Seal now, or at the end of the engine span this change belongs to."""
-        self._dirty.add(h_name)
+        self._dirty[h_name] = None
         if not self._engine.in_span:
             self.seal_index()
 
     def seal_index(self) -> None:
         """Write every changed record; remove those whose last reference went."""
-        for h_name in sorted(self._dirty):
+        for h_name in list(self._dirty):
             path = _RECORD_PREFIX + h_name
             # Names the record in this span's coherence entry; no record
             # bytes are cached, so there is nothing to write back.
@@ -227,7 +230,7 @@ class DedupStore:
         # or a host bumping the coherence board) would drop the span's
         # unsealed change to it while its object links commit.  Fail the
         # span instead; its rollback reloads.
-        if self._engine.in_span and not self._dirty.isdisjoint(h_names):
+        if self._engine.in_span and not self._dirty.keys().isdisjoint(h_names):
             raise StorageError("dedup records invalidated under an uncommitted change")
 
     def reload_records(self, h_names: list[str]) -> None:

@@ -68,7 +68,7 @@ engine (:mod:`repro.store.engine`) wraps each store in a
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Collection, Iterator, Optional
+from typing import Callable, Collection, Iterable, Iterator, Optional
 
 from repro.crypto import default_pae, derive_key
 from repro.errors import (
@@ -590,6 +590,9 @@ class JournaledStore(UntrustedStore):
         self.inner.put(key, value)
         self._journal.crashpoint("journal:mutate")
 
+    def put_many(self, items: Iterable[tuple[str, bytes]]) -> None:
+        self.apply(list(items))
+
     def delete(self, key: str) -> None:
         self._journal.record(self._tag, (key,))
         self.inner.delete(key)
@@ -597,7 +600,8 @@ class JournaledStore(UntrustedStore):
 
     def apply(self, group: Collection[tuple[str, Optional[bytes]]]) -> None:
         """The whole group under one undo entry, stored before its first mutation."""
-        self._journal.record(self._tag, [key for key, _ in group])
+        if self._journal._active:
+            self._journal.record(self._tag, [key for key, _ in group])
         for key, value in group:
             if value is not None:
                 self.inner.put(key, value)
@@ -607,6 +611,9 @@ class JournaledStore(UntrustedStore):
 
     def get(self, key: str) -> bytes:
         return self.inner.get(key)
+
+    def get_many(self, keys: Iterable[str]) -> Iterable[bytes]:
+        return self.inner.get_many(keys)
 
     def exists(self, key: str) -> bool:
         return self.inner.exists(key)

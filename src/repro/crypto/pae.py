@@ -17,7 +17,7 @@ from __future__ import annotations
 import secrets
 import threading
 from abc import ABC, abstractmethod
-from typing import Any
+from typing import Any, Sequence
 
 from cryptography.exceptions import InvalidTag
 from cryptography.hazmat.primitives.ciphers.aead import AESGCM
@@ -49,6 +49,14 @@ class Pae(ABC):
     @abstractmethod
     def decrypt(self, key: bytes, blob: bytes, aad: bytes = b"") -> bytes:
         """PAE_Dec; raises :class:`IntegrityError` if the blob is not authentic."""
+
+    def encrypt_many(self, key: bytes, plaintexts: Sequence[bytes], aads: Sequence[bytes]) -> list[bytes]:
+        """PAE_Enc of each plaintext under its AAD, each with its own random IV."""
+        return [self.encrypt(key, text, aad) for text, aad in zip(plaintexts, aads)]
+
+    def decrypt_many(self, key: bytes, blobs: Sequence[bytes], aads: Sequence[bytes]) -> list[bytes]:
+        """PAE_Dec of each blob; raises :class:`IntegrityError`, returning none, if one is not authentic."""
+        return [self.decrypt(key, blob, aad) for blob, aad in zip(blobs, aads)]
 
     #: Per-key contexts kept at most; the oldest is evicted first.
     _CACHE_LIMIT = 64
@@ -98,9 +106,25 @@ class OpenSslGcmPae(Pae):
         context = self._context(key)
         if len(blob) < self.overhead:
             raise IntegrityError("ciphertext too short")
-        view = memoryview(blob)
         try:
-            return context.decrypt(view[: self.iv_size], view[self.iv_size :], aad)
+            return context.decrypt(blob[: self.iv_size], memoryview(blob)[self.iv_size :], aad)
+        except InvalidTag:
+            raise IntegrityError("PAE tag mismatch") from None
+
+    # The batch entries make no Python call per blob.
+
+    def encrypt_many(self, key: bytes, plaintexts: Sequence[bytes], aads: Sequence[bytes]) -> list[bytes]:
+        encrypt, size = self._context(key).encrypt, self.iv_size
+        drawn = secrets.token_bytes(size * len(plaintexts))  # every IV from one draw, sliced
+        offsets = zip(range(0, len(drawn), size), plaintexts, aads)
+        return [(iv := drawn[at : at + size]) + encrypt(iv, text, aad) for at, text, aad in offsets]
+
+    def decrypt_many(self, key: bytes, blobs: Sequence[bytes], aads: Sequence[bytes]) -> list[bytes]:
+        decrypt, size, overhead = self._context(key).decrypt, self.iv_size, self.overhead
+        if min(map(len, blobs), default=overhead) < overhead:
+            raise IntegrityError("ciphertext too short")
+        try:
+            return [decrypt(view[:size], view[size:], aad) for view, aad in zip(map(memoryview, blobs), aads)]
         except InvalidTag:
             raise IntegrityError("PAE tag mismatch") from None
 

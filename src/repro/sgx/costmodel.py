@@ -63,6 +63,10 @@ class SgxCostModel:
         """Time to PAE-encrypt or -decrypt ``nbytes`` in the enclave."""
         return nbytes / self.aead_bytes_per_second
 
+    def pfs_read_time(self, nbytes: int) -> float:
+        """Time to decrypt ``nbytes`` of protected-FS data and verify its integrity."""
+        return nbytes / self.aead_bytes_per_second + nbytes / self.pfs_read_bytes_per_second
+
     def hash_time(self, nbytes: int) -> float:
         """Time to hash ``nbytes`` (HMAC, Merkle updates, dedup digests)."""
         return nbytes / self.hash_bytes_per_second

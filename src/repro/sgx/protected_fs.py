@@ -5,6 +5,7 @@ As in Intel's library, the GCM tags are the integrity values: an encrypted
 metadata node binds the size, the chunk count and SHA-256 over the tags in
 index order.  On read, every chunk and then that digest is verified.  At
 any point, a file may have one writer handle or any number of reader handles.
+Chunks move in groups, each chunk keeping its own IV, AAD, tag and charges.
 
 Keys: the file-system master key is provided by the caller (the enclave
 derives it from its root key).  Each file gets its own key derived from
@@ -21,15 +22,17 @@ from __future__ import annotations
 import hashlib
 import hmac
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from repro.crypto import default_pae, derive_key
-from repro.errors import IntegrityError, ProtectedFsError
+from repro.errors import FaultError, IntegrityError, ProtectedFsError, StorageError
 from repro.sgx.enclave import Enclave
 from repro.storage.backends import UntrustedStore
 from repro.util.serialization import Reader, Writer
 
 CHUNK_SIZE = 4096
+#: Chunks a reader opens per ``read_chunk``: 64 KiB, one TLS stream record.
+READ_GROUP = 16
 
 _META_SUFFIX = "\x00meta"
 
@@ -38,8 +41,12 @@ def _chunk_key(path: str, index: int) -> str:
     return f"{path}\x00chunk\x00{index}"
 
 
+def _chunk_keys(path: str, start: int, stop: int) -> list[str]:
+    return [f"{path}\x00chunk\x00{index}" for index in range(start, stop)]
+
+
 def stored_keys(path: str, chunk_count: int) -> list[str]:
-    return [path + _META_SUFFIX] + [_chunk_key(path, index) for index in range(chunk_count)]
+    return [path + _META_SUFFIX] + _chunk_keys(path, 0, chunk_count)
 
 
 def _chunk_aad(path: str) -> bytes:
@@ -87,19 +94,6 @@ class ProtectedFs:
         self.on_last_reader: Callable[[str], None] | None = None
 
     # -- cost accounting ------------------------------------------------------
-
-    def _charge_crypto(self, nbytes: int) -> None:
-        self._enclave.charge(
-            self._enclave.platform.costs.aead_time(nbytes), account="pfs-crypto"
-        )
-
-    def _charge_read(self, nbytes: int) -> None:
-        """The read path pays decryption plus integrity-verification time."""
-        costs = self._enclave.platform.costs
-        self._enclave.charge(
-            costs.aead_time(nbytes) + nbytes / costs.pfs_read_bytes_per_second,
-            account="pfs-crypto",
-        )
 
     def _charge_ocall(self) -> None:
         if getattr(self._store, "owns_ocall_accounting", False):
@@ -185,11 +179,7 @@ class ProtectedFs:
 
     def stored_size(self, path: str) -> int:
         """Total untrusted bytes used by the file (meta + chunks)."""
-        meta = self._load_meta(path)
-        total = self._store.size(path + _META_SUFFIX)
-        for index in range(meta.chunk_count):
-            total += self._store.size(_chunk_key(path, index))
-        return total
+        return sum(self._store.size(key) for key in stored_keys(path, self.chunk_count(path)))
 
     # -- streaming handles ----------------------------------------------------
 
@@ -211,7 +201,7 @@ class ProtectedFs:
         if not self._store.exists(key):
             raise ProtectedFsError(f"no protected file at {path!r}")
         blob = self._store.get(key)
-        self._charge_read(len(blob))
+        self._enclave.charge(self._enclave.platform.costs.pfs_read_time(len(blob)), account="pfs-crypto")
         try:
             plain = self._pae.decrypt(file_key or self._file_key(path), blob, aad=b"pfs-meta\x00" + path.encode())
         except IntegrityError as exc:
@@ -220,32 +210,46 @@ class ProtectedFs:
 
     def _store_meta(self, path: str, meta: _Meta, file_key: bytes) -> None:
         plain = meta.serialize()
-        self._charge_crypto(len(plain))
+        self._enclave.charge(self._enclave.platform.costs.aead_time(len(plain)), account="pfs-crypto")
         blob = self._pae.encrypt(file_key, plain, aad=b"pfs-meta\x00" + path.encode())
         self._charge_ocall()
         self._store.put(path + _META_SUFFIX, blob)
 
-    def _write_chunk(self, path: str, index: int, chunk: bytes, file_key: bytes, aad: bytes) -> bytes:
-        """Encrypt and store one chunk; returns its GCM tag."""
-        self._charge_crypto(len(chunk))
-        blob = self._pae.encrypt(file_key, chunk, aad=aad + index.to_bytes(4, "big"))
-        self._charge_ocall()
-        self._store.put(_chunk_key(path, index), blob)
-        return blob[-self._pae.tag_size :]
+    def _seal_chunks(self, path: str, first: int, chunks: list[bytes], file_key: bytes, aad: bytes) -> bytes:
+        # Encrypt and store chunks ``first, first + 1, ...``; returns their GCM tags.
+        aads = [aad + i.to_bytes(4, "big") for i in range(first, first + len(chunks))]
+        blobs = self._pae.encrypt_many(file_key, chunks, aads)
+        self._store.put_many(self._charge_seals(path, first, zip(chunks, blobs)))
+        return b"".join([blob[-self._pae.tag_size :] for blob in blobs])
 
-    def _read_chunk(self, path: str, index: int, file_key: bytes, aad: bytes) -> tuple[bytes, bytes]:
-        """Load and verify one chunk; returns (plaintext, GCM tag)."""
-        self._charge_ocall()
-        key = _chunk_key(path, index)
-        if not self._store.exists(key):
-            raise ProtectedFsError(f"chunk {index} of {path!r} is missing")
-        blob = self._store.get(key)
-        self._charge_read(len(blob))
+    def _charge_seals(self, path: str, first: int, pairs: Iterable[tuple[bytes, bytes]]) -> Iterator[tuple[str, bytes]]:
+        # Charged as the store pulls each pair, so a chunk's crypto precedes
+        # its OCALL, which the store may charge: the clock sums the same terms
+        # in the same order as when chunks were stored one by one.  The
+        # per-chunk charges go straight to the clock.
+        charge, costs = self._enclave.platform.clock.charge, self._enclave.platform.costs
+        for index, (chunk, blob) in enumerate(pairs, first):
+            charge(costs.aead_time(len(chunk)), "pfs-crypto")
+            self._charge_ocall()
+            yield _chunk_key(path, index), blob
+
+    def _open_chunks(self, path: str, first: int, stop: int, file_key: bytes, aad: bytes) -> tuple[list[bytes], bytes]:
+        # Load and verify chunks ``first`` to ``stop - 1``: (plaintexts, GCM tags), all or none.
+        charge, costs = self._enclave.platform.clock.charge, self._enclave.platform.costs
+        blobs: list[bytes] = []
         try:
-            plain = self._pae.decrypt(file_key, blob, aad=aad + index.to_bytes(4, "big"))
+            for blob in self._store.get_many(_chunk_keys(path, first, stop)):
+                self._charge_ocall()
+                charge(costs.pfs_read_time(len(blob)), "pfs-crypto")
+                blobs.append(blob)
+            plain = self._pae.decrypt_many(file_key, blobs, [aad + i.to_bytes(4, "big") for i in range(first, stop)])
+        except FaultError:  # transient: the caller retries, as for any store fault
+            raise
+        except StorageError:
+            raise ProtectedFsError(f"chunk {first + len(blobs)} of {path!r} is missing") from None
         except IntegrityError as exc:
-            raise ProtectedFsError(f"chunk {index} of {path!r} failed verification") from exc
-        return plain, blob[-self._pae.tag_size :]
+            raise ProtectedFsError(f"chunks {first}-{stop - 1} of {path!r} failed verification") from exc
+        return plain, b"".join([blob[-self._pae.tag_size :] for blob in blobs])
 
 
 class WriteHandle:
@@ -265,16 +269,18 @@ class WriteHandle:
     def write(self, data: bytes) -> None:
         if self._closed:
             raise ProtectedFsError("write on closed handle")
-        self._buffer.extend(data)
+        self._buffer += data
         self._size += len(data)
-        while len(self._buffer) >= CHUNK_SIZE:
-            chunk = bytes(self._buffer[:CHUNK_SIZE])
-            del self._buffer[:CHUNK_SIZE]
-            self._put_chunk(chunk)
+        whole = len(self._buffer) // CHUNK_SIZE * CHUNK_SIZE
+        if whole:
+            with memoryview(self._buffer) as view:
+                chunks = [view[offset : offset + CHUNK_SIZE].tobytes() for offset in range(0, whole, CHUNK_SIZE)]
+            del self._buffer[:whole]
+            self._put_chunks(chunks)
 
-    def _put_chunk(self, chunk: bytes) -> None:
-        self._tags.update(self._fs._write_chunk(self._path, self._count, chunk, self._key, self._aad))
-        self._count += 1
+    def _put_chunks(self, chunks: list[bytes]) -> None:
+        self._tags.update(self._fs._seal_chunks(self._path, self._count, chunks, self._key, self._aad))
+        self._count += len(chunks)
 
     def close(self) -> None:
         if self._closed:
@@ -282,7 +288,7 @@ class WriteHandle:
         self._closed = True
         try:
             if self._buffer or not self._count:
-                self._put_chunk(bytes(self._buffer))
+                self._put_chunks([bytes(self._buffer)])
             # Remove stale chunks from a previous, longer version of the file.
             stale = self._count
             while self._fs._store.exists(_chunk_key(self._path, stale)):
@@ -305,7 +311,7 @@ class WriteHandle:
 
 
 class ReadHandle:
-    """Shared, sequential reader with chunk-by-chunk verification."""
+    """Shared, sequential reader; every chunk of a group verifies before the group is returned."""
 
     def __init__(self, fs: ProtectedFs, path: str, meta: _Meta, file_key: bytes) -> None:
         self._fs = fs
@@ -322,28 +328,27 @@ class ReadHandle:
         return self._meta.size
 
     def read_chunk(self) -> bytes | None:
-        """Next plaintext chunk, or None at end of file.
+        """Plaintext of the next :data:`READ_GROUP` chunks (fewer at the end), or None at end of file.
 
-        The digest of the tags is checked once the final chunk has been
-        read; a replayed, truncated or spliced file therefore cannot be
+        The digest of the tags is checked before the final group is
+        returned; a replayed, truncated or spliced file therefore cannot be
         fully read without raising.
         """
         if self._closed:
             raise ProtectedFsError("read on closed handle")
-        if self._count >= self._meta.chunk_count:
+        first, count = self._count, self._meta.chunk_count
+        if first >= count:
             return None
-        plain, tag = self._fs._read_chunk(self._path, self._count, self._key, self._aad)
-        self._tags.update(tag)
-        self._count += 1
-        if self._count == self._meta.chunk_count:
+        stop = min(first + READ_GROUP, count)
+        plaintexts, tags = self._fs._open_chunks(self._path, first, stop, self._key, self._aad)
+        self._tags.update(tags)
+        self._count = stop
+        if stop == count:
             self._verify_tags()
-        return plain
+        return b"".join(plaintexts)
 
     def read_all(self) -> bytes:
-        parts = []
-        while (chunk := self.read_chunk()) is not None:
-            parts.append(chunk)
-        data = b"".join(parts)
+        data = b"".join(iter(self.read_chunk, None))
         if len(data) != self._meta.size:
             raise ProtectedFsError(f"size mismatch reading {self._path!r}")
         return data
@@ -359,8 +364,7 @@ class ReadHandle:
 
     def __iter__(self) -> Iterator[bytes]:
         try:
-            while (chunk := self.read_chunk()) is not None:
-                yield chunk
+            yield from iter(self.read_chunk, None)
         finally:
             self.close()
 

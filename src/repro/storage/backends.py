@@ -24,7 +24,7 @@ import os
 import tempfile
 import threading
 from abc import ABC, abstractmethod
-from typing import Callable, Collection, Iterator
+from typing import Callable, Collection, Iterable, Iterator
 
 from repro.errors import StorageError
 
@@ -43,6 +43,21 @@ class UntrustedStore(ABC):
     @abstractmethod
     def delete(self, key: str) -> None:
         """Remove the object at ``key``; raise :class:`StorageError` if absent."""
+
+    def put_many(self, items: Iterable[tuple[str, bytes]]) -> None:
+        """Put each ``(key, value)``, in order.
+
+        ``items`` may be lazy: the protected FS charges each chunk's
+        sealing as its pair is pulled, so a store that charges per key
+        keeps pulling and storing one pair at a time.
+        """
+        for key, value in items:
+            self.put(key, value)
+
+    def get_many(self, keys: Iterable[str]) -> Iterable[bytes]:
+        """The objects at ``keys``, in order, each fetched as the iteration
+        reaches it; a missing key raises :class:`StorageError` there."""
+        return map(self.get, keys)
 
     @abstractmethod
     def exists(self, key: str) -> bool:

@@ -40,7 +40,7 @@ from __future__ import annotations
 import contextlib
 from collections import OrderedDict
 from dataclasses import asdict, dataclass
-from typing import TYPE_CHECKING, Iterator
+from typing import TYPE_CHECKING, Any, Iterable, Iterator
 
 from repro.core.journal import (
     TAG_CONTENT,
@@ -179,6 +179,14 @@ class DeferredStore(UntrustedStore):
     def _charge(self) -> None:
         self._enclave.ocall(account="pfs-io")
 
+    def _charged(self, items: Iterable[Any]) -> Iterator[Any]:
+        # A group passed through unbuffered: one round-trip per key, as the
+        # per-key calls charge.
+        charge, cost = self._enclave.platform.clock.charge, self._enclave.platform.costs.ocall_transition
+        for item in items:
+            charge(cost, "pfs-io")  # Enclave.ocall, hoisted
+            yield item
+
     def _entry_bytes(self, key: str) -> int:
         value = self._pending.get(key)
         return len(value) if value is not None else 0
@@ -256,6 +264,15 @@ class DeferredStore(UntrustedStore):
         self.inner.put(key, value)
         self._charge()
         self._stats.bypass_writes += 1
+
+    def put_many(self, items: Iterable[tuple[str, bytes]]) -> None:
+        if self._armed:
+            super().put_many(items)
+        else:
+            self.inner.put_many(self._charged(items))
+
+    def get_many(self, keys: Iterable[str]) -> Iterable[bytes]:
+        return super().get_many(keys) if self._armed else self._charged(self.inner.get_many(keys))
 
     def get(self, key: str) -> bytes:
         if self._armed and key in self._pending:

@@ -306,6 +306,9 @@ class _ServerSession:
             # application's chunks are: the record count is announced from
             # ``body_len`` and the chunks are pulled as records fill, so the
             # plaintext held is below STREAM_CHUNK plus the chunk just pulled.
+            # A protected-FS reader's chunk is one read group, a whole
+            # STREAM_CHUNK, so a download holds one group: 64 KiB of
+            # plaintext (and, while the reader opens it, 64 KiB of ciphertext).
             body_len = response.body_len
             header = _message_header(_KIND_STREAM, response.header, _records_for(body_len), body_len)
             out = [records.data_record(protect(header))]

@@ -5,7 +5,7 @@ import pytest
 from repro.core.file_manager import TrustedFileManager
 from repro.errors import FileSystemError
 from repro.fsmodel import DirectoryFile
-from repro.sgx.protected_fs import CHUNK_SIZE
+from repro.sgx.protected_fs import CHUNK_SIZE, READ_GROUP
 from repro.storage.stores import StoreSet
 from tests.support.platform import engine_for, loaded_enclave
 
@@ -110,12 +110,12 @@ class TestStreaming:
         assert dedup_manager.dedup.object_count() == 0
 
     def test_iter_content_inline(self, manager):
-        """A plain file streams from its object one PFS chunk at a time."""
+        """A plain file streams from its object one PFS read group at a time."""
         manager.write_content("/f", b"x" * 100_000)
         size, chunks = manager.iter_content("/f")
         pieces = list(chunks)
         assert size == 100_000 and b"".join(pieces) == b"x" * 100_000
-        assert len(pieces) == -(-100_000 // CHUNK_SIZE)
+        assert len(pieces) == -(-100_000 // (READ_GROUP * CHUNK_SIZE))
 
     def test_iter_content_dedup(self, dedup_manager):
         dedup_manager.write_content("/f", b"y" * 100_000)

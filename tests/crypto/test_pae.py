@@ -198,6 +198,41 @@ class TestKnownAnswers:
         assert pae.decrypt(KEY, cold, b"aad-1") == b"hello world"
 
 
+class TestBatch:
+    """``encrypt_many``/``decrypt_many``: OpenSSL's batch entries against the
+    reference, which inherits the base class's per-blob loops."""
+
+    TEXTS = [_pseudo(size) for size in (0, 1, 4096, 4096, 100)]
+    AADS = [b"/f\x00" + index.to_bytes(4, "big") for index in range(5)]
+
+    @pytest.mark.parametrize("sealer, opener", [(OPENSSL, REFERENCE), (REFERENCE, OPENSSL)], ids=["openssl-to-ref", "ref-to-openssl"])
+    def test_batch_blobs_open_under_the_other_backend(self, sealer, opener):
+        blobs = sealer.encrypt_many(KEY, self.TEXTS, self.AADS)
+        assert [len(blob) for blob in blobs] == [len(text) + sealer.overhead for text in self.TEXTS]
+        assert opener.decrypt_many(KEY, blobs, self.AADS) == self.TEXTS
+        assert [opener.decrypt(KEY, blob, aad) for blob, aad in zip(blobs, self.AADS)] == self.TEXTS
+
+    def test_ivs_within_a_batch_are_distinct(self, pae):
+        blobs = pae.encrypt_many(KEY, [b"same"] * 256, [b""] * 256)
+        assert len({blob[: pae.iv_size] for blob in blobs}) == 256
+
+    @pytest.mark.parametrize("bad", [0, 2, 4])
+    def test_one_bad_tag_fails_the_batch(self, pae, bad):
+        blobs = pae.encrypt_many(KEY, self.TEXTS, self.AADS)
+        blobs[bad] = blobs[bad][:-1] + bytes([blobs[bad][-1] ^ 1])
+        with pytest.raises(IntegrityError):
+            pae.decrypt_many(KEY, blobs, self.AADS)
+
+    def test_a_short_blob_fails_the_batch(self, pae):
+        blobs = pae.encrypt_many(KEY, self.TEXTS, self.AADS)
+        blobs[3] = blobs[3][:5]
+        with pytest.raises(IntegrityError):
+            pae.decrypt_many(KEY, blobs, self.AADS)
+
+    def test_empty_batch(self, pae):
+        assert pae.encrypt_many(KEY, [], []) == [] and pae.decrypt_many(KEY, [], []) == []
+
+
 class TestDefaultBackend:
     def test_default_is_openssl_gcm(self):
         assert type(default_pae()) is OpenSslGcmPae

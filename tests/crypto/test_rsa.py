@@ -1,5 +1,6 @@
 """RSA key generation, signing, verification, serialization."""
 
+import dataclasses
 import hashlib
 
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 
 from repro.crypto import rsa
 from repro.errors import CryptoError, KeyError_
-from repro.util.serialization import Writer
+from repro.util.serialization import Reader, Writer
 from tests.support import rsa_ref
 from tests.support.primes import is_probable_prime
 
@@ -133,6 +134,18 @@ class TestSerialization:
         assert restored.n == key.n
         assert restored.d == key.d
         assert rsa.verify(restored.public_key, b"x", rsa.sign(restored, b"x"))
+
+    @pytest.mark.parametrize("shift", [8, 16])
+    def test_d_is_encoded_at_the_modulus_width(self, key, shift):
+        """A d with leading zero bytes (about 0.5 % of OpenSSL keys) encodes
+        as long as any other, so the sealed key's length does not depend on
+        the key; parsing gives the same d back."""
+        short = dataclasses.replace(key, d=key.d >> shift)
+        blob = short.serialize()
+        assert len(blob) == len(key.serialize())
+        reader = Reader(blob)
+        n, _, d = (reader.bytes() for _ in range(3))
+        assert len(d) == len(n) and int.from_bytes(d, "big") == short.d
 
 
 class TestAgainstReference:
