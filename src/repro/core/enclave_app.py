@@ -213,7 +213,11 @@ class SeGShareEnclave(Enclave):
     #: entries and store ``put_many``/``get_many`` (docs/PERF.md §20; the
     #: sealed TLS key's fixed-width ``d`` saved a line): 7729 → 7759, a
     #: rise of 30 named beforehand (at most 30).
-    TCB_LOC_CEILING = 7759
+    #: A small protected file is one sealed blob, the metadata node carrying
+    #: chunk 0, and the file-key PRK is derived once per mount (docs/PERF.md
+    #: §21; the chunk-key and AAD helpers folded to pay): 7759 → 7768, a rise
+    #: of 9 named beforehand (at most 10).
+    TCB_LOC_CEILING = 7768
 
     def __init__(
         self,

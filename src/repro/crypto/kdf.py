@@ -12,6 +12,8 @@ import hashlib
 import hmac
 
 _HASH_LEN = hashlib.sha256().digest_size
+#: The HKDF-extract salt of :func:`derive_key`.
+KDF_SALT = b"repro.kdf.v1"
 
 
 def hkdf_extract(salt: bytes, ikm: bytes) -> bytes:
@@ -38,6 +40,4 @@ def derive_key(root_key: bytes, label: str, context: bytes = b"", length: int = 
     Example: the per-file key of the paper is
     ``derive_key(SK_r, "segshare/file-key", path.encode())``.
     """
-    prk = hkdf_extract(b"repro.kdf.v1", root_key)
-    info = label.encode("utf-8") + b"\x00" + context
-    return hkdf_expand(prk, info, length)
+    return hkdf_expand(hkdf_extract(KDF_SALT, root_key), label.encode("utf-8") + b"\x00" + context, length)

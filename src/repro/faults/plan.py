@@ -87,10 +87,13 @@ class FaultPlan:
 
     # -- configuration: storage ---------------------------------------------
 
-    def fail_nth(self, nth: int, op: Optional[str] = None, store: Optional[str] = None) -> "FaultPlan":
-        """Raise a transient :class:`FaultError` at the N-th matching store op."""
+    def fail_nth(
+        self, nth: int, op: Optional[str] = None, store: Optional[str] = None, key: Optional[str] = None
+    ) -> "FaultPlan":
+        """Raise a transient :class:`FaultError` at the N-th matching store op;
+        ``key``, if given, matches only keys that contain it."""
         self._store_rules.append(
-            _Rule(action="error", nth=nth, match=_store_match(op, store))
+            _Rule(action="error", nth=nth, match=_store_match(op, store, key))
         )
         return self
 
@@ -260,7 +263,7 @@ class FaultPlan:
         """
         self.store_ops += 1
         for rule in self._store_rules:
-            if not rule.match(store, op):
+            if not rule.match(store, op, key):
                 continue
             if not rule.decide(self._rng):
                 continue
@@ -316,9 +319,15 @@ class FaultPlan:
         raise EnclaveCrashed(f"fault injection: enclave killed at {site}")
 
 
-def _store_match(op: Optional[str], store: Optional[str]) -> Callable[[str, str], bool]:
-    def match(store_name: str, op_name: str) -> bool:
-        return (op is None or op_name == op) and (store is None or store_name == store)
+def _store_match(
+    op: Optional[str], store: Optional[str], key: Optional[str] = None
+) -> Callable[[str, str, str], bool]:
+    def match(store_name: str, op_name: str, key_name: str) -> bool:
+        return (
+            (op is None or op_name == op)
+            and (store is None or store_name == store)
+            and (key is None or key in key_name)
+        )
 
     return match
 

@@ -1,11 +1,11 @@
 """The Intel Protected File System Library, re-implemented (Section II-A).
 
-On write, data is split into 4 KiB chunks, each sealed with PAE (AES-128-GCM).
-As in Intel's library, the GCM tags are the integrity values: an encrypted
-metadata node binds the size, the chunk count and SHA-256 over the tags in
-index order.  On read, every chunk and then that digest is verified.  At
-any point, a file may have one writer handle or any number of reader handles.
-Chunks move in groups, each chunk keeping its own IV, AAD, tag and charges.
+Data is split into 4 KiB chunks.  As in Intel's library, the encrypted metadata
+node carries chunk 0, so a small file is one sealed blob; chunks 1 to n - 1 are
+each sealed with PAE (AES-128-GCM), and their GCM tags are the integrity values:
+the node binds the size, the chunk count and SHA-256 over those tags in index
+order.  A file may have one writer handle or any number of reader handles.
+Chunks move in groups, each keeping its own IV, AAD, tag and charges.
 
 Keys: the file-system master key is provided by the caller (the enclave
 derives it from its root key).  Each file gets its own key derived from
@@ -22,13 +22,14 @@ from __future__ import annotations
 import hashlib
 import hmac
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterator
 
-from repro.crypto import default_pae, derive_key
+from repro.crypto import default_pae
+from repro.crypto.kdf import KDF_SALT, hkdf_expand, hkdf_extract
 from repro.errors import FaultError, IntegrityError, ProtectedFsError, StorageError
 from repro.sgx.enclave import Enclave
 from repro.storage.backends import UntrustedStore
-from repro.util.serialization import Reader, Writer
+from repro.util.serialization import Reader, SerializationError, Writer
 
 CHUNK_SIZE = 4096
 #: Chunks a reader opens per ``read_chunk``: 64 KiB, one TLS stream record.
@@ -37,37 +38,29 @@ READ_GROUP = 16
 _META_SUFFIX = "\x00meta"
 
 
-def _chunk_key(path: str, index: int) -> str:
-    return f"{path}\x00chunk\x00{index}"
-
-
 def _chunk_keys(path: str, start: int, stop: int) -> list[str]:
     return [f"{path}\x00chunk\x00{index}" for index in range(start, stop)]
 
 
 def stored_keys(path: str, chunk_count: int) -> list[str]:
-    return [path + _META_SUFFIX] + _chunk_keys(path, 0, chunk_count)
-
-
-def _chunk_aad(path: str) -> bytes:
-    # What the associated data of every chunk of ``path`` starts with; the
-    # chunk index follows as a big-endian u32.
-    return Writer().str(path).take()
+    # Chunk 0 rides in the metadata node.
+    return [path + _META_SUFFIX] + _chunk_keys(path, 1, chunk_count)
 
 
 @dataclass
 class _Meta:
     size: int
-    chunk_count: int
-    tag_digest: bytes  # SHA-256 over the chunks' GCM tags, in index order
+    chunk_count: int  # counting chunk 0
+    tag_digest: bytes  # SHA-256 over the GCM tags of chunks 1 to n - 1, in index order
+    head: bytes  # chunk 0's plaintext
 
     def serialize(self) -> bytes:
-        return Writer().u64(self.size).u32(self.chunk_count).bytes(self.tag_digest).take()
+        return Writer().u64(self.size).u32(self.chunk_count).bytes(self.tag_digest).bytes(self.head).take()
 
     @classmethod
     def deserialize(cls, data: bytes) -> "_Meta":
         r = Reader(data)
-        meta = cls(size=r.u64(), chunk_count=r.u32(), tag_digest=r.bytes())
+        meta = cls(size=r.u64(), chunk_count=r.u32(), tag_digest=r.bytes(), head=r.bytes())
         r.expect_end()
         return meta
 
@@ -84,7 +77,8 @@ class ProtectedFs:
         master_key: bytes,
         enclave: Enclave,
     ) -> None:
-        self._master_key = master_key
+        # The HKDF-extract of every file key, done once per mount.
+        self._prk = hkdf_extract(KDF_SALT, master_key)
         self._store = store
         self._enclave = enclave
         self._pae = default_pae()
@@ -106,7 +100,8 @@ class ProtectedFs:
     # -- keys -----------------------------------------------------------------
 
     def _file_key(self, path: str) -> bytes:
-        return derive_key(self._master_key, "pfs/file-key", path.encode("utf-8"), length=16)
+        # derive_key(master_key, "pfs/file-key", path, 16): one HMAC.
+        return hkdf_expand(self._prk, b"pfs/file-key\x00" + path.encode("utf-8"), 16)
 
     # -- handle bookkeeping ---------------------------------------------------
 
@@ -197,16 +192,18 @@ class ProtectedFs:
 
     def _load_meta(self, path: str, file_key: bytes | None = None) -> _Meta:
         self._charge_ocall()
-        key = path + _META_SUFFIX
-        if not self._store.exists(key):
-            raise ProtectedFsError(f"no protected file at {path!r}")
-        blob = self._store.get(key)
+        try:
+            blob = self._store.get(path + _META_SUFFIX)
+        except FaultError:  # transient: the caller retries, as for any store fault
+            raise
+        except StorageError:
+            raise ProtectedFsError(f"no protected file at {path!r}") from None
         self._enclave.charge(self._enclave.platform.costs.pfs_read_time(len(blob)), account="pfs-crypto")
         try:
             plain = self._pae.decrypt(file_key or self._file_key(path), blob, aad=b"pfs-meta\x00" + path.encode())
-        except IntegrityError as exc:
+            return _Meta.deserialize(plain)  # an old-layout node, without a head, fails here
+        except (IntegrityError, SerializationError) as exc:
             raise ProtectedFsError(f"metadata of {path!r} failed verification") from exc
-        return _Meta.deserialize(plain)
 
     def _store_meta(self, path: str, meta: _Meta, file_key: bytes) -> None:
         plain = meta.serialize()
@@ -219,19 +216,19 @@ class ProtectedFs:
         # Encrypt and store chunks ``first, first + 1, ...``; returns their GCM tags.
         aads = [aad + i.to_bytes(4, "big") for i in range(first, first + len(chunks))]
         blobs = self._pae.encrypt_many(file_key, chunks, aads)
-        self._store.put_many(self._charge_seals(path, first, zip(chunks, blobs)))
+        self._store.put_many(self._charge_seals(chunks, _chunk_keys(path, first, first + len(chunks)), blobs))
         return b"".join([blob[-self._pae.tag_size :] for blob in blobs])
 
-    def _charge_seals(self, path: str, first: int, pairs: Iterable[tuple[bytes, bytes]]) -> Iterator[tuple[str, bytes]]:
+    def _charge_seals(self, chunks: list[bytes], keys: list[str], blobs: list[bytes]) -> Iterator[tuple[str, bytes]]:
         # Charged as the store pulls each pair, so a chunk's crypto precedes
         # its OCALL, which the store may charge: the clock sums the same terms
         # in the same order as when chunks were stored one by one.  The
         # per-chunk charges go straight to the clock.
         charge, costs = self._enclave.platform.clock.charge, self._enclave.platform.costs
-        for index, (chunk, blob) in enumerate(pairs, first):
+        for chunk, key, blob in zip(chunks, keys, blobs):
             charge(costs.aead_time(len(chunk)), "pfs-crypto")
             self._charge_ocall()
-            yield _chunk_key(path, index), blob
+            yield key, blob
 
     def _open_chunks(self, path: str, first: int, stop: int, file_key: bytes, aad: bytes) -> tuple[list[bytes], bytes]:
         # Load and verify chunks ``first`` to ``stop - 1``: (plaintexts, GCM tags), all or none.
@@ -253,13 +250,15 @@ class ProtectedFs:
 
 
 class WriteHandle:
-    """Exclusive, append-only writer.  Closing seals the metadata node."""
+    """Exclusive, append-only writer.  Closing seals the metadata node, chunk 0 in it."""
 
     def __init__(self, fs: ProtectedFs, path: str, file_key: bytes) -> None:
         self._fs = fs
         self._path = path
         self._key = file_key
-        self._aad = _chunk_aad(path)
+        # Every chunk's AAD: this, then the chunk index as a big-endian u32.
+        self._aad = Writer().str(path).take()
+        self._head = b""
         self._buffer = bytearray()
         self._size = 0
         self._count = 0
@@ -279,8 +278,11 @@ class WriteHandle:
             self._put_chunks(chunks)
 
     def _put_chunks(self, chunks: list[bytes]) -> None:
-        self._tags.update(self._fs._seal_chunks(self._path, self._count, chunks, self._key, self._aad))
-        self._count += len(chunks)
+        if not self._count:  # chunk 0 is held for the metadata node
+            self._head, self._count, chunks = chunks[0], 1, chunks[1:]
+        if chunks:
+            self._tags.update(self._fs._seal_chunks(self._path, self._count, chunks, self._key, self._aad))
+            self._count += len(chunks)
 
     def close(self) -> None:
         if self._closed:
@@ -291,10 +293,10 @@ class WriteHandle:
                 self._put_chunks([bytes(self._buffer)])
             # Remove stale chunks from a previous, longer version of the file.
             stale = self._count
-            while self._fs._store.exists(_chunk_key(self._path, stale)):
-                self._fs._store.delete(_chunk_key(self._path, stale))
+            while self._fs._store.exists(key := f"{self._path}\x00chunk\x00{stale}"):
+                self._fs._store.delete(key)
                 stale += 1
-            meta = _Meta(size=self._size, chunk_count=self._count, tag_digest=self._tags.digest())
+            meta = _Meta(size=self._size, chunk_count=self._count, tag_digest=self._tags.digest(), head=self._head)
             self._fs._store_meta(self._path, meta, self._key)
         finally:
             self._fs._release_writer(self._path)
@@ -318,7 +320,7 @@ class ReadHandle:
         self._path = path
         self._meta = meta
         self._key = file_key
-        self._aad = _chunk_aad(path)
+        self._aad = Writer().str(path).take()
         self._count = 0
         self._tags = hashlib.sha256()
         self._closed = False
@@ -330,9 +332,10 @@ class ReadHandle:
     def read_chunk(self) -> bytes | None:
         """Plaintext of the next :data:`READ_GROUP` chunks (fewer at the end), or None at end of file.
 
-        The digest of the tags is checked before the final group is
-        returned; a replayed, truncated or spliced file therefore cannot be
-        fully read without raising.
+        The first group is the metadata node's chunk 0 and chunks 1 to 15.  The
+        digest of the tags is checked before the final group is returned; a
+        replayed, truncated or spliced file therefore cannot be fully read
+        without raising.
         """
         if self._closed:
             raise ProtectedFsError("read on closed handle")
@@ -340,11 +343,16 @@ class ReadHandle:
         if first >= count:
             return None
         stop = min(first + READ_GROUP, count)
-        plaintexts, tags = self._fs._open_chunks(self._path, first, stop, self._key, self._aad)
-        self._tags.update(tags)
+        plaintexts: list[bytes] = []
+        if stop > 1:
+            plaintexts, tags = self._fs._open_chunks(self._path, first or 1, stop, self._key, self._aad)
+            self._tags.update(tags)
         self._count = stop
         if stop == count:
             self._verify_tags()
+        if not first:  # the metadata node's chunk 0, held no longer than the first group
+            plaintexts.insert(0, self._meta.head)
+            self._meta.head = b""
         return b"".join(plaintexts)
 
     def read_all(self) -> bytes:

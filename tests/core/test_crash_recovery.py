@@ -1288,7 +1288,8 @@ def test_sharded_deployment_leaves_no_saved_key():
     with pytest.raises(EnclaveCrashed):
         _remove_big(server)
     plan.detach()
-    assert len(object_on_shards()) == 4, "the crash should have caught the object whole"
+    # The metadata node, which carries chunk 0, and the two stored chunks.
+    assert len(object_on_shards()) == 3, "the crash should have caught the object whole"
     server.restart_enclave()
     server.enclave.guard.verify_restored_state()
     assert object_on_shards() == []

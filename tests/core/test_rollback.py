@@ -121,6 +121,20 @@ class TestContentRollbackAttacks:
         with pytest.raises(RollbackDetected):
             guarded.manager.read_content("/f")
 
+    def test_one_blob_file_replay_detected(self, guarded):
+        """A file of up to 4 KiB is one sealed blob, its metadata node
+        carrying chunk 0.  The previous version's node replayed alone is an
+        authentic whole file to the protected FS; the guard rejects it."""
+        store = guarded.stores.content
+        guarded.handler.put_dir("alice", "/d/")
+        old = snapshot_matching(store, "/d/\x00")
+        assert list(old) == ["/d/\x00meta"]
+        guarded.handler.put_file("alice", "/d/f", b"v1")
+        restore(store, old)
+        assert DirectoryFile.deserialize(guarded.manager.content.raw_read("/d/")).children == []
+        with pytest.raises(RollbackDetected):
+            guarded.manager.read_dir("/d/")
+
     def test_acl_rollback_detected(self, guarded):
         """The paper's motivating case: replaying an old ACL to undo a
         permission revocation."""

@@ -57,6 +57,15 @@ class TestFaultyStore:
         store.put("b", b"2")  # one-shot: the third put proceeds
         assert store.get("b") == b"2"
 
+    def test_fail_nth_scoped_to_a_key_counts_only_its_keys(self):
+        plan = FaultPlan().fail_nth(nth=2, op="get", key="\x00meta")
+        store = FaultyStore(InMemoryStore(), plan, name="content")
+        for key in ("/a\x00meta", "/a\x00chunk\x001", "/b\x00meta"):
+            store.put(key, b"1")
+        assert store.get("/a\x00meta") == store.get("/a\x00chunk\x001") == b"1"
+        with pytest.raises(FaultError, match="meta"):
+            store.get("/b\x00meta")
+
     def test_rule_scoped_to_other_store_never_fires(self):
         plan = FaultPlan().fail_nth(nth=1, store="group")
         store = FaultyStore(InMemoryStore(), plan, name="content")

@@ -97,6 +97,26 @@ class TestTransientStorageFaults:
         assert alice.download(path) == b"v2"
         assert deployment.env.clock.accounts().get("client-backoff", 0.0) > 0.0
 
+    def test_fault_on_a_metadata_node_get_is_retried(self, user_key):
+        """The protected FS reads a metadata node with one get and no exists
+        probe.  A fault on that get reaches the handler as FaultError, so the
+        request is answered RETRY and a policy client's retry completes it;
+        a file that is really missing is still no file, never RETRY."""
+        plan, deployment, alice = self._world(user_key)
+        handler = deployment.server.enclave.handler
+        rule = plan.fail_nth(nth=1, op="get", store="content", key="/d/f\x00meta")._store_rules[-1]
+        response = handler.handle("alice", Request(op=Op.GET, args=("/d/f",)))
+        assert rule.fired == 1 and response.status is Status.RETRY
+        assert alice.download("/d/f") == b"v1"
+        # Missing is answered as the access model answers it, opaquely.
+        missing = handler.handle("alice", Request(op=Op.GET, args=("/d/missing",)))
+        assert missing.status is Status.DENIED
+
+        plan, deployment, alice = self._world(user_key, retry=POLICY)
+        plan.fail_nth(nth=1, op="get", store="content", key="/d/f\x00meta")
+        assert alice.download("/d/f") == b"v1"
+        assert deployment.env.clock.accounts().get("client-backoff", 0.0) > 0.0
+
     def test_rolled_back_acl_is_an_integrity_violation_at_every_door(self, user_key):
         plan, deployment, alice = self._world(user_key)
         enclave = deployment.server.enclave

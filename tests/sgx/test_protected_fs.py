@@ -1,5 +1,6 @@
 """Protected File System Library clone: chunking, integrity, handles."""
 
+import collections
 import hashlib
 import sys
 
@@ -7,15 +8,32 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.crypto import derive_key
 from repro.errors import FaultError, ProtectedFsError
 from repro.netsim import ParallelClock, SimClock
-from repro.sgx.protected_fs import CHUNK_SIZE, READ_GROUP, ProtectedFs, _chunk_key, _Meta
+from repro.sgx.protected_fs import CHUNK_SIZE, READ_GROUP, ProtectedFs, _Meta
 from repro.storage.backends import InMemoryStore
 from repro.storage.stores import StoreSet
+from repro.store.engine import MAX_BUFFERED_VALUE
+from repro.util.serialization import Writer
 from tests.support.platform import engine_for, loaded_enclave
 
 KEY = bytes(16)
 GROUP_BYTES = READ_GROUP * CHUNK_SIZE
+
+
+def _chunk_key(path, index):
+    """The store key of chunk ``index`` (1 or more) of ``path``; chunk 0 rides in the node."""
+    return f"{path}\x00chunk\x00{index}"
+
+
+def _node_key(path):
+    return path + "\x00meta"
+
+
+def _blob_key(path, position):
+    """Where position ``position`` of ``path`` is stored: 0 is the metadata node."""
+    return _node_key(path) if position == 0 else _chunk_key(path, position)
 
 
 @pytest.fixture()
@@ -39,10 +57,11 @@ class TestRoundTrip:
 
     def test_overwrite_shrinks(self, pfs, store):
         pfs.write_file("/f", b"x" * (3 * CHUNK_SIZE))
+        assert sorted(store.keys()) == sorted([_node_key("/f"), _chunk_key("/f", 1), _chunk_key("/f", 2)])
         pfs.write_file("/f", b"y" * 10)
         assert pfs.read_file("/f") == b"y" * 10
-        # Stale chunks from the longer version are gone.
-        assert not store.exists(_chunk_key("/f", 1))
+        # Stale chunks from the longer version are gone: one blob is left.
+        assert list(store.keys()) == [_node_key("/f")]
 
     def test_exists_and_remove(self, pfs):
         pfs.write_file("/f", b"data")
@@ -61,9 +80,9 @@ class TestRoundTrip:
 
 class TestIntegrity:
     def test_ciphertext_is_opaque(self, pfs, store):
-        pfs.write_file("/f", b"A" * CHUNK_SIZE)
-        chunk = store.get(_chunk_key("/f", 0))
-        assert b"A" * 16 not in chunk
+        pfs.write_file("/f", b"A" * (2 * CHUNK_SIZE))
+        for key in (_node_key("/f"), _chunk_key("/f", 1)):
+            assert b"A" * 16 not in store.get(key)
 
     def test_tampered_chunk_rejected(self, pfs, store):
         pfs.write_file("/f", b"x" * (2 * CHUNK_SIZE))
@@ -74,21 +93,36 @@ class TestIntegrity:
         with pytest.raises(ProtectedFsError):
             pfs.read_file("/f")
 
+    @staticmethod
+    def _swapped_fails(pfs, store, a, b):
+        pfs.write_file("/f", bytes(CHUNK_SIZE) + bytes([1]) * CHUNK_SIZE + bytes([2]) * CHUNK_SIZE)
+        blob_a, blob_b = store.get(a), store.get(b)
+        store.put(a, blob_b)
+        store.put(b, blob_a)
+        with pytest.raises(ProtectedFsError):
+            pfs.read_file("/f")
+
     def test_chunk_position_swap_rejected(self, pfs, store):
-        pfs.write_file("/f", bytes(CHUNK_SIZE) + bytes([1]) * CHUNK_SIZE)
-        a, b = _chunk_key("/f", 0), _chunk_key("/f", 1)
-        chunk_a, chunk_b = store.get(a), store.get(b)
-        store.put(a, chunk_b)
-        store.put(b, chunk_a)
+        self._swapped_fails(pfs, store, _chunk_key("/f", 1), _chunk_key("/f", 2))
+
+    def test_node_and_chunk_swap_rejected(self, pfs, store):
+        self._swapped_fails(pfs, store, _node_key("/f"), _chunk_key("/f", 1))
+
+    @staticmethod
+    def _spliced_fails(pfs, store, key):
+        """Another path's blob at the same position: its key and associated
+        data bind the other path."""
+        pfs.write_file("/f", b"f" * (2 * CHUNK_SIZE))
+        pfs.write_file("/g", b"g" * (2 * CHUNK_SIZE))
+        store.put(key("/f"), store.get(key("/g")))
         with pytest.raises(ProtectedFsError):
             pfs.read_file("/f")
 
     def test_cross_file_chunk_splice_rejected(self, pfs, store):
-        pfs.write_file("/f", b"f" * CHUNK_SIZE)
-        pfs.write_file("/g", b"g" * CHUNK_SIZE)
-        store.put(_chunk_key("/f", 0), store.get(_chunk_key("/g", 0)))
-        with pytest.raises(ProtectedFsError):
-            pfs.read_file("/f")
+        self._spliced_fails(pfs, store, lambda path: _chunk_key(path, 1))
+
+    def test_cross_file_node_splice_rejected(self, pfs, store):
+        self._spliced_fails(pfs, store, _node_key)
 
     def test_missing_chunk_rejected(self, pfs, store):
         pfs.write_file("/f", b"x" * (2 * CHUNK_SIZE))
@@ -98,10 +132,20 @@ class TestIntegrity:
 
     def test_meta_tamper_rejected(self, pfs, store):
         pfs.write_file("/f", b"data")
-        meta_key = "/f\x00meta"
-        blob = bytearray(store.get(meta_key))
+        blob = bytearray(store.get(_node_key("/f")))
         blob[-1] ^= 1
-        store.put(meta_key, bytes(blob))
+        store.put(_node_key("/f"), bytes(blob))
+        with pytest.raises(ProtectedFsError):
+            pfs.read_file("/f")
+
+    @pytest.mark.parametrize("offset", [60, CHUNK_SIZE // 2, -17], ids=["start", "middle", "end"])
+    def test_tampered_head_rejected(self, pfs, store, offset):
+        """Chunk 0 rides in the metadata node and is covered by the node's
+        own GCM tag: a flipped bit in the head fails the node."""
+        pfs.write_file("/f", b"d" * CHUNK_SIZE)
+        blob = bytearray(store.get(_node_key("/f")))
+        blob[offset] ^= 1
+        store.put(_node_key("/f"), bytes(blob))
         with pytest.raises(ProtectedFsError):
             pfs.read_file("/f")
 
@@ -111,21 +155,29 @@ class TestIntegrity:
             (2 * CHUNK_SIZE + 7, (0,)),
             (2 * CHUNK_SIZE + 7, (1,)),
             (2 * CHUNK_SIZE + 7, (2,)),
-            (CHUNK_SIZE, (0,)),
-            (2 * CHUNK_SIZE + 7, (0, 1, 2)),
+            (2 * CHUNK_SIZE + 7, (1, 2)),
+            (2 * CHUNK_SIZE, (0,)),
+            (17 * CHUNK_SIZE, (0,)),
+            (40 * CHUNK_SIZE, (0,)),
         ],
-        ids=["3-chunks-first", "3-chunks-middle", "3-chunks-short-last", "1-chunk", "3-chunks-all"],
+        ids=["3-chunks-first", "3-chunks-middle", "3-chunks-short-last", "3-chunks-all",
+             "2-chunks-node", "17-chunks-node", "40-chunks-node"],
     )
     def test_rolled_back_chunk_rejected(self, pfs, store, size, indices):
-        """Replaying old chunks of the SAME file at the SAME positions (the
-        last case: the previous version's whole chunk set under the current
-        metadata node) passes each chunk's own GCM check, same key and AAD,
-        and is caught by the digest of the chunk tags in the metadata node."""
+        """Replaying old blobs of the SAME file at the SAME positions passes
+        each one's own GCM check, same key and AAD, and is caught by the
+        digest of the chunk tags in the node.  Position 0 is the metadata
+        node, which carries chunk 0: the previous version's node (old head,
+        old digest) over the current chunks 1 to n - 1.  "3-chunks-all" is
+        the previous version's whole stored chunk set under the current
+        node.  A one-chunk file's node replayed is the whole file rolled
+        back, which only the rollback guard can see (tests/core/test_rollback.py
+        ``test_one_blob_file_replay_detected``)."""
         pfs.write_file("/f", b"1" * size)
-        old_chunks = {index: store.get(_chunk_key("/f", index)) for index in indices}
+        old_blobs = {index: store.get(_blob_key("/f", index)) for index in indices}
         pfs.write_file("/f", b"2" * size)
-        for index, blob in old_chunks.items():
-            store.put(_chunk_key("/f", index), blob)
+        for index, blob in old_blobs.items():
+            store.put(_blob_key("/f", index), blob)
         with pytest.raises(ProtectedFsError):
             pfs.read_file("/f")
 
@@ -138,13 +190,16 @@ class TestIntegrity:
 
 
 class TestGroupAttacks:
-    """Store attacks at chunk positions 0, 15, 16 and the last of a 40-chunk
-    file (three read groups: 16 + 16 + 8 chunks), read group by group.
+    """Store attacks at positions 0 (the metadata node, which carries chunk
+    0), 15, 16 and the last of a 40-chunk file (three read groups: 16 + 16 +
+    8 chunks), read group by group.
 
-    Each attack raises :class:`ProtectedFsError` at the group it lands in,
-    releases no plaintext of that group (the groups before it were
-    complete and verified), and leaves the handle closable, so that a
-    writer can open the file afterwards.
+    Each attack on a stored chunk raises :class:`ProtectedFsError` at the
+    group it lands in, releases no plaintext of that group (the groups
+    before it were complete and verified), and leaves the handle closable,
+    so that a writer can open the file afterwards.  An attack on the node
+    fails the open, except a replay of the node, which the tag digest
+    catches before the last group.
     """
 
     CHUNKS = 40
@@ -156,30 +211,36 @@ class TestGroupAttacks:
 
     @staticmethod
     def _swap(store, a, b):
-        blob_a, blob_b = store.get(_chunk_key("/f", a)), store.get(_chunk_key("/f", b))
-        store.put(_chunk_key("/f", a), blob_b)
-        store.put(_chunk_key("/f", b), blob_a)
+        blob_a, blob_b = store.get(_blob_key("/f", a)), store.get(_blob_key("/f", b))
+        store.put(_blob_key("/f", a), blob_b)
+        store.put(_blob_key("/f", b), blob_a)
 
     def _attack(self, pfs, store, kind, position):
-        """Mount the attack; returns the index of the chunk whose group fails."""
-        key = _chunk_key("/f", position)
+        """Mount the attack; returns the index of the chunk whose group
+        fails, or None if the open fails."""
+        key = _blob_key("/f", position)
+        failing = None if position == 0 else position
         if kind == "tamper":
             blob = bytearray(store.get(key))
             blob[20] ^= 1
             store.put(key, bytes(blob))
-            return position
+            return failing
         if kind == "delete":
             store.delete(key)
-            return position
+            return failing
+        if kind == "splice":  # another path's blob at the same position
+            pfs.write_file("/g", self._data())
+            store.put(key, store.get(_blob_key("/g", position)))
+            return failing
         if kind == "swap-in-group":
             partner = position ^ 1  # 0<->1, 15<->14, 16<->17, 39<->38
             self._swap(store, position, partner)
-            return min(position, partner)
+            return None if 0 in (position, partner) else min(position, partner)
         if kind == "swap-across-groups":
             partner = position + READ_GROUP if position + READ_GROUP < self.CHUNKS else position - READ_GROUP
             self._swap(store, position, partner)
-            return min(position, partner)
-        # replay: the same file's older chunk at the same position passes its
+            return None if 0 in (position, partner) else min(position, partner)
+        # replay: the same file's older blob at the same position passes its
         # own GCM check; the tag digest catches it before the last group.
         old = store.get(key)
         pfs.write_file("/f", self._data())
@@ -187,11 +248,16 @@ class TestGroupAttacks:
         return self.CHUNKS - 1
 
     @pytest.mark.parametrize("position", POSITIONS)
-    @pytest.mark.parametrize("kind", ["tamper", "delete", "swap-in-group", "swap-across-groups", "replay"])
+    @pytest.mark.parametrize("kind", ["tamper", "delete", "splice", "swap-in-group", "swap-across-groups", "replay"])
     def test_attack_fails_its_group(self, pfs, store, kind, position):
         data = self._data()
         pfs.write_file("/f", data)
         failing = self._attack(pfs, store, kind, position)
+        if failing is None:
+            with pytest.raises(ProtectedFsError):
+                pfs.open_read("/f")
+            pfs.open_write("/f").close()
+            return
         released = []
         reader = pfs.open_read("/f")
         with pytest.raises(ProtectedFsError) as raised:
@@ -207,13 +273,13 @@ class TestGroupAttacks:
 
 
 class _FlakyStore(InMemoryStore):
-    """Raises a transient fault on the next get of a chunk key, once."""
+    """Raises a transient fault on the next get of a key containing ``armed``, once."""
 
-    armed = False
+    armed = ""
 
     def get(self, key):
-        if self.armed and "\x00chunk\x00" in key:
-            self.armed = False
+        if self.armed and self.armed in key:
+            self.armed = ""
             raise FaultError("injected: store unavailable")
         return super().get(key)
 
@@ -226,10 +292,76 @@ def test_transient_fault_on_a_chunk_get_stays_retryable():
     data = bytes(range(256)) * (2 * GROUP_BYTES // 256)
     pfs.write_file("/f", data)
     with pfs.open_read("/f") as reader:
-        store.armed = True
+        store.armed = "\x00chunk\x00"
         with pytest.raises(FaultError):
             reader.read_chunk()
         assert reader.read_chunk() + reader.read_chunk() == data
+
+
+def test_transient_fault_on_the_node_get_stays_retryable():
+    """The node is read with one get and no exists probe: a store fault
+    there reaches the caller as FaultError, never as a missing file, while
+    a key that is really absent is one."""
+    store = _FlakyStore()
+    pfs = ProtectedFs(store, master_key=KEY, enclave=loaded_enclave())
+    pfs.write_file("/f", b"small")
+    store.armed = "\x00meta"
+    with pytest.raises(FaultError):
+        pfs.open_read("/f")
+    assert not pfs.has_reader("/f")
+    assert pfs.read_file("/f") == b"small"
+    with pytest.raises(ProtectedFsError, match="no protected file"):
+        pfs.read_file("/absent")
+
+
+class _CountingStore(InMemoryStore):
+    """Counts puts, gets, deletes and exists probes (``get_many`` and
+    ``put_many`` go through ``get`` and ``put``, once per key)."""
+
+    def __init__(self):
+        super().__init__()
+        self.ops = collections.Counter()
+
+    def put(self, key, value):
+        self.ops["put"] += 1
+        super().put(key, value)
+
+    def get(self, key):
+        self.ops["get"] += 1
+        return super().get(key)
+
+    def delete(self, key):
+        self.ops["delete"] += 1
+        super().delete(key)
+
+    def exists(self, key):
+        self.ops["exists"] += 1
+        return super().exists(key)
+
+
+@pytest.mark.parametrize("size", [0, 1, CHUNK_SIZE])
+def test_a_one_chunk_file_is_one_put_and_one_get(size):
+    """A file of up to 4 KiB is one sealed blob: writing it stores one
+    object, with one put (and the probe for a stale chunk 1 of a longer
+    previous version), and reading it is one get."""
+    store = _CountingStore()
+    pfs = ProtectedFs(store, master_key=KEY, enclave=loaded_enclave())
+    pfs.write_file("/f", b"x" * size)
+    assert store.ops == {"put": 1, "exists": 1}
+    assert list(store.keys()) == [_node_key("/f")]
+    assert store.size(_node_key("/f")) <= MAX_BUFFERED_VALUE  # an armed DeferredStore buffers it
+    store.ops.clear()
+    assert pfs.read_file("/f") == b"x" * size
+    assert store.ops == {"get": 1}
+
+
+@pytest.mark.parametrize("path", ["/dir/file.txt", "/ünïcødé/文件", ""], ids=["ascii", "non-ascii", "empty"])
+def test_file_key_is_the_labelled_derivation(path):
+    """The mount's precomputed HKDF-extract leaves every file key
+    byte-identical to the full derivation from the master key."""
+    master = bytes(range(32))
+    pfs = ProtectedFs(InMemoryStore(), master_key=master, enclave=loaded_enclave())
+    assert pfs._file_key(path) == derive_key(master, "pfs/file-key", path.encode("utf-8"), length=16)
 
 
 class TestHandles:
@@ -241,12 +373,15 @@ class TestHandles:
         pfs.open_write("/f").close()
 
     def test_meta_digest_is_sha256_over_the_stored_chunk_tags(self, pfs, store):
-        """The metadata node binds SHA-256 over each stored chunk's trailing
-        16 bytes (its GCM tag), in index order."""
-        pfs.write_file("/f", b"z" * (2 * CHUNK_SIZE + 1))
-        tags = b"".join(store.get(_chunk_key("/f", index))[-16:] for index in range(3))
+        """The metadata node carries chunk 0 and binds SHA-256 over each
+        stored chunk's trailing 16 bytes (its GCM tag), in index order;
+        ``chunk_count`` still counts chunk 0."""
+        data = b"a" * CHUNK_SIZE + b"z" * (CHUNK_SIZE + 1)
+        pfs.write_file("/f", data)
+        tags = b"".join(store.get(_chunk_key("/f", index))[-16:] for index in (1, 2))
         meta = pfs._load_meta("/f")
         assert meta.chunk_count == 3
+        assert meta.head == data[:CHUNK_SIZE]
         assert meta.tag_digest == hashlib.sha256(tags).digest()
 
     def test_handle_state_does_not_grow_with_chunk_count(self, pfs):
@@ -368,25 +503,28 @@ class TestChargeSequence:
     @staticmethod
     def _reference(clock, pfs, size):
         """Replay the one-chunk-at-a-time charges of writing and then reading
-        ``size`` bytes: per chunk, crypto then OCALL on write, OCALL then
-        the read charge on read; the metadata node's around them."""
+        ``size`` bytes.  Chunk 0 rides in the metadata node, whose crypto
+        charge covers it; per stored chunk (1 to n - 1), crypto then OCALL
+        on write, OCALL then the read charge on read; the node's after them
+        on write and before them on read."""
         costs = pfs._enclave.platform.costs
         overhead = pfs._pae.overhead
-        chunks = [min(CHUNK_SIZE, size - offset) for offset in range(0, size, CHUNK_SIZE)] or [0]
-        meta = len(_Meta(size=size, chunk_count=len(chunks), tag_digest=bytes(32)).serialize())
-        for length in chunks:
+        head, *stored = [min(CHUNK_SIZE, size - offset) for offset in range(0, size, CHUNK_SIZE)] or [0]
+        node = _Meta(size=size, chunk_count=1 + len(stored), tag_digest=bytes(32), head=bytes(head))
+        meta = len(node.serialize())
+        for length in stored:
             clock.charge(costs.aead_time(length), "pfs-crypto")
             clock.charge(costs.ocall_transition, "pfs-io")
         clock.charge(costs.aead_time(meta), "pfs-crypto")
         clock.charge(costs.ocall_transition, "pfs-io")
-        for length in [meta, *chunks]:
+        for length in [meta, *stored]:
             clock.charge(costs.ocall_transition, "pfs-io")
             nbytes = length + overhead
             clock.charge(costs.aead_time(nbytes) + nbytes / costs.pfs_read_bytes_per_second, "pfs-crypto")
 
     @pytest.mark.parametrize("clock_kind", ["serial", "parallel-track"])
     @pytest.mark.parametrize("stack", ["bare", "engine"])
-    @pytest.mark.parametrize("chunks", [0, 1, 16, 17, 40])
+    @pytest.mark.parametrize("chunks", [0, 1, 2, 16, 17, 40])
     def test_clock_matches_the_per_chunk_reference(self, chunks, stack, clock_kind):
         size = chunks * CHUNK_SIZE - (chunks > 1) * 100  # a short last chunk
         clocks = []
@@ -413,6 +551,27 @@ class TestChargeSequence:
             ref_clock.close_track(ref_track)
         assert clock.now() == ref_clock.now()
         assert clock.accounts() == ref_clock.accounts()
+
+    @pytest.mark.parametrize("stack", ["bare", "engine"])
+    def test_an_old_layout_node_fails_closed(self, stack):
+        """A node in the layout before chunk 0 moved into it (no head field)
+        is authentic but unreadable: a typed error, no migration, and no
+        charge beyond the node's own read."""
+        clock, ref_clock = SimClock(), SimClock()
+        enclave = loaded_enclave(clock)
+        inner = InMemoryStore()
+        store = inner if stack == "bare" else engine_for(StoreSet.over(inner), enclave).backends.dedup
+        pfs = ProtectedFs(store, master_key=KEY, enclave=enclave)
+        old = Writer().u64(2 * CHUNK_SIZE).u32(2).bytes(bytes(32)).take()
+        node = pfs._pae.encrypt(pfs._file_key("/f"), old, aad=b"pfs-meta\x00/f")
+        inner.put(_node_key("/f") if stack == "bare" else "dedup/" + _node_key("/f"), node)
+        ref_clock.charge(clock.now(), "setup")
+        with pytest.raises(ProtectedFsError, match="failed verification"):
+            pfs.read_file("/f")
+        costs = enclave.platform.costs
+        ref_clock.charge(costs.ocall_transition, "pfs-io")
+        ref_clock.charge(costs.aead_time(len(node)) + len(node) / costs.pfs_read_bytes_per_second, "pfs-crypto")
+        assert clock.now() == ref_clock.now()
 
 
 class TestDebris:

@@ -2,10 +2,13 @@
 
 import pytest
 
-from repro.errors import StorageError
+from repro.core.journal import TAG_CONTENT, JournaledStore, WriteAheadJournal
+from repro.errors import FaultError, StorageError
 from repro.storage import DiskStore, InMemoryStore, StoreSet
 from repro.storage.stores import PrefixedStore
 from repro.store import ShardedStore
+from repro.store.engine import DeferredStore, TransactionStats
+from tests.support.platform import loaded_enclave
 
 
 class TestPrefixedStore:
@@ -180,3 +183,50 @@ class TestShardedStore:
         hot = stats["ops"][store.shard_index("k")]
         assert (hot["puts"], hot["gets"], hot["deletes"], hot["put_bytes"]) == (1, 1, 1, 3)
         assert stats["objects"] == [0, 0]
+
+
+# -- a missing key: StorageError, never a transient fault ---------------------------
+#
+# The protected FS reads a metadata node with one get and no exists probe: a
+# StorageError that is not a FaultError means "no such file", a FaultError a
+# retryable failure.  Every store the node can be read through keeps that split.
+
+
+def _journaled():
+    stores = StoreSet.in_memory()
+    return JournaledStore(stores.content, WriteAheadJournal(stores, bytes(32)), TAG_CONTENT)
+
+
+def _deferred(state):
+    store = DeferredStore(_journaled(), loaded_enclave(), TransactionStats())
+    if state != "unarmed":
+        store.arm()
+    if state == "tombstoned":  # a buffered delete shadows the stored key
+        store.inner.put("absent", b"stored")
+        store.delete("absent")
+    return store
+
+
+MISSING_KEY_STORES = {
+    "in-memory": lambda tmp_path: InMemoryStore(),
+    "disk": lambda tmp_path: DiskStore(str(tmp_path / "store")),
+    "prefixed": lambda tmp_path: PrefixedStore(InMemoryStore(), "p/"),
+    "sharded": lambda tmp_path: ShardedStore([InMemoryStore() for _ in range(3)]),
+    "deferred-unarmed": lambda tmp_path: _deferred("unarmed"),
+    "deferred-armed": lambda tmp_path: _deferred("armed"),
+    "deferred-tombstoned": lambda tmp_path: _deferred("tombstoned"),
+    "journaled": lambda tmp_path: _journaled(),
+}
+
+
+@pytest.mark.parametrize("read", ["get", "get_many"])
+@pytest.mark.parametrize("kind", list(MISSING_KEY_STORES))
+def test_a_missing_key_is_a_storage_error_not_a_fault(tmp_path, kind, read):
+    store = MISSING_KEY_STORES[kind](tmp_path)
+    store.put("present", b"value")
+    with pytest.raises(StorageError) as raised:
+        if read == "get":
+            store.get("absent")
+        else:
+            list(store.get_many(["present", "absent"]))
+    assert not isinstance(raised.value, FaultError)
