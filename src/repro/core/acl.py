@@ -60,26 +60,14 @@ def quota_path(user_id: str) -> str:
     return QUOTA_PREFIX + user_id
 
 
-def _perm_bits(perms: frozenset[Permission]) -> int:
-    bits = 0
-    if Permission.READ in perms:
-        bits |= 1
-    if Permission.WRITE in perms:
-        bits |= 2
-    if Permission.DENY in perms:
-        bits |= 4
-    return bits
-
-
-def _perms_from_bits(bits: int) -> frozenset[Permission]:
-    perms = set()
-    if bits & 1:
-        perms.add(Permission.READ)
-    if bits & 2:
-        perms.add(Permission.WRITE)
-    if bits & 4:
-        perms.add(Permission.DENY)
-    return frozenset(perms)
+#: An ACL entry's permission byte is READ 1 | WRITE 2 | DENY 4.  Both
+#: directions are table lookups; a frozenset caches its hash, so the sets
+#: decoded here hash once.
+_PERMS_FROM_BITS = tuple(
+    frozenset(perm for perm, bit in ((Permission.READ, 1), (Permission.WRITE, 2), (Permission.DENY, 4)) if bits & bit)
+    for bits in range(8)
+)
+_PERM_BITS = {perms: bits for bits, perms in enumerate(_PERMS_FROM_BITS)}
 
 
 class AclFile:
@@ -159,7 +147,7 @@ class AclFile:
         w.u32(len(self._entries))
         for group_id, perms in self._entries:
             w.str(group_id)
-            w.u8(_perm_bits(perms))
+            w.u8(_PERM_BITS[perms])
         return w.take()
 
     @classmethod
@@ -174,7 +162,7 @@ class AclFile:
         entries = []
         for _ in range(count):
             group_id = r.str()
-            entries.append((group_id, _perms_from_bits(r.u8())))
+            entries.append((group_id, _PERMS_FROM_BITS[r.u8() & 7]))
         r.expect_end()
         acl._entries = sorted(entries)
         return acl

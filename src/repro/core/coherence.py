@@ -39,12 +39,7 @@ from typing import TYPE_CHECKING, Dict, Iterable, Tuple
 from repro.core.dedup import NS_DEDUP
 from repro.crypto import default_pae, derive_key
 from repro.errors import ReproError
-from repro.util.serialization import (
-    pack_str,
-    pack_u32,
-    unpack_str,
-    unpack_u32,
-)
+from repro.util.serialization import Reader, Writer
 
 if TYPE_CHECKING:
     from repro.netsim.coherence import CoherenceBoard
@@ -120,8 +115,9 @@ class CoherenceManager:
         Raced publishers loop: :meth:`CoherenceBoard.place` only accepts
         ``epoch + 1`` and the AAD binds the number, so a lost race means
         re-sealing against the new counter, never renumbering a blob.
+        The keys keep their order, duplicates dropped.
         """
-        pairs = sorted(set(keys))
+        pairs = list(dict.fromkeys(keys))
         self._place(self._encode(_KIND_INVALIDATE, label, pairs))
         self.stats.publishes += 1
         self.stats.published_keys += len(pairs)
@@ -212,22 +208,15 @@ class CoherenceManager:
     # -- wire format ------------------------------------------------------
 
     def _encode(self, kind: int, label: str, pairs: "list[Tuple[str, str]]") -> bytes:
-        parts = [pack_u32(kind), pack_str(label), pack_u32(len(pairs))]
+        w = Writer().u32(kind).str(label).u32(len(pairs))
         for namespace, key in pairs:
-            parts.append(pack_str(namespace))
-            parts.append(pack_str(key))
-        return b"".join(parts)
+            w.str(namespace).str(key)
+        return w.take()
 
     def _decode(self, payload: bytes) -> "Tuple[int, list[Tuple[str, str]]]":
-        kind, offset = unpack_u32(payload, 0)
-        _label, offset = unpack_str(payload, offset)
-        count, offset = unpack_u32(payload, offset)
-        pairs: "list[Tuple[str, str]]" = []
-        for _ in range(count):
-            namespace, offset = unpack_str(payload, offset)
-            key, offset = unpack_str(payload, offset)
-            pairs.append((namespace, key))
-        return kind, pairs
+        r = Reader(payload)
+        kind, _label = r.u32(), r.str()
+        return kind, [(r.str(), r.str()) for _ in range(r.u32())]
 
     def snapshot(self) -> Dict[str, int]:
         """Protocol counters plus the cache traffic they protect.

@@ -40,7 +40,7 @@ from typing import TYPE_CHECKING, Iterable
 from repro.crypto import derive_key
 from repro.errors import StorageError
 from repro.sgx.protected_fs import ProtectedFs
-from repro.util.serialization import SerializationError, pack_str, pack_u32, unpack_str, unpack_u32
+from repro.util.serialization import Reader, Writer
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.store.engine import StorageEngine
@@ -89,12 +89,10 @@ class DedupStore:
         if not self._pfs.exists(path):
             self._index.pop(h_name, None)
             return
-        data = self._pfs.read_file(path)
-        object_id, offset = unpack_str(data)
-        refcount, offset = unpack_u32(data, offset)
-        if offset != len(data):
-            raise SerializationError(f"{len(data) - offset} trailing bytes")
-        self._index[h_name] = (object_id, refcount)
+        r = Reader(self._pfs.read_file(path))
+        entry = (r.str(), r.u32())
+        r.expect_end()
+        self._index[h_name] = entry
 
     def _changed(self, h_name: str) -> None:
         """Seal now, or at the end of the engine span this change belongs to."""
@@ -111,7 +109,7 @@ class DedupStore:
             self._engine.invalidate(NS_DEDUP, h_name)
             entry = self._index.get(h_name)
             if entry is not None:
-                self._pfs.write_file(path, pack_str(entry[0]) + pack_u32(entry[1]))
+                self._pfs.write_file(path, Writer().str(entry[0]).u32(entry[1]).take())
             elif self._pfs.exists(path):
                 self._pfs.remove(path)
         self._dirty.clear()

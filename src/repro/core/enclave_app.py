@@ -217,7 +217,11 @@ class SeGShareEnclave(Enclave):
     #: chunk 0, and the file-key PRK is derived once per mount (docs/PERF.md
     #: §21; the chunk-key and AAD helpers folded to pay): 7759 → 7768, a rise
     #: of 9 named beforehand (at most 10).
-    TCB_LOC_CEILING = 7768
+    #: One codec API, each ``Writer``/``Reader`` method one frame and the
+    #: fixed-layout headers precompiled structs, paid for by deleting the
+    #: module-level ``pack_*``/``unpack_*`` functions and the ACL's
+    #: permission-bit helpers (docs/PERF.md §22): 7768 → 7756.
+    TCB_LOC_CEILING = 7756
 
     def __init__(
         self,

@@ -128,13 +128,14 @@ class Mount:
         return data
 
     def guarded_write(self, path: str, data: bytes) -> None:
-        old_hash = None
-        if self.guard is not None and self.raw_exists(path):
-            old_hash = self._current_hash(path)
+        old_hash = self._current_hash(path) if self.guard is not None and self.raw_exists(path) else None
+        new_hash = self._content_hash(data) if self.guard is not None else b""
+        if new_hash == old_hash:
+            return  # the stored content already: no seal, pre-image, guard walk or write-back
         self._engine.invalidate(self.namespace, path)
         self.pfs.write_file(self._sp(path), data)
         if self.guard is not None:
-            self.guard.on_write(path, self._content_hash(data), old_hash)
+            self.guard.on_write(path, new_hash, old_hash)
         self._engine.write_back(self.namespace, path, data)
 
     def guarded_delete(self, path: str) -> None:

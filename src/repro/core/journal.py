@@ -82,7 +82,7 @@ from repro.errors import (
 from repro.sgx.protected_fs import stored_keys
 from repro.storage.backends import UntrustedStore
 from repro.storage.stores import StoreSet
-from repro.util.serialization import Reader, Writer
+from repro.util.serialization import Reader, SerializationError, Writer
 
 #: Store tags identifying which member of the :class:`StoreSet` a journal
 #: entry belongs to.
@@ -549,6 +549,8 @@ class WriteAheadJournal:
         for entry_key in entry_keys:
             r = Reader(self._open(entry_key, _ENTRY_AAD + entry_key.encode("utf-8")))
             tag = r.u8()
+            if tag >= len(self._tagged):
+                raise SerializationError(f"journal entry names no store {tag}")
             store = self._tagged[tag]
             items = [(r.str(), r.u8(), r.bytes()) for _ in range(r.u32())]
             r.expect_end()

@@ -56,6 +56,10 @@ class Status(enum.IntEnum):
     UNAVAILABLE = 4
 
 
+_OPS = {int(op): op for op in Op}
+_STATUSES = {int(status): status for status in Status}
+
+
 @dataclass(frozen=True)
 class Request:
     """A generic request: opcode plus positional string arguments.
@@ -109,15 +113,14 @@ class Request:
     }
 
     def serialize(self) -> bytes:
-        return Writer().u8(int(self.op)).str_list(list(self.args)).take()
+        return Writer().u8(int(self.op)).str_list(self.args).take()
 
     @classmethod
     def deserialize(cls, data: bytes) -> "Request":
         r = Reader(data)
-        try:
-            op = Op(r.u8())
-        except ValueError as exc:
-            raise RequestError(f"unknown opcode: {exc}") from exc
+        op = _OPS.get(r.u8())
+        if op is None:
+            raise RequestError(f"unknown opcode: {data[0]}")
         args = tuple(r.str_list())
         r.expect_end()
         request = cls(op=op, args=args)
@@ -147,17 +150,16 @@ class Response:
             .u8(int(self.status))
             .str(self.message)
             .bytes(self.payload)
-            .str_list(list(self.listing))
+            .str_list(self.listing)
             .take()
         )
 
     @classmethod
     def deserialize(cls, data: bytes) -> "Response":
         r = Reader(data)
-        try:
-            status = Status(r.u8())
-        except ValueError as exc:
-            raise RequestError(f"unknown status: {exc}") from exc
+        status = _STATUSES.get(r.u8())
+        if status is None:
+            raise RequestError(f"unknown status: {data[0]}")
         message = r.str()
         payload = r.bytes()
         listing = tuple(r.str_list())
@@ -201,7 +203,7 @@ class StatInfo:
             Writer()
             .bool(self.is_dir)
             .u64(self.size)
-            .str_list(list(self.owners))
+            .str_list(self.owners)
             .bool(self.inherit)
             .take()
         )
@@ -228,7 +230,7 @@ class AclInfo:
     inherit: bool
 
     def serialize(self) -> bytes:
-        w = Writer().str_list(list(self.owners)).u32(len(self.entries))
+        w = Writer().str_list(self.owners).u32(len(self.entries))
         for group, perms in self.entries:
             w.str(group)
             w.str(perms)

@@ -25,7 +25,7 @@ import hmac
 import struct
 from itertools import compress
 
-from repro.util.serialization import SerializationError, pack_u32, unpack_u32
+from repro.util.serialization import Reader, SerializationError, Writer
 
 DIGEST_SIZE = 32
 #: One hash value: the accumulator followed by the 8-byte count.
@@ -137,7 +137,7 @@ class MSetXorBuckets:
         """``u32 B ‖ ⌈B/8⌉-byte bitmap ‖ the non-empty buckets' values in
         bucket order``; bit i of the little-endian bitmap marks bucket i."""
         values = struct.unpack(f"{VALUE_SIZE}s" * len(self), self._values)
-        head = pack_u32(len(values))
+        head = Writer().u32(len(values)).take()
         if _EMPTY not in values:  # a full node stores its buffer as it is
             return head + ((1 << len(values)) - 1).to_bytes(-(-len(values) // 8), "little") + self._values
         kept = bytes([value != _EMPTY for value in values])
@@ -148,16 +148,17 @@ class MSetXorBuckets:
     def deserialize(cls, key: bytes, data: bytes) -> "MSetXorBuckets":
         """The inverse of :meth:`serialize`, for its output only: a bit at or
         above B, a stored empty value or a length off by a byte is an error."""
-        buckets, start = unpack_u32(data)
-        end = start + -(-buckets // 8)
-        bitmap = int.from_bytes(data[start:end], "little")
-        if bitmap >> buckets or len(data) != end + bitmap.bit_count() * VALUE_SIZE:
+        r = Reader(data)
+        buckets = r.u32()
+        bitmap = int.from_bytes(r.raw(-(-buckets // 8)), "little")
+        stored = r.raw(r.remaining)
+        if bitmap >> buckets or len(stored) != bitmap.bit_count() * VALUE_SIZE:
             raise SerializationError("bucket bitmap disagrees with the encoded length")
-        values = struct.unpack_from(f"{VALUE_SIZE}s" * bitmap.bit_count(), data, end)
+        values = struct.unpack(f"{VALUE_SIZE}s" * bitmap.bit_count(), stored)
         if _EMPTY in values:
             raise SerializationError("an empty bucket is encoded")
         if len(values) == buckets:  # a full node: the values are the buffer
-            return cls(key, bytearray(data[end:]))
+            return cls(key, bytearray(stored))
         # One "%s" per stored bucket, 40 zero bytes per empty one.
         template = f"{bitmap:0{buckets}b}"[::-1].encode().replace(b"1", b"%s").replace(b"0", _EMPTY)
         return cls(key, bytearray(template % values))

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import hashlib
 import hmac
+import struct
 from dataclasses import dataclass
 from typing import Callable, Iterator
 
@@ -29,13 +30,17 @@ from repro.crypto.kdf import KDF_SALT, hkdf_expand, hkdf_extract
 from repro.errors import FaultError, IntegrityError, ProtectedFsError, StorageError
 from repro.sgx.enclave import Enclave
 from repro.storage.backends import UntrustedStore
-from repro.util.serialization import Reader, SerializationError, Writer
+from repro.util.serialization import SerializationError, Writer
 
 CHUNK_SIZE = 4096
 #: Chunks a reader opens per ``read_chunk``: 64 KiB, one TLS stream record.
 READ_GROUP = 16
 
 _META_SUFFIX = "\x00meta"
+#: The metadata node: ``size (u64) || chunk_count (u32) || tag digest length
+#: (u32)``, the digest, then chunk 0 as a u32-length-prefixed string.
+_NODE = struct.Struct(">QII")
+_LEN = struct.Struct(">I")
 
 
 def _chunk_keys(path: str, start: int, stop: int) -> list[str]:
@@ -55,14 +60,18 @@ class _Meta:
     head: bytes  # chunk 0's plaintext
 
     def serialize(self) -> bytes:
-        return Writer().u64(self.size).u32(self.chunk_count).bytes(self.tag_digest).bytes(self.head).take()
+        digest, head = self.tag_digest, self.head
+        return b"".join((_NODE.pack(self.size, self.chunk_count, len(digest)), digest, _LEN.pack(len(head)), head))
 
     @classmethod
     def deserialize(cls, data: bytes) -> "_Meta":
-        r = Reader(data)
-        meta = cls(size=r.u64(), chunk_count=r.u32(), tag_digest=r.bytes(), head=r.bytes())
-        r.expect_end()
-        return meta
+        if len(data) < _NODE.size:
+            raise SerializationError("truncated metadata node")
+        size, chunk_count, digest_len = _NODE.unpack_from(data)
+        at = _NODE.size + digest_len  # the head's length prefix
+        if len(data) < at + 4 or _LEN.unpack_from(data, at)[0] != len(data) - at - 4:
+            raise SerializationError("metadata node length disagrees with its contents")
+        return cls(size, chunk_count, data[_NODE.size : at], data[at + 4 :])
 
 
 class ProtectedFs:

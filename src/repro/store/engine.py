@@ -363,14 +363,17 @@ class StorageEngine:
         #: :meth:`attach_coherence` in cluster deployments (``None``
         #: keeps single-enclave paths byte-for-byte untouched).
         self.coherence: "CoherenceManager | None" = None
-        #: (namespace, key) pairs the open transaction touched; published
-        #: to the coherence log at commit so peer replicas drop exactly
-        #: these cache entries.  Shares the lifecycle (and therefore the
-        #: thread-safety argument) of ``_write_backs``.
-        self._txn_touched: "set[tuple[str, str]]" = set()
+        #: (namespace, key) pairs the open transaction touched, in touch
+        #: order; published to the coherence log at commit so peer replicas
+        #: drop exactly these cache entries, and re-read dedup records in an
+        #: order that repeats for a seed (an ``hName`` is keyed by this
+        #: deployment's secret, so sorted names would not).  Shares the
+        #: lifecycle (and therefore the thread-safety argument) of
+        #: ``_write_backs``.
+        self._txn_touched: "dict[tuple[str, str], None]" = {}
         #: Union of the open epoch's committed members' touched sets;
         #: published once at epoch close, amortized like the anchor write.
-        self._epoch_touched: "set[tuple[str, str]]" = set()
+        self._epoch_touched: "dict[tuple[str, str], None]" = {}
         #: (namespace, key) -> value; deferred cache write-through,
         #: last write per key wins.
         self._write_backs: "OrderedDict[tuple[str, str], bytes]" = OrderedDict()
@@ -547,7 +550,7 @@ class StorageEngine:
             # Committed members pool their touched keys; the epoch close
             # publishes them as one entry.
             self._epoch_touched |= self._txn_touched
-            self._txn_touched = set()
+            self._txn_touched = {}
             self._committed(puts_before)
             if group.solo:
                 # After the reclaim, which the record's intents keep
@@ -830,9 +833,9 @@ class StorageEngine:
         """
         if self.coherence is None:
             return
-        touched = self._txn_touched | self._epoch_touched
-        self._txn_touched = set()
-        self._epoch_touched = set()
+        touched = self._epoch_touched | self._txn_touched
+        self._txn_touched = {}
+        self._epoch_touched = {}
         if not touched:
             return
         self.journal.crashpoint("coherence:publish")
@@ -904,4 +907,4 @@ class StorageEngine:
         not change committed shared state from a peer's point of view.
         """
         if self.coherence is not None and self.journal.active:
-            self._txn_touched.add((namespace, key))
+            self._txn_touched[(namespace, key)] = None

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import contextlib
 import itertools
+import struct
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Protocol
 
@@ -44,10 +45,12 @@ from repro.tls.handshake import (
 )
 from repro.tls.records import ContentType
 from repro.tls.session import STREAM_CHUNK, CryptoCostProfile, TlsSession, chunk_payload
-from repro.util.serialization import Reader, Writer
+from repro.util.serialization import SerializationError
 
 _KIND_SINGLE = 0
 _KIND_STREAM = 1
+#: ``kind (u8) || n_chunks (u32) || body_len (u64) || header payload length (u32)``.
+_HEADER = struct.Struct(">BIQI")
 
 # Asymmetric handshake costs (virtual seconds) — RSA-2048-class signing,
 # verification, and one ephemeral DH exchange per side.
@@ -62,17 +65,16 @@ def _charge_handshake(clock: SimClock, account: str) -> None:
 
 
 def _message_header(kind: int, header_payload: bytes, n_chunks: int, body_len: int) -> bytes:
-    return Writer().u8(kind).u32(n_chunks).u64(body_len).bytes(header_payload).take()
+    return _HEADER.pack(kind, n_chunks, body_len, len(header_payload)) + header_payload
 
 
 def _parse_message_header(data: bytes) -> tuple[int, int, int, bytes]:
-    r = Reader(data)
-    kind = r.u8()
-    n_chunks = r.u32()
-    body_len = r.u64()
-    header_payload = r.bytes()
-    r.expect_end()
-    return kind, n_chunks, body_len, header_payload
+    if len(data) < _HEADER.size:
+        raise SerializationError("truncated message header")
+    kind, n_chunks, body_len, length = _HEADER.unpack_from(data)
+    if length != len(data) - _HEADER.size:
+        raise SerializationError("message header length disagrees with its payload")
+    return kind, n_chunks, body_len, data[_HEADER.size :]
 
 
 def _records_for(body_len: int) -> int:

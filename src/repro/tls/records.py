@@ -9,16 +9,22 @@ payloads stay opaque to it.
 from __future__ import annotations
 
 import enum
+import struct
 from dataclasses import dataclass
 
 from repro.errors import TlsError
-from repro.util.serialization import Reader, Writer
+from repro.util.serialization import SerializationError
 
 
 class ContentType(enum.IntEnum):
     HANDSHAKE = 22
     APPLICATION_DATA = 23
     ALERT = 21
+
+
+_CONTENT_TYPES = {int(kind): kind for kind in ContentType}
+#: ``content_type (u8) || payload length (u32)``.
+_HEADER = struct.Struct(">BI")
 
 
 @dataclass(frozen=True)
@@ -29,26 +35,27 @@ class TlsRecord:
     payload: bytes
 
     def serialize(self) -> bytes:
-        return Writer().u8(int(self.content_type)).bytes(self.payload).take()
+        return _HEADER.pack(self.content_type, len(self.payload)) + self.payload
 
     @classmethod
     def deserialize(cls, data: bytes) -> "TlsRecord":
-        r = Reader(data)
-        try:
-            content_type = ContentType(r.u8())
-        except ValueError as exc:
-            raise TlsError(f"unknown record content type: {exc}") from exc
-        payload = r.bytes()
-        r.expect_end()
-        return cls(content_type=content_type, payload=payload)
+        if len(data) < _HEADER.size:
+            raise SerializationError("truncated record header")
+        kind, length = _HEADER.unpack_from(data)
+        content_type = _CONTENT_TYPES.get(kind)
+        if content_type is None:
+            raise TlsError(f"unknown record content type: {kind}")
+        if length != len(data) - _HEADER.size:
+            raise SerializationError("record length disagrees with its payload")
+        return cls(content_type, data[_HEADER.size :])
 
 
 def handshake_record(payload: bytes) -> bytes:
-    return TlsRecord(ContentType.HANDSHAKE, payload).serialize()
+    return _HEADER.pack(ContentType.HANDSHAKE, len(payload)) + payload
 
 
 def data_record(payload: bytes) -> bytes:
-    return TlsRecord(ContentType.APPLICATION_DATA, payload).serialize()
+    return _HEADER.pack(ContentType.APPLICATION_DATA, len(payload)) + payload
 
 
 def alert_record(message: str) -> bytes:

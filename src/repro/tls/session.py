@@ -12,15 +12,19 @@ constant-size pieces, so the enclave never buffers a whole file.
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass
 
 from repro.crypto import default_pae
 from repro.errors import IntegrityError, TlsError
 from repro.netsim.clock import SimClock
 from repro.tls.handshake import SessionKeys
-from repro.util.serialization import Writer
 
 STREAM_CHUNK = 64 * 1024
+
+#: A record's associated data: the direction label as a length-prefixed
+#: string (``u32 3 || "c2s"`` or ``"s2c"``), then the u64 sequence number.
+_AAD = struct.Struct(">I3sQ")
 
 
 @dataclass(frozen=True)
@@ -62,8 +66,7 @@ class TlsSession:
         )
 
     def _aad(self, sending: bool, seq: int) -> bytes:
-        direction = "c2s" if (sending == self._is_client) else "s2c"
-        return Writer().str(direction).u64(seq).take()
+        return _AAD.pack(3, b"c2s" if sending == self._is_client else b"s2c", seq)
 
     def _send_key(self) -> bytes:
         return self._keys.client_write if self._is_client else self._keys.server_write

@@ -1,15 +1,10 @@
 """Deterministic binary serialization used across the code base.
 
-All on-disk and on-wire structures (ACL files, directory files, TLS records,
-certificates, request messages) are encoded with the same primitives:
-
-* fixed-width big-endian integers (``u8``/``u32``/``u64``),
-* length-prefixed byte strings (``u32`` length + raw bytes),
-* length-prefixed UTF-8 strings.
-
-The encoding is deliberately simple and canonical: for a given logical value
-there is exactly one byte representation, so hashes and MACs over encoded
-structures are well defined.
+Every on-disk and on-wire structure is built from big-endian ``u8``/``u32``/
+``u64`` integers and ``u32``-length-prefixed byte and UTF-8 strings, with
+exactly one encoding per value, so hashes and MACs over them are well defined.
+:class:`Writer` and :class:`Reader` are the one codec API; each method does
+its check and its ``struct`` call in one frame.
 """
 
 from __future__ import annotations
@@ -18,82 +13,18 @@ import struct
 
 from repro.errors import ReproError
 
-_U8 = struct.Struct(">B")
 _U32 = struct.Struct(">I")
 _U64 = struct.Struct(">Q")
-
-U32_MAX = 0xFFFFFFFF
-U64_MAX = 0xFFFFFFFFFFFFFFFF
 
 
 class SerializationError(ReproError):
     """Malformed or truncated serialized data."""
 
 
-def pack_u32(value: int) -> bytes:
-    """Encode ``value`` as a 4-byte big-endian unsigned integer."""
-    if not 0 <= value <= U32_MAX:
-        raise SerializationError(f"u32 out of range: {value}")
-    return _U32.pack(value)
-
-
-def pack_u64(value: int) -> bytes:
-    """Encode ``value`` as an 8-byte big-endian unsigned integer."""
-    if not 0 <= value <= U64_MAX:
-        raise SerializationError(f"u64 out of range: {value}")
-    return _U64.pack(value)
-
-
-def pack_bytes(data: bytes) -> bytes:
-    """Encode ``data`` as a u32 length prefix followed by the raw bytes."""
-    return pack_u32(len(data)) + data
-
-
-def pack_str(text: str) -> bytes:
-    """Encode ``text`` as length-prefixed UTF-8."""
-    return pack_bytes(text.encode("utf-8"))
-
-
-def unpack_u32(data: bytes, offset: int = 0) -> tuple[int, int]:
-    """Decode a u32 at ``offset``; return ``(value, next_offset)``."""
-    if offset + 4 > len(data):
-        raise SerializationError("truncated u32")
-    return _U32.unpack_from(data, offset)[0], offset + 4
-
-
-def unpack_u64(data: bytes, offset: int = 0) -> tuple[int, int]:
-    """Decode a u64 at ``offset``; return ``(value, next_offset)``."""
-    if offset + 8 > len(data):
-        raise SerializationError("truncated u64")
-    return _U64.unpack_from(data, offset)[0], offset + 8
-
-
-def unpack_bytes(data: bytes, offset: int = 0) -> tuple[bytes, int]:
-    """Decode a length-prefixed byte string; return ``(value, next_offset)``."""
-    length, offset = unpack_u32(data, offset)
-    if offset + length > len(data):
-        raise SerializationError("truncated byte string")
-    return data[offset : offset + length], offset + length
-
-
-def unpack_str(data: bytes, offset: int = 0) -> tuple[str, int]:
-    """Decode a length-prefixed UTF-8 string; return ``(value, next_offset)``."""
-    raw, offset = unpack_bytes(data, offset)
-    try:
-        return raw.decode("utf-8"), offset
-    except UnicodeDecodeError as exc:
-        raise SerializationError("invalid UTF-8 in string") from exc
-
-
 class Writer:
-    """Incremental encoder producing a canonical byte string.
+    """Incremental encoder: ``Writer().u32(1).str("alice").take()``; no field nears 4 GiB."""
 
-    Example::
-
-        w = Writer()
-        w.u32(1).str("alice").bytes(payload)
-        blob = w.take()
-    """
+    __slots__ = ("_parts",)
 
     def __init__(self) -> None:
         self._parts: list[bytes] = []
@@ -101,22 +32,27 @@ class Writer:
     def u8(self, value: int) -> "Writer":
         if not 0 <= value <= 0xFF:
             raise SerializationError(f"u8 out of range: {value}")
-        self._parts.append(_U8.pack(value))
+        self._parts.append(bytes((value,)))
         return self
 
     def u32(self, value: int) -> "Writer":
-        self._parts.append(pack_u32(value))
+        if not 0 <= value <= 0xFFFFFFFF:
+            raise SerializationError(f"u32 out of range: {value}")
+        self._parts.append(_U32.pack(value))
         return self
 
     def u64(self, value: int) -> "Writer":
-        self._parts.append(pack_u64(value))
+        if not 0 <= value <= 0xFFFFFFFFFFFFFFFF:
+            raise SerializationError(f"u64 out of range: {value}")
+        self._parts.append(_U64.pack(value))
         return self
 
     def bool(self, value: bool) -> "Writer":
-        return self.u8(1 if value else 0)
+        self._parts.append(b"\x01" if value else b"\x00")
+        return self
 
     def bytes(self, data: bytes) -> "Writer":
-        self._parts.append(pack_bytes(data))
+        self._parts += (_U32.pack(len(data)), data)
         return self
 
     def raw(self, data: bytes) -> "Writer":
@@ -125,13 +61,16 @@ class Writer:
         return self
 
     def str(self, text: str) -> "Writer":
-        self._parts.append(pack_str(text))
+        data = text.encode("utf-8")
+        self._parts += (_U32.pack(len(data)), data)
         return self
 
-    def str_list(self, items: list[str]) -> "Writer":
-        self.u32(len(items))
+    def str_list(self, items: "list[str] | tuple[str, ...]") -> "Writer":
+        parts = self._parts
+        parts.append(_U32.pack(len(items)))
         for item in items:
-            self.str(item)
+            data = item.encode("utf-8")
+            parts += (_U32.pack(len(data)), data)
         return self
 
     def take(self) -> bytes:
@@ -144,6 +83,8 @@ class Writer:
 class Reader:
     """Incremental decoder over a byte string with bounds checking."""
 
+    __slots__ = ("_data", "_offset")
+
     def __init__(self, data: bytes) -> None:
         self._data = data
         self._offset = 0
@@ -153,47 +94,85 @@ class Reader:
         return len(self._data) - self._offset
 
     def u8(self) -> int:
-        if self._offset + 1 > len(self._data):
+        offset = self._offset
+        if offset >= len(self._data):
             raise SerializationError("truncated u8")
-        value = self._data[self._offset]
-        self._offset += 1
-        return value
+        self._offset = offset + 1
+        return self._data[offset]
 
     def u32(self) -> int:
-        value, self._offset = unpack_u32(self._data, self._offset)
-        return value
+        offset = self._offset
+        if offset + 4 > len(self._data):
+            raise SerializationError("truncated u32")
+        self._offset = offset + 4
+        return _U32.unpack_from(self._data, offset)[0]
 
     def u64(self) -> int:
-        value, self._offset = unpack_u64(self._data, self._offset)
-        return value
+        offset = self._offset
+        if offset + 8 > len(self._data):
+            raise SerializationError("truncated u64")
+        self._offset = offset + 8
+        return _U64.unpack_from(self._data, offset)[0]
 
     def bool(self) -> bool:
-        value = self.u8()
-        if value not in (0, 1):
-            raise SerializationError(f"invalid bool byte: {value}")
-        return bool(value)
+        offset = self._offset
+        if offset >= len(self._data) or self._data[offset] > 1:
+            raise SerializationError("truncated or invalid bool byte")
+        self._offset = offset + 1
+        return self._data[offset] == 1
 
     def bytes(self) -> bytes:
-        value, self._offset = unpack_bytes(self._data, self._offset)
-        return value
+        data, start = self._data, self._offset + 4
+        if start > len(data):
+            raise SerializationError("truncated u32")
+        end = start + _U32.unpack_from(data, start - 4)[0]
+        if end > len(data):
+            raise SerializationError("truncated byte string")
+        self._offset = end
+        return data[start:end]
 
     def raw(self, n: int) -> bytes:
         """Read exactly ``n`` un-prefixed bytes."""
-        if self._offset + n > len(self._data):
+        offset = self._offset
+        if offset + n > len(self._data):
             raise SerializationError("truncated raw read")
-        value = self._data[self._offset : self._offset + n]
-        self._offset += n
-        return value
+        self._offset = offset + n
+        return self._data[offset : offset + n]
 
     def str(self) -> str:
-        value, self._offset = unpack_str(self._data, self._offset)
-        return value
+        data, start = self._data, self._offset + 4
+        if start > len(data):
+            raise SerializationError("truncated u32")
+        end = start + _U32.unpack_from(data, start - 4)[0]
+        if end > len(data):
+            raise SerializationError("truncated byte string")
+        try:
+            text = data[start:end].decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise SerializationError("invalid UTF-8 in string") from exc
+        self._offset = end
+        return text
 
     def str_list(self) -> list[str]:
-        count = self.u32()
-        return [self.str() for _ in range(count)]
+        data, start = self._data, self._offset + 4
+        if start > len(data):
+            raise SerializationError("truncated u32")
+        items = []
+        try:
+            for _ in range(_U32.unpack_from(data, start - 4)[0]):
+                if start + 4 > len(data):
+                    raise SerializationError("truncated u32")
+                end = start + 4 + _U32.unpack_from(data, start)[0]
+                if end > len(data):
+                    raise SerializationError("truncated byte string")
+                items.append(data[start + 4 : end].decode("utf-8"))
+                start = end
+        except UnicodeDecodeError as exc:
+            raise SerializationError("invalid UTF-8 in string") from exc
+        self._offset = start
+        return items
 
     def expect_end(self) -> None:
         """Raise unless the entire input was consumed."""
-        if self.remaining:
-            raise SerializationError(f"{self.remaining} trailing bytes")
+        if self._offset != len(self._data):
+            raise SerializationError(f"{len(self._data) - self._offset} trailing bytes")

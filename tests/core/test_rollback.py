@@ -14,7 +14,7 @@ from repro.fsmodel import DirectoryFile
 from repro.sgx.costmodel import SgxCostModel
 from repro.sgx.counters import RoteCounterService
 from repro.storage.stores import StoreSet
-from repro.util.serialization import SerializationError, pack_u32
+from repro.util.serialization import SerializationError, Writer
 
 from tests.core.conftest import ROOT_KEY
 from tests.crypto.test_mset_hash import dense_encoding
@@ -200,6 +200,46 @@ class TestContentRollbackAttacks:
             world.manager.cache.discard(world.manager.content.namespace, path)
         with pytest.raises(RollbackDetected):
             world.manager.read_content("/d/a")
+
+
+class TestNoOpWrites:
+    """A guarded write of the content already stored returns before the
+    seal, the undo pre-image, the guard walk and the cache write-back."""
+
+    def test_overwrite_leaves_the_acl_blob_alone(self, guarded):
+        """An overwriting upload rewrites the ACL it has just read.  A seal
+        draws a fresh IV, so a byte-identical blob means no ACL put."""
+        store = guarded.stores.content
+        guarded.handler.put_file("alice", "/f", b"v1")
+        acl_before = snapshot_matching(store, acl_path("/f"))
+        assert acl_before
+        guarded.handler.put_file("alice", "/f", b"v2")
+        assert snapshot_matching(store, acl_path("/f")) == acl_before
+        assert guarded.manager.read_content("/f") == b"v2"
+
+    def test_same_content_overwrite_keeps_the_guard_root(self, make_world):
+        """With dedup the pointer names the content, so re-uploading the same
+        bytes leaves the pointer, the ACL and so the whole tree as they were."""
+        world = make_world(rollback=True, enable_dedup=True)
+        world.handler.put_file("alice", "/f", b"same")
+        root = world.guard.root_hash()
+        updates = world.guard.stats.updates
+        world.handler.put_file("alice", "/f", b"same")
+        assert world.guard.root_hash() == root
+        assert world.guard.stats.updates == updates
+        assert world.manager.read_content("/f") == b"same"
+
+    def test_acl_rollback_after_a_skipped_rewrite_is_detected(self, guarded):
+        store = guarded.stores.content
+        guarded.handler.put_file("alice", "/f", b"secret")
+        guarded.handler.add_user("alice", "bob", "eng")
+        guarded.handler.set_permission("alice", "/f", "eng", "r")
+        old_acl = snapshot_matching(store, acl_path("/f"))
+        guarded.handler.set_permission("alice", "/f", "eng", "")
+        guarded.handler.put_file("alice", "/f", b"secret v2")  # rewrites the ACL unchanged
+        restore(store, old_acl)
+        with pytest.raises(RollbackDetected):
+            guarded.access.auth_f("bob", None, "/f")
 
 
 class TestGroupStoreGuard:
@@ -587,7 +627,7 @@ class TestKnownAnswers:
                 lambda section: section[:4] + bytes([section[4] & (section[4] - 1) | 0x10]) + section[5:],
                 id="bit-past-the-count",
             ),
-            pytest.param(lambda section: pack_u32(9) + section[4:], id="count-above-the-body"),
+            pytest.param(lambda section: Writer().u32(9).take() + section[4:], id="count-above-the-body"),
             pytest.param(
                 lambda section: dense_encoding(MSetXorBuckets.deserialize(b"", section)),
                 id="dense-blob",

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.crypto.mset_hash import MSetXorBuckets, MSetXorHash
-from repro.util.serialization import SerializationError, pack_u32
+from repro.util.serialization import SerializationError, Writer
 
 from tests.support.calls import python_calls
 
@@ -122,8 +122,8 @@ def scripted_vector(buckets: int) -> MSetXorBuckets:
 def dense_encoding(vector: MSetXorBuckets) -> bytes:
     """The layout nodes were stored in before the sparse codec: ``u32 B``
     then, per bucket, ``u32 44 ‖ u32 32 ‖ accumulator ‖ u64 count``."""
-    header = pack_u32(44) + pack_u32(32)
-    return pack_u32(len(vector)) + b"".join(header + vector.digest(i) for i in range(len(vector)))
+    header = Writer().u32(44).u32(32).take()
+    return Writer().u32(len(vector)).take() + b"".join(header + vector.digest(i) for i in range(len(vector)))
 
 
 class TestBucketVector:
@@ -171,14 +171,14 @@ class TestBucketVector:
     @pytest.mark.parametrize("buckets", [1, 8, 9, 64])
     def test_empty_buckets_are_not_stored(self, buckets):
         vector = MSetXorBuckets.empty(KEY, buckets)
-        assert vector.serialize() == pack_u32(buckets) + bytes(-(-buckets // 8))
+        assert vector.serialize() == Writer().u32(buckets).take() + bytes(-(-buckets // 8))
         vector.update(buckets - 1, None, b"x")
         blob = vector.serialize()
         assert blob[4:-40] == (1 << (buckets - 1)).to_bytes(-(-buckets // 8), "little")
         assert blob[-40:] == vector.digest(buckets - 1)
         assert MSetXorBuckets.deserialize(KEY, blob).digests() == vector.digests()
         vector.update(buckets - 1, b"x", None)  # empty again: stored as never filled
-        assert vector.serialize() == pack_u32(buckets) + bytes(-(-buckets // 8))
+        assert vector.serialize() == Writer().u32(buckets).take() + bytes(-(-buckets // 8))
 
     def test_each_bucket_is_an_independent_multiset_hash(self):
         vector = MSetXorBuckets.empty(KEY, 4)

@@ -4,73 +4,81 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.util.serialization import (
-    Reader,
-    SerializationError,
-    Writer,
-    pack_bytes,
-    pack_str,
-    pack_u32,
-    pack_u64,
-    unpack_bytes,
-    unpack_str,
-    unpack_u32,
-    unpack_u64,
-)
+from repro.util.serialization import Reader, SerializationError, Writer
 
 
 class TestFixedWidth:
     def test_u32_round_trip(self):
         for value in (0, 1, 2**31, 2**32 - 1):
-            decoded, offset = unpack_u32(pack_u32(value))
-            assert decoded == value
-            assert offset == 4
+            blob = Writer().u32(value).take()
+            r = Reader(blob)
+            assert r.u32() == value
+            assert len(blob) == 4
+            r.expect_end()
 
     def test_u64_round_trip(self):
         for value in (0, 1, 2**63, 2**64 - 1):
-            decoded, offset = unpack_u64(pack_u64(value))
-            assert decoded == value
-            assert offset == 8
+            blob = Writer().u64(value).take()
+            r = Reader(blob)
+            assert r.u64() == value
+            assert len(blob) == 8
+            r.expect_end()
 
     def test_u32_out_of_range(self):
         with pytest.raises(SerializationError):
-            pack_u32(2**32)
+            Writer().u32(2**32)
         with pytest.raises(SerializationError):
-            pack_u32(-1)
+            Writer().u32(-1)
 
     def test_u64_out_of_range(self):
         with pytest.raises(SerializationError):
-            pack_u64(2**64)
+            Writer().u64(2**64)
+        with pytest.raises(SerializationError):
+            Writer().u64(-1)
 
     def test_truncated_u32(self):
         with pytest.raises(SerializationError):
-            unpack_u32(b"\x00\x00")
+            Reader(b"\x00\x00").u32()
+        with pytest.raises(SerializationError):
+            Reader(bytes(7)).u64()
 
     def test_big_endian_layout(self):
-        assert pack_u32(1) == b"\x00\x00\x00\x01"
-        assert pack_u64(0x0102030405060708) == bytes(range(1, 9))
+        assert Writer().u32(1).take() == b"\x00\x00\x00\x01"
+        assert Writer().u64(0x0102030405060708).take() == bytes(range(1, 9))
+        assert Writer().bytes(b"ab").take() == b"\x00\x00\x00\x02ab"
+        assert Writer().str_list(["é"]).take() == b"\x00\x00\x00\x01\x00\x00\x00\x02\xc3\xa9"
 
 
 class TestVariableLength:
     def test_bytes_round_trip(self):
         data = b"hello\x00world"
-        decoded, offset = unpack_bytes(pack_bytes(data))
-        assert decoded == data
-        assert offset == 4 + len(data)
+        blob = Writer().bytes(data).take()
+        r = Reader(blob)
+        assert r.bytes() == data
+        assert len(blob) == 4 + len(data)
+        r.expect_end()
 
     def test_str_round_trip(self):
-        decoded, _ = unpack_str(pack_str("grüße/été"))
-        assert decoded == "grüße/été"
+        assert Reader(Writer().str("grüße/été").take()).str() == "grüße/été"
 
     def test_truncated_bytes(self):
-        blob = pack_bytes(b"abcdef")
-        with pytest.raises(SerializationError):
-            unpack_bytes(blob[:-1])
+        blob = Writer().bytes(b"abcdef").take()
+        for cut in range(len(blob)):
+            with pytest.raises(SerializationError):
+                Reader(blob[:cut]).bytes()
+            with pytest.raises(SerializationError):
+                Reader(blob[:cut]).str()
+        listed = Writer().str_list(["abc", "de"]).take()
+        for cut in range(len(listed)):
+            with pytest.raises(SerializationError):
+                Reader(listed[:cut]).str_list()
 
     def test_invalid_utf8(self):
-        blob = pack_bytes(b"\xff\xfe")
+        blob = Writer().bytes(b"\xff\xfe").take()
         with pytest.raises(SerializationError):
-            unpack_str(blob)
+            Reader(blob).str()
+        with pytest.raises(SerializationError):
+            Reader(b"\x00\x00\x00\x01" + blob).str_list()
 
 
 class TestWriterReader:
@@ -101,7 +109,7 @@ class TestWriterReader:
     def test_take_resets_writer(self):
         w = Writer()
         w.u32(1)
-        assert w.take() == pack_u32(1)
+        assert w.take() == b"\x00\x00\x00\x01"
         assert w.take() == b""
 
     def test_expect_end_rejects_trailing(self):
@@ -125,10 +133,10 @@ class TestWriterReader:
 
 @given(st.binary(max_size=4096))
 def test_bytes_encoding_is_injective_prefix(data):
-    blob = pack_bytes(data)
-    decoded, offset = unpack_bytes(blob + b"trailing")
-    assert decoded == data
-    assert offset == len(blob)
+    blob = Writer().bytes(data).take()
+    r = Reader(blob + b"trailing")
+    assert r.bytes() == data
+    assert r.remaining == len(b"trailing")
 
 
 @given(st.lists(st.text(max_size=50), max_size=20))
