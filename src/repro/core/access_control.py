@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Iterable
 
-from repro.core.acl import USER_REGISTRY_ID, AclFile
+from repro.core.acl import USER_REGISTRY_ID
 from repro.core.file_manager import TrustedFileManager
 from repro.core.model import (
     Permission,
@@ -95,10 +95,7 @@ class AccessControl:
         if is_default_group(group_id):
             return False  # default groups are immutable
         group_list = self._manager.read_group_list()
-        if not group_list.exists(group_id):
-            return False
-        owners = set(group_list.owners(group_id))
-        return bool(owners & self.user_groups(user_id))
+        return group_list.exists(group_id) and not self.user_groups(user_id).isdisjoint(group_list.owners(group_id))
 
     def auth_f(self, user_id: str, perm: Permission | None, path: str) -> bool:
         """May ``user_id`` exercise ``perm`` on the file at ``path``?
@@ -107,20 +104,16 @@ class AccessControl:
         ownership-only check (used by ``set_p`` and the other
         owner-restricted requests).
         """
-        if not self._manager.exists(path) or not self._manager.acl_exists(path):
+        acl = self._manager.find_acl(path) if self._manager.exists(path) else None
+        if acl is None:
             return False  # the root directory has no ACL; nobody "owns" it
-        acl = self._manager.read_acl(path)
         groups = self.user_groups(user_id)
         if any(acl.is_owner(group) for group in groups):
             return True
         if perm is None:
             return False
 
-        parent_acl: AclFile | None = None
-        if acl.inherit and path != "/":
-            parent_path = parent(path)
-            if self._manager.acl_exists(parent_path):
-                parent_acl = self._manager.read_acl(parent_path)
+        parent_acl = self._manager.find_acl(parent(path)) if acl.inherit and path != "/" else None
 
         granted = False
         for group in groups:
@@ -280,8 +273,6 @@ class AccessControl:
 
     def known_users(self) -> list[str]:
         """Users with a member list — the group store's root listing."""
-        if not self._manager.member_list_exists(_USER_LIST_PATH):
-            return []
         return self._manager.read_member_list(_USER_LIST_PATH).groups
 
     def _register_user(self, user_id: str) -> None:

@@ -27,6 +27,7 @@ from typing import Iterable
 
 from repro.core.model import Permission
 from repro.errors import RequestError
+from repro.fsmodel.directory import SortedNames
 from repro.util.serialization import Reader, Writer
 
 ACL_SUFFIX = ".acl"
@@ -70,6 +71,13 @@ _PERMS_FROM_BITS = tuple(
 _PERM_BITS = {perms: bits for bits, perms in enumerate(_PERMS_FROM_BITS)}
 
 
+class _Owners(SortedNames):
+    """A file's owner groups (rFO)."""
+
+    def _missing(self, name: str) -> Exception:
+        return RequestError(f"{name!r} does not own this file")
+
+
 class AclFile:
     """One file's access-control list: owners, permissions, inherit flag.
 
@@ -79,13 +87,18 @@ class AclFile:
     """
 
     def __init__(self) -> None:
-        self._owners: list[str] = []
+        self._owners = _Owners()
         self._entries: list[tuple[str, frozenset[Permission]]] = []
         self.inherit = False
         # Quota accounting: which user's quota this file's bytes count
         # against (the uploader of the current version) and how many.
         self.accounted_user = ""
         self.accounted_size = 0
+
+    def copy(self) -> "AclFile":
+        clone = object.__new__(AclFile)  # no __init__: every field is set here
+        clone.__dict__.update(self.__dict__, _owners=self._owners.copy(), _entries=self._entries[:])
+        return clone
 
     # -- owners (rFO) --------------------------------------------------------
 
@@ -94,22 +107,15 @@ class AclFile:
         return list(self._owners)
 
     def add_owner(self, group_id: str) -> None:
-        index = bisect.bisect_left(self._owners, group_id)
-        if index < len(self._owners) and self._owners[index] == group_id:
-            return
-        self._owners.insert(index, group_id)
+        self._owners.add(group_id)
 
     def remove_owner(self, group_id: str) -> None:
-        index = bisect.bisect_left(self._owners, group_id)
-        if index >= len(self._owners) or self._owners[index] != group_id:
-            raise RequestError(f"{group_id!r} does not own this file")
-        if len(self._owners) == 1:
+        if len(self._owners) == 1 and group_id in self._owners:
             raise RequestError("cannot remove the last file owner")
-        del self._owners[index]
+        self._owners.remove(group_id)
 
     def is_owner(self, group_id: str) -> bool:
-        index = bisect.bisect_left(self._owners, group_id)
-        return index < len(self._owners) and self._owners[index] == group_id
+        return group_id in self._owners
 
     # -- permissions (rP) ------------------------------------------------------
 
@@ -143,7 +149,7 @@ class AclFile:
         w.bool(self.inherit)
         w.str(self.accounted_user)
         w.u64(self.accounted_size)
-        w.str_list(self._owners)
+        w.str_list(self.owners)
         w.u32(len(self._entries))
         for group_id, perms in self._entries:
             w.str(group_id)
@@ -157,18 +163,13 @@ class AclFile:
         acl.inherit = r.bool()
         acl.accounted_user = r.str()
         acl.accounted_size = r.u64()
-        acl._owners = sorted(r.str_list())
-        count = r.u32()
-        entries = []
-        for _ in range(count):
-            group_id = r.str()
-            entries.append((group_id, _PERMS_FROM_BITS[r.u8() & 7]))
+        acl._owners = _Owners(r.str_list())
+        acl._entries = sorted([(r.str(), _PERMS_FROM_BITS[r.u8() & 7]) for _ in range(r.u32())])
         r.expect_end()
-        acl._entries = sorted(entries)
         return acl
 
 
-class MemberListFile:
+class MemberListFile(SortedNames):
     """One user's group memberships (rG), sorted.
 
     Contains only this user's memberships — which is why membership
@@ -176,52 +177,19 @@ class MemberListFile:
     before" (paper, experiment two).
     """
 
-    def __init__(self) -> None:
-        self._groups: list[str] = []
-
     @property
     def groups(self) -> list[str]:
-        return list(self._groups)
-
-    def __len__(self) -> int:
-        return len(self._groups)
-
-    def __contains__(self, group_id: str) -> bool:
-        index = bisect.bisect_left(self._groups, group_id)
-        return index < len(self._groups) and self._groups[index] == group_id
-
-    def add(self, group_id: str) -> None:
-        index = bisect.bisect_left(self._groups, group_id)
-        if index < len(self._groups) and self._groups[index] == group_id:
-            return
-        self._groups.insert(index, group_id)
+        return list(self._names)
 
     def update(self, group_ids: Iterable[str]) -> None:
         """Bulk merge: one sorted union instead of per-id list inserts.
 
         Seeding a 10^5-member group registers 10^5 users; per-id inserts
         would make that quadratic in list moves."""
-        merged = set(self._groups)
-        merged.update(group_ids)
-        self._groups = sorted(merged)
+        self._names = sorted({*self._names, *group_ids})
 
-    def remove(self, group_id: str) -> None:
-        index = bisect.bisect_left(self._groups, group_id)
-        if index >= len(self._groups) or self._groups[index] != group_id:
-            raise RequestError(f"user is not a member of {group_id!r}")
-        del self._groups[index]
-
-    def serialize(self) -> bytes:
-        return Writer().str_list(self._groups).take()
-
-    @classmethod
-    def deserialize(cls, data: bytes) -> "MemberListFile":
-        r = Reader(data)
-        groups = r.str_list()
-        r.expect_end()
-        lst = cls()
-        lst._groups = sorted(groups)
-        return lst
+    def _missing(self, name: str) -> Exception:
+        return RequestError(f"user is not a member of {name!r}")
 
 
 class GroupListFile:
@@ -233,6 +201,11 @@ class GroupListFile:
 
     def __len__(self) -> int:
         return len(self._entries)
+
+    def copy(self) -> "GroupListFile":
+        clone = GroupListFile()
+        clone._entries = [(group, owners[:]) for group, owners in self._entries]
+        return clone
 
     def groups(self) -> list[str]:
         return [group for group, _ in self._entries]
@@ -285,12 +258,7 @@ class GroupListFile:
     @classmethod
     def deserialize(cls, data: bytes) -> "GroupListFile":
         r = Reader(data)
-        count = r.u32()
-        entries = []
-        for _ in range(count):
-            group_id = r.str()
-            entries.append((group_id, sorted(r.str_list())))
-        r.expect_end()
         lst = cls()
-        lst._entries = sorted(entries)
+        lst._entries = sorted([(r.str(), sorted(r.str_list())) for _ in range(r.u32())])
+        r.expect_end()
         return lst

@@ -221,6 +221,10 @@ class SeGShareEnclave(Enclave):
     #: fixed-layout headers precompiled structs, paid for by deleting the
     #: module-level ``pack_*``/``unpack_*`` functions and the ACL's
     #: permission-bit helpers (docs/PERF.md §22): 7768 → 7756.
+    #: Verified relation files kept decoded, per-path file keys derived once
+    #: and a guard node's kept main, paid for by one sorted-name list behind
+    #: directory files, member lists and an ACL's owners, one ACL read per
+    #: check and a per-character path loop gone (docs/PERF.md §23): 7756 → 7756.
     TCB_LOC_CEILING = 7756
 
     def __init__(

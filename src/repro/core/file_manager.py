@@ -33,7 +33,8 @@ from __future__ import annotations
 
 import contextlib
 import hashlib
-from typing import TYPE_CHECKING
+import threading
+from typing import TYPE_CHECKING, Any, TypeVar
 
 from repro.core.acl import (
     GROUP_LIST_PATH,
@@ -71,6 +72,10 @@ GROUP_GUARD_PREFIX = "\x00rbg:"
 #: Contains NUL, which is invalid in user ids and paths, so the records
 #: can never collide with member lists, quota ledgers, or guard objects.
 AUTHZ_PREFIX = "\x00authz:"
+
+#: Decoded relation files one enclave keeps; the oldest goes first.
+DECODED_FILES = 1024
+_Relation = TypeVar("_Relation", AclFile, DirectoryFile, GroupListFile, MemberListFile)
 
 
 class Mount:
@@ -113,14 +118,15 @@ class Mount:
     # -- guarded I/O ---------------------------------------------------------------
 
     def guarded_read(self, path: str) -> bytes:
-        if not self.raw_exists(path):
-            raise FileSystemError(f"no file at {path!r}")
         # Cache hit: the plaintext was verified when it entered the cache
         # (or written by this enclave); serving it from enclave memory
-        # skips the PFS decrypt AND the per-level guard recomputation.
+        # skips the existence probe, the PFS decrypt AND the per-level
+        # guard recomputation.
         cached = self._engine.lookup(self.namespace, path)
         if cached is not None:
             return cached
+        if not self.raw_exists(path):
+            raise FileSystemError(f"no file at {path!r}")
         data = self._load(path)
         if self.guard is not None:
             self.guard.verify_read(path, self._content_hash(data))
@@ -232,6 +238,9 @@ class TrustedFileManager:
         )
         engine.attach_dedup(self.dedup)
         self._stores = engine.raw
+        #: (class, plaintext a guarded read returned) -> the decoded file.
+        self._decoded_files: dict[tuple[type, bytes], Any] = {}
+        self._decoded_lock = threading.Lock()  # inserts only; a hit is one dict.get
 
     # -- engine facade -------------------------------------------------------------
 
@@ -282,6 +291,17 @@ class TrustedFileManager:
         self._charge_hash(len(data))
         return hashlib.sha256(data).digest()
 
+    def _decoded(self, kind: type[_Relation], data: bytes) -> _Relation:
+        """A copy of ``kind.deserialize(data)``, decoded once per plaintext (the key: never stale)."""
+        decoded: _Relation | None = self._decoded_files.get((kind, data))
+        if decoded is None:
+            decoded = kind.deserialize(data)
+            with self._decoded_lock:
+                if len(self._decoded_files) >= DECODED_FILES:
+                    self._decoded_files.pop(next(iter(self._decoded_files)))
+                self._decoded_files[kind, data] = decoded
+        return decoded.copy()
+
     # -- existence ----------------------------------------------------------------
 
     def exists(self, path: str) -> bool:
@@ -291,7 +311,7 @@ class TrustedFileManager:
     # -- directory files ------------------------------------------------------------
 
     def read_dir(self, path: str) -> DirectoryFile:
-        return DirectoryFile.deserialize(self.content.guarded_read(path))
+        return self._decoded(DirectoryFile, self.content.guarded_read(path))
 
     def write_dir(self, path: str, directory: DirectoryFile) -> None:
         self.content.guarded_write(path, directory.serialize())
@@ -371,7 +391,14 @@ class TrustedFileManager:
         return self.exists(acl_path(path))
 
     def read_acl(self, path: str) -> AclFile:
-        return AclFile.deserialize(self.content.guarded_read(acl_path(path)))
+        return self._decoded(AclFile, self.content.guarded_read(acl_path(path)))
+
+    def find_acl(self, path: str) -> AclFile | None:
+        """``path``'s ACL, or None if it has none: one guarded read."""
+        try:
+            return self.read_acl(path)
+        except FileSystemError:
+            return None
 
     def write_acl(self, path: str, acl: AclFile) -> None:
         self.content.guarded_write(acl_path(path), acl.serialize())
@@ -387,7 +414,7 @@ class TrustedFileManager:
             data = self.group.guarded_read(path)
         except FileSystemError:
             return kind()
-        return kind.deserialize(data)
+        return self._decoded(kind, data)
 
     def read_group_list(self) -> GroupListFile:
         return self._group_file(GroupListFile, GROUP_LIST_PATH)

@@ -411,7 +411,7 @@ class RequestHandler:
         re-encrypted, never the payload.
         """
         count = 1
-        acl = self._manager.read_acl(src) if self._manager.acl_exists(src) else None
+        acl = self._manager.find_acl(src)
         if acl is not None:
             self._manager.write_acl(dst, acl)
         if is_dir_path(src):
@@ -532,23 +532,13 @@ class RequestHandler:
             is_owner or self._access.auth_f(user_id, Permission.READ, path)
         ):
             raise AccessDenied()
-        if is_dir_path(path):
+        if is_dir := is_dir_path(path):
             size = len(self._manager.read_dir(path))
-            acl = self._manager.read_acl(path) if self._manager.acl_exists(path) else AclFile()
-            info = StatInfo(
-                is_dir=True,
-                size=size,
-                owners=tuple(acl.owners) if is_owner else (),
-                inherit=acl.inherit,
-            )
+            acl = self._manager.find_acl(path) or AclFile()
         else:
             acl = self._manager.read_acl(path)
-            info = StatInfo(
-                is_dir=False,
-                size=self._manager.content_size(path),
-                owners=tuple(acl.owners) if is_owner else (),
-                inherit=acl.inherit,
-            )
+            size = self._manager.content_size(path)
+        info = StatInfo(is_dir=is_dir, size=size, owners=tuple(acl.owners) if is_owner else (), inherit=acl.inherit)
         return Response.ok("stat", payload=info.serialize())
 
     def quota(self, user_id: str) -> Response:

@@ -346,9 +346,16 @@ class _Node:
     path: str
     dir_hash: bytes
     buckets: MSetXorBuckets
+    #: The main hash last computed from the fields above; a change clears it,
+    #: and the write walks take it as a node's "before" main.
+    main: bytes | None = None
 
     def copy(self) -> "_Node":
-        return _Node(self.path, self.dir_hash, self.buckets.copy())
+        return _Node(self.path, self.dir_hash, self.buckets.copy(), self.main)
+
+    def update(self, bucket: int, old: bytes | None, new: bytes | None) -> None:
+        self.buckets.update(bucket, old, new)
+        self.main = None
 
 
 class RollbackGuard(_GuardCore):
@@ -385,11 +392,12 @@ class RollbackGuard(_GuardCore):
 
     def _node_main(self, node: _Node) -> bytes:
         self._charge_hash(64 + 40 * len(node.buckets))
-        return hmac.digest(
+        node.main = hmac.digest(
             self._key,
             b"node\x00" + node.path.encode("utf-8") + b"\x00" + node.dir_hash + node.buckets.digests(),
             "sha256",
         )
+        return node.main
 
     # -- locks ---------------------------------------------------------------------------
 
@@ -472,7 +480,7 @@ class RollbackGuard(_GuardCore):
         self.stats.updates += 1
         if path.endswith("/"):
             node = self._load_node(path)
-            old_main = self._node_main(node)
+            old_main = node.main or self._node_main(node)
             self._delete_node(path)
             self._propagate(parent(path), path, old_main, None)
         else:
@@ -482,8 +490,8 @@ class RollbackGuard(_GuardCore):
         with self._node_lock(path):
             if self._node_exists(path):
                 node = self._load_node(path)
-                old_main = self._node_main(node)
-                node.dir_hash = new_hash
+                old_main = node.main or self._node_main(node)
+                node.dir_hash, node.main = new_hash, None
             else:
                 node = self._empty_node(path, new_hash)
                 old_main = None
@@ -509,8 +517,8 @@ class RollbackGuard(_GuardCore):
         while True:
             with self._node_lock(dir_path):
                 node = self._load_node(dir_path)
-                old_main = self._node_main(node)
-                node.buckets.update(self._bucket_of(child_path), old_child_main, new_child_main)
+                old_main = node.main or self._node_main(node)
+                node.update(self._bucket_of(child_path), old_child_main, new_child_main)
                 self._save_node(dir_path, node)
                 new_main = self._node_main(node)
             if dir_path == ROOT:
@@ -620,7 +628,7 @@ class RollbackGuard(_GuardCore):
                     main = self._leaf_main(candidate, hashlib.sha256(data).digest())
                 else:
                     continue
-                node.buckets.update(self._bucket_of(candidate), None, main)
+                node.update(self._bucket_of(candidate), None, main)
         if save:
             self._save_node(dir_path, node)
         return self._node_main(node)

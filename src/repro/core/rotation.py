@@ -74,8 +74,8 @@ def snapshot_state(manager: TrustedFileManager, audit_log) -> _Snapshot:
         directory = manager.read_dir(dir_path)
         snapshot.dirs.append((dir_path, directory.children))
         for child in directory.children:
-            if manager.acl_exists(child):
-                snapshot.acls[child] = manager.read_acl(child).serialize()
+            if (acl := manager.find_acl(child)) is not None:
+                snapshot.acls[child] = acl.serialize()
             if child.endswith("/"):
                 walk(child)
             else:

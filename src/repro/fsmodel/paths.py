@@ -18,10 +18,6 @@ from repro.errors import PathError
 
 ROOT = "/"
 
-# Characters disallowed in names beyond "/": NUL breaks the storage-key
-# encoding.
-_FORBIDDEN = {"\x00"}
-
 
 def is_dir_path(path: str) -> bool:
     """True iff ``path`` is syntactically a directory path (ends with "/")."""
@@ -35,14 +31,12 @@ def validate_path(path: str) -> None:
     if path == ROOT:
         return
     body = path[1:-1] if path.endswith("/") else path[1:]
-    if not body:
-        raise PathError(f"empty path component in {path!r}")
     for component in body.split("/"):
         if not component:
             raise PathError(f"empty path component in {path!r}")
-        for ch in component:
-            if ch in _FORBIDDEN:
-                raise PathError(f"forbidden character in path component {component!r}")
+        # Names may hold anything but "/" and NUL, which breaks the storage-key encoding.
+        if "\x00" in component:
+            raise PathError(f"forbidden character in path component {component!r}")
 
 
 def parent(path: str) -> str:

@@ -9,8 +9,9 @@ Chunks move in groups, each keeping its own IV, AAD, tag and charges.
 
 Keys: the file-system master key is provided by the caller (the enclave
 derives it from its root key).  Each file gets its own key derived from
-the master key and the file path, and every chunk's associated data binds
-(path, chunk index) so chunks cannot be swapped between files or positions.
+the master key and the file path (once per mount, kept in a bounded memo),
+and every chunk's associated data binds (path, chunk index) so chunks
+cannot be swapped between files or positions.
 
 Note the scope: this protects *individual file* integrity.  Freshness of
 the file *system* (rollback across files) is the job of
@@ -22,6 +23,7 @@ from __future__ import annotations
 import hashlib
 import hmac
 import struct
+import threading
 from dataclasses import dataclass
 from typing import Callable, Iterator
 
@@ -35,6 +37,8 @@ from repro.util.serialization import SerializationError, Writer
 CHUNK_SIZE = 4096
 #: Chunks a reader opens per ``read_chunk``: 64 KiB, one TLS stream record.
 READ_GROUP = 16
+#: Paths whose file key and chunk AAD prefix a mount keeps; the oldest goes first.
+KEY_MEMO = 1024
 
 _META_SUFFIX = "\x00meta"
 #: The metadata node: ``size (u64) || chunk_count (u32) || tag digest length
@@ -91,6 +95,8 @@ class ProtectedFs:
         self._store = store
         self._enclave = enclave
         self._pae = default_pae()
+        self._keys: dict[str, tuple[bytes, bytes]] = {}
+        self._keys_lock = threading.Lock()  # inserts only; a hit is one dict.get
         self._open_writers: set[str] = set()
         self._open_readers: dict[str, int] = {}
         #: Called with a path when its last reader handle closes.
@@ -111,6 +117,17 @@ class ProtectedFs:
     def _file_key(self, path: str) -> bytes:
         # derive_key(master_key, "pfs/file-key", path, 16): one HMAC.
         return hkdf_expand(self._prk, b"pfs/file-key\x00" + path.encode("utf-8"), 16)
+
+    def _keys_of(self, path: str) -> tuple[bytes, bytes]:
+        """``path``'s file key and chunk AAD prefix, derived once per mount."""
+        keys = self._keys.get(path)
+        if keys is None:
+            keys = self._file_key(path), Writer().str(path).take()
+            with self._keys_lock:
+                if len(self._keys) >= KEY_MEMO:
+                    self._keys.pop(next(iter(self._keys)))
+                self._keys[path] = keys
+        return keys
 
     # -- handle bookkeeping ---------------------------------------------------
 
@@ -189,13 +206,13 @@ class ProtectedFs:
 
     def open_write(self, path: str) -> "WriteHandle":
         self._acquire_writer(path)
-        return WriteHandle(self, path, self._file_key(path))
+        return WriteHandle(self, path, *self._keys_of(path))
 
     def open_read(self, path: str) -> "ReadHandle":
-        file_key = self._file_key(path)
+        file_key, aad = self._keys_of(path)
         meta = self._load_meta(path, file_key)
         self._acquire_reader(path)
-        return ReadHandle(self, path, meta, file_key)
+        return ReadHandle(self, path, meta, file_key, aad)
 
     # -- internals -----------------------------------------------------------
 
@@ -209,7 +226,7 @@ class ProtectedFs:
             raise ProtectedFsError(f"no protected file at {path!r}") from None
         self._enclave.charge(self._enclave.platform.costs.pfs_read_time(len(blob)), account="pfs-crypto")
         try:
-            plain = self._pae.decrypt(file_key or self._file_key(path), blob, aad=b"pfs-meta\x00" + path.encode())
+            plain = self._pae.decrypt(file_key or self._keys_of(path)[0], blob, aad=b"pfs-meta\x00" + path.encode())
             return _Meta.deserialize(plain)  # an old-layout node, without a head, fails here
         except (IntegrityError, SerializationError) as exc:
             raise ProtectedFsError(f"metadata of {path!r} failed verification") from exc
@@ -261,12 +278,12 @@ class ProtectedFs:
 class WriteHandle:
     """Exclusive, append-only writer.  Closing seals the metadata node, chunk 0 in it."""
 
-    def __init__(self, fs: ProtectedFs, path: str, file_key: bytes) -> None:
+    def __init__(self, fs: ProtectedFs, path: str, file_key: bytes, aad: bytes) -> None:
         self._fs = fs
         self._path = path
         self._key = file_key
         # Every chunk's AAD: this, then the chunk index as a big-endian u32.
-        self._aad = Writer().str(path).take()
+        self._aad = aad
         self._head = b""
         self._buffer = bytearray()
         self._size = 0
@@ -324,12 +341,12 @@ class WriteHandle:
 class ReadHandle:
     """Shared, sequential reader; every chunk of a group verifies before the group is returned."""
 
-    def __init__(self, fs: ProtectedFs, path: str, meta: _Meta, file_key: bytes) -> None:
+    def __init__(self, fs: ProtectedFs, path: str, meta: _Meta, file_key: bytes, aad: bytes) -> None:
         self._fs = fs
         self._path = path
         self._meta = meta
         self._key = file_key
-        self._aad = Writer().str(path).take()
+        self._aad = aad
         self._count = 0
         self._tags = hashlib.sha256()
         self._closed = False

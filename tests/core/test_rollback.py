@@ -1,13 +1,16 @@
 """Rollback protection: the multiset-hash tree and the flat group guard."""
 
 import hashlib
+import itertools
+import random
 from types import SimpleNamespace
 
 import pytest
 
 from repro.core.acl import acl_path, member_list_path
 from repro.core.file_manager import Mount
-from repro.core.rollback import FlatStoreGuard, RollbackGuard
+from repro.core.requests import Status
+from repro.core.rollback import FlatStoreGuard, RollbackGuard, _Node
 from repro.crypto.mset_hash import MSetXorBuckets
 from repro.errors import CounterError, RollbackDetected
 from repro.fsmodel import DirectoryFile
@@ -240,6 +243,92 @@ class TestNoOpWrites:
         restore(store, old_acl)
         with pytest.raises(RollbackDetected):
             guarded.access.auth_f("bob", None, "/f")
+
+
+class TestKeptMain:
+    """A guard node keeps the main hash computed at its last change, and the
+    write walks take it as the node's "before" main instead of hashing the
+    node again (docs/PERF.md §23)."""
+
+    @staticmethod
+    def _step(world, rng, dirs, files, serial):
+        """One random valid mkdir, upload, move or remove by alice."""
+        handler, kind = world.handler, rng.choice(["mkdir", "put", "put", "move", "remove"])
+        name = f"{next(serial)}"
+        if kind == "mkdir" or (kind in ("move", "remove") and not files):
+            path = rng.choice(dirs) + f"d{name}/"
+            response = handler.put_dir("alice", path)
+            dirs.append(path)
+        elif kind == "put":
+            path = rng.choice(files) if files and rng.random() < 0.4 else rng.choice(dirs) + f"f{name}"
+            response = handler.put_file("alice", path, name.encode())
+            if path not in files:
+                files.append(path)
+        elif kind == "move":
+            src = files.pop(rng.randrange(len(files)))
+            dst = rng.choice(dirs) + f"m{name}"
+            response = handler.move("alice", src, dst)
+            files.append(dst)
+        else:
+            victim = rng.choice(files + dirs[1:])
+            response = handler.remove("alice", victim)
+            subtree = victim.endswith("/")
+            dirs[:] = [d for d in dirs if not (subtree and d.startswith(victim))]
+            files[:] = [f for f in files if f != victim and not (subtree and f.startswith(victim))]
+        assert response.status is Status.OK, response
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_every_kept_main_equals_a_recomputation(self, make_world, seed):
+        rng = random.Random(seed)
+        world = make_world(rollback=True, buckets=4)
+        guard, serial = world.guard, itertools.count()
+        dirs, files = ["/"], []
+        kept = 0
+        for commit in range(30):
+            with world.manager.transaction(f"commit {commit}"):
+                for _ in range(rng.randint(1, 4)):
+                    self._step(world, rng, dirs, files, serial)
+                for node in guard._pending_nodes.values():
+                    if node.main is not None:
+                        kept += 1
+                        fresh = _Node(node.path, node.dir_hash, node.buckets.copy())
+                        assert node.main == guard._node_main(fresh)
+            guard.verify_restored_state()
+        assert kept
+        for path in files:
+            assert world.manager.read_content(path)
+
+    def test_a_change_clears_the_kept_main(self, make_world):
+        guard = make_world(rollback=True).guard
+        node = guard._load_node("/")
+        main = guard._node_main(node)
+        assert node.main == main and node.copy().main == main
+        node.update(0, None, bytes(32))
+        assert node.main is None
+        assert guard._node_main(node) != main
+
+    def test_the_write_walk_hashes_each_node_once_per_change(self, make_world, monkeypatch):
+        """Two writes under one directory in one commit: the second walk
+        reuses every node's kept main as its "before" value."""
+        world = make_world(rollback=True, cache_bytes=1 << 20)  # reads hit: no verify walk
+        world.handler.put_dir("alice", "/d/")
+        world.handler.put_file("alice", "/d/a", b"1")
+        world.handler.put_file("alice", "/d/b", b"1")
+        hashed = []
+        original = RollbackGuard._node_main
+
+        def counting(self, node):
+            hashed.append(node.path)
+            return original(self, node)
+
+        monkeypatch.setattr(RollbackGuard, "_node_main", counting)
+        with world.manager.transaction("two uploads"):
+            world.handler.put_file("alice", "/d/a", b"2")  # the pointer changes, the ACL does not
+            first = list(hashed)
+            world.handler.put_file("alice", "/d/b", b"2")
+        assert first == ["/d/", "/d/", "/", "/"]  # before and after, per level
+        assert hashed[len(first):] == ["/d/", "/"]  # after only
+        world.guard.verify_restored_state()
 
 
 class TestGroupStoreGuard:

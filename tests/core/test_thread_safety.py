@@ -17,6 +17,7 @@ ends with accounting that matches the surviving entries exactly.
 
 from __future__ import annotations
 
+import sys
 import threading
 
 import pytest
@@ -109,6 +110,64 @@ class TestMetadataCacheThreading:
         assert cache.stats.current_bytes == sum(
             len(v) for v in cache._entries.values()
         )
+
+
+class TestMemoThreading:
+    """The enclave's decoded-file and file-key memos (docs/PERF.md §23)
+    insert under a lock and serve hits lock-free: concurrent misses past
+    the bound never raise, never overfill, and never mix up an entry."""
+
+    def test_decoded_file_misses_race_at_the_bound(self, monkeypatch):
+        from repro.core import file_manager
+        from repro.fsmodel import DirectoryFile
+        from tests.core.conftest import build_world
+
+        monkeypatch.setattr(file_manager, "DECODED_FILES", 16)
+        manager = build_world().manager
+        plaintexts = [DirectoryFile([f"/{i}"]).serialize() for i in range(64)]
+        barrier = threading.Barrier(THREADS)
+
+        def reader(seed):
+            def run():
+                barrier.wait()
+                for i in range(ROUNDS):
+                    index = (seed * 7 + i) % len(plaintexts)
+                    assert manager._decoded(DirectoryFile, plaintexts[index]).children == [f"/{index}"]
+
+            return run
+
+        _with_fast_switching(lambda: _run_threads([reader(s) for s in range(THREADS)]))
+        assert len(manager._decoded_files) <= 16
+
+    def test_file_key_misses_race_at_the_bound(self, monkeypatch):
+        from repro.sgx.protected_fs import ProtectedFs
+        from tests.support.platform import loaded_enclave
+
+        monkeypatch.setattr("repro.sgx.protected_fs.KEY_MEMO", 16)
+        pfs = ProtectedFs(InMemoryStore(), master_key=bytes(16), enclave=loaded_enclave())
+        barrier = threading.Barrier(THREADS)
+
+        def deriver(seed):
+            def run():
+                barrier.wait()
+                for i in range(ROUNDS):
+                    path = f"/{(seed * 7 + i) % 64}"
+                    assert pfs._keys_of(path)[0] == pfs._file_key(path)
+
+            return run
+
+        _with_fast_switching(lambda: _run_threads([deriver(s) for s in range(THREADS)]))
+        assert len(pfs._keys) <= 16
+
+
+def _with_fast_switching(run):
+    """Run with the interpreter switching threads as often as it can."""
+    saved = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        run()
+    finally:
+        sys.setswitchinterval(saved)
 
 
 @pytest.fixture(params=["memory", "disk"])

@@ -364,6 +364,35 @@ def test_file_key_is_the_labelled_derivation(path):
     assert pfs._file_key(path) == derive_key(master, "pfs/file-key", path.encode("utf-8"), length=16)
 
 
+class TestKeyMemo:
+    """A mount derives a path's file key and chunk AAD prefix once (docs/PERF.md §23)."""
+
+    def test_a_file_written_under_the_memo_opens_with_a_fresh_derivation(self, store):
+        writer = ProtectedFs(store, master_key=KEY, enclave=loaded_enclave())
+        data = bytes(range(256)) * 40  # the node and chunks 1 and 2
+        writer.write_file("/f", data)
+        writer.write_file("/f", data)  # a second write, served by the memo
+        key = derive_key(KEY, "pfs/file-key", b"/f", length=16)
+        aad = Writer().str("/f").take()
+        assert writer._keys_of("/f") == (key, aad)
+        fresh = ProtectedFs(store, master_key=KEY, enclave=loaded_enclave())
+        assert not fresh._keys
+        fresh._pae.decrypt(key, store.get(_node_key("/f")), aad=b"pfs-meta\x00/f")
+        for index in (1, 2):
+            fresh._pae.decrypt(key, store.get(_chunk_key("/f", index)), aad=aad + index.to_bytes(4, "big"))
+        assert fresh.read_file("/f") == data
+
+    def test_the_memo_is_bounded_and_evicts_in_insertion_order(self, pfs, monkeypatch):
+        monkeypatch.setattr("repro.sgx.protected_fs.KEY_MEMO", 3)
+        for index in range(6):
+            pfs.write_file(f"/f{index}", b"x")
+        assert list(pfs._keys) == ["/f3", "/f4", "/f5"]
+        assert pfs.read_file("/f3") == b"x"  # a hit does not reorder
+        pfs.write_file("/f6", b"x")
+        assert list(pfs._keys) == ["/f4", "/f5", "/f6"]
+        assert pfs.read_file("/f0") == b"x"  # an evicted path derives again
+
+
 class TestHandles:
     def test_single_writer_enforced(self, pfs):
         handle = pfs.open_write("/f")
