@@ -11,8 +11,8 @@ on the parallel virtual clock (docs/PERF.md §5) over two path sets:
   one shared directory.  Uploads to distinct files share-lock the parent
   directory (they only need it to exist), so the pipeline overlaps them
   — and the group-commit coordinator coalesces the concurrently-prepared
-  transactions into one commit epoch: one journal marker, one batched
-  guard flush, one anchor write, one counter increment for the whole
+  transactions into one commit epoch: one batched guard flush, one
+  anchor write, one counter increment, one redo-record delete for the whole
   cohort (docs/PERF.md §group commit).  The curve should now *rise*
   with workers instead of sitting on the old serial commit ceiling.
 
@@ -162,7 +162,7 @@ def run_contended_write(workers: int, ops_per_client: int) -> dict:
     """Each client PUTs under one shared directory: the uploads overlap
     (parent share-locked, distinct file paths) and their prepared
     transactions coalesce into shared commit epochs, amortizing the
-    journal marker, guard flush, anchor write, and counter increment."""
+    guard flush, anchor write, counter increment and record delete."""
     server = build_server(workers)
     handler = server.enclave.handler
     ok(handler.handle("u0", Request(op=Op.PUT_DIR, args=("/shared/",))))

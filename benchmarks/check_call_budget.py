@@ -13,10 +13,8 @@ Runs ``benchmarks/e2e/run.py --workload W --seed 1 --rounds 2 --trace 1``
 for every workload, each in its own process, and exits non-zero if one
 exceeds its budget.  Each budget is about 1.17x the count measured with
 the change that last set it, the margin §11 and §12 used: for all four,
-docs/PERF.md §23's, where a verified ACL, member list, group list or
-directory file is decoded once per plaintext and handed out as a copy, a
-protected-FS path derives its file key once, a cache hit is one probe, and a
-guard node's "before" main is the one kept from its last change (Python 3.11).
+docs/PERF.md §24's, where a member's writes commit through one sealed redo
+record and no pre-image is read or sealed (Python 3.11).
 """
 
 from __future__ import annotations
@@ -32,10 +30,10 @@ from e2e.cli import child  # noqa: E402
 
 METRIC = "trace.py_calls_per_op"
 BUDGETS = {
-    "browse_hot": 361.0,
-    "edit_churn": 1045.0,
-    "bulk_stream": 6315.0,
-    "cluster_fanout": 415.0,
+    "browse_hot": 360.0,
+    "edit_churn": 955.0,
+    "bulk_stream": 5525.0,
+    "cluster_fanout": 386.0,
 }
 
 

@@ -4,12 +4,12 @@
 The provider here is not malicious, just unreliable.  One seeded
 :class:`repro.faults.FaultPlan` manufactures every failure:
 
-1. a **transient storage fault** fails an upload — the enclave rolls the
-   half-done batch back and the client's retry policy wins;
-2. the enclave is **killed between two journal writes** of an upload —
-   restart recovery restores the pre-crash state exactly (the file is
-   fully absent, not half-present), and re-issuing the request finishes
-   the job;
+1. a **transient storage fault** fails an upload at its commit point —
+   the enclave drops the uncommitted batch, which never touched a stored
+   key, and the client's retry policy wins;
+2. the enclave is **killed between two applied writes** of an upload,
+   past its commit point — restart recovery re-applies the sealed redo
+   record, so the file is fully present, never half-present;
 3. the ROTE counter **quorum goes dark** — the server degrades to
    read-only with a typed error instead of failing outright.
 
@@ -27,7 +27,11 @@ from repro.errors import (
 from repro.faults import FaultPlan, faulty_stores
 from repro.storage.stores import StoreSet
 
-JOURNAL_MARKER = "\x00journal:batch"
+REDO_RECORDS = "\x00journal:redo:"
+
+
+def redo_records(deployment) -> list[str]:
+    return list(deployment.server.stores.content.scan(REDO_RECORDS))
 
 
 def main() -> None:
@@ -51,7 +55,7 @@ def main() -> None:
         print(f"transient fault surfaced to the bare client: {exc}")
     if alice.download("/handbook") != b"v1: evacuate calmly":
         raise SystemExit("UNEXPECTED: failed upload left partial state")
-    print("server rolled the batch back: /handbook still reads v1")
+    print("server dropped the uncommitted batch: /handbook still reads v1")
 
     retrying = deployment.connect(identity, retry=RetryPolicy(attempts=4, base_delay=0.05))
     plan.fail_nth(nth=1, op="put", store="content")
@@ -60,28 +64,26 @@ def main() -> None:
     print(f"with a retry policy the same fault is invisible "
           f"(simulated backoff: {backoff:.3f}s); /handbook now v2")
 
-    # --- drill 2: crash between journal writes, restart, recover ----------------
-    plan.crash_at_point(nth=5, site_prefix="journal:")
+    # --- drill 2: crash between applied writes, restart, recover ---------------
+    plan.crash_at_point(nth=2, site_prefix="journal:apply")
     try:
         retrying.upload("/evacuation-map", b"stairwell B, then the lobby")
         raise SystemExit("UNEXPECTED: the scheduled crash never fired")
     except EnclaveCrashed:
-        print("enclave killed mid-upload (after journal step 5)")
-    if not deployment.server.stores.content.exists(JOURNAL_MARKER):
-        raise SystemExit("UNEXPECTED: no undo journal on disk after the crash")
-    print("uncommitted undo journal is sitting in the content store")
+        print("enclave killed mid-upload (between two applied writes)")
+    if not redo_records(deployment):
+        raise SystemExit("UNEXPECTED: no redo record on disk after the crash")
+    print("the upload's sealed redo record is sitting in the content store")
 
     deployment.server.restart_enclave()
     alice = deployment.connect(identity)
-    if alice.exists("/evacuation-map"):
-        raise SystemExit("UNEXPECTED: half-written file survived recovery")
+    if alice.download("/evacuation-map") != b"stairwell B, then the lobby":
+        raise SystemExit("UNEXPECTED: the committed upload did not survive recovery")
     if alice.download("/handbook") != b"v2: use the stairs":
         raise SystemExit("UNEXPECTED: recovery disturbed an unrelated file")
-    if deployment.server.stores.content.exists(JOURNAL_MARKER):
+    if redo_records(deployment):
         raise SystemExit("UNEXPECTED: journal residue after recovery")
-    print("restart rolled the batch back: map absent, handbook intact, journal clear")
-    alice.upload("/evacuation-map", b"stairwell B, then the lobby")
-    print("re-issued upload completed:", alice.download("/evacuation-map").decode())
+    print("restart re-applied the record: map whole, handbook intact, journal clear")
 
     # --- drill 3: counter quorum loss degrades to read-only ---------------------
     counter = deployment.server.platform._segshare_counter_rote

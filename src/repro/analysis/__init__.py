@@ -5,7 +5,7 @@ construction* in the paper but only *by convention* in a growing Python
 reproduction: plaintext never crosses the enclave boundary unencrypted,
 the untrusted host reaches trusted code only through declared ECALLs,
 secret comparisons run in constant time, every trusted-flow store
-mutation is covered by the undo journal under the right locks, locks
+mutation is covered by the redo journal under the right locks, locks
 are acquired in one global order, the journal epoch API is driven in
 protocol order, and the crash matrices cover every persisted-mutation
 site.  ``seglint`` turns each of those conventions into an AST-checked

@@ -1,18 +1,21 @@
 """Rule ``epoch-typestate``: the journal epoch API is driven in protocol order.
 
-The undo journal has one commit protocol, and every transaction runs it:
+The redo journal has one commit protocol, and every transaction runs it:
 an epoch is opened once (``open_epoch``), members join it
-(``begin_member``), each member either commits (``commit_member``) or
-rolls back (``rollback_member``), and the epoch closes exactly once
+(``begin_member``), each member hands its write buffers over
+(``drain``) and commits (``commit_member``, the put of its redo record)
+or rolls back (``rollback_member``), its writes are applied only after
+that commit point (``apply``), and the epoch closes exactly once
 (``close_epoch``) with no member still open — on a serial clock right
 after its single member's commit, on a parallel one after K.  Driving
-the API out of order corrupts the watermark-based recovery — a
-``commit_member`` without its pre-image flush would commit mutations
-recovery cannot undo, and a ``close_epoch`` with an open member drops
-that member's undo entries while its mutations stand.
+the API out of order breaks redo recovery — a ``commit_member`` before
+the buffers are drained seals a record that misses the member's writes,
+an ``apply`` before the commit point writes through state a crash could
+not finish or an abort take back, and a ``close_epoch`` with an open
+member drops that member's writes while the epoch's record goes.
 
 The rule runs a small path-sensitive abstract interpretation over each
-function in scope.  The abstract state is (epoch phase, pre-image flag)
+function in scope.  The abstract state is (epoch phase, drained flag)
 with phases ``unknown``/``closed``/``open``/``member``; branches fork
 the state set, joins union it, loops iterate to a fixpoint, and
 ``try`` handlers are entered from the union of every program point in
@@ -20,9 +23,8 @@ the ``try`` body.  Violations use *must* polarity — a call is flagged
 only when **every** abstract state at that point violates the protocol —
 so conditional code (``if not group.open: journal.open_epoch(...)``)
 never produces false positives.  ``commit_member`` additionally requires
-the pre-image flag (set by the configured registration calls, e.g.
-``_flush_deferred``) on every reaching member state: domination, not
-mere reachability.
+the drained flag (set by the configured drain calls) on every reaching
+member state: domination, not mere reachability.
 
 A second, lexical check covers the cluster single-epoch-holder
 discipline: in the configured switch modules, any function that performs
@@ -49,13 +51,14 @@ _DEFAULT_BEGIN = ("begin_member",)
 _DEFAULT_COMMIT = ("commit_member",)
 _DEFAULT_ROLLBACK = ("rollback_member",)
 _DEFAULT_CLOSE = ("close_epoch",)
-_DEFAULT_PREIMAGE = ("_flush_deferred", "record", "flush")
+_DEFAULT_DRAIN = ("drain",)
+_DEFAULT_APPLY = ("apply", "_apply_committed")
 _DEFAULT_SWITCH_MODULES = ("repro.cluster.router",)
 _DEFAULT_SWITCH_CALLS = ("dispatch",)
 _DEFAULT_SWITCH_RECEIVERS = ("switchless",)
 _DEFAULT_GATES = ("_epoch_open", "quiesce", "_quiesce", "group_commit_quiesce")
 
-# Abstract state: (epoch phase, pre-image registered since begin_member).
+# Abstract state: (epoch phase, write buffers drained since begin_member).
 _ENTRY = frozenset({("unknown", False)})
 
 
@@ -68,7 +71,8 @@ class _Machine:
             ("commit", _DEFAULT_COMMIT),
             ("rollback", _DEFAULT_ROLLBACK),
             ("close", _DEFAULT_CLOSE),
-            ("preimage", _DEFAULT_PREIMAGE),
+            ("drain", _DEFAULT_DRAIN),
+            ("apply", _DEFAULT_APPLY),
         ):
             for name in cfg.get(f"{kind}_calls", default):
                 self.kinds[name] = kind
@@ -76,8 +80,14 @@ class _Machine:
 
     def transition(self, states: frozenset, kind: str, line: int) -> frozenset:
         phases = {phase for phase, _ in states}
-        if kind == "preimage":
+        if kind == "drain":
             return frozenset((phase, True) for phase, _ in states)
+        if kind == "apply":
+            if phases <= {"member"}:
+                self.violations.append(
+                    (line, "writes applied before the member's commit point")
+                )
+            return states
         if kind == "open":
             if phases <= {"open", "member"}:
                 self.violations.append(
@@ -97,12 +107,12 @@ class _Machine:
                 self.violations.append((line, "commit_member without begin_member"))
             else:
                 member_states = [s for s in states if s[0] == "member"]
-                if not all(pre for _, pre in member_states):
+                if not all(drained for _, drained in member_states):
                     self.violations.append(
                         (
                             line,
-                            "commit_member not dominated by pre-image "
-                            "registration (flush the deferred writes first)",
+                            "commit_member not dominated by draining the "
+                            "write buffers (its record would miss writes)",
                         )
                     )
             return frozenset({("open", False)})

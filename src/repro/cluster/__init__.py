@@ -4,7 +4,7 @@ The paper's replication section (V-F) makes N enclaves share SK_r over
 one central repository; this package turns that primitive into an
 operable cluster: a front door that routes requests by group affinity
 (:mod:`repro.cluster.placement`), detects replica failure via
-heartbeats, fails over mid-request through the shared undo journal
+heartbeats, fails over mid-request through the shared redo journal
 (:mod:`repro.cluster.router`), and runs an attested join/evict
 membership protocol (:mod:`repro.cluster.membership`).  See
 docs/CLUSTER.md for the topology and the failover sequence.
@@ -56,7 +56,7 @@ def cluster_options(
     """Force the invariants replicated serving depends on.
 
     * ``rollback="whole_fs"`` + ``counter_kind="rote"`` — failover
-      recovers in-flight batches through the shared journal (every
+      finishes a crashed member's commits through its redo record (every
       enclave runs one) and verifies freshness against the shared quorum.
     * ``metadata_cache_bytes`` and ``enable_dedup`` stay **on** (the
       ``cached`` default): replicas mutate the repository behind each
@@ -70,9 +70,10 @@ def cluster_options(
       *aborts* its transaction (``QuotaExceeded``), so the stamp's
       "committed iff OK" failover contract holds on that path too.
     * ``shared_store=True`` — a member booting (or restarting) must not
-      run journal recovery: the shared marker may be a live peer's open
-      commit epoch, and only the front door can tell (it quiesces on
-      admission and recovers crashed batches through takeover).
+      run journal recovery: a record on the shared store may be a live
+      peer's open commit epoch, and only the front door can tell (it
+      quiesces on admission and finishes a crashed member's records
+      through takeover).
     """
     base = base or SeGShareOptions(rollback_buckets=8)
     cache_bytes = (

@@ -10,16 +10,17 @@ fronting unchanged for real clients.
 Failover is exactly-once.  Before every routed request the front door
 arms the target enclave with a request token (``cluster_begin_request``);
 the storage engine commits the PAE-sealed token atomically with the
-request's journal batch.  When a replica dies mid-request:
+request's redo record.  When a replica dies mid-request:
 
 1. the heartbeat monitor confirms the failure (charging the detection
    timeout to the virtual clock),
 2. the dead member is evicted from the placement ring,
-3. a successor runs ``cluster_takeover_recover`` — the crashed peer's
-   uncommitted batch rolls back through the shared undo journal, and
+3. a successor runs ``cluster_takeover_recover`` — it re-applies the
+   crashed peer's last committed redo record from the shared store
+   (an uncommitted member left nothing there to undo), and
 4. the successor reads the last *committed* stamp: if it equals the
    in-flight token the request took effect and an OK response is
-   synthesized; otherwise the batch rolled back and the request is
+   synthesized; otherwise the request never committed and is
    transparently re-routed and re-executed on the survivors.
 
 Either way the client sees exactly one execution.  The front door is
@@ -67,7 +68,7 @@ class SeGShareCluster:
         #: (closed-loop drivers schedule the client's next arrival here).
         self.last_completion = 0.0
         #: Member that served the previous request.  A group-commit epoch
-        #: keeps the journal marker (a fixed key on the shared store) open
+        #: keeps guard batches over the shared tree in one replica's memory
         #: between transactions, so the front door must quiesce a replica
         #: before handing traffic — or membership duties — to another.
         self._last_routed: str | None = None
@@ -134,8 +135,8 @@ class SeGShareCluster:
         """Flush every live member's open commit epoch (bench boundaries).
 
         A member dying mid-flush is a failover like any other: its
-        crashed epoch is rolled back through a surviving member so the
-        committed members stand and the journal marker is retired.
+        crashed epoch is finished through a surviving member, which
+        re-applies its record so the committed members stand.
         """
         for name, server in list(self.membership.members.items()):
             if not self._quiesce(server):
@@ -158,7 +159,7 @@ class SeGShareCluster:
     @staticmethod
     def _quiesce(server: SeGShareServer) -> bool:
         """Flush one member's open epoch; False if the member is dead
-        (its open epoch is then a crashed batch needing takeover)."""
+        (its open epoch then needs takeover)."""
         try:
             server.handle.call("group_commit_quiesce")
             return True
@@ -204,12 +205,12 @@ class SeGShareCluster:
             name = self.membership.ring.owner(affinity)
             server = self.membership.members[name]
             if self._last_routed != name:
-                # The journal's epoch marker is a single key on the shared
-                # store, so at most one replica may hold an epoch open.
+                # An open epoch holds guard batches over the shared tree in
+                # its replica's memory, so at most one replica may hold one.
                 # Quiesce everyone else — not just the previously routed
                 # member, since direct handler access (tests, priming) can
                 # leave an epoch open the router never saw.  A member dying
-                # mid-quiesce leaves a crashed batch on the shared journal:
+                # mid-quiesce leaves its committed record on the shared store:
                 # recover it through a successor before anyone opens over it.
                 crashed_mid_quiesce = False
                 for other, member in list(self.membership.members.items()):
@@ -254,7 +255,7 @@ class SeGShareCluster:
 
     def _recover_crashed(self, crashed: str) -> SeGShareServer:
         """Confirm ``crashed`` is dead, evict it, and have a surviving
-        member roll back its uncommitted journal batch.  Returns the
+        member finish its committed redo record.  Returns the
         successor that ran the recovery."""
         self.heartbeats.poll()
         self.heartbeats.confirm_failure(crashed)
@@ -262,6 +263,7 @@ class SeGShareCluster:
         server = self.membership.evict(crashed)
         if server is not None:
             server.cluster = None
+        writer = server.platform.platform_id if server is not None else crashed
         self.failovers += 1
         self.evictions += 1
         if self._last_routed == crashed:
@@ -271,7 +273,7 @@ class SeGShareCluster:
             raise MembershipError(
                 f"replica {crashed!r} failed and no serving member survives"
             )
-        if successor.handle.call("cluster_takeover_recover"):
+        if successor.handle.call("cluster_takeover_recover", writer):
             self.takeovers_recovered += 1
         if self.coherence_board is not None:
             # Takeover published an authenticated reset superseding the
@@ -280,12 +282,12 @@ class SeGShareCluster:
         return successor
 
     def _failover(self, crashed: str, token: str) -> Response | None:
-        """Evict ``crashed``, recover its batch, decide re-execution.
+        """Evict ``crashed``, finish its commits, decide re-execution.
 
         Returns a synthesized OK response when the stamp proves the
         in-flight request committed before the crash (the original
         response text died with the enclave; the stamp proves only the
-        *commit*), or ``None`` when the batch rolled back and the caller
+        *commit*), or ``None`` when the request never committed and the caller
         must re-route.
         """
         successor = self._recover_crashed(crashed)

@@ -136,9 +136,9 @@ class DedupStore:
         self._engine.coherence_check()
         existing = self._index.get(name)
         if existing is not None:
-            # `obj:*` blobs are never metadata-cached.  Nothing refers to
-            # the fresh copy, so no undo may bring it back.
-            self._pfs.remove(object_id, delete=self._engine.delete_unjournaled)
+            # `obj:*` blobs are never metadata-cached, and nothing refers
+            # to the fresh copy.
+            self._pfs.remove(object_id, delete=self._engine.delete_object_key)
             self._index[name] = (existing[0], existing[1] + 1)
         else:
             self._index[name] = (object_id, 1)
@@ -240,10 +240,11 @@ class DedupStore:
     def reload_index(self) -> None:
         """Drop every entry and re-read all records.
 
-        An undo-journal rollback restores the stored records underneath
-        this copy; the in-memory entries must follow or later refcounts
-        act on the aborted batch's state.  Unsealed changes go with them:
-        they belong to the aborted span.
+        An aborted span's changes never reached the stored records, and a
+        recovery or peer may have replaced them underneath this copy; the
+        in-memory entries must follow or later refcounts act on the
+        aborted span's state.  Unsealed changes go with them: they belong
+        to the aborted span.
         """
         self._refuse_reload(self._dirty)  # every unsealed change would go
         self._dirty.clear()
@@ -256,10 +257,10 @@ class DedupStore:
 
         A crash can strand objects, with dedup on or off: every upload's
         streamed chunks land in the store before a record adopts them,
-        and an undo-log rollback restores the records without deleting
-        the abandoned object.  The converse
+        and an abort or a crash before the commit point leaves the
+        records without ever naming it.  The converse
         (referenced-but-missing) cannot happen honestly: the records and
-        the object links commit atomically in one journaled span, so
+        the object links commit atomically in one redo record, so
         sweeping unreferenced ``obj:`` keys after crash recovery is
         always safe.  Only ``obj:`` keys are swept; ``idx:`` records are
         removed by the seal of the span that released their last

@@ -25,7 +25,7 @@ from repro.core.audit import AuditLog, export_message_bytes
 from repro.core.cache import MetadataCache
 from repro.core.coherence import CoherenceManager
 from repro.core.file_manager import TrustedFileManager
-from repro.core.journal import WriteAheadJournal
+from repro.core.journal import EpochRecord, WriteAheadJournal
 from repro.core.locks import LockManager
 from repro.core.request_handler import RequestHandler, UploadSink, response_for
 from repro.core.requests import Op, Request, Response
@@ -108,9 +108,12 @@ class SeGShareOptions:
     switchless_workers: int = 4
     #: The enclave serves one repository shared with live peers (cluster
     #: members over one backend).  A booting enclave must then leave the
-    #: journal untouched: the marker on the store may be another member's
-    #: open commit epoch, not a crashed batch — only the cluster front
-    #: door (takeover recovery, admission quiesce) can tell them apart.
+    #: journal untouched: a redo record on the store may belong to a peer
+    #: whose epoch is still open, and re-applying it would write that
+    #: peer's committed values over anything it or a successor wrote since
+    #: and rebuild guards the peer still holds batches for — only the
+    #: cluster front door (takeover recovery of a peer it saw die,
+    #: admission quiesce) knows which records are a crashed member's.
     shared_store: bool = False
     #: Authorization backend (repro/core/authz): ``"enclave_acl"`` is the
     #: paper's design — enclave-checked ACLs, O(1)-metadata revocation;
@@ -225,7 +228,9 @@ class SeGShareEnclave(Enclave):
     #: and a guard node's kept main, paid for by one sorted-name list behind
     #: directory files, member lists and an ACL's owners, one ACL read per
     #: check and a per-character path loop gone (docs/PERF.md §23): 7756 → 7756.
-    TCB_LOC_CEILING = 7756
+    #: Commit by redo, not undo: the pre-image journal, its restore path and
+    #: the in-process guard repair gone (docs/PERF.md §24): 7756 → 7657.
+    TCB_LOC_CEILING = 7657
 
     def __init__(
         self,
@@ -301,18 +306,19 @@ class SeGShareEnclave(Enclave):
         journal = WriteAheadJournal(
             self._stores,
             self._root_key,
+            writer=self.platform.platform_id,
             crash_hook=self.platform.crashpoint,
             counter_probe=self._counter_probe(counter),
         )
-        # Roll back any batch a crash left uncommitted BEFORE the trusted
-        # components read storage, so the dedup index, guard nodes, and
-        # directory files all come back pre-batch.  Not on a shared store:
-        # its journal marker may be a LIVE member's open commit epoch, not
-        # a crashed batch — only the cluster (takeover recovery, admission
-        # quiesce) knows which, so a booting cluster member must leave the
-        # journal alone.
+        # Re-apply whatever a crash left committed but not yet applied
+        # BEFORE the trusted components read storage, so the dedup index,
+        # guard nodes, and directory files all see the committed state.
+        # Not on a shared store: a record there may be a LIVE member's
+        # open commit epoch, not a crashed one — only the cluster
+        # (takeover recovery, admission quiesce) knows which, so a booting
+        # cluster member leaves the records alone.
         own_store = not (self._options.replica or self._options.shared_store)
-        recovered = own_store and journal.recover_restore()
+        recovered = journal.recover() if own_store else []
         self.engine = StorageEngine(
             self._stores,
             journal=journal,
@@ -375,16 +381,20 @@ class SeGShareEnclave(Enclave):
         if self._options.audit:
             self.audit_log = AuditLog(self.manager, self._root_key)
 
-    def _finish_journal_recovery(self, journal: WriteAheadJournal, recovered: bool) -> None:
+    def _finish_journal_recovery(
+        self, journal: WriteAheadJournal, records: "list[EpochRecord]", writer: str | None = None
+    ) -> None:
         """Shared epilogue of crash recovery (restart and cluster takeover).
 
-        The restore rewound the stores to the last committed member; the
-        engine's guard repair then checks the restored data and realigns
-        the guards with it (:meth:`StorageEngine.repair_guards`).
+        The re-apply brought the stores to the last committed member; the
+        engine's guard repair then checks the data against the record's
+        roots and rebuilds the guards from it
+        (:meth:`StorageEngine.repair_guards`).  The records go last, so a
+        crash anywhere here re-runs the whole recovery.
         """
         assert self.engine is not None
-        if recovered:
-            self.engine.repair_guards(journal.epoch)
+        for record in records:
+            self.engine.repair_guards(record)
         # An upload streams its chunks before its transaction opens, so a
         # crash strands them whether or not an epoch was open: every restart
         # over our own store sweeps.  A takeover never does — on the shared
@@ -392,7 +402,7 @@ class SeGShareEnclave(Enclave):
         if not (self._options.replica or self._options.shared_store):
             assert self.manager is not None
             self.manager.dedup.sweep_orphans()
-        journal.recover_finish()
+        journal.recover_finish(writer)
 
     def _counter_probe(self, counter: "MonotonicCounter | RoteCounterService | None"):
         """A read-only probe of the whole-FS counter for the journal."""
@@ -672,7 +682,7 @@ class SeGShareEnclave(Enclave):
             # The provider replaced the stores underneath us: every cached
             # object and the in-memory dedup index describe the pre-restore
             # world and must go before the consistency walk reads storage.
-            self.engine.drop_derived_state()
+            self.engine.drop_derived_state(restored=True)
             self.engine.repair_guards(None)
 
     # -- root-key rotation (production extension; see repro/core/rotation.py) ----
@@ -715,7 +725,7 @@ class SeGShareEnclave(Enclave):
         """
         self._check_alive()
         if self.engine is not None:
-            self.engine.drop_derived_state()
+            self.engine.drop_derived_state(restored=True)
 
     # -- cluster support (replica failover and membership; docs/CLUSTER.md) -------
 
@@ -739,11 +749,11 @@ class SeGShareEnclave(Enclave):
     def group_commit_quiesce(self) -> None:
         """Close any open group-commit epoch.
 
-        The epoch's marker lives at a fixed key on the shared store, so
-        two replicas must never both hold one open: the front door
-        quiesces a replica before routing traffic to another, before
-        membership changes, and before a successor adjudicates a crashed
-        peer's journal.  A no-op when no epoch (or no coordinator) is
+        An open epoch keeps guard batches over the shared tree in this
+        enclave's memory, so two replicas must never both hold one open:
+        the front door quiesces a replica before routing traffic to
+        another, before membership changes, and before a successor
+        finishes a crashed peer's record.  A no-op when no epoch (or no coordinator) is
         open.
         """
         self._check_alive()
@@ -759,44 +769,44 @@ class SeGShareEnclave(Enclave):
         return self.engine.journal.read_committed_stamp()
 
     @ecall
-    def cluster_takeover_recover(self) -> bool:
-        """Successor side of failover: recover the crashed peer's batch.
+    def cluster_takeover_recover(self, crashed: str) -> bool:
+        """Successor side of failover: finish the crashed peer's commits.
 
-        Replicas share one repository and one journal key, so the
-        successor's journal instance reads the crashed enclave's marker
-        directly.  The sequence mirrors a crash-restart of our own
-        enclave (``_build_components``): roll the batch back, drop any
-        enclave-resident plaintext describing the pre-rollback world,
-        then consistency-check and re-anchor the restored state.
-        Returns True when an uncommitted batch was rolled back.
+        Replicas share one repository and one journal key, and each writes
+        its redo records under its own platform id, so the successor's
+        journal reads the crashed enclave's record (``crashed`` names it)
+        directly — and never a live peer's.  The sequence mirrors a
+        crash-restart of our own enclave (``_build_components``):
+        re-apply the record, drop any enclave-resident plaintext
+        describing the pre-apply world, then check the data against the
+        record's roots and rebuild the guards.  Returns True when a
+        record was found.
         """
         self._check_alive()
         if self.engine is None:
             raise EnclaveError("enclave is not ready")
-        # Our own open epoch would read as "transaction in flight"; flush
-        # it before adjudicating the crashed peer's journal.
+        # Our own open epoch holds guard batches in enclave memory; flush
+        # it before rebuilding the guards for the crashed peer's commits.
         self.engine.quiesce()
         journal = self.engine.journal
         if journal.active:
             raise EnclaveError("cannot take over with our own transaction in flight")
-        recovered = journal.recover_restore()
-        if recovered:
+        records = journal.recover(crashed)
+        if records:
             self.engine.drop_derived_state()
-        self._finish_journal_recovery(journal, recovered)
+        self._finish_journal_recovery(journal, records, writer=crashed)
         coherence = self.engine.coherence
         if coherence is not None:
             # The crashed peer may have committed without publishing (the
-            # coherence:publish crash window) or published entries whose
-            # writes the restore just rolled back.  Discard our own
-            # plaintext unconditionally — including write-backs the
-            # recovery re-anchor deferred — then supersede the log's
-            # published-but-uncommitted tail with an authenticated reset:
-            # every other replica full-discards at its next sync, and the
-            # rejoining peer starts cold past the reset.
+            # coherence:publish crash window).  Discard our own plaintext
+            # unconditionally — including write-backs the guard rebuild
+            # left — then supersede the log's tail with an authenticated
+            # reset: every other replica full-discards at its next sync,
+            # and the rejoining peer starts cold past the reset.
             self.engine.discard_pending_state()
             self.engine.drop_derived_state()
             coherence.publish_reset("takeover")
-        return recovered
+        return bool(records)
 
     @ecall
     def cluster_verify_anchors(self) -> dict:

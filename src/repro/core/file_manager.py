@@ -7,7 +7,7 @@ root key SK_r, optionally hides paths (Section V-C), deduplicates content
 through the Protected File System Library clone, whose 4 KiB chunks,
 each authenticated by its own AES-GCM tag, mirror Intel's library.
 
-Persistence itself — the undo journal, the guard batches, the metadata
+Persistence itself — the redo journal, the guard batches, the metadata
 cache, and the deferred write buffers — is owned by the
 :class:`repro.store.engine.StorageEngine`; the manager expresses reads
 and writes against the engine's facade and brackets multi-key mutations

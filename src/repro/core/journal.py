@@ -1,74 +1,67 @@
-"""Encrypted write-ahead (undo) journal for crash-consistent mutations.
+"""Encrypted redo journal: a member's metadata writes reach the store only
+through one sealed record.
 
-The problem: one SeGShare request mutates *many* untrusted keys — content
-chunks, directory files, ACLs, quota records, dedup records, rollback-guard
-nodes, the anchor, and the monotonic counter.  A crash between any two of
-those writes leaves the store permanently failing ``verify_read`` (the
-anchor no longer matches storage), which is indistinguishable from a
-rollback attack.
+The problem: one SeGShare request mutates *many* untrusted keys —
+directory files, ACLs, pointers, quota and dedup records, rollback-guard
+nodes, the anchor, and the monotonic counter.  A crash between any two
+of those writes leaves the store permanently failing ``verify_read``
+(the anchor no longer matches storage), which is indistinguishable from
+a rollback attack.
 
-The fix is a classic undo journal, kept *inside* the trust boundary, run
-as **commit epochs**: one epoch carries one or more member transactions
-(the storage engine's group-commit coordinator decides how many).
+The fix is no-steal redo logging, kept *inside* the trust boundary and
+run as **commit epochs**: one epoch carries one or more member
+transactions (the storage engine's group-commit coordinator decides how
+many).
 
-1.  :meth:`WriteAheadJournal.open_epoch` writes an encrypted **marker**
-    to the content store before the first mutation.  The marker records
-    the whole-FS counter value, freshness-binding the journal itself (see
-    below).
-2.  Before the first mutation of a group of keys — one flushed write
-    buffer, or a single put, delete or rename — the journal persists one
-    encrypted **undo entry** listing, for every key of the group the
-    member has not recorded yet, a copy of its stored bytes (or an
-    "absent" tombstone).  The entry is written *before* every mutation it
-    covers, so a crash can always undo them.
-3.  A member commits by persisting one small **epoch record**
+1.  A member's puts and deletes stay in the engine's write buffers in
+    enclave memory; reads in the span see them there.  Nothing it writes
+    reaches the store before its commit point — except a fresh object's
+    blobs, which no stored key references until that point.
+2.  A member commits by persisting one sealed **redo record**
     (:meth:`WriteAheadJournal.commit_member` — a single object put is its
-    atomic commit point) carrying the entry-sequence watermark and the
-    guards' expected root hashes, then sweeps its entries.
-4.  :meth:`WriteAheadJournal.close_epoch` deletes the marker — the close
-    point — after the guards' batched flush, then drops the record and
-    any entries left.
+    atomic commit point).  The record carries the member's writes, the
+    guards' expected root hashes over the committed state, the whole-FS
+    counter value, and the reclaim intents not yet completed.  The
+    engine then applies the writes (:meth:`WriteAheadJournal.apply`).
+    A span whose buffer outgrows its budget first seals the overflow
+    into record **parts** (:meth:`WriteAheadJournal.record`), which the
+    record names; parts without a record are never applied.
+3.  The record stays until :meth:`WriteAheadJournal.close_epoch`: the
+    next member's record replaces it, and the close, after the guards'
+    batched node flush and anchor write, deletes it — or leaves the
+    intents still open as a record of their own.
 
-A member that fails before its record rolls back its own entries
-(:meth:`WriteAheadJournal.rollback_member`).  A failure after the guard
-flush began restores everything above the last record's watermark
-(:meth:`WriteAheadJournal.rollback`) with recording left open, so the
-caller's guard repair is journaled too, and only then closes.
+An abort drops the buffers (:meth:`WriteAheadJournal.rollback_member`
+drops the member's parts); no stored key changed, so nothing is undone.
+On enclave restart a surviving record is re-applied — idempotent, since
+each record holds the final values of its keys and nothing wrote them
+after it — and the guards are checked against its root hashes and
+rebuilt (:meth:`WriteAheadJournal.recover`); its intents are completed.
 
-An object whose last reference a member drops is not deleted under the
-journal: a sealed **reclaim intent** ``(object id, chunk count)``,
-durable before the commit point in the epoch record, names it, and its
-keys go after the commit point; intents still open at the close move to
-the ``reclaim`` record.  Recovery completes every intent it finds: each
-names a committed, unreferenced object, and object ids are never reused.
+An object whose last reference a member drops is not deleted in the
+record: a sealed **reclaim intent** ``(object id, chunk count)`` in the
+record names it, and its keys go after the commit point.  Recovery
+completes every intent it finds: each names a committed, unreferenced
+object, and object ids are never reused.
 
-On enclave restart, a surviving marker means the epoch did not close:
-every entry at or above the record's watermark (every entry, without a
-record) is restored — the in-flight member and the close-phase guard
-flush — while committed members' writes are kept (per-transaction
-all-or-nothing); the guards are then repaired from the restored data.
-Entries and a record *without* a marker are post-close garbage and are
-swept.
+Each enclave writes its records under its own key (the ``writer`` id),
+so replicas over one shared store never replace each other's intents;
+only the cluster's takeover path applies a peer's record.
 
-Freshness of the journal: the marker and entries are PAE-encrypted under
-a key derived from SK_r, with the object key bound as AAD, so the host
-can neither forge nor transplant records.  The host *can* replay an old
-complete journal together with old data; the marker's recorded counter
-value bounds that attack — recovery refuses a journal whose counter is
-more than ``MAX_COUNTER_LAG`` increments behind the TEE counter (or ahead
-of it, which is outright forgery).  Without whole-FS protection there is
-no counter and the check is vacuous, matching the (weaker) guarantees of
-those modes.
-
-Every enclave runs its mutations under this journal: the storage
-engine (:mod:`repro.store.engine`) wraps each store in a
-:class:`JournaledStore` and its transaction span is the only write path.
+Freshness of the journal: records are PAE-encrypted under a key derived
+from SK_r, with the record key bound as AAD, so the host can neither
+forge nor transplant them.  The host *can* replay an old record together
+with old data; the record's counter value bounds that attack — recovery
+refuses a record whose counter is more than ``MAX_COUNTER_LAG``
+increments behind the TEE counter (or ahead of it, which is outright
+forgery).  Without whole-FS protection there is no counter and the check
+is vacuous, matching the (weaker) guarantees of those modes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Collection, Iterable, Iterator, Optional
+from typing import Callable, Iterable, Optional, Sequence
 
 from repro.crypto import default_pae, derive_key
 from repro.errors import (
@@ -84,84 +77,104 @@ from repro.storage.backends import UntrustedStore
 from repro.storage.stores import StoreSet
 from repro.util.serialization import Reader, SerializationError, Writer
 
-#: Store tags identifying which member of the :class:`StoreSet` a journal
-#: entry belongs to.
+#: Store tags naming which member of the :class:`StoreSet` a write goes to.
 TAG_CONTENT, TAG_GROUP, TAG_DEDUP = 0, 1, 2
 
-#: Recovery refuses a journal whose recorded counter value lags the TEE
-#: counter by more than this many increments: a replayed old journal
-#: (a rollback attack staged through the recovery path) is rejected while
-#: repeated crash/recover cycles — which advance the counter a few steps
-#: per cycle — stay well inside the bound.
+#: Recovery refuses a record whose counter value lags the TEE counter by
+#: more than this many increments: a replayed old record (a rollback
+#: attack staged through the recovery path) is rejected while repeated
+#: crash/recover cycles — which advance the counter a few steps per
+#: cycle — stay well inside the bound.
 MAX_COUNTER_LAG = 4096
 
-_MARKER_KEY = "\x00journal:batch"
-_ENTRY_PREFIX = "\x00journal:entry:"
+_RECORD_PREFIX = "\x00journal:redo:"
+_PART_PREFIX = "\x00journal:part:"
 _STAMP_KEY = "\x00journal:stamp"
-_EPOCH_KEY = "\x00journal:epoch"
-_RECLAIM_KEY = "\x00journal:reclaim"
-_MARKER_AAD = b"segshare-journal:marker"
-_ENTRY_AAD = b"segshare-journal:"
+_RECORD_AAD = b"segshare-journal:"
 _STAMP_AAD = b"segshare-journal:stamp"
-_EPOCH_AAD = b"segshare-journal:epoch"
-_RECLAIM_AAD = b"segshare-journal:reclaim"
 
-#: Undo-entry kinds: the key was absent / the entry carries a copy of the
-#: stored bytes.
-_ABSENT, _COPIED = 0, 1
+#: One buffered write: (store tag, key, value), ``None`` deleting the key.
+Write = tuple[int, str, Optional[bytes]]
 
 
-def _pack_intents(w: Writer, intents: dict[str, int]) -> Writer:
-    w.u32(len(intents))
-    for object_id, chunks in sorted(intents.items()):
-        w.str(object_id).u32(chunks)
+def _pack_writes(w: Writer, writes: Sequence[Write]) -> Writer:
+    w.u32(len(writes))
+    for tag, key, value in writes:
+        w.u8(tag).str(key).bool(value is not None).bytes(value or b"")
     return w
 
 
-def _read_intents(r: Reader) -> dict[str, int]:
-    intents = {r.str(): r.u32() for _ in range(r.u32())}
-    r.expect_end()
-    return intents
+def _read_writes(r: Reader) -> list[Write]:
+    writes = []
+    for _ in range(r.u32()):
+        tag, key, present, value = r.u8(), r.str(), r.bool(), r.bytes()
+        if tag > TAG_DEDUP:
+            raise SerializationError(f"journal write names no store {tag}")
+        writes.append((tag, key, value if present else None))
+    return writes
 
 
 @dataclass(frozen=True)
 class EpochRecord:
-    """The last committed member's record inside a group-commit epoch.
+    """One sealed redo record: the last committed member of an open epoch.
 
-    ``watermark`` is the entry sequence number at that member's commit:
-    entries at or above it belong to a later, uncommitted member and are
-    the only ones recovery restores.  ``fs_main``/``group_main`` are the
-    rollback guards' expected root hashes over the committed state (empty
-    when the respective guard is absent) — the epoch kept the guard
-    batches in enclave memory, so after a crash the guards are rebuilt
-    from data and checked against these.
+    ``fs_main``/``group_main`` are the rollback guards' expected root
+    hashes over the committed state, empty for a guard with nothing
+    pending (or absent): the epoch keeps the guard batches in enclave
+    memory, so after a crash the guards are rebuilt from the data and
+    checked against these.  ``counter`` is the whole-FS counter value at
+    the epoch's start.  ``parts`` are the record parts holding the writes the
+    member spilled, applied before ``writes``.  A record with no writes,
+    parts or roots carries only ``intents``.
     """
 
     label: str
-    watermark: int
     members: int
+    counter: int
     fs_main: bytes
     group_main: bytes
+    intents: dict[str, int]
+    parts: tuple[str, ...]
+    writes: tuple[Write, ...]
+
+    def encode(self) -> bytes:
+        w = Writer().str(self.label).u32(self.members).u64(self.counter)
+        w.bytes(self.fs_main).bytes(self.group_main).u32(len(self.intents))
+        for object_id, chunks in sorted(self.intents.items()):
+            w.str(object_id).u32(chunks)
+        return _pack_writes(w.str_list(self.parts), self.writes).take()
+
+    @classmethod
+    def decode(cls, data: bytes) -> "EpochRecord":
+        r = Reader(data)
+        head = (r.str(), r.u32(), r.u64(), r.bytes(), r.bytes())
+        intents = {r.str(): r.u32() for _ in range(r.u32())}
+        record = cls(*head, intents, tuple(r.str_list()), tuple(_read_writes(r)))
+        r.expect_end()
+        return record
 
 
 class WriteAheadJournal:
-    """Undo journal over the three untrusted stores of one deployment.
+    """Redo journal over the three untrusted stores of one deployment.
 
+    ``writer`` names this enclave's record slot on the store.
     ``crash_hook`` is called with a site name (``journal:begin``,
-    ``journal:entry``, ``journal:mutate``, ``journal:commit``,
-    ``journal:committed``, ``journal:epoch-close``,
-    ``journal:epoch-closed``, ``journal:reclaim``,
-    ``journal:reclaim-record``) at every step boundary; wiring it to
-    :meth:`SgxPlatform.crashpoint` lets a fault plan kill the enclave at
-    any individual journal step (the crash-matrix tests enumerate them).
-    ``counter_probe`` returns the current whole-FS counter value, or is
-    ``None`` when no counter protects the deployment.
+    ``journal:record``, ``journal:commit``, ``journal:committed``,
+    ``journal:apply``, ``journal:epoch-close``, ``journal:epoch-closed``,
+    ``journal:intents``, ``journal:part-drop``, ``journal:reclaim``,
+    ``journal:recovered``) at every step
+    boundary; wiring it to :meth:`SgxPlatform.crashpoint` lets a fault
+    plan kill the enclave at any individual journal step (the
+    crash-matrix tests enumerate them).  ``counter_probe`` returns the
+    current whole-FS counter value, or is ``None`` when no counter
+    protects the deployment.
     """
 
     def __init__(
         self,
         stores: StoreSet,
         root_key: bytes,
+        writer: str = "",
         crash_hook: Optional[Callable[[str], None]] = None,
         counter_probe: Optional[Callable[[], int]] = None,
     ) -> None:
@@ -171,32 +184,27 @@ class WriteAheadJournal:
         self._pae = default_pae()
         self._crash_hook = crash_hook
         self.counter_probe = counter_probe
+        self._record_key = _RECORD_PREFIX + writer
+        self._part_prefix = f"{_PART_PREFIX}{writer}:"
         self._active = False
+        #: The whole-FS counter value at the open epoch's start: the guards
+        #: defer their increments to its close, so it holds for every member.
+        self._counter = 0
+        #: Parts written so far; a part's number names its key.
         self._seq = 0
-        self._recorded: set[tuple[int, str]] = set()
-        #: The open epoch's last member record, or ``None`` before its first
-        #: commit.  Recovery sets it from the stored record; the guard repair
-        #: (in process and at restart) verifies against it.
-        self.epoch: Optional[EpochRecord] = None
-        #: True while a closed epoch's record or entries may still be
-        #: stored (a fault cut its tidy-up short); the next open finishes it.
-        self._untidy = False
-        #: True once this journal may have stored the reclaim record.
-        self._intent_record = False
+        #: Parts the open epoch's committed records named, dropped at its close.
+        self._committed_parts: list[str] = []
+        #: True while this journal's record may be stored.
+        self._stored = False
         #: Intents completed by the recoveries this journal ran.
         self.intents_recovered = 0
         self._poisoned: Optional[str] = None
-        #: Invoked after every undo restore (in-process rollback AND crash
-        #: recovery).  The storage engine hangs the metadata cache's
-        #: ``clear`` here so restored pre-images can never coexist with
-        #: cache entries from the aborted member.
-        self.on_restore: Optional[Callable[[], None]] = None
 
     # -- step boundaries -------------------------------------------------------
 
     @property
     def active(self) -> bool:
-        """True while an epoch's marker is persisted (between members too)."""
+        """True while an epoch is open (between members too)."""
         return self._active
 
     def crashpoint(self, site: str) -> None:
@@ -205,68 +213,52 @@ class WriteAheadJournal:
 
     # -- epoch lifecycle ---------------------------------------------------------
     #
-    # An epoch is a batch whose marker is shared by its member transactions.
-    # The per-member commit point is a single put of the epoch record; the
-    # epoch-wide close point is the marker delete.  The invariant "marker
-    # persisted => every mutation has a pre-image" holds throughout, with
-    # the refinement that entries below the record's watermark cover
-    # *committed* members and are garbage.
+    # An epoch is a batch of member transactions.  The per-member commit
+    # point is the put of its record; the epoch-wide close point is that
+    # record's delete, after the guards' flush.  Between the two, the stored
+    # record is the last committed member's, and re-applying it rebuilds
+    # exactly the committed state.
 
-    def open_epoch(self, label: str) -> None:
-        """Open an epoch: persist the marker before any data mutation."""
+    def check_usable(self) -> None:
+        """Refuse to go on after :meth:`poison`; reads continue."""
         if self._poisoned is not None:
             raise ServiceUnavailableError(
                 f"mutations are disabled: {self._poisoned} (restart the enclave)"
             )
+
+    def open_epoch(self, label: str) -> None:
+        """Open an epoch; no store write happens until a member commits."""
+        self.check_usable()
         if self._active:
             raise StorageError("journal epoch already open")
-        if self._untidy:
-            # Before the marker: a stale record must never meet a new one.
-            self.clear()
-        counter_start = self.counter_probe() if self.counter_probe is not None else 0
-        plaintext = Writer().str(label).u64(counter_start).take()
-        self._backend.put(
-            _MARKER_KEY, self._pae.encrypt(self._key, plaintext, aad=_MARKER_AAD)
-        )
+        self._counter = self.counter_probe() if self.counter_probe is not None else 0
         self._active = True
-        self._seq = 0
-        self._recorded.clear()
         self.crashpoint("journal:begin")
 
-    def record(self, tag: int, keys: Collection[str]) -> None:
-        """Seal the pre-images of a group of mutations of ``keys`` on store
-        ``tag`` into one entry, stored before the first of them lands.
-
-        Keys the member already recorded are left out.
-        """
-        fresh = [key for key in keys if (tag, key) not in self._recorded] if self._active else []
-        if not fresh:
-            return
-        store = self._tagged[tag]
-        body = Writer().u8(tag).u32(len(fresh))
-        for key in fresh:
-            if store.exists(key):
-                body.str(key).u8(_COPIED).bytes(store.get(key))
-            else:
-                body.str(key).u8(_ABSENT).bytes(b"")
-        entry_key = f"{_ENTRY_PREFIX}{self._seq:08d}"
-        sealed = self._pae.encrypt(self._key, body.take(), aad=_ENTRY_AAD + entry_key.encode("utf-8"))
-        self._backend.put(entry_key, sealed)
-        self._seq += 1
-        self._recorded.update((tag, key) for key in fresh)
-        self.crashpoint("journal:entry")
-
     def begin_member(self) -> int:
-        """Start one member transaction; returns its entry-sequence base.
+        """Start one member transaction; returns its first part number."""
+        if not self._active:
+            raise StorageError("no commit epoch is open")
+        return self._seq
 
-        Pre-image recording restarts: each member records the values the
-        *previous* member committed, so rolling one member back never
-        rewinds past its predecessors.
+    def record(self, writes: Sequence[Write]) -> str:
+        """Seal writes the open member spilled into one record part; its key.
+
+        A part is inert until the member's record names it.
         """
         if not self._active:
             raise StorageError("no commit epoch is open")
-        self._recorded.clear()
-        return self._seq
+        key = f"{self._part_prefix}{self._seq:08d}"
+        self._seq += 1
+        self._put(key, _pack_writes(Writer(), writes).take(), "journal:record")
+        return key
+
+    def read_part(self, key: str) -> list[Write]:
+        """The writes a part of the open member holds."""
+        r = Reader(self._open(key))
+        writes = _read_writes(r)
+        r.expect_end()
+        return writes
 
     def commit_member(
         self,
@@ -276,192 +268,121 @@ class WriteAheadJournal:
         members: int,
         label: str,
         intents: "dict[str, int] | None" = None,
-    ) -> None:
-        """Commit one member: the epoch-record put is its atomic commit point.
+        writes: Sequence[Write] = (),
+    ) -> EpochRecord:
+        """Commit one member: the record put is its atomic commit point.
 
-        The record carries the watermark (entries below it are now
-        committed garbage), the guards' pending root hashes so a crash
-        later in the epoch can verify the restored data before rebuilding
-        the guard trees (empty when the guards flushed with the member),
-        and the reclaim ``intents`` not yet completed.  The member's own
-        entries are swept afterwards; a fault or crash mid-sweep leaves
-        sub-watermark garbage that recovery ignores and the close removes.
+        The record replaces the previous member's; the epoch's close drops
+        the parts either named.  The caller applies the writes next
+        (:meth:`apply`).
         """
         if not self._active:
             raise StorageError("no commit epoch is open")
         self.crashpoint("journal:commit")
-        watermark = self._seq
-        record = Writer().str(label).u64(watermark).u32(members).bytes(fs_main).bytes(group_main)
-        plaintext = _pack_intents(record, intents or {}).take()
-        self._backend.put(
-            _EPOCH_KEY, self._pae.encrypt(self._key, plaintext, aad=_EPOCH_AAD)
-        )
-        self.epoch = EpochRecord(label, watermark, members, fs_main, group_main)
-        self.crashpoint("journal:committed")
-        self._recorded.clear()
-        try:
-            self._sweep_entries(range(member_base, watermark))
-        except EnclaveCrashed:
-            raise
-        except ReproError:
-            pass  # the member stands; the close sweeps what is left
+        parts = tuple(f"{self._part_prefix}{seq:08d}" for seq in range(member_base, self._seq))
+        record = EpochRecord(label, members, self._counter, fs_main, group_main, dict(intents or {}), parts, tuple(writes))
+        self._stored = True
+        self._put(self._record_key, record.encode(), "journal:committed")
+        self._committed_parts += parts
+        return record
+
+    def apply(self, writes: Sequence[Write], parts: Sequence[str] = (), tolerant: bool = False) -> None:
+        """Apply a committed record's writes to the stores, its parts first.
+
+        Puts and deletes only: nothing is read to be saved.  ``tolerant``
+        (a re-apply) skips deletes whose key is already gone.
+        """
+        for part in parts:
+            self.apply(self.read_part(part), tolerant=tolerant)
+        for tag, key, value in writes:
+            store = self._tagged[tag]
+            if value is not None:
+                store.put(key, value)
+            elif not tolerant or store.exists(key):
+                store.delete(key)
+            self.crashpoint("journal:apply")
 
     def rollback_member(self, member_base: int) -> None:
-        """Abort one member: restore and drop its entries; the epoch lives on.
+        """Abort one member: drop the parts it spilled; the epoch lives on.
 
-        No guard anchor was written and no counter incremented since the
-        member began (the guards batch for the whole epoch), so restoring
-        the pre-images alone returns storage to the post-previous-member
-        state — no re-anchor is needed and other members are untouched.
+        Its writes never left enclave memory, so no stored key changed and
+        other members are untouched.
         """
         if not self._active:
             raise StorageError("no commit epoch is open")
-        self._restore_entries(min_seq=member_base)
-        self._sweep_entries(range(member_base, self._seq))
-        self._seq = member_base
-        self._recorded.clear()
+        self._drop_parts(f"{self._part_prefix}{seq:08d}" for seq in range(member_base, self._seq))
 
     def rollback(self) -> None:
-        """Restore every entry above the last committed member's watermark.
-
-        The journal half of an abort that may have reached past a guard
-        flush.  The marker, the record and the entries are deliberately
-        *kept* and recording stays open: the caller repairs the guards
-        (a multi-key rewrite that must be journaled too — a crash during
-        it rewinds to the restored state on restart and re-runs it) and
-        then closes the epoch.  Restored keys keep their original
-        pre-images, so the restore target stays the committed state.
-        """
-        watermark = self.epoch.watermark if self.epoch is not None else 0
-        self._recorded = set(self._restore_entries(min_seq=watermark))
-        # Repair entries are numbered above every committed one, even after
-        # a restart found the committed members' entries already swept.
-        self._seq = max(self._seq, watermark)
+        """End an epoch in which no member committed: nothing was stored."""
+        self._active = False
 
     def close_epoch(self, intents: "dict[str, int] | None" = None) -> None:
-        """Close the epoch: the marker delete is the atomic close point.
+        """Close the epoch: the record's delete is the atomic close point.
 
-        Ordering matters: the marker must go *before* the record — a
-        crash in between leaves record-but-no-marker, which recovery
-        treats as a fully-closed epoch (sweep the leftovers).  Deleting
-        the record first would turn a committed epoch's garbage entries
-        into a marker-without-record restore-all.  The tidy-up after the
-        close point never fails the close.
+        The caller has flushed the guards, so the stored state no longer
+        needs the record's roots; intents still open replace it as a
+        record of their own.
         """
         if not self._active:
             raise StorageError("no commit epoch is open")
         self.crashpoint("journal:epoch-close")
-        self._backend.delete(_MARKER_KEY)
+        self._keep(intents or {})
         self._active = False
-        self._untidy = True
         self.crashpoint("journal:epoch-closed")
-        try:
-            # Intents still open outlive the epoch record in the reclaim record.
-            self.keep_intents(intents or {})
-            self.clear()
-        except EnclaveCrashed:
-            raise
-        except ReproError:
-            pass  # the close stands; the next open_epoch finishes the tidy-up
+        parts, self._committed_parts = self._committed_parts, []
+        self._drop_parts(parts)
 
     # benchmarks/e2e/layers.py wraps the journal by these older names too;
     # they stay until that harness wraps by role (ROADMAP item 1).
     begin = open_epoch
     commit = close_epoch
 
-    def clear(self) -> None:
-        """Drop the marker, the record and the epoch's numbered entries."""
-        self._active = False
-        for key in (_MARKER_KEY, _EPOCH_KEY):
-            if self._backend.exists(key):
-                self._backend.delete(key)
-        self._sweep_entries(range(self._seq))
-        self.epoch = None
-        self._recorded.clear()
-        self._untidy = False
-
     def poison(self, reason: str) -> None:
-        """Refuse further epochs (a rollback itself failed); reads continue."""
+        """Refuse further epochs (an abort could not finish); reads continue."""
         self._poisoned = reason
-        # Recording may still be open on the failed epoch: a later span must
-        # meet the refusal in open_epoch(), not join that epoch.
         self._active = False
 
-    # -- recovery (enclave start) ----------------------------------------------
+    # -- recovery (enclave start, cluster takeover) ------------------------------
 
-    def recover_restore(self) -> bool:
-        """Roll back an epoch left open by a crash; True if one was.
+    def recover(self, writer: Optional[str] = None) -> list[EpochRecord]:
+        """Re-apply what crashed commits left; returns the records applied.
 
-        Runs before the trusted components are built so they observe the
-        restored bytes.  The record, if any, marks the last committed
-        member's watermark: entries at or above it belong to the
-        uncommitted member (or the close-phase guard flush) and are
-        restored; anything below is garbage from an interrupted sweep and
-        must *not* be restored over committed members' writes.  The caller
-        repairs the guards against :attr:`epoch` and then calls
-        :meth:`recover_finish`; until then the journal keys survive *and
-        recording stays open* — the invariant is that whenever the marker
-        is persisted, every mutation records its pre-image, so a crash
-        anywhere during recovery (including mid-repair, a torn multi-key
-        anchor write) rewinds and re-runs it.  Last, every reclaim intent
-        a committed member left is completed.
+        Every record on the store — or only ``writer``'s, when a successor
+        takes over a crashed peer — is checked for freshness and re-applied,
+        and its intents are completed.  Runs before the trusted components
+        are built, so they observe the committed bytes.  The records stay
+        until :meth:`recover_finish`, after the caller checked the records'
+        roots and rebuilt the guards: a crash anywhere in between re-runs
+        the whole recovery.
         """
-        recovered = self._backend.exists(_MARKER_KEY)
-        stored = self._epoch_record()
-        self.epoch = stored[0] if stored is not None else None
-        if not recovered:
-            # Entries without a marker are garbage from a close that crashed
-            # mid-sweep; a record without a marker is a fully-closed epoch
-            # (the marker delete is the close point).
-            self._sweep_entries()
-        else:
-            r = Reader(self._open(_MARKER_KEY, _MARKER_AAD))
-            label = r.str()
-            counter_start = r.u64()
-            r.expect_end()
+        records = []
+        for key in self._records(writer):
+            record = EpochRecord.decode(self._open(key))
             if self.counter_probe is not None:
                 current = self.counter_probe()
-                if current < counter_start or current - counter_start > MAX_COUNTER_LAG:
+                if current < record.counter or current - record.counter > MAX_COUNTER_LAG:
                     raise RollbackDetected(
-                        f"stale write-ahead journal for batch {label!r}: recorded "
-                        f"counter {counter_start}, TEE counter {current}"
+                        f"stale redo record for batch {record.label!r}: recorded "
+                        f"counter {record.counter}, TEE counter {current}"
                     )
-            # Keep recording while the caller verifies and repairs: new
-            # slots continue the numbering and already-recorded keys keep
-            # their original pre-images.
-            self.rollback()
-            self._active = True
-        # The intents committed members left: in the record, and in the
-        # reclaim record an earlier close moved still-open ones to.
-        intents = stored[1] if stored is not None else {}
-        if self._backend.exists(_RECLAIM_KEY):
-            intents = {**intents, **_read_intents(Reader(self._open(_RECLAIM_KEY, _RECLAIM_AAD)))}
-        self._delete_objects(intents)
-        self.intents_recovered += len(intents)
-        if self._backend.exists(_RECLAIM_KEY):
-            self._backend.delete(_RECLAIM_KEY)
-        if not recovered and stored is not None:
-            self._backend.delete(_EPOCH_KEY)
-            self.epoch = None
-        return recovered
+            self.apply(record.writes, record.parts, tolerant=True)
+            self._delete_objects(record.intents)
+            self.intents_recovered += len(record.intents)
+            records.append(record)
+        return records
 
-    def _open(self, key: str, aad: bytes) -> bytes:
-        try:
-            return self._pae.decrypt(self._key, self._backend.get(key), aad=aad)
-        except IntegrityError:
-            raise RollbackDetected(f"journal record {key!r} is corrupt or not ours") from None
+    def recover_finish(self, writer: Optional[str] = None) -> None:
+        """Drop the records recovery applied and every part (``writer``'s only)."""
+        parts = _PART_PREFIX if writer is None else f"{_PART_PREFIX}{writer}:"
+        for key in [*self._records(writer), *self._backend.scan(parts)]:
+            self.crashpoint("journal:recovered")
+            self._backend.delete(key)
 
-    def _epoch_record(self) -> Optional[tuple[EpochRecord, dict[str, int]]]:
-        if not self._backend.exists(_EPOCH_KEY):
-            return None
-        er = Reader(self._open(_EPOCH_KEY, _EPOCH_AAD))
-        return EpochRecord(er.str(), er.u64(), er.u32(), er.bytes(), er.bytes()), _read_intents(er)
-
-    def recover_finish(self) -> None:
-        """Finish recovery after the guards were repaired: drop the journal,
-        entries a restart cannot number included."""
-        self.clear()
-        self._sweep_entries()
+    def _records(self, writer: Optional[str]) -> list[str]:
+        if writer is None:
+            return sorted(self._backend.scan(_RECORD_PREFIX))
+        key = _RECORD_PREFIX + writer
+        return [key] if self._backend.exists(key) else []
 
     # -- request stamps (cluster exactly-once) ----------------------------------
 
@@ -469,14 +390,13 @@ class WriteAheadJournal:
         """(key, ciphertext) of the request-stamp object for ``token``.
 
         The cluster front door tags each routed request with a token; the
-        storage engine persists the sealed stamp *through the journaled,
-        deferred stack* so it commits or rolls back atomically with the
-        request's transaction.  Because the stamp key is derived from SK_r, any
-        replica holding the root key — in particular a failover successor
-        — can read which request last committed and suppress a duplicate
-        re-execution.  PAE under the journal key with a distinct AAD: the
-        host can neither forge a stamp nor transplant a journal record
-        into the stamp slot.
+        storage engine buffers the sealed stamp with the request's other
+        writes, so it commits in the member's record or not at all.
+        Because the stamp key is derived from SK_r, any replica holding
+        the root key — in particular a failover successor — can read which
+        request last committed and suppress a duplicate re-execution.  PAE
+        under the journal key with a distinct AAD: the host can neither
+        forge a stamp nor transplant a journal record into the stamp slot.
         """
         return _STAMP_KEY, self._pae.encrypt(
             self._key, token.encode("utf-8"), aad=_STAMP_AAD
@@ -490,141 +410,66 @@ class WriteAheadJournal:
 
     # -- reclaim intents (the post-commit phase) -----------------------------------
 
-    def seal_intents(self, intents: dict[str, int]) -> tuple[str, bytes]:
-        """(key, ciphertext) of the reclaim record naming ``intents``."""
-        self._intent_record = True
-        return _RECLAIM_KEY, self._pae.encrypt(self._key, _pack_intents(Writer(), intents).take(), aad=_RECLAIM_AAD)
+    def drop_intents(self) -> None:
+        """Every open intent is complete: drop this writer's record.
 
-    def keep_intents(self, intents: dict[str, int]) -> None:
-        """Store committed ``intents`` as the reclaim record, or drop it."""
-        # Not dropped while an epoch is open: its entries may hold the
-        # record's pre-image.
+        While an epoch is open the stored record is its last member's; it
+        is left alone until the close.
+        """
+        if not self._active:
+            self._keep({})
+
+    def _keep(self, intents: dict[str, int]) -> None:
         if intents:
-            self.crashpoint("journal:reclaim-record")
-            self._backend.put(*self.seal_intents(intents))
-        elif self._intent_record and not self._active:
-            self.crashpoint("journal:reclaim-record")
-            if self._backend.exists(_RECLAIM_KEY):
-                self._backend.delete(_RECLAIM_KEY)
-            self._intent_record = False
+            record = EpochRecord("reclaim", 0, self._counter, b"", b"", dict(intents), (), ())
+            self._stored = True
+            self._put(self._record_key, record.encode(), "journal:intents")
+        elif self._stored:
+            self._backend.delete(self._record_key)
+            self._stored = False
+            self.crashpoint("journal:intents")
 
     def reclaim(self, object_id: str, chunks: int) -> None:
-        """Delete a committed, unreferenced object, below the journal."""
-        # Its intent stays until keep_intents drops it: a crash or store
+        """Delete a committed, unreferenced object, outside any record."""
+        # Its intent stays until drop_intents: a crash or store
         # fault part-way is finished later.
         self.crashpoint("journal:reclaim")
         self._delete_objects({object_id: chunks})
 
     def _delete_objects(self, intents: dict[str, int]) -> None:
-        # Idempotent: recovery re-runs intents a crash interrupted.
+        # Idempotent: recovery and a retried reclaim re-run intents a crash
+        # or fault interrupted, so a key already gone is skipped.
         store = self._tagged[TAG_DEDUP]
         for object_id, chunks in intents.items():
             for key in stored_keys(object_id, chunks):
-                if store.exists(key):
+                try:
                     store.delete(key)
+                except StorageError:
+                    if store.exists(key):
+                        raise
 
     # -- internals ---------------------------------------------------------------
 
-    def _entry_keys(self) -> list[str]:
-        return sorted(self._backend.scan(_ENTRY_PREFIX))
+    def _put(self, key: str, plaintext: bytes, site: str) -> None:
+        aad = _RECORD_AAD + key.encode("utf-8")
+        self._backend.put(key, self._pae.encrypt(self._key, plaintext, aad=aad))
+        self.crashpoint(site)
 
-    def _sweep_entries(self, seqs: Optional[range] = None) -> None:
-        # Entries numbered ``seqs`` (this epoch's own) or whatever a scan
-        # finds; str.format keeps the per-commit sweep free of Python frames.
-        keys = self._entry_keys() if seqs is None else map((_ENTRY_PREFIX + "{:08d}").format, seqs)
+    def _open(self, key: str, aad: Optional[bytes] = None) -> bytes:
+        try:
+            blob = self._backend.get(key)
+            return self._pae.decrypt(self._key, blob, aad=aad or _RECORD_AAD + key.encode("utf-8"))
+        except IntegrityError:
+            raise RollbackDetected(f"journal record {key!r} is corrupt or not ours") from None
+
+    def _drop_parts(self, keys: Iterable[str]) -> None:
+        # Parts no stored record names are inert: a fault leaves them to
+        # the next recovery, which drops every part.
         for key in keys:
-            if self._backend.exists(key):
+            self.crashpoint("journal:part-drop")
+            try:
                 self._backend.delete(key)
-
-    def _restore_entries(self, min_seq: int = 0) -> list[tuple[int, str]]:
-        restored: list[tuple[int, str]] = []
-        entry_keys = self._entry_keys()
-        if entry_keys:
-            # Entries written from here on are numbered above every one found.
-            self._seq = max(self._seq, int(entry_keys[-1][len(_ENTRY_PREFIX) :]) + 1)
-        entry_keys = [k for k in entry_keys if int(k[len(_ENTRY_PREFIX) :]) >= min_seq]
-        # Descending: if a key was recorded more than once (recording
-        # restarts per epoch member), the earliest pre-image wins.
-        entry_keys.reverse()
-        for entry_key in entry_keys:
-            r = Reader(self._open(entry_key, _ENTRY_AAD + entry_key.encode("utf-8")))
-            tag = r.u8()
-            if tag >= len(self._tagged):
-                raise SerializationError(f"journal entry names no store {tag}")
-            store = self._tagged[tag]
-            items = [(r.str(), r.u8(), r.bytes()) for _ in range(r.u32())]
-            r.expect_end()
-            for key, kind, pre_image in reversed(items):
-                if kind == _COPIED:
-                    # The pre-image is the raw *stored* byte string captured
-                    # before the member ran — already PAE ciphertext from the
-                    # protected store, never enclave plaintext.  (The
-                    # decrypted journal record's payload is that ciphertext.)
-                    store.put(key, pre_image)
-                elif store.exists(key):
-                    store.delete(key)
-                restored.append((tag, key))
-        if self.on_restore is not None:
-            self.on_restore()
-        return restored
-
-
-class JournaledStore(UntrustedStore):
-    """Store wrapper that records undo entries before every mutation.
-
-    Installed between the :class:`~repro.sgx.protected_fs.ProtectedFs`
-    instances and the raw backends by the storage engine; reads pass
-    straight through, mutations first persist the key's pre-image while an
-    epoch is open.  The journal's own keys live on the raw backend, so
-    its writes never recurse through this wrapper.
-    """
-
-    def __init__(self, inner: UntrustedStore, journal: WriteAheadJournal, tag: int) -> None:
-        self.inner = inner
-        self._journal = journal
-        self._tag = tag
-
-    def put(self, key: str, value: bytes) -> None:
-        # Outside an epoch (an upload streaming its chunks) there is nothing
-        # to record.
-        if self._journal._active:
-            self._journal.record(self._tag, (key,))
-        self.inner.put(key, value)
-        self._journal.crashpoint("journal:mutate")
-
-    def put_many(self, items: Iterable[tuple[str, bytes]]) -> None:
-        self.apply(list(items))
-
-    def delete(self, key: str) -> None:
-        self._journal.record(self._tag, (key,))
-        self.inner.delete(key)
-        self._journal.crashpoint("journal:mutate")
-
-    def apply(self, group: Collection[tuple[str, Optional[bytes]]]) -> None:
-        """The whole group under one undo entry, stored before its first mutation."""
-        if self._journal._active:
-            self._journal.record(self._tag, [key for key, _ in group])
-        for key, value in group:
-            if value is not None:
-                self.inner.put(key, value)
-            elif self.inner.exists(key):
-                self.inner.delete(key)
-            self._journal.crashpoint("journal:mutate")
-
-    def get(self, key: str) -> bytes:
-        return self.inner.get(key)
-
-    def get_many(self, keys: Iterable[str]) -> Iterable[bytes]:
-        return self.inner.get_many(keys)
-
-    def exists(self, key: str) -> bool:
-        return self.inner.exists(key)
-
-    def keys(self) -> Iterator[str]:
-        return self.inner.keys()
-
-    def scan(self, prefix: str) -> Iterator[str]:
-        return self.inner.scan(prefix)
-
-    def size(self, key: str) -> int:
-        return self.inner.size(key)
+            except EnclaveCrashed:
+                raise
+            except ReproError:
+                pass

@@ -134,16 +134,15 @@ class _GuardCore:
 
     # -- batched updates ------------------------------------------------------------
     #
-    # Within a StorageEngine transaction, every on_write/on_delete still
-    # updates the nodes — but the updated nodes accumulate in enclave
-    # memory and the anchor write (with its monotonic-counter increment)
-    # is deferred.  commit_batch() then persists each dirty node once and
-    # the anchor once.  Reads *inside* the batch verify against the
-    # pending in-enclave root (enclave memory is fresh by definition);
-    # the counter check resumes with the commit-time anchor write.  The
-    # caller only enables batching under an open undo-journal batch, so
-    # an abort (or crash) rolls the already-persisted data writes back
-    # and the dropped pending nodes were never visible.
+    # Within a StorageEngine epoch, every on_write/on_delete still updates
+    # the nodes — but the updated nodes accumulate in enclave memory and
+    # the anchor write (with its monotonic-counter increment) is deferred.
+    # commit_batch() then persists each dirty node once and the anchor
+    # once, at the epoch's close.  Reads *inside* the batch verify against
+    # the pending in-enclave root (enclave memory is fresh by definition);
+    # the counter check resumes with the close's anchor write.  Until then
+    # the committed members' redo record carries the pending root, so a
+    # crash rebuilds the nodes from the data and checks them against it.
 
     def begin_batch(self) -> None:
         if self._batching:
@@ -153,22 +152,30 @@ class _GuardCore:
         self._pending_main = None
 
     def commit_batch(self) -> None:
-        """Flush dirty nodes and the deferred anchor; leaves batch mode."""
+        """Flush dirty nodes and the deferred anchor; leaves batch mode.
+
+        A failure part-way keeps the batch, so the next close writes all
+        of it again.
+        """
         if not self._batching:
             return
         self._batching = False
-        pending, self._pending_nodes = self._pending_nodes, {}
-        main, self._pending_main = self._pending_main, None
-        for dir_path, node in pending.items():
-            self._save_node(dir_path, node)
-        if main is not None:
-            self._write_anchor(main)
+        try:
+            for dir_path, node in self._pending_nodes.items():
+                self._save_node(dir_path, node)
+            if self._pending_main is not None:
+                self._write_anchor(self._pending_main)
+        except BaseException:
+            self._batching = True
+            raise
+        nodes = len(self._pending_nodes)
+        self._pending_nodes, self._pending_main = {}, None
         self.stats.batches += 1
-        self.stats.nodes_flushed += len(pending)
-        self.stats.last_batch_nodes = len(pending)
+        self.stats.nodes_flushed += nodes
+        self.stats.last_batch_nodes = nodes
 
     def abort_batch(self) -> None:
-        """Drop pending state without persisting (undo-journal rollback)."""
+        """Drop pending state without persisting (an epoch no member committed in)."""
         self._batching = False
         self._pending_nodes = {}
         self._pending_main = None
@@ -194,11 +201,9 @@ class _GuardCore:
         self._pending_nodes = {path: node.copy() for path, node in nodes.items()}
         self._pending_main = main
 
-    def expected_main(self) -> bytes:
-        """The root main hash the current (possibly pending) state anchors to."""
-        if self._batching and self._pending_main is not None:
-            return self._pending_main
-        return self._read_anchor()[0]
+    def pending_root(self) -> bytes:
+        """The root main hash the open batch will anchor; empty if none is pending."""
+        return (self._pending_main or b"") if self._batching else b""
 
     # -- hashing -------------------------------------------------------------------
 
@@ -253,8 +258,8 @@ class _GuardCore:
                 counter_value = self._counter.increment(self._enclave, self._COUNTER_ID)
                 # The window a cluster failover must close: the quorum
                 # already advanced but the anchor naming the new value is
-                # not yet persisted.  A successor's recovery rolls the
-                # batch back and re-anchors, re-counting the anchor.
+                # not yet persisted.  A successor's recovery re-applies the
+                # redo record and rebuilds the tree, re-counting the anchor.
                 self._crashpoint(self._COUNTER_INCREMENTED)
             blob = Writer().bytes(main).u64(counter_value).take()
             self._mount.raw_write(self._mount.guard_prefix + "anchor", blob)

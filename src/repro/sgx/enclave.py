@@ -176,6 +176,12 @@ class Enclave:
         if self._destroyed:
             raise EnclaveCrashed("enclave has been destroyed")
 
+    def abort(self, reason: str) -> None:
+        """Stop for good, as the SDK's ``abort()``: volatile state is lost,
+        every later ECALL fails, and a restart recovers from sealed state."""
+        self._destroyed = True
+        raise EnclaveCrashed(reason)
+
 
 class EnclaveHandle:
     """Untrusted host's view of a loaded enclave.

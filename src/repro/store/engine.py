@@ -10,26 +10,26 @@ untrusted state, and its :meth:`StorageEngine.transaction` span is the
 only way to mutate it::
 
     Transaction span (engine API)
-      |- commit-epoch member                repro.core.journal
+      |- commit-epoch member (redo record)  repro.core.journal
       |- rollback-guard node/anchor batch   repro.core.rollback
       |- metadata-cache write-through       repro.core.cache
       `- DeferredStore write buffers        this module
     ProtectedFs mounts                      repro.sgx.protected_fs
-      `- DeferredStore -> JournaledStore -> raw backend
-                                            (InMemoryStore / DiskStore /
+      `- DeferredStore -> raw backend       (InMemoryStore / DiskStore /
                                              repro.store.ShardedStore)
 
 Every outermost span is one member of a commit epoch; on a serial clock
 each member closes its own epoch, on a parallel one overlapping members
-share it.  On commit the engine flushes each store's buffered puts as one
-batched group — one simulated ocall round-trip per store instead of one
-per object — under the same ``clock.exclusive("journal-commit")``
-critical section that serializes the record, anchor and marker writes.
-On abort the buffers are discarded, the undo log restores pre-images,
-and the cache is cleared; one routine (:meth:`StorageEngine._abort`)
-covers a failed member and a failed epoch close.  The seglint
-``txn-discipline`` rule enforces at lint time what this module enforces
-by construction.
+share it.  A member's writes stay in the buffers until its commit point,
+one sealed redo record; the engine then applies them as one batched
+group per store — one simulated ocall round-trip per store instead of
+one per object — under the same ``clock.exclusive("journal-commit")``
+critical section that serializes the record, anchor and close writes.
+An abort drops the buffers: no stored key changed, so nothing is undone
+(:meth:`StorageEngine._abort`).  An epoch's close flushes the guards and
+drops the record; a close that fails keeps the epoch open and runs again.
+The seglint ``txn-discipline`` rule enforces at lint time what this
+module enforces by construction.
 
 This module is enclave code (``TCB_MODULES``); the host-side half of
 ``repro.store`` is the shard router in :mod:`repro.store.sharded`.
@@ -42,14 +42,7 @@ from collections import OrderedDict
 from dataclasses import asdict, dataclass
 from typing import TYPE_CHECKING, Any, Iterable, Iterator
 
-from repro.core.journal import (
-    TAG_CONTENT,
-    TAG_DEDUP,
-    TAG_GROUP,
-    EpochRecord,
-    JournaledStore,
-    WriteAheadJournal,
-)
+from repro.core.journal import TAG_DEDUP, EpochRecord, Write, WriteAheadJournal
 from repro.errors import EnclaveCrashed, ReproError, RollbackDetected, StorageError
 from repro.storage.backends import UntrustedStore
 from repro.storage.stores import StoreSet
@@ -61,14 +54,20 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.file_manager import Mount
     from repro.sgx.enclave import Enclave
 
-#: Values above this are never buffered: the enclave streams large
+#: Values above this are never kept buffered: the enclave streams large
 #: content chunk-by-chunk precisely to keep memory constant, and the
 #: buffer must not undo that.  4 KiB chunk ciphertexts, PFS metadata,
 #: guard nodes, and ACLs all fit.
 MAX_BUFFERED_VALUE = 8192
 
-#: Total buffered bytes per store before further puts write through.
+#: Total buffered bytes per store before the buffer spills into a sealed
+#: record part (see :meth:`WriteAheadJournal.record`).
 BUFFER_BUDGET = 256 * 1024
+
+#: Keys of the object store's blobs.  An object is written once under a
+#: never-reused id and referenced only once a record commits, so its
+#: blobs go straight to the store, never through a record.
+OBJECT_PREFIX = "obj:"
 
 
 @dataclass
@@ -82,7 +81,7 @@ class TransactionStats:
     flushed_ops: int = 0  # buffered ops those groups carried
     last_commit_puts: int = 0
     last_flush_ops: int = 0
-    bypass_writes: int = 0  # oversize/over-budget writes applied immediately
+    spills: int = 0  # record parts sealed from oversize/over-budget buffers
     write_backs: int = 0  # cache entries applied at commit
     pending_bytes_peak: int = 0  # high-water mark of one store's buffer
     reclaimed: int = 0  # released objects deleted after their commit
@@ -99,7 +98,7 @@ class GroupCommitStats:
     epochs: int = 0  # epochs closed
     members_total: int = 0  # member transactions committed inside epochs
     max_members: int = 0  # largest epoch seen
-    marker_writes_saved: int = 0  # vs one marker persist per transaction
+    record_deletes_saved: int = 0  # vs one record delete per transaction
     anchor_writes_saved: int = 0  # vs one anchor write per guard per txn
     counter_increments_saved: int = 0  # vs one increment per guard per txn
 
@@ -146,16 +145,19 @@ class DeferredStore(UntrustedStore):
     """Write-buffering store view, armed for the span of one transaction.
 
     While armed, puts and deletes land in an ordered in-enclave overlay
-    (EPC-charged) and reads consult the overlay first; ``flush()``
-    applies the whole overlay to the inner store as one group.  Unarmed,
-    every operation passes straight through.
+    (EPC-charged) and reads consult the overlay first; :meth:`drain`
+    hands the overlay to the commit, which seals it into the member's
+    redo record and applies it.  An overlay that outgrows its budget
+    spills into a sealed record part and stays readable from there.
+    Unarmed, and for a fresh object's blobs (``direct``), every operation
+    passes straight through.
 
     The class owns its own ocall accounting (``owns_ocall_accounting``
     makes :class:`~repro.sgx.protected_fs.ProtectedFs` skip its per-call
-    charge): unarmed operations cost one round-trip each, exactly like
-    the un-deferred stack did, while an armed flush charges one
-    round-trip for the entire group — the batching the transaction pays
-    for.
+    charge): pass-through operations cost one round-trip each, exactly
+    like the un-deferred stack did, while the commit charges one
+    round-trip per store for the entire applied group — the batching the
+    transaction pays for.
     """
 
     owns_ocall_accounting = True
@@ -165,14 +167,22 @@ class DeferredStore(UntrustedStore):
         inner: UntrustedStore,
         enclave: "Enclave",
         stats: TransactionStats,
+        journal: WriteAheadJournal,
+        tag: int,
+        direct: str | None = None,
     ) -> None:
         self.inner = inner
         self._enclave = enclave
         self._stats = stats
+        self._journal = journal
+        self._tag = tag
+        self._direct = direct
         self._armed = False
         #: key -> value, or None for a buffered delete (tombstone).
         self._pending: "OrderedDict[str, bytes | None]" = OrderedDict()
         self._pending_bytes = 0
+        #: key -> (record part, present): writes spilled out of the overlay.
+        self._spilled: "dict[str, tuple[str, bool]]" = {}
 
     # -- accounting ----------------------------------------------------------
 
@@ -187,20 +197,10 @@ class DeferredStore(UntrustedStore):
             charge(cost, "pfs-io")  # Enclave.ocall, hoisted
             yield item
 
-    def _entry_bytes(self, key: str) -> int:
-        value = self._pending.get(key)
-        return len(value) if value is not None else 0
-
     def _set_pending(self, key: str, value: bytes | None) -> None:
-        delta = (len(value) if value is not None else 0) - self._entry_bytes(key)
-        self._pending.pop(key, None)
+        old = self._pending.pop(key, None)
         self._pending[key] = value
-        self._account(delta)
-
-    def _drop_pending(self, key: str) -> None:
-        if key in self._pending:
-            self._account(-self._entry_bytes(key))
-            del self._pending[key]
+        self._account((len(value) if value is not None else 0) - (len(old) if old is not None else 0))
 
     def _account(self, delta: int) -> None:
         self._pending_bytes += delta
@@ -212,58 +212,50 @@ class DeferredStore(UntrustedStore):
         if self._pending_bytes > self._stats.pending_bytes_peak:
             self._stats.pending_bytes_peak = self._pending_bytes
 
+    def _passes(self, key: str) -> bool:
+        return not self._armed or (self._direct is not None and key.startswith(self._direct))
+
     # -- transaction hooks ---------------------------------------------------
 
     def arm(self) -> None:
         self._armed = True
 
-    def flush(self) -> int:
-        """Apply the overlay to the inner store as one group; return op count.
-
-        A fault part-way leaves the inner store partially updated — the
-        journal's pre-images (one entry for the group, persisted by the
-        JournaledStore underneath before its first op lands) are what
-        repair it, exactly as for un-deferred writes.
-        """
-        pending = self._pending
-        try:
-            self.inner.apply(pending.items())
-        finally:
-            self._account(-self._pending_bytes)
-            self._pending = OrderedDict()
-            self._armed = False
-        if pending:
-            self._charge()  # the whole group is one round-trip
-        return len(pending)
+    def drain(self) -> list[Write]:
+        """Hand the overlay to the commit and disarm; spilled parts stay
+        the journal's to name."""
+        writes = [(self._tag, key, value) for key, value in self._pending.items()]
+        self.discard()
+        return writes
 
     def discard(self) -> None:
         """Drop the overlay without applying it (transaction abort)."""
         self._account(-self._pending_bytes)
         self._pending = OrderedDict()
+        self._spilled = {}
         self._armed = False
+
+    def _spill(self) -> None:
+        part = self._journal.record([(self._tag, key, value) for key, value in self._pending.items()])
+        for key, value in self._pending.items():
+            self._spilled[key] = (part, value is not None)
+        self._account(-self._pending_bytes)
+        self._pending = OrderedDict()
+        self._stats.spills += 1
 
     # -- UntrustedStore ------------------------------------------------------
 
     def put(self, key: str, value: bytes) -> None:
-        if not self._armed:
+        if self._passes(key):
             self.inner.put(key, value)
             self._charge()
             return
         self._stats.puts += 1
-        fits = len(value) <= MAX_BUFFERED_VALUE and (
-            self._pending_bytes - self._entry_bytes(key) + len(value) <= BUFFER_BUDGET
-        )
-        if fits:
-            self._set_pending(key, bytes(value))
-            return
-        # Oversize or over budget: write through now — the enclave never
-        # buffers unbounded bytes (the constant-memory claim).  Any
-        # overlay entry for the key is dropped first so it cannot shadow
-        # the newer stored value.
-        self._drop_pending(key)
-        self.inner.put(key, value)
-        self._charge()
-        self._stats.bypass_writes += 1
+        self._set_pending(key, bytes(value))
+        # Oversize or over budget: the enclave never buffers unbounded
+        # bytes (the constant-memory claim), nor writes through before
+        # the commit point.
+        if len(value) > MAX_BUFFERED_VALUE or self._pending_bytes > BUFFER_BUDGET:
+            self._spill()
 
     def put_many(self, items: Iterable[tuple[str, bytes]]) -> None:
         if self._armed:
@@ -275,8 +267,8 @@ class DeferredStore(UntrustedStore):
         return super().get_many(keys) if self._armed else self._charged(self.inner.get_many(keys))
 
     def get(self, key: str) -> bytes:
-        if self._armed and key in self._pending:
-            value = self._pending[key]
+        if self._armed and (key in self._pending or key in self._spilled):
+            value = self._pending[key] if key in self._pending else self._read_spilled(key)
             if value is None:
                 raise StorageError(f"no object at key {key!r}")
             return value
@@ -284,8 +276,14 @@ class DeferredStore(UntrustedStore):
         self._charge()
         return value
 
+    def _read_spilled(self, key: str) -> bytes | None:
+        part, present = self._spilled[key]
+        if not present:
+            return None
+        return next(value for _, k, value in reversed(self._journal.read_part(part)) if k == key)
+
     def delete(self, key: str) -> None:
-        if not self._armed:
+        if self._passes(key):
             self.inner.delete(key)
             self._charge()
             return
@@ -294,28 +292,29 @@ class DeferredStore(UntrustedStore):
         self._set_pending(key, None)
 
     def exists(self, key: str) -> bool:
-        if self._armed and key in self._pending:
-            return self._pending[key] is not None
+        if self._armed:
+            if key in self._pending:
+                return self._pending[key] is not None
+            if key in self._spilled:
+                return self._spilled[key][1]
         return self.inner.exists(key)
 
     def keys(self) -> Iterator[str]:
         return self.scan("")
 
     def scan(self, prefix: str) -> Iterator[str]:
-        if not self._armed or not self._pending:
+        if not self._armed or not (self._pending or self._spilled):
             return self.inner.scan(prefix)
         merged = set(self.inner.scan(prefix))
-        for key, value in self._pending.items():
-            if not key.startswith(prefix):
-                continue
-            if value is None:
-                merged.discard(key)
-            else:
-                merged.add(key)
+        overlay = [(key, present) for key, (_, present) in self._spilled.items()]
+        overlay += [(key, value is not None) for key, value in self._pending.items()]
+        for key, present in overlay:
+            if key.startswith(prefix):
+                (merged.add if present else merged.discard)(key)
         return iter(merged)
 
     def size(self, key: str) -> int:
-        if self._armed and key in self._pending:
+        if self._armed and (key in self._pending or key in self._spilled):
             return len(self.get(key))
         return self.inner.size(key)
 
@@ -324,9 +323,8 @@ class StorageEngine:
     """Owns the journal, guards, cache, and deferred stores of one enclave.
 
     ``backends`` is what the ProtectedFs mounts sit on: each store is
-    wrapped ``DeferredStore -> JournaledStore -> raw``.  ``raw`` keeps the
-    unwrapped stores for stats, sealed slots, and the journal's own
-    marker/entry keys.
+    wrapped ``DeferredStore -> raw``.  ``raw`` keeps the unwrapped stores
+    for stats, sealed slots, and the journal's own record keys.
     """
 
     def __init__(
@@ -350,14 +348,17 @@ class StorageEngine:
         #: nested and join it, and the dedup records it changed wait for
         #: its end to be sealed once each.
         self.in_span = False
+        #: True while a member's writes are buffered: its cache write-backs
+        #: wait for the writes to land.
+        self._buffering = False
         self.stats = TransactionStats()
         self.group_commit = GroupCommitCoordinator()
         #: Cluster request token to persist with the next transaction.
         #: Set via the ``cluster_begin_request`` ECALL before a routed
-        #: request runs; the transaction writes the sealed stamp through
-        #: the journaled stack so "this request committed" becomes part
-        #: of the member's atomicity.  ``None`` (the default everywhere
-        #: outside cluster mode) adds zero writes and zero cost.
+        #: request runs; the transaction buffers the sealed stamp with its
+        #: other writes, so "this request committed" is part of the
+        #: member's redo record.  ``None`` (the default everywhere outside
+        #: cluster mode) adds zero writes and zero cost.
         self.pending_stamp: str | None = None
         #: Cross-replica invalidation publisher; installed by
         #: :meth:`attach_coherence` in cluster deployments (``None``
@@ -382,25 +383,16 @@ class StorageEngine:
         #: store fault cut the post-commit phase short).
         self._released: dict[str, int] = {}
         self._outstanding: dict[str, int] = {}
-        if cache is not None:
-            # Belt and braces: ANY undo-log restore — including recovery
-            # paths that bypass transaction() — drops the cache before
-            # restored bytes can coexist with stale entries.
-            journal.on_restore = cache.clear
         self._deferred = tuple(
             DeferredStore(
-                JournaledStore(store, journal, tag), enclave=enclave, stats=self.stats
+                store, enclave, self.stats, journal, tag, OBJECT_PREFIX if tag == TAG_DEDUP else None
             )
-            for store, tag in (
-                (stores.content, TAG_CONTENT),
-                (stores.group, TAG_GROUP),
-                (stores.dedup, TAG_DEDUP),
-            )
+            for tag, store in enumerate((stores.content, stores.group, stores.dedup))
         )
         self.backends = StoreSet(*self._deferred)
 
     def attach_dedup(self, dedup: "DedupStore") -> None:
-        """The dedup records must be re-read after an undo-log restore."""
+        """The dedup entries must follow the records an abort dropped."""
         self.dedup = dedup
 
     @property
@@ -408,22 +400,23 @@ class StorageEngine:
         """The attached rollback guards, content store first."""
         return [mount.guard for mount in self.mounts if mount.guard is not None]
 
-    def drop_derived_state(self) -> None:
+    def drop_derived_state(self, restored: bool = False) -> None:
         """Forget everything derived from storage that may now be stale.
 
         Cached plaintext and the in-memory dedup entries describe the store
-        as this enclave last saw it; after an undo-log restore, a backup
-        restore, a takeover, or a coherence anomaly they must go before
-        anything reads storage again.  Always safe: the next read
-        re-verifies from storage.
+        as this enclave last saw it; after a backup restore, a takeover, or
+        a coherence anomaly they must go before anything reads storage
+        again.  Always safe: the next read re-verifies from storage.  A
+        ``restored`` store (a backup) may reference the objects waiting for
+        their reclaim again, so those are forgotten too; a committed intent
+        keeps any that are still due.
         """
         if self.cache is not None:
             self.cache.clear()
         if self.dedup is not None:
             self.dedup.reload_index()
-        # A restored store may reference them again; a committed intent
-        # keeps any that are still due.
-        self._outstanding.clear()
+        if restored:
+            self._outstanding.clear()
 
     def attach_coherence(self, coherence: "CoherenceManager | None") -> None:
         """Join the cluster's invalidation log (see :mod:`repro.core.coherence`).
@@ -436,11 +429,11 @@ class StorageEngine:
     def discard_pending_state(self) -> None:
         """Drop deferred write-backs and captured keys (recovery epilogue).
 
-        Takeover recovery re-anchors through the raw-write path, which
-        defers cache write-backs; applying them later — after the router
-        may already have handed traffic to a peer — could resurrect a
-        value the coherence protocol has invalidated.  Discarding is
-        always safe: the next read re-verifies from storage.
+        Takeover recovery rebuilds the guards through the raw-write path;
+        a write-back kept past it — after the router may already have
+        handed traffic to a peer — could resurrect a value the coherence
+        protocol has invalidated.  Discarding is always safe: the next
+        read re-verifies from storage.
         """
         self._write_backs.clear()
         self._txn_touched.clear()
@@ -468,27 +461,19 @@ class StorageEngine:
         """Run a multi-key mutation as one all-or-nothing unit.
 
         The outermost span is one member of a (possibly shared) commit
-        epoch.  Its atomic commit point is a single epoch-record put
-        (:meth:`WriteAheadJournal.commit_member`); the marker persist,
-        batched guard-node flush, anchor write, and monotonic-counter
-        increment are paid once per *epoch*, at close — on a serial clock
-        each member closes its own.  Each member still records its own
-        undo pre-images, so aborting one rolls back exactly its writes
-        while earlier members' commits stand; a crash is rolled back on
-        restart.  Nested transactions join the outer one.
+        epoch.  Its atomic commit point is a single redo-record put
+        (:meth:`WriteAheadJournal.commit_member`); the batched guard-node
+        flush, anchor write, monotonic-counter increment and record delete
+        are paid once per *epoch*, at close — on a serial clock each
+        member closes its own.  Aborting a member drops its buffers while
+        earlier members' commits stand; a crash after a commit point is
+        rolled forward on restart.  Nested transactions join the outer one.
         """
-        journal = self.journal
-        group = self.group_commit
-        if self.in_span or (journal.active and not group.open):
-            # Nested inside a member — or the journal is active without an
-            # epoch of ours, i.e. crash recovery restored an epoch and kept
-            # recording open (takeover): join it as a plain span so recovery
-            # writes stay journaled until recover_finish, instead of opening
-            # a second epoch over it.  A takeover span leaves in_span False,
-            # so a dedup change made in it is sealed at once, not left for a
-            # span end that never comes.
+        if self.in_span:
             yield
             return
+        journal = self.journal
+        group = self.group_commit
         clock = self._enclave.platform.clock
         if self.coherence is not None:
             # Start from a synced view: peer epochs applied before our
@@ -514,32 +499,26 @@ class StorageEngine:
         puts_before = self._open_span()
         try:
             yield
-            # Commit inside the try: a fault while sealing dedup records,
-            # flushing the buffers or persisting the record rolls the
-            # member back like any other fault.  Sealed per member, never
-            # at epoch close: the records must be durable at this member's
-            # commit record.
+            # Sealed per member, never at epoch close: the records are part
+            # of this member's redo record.
             self._seal_dedup_index()
             with self._commit_point():
-                if group.solo:
-                    # No member can join: the guard nodes and anchor commit
-                    # into the armed buffers and flush in this member's
-                    # group, and the record needs no root hashes.
-                    self._commit_guard_batches()
-                self._flush_deferred()
                 mains = [
-                    mount.guard.expected_main()
-                    if mount.guard is not None and not group.solo
-                    else b""
+                    mount.guard.pending_root() if mount.guard is not None else b""
                     for mount in self.mounts
                 ] or [b"", b""]  # a bare engine has no mounts
                 intents = {**self._outstanding, **self._released}
-                journal.commit_member(member_base, *mains, group.members + 1, label, intents)
+                writes = [write for store in self._deferred for write in store.drain()]
+                self._buffering = False
+                record = journal.commit_member(
+                    member_base, *mains, group.members + 1, label, intents, writes
+                )
+                self._apply_committed(record)
         except EnclaveCrashed:
-            # The enclave is gone; restart recovery replays the undo log.
+            # The enclave is gone; restart recovery re-applies a committed record.
             raise
         except BaseException:
-            self._abort(label, (member_base, snapshots))
+            self._abort(label, member_base, snapshots)
             self.stats.aborts += 1
             raise
         else:
@@ -554,8 +533,15 @@ class StorageEngine:
             self._committed(puts_before)
             if group.solo:
                 # After the reclaim, which the record's intents keep
-                # durable until the marker goes.
-                self._close_epoch("solo")
+                # durable until the close.  The member stands whatever the
+                # close meets: a failed close keeps the epoch open, and the
+                # next span's opener runs it again.
+                try:
+                    self._close_epoch("solo")
+                except EnclaveCrashed:
+                    raise
+                except ReproError:
+                    pass
         finally:
             self.in_span = False
 
@@ -564,28 +550,50 @@ class StorageEngine:
         put count the span starts from."""
         for store in self._deferred:
             store.arm()
+        self._buffering = True
         stamp, self.pending_stamp = self.pending_stamp, None
         if stamp is not None:
-            # Buffered like any other write: the pre-image is journaled at
-            # flush, so an abort (or crash) restores the *previous*
-            # request's stamp, and the member's commit record — which a
-            # cluster successor sees while the epoch is still open —
-            # publishes this one atomically with the member's writes.
+            # Buffered like any other write: an abort (or a crash before
+            # the commit point) keeps the *previous* request's stamp, and
+            # the member's redo record publishes this one atomically with
+            # the member's writes.
             self.backends.content.put(*self.journal.seal_stamp(stamp))
         self.in_span = True
         return self.stats.puts
 
-    def _drop_span(self) -> None:
-        # The body is over: the rollback's dedup reload may now drop its
-        # unsealed changes.  An abort restores the shared store to its
-        # pre-transaction bytes, so peers' caches are still correct:
-        # nothing to publish.
-        self.in_span = False
-        self._released.clear()
+    def _disarm(self) -> None:
         for store in self._deferred:
             store.discard()
-        self._write_backs.clear()
-        self._txn_touched.clear()
+        self._buffering = False
+
+    def _apply(self, record: EpochRecord) -> None:
+        """Apply a committed record: one round-trip per store group."""
+        self.journal.apply(record.writes, record.parts)
+        tags = {tag for tag, _, _ in record.writes}
+        for _ in tags:
+            self._enclave.ocall(account="pfs-io")
+        self.stats.flush_groups += len(tags)
+        self.stats.flushed_ops += len(record.writes)
+        self.stats.last_flush_ops = len(record.writes)
+
+    def _apply_committed(self, record: EpochRecord) -> None:
+        """Apply a member's record past its commit point: the member stands.
+
+        A store fault part-way is rolled forward at once by re-applying;
+        if that fails too, the enclave stops rather than serve the store
+        half-applied, and restart recovery re-applies the stored record.
+        """
+        try:
+            self._apply(record)
+        except EnclaveCrashed:
+            raise
+        except ReproError:
+            try:
+                self.journal.apply(record.writes, record.parts, tolerant=True)
+            except EnclaveCrashed:
+                raise
+            except ReproError as exc:
+                self._enclave.abort(f"commit of {record.label!r} could not be applied: {exc}")
 
     def _committed(self, puts_before: int) -> None:
         self.stats.commits += 1
@@ -595,47 +603,46 @@ class StorageEngine:
         self._finish_reclaims()
 
     def _close_epoch(self, reason: str) -> None:
-        """Flush the epoch's deferred guard state and drop the marker.
+        """Flush the epoch's deferred guard state and drop the record.
 
         One batched guard-node flush, one anchor write (plus counter
-        increment) per guard, one marker delete — amortized over every
+        increment) per guard, one record delete — amortized over every
         member the epoch carried.  The work runs on a background track
         starting at the last member's release: no request waits on it
         directly, but the next epoch's opener meets it at the
         "journal-commit" rendezvous and the makespan includes it; a solo
-        member closes inline.  A failure is repaired by :meth:`_abort` and
-        then raised to whoever asked for the close.
+        member closes inline.  A failure before the record's delete keeps
+        the epoch open — the record still describes the stored data, and a
+        guard whose flush did not finish keeps its batch — and is raised to
+        whoever asked for the close; the next span's opener runs it again.
         """
+        self.journal.check_usable()
         clock = self._enclave.platform.clock
         group = self.group_commit
         bg = None if group.solo else clock.open_track("group-commit-close", start=group.release)
         try:
             with self._commit_point():
-                self._commit_guard_batches()
-                self.journal.close_epoch(self._outstanding)
-                # The guard flush above raw-wrote nodes and the anchor
-                # while the journal was still recording, deferring their
-                # cache write-backs.  Apply them NOW: a write-back that
-                # survives past the close could be applied after a peer
-                # overwrote the key (the router hands traffic over right
-                # after a quiesce), inserting a stale value the sync
-                # protocol has already invalidated.
-                self._apply_write_backs()
+                try:
+                    for guard in self.guards:
+                        guard.commit_batch()
+                    self.journal.close_epoch(self._outstanding)
+                except EnclaveCrashed:
+                    raise
+                except BaseException:
+                    # No member joins an epoch whose close is still due.
+                    group.release = float("-inf")
+                    raise
+                group.open = False
                 # Publish once per epoch, inside the same serialized
                 # close: peers learn every committed member's touched
-                # keys in one entry.  A crash here leaves the epoch
-                # committed but unpublished — healed by the takeover
-                # reset (see cluster_takeover_recover).
+                # keys, and the guard keys the flush just wrote, in one
+                # entry.  A crash here leaves the epoch committed but
+                # unpublished — healed by the takeover reset (see
+                # cluster_takeover_recover).
                 self._publish_coherence("epoch")
-        except EnclaveCrashed:
-            raise
-        except BaseException:
-            self._abort("epoch")
-            raise
         finally:
             if bg is not None:
                 clock.close_track(bg, join=False)
-        group.open = False
         stats = group.stats
         members = group.members
         stats.epochs += 1
@@ -646,102 +653,89 @@ class StorageEngine:
         if members > 1:
             saved = members - 1
             guards = len(self.guards)
-            stats.marker_writes_saved += saved
+            stats.record_deletes_saved += saved
             stats.anchor_writes_saved += saved * guards
             stats.counter_increments_saved += saved * guards
 
-    def _abort(self, label: str, member: "tuple[int, list] | None" = None) -> None:
-        """The one rollback, for a failed member and a failed close alike.
+    def _abort(self, label: str, member_base: int, snapshots: list) -> None:
+        """The one rollback: a member that failed before its commit point.
 
-        A ``member`` (entry base, guard snapshots) of a shared epoch fails
-        before any guard flush: its entries are restored, the guards'
-        pending state rewinds to where it began, and the epoch lives on
-        for the other members.  Anything else — a solo member, whose guard
-        flush is part of its commit point, or a failed close — may have
-        left guard nodes half written
-        and the counter ahead of the anchor: the entries above the last
-        committed watermark are restored and the guards repaired from the
-        data exactly as restart recovery repairs a crash at that point;
-        only then does the marker go.  If the rollback itself fails, the
-        journal is poisoned with its marker still stored: the next
-        mutation answers UNAVAILABLE and restart recovery finishes the job.
+        Its writes never left enclave memory: the buffers and the parts it
+        spilled go, the guards' pending state rewinds to where the member
+        began, and the dedup entries are re-read from the records that
+        still stand.  Earlier members of a shared epoch are untouched; an
+        epoch no member committed in ends here with nothing to flush.  If
+        this itself fails, the journal is poisoned: the next mutation
+        answers UNAVAILABLE and restart recovery starts clean.
         """
         journal = self.journal
         group = self.group_commit
-        self._drop_span()
+        # The body is over: the dedup reload below may now drop its
+        # unsealed changes.  No stored key changed, so peers' caches are
+        # still correct: nothing to publish.
+        self.in_span = False
+        self._released.clear()
+        self._disarm()
+        self._write_backs.clear()
+        self._txn_touched.clear()
         try:
-            if member is not None and not group.solo:
-                member_base, snapshots = member
-                for guard, snapshot in snapshots:
-                    guard.restore_pending(snapshot)
-                journal.rollback_member(member_base)
-            elif journal.active:
-                journal.rollback()
+            for guard, snapshot in snapshots:
+                guard.restore_pending(snapshot)
+            journal.rollback_member(member_base)
+            if group.members == 0:
                 for guard in self.guards:
                     guard.abort_batch()
-                self.repair_guards(journal.epoch)
-                journal.close_epoch(self._outstanding)
-                # The repair deferred its node/anchor write-backs (the
-                # journal was recording); apply them before leaving so none
-                # survives to be applied stale later.
-                self._apply_write_backs()
-                self._publish_coherence(label)
+                journal.rollback()
+                group.open = False
             if self.dedup is not None:
-                # The in-memory entries must follow the restored records.
                 self.dedup.reload_index()
         except EnclaveCrashed:
             raise
         except ReproError as rollback_exc:
             journal.poison(f"rollback of transaction {label!r} failed: {rollback_exc}")
-        group.open = journal.active
+            group.open = False
 
     def repair_guards(self, record: "EpochRecord | None") -> None:
-        """Bring the guards back in line with restored data.
+        """Bring the guards back in line with the stored data.
 
-        The epilogue of every rollback that may have reached past a guard
-        flush: the in-process abort above, and crash recovery (restart and
-        cluster takeover).  With root hashes in the last member's record
-        the stored nodes predate the committed members (their flush was
-        deferred to the close): the data is checked against those hashes
-        — the host had the store to itself, and a member list swapped for
-        its pre-revocation bytes must not be blessed — and the trees are
-        rebuilt from it.  Without them (no member committed, or a solo
-        member whose guards flushed with it) the stored trees are current
-        but the counter may have run past their anchors: each store is
-        checked for internal consistency and re-anchored.
+        With a recovered redo record (restart and cluster takeover), each
+        guard whose root the record names was behind the committed data
+        (its flush was deferred to the epoch's close): the data is checked
+        against that root — the host had the store to itself, and a member
+        list swapped for its pre-revocation bytes must not be blessed — and
+        the tree is rebuilt from it.  Without a record (a backup restore)
+        each store is checked for internal consistency and re-anchored.
         """
-        mains = (record.fs_main, record.group_main) if record is not None else (b"", b"")
+        mains = (record.fs_main, record.group_main) if record is not None else (None, None)
         for mount, main in zip(self.mounts, mains):
             guard = mount.guard
-            if guard is None:
+            if guard is None or main == b"":
                 continue
-            if main:
-                if guard.recompute_main() != main:
-                    raise RollbackDetected(
-                        f"recovered {mount.namespace}-store state does not match "
-                        "the epoch's journal record"
-                    )
-                guard.rebuild()
-            else:
+            if main is None:
                 guard.verify_restored_state()
                 guard.accept_current_state()
+            elif guard.recompute_main() != main:
+                raise RollbackDetected(
+                    f"recovered {mount.namespace}-store state does not match "
+                    "the epoch's redo record"
+                )
+            else:
+                guard.rebuild()
 
     # -- object reclaim ---------------------------------------------------------
     #
     # A span that drops an object's last reference only names it
-    # (release_object); its keys go after the commit point, below the
-    # journal, once no reader holds it — an abort keeps it referenced.
+    # (release_object); its keys go after the commit point, outside any
+    # record, once no reader holds it — an abort keeps it referenced.
 
     def release_object(self, object_id: str, chunks: int) -> None:
         # Outside any span the release is durable at once.
-        (self._released if self.journal.active else self._outstanding)[object_id] = chunks
+        (self._released if self.in_span else self._outstanding)[object_id] = chunks
         self._finish_reclaims()
 
-    def delete_unjournaled(self, key: str) -> None:
-        # A dedup-store key no undo may bring back, buffered value included.
-        self._deferred[TAG_DEDUP]._drop_pending(key)
-        if self.raw.dedup.exists(key):
-            self.raw.dedup.delete(key)
+    def delete_object_key(self, key: str) -> None:
+        # A fresh copy's blob: no record ever referenced it.
+        self.raw.dedup.delete(key)
 
     def reader_closed(self, object_id: str) -> None:
         if object_id in self._outstanding:
@@ -761,7 +755,7 @@ class StorageEngine:
                     del self._outstanding[object_id]
                     self.stats.reclaimed += 1
             if not self._outstanding:
-                self.journal.keep_intents({})
+                self.journal.drop_intents()
         except EnclaveCrashed:
             raise
         except ReproError:
@@ -770,12 +764,12 @@ class StorageEngine:
     def _commit_point(self) -> "contextlib.AbstractContextManager[None]":
         """The journal's commit record is one serial resource.
 
-        Committing the batched guard nodes, flushing the write buffers
-        (with their counter-incrementing anchor), and persisting the
-        commit marker form the transaction's critical section: concurrent
-        requests rendezvous here, so on a parallel clock overlapping
-        writers pay each other's commit latency while readers stay
-        unaffected.  On a serial clock this is a no-op.
+        Persisting the redo record, applying it, and an epoch's guard
+        flush (with its counter-incrementing anchor) form the
+        transaction's critical section: concurrent requests rendezvous
+        here, so on a parallel clock overlapping writers pay each other's
+        commit latency while readers stay unaffected.  On a serial clock
+        this is a no-op.
         """
         return self._enclave.platform.clock.exclusive(
             "journal-commit", account="commit-wait"
@@ -787,28 +781,14 @@ class StorageEngine:
             self.dedup.seal_index()
 
     def _begin_guard_batches(self) -> None:
-        """Defer guard node/anchor persistence until the transaction commits.
+        """Defer guard node/anchor persistence until the epoch closes.
 
-        Safe because every transaction runs under an open undo-journal
-        epoch: an abort rolls back the data writes the pending nodes
-        describe, so dropping them is consistent.
+        Safe because no member's writes reach the store before its redo
+        record, which names the pending roots: a crash rebuilds the nodes
+        from the data, and an aborted member's pending changes rewind.
         """
         for guard in self.guards:
             guard.begin_batch()
-
-    def _commit_guard_batches(self) -> None:
-        for guard in self.guards:
-            guard.commit_batch()
-
-    def _flush_deferred(self) -> None:
-        total = 0
-        for store in self._deferred:
-            ops = store.flush()
-            if ops:
-                self.stats.flush_groups += 1
-                self.stats.flushed_ops += ops
-            total += ops
-        self.stats.last_flush_ops = total
 
     def _apply_write_backs(self) -> None:
         if not self._write_backs:
@@ -846,8 +826,9 @@ class StorageEngine:
     # Callers never talk to the MetadataCache directly: reads go through
     # lookup/cached/fill, writers pair invalidate (before the store
     # mutation) with write_back (after it).  Inside a transaction the
-    # write-through is deferred to commit; an abort clears the whole cache
-    # via journal.on_restore, so read-path fills stay safe mid-span.
+    # write-through is deferred to commit; an abort drops the deferred
+    # write-backs, and read-path fills only ever insert stored, verified
+    # values, so they stay safe mid-span.
 
     def lookup(self, namespace: str, key: str) -> bytes | None:
         if self.cache is None:
@@ -890,7 +871,7 @@ class StorageEngine:
         self._touch_coherence(namespace, key)
         if self.cache is None:
             return
-        if self.journal.active:
+        if self._buffering:
             self._write_backs.pop((namespace, key), None)
             self._write_backs[(namespace, key)] = value
         else:
@@ -902,9 +883,9 @@ class StorageEngine:
         Every cached-key mutation in the code base pairs ``invalidate``
         (before the store write) with ``write_back`` (after it), so
         capturing here makes the published invalidation set complete by
-        construction.  Mutations outside a journal epoch (recovery,
-        record re-reads triggered by a sync) are not captured: they do
-        not change committed shared state from a peer's point of view.
+        construction.  Mutations outside an epoch (recovery, record
+        re-reads triggered by a sync) are not captured: they do not change
+        committed shared state from a peer's point of view.
         """
-        if self.coherence is not None and self.journal.active:
+        if self.coherence is not None and self.group_commit.open:
             self._txn_touched[(namespace, key)] = None

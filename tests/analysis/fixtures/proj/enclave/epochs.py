@@ -7,46 +7,56 @@ violates exactly one protocol transition.
 """
 
 
-def commit_ok(journal, batches):
+def commit_ok(journal, buffers, batches):
     journal.open_epoch()
     for batch in batches:
         journal.begin_member()
-        journal.record(batch)
-        journal.commit_member()
+        writes = buffers.drain()
+        record = journal.commit_member(writes)
+        journal.apply(record)
     journal.close_epoch()
 
 
-def rollback_ok(journal, batch):
+def rollback_ok(journal, buffers):
     journal.open_epoch()
     journal.begin_member()
     try:
-        journal.record(batch)
-        journal.commit_member()
+        writes = buffers.drain()
+        journal.commit_member(writes)
     except OSError:
         journal.rollback_member()
     journal.close_epoch()
 
 
-def commit_conditional_ok(journal, group):
+def commit_conditional_ok(journal, buffers, group):
     if not group.open:
         journal.open_epoch()
     journal.begin_member()
-    journal.record(group)
-    journal.commit_member()
+    writes = buffers.drain()
+    journal.commit_member(writes)
     journal.close_epoch()
 
 
-def commit_without_preimage(journal, batch):
+def commit_without_drain(journal, buffers):
     journal.open_epoch()
     journal.begin_member()
-    journal.commit_member()
+    journal.commit_member(())
     journal.close_epoch()
 
 
-def close_with_open_member(journal, batch):
+def apply_before_commit(journal, buffers):
     journal.open_epoch()
     journal.begin_member()
-    journal.record(batch)
+    writes = buffers.drain()
+    journal.apply(writes)
+    journal.commit_member(writes)
+    journal.close_epoch()
+
+
+def close_with_open_member(journal, buffers):
+    journal.open_epoch()
+    journal.begin_member()
+    buffers.drain()
     journal.close_epoch()
 
 

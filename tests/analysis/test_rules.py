@@ -231,7 +231,8 @@ def test_epoch_typestate_flags_each_protocol_violation(findings):
     by_symbol = {
         f.symbol: f.message for f in findings if f.rule == "epoch-typestate"
     }
-    assert "pre-image" in by_symbol["proj.enclave.epochs:commit_without_preimage"]
+    assert "draining" in by_symbol["proj.enclave.epochs:commit_without_drain"]
+    assert "before the member's commit point" in by_symbol["proj.enclave.epochs:apply_before_commit"]
     assert "uncommitted member" in by_symbol["proj.enclave.epochs:close_with_open_member"]
     assert "already open" in by_symbol["proj.enclave.epochs:reopen"]
 

@@ -19,7 +19,7 @@ from collections import Counter
 import pytest
 
 from repro.core.enclave_app import SeGShareOptions
-from repro.core.journal import JournaledStore, WriteAheadJournal
+from repro.core.journal import TAG_CONTENT, TAG_DEDUP, TAG_GROUP, WriteAheadJournal
 from repro.core.requests import Op, Request, Status
 from repro.core.server import SeGShareServer
 from repro.errors import EnclaveCrashed, FaultError, RollbackDetected
@@ -328,8 +328,8 @@ class TestGroupMutations:
         """Share ``/d/f`` with eng, revoke bob, then interrupt an unrelated
         upload mid-batch: ``"crash"`` kills the enclave at a journal step
         (the host then has the store to itself until the restart),
-        ``"fault"`` fails one store put (the live enclave rolls the batch
-        back and re-anchors).  With ``swap`` the host first writes the
+        ``"fault"`` fails one store put (the live enclave drops the
+        uncommitted batch).  With ``swap`` the host first writes the
         group store's pre-revocation data objects back."""
         plan = FaultPlan()
         server = SeGShareServer(
@@ -358,7 +358,7 @@ class TestGroupMutations:
             if swap:
                 for key, value in pre_revocation.items():
                     group.put(key, value)
-            plan.fail_nth(nth=3, op="put", store="content")
+            plan.fail_nth(nth=1, op="put", key="\x00journal:redo")  # the commit point
             assert handler.put_file("alice", "/unrelated", b"x").status is Status.RETRY
             return server
         plan.crash_at_point(nth=2, site_prefix="journal:").attach_platform(server.platform)
@@ -371,19 +371,22 @@ class TestGroupMutations:
         return server
 
     def test_member_list_swapped_during_crash_is_detected(self):
-        """Immediate revocation must survive a crash: recovery re-anchors
-        the group store only after checking it is one consistent
-        snapshot, so a pre-revocation member list slipped in while the
-        enclave was down is a detected rollback — not a blessed state in
-        which the revoked user reads the file again."""
+        """Immediate revocation must survive a crash: recovery rebuilds a
+        guard only from data checked against a redo record's root, and a
+        crash before the commit point leaves nothing to rebuild, so a
+        pre-revocation member list slipped in while the enclave was down is
+        a detected rollback — not a blessed state in which the revoked user
+        reads the file again."""
         server = self._revoke_then_interrupt_unrelated_upload("crash", swap=True)
+        server.restart_enclave()
+        assert not self._bob_reads(server)
         with pytest.raises(RollbackDetected):
-            server.restart_enclave()
+            server.enclave.access.user_groups("bob")
 
     def test_member_list_swapped_before_an_aborted_request_stays_revoked(self):
         """The same swap against a live enclave: an aborted request
-        re-anchors the stored guard node as it is — it must not rebuild
-        the node from (swapped) data and bless it."""
+        touches no guard node — it must not rebuild the node from
+        (swapped) data and bless it."""
         server = self._revoke_then_interrupt_unrelated_upload("fault", swap=True)
         assert not self._bob_reads(server)
         with pytest.raises(RollbackDetected):
@@ -493,15 +496,16 @@ class TestRecoveryDetails:
     def test_no_journal_residue_after_clean_operations(self):
         server = build_server()
         prime(server)
-        assert not server.stores.content.exists("\x00journal:batch")
         assert not any(
-            key.startswith("\x00journal:entry:") for key in server.stores.content.keys()
+            key.startswith(("\x00journal:redo:", "\x00journal:part:"))
+            for key in server.stores.content.keys()
         )
 
     def test_repeated_crash_recover_cycles(self):
         server = build_server()
         prime(server)
-        for step in (2, 3, 4):
+        # Twice before the move's commit point, then once past it.
+        for step in (2, 2, 3):
             plan = FaultPlan().crash_at_point(nth=step, site_prefix="journal:")
             plan.attach_platform(server.platform)
             with pytest.raises(EnclaveCrashed):
@@ -583,7 +587,7 @@ class TestRecoveryDetails:
         sink = server.enclave.handler.open_upload("alice", "/d/streamed")
         sink.write(b"s" * (3 * 4096 + 9))  # three chunks flushed, no finish
         assert len(self._unindexed_objects(server)) == 1
-        assert not server.stores.content.exists("\x00journal:batch")
+        assert not any(key.startswith("\x00journal:redo:") for key in server.stores.content.keys())
 
         server.restart_enclave()  # the crash
         server.enclave.guard.verify_restored_state()
@@ -670,16 +674,16 @@ class TestRecoveryDetails:
         assert manager.read_content("/f2") == b"victim content"
 
 
-# -- pre-images of deleted values ----------------------------------------------------
+# -- the redo record ---------------------------------------------------------------
 #
-# Deleting a present key copies its value into the undo entry, like an
-# overwrite; the value is then deleted in place.  The unit-level classes
-# drive a bare journal over three stores and crash it at *every store
-# operation* (finer than the crashpoints, and the only way to die inside a
-# restore or a sweep, which carry none).  A deleting batch's entries are
-# sealed, so an altered, swapped or cut entry is a typed error.
+# A member's writes reach the store only through its sealed redo record: a
+# delete is sealed as its key, never as the value it removes, and nothing
+# is read before a write.  The unit-level classes drive a bare journal over
+# three stores and crash it at *every store operation* (finer than the
+# crashpoints, and the only way to die inside a re-apply, which carries
+# none).  Records and parts are sealed, so an altered, moved or cut one is
+# a typed error, never applied.
 
-_ENTRY = "\x00journal:entry:"
 _ROOT_KEY = bytes(range(32))
 _CHUNK = 4144  # a 4 KiB chunk's ciphertext
 
@@ -727,33 +731,36 @@ def _journal_keys(stores: StoreSet) -> list[str]:
     ]
 
 
-def _views(stores: StoreSet, journal: WriteAheadJournal) -> list[JournaledStore]:
-    raw = (stores.content, stores.group, stores.dedup)
-    return [JournaledStore(store, journal, tag) for tag, store in enumerate(raw)]
+def _deletes(object_id: str, fill: int) -> list:
+    return [(TAG_DEDUP, key, None) for key in _object(object_id, fill)]
+
+
+#: One member's writes: an overwrite, a multi-chunk delete, a delete on
+#: another store, a creation, and a key deleted and re-created.
+_BATCH = [
+    (TAG_CONTENT, "/edit", b"new" * 60),
+    *_deletes("obj:1", 10),
+    (TAG_GROUP, "members", None),
+    (TAG_CONTENT, "/fresh", b"f" * 10),
+    (TAG_DEDUP, "obj:1\x00meta", b"re-created inside the batch"),
+]
 
 
 def _run_batch(stores: StoreSet, crash_hook=None, done: list | None = None) -> None:
-    """One epoch of one member mixing all three entry kinds around a
-    multi-chunk delete; ``done`` learns when the member's record is stored."""
+    """One epoch of one member; ``done`` learns when the member's record is stored."""
     journal = WriteAheadJournal(stores, _ROOT_KEY, crash_hook=crash_hook)
-    content, group, dedup = _views(stores, journal)
     journal.open_epoch("remove-big")
     base = journal.begin_member()
-    content.put("/edit", b"new" * 60)  # copied pre-image
-    for key in _object("obj:1", 10):
-        dedup.delete(key)  # copied pre-images, one per chunk and the meta
-    group.delete("members")  # a delete on another store
-    content.put("/fresh", b"f" * 10)  # absent tombstone
-    dedup.put("obj:1\x00meta", b"re-created inside the batch")
-    journal.commit_member(base, b"", b"", 1, "remove-big")
+    record = journal.commit_member(base, b"", b"", 1, "remove-big", writes=_BATCH)
     if done is not None:
         done.append(1)
+    journal.apply(record.writes, record.parts)
     journal.close_epoch()
 
 
 def _recover(stores: StoreSet) -> bool:
     journal = WriteAheadJournal(stores, _ROOT_KEY)
-    recovered = journal.recover_restore()
+    recovered = bool(journal.recover())
     journal.recover_finish()
     return recovered
 
@@ -778,8 +785,17 @@ def _crashed_world(kind: str, run, nth: int) -> tuple[StoreSet, FaultPlan]:
     return stores, plan
 
 
+def _record_key(stores: StoreSet) -> str:
+    (key,) = [key for key in stores.content.keys() if key.startswith("\x00journal:redo:")]
+    return key
+
+
 @pytest.mark.parametrize("kind", ["separate", "sharded"])
 class TestMovedPreImages:
+    """Deletes of a multi-chunk object under redo: nothing is moved or
+    copied, the record names the keys, and a crash anywhere lands on one
+    side of the record."""
+
     def _end_states(self, kind: str):
         stores = _stores(kind)
         _seed(stores)
@@ -796,58 +812,57 @@ class TestMovedPreImages:
         assert not any(key.startswith("\x00journal:") for view in after.values() for key in view)
 
     def test_delete_moves_the_value_and_seals_only_its_digest(self, kind):
-        """A delete copies the value into its entry and deletes it in place."""
-        stores = _stores(kind)
-        _seed(stores)
-        with pytest.raises(_StopHere):
-            _run_batch(stores, crash_hook=_stop_at("journal:commit"))
-        deleted = [key for key in _object("obj:1", 10) if key != "obj:1\x00meta"]
-        assert not any(stores.dedup.exists(key) for key in deleted)
-        assert sorted(_journal_keys(stores)) == ["\x00journal:batch"] + [f"{_ENTRY}{i:08d}" for i in range(7)]
-        entries = [key for key in stores.content.keys() if key.startswith(_ENTRY)]
-        # Seven entries: the three chunks' copies are among them.
-        assert sum(stores.content.size(key) for key in entries) > 3 * _CHUNK
-
-    def test_in_process_rollback_moves_everything_back(self, kind):
+        """A delete is sealed as its key alone: the record holds no deleted
+        value, and no stored key changes before the record is applied."""
         stores = _stores(kind)
         _seed(stores)
         before = _snapshot(stores)
-        journal = WriteAheadJournal(stores, _ROOT_KEY, crash_hook=_stop_at("journal:commit"))
-        content, group, dedup = _views(stores, journal)
+        with pytest.raises(_StopHere):
+            _run_batch(stores, crash_hook=_stop_at("journal:committed"))
+        state = _snapshot(stores)
+        record = state["content"].pop(_record_key(stores))
+        assert state == before
+        assert len(record) < _CHUNK  # three deleted chunks' values are not in it
+
+    def test_in_process_rollback_moves_everything_back(self, kind):
+        """A member that spilled its deletes into a part and rolls back
+        leaves every stored key as it was: nothing was applied."""
+        stores = _stores(kind)
+        _seed(stores)
+        before = _snapshot(stores)
+        journal = WriteAheadJournal(stores, _ROOT_KEY)
         journal.open_epoch("doomed")
-        journal.begin_member()
-        for key in _object("obj:2", 20):
-            dedup.delete(key)
-        content.delete("/keep")
+        base = journal.begin_member()
+        journal.record([*_deletes("obj:2", 20), (TAG_CONTENT, "/keep", None)])
+        journal.rollback_member(base)
         journal.rollback()
-        journal.close_epoch()
         assert _snapshot(stores) == before
 
     def test_crash_at_every_store_op_is_all_or_nothing(self, kind):
-        """Covers dying after the entry put and before the delete, and
-        anywhere inside the post-commit sweep and the close."""
+        """Covers dying at the record put, inside the apply, and anywhere in
+        the close."""
         before, after = self._end_states(kind)
         total = _count_ops(kind, _run_batch)
-        assert total > 40
+        assert total > 8
         for nth in range(1, total + 1):
             done: list[int] = []
             stores, _ = _crashed_world(kind, lambda s, d=done: _run_batch(s, done=d), nth)
             _recover(stores)
             state = _snapshot(stores)
-            # A crash inside commit_member lands on either side of its record.
+            # A crash at the record put lands on either side of it.
             allowed = [after] if done else [before, after]
             assert state in allowed, f"store op {nth}: torn state or committed member lost"
             assert _journal_keys(stores) == [], f"store op {nth}: journal residue"
 
     def test_crash_inside_the_restore_is_repaired_by_the_next(self, kind):
+        """Recovery re-applies the record; dying at any of its store
+        operations, the next recovery applies it again to the same end."""
+
         def until_commit(stores: StoreSet) -> None:
             with pytest.raises(_StopHere):
-                _run_batch(stores, crash_hook=_stop_at("journal:commit"))
+                _run_batch(stores, crash_hook=_stop_at("journal:committed"))
 
-        reference = _stores(kind)
-        _seed(reference)
-        before = _snapshot(reference)
-        until_commit(reference)
+        _, after = self._end_states(kind)
         plan = FaultPlan()
         counting = _stores(kind, plan)
         _seed(counting)
@@ -855,7 +870,7 @@ class TestMovedPreImages:
         ops_before = plan.store_ops
         assert _recover(counting)
         recovery_ops = plan.store_ops - ops_before
-        assert _snapshot(counting) == before
+        assert _snapshot(counting) == after
         for nth in range(1, recovery_ops + 1):
             plan = FaultPlan()
             stores = _stores(kind, plan)
@@ -865,54 +880,53 @@ class TestMovedPreImages:
             with pytest.raises(EnclaveCrashed):
                 _recover(stores)
             _recover(stores)
-            assert _snapshot(stores) == before, f"recovery op {nth}: not the pre-batch state"
+            assert _snapshot(stores) == after, f"recovery op {nth}: not the committed state"
             assert _journal_keys(stores) == []
 
     @pytest.mark.parametrize("attack", ["tamper", "swap", "delete", "replace-unmoved"])
     def test_altered_saved_value_is_rollback_detected(self, kind, attack):
-        """The copy of a deleted chunk is sealed in its entry: the entry
-        altered, swapped with another, cut short (``delete``) or replaced
-        by another journal record is a typed error, never a restore."""
+        """The record is sealed under its own key: altered, moved into
+        another writer's slot, cut short (``delete``) or replaced by another
+        journal object, it is a typed error and nothing of it is applied."""
         stores = _stores(kind)
         _seed(stores)
         with pytest.raises(_StopHere):
-            _run_batch(stores, crash_hook=_stop_at("journal:commit"))
-        # Entries 1-3 hold the copies of obj:1's three chunks.
-        first, second = f"{_ENTRY}00000001", f"{_ENTRY}00000002"
-        assert stores.content.size(first) > _CHUNK
+            _run_batch(stores, crash_hook=_stop_at("journal:committed"))
+        key = _record_key(stores)
+        blob = stores.content.get(key)
         if attack == "tamper":
-            blob = bytearray(stores.content.get(first))
-            blob[len(blob) // 2] ^= 1
-            stores.content.put(first, bytes(blob))
+            stores.content.put(key, blob[:40] + bytes([blob[40] ^ 1]) + blob[41:])
         elif attack == "swap":
-            a, b = stores.content.get(first), stores.content.get(second)
-            stores.content.put(first, b)
-            stores.content.put(second, a)
+            stores.content.delete(key)
+            stores.content.put(key + "other-replica", blob)
         elif attack == "delete":
-            stores.content.put(first, stores.content.get(first)[:-100])
+            stores.content.put(key, blob[:-100])
         else:
-            stores.content.put(first, stores.content.get("\x00journal:batch"))
+            stores.content.put(key, WriteAheadJournal(stores, _ROOT_KEY).seal_stamp("req:1")[1])
+        state = _snapshot(stores)
         with pytest.raises(RollbackDetected):
-            WriteAheadJournal(stores, _ROOT_KEY).recover_restore()
+            WriteAheadJournal(stores, _ROOT_KEY).recover()
+        assert _snapshot(stores) == state
 
 
 def _run_epoch(stores: StoreSet, done: list[int], crash_hook=None) -> None:
     """Two members of one group-commit epoch, each deleting an object."""
     journal = WriteAheadJournal(stores, _ROOT_KEY, crash_hook=crash_hook)
-    content, _, dedup = _views(stores, journal)
     journal.open_epoch("epoch")
     for member, (object_id, fill) in enumerate((("obj:1", 10), ("obj:2", 20)), start=1):
         base = journal.begin_member()
-        for key in _object(object_id, fill):
-            dedup.delete(key)
-        content.put("/edit", b"member %d" % member)
-        journal.commit_member(base, b"", b"", member, f"m{member}")
+        writes = [*_deletes(object_id, fill), (TAG_CONTENT, "/edit", b"member %d" % member)]
+        record = journal.commit_member(base, b"", b"", member, f"m{member}", writes=writes)
         done.append(member)
+        journal.apply(record.writes, record.parts)
     journal.close_epoch()
 
 
 @pytest.mark.parametrize("kind", ["separate", "sharded"])
 class TestMovedPreImagesInEpochs:
+    """Two members of one epoch: each record replaces the last, and
+    recovery re-applies only the latest."""
+
     def _states(self, kind: str) -> list[dict]:
         """The state after 0, 1 and 2 committed members."""
         states = []
@@ -921,7 +935,7 @@ class TestMovedPreImagesInEpochs:
             _seed(stores)
             if members:
                 # One member: stop as the second reaches its commit and let
-                # recovery undo it.  Two: run the epoch to its close.
+                # recovery finish the first.  Two: run the epoch to its close.
                 hook = _stop_at("journal:commit", nth=members + 1) if members < 2 else None
                 try:
                     _run_epoch(stores, [], crash_hook=hook)
@@ -933,10 +947,9 @@ class TestMovedPreImagesInEpochs:
         return states
 
     def test_crash_at_every_store_op_keeps_each_member_whole(self, kind):
-        """Entries below the last record's watermark belong to committed
-        members — left by a sweep that died — and must be swept, never
-        restored; those above it are the in-flight member's and are
-        restored."""
+        """The stored record is always the last committed member's: a
+        crash re-applies exactly that member, whose predecessors' writes
+        are already in place."""
         states = self._states(kind)
         total = _count_ops(kind, lambda stores: _run_epoch(stores, []))
         for nth in range(1, total + 1):
@@ -944,7 +957,7 @@ class TestMovedPreImagesInEpochs:
             stores, _ = _crashed_world(kind, lambda s, d=done: _run_epoch(s, d), nth)
             _recover(stores)
             state = _snapshot(stores)
-            # A crash inside commit_member lands on either side of its record.
+            # A crash at a record put lands on either side of it.
             allowed = states[len(done) : len(done) + 2]
             assert state in allowed, f"store op {nth}: member torn or lost"
             assert _journal_keys(stores) == [], f"store op {nth}: journal residue"
@@ -954,102 +967,96 @@ class TestMovedPreImagesInEpochs:
         stores = _stores(kind)
         _seed(stores)
         journal = WriteAheadJournal(stores, _ROOT_KEY)
-        content, _, dedup = _views(stores, journal)
         journal.open_epoch("epoch")
         base = journal.begin_member()
-        for key in _object("obj:1", 10):
-            dedup.delete(key)
-        content.put("/edit", b"member 1")
-        journal.commit_member(base, b"", b"", 1, "m1")
+        record = journal.commit_member(
+            base, b"", b"", 1, "m1", writes=[*_deletes("obj:1", 10), (TAG_CONTENT, "/edit", b"member 1")]
+        )
+        journal.apply(record.writes)
         base = journal.begin_member()
-        for key in _object("obj:2", 20):
-            dedup.delete(key)
+        journal.record(_deletes("obj:2", 20))
         journal.rollback_member(base)
         assert stores.dedup.get("obj:2\x00chunk\x000") == _object("obj:2", 20)["obj:2\x00chunk\x000"]
         journal.close_epoch()
         assert _snapshot(stores) == states[1]
         assert _journal_keys(stores) == []
 
-    @staticmethod
-    def _first_member(stores: StoreSet) -> WriteAheadJournal:
+    def test_a_fault_applying_a_members_record_keeps_the_member(self, kind):
+        """Past its record the member is committed: a fault applying it is
+        rolled forward by applying it again, deletes already done skipped."""
+        states = self._states(kind)
+        plan = FaultPlan()
+        stores = _stores(kind, plan)
+        _seed(stores)
         journal = WriteAheadJournal(stores, _ROOT_KEY)
-        content, _, dedup = _views(stores, journal)
         journal.open_epoch("epoch")
         base = journal.begin_member()
-        for key in _object("obj:1", 10):
-            dedup.delete(key)
-        content.put("/edit", b"member 1")
-        journal.commit_member(base, b"", b"", 1, "m1")
-        return journal
-
-    def test_a_fault_in_a_members_sweep_keeps_the_member(self, kind):
-        """Past its record the member is committed: a fault sweeping its
-        entries leaves garbage below the watermark for the close."""
-        states = self._states(kind)
-        plan = FaultPlan()
-        stores = _stores(kind, plan)
-        _seed(stores)
-        # The member's own deletes, then the sweep's first entry.
-        plan.fail_nth(nth=len(_object("obj:1", 10)) + 1, op="delete")
-        journal = self._first_member(stores)
-        assert plan.events, "the fault should have hit the sweep"
+        writes = [*_deletes("obj:1", 10), (TAG_CONTENT, "/edit", b"member 1")]
+        record = journal.commit_member(base, b"", b"", 1, "m1", writes=writes)
+        plan.fail_nth(nth=2, op="delete")
+        with pytest.raises(FaultError):
+            journal.apply(record.writes)
+        journal.apply(record.writes, tolerant=True)
         journal.close_epoch()
         assert _snapshot(stores) == states[1]
         assert _journal_keys(stores) == []
 
-    def test_a_fault_past_the_close_point_is_tidied_before_the_next_marker(self, kind):
-        """The close stands when its tidy-up faults; the next epoch drops the
-        stale record before its marker, so a crash in that epoch restores
-        all of it, not just the entries above the old watermark."""
+    def test_a_fault_past_the_close_point_leaves_only_inert_parts(self, kind):
+        """The close stands when dropping the epoch's parts faults: no
+        stored record names them, and the next recovery drops them."""
         states = self._states(kind)
         plan = FaultPlan()
         stores = _stores(kind, plan)
         _seed(stores)
-        journal = self._first_member(stores)
-        plan.fail_nth(nth=2, op="delete")  # the marker, then the record
-        journal.close_epoch()
-        assert plan.events and stores.content.exists("\x00journal:epoch")
-        _, _, dedup = _views(stores, journal)
+        journal = WriteAheadJournal(stores, _ROOT_KEY)
         journal.open_epoch("epoch")
-        journal.begin_member()
-        for key in _object("obj:2", 20):
-            dedup.delete(key)
-        _recover(stores)  # the enclave died before the member's record
+        base = journal.begin_member()
+        journal.record(_deletes("obj:1", 10))
+        record = journal.commit_member(base, b"", b"", 1, "m1", writes=[(TAG_CONTENT, "/edit", b"member 1")])
+        journal.apply(record.writes, record.parts)
+        plan.fail_nth(nth=2, op="delete")  # the record, then the part
+        journal.close_epoch()
+        assert plan.events and not journal.active
+        assert [key for key in _journal_keys(stores) if "redo" in key] == []
+        assert not _recover(stores)
         assert _snapshot(stores) == states[1]
         assert _journal_keys(stores) == []
 
 
-
-# -- group entries ---------------------------------------------------------------
+# -- spilled groups ----------------------------------------------------------------
 #
-# A flushed write buffer reaches the journal as one group: one sealed entry
-# lists every key's pre-image and is stored before the first value changes
-# or goes.
+# A member whose write buffer outgrows its budget seals the overflow, one
+# group at a time, into record parts.  A part is inert until the member's
+# record names it: recovery applies the named parts in order, then the
+# record's own writes, and drops every part.
 
 _DEDUP_GROUP = [
-    *((key, None) for key in _object("obj:1", 10)),  # four deletes
-    ("obj:2\x00meta", b"overwritten meta"),
-    ("obj:2\x00chunk\x001", b"\x07" * _CHUNK),
-    ("obj:3\x00meta", b"created"),
-    ("obj:3\x00chunk\x000", b"\x08" * _CHUNK),
-    ("obj:9\x00meta", None),  # a tombstone for a key that was never stored
+    *_deletes("obj:1", 10),
+    (TAG_DEDUP, "obj:2\x00meta", b"overwritten meta"),
+    (TAG_DEDUP, "obj:2\x00chunk\x001", b"\x07" * _CHUNK),
+    (TAG_DEDUP, "obj:3\x00meta", b"created"),
+    (TAG_DEDUP, "obj:3\x00chunk\x000", b"\x08" * _CHUNK),
 ]
-_CONTENT_GROUP = [("/edit", b"new" * 60), ("/keep", None), ("/fresh", b"f" * 10)]
+_CONTENT_GROUP = [(TAG_CONTENT, "/edit", b"new" * 60), (TAG_CONTENT, "/keep", None), (TAG_CONTENT, "/fresh", b"f" * 10)]
+#: The buffered rest, rewriting two keys the first group wrote.
+_LAST_WRITES = [(TAG_DEDUP, "obj:2\x00meta", None), (TAG_DEDUP, "obj:1\x00meta", b"back again")]
 
 
 def _run_group_batch(stores: StoreSet, crash_hook=None, done: list | None = None) -> None:
-    """One member of two flushed groups, then a second write to a recorded key."""
+    """One member spilling two groups, then committing the rest."""
     journal = WriteAheadJournal(stores, _ROOT_KEY, crash_hook=crash_hook)
-    content, _, dedup = _views(stores, journal)
     journal.open_epoch("flush")
     base = journal.begin_member()
-    dedup.apply(_DEDUP_GROUP)
-    content.apply(_CONTENT_GROUP)
-    dedup.apply([("obj:2\x00meta", None), ("obj:1\x00meta", b"back again")])
-    journal.commit_member(base, b"", b"", 1, "flush")
+    journal.record(_DEDUP_GROUP)
+    journal.record(_CONTENT_GROUP)
+    record = journal.commit_member(base, b"", b"", 1, "flush", writes=_LAST_WRITES)
     if done is not None:
         done.append(1)
+    journal.apply(record.writes, record.parts)
     journal.close_epoch()
+
+
+_PART = "\x00journal:part::"
 
 
 @pytest.mark.parametrize("kind", ["separate", "sharded"])
@@ -1066,46 +1073,46 @@ class TestGroupEntries:
             _run_group_batch(stores, crash_hook=_stop_at(site, nth))
         return stores
 
+    def _after(self, kind: str):
+        stores = _stores(kind)
+        _seed(stores)
+        _run_group_batch(stores)
+        return _snapshot(stores)
+
     def test_a_group_is_one_entry_and_its_moves_are_numbered_by_item(self, kind):
-        """One entry per group, numbered in flush order, holding a copy of
-        every recorded value: deleted and overwritten alike."""
-        stores = self._stopped(kind, "journal:commit")
-        entries = sorted(k for k in stores.content.keys() if k.startswith(_ENTRY))
-        # Two groups; the third recorded nothing new, so it wrote nothing.
-        assert entries == [f"{_ENTRY}00000000", f"{_ENTRY}00000001"]
-        assert sorted(_journal_keys(stores)) == ["\x00journal:batch", *entries]
-        # obj:1's three deleted chunks and obj:2's overwritten one.
-        assert stores.content.size(entries[0]) > 4 * _CHUNK
-        assert stores.content.size(entries[1]) < _CHUNK
+        """One part per spilled group, numbered in spill order, each holding
+        its writes' values; the record names them in that order."""
+        stores = self._stopped(kind, "journal:committed")
+        parts = sorted(k for k in stores.content.keys() if k.startswith(_PART))
+        assert parts == [f"{_PART}00000000", f"{_PART}00000001"]
+        assert sorted(_journal_keys(stores)) == sorted([_record_key(stores), *parts])
+        # The two new chunks; obj:1's deleted chunks are named, not copied.
+        assert 2 * _CHUNK < stores.content.size(parts[0]) < 3 * _CHUNK
+        assert stores.content.size(parts[1]) < _CHUNK
+        journal = WriteAheadJournal(stores, _ROOT_KEY)
+        assert [len(journal.read_part(part)) for part in parts] == [len(_DEDUP_GROUP), len(_CONTENT_GROUP)]
 
     def test_the_entry_is_stored_before_anything_moves_or_changes(self, kind):
-        stores = self._stopped(kind, "journal:entry")
+        stores = self._stopped(kind, "journal:record")
         state = _snapshot(stores)
-        entry = state["content"].pop(f"{_ENTRY}00000000")
-        assert len(entry) > _CHUNK  # the overwritten chunk's copy is inside
-        marker = state["content"].pop("\x00journal:batch")
-        assert marker and state == self._before(kind)
+        part = state["content"].pop(f"{_PART}00000000")
+        assert len(part) > _CHUNK  # the overwritten chunk's new value is inside
+        assert state == self._before(kind)
 
-    @pytest.mark.parametrize(
-        "site, nth",
-        [("journal:entry", 1), ("journal:entry", 2)]
-        + [("journal:mutate", n) for n in (1, 2, 3, 5, 7, 9, 12, 14)],
-    )
+    @pytest.mark.parametrize("site, nth", [("journal:record", 1), ("journal:record", 2), ("journal:commit", 1)])
     def test_crash_inside_a_group_recovers_the_pre_batch_bytes(self, kind, site, nth):
+        """Before the commit point no record names the parts: recovery
+        applies nothing and drops them."""
         stores = self._stopped(kind, site, nth)
-        assert _recover(stores)
+        assert not _recover(stores)
         assert _snapshot(stores) == self._before(kind)
         assert _journal_keys(stores) == []
 
     def test_crash_at_every_store_op_is_all_or_nothing(self, kind):
         before = self._before(kind)
-        done = _stores(kind)
-        _seed(done)
-        _run_group_batch(done)
-        after = _snapshot(done)
+        after = self._after(kind)
         assert after["dedup"]["obj:1\x00meta"] == b"back again"
         assert "obj:2\x00meta" not in after["dedup"] and "/keep" not in after["content"]
-        assert _journal_keys(done) == []
         total = _count_ops(kind, _run_group_batch)
         for nth in range(1, total + 1):
             done: list[int] = []
@@ -1117,53 +1124,56 @@ class TestGroupEntries:
             assert _journal_keys(stores) == [], f"store op {nth}: journal residue"
 
     def test_a_recorded_key_keeps_its_first_pre_image(self, kind):
-        """The third group rewrites two keys the first one recorded: no new
-        entry, and the restore brings back the values from before the batch."""
+        """Two groups wrote ``obj:1\x00meta``: until the commit point it
+        keeps its pre-batch value, and after it the last group's wins."""
         stores = self._stopped(kind, "journal:commit")
         before = self._before(kind)
-        assert stores.dedup.get("obj:1\x00meta") == b"back again"
+        assert stores.dedup.get("obj:1\x00meta") == before["dedup"]["obj:1\x00meta"]
+        stores = self._stopped(kind, "journal:committed")
         assert _recover(stores)
-        assert _snapshot(stores)["dedup"] == before["dedup"]
+        assert stores.dedup.get("obj:1\x00meta") == b"back again"
+        assert _snapshot(stores) == self._after(kind)
 
     def test_altered_saved_slot_is_rollback_detected(self, kind):
-        """The group's entry, holding the deleted chunks' copies, altered."""
-        stores = self._stopped(kind, "journal:commit")
-        entry = f"{_ENTRY}00000000"
-        blob = bytearray(stores.content.get(entry))
+        """A part the record names, altered: a typed error, nothing applied."""
+        stores = self._stopped(kind, "journal:committed")
+        part = f"{_PART}00000000"
+        blob = bytearray(stores.content.get(part))
         blob[100] ^= 0x20
-        stores.content.put(entry, bytes(blob))
+        stores.content.put(part, bytes(blob))
         with pytest.raises(RollbackDetected):
-            WriteAheadJournal(stores, _ROOT_KEY).recover_restore()
+            WriteAheadJournal(stores, _ROOT_KEY).recover()
+        state = _snapshot(stores)
+        state["content"] = {k: v for k, v in state["content"].items() if not k.startswith("\x00journal:")}
+        assert state == self._before(kind)
 
     def test_altered_value_not_yet_moved_is_rollback_detected(self, kind):
         """Two of the group's deletes are done, the third value is still in
-        place: altering that value is undone from its copy, and altering
-        the copy (the entry) is a typed error."""
-        stores = self._stopped(kind, "journal:mutate", nth=2)
-        victim = _DEDUP_GROUP[2][0]
-        assert stores.dedup.exists(victim) and not stores.dedup.exists(_DEDUP_GROUP[1][0])
-        stores.dedup.put(victim, stores.dedup.get("obj:2\x00chunk\x000"))
-        entry = f"{_ENTRY}00000000"
-        stores.content.put(entry, stores.content.get(entry)[::-1])
+        place: altering that value is overwritten by the re-apply, and
+        altering the part is a typed error."""
+        stores = self._stopped(kind, "journal:apply", nth=2)
+        victim = _DEDUP_GROUP[2][1]
+        assert stores.dedup.exists(victim) and not stores.dedup.exists(_DEDUP_GROUP[1][1])
+        part = f"{_PART}00000000"
+        stores.content.put(part, stores.content.get(part)[::-1])
         with pytest.raises(RollbackDetected):
-            WriteAheadJournal(stores, _ROOT_KEY).recover_restore()
-        stores = self._stopped(kind, "journal:mutate", nth=2)
+            WriteAheadJournal(stores, _ROOT_KEY).recover()
+        stores = self._stopped(kind, "journal:apply", nth=2)
         stores.dedup.put(victim, b"altered")
         assert _recover(stores)
-        assert _snapshot(stores) == self._before(kind)
+        assert _snapshot(stores) == self._after(kind)
 
-    def test_in_process_rollback_restores_a_half_applied_group(self, kind):
+    def test_in_process_rollback_drops_the_spilled_groups(self, kind):
         stores = _stores(kind)
         _seed(stores)
         before = _snapshot(stores)
-        journal = WriteAheadJournal(stores, _ROOT_KEY, crash_hook=_stop_at("journal:mutate", 6))
-        dedup = _views(stores, journal)[2]
+        journal = WriteAheadJournal(stores, _ROOT_KEY)
         journal.open_epoch("doomed")
-        journal.begin_member()
-        with pytest.raises(_StopHere):
-            dedup.apply(_DEDUP_GROUP)
+        base = journal.begin_member()
+        journal.record(_DEDUP_GROUP)
+        journal.record(_CONTENT_GROUP)
+        journal.rollback_member(base)
         journal.rollback()
-        journal.close_epoch()
         assert _snapshot(stores) == before
 
 
@@ -1223,7 +1233,7 @@ class TestMultiChunkDeleteCrashes:
 
     def test_crash_between_entry_and_move(self, dedup):
         # Between the commit point and the object's deletes; the intent
-        # rides in the epoch record, which goes with the close.
+        # rides in the member's redo record, which goes with the close.
         for step, server in self._crash_cells("journal:reclaim", dedup, least=1):
             server.restart_enclave()
             server.enclave.guard.verify_restored_state()
@@ -1236,9 +1246,11 @@ class TestMultiChunkDeleteCrashes:
             assert manager.read_content("/keep") == b"other file"
 
     def test_crash_after_a_move(self, dedup):
-        # Every third journal:mutate step keeps the matrix affordable; the
-        # unit-level classes above die at every single store operation.
-        for step, server in self._crash_cells("journal:mutate", dedup, least=4):
+        # A crash between two applied writes of the record is rolled
+        # forward.  Every third journal:apply step keeps the matrix
+        # affordable; the unit-level classes above die at every single
+        # store operation.
+        for step, server in self._crash_cells("journal:apply", dedup, least=3):
             if step % 3:
                 continue
             server.restart_enclave()
@@ -1253,13 +1265,14 @@ class TestMultiChunkDeleteCrashes:
 
     def test_tampered_saved_chunk_fails_recovery(self, dedup):
         """The reclaim intent naming the chunks is sealed in the member's
-        epoch record: altered, it fails recovery instead of deleting
+        redo record: altered, it fails recovery instead of deleting
         whatever it would name."""
         for _, server in self._crash_cells("journal:reclaim", dedup, least=1):
             store = server.stores.content
-            blob = bytearray(store.get("\x00journal:epoch"))
+            key = _record_key(server.stores)
+            blob = bytearray(store.get(key))
             blob[10] ^= 0x10
-            store.put("\x00journal:epoch", bytes(blob))
+            store.put(key, bytes(blob))
             with pytest.raises(RollbackDetected):
                 server.restart_enclave()
             return
@@ -1300,9 +1313,10 @@ def test_sharded_deployment_leaves_no_saved_key():
 
 
 def test_a_failed_rollback_refuses_later_mutations_until_restart():
-    """An abort whose re-anchor fails poisons the journal with its batch
-    still persisted.  A later mutation must answer UNAVAILABLE, not join
-    the dead batch and answer OK for writes the restart would undo."""
+    """An abort that cannot re-read the dedup records poisons the journal.
+    A later mutation must answer UNAVAILABLE, not run over enclave state
+    the abort left half-rewound; a restart starts clean, and the aborted
+    request left nothing behind."""
     plan = FaultPlan()
     server = SeGShareServer(
         azure_wan_env(), _CA.public_key, stores=faulty_stores(StoreSet.in_memory(), plan),
@@ -1311,13 +1325,13 @@ def test_a_failed_rollback_refuses_later_mutations_until_restart():
     prime(server)
     engine, handler = server.enclave.engine, server.enclave.handler
 
-    def repair_fails(record) -> None:
-        raise FaultError("re-anchor failed")
+    def reload_fails() -> None:
+        raise FaultError("record re-read failed")
 
-    engine.repair_guards = repair_fails
-    plan.fail_nth(nth=2, op="put")  # the marker, then the request's first entry
+    engine.dedup.reload_index = reload_fails
+    plan.fail_nth(nth=1, op="put", key="\x00journal:redo")  # the request's commit point
     assert handler.handle("alice", Request(op=Op.PUT_DIR, args=("/e/",))).status is Status.RETRY
-    del engine.repair_guards
+    del engine.dedup.reload_index
     assert handler.handle("alice", Request(op=Op.PUT_DIR, args=("/g/",))).status is Status.UNAVAILABLE
     server.restart_enclave()
     server.enclave.guard.verify_restored_state()
@@ -1325,6 +1339,27 @@ def test_a_failed_rollback_refuses_later_mutations_until_restart():
     assert not manager.exists("/e/") and not manager.exists("/g/")
     response = server.enclave.handler.handle("alice", Request(op=Op.PUT_DIR, args=("/g/",)))
     assert response.status is Status.OK
+
+
+def test_a_commit_that_cannot_be_applied_stands_after_restart():
+    """Past its record a member stands: a store fault applying it is rolled
+    forward at once, and a second one stops the enclave rather than serve
+    the store half-applied — the restart re-applies the record."""
+    plan = FaultPlan()
+    server = SeGShareServer(
+        azure_wan_env(), _CA.public_key, stores=faulty_stores(StoreSet.in_memory(), plan),
+        options=SeGShareOptions(rollback="whole_fs", counter_kind="rote", rollback_buckets=8),
+    )
+    prime(server)
+    handler = server.enclave.handler
+    plan.fail_nth(nth=2, op="put").fail_nth(nth=3, op="put")  # the record lands, then two applies fail
+    with pytest.raises(EnclaveCrashed):
+        handler.handle("alice", Request(op=Op.PUT_DIR, args=("/e/",)))
+    server.restart_enclave()
+    server.enclave.guard.verify_restored_state()
+    manager = server.enclave.manager
+    assert manager.exists("/e/") and not manager.exists("/g/")
+    assert server.enclave.handler.handle("alice", Request(op=Op.PUT_DIR, args=("/g/",))).status is Status.OK
 
 
 class TestDegradedMode:

@@ -149,8 +149,9 @@ class TestEpcCharging:
 
 class TestInvalidation:
     def test_in_process_rollback_never_serves_rolled_back_write(self):
-        """A transient fault aborts a batch mid-write: the cache entries the
-        half-applied batch created must die with the journal rollback."""
+        """A transient fault aborts a batch mid-write: its cache write-backs
+        wait for its commit, so the abort drops them with its buffers and
+        needs no strict invalidation."""
         plan = FaultPlan()
         stores = faulty_stores(StoreSet.in_memory(), plan)
         server = build_server(stores=stores)
@@ -167,7 +168,7 @@ class TestInvalidation:
         plan.fail_nth(nth=max(2, ops_per_put // 2))
         response = handler.put_file("alice", "/d/f", b"ROLLED BACK")
         assert response.status is Status.RETRY
-        assert cache.stats.invalidations > invalidations_before
+        assert cache.stats.invalidations == invalidations_before
 
         # Neither the manager (cache-first) nor a fresh GET may ever see
         # the rolled-back bytes.
@@ -181,6 +182,7 @@ class TestInvalidation:
         prime(server)
         # Warm the cache on the victim, then crash mid-overwrite.
         assert server.enclave.manager.read_content("/d/f") == b"victim content"
+        warm = server.enclave.cache
         plan = FaultPlan().crash_at_point(nth=4, site_prefix="journal:")
         plan.attach_platform(server.platform)
         with pytest.raises(EnclaveCrashed):
@@ -192,9 +194,10 @@ class TestInvalidation:
         content = server.enclave.manager.read_content("/d/f")
         assert content in (b"victim content", b"ROLLED BACK")
         # The recovered enclave's cache started cold: no entry can predate
-        # the journal's undo.
+        # the journal's re-apply.
+        assert server.enclave.cache is not warm and warm.stats.hits > 0
         stats = server.stats()
-        assert stats["cache"]["hits"] <= stats["cache"]["insertions"]
+        assert stats["cache"]["misses"] > 0
 
     def test_restart_enclave_starts_with_a_cold_cache(self):
         server = build_server()

@@ -235,7 +235,7 @@ class TestReclaimCrashes:
         plan.detach()
         steps = plan.seen_crashpoints("journal:reclaim")
         # journal:reclaim before the object's deletes, on both clocks: the
-        # intent rides in the member's epoch record, which a serial clock's
+        # intent rides in the member's redo record, which a serial clock's
         # member keeps until it closes its epoch after the reclaim.
         assert steps == 1
         for step in range(1, steps + 1):
@@ -276,7 +276,7 @@ class TestReclaimFaults:
         assert server.enclave.handler.put_file("alice", "/d/f", NEW).status is Status.OK
         assert not server.enclave.engine.journal.active
         assert old in stored_objects(server.stores)
-        assert journal_keys(server.stores) == ["\x00journal:reclaim"]
+        assert [key.rpartition(":")[0] for key in journal_keys(server.stores)] == ["\x00journal:redo"]
         handler = server.enclave.handler
         assert handler.handle("alice", Request(op=Op.PUT_DIR, args=("/e/",))).status is Status.OK
         assert old not in stored_objects(server.stores)
@@ -355,3 +355,43 @@ class TestTakeover:
             plan.detach()
             assert len(seen) == nth, f"delete {nth}: the crash never fired"
             self._check(deployment, old)
+
+
+def test_two_replicas_keep_their_reclaim_intents_apart():
+    """Both replicas of a shared store release an object while a reader
+    holds it, so each closes its epoch with an intent still open; one then
+    crashes before its reclaim.  Each writes its intents under its own
+    record key, so neither close replaces the other's: takeover completes
+    the crashed replica's intent, the survivor's reader closes and reclaims
+    its own, and after the crashed replica restarts both objects are gone."""
+    deployment = build_cluster(replicas=2, parallel=True, ca=_CA)
+    names = sorted(deployment.servers)
+    crashed, survivor = (deployment.server(name) for name in names)
+    contents = {crashed: OLD, survivor: OLD[::-1]}
+    released, streams = {}, {}
+    for server, content in contents.items():
+        deployment.cluster.quiesce()  # one open epoch on the shared store at a time
+        handler = server.enclave.handler
+        path = f"/{names[0] if server is crashed else names[1]}"
+        assert handler.put_file("u0", path, content).status is Status.OK
+        released[server] = object_of(server, path)
+        stream = handler.handle("u0", Request(op=Op.GET, args=(path,)))
+        chunks = iter(stream.chunks)
+        streams[server] = (next(chunks), chunks)
+        assert handler.put_file("u0", path, NEW).status is Status.OK
+        server.enclave.engine.quiesce()
+        assert released[server] in stored_objects(server.stores)
+    plan = FaultPlan().crash_at_point(nth=1, site_prefix="ecall:")
+    plan.attach_platform(crashed.platform)
+    with pytest.raises(EnclaveCrashed):
+        crashed.handle.call("runtime_stats")
+    plan.detach()
+    deployment.cluster.quiesce()  # finds the dead member and runs the takeover
+    assert deployment.cluster.stats()["failovers"] == 1
+    assert released[crashed] not in stored_objects(survivor.stores)
+    first, rest = streams[survivor]
+    assert first + b"".join(rest) == contents[survivor]
+    assert released[survivor] not in stored_objects(survivor.stores)
+    crashed.restart_enclave()
+    assert not stored_objects(survivor.stores) & set(released.values())
+    assert [key for key in journal_keys(survivor.stores) if "stamp" not in key] == []

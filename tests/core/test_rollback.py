@@ -503,7 +503,7 @@ def counted(request, make_world):
 class TestSharedGuardCore:
     def test_batch_defers_nodes_and_anchor_to_commit(self, counted):
         guard, stats = counted.guard, counted.guard.stats
-        anchored = guard.expected_main()
+        anchored = guard._read_anchor()[0]
         before = stats.snapshot()
         with counted.transaction("batch"):
             counted.touch()
@@ -512,27 +512,28 @@ class TestSharedGuardCore:
                 before["node_saves"],
                 before["anchor_writes"],
             )
-            assert guard.expected_main() == guard.root_hash() != anchored
+            assert guard.pending_root() == guard.root_hash() != anchored
             counted.read()  # verifies against the pending root, in enclave memory
         assert stats.anchor_writes == before["anchor_writes"] + 1
         assert stats.batches == before["batches"] + 1
         assert stats.last_batch_nodes >= 1
         assert stats.nodes_flushed == before["nodes_flushed"] + stats.last_batch_nodes
-        assert guard.expected_main() == guard.root_hash()
+        assert guard.pending_root() == b"" and guard._read_anchor()[0] == guard.root_hash()
         counted.read()
         guard.verify_restored_state()
 
     def test_abort_drops_pending_state_and_persists_nothing(self, counted):
         guard = counted.guard
-        anchored = guard.expected_main()
+        anchored = guard._read_anchor()[0]
         writes = guard.stats.anchor_writes
         with counted.transaction("abort"):
             counted.touch()
             guard.abort_batch()
-            assert guard.expected_main() == guard.root_hash() == anchored
+            assert guard.pending_root() == b"" and guard.root_hash() == anchored
             assert guard.stats.anchor_writes == writes
-            # The data write itself was not undone (that is the journal's
-            # job), so the stored nodes no longer describe it ...
+            # The data write itself still stands in the member's buffers
+            # (dropping it is the abort's job), so the stored nodes no
+            # longer describe what the span reads ...
             with pytest.raises(RollbackDetected):
                 guard.verify_restored_state()
             guard.rebuild()  # ... until they are rebuilt from it.
@@ -545,11 +546,11 @@ class TestSharedGuardCore:
         with counted.transaction("members"):
             counted.touch()
             member_begin = guard.snapshot_pending()
-            main = guard.expected_main()
+            main = guard.pending_root()
             counted.touch()
-            assert guard.expected_main() != main
+            assert guard.pending_root() != main
             guard.restore_pending(member_begin)
-            assert guard.expected_main() == guard.root_hash() == main
+            assert guard.pending_root() == guard.root_hash() == main
 
     def test_snapshot_is_not_aliased_to_the_pending_nodes(self, counted):
         """A snapshot copies buffers: later updates must not reach it, and
@@ -564,12 +565,12 @@ class TestSharedGuardCore:
             member_begin = guard.snapshot_pending()
             frozen = encoded(member_begin[0])
             assert frozen
-            main = guard.expected_main()
+            main = guard.pending_root()
             counted.touch()  # updates the pending nodes in place, through the hooks
             assert guard.root_hash() != main
             assert encoded(member_begin[0]) == frozen
             guard.restore_pending(member_begin)
-            assert guard.expected_main() == guard.root_hash() == main
+            assert guard.pending_root() == guard.root_hash() == main
             for node in guard._pending_nodes.values():
                 getattr(node, "buckets", node).update(0, None, b"scribble")
             assert guard.root_hash() != main
@@ -702,7 +703,7 @@ class TestKnownAnswers:
         assert group_guard._encode_node(group_guard._decode_node(stored)) == stored
         assert group_guard.root_hash().hex() == known["group_main"]
         for each in (guard, group_guard):
-            assert each.recompute_main() == each.root_hash() == each.expected_main()
+            assert each.recompute_main() == each.root_hash() == each._read_anchor()[0]
 
     @pytest.mark.parametrize("which", ["fs", "group"])
     @pytest.mark.parametrize(

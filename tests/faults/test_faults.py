@@ -154,7 +154,7 @@ class TestCrashpoints:
         plan.attach_platform(platform)
         assert plan.on_crashpoint("journal:begin") is False
         with pytest.raises(EnclaveCrashed):
-            platform.crashpoint("journal:entry")
+            platform.crashpoint("journal:commit")
         with pytest.raises(EnclaveCrashed):
             handle.call("anything")  # the enclave is dead
         plan.detach()

@@ -11,7 +11,7 @@ inside the enclave knows or cares how many shards exist.
 The crash variant kills the enclave at a journal crashpoint while the
 trace runs over the 8-shard router.  A commit's buffered puts fan out
 across shards, so a crash mid-commit strands a *cross-shard* partial
-write — exactly what the write-ahead journal's restore must undo.  After
+write — exactly what re-applying the redo record must finish.  After
 restart the recovered state must equal a serial replay of the completed
 prefix on a single backend: cross-shard atomicity, and invariance again.
 """
@@ -100,7 +100,7 @@ def test_shard_count_is_invisible(seed):
 
 
 class TestCrashMidCommitOnShardedStore:
-    """Journal replay restores cross-shard atomicity."""
+    """Redo-record replay restores cross-shard atomicity."""
 
     def _count_steps(self, seed: int) -> int:
         server = build_server(store_variants()["eight-shards"])
@@ -137,9 +137,10 @@ class TestCrashMidCommitOnShardedStore:
         recovered = logical_state(server)
 
         # Atomicity and invariance at once: the interrupted request either
-        # vanished entirely (crash before the commit point — journal
-        # restore undid its cross-shard partial writes) or fully applied
-        # (crash after it); the recovered sharded state must equal a clean
+        # vanished entirely (crash before the commit point — nothing of it
+        # reached a shard) or fully applied (crash after it — the record's
+        # re-apply finished its cross-shard writes); the recovered sharded
+        # state must equal a clean
         # single-backend replay of one of those two prefixes.
         def replay(prefix: list[tuple]) -> dict:
             witness = build_server(store_variants()["one-backend"])

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.journal import TAG_CONTENT, JournaledStore, WriteAheadJournal
+from repro.core.journal import TAG_CONTENT, WriteAheadJournal
 from repro.errors import FaultError, StorageError
 from repro.storage import DiskStore, InMemoryStore, StoreSet
 from repro.storage.stores import PrefixedStore
@@ -192,18 +192,18 @@ class TestShardedStore:
 # retryable failure.  Every store the node can be read through keeps that split.
 
 
-def _journaled():
-    stores = StoreSet.in_memory()
-    return JournaledStore(stores.content, WriteAheadJournal(stores, bytes(32)), TAG_CONTENT)
-
-
 def _deferred(state):
-    store = DeferredStore(_journaled(), loaded_enclave(), TransactionStats())
+    stores = StoreSet.in_memory()
+    journal = WriteAheadJournal(stores, bytes(32))
+    store = DeferredStore(stores.content, loaded_enclave(), TransactionStats(), journal, TAG_CONTENT)
     if state != "unarmed":
         store.arm()
-    if state == "tombstoned":  # a buffered delete shadows the stored key
+    if state in ("tombstoned", "journaled"):  # a buffered delete shadows the stored key
         store.inner.put("absent", b"stored")
         store.delete("absent")
+    if state == "journaled":  # the overlay spilled into a sealed record part
+        journal.open_epoch("spill")
+        store._spill()
     return store
 
 
@@ -215,7 +215,7 @@ MISSING_KEY_STORES = {
     "deferred-unarmed": lambda tmp_path: _deferred("unarmed"),
     "deferred-armed": lambda tmp_path: _deferred("armed"),
     "deferred-tombstoned": lambda tmp_path: _deferred("tombstoned"),
-    "journaled": lambda tmp_path: _journaled(),
+    "journaled": lambda tmp_path: _deferred("journaled"),
 }
 
 

@@ -1,10 +1,10 @@
 """Group commit: concurrently-prepared transactions share one commit epoch.
 
 The coordinator coalesces transactions whose begin time falls inside the
-open epoch's window into one journal marker, one batched guard flush,
-one anchor write, and one counter increment — amortized over K members.
-Each member still keeps its own undo pre-images: a member abort rolls
-back exactly its writes while earlier members' commits stand, and a
+open epoch's window into one batched guard flush, one anchor write, one
+counter increment and one redo-record delete — amortized over K members.
+Each member still commits through its own redo record: a member abort
+drops exactly its writes while earlier members' commits stand, and a
 stamp committed inside a still-open epoch is durable across a crash.
 """
 
@@ -15,7 +15,7 @@ import pytest
 from repro.bench.concurrency import parallel_env
 from repro.core.coherence import CoherenceManager
 from repro.core.enclave_app import SeGShareOptions
-from repro.core.journal import TAG_CONTENT, TAG_DEDUP, JournaledStore, WriteAheadJournal
+from repro.core.journal import TAG_CONTENT, TAG_DEDUP, WriteAheadJournal
 from repro.core.requests import Op, Request, Status
 from repro.core.server import SeGShareServer
 from repro.errors import EnclaveCrashed, FaultError, StorageError
@@ -73,12 +73,12 @@ class TestCoordinatorWiring:
         # Each member closed its own epoch inside its commit point: nothing
         # is left open for a quiesce, and nothing was amortized.
         assert not engine.group_commit.open
-        assert not server.stores.content.exists("\x00journal:batch")
+        assert not any(key.startswith("\x00journal:redo") for key in server.stores.content.keys())
         after = server.stats()["group_commit"]
         assert after["epochs"] == after["members_total"] == before["epochs"] + 2
         assert after["max_members"] == 1 and set(after["histogram"]) == {"1"}
         assert after["closes"] == {"solo": after["epochs"]}
-        assert after["marker_writes_saved"] == 0
+        assert after["record_deletes_saved"] == 0
 
     def test_parallel_clock_installs_coordinator(self):
         server = build_server(parallel=True)
@@ -91,7 +91,7 @@ class TestCoordinatorWiring:
             "max_members",
             "histogram",
             "closes",
-            "marker_writes_saved",
+            "record_deletes_saved",
             "anchor_writes_saved",
             "counter_increments_saved",
         }
@@ -104,7 +104,7 @@ class TestEpochFormation:
         setup_dir(server)
         stats = engine.group_commit.stats
         epochs0, members0 = stats.epochs, stats.members_total
-        marker0, anchor0 = stats.marker_writes_saved, stats.anchor_writes_saved
+        deletes0, anchor0 = stats.record_deletes_saved, stats.anchor_writes_saved
         counter0 = stats.counter_increments_saved
 
         t0 = server.env.clock.now()
@@ -116,9 +116,9 @@ class TestEpochFormation:
         assert stats.members_total == members0 + 2
         assert stats.histogram.get("2", 0) >= 1
         assert stats.max_members >= 2
-        # One marker persist amortized over two members; whole-fs and
+        # One record delete amortized over two members; whole-fs and
         # group guards each saved one anchor write + counter increment.
-        assert stats.marker_writes_saved == marker0 + 1
+        assert stats.record_deletes_saved == deletes0 + 1
         assert stats.anchor_writes_saved == anchor0 + 2
         assert stats.counter_increments_saved == counter0 + 2
 
@@ -135,7 +135,7 @@ class TestEpochFormation:
         engine = server.enclave.engine
         setup_dir(server)
         stats = engine.group_commit.stats
-        epochs0, saved0 = stats.epochs, stats.marker_writes_saved
+        epochs0, saved0 = stats.epochs, stats.record_deletes_saved
 
         arrival = server.env.clock.now()
         for i in range(3):
@@ -146,7 +146,7 @@ class TestEpochFormation:
         engine.quiesce()
 
         assert stats.epochs == epochs0 + 3
-        assert stats.marker_writes_saved == saved0
+        assert stats.record_deletes_saved == saved0
         assert stats.histogram.get("2", 0) == 0
 
     def test_quiesce_close_reason_is_counted(self):
@@ -292,7 +292,7 @@ class TestMemberAtomicity:
 class TestEpochDurability:
     def test_member_commit_survives_crash_with_epoch_open(self):
         """A member committed inside a still-open epoch is durable: the
-        epoch record (not the closed marker) is its commit point."""
+        member's redo record (not the epoch's close) is its commit point."""
         server = build_server()
         engine = server.enclave.engine
         setup_dir(server)
@@ -381,7 +381,7 @@ class TestCloseFaults:
             assert manager.exists("/d/e/")
             for guard in (server.enclave.guard, server.enclave.group_guard):
                 assert guard.recompute_main() == guard.root_hash()
-            assert not server.stores.content.exists("\x00journal:batch")
+            assert not any(key.startswith("\x00journal:redo") for key in server.stores.content.keys())
             server.restart_enclave()
 
     def test_a_put_fault_in_the_openers_close(self):
@@ -428,12 +428,12 @@ class TestCloseFaults:
 class TestMovedPreImagesInAnEpoch:
     """Two members of one epoch each remove a three-chunk file.
 
-    A member's pointer and directory changes are journaled; its object is
-    named in the member's epoch record and deleted after that commit
-    point.  Crash at any journal step of either member: recovery undoes
-    only what lies at or above the last epoch record's watermark and
-    completes the intents a committed member left, so no object and no
-    journal key is stranded on any store.
+    A member's pointer and directory changes reach the store only through
+    its redo record; its object is named in that record and deleted after
+    the commit point.  Crash at any journal step of either member: recovery
+    re-applies the last committed member's record and completes the
+    intents it names, so no object and no journal key is stranded on any
+    store.
     """
 
     #: Two three-chunk files with different content (dedup keeps both).
@@ -519,9 +519,9 @@ class TestMovedPreImagesInAnEpoch:
             self._remove_pair(server)
             assert not any(manager.exists(path) for path in self.BIG)
             assert self._saved(server) == []
-        # The sweep crossed the watermark: crashes in member one undid
-        # everything, crashes in member two kept member one's removal, and
-        # crashes past member two's record kept both.
+        # Crashes before member one's record kept both files, crashes in
+        # member two kept member one's removal, and crashes past member
+        # two's record kept both removals.
         assert survivors == {(True, True), (False, True), (False, False)}
 
     def test_member_abort_moves_back_only_that_members_chunks(self):
@@ -553,9 +553,11 @@ class TestMovedPreImagesInAnEpoch:
 
 
 class TestGroupEntriesInAnEpoch:
-    """A bare journal under armed write buffers: every member flushes its
-    writes as groups, one undo entry each.  Recovery restores the groups at
-    or above the last epoch record's watermark and sweeps the ones below it."""
+    """A bare redo journal under armed write buffers: each member's first
+    group of writes spills into a record part, its second stays buffered,
+    and both reach the store only through the member's record.  Recovery
+    re-applies the last committed member's record, parts first, and never
+    applies a part no record names."""
 
     KEY = bytes(range(32))
 
@@ -567,8 +569,8 @@ class TestGroupEntriesInAnEpoch:
         stores.content.put("/doc", b"v0")
         journal = WriteAheadJournal(stores, self.KEY, crash_hook=stop_at(stop_site, nth))
         enclave, stats = loaded_enclave(), TransactionStats()
-        content = DeferredStore(JournaledStore(stores.content, journal, TAG_CONTENT), enclave, stats)
-        dedup = DeferredStore(JournaledStore(stores.dedup, journal, TAG_DEDUP), enclave, stats)
+        content = DeferredStore(stores.content, enclave, stats, journal, TAG_CONTENT)
+        dedup = DeferredStore(stores.dedup, enclave, stats, journal, TAG_DEDUP)
         return stores, journal, content, dedup
 
     @staticmethod
@@ -590,18 +592,19 @@ class TestGroupEntriesInAnEpoch:
                     dedup.delete(f"{name}{i}")
                 content.put("/doc", b"member %d" % member)
                 content.put(f"/new{member}", b"n")
-                dedup.flush()
-                content.flush()
-                # A second group of the same member over keys the first recorded.
-                content.arm()
+                dedup._spill()
+                content._spill()
+                # A second group of the same member over keys the first wrote.
                 content.put("/doc", b"member %d, again" % member)
                 content.delete(f"/new{member}")
-                content.flush()
-                journal.commit_member(base, b"", b"", member, f"m{member}")
+                writes = dedup.drain() + content.drain()
+                record = journal.commit_member(base, b"", b"", member, f"m{member}", writes=writes)
+                journal.apply(record.writes, record.parts)
             journal.close_epoch()
         recovery = WriteAheadJournal(stores, self.KEY)
-        assert recovery.recover_restore()
+        recovery.recover()
         recovery.recover_finish()
+        assert not any(key.startswith("\x00journal:") for key in stores.content.keys())
         return stores
 
     def _after_members(self, count: int) -> dict:
@@ -609,26 +612,26 @@ class TestGroupEntriesInAnEpoch:
         doc = b"member %d, again" % count if count else b"v0"
         return {"content": {"/doc": doc}, "dedup": dedup}
 
-    def test_only_the_group_above_the_watermark_is_restored(self):
-        # Member two dies at its commit: its three groups are undone, and
-        # /doc returns to what member one committed, not to the epoch's start.
+    def test_a_member_dying_at_its_commit_leaves_its_groups_unapplied(self):
+        # Member two dies at its commit: its parts are stored, but no record
+        # names them, and /doc keeps what member one committed.
         assert self._state(self._run("journal:commit", 2)) == self._after_members(1)
 
-    def test_groups_below_the_watermark_are_swept_not_restored(self):
-        # Member one dies after its record, before its sweep: its entries
-        # are garbage of a committed member.
+    def test_a_committed_members_record_is_re_applied(self):
+        # Member one dies after its record, before applying it.
         assert self._state(self._run("journal:committed", 1)) == self._after_members(1)
 
     @pytest.mark.parametrize("nth", [1, 3, 4, 5, 8])
     def test_crash_between_the_moves_of_a_group(self, nth):
-        # Each member passes eight journal:mutate steps, its four deletes
-        # first: step 2n-1 lies in member one for n <= 4, in member two after.
-        expected = self._after_members(0 if nth <= 4 else 1)
-        assert self._state(self._run("journal:mutate", 2 * nth - 1)) == expected
+        # Each member applies eight writes, its four deletes first: step
+        # 2n-1 lies in member one for n <= 4, in member two after.  Either
+        # way the dying member is rolled forward.
+        expected = self._after_members(1 if nth <= 4 else 2)
+        assert self._state(self._run("journal:apply", 2 * nth - 1)) == expected
 
-    def test_a_recorded_key_keeps_its_first_pre_image_within_the_member(self):
-        # Stop inside member two's *second* content group: /doc was recorded
-        # by its first group, so the restore target is member one's value.
-        stores = self._run("journal:mutate", 2 * 8 - 1)
-        assert stores.content.get("/doc") == b"member 1, again"
+    def test_a_key_in_two_groups_lands_with_its_last_value(self):
+        # Stop inside member two's spilled content group, after /doc's
+        # first value landed: the re-apply ends on the buffered group's.
+        stores = self._run("journal:apply", 8 + 4 + 1)
+        assert stores.content.get("/doc") == b"member 2, again"
         assert not stores.content.exists("/new2")

@@ -18,36 +18,19 @@ from hypothesis import strategies as st
 
 from repro.core.acl import AclFile, GroupListFile, MemberListFile
 from repro.core.coherence import CoherenceManager
-from repro.core.journal import _ENTRY_AAD, _ENTRY_PREFIX, _EPOCH_AAD, _EPOCH_KEY, WriteAheadJournal
+from repro.core.journal import EpochRecord
 from repro.core.requests import AclInfo, QuotaInfo, Request, Response, StatInfo
 from repro.core.rollback import RollbackGuard
 from repro.crypto.mset_hash import MSetXorBuckets
 from repro.errors import ProtectedFsError, RequestError, TlsError
 from repro.fsmodel.directory import DirectoryFile
 from repro.sgx.protected_fs import _Meta
-from repro.storage.backends import InMemoryStore
-from repro.storage.stores import StoreSet
 from repro.tls import channel, records
-from repro.util.serialization import SerializationError, Writer
+from repro.util.serialization import SerializationError
 
 from tests.util.test_golden_bytes import _KEY, CORPUS, _dedup_world
 
 TYPED = (SerializationError, TlsError, RequestError, ProtectedFsError)
-
-
-def _journal_entry(plaintext: bytes) -> None:
-    stores = StoreSet(InMemoryStore(), InMemoryStore(), InMemoryStore())
-    journal = WriteAheadJournal(stores, _KEY)
-    entry_key = f"{_ENTRY_PREFIX}{0:08d}"
-    stores.content.put(entry_key, journal._pae.encrypt(journal._key, plaintext, aad=_ENTRY_AAD + entry_key.encode()))
-    journal._restore_entries()
-
-
-def _journal_epoch(plaintext: bytes) -> None:
-    stores = StoreSet(InMemoryStore(), InMemoryStore(), InMemoryStore())
-    journal = WriteAheadJournal(stores, _KEY)
-    stores.content.put(_EPOCH_KEY, journal._pae.encrypt(journal._key, plaintext, aad=_EPOCH_AAD))
-    journal._epoch_record()
 
 
 def _dedup_record(data: bytes) -> None:
@@ -55,8 +38,6 @@ def _dedup_record(data: bytes) -> None:
     pfs.write_file("idx:" + name, data)
     dedup._reread(name)
 
-
-_EPOCH = Writer().str("member").u64(7).u32(2).bytes(bytes(32)).bytes(b"").u32(1).str("obj:1").u32(3).take()
 
 #: decoder name -> (decode, valid encodings to mangle)
 DECODERS = {
@@ -79,8 +60,7 @@ DECODERS = {
     ),
     "dedup-idx-record": (_dedup_record, ["dedup-idx-record"]),
     "coherence-entry": (lambda data: CoherenceManager._decode(None, data), ["coherence-entry"]),
-    "journal-entry": (_journal_entry, ["journal-entry"]),
-    "journal-epoch": (_journal_epoch, [_EPOCH]),
+    "journal-epoch": (EpochRecord.decode, ["journal-epoch"]),
 }
 
 
