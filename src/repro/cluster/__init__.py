@@ -69,11 +69,11 @@ def cluster_options(
     * ``quota_bytes`` passes through from ``base``: a quota refusal now
       *aborts* its transaction (``QuotaExceeded``), so the stamp's
       "committed iff OK" failover contract holds on that path too.
-    * ``shared_store=True`` — a member booting (or restarting) must not
-      run journal recovery: a record on the shared store may be a live
-      peer's open commit epoch, and only the front door can tell (it
-      quiesces on admission and finishes a crashed member's records
-      through takeover).
+
+    Nothing marks the store as shared: every member's redo records,
+    record parts and objects carry its own platform id, so a member's
+    restart recovers only itself and a takeover only the crashed member,
+    by the same routine (docs/FAULTS.md).
     """
     base = base or SeGShareOptions(rollback_buckets=8)
     cache_bytes = (
@@ -87,7 +87,6 @@ def cluster_options(
         counter_kind="rote",
         metadata_cache_bytes=cache_bytes if cached else None,
         enable_dedup=cached,
-        shared_store=True,
     )
 
 

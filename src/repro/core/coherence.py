@@ -125,10 +125,10 @@ class CoherenceManager:
     def publish_reset(self, label: str) -> None:
         """Publish an authenticated full-discard marker.
 
-        Used by takeover recovery: the failed member may have committed
-        without publishing (or published for writes its undo restore just
-        rolled back), so the successor supersedes the log's tail with a
-        reset.  Every replica that was not already ahead full-discards;
+        Used by crash recovery (a takeover, or a restart that re-applied
+        a record): the failed member may have committed without
+        publishing, so the recovering enclave supersedes the log's tail
+        with a reset.  Every replica that was not already ahead full-discards;
         the board drops the queued tail so laggards see a gap — which is
         the same fallback.
         """

@@ -1,17 +1,18 @@
 """The object store: every file's content, deduplicated on request (paper §V-A).
 
 Every content file is a symbolic-link-like pointer to one object here:
-an upload streams into a fresh object under a unique random id, one PFS
-chunk at a time, before its ``PUT_FILE`` transaction opens, and the
-transaction adopts it under a *name*.  Deduplication decides only that
-name.  With it on, the name is the paper's ``hName``: the hex HMAC of the
-content under a key derived from the root key SK_r, computed as the
-chunks stream past.  If an object for ``hName`` already exists the fresh
-copy is deleted, otherwise it is adopted, so one encrypted copy is shared
-across users and groups — possible only because the enclave holds the
-file keys.  With it off, the name is the object's own random id (32 hex
-digits, never a 64-digit ``hName``) at refcount 1: nothing derived from
-the content is stored, and equal uploads stay separate objects.
+an upload streams into a fresh object under a unique id (its writer's
+tag, then random bits), one PFS chunk at a time, before its ``PUT_FILE``
+transaction opens, and the transaction adopts it under a *name*.
+Deduplication decides only that name.  With it on, the name is the
+paper's ``hName``: the hex HMAC of the content under a key derived from
+the root key SK_r, computed as the chunks stream past.  If an object for
+``hName`` already exists the fresh copy is deleted, otherwise it is
+adopted, so one encrypted copy is shared across users and groups —
+possible only because the enclave holds the file keys.  With it off, the
+name is the object's own id (32 characters, never a 64-digit ``hName``)
+at refcount 1: nothing derived from the content is stored, and equal
+uploads stay separate objects.
 
 Beyond the paper, the store reference-counts names: the last reference
 going reclaims the object once its span commits and its last reader
@@ -32,6 +33,8 @@ record costs a refcount or an availability error, never other bytes.
 
 from __future__ import annotations
 
+import base64
+import functools
 import hashlib
 import hmac
 import secrets
@@ -56,6 +59,13 @@ NS_DEDUP = "dedup"
 _HNAME_LENGTH = 64
 
 
+@functools.cache
+def object_prefix(writer: str) -> str:
+    """``obj:`` and ``writer``'s tag: 48 bits of its id's hash, in base64url."""
+    tag = hashlib.sha256(writer.encode("utf-8")).digest()[:6]
+    return _OBJECT_PREFIX + base64.urlsafe_b64encode(tag).decode("ascii")
+
+
 class DedupStore:
     """The object store: named objects plus one record per name."""
 
@@ -68,6 +78,8 @@ class DedupStore:
         self.reading = pfs.has_reader
         self._hmac_key = derive_key(root_key, "segshare/dedup-hmac")
         self._engine = engine
+        #: Names the objects this enclave creates (``object_prefix``).
+        self._writer = engine.journal.writer
         #: Name new objects by their content's ``hName`` (else by their id).
         self.deduplicate = deduplicate
         #: name -> (object id, reference count), one entry per record.
@@ -128,7 +140,8 @@ class DedupStore:
 
     def begin_upload(self) -> "DedupUpload":
         """Start streaming an upload into a temporary object."""
-        object_id = _OBJECT_PREFIX + secrets.token_hex(16)
+        # obj: and 32 base64url characters: the 8 of the tag, 144 random bits.
+        object_id = object_prefix(self._writer) + secrets.token_urlsafe(18)
         return DedupUpload(self, object_id)
 
     def _commit(self, object_id: str, name: str) -> str:
@@ -252,8 +265,8 @@ class DedupStore:
         for path in sorted(self._pfs.owners(_RECORD_PREFIX)):
             self._reread(path[len(_RECORD_PREFIX):])
 
-    def sweep_orphans(self) -> int:
-        """Reclaim objects no record references; returns the count.
+    def sweep_orphans(self, writer: str | None = None) -> int:
+        """Reclaim ``writer``'s (default: our) unreferenced objects; the count.
 
         A crash can strand objects, with dedup on or off: every upload's
         streamed chunks land in the store before a record adopts them,
@@ -261,17 +274,20 @@ class DedupStore:
         records without ever naming it.  The converse
         (referenced-but-missing) cannot happen honestly: the records and
         the object links commit atomically in one redo record, so
-        sweeping unreferenced ``obj:`` keys after crash recovery is
+        sweeping a writer's unreferenced objects after its recovery is
         always safe.  Only ``obj:`` keys are swept; ``idx:`` records are
         removed by the seal of the span that released their last
         reference.
         """
-        # The candidates come from a scan of every key, not of metadata: a
-        # stranded upload has chunks but no metadata yet (close() writes
-        # it).  Only for the store's sole writer: on a store shared with live
-        # peers an unreferenced object may be a peer's upload still streaming.
+        # The candidates come from a scan of the writer's keys, not of
+        # metadata: a stranded upload has chunks but no metadata yet (close()
+        # writes it).  Another writer's objects stay: one may be a live peer's
+        # upload still streaming.  The entries must be the records as stored,
+        # not a view lagging a peer's commits.  An object we still read stays
+        # too: its release waits for the reader, and its intent deletes it.
         referenced = {entry[0] for entry in self._index.values()}
-        orphans = sorted(self._pfs.owners(_OBJECT_PREFIX) - referenced)
+        unreferenced = self._pfs.owners(object_prefix(writer or self._writer)) - referenced
+        orphans = sorted(path for path in unreferenced if not self.reading(path))
         for path in orphans:
             # Orphaned object blobs were never cached (see _commit).
             self._pfs.purge(path)

@@ -106,15 +106,6 @@ class SeGShareOptions:
     #: executing requests when the platform clock is a ``ParallelClock``
     #: (mirrors the SDK's ``uworkers``/``tworkers`` setting).
     switchless_workers: int = 4
-    #: The enclave serves one repository shared with live peers (cluster
-    #: members over one backend).  A booting enclave must then leave the
-    #: journal untouched: a redo record on the store may belong to a peer
-    #: whose epoch is still open, and re-applying it would write that
-    #: peer's committed values over anything it or a successor wrote since
-    #: and rebuild guards the peer still holds batches for — only the
-    #: cluster front door (takeover recovery of a peer it saw die,
-    #: admission quiesce) knows which records are a crashed member's.
-    shared_store: bool = False
     #: Authorization backend (repro/core/authz): ``"enclave_acl"`` is the
     #: paper's design — enclave-checked ACLs, O(1)-metadata revocation;
     #: ``"ibbe"`` is the opposing cryptographic design — per-receiver
@@ -230,7 +221,11 @@ class SeGShareEnclave(Enclave):
     #: check and a per-character path loop gone (docs/PERF.md §23): 7756 → 7756.
     #: Commit by redo, not undo: the pre-image journal, its restore path and
     #: the in-process guard repair gone (docs/PERF.md §24): 7756 → 7657.
-    TCB_LOC_CEILING = 7657
+    #: One recovery routine keyed by writer, for restart and takeover, with
+    #: the shared-store option and the journal's all-writers recovery gone
+    #: (the writer-tagged object ids paid for inside ``core.dedup``):
+    #: 7657 → 7653.
+    TCB_LOC_CEILING = 7653
 
     def __init__(
         self,
@@ -310,15 +305,11 @@ class SeGShareEnclave(Enclave):
             crash_hook=self.platform.crashpoint,
             counter_probe=self._counter_probe(counter),
         )
-        # Re-apply whatever a crash left committed but not yet applied
+        # Re-apply what a crash of ours left committed but not yet applied
         # BEFORE the trusted components read storage, so the dedup index,
-        # guard nodes, and directory files all see the committed state.
-        # Not on a shared store: a record there may be a LIVE member's
-        # open commit epoch, not a crashed one — only the cluster
-        # (takeover recovery, admission quiesce) knows which, so a booting
-        # cluster member leaves the records alone.
-        own_store = not (self._options.replica or self._options.shared_store)
-        recovered = journal.recover() if own_store else []
+        # guard nodes, and directory files all see the committed state.  A
+        # peer's record is its own restart's or its takeover's to finish.
+        recovered = journal.recover()
         self.engine = StorageEngine(
             self._stores,
             journal=journal,
@@ -372,8 +363,7 @@ class SeGShareEnclave(Enclave):
             self.group_guard = self.manager.group_guard = FlatStoreGuard(
                 self.manager, self._root_key, **shared
             )
-        if own_store:
-            self._finish_journal_recovery(journal, recovered)
+        self._finish_recovery(journal.writer, recovered)
         # The deploy-time transactions above (ensure_root) closed their own
         # epochs; from here on a parallel clock lets overlapping ones share.
         self.engine.group_commit.solo = not isinstance(self.platform.clock, ParallelClock)
@@ -381,28 +371,31 @@ class SeGShareEnclave(Enclave):
         if self._options.audit:
             self.audit_log = AuditLog(self.manager, self._root_key)
 
-    def _finish_journal_recovery(
-        self, journal: WriteAheadJournal, records: "list[EpochRecord]", writer: str | None = None
-    ) -> None:
-        """Shared epilogue of crash recovery (restart and cluster takeover).
+    def _finish_recovery(self, writer: str, record: "EpochRecord | None") -> None:
+        """The one epilogue of crash recovery, restart and takeover alike.
 
-        The re-apply brought the stores to the last committed member; the
-        engine's guard repair then checks the data against the record's
-        roots and rebuilds the guards from it
-        (:meth:`StorageEngine.repair_guards`).  The records go last, so a
-        crash anywhere here re-runs the whole recovery.
+        ``journal.recover(writer)`` brought the stores to the writer's last
+        committed member.  Repair the guards against its roots, sweep the
+        writer's unreferenced objects, and drop its record and parts last,
+        so a crash anywhere here re-runs the whole recovery.
         """
-        assert self.engine is not None
-        for record in records:
-            self.engine.repair_guards(record)
-        # An upload streams its chunks before its transaction opens, so a
-        # crash strands them whether or not an epoch was open: every restart
-        # over our own store sweeps.  A takeover never does — on the shared
-        # store an unreferenced object may be a live peer's upload.
-        if not (self._options.replica or self._options.shared_store):
-            assert self.manager is not None
-            self.manager.dedup.sweep_orphans()
-        journal.recover_finish(writer)
+        engine = self.engine
+        assert engine is not None and self.manager is not None
+        if record is not None:
+            engine.repair_guards(record)
+        self.manager.dedup.sweep_orphans(writer)
+        engine.journal.recover_finish(writer)
+        if engine.coherence is not None and (record is not None or writer != engine.journal.writer):
+            # The writer may have committed without publishing (an epoch
+            # publishes at its close); a restart that re-applied nothing
+            # leaves the log alone, so a first boot costs the peers nothing.
+            # Discard our own plaintext, including write-backs the guard
+            # rebuild left, then supersede the log's tail with an
+            # authenticated reset: every peer full-discards at its next
+            # sync, and a rejoining one starts cold past the reset.
+            engine.discard_pending_state()
+            engine.drop_derived_state()
+            engine.coherence.publish_reset("recovery")
 
     def _counter_probe(self, counter: "MonotonicCounter | RoteCounterService | None"):
         """A read-only probe of the whole-FS counter for the journal."""
@@ -772,14 +765,12 @@ class SeGShareEnclave(Enclave):
     def cluster_takeover_recover(self, crashed: str) -> bool:
         """Successor side of failover: finish the crashed peer's commits.
 
-        Replicas share one repository and one journal key, and each writes
-        its redo records under its own platform id, so the successor's
-        journal reads the crashed enclave's record (``crashed`` names it)
-        directly — and never a live peer's.  The sequence mirrors a
-        crash-restart of our own enclave (``_build_components``):
-        re-apply the record, drop any enclave-resident plaintext
-        describing the pre-apply world, then check the data against the
-        record's roots and rebuild the guards.  Returns True when a
+        A restart's recovery, keyed by the crashed writer (``crashed``
+        names its platform id) instead of our own: every replica writes
+        its records, parts and objects under its own id, so no live peer's
+        are touched.  Enclave-resident state goes between the re-apply and
+        the epilogue, so the sweep sees the ``idx:`` records as stored, not
+        our view, which may lag the peer's commits.  Returns True when a
         record was found.
         """
         self._check_alive()
@@ -791,22 +782,10 @@ class SeGShareEnclave(Enclave):
         journal = self.engine.journal
         if journal.active:
             raise EnclaveError("cannot take over with our own transaction in flight")
-        records = journal.recover(crashed)
-        if records:
-            self.engine.drop_derived_state()
-        self._finish_journal_recovery(journal, records, writer=crashed)
-        coherence = self.engine.coherence
-        if coherence is not None:
-            # The crashed peer may have committed without publishing (the
-            # coherence:publish crash window).  Discard our own plaintext
-            # unconditionally — including write-backs the guard rebuild
-            # left — then supersede the log's tail with an authenticated
-            # reset: every other replica full-discards at its next sync,
-            # and the rejoining peer starts cold past the reset.
-            self.engine.discard_pending_state()
-            self.engine.drop_derived_state()
-            coherence.publish_reset("takeover")
-        return bool(records)
+        record = journal.recover(crashed)
+        self.engine.drop_derived_state()
+        self._finish_recovery(crashed, record)
+        return record is not None
 
     @ecall
     def cluster_verify_anchors(self) -> dict:

@@ -44,9 +44,11 @@ record names it, and its keys go after the commit point.  Recovery
 completes every intent it finds: each names a committed, unreferenced
 object, and object ids are never reused.
 
-Each enclave writes its records under its own key (the ``writer`` id),
-so replicas over one shared store never replace each other's intents;
-only the cluster's takeover path applies a peer's record.
+Each enclave writes its records and parts under its own key (the
+``writer`` id), so replicas over one shared store never replace each
+other's intents, and recovery is keyed by writer too: a restart finishes
+its own writer's record, a cluster takeover the crashed writer's, and
+neither touches a live peer's.
 
 Freshness of the journal: records are PAE-encrypted under a key derived
 from SK_r, with the record key bound as AAD, so the host can neither
@@ -184,6 +186,8 @@ class WriteAheadJournal:
         self._pae = default_pae()
         self._crash_hook = crash_hook
         self.counter_probe = counter_probe
+        #: The writer whose record slot and parts this journal keeps.
+        self.writer = writer
         self._record_key = _RECORD_PREFIX + writer
         self._part_prefix = f"{_PART_PREFIX}{writer}:"
         self._active = False
@@ -344,45 +348,38 @@ class WriteAheadJournal:
 
     # -- recovery (enclave start, cluster takeover) ------------------------------
 
-    def recover(self, writer: Optional[str] = None) -> list[EpochRecord]:
-        """Re-apply what crashed commits left; returns the records applied.
+    def recover(self, writer: Optional[str] = None) -> Optional[EpochRecord]:
+        """Re-apply what ``writer``'s crashed commits left; the record applied.
 
-        Every record on the store — or only ``writer``'s, when a successor
-        takes over a crashed peer — is checked for freshness and re-applied,
-        and its intents are completed.  Runs before the trusted components
-        are built, so they observe the committed bytes.  The records stay
-        until :meth:`recover_finish`, after the caller checked the records'
-        roots and rebuilt the guards: a crash anywhere in between re-runs
-        the whole recovery.
+        ``writer`` defaults to ours (a restart); a takeover passes the
+        crashed peer's.  The record is checked for freshness and re-applied,
+        and its intents are completed.  It stays until
+        :meth:`recover_finish`, after the caller checked its roots and
+        rebuilt the guards: a crash in between re-runs the whole recovery.
         """
-        records = []
-        for key in self._records(writer):
-            record = EpochRecord.decode(self._open(key))
-            if self.counter_probe is not None:
-                current = self.counter_probe()
-                if current < record.counter or current - record.counter > MAX_COUNTER_LAG:
-                    raise RollbackDetected(
-                        f"stale redo record for batch {record.label!r}: recorded "
-                        f"counter {record.counter}, TEE counter {current}"
-                    )
-            self.apply(record.writes, record.parts, tolerant=True)
-            self._delete_objects(record.intents)
-            self.intents_recovered += len(record.intents)
-            records.append(record)
-        return records
+        key = _RECORD_PREFIX + (self.writer if writer is None else writer)
+        if not self._backend.exists(key):
+            return None
+        record = EpochRecord.decode(self._open(key))
+        if self.counter_probe is not None:
+            current = self.counter_probe()
+            if current < record.counter or current - record.counter > MAX_COUNTER_LAG:
+                raise RollbackDetected(
+                    f"stale redo record for batch {record.label!r}: recorded "
+                    f"counter {record.counter}, TEE counter {current}"
+                )
+        self.apply(record.writes, record.parts, tolerant=True)
+        self._delete_objects(record.intents)
+        self.intents_recovered += len(record.intents)
+        return record
 
     def recover_finish(self, writer: Optional[str] = None) -> None:
-        """Drop the records recovery applied and every part (``writer``'s only)."""
-        parts = _PART_PREFIX if writer is None else f"{_PART_PREFIX}{writer}:"
-        for key in [*self._records(writer), *self._backend.scan(parts)]:
-            self.crashpoint("journal:recovered")
-            self._backend.delete(key)
-
-    def _records(self, writer: Optional[str]) -> list[str]:
-        if writer is None:
-            return sorted(self._backend.scan(_RECORD_PREFIX))
-        key = _RECORD_PREFIX + writer
-        return [key] if self._backend.exists(key) else []
+        """Drop ``writer``'s record and every part it left (default: ours)."""
+        writer = self.writer if writer is None else writer
+        for key in [_RECORD_PREFIX + writer, *self._backend.scan(f"{_PART_PREFIX}{writer}:")]:
+            if self._backend.exists(key):
+                self.crashpoint("journal:recovered")
+                self._backend.delete(key)
 
     # -- request stamps (cluster exactly-once) ----------------------------------
 
@@ -464,7 +461,7 @@ class WriteAheadJournal:
 
     def _drop_parts(self, keys: Iterable[str]) -> None:
         # Parts no stored record names are inert: a fault leaves them to
-        # the next recovery, which drops every part.
+        # this writer's next recovery, which drops every part it left.
         for key in keys:
             self.crashpoint("journal:part-drop")
             try:

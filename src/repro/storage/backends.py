@@ -24,7 +24,7 @@ import os
 import tempfile
 import threading
 from abc import ABC, abstractmethod
-from typing import Callable, Collection, Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from repro.errors import StorageError
 
@@ -84,19 +84,6 @@ class UntrustedStore(ABC):
         """Total stored bytes across all objects (for storage-overhead benches)."""
         return sum(self.size(key) for key in self.keys())
 
-    def rename(self, old: str, new: str) -> None:
-        """Move an object; default implementation is copy+delete."""
-        self.put(new, self.get(old))
-        self.delete(old)
-
-    def apply(self, group: "Collection[tuple[str, bytes | None]]") -> None:
-        """Apply ``(key, value)`` puts in order; ``None`` deletes the key if present."""
-        for key, value in group:
-            if value is not None:
-                self.put(key, value)
-            elif self.exists(key):
-                self.delete(key)
-
 
 class InMemoryStore(UntrustedStore):
     """Dict-backed store; thread-safe because the server may use worker threads."""
@@ -137,13 +124,6 @@ class InMemoryStore(UntrustedStore):
     def size(self, key: str) -> int:
         return len(self.get(key))
 
-    def rename(self, old: str, new: str) -> None:
-        """Move an object atomically: no reader can see it half-moved."""
-        with self._lock:
-            if old not in self._objects:
-                raise StorageError(f"no object at key {old!r}")
-            self._objects[new] = self._objects.pop(old)
-
     def snapshot(self) -> dict[str, bytes]:
         """Copy of all objects — the cloud provider's trivial backup (§V-G)."""
         with self._lock:
@@ -175,7 +155,7 @@ class DiskStore(UntrustedStore):
 
     Thread-safe like :class:`InMemoryStore`: although each individual
     file write is atomic, operations that touch the data file *and* its
-    sidecar (put/delete/rename) span two syscalls — one lock keeps a
+    sidecar (put/delete) span two syscalls — one lock keeps a
     concurrent reader from observing a data file whose sidecar is
     missing.  The lock is a leaf: nothing is acquired while holding it.
     """
@@ -275,20 +255,3 @@ class DiskStore(UntrustedStore):
                 return os.path.getsize(self._path(key))
             except FileNotFoundError:
                 raise StorageError(f"no object at key {key!r}") from None
-
-    def rename(self, old: str, new: str) -> None:
-        """Move an object with ``os.replace`` — atomic on POSIX filesystems."""
-        with self._lock:
-            old_path, new_path = self._path(old), self._path(new)
-            try:
-                os.replace(old_path, new_path)
-            except FileNotFoundError:
-                raise StorageError(f"no object at key {old!r}") from None
-            self._crashpoint("diskstore:replace")
-            self._fsync_dir()
-            self._write_atomic(new_path + self._INDEX_SUFFIX, new.encode("utf-8"))
-            with contextlib.suppress(FileNotFoundError):
-                os.remove(old_path + self._INDEX_SUFFIX)
-            self._keys.discard(old)
-            self._keys.add(new)
-            self._fsync_dir()

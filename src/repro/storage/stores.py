@@ -54,9 +54,6 @@ class PrefixedStore(UntrustedStore):
     def size(self, key: str) -> int:
         return self._inner.size(self._k(key))
 
-    def rename(self, old: str, new: str) -> None:
-        self._inner.rename(self._k(old), self._k(new))
-
 
 @dataclass
 class StoreSet:

@@ -637,8 +637,8 @@ class StorageEngine:
                 # close: peers learn every committed member's touched
                 # keys, and the guard keys the flush just wrote, in one
                 # entry.  A crash here leaves the epoch committed but
-                # unpublished — healed by the takeover reset (see
-                # cluster_takeover_recover).
+                # unpublished — healed by the recovery reset (see
+                # SeGShareEnclave._finish_recovery).
                 self._publish_coherence("epoch")
         finally:
             if bg is not None:

@@ -35,9 +35,9 @@ class ShardedStore(UntrustedStore):
 
     Each key maps to one shard via HMAC; the mapping is stable across
     processes and independent of shard contents, so any party holding
-    the (public) placement key can locate an object.  ``rename`` across
-    shards degrades to copy+delete — the write-ahead journal above this
-    layer is what makes multi-key operations atomic, not the router.
+    the (public) placement key can locate an object.  The write-ahead
+    journal above this layer is what makes multi-key operations atomic,
+    not the router.
     """
 
     def __init__(self, backends: Sequence[UntrustedStore]) -> None:
@@ -100,16 +100,6 @@ class ShardedStore(UntrustedStore):
 
     def total_bytes(self) -> int:
         return sum(shard.total_bytes() for shard in self._backends)
-
-    def rename(self, old: str, new: str) -> None:
-        old_index, new_index = self.shard_index(old), self.shard_index(new)
-        if old_index == new_index:
-            self._backends[old_index].rename(old, new)
-            return
-        # Cross-shard: copy+delete.  Atomicity across shards is the
-        # journal's job, one layer up.
-        self.put(new, self.get(old))
-        self.delete(old)
 
     # -- backup (§V-G): delegate to the shards ------------------------------
 

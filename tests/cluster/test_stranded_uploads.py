@@ -1,0 +1,218 @@
+"""Recovery is keyed by writer: a crashed replica's stranded upload goes.
+
+Every replica of a shared store names its fresh objects, redo record and
+record parts by its own platform id.  So a takeover sweeps exactly the
+crashed writer's unreferenced objects, and a restart finishes and sweeps
+exactly its own: a live peer's upload still streaming, and an object the
+crashed writer committed that the successor has not synced yet, are left
+alone.
+"""
+
+from __future__ import annotations
+
+import pytest
+
+from repro.cluster import build_cluster, path_affinity
+from repro.core.requests import Op, Request, Response, Status
+from repro.errors import EnclaveCrashed
+from repro.faults import FaultPlan
+from repro.pki import CertificateAuthority
+
+#: One CA for the whole module — RSA key generation dominates setup.
+_CA = CertificateAuthority(key_bits=1024)
+
+UPLOAD = bytes(i % 251 for i in range(20 * 1024))  # five chunks
+KEPT = b"committed by the crashed replica" * 200
+LIVE = bytes(i % 239 for i in range(3 * 4096 + 17))
+
+
+def world():
+    """Three replicas: ``/a/`` and a peer's directory owned by different
+    ones, and ``/a/kept`` committed by the owner of ``/a/``."""
+    deployment = build_cluster(replicas=3, parallel=True, ca=_CA)
+    cluster = deployment.cluster
+    ring = cluster.membership.ring
+    victim = ring.owner(path_affinity("/a/"))
+    peer_dir = next(
+        d for d in ("/p/", "/q/", "/r/", "/s/") if ring.owner(path_affinity(d)) != victim
+    )
+    for directory in ("/a/", peer_dir):
+        assert cluster.handle("u0", Request(op=Op.PUT_DIR, args=(directory,))).status is Status.OK
+    assert cluster.put_file("u0", "/a/kept", KEPT).status is Status.OK
+    peer = deployment.server(ring.owner(path_affinity(peer_dir)))
+    return deployment, deployment.server(victim), peer, peer_dir
+
+
+def object_ids(keys) -> set[str]:
+    return {key.partition("\x00")[0] for key in keys if key.startswith("obj:")}
+
+
+def stored_object_ids(deployment) -> set[str]:
+    return object_ids(deployment.server("r0").stores.dedup.keys())
+
+
+def referenced(server) -> set[str]:
+    return {object_id for object_id, _ in server.enclave.manager.dedup._index.values()}
+
+
+def object_of(server, path: str) -> str:
+    manager = server.enclave.manager
+    return manager.dedup._index[manager._pointer_target(path)][0]
+
+
+def journal_keys_of(deployment, writer: str) -> list[str]:
+    return [
+        key
+        for key in deployment.backend.keys()
+        if f"journal:redo:{writer}" in key or f"journal:part:{writer}:" in key
+    ]
+
+
+def objects_written_by(deployment, victim):
+    """Wrap the backend: the object ids the victim's request puts."""
+    backend = deployment.backend
+    put = backend.put
+    written: set[str] = set()
+
+    def recording(key: str, value: bytes) -> None:
+        if victim.enclave.alive:
+            written.update(object_ids([key.removeprefix("dedup/")]))
+        put(key, value)
+
+    backend.put = recording
+    return written
+
+
+def crash_mid_stream(victim, deployment) -> FaultPlan:
+    """Kill the victim at its second chunk put: before its transaction opens."""
+    backend = deployment.backend
+    put = backend.put
+    seen = []
+
+    def dying(key: str, value: bytes) -> None:
+        put(key, value)
+        if "obj:" in key and "\x00chunk\x00" in key and victim.enclave.alive:
+            seen.append(key)
+            if len(seen) == 2:
+                victim.platform.crashpoint("test:upload-stream")
+
+    backend.put = dying
+    return FaultPlan().crash_at_point(nth=1, site_prefix="test:upload-stream").attach_platform(victim.platform)
+
+
+SITES = ["stream", "journal:begin", "journal:commit"]
+
+
+@pytest.mark.parametrize("site", SITES)
+def test_takeover_sweeps_the_crashed_writers_stranded_upload(site):
+    deployment, victim, peer, peer_dir = world()
+    cluster = deployment.cluster
+    victim_id = victim.platform.platform_id
+    successor = cluster.membership.donor(exclude=victim)
+    kept_object = object_of(victim, "/a/kept")
+    assert kept_object in stored_object_ids(deployment)
+    assert kept_object not in referenced(successor)  # committed, not yet synced by the successor
+
+    # A live peer's upload is streaming across the crash.
+    sink = peer.enclave.handler.open_upload("u0", f"{peer_dir}live")
+    sink.write(LIVE[: 2 * 4096 + 5])
+
+    written = objects_written_by(deployment, victim)
+    if site == "stream":
+        plan = crash_mid_stream(victim, deployment)
+    else:
+        plan = FaultPlan().crash_at_point(nth=1, site_prefix=site).attach_platform(victim.platform)
+    assert cluster.put_file("u0", "/a/f", UPLOAD).status is Status.OK  # through failover
+    plan.detach()
+    assert cluster.stats()["failovers"] == 1 and not victim.enclave.alive
+    assert written, "the victim streamed nothing before it died"
+
+    def check() -> None:
+        stored = stored_object_ids(deployment)
+        assert not written & stored, f"{site}: the crashed writer's upload was left behind"
+        assert kept_object in stored
+        assert journal_keys_of(deployment, victim_id) == []
+
+    check()
+    sink.write(LIVE[2 * 4096 + 5 :])
+    assert Response.deserialize(sink.finish()).status is Status.OK
+    cluster.quiesce()
+    survivor = deployment.server(cluster.membership.ring.members[0])
+    survivor.enclave.guard.verify_restored_state()
+    manager = survivor.enclave.manager
+    assert manager.read_content("/a/f") == UPLOAD
+    assert manager.read_content("/a/kept") == KEPT
+    assert manager.read_content(f"{peer_dir}live") == LIVE
+
+    # The crashed replica restarts and re-joins: still nothing of its upload.
+    victim.restart_enclave()
+    name = next(name for name, server in deployment.servers.items() if server is victim)
+    assert cluster.admit(name, victim)
+    check()
+    assert stored_object_ids(deployment) == referenced(victim)
+
+
+def test_a_restart_before_takeover_finishes_its_own_record():
+    """The owner of ``/a/`` dies past its commit point and restarts before
+    the front door noticed: its boot re-applies its own record and sweeps
+    only its own objects, so the later takeover finds nothing to do."""
+    deployment, victim, peer, peer_dir = world()
+    cluster = deployment.cluster
+    cluster.quiesce()
+    victim_id = victim.platform.platform_id
+    sink = peer.enclave.handler.open_upload("u0", f"{peer_dir}live")
+    sink.write(LIVE[: 2 * 4096 + 5])
+
+    plan = FaultPlan().crash_at_point(nth=1, site_prefix="journal:committed")
+    plan.attach_platform(victim.platform)
+    with pytest.raises(EnclaveCrashed):
+        victim.enclave.handler.put_file("u0", "/a/f", UPLOAD)
+    plan.detach()
+    assert journal_keys_of(deployment, victim_id) != []
+
+    victim.restart_enclave()
+    assert journal_keys_of(deployment, victim_id) == []
+    successor = cluster.membership.donor(exclude=victim)
+    assert successor.handle.call("cluster_takeover_recover", victim_id) is False
+
+    sink.write(LIVE[2 * 4096 + 5 :])
+    assert Response.deserialize(sink.finish()).status is Status.OK
+    for server in (victim, successor, peer):
+        server.handle.call("group_commit_quiesce")
+    for server in (victim, successor):
+        server.enclave.guard.verify_restored_state()
+        manager = server.enclave.manager
+        assert manager.read_content("/a/f") == UPLOAD
+        assert manager.read_content("/a/kept") == KEPT
+        assert manager.read_content(f"{peer_dir}live") == LIVE
+    assert stored_object_ids(deployment) == referenced(successor)
+
+
+def test_takeover_keeps_an_object_the_successor_still_reads():
+    """The successor streams the crashed writer's object and releases it
+    mid-stream (its reclaim waits for the reader): the takeover's sweep
+    leaves it (``purge`` would refuse an open file), and the reclaim
+    deletes it once the stream ends."""
+    big = bytes(i % 253 for i in range(20 * 4096 + 3))  # more than one read group
+    deployment, victim, _, _ = world()
+    cluster = deployment.cluster
+    assert cluster.put_file("u0", "/a/big", big).status is Status.OK
+    cluster.quiesce()
+    successor = cluster.membership.donor(exclude=victim)
+    released = object_of(victim, "/a/big")
+    handler = successor.enclave.handler
+    stream = handler.handle("u0", Request(op=Op.GET, args=("/a/big",)))
+    chunks = iter(stream.chunks)
+    first = next(chunks)
+    assert handler.put_file("u0", "/a/big", b"replaced").status is Status.OK
+    successor.handle.call("group_commit_quiesce")
+    plan = FaultPlan().crash_at_point(nth=1, site_prefix="ecall:")
+    plan.attach_platform(victim.platform)
+    with pytest.raises(EnclaveCrashed):
+        victim.handle.call("runtime_stats")
+    plan.detach()
+    cluster.quiesce()  # finds the dead member and runs the takeover
+    assert cluster.stats()["failovers"] == 1
+    assert released in stored_object_ids(deployment)
+    assert first + b"".join(chunks) == big
+    assert released not in stored_object_ids(deployment)

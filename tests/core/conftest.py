@@ -76,11 +76,14 @@ def build_world(
 
 @pytest.fixture()
 def numbered_objects(monkeypatch):
-    """Object ids 0, 1, 2, ... instead of random ones: for known answers."""
+    """Object ids 0, 1, 2, ... instead of tagged random ones: for known
+    answers.  Platform ids draw from the same count."""
     serial = itertools.count()
     monkeypatch.setattr(
         "repro.core.dedup.secrets.token_hex", lambda nbytes: "%0*x" % (2 * nbytes, next(serial))
     )
+    monkeypatch.setattr("repro.core.dedup.object_prefix", lambda writer: "obj:")
+    monkeypatch.setattr("repro.core.dedup.secrets.token_urlsafe", lambda nbytes: "%032x" % next(serial))
 
 
 @pytest.fixture()

@@ -185,8 +185,9 @@ class TestErrorMapping:
 
 
 class TestDroppedSessionMidUpload:
-    """A session torn down mid-upload takes its streamed chunks with it: a
-    shared dedup store never sweeps orphans, so nothing may be left behind."""
+    """A session torn down mid-upload takes its streamed chunks with it at
+    once: the sweep runs only at a restart or takeover, so nothing may be
+    left behind until then."""
 
     @pytest.fixture()
     def streaming(self, make_deployment):

@@ -904,8 +904,11 @@ class TestMovedPreImages:
         else:
             stores.content.put(key, WriteAheadJournal(stores, _ROOT_KEY).seal_stamp("req:1")[1])
         state = _snapshot(stores)
+        # Recovery is keyed by writer: the moved record meets the recovery
+        # of the writer whose slot it now sits in.
+        writer = "other-replica" if attack == "swap" else ""
         with pytest.raises(RollbackDetected):
-            WriteAheadJournal(stores, _ROOT_KEY).recover()
+            WriteAheadJournal(stores, _ROOT_KEY, writer=writer).recover()
         assert _snapshot(stores) == state
 
 

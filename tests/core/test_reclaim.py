@@ -295,8 +295,9 @@ class TestReclaimFaults:
 class TestTakeover:
     """The shared store: a successor completes the crashed owner's intent.
 
-    Takeover never sweeps unreferenced objects (one may be a live peer's
-    upload), so only the intent can remove the released object.
+    The released object was committed and referenced, so its intent
+    removes it, in the re-apply: the takeover's sweep of the crashed
+    owner's unreferenced objects comes after and finds it gone.
     """
 
     @staticmethod

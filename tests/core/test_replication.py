@@ -4,6 +4,7 @@ import pytest
 
 from repro.core.enclave_app import SeGShareOptions
 from repro.core.replication import ReplicaSet, transfer_root_key
+from repro.core.requests import Response, Status
 from repro.core.server import SeGShareServer, deploy, provision_certificate
 from repro.errors import MembershipError, ReplicationError, ReproError
 from repro.netsim import azure_wan_env
@@ -88,6 +89,25 @@ class TestJoin:
         # A second join of the same replica is a no-op, not a re-transfer.
         assert not replica_set.join(replica)
         assert replica_set.all_servers == [deployment.server, replica]
+
+
+class TestSharedRepository:
+    """The root and a joined replica write one repository: each recovers
+    and sweeps only what its own writer left."""
+
+    def test_root_restart_keeps_a_replica_upload_in_flight(self, cluster):
+        deployment, add_replica, _ = cluster
+        replica = add_replica()
+        assert ReplicaSet(deployment.server).join(replica)
+        content = bytes(i % 251 for i in range(4 * 4096 + 9))
+        sink = replica.enclave.handler.open_upload("alice", "/streamed")
+        sink.write(content[: 2 * 4096 + 1])  # chunk 1 is on the store
+        deployment.server.restart_enclave()  # boots and sweeps mid-stream
+        sink.write(content[2 * 4096 + 1 :])
+        response = Response.deserialize(sink.finish())
+        assert response.status is Status.OK, response.message
+        assert replica.enclave.manager.read_content("/streamed") == content
+        assert deployment.server.enclave.manager.read_content("/streamed") == content
 
 
 class TestRejections:

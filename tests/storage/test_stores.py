@@ -47,15 +47,6 @@ class TestPrefixedStore:
         assert sorted(view.scan("a/")) == ["a/1", "a/2"]
         assert sorted(view.scan("")) == ["a/1", "a/2", "b/1"]
 
-    def test_rename_stays_in_namespace(self):
-        backend = InMemoryStore()
-        view = PrefixedStore(backend, "p/")
-        view.put("old", b"v")
-        view.rename("old", "new")
-        assert view.get("new") == b"v"
-        assert not view.exists("old")
-        assert sorted(backend.keys()) == ["p/new"]
-
 
 class TestStoreSet:
     def test_in_memory_are_independent(self):
@@ -132,29 +123,6 @@ class TestShardedStore:
             store.put(f"p/{i}", b"x")
         store.put("q/0", b"y")
         assert sorted(store.scan("p/")) == sorted(f"p/{i}" for i in range(16))
-
-    def test_rename_within_and_across_shards(self):
-        store = ShardedStore([InMemoryStore() for _ in range(4)])
-        # Find one same-shard and one cross-shard pair deterministically.
-        names = [f"n{i}" for i in range(32)]
-        same = next(
-            (a, b)
-            for a in names
-            for b in names
-            if a != b and store.shard_index(a) == store.shard_index(b)
-        )
-        cross = next(
-            (a, b)
-            for a in names
-            for b in names
-            if store.shard_index(a) != store.shard_index(b)
-        )
-        for old, new in (same, cross):
-            store.put(old, b"moved")
-            store.rename(old, new)
-            assert store.get(new) == b"moved"
-            assert not store.exists(old)
-            store.delete(new)
 
     def test_snapshot_restore_round_trip(self):
         store = ShardedStore([InMemoryStore() for _ in range(3)])

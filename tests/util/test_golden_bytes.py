@@ -96,7 +96,9 @@ def _dedup_world() -> tuple[DedupStore, ProtectedFs, str]:
     engine = engine_for(StoreSet(InMemoryStore(), InMemoryStore(), store), enclave)
     pfs = ProtectedFs(store, master_key=bytes(16), enclave=enclave)
     dedup = DedupStore(pfs, _KEY, engine)
-    with mock.patch("secrets.token_hex", lambda n: "5a" * n):
+    with mock.patch("repro.core.dedup.object_prefix", lambda writer: "obj:"), mock.patch(
+        "secrets.token_urlsafe", lambda n: "5a" * 16
+    ):
         name = dedup.put(b"same bytes")
     dedup.put(b"same bytes")
     return dedup, pfs, name
