@@ -42,19 +42,24 @@ at 8 workers fails to reach 1.3x the 1-worker figure, or if the cached
 from __future__ import annotations
 
 import argparse
+import base64
 import json
+import random
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from repro.bench.concurrency import ConcurrentDriver, parallel_env  # noqa: E402
 from repro.bench.workloads import KB, unique_bytes  # noqa: E402
 from repro.cluster import ClusterDriver, build_cluster  # noqa: E402
+from repro.core import dedup  # noqa: E402
 from repro.core.enclave_app import SeGShareOptions  # noqa: E402
 from repro.core.requests import Op, Request, Status  # noqa: E402
 from repro.core.server import SeGShareServer  # noqa: E402
 from repro.pki import CertificateAuthority  # noqa: E402
+from repro.sgx import SgxPlatform  # noqa: E402
 from repro.storage import InMemoryStore, StoreSet  # noqa: E402
 
 #: One CA for every server: RSA keygen dominates setup and is unmeasured.
@@ -67,7 +72,22 @@ FILE_KB = 4
 SHARDS = 8
 
 
+def seed_object_ids(seed: int = 0) -> None:
+    """Draw the random part of new object ids from ``seed``.
+
+    An id keeps its ``obj:<tag>`` shape and length.  A random id (or a
+    random platform id, which names the tag and the journal's keys) lands
+    on a different shard in every run, and the per-shard counts in the
+    report would not repeat at an unchanged commit.
+    """
+    rng = random.Random(seed)
+    dedup.secrets = SimpleNamespace(
+        token_urlsafe=lambda nbytes: base64.urlsafe_b64encode(rng.randbytes(nbytes)).decode("ascii")
+    )
+
+
 def build_server(workers: int) -> SeGShareServer:
+    seed_object_ids()
     options = SeGShareOptions(
         rollback="whole_fs",
         counter_kind="rote",
@@ -76,7 +96,9 @@ def build_server(workers: int) -> SeGShareServer:
         switchless_workers=workers,
     )
     stores = StoreSet.sharded([InMemoryStore() for _ in range(SHARDS)])
-    return SeGShareServer(parallel_env(), _CA.public_key, stores=stores, options=options)
+    env = parallel_env()
+    platform = SgxPlatform(clock=env.clock, platform_id="bench-concurrency")
+    return SeGShareServer(env, _CA.public_key, stores=stores, options=options, platform=platform)
 
 
 def cell_counters(server: SeGShareServer) -> dict:

@@ -15,13 +15,13 @@ wins them back with an invalidation protocol over the untrusted
 * **Sync** — before serving from cache, a replica compares its applied
   epoch against the board counter (one untrusted int read, no ocall
   cost).  On lag it decrypts and applies the queued entries in order,
-  discarding exactly the named ``(namespace, key)`` pairs and re-reading
-  exactly the named dedup records.
+  discarding exactly the named ``(namespace, key)`` pairs.  Dedup records
+  are cached like any other record (namespace ``dedup``), so a named one
+  is only discarded, and read again when next used.
 * **Fall back** — any anomaly (missing epoch, failed authentication,
-  counter rewind, reset entry) degrades to a strict full cache discard
-  plus a re-read of every dedup record, the same posture an uncached
-  cluster is always in.  The host can therefore slow a replica down,
-  never feed it stale plaintext.
+  counter rewind, reset entry) degrades to a strict full cache discard,
+  the same posture an uncached cluster is always in.  The host can
+  therefore slow a replica down, never feed it stale plaintext.
 
 Entries are encrypted rather than bare-MACed because cache keys are
 logical paths: under ``hide_paths`` the host must not learn which files
@@ -36,7 +36,6 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Dict, Iterable, Tuple
 
-from repro.core.dedup import NS_DEDUP
 from repro.crypto import default_pae, derive_key
 from repro.errors import ReproError
 from repro.util.serialization import Reader, Writer
@@ -191,15 +190,10 @@ class CoherenceManager:
 
     def _apply(self, pairs: "list[Tuple[str, str]]") -> None:
         cache = self._engine.cache
-        records = []
         for namespace, key in pairs:
             if cache is not None:
                 cache.discard(namespace, key)
-            if namespace == NS_DEDUP:
-                records.append(key)
             self.stats.invalidations_applied += 1
-        if records:
-            self._engine.dedup.reload_records(records)
 
     def _full_discard(self) -> None:
         self.stats.full_discards += 1

@@ -17,11 +17,13 @@ uploads stay separate objects.
 Beyond the paper, the store reference-counts names: the last reference
 going reclaims the object once its span commits and its last reader
 closes.  Each name has one sealed record, the protected file
-``idx:<name>`` holding the object id and the reference count, so a change
-seals only the records it touched and a peer replica re-reads only the
-records a coherence epoch names.  The enclave keeps every entry in
-memory, loaded once from a sorted scan of the ``idx:`` keys; the record
-bytes are never cached.
+``idx:<name>`` holding the object id and the reference count.  The
+records are the index: the enclave keeps no entry of its own, only what
+the metadata cache holds of them.  A record is read and changed like the
+other unguarded records, through the engine's cached path (namespace
+``dedup``), so inside a span a change sits in the write buffers, an
+abort drops it with them, and a peer's commit only discards the cached
+copies it names.
 
 A record is bound to its name by its protected-file key, not kept fresh:
 the host may replay, delete or mix records of different ages.  Object
@@ -38,7 +40,7 @@ import functools
 import hashlib
 import hmac
 import secrets
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING
 
 from repro.crypto import derive_key
 from repro.errors import StorageError
@@ -51,8 +53,8 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 _RECORD_PREFIX = "idx:"
 _OBJECT_PREFIX = "obj:"
 
-#: Coherence namespace of the records: a committed change publishes
-#: ``(NS_DEDUP, name)``, and a peer re-reads exactly that record.
+#: Cache and coherence namespace of the records: a committed change
+#: publishes ``(NS_DEDUP, name)``, and a peer discards its cached copy.
 NS_DEDUP = "dedup"
 
 #: Length of an ``hName``; a plain object's name is half as long.
@@ -64,6 +66,14 @@ def object_prefix(writer: str) -> str:
     """``obj:`` and ``writer``'s tag: 48 bits of its id's hash, in base64url."""
     tag = hashlib.sha256(writer.encode("utf-8")).digest()[:6]
     return _OBJECT_PREFIX + base64.urlsafe_b64encode(tag).decode("ascii")
+
+
+def decode_record(data: bytes) -> tuple[str, int]:
+    """A record's object id and reference count; other bytes fail typed."""
+    r = Reader(data)
+    entry = (r.str(), r.u32())
+    r.expect_end()
+    return entry
 
 
 class DedupStore:
@@ -82,49 +92,30 @@ class DedupStore:
         self._writer = engine.journal.writer
         #: Name new objects by their content's ``hName`` (else by their id).
         self.deduplicate = deduplicate
-        #: name -> (object id, reference count), one entry per record.
-        self._index: dict[str, tuple[str, int]] = {}
-        #: Names whose entry changed since its record was last sealed.
-        #: Inside a storage engine span the seal waits for the span's end
-        #: (``seal_index``), so a request writes each touched record once.
-        #: Kept in insertion order: an ``hName`` is keyed by this
-        #: deployment's secret, so sorted names would seal in a different
-        #: order, charging the clocks in a different order, in every run.
-        self._dirty: dict[str, None] = {}
-        self.reload_index()
 
-    # -- record persistence ------------------------------------------------------
+    # -- records -----------------------------------------------------------------
 
-    def _reread(self, h_name: str) -> None:
-        """Replace the entry of ``h_name`` with its sealed record, if any."""
-        path = _RECORD_PREFIX + h_name
-        if not self._pfs.exists(path):
-            self._index.pop(h_name, None)
-            return
-        r = Reader(self._pfs.read_file(path))
-        entry = (r.str(), r.u32())
-        r.expect_end()
-        self._index[h_name] = entry
+    def _record(self, name: str) -> tuple[str, int] | None:
+        """``name``'s record, or None: one cache check, then the store."""
+        data = self._engine.lookup(NS_DEDUP, name)
+        if data is None:
+            path = _RECORD_PREFIX + name
+            if not self._pfs.exists(path):
+                return None
+            data = self._pfs.read_file(path)
+            self._engine.fill(NS_DEDUP, name, data)
+        return decode_record(data)
 
-    def _changed(self, h_name: str) -> None:
-        """Seal now, or at the end of the engine span this change belongs to."""
-        self._dirty[h_name] = None
-        if not self._engine.in_span:
-            self.seal_index()
-
-    def seal_index(self) -> None:
-        """Write every changed record; remove those whose last reference went."""
-        for h_name in list(self._dirty):
-            path = _RECORD_PREFIX + h_name
-            # Names the record in this span's coherence entry; no record
-            # bytes are cached, so there is nothing to write back.
-            self._engine.invalidate(NS_DEDUP, h_name)
-            entry = self._index.get(h_name)
-            if entry is not None:
-                self._pfs.write_file(path, Writer().str(entry[0]).u32(entry[1]).take())
-            elif self._pfs.exists(path):
-                self._pfs.remove(path)
-        self._dirty.clear()
+    def _set(self, name: str, object_id: str, refcount: int) -> None:
+        """Write ``name``'s record; a count of 0 removes it."""
+        path = _RECORD_PREFIX + name
+        self._engine.invalidate(NS_DEDUP, name)
+        if refcount:
+            data = Writer().str(object_id).u32(refcount).take()
+            self._pfs.write_file(path, data)
+            self._engine.write_back(NS_DEDUP, name, data)
+        else:
+            self._pfs.remove(path)
 
     # -- content hashing -----------------------------------------------------
 
@@ -146,16 +137,14 @@ class DedupStore:
 
     def _commit(self, object_id: str, name: str) -> str:
         """Adopt or discard a freshly written object; returns its name."""
-        self._engine.coherence_check()
-        existing = self._index.get(name)
+        existing = self._record(name)
         if existing is not None:
             # `obj:*` blobs are never metadata-cached, and nothing refers
             # to the fresh copy.
             self._pfs.remove(object_id, delete=self._engine.delete_object_key)
-            self._index[name] = (existing[0], existing[1] + 1)
+            self._set(name, existing[0], existing[1] + 1)
         else:
-            self._index[name] = (object_id, 1)
-        self._changed(name)
+            self._set(name, object_id, 1)
         return name
 
     def put(self, content: bytes) -> str:
@@ -166,22 +155,12 @@ class DedupStore:
 
     # -- access and lifecycle ---------------------------------------------------
     #
-    # Every entry point that consults ``self._index`` calls
-    # ``coherence_check()`` first: the entries are enclave-resident derived
-    # state, so in a cluster "verify on hit" means applying any peer
-    # invalidation epochs (which re-read the records they name) before
-    # trusting them.  Object *contents* are self-verifying via content
-    # addressing, or written once under a never-reused id.
+    # Every access reads the name's record.  Object *contents* are
+    # self-verifying via content addressing, or written once under a
+    # never-reused id.
 
     def _entry(self, h_name: str) -> tuple[str, int]:
-        self._engine.coherence_check()
-        entry = self._index.get(h_name)
-        if entry is None and h_name not in self._dirty:
-            # A replica without a coherence log shares the store with
-            # writers whose records it never loaded: read the one asked
-            # for, as a restart would.
-            self._reread(h_name)
-            entry = self._index.get(h_name)
+        entry = self._record(h_name)
         if entry is None:
             raise StorageError(f"no deduplicated object {h_name!r}")
         return entry
@@ -216,54 +195,19 @@ class DedupStore:
     def add_reference(self, h_name: str) -> None:
         """A second content file now points at ``h_name``."""
         object_id, refcount = self._entry(h_name)
-        self._index[h_name] = (object_id, refcount + 1)
-        self._changed(h_name)
+        self._set(h_name, object_id, refcount + 1)
 
     def release(self, h_name: str) -> None:
         """Drop one reference; the last reference reclaims the object."""
         object_id, refcount = self._entry(h_name)
-        if refcount > 1:
-            self._index[h_name] = (object_id, refcount - 1)
-        else:
-            del self._index[h_name]
-        self._changed(h_name)
+        self._set(h_name, object_id, refcount - 1)
         if refcount <= 1:
             # Object blobs bypass the metadata cache (see _commit).
             self._engine.release_object(object_id, self._pfs.chunk_count(object_id))
 
     def refcount(self, h_name: str) -> int:
-        self._engine.coherence_check()
-        entry = self._index.get(h_name)
+        entry = self._record(h_name)
         return 0 if entry is None else entry[1]
-
-    def _refuse_reload(self, h_names: Iterable[str]) -> None:
-        # Re-reading a record while a span still runs (a peer invalidation,
-        # or a host bumping the coherence board) would drop the span's
-        # unsealed change to it while its object links commit.  Fail the
-        # span instead; its rollback reloads.
-        if self._engine.in_span and not self._dirty.keys().isdisjoint(h_names):
-            raise StorageError("dedup records invalidated under an uncommitted change")
-
-    def reload_records(self, h_names: list[str]) -> None:
-        """Re-read the named records: a peer's commit changed them."""
-        self._refuse_reload(h_names)
-        for h_name in h_names:
-            self._reread(h_name)
-
-    def reload_index(self) -> None:
-        """Drop every entry and re-read all records.
-
-        An aborted span's changes never reached the stored records, and a
-        recovery or peer may have replaced them underneath this copy; the
-        in-memory entries must follow or later refcounts act on the
-        aborted span's state.  Unsealed changes go with them: they belong
-        to the aborted span.
-        """
-        self._refuse_reload(self._dirty)  # every unsealed change would go
-        self._dirty.clear()
-        self._index = {}
-        for path in sorted(self._pfs.owners(_RECORD_PREFIX)):
-            self._reread(path[len(_RECORD_PREFIX):])
 
     def sweep_orphans(self, writer: str | None = None) -> int:
         """Reclaim ``writer``'s (default: our) unreferenced objects; the count.
@@ -275,26 +219,30 @@ class DedupStore:
         (referenced-but-missing) cannot happen honestly: the records and
         the object links commit atomically in one redo record, so
         sweeping a writer's unreferenced objects after its recovery is
-        always safe.  Only ``obj:`` keys are swept; ``idx:`` records are
-        removed by the seal of the span that released their last
-        reference.
+        always safe.  Only ``obj:`` keys are swept; an ``idx:`` record is
+        removed by the span that released its last reference.
         """
         # The candidates come from a scan of the writer's keys, not of
         # metadata: a stranded upload has chunks but no metadata yet (close()
         # writes it).  Another writer's objects stay: one may be a live peer's
-        # upload still streaming.  The entries must be the records as stored,
-        # not a view lagging a peer's commits.  An object we still read stays
-        # too: its release waits for the reader, and its intent deletes it.
-        referenced = {entry[0] for entry in self._index.values()}
-        unreferenced = self._pfs.owners(object_prefix(writer or self._writer)) - referenced
-        orphans = sorted(path for path in unreferenced if not self.reading(path))
+        # upload still streaming.  The referenced set is read from the records
+        # as stored, and only when there is a candidate; a record that does not
+        # open fails the sweep.  An object we still read stays too: its
+        # release waits for the reader, and its intent deletes it.
+        candidates = self._pfs.owners(object_prefix(writer or self._writer))
+        if not candidates:
+            return 0
+        records = sorted(self._pfs.owners(_RECORD_PREFIX))
+        referenced = {decode_record(self._pfs.read_file(path))[0] for path in records}
+        orphans = sorted(path for path in candidates - referenced if not self.reading(path))
         for path in orphans:
             # Orphaned object blobs were never cached (see _commit).
             self._pfs.purge(path)
         return len(orphans)
 
     def object_count(self) -> int:
-        return len(self._index)
+        """How many names have a stored record."""
+        return len(self._pfs.owners(_RECORD_PREFIX))
 
 
 class DedupUpload:

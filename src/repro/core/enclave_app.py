@@ -225,7 +225,10 @@ class SeGShareEnclave(Enclave):
     #: the shared-store option and the journal's all-writers recovery gone
     #: (the writer-tagged object ids paid for inside ``core.dedup``):
     #: 7657 → 7653.
-    TCB_LOC_CEILING = 7653
+    #: The dedup records are the dedup index, read through the engine's
+    #: cached path; the enclave-resident copy, its per-span seal, its
+    #: reload on abort and its refuse-reload rule gone: 7653 → 7600.
+    TCB_LOC_CEILING = 7600
 
     def __init__(
         self,
@@ -306,7 +309,7 @@ class SeGShareEnclave(Enclave):
             counter_probe=self._counter_probe(counter),
         )
         # Re-apply what a crash of ours left committed but not yet applied
-        # BEFORE the trusted components read storage, so the dedup index,
+        # BEFORE the trusted components read storage, so the dedup records,
         # guard nodes, and directory files all see the committed state.  A
         # peer's record is its own restart's or its takeover's to finish.
         recovered = journal.recover()
@@ -673,7 +676,7 @@ class SeGShareEnclave(Enclave):
             raise BackupError("reset message signature is invalid")
         if self.engine is not None:
             # The provider replaced the stores underneath us: every cached
-            # object and the in-memory dedup index describe the pre-restore
+            # object, dedup records among them, describes the pre-restore
             # world and must go before the consistency walk reads storage.
             self.engine.drop_derived_state(restored=True)
             self.engine.repair_guards(None)
@@ -768,10 +771,9 @@ class SeGShareEnclave(Enclave):
         A restart's recovery, keyed by the crashed writer (``crashed``
         names its platform id) instead of our own: every replica writes
         its records, parts and objects under its own id, so no live peer's
-        are touched.  Enclave-resident state goes between the re-apply and
-        the epilogue, so the sweep sees the ``idx:`` records as stored, not
-        our view, which may lag the peer's commits.  Returns True when a
-        record was found.
+        are touched.  Cached plaintext goes between the re-apply and the
+        epilogue: the re-apply wrote behind it.  Returns True when a record
+        was found.
         """
         self._check_alive()
         if self.engine is None:

@@ -1,8 +1,8 @@
 """Untrusted shared-memory coherence log for the replicated cluster.
 
 Replicas in a :mod:`repro.cluster` deployment mutate one shared
-repository, so each enclave's metadata cache and dedup index can go
-stale behind a peer's committed transaction.  The board is the
+repository, so each enclave's metadata cache (dedup records included)
+can go stale behind a peer's committed transaction.  The board is the
 cross-replica invalidation channel that wins those caches back: a
 single host-memory cell holding a monotonically increasing **epoch
 counter** plus a bounded ring of **sealed invalidation entries**, one

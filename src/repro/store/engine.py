@@ -344,9 +344,7 @@ class StorageEngine:
         self.mounts: "tuple[Mount, ...]" = ()
         self.dedup: "DedupStore | None" = None
         #: True while the body of an outermost span (an epoch member)
-        #: runs: transactions started inside it are
-        #: nested and join it, and the dedup records it changed wait for
-        #: its end to be sealed once each.
+        #: runs: transactions started inside it are nested and join it.
         self.in_span = False
         #: True while a member's writes are buffered: its cache write-backs
         #: wait for the writes to land.
@@ -366,11 +364,10 @@ class StorageEngine:
         self.coherence: "CoherenceManager | None" = None
         #: (namespace, key) pairs the open transaction touched, in touch
         #: order; published to the coherence log at commit so peer replicas
-        #: drop exactly these cache entries, and re-read dedup records in an
-        #: order that repeats for a seed (an ``hName`` is keyed by this
-        #: deployment's secret, so sorted names would not).  Shares the
-        #: lifecycle (and therefore the thread-safety argument) of
-        #: ``_write_backs``.
+        #: drop exactly these cache entries, in an order that repeats for a
+        #: seed (an ``hName`` is keyed by this deployment's secret, so
+        #: sorted names would not).  Shares the lifecycle (and therefore
+        #: the thread-safety argument) of ``_write_backs``.
         self._txn_touched: "dict[tuple[str, str], None]" = {}
         #: Union of the open epoch's committed members' touched sets;
         #: published once at epoch close, amortized like the anchor write.
@@ -392,7 +389,7 @@ class StorageEngine:
         self.backends = StoreSet(*self._deferred)
 
     def attach_dedup(self, dedup: "DedupStore") -> None:
-        """The dedup entries must follow the records an abort dropped."""
+        """A released object's reclaim waits for the object store's readers."""
         self.dedup = dedup
 
     @property
@@ -403,9 +400,9 @@ class StorageEngine:
     def drop_derived_state(self, restored: bool = False) -> None:
         """Forget everything derived from storage that may now be stale.
 
-        Cached plaintext and the in-memory dedup entries describe the store
+        Cached plaintext (the dedup records among it) describes the store
         as this enclave last saw it; after a backup restore, a takeover, or
-        a coherence anomaly they must go before anything reads storage
+        a coherence anomaly it must go before anything reads storage
         again.  Always safe: the next read re-verifies from storage.  A
         ``restored`` store (a backup) may reference the objects waiting for
         their reclaim again, so those are forgotten too; a committed intent
@@ -413,8 +410,6 @@ class StorageEngine:
         """
         if self.cache is not None:
             self.cache.clear()
-        if self.dedup is not None:
-            self.dedup.reload_index()
         if restored:
             self._outstanding.clear()
 
@@ -438,16 +433,6 @@ class StorageEngine:
         self._write_backs.clear()
         self._txn_touched.clear()
         self._epoch_touched.clear()
-
-    def coherence_check(self) -> None:
-        """Apply pending peer invalidations before trusting derived state.
-
-        The dedup store calls this on every hit: its entries live in
-        enclave memory, so "verify on hit" means proving no peer epoch
-        has invalidated them since we last looked.
-        """
-        if self.coherence is not None:
-            self.coherence.sync()
 
     def quiesce(self) -> None:
         """Close any open epoch (bench boundaries, cluster hand-offs)."""
@@ -499,9 +484,6 @@ class StorageEngine:
         puts_before = self._open_span()
         try:
             yield
-            # Sealed per member, never at epoch close: the records are part
-            # of this member's redo record.
-            self._seal_dedup_index()
             with self._commit_point():
                 mains = [
                     mount.guard.pending_root() if mount.guard is not None else b""
@@ -661,18 +643,16 @@ class StorageEngine:
         """The one rollback: a member that failed before its commit point.
 
         Its writes never left enclave memory: the buffers and the parts it
-        spilled go, the guards' pending state rewinds to where the member
-        began, and the dedup entries are re-read from the records that
-        still stand.  Earlier members of a shared epoch are untouched; an
+        spilled go, and the guards' pending state rewinds to where the
+        member began.  Earlier members of a shared epoch are untouched; an
         epoch no member committed in ends here with nothing to flush.  If
         this itself fails, the journal is poisoned: the next mutation
         answers UNAVAILABLE and restart recovery starts clean.
         """
         journal = self.journal
         group = self.group_commit
-        # The body is over: the dedup reload below may now drop its
-        # unsealed changes.  No stored key changed, so peers' caches are
-        # still correct: nothing to publish.
+        # No stored key changed, so peers' caches are still correct:
+        # nothing to publish.
         self.in_span = False
         self._released.clear()
         self._disarm()
@@ -687,8 +667,6 @@ class StorageEngine:
                     guard.abort_batch()
                 journal.rollback()
                 group.open = False
-            if self.dedup is not None:
-                self.dedup.reload_index()
         except EnclaveCrashed:
             raise
         except ReproError as rollback_exc:
@@ -775,11 +753,6 @@ class StorageEngine:
             "journal-commit", account="commit-wait"
         )
 
-    def _seal_dedup_index(self) -> None:
-        """Each changed dedup record, once per span, outside the commit section."""
-        if self.dedup is not None:
-            self.dedup.seal_index()
-
     def _begin_guard_batches(self) -> None:
         """Defer guard node/anchor persistence until the epoch closes.
 
@@ -827,8 +800,8 @@ class StorageEngine:
     # lookup/cached/fill, writers pair invalidate (before the store
     # mutation) with write_back (after it).  Inside a transaction the
     # write-through is deferred to commit; an abort drops the deferred
-    # write-backs, and read-path fills only ever insert stored, verified
-    # values, so they stay safe mid-span.
+    # write-backs, and a fill never inserts a value the span wrote, so
+    # read-path fills stay safe mid-span.
 
     def lookup(self, namespace: str, key: str) -> bytes | None:
         if self.cache is None:
@@ -847,8 +820,12 @@ class StorageEngine:
         return self.cache.contains(namespace, key)
 
     def fill(self, namespace: str, key: str, value: bytes) -> None:
-        """Read-path insertion of a just-verified value."""
-        if self.cache is not None:
+        """Read-path insertion of a just-verified value.
+
+        A value this span wrote is still buffered: its write-back enters
+        it at commit, and an abort must find it nowhere.
+        """
+        if self.cache is not None and (namespace, key) not in self._write_backs:
             self.cache.put(namespace, key, value)
 
     def invalidate(self, namespace: str, key: str) -> None:

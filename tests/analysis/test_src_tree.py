@@ -130,7 +130,7 @@ def test_failure_responses_are_built_only_in_response_for():
 ALLOWED_UNREACHED: dict[str, str] = {
     "repro.core.dedup.DedupStore.refcount": (
         "test observer: tests/core/test_dedup.py and tests/faults/test_retry.py "
-        "state the exact-refcount invariant through it instead of reading _index"
+        "state the exact-refcount invariant through it, reading a record as the enclave does"
     ),
 }
 

@@ -22,37 +22,22 @@ from tests.support.platform import sim_platform
 _ROOT_KEY = b"\x07" * 32
 
 
-class _DedupStub:
-    """Records the full index re-reads and the named record re-reads."""
-
-    def __init__(self) -> None:
-        self.reloads = 0
-        self.records: list[list[str]] = []
-
-    def reload_index(self) -> None:
-        self.reloads += 1
-
-    def reload_records(self, h_names) -> None:
-        self.records.append(list(h_names))
-
-
 class _EngineStub:
-    """What CoherenceManager touches on its engine: cache, dedup, the
+    """What CoherenceManager touches on its engine: the cache, the
     released objects awaiting reclaim, and the real full-discard routine
     over them."""
 
-    def __init__(self, dedup: _DedupStub | None = None) -> None:
+    def __init__(self) -> None:
         self.cache = MetadataCache(capacity_bytes=64 * 1024, epc=sim_platform().epc)
-        self.dedup = dedup
         self._outstanding: dict[str, int] = {}
 
     drop_derived_state = StorageEngine.drop_derived_state
 
 
-def make_pair(capacity: int = 8, dedup: _DedupStub | None = None):
+def make_pair(capacity: int = 8):
     board = CoherenceBoard(capacity=capacity)
     publisher = CoherenceManager(board, _ROOT_KEY, _EngineStub())
-    subscriber = CoherenceManager(board, _ROOT_KEY, _EngineStub(dedup))
+    subscriber = CoherenceManager(board, _ROOT_KEY, _EngineStub())
     return board, publisher, subscriber
 
 
@@ -95,22 +80,23 @@ class TestApply:
         assert publisher.snapshot()["applied_epoch"] == board.epoch
         assert publisher._engine.cache.contains("meta", "/a")
 
-    def test_dedup_namespace_triggers_index_reload(self):
-        """A dedup entry re-reads exactly the records it names, once per
-        epoch and in the order the publisher touched them (an ``hName``'s
-        sorted position differs per deployment); only a full discard
-        re-reads the whole index."""
-        dedup = _DedupStub()
-        board, publisher, subscriber = make_pair(dedup=dedup)
+    def test_dedup_pairs_are_discarded_like_any_other(self):
+        """A dedup record is cached like any other record: an entry naming
+        it discards exactly that copy, and reads nothing; only a full
+        discard drops every record."""
+        board, publisher, subscriber = make_pair()
+        cache = subscriber._engine.cache
+        for name in ("h1", "h2", "h3"):
+            cache.put("dedup", name, b"record " + name.encode())
         publisher.publish([("dedup", "h2"), ("meta", "/a"), ("dedup", "h1")], "t1")
-        publisher.publish([("meta", "/b")], "t2")
         subscriber.sync()
-        assert dedup.records == [["h2", "h1"]]
-        assert dedup.reloads == 0
+        assert [cache.contains("dedup", name) for name in ("h1", "h2", "h3")] == [False, False, True]
+        assert subscriber.snapshot()["invalidations_applied"] == 3
         assert subscriber.snapshot()["full_discards"] == 0
         board._epoch += 1  # no entry behind it: a forced full discard
         subscriber.sync()
-        assert (dedup.records, dedup.reloads) == ([["h2", "h1"]], 1)
+        assert not cache.contains("dedup", "h3")
+        assert subscriber.snapshot()["full_discards"] == 1
 
 
 class TestFallback:

@@ -30,6 +30,7 @@ from repro.storage.backends import InMemoryStore
 from repro.storage.stores import StoreSet
 from tests.support.crashpoints import StopHere as _StopHere
 from tests.support.crashpoints import stop_at as _stop_at
+from tests.support.dedup import stored_records
 
 #: One CA for the whole module — its RSA key generation dominates setup.
 _CA = CertificateAuthority(key_bits=1024)
@@ -117,10 +118,10 @@ _PATHS = ("/keep", "/d/f", "/d/new", "/f2", "/d/g1", "/d/g2")
 
 
 def object_state(server: SeGShareServer) -> tuple[dict[str, tuple[str, int]], set[str]]:
-    """The in-enclave object entries and the object ids on the store."""
+    """The stored records' entries and the object ids on the store."""
     keys = server.stores.dedup.keys()
     objects = {key.partition("\x00")[0] for key in keys if key.startswith("obj:")}
-    return dict(server.enclave.manager.dedup._index), objects
+    return stored_records(server.enclave.manager.dedup), objects
 
 
 def check_dedup_records(server: SeGShareServer) -> None:
@@ -135,8 +136,8 @@ def check_dedup_records(server: SeGShareServer) -> None:
     manager = server.enclave.manager
     dedup = manager.dedup
     keys = list(server.stores.dedup.keys())
-    assert {key.partition("\x00")[0][4:] for key in keys if key.startswith("idx:")} == set(dedup._index)
     index, objects = object_state(server)
+    assert {key.partition("\x00")[0][4:] for key in keys if key.startswith("idx:")} == set(index)
     assert objects == {object_id for object_id, _ in index.values()}
     files = [path for path in _PATHS if manager.exists(path)]
     if dedup.deduplicate:
@@ -570,7 +571,7 @@ class TestRecoveryDetails:
 
     @staticmethod
     def _unindexed_objects(server: SeGShareServer) -> set[str]:
-        indexed = {entry[0] for entry in server.enclave.manager.dedup._index.values()}
+        indexed = {entry[0] for entry in stored_records(server.enclave.manager.dedup).values()}
         stored = {
             key.partition("\x00")[0]
             for key in server.stores.dedup.keys()
@@ -1193,7 +1194,7 @@ def _residue(server: SeGShareServer) -> list[str]:
         if key.startswith("\x00journal:")
     ]
     _, objects = object_state(server)
-    referenced = {object_id for object_id, _ in server.enclave.manager.dedup._index.values()}
+    referenced = {object_id for object_id, _ in stored_records(server.enclave.manager.dedup).values()}
     return keys + sorted(objects - referenced)
 
 
@@ -1294,7 +1295,7 @@ def test_sharded_deployment_leaves_no_saved_key():
         azure_wan_env(), _CA.public_key, stores=StoreSet.sharded(backends), options=options
     )
     _prime_big(server)
-    object_id = server.enclave.manager.dedup._index[server.enclave.manager._pointer_target("/d/big")][0]
+    object_id = stored_records(server.enclave.manager.dedup)[server.enclave.manager._pointer_target("/d/big")][0]
 
     def object_on_shards() -> list[str]:
         return [key for shard in backends for key in shard.keys() if object_id in key]
@@ -1316,7 +1317,7 @@ def test_sharded_deployment_leaves_no_saved_key():
 
 
 def test_a_failed_rollback_refuses_later_mutations_until_restart():
-    """An abort that cannot re-read the dedup records poisons the journal.
+    """An abort that cannot drop the member's spilled parts poisons the journal.
     A later mutation must answer UNAVAILABLE, not run over enclave state
     the abort left half-rewound; a restart starts clean, and the aborted
     request left nothing behind."""
@@ -1328,13 +1329,13 @@ def test_a_failed_rollback_refuses_later_mutations_until_restart():
     prime(server)
     engine, handler = server.enclave.engine, server.enclave.handler
 
-    def reload_fails() -> None:
-        raise FaultError("record re-read failed")
+    def rollback_fails(member_base: int) -> None:
+        raise FaultError("part drop failed")
 
-    engine.dedup.reload_index = reload_fails
+    engine.journal.rollback_member = rollback_fails
     plan.fail_nth(nth=1, op="put", key="\x00journal:redo")  # the request's commit point
     assert handler.handle("alice", Request(op=Op.PUT_DIR, args=("/e/",))).status is Status.RETRY
-    del engine.dedup.reload_index
+    del engine.journal.rollback_member
     assert handler.handle("alice", Request(op=Op.PUT_DIR, args=("/g/",))).status is Status.UNAVAILABLE
     server.restart_enclave()
     server.enclave.guard.verify_restored_state()

@@ -2,8 +2,9 @@
 
 import pytest
 
+from repro.core.cache import MetadataCache
 from repro.core.coherence import CoherenceManager
-from repro.core.dedup import NS_DEDUP, DedupStore
+from repro.core.dedup import DedupStore
 from repro.core.requests import Op, Request, StatInfo, Status
 from repro.errors import ProtectedFsError, StorageError
 from repro.netsim.coherence import CoherenceBoard
@@ -14,6 +15,7 @@ from repro.util.serialization import SerializationError
 
 from tests.core.conftest import build_world
 from tests.support.calls import python_calls
+from tests.support.dedup import stored_records
 from tests.support.platform import engine_for, loaded_enclave
 
 
@@ -94,7 +96,7 @@ class TestStoreLevel:
         older object under a name fails the HMAC recomputation."""
         h_old = dedup.put(b"v1")
         pfs = dedup._pfs
-        old_object = dedup._index[h_old][0]
+        old_object = stored_records(dedup)[h_old][0]
         old_chunks = {
             key: pfs._store.get(key)
             for key in list(pfs._store.keys())
@@ -102,7 +104,7 @@ class TestStoreLevel:
         }
         dedup.release(h_old)
         h_new = dedup.put(b"v2")
-        new_object = dedup._index[h_new][0]
+        new_object = stored_records(dedup)[h_new][0]
         # The provider substitutes v1's payload for v2's object.  Either
         # layer may catch it first: the protected FS (chunk AAD binds the
         # object id) or the dedup store's content-address recheck.
@@ -182,9 +184,9 @@ class TestSystemLevel:
 
 
 class TestIndexSeals:
-    """Counts, not seconds: inside an engine span each changed record is
-    sealed once, at the span's end; outside one, every change is sealed at
-    once.  A change seals only the records it touched."""
+    """Counts, not seconds: a change seals only the record it touched,
+    into the span's write buffers inside an engine span and at once
+    outside one."""
 
     @staticmethod
     def _record_io(monkeypatch) -> list[tuple[str, str]]:
@@ -215,19 +217,18 @@ class TestIndexSeals:
         world.handler.put_file("alice", "/a", b"v2")  # adopts v2, releases v1
         h_v1, h_v2 = dedup.h_name(b"v1"), dedup.h_name(b"v2")
         assert sorted(io) == [("remove", "idx:" + h_v1), ("write", "idx:" + h_v2)]
-        in_memory = dict(dedup._index)
-        dedup.reload_index()
-        assert dedup._index == in_memory
+        records = stored_records(dedup)
+        assert h_v1 not in records and records[h_v2][1] == 1 and len(records) == 21
         assert world.manager.read_content("/a") == b"v2"
 
     def test_a_board_bump_mid_upload_cannot_drop_the_adoption(
         self, make_world, monkeypatch
     ):
         """The host bumps the coherence board between the upload adopting v2
-        and the release of v1.  The forced reload must not throw away the
-        unsealed adoption while the content file commits pointing at it:
-        the PUT fails and the share stays at v1."""
-        world = make_world(enable_dedup=True)
+        and the release of v1.  The forced full discard drops cached
+        plaintext only; the adoption sits in the span's write buffers, so
+        the PUT commits and the records hold it."""
+        world = make_world(enable_dedup=True, cache_bytes=64 * 1024)
         engine = world.manager.engine
         board = CoherenceBoard()
         engine.attach_coherence(CoherenceManager(board, bytes(32), engine))
@@ -241,18 +242,16 @@ class TestIndexSeals:
             return original(self, h_name)
 
         monkeypatch.setattr(DedupStore, "release", bump_then_release)
-        assert world.handler.put_file("alice", "/a", b"v2").status is Status.ERROR
+        assert world.handler.put_file("alice", "/a", b"v2").status is Status.OK
         monkeypatch.undo()
 
-        assert not dedup._dirty
-        assert world.manager.read_content("/a") == b"v1"
-        assert (dedup.refcount(h_v1), dedup.refcount(h_v2)) == (1, 0)
-        in_memory = dict(dedup._index)
-        dedup.reload_index()
-        assert dedup._index == in_memory
-        assert world.handler.put_file("alice", "/a", b"v2").status is Status.OK
+        assert engine.coherence.stats.full_discards == 1
         assert world.manager.read_content("/a") == b"v2"
         assert (dedup.refcount(h_v1), dedup.refcount(h_v2)) == (0, 1)
+        assert list(stored_records(dedup)) == [h_v2]
+        assert stored_records(build_world(enable_dedup=True, stores=world.stores).manager.dedup) == (
+            stored_records(dedup)
+        )
 
     def test_a_change_outside_any_span_is_sealed_at_once(self, monkeypatch):
         backend = InMemoryStore()
@@ -267,13 +266,14 @@ class TestIndexSeals:
 
 
 class TestPeerRereads:
-    """A peer applying a coherence epoch re-reads exactly the records the
-    epoch names, however many the index holds."""
+    """A peer keeps no copy of the records: applying a coherence epoch
+    discards the cached ones it names, and the peer reads a record again
+    only when it next uses it, however many records the store holds."""
 
     @staticmethod
     def _replica(stores: StoreSet, board: CoherenceBoard) -> DedupStore:
         enclave = loaded_enclave()
-        engine = engine_for(stores, enclave)
+        engine = engine_for(stores, enclave, cache=MetadataCache(64 * 1024, enclave.platform.epc))
         engine.attach_coherence(CoherenceManager(board, bytes(32), engine))
         store = DedupStore(ProtectedFs(engine.backends.dedup, master_key=bytes(16), enclave=enclave), bytes(32), engine)
         engine.attach_dedup(store)
@@ -286,7 +286,8 @@ class TestPeerRereads:
             for i in range(50):
                 writer.put(b"entry %d" % i)
         peer = self._replica(stores, board)
-        assert peer._index == writer._index
+        names = list(stored_records(writer))
+        assert [peer.refcount(name) for name in names] == [1] * 50  # now cached
         h_old, h_new = writer.h_name(b"entry 7"), writer.h_name(b"fresh")
         with writer._engine.transaction("overwrite"):
             writer.put(b"fresh")
@@ -301,27 +302,10 @@ class TestPeerRereads:
 
         monkeypatch.setattr(ProtectedFs, "read_file", recording)
         assert peer.refcount(h_new) == 1  # applies the writer's epoch first
-        assert reads == ["idx:" + h_new]  # the released record is gone, not read
         assert peer.refcount(h_old) == 0
-        assert peer._index == writer._index
-
-    def test_a_named_record_under_an_unsealed_change_aborts_the_span(self):
-        """An epoch naming a record this span changed but has not sealed
-        (a peer's commit, or a host replaying an entry) fails the span;
-        one naming any other record is simply re-read."""
-        stores, board = StoreSet.in_memory(), CoherenceBoard()
-        writer, peer = self._replica(stores, board), self._replica(stores, board)
-        with writer._engine.transaction("first"):
-            h_name, h_other = writer.put(b"shared"), writer.put(b"other")
-        with pytest.raises(StorageError):
-            with peer._engine.transaction("conflict"):
-                peer.put(b"shared")  # applies "first", then dirties the record
-                writer._engine.coherence.publish([(NS_DEDUP, h_other)], "elsewhere")
-                assert peer.refcount(h_other) == 1
-                writer._engine.coherence.publish([(NS_DEDUP, h_name)], "here")
-                peer.refcount(h_name)  # re-reading it would drop the adoption
-        assert not peer._dirty
-        assert peer.refcount(h_name) == writer.refcount(h_name) == 1
+        assert [peer.refcount(name) for name in names if name != h_old] == [1] * 49
+        assert reads == ["idx:" + h_new]  # the released record is gone, not read
+        assert stored_records(peer) == stored_records(writer)
 
 
 class TestSweepOrphans:
@@ -347,7 +331,7 @@ class TestSweepOrphans:
 
         restarted = self._reopened(store)
         assert restarted.sweep_orphans() == 1
-        assert self._object_keys(store) == {restarted._index[kept][0]}
+        assert self._object_keys(store) == {stored_records(restarted)[kept][0]}
         assert restarted.get(kept) == b"indexed content" * 1000
         assert restarted.sweep_orphans() == 0
 
@@ -363,7 +347,7 @@ class TestSweepOrphans:
 
         restarted = self._reopened(store)
         assert restarted.sweep_orphans() == 1
-        assert self._object_keys(store) == {restarted._index[kept][0]}
+        assert self._object_keys(store) == {stored_records(restarted)[kept][0]}
 
     def test_sealed_but_unreferenced_object_is_still_swept(self):
         store = InMemoryStore()
@@ -407,7 +391,7 @@ FINAL_RECORDS_HEX = {
 }
 
 
-def stored_records(dedup: DedupStore) -> dict[str, str]:
+def stored_record_hex(dedup: DedupStore) -> dict[str, str]:
     return {path: dedup._pfs.read_file(path).hex() for path in sorted(dedup._pfs.owners("idx:"))}
 
 
@@ -418,7 +402,7 @@ class TestIndexBytes:
         def check():
             step, entries = next(steps)
             expected = {"idx:" + h: record_hex(*entry) for h, entry in entries.items()}
-            assert stored_records(dedup) == expected, step
+            assert stored_record_hex(dedup) == expected, step
 
         assert dedup.put(b"alpha") == H_ALPHA
         check()
@@ -434,33 +418,27 @@ class TestIndexBytes:
         check()
         dedup.add_reference(H_GAMMA)
         check()
-        assert stored_records(dedup) == FINAL_RECORDS_HEX
+        assert stored_record_hex(dedup) == FINAL_RECORDS_HEX
         assert not any(key.startswith("idx:" + H_BETA) for key in dedup._pfs._store.keys())
 
-    def test_reloaded_index_stores_the_same_bytes(self, dedup, numbered_objects):
+    def test_reloaded_index_stores_the_same_bytes(self, numbered_objects):
+        """A store opened over the records (a restart) re-seals each one to
+        the bytes it read."""
+        backend = InMemoryStore()
+        dedup = dedup_over(backend)
         for i in range(20):
             dedup.put(b"content-%d" % (i % 13))
-        stored = stored_records(dedup)
-        before = dict(dedup._index)
-        dedup.reload_index()
-        assert dedup._index == before
-        dedup._dirty.update(dedup._index)
-        dedup.seal_index()
-        assert stored_records(dedup) == stored
-
-    def test_trailing_bytes_in_the_index_are_rejected(self, dedup):
-        h_name = dedup.put(b"x")
-        path = "idx:" + h_name
-        dedup._pfs.write_file(path, dedup._pfs.read_file(path) + b"\x00")
-        with pytest.raises(SerializationError):
-            dedup.reload_records([h_name])
-        with pytest.raises(SerializationError):
-            dedup.reload_index()
+        stored = stored_record_hex(dedup)
+        reloaded = dedup_over(backend)
+        for name in stored_records(reloaded):
+            reloaded.add_reference(name)
+            reloaded.release(name)
+        assert stored_record_hex(reloaded) == stored
 
     def test_sealing_a_change_does_not_cost_per_entry(self):
-        """Calls, not seconds: a seal writes the records the span changed,
-        so with 2 000 live entries it costs the Python calls it costs with
-        50."""
+        """Calls, not seconds: a change reads and writes the one record it
+        touches, so with 2 000 stored records it costs the Python calls it
+        costs with 50."""
 
         def cost(entries):
             engine = engine_for(StoreSet.in_memory(), loaded_enclave())
@@ -469,26 +447,38 @@ class TestIndexBytes:
                 bytes(32),
                 engine,
             )
-            engine.in_span = True  # changes wait for seal_index
-            for i in range(entries):
-                store._commit("obj:%032x" % i, "%064x" % i)
-            store.seal_index()
-            # Two fresh records: the PAE's per-key context cache then
-            # misses alike at both sizes.
-            for i in (entries, entries + 1):
-                store._commit("obj:%032x" % i, "%064x" % i)
-            return python_calls(store.seal_index)
+            with engine.transaction("preload"):
+                for i in range(entries):
+                    store._commit("obj:%032x" % i, "%064x" % i)
+
+            def change():
+                # Two fresh records: the PAE's per-key context cache then
+                # misses alike at both sizes.
+                with engine.transaction("change"):
+                    for i in (entries, entries + 1):
+                        store._commit("obj:%032x" % i, "%064x" % i)
+
+            return python_calls(change)
 
         assert cost(2000) == cost(50)
+
+    def test_trailing_bytes_in_the_index_are_rejected(self, dedup):
+        h_name = dedup.put(b"x")
+        path = "idx:" + h_name
+        dedup._pfs.write_file(path, dedup._pfs.read_file(path) + b"\x00")
+        with pytest.raises(SerializationError):
+            dedup.refcount(h_name)
+        with pytest.raises(SerializationError):
+            dedup.sweep_orphans()
 
 
 # -- a host that lies about the dedup store ------------------------------------------
 #
 # A record is bound to its hName, not kept fresh.  Between requests the host
-# replays, deletes or mixes records; a peer replica then re-reads the records
-# the writer's last epoch names, and a restart re-reads all of them.  Whatever
-# they read, every GET, size and STAT answers the model's bytes or a typed
-# error — never other content, never an unhandled exception.
+# replays, deletes or mixes records; every replica reads a record each time it
+# uses one, and a restart's sweep reads all of them.  Whatever they read,
+# every GET, size and STAT answers the model's bytes or a typed error — never
+# other content, never an unhandled exception.
 
 A, B, X = b"alpha content" * 300, b"beta content", b"released content"
 
@@ -573,13 +563,13 @@ class _Share:
             self.stores.dedup.put(key, value)
 
     def restart(self):
-        """A fresh enclave over the store, as a restart builds it — or None
-        when it refuses to start with a typed error."""
+        """A fresh enclave over the store, as a restart builds and sweeps
+        it — or None when it refuses to start with a typed error."""
         try:
             world = build_world(enable_dedup=True, stores=self.stores)
+            world.manager.dedup.sweep_orphans()
         except (StorageError, ProtectedFsError):
             return None
-        world.manager.dedup.sweep_orphans()
         assert_serves_model(world, self.model)
         return world
 
@@ -634,19 +624,23 @@ class TestByzantineRecords:
         h_a, h_b = share.h_name(A), share.h_name(B)
         share.write({key.replace(h_a, h_b): value for key, value in share.record(A).items()})
         # The record's file key is derived from its name: the peer cannot
-        # open it, so every dedup read of the peer fails typed.
-        with pytest.raises(ProtectedFsError):
-            share.peer.manager.read_content("/a")
+        # open B's record, so every read of B fails typed, and A's own
+        # record still serves /a.
+        for path in ("/b", "/d"):
+            with pytest.raises(ProtectedFsError):
+                share.peer.manager.read_content(path)
+        assert share.peer.manager.read_content("/a") == A
         assert_serves_model(share.peer, share.model)
-        assert not share.remove("/a", share.peer)
+        assert not share.remove("/b", share.peer)
+        assert share.remove("/a", share.peer)
         assert_serves_model(share.writer, share.model)
-        assert share.restart() is None
+        assert share.restart() is None  # its sweep reads B's record
 
     def test_a_released_object_and_its_record_replayed(self):
         share = _Share()
         share.put("/x", X)
         record = share.record(X)
-        obj = share.keys(share.writer.manager.dedup._index[share.h_name(X)][0])
+        obj = share.keys(stored_records(share.writer.manager.dedup)[share.h_name(X)][0])
         assert share.remove("/x")
         assert not share.record(X) and not share.stores.dedup.exists(next(iter(obj)))
         share.write(record)
@@ -695,8 +689,8 @@ class TestByzantineRecords:
 
     def test_a_plain_record_swapped_with_a_content_addressed_one(self):
         share = _Share()
-        share.put("/c", A)  # the peer will re-read A's record ...
-        name = share.put_plain("/p", X)  # ... and this one
+        share.put("/c", A)
+        name = share.put_plain("/p", X)
         h_a = share.h_name(A)
         plain_record, addressed_record = share.keys("idx:" + name), share.record(A)
         share.write({key.replace(name, h_a): value for key, value in plain_record.items()})
@@ -705,4 +699,4 @@ class TestByzantineRecords:
             with pytest.raises(ProtectedFsError):
                 share.peer.manager.read_content(path)
         assert_serves_model(share.peer, share.model)
-        assert share.restart() is None
+        assert share.restart() is None  # its sweep reads both records

@@ -7,6 +7,7 @@ from repro.errors import FileSystemError
 from repro.fsmodel import DirectoryFile
 from repro.sgx.protected_fs import CHUNK_SIZE, READ_GROUP
 from repro.storage.stores import StoreSet
+from tests.support.dedup import stored_records
 from tests.support.platform import engine_for, loaded_enclave
 
 ROOT_KEY = bytes(range(32))
@@ -78,8 +79,9 @@ class TestContentRecords:
         assert manager.read_content("/a") == b"version two"
         assert manager.read_content("/c") == b"same bytes"
         live = {manager._pointer_target("/a"), c}
-        assert object_keys(manager) == {manager.dedup._index[name][0] for name in live}
-        assert set(manager.dedup._index) == live
+        records = stored_records(manager.dedup)
+        assert object_keys(manager) == {records[name][0] for name in live}
+        assert set(records) == live
 
     def test_a_record_of_another_kind_is_a_typed_error(self, manager):
         manager.content.guarded_write("/f", b"\x00raw bytes")

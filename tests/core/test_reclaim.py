@@ -27,6 +27,7 @@ from repro.netsim import azure_wan_env
 from repro.pki import CertificateAuthority
 from repro.storage.stores import StoreSet
 from repro.tls.channel import StreamingResponse, _ServerSession
+from tests.support.dedup import stored_records
 
 #: One CA for the whole module — its RSA key generation dominates setup.
 _CA = CertificateAuthority(key_bits=1024)
@@ -55,7 +56,7 @@ def primed(stores=None, parallel=False, **overrides) -> SeGShareServer:
 
 def object_of(server: SeGShareServer, path: str) -> str:
     manager = server.enclave.manager
-    return manager.dedup._index[manager._pointer_target(path)][0]
+    return stored_records(manager.dedup)[manager._pointer_target(path)][0]
 
 
 def stored_objects(stores: StoreSet) -> set[str]:
@@ -78,7 +79,7 @@ def engine_stats(server: SeGShareServer) -> dict:
 def check_objects(server: SeGShareServer) -> None:
     """Every stored object is referenced, and every referenced one reads whole."""
     manager = server.enclave.manager
-    referenced = {object_id for object_id, _ in manager.dedup._index.values()}
+    referenced = {object_id for object_id, _ in stored_records(manager.dedup).values()}
     assert stored_objects(server.stores) == referenced
     assert manager.read_content("/d/keep") == b"other file"
     assert manager.read_content("/d/f") in (OLD, NEW)

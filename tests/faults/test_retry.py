@@ -193,9 +193,9 @@ class TestTransientStorageFaults:
         assert alice.download("/f") == b"v2"
 
     def test_rollback_resyncs_dedup_index(self, user_key):
-        """A rolled-back batch must not leave the in-memory dedup index
-        ahead of the restored on-disk one (refcounts would drift and a
-        later remove would reclaim a live object — or chase a dead one).
+        """A rolled-back batch must not leave a refcount the enclave reads
+        ahead of the stored record (refcounts would drift and a later
+        remove would reclaim a live object — or chase a dead one).
         """
         plan = FaultPlan()
         deployment = flaky_deployment(
@@ -216,7 +216,7 @@ class TestTransientStorageFaults:
 
         # Control run: count the content-store puts one second-reference
         # upload makes, so the fault below can land near the end of the
-        # batch — after the dedup index has adopted the new reference.
+        # batch — after the dedup record has adopted the new reference.
         sentinel = plan.fail_nth(nth=10**9, op="put", store="content")
         before = sentinel._store_rules[-1].seen
         alice.upload("/b", shared)
@@ -225,9 +225,9 @@ class TestTransientStorageFaults:
         alice.remove("/b")
         assert dedup.refcount(h) == 1
 
-        # Fail the pointer-file write: the index already says refcount 2
-        # in memory; the rollback restores refcount 1 on disk and must
-        # drag the cache back with it before the client's retry lands.
+        # Fail the pointer-file write: the record already says refcount 2
+        # in the span's buffers; the rollback drops them, so the stored
+        # refcount 1 is what the client's retry reads.
         plan.fail_nth(nth=puts_per_upload - 4, op="put", store="content")
         alice.upload("/b", shared)
         assert alice.download("/b") == shared

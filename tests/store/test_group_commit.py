@@ -18,7 +18,7 @@ from repro.core.enclave_app import SeGShareOptions
 from repro.core.journal import TAG_CONTENT, TAG_DEDUP, WriteAheadJournal
 from repro.core.requests import Op, Request, Status
 from repro.core.server import SeGShareServer
-from repro.errors import EnclaveCrashed, FaultError, StorageError
+from repro.errors import EnclaveCrashed, FaultError
 from repro.faults import FaultPlan, faulty_stores
 from repro.netsim import azure_wan_env
 from repro.netsim.coherence import CoherenceBoard
@@ -26,6 +26,7 @@ from repro.pki import CertificateAuthority
 from repro.storage.stores import StoreSet
 from repro.store.engine import DeferredStore, TransactionStats
 from tests.support.crashpoints import StopHere, stop_at
+from tests.support.dedup import stored_records
 from tests.support.platform import loaded_enclave
 
 #: One CA for the whole module — RSA keygen dominates setup otherwise.
@@ -207,11 +208,11 @@ class TestMemberAtomicity:
 
     def test_member_abort_after_an_index_change_keeps_the_index_sealed(self):
         """Member 1 commits a dedup upload; member 2 of the same epoch
-        changes the index and aborts.  The records are sealed per member,
-        so member 1's refcounts are durable at its commit record, and the
-        abort leaves memory equal to the stored records, as a restart
-        reads them too."""
-        server = build_server(enable_dedup=True)
+        changes the records, reads one back and aborts.  The records are
+        written per member, so member 1's refcounts are durable at its
+        commit record; member 2's changes sat in its write buffers and go
+        with them, and the record it read back never reached the cache."""
+        server = build_server(enable_dedup=True, metadata_cache_bytes=64 * 1024)
         engine = server.enclave.engine
         dedup = server.enclave.manager.dedup
         setup_dir(server)
@@ -230,31 +231,30 @@ class TestMemberAtomicity:
                 with engine.transaction("doomed"):
                     dedup.release(h_shared)
                     dedup.put(b"never adopted")
-                    assert dedup._dirty
+                    assert dedup.refcount(h_shared) == 1  # read from the span's buffers
                     raise RuntimeError("abort after changing the index")
 
         server.switchless.dispatch(doomed, arrival=t0)
         assert engine.group_commit.open and engine.group_commit.members == 1
         assert engine.stats.aborts == aborts0 + 1
-        assert not dedup._dirty
         assert dedup.refcount(h_shared) == 2
-        in_memory = dict(dedup._index)
-        dedup.reload_index()
-        assert dedup._index == in_memory
+        records = stored_records(dedup)
+        assert records[h_shared][1] == 2 and dedup.h_name(b"never adopted") not in records
 
         engine.quiesce()
         assert (stats.epochs, stats.members_total) == (epochs0 + 1, members0 + 1)
         server.restart_enclave()
-        assert server.enclave.manager.dedup._index == in_memory
+        assert stored_records(server.enclave.manager.dedup) == records
         assert server.enclave.manager.dedup.refcount(h_shared) == 2
         assert server.enclave.manager.read_content("/d/second") == b"shared"
 
-    def test_a_board_bump_inside_a_member_aborts_it_not_its_index_change(self):
-        """A member changes the index, then the host bumps the coherence
-        board and the member's next lookup syncs.  The forced reload must
-        not drop the member's unsealed change while the member commits:
-        the member aborts, and the member before it stands."""
-        server = build_server(enable_dedup=True)
+    def test_a_board_bump_inside_a_member_keeps_its_index_change(self):
+        """A member changes a record, then the host bumps the coherence
+        board and the member's next lookup syncs.  The forced full discard
+        drops cached plaintext only: the change sits in the member's write
+        buffers, so the member reads it back and commits it, and the
+        member before it stands."""
+        server = build_server(enable_dedup=True, metadata_cache_bytes=64 * 1024)
         engine = server.enclave.engine
         dedup = server.enclave.manager.dedup
         board = CoherenceBoard()
@@ -267,25 +267,22 @@ class TestMemberAtomicity:
         server.switchless.dispatch(put_thunk(server, "/d/first", b"shared"), arrival=t0)
 
         def bumped():
-            with pytest.raises(StorageError):
-                with engine.transaction("bumped"):
-                    dedup.put(b"shared")
-                    board._epoch += 1  # no entry behind it: a forced full discard
-                    dedup.refcount(h_shared)
+            with engine.transaction("bumped"):
+                dedup.put(b"shared")
+                board._epoch += 1  # no entry behind it: a forced full discard
+                assert dedup.refcount(h_shared) == 2
 
         server.switchless.dispatch(bumped, arrival=t0)
-        assert engine.group_commit.open and engine.group_commit.members == 1
-        assert engine.stats.aborts == aborts0 + 1
-        assert not dedup._dirty
-        assert dedup.refcount(h_shared) == 1
-        in_memory = dict(dedup._index)
-        dedup.reload_index()
-        assert dedup._index == in_memory
+        assert engine.group_commit.open and engine.group_commit.members == 2
+        assert engine.stats.aborts == aborts0
+        assert engine.coherence.stats.full_discards == 1
+        assert dedup.refcount(h_shared) == 2
+        records = stored_records(dedup)
+        assert records[h_shared][1] == 2
 
         engine.quiesce()
         server.restart_enclave()
-        assert server.enclave.manager.dedup._index == in_memory
-        assert server.enclave.manager.dedup.refcount(h_shared) == 1
+        assert stored_records(server.enclave.manager.dedup) == records
         assert server.enclave.manager.read_content("/d/first") == b"shared"
 
 
@@ -478,7 +475,7 @@ class TestMovedPreImagesInAnEpoch:
             if key.startswith("\x00journal:")
         ]
         objects = {key.partition("\x00")[0] for key in stores.dedup.keys() if key.startswith("obj:")}
-        named = {object_id for object_id, _ in server.enclave.manager.dedup._index.values()}
+        named = {object_id for object_id, _ in stored_records(server.enclave.manager.dedup).values()}
         return journal + sorted(objects - named)
 
     def test_crash_between_entry_and_move_in_either_member(self):

@@ -4,8 +4,9 @@ Three groups of checks:
 
 * **redo invariants**, through a counting store: a commit reads nothing
   it then overwrites or deletes, a member that fails after its writes
-  leaves every stored key byte-identical and writes nothing more, and in
-  a shared epoch the other members' commits stand;
+  leaves every stored key byte-identical and writes nothing more, the
+  store operations of its abort do not depend on how many objects are
+  stored, and in a shared epoch the other members' commits stand;
 * **a hostile host on the record**: at restart a record replayed from too
   old a state, transplanted from another deployment, truncated or with a
   bit flipped is refused with a typed error and never applied;
@@ -106,15 +107,16 @@ def test_a_commit_reads_no_key_it_then_overwrites_or_deletes(name, monkeypatch):
     overwritten or deleted: nothing is saved to be restored."""
     server, stores = _counted_server()
     handler = server.enclave.handler
-    dedup = server.enclave.manager.dedup
+    content_buffer = server.enclave.engine.backends.content
     committing = []
-    seal_index = dedup.seal_index
+    drain = content_buffer.drain
 
-    def sealed_then_commit() -> None:
-        seal_index()
+    def at_the_commit_point():
+        # The first buffer handed to the commit record: the body is over.
         committing.append([len(store.log) for store in stores])
+        return drain()
 
-    monkeypatch.setattr(dedup, "seal_index", sealed_then_commit)
+    monkeypatch.setattr(content_buffer, "drain", at_the_commit_point)
     starts = [len(store.log) for store in stores]
     assert _REQUESTS[name](handler).status is Status.OK
     assert committing, "the request ran no transaction"
@@ -159,6 +161,36 @@ def test_a_failed_member_leaves_every_key_byte_identical(monkeypatch):
     monkeypatch.undo()
     assert server.enclave.manager.read_content("/d/f") == b"first version"
     assert handler.handle("alice", Request(op=Op.REMOVE, args=("/d/f",))).status is Status.OK
+
+
+def _aborted_put_log(stored: int, monkeypatch) -> list[list[tuple[str, str]]]:
+    """Each store's operations in a PUT_FILE that fails after its writes,
+    over ``stored`` objects."""
+    server, stores = _counted_server()
+    engine, dedup = server.enclave.engine, server.enclave.manager.dedup
+    with engine.transaction("preload"):
+        for i in range(stored - 2):  # /d/f and /d/keep hold the other two
+            dedup.put(b"stored object %d" % i)
+    engine.quiesce()
+    assert dedup.object_count() == stored
+    aborts = engine.stats.aborts
+    for store in stores:
+        store.log.clear()
+    with monkeypatch.context() as patch:
+        # The failing upload's object id, the same in every deployment.
+        patch.setattr("repro.core.dedup.object_prefix", lambda writer: "obj:")
+        patch.setattr("repro.core.dedup.secrets.token_urlsafe", lambda nbytes: "u" * 32)
+        at_fault = _failing_request(patch, stores)
+        assert server.enclave.handler.put_file("alice", "/d/g", b"second version").status is not Status.OK
+    assert at_fault and engine.stats.aborts == aborts + 1
+    return [store.log for store in stores]
+
+
+def test_an_abort_costs_the_same_however_many_objects_are_stored(monkeypatch):
+    """An aborted request's store operations do not depend on how many
+    objects are stored: its abort drops buffers and reads nothing."""
+    small = _aborted_put_log(10, monkeypatch)
+    assert _aborted_put_log(1000, monkeypatch) == small
 
 
 def test_other_members_of_a_shared_epoch_stand(monkeypatch):

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 from repro.core.acl import AclFile, GroupListFile, MemberListFile
 from repro.core.coherence import CoherenceManager
+from repro.core.dedup import decode_record
 from repro.core.journal import EpochRecord
 from repro.core.requests import AclInfo, QuotaInfo, Request, Response, StatInfo
 from repro.core.rollback import RollbackGuard
@@ -28,15 +29,9 @@ from repro.sgx.protected_fs import _Meta
 from repro.tls import channel, records
 from repro.util.serialization import SerializationError
 
-from tests.util.test_golden_bytes import _KEY, CORPUS, _dedup_world
+from tests.util.test_golden_bytes import _KEY, CORPUS
 
 TYPED = (SerializationError, TlsError, RequestError, ProtectedFsError)
-
-
-def _dedup_record(data: bytes) -> None:
-    dedup, pfs, name = _dedup_world()
-    pfs.write_file("idx:" + name, data)
-    dedup._reread(name)
 
 
 #: decoder name -> (decode, valid encodings to mangle)
@@ -58,7 +53,7 @@ DECODERS = {
         lambda data: MSetXorBuckets.deserialize(_KEY, data),
         ["mset-buckets-sparse", "mset-buckets-full", "mset-buckets-empty"],
     ),
-    "dedup-idx-record": (_dedup_record, ["dedup-idx-record"]),
+    "dedup-idx-record": (decode_record, ["dedup-idx-record"]),
     "coherence-entry": (lambda data: CoherenceManager._decode(None, data), ["coherence-entry"]),
     "journal-epoch": (EpochRecord.decode, ["journal-epoch"]),
 }
