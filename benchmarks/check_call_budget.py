@@ -12,9 +12,12 @@ entry (docs/PERF.md §8).
 Runs ``benchmarks/e2e/run.py --workload W --seed 1 --rounds 2 --trace 1``
 for every workload, each in its own process, and exits non-zero if one
 exceeds its budget.  Each budget is about 1.17x the count measured with
-the change that last set it, the margin §11 and §12 used: for all four,
-docs/PERF.md §24's, where a member's writes commit through one sealed redo
-record and no pre-image is read or sealed (Python 3.11).
+the change that last set it, the margin §11 and §12 used (Python 3.11).
+For ``edit_churn``, ``bulk_stream`` and ``cluster_fanout`` that is
+docs/PERF.md §26's, where a protected file's chunks 1 to n - 1 are one
+stored value the store writes and reads by range, one call per 16-chunk
+group.  ``browse_hot`` keeps §24's (one sealed redo record per member):
+1.17x its §26 count (310.02) would be above it, and budgets only fall.
 """
 
 from __future__ import annotations
@@ -31,9 +34,9 @@ from e2e.cli import child  # noqa: E402
 METRIC = "trace.py_calls_per_op"
 BUDGETS = {
     "browse_hot": 360.0,
-    "edit_churn": 955.0,
-    "bulk_stream": 5525.0,
-    "cluster_fanout": 386.0,
+    "edit_churn": 954.0,
+    "bulk_stream": 3789.0,
+    "cluster_fanout": 382.0,
 }
 
 

@@ -19,10 +19,10 @@ nothing exercises it.  This rule proves the coverage bidirectionally:
   base class declares each subclass's ID).
 * **mutating -> declared**: every function in the configured mutation
   modules that performs a persisted mutation (a bare configured call
-  such as ``raw_write``, an ``os``-module call such as ``os.replace``,
-  or a ``put``/``delete`` through a backend-shaped receiver) must
-  contain a crashpoint call, so the matrix can schedule a crash against
-  it.
+  such as ``raw_write``, an ``os``-module call such as ``os.replace`` or
+  ``os.pwrite``, or a ``put``/``put_range``/``delete`` through a
+  backend-shaped receiver) must contain a crashpoint call, so the matrix
+  can schedule a crash against it.
 
 Recovery-path mutations that must *not* carry crashpoints (a crashpoint
 inside restore would let the fault plan kill the recovering — or in the
@@ -52,14 +52,14 @@ _DEFAULT_MUTATION_CALLS = (
     "raw_write",
     "raw_delete",
 )
-#: ``replace``/``remove``/``unlink`` are persisted mutations only as
-#: ``os``-module calls; the same bare names on sets and dicts are not.
-_DEFAULT_OS_CALLS = ("replace", "remove", "unlink")
+#: ``replace``/``remove``/``unlink``/``pwrite`` are persisted mutations only
+#: as ``os``-module calls; the same bare names on sets and dicts are not.
+_DEFAULT_OS_CALLS = ("replace", "remove", "unlink", "pwrite")
 _DEFAULT_OS_RECEIVERS = ("os",)
-#: ``put``/``delete``/``rename`` only count as persisted mutations when
-#: they go through a raw-backend-shaped receiver; the same names on
-#: caches and wrappers are not persistence.
-_DEFAULT_STORE_CALLS = ("put", "delete", "rename")
+#: ``put``/``put_range``/``delete``/``rename`` only count as persisted
+#: mutations when they go through a raw-backend-shaped receiver; the same
+#: names on caches and wrappers are not persistence.
+_DEFAULT_STORE_CALLS = ("put", "put_range", "delete", "rename")
 _DEFAULT_STORE_RECEIVERS = ("backend", "backends", "store", "stores", "inner")
 
 

@@ -203,7 +203,7 @@ class DedupStore:
         self._set(h_name, object_id, refcount - 1)
         if refcount <= 1:
             # Object blobs bypass the metadata cache (see _commit).
-            self._engine.release_object(object_id, self._pfs.chunk_count(object_id))
+            self._engine.release_object(object_id)
 
     def refcount(self, h_name: str) -> int:
         entry = self._record(h_name)
@@ -223,8 +223,8 @@ class DedupStore:
         removed by the span that released its last reference.
         """
         # The candidates come from a scan of the writer's keys, not of
-        # metadata: a stranded upload has chunks but no metadata yet (close()
-        # writes it).  Another writer's objects stay: one may be a live peer's
+        # metadata: a stranded upload has a data value, perhaps torn, but no
+        # metadata yet (close() writes it).  Another writer's objects stay: one may be a live peer's
         # upload still streaming.  The referenced set is read from the records
         # as stored, and only when there is a candidate; a record that does not
         # open fails the sweep.  An object we still read stays too: its

@@ -228,6 +228,10 @@ class SeGShareEnclave(Enclave):
     #: The dedup records are the dedup index, read through the engine's
     #: cached path; the enclave-resident copy, its per-span seal, its
     #: reload on abort and its refuse-reload rule gone: 7653 → 7600.
+    #: A protected file's chunks 1 to n - 1 are one stored value, written and
+    #: read by range, paid for by the per-chunk keys, the reclaim intents'
+    #: chunk counts and the store's ``put_many`` group path (docs/PERF.md
+    #: §26): 7600 → 7600.
     TCB_LOC_CEILING = 7600
 
     def __init__(

@@ -39,8 +39,8 @@ after it — and the guards are checked against its root hashes and
 rebuilt (:meth:`WriteAheadJournal.recover`); its intents are completed.
 
 An object whose last reference a member drops is not deleted in the
-record: a sealed **reclaim intent** ``(object id, chunk count)`` in the
-record names it, and its keys go after the commit point.  Recovery
+record: a sealed **reclaim intent**, the object's id, in the record names
+it, and its two keys go after the commit point.  Recovery
 completes every intent it finds: each names a committed, unreferenced
 object, and object ids are never reused.
 
@@ -63,7 +63,7 @@ is vacuous, matching the (weaker) guarantees of those modes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Collection, Iterable, Optional, Sequence
 
 from repro.crypto import default_pae, derive_key
 from repro.errors import (
@@ -74,7 +74,7 @@ from repro.errors import (
     ServiceUnavailableError,
     StorageError,
 )
-from repro.sgx.protected_fs import stored_keys
+from repro.sgx.protected_fs import SUFFIXES
 from repro.storage.backends import UntrustedStore
 from repro.storage.stores import StoreSet
 from repro.util.serialization import Reader, SerializationError, Writer
@@ -135,23 +135,20 @@ class EpochRecord:
     counter: int
     fs_main: bytes
     group_main: bytes
-    intents: dict[str, int]
+    intents: tuple[str, ...]
     parts: tuple[str, ...]
     writes: tuple[Write, ...]
 
     def encode(self) -> bytes:
         w = Writer().str(self.label).u32(self.members).u64(self.counter)
-        w.bytes(self.fs_main).bytes(self.group_main).u32(len(self.intents))
-        for object_id, chunks in sorted(self.intents.items()):
-            w.str(object_id).u32(chunks)
+        w.bytes(self.fs_main).bytes(self.group_main).str_list(sorted(self.intents))
         return _pack_writes(w.str_list(self.parts), self.writes).take()
 
     @classmethod
     def decode(cls, data: bytes) -> "EpochRecord":
         r = Reader(data)
-        head = (r.str(), r.u32(), r.u64(), r.bytes(), r.bytes())
-        intents = {r.str(): r.u32() for _ in range(r.u32())}
-        record = cls(*head, intents, tuple(r.str_list()), tuple(_read_writes(r)))
+        head = (r.str(), r.u32(), r.u64(), r.bytes(), r.bytes(), tuple(r.str_list()))
+        record = cls(*head, tuple(r.str_list()), tuple(_read_writes(r)))
         r.expect_end()
         return record
 
@@ -271,7 +268,7 @@ class WriteAheadJournal:
         group_main: bytes,
         members: int,
         label: str,
-        intents: "dict[str, int] | None" = None,
+        intents: Collection[str] = (),
         writes: Sequence[Write] = (),
     ) -> EpochRecord:
         """Commit one member: the record put is its atomic commit point.
@@ -284,7 +281,7 @@ class WriteAheadJournal:
             raise StorageError("no commit epoch is open")
         self.crashpoint("journal:commit")
         parts = tuple(f"{self._part_prefix}{seq:08d}" for seq in range(member_base, self._seq))
-        record = EpochRecord(label, members, self._counter, fs_main, group_main, dict(intents or {}), parts, tuple(writes))
+        record = EpochRecord(label, members, self._counter, fs_main, group_main, tuple(intents), parts, tuple(writes))
         self._stored = True
         self._put(self._record_key, record.encode(), "journal:committed")
         self._committed_parts += parts
@@ -320,7 +317,7 @@ class WriteAheadJournal:
         """End an epoch in which no member committed: nothing was stored."""
         self._active = False
 
-    def close_epoch(self, intents: "dict[str, int] | None" = None) -> None:
+    def close_epoch(self, intents: Collection[str] = ()) -> None:
         """Close the epoch: the record's delete is the atomic close point.
 
         The caller has flushed the guards, so the stored state no longer
@@ -330,7 +327,7 @@ class WriteAheadJournal:
         if not self._active:
             raise StorageError("no commit epoch is open")
         self.crashpoint("journal:epoch-close")
-        self._keep(intents or {})
+        self._keep(intents)
         self._active = False
         self.crashpoint("journal:epoch-closed")
         parts, self._committed_parts = self._committed_parts, []
@@ -414,11 +411,11 @@ class WriteAheadJournal:
         is left alone until the close.
         """
         if not self._active:
-            self._keep({})
+            self._keep(())
 
-    def _keep(self, intents: dict[str, int]) -> None:
+    def _keep(self, intents: Collection[str]) -> None:
         if intents:
-            record = EpochRecord("reclaim", 0, self._counter, b"", b"", dict(intents), (), ())
+            record = EpochRecord("reclaim", 0, self._counter, b"", b"", tuple(intents), (), ())
             self._stored = True
             self._put(self._record_key, record.encode(), "journal:intents")
         elif self._stored:
@@ -426,24 +423,23 @@ class WriteAheadJournal:
             self._stored = False
             self.crashpoint("journal:intents")
 
-    def reclaim(self, object_id: str, chunks: int) -> None:
+    def reclaim(self, object_id: str) -> None:
         """Delete a committed, unreferenced object, outside any record."""
         # Its intent stays until drop_intents: a crash or store
         # fault part-way is finished later.
         self.crashpoint("journal:reclaim")
-        self._delete_objects({object_id: chunks})
+        self._delete_objects((object_id,))
 
-    def _delete_objects(self, intents: dict[str, int]) -> None:
+    def _delete_objects(self, intents: Iterable[str]) -> None:
         # Idempotent: recovery and a retried reclaim re-run intents a crash
         # or fault interrupted, so a key already gone is skipped.
         store = self._tagged[TAG_DEDUP]
-        for object_id, chunks in intents.items():
-            for key in stored_keys(object_id, chunks):
-                try:
-                    store.delete(key)
-                except StorageError:
-                    if store.exists(key):
-                        raise
+        for key in [object_id + suffix for object_id in intents for suffix in SUFFIXES]:
+            try:
+                store.delete(key)
+            except StorageError:
+                if store.exists(key):
+                    raise
 
     # -- internals ---------------------------------------------------------------
 

@@ -14,8 +14,8 @@ Supported faults:
 ========================  =====================================================
 ``fail_nth`` / ``fail_randomly``  transient :class:`~repro.errors.FaultError`
                                   on a store operation
-``torn_write``            a ``put`` silently persists only the first half
-``lost_write``            a ``put`` is silently discarded
+``torn_write``            a ``put`` (or ranged write) persists only its first half
+``lost_write``            a ``put`` (or ranged write) is silently discarded
 ``crash_after_ops``       the enclave dies at the N-th store operation
 ``crash_at_point``        the enclave dies at the N-th named crashpoint
 ``drop_message``          a network send raises :class:`NetworkError`
@@ -115,17 +115,18 @@ class FaultPlan:
         )
         return self
 
-    def torn_write(self, nth: int, store: Optional[str] = None) -> "FaultPlan":
-        """Silently persist only the first half of the N-th matching ``put``."""
+    def torn_write(self, nth: int, store: Optional[str] = None, op: str = "put") -> "FaultPlan":
+        """Silently persist only the first half of the N-th matching ``op``
+        (``put``, or ``put_range`` for a ranged write's run)."""
         self._store_rules.append(
-            _Rule(action="torn", nth=nth, match=_store_match("put", store))
+            _Rule(action="torn", nth=nth, match=_store_match(op, store))
         )
         return self
 
-    def lost_write(self, nth: int, store: Optional[str] = None) -> "FaultPlan":
-        """Silently discard the N-th matching ``put`` (acked but never stored)."""
+    def lost_write(self, nth: int, store: Optional[str] = None, op: str = "put") -> "FaultPlan":
+        """Silently discard the N-th matching ``op`` (acked but never stored)."""
         self._store_rules.append(
-            _Rule(action="lost", nth=nth, match=_store_match("put", store))
+            _Rule(action="lost", nth=nth, match=_store_match(op, store))
         )
         return self
 

@@ -3,14 +3,15 @@
 ``FaultyStore`` reports every operation to its :class:`FaultPlan` before
 delegating to the wrapped backend.  The plan may let the operation
 through, raise a transient :class:`~repro.errors.FaultError`, mangle a
-``put`` (torn or lost write), or kill the enclave mid-operation.  The
+``put`` or ``put_range`` (torn or lost write), or kill the enclave
+mid-operation.  The
 wrapper itself stays dumb — all policy lives in the plan, which keeps
 fault sequences deterministic under a seed.
 """
 
 from __future__ import annotations
 
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from repro.faults.plan import FaultPlan
 from repro.storage.backends import UntrustedStore
@@ -36,6 +37,20 @@ class FaultyStore(UntrustedStore):
     def get(self, key: str) -> bytes:
         self._plan.on_store_op(self._name, "get", key)
         return self.inner.get(key)
+
+    def put_range(self, key: str, offset: int, blobs: Sequence[bytes]) -> None:
+        action = self._plan.on_store_op(self._name, "put_range", key)
+        if action == "lost":
+            return
+        if action == "torn":
+            run = b"".join(blobs)
+            self.inner.put_range(key, offset, [run[: max(1, len(run) // 2)]])
+            return
+        self.inner.put_range(key, offset, blobs)
+
+    def get_range(self, key: str, offset: int, length: int) -> bytes:
+        self._plan.on_store_op(self._name, "get_range", key)
+        return self.inner.get_range(key, offset, length)
 
     def delete(self, key: str) -> None:
         self._plan.on_store_op(self._name, "delete", key)

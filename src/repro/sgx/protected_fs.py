@@ -5,7 +5,8 @@ node carries chunk 0, so a small file is one sealed blob; chunks 1 to n - 1 are
 each sealed with PAE (AES-128-GCM), and their GCM tags are the integrity values:
 the node binds the size, the chunk count and SHA-256 over those tags in index
 order.  A file may have one writer handle or any number of reader handles.
-Chunks move in groups, each keeping its own IV, AAD, tag and charges.
+Chunks 1 to n - 1 are one stored value at fixed offsets, as the SDK keeps one
+host file; a group moves in one ranged call, each chunk keeping its own charges.
 
 Keys: the file-system master key is provided by the caller (the enclave
 derives it from its root key).  Each file gets its own key derived from
@@ -41,19 +42,13 @@ READ_GROUP = 16
 KEY_MEMO = 1024
 
 _META_SUFFIX = "\x00meta"
+_DATA_SUFFIX = "\x00data"
+#: The keys a file owns: its metadata node, then (past one chunk) its data value.
+SUFFIXES = (_META_SUFFIX, _DATA_SUFFIX)
 #: The metadata node: ``size (u64) || chunk_count (u32) || tag digest length
 #: (u32)``, the digest, then chunk 0 as a u32-length-prefixed string.
 _NODE = struct.Struct(">QII")
 _LEN = struct.Struct(">I")
-
-
-def _chunk_keys(path: str, start: int, stop: int) -> list[str]:
-    return [f"{path}\x00chunk\x00{index}" for index in range(start, stop)]
-
-
-def stored_keys(path: str, chunk_count: int) -> list[str]:
-    # Chunk 0 rides in the metadata node.
-    return [path + _META_SUFFIX] + _chunk_keys(path, 1, chunk_count)
 
 
 @dataclass
@@ -95,6 +90,12 @@ class ProtectedFs:
         self._store = store
         self._enclave = enclave
         self._pae = default_pae()
+        #: A sealed full chunk's size, the stride of the data value.
+        self._node = CHUNK_SIZE + self._pae.overhead
+        #: The engine's write buffers charge each single-key call themselves,
+        #: and tell which ranged calls stay in enclave memory; on any other
+        #: store every call pays here, a ranged one an OCALL per node.
+        self._holds: Callable[[str, bool], bool] | None = getattr(store, "holds", None)
         self._keys: dict[str, tuple[bytes, bytes]] = {}
         self._keys_lock = threading.Lock()  # inserts only; a hit is one dict.get
         self._open_writers: set[str] = set()
@@ -105,12 +106,23 @@ class ProtectedFs:
     # -- cost accounting ------------------------------------------------------
 
     def _charge_ocall(self) -> None:
-        if getattr(self._store, "owns_ocall_accounting", False):
-            # The storage engine's deferred stores charge per actual
-            # round-trip themselves — buffered ops are charged once per
-            # flushed group at transaction commit.
-            return
-        self._enclave.ocall(account="pfs-io")
+        if self._holds is None:
+            self._enclave.ocall(account="pfs-io")
+
+    def _charge_nodes(self, key: str, write: bool, crypto: list[float]) -> None:
+        # A ranged call's charges, per node as the SDK pays them: crypto then
+        # OCALL on write, OCALL then crypto on read, the OCALL unless the store
+        # holds the call in enclave memory.  The clock sums the same terms in
+        # the same order as when every chunk was its own stored key.
+        charge, ocall = self._enclave.platform.clock.charge, self._enclave.platform.costs.ocall_transition
+        held = self._holds is not None and self._holds(key, write)
+        for seconds in crypto:
+            if write:
+                charge(seconds, "pfs-crypto")
+            if not held:
+                charge(ocall, "pfs-io")
+            if not write:
+                charge(seconds, "pfs-crypto")
 
     # -- keys -----------------------------------------------------------------
 
@@ -172,20 +184,17 @@ class ProtectedFs:
         return self._store.exists(path + _META_SUFFIX)
 
     def remove(self, path: str, delete: Callable[[str], None] | None = None) -> None:
-        """Delete the file and all its chunks (through ``delete`` if given)."""
+        """Delete the file's node and data value (through ``delete`` if given)."""
         if path in self._open_writers or self._open_readers.get(path):
             raise ProtectedFsError(f"{path!r} has open handles")
         meta = self._load_meta(path)
         self._charge_ocall()
-        for key in stored_keys(path, meta.chunk_count):
-            (delete or self._store.delete)(key)
-
-    def chunk_count(self, path: str) -> int:
-        return self._load_meta(path).chunk_count
+        for suffix in SUFFIXES[: 1 + (meta.chunk_count > 1)]:
+            (delete or self._store.delete)(path + suffix)
 
     def owners(self, prefix: str) -> set[str]:
-        """Paths under ``prefix`` owning any stored key, metadata *or* chunk."""
-        # Chunks count too, so this sees what a crash left of a file whose
+        """Paths under ``prefix`` owning any stored key, metadata *or* data."""
+        # Data values count too, so this sees what a crash left of a file whose
         # write had not reached close() or whose removal had only begun.  Every
         # key is ``path + "\x00..."``; paths themselves hold no NUL.
         return {key.partition("\x00")[0] for key in self._store.scan(prefix)} - {""}
@@ -199,8 +208,8 @@ class ProtectedFs:
             self._store.delete(key)
 
     def stored_size(self, path: str) -> int:
-        """Total untrusted bytes used by the file (meta + chunks)."""
-        return sum(self._store.size(key) for key in stored_keys(path, self.chunk_count(path)))
+        """Total untrusted bytes used by the file (meta + data)."""
+        return sum(self._store.size(path + suffix) for suffix in SUFFIXES[: 1 + (self._load_meta(path).chunk_count > 1)])
 
     # -- streaming handles ----------------------------------------------------
 
@@ -239,37 +248,32 @@ class ProtectedFs:
         self._store.put(path + _META_SUFFIX, blob)
 
     def _seal_chunks(self, path: str, first: int, chunks: list[bytes], file_key: bytes, aad: bytes) -> bytes:
-        # Encrypt and store chunks ``first, first + 1, ...``; returns their GCM tags.
+        # Seal chunks ``first, first + 1, ...`` and write them with one ranged
+        # call at their offset; returns their GCM tags.
         aads = [aad + i.to_bytes(4, "big") for i in range(first, first + len(chunks))]
         blobs = self._pae.encrypt_many(file_key, chunks, aads)
-        self._store.put_many(self._charge_seals(chunks, _chunk_keys(path, first, first + len(chunks)), blobs))
+        self._charge_nodes(key := path + _DATA_SUFFIX, True, list(map(self._enclave.platform.costs.aead_time, map(len, chunks))))
+        self._store.put_range(key, (first - 1) * self._node, blobs)
         return b"".join([blob[-self._pae.tag_size :] for blob in blobs])
 
-    def _charge_seals(self, chunks: list[bytes], keys: list[str], blobs: list[bytes]) -> Iterator[tuple[str, bytes]]:
-        # Charged as the store pulls each pair, so a chunk's crypto precedes
-        # its OCALL, which the store may charge: the clock sums the same terms
-        # in the same order as when chunks were stored one by one.  The
-        # per-chunk charges go straight to the clock.
-        charge, costs = self._enclave.platform.clock.charge, self._enclave.platform.costs
-        for chunk, key, blob in zip(chunks, keys, blobs):
-            charge(costs.aead_time(len(chunk)), "pfs-crypto")
-            self._charge_ocall()
-            yield key, blob
-
-    def _open_chunks(self, path: str, first: int, stop: int, file_key: bytes, aad: bytes) -> tuple[list[bytes], bytes]:
-        # Load and verify chunks ``first`` to ``stop - 1``: (plaintexts, GCM tags), all or none.
-        charge, costs = self._enclave.platform.clock.charge, self._enclave.platform.costs
-        blobs: list[bytes] = []
+    def _open_chunks(self, path: str, first: int, stop: int, meta: _Meta, file_key: bytes, aad: bytes) -> tuple[list[bytes], bytes]:
+        # Load chunks ``first`` to ``stop - 1`` with one ranged read and verify
+        # them: (plaintexts, GCM tags), all or none.  The data value ends n - 1
+        # overheads past the bytes of chunks 1 to n - 1.
+        key, node, offset = path + _DATA_SUFFIX, self._node, (first - 1) * self._node
+        length = min((stop - 1) * node, meta.size - CHUNK_SIZE + (meta.chunk_count - 1) * self._pae.overhead) - offset
         try:
-            for blob in self._store.get_many(_chunk_keys(path, first, stop)):
-                self._charge_ocall()
-                charge(costs.pfs_read_time(len(blob)), "pfs-crypto")
-                blobs.append(blob)
-            plain = self._pae.decrypt_many(file_key, blobs, [aad + i.to_bytes(4, "big") for i in range(first, stop)])
+            data = self._store.get_range(key, offset, length)
         except FaultError:  # transient: the caller retries, as for any store fault
             raise
         except StorageError:
-            raise ProtectedFsError(f"chunk {first + len(blobs)} of {path!r} is missing") from None
+            data = b""
+        if len(data) != length:
+            raise ProtectedFsError(f"chunk {first + len(data) // node} of {path!r} is missing")
+        blobs = [memoryview(data)[at : at + node] for at in range(0, length, node)]
+        self._charge_nodes(key, False, list(map(self._enclave.platform.costs.pfs_read_time, map(len, blobs))))
+        try:
+            plain = self._pae.decrypt_many(file_key, blobs, [aad + i.to_bytes(4, "big") for i in range(first, stop)])
         except IntegrityError as exc:
             raise ProtectedFsError(f"chunks {first}-{stop - 1} of {path!r} failed verification") from exc
         return plain, b"".join([blob[-self._pae.tag_size :] for blob in blobs])
@@ -294,18 +298,19 @@ class WriteHandle:
     def write(self, data: bytes) -> None:
         if self._closed:
             raise ProtectedFsError("write on closed handle")
-        self._buffer += data
         self._size += len(data)
-        whole = len(self._buffer) // CHUNK_SIZE * CHUNK_SIZE
+        if self._buffer:  # then whole chunks are sealed from ``data`` in place, uncopied
+            self._buffer += data
+            data, self._buffer = bytes(self._buffer), bytearray()
+        whole = len(data) // CHUNK_SIZE * CHUNK_SIZE
         if whole:
-            with memoryview(self._buffer) as view:
-                chunks = [view[offset : offset + CHUNK_SIZE].tobytes() for offset in range(0, whole, CHUNK_SIZE)]
-            del self._buffer[:whole]
-            self._put_chunks(chunks)
+            view = memoryview(data)
+            self._put_chunks([view[offset : offset + CHUNK_SIZE] for offset in range(0, whole, CHUNK_SIZE)])
+        self._buffer += data[whole:]
 
     def _put_chunks(self, chunks: list[bytes]) -> None:
         if not self._count:  # chunk 0 is held for the metadata node
-            self._head, self._count, chunks = chunks[0], 1, chunks[1:]
+            self._head, self._count, chunks = bytes(chunks[0]), 1, chunks[1:]
         if chunks:
             self._tags.update(self._fs._seal_chunks(self._path, self._count, chunks, self._key, self._aad))
             self._count += len(chunks)
@@ -317,11 +322,10 @@ class WriteHandle:
         try:
             if self._buffer or not self._count:
                 self._put_chunks([bytes(self._buffer)])
-            # Remove stale chunks from a previous, longer version of the file.
-            stale = self._count
-            while self._fs._store.exists(key := f"{self._path}\x00chunk\x00{stale}"):
+            # A longer file's first ranged write cut any previous data value;
+            # a one-chunk file has none, so a previous version's goes.
+            if self._count == 1 and self._fs._store.exists(key := self._path + _DATA_SUFFIX):
                 self._fs._store.delete(key)
-                stale += 1
             meta = _Meta(size=self._size, chunk_count=self._count, tag_digest=self._tags.digest(), head=self._head)
             self._fs._store_meta(self._path, meta, self._key)
         finally:
@@ -371,7 +375,7 @@ class ReadHandle:
         stop = min(first + READ_GROUP, count)
         plaintexts: list[bytes] = []
         if stop > 1:
-            plaintexts, tags = self._fs._open_chunks(self._path, first or 1, stop, self._key, self._aad)
+            plaintexts, tags = self._fs._open_chunks(self._path, first or 1, stop, self._meta, self._key, self._aad)
             self._tags.update(tags)
         self._count = stop
         if stop == count:

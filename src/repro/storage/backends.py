@@ -18,13 +18,14 @@ several of these for multi-backend deployments.
 
 from __future__ import annotations
 
+import bisect
 import contextlib
 import hashlib
 import os
 import tempfile
 import threading
 from abc import ABC, abstractmethod
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, Sequence
 
 from repro.errors import StorageError
 
@@ -44,15 +45,20 @@ class UntrustedStore(ABC):
     def delete(self, key: str) -> None:
         """Remove the object at ``key``; raise :class:`StorageError` if absent."""
 
-    def put_many(self, items: Iterable[tuple[str, bytes]]) -> None:
-        """Put each ``(key, value)``, in order.
+    @abstractmethod
+    def put_range(self, key: str, offset: int, blobs: Sequence[bytes]) -> None:
+        """Write ``blobs``, back to back, at byte ``offset`` of the value at
+        ``key`` (created if absent); the value then ends where they end.
 
-        ``items`` may be lazy: the protected FS charges each chunk's
-        sealing as its pair is pulled, so a store that charges per key
-        keeps pulling and storing one pair at a time.
+        A gap before ``offset`` reads as zero bytes.  Not atomic: only a
+        value no stored key references yet is written this way (a protected
+        file's fresh object), so a torn run is stranded, never read.
         """
-        for key, value in items:
-            self.put(key, value)
+
+    @abstractmethod
+    def get_range(self, key: str, offset: int, length: int) -> bytes:
+        """Up to ``length`` bytes of the value at ``key`` from ``offset``
+        (fewer past its end); raise :class:`StorageError` if absent."""
 
     def get_many(self, keys: Iterable[str]) -> Iterable[bytes]:
         """The objects at ``keys``, in order, each fetched as the iteration
@@ -85,12 +91,64 @@ class UntrustedStore(ABC):
         return sum(self.size(key) for key in self.keys())
 
 
+class _Runs:
+    """A value written by range: the runs that made it, in offset order.
+
+    Growing it appends a run, so a value never copies itself to grow and
+    keeps no growth slack; ``ends[i]`` is where ``runs[i]`` ends.
+    """
+
+    __slots__ = ("runs", "ends")
+
+    def __init__(self, value: bytes) -> None:
+        self.runs = [value] if value else []
+        self.ends = [len(value)] if value else []
+
+    def __len__(self) -> int:
+        return self.ends[-1] if self.ends else 0
+
+    def __bytes__(self) -> bytes:
+        return b"".join(self.runs)
+
+    def write(self, offset: int, run: bytes) -> None:
+        size = len(self)
+        if offset < size:  # the value ends where the run ends: cut it at offset
+            index = bisect.bisect_right(self.ends, offset)
+            head = self.runs[index][: offset - (self.ends[index - 1] if index else 0)]
+            del self.runs[index:], self.ends[index:]
+            if head:
+                self.runs.append(head)
+                self.ends.append(offset)
+        elif offset > size:
+            self.runs.append(bytes(offset - size))
+            self.ends.append(offset)
+        if run:
+            self.runs.append(run)
+            self.ends.append(offset + len(run))
+
+    def read(self, offset: int, length: int) -> bytes:
+        index = bisect.bisect_right(self.ends, offset)
+        pieces = []
+        while length > 0 and index < len(self.runs):
+            at = offset - (self.ends[index - 1] if index else 0)
+            piece = self.runs[index][at : at + length]
+            pieces.append(piece)
+            offset, length, index = offset + len(piece), length - len(piece), index + 1
+        return pieces[0] if len(pieces) == 1 else b"".join(pieces)
+
+
 class InMemoryStore(UntrustedStore):
     """Dict-backed store; thread-safe because the server may use worker threads."""
 
     def __init__(self) -> None:
-        self._objects: dict[str, bytes] = {}
+        self._objects: dict[str, bytes | _Runs] = {}
         self._lock = threading.RLock()
+
+    def _value(self, key: str) -> bytes | _Runs:
+        try:
+            return self._objects[key]
+        except KeyError:
+            raise StorageError(f"no object at key {key!r}") from None
 
     def put(self, key: str, value: bytes) -> None:
         with self._lock:
@@ -99,9 +157,25 @@ class InMemoryStore(UntrustedStore):
     def get(self, key: str) -> bytes:
         with self._lock:
             try:
-                return self._objects[key]
+                value = self._objects[key]
             except KeyError:
                 raise StorageError(f"no object at key {key!r}") from None
+            return value if type(value) is bytes else bytes(value)
+
+    def put_range(self, key: str, offset: int, blobs: Sequence[bytes]) -> None:
+        run = b"".join(blobs)
+        with self._lock:
+            value = self._objects.get(key, b"")
+            if isinstance(value, bytes):
+                value = self._objects[key] = _Runs(value)
+            value.write(offset, run)
+
+    def get_range(self, key: str, offset: int, length: int) -> bytes:
+        with self._lock:
+            value = self._value(key)
+            if isinstance(value, bytes):
+                return value[offset : offset + length]
+            return value.read(offset, length)
 
     def delete(self, key: str) -> None:
         with self._lock:
@@ -122,12 +196,13 @@ class InMemoryStore(UntrustedStore):
             return iter([key for key in self._objects if key.startswith(prefix)])
 
     def size(self, key: str) -> int:
-        return len(self.get(key))
+        with self._lock:
+            return len(self._value(key))
 
     def snapshot(self) -> dict[str, bytes]:
         """Copy of all objects — the cloud provider's trivial backup (§V-G)."""
         with self._lock:
-            return dict(self._objects)
+            return {key: bytes(value) for key, value in self._objects.items()}
 
     def restore(self, snapshot: dict[str, bytes]) -> None:
         """Replace contents with ``snapshot`` — also how rollback attacks are staged."""
@@ -144,7 +219,8 @@ class DiskStore(UntrustedStore):
     sidecars are read once at construction into an in-memory key index,
     which backs :meth:`keys` and :meth:`scan` without directory walks.
 
-    Crash consistency: ``os.replace`` makes each file write atomic, but
+    Crash consistency: ``os.replace`` makes each ``put`` atomic (a ranged
+    write is ``pwrite`` in place, and only fresh values take it), but
     the *directory entry* produced by the rename is not durable until the
     containing directory is fsynced — a power loss after the rename can
     resurface the old file contents (or lose a delete).  Every mutation
@@ -221,6 +297,35 @@ class DiskStore(UntrustedStore):
                     return fh.read()
             except FileNotFoundError:
                 raise StorageError(f"no object at key {key!r}") from None
+
+    def put_range(self, key: str, offset: int, blobs: Sequence[bytes]) -> None:
+        # In place, not atomic: only a value no stored key references yet is
+        # written by range, so a torn one is stranded, never read.
+        with self._lock:
+            path = self._path(key)
+            fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o644)
+            try:
+                run = b"".join(blobs)
+                os.pwrite(fd, run, offset)
+                os.ftruncate(fd, offset + len(run))
+                os.fsync(fd)
+            finally:
+                os.close(fd)
+            self._crashpoint("diskstore:pwrite")
+            if key not in self._keys:
+                self._write_atomic(path + self._INDEX_SUFFIX, key.encode("utf-8"))
+                self._keys.add(key)
+
+    def get_range(self, key: str, offset: int, length: int) -> bytes:
+        with self._lock:
+            try:
+                fd = os.open(self._path(key), os.O_RDONLY)
+            except FileNotFoundError:
+                raise StorageError(f"no object at key {key!r}") from None
+            try:
+                return os.pread(fd, length, offset)
+            finally:
+                os.close(fd)
 
     def delete(self, key: str) -> None:
         with self._lock:

@@ -35,6 +35,12 @@ class PrefixedStore(UntrustedStore):
     def get(self, key: str) -> bytes:
         return self._inner.get(self._k(key))
 
+    def put_range(self, key: str, offset: int, blobs: Sequence[bytes]) -> None:
+        self._inner.put_range(self._k(key), offset, blobs)
+
+    def get_range(self, key: str, offset: int, length: int) -> bytes:
+        return self._inner.get_range(self._k(key), offset, length)
+
     def delete(self, key: str) -> None:
         self._inner.delete(self._k(key))
 

@@ -40,7 +40,7 @@ from __future__ import annotations
 import contextlib
 from collections import OrderedDict
 from dataclasses import asdict, dataclass
-from typing import TYPE_CHECKING, Any, Iterable, Iterator
+from typing import TYPE_CHECKING, Iterator, Sequence
 
 from repro.core.journal import TAG_DEDUP, EpochRecord, Write, WriteAheadJournal
 from repro.errors import EnclaveCrashed, ReproError, RollbackDetected, StorageError
@@ -55,9 +55,9 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.sgx.enclave import Enclave
 
 #: Values above this are never kept buffered: the enclave streams large
-#: content chunk-by-chunk precisely to keep memory constant, and the
-#: buffer must not undo that.  4 KiB chunk ciphertexts, PFS metadata,
-#: guard nodes, and ACLs all fit.
+#: content group by group precisely to keep memory constant, and the
+#: buffer must not undo that.  PFS metadata nodes (chunk 0 in them), a
+#: two-chunk file's data value, guard nodes, and ACLs all fit.
 MAX_BUFFERED_VALUE = 8192
 
 #: Total buffered bytes per store before the buffer spills into a sealed
@@ -152,15 +152,13 @@ class DeferredStore(UntrustedStore):
     Unarmed, and for a fresh object's blobs (``direct``), every operation
     passes straight through.
 
-    The class owns its own ocall accounting (``owns_ocall_accounting``
-    makes :class:`~repro.sgx.protected_fs.ProtectedFs` skip its per-call
-    charge): pass-through operations cost one round-trip each, exactly
-    like the un-deferred stack did, while the commit charges one
-    round-trip per store for the entire applied group — the batching the
-    transaction pays for.
+    The class owns its own ocall accounting for single-key calls:
+    pass-through operations cost one round-trip each, exactly like the
+    un-deferred stack did, while the commit charges one round-trip per
+    store for the entire applied group — the batching the transaction pays
+    for.  A ranged call is charged by its caller, per node, unless
+    :meth:`holds` says it stays in enclave memory.
     """
-
-    owns_ocall_accounting = True
 
     def __init__(
         self,
@@ -189,14 +187,6 @@ class DeferredStore(UntrustedStore):
     def _charge(self) -> None:
         self._enclave.ocall(account="pfs-io")
 
-    def _charged(self, items: Iterable[Any]) -> Iterator[Any]:
-        # A group passed through unbuffered: one round-trip per key, as the
-        # per-key calls charge.
-        charge, cost = self._enclave.platform.clock.charge, self._enclave.platform.costs.ocall_transition
-        for item in items:
-            charge(cost, "pfs-io")  # Enclave.ocall, hoisted
-            yield item
-
     def _set_pending(self, key: str, value: bytes | None) -> None:
         old = self._pending.pop(key, None)
         self._pending[key] = value
@@ -214,6 +204,11 @@ class DeferredStore(UntrustedStore):
 
     def _passes(self, key: str) -> bool:
         return not self._armed or (self._direct is not None and key.startswith(self._direct))
+
+    def holds(self, key: str, write: bool = False) -> bool:
+        """True if a call on ``key`` stays in enclave memory, so pays no OCALL now."""
+        # A write while armed, a fresh object's excepted; a read of a value the span wrote.
+        return not self._passes(key) if write else self._armed and (key in self._pending or key in self._spilled)
 
     # -- transaction hooks ---------------------------------------------------
 
@@ -257,14 +252,14 @@ class DeferredStore(UntrustedStore):
         if len(value) > MAX_BUFFERED_VALUE or self._pending_bytes > BUFFER_BUDGET:
             self._spill()
 
-    def put_many(self, items: Iterable[tuple[str, bytes]]) -> None:
-        if self._armed:
-            super().put_many(items)
-        else:
-            self.inner.put_many(self._charged(items))
+    def put_range(self, key: str, offset: int, blobs: Sequence[bytes]) -> None:
+        if self._passes(key):
+            self.inner.put_range(key, offset, blobs)
+        else:  # buffered like any write: the value reaches the store whole
+            self.put(key, (self.get(key)[:offset].ljust(offset, b"\0") if offset else b"") + b"".join(blobs))
 
-    def get_many(self, keys: Iterable[str]) -> Iterable[bytes]:
-        return super().get_many(keys) if self._armed else self._charged(self.inner.get_many(keys))
+    def get_range(self, key: str, offset: int, length: int) -> bytes:
+        return self.get(key)[offset : offset + length] if self.holds(key) else self.inner.get_range(key, offset, length)
 
     def get(self, key: str) -> bytes:
         if self._armed and (key in self._pending or key in self._spilled):
@@ -289,7 +284,10 @@ class DeferredStore(UntrustedStore):
             return
         if not self.exists(key):
             raise StorageError(f"no object at key {key!r}")
-        self._set_pending(key, None)
+        if key in self._pending and key not in self._spilled and not self.inner.exists(key):
+            self._account(-len(self._pending.pop(key)))  # only this span put it: nothing to delete
+        else:
+            self._set_pending(key, None)
 
     def exists(self, key: str) -> bool:
         if self._armed:
@@ -314,7 +312,7 @@ class DeferredStore(UntrustedStore):
         return iter(merged)
 
     def size(self, key: str) -> int:
-        if self._armed and (key in self._pending or key in self._spilled):
+        if self.holds(key):
             return len(self.get(key))
         return self.inner.size(key)
 
@@ -375,11 +373,11 @@ class StorageEngine:
         #: (namespace, key) -> value; deferred cache write-through,
         #: last write per key wins.
         self._write_backs: "OrderedDict[tuple[str, str], bytes]" = OrderedDict()
-        #: object id -> chunk count: objects the open span released, and
+        #: Object ids, in release order: objects the open span released, and
         #: committed releases not yet reclaimed (a reader holds them, or a
         #: store fault cut the post-commit phase short).
-        self._released: dict[str, int] = {}
-        self._outstanding: dict[str, int] = {}
+        self._released: dict[str, None] = {}
+        self._outstanding: dict[str, None] = {}
         self._deferred = tuple(
             DeferredStore(
                 store, enclave, self.stats, journal, tag, OBJECT_PREFIX if tag == TAG_DEDUP else None
@@ -706,9 +704,9 @@ class StorageEngine:
     # (release_object); its keys go after the commit point, outside any
     # record, once no reader holds it — an abort keeps it referenced.
 
-    def release_object(self, object_id: str, chunks: int) -> None:
+    def release_object(self, object_id: str) -> None:
         # Outside any span the release is durable at once.
-        (self._released if self.in_span else self._outstanding)[object_id] = chunks
+        (self._released if self.in_span else self._outstanding)[object_id] = None
         self._finish_reclaims()
 
     def delete_object_key(self, key: str) -> None:
@@ -727,9 +725,9 @@ class StorageEngine:
         if not self._outstanding or self.dedup is None:
             return
         try:
-            for object_id, chunks in list(self._outstanding.items()):
+            for object_id in list(self._outstanding):
                 if not self.dedup.reading(object_id):
-                    self.journal.reclaim(object_id, chunks)
+                    self.journal.reclaim(object_id)
                     del self._outstanding[object_id]
                     self.stats.reclaimed += 1
             if not self._outstanding:

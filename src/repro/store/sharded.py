@@ -76,6 +76,21 @@ class ShardedStore(UntrustedStore):
             ops["gets"] += 1
         return value
 
+    def put_range(self, key: str, offset: int, blobs: Sequence[bytes]) -> None:
+        # Placed by its key, like any value: a ranged value lives whole on one shard.
+        shard, ops = self._shard(key)
+        shard.put_range(key, offset, blobs)
+        with self._lock:
+            ops["puts"] += 1
+            ops["put_bytes"] += sum(map(len, blobs))
+
+    def get_range(self, key: str, offset: int, length: int) -> bytes:
+        shard, ops = self._shard(key)
+        value = shard.get_range(key, offset, length)
+        with self._lock:
+            ops["gets"] += 1
+        return value
+
     def delete(self, key: str) -> None:
         shard, ops = self._shard(key)
         shard.delete(key)

@@ -6,8 +6,12 @@
 ``discard_tracking`` calls ``set.remove``, which is not persistence.
 ``Ledger.append`` names its crashpoint through a class constant, so each
 subclass's value is a declared id: ``CoveredLedger``'s is exercised,
-``DeadLedger``'s is not.
+``DeadLedger``'s is not.  A ranged write is a persisted mutation too, as
+a backend's ``put_range`` or as ``os.pwrite``: the ``*_range_*`` and
+``pwrite_*`` pairs are flagged without a crashpoint and pass with one.
 """
+
+import os
 
 
 class Pager:
@@ -29,6 +33,20 @@ class Pager:
 
     def discard_tracking(self, item):
         self.seen.remove(item)
+
+    def write_range_covered(self, path, offset, blobs):
+        self.platform.crashpoint("fix:page-write")
+        self.backend.put_range(path, offset, blobs)
+
+    def write_range_uncovered(self, path, offset, blobs):
+        self.backend.put_range(path, offset, blobs)
+
+    def pwrite_covered(self, fd, data, offset):
+        os.pwrite(fd, data, offset)
+        self.platform.crashpoint("fix:page-write")
+
+    def pwrite_uncovered(self, fd, data, offset):
+        os.pwrite(fd, data, offset)
 
 
 class Ledger:

@@ -276,6 +276,16 @@ def test_crashpoint_coverage_flags_mutation_without_crashpoint(findings):
     )
 
 
+def test_crashpoint_coverage_treats_a_ranged_write_as_a_mutation(findings):
+    """A backend's ``put_range`` and ``os.pwrite`` persist bytes in place:
+    without a crashpoint each is flagged, with one it passes."""
+    flagged = symbols(findings, "crashpoint-coverage")
+    assert "proj.enclave.persist:Pager.write_range_uncovered" in flagged
+    assert "proj.enclave.persist:Pager.pwrite_uncovered" in flagged
+    assert "proj.enclave.persist:Pager.write_range_covered" not in flagged
+    assert "proj.enclave.persist:Pager.pwrite_covered" not in flagged
+
+
 def test_crashpoint_coverage_passes_covered_and_nonpersistent(findings):
     flagged = symbols(findings, "crashpoint-coverage")
     assert "proj.enclave.persist:Pager.write_covered" not in flagged

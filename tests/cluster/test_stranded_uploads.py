@@ -70,38 +70,47 @@ def journal_keys_of(deployment, writer: str) -> list[str]:
 
 
 def objects_written_by(deployment, victim):
-    """Wrap the backend: the object ids the victim's request puts."""
+    """Wrap the backend: the object ids the victim's request writes, whole
+    or by range."""
     backend = deployment.backend
-    put = backend.put
+    put, put_range = backend.put, backend.put_range
     written: set[str] = set()
 
-    def recording(key: str, value: bytes) -> None:
+    def record(key: str) -> None:
         if victim.enclave.alive:
             written.update(object_ids([key.removeprefix("dedup/")]))
+
+    def recording(key: str, value: bytes) -> None:
+        record(key)
         put(key, value)
 
-    backend.put = recording
+    def recording_range(key: str, offset: int, blobs) -> None:
+        record(key)
+        put_range(key, offset, blobs)
+
+    backend.put, backend.put_range = recording, recording_range
     return written
 
 
-def crash_mid_stream(victim, deployment) -> FaultPlan:
-    """Kill the victim at its second chunk put: before its transaction opens."""
+def crash_mid_stream(victim, deployment, torn: bool = False) -> FaultPlan:
+    """Kill the victim at its upload's first ranged write, before its
+    transaction opens; ``torn``, that write persists only half its run."""
     backend = deployment.backend
-    put = backend.put
-    seen = []
+    put_range = backend.put_range
 
-    def dying(key: str, value: bytes) -> None:
-        put(key, value)
-        if "obj:" in key and "\x00chunk\x00" in key and victim.enclave.alive:
-            seen.append(key)
-            if len(seen) == 2:
-                victim.platform.crashpoint("test:upload-stream")
+    def dying(key: str, offset: int, blobs) -> None:
+        if "obj:" not in key or not victim.enclave.alive:
+            put_range(key, offset, blobs)
+            return
+        run = b"".join(blobs)
+        put_range(key, offset, [run[: len(run) // 2] if torn else run])
+        victim.platform.crashpoint("test:upload-stream")
 
-    backend.put = dying
+    backend.put_range = dying
     return FaultPlan().crash_at_point(nth=1, site_prefix="test:upload-stream").attach_platform(victim.platform)
 
 
-SITES = ["stream", "journal:begin", "journal:commit"]
+SITES = ["stream", "torn-range", "journal:begin", "journal:commit"]
 
 
 @pytest.mark.parametrize("site", SITES)
@@ -121,8 +130,8 @@ def test_takeover_sweeps_the_crashed_writers_stranded_upload(site):
     sink.write(LIVE[: 2 * 4096 + 5])
 
     written = objects_written_by(deployment, victim)
-    if site == "stream":
-        plan = crash_mid_stream(victim, deployment)
+    if site in ("stream", "torn-range"):
+        plan = crash_mid_stream(victim, deployment, torn=site == "torn-range")
     else:
         plan = FaultPlan().crash_at_point(nth=1, site_prefix=site).attach_platform(victim.platform)
     assert cluster.put_file("u0", "/a/f", UPLOAD).status is Status.OK  # through failover
@@ -133,6 +142,7 @@ def test_takeover_sweeps_the_crashed_writers_stranded_upload(site):
     def check() -> None:
         stored = stored_object_ids(deployment)
         assert not written & stored, f"{site}: the crashed writer's upload was left behind"
+        assert not [key for key in deployment.backend.keys() if any(o in key for o in written)]
         assert kept_object in stored
         assert journal_keys_of(deployment, victim_id) == []
 

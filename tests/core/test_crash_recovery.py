@@ -599,6 +599,28 @@ class TestRecoveryDetails:
         response = server.enclave.handler.put_file("alice", "/d/streamed", b"second try")
         assert response.status is Status.OK
 
+    @pytest.mark.parametrize("nth", [1, 2, 3])
+    @pytest.mark.parametrize("enable_dedup", [True, False], ids=["dedup", "plain"])
+    def test_torn_range_write_is_swept_on_restart(self, enable_dedup, nth):
+        """The ``nth`` ranged write of a streamed upload persists only half
+        its run, and the enclave dies before the upload's transaction opens.
+        The object is fresh, so no record names it: the restart's sweep
+        leaves no key of it, and the path is free."""
+        server, plan = self._faulty_server(enable_dedup)
+        plan.torn_write(nth=nth, store="dedup", op="put_range")
+        sink = server.enclave.handler.open_upload("alice", "/d/torn")
+        for _ in range(3):
+            sink.write(bytes(range(256)) * 256)  # one 64 KiB group each
+        assert [event[:3] for event in plan.events] == [("torn", "dedup", "put_range")]
+        (object_id,) = self._unindexed_objects(server)
+        plan.detach()
+        server.restart_enclave()  # the crash
+        server.enclave.guard.verify_restored_state()
+        assert not [key for key in server.stores.dedup.keys() if key.startswith(object_id)]
+        assert self._unindexed_objects(server) == set()
+        assert not server.enclave.manager.exists("/d/torn")
+        assert server.enclave.handler.put_file("alice", "/d/torn", b"again").status is Status.OK
+
     @pytest.mark.parametrize("enable_dedup", [True, False], ids=["dedup", "plain"])
     def test_abort_crashed_at_any_store_op_is_swept_on_restart(self, enable_dedup):
         """`abort` seals the temporary object and removes it, metadata
@@ -1305,8 +1327,8 @@ def test_sharded_deployment_leaves_no_saved_key():
     with pytest.raises(EnclaveCrashed):
         _remove_big(server)
     plan.detach()
-    # The metadata node, which carries chunk 0, and the two stored chunks.
-    assert len(object_on_shards()) == 3, "the crash should have caught the object whole"
+    # The metadata node, which carries chunk 0, and the value of the two others.
+    assert len(object_on_shards()) == 2, "the crash should have caught the object whole"
     server.restart_enclave()
     server.enclave.guard.verify_restored_state()
     assert object_on_shards() == []

@@ -158,14 +158,11 @@ class TestInvalidation:
         prime(server)
         handler = server.enclave.handler
 
-        # Measure the overwrite's store-op footprint on a sacrificial path.
-        ops_before = plan.store_ops
-        assert handler.put_file("alice", "/probe", b"probe").status is Status.OK
-        ops_per_put = plan.store_ops - ops_before
-
         cache = server.enclave.cache
         invalidations_before = cache.stats.invalidations
-        plan.fail_nth(nth=max(2, ops_per_put // 2))
+        # The batch's commit point, its redo record's put, faults: every
+        # write of the batch is still buffered.
+        plan.fail_nth(nth=1, op="put", key="\x00journal:redo:")
         response = handler.put_file("alice", "/d/f", b"ROLLED BACK")
         assert response.status is Status.RETRY
         assert cache.stats.invalidations == invalidations_before

@@ -336,7 +336,7 @@ class TestTakeover:
     def test_crash_at_every_delete_of_the_reclaim(self):
         deployment, _, old = self._cluster()
         deletes = len(self._keys_of(deployment, old))
-        assert deletes == 4  # the metadata node, which carries chunk 0, and three chunks
+        assert deletes == 2  # the metadata node, which carries chunk 0, and the data value
         for nth in range(1, deletes + 1):
             deployment, owner, old = self._cluster()
             backend = deployment.backend

@@ -84,6 +84,27 @@ class TestFaultyStore:
         store.put("a", b"vanishes")
         assert not store.exists("a")
 
+    def test_each_ranged_call_can_fault_tear_or_crash(self):
+        plan = FaultPlan().fail_nth(nth=1, op="get_range").torn_write(nth=1, op="put_range")
+        store = FaultyStore(InMemoryStore(), plan, name="dedup")
+        store.put_range("v", 0, [b"0123", b"4567"])
+        assert store.get("v") == b"0123"  # torn: half the run persisted
+        with pytest.raises(FaultError):
+            store.get_range("v", 0, 4)
+        assert store.get_range("v", 0, 4) == b"0123"
+        plan.lost_write(nth=1, op="put_range")
+        store.put_range("v", 4, [b"lost"])
+        assert store.get("v") == b"0123"
+        platform = sim_platform()
+        plan.attach_platform(platform)
+        plan.crash_after_ops(nth=1)
+        with pytest.raises(EnclaveCrashed):
+            store.put_range("v", 4, [b"never"])
+        assert [event[:3] for event in plan.events] == [
+            ("torn", "dedup", "put_range"), ("error", "dedup", "get_range"),
+            ("lost", "dedup", "put_range"), ("crash", "dedup", "put_range"),
+        ]
+
     def test_zero_overhead_passthrough_when_no_rules(self):
         plan = FaultPlan()
         store = FaultyStore(InMemoryStore(), plan, name="content")

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.journal import WriteAheadJournal
 from repro.crypto import derive_key
 from repro.errors import FaultError, ProtectedFsError
 from repro.netsim import ParallelClock, SimClock
@@ -22,18 +23,42 @@ KEY = bytes(16)
 GROUP_BYTES = READ_GROUP * CHUNK_SIZE
 
 
-def _chunk_key(path, index):
-    """The store key of chunk ``index`` (1 or more) of ``path``; chunk 0 rides in the node."""
-    return f"{path}\x00chunk\x00{index}"
+#: A sealed full chunk: IV, ciphertext and tag; chunk i sits at (i - 1) times this.
+NODE = CHUNK_SIZE + 28
+
+
+def _data_key(path):
+    """The value holding chunks 1 to n - 1 of ``path``; chunk 0 rides in the node."""
+    return path + "\x00data"
 
 
 def _node_key(path):
     return path + "\x00meta"
 
 
-def _blob_key(path, position):
-    """Where position ``position`` of ``path`` is stored: 0 is the metadata node."""
-    return _node_key(path) if position == 0 else _chunk_key(path, position)
+def _chunk_blob(store, path, index):
+    """Chunk ``index`` (1 or more) of ``path``: its bytes at their offset in the data value."""
+    return store.get_range(_data_key(path), (index - 1) * NODE, NODE)
+
+
+def _blob(store, path, position):
+    """The sealed blob at ``position`` of ``path``: 0 is the metadata node."""
+    return store.get(_node_key(path)) if position == 0 else _chunk_blob(store, path, position)
+
+
+def _set_blob(store, path, position, blob):
+    """Put ``blob`` where position ``position`` of ``path`` is stored, in place
+    of the blob there (a blob of another length shifts those after it)."""
+    if position == 0:
+        store.put(_node_key(path), blob)
+        return
+    value, at = store.get(_data_key(path)), (position - 1) * NODE
+    store.put(_data_key(path), value[:at] + blob + value[at + len(_chunk_blob(store, path, position)) :])
+
+
+def _cut_value(store, path, offset):
+    """The data value of ``path`` cut short at byte ``offset``."""
+    store.put(_data_key(path), store.get(_data_key(path))[:offset])
 
 
 @pytest.fixture()
@@ -57,10 +82,13 @@ class TestRoundTrip:
 
     def test_overwrite_shrinks(self, pfs, store):
         pfs.write_file("/f", b"x" * (3 * CHUNK_SIZE))
-        assert sorted(store.keys()) == sorted([_node_key("/f"), _chunk_key("/f", 1), _chunk_key("/f", 2)])
+        assert sorted(store.keys()) == sorted([_node_key("/f"), _data_key("/f")])
+        assert store.size(_data_key("/f")) == 2 * NODE
+        pfs.write_file("/f", b"y" * (CHUNK_SIZE + 10))
+        assert store.size(_data_key("/f")) == 10 + 28  # the ranged write cut the longer value
         pfs.write_file("/f", b"y" * 10)
         assert pfs.read_file("/f") == b"y" * 10
-        # Stale chunks from the longer version are gone: one blob is left.
+        # The longer version's data value is gone: one blob is left.
         assert list(store.keys()) == [_node_key("/f")]
 
     def test_exists_and_remove(self, pfs):
@@ -81,54 +109,80 @@ class TestRoundTrip:
 class TestIntegrity:
     def test_ciphertext_is_opaque(self, pfs, store):
         pfs.write_file("/f", b"A" * (2 * CHUNK_SIZE))
-        for key in (_node_key("/f"), _chunk_key("/f", 1)):
+        for key in (_node_key("/f"), _data_key("/f")):
             assert b"A" * 16 not in store.get(key)
 
     def test_tampered_chunk_rejected(self, pfs, store):
         pfs.write_file("/f", b"x" * (2 * CHUNK_SIZE))
-        key = _chunk_key("/f", 1)
-        blob = bytearray(store.get(key))
+        blob = bytearray(_chunk_blob(store, "/f", 1))
         blob[5] ^= 1
-        store.put(key, bytes(blob))
+        _set_blob(store, "/f", 1, bytes(blob))
         with pytest.raises(ProtectedFsError):
             pfs.read_file("/f")
 
     @staticmethod
     def _swapped_fails(pfs, store, a, b):
         pfs.write_file("/f", bytes(CHUNK_SIZE) + bytes([1]) * CHUNK_SIZE + bytes([2]) * CHUNK_SIZE)
-        blob_a, blob_b = store.get(a), store.get(b)
-        store.put(a, blob_b)
-        store.put(b, blob_a)
+        blob_a, blob_b = _blob(store, "/f", a), _blob(store, "/f", b)
+        _set_blob(store, "/f", a, blob_b)
+        _set_blob(store, "/f", b, blob_a)
         with pytest.raises(ProtectedFsError):
             pfs.read_file("/f")
 
     def test_chunk_position_swap_rejected(self, pfs, store):
-        self._swapped_fails(pfs, store, _chunk_key("/f", 1), _chunk_key("/f", 2))
+        self._swapped_fails(pfs, store, 1, 2)
 
     def test_node_and_chunk_swap_rejected(self, pfs, store):
-        self._swapped_fails(pfs, store, _node_key("/f"), _chunk_key("/f", 1))
+        self._swapped_fails(pfs, store, 0, 1)
 
     @staticmethod
-    def _spliced_fails(pfs, store, key):
+    def _spliced_fails(pfs, store, position):
         """Another path's blob at the same position: its key and associated
         data bind the other path."""
         pfs.write_file("/f", b"f" * (2 * CHUNK_SIZE))
         pfs.write_file("/g", b"g" * (2 * CHUNK_SIZE))
-        store.put(key("/f"), store.get(key("/g")))
+        _set_blob(store, "/f", position, _blob(store, "/g", position))
         with pytest.raises(ProtectedFsError):
             pfs.read_file("/f")
 
     def test_cross_file_chunk_splice_rejected(self, pfs, store):
-        self._spliced_fails(pfs, store, lambda path: _chunk_key(path, 1))
+        self._spliced_fails(pfs, store, 1)
 
     def test_cross_file_node_splice_rejected(self, pfs, store):
-        self._spliced_fails(pfs, store, _node_key)
+        self._spliced_fails(pfs, store, 0)
 
     def test_missing_chunk_rejected(self, pfs, store):
         pfs.write_file("/f", b"x" * (2 * CHUNK_SIZE))
-        store.delete(_chunk_key("/f", 1))
+        store.delete(_data_key("/f"))
         with pytest.raises(ProtectedFsError):
             pfs.read_file("/f")
+
+    @pytest.mark.parametrize("attack", ["swap-within", "truncate-mid-chunk", "transplant-range", "foreign-value"])
+    def test_value_attack_rejected(self, pfs, store, attack):
+        """Attacks on the data value as a whole: two chunks swapped inside
+        it, the value cut in the middle of a chunk, another object's range
+        written at the same offset, and another object's whole value under
+        this one's key.  Offsets bind nothing; each chunk's AAD (path and
+        index) and the node's tag digest do."""
+        data = bytes(index % 251 for index in range(5 * CHUNK_SIZE + 99))
+        pfs.write_file("obj:f", data)
+        pfs.write_file("obj:g", data)
+        value = store.get(_data_key("obj:f"))
+        if attack == "swap-within":
+            store.put(_data_key("obj:f"), value[NODE : 2 * NODE] + value[:NODE] + value[2 * NODE :])
+        elif attack == "truncate-mid-chunk":
+            _cut_value(store, "obj:f", 2 * NODE + NODE // 2)
+        elif attack == "transplant-range":
+            store.put_range(_data_key("obj:f"), NODE, [_chunk_blob(store, "obj:g", 2), value[2 * NODE :]])
+        else:
+            store.put(_data_key("obj:f"), store.get(_data_key("obj:g")))
+        assert store.get(_data_key("obj:f")) != value
+        with pytest.raises(ProtectedFsError):
+            pfs.read_file("obj:f")
+        with pytest.raises(ProtectedFsError):
+            with pfs.open_read("obj:f") as reader:
+                list(iter(reader.read_chunk, None))
+        assert pfs.read_file("obj:g") == data
 
     def test_meta_tamper_rejected(self, pfs, store):
         pfs.write_file("/f", b"data")
@@ -174,10 +228,10 @@ class TestIntegrity:
         back, which only the rollback guard can see (tests/core/test_rollback.py
         ``test_one_blob_file_replay_detected``)."""
         pfs.write_file("/f", b"1" * size)
-        old_blobs = {index: store.get(_blob_key("/f", index)) for index in indices}
+        old_blobs = {index: _blob(store, "/f", index) for index in indices}
         pfs.write_file("/f", b"2" * size)
         for index, blob in old_blobs.items():
-            store.put(_blob_key("/f", index), blob)
+            _set_blob(store, "/f", index, blob)
         with pytest.raises(ProtectedFsError):
             pfs.read_file("/f")
 
@@ -211,26 +265,29 @@ class TestGroupAttacks:
 
     @staticmethod
     def _swap(store, a, b):
-        blob_a, blob_b = store.get(_blob_key("/f", a)), store.get(_blob_key("/f", b))
-        store.put(_blob_key("/f", a), blob_b)
-        store.put(_blob_key("/f", b), blob_a)
+        blob_a, blob_b = _blob(store, "/f", a), _blob(store, "/f", b)
+        _set_blob(store, "/f", a, blob_b)
+        _set_blob(store, "/f", b, blob_a)
 
     def _attack(self, pfs, store, kind, position):
         """Mount the attack; returns the index of the chunk whose group
-        fails, or None if the open fails."""
-        key = _blob_key("/f", position)
+        fails, or None if the open fails.  A chunk is attacked at its
+        offset in the data value; deleting it cuts the value there."""
         failing = None if position == 0 else position
         if kind == "tamper":
-            blob = bytearray(store.get(key))
+            blob = bytearray(_blob(store, "/f", position))
             blob[20] ^= 1
-            store.put(key, bytes(blob))
+            _set_blob(store, "/f", position, bytes(blob))
             return failing
         if kind == "delete":
-            store.delete(key)
+            if position == 0:
+                store.delete(_node_key("/f"))
+            else:
+                _cut_value(store, "/f", (position - 1) * NODE)
             return failing
         if kind == "splice":  # another path's blob at the same position
             pfs.write_file("/g", self._data())
-            store.put(key, store.get(_blob_key("/g", position)))
+            _set_blob(store, "/f", position, _blob(store, "/g", position))
             return failing
         if kind == "swap-in-group":
             partner = position ^ 1  # 0<->1, 15<->14, 16<->17, 39<->38
@@ -242,9 +299,9 @@ class TestGroupAttacks:
             return None if 0 in (position, partner) else min(position, partner)
         # replay: the same file's older blob at the same position passes its
         # own GCM check; the tag digest catches it before the last group.
-        old = store.get(key)
+        old = _blob(store, "/f", position)
         pfs.write_file("/f", self._data())
-        store.put(key, old)
+        _set_blob(store, "/f", position, old)
         return self.CHUNKS - 1
 
     @pytest.mark.parametrize("position", POSITIONS)
@@ -273,15 +330,22 @@ class TestGroupAttacks:
 
 
 class _FlakyStore(InMemoryStore):
-    """Raises a transient fault on the next get of a key containing ``armed``, once."""
+    """Raises a transient fault on the next read of a key containing ``armed``, once."""
 
     armed = ""
 
-    def get(self, key):
+    def _flake(self, key):
         if self.armed and self.armed in key:
             self.armed = ""
             raise FaultError("injected: store unavailable")
+
+    def get(self, key):
+        self._flake(key)
         return super().get(key)
+
+    def get_range(self, key, offset, length):
+        self._flake(key)
+        return super().get_range(key, offset, length)
 
 
 def test_transient_fault_on_a_chunk_get_stays_retryable():
@@ -292,7 +356,7 @@ def test_transient_fault_on_a_chunk_get_stays_retryable():
     data = bytes(range(256)) * (2 * GROUP_BYTES // 256)
     pfs.write_file("/f", data)
     with pfs.open_read("/f") as reader:
-        store.armed = "\x00chunk\x00"
+        store.armed = "\x00data"
         with pytest.raises(FaultError):
             reader.read_chunk()
         assert reader.read_chunk() + reader.read_chunk() == data
@@ -315,8 +379,7 @@ def test_transient_fault_on_the_node_get_stays_retryable():
 
 
 class _CountingStore(InMemoryStore):
-    """Counts puts, gets, deletes and exists probes (``get_many`` and
-    ``put_many`` go through ``get`` and ``put``, once per key)."""
+    """Counts puts, gets, deletes, exists probes and ranged calls."""
 
     def __init__(self):
         super().__init__()
@@ -338,6 +401,14 @@ class _CountingStore(InMemoryStore):
         self.ops["exists"] += 1
         return super().exists(key)
 
+    def put_range(self, key, offset, blobs):
+        self.ops["put_range"] += 1
+        super().put_range(key, offset, blobs)
+
+    def get_range(self, key, offset, length):
+        self.ops["get_range"] += 1
+        return super().get_range(key, offset, length)
+
 
 @pytest.mark.parametrize("size", [0, 1, CHUNK_SIZE])
 def test_a_one_chunk_file_is_one_put_and_one_get(size):
@@ -353,6 +424,30 @@ def test_a_one_chunk_file_is_one_put_and_one_get(size):
     store.ops.clear()
     assert pfs.read_file("/f") == b"x" * size
     assert store.ops == {"get": 1}
+
+
+@pytest.mark.parametrize("chunks", [2, 16, 17, 40])
+def test_a_group_of_chunks_is_one_ranged_call(chunks):
+    """An n-chunk object streamed in 64 KiB writes is the node's put and one
+    ranged write per 16-chunk group; reading it is the node's get and one
+    ranged read per group; and its reclaim deletes two keys, the node and
+    the data value, whatever n is."""
+    store = _CountingStore()
+    pfs = ProtectedFs(store, master_key=KEY, enclave=loaded_enclave())
+    data = bytes(index % 251 for index in range(chunks * CHUNK_SIZE))
+    with pfs.open_write("obj:f") as writer:
+        for offset in range(0, len(data), GROUP_BYTES):
+            writer.write(data[offset : offset + GROUP_BYTES])
+    groups = -(-chunks // READ_GROUP)
+    assert store.ops == {"put_range": groups, "put": 1}
+    store.ops.clear()
+    assert pfs.read_file("obj:f") == data
+    assert store.ops == {"get": 1, "get_range": groups}
+    journal = WriteAheadJournal(StoreSet(InMemoryStore(), InMemoryStore(), store), bytes(32))
+    store.ops.clear()
+    journal.reclaim("obj:f")
+    assert store.ops == {"delete": 2}
+    assert list(store.keys()) == []
 
 
 @pytest.mark.parametrize("path", ["/dir/file.txt", "/ünïcødé/文件", ""], ids=["ascii", "non-ascii", "empty"])
@@ -379,7 +474,7 @@ class TestKeyMemo:
         assert not fresh._keys
         fresh._pae.decrypt(key, store.get(_node_key("/f")), aad=b"pfs-meta\x00/f")
         for index in (1, 2):
-            fresh._pae.decrypt(key, store.get(_chunk_key("/f", index)), aad=aad + index.to_bytes(4, "big"))
+            fresh._pae.decrypt(key, _chunk_blob(store, "/f", index), aad=aad + index.to_bytes(4, "big"))
         assert fresh.read_file("/f") == data
 
     def test_the_memo_is_bounded_and_evicts_in_insertion_order(self, pfs, monkeypatch):
@@ -407,7 +502,7 @@ class TestHandles:
         ``chunk_count`` still counts chunk 0."""
         data = b"a" * CHUNK_SIZE + b"z" * (CHUNK_SIZE + 1)
         pfs.write_file("/f", data)
-        tags = b"".join(store.get(_chunk_key("/f", index))[-16:] for index in (1, 2))
+        tags = b"".join(_chunk_blob(store, "/f", index)[-16:] for index in (1, 2))
         meta = pfs._load_meta("/f")
         assert meta.chunk_count == 3
         assert meta.head == data[:CHUNK_SIZE]
@@ -518,7 +613,7 @@ def test_split_writes_round_trip_in_groups(split):
         for length in pieces:
             writer.write(data[offset : offset + length])
             offset += length
-    assert pfs.chunk_count("/p") == max(1, -(-size // CHUNK_SIZE))
+    assert pfs._load_meta("/p").chunk_count == max(1, -(-size // CHUNK_SIZE))
     with pfs.open_read("/p") as reader:
         groups = list(iter(reader.read_chunk, None))
     assert b"".join(groups) == data

@@ -176,3 +176,23 @@ class TestDiskCrashConsistency:
         # The sidecar never landed; a reopen must not resurrect "b".
         store.crash_hook = None
         assert sorted(DiskStore(store.root).keys()) == ["a"]
+
+    def test_a_crash_after_a_ranged_write_keeps_its_bytes(self, tmp_path):
+        """A ranged write is ``pwrite`` in place, fsynced before its
+        crashpoint: a crash there leaves the run durable, and an indexed
+        value cut by the run stays cut after a reopen."""
+        store = DiskStore(str(tmp_path / "store"))
+        store.put_range("v", 0, [b"0123", b"4567"])
+        plan = FaultPlan().crash_at_point(1, "diskstore:pwrite")
+
+        def hook(site):
+            if plan.on_crashpoint(site):
+                raise EnclaveCrashed(f"fault injection: killed at {site}")
+
+        store.crash_hook = hook
+        with pytest.raises(EnclaveCrashed):
+            store.put_range("v", 2, [b"xy"])
+        assert plan.events == [("crash", "diskstore:pwrite", 1)]
+        reopened = DiskStore(store.root)
+        assert list(reopened.keys()) == ["v"]
+        assert reopened.get("v") == b"01xy" and reopened.get_range("v", 1, 9) == b"1xy"

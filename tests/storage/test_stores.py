@@ -4,6 +4,7 @@ import pytest
 
 from repro.core.journal import TAG_CONTENT, WriteAheadJournal
 from repro.errors import FaultError, StorageError
+from repro.faults import FaultPlan, FaultyStore
 from repro.storage import DiskStore, InMemoryStore, StoreSet
 from repro.storage.stores import PrefixedStore
 from repro.store import ShardedStore
@@ -198,3 +199,60 @@ def test_a_missing_key_is_a_storage_error_not_a_fault(tmp_path, kind, read):
         else:
             list(store.get_many(["present", "absent"]))
     assert not isinstance(raised.value, FaultError)
+
+
+#: Every store that implements the ranged pair itself.
+RANGED_STORES = {
+    "in-memory": lambda tmp_path: InMemoryStore(),
+    "disk": lambda tmp_path: DiskStore(str(tmp_path / "store")),
+    "sharded": lambda tmp_path: ShardedStore([InMemoryStore() for _ in range(3)]),
+    "prefixed": lambda tmp_path: PrefixedStore(InMemoryStore(), "p/"),
+    "faulty": lambda tmp_path: FaultyStore(InMemoryStore(), FaultPlan()),
+}
+
+
+@pytest.mark.parametrize("kind", list(RANGED_STORES))
+def test_the_ranged_pair_conforms(tmp_path, kind):
+    """``put_range`` writes a run of blobs at an offset of one value, which
+    then ends where the run ends (a gap before it reads as zeros);
+    ``get_range`` reads a byte range, short past the end.  Both agree with
+    ``put``, ``get`` and ``size`` on the same value."""
+    store = RANGED_STORES[kind](tmp_path)
+    store.put_range("v", 0, [b"abc", b"def"])
+    assert store.get("v") == b"abcdef" and store.size("v") == 6
+    store.put_range("v", 6, [b"ghi"])
+    assert store.get_range("v", 2, 5) == b"cdefg"  # across two runs
+    assert store.get_range("v", 7, 100) == b"hi"
+    assert store.get_range("v", 9, 4) == b""
+    store.put_range("v", 4, [b"XY"])
+    assert store.get("v") == b"abcdXY"
+    store.put_range("v", 8, [b"Z"])
+    assert store.get("v") == b"abcdXY\0\0Z" and store.size("v") == 9
+    store.put("w", b"whole")
+    store.put_range("w", 2, [b"LE"])
+    assert store.get("w") == b"whLE" and store.get_range("w", 1, 2) == b"hL"
+    store.put("w", b"put again")
+    assert store.get_range("w", 4, 5) == b"again"
+    assert sorted(store.keys()) == ["v", "w"]
+    store.delete("v")
+    assert not store.exists("v")
+    with pytest.raises(StorageError) as raised:
+        store.get_range("v", 0, 1)
+    assert not isinstance(raised.value, FaultError)
+
+
+def test_a_snapshot_does_not_see_a_later_ranged_write():
+    """A backup taken before a ranged write keeps the bytes it copied: the
+    write neither grows nor cuts the snapshot's values."""
+    store = InMemoryStore()
+    store.put_range("v", 0, [b"0123", b"4567"])
+    store.put("w", b"whole")
+    snapshot = store.snapshot()
+    store.put_range("v", 8, [b"89"])
+    store.put_range("v", 2, [b"xx"])
+    store.put_range("w", 1, [b"!"])
+    assert snapshot == {"v": b"01234567", "w": b"whole"}
+    store.restore(snapshot)
+    store.put_range("v", 4, [b"yy"])
+    assert snapshot == {"v": b"01234567", "w": b"whole"}
+    assert store.get("v") == b"0123yy"

@@ -57,6 +57,14 @@ class CountingStore(UntrustedStore):
         self.log.append(("get", key))
         return self.inner.get(key)
 
+    def put_range(self, key: str, offset: int, blobs) -> None:
+        self.log.append(("put_range", key))
+        self.inner.put_range(key, offset, blobs)
+
+    def get_range(self, key: str, offset: int, length: int) -> bytes:
+        self.log.append(("get_range", key))
+        return self.inner.get_range(key, offset, length)
+
     def delete(self, key: str) -> None:
         self.log.append(("delete", key))
         self.inner.delete(key)
@@ -289,6 +297,29 @@ def test_a_damaged_record_is_refused(damage):
         blob = blob[:-20] + bytes([blob[-20] ^ 0x04]) + blob[-19:]
     server.stores.content.put(key, blob)
     _refused_and_unapplied(server, "corrupt or not ours")
+
+
+def test_a_key_the_span_put_and_then_deleted_seals_no_write(monkeypatch):
+    """A span that puts and then deletes one fresh key has nothing of it to
+    seal: the delete drops the buffered put, so the record carries neither
+    write, and the commit applies it once, with no tolerant re-apply of a
+    delete whose key never reached the store."""
+    stores = StoreSet.in_memory()
+    engine = engine_for(stores, loaded_enclave())
+    applied = []
+    apply = engine.journal.apply
+
+    def applying(writes, parts=(), tolerant=False):
+        applied.append((tuple(writes), tolerant))  # the record's writes, as sealed
+        return apply(writes, parts, tolerant=tolerant)
+
+    monkeypatch.setattr(engine.journal, "apply", applying)
+    with engine.transaction("put-then-delete"):
+        engine.backends.content.put("fresh", b"short-lived")
+        engine.backends.content.delete("fresh")
+        assert not engine.backends.content.exists("fresh")
+    assert applied == [((), False)]
+    assert not stores.content.exists("fresh")
 
 
 # -- spilled buffers ------------------------------------------------------------------------

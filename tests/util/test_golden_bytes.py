@@ -113,7 +113,7 @@ def _journal_epoch() -> bytes:
     """A member's redo record: roots, counter, an intent, a part and writes."""
     writes = ((TAG_GROUP, "present", b"\x01\x02\x03"), (TAG_CONTENT, "gone", None))
     parts = ("\x00journal:part:w:00000000",)
-    return EpochRecord("golden", 2, 7, bytes(32), b"", {"obj:1": 3}, parts, writes).encode()
+    return EpochRecord("golden", 2, 7, bytes(32), b"", ("obj:1",), parts, writes).encode()
 
 
 CORPUS = {
@@ -160,7 +160,7 @@ GOLDEN = {
     'directory': '00000003000000042f642f61000000042f642f62000000052f642fc3a9',
     'group-list': '0000000200000008673a61646d696e730000000100000004726f6f7400000006673a7465616d0000000200000005616c69636500000008673a61646d696e73',
     'guard-node': '000000052f646f637300000020202122232425262728292a2b2c2d2e2f303132333435363738393a3b3c3d3e3f0000000c2108416c5392b9f36df188e90eb14d17bf0da190bfdb7f1f4956e6e566a569c8b15c00000000000000012be5374ae8632b431d727f0100b727dd3e7884247c8ca516967c0789a13e37260000000000000001659ba8c3d9f07f8e036f5e1b722d11961642474f6b573ebeba1506a7e277b4a60000000000000001',
-    'journal-epoch': '00000006676f6c64656e0000000200000000000000070000002000000000000000000000000000000000000000000000000000000000000000000000000000000001000000056f626a3a31000000030000000100000018006a6f75726e616c3a706172743a773a303030303030303000000002010000000770726573656e7401000000030102030000000004676f6e650000000000',
+    'journal-epoch': '00000006676f6c64656e0000000200000000000000070000002000000000000000000000000000000000000000000000000000000000000000000000000000000001000000056f626a3a310000000100000018006a6f75726e616c3a706172743a773a303030303030303000000002010000000770726573656e7401000000030102030000000004676f6e650000000000',
     'member-list': '0000000200000003673a6100000003673a62',
     'message-header-single': '00000000000000000000000000000000077061796c6f6164',
     'message-header-stream': '0100000011000000000010fffd00000003686472',
