@@ -4,7 +4,7 @@ import pytest
 
 from repro.bench.workloads import pseudo_bytes
 from repro.crypto import rsa
-from repro.crypto.mset_hash import MSetXorHash
+from repro.crypto.mset_hash import MSetXorBuckets, Prf
 from repro.crypto.pae import OpenSslGcmPae
 from repro.sgx.protected_fs import ProtectedFs
 from repro.storage.backends import InMemoryStore
@@ -39,13 +39,13 @@ class TestPae:
 
 class TestMsetHash:
     def test_incremental_update(self, benchmark):
-        h = MSetXorHash(b"key")
+        h = MSetXorBuckets.empty(Prf(b"key"), 1)
         for i in range(1000):
-            h.add(b"element-%d" % i)
+            h.update(0, None, b"element-%d" % i)
 
         def update():
-            h.update(b"element-1", b"element-x")
-            h.update(b"element-x", b"element-1")
+            h.update(0, b"element-1", b"element-x")
+            h.update(0, b"element-x", b"element-1")
 
         benchmark(update)
 

@@ -14,10 +14,11 @@ for every workload, each in its own process, and exits non-zero if one
 exceeds its budget.  Each budget is about 1.17x the count measured with
 the change that last set it, the margin §11 and §12 used (Python 3.11).
 For ``edit_churn``, ``bulk_stream`` and ``cluster_fanout`` that is
-docs/PERF.md §26's, where a protected file's chunks 1 to n - 1 are one
-stored value the store writes and reads by range, one call per 16-chunk
-group.  ``browse_hot`` keeps §24's (one sealed redo record per member):
-1.17x its §26 count (310.02) would be above it, and budgets only fall.
+docs/PERF.md §27's, where the rollback guard keeps its nodes decoded,
+hashes from precomputed HMAC pads and seals a one-chunk file with no
+write handle (764.84, 3 209.85 and 319.54 calls per op).  ``browse_hot``
+keeps §24's (one sealed redo record per member): 1.17x its §27 count
+(310.02) would be above it, and budgets only fall.
 """
 
 from __future__ import annotations
@@ -34,9 +35,9 @@ from e2e.cli import child  # noqa: E402
 METRIC = "trace.py_calls_per_op"
 BUDGETS = {
     "browse_hot": 360.0,
-    "edit_churn": 954.0,
-    "bulk_stream": 3789.0,
-    "cluster_fanout": 382.0,
+    "edit_churn": 895.0,
+    "bulk_stream": 3756.0,
+    "cluster_fanout": 374.0,
 }
 
 

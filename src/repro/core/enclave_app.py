@@ -232,7 +232,13 @@ class SeGShareEnclave(Enclave):
     #: read by range, paid for by the per-chunk keys, the reclaim intents'
     #: chunk counts and the store's ``put_many`` group path (docs/PERF.md
     #: §26): 7600 → 7600.
-    TCB_LOC_CEILING = 7600
+    #: The guard's write path pays each node once — a per-guard decoded-node
+    #: memo, in-place bucket updates from precomputed HMAC pads, a handle-free
+    #: one-chunk ``write_file`` and a close written as one group per store —
+    #: paid for by moving the one-value ``MSetXorHash`` out to the tests as
+    #: the reference, the file manager's ``guard``/``group_guard``/``cache``
+    #: facades and a single-use engine helper (docs/PERF.md §27): 7600 → 7599.
+    TCB_LOC_CEILING = 7599
 
     def __init__(
         self,
@@ -364,10 +370,10 @@ class SeGShareEnclave(Enclave):
                 counter=counter,
                 locks=self.locks,
             )
-            self.guard = self.manager.guard = RollbackGuard(
+            self.guard = self.manager.content.guard = RollbackGuard(
                 self.manager, self._root_key, **shared
             )
-            self.group_guard = self.manager.group_guard = FlatStoreGuard(
+            self.group_guard = self.manager.group.guard = FlatStoreGuard(
                 self.manager, self._root_key, **shared
             )
         self._finish_recovery(journal.writer, recovered)

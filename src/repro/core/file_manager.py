@@ -56,7 +56,6 @@ from repro.store.engine import StorageEngine
 from repro.util.serialization import Reader, Writer
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.core.cache import MetadataCache
     from repro.core.rollback import FlatStoreGuard, RollbackGuard
 
 _KIND_POINTER = 1
@@ -247,26 +246,6 @@ class TrustedFileManager:
     @property
     def engine(self) -> StorageEngine:
         return self._engine
-
-    @property
-    def cache(self) -> "MetadataCache | None":
-        return self._engine.cache
-
-    @property
-    def guard(self) -> "RollbackGuard | None":
-        return self.content.guard
-
-    @guard.setter
-    def guard(self, guard: "RollbackGuard | None") -> None:
-        self.content.guard = guard
-
-    @property
-    def group_guard(self) -> "FlatStoreGuard | None":
-        return self.group.guard
-
-    @group_guard.setter
-    def group_guard(self, guard: "FlatStoreGuard | None") -> None:
-        self.group.guard = guard
 
     def transaction(self, label: str) -> "contextlib.AbstractContextManager[None]":
         """Run a multi-key mutation as one all-or-nothing engine span.

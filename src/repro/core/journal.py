@@ -431,14 +431,16 @@ class WriteAheadJournal:
         self._delete_objects((object_id,))
 
     def _delete_objects(self, intents: Iterable[str]) -> None:
-        # Idempotent: recovery and a retried reclaim re-run intents a crash
-        # or fault interrupted, so a key already gone is skipped.
+        # Both keys, with no probe: a one-chunk object has no data value, and
+        # a re-run (recovery, a retried reclaim) may find either key gone.
+        # A delete that finds no key raises a plain StorageError, which is
+        # that; a transient fault (a subclass) goes up, to be re-run.
         store = self._tagged[TAG_DEDUP]
         for key in [object_id + suffix for object_id in intents for suffix in SUFFIXES]:
             try:
                 store.delete(key)
-            except StorageError:
-                if store.exists(key):
+            except StorageError as exc:
+                if type(exc) is not StorageError:
                     raise
 
     # -- internals ---------------------------------------------------------------

@@ -38,7 +38,8 @@ store, :class:`FlatStoreGuard` the single node over the group store.
 from __future__ import annotations
 
 import hashlib
-import hmac
+import threading
+from collections import OrderedDict
 from contextlib import AbstractContextManager
 from dataclasses import asdict, dataclass
 
@@ -52,7 +53,7 @@ from repro.core.acl import (
 from repro.core.file_manager import Mount, TrustedFileManager
 from repro.core.locks import LockManager
 from repro.crypto import derive_key
-from repro.crypto.mset_hash import MSetXorBuckets, MSetXorHash
+from repro.crypto.mset_hash import MSetXorBuckets, Prf
 from repro.errors import CounterError, RollbackDetected
 from repro.fsmodel import DirectoryFile, parent
 from repro.sgx.counters import MonotonicCounter, RoteCounterService
@@ -60,6 +61,9 @@ from repro.sgx.enclave import Enclave
 from repro.util.serialization import Reader, Writer
 
 ROOT = "/"
+
+#: Stored nodes one guard keeps decoded, one version per node; the oldest goes first.
+NODE_MEMO = 64
 
 
 @dataclass
@@ -110,7 +114,8 @@ class _GuardCore:
         locks: LockManager,
     ) -> None:
         self._mount = mount
-        self._key = key
+        #: Every guard HMAC — bucket element, leaf main, node main — under the key.
+        self._prf = Prf(key)
         self._buckets = buckets
         self._enclave = enclave
         self._counter = counter
@@ -127,6 +132,10 @@ class _GuardCore:
         self._batching = False
         self._pending_nodes: dict = {}
         self._pending_main: bytes | None = None
+        #: Node path -> (the plaintext last read or written, that node decoded),
+        #: the least recently stored first.
+        self._memo: "OrderedDict[str, tuple[bytes, object]]" = OrderedDict()
+        self._memo_lock = threading.Lock()  # inserts only; a hit is one get
         if counter is not None and not counter.exists(self._COUNTER_ID):
             counter.create(enclave, self._COUNTER_ID)
         if not mount.raw_exists(self._node_path(ROOT)):
@@ -214,9 +223,7 @@ class _GuardCore:
 
     def _leaf_main(self, path: str, content_hash: bytes) -> bytes:
         self._charge_hash(len(path) + len(content_hash))
-        return hmac.digest(
-            self._key, b"leaf\x00" + path.encode("utf-8") + b"\x00" + content_hash, "sha256"
-        )
+        return self._prf(b"leaf\x00" + path.encode("utf-8") + b"\x00" + content_hash)
 
     def _bucket_of(self, child_path: str) -> int:
         digest = hashlib.sha256(child_path.encode("utf-8")).digest()
@@ -232,14 +239,34 @@ class _GuardCore:
             pending = self._pending_nodes.get(dir_path)
             if pending is not None:
                 return pending
-        return self._decode_node(self._mount.raw_read(self._node_path(dir_path)))
+        # A stored node is a copy of the memo's only if the memo's came from
+        # the very bytes read: what those bytes decode to, whatever their age,
+        # so the memo assumes nothing about freshness.  A node the close wrote
+        # is there with its main.
+        data = self._mount.raw_read(self._node_path(dir_path))
+        kept = self._memo.get(dir_path)
+        if kept is None or kept[0] != data:
+            kept = data, self._decode_node(data)
+            self._remember(dir_path, *kept)
+        return kept[1].copy()
+
+    def _remember(self, dir_path: str, data: bytes, node) -> None:
+        # ``node`` is what ``data`` decodes to, and nothing changes it after.
+        with self._memo_lock:
+            self._memo[dir_path] = data, node
+            self._memo.move_to_end(dir_path)
+            if len(self._memo) > NODE_MEMO:
+                self._memo.popitem(last=False)
 
     def _save_node(self, dir_path: str, node) -> None:
         if self._batching:
             self._pending_nodes[dir_path] = node
             return
         self._crashpoint(self._NODE_WRITE)
-        self._mount.raw_write(self._node_path(dir_path), self._encode_node(node))
+        data = self._encode_node(node)
+        self._mount.raw_write(self._node_path(dir_path), data)
+        # Kept with its main: the next epoch neither decodes nor re-hashes it.
+        self._remember(dir_path, data, node.copy())
         self.stats.node_saves += 1
 
     def root_hash(self) -> bytes:
@@ -393,15 +420,11 @@ class RollbackGuard(_GuardCore):
 
     def _decode_node(self, data: bytes) -> _Node:
         r = Reader(data)
-        return _Node(r.str(), r.bytes(), MSetXorBuckets.deserialize(self._key, r.raw(r.remaining)))
+        return _Node(r.str(), r.bytes(), MSetXorBuckets.deserialize(self._prf, r.raw(r.remaining)))
 
     def _node_main(self, node: _Node) -> bytes:
         self._charge_hash(64 + 40 * len(node.buckets))
-        node.main = hmac.digest(
-            self._key,
-            b"node\x00" + node.path.encode("utf-8") + b"\x00" + node.dir_hash + node.buckets.digests(),
-            "sha256",
-        )
+        node.main = self._prf(b"node\x00" + node.path.encode("utf-8") + b"\x00" + node.dir_hash + node.buckets.digests())
         return node.main
 
     # -- locks ---------------------------------------------------------------------------
@@ -428,7 +451,7 @@ class RollbackGuard(_GuardCore):
     # -- node persistence --------------------------------------------------------------
 
     def _empty_node(self, dir_path: str, dir_hash: bytes) -> _Node:
-        return _Node(dir_path, dir_hash, MSetXorBuckets.empty(self._key, self._buckets))
+        return _Node(dir_path, dir_hash, MSetXorBuckets.empty(self._prf, self._buckets))
 
     def _delete_node(self, dir_path: str) -> None:
         """Remove a directory's node (pending copy and persisted object)."""
@@ -595,12 +618,11 @@ class RollbackGuard(_GuardCore):
         while True:
             node = self._load_node(dir_path)
             bucket = self._bucket_of(child)
-            recomputed = MSetXorHash(self._key)
-            seen_target = False
-            for member in self._bucket_members(node, bucket):
-                recomputed.add(self._member_main(member, child, child_main))
-                seen_target = seen_target or member == child
-            if not seen_target or recomputed.digest() != node.buckets.digest(bucket):
+            members = self._bucket_members(node, bucket)
+            recomputed = MSetXorBuckets.empty(self._prf, 1)
+            for member in members:
+                recomputed.update(0, None, self._member_main(member, child, child_main))
+            if child not in members or recomputed.digest(0) != node.buckets.digest(bucket):
                 raise RollbackDetected(
                     f"bucket hash mismatch for {child!r} under {dir_path!r}: "
                     "a file in this bucket was rolled back or removed"
@@ -675,10 +697,10 @@ class FlatStoreGuard(_GuardCore):
     _encode_node = staticmethod(MSetXorBuckets.serialize)
 
     def _decode_node(self, data: bytes) -> MSetXorBuckets:
-        return MSetXorBuckets.deserialize(self._key, data)
+        return MSetXorBuckets.deserialize(self._prf, data)
 
     def _node_main(self, buckets: MSetXorBuckets) -> bytes:
-        return hmac.digest(self._key, b"flatnode\x00" + buckets.digests(), "sha256")
+        return self._prf(b"flatnode\x00" + buckets.digests())
 
     def _charge_hash(self, nbytes: int) -> None:
         """This guard's hashing has never been charged to the clock;
@@ -720,7 +742,7 @@ class FlatStoreGuard(_GuardCore):
         return self._leaf_main(path, hashlib.sha256(data).digest())
 
     def _recompute_buckets(self) -> MSetXorBuckets:
-        buckets = MSetXorBuckets.empty(self._key, self._buckets)
+        buckets = MSetXorBuckets.empty(self._prf, self._buckets)
         for path in self._leaves():
             buckets.update(self._bucket_of(path), None, self._stored_leaf_main(path))
         return buckets
@@ -764,15 +786,12 @@ class FlatStoreGuard(_GuardCore):
         self.stats.verifies += 1
         buckets = self._load_node()
         target_bucket = self._bucket_of(path)
-        recomputed = MSetXorHash(self._key)
-        seen_target = False
-        for member in self._leaves(target_bucket):
-            if member == path:
-                recomputed.add(self._leaf_main(member, content_hash))
-                seen_target = True
-            else:
-                recomputed.add(self._stored_leaf_main(member))
-        if not seen_target or recomputed.digest() != buckets.digest(target_bucket):
+        members = self._leaves(target_bucket)
+        recomputed = MSetXorBuckets.empty(self._prf, 1)
+        for member in members:
+            main = self._leaf_main(member, content_hash) if member == path else self._stored_leaf_main(member)
+            recomputed.update(0, None, main)
+        if path not in members or recomputed.digest(0) != buckets.digest(target_bucket):
             raise RollbackDetected(
                 f"group store bucket mismatch for {path!r}: a member list or "
                 "the group list was rolled back"

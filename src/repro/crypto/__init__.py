@@ -12,7 +12,6 @@ in ``tests/support``, outside the enclave.
 """
 
 from repro.crypto.kdf import derive_key, hkdf_expand, hkdf_extract
-from repro.crypto.mset_hash import MSetXorHash
 from repro.crypto.pae import (
     OpenSslGcmPae,
     Pae,
@@ -20,7 +19,6 @@ from repro.crypto.pae import (
 )
 
 __all__ = [
-    "MSetXorHash",
     "OpenSslGcmPae",
     "Pae",
     "default_pae",

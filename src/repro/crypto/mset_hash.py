@@ -17,11 +17,14 @@ inherited from the PRF; see the cited paper for the proof.
 The count is tracked because the plain XOR collapses duplicate elements;
 including the cardinality detects a multiset being replayed an even
 number of times.
+
+``H_K`` is a :class:`Prf`; the one-value reference definition the bucket
+buffer is tested against is ``tests/support/mset.py``.
 """
 
 from __future__ import annotations
 
-import hmac
+import hashlib
 import struct
 from itertools import compress
 
@@ -30,52 +33,34 @@ from repro.util.serialization import Reader, SerializationError, Writer
 DIGEST_SIZE = 32
 #: One hash value: the accumulator followed by the 8-byte count.
 VALUE_SIZE = DIGEST_SIZE + 8
+_VALUE = struct.Struct(f">{DIGEST_SIZE}sQ")
 _COUNT_MASK = 0xFFFFFFFFFFFFFFFF
+#: SHA-256's block, and the key pads of RFC 2104 as translation tables.
+_BLOCK = 64
+_IPAD = bytes(x ^ 0x36 for x in range(256))
+_OPAD = bytes(x ^ 0x5C for x in range(256))
 
 
-class MSetXorHash:
-    """A mutable multiset hash value."""
+class Prf:
+    """HMAC-SHA256 under one key, bit-identical to ``hmac.digest(key, m,
+    "sha256")``: the SHA-256 states that absorbed the padded key (RFC 2104's
+    pads) are taken once, and a call copies them."""
 
-    __slots__ = ("_key", "_acc", "_count")
+    __slots__ = ("_inner", "_outer")
 
-    def __init__(self, key: bytes, acc: bytes = bytes(DIGEST_SIZE), count: int = 0) -> None:
-        self._key = key
-        self._acc = acc
-        self._count = count
+    def __init__(self, key: bytes) -> None:
+        if len(key) > _BLOCK:
+            key = hashlib.sha256(key).digest()
+        key = key.ljust(_BLOCK, b"\0")
+        self._inner = hashlib.sha256(key.translate(_IPAD))
+        self._outer = hashlib.sha256(key.translate(_OPAD))
 
-    def _xor(self, digest: bytes, count: int) -> None:
-        """XOR ``digest`` into the accumulator; move the count by ``count``."""
-        mixed = int.from_bytes(self._acc, "big") ^ int.from_bytes(digest, "big")
-        self._acc = mixed.to_bytes(DIGEST_SIZE, "big")
-        self._count = (self._count + count) & _COUNT_MASK
-
-    def add(self, element: bytes) -> None:
-        """Add one occurrence of ``element`` to the multiset."""
-        self._xor(hmac.digest(self._key, element, "sha256"), 1)
-
-    def remove(self, element: bytes) -> None:
-        """Remove one occurrence of ``element`` (XOR is self-inverse)."""
-        self._xor(hmac.digest(self._key, element, "sha256"), -1)
-
-    def update(self, old: bytes | None, new: bytes | None) -> None:
-        """Replace ``old`` with ``new`` in one call (either may be None)."""
-        if old is not None:
-            self.remove(old)
-        if new is not None:
-            self.add(new)
-
-    def digest(self) -> bytes:
-        """The 40-byte hash value: 32-byte accumulator || 8-byte count."""
-        return self._acc + self._count.to_bytes(8, "big")
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, MSetXorHash):
-            return NotImplemented
-        # The digest is fixed-size, so equal concatenations mean equal keys.
-        return hmac.compare_digest(self._key + self.digest(), other._key + other.digest())
-
-    def __repr__(self) -> str:
-        return f"MSetXorHash(count={self._count}, acc={self._acc[:4].hex()}…)"
+    def __call__(self, message: bytes) -> bytes:
+        inner = self._inner.copy()
+        inner.update(message)
+        outer = self._outer.copy()
+        outer.update(inner.digest())
+        return outer.digest()
 
 
 #: An empty bucket's value (accumulator 0, count 0), which no node stores.
@@ -86,52 +71,58 @@ _BITS = bytes.maketrans(b"\0\1", b"01")
 class MSetXorBuckets:
     """The B bucket hashes of one guard node, under one key.
 
-    Held as a single buffer of B × 40 bytes — the concatenation of the
-    buckets' :meth:`MSetXorHash.digest` values — so copying and MAC-ing a
-    node handle one buffer, and an update touches one 40-byte slot.
+    Held as a single buffer of B × 40 bytes — each bucket's 32-byte
+    accumulator and 8-byte count — so copying and MAC-ing a node handle
+    one buffer, and an update rewrites one 40-byte slot in place.
     Stored sparse: only the non-empty buckets' values, so a node costs
     O(children) bytes, not O(B).
     """
 
-    __slots__ = ("_key", "_values")
+    __slots__ = ("_prf", "_values")
 
-    def __init__(self, key: bytes, values: bytearray) -> None:
-        self._key = key
+    def __init__(self, prf: Prf, values: bytearray) -> None:
+        self._prf = prf
         self._values = values
 
     @classmethod
-    def empty(cls, key: bytes, buckets: int) -> "MSetXorBuckets":
+    def empty(cls, prf: Prf, buckets: int) -> "MSetXorBuckets":
         """``buckets`` empty multisets."""
-        return cls(key, bytearray(buckets * VALUE_SIZE))
+        return cls(prf, bytearray(buckets * VALUE_SIZE))
 
     def __len__(self) -> int:
         return len(self._values) // VALUE_SIZE
 
-    def _slot(self, index: int) -> slice:
-        """Where bucket ``index`` lives.  Checked: a slice past the end
+    def _slot(self, index: int) -> int:
+        """Where bucket ``index`` starts.  Checked: a slot past the end
         would read as empty and *grow* the buffer on assignment."""
         if not 0 <= index < len(self):
             raise IndexError(f"bucket {index} of {len(self)}")
-        return slice(index * VALUE_SIZE, (index + 1) * VALUE_SIZE)
+        return index * VALUE_SIZE
 
     def update(self, index: int, old: bytes | None, new: bytes | None) -> None:
         """Replace ``old`` with ``new`` in bucket ``index`` (either may be None)."""
-        slot = self._slot(index)
-        value = bytes(self._values[slot])
-        bucket = MSetXorHash(self._key, value[:DIGEST_SIZE], int.from_bytes(value[DIGEST_SIZE:], "big"))
-        bucket.update(old, new)
-        self._values[slot] = bucket.digest()
+        at = self._slot(index)
+        acc, count = _VALUE.unpack_from(self._values, at)
+        acc = int.from_bytes(acc, "big")
+        if old is not None:
+            acc ^= int.from_bytes(self._prf(old), "big")
+            count -= 1
+        if new is not None:
+            acc ^= int.from_bytes(self._prf(new), "big")
+            count += 1
+        _VALUE.pack_into(self._values, at, acc.to_bytes(DIGEST_SIZE, "big"), count & _COUNT_MASK)
 
     def digest(self, index: int) -> bytes:
         """The 40-byte hash value of bucket ``index``."""
-        return bytes(self._values[self._slot(index)])
+        at = self._slot(index)
+        return bytes(self._values[at : at + VALUE_SIZE])
 
     def digests(self) -> bytes:
         """Every bucket's digest, concatenated in bucket order."""
         return bytes(self._values)
 
     def copy(self) -> "MSetXorBuckets":
-        return MSetXorBuckets(self._key, self._values[:])
+        return MSetXorBuckets(self._prf, self._values[:])
 
     def serialize(self) -> bytes:
         """``u32 B ‖ ⌈B/8⌉-byte bitmap ‖ the non-empty buckets' values in
@@ -145,7 +136,7 @@ class MSetXorBuckets:
         return b"".join((head, bitmap.to_bytes(-(-len(values) // 8), "little"), *compress(values, kept)))
 
     @classmethod
-    def deserialize(cls, key: bytes, data: bytes) -> "MSetXorBuckets":
+    def deserialize(cls, prf: Prf, data: bytes) -> "MSetXorBuckets":
         """The inverse of :meth:`serialize`, for its output only: a bit at or
         above B, a stored empty value or a length off by a byte is an error."""
         r = Reader(data)
@@ -158,7 +149,7 @@ class MSetXorBuckets:
         if _EMPTY in values:
             raise SerializationError("an empty bucket is encoded")
         if len(values) == buckets:  # a full node: the values are the buffer
-            return cls(key, bytearray(stored))
+            return cls(prf, bytearray(stored))
         # One "%s" per stored bucket, 40 zero bytes per empty one.
         template = f"{bitmap:0{buckets}b}"[::-1].encode().replace(b"1", b"%s").replace(b"0", _EMPTY)
-        return cls(key, bytearray(template % values))
+        return cls(prf, bytearray(template % values))

@@ -49,6 +49,8 @@ SUFFIXES = (_META_SUFFIX, _DATA_SUFFIX)
 #: (u32)``, the digest, then chunk 0 as a u32-length-prefixed string.
 _NODE = struct.Struct(">QII")
 _LEN = struct.Struct(">I")
+#: The tag digest of a one-chunk file: SHA-256 over no tags.
+_NO_TAGS = hashlib.sha256().digest()
 
 
 @dataclass
@@ -165,13 +167,20 @@ class ProtectedFs:
         elif self.on_last_reader is not None:
             self.on_last_reader(path)
 
+    def _check_unopened(self, path: str) -> None:
+        if path in self._open_writers or self._open_readers.get(path):
+            raise ProtectedFsError(f"{path!r} has open handles")
+
     def has_reader(self, path: str) -> bool:
         return path in self._open_readers
 
     # -- whole-file API -------------------------------------------------------
 
     def write_file(self, path: str, data: bytes) -> None:
-        """Create or replace the protected file at ``path``."""
+        """Create or replace ``path``; one chunk at most is sealed into its node, with no handle."""
+        if len(data) <= CHUNK_SIZE:
+            self._check_unopened(path)
+            return self._store_meta(path, _Meta(len(data), 1, _NO_TAGS, data), self._keys_of(path)[0])
         with self.open_write(path) as handle:
             handle.write(data)
 
@@ -185,8 +194,7 @@ class ProtectedFs:
 
     def remove(self, path: str, delete: Callable[[str], None] | None = None) -> None:
         """Delete the file's node and data value (through ``delete`` if given)."""
-        if path in self._open_writers or self._open_readers.get(path):
-            raise ProtectedFsError(f"{path!r} has open handles")
+        self._check_unopened(path)
         meta = self._load_meta(path)
         self._charge_ocall()
         for suffix in SUFFIXES[: 1 + (meta.chunk_count > 1)]:
@@ -201,8 +209,7 @@ class ProtectedFs:
 
     def purge(self, path: str) -> None:
         """Delete whatever keys ``path`` owns, without needing its metadata."""
-        if path in self._open_writers or self._open_readers.get(path):
-            raise ProtectedFsError(f"{path!r} has open handles")
+        self._check_unopened(path)
         self._charge_ocall()
         for key in list(self._store.scan(path + "\x00")):
             self._store.delete(key)
@@ -241,6 +248,10 @@ class ProtectedFs:
             raise ProtectedFsError(f"metadata of {path!r} failed verification") from exc
 
     def _store_meta(self, path: str, meta: _Meta, file_key: bytes) -> None:
+        # A longer file's first ranged write cut any previous data value;
+        # a one-chunk file has none, so a previous version's goes.
+        if meta.chunk_count == 1 and self._store.exists(key := path + _DATA_SUFFIX):
+            self._store.delete(key)
         plain = meta.serialize()
         self._enclave.charge(self._enclave.platform.costs.aead_time(len(plain)), account="pfs-crypto")
         blob = self._pae.encrypt(file_key, plain, aad=b"pfs-meta\x00" + path.encode())
@@ -322,10 +333,6 @@ class WriteHandle:
         try:
             if self._buffer or not self._count:
                 self._put_chunks([bytes(self._buffer)])
-            # A longer file's first ranged write cut any previous data value;
-            # a one-chunk file has none, so a previous version's goes.
-            if self._count == 1 and self._fs._store.exists(key := self._path + _DATA_SUFFIX):
-                self._fs._store.delete(key)
             meta = _Meta(size=self._size, chunk_count=self._count, tag_digest=self._tags.digest(), head=self._head)
             self._fs._store_meta(self._path, meta, self._key)
         finally:

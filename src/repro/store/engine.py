@@ -181,11 +181,17 @@ class DeferredStore(UntrustedStore):
         self._pending_bytes = 0
         #: key -> (record part, present): writes spilled out of the overlay.
         self._spilled: "dict[str, tuple[str, bool]]" = {}
+        #: While an epoch's close writes, the pass-through calls it made: the
+        #: close pays one round-trip per store for them (None otherwise).
+        self.grouped: int | None = None
 
     # -- accounting ----------------------------------------------------------
 
     def _charge(self) -> None:
-        self._enclave.ocall(account="pfs-io")
+        if self.grouped is None:
+            self._enclave.ocall(account="pfs-io")
+        else:
+            self.grouped += 1
 
     def _set_pending(self, key: str, value: bytes | None) -> None:
         old = self._pending.pop(key, None)
@@ -473,7 +479,12 @@ class StorageEngine:
         if not group.open:
             with self._commit_point():
                 journal.open_epoch(label)
-            self._begin_guard_batches()
+            # Guard node/anchor persistence waits for the epoch's close.  Safe
+            # because no member's writes reach the store before its redo
+            # record, which names the pending roots: a crash rebuilds the
+            # nodes from the data, and an aborted member's changes rewind.
+            for guard in self.guards:
+                guard.begin_batch()
             group.open = True
             group.members = 0
             group.release = clock.now()
@@ -585,13 +596,13 @@ class StorageEngine:
     def _close_epoch(self, reason: str) -> None:
         """Flush the epoch's deferred guard state and drop the record.
 
-        One batched guard-node flush, one anchor write (plus counter
-        increment) per guard, one record delete — amortized over every
-        member the epoch carried.  The work runs on a background track
-        starting at the last member's release: no request waits on it
-        directly, but the next epoch's opener meets it at the
-        "journal-commit" rendezvous and the makespan includes it; a solo
-        member closes inline.  A failure before the record's delete keeps
+        One batched guard-node flush, written as one group per store, one
+        anchor write (plus counter increment) per guard, one record delete
+        — amortized over every member the epoch carried.  The work runs on
+        a background track starting at the last member's release: no
+        request waits on it directly, but the next epoch's opener meets it
+        at the "journal-commit" rendezvous and the makespan includes it; a
+        solo member closes inline.  A failure before the record's delete keeps
         the epoch open — the record still describes the stored data, and a
         guard whose flush did not finish keeps its batch — and is raised to
         whoever asked for the close; the next span's opener runs it again.
@@ -603,8 +614,7 @@ class StorageEngine:
         try:
             with self._commit_point():
                 try:
-                    for guard in self.guards:
-                        guard.commit_batch()
+                    self._flush_guards()
                     self.journal.close_epoch(self._outstanding)
                 except EnclaveCrashed:
                     raise
@@ -636,6 +646,20 @@ class StorageEngine:
             stats.record_deletes_saved += saved
             stats.anchor_writes_saved += saved * guards
             stats.counter_increments_saved += saved * guards
+
+    def _flush_guards(self) -> None:
+        # The guards' node and anchor writes reach each store as one group,
+        # the way _apply writes a member's: one round-trip per store.
+        for store in self._deferred:
+            store.grouped = 0
+        try:
+            for guard in self.guards:
+                guard.commit_batch()
+        finally:
+            for store in self._deferred:
+                if store.grouped:
+                    self._enclave.ocall(account="pfs-io")
+                store.grouped = None
 
     def _abort(self, label: str, member_base: int, snapshots: list) -> None:
         """The one rollback: a member that failed before its commit point.
@@ -750,16 +774,6 @@ class StorageEngine:
         return self._enclave.platform.clock.exclusive(
             "journal-commit", account="commit-wait"
         )
-
-    def _begin_guard_batches(self) -> None:
-        """Defer guard node/anchor persistence until the epoch closes.
-
-        Safe because no member's writes reach the store before its redo
-        record, which names the pending roots: a crash rebuilds the nodes
-        from the data, and an aborted member's pending changes rewind.
-        """
-        for guard in self.guards:
-            guard.begin_batch()
 
     def _apply_write_backs(self) -> None:
         if not self._write_backs:

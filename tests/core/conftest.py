@@ -59,9 +59,9 @@ def build_world(
     guard = group_guard = None
     if rollback:
         guard = RollbackGuard(manager, ROOT_KEY, enclave, locks, buckets=buckets)
-        manager.guard = guard
+        manager.content.guard = guard
         group_guard = FlatStoreGuard(manager, ROOT_KEY, enclave, locks, buckets=buckets)
-        manager.group_guard = group_guard
+        manager.group.guard = group_guard
     return HandlerWorld(
         stores=stores,
         manager=manager,

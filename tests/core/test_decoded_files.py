@@ -140,7 +140,7 @@ def test_a_warm_memo_does_not_hide_an_acl_rollback(cache_bytes):
     assert sum(kind is AclFile for kind, _ in world.manager._decoded_files) >= 2
     for key, value in old_acl.items():
         store.put(key, value)
-    if world.manager.cache is not None:
-        world.manager.cache.clear()  # the next read is cold: PFS decrypt and guard walk
+    if world.manager.engine.cache is not None:
+        world.manager.engine.cache.clear()  # the next read is cold: PFS decrypt and guard walk
     with pytest.raises(RollbackDetected):
         world.access.auth_f("bob", Permission.READ, "/f")

@@ -214,7 +214,7 @@ class TestMountCachePolicy:
 
     def test_raw_read_fills_only_guard_objects(self, cached_manager, store):
         mount = getattr(cached_manager, store)
-        cache = cached_manager.cache
+        cache = cached_manager.engine.cache
         for path in ("/sibling", mount.guard_prefix + "node"):
             mount.raw_write(path, b"data")
         cache.clear()
@@ -225,7 +225,7 @@ class TestMountCachePolicy:
 
     def test_guarded_and_record_reads_fill(self, cached_manager, store):
         mount = getattr(cached_manager, store)
-        cache = cached_manager.cache
+        cache = cached_manager.engine.cache
         mount.guarded_write("/f", b"v")
         mount.raw_write("/rec", b"r")
         cache.clear()

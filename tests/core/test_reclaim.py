@@ -253,6 +253,60 @@ class TestReclaimCrashes:
             assert server.enclave.manager.read_content("/d/f") == NEW
 
 
+class TestReclaimOps:
+    """The store ops a reclaim makes, from a :class:`FaultPlan`'s view of
+    every store op: one delete per key and no ``exists`` probe, whether or
+    not the object is past one chunk (only then has it a data value)."""
+
+    @staticmethod
+    def _logged(content: bytes) -> tuple[SeGShareServer, str, list]:
+        plan = FaultPlan()
+        server = primed(faulty_stores(StoreSet.in_memory(), plan), enable_dedup=True)
+        handler = server.enclave.handler
+        assert handler.put_file("alice", "/d/f", content).status is Status.OK
+        server.enclave.engine.quiesce()
+        old, log, decide = object_of(server, "/d/f"), [], plan.on_store_op
+
+        def logging(store: str, op: str, key: str):
+            log.append((store, op, key))
+            return decide(store, op, key)
+
+        plan.on_store_op = logging
+        assert handler.put_file("alice", "/d/f", NEW).status is Status.OK
+        server.enclave.engine.quiesce()
+        return server, old, [entry for entry in log if entry[2].startswith(old)]
+
+    @pytest.mark.parametrize("content", [b"one chunk", OLD], ids=["one-chunk", "four-chunk"])
+    def test_an_overwriting_put_deletes_each_key_once_unprobed(self, content):
+        server, old, ops = self._logged(content)
+        assert ops == [("dedup", "delete", old + "\x00meta"), ("dedup", "delete", old + "\x00data")]
+        assert old not in stored_objects(server.stores)
+
+    @pytest.mark.parametrize("content", [b"one chunk", OLD], ids=["one-chunk", "four-chunk"])
+    def test_a_re_run_is_idempotent(self, content):
+        server, old, _ = self._logged(content)
+        server.enclave.engine.journal.reclaim(old)  # both keys already gone
+        assert old not in stored_objects(server.stores)
+
+    def test_a_re_run_after_a_cut_between_the_deletes_finishes(self):
+        server, old, _ = self._logged(OLD)
+        server.stores.dedup.put(old + "\x00data", b"the value a cut reclaim left")
+        server.enclave.engine.journal.reclaim(old)
+        assert old not in stored_objects(server.stores)
+
+    def test_a_transient_fault_goes_up_and_the_re_run_finishes(self):
+        server, old, _ = self._logged(OLD)
+        server.stores.dedup.put(old + "\x00data", b"the value a cut reclaim left")
+        plan = FaultPlan().fail_nth(1, op="delete", store="dedup")
+        faulty = faulty_stores(server.stores, plan).dedup
+        journal = server.enclave.engine.journal
+        journal._tagged = (*journal._tagged[:2], faulty)
+        with pytest.raises(FaultError):
+            journal.reclaim(old)
+        journal.reclaim(old)
+        assert old not in stored_objects(server.stores)
+
+
 class TestReclaimFaults:
     """A store fault after the commit point must not fail the request."""
 

@@ -11,7 +11,7 @@ from repro.core.acl import acl_path, member_list_path
 from repro.core.file_manager import Mount
 from repro.core.requests import Status
 from repro.core.rollback import FlatStoreGuard, RollbackGuard, _Node
-from repro.crypto.mset_hash import MSetXorBuckets
+from repro.crypto.mset_hash import MSetXorBuckets, Prf
 from repro.errors import CounterError, RollbackDetected
 from repro.fsmodel import DirectoryFile
 from repro.sgx.costmodel import SgxCostModel
@@ -200,7 +200,7 @@ class TestContentRollbackAttacks:
         restore(world.stores.content, old)
         assert world.manager.read_content("/d/a") == b"first"
         for path in (node_path, "/d/a"):
-            world.manager.cache.discard(world.manager.content.namespace, path)
+            world.manager.engine.cache.discard(world.manager.content.namespace, path)
         with pytest.raises(RollbackDetected):
             world.manager.read_content("/d/a")
 
@@ -308,8 +308,9 @@ class TestKeptMain:
         assert guard._node_main(node) != main
 
     def test_the_write_walk_hashes_each_node_once_per_change(self, make_world, monkeypatch):
-        """Two writes under one directory in one commit: the second walk
-        reuses every node's kept main as its "before" value."""
+        """Two writes under one directory in one commit.  The nodes the last
+        epoch's close wrote are in the decoded-file memo with their mains,
+        so neither walk hashes a "before" value: one main per level each."""
         world = make_world(rollback=True, cache_bytes=1 << 20)  # reads hit: no verify walk
         world.handler.put_dir("alice", "/d/")
         world.handler.put_file("alice", "/d/a", b"1")
@@ -326,9 +327,83 @@ class TestKeptMain:
             world.handler.put_file("alice", "/d/a", b"2")  # the pointer changes, the ACL does not
             first = list(hashed)
             world.handler.put_file("alice", "/d/b", b"2")
-        assert first == ["/d/", "/d/", "/", "/"]  # before and after, per level
+        assert first == ["/d/", "/"]  # after only: the close kept the before mains
         assert hashed[len(first):] == ["/d/", "/"]  # after only
         world.guard.verify_restored_state()
+
+
+class TestNodeMemo:
+    """A guard keeps the nodes it last read or wrote decoded, each with the
+    plaintext it came from, and serves one only for those very bytes: the
+    memo says what a stored node decodes to, never whether it is fresh."""
+
+    @staticmethod
+    def _versions(world, path):
+        """(sealed, plain) of ``path``'s node before and after a write under it."""
+        world.handler.put_dir("alice", "/d/")
+        world.handler.put_file("alice", "/d/a", b"first")
+        node_path = world.guard._node_path(path)
+        versions = []
+        for step in ("before", "after"):
+            if step == "after":
+                world.handler.put_file("alice", "/d/b", b"second")
+            plain = world.manager.content.raw_read(node_path)
+            versions.append((snapshot_matching(world.stores.content, node_path), plain))
+        assert versions[0][1] != versions[1][1]
+        assert world.guard._memo[path][0] == versions[1][1]  # the close kept what it wrote
+        return versions
+
+    @pytest.mark.parametrize("path", ["/d/", "/"])
+    def test_a_swapped_in_older_node_is_decoded_from_its_bytes(self, make_world, path):
+        world = make_world(rollback=True)
+        guard = world.guard
+        (old_sealed, old_plain), (new_sealed, new_plain) = self._versions(world, path)
+        restore(world.stores.content, old_sealed)
+        assert guard._encode_node(guard._load_node(path)) == old_plain
+        with pytest.raises(RollbackDetected):
+            world.manager.read_content("/d/a")
+        if path == "/":  # an older root no longer matches the anchor
+            with pytest.raises(RollbackDetected):
+                guard.verify_restored_state()
+        # The host puts the fresh node back: the memo follows the bytes again.
+        restore(world.stores.content, new_sealed)
+        assert guard._encode_node(guard._load_node(path)) == new_plain
+        assert world.manager.read_content("/d/a") == b"first"
+        guard.verify_restored_state()
+
+    def test_a_replayed_node_pair_is_caught_at_the_anchor(self, make_world):
+        """The older "/d/" and the older "/" that names it replayed together
+        agree with each other, not with the anchor."""
+        world = make_world(rollback=True)
+        (old_dir, _), _ = self._versions(world, "/d/")
+        old_root = snapshot_matching(world.stores.content, world.guard._node_path("/"))
+        world.handler.put_file("alice", "/d/c", b"third")  # the memo now holds newer nodes
+        restore(world.stores.content, old_dir)
+        with pytest.raises(RollbackDetected):
+            world.manager.read_content("/d/a")
+        restore(world.stores.content, old_root)
+        with pytest.raises(RollbackDetected):
+            world.manager.read_content("/d/a")
+        with pytest.raises(RollbackDetected):
+            world.guard.verify_restored_state()
+
+    def test_a_peer_close_over_a_shared_store_is_decoded_fresh(self, make_world):
+        """Two replicas over one store: each guard's memo holds the nodes it
+        last saw, and the peer's close rewrites them under it."""
+        stores = StoreSet.in_memory()
+        first = make_world(rollback=True, stores=stores)
+        second = make_world(rollback=True, stores=stores)
+        first.handler.put_dir("alice", "/d/")
+        assert second.manager.read_dir("/d/").children == []
+        seen = dict(second.guard._memo)  # what the verify walk read
+        first.handler.put_file("alice", "/d/f", b"from the peer")
+        for path in ("/", "/d/"):
+            plain = first.guard._memo[path][0]  # what the peer's close wrote
+            assert seen[path][0] != plain
+            assert second.guard._encode_node(second.guard._load_node(path)) == plain
+        assert second.guard.root_hash() == first.guard.root_hash()
+        assert second.manager.read_content("/d/f") == b"from the peer"
+        second.guard.verify_restored_state()
 
 
 class TestGroupStoreGuard:
@@ -366,7 +441,7 @@ class TestGroupStoreGuard:
         restore(world.stores.group, old)
         assert "eng" in world.access.user_groups("bob")
         for path in (node_path, member_list_path("bob")):
-            world.manager.cache.discard(mount.namespace, path)
+            world.manager.engine.cache.discard(mount.namespace, path)
         with pytest.raises(RollbackDetected):
             world.access.user_groups("bob")
 
@@ -418,7 +493,7 @@ class TestAnchoring:
         plain.handler.put_file("alice", "/d/f", b"migrated")
         guard = RollbackGuard(plain.manager, ROOT_KEY, plain.enclave, plain.locks, buckets=16)
         guard.rebuild()
-        plain.manager.guard = guard
+        plain.manager.content.guard = guard
         assert plain.manager.read_content("/d/f") == b"migrated"
 
     def test_verify_restored_state(self, guarded):
@@ -470,13 +545,13 @@ def counted(request, make_world):
     world = make_world()
     counter = RoteCounterService(world.enclave.platform.clock, SgxCostModel())
     shared = dict(buckets=4, enclave=world.enclave, locks=world.locks, counter=counter)
-    world.manager.guard = RollbackGuard(world.manager, ROOT_KEY, **shared)
-    world.manager.group_guard = FlatStoreGuard(world.manager, ROOT_KEY, **shared)
+    world.manager.content.guard = RollbackGuard(world.manager, ROOT_KEY, **shared)
+    world.manager.group.guard = FlatStoreGuard(world.manager, ROOT_KEY, **shared)
     serial = iter(range(1000))
     if request.param == "fs":
         world.handler.put_file("alice", "/f", b"v0")
         return SimpleNamespace(
-            guard=world.manager.guard,
+            guard=world.manager.content.guard,
             enclave=world.enclave,
             counter=counter,
             counter_id="segshare-fs",
@@ -488,7 +563,7 @@ def counted(request, make_world):
         )
     world.handler.add_user("alice", "bob", "g0")
     return SimpleNamespace(
-        guard=world.manager.group_guard,
+        guard=world.manager.group.guard,
         enclave=world.enclave,
         counter=counter,
         counter_id="segshare-group",
@@ -719,7 +794,7 @@ class TestKnownAnswers:
             ),
             pytest.param(lambda section: Writer().u32(9).take() + section[4:], id="count-above-the-body"),
             pytest.param(
-                lambda section: dense_encoding(MSetXorBuckets.deserialize(b"", section)),
+                lambda section: dense_encoding(MSetXorBuckets.deserialize(Prf(b""), section)),
                 id="dense-blob",
             ),
         ],

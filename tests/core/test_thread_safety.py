@@ -160,6 +160,49 @@ class TestMemoThreading:
         assert len(pfs._keys) <= 16
 
 
+class TestNodeMemoThreading:
+    """A guard's decoded-node memo (docs/PERF.md §27) inserts under a lock
+    and serves hits lock-free.  Threads that read different versions of
+    the same nodes flip the memo's entries under each other: every load
+    still decodes to the bytes its thread read, and the memo never
+    overfills."""
+
+    def test_loads_of_two_versions_race_at_the_bound(self, monkeypatch):
+        from types import SimpleNamespace
+
+        from repro.core import rollback
+        from tests.core.conftest import build_world
+
+        monkeypatch.setattr(rollback, "NODE_MEMO", 8)
+        guard = build_world(rollback=True, buckets=4).guard
+        versions = {}
+        for i in range(32):
+            node = guard._empty_node(f"/d{i}/", bytes(32))
+            older = guard._encode_node(node)
+            node.update(i % 4, None, b"child %d" % i)
+            versions[guard._node_path(f"/d{i}/")] = older, guard._encode_node(node)
+        version = threading.local()
+        guard._mount = SimpleNamespace(
+            guard_prefix=guard._mount.guard_prefix,
+            raw_read=lambda node_path: versions[node_path][version.which],
+        )
+        barrier = threading.Barrier(THREADS)
+
+        def loader(seed):
+            def run():
+                version.which = seed % 2
+                barrier.wait()
+                for i in range(ROUNDS):
+                    path = f"/d{(seed * 7 + i) % 32}/"
+                    loaded = guard._load_node(path)
+                    assert guard._encode_node(loaded) == versions[guard._node_path(path)][seed % 2]
+
+            return run
+
+        _with_fast_switching(lambda: _run_threads([loader(s) for s in range(THREADS)]))
+        assert len(guard._memo) <= 8
+
+
 def _with_fast_switching(run):
     """Run with the interpreter switching threads as often as it can."""
     saved = sys.getswitchinterval()

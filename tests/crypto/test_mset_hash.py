@@ -1,17 +1,20 @@
 """MSet-XOR-Hash: incremental multiset-hash algebra and properties."""
 
 import hashlib
+import hmac
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.crypto.mset_hash import MSetXorBuckets, MSetXorHash
+from repro.crypto.mset_hash import MSetXorBuckets, Prf
 from repro.util.serialization import SerializationError, Writer
 
 from tests.support.calls import python_calls
+from tests.support.mset import MSetXorHash
 
 KEY = b"test-key"
+PRF = Prf(KEY)
 
 
 def count(h: MSetXorHash) -> int:
@@ -79,16 +82,16 @@ class TestSerialization:
         h = MSetXorHash(KEY)
         h.add(b"alpha")
         h.add(b"beta")
-        vector = MSetXorBuckets.empty(KEY, 3)
+        vector = MSetXorBuckets.empty(PRF, 3)
         vector.update(1, None, b"alpha")
         vector.update(1, None, b"beta")
-        restored = MSetXorBuckets.deserialize(KEY, vector.serialize())
+        restored = MSetXorBuckets.deserialize(PRF, vector.serialize())
         assert len(restored) == 3
         assert restored.digest(1) == h.digest()
         assert restored.digests() == vector.digests()
 
     def test_copy_is_independent(self):
-        vector = MSetXorBuckets.empty(KEY, 2)
+        vector = MSetXorBuckets.empty(PRF, 2)
         vector.update(0, None, b"x")
         clone = vector.copy()
         clone.update(0, None, b"y")
@@ -103,13 +106,13 @@ class TestSerialization:
 
     def test_digest_length(self):
         assert len(MSetXorHash(KEY).digest()) == 40  # 32-byte acc + 8-byte count
-        assert len(MSetXorBuckets.empty(KEY, 5).digests()) == 5 * 40
-        assert MSetXorBuckets.empty(KEY, 5).digest(4) == MSetXorHash(KEY).digest()
+        assert len(MSetXorBuckets.empty(PRF, 5).digests()) == 5 * 40
+        assert MSetXorBuckets.empty(PRF, 5).digest(4) == MSetXorHash(KEY).digest()
 
 
 def scripted_vector(buckets: int) -> MSetXorBuckets:
     """The fixed update script the known answers below were computed on."""
-    vector = MSetXorBuckets.empty(b"known-answer-key", buckets)
+    vector = MSetXorBuckets.empty(Prf(b"known-answer-key"), buckets)
     for i in range(48):
         vector.update((i * 5 + 3) % buckets, None, b"main-%d" % i)
     for i in range(0, 48, 3):
@@ -166,22 +169,22 @@ class TestBucketVector:
         assert hashlib.sha256(vector.digests()).hexdigest() == digests_sha
         if buckets == 1:
             assert blob.hex() == self.KNOWN_B1_HEX
-        assert MSetXorBuckets.deserialize(b"known-answer-key", blob).serialize() == blob
+        assert MSetXorBuckets.deserialize(Prf(b"known-answer-key"), blob).serialize() == blob
 
     @pytest.mark.parametrize("buckets", [1, 8, 9, 64])
     def test_empty_buckets_are_not_stored(self, buckets):
-        vector = MSetXorBuckets.empty(KEY, buckets)
+        vector = MSetXorBuckets.empty(PRF, buckets)
         assert vector.serialize() == Writer().u32(buckets).take() + bytes(-(-buckets // 8))
         vector.update(buckets - 1, None, b"x")
         blob = vector.serialize()
         assert blob[4:-40] == (1 << (buckets - 1)).to_bytes(-(-buckets // 8), "little")
         assert blob[-40:] == vector.digest(buckets - 1)
-        assert MSetXorBuckets.deserialize(KEY, blob).digests() == vector.digests()
+        assert MSetXorBuckets.deserialize(PRF, blob).digests() == vector.digests()
         vector.update(buckets - 1, b"x", None)  # empty again: stored as never filled
         assert vector.serialize() == Writer().u32(buckets).take() + bytes(-(-buckets // 8))
 
     def test_each_bucket_is_an_independent_multiset_hash(self):
-        vector = MSetXorBuckets.empty(KEY, 4)
+        vector = MSetXorBuckets.empty(PRF, 4)
         singles = [MSetXorHash(KEY) for _ in range(4)]
         for i, element in enumerate((b"a", b"b", b"c", b"a", b"d", b"e")):
             vector.update(i % 4, None, element)
@@ -197,7 +200,7 @@ class TestBucketVector:
     def test_a_bucket_index_out_of_range_is_an_error(self, index):
         """A node stored with fewer buckets than the guard now hashes into
         must fail loudly, as indexing a list did — not grow the buffer."""
-        vector = MSetXorBuckets.empty(KEY, 4)
+        vector = MSetXorBuckets.empty(PRF, 4)
         with pytest.raises(IndexError):
             vector.update(index, None, b"x")
         with pytest.raises(IndexError):
@@ -216,7 +219,7 @@ class TestBucketVector:
             pytest.param(lambda blob: blob[:4] + b"\x1e" + blob[5:], id="bit-past-the-count"),
             pytest.param(lambda blob: blob[:5] + bytes(40) + blob[45:], id="stored-empty-value"),
             pytest.param(
-                lambda blob: dense_encoding(MSetXorBuckets.deserialize(KEY, blob)), id="dense-blob"
+                lambda blob: dense_encoding(MSetXorBuckets.deserialize(PRF, blob)), id="dense-blob"
             ),
             # B = 9 needs a second bitmap byte, B = 3 has no bucket 3.
             pytest.param(lambda blob: b"\x00\x00\x00\x09" + blob[4:], id="count-above-the-body"),
@@ -226,9 +229,9 @@ class TestBucketVector:
     def test_malformed_encodings_are_rejected(self, mangle):
         blob = scripted_vector(4).serialize()
         assert blob[4] == 0x0F  # all four buckets stored
-        MSetXorBuckets.deserialize(KEY, blob)
+        MSetXorBuckets.deserialize(PRF, blob)
         with pytest.raises(SerializationError):
-            MSetXorBuckets.deserialize(KEY, mangle(blob))
+            MSetXorBuckets.deserialize(PRF, mangle(blob))
 
     def test_cost_does_not_follow_the_bucket_count(self):
         """Calls, not seconds: at equal fill (8 non-empty buckets) decode,
@@ -236,13 +239,13 @@ class TestBucketVector:
         a stored node grows with its children, not with B."""
 
         def cost(buckets):
-            vector = MSetXorBuckets.empty(KEY, buckets)
+            vector = MSetXorBuckets.empty(PRF, buckets)
             for index in range(0, buckets, buckets // 8):
                 vector.update(index, None, b"child-%d" % index)
             blob = vector.serialize()
             assert len(blob) == 4 + buckets // 8 + 8 * 40
             holder = []
-            decode = python_calls(lambda: holder.append(MSetXorBuckets.deserialize(KEY, blob)))
+            decode = python_calls(lambda: holder.append(MSetXorBuckets.deserialize(PRF, blob)))
             vector = holder[0]
             return (
                 decode,
@@ -281,3 +284,38 @@ def test_add_then_remove_returns_to_empty(elements, data):
     for element in order:
         h.remove(element)
     assert h == MSetXorHash(KEY)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.binary(max_size=100), st.binary(max_size=300))
+def test_prf_is_hmac_sha256(key, message):
+    """From precomputed pads, for keys shorter and longer than a block."""
+    assert Prf(key)(message) == hmac.digest(key, message, "sha256")
+
+
+#: One step on a bucket vector: (bucket index, element removed, element added).
+_STEPS = st.lists(
+    st.tuples(
+        st.integers(0, 7),
+        st.none() | st.binary(min_size=1, max_size=12),
+        st.none() | st.binary(min_size=1, max_size=12),
+    ),
+    max_size=40,
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 8), _STEPS)
+def test_in_place_updates_equal_the_reference(buckets, steps):
+    """Any add/remove sequence — a removal of an element never added
+    included — leaves every bucket at the one-value reference's digest,
+    and the vector survives its codec."""
+    vector = MSetXorBuckets.empty(PRF, buckets)
+    reference = [MSetXorHash(KEY) for _ in range(buckets)]
+    for index, old, new in steps:
+        vector.update(index % buckets, old, new)
+        reference[index % buckets].update(old, new)
+    assert vector.digests() == b"".join(one.digest() for one in reference)
+    restored = MSetXorBuckets.deserialize(PRF, vector.serialize())
+    assert restored.digests() == vector.digests()
+    assert restored.serialize() == vector.serialize()

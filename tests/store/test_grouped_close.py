@@ -1,0 +1,129 @@
+"""An epoch's close writes each store's guard nodes and anchor as one group.
+
+The close seals every dirty guard node and the anchor straight into their
+one metadata blob each, and the engine charges one round trip per store
+for them, the way a member's commit applies its writes.  The puts still
+reach the store one by one, each node write and each anchor write behind
+its own crashpoint, so a crash between any two of them recovers.
+"""
+
+from __future__ import annotations
+
+import collections
+
+import pytest
+
+from repro.core.enclave_app import SeGShareOptions
+from repro.core.requests import Status
+from repro.core.server import SeGShareServer
+from repro.errors import EnclaveCrashed
+from repro.faults import FaultPlan
+from repro.netsim import azure_wan_env
+from repro.pki import CertificateAuthority
+from repro.storage.backends import InMemoryStore
+from repro.storage.stores import StoreSet
+from repro.store.engine import StorageEngine
+
+_CA = CertificateAuthority(key_bits=1024)
+
+
+class _CountingStore(InMemoryStore):
+    def __init__(self) -> None:
+        super().__init__()
+        self.puts = 0
+
+    def put(self, key: str, value: bytes) -> None:
+        self.puts += 1
+        super().put(key, value)
+
+
+def _server(stores: StoreSet | None = None) -> SeGShareServer:
+    options = SeGShareOptions(rollback="whole_fs", counter_kind="rote", rollback_buckets=8)
+    server = SeGShareServer(azure_wan_env(), _CA.public_key, stores=stores, options=options)
+    handler = server.enclave.handler
+    handler.put_dir("alice", "/d/")
+    handler.put_file("alice", "/d/f", b"v0")
+    return server
+
+
+def _both_stores(server: SeGShareServer, version: int = 1) -> None:
+    """One member that changes both guarded stores, so its close flushes both
+    guards: a content file two levels down, and a new group's member lists."""
+    handler = server.enclave.handler
+    with server.enclave.manager.transaction("both stores"):
+        assert handler.put_file("alice", "/d/f", b"v%d" % version).status is Status.OK
+        assert handler.add_user("alice", f"user{version}", f"group{version}").status is Status.OK
+
+
+def test_an_epoch_close_is_one_round_trip_per_store(monkeypatch):
+    counting = _CountingStore(), _CountingStore(), _CountingStore()
+    server = _server(StoreSet(*counting))
+    enclave = server.enclave
+    ocalls: collections.Counter = collections.Counter()
+    closes = []
+    charge, flush = enclave.ocall, StorageEngine._flush_guards
+
+    def counted_ocall(account: str = "transitions") -> None:
+        ocalls[account] += 1
+        charge(account)
+
+    def counted_flush(engine: StorageEngine) -> None:
+        ocalls.clear()
+        puts = [store.puts for store in counting]
+        flush(engine)
+        closes.append((ocalls["pfs-io"], [store.puts - before for store, before in zip(counting, puts)]))
+
+    monkeypatch.setattr(enclave, "ocall", counted_ocall)
+    monkeypatch.setattr(StorageEngine, "_flush_guards", counted_flush)
+    _both_stores(server)
+    ((round_trips, puts),) = closes
+    # The content guard wrote "/d/" and "/" and its anchor, the group guard
+    # its one node and its anchor: five puts, one round trip per store.
+    assert [enclave.guard.stats.last_batch_nodes, enclave.group_guard.stats.last_batch_nodes] == [2, 1]
+    assert puts == [3, 2, 0]
+    assert round_trips == 2
+    enclave.guard.verify_restored_state()
+    enclave.group_guard.verify_restored_state()
+
+
+def _close_crashpoints(prefix: str) -> int:
+    server = _server()
+    plan = FaultPlan().crash_at_point(nth=10**9, site_prefix=prefix)
+    plan.attach_platform(server.platform)
+    _both_stores(server)
+    plan.detach()
+    return plan.seen_crashpoints(prefix)
+
+
+@pytest.mark.parametrize(
+    "site, count",
+    [
+        ("anchor:fs-node-write", 2),
+        ("anchor:fs-counter-incremented", 1),
+        ("anchor:group-node-write", 1),
+        ("anchor:group-counter-incremented", 1),
+    ],
+)
+def test_each_node_and_anchor_write_keeps_its_crashpoint(site, count):
+    assert _close_crashpoints(site) == count
+
+
+@pytest.mark.parametrize("step", range(1, 6))
+def test_a_crash_at_each_close_crashpoint_recovers(step):
+    assert _close_crashpoints("anchor:") == 5
+    server = _server()
+    plan = FaultPlan().crash_at_point(nth=step, site_prefix="anchor:")
+    plan.attach_platform(server.platform)
+    with pytest.raises(EnclaveCrashed):
+        _both_stores(server)
+    plan.detach()
+    server.restart_enclave()
+    enclave = server.enclave
+    enclave.guard.verify_restored_state()
+    enclave.group_guard.verify_restored_state()
+    # The member committed before its close: recovery kept it whole.
+    assert enclave.manager.read_content("/d/f") == b"v1"
+    assert enclave.manager.member_list_exists("user1")
+    _both_stores(server, version=2)
+    assert enclave.manager.read_content("/d/f") == b"v2"
+    enclave.guard.verify_restored_state()

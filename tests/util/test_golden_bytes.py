@@ -20,7 +20,7 @@ from repro.core.journal import TAG_CONTENT, TAG_GROUP, EpochRecord
 from repro.core.model import Permission
 from repro.core.requests import AclInfo, Op, QuotaInfo, Request, Response, StatInfo, Status
 from repro.core.rollback import RollbackGuard, _Node
-from repro.crypto.mset_hash import MSetXorBuckets
+from repro.crypto.mset_hash import MSetXorBuckets, Prf
 from repro.fsmodel.directory import DirectoryFile
 from repro.netsim import SimClock
 from repro.sgx.protected_fs import ProtectedFs, _Meta
@@ -78,7 +78,7 @@ def _group_list() -> bytes:
 
 
 def _buckets(full: bool) -> MSetXorBuckets:
-    buckets = MSetXorBuckets.empty(_KEY, 12)
+    buckets = MSetXorBuckets.empty(Prf(_KEY), 12)
     for index in range(12) if full else (0, 5, 11):
         buckets.update(index, None, bytes([index]) * 32)
     return buckets
@@ -145,7 +145,7 @@ CORPUS = {
     "guard-node": _guard_node,
     "mset-buckets-sparse": lambda: _buckets(full=False).serialize(),
     "mset-buckets-full": lambda: _buckets(full=True).serialize(),
-    "mset-buckets-empty": lambda: MSetXorBuckets.empty(_KEY, 12).serialize(),
+    "mset-buckets-empty": lambda: MSetXorBuckets.empty(Prf(_KEY), 12).serialize(),
     "dedup-idx-record": _dedup_record,
     "coherence-entry": lambda: CoherenceManager._encode(None, 1, "put /f", [("acl", "/f"), ("dedup", "ab" * 32)]),
     "journal-epoch": _journal_epoch,

@@ -22,7 +22,7 @@ from repro.core.dedup import decode_record
 from repro.core.journal import EpochRecord
 from repro.core.requests import AclInfo, QuotaInfo, Request, Response, StatInfo
 from repro.core.rollback import RollbackGuard
-from repro.crypto.mset_hash import MSetXorBuckets
+from repro.crypto.mset_hash import MSetXorBuckets, Prf
 from repro.errors import ProtectedFsError, RequestError, TlsError
 from repro.fsmodel.directory import DirectoryFile
 from repro.sgx.protected_fs import _Meta
@@ -48,9 +48,9 @@ DECODERS = {
     "stat-info": (StatInfo.deserialize, ["stat-info"]),
     "acl-info": (AclInfo.deserialize, ["acl-info"]),
     "quota-info": (QuotaInfo.deserialize, ["quota-info"]),
-    "guard-node": (lambda data: RollbackGuard._decode_node(SimpleNamespace(_key=_KEY), data), ["guard-node"]),
+    "guard-node": (lambda data: RollbackGuard._decode_node(SimpleNamespace(_prf=Prf(_KEY)), data), ["guard-node"]),
     "mset-buckets": (
-        lambda data: MSetXorBuckets.deserialize(_KEY, data),
+        lambda data: MSetXorBuckets.deserialize(Prf(_KEY), data),
         ["mset-buckets-sparse", "mset-buckets-full", "mset-buckets-empty"],
     ),
     "dedup-idx-record": (decode_record, ["dedup-idx-record"]),
