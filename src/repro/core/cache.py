@@ -24,6 +24,9 @@ paging costs.  Entries are namespaced:
   records);
 * ``dedup`` — the serialized deduplication index.
 
+An entry's *slot* holds the object decoded from its bytes, the enclave's
+one memo of decoded metadata; it goes whenever its entry goes.
+
 Security argument (docs/PERF.md §3): the cache never creates a new
 information flow — it holds plaintext the enclave was already entitled
 to hold, in memory the attacker cannot read (EPC), and an entry is only
@@ -42,7 +45,7 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import asdict, dataclass
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING, Any, Callable, Iterable
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.sgx.epc import EpcModel
@@ -51,6 +54,17 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 #: huge directory, a long ACL) bypass the cache rather than evicting all
 #: hot metadata.
 DEFAULT_MAX_ENTRY_FRACTION = 8
+
+#: A slot: the decoder and what it made of the entry's bytes.
+Slot = tuple[Callable[[bytes], Any], Any]
+
+
+class _Entry:
+    __slots__ = ("value", "slot")
+
+    def __init__(self, value: bytes, slot: "Slot | None") -> None:
+        self.value = value
+        self.slot = slot
 
 
 @dataclass
@@ -114,7 +128,7 @@ class MetadataCache:
             else max(4096, capacity_bytes // DEFAULT_MAX_ENTRY_FRACTION),
         )
         self._epc = epc
-        self._entries: "OrderedDict[tuple[str, str], bytes]" = OrderedDict()
+        self._entries: "OrderedDict[tuple[str, str], _Entry]" = OrderedDict()
         # Leaf lock (see class docstring): reentrant so EPC-charging
         # helpers may be called from already-locked public methods.
         self._lock = threading.RLock()
@@ -126,23 +140,35 @@ class MetadataCache:
         with self._lock:
             return len(self._entries)
 
-    def get(self, namespace: str, key: str) -> bytes | None:
-        """The entry's plaintext, or None; a hit refreshes LRU order."""
+    def get(self, namespace: str, key: str, decode: "Callable[[bytes], Any] | None" = None) -> Any:
+        """The entry's plaintext, or with ``decode`` what it made of it (the
+        slot, shared: copy before changing it); None, uncounted, if absent.
+        A hit refreshes LRU order."""
         with self._lock:
             entry = self._entries.get((namespace, key))
             if entry is None:
-                self.stats.misses += 1
                 return None
             self._entries.move_to_end((namespace, key))
             self.stats.hits += 1
             # A hit is not free: the bytes are copied out of (MEE-decrypted)
             # EPC memory, and an oversized cache pays paging on top.
-            self._epc.touch(len(entry))
+            self._epc.touch(len(entry.value))
             self._epc.clock.charge(
-                len(entry) / self._epc.costs.enclave_memcpy_bytes_per_second,
+                len(entry.value) / self._epc.costs.enclave_memcpy_bytes_per_second,
                 account="metadata-cache",
             )
-            return entry
+        if decode is None:
+            return entry.value
+        # Outside the lock: the entry's bytes never change, so whichever
+        # thread fills the slot fills it with what those bytes decode to.
+        slot = entry.slot
+        if slot is None or slot[0] != decode:
+            slot = entry.slot = decode, decode(entry.value)
+        return slot[1]
+
+    def missed(self) -> None:  # a reader found the value in storage, not here
+        with self._lock:
+            self.stats.misses += 1
 
     def contains(self, namespace: str, key: str) -> bool:
         """Membership without touching hit/miss counters or LRU order."""
@@ -151,12 +177,13 @@ class MetadataCache:
 
     # -- mutation ----------------------------------------------------------------
 
-    def put(self, namespace: str, key: str, value: bytes) -> None:
+    def put(self, namespace: str, key: str, value: bytes, slot: "Slot | None" = None) -> None:
         """Insert or replace an entry (write-through callers, verified reads).
 
-        Oversized values are *not* cached — and any smaller stale entry
-        under the same key is dropped, so the cache can never serve an
-        old version of a value that outgrew it.
+        ``slot`` is a decoder and what it makes of ``value``.  Oversized
+        values are *not* cached — and any smaller stale entry under the same
+        key is dropped, so the cache can never serve an old version of a
+        value that outgrew it.
         """
         with self._lock:
             if len(value) > self._max_entry:
@@ -166,16 +193,16 @@ class MetadataCache:
             full_key = (namespace, key)
             old = self._entries.pop(full_key, None)
             if old is not None:
-                self._release(len(old))
-            self._entries[full_key] = value
+                self._release(len(old.value))
+            self._entries[full_key] = _Entry(value, slot)
             self._charge(len(value))
             self.stats.insertions += 1
             while self.stats.current_bytes > self._capacity and self._entries:
                 _, evicted = self._entries.popitem(last=False)
-                self._release(len(evicted))
+                self._release(len(evicted.value))
                 self.stats.evictions += 1
 
-    def apply(self, entries: "Iterable[tuple[str, str, bytes]]") -> None:
+    def apply(self, entries: "Iterable[tuple[str, str, bytes, Slot | None]]") -> None:
         """Batched write-through: insert committed values in one locked pass.
 
         The storage engine calls this at transaction commit with the
@@ -183,15 +210,15 @@ class MetadataCache:
         key), so a concurrent reader sees the whole batch or none of it.
         """
         with self._lock:
-            for namespace, key, value in entries:
-                self.put(namespace, key, value)
+            for namespace, key, value, slot in entries:
+                self.put(namespace, key, value, slot)
 
     def discard(self, namespace: str, key: str) -> None:
         """Drop one entry (file deletions)."""
         with self._lock:
             old = self._entries.pop((namespace, key), None)
             if old is not None:
-                self._release(len(old))
+                self._release(len(old.value))
 
     def clear(self) -> None:
         """Strict invalidation: journal rollback, restore, key transfer.

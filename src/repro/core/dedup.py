@@ -97,14 +97,11 @@ class DedupStore:
 
     def _record(self, name: str) -> tuple[str, int] | None:
         """``name``'s record, or None: one cache check, then the store."""
-        data = self._engine.lookup(NS_DEDUP, name)
-        if data is None:
-            path = _RECORD_PREFIX + name
-            if not self._pfs.exists(path):
-                return None
-            data = self._pfs.read_file(path)
-            self._engine.fill(NS_DEDUP, name, data)
-        return decode_record(data)
+        return self._engine.read(NS_DEDUP, name, self._load_record, decode=decode_record)
+
+    def _load_record(self, name: str) -> bytes | None:
+        path = _RECORD_PREFIX + name
+        return self._pfs.read_file(path) if self._pfs.exists(path) else None
 
     def _set(self, name: str, object_id: str, refcount: int) -> None:
         """Write ``name``'s record; a count of 0 removes it."""
@@ -113,7 +110,7 @@ class DedupStore:
         if refcount:
             data = Writer().str(object_id).u32(refcount).take()
             self._pfs.write_file(path, data)
-            self._engine.write_back(NS_DEDUP, name, data)
+            self._engine.write_back(NS_DEDUP, name, data, (decode_record, (object_id, refcount)))
         else:
             self._pfs.remove(path)
 

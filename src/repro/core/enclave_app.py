@@ -238,7 +238,10 @@ class SeGShareEnclave(Enclave):
     #: paid for by moving the one-value ``MSetXorHash`` out to the tests as
     #: the reference, the file manager's ``guard``/``group_guard``/``cache``
     #: facades and a single-use engine helper (docs/PERF.md §27): 7600 → 7599.
-    TCB_LOC_CEILING = 7599
+    #: One memo for verified metadata: a cache entry's slot keeps the object
+    #: decoded from its bytes, and every cached read is ``StorageEngine.read``;
+    #: the decoded-file and node memos gone (docs/PERF.md §28): 7599 → 7591.
+    TCB_LOC_CEILING = 7591
 
     def __init__(
         self,

@@ -33,8 +33,7 @@ from __future__ import annotations
 
 import contextlib
 import hashlib
-import threading
-from typing import TYPE_CHECKING, Any, TypeVar
+from typing import TYPE_CHECKING, Any, Callable
 
 from repro.core.acl import (
     GROUP_LIST_PATH,
@@ -56,6 +55,7 @@ from repro.store.engine import StorageEngine
 from repro.util.serialization import Reader, Writer
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.core.cache import Slot
     from repro.core.rollback import FlatStoreGuard, RollbackGuard
 
 _KIND_POINTER = 1
@@ -72,9 +72,13 @@ GROUP_GUARD_PREFIX = "\x00rbg:"
 #: can never collide with member lists, quota ledgers, or guard objects.
 AUTHZ_PREFIX = "\x00authz:"
 
-#: Decoded relation files one enclave keeps; the oldest goes first.
-DECODED_FILES = 1024
-_Relation = TypeVar("_Relation", AclFile, DirectoryFile, GroupListFile, MemberListFile)
+
+def _pointer_name(record: bytes) -> str:
+    """The object name a content record points to; any other record is a FileSystemError."""
+    r = Reader(record)
+    if r.u8() != _KIND_POINTER:
+        raise FileSystemError("not a content record")
+    return r.str()
 
 
 class Mount:
@@ -107,29 +111,28 @@ class Mount:
                 raise  # present but failing verification: not "missing"
             raise FileSystemError(f"no file at {path!r}") from None
 
+    def _load_present(self, path: str) -> bytes | None:
+        """``_load`` after an existence probe: None if there is no file."""
+        return self._load(path) if self.raw_exists(path) else None
+
+    def _verify(self, path: str, data: bytes) -> None:
+        if self.guard is not None:
+            self.guard.verify_read(path, self._content_hash(data))
+
     def _current_hash(self, path: str) -> bytes:
         """Content hash of the stored version (the guard's ``old_hash``)."""
-        old = self._engine.lookup(self.namespace, path)
-        if old is None:
-            old = self._load(path)
-        return self._content_hash(old)
+        return self._content_hash(self._engine.read(self.namespace, path, self._load, fill=False))
 
     # -- guarded I/O ---------------------------------------------------------------
 
-    def guarded_read(self, path: str) -> bytes:
+    def guarded_read(self, path: str, decode: "Callable[[bytes], Any] | None" = None) -> Any:
         # Cache hit: the plaintext was verified when it entered the cache
         # (or written by this enclave); serving it from enclave memory
         # skips the existence probe, the PFS decrypt AND the per-level
         # guard recomputation.
-        cached = self._engine.lookup(self.namespace, path)
-        if cached is not None:
-            return cached
-        if not self.raw_exists(path):
+        data = self._engine.read(self.namespace, path, self._load_present, self._verify, decode=decode)
+        if data is None:
             raise FileSystemError(f"no file at {path!r}")
-        data = self._load(path)
-        if self.guard is not None:
-            self.guard.verify_read(path, self._content_hash(data))
-        self._engine.fill(self.namespace, path, data)
         return data
 
     def guarded_write(self, path: str, data: bytes) -> None:
@@ -153,7 +156,7 @@ class Mount:
 
     # -- unverified access (guard internals, self-authenticating records) --------------
 
-    def raw_read(self, path: str) -> bytes:
+    def raw_read(self, path: str, decode: "Callable[[bytes], Any] | None" = None) -> Any:
         """Read without rollback verification.
 
         Consults the cache (entries are only ever inserted verified or
@@ -164,24 +167,20 @@ class Mount:
         never individually verified and must not be laundered into the
         cache.
         """
-        cached = self._engine.lookup(self.namespace, path)
-        if cached is not None:
-            return cached
-        data = self._load(path)
-        if path.startswith(self.guard_prefix):
-            self._engine.fill(self.namespace, path, data)
-        return data
+        return self._engine.read(
+            self.namespace, path, self._load, fill=path.startswith(self.guard_prefix), decode=decode
+        )
 
     def raw_exists(self, path: str) -> bool:
         if self._engine.cached(self.namespace, path):
             return True
         return self.pfs.exists(self._sp(path))
 
-    def raw_write(self, path: str, data: bytes) -> None:
+    def raw_write(self, path: str, data: bytes, slot: "Slot | None" = None) -> None:
         """Write without guard hooks (guard nodes, unguarded records)."""
         self._engine.invalidate(self.namespace, path)
         self.pfs.write_file(self._sp(path), data)
-        self._engine.write_back(self.namespace, path, data)
+        self._engine.write_back(self.namespace, path, data, slot)
 
     def raw_delete(self, path: str) -> None:
         self._engine.invalidate(self.namespace, path)
@@ -195,13 +194,7 @@ class Mount:
         freshness rides the relation files every decision reads — so
         caching the decrypted record loses nothing.
         """
-        data = self._engine.lookup(self.namespace, path)
-        if data is None:
-            if not self.raw_exists(path):
-                return None
-            data = self._load(path)
-            self._engine.fill(self.namespace, path, data)
-        return data
+        return self._engine.read(self.namespace, path, self._load_present)
 
 
 class TrustedFileManager:
@@ -237,9 +230,6 @@ class TrustedFileManager:
         )
         engine.attach_dedup(self.dedup)
         self._stores = engine.raw
-        #: (class, plaintext a guarded read returned) -> the decoded file.
-        self._decoded_files: dict[tuple[type, bytes], Any] = {}
-        self._decoded_lock = threading.Lock()  # inserts only; a hit is one dict.get
 
     # -- engine facade -------------------------------------------------------------
 
@@ -270,17 +260,6 @@ class TrustedFileManager:
         self._charge_hash(len(data))
         return hashlib.sha256(data).digest()
 
-    def _decoded(self, kind: type[_Relation], data: bytes) -> _Relation:
-        """A copy of ``kind.deserialize(data)``, decoded once per plaintext (the key: never stale)."""
-        decoded: _Relation | None = self._decoded_files.get((kind, data))
-        if decoded is None:
-            decoded = kind.deserialize(data)
-            with self._decoded_lock:
-                if len(self._decoded_files) >= DECODED_FILES:
-                    self._decoded_files.pop(next(iter(self._decoded_files)))
-                self._decoded_files[kind, data] = decoded
-        return decoded.copy()
-
     # -- existence ----------------------------------------------------------------
 
     def exists(self, path: str) -> bool:
@@ -290,7 +269,7 @@ class TrustedFileManager:
     # -- directory files ------------------------------------------------------------
 
     def read_dir(self, path: str) -> DirectoryFile:
-        return self._decoded(DirectoryFile, self.content.guarded_read(path))
+        return self.content.guarded_read(path, DirectoryFile.deserialize).copy()
 
     def write_dir(self, path: str, directory: DirectoryFile) -> None:
         self.content.guarded_write(path, directory.serialize())
@@ -309,10 +288,7 @@ class TrustedFileManager:
 
     def _object_name(self, path: str) -> str:
         """The object a content file points to, read guard-verified."""
-        r = Reader(self.content.guarded_read(path))
-        if r.u8() != _KIND_POINTER:
-            raise FileSystemError(f"corrupt content record at {path!r}")
-        return r.str()
+        return self.content.guarded_read(path, _pointer_name)
 
     def read_content(self, path: str) -> bytes:
         return self.dedup.get(self._object_name(path))
@@ -328,18 +304,12 @@ class TrustedFileManager:
 
     def _pointer_target(self, path: str) -> str | None:
         """The object name the current record points to, if any."""
-        record = self._engine.lookup(self.content.namespace, path)
-        if record is None:
-            if not self.exists(path):
-                return None
-            try:
-                record = self.content._load(path)
-            except ProtectedFsError:
-                return None
-        r = Reader(record)
-        if r.u8() != _KIND_POINTER:
+        try:
+            return self._engine.read(
+                self.content.namespace, path, self.content._load_present, fill=False, decode=_pointer_name
+            )
+        except (FileSystemError, ProtectedFsError):  # no file, a directory, or failing verification
             return None
-        return r.str()
 
     def delete_content(self, path: str) -> None:
         """Delete a content or directory file (releasing its object reference)."""
@@ -370,7 +340,7 @@ class TrustedFileManager:
         return self.exists(acl_path(path))
 
     def read_acl(self, path: str) -> AclFile:
-        return self._decoded(AclFile, self.content.guarded_read(acl_path(path)))
+        return self.content.guarded_read(acl_path(path), AclFile.deserialize).copy()
 
     def find_acl(self, path: str) -> AclFile | None:
         """``path``'s ACL, or None if it has none: one guarded read."""
@@ -390,10 +360,10 @@ class TrustedFileManager:
     def _group_file(self, kind: type, path: str):
         """A guarded group-store file, deserialized; absent reads as empty."""
         try:
-            data = self.group.guarded_read(path)
+            decoded = self.group.guarded_read(path, kind.deserialize)
         except FileSystemError:
             return kind()
-        return self._decoded(kind, data)
+        return decoded.copy()
 
     def read_group_list(self) -> GroupListFile:
         return self._group_file(GroupListFile, GROUP_LIST_PATH)

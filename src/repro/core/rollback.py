@@ -38,8 +38,6 @@ store, :class:`FlatStoreGuard` the single node over the group store.
 from __future__ import annotations
 
 import hashlib
-import threading
-from collections import OrderedDict
 from contextlib import AbstractContextManager
 from dataclasses import asdict, dataclass
 
@@ -61,9 +59,6 @@ from repro.sgx.enclave import Enclave
 from repro.util.serialization import Reader, Writer
 
 ROOT = "/"
-
-#: Stored nodes one guard keeps decoded, one version per node; the oldest goes first.
-NODE_MEMO = 64
 
 
 @dataclass
@@ -132,10 +127,6 @@ class _GuardCore:
         self._batching = False
         self._pending_nodes: dict = {}
         self._pending_main: bytes | None = None
-        #: Node path -> (the plaintext last read or written, that node decoded),
-        #: the least recently stored first.
-        self._memo: "OrderedDict[str, tuple[bytes, object]]" = OrderedDict()
-        self._memo_lock = threading.Lock()  # inserts only; a hit is one get
         if counter is not None and not counter.exists(self._COUNTER_ID):
             counter.create(enclave, self._COUNTER_ID)
         if not mount.raw_exists(self._node_path(ROOT)):
@@ -239,34 +230,21 @@ class _GuardCore:
             pending = self._pending_nodes.get(dir_path)
             if pending is not None:
                 return pending
-        # A stored node is a copy of the memo's only if the memo's came from
-        # the very bytes read: what those bytes decode to, whatever their age,
-        # so the memo assumes nothing about freshness.  A node the close wrote
-        # is there with its main.
-        data = self._mount.raw_read(self._node_path(dir_path))
-        kept = self._memo.get(dir_path)
-        if kept is None or kept[0] != data:
-            kept = data, self._decode_node(data)
-            self._remember(dir_path, *kept)
-        return kept[1].copy()
-
-    def _remember(self, dir_path: str, data: bytes, node) -> None:
-        # ``node`` is what ``data`` decodes to, and nothing changes it after.
-        with self._memo_lock:
-            self._memo[dir_path] = data, node
-            self._memo.move_to_end(dir_path)
-            if len(self._memo) > NODE_MEMO:
-                self._memo.popitem(last=False)
+        # A copy of the cache entry's slot: what the entry's own bytes decode
+        # to, whatever their age, so the slot assumes nothing about freshness.
+        # A node the close wrote is there with its main.
+        return self._mount.raw_read(self._node_path(dir_path), self._decode_node).copy()
 
     def _save_node(self, dir_path: str, node) -> None:
         if self._batching:
             self._pending_nodes[dir_path] = node
             return
         self._crashpoint(self._NODE_WRITE)
-        data = self._encode_node(node)
-        self._mount.raw_write(self._node_path(dir_path), data)
-        # Kept with its main: the next epoch neither decodes nor re-hashes it.
-        self._remember(dir_path, data, node.copy())
+        # Kept with its main in the entry's slot: the next epoch neither
+        # decodes nor re-hashes it.
+        self._mount.raw_write(
+            self._node_path(dir_path), self._encode_node(node), (self._decode_node, node.copy())
+        )
         self.stats.node_saves += 1
 
     def root_hash(self) -> bytes:

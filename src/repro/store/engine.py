@@ -40,7 +40,7 @@ from __future__ import annotations
 import contextlib
 from collections import OrderedDict
 from dataclasses import asdict, dataclass
-from typing import TYPE_CHECKING, Iterator, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Iterator, Sequence
 
 from repro.core.journal import TAG_DEDUP, EpochRecord, Write, WriteAheadJournal
 from repro.errors import EnclaveCrashed, ReproError, RollbackDetected, StorageError
@@ -48,7 +48,7 @@ from repro.storage.backends import UntrustedStore
 from repro.storage.stores import StoreSet
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.core.cache import MetadataCache
+    from repro.core.cache import MetadataCache, Slot
     from repro.core.coherence import CoherenceManager
     from repro.core.dedup import DedupStore
     from repro.core.file_manager import Mount
@@ -376,9 +376,9 @@ class StorageEngine:
         #: Union of the open epoch's committed members' touched sets;
         #: published once at epoch close, amortized like the anchor write.
         self._epoch_touched: "dict[tuple[str, str], None]" = {}
-        #: (namespace, key) -> value; deferred cache write-through,
+        #: (namespace, key) -> (value, slot); deferred cache write-through,
         #: last write per key wins.
-        self._write_backs: "OrderedDict[tuple[str, str], bytes]" = OrderedDict()
+        self._write_backs: "OrderedDict[tuple[str, str], tuple[bytes, Slot | None]]" = OrderedDict()
         #: Object ids, in release order: objects the open span released, and
         #: committed releases not yet reclaimed (a reader holds them, or a
         #: store fault cut the post-commit phase short).
@@ -781,8 +781,8 @@ class StorageEngine:
         pending, self._write_backs = self._write_backs, OrderedDict()
         if self.cache is not None:
             self.cache.apply(
-                (namespace, key, value)
-                for (namespace, key), value in pending.items()
+                (namespace, key, value, slot)
+                for (namespace, key), (value, slot) in pending.items()
             )
             self.stats.write_backs += len(pending)
 
@@ -808,21 +808,46 @@ class StorageEngine:
 
     # -- cache facade --------------------------------------------------------
     #
-    # Callers never talk to the MetadataCache directly: reads go through
-    # lookup/cached/fill, writers pair invalidate (before the store
-    # mutation) with write_back (after it).  Inside a transaction the
-    # write-through is deferred to commit; an abort drops the deferred
-    # write-backs, and a fill never inserts a value the span wrote, so
-    # read-path fills stay safe mid-span.
+    # Callers never talk to the MetadataCache directly: every cached read
+    # is one call of read(), whose two cache steps are lookup and fill;
+    # writers pair invalidate (before the store mutation) with write_back
+    # (after it).  Inside a transaction the write-through is deferred to
+    # commit; an abort drops the deferred write-backs, and a fill never
+    # inserts a value the span wrote, so read-path fills stay safe mid-span.
 
-    def lookup(self, namespace: str, key: str) -> bytes | None:
+    def read(self, namespace: str, key: str, load: Callable[[str], "bytes | None"],
+             verify: Callable[[str, bytes], None] | None = None, fill: bool = True,
+             decode: Callable[[bytes], Any] | None = None) -> Any:
+        """The one cached metadata read: the cache, else ``load(key)``.
+
+        ``load`` returns None if nothing is stored, and so does the read.  A
+        loaded value is checked by ``verify(key, value)``, then cached only
+        with ``fill``; a miss counts only when ``load`` found the value.
+        With ``decode`` the read returns the entry's shared slot object.
+        """
+        hit = self.lookup(namespace, key, decode)
+        if hit is not None:
+            return hit
+        data = load(key)
+        if data is None:
+            return None
+        if self.cache is not None:
+            self.cache.missed()
+        if verify is not None:
+            verify(key, data)
+        decoded = data if decode is None else decode(data)
+        if fill:
+            self.fill(namespace, key, data, None if decode is None else (decode, decoded))
+        return decoded
+
+    def lookup(self, namespace: str, key: str, decode: Callable[[bytes], Any] | None = None) -> Any:
         if self.cache is None:
             return None
         if self.coherence is not None:
             # Epoch check before every cache serve: one untrusted int
             # compare on the fast path; apply-or-discard on lag.
             self.coherence.sync()
-        return self.cache.get(namespace, key)
+        return self.cache.get(namespace, key, decode)
 
     def cached(self, namespace: str, key: str) -> bool:
         if self.cache is None:
@@ -831,14 +856,14 @@ class StorageEngine:
             self.coherence.sync()
         return self.cache.contains(namespace, key)
 
-    def fill(self, namespace: str, key: str, value: bytes) -> None:
+    def fill(self, namespace: str, key: str, value: bytes, slot: "Slot | None" = None) -> None:
         """Read-path insertion of a just-verified value.
 
         A value this span wrote is still buffered: its write-back enters
         it at commit, and an abort must find it nowhere.
         """
         if self.cache is not None and (namespace, key) not in self._write_backs:
-            self.cache.put(namespace, key, value)
+            self.cache.put(namespace, key, value, slot)
 
     def invalidate(self, namespace: str, key: str) -> None:
         """Drop the entry before mutating: if the write or guard update
@@ -851,20 +876,21 @@ class StorageEngine:
         if self.cache is not None:
             self.cache.discard(namespace, key)
 
-    def write_back(self, namespace: str, key: str, value: bytes) -> None:
+    def write_back(self, namespace: str, key: str, value: bytes, slot: "Slot | None" = None) -> None:
         """Write-through of a value just persisted by the caller.
 
-        Deferred to commit while a transaction is open (the store write
-        it mirrors is itself buffered); immediate otherwise.
+        ``slot`` pairs a read's decoder with the object ``value`` was
+        serialized from.  Deferred to commit while a transaction is open
+        (the store write it mirrors is itself buffered); immediate otherwise.
         """
         self._touch_coherence(namespace, key)
         if self.cache is None:
             return
         if self._buffering:
             self._write_backs.pop((namespace, key), None)
-            self._write_backs[(namespace, key)] = value
+            self._write_backs[(namespace, key)] = value, slot
         else:
-            self.cache.put(namespace, key, value)
+            self.cache.put(namespace, key, value, slot)
 
     def _touch_coherence(self, namespace: str, key: str) -> None:
         """Record a key the open transaction is mutating.

@@ -124,6 +124,34 @@ def test_failure_responses_are_built_only_in_response_for():
     assert not stray, f"failure responses built outside response_for: {stray}"
 
 
+def test_metadata_reads_go_through_one_routine():
+    """One cached read (docs/PERF.md §28): under ``repro.core`` and
+    ``repro.store`` the metadata cache is looked up and filled nowhere but
+    in ``StorageEngine.read`` and its two cache steps, ``lookup`` and
+    ``fill``, so no reader can drift from the others' fill and miss rules."""
+    pattern = re.compile(r"engine\.lookup\(|engine\.fill\(|\bcache\.get\(")  # not ibbe's _gdk_cache
+    engine = SRC / "repro" / "store" / "engine.py"
+    (store_engine,) = (
+        node
+        for node in ast.parse(engine.read_text()).body
+        if isinstance(node, ast.ClassDef) and node.name == "StorageEngine"
+    )
+    routine = [
+        (node.lineno, node.end_lineno)
+        for node in store_engine.body
+        if isinstance(node, ast.FunctionDef) and node.name in ("read", "lookup", "fill")
+    ]
+    assert len(routine) == 3
+    stray = []
+    for package in ("core", "store"):
+        for path in sorted((SRC / "repro" / package).rglob("*.py")):
+            for lineno, line in enumerate(path.read_text().splitlines(), start=1):
+                inside = path == engine and any(first <= lineno <= last for first, last in routine)
+                if pattern.search(line) and not inside:
+                    stray.append(f"{path.relative_to(REPO)}:{lineno}")
+    assert not stray, f"metadata cache read outside StorageEngine.read: {stray}"
+
+
 #: Trusted routines that nothing under src/, benchmarks/ or examples/ names,
 #: each with the reason it stays.  Qualified name -> one-line why; an entry
 #: that is reached after all, or that names no routine, fails the gate.

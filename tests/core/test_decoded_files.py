@@ -1,36 +1,45 @@
-"""Verified relation files stay decoded in the enclave (docs/PERF.md §23).
+"""Verified relation files stay decoded in the enclave (docs/PERF.md §23, §28).
 
-``TrustedFileManager`` keeps one bounded FIFO per enclave mapping (class,
-plaintext a guarded read returned) to the decoded object, and every
-``read_*`` hands out a copy.  These tests pin what makes that safe: a
-caller's mutation never reaches the memo, the memo is bounded and per
-enclave, and it is consulted only after the guarded read, so it cannot
-hide a rollback.
+Each metadata cache entry has a slot for the object decoded from its own
+bytes: the first decoded read fills it (or a write-back, with the object
+the writer serialized), and every ``read_*`` hands out a copy.  These
+tests pin what makes that safe: a caller's mutation never reaches the
+slot, the slot is per enclave and dies with its entry, and a decoded
+object is served only where the plaintext would be, so it cannot hide a
+rollback.  Without a cache nothing is kept: every read decodes.
 """
 
 import pytest
 
 from repro.core.acl import AclFile, MemberListFile, acl_path
-from repro.core.file_manager import DECODED_FILES
+from repro.core.coherence import CoherenceManager
 from repro.core.model import Permission
 from repro.errors import RollbackDetected
 from repro.fsmodel import DirectoryFile
-from tests.core.conftest import build_world
+from repro.netsim.coherence import CoherenceBoard
+from tests.core.conftest import ROOT_KEY, build_world
+
+CACHE_BYTES = 1 << 20
 
 
 def snapshot_matching(store, prefix):
     return {key: store.get(key) for key in store.keys() if key.startswith(prefix)}
 
 
-@pytest.fixture()
-def shared():
+def _share(cache_bytes):
     """Alice owns /d/ and /d/f; bob is in eng, which may read /d/f."""
-    world = build_world()
+    world = build_world(cache_bytes=cache_bytes)
     world.handler.put_dir("alice", "/d/")
     world.handler.put_file("alice", "/d/f", b"x")
     world.handler.add_user("alice", "bob", "eng")
     world.handler.set_permission("alice", "/d/f", "eng", "r")
     return world
+
+
+@pytest.fixture()
+def shared():
+    """The share, cached."""
+    return _share(CACHE_BYTES)
 
 
 def _scribble_acl(acl):
@@ -66,68 +75,117 @@ READERS = {
 @pytest.mark.parametrize("kind", READERS)
 def test_mutating_a_read_object_does_not_change_the_next_read(shared, kind):
     read, scribble = READERS[kind]
-    before = read(shared.manager).serialize()
-    first = read(shared.manager)
-    scribble(first)
-    assert first.serialize() != before
-    again = read(shared.manager)
-    assert again is not first
-    assert again.serialize() == before
+    for world in (shared, _share(None)):
+        before = read(world.manager).serialize()
+        first = read(world.manager)
+        scribble(first)
+        assert first.serialize() != before
+        again = read(world.manager)
+        assert again is not first
+        assert again.serialize() == before
 
 
-def test_reads_are_served_from_the_memo(shared):
-    """The same plaintext decodes once: later reads are copies of one object."""
-    memo = shared.manager._decoded_files
+def _counting_decodes(monkeypatch, *kinds):
+    """Count ``deserialize`` calls per class."""
+    counts = dict.fromkeys(kinds, 0)
+    for kind in kinds:
+        original = kind.deserialize.__func__
+
+        def counting(cls, data, original=original, kind=kind):
+            counts[kind] += 1
+            return original(cls, data)
+
+        monkeypatch.setattr(kind, "deserialize", classmethod(counting))
+    return counts
+
+
+def test_reads_are_served_from_the_memo(shared, monkeypatch):
+    """The same entry decodes once: later reads are copies of its slot."""
+    counts = _counting_decodes(monkeypatch, AclFile, MemberListFile)
     shared.manager.read_acl("/d/f")
-    size = len(memo)
     for _ in range(3):
         assert shared.access.auth_f("bob", Permission.READ, "/d/f")
-    assert len(memo) == size
+    assert counts == {AclFile: 1, MemberListFile: 1}
 
 
-def test_one_plaintext_decodes_once_per_class(shared):
-    """An empty directory and an empty member list are the same bytes."""
+def test_one_plaintext_decodes_once_per_class(shared, monkeypatch):
+    """An empty directory and an empty member list are the same bytes: each
+    entry's slot holds its own class, and a slot serves only its decoder."""
     empty = DirectoryFile().serialize()
     assert empty == MemberListFile().serialize()
-    assert isinstance(shared.manager._decoded(DirectoryFile, empty), DirectoryFile)
-    assert isinstance(shared.manager._decoded(MemberListFile, empty), MemberListFile)
+    cache = shared.manager.engine.cache
+    cache.put("content", "/e/", empty)
+    cache.put("group", "member:nobody", empty)
+    counts = _counting_decodes(monkeypatch, DirectoryFile, MemberListFile)
+    for _ in range(2):
+        assert isinstance(cache.get("content", "/e/", DirectoryFile.deserialize), DirectoryFile)
+        assert isinstance(cache.get("group", "member:nobody", MemberListFile.deserialize), MemberListFile)
+    assert counts == {DirectoryFile: 1, MemberListFile: 1}
+    assert isinstance(cache.get("content", "/e/", MemberListFile.deserialize), MemberListFile)
 
 
-def test_the_memo_is_bounded_and_evicts_in_insertion_order(shared):
-    manager = shared.manager
-    memo = manager._decoded_files
-    plaintexts = [DirectoryFile([f"/{i}"]).serialize() for i in range(DECODED_FILES + 10)]
-    for i, plaintext in enumerate(plaintexts):
-        assert manager._decoded(DirectoryFile, plaintext).children == [f"/{i}"]
-        assert len(memo) <= DECODED_FILES
-    newest = [(DirectoryFile, plaintext) for plaintext in plaintexts[-DECODED_FILES:]]
-    assert list(memo) == newest
-    # A hit does not reorder: first in, first out.
-    manager._decoded(DirectoryFile, plaintexts[-DECODED_FILES])
-    manager._decoded(DirectoryFile, DirectoryFile(["/new"]).serialize())
-    assert list(memo)[0] == newest[1]
+def _evict(world):
+    cache = world.manager.engine.cache
+    for i in range(CACHE_BYTES // 4096 + 1):
+        cache.put("content", f"/filler{i}", bytes(4096))
+
+
+def _peer_publishes(world):
+    """A peer's commit names /d/: this replica's next read discards it."""
+    engine, board = world.manager.engine, CoherenceBoard(capacity=8)
+    engine.attach_coherence(CoherenceManager(board, ROOT_KEY, engine))
+    CoherenceManager(board, ROOT_KEY, engine=None).publish([("content", "/d/")], "peer")
+
+
+#: The five ways an entry goes; each takes its slot with it.
+ENTRY_ENDS = {
+    "put": lambda world: world.manager.engine.cache.put(  # new bytes under the key
+        "content", "/d/", DirectoryFile(["/d/f", "/d/g"]).serialize()
+    ),
+    "discard": lambda world: world.manager.engine.invalidate("content", "/d/"),
+    "clear": lambda world: world.manager.engine.drop_derived_state(),
+    "eviction": _evict,
+    "coherence": _peer_publishes,
+}
+
+
+@pytest.mark.parametrize("end", ENTRY_ENDS)
+def test_a_slot_dies_with_its_entry(shared, monkeypatch, end):
+    cache = shared.manager.engine.cache
+    counts = _counting_decodes(monkeypatch, DirectoryFile)
+    shared.manager.read_dir("/d/")
+    entry = cache._entries["content", "/d/"]
+    assert entry.slot is not None and counts[DirectoryFile] == 1
+    ENTRY_ENDS[end](shared)
+    children = shared.manager.read_dir("/d/").children
+    assert children == (["/d/f", "/d/g"] if end == "put" else ["/d/f"])
+    assert cache._entries["content", "/d/"] is not entry
+    assert counts[DirectoryFile] == 2  # decoded from the new entry's bytes
 
 
 def test_two_enclaves_in_one_process_share_no_memo_entry():
-    worlds = [build_world(), build_world()]
+    worlds = [build_world(cache_bytes=CACHE_BYTES), build_world(cache_bytes=CACHE_BYTES)]
     for world in worlds:
         world.handler.put_file("alice", "/f", b"x")
         world.handler.add_user("alice", "bob", "eng")
         assert world.access.auth_f("alice", None, "/f")
-    first, second = (world.manager._decoded_files for world in worlds)
-    assert first and second and first is not second
-    assert set(first) & set(second)  # the same plaintexts ...
+    first, second = (
+        {key: entry.slot[1] for key, entry in world.manager.engine.cache._entries.items() if entry.slot}
+        for world in worlds
+    )
+    assert first and second
+    assert set(first) & set(second)  # the same entries ...
     assert not {id(value) for value in first.values()} & {id(value) for value in second.values()}  # ... apart
-    only_first = DirectoryFile(["/only-first"]).serialize()
-    worlds[0].manager._decoded(DirectoryFile, only_first)
-    assert (DirectoryFile, only_first) not in second
+    worlds[0].manager.engine.cache.put("content", "/only-first/", DirectoryFile().serialize())
+    assert worlds[0].manager.read_dir("/only-first/").children == []
+    assert ("content", "/only-first/") not in worlds[1].manager.engine.cache._entries
 
 
-@pytest.mark.parametrize("cache_bytes", [None, 1 << 20], ids=["uncached", "cached"])
+@pytest.mark.parametrize("cache_bytes", [None, CACHE_BYTES], ids=["uncached", "cached"])
 def test_a_warm_memo_does_not_hide_an_acl_rollback(cache_bytes):
-    """The memo holds both ACL versions, yet restoring the old sealed blob
-    is caught by the next cold read's guard walk: the memo is looked up
-    only with plaintext a guarded read returned."""
+    """With the cache on, the ACL's slot is warm when the host restores the
+    old sealed blob, yet the next cold read's guard walk catches it: a slot
+    is served only with its entry, and a verified read makes the entry."""
     world = build_world(rollback=True, cache_bytes=cache_bytes)
     store = world.stores.content
     world.handler.put_file("alice", "/f", b"secret")
@@ -137,10 +195,12 @@ def test_a_warm_memo_does_not_hide_an_acl_rollback(cache_bytes):
     old_acl = snapshot_matching(store, acl_path("/f"))
     world.handler.set_permission("alice", "/f", "eng", "")
     assert not world.access.auth_f("bob", Permission.READ, "/f")
-    assert sum(kind is AclFile for kind, _ in world.manager._decoded_files) >= 2
+    cache = world.manager.engine.cache
+    if cache is not None:
+        assert cache._entries["content", acl_path("/f")].slot is not None
     for key, value in old_acl.items():
         store.put(key, value)
-    if world.manager.engine.cache is not None:
-        world.manager.engine.cache.clear()  # the next read is cold: PFS decrypt and guard walk
+    if cache is not None:  # the next read is cold: PFS decrypt and guard walk
+        cache.discard("content", acl_path("/f"))
     with pytest.raises(RollbackDetected):
         world.access.auth_f("bob", Permission.READ, "/f")

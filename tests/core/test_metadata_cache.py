@@ -66,7 +66,8 @@ class TestLruMechanics:
         cache.put("content", "a", b"x" * 40)
         cache.put("content", "b", b"y" * 40)
         assert cache.get("content", "a") == b"x" * 40  # refreshes "a"
-        assert cache.get("content", "missing") is None
+        assert cache.get("content", "missing") is None  # counts nothing ...
+        cache.missed()  # ... until the reader finds the value in storage
         # Inserting 40 more bytes overflows; the LRU entry is now "b".
         cache.put("content", "c", b"z" * 40)
         assert cache.contains("content", "a")

@@ -8,12 +8,14 @@ from types import SimpleNamespace
 import pytest
 
 from repro.core.acl import acl_path, member_list_path
+from repro.core.coherence import CoherenceManager
 from repro.core.file_manager import Mount
 from repro.core.requests import Status
 from repro.core.rollback import FlatStoreGuard, RollbackGuard, _Node
 from repro.crypto.mset_hash import MSetXorBuckets, Prf
 from repro.errors import CounterError, RollbackDetected
 from repro.fsmodel import DirectoryFile
+from repro.netsim.coherence import CoherenceBoard
 from repro.sgx.costmodel import SgxCostModel
 from repro.sgx.counters import RoteCounterService
 from repro.storage.stores import StoreSet
@@ -332,10 +334,22 @@ class TestKeptMain:
         world.guard.verify_restored_state()
 
 
+#: Each attack below runs with and without the metadata cache.
+CACHES = (None, 1 << 20)
+
+
+def forget(world, *paths):
+    """Drop ``paths``' cache entries (and their slots), as an eviction would."""
+    cache = world.manager.engine.cache
+    for path in paths if cache is not None else ():
+        cache.discard(world.manager.content.namespace, path)
+
+
 class TestNodeMemo:
-    """A guard keeps the nodes it last read or wrote decoded, each with the
-    plaintext it came from, and serves one only for those very bytes: the
-    memo says what a stored node decodes to, never whether it is fresh."""
+    """With the cache on, a guard node the close wrote or a read decoded
+    stays decoded in its cache entry's slot, and serves only while that
+    entry lives: the slot says what the entry's bytes decode to, never
+    whether they are fresh.  Without the cache nothing is kept."""
 
     @staticmethod
     def _versions(world, path):
@@ -350,60 +364,79 @@ class TestNodeMemo:
             plain = world.manager.content.raw_read(node_path)
             versions.append((snapshot_matching(world.stores.content, node_path), plain))
         assert versions[0][1] != versions[1][1]
-        assert world.guard._memo[path][0] == versions[1][1]  # the close kept what it wrote
+        cache = world.manager.engine.cache
+        if cache is not None:  # the close kept what it wrote
+            slot = cache._entries[world.manager.content.namespace, node_path].slot
+            assert world.guard._encode_node(slot[1]) == versions[1][1]
         return versions
 
     @pytest.mark.parametrize("path", ["/d/", "/"])
     def test_a_swapped_in_older_node_is_decoded_from_its_bytes(self, make_world, path):
-        world = make_world(rollback=True)
-        guard = world.guard
-        (old_sealed, old_plain), (new_sealed, new_plain) = self._versions(world, path)
-        restore(world.stores.content, old_sealed)
-        assert guard._encode_node(guard._load_node(path)) == old_plain
-        with pytest.raises(RollbackDetected):
-            world.manager.read_content("/d/a")
-        if path == "/":  # an older root no longer matches the anchor
+        for cache_bytes in CACHES:
+            world = make_world(rollback=True, cache_bytes=cache_bytes)
+            guard = world.guard
+            node_path = guard._node_path(path)
+            (old_sealed, old_plain), (new_sealed, new_plain) = self._versions(world, path)
+            restore(world.stores.content, old_sealed)
+            forget(world, node_path, "/d/a")
+            assert guard._encode_node(guard._load_node(path)) == old_plain
             with pytest.raises(RollbackDetected):
-                guard.verify_restored_state()
-        # The host puts the fresh node back: the memo follows the bytes again.
-        restore(world.stores.content, new_sealed)
-        assert guard._encode_node(guard._load_node(path)) == new_plain
-        assert world.manager.read_content("/d/a") == b"first"
-        guard.verify_restored_state()
+                world.manager.read_content("/d/a")
+            if path == "/":  # an older root no longer matches the anchor
+                with pytest.raises(RollbackDetected):
+                    guard.verify_restored_state()
+            # The host puts the fresh node back: a new entry decodes it again.
+            restore(world.stores.content, new_sealed)
+            forget(world, node_path)
+            assert guard._encode_node(guard._load_node(path)) == new_plain
+            assert world.manager.read_content("/d/a") == b"first"
+            guard.verify_restored_state()
 
     def test_a_replayed_node_pair_is_caught_at_the_anchor(self, make_world):
         """The older "/d/" and the older "/" that names it replayed together
         agree with each other, not with the anchor."""
-        world = make_world(rollback=True)
-        (old_dir, _), _ = self._versions(world, "/d/")
-        old_root = snapshot_matching(world.stores.content, world.guard._node_path("/"))
-        world.handler.put_file("alice", "/d/c", b"third")  # the memo now holds newer nodes
-        restore(world.stores.content, old_dir)
-        with pytest.raises(RollbackDetected):
-            world.manager.read_content("/d/a")
-        restore(world.stores.content, old_root)
-        with pytest.raises(RollbackDetected):
-            world.manager.read_content("/d/a")
-        with pytest.raises(RollbackDetected):
-            world.guard.verify_restored_state()
+        for cache_bytes in CACHES:
+            world = make_world(rollback=True, cache_bytes=cache_bytes)
+            guard = world.guard
+            (old_dir, _), _ = self._versions(world, "/d/")
+            old_root = snapshot_matching(world.stores.content, guard._node_path("/"))
+            world.handler.put_file("alice", "/d/c", b"third")  # the slots now hold newer nodes
+            restore(world.stores.content, old_dir)
+            forget(world, guard._node_path("/d/"), "/d/a")
+            with pytest.raises(RollbackDetected):
+                world.manager.read_content("/d/a")
+            restore(world.stores.content, old_root)
+            forget(world, guard._node_path("/"))
+            with pytest.raises(RollbackDetected):
+                world.manager.read_content("/d/a")
+            with pytest.raises(RollbackDetected):
+                guard.verify_restored_state()
 
     def test_a_peer_close_over_a_shared_store_is_decoded_fresh(self, make_world):
-        """Two replicas over one store: each guard's memo holds the nodes it
-        last saw, and the peer's close rewrites them under it."""
-        stores = StoreSet.in_memory()
-        first = make_world(rollback=True, stores=stores)
-        second = make_world(rollback=True, stores=stores)
-        first.handler.put_dir("alice", "/d/")
-        assert second.manager.read_dir("/d/").children == []
-        seen = dict(second.guard._memo)  # what the verify walk read
-        first.handler.put_file("alice", "/d/f", b"from the peer")
-        for path in ("/", "/d/"):
-            plain = first.guard._memo[path][0]  # what the peer's close wrote
-            assert seen[path][0] != plain
-            assert second.guard._encode_node(second.guard._load_node(path)) == plain
-        assert second.guard.root_hash() == first.guard.root_hash()
-        assert second.manager.read_content("/d/f") == b"from the peer"
-        second.guard.verify_restored_state()
+        """Two replicas over one store: each holds the nodes it last saw, and
+        the peer's close rewrites them under it.  With caches, the peer's
+        published keys discard the entries, and their slots go with them."""
+        for cache_bytes in CACHES:
+            stores = StoreSet.in_memory()
+            first = make_world(rollback=True, stores=stores, cache_bytes=cache_bytes)
+            second = make_world(rollback=True, stores=stores, cache_bytes=cache_bytes)
+            if cache_bytes is not None:
+                board = CoherenceBoard(capacity=64)
+                for world in (first, second):
+                    engine = world.manager.engine
+                    engine.attach_coherence(CoherenceManager(board, ROOT_KEY, engine))
+            first.handler.put_dir("alice", "/d/")
+            assert second.manager.read_dir("/d/").children == []
+            node_paths = {path: second.guard._node_path(path) for path in ("/", "/d/")}
+            seen = {path: second.manager.content.raw_read(node) for path, node in node_paths.items()}
+            first.handler.put_file("alice", "/d/f", b"from the peer")
+            for path, node_path in node_paths.items():
+                plain = first.manager.content.raw_read(node_path)  # what the peer's close wrote
+                assert seen[path] != plain
+                assert second.guard._encode_node(second.guard._load_node(path)) == plain
+            assert second.guard.root_hash() == first.guard.root_hash()
+            assert second.manager.read_content("/d/f") == b"from the peer"
+            second.guard.verify_restored_state()
 
 
 class TestGroupStoreGuard:

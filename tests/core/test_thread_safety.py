@@ -61,6 +61,7 @@ class TestMetadataCacheThreading:
         for key in keys:
             cache.put("content", key, key.encode() * 8)
         barrier = threading.Barrier(THREADS)
+        absent = []
 
         def reader():
             barrier.wait()
@@ -70,6 +71,8 @@ class TestMetadataCacheThreading:
                 # a torn or stale-length one.
                 if value is not None:
                     assert len(value) % len(keys[i % len(keys)].encode()) == 0
+                else:
+                    absent.append(i)
 
         def writer():
             barrier.wait()
@@ -86,10 +89,11 @@ class TestMetadataCacheThreading:
 
         # Accounting must match the surviving entries exactly — drift here
         # is the classic symptom of an unlocked eviction racing a hit.
-        expected = sum(len(v) for v in cache._entries.values())
+        expected = sum(len(entry.value) for entry in cache._entries.values())
         assert cache.stats.current_bytes == expected
         assert len(cache) == len(cache._entries)
-        assert cache.stats.hits + cache.stats.misses >= 2 * ROUNDS
+        # Every get is one hit or one absent key (which counts no miss).
+        assert cache.stats.hits + len(absent) == 2 * ROUNDS
 
     def test_eviction_race_keeps_capacity_bound(self):
         """Concurrent inserts never leave the cache over capacity."""
@@ -108,23 +112,23 @@ class TestMetadataCacheThreading:
         _run_threads([writer(s) for s in range(THREADS)])
         assert cache.stats.current_bytes <= capacity
         assert cache.stats.current_bytes == sum(
-            len(v) for v in cache._entries.values()
+            len(entry.value) for entry in cache._entries.values()
         )
 
 
 class TestMemoThreading:
-    """The enclave's decoded-file and file-key memos (docs/PERF.md §23)
-    insert under a lock and serve hits lock-free: concurrent misses past
-    the bound never raise, never overfill, and never mix up an entry."""
+    """The enclave's decoded-metadata and file-key memos (docs/PERF.md §23,
+    §28): concurrent misses past the bound never raise, never overfill, and
+    never mix up an entry."""
 
-    def test_decoded_file_misses_race_at_the_bound(self, monkeypatch):
-        from repro.core import file_manager
+    def test_decoded_file_misses_race_at_the_bound(self):
+        """Decoded reads of a small cache: threads fill slots on hits while
+        misses insert and evict entries under them."""
         from repro.fsmodel import DirectoryFile
-        from tests.core.conftest import build_world
 
-        monkeypatch.setattr(file_manager, "DECODED_FILES", 16)
-        manager = build_world().manager
         plaintexts = [DirectoryFile([f"/{i}"]).serialize() for i in range(64)]
+        capacity = 16 * len(plaintexts[0])
+        cache = MetadataCache(capacity_bytes=capacity, epc=sim_platform().epc, max_entry_bytes=1024)
         barrier = threading.Barrier(THREADS)
 
         def reader(seed):
@@ -132,12 +136,18 @@ class TestMemoThreading:
                 barrier.wait()
                 for i in range(ROUNDS):
                     index = (seed * 7 + i) % len(plaintexts)
-                    assert manager._decoded(DirectoryFile, plaintexts[index]).children == [f"/{index}"]
+                    decoded = cache.get("content", f"/{index}/", DirectoryFile.deserialize)
+                    if decoded is None:  # a miss: fill as a verified read would
+                        cache.put("content", f"/{index}/", plaintexts[index])
+                    else:
+                        assert decoded.children == [f"/{index}"]
 
             return run
 
         _with_fast_switching(lambda: _run_threads([reader(s) for s in range(THREADS)]))
-        assert len(manager._decoded_files) <= 16
+        assert cache.stats.current_bytes <= capacity
+        for entry in cache._entries.values():
+            assert entry.slot is None or entry.slot[1].serialize() == entry.value
 
     def test_file_key_misses_race_at_the_bound(self, monkeypatch):
         from repro.sgx.protected_fs import ProtectedFs
@@ -161,20 +171,18 @@ class TestMemoThreading:
 
 
 class TestNodeMemoThreading:
-    """A guard's decoded-node memo (docs/PERF.md §27) inserts under a lock
-    and serves hits lock-free.  Threads that read different versions of
-    the same nodes flip the memo's entries under each other: every load
-    still decodes to the bytes its thread read, and the memo never
-    overfills."""
+    """A guard's nodes stay decoded in the slots of a small cache
+    (docs/PERF.md §28).  Threads that load different versions of the same
+    nodes flip the entries under each other: every load is a version of its
+    node, every surviving slot decodes from its own entry's bytes, and the
+    cache never overfills."""
 
-    def test_loads_of_two_versions_race_at_the_bound(self, monkeypatch):
-        from types import SimpleNamespace
-
-        from repro.core import rollback
+    def test_loads_of_two_versions_race_at_the_bound(self):
         from tests.core.conftest import build_world
 
-        monkeypatch.setattr(rollback, "NODE_MEMO", 8)
-        guard = build_world(rollback=True, buckets=4).guard
+        capacity = 8 * 1024
+        world = build_world(rollback=True, buckets=4, cache_bytes=capacity)
+        guard, mount, cache = world.guard, world.manager.content, world.manager.engine.cache
         versions = {}
         for i in range(32):
             node = guard._empty_node(f"/d{i}/", bytes(32))
@@ -182,10 +190,7 @@ class TestNodeMemoThreading:
             node.update(i % 4, None, b"child %d" % i)
             versions[guard._node_path(f"/d{i}/")] = older, guard._encode_node(node)
         version = threading.local()
-        guard._mount = SimpleNamespace(
-            guard_prefix=guard._mount.guard_prefix,
-            raw_read=lambda node_path: versions[node_path][version.which],
-        )
+        mount._load = lambda node_path: versions[node_path][version.which]
         barrier = threading.Barrier(THREADS)
 
         def loader(seed):
@@ -194,13 +199,19 @@ class TestNodeMemoThreading:
                 barrier.wait()
                 for i in range(ROUNDS):
                     path = f"/d{(seed * 7 + i) % 32}/"
-                    loaded = guard._load_node(path)
-                    assert guard._encode_node(loaded) == versions[guard._node_path(path)][seed % 2]
+                    loaded = guard._encode_node(guard._load_node(path))
+                    assert loaded in versions[guard._node_path(path)]
+                    if i % 13 == 0:
+                        cache.discard(mount.namespace, guard._node_path(path))
 
             return run
 
         _with_fast_switching(lambda: _run_threads([loader(s) for s in range(THREADS)]))
-        assert len(guard._memo) <= 8
+        assert cache.stats.current_bytes <= capacity
+        slots = [entry for (_, key), entry in cache._entries.items() if key in versions and entry.slot]
+        assert slots
+        for entry in slots:
+            assert guard._encode_node(entry.slot[1]) == entry.value
 
 
 def _with_fast_switching(run):
