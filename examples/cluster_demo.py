@@ -72,8 +72,8 @@ def main() -> None:
         f"members {cluster.membership.ring.members}"
     )
     check(cluster.put_file("u0", "/eng/doc0", b"v3 eng"), "/eng/doc0 after rejoin")
-    fresh = crashed.handle.call("cluster_verify_anchors")
-    print(f"rejoined replica anchors verified fresh against the quorum: {fresh}")
+    fresh = crashed.handle.call("cluster_verify_anchor")
+    print(f"rejoined replica anchor verified fresh against the quorum: {fresh}")
 
     # The caches stayed on the whole time: each replica's coherence
     # counters show the invalidation protocol at work (docs/CLUSTER.md).

@@ -9,9 +9,9 @@ batch.
 ``SeGShareServer.stats()`` exposes the counters that explain the gap:
 
 * ``cache``  — hits/misses/evictions, resident bytes, EPC charge;
-* ``rollback_guard`` / ``group_guard`` — verifies, node saves, anchor
-  writes (each anchor write is a monotonic-counter increment!), and how
-  many nodes each journaled batch flushed;
+* ``rollback_guard`` / ``group_guard`` — verifies, node saves, how many
+  nodes each journaled batch flushed, and (with the content guard) the
+  one anchor's writes — each a monotonic-counter increment!;
 * ``epc`` — the cache's bytes are real enclave memory, visible here.
 
     python examples/perf_demo.py
@@ -87,14 +87,13 @@ def main() -> None:
     print(f"  cache evictions:          {cache['evictions']}")
     print(f"  resident plaintext:       {cache['current_bytes']} bytes "
           f"(EPC-charged: {stats['epc']['cache_bytes']} bytes)")
-    guard = stats["rollback_guard"]
+    guard, group_guard = stats["rollback_guard"], stats["group_guard"]
     print(f"  guard verifies:           {guard['verifies']}")
-    print(f"  guard anchor writes:      {guard['anchor_writes']} "
-          f"over {guard['batches']} batches (one counter increment each)")
-    print(f"  guard nodes last batch:   {guard['last_batch_nodes']}")
-    group_guard = stats["group_guard"]
-    print(f"  group-guard anchor writes: {group_guard['anchor_writes']} "
+    print(f"  anchor writes:            {guard['anchor_writes']} "
+          f"(one counter increment each, both stores' roots in each)")
+    print(f"  guard / group-guard batches: {guard['batches']} / {group_guard['batches']} "
           f"(delete_group's scan flushed once)")
+    print(f"  guard nodes last batch:   {guard['last_batch_nodes']}")
 
     if cached_work >= uncached_work:
         raise SystemExit("UNEXPECTED: the cache made the enclave work harder")

@@ -14,7 +14,7 @@ The rule reconstructs the global lock-acquisition graph from the shared
 call graph: every ``with`` item is classified into a lock class (via
 method/receiver shape, the literal serial-resource name, or — for
 helpers like ``StorageEngine._commit_point`` and
-``RollbackGuard._anchor_lock`` that *return* an acquisition — factory
+``RollbackGuard._node_lock`` that *return* an acquisition — factory
 resolution through the helper's return expressions), and the set of
 classes held at each acquisition is propagated interprocedurally along
 resolved call edges to a fixpoint.  Two findings result: an acquisition
@@ -78,7 +78,6 @@ _DEFAULT_SERIAL_NAMES = {
     "rb-node*": "guard-node",
     "rbg-node*": "guard-node",
     "rb-anchor": "anchor",
-    "rbg-anchor": "anchor",
     "counter:*": "counter",
 }
 
@@ -140,7 +139,7 @@ def _factory_classes(
 ) -> dict[str, list[str]]:
     """Bare function name -> lock classes its return expressions acquire.
 
-    Resolves helpers like ``_anchor_lock``/``_commit_point`` that return
+    Resolves helpers like ``_node_lock``/``_commit_point`` that return
     a classified acquisition; helpers with only unclassified returns
     (``nullcontext()`` fallbacks) contribute nothing for those returns.
     """

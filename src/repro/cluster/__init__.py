@@ -122,8 +122,8 @@ def build_cluster(
     (all stores are prefixed views over it), the virtual clock (one
     timeline, parallel tracks when ``parallel=True``), the ROTE
     counter quorum (the root's service is installed on every platform
-    *before* its join, so ``cluster_verify_anchors`` checks against the
-    same quorum the anchors were counted on — a mis-wired quorum fails
+    *before* its join, so ``cluster_verify_anchor`` checks against the
+    same quorum the anchor was counted on — a mis-wired quorum fails
     the join instead of corrupting freshness), and — when ``cached`` —
     one coherence board, installed on every platform before server
     construction so even bootstrap commits publish their invalidations.

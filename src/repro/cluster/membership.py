@@ -15,8 +15,8 @@ the candidate enters the placement ring:
 2. **transfer** — if the candidate has no root key yet, the Section V-F
    join protocol runs against the donor.  A restarted replica recovers
    SK_r from its sealed blob instead and skips this step.
-3. **catch-up** — the candidate proves both rollback anchors fresh
-   against the counter quorum (``cluster_verify_anchors``), with the
+3. **catch-up** — the candidate proves the file-system anchor fresh
+   against the counter quorum (``cluster_verify_anchor``), with the
    degraded-read escape hatch disabled: a replica wired to a wrong or
    empty quorum is rejected here instead of serving stale state later.
 4. **admit** — the name enters the :class:`PlacementRing`; rendezvous
@@ -95,7 +95,7 @@ class ClusterMembership:
         # time; a crash in the middle leaves it un-admitted and the join
         # retryable after restart (the sealed key already persisted).
         server.platform.crashpoint("cluster:join-catchup")
-        server.handle.call("cluster_verify_anchors")
+        server.handle.call("cluster_verify_anchor")
         self.members[name] = server
         self.ring.add(name)
         self.epoch += 1

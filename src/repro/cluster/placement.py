@@ -29,6 +29,9 @@ from repro.core.requests import Op, Request
 #: placement from attacker-chosen affinity strings, nothing more.
 _PLACEMENT_KEY = b"segshare-cluster-placement-v1"
 
+#: Memoized owners kept at most; past it the memo starts over.
+OWNER_MEMO = 4096
+
 #: Ops whose first argument names the group the request is about.
 _GROUP_ARG0_OPS = frozenset({Op.LIST_MEMBERS, Op.DELETE_GROUP})
 #: Ops whose second argument names the group.
@@ -82,6 +85,8 @@ class PlacementRing:
 
     def __init__(self, members: Iterable[str] = ()) -> None:
         self._members: List[str] = []
+        #: affinity -> owner under the current member set; add/remove drop it.
+        self._owners: dict[str, str] = {}
         for name in members:
             self.add(name)
 
@@ -100,6 +105,7 @@ class PlacementRing:
         if name in self._members:
             return False
         self._members.append(name)
+        self._owners.clear()
         return True
 
     def remove(self, name: str) -> bool:
@@ -107,10 +113,17 @@ class PlacementRing:
         if name not in self._members:
             return False
         self._members.remove(name)
+        self._owners.clear()
         return True
 
     def owner(self, affinity: str) -> str:
-        """The member owning ``affinity`` — highest rendezvous score wins."""
-        if not self._members:
-            raise LookupError("placement ring has no members")
-        return max(self._members, key=lambda member: _score(member, affinity))
+        """The member owning ``affinity`` — highest rendezvous score wins,
+        scored once per affinity until the member set changes."""
+        owner = self._owners.get(affinity)
+        if owner is None:
+            if not self._members:
+                raise LookupError("placement ring has no members")
+            if len(self._owners) >= OWNER_MEMO:
+                self._owners.clear()
+            owner = self._owners[affinity] = max(self._members, key=lambda member: _score(member, affinity))
+        return owner

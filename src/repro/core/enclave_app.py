@@ -29,7 +29,7 @@ from repro.core.journal import EpochRecord, WriteAheadJournal
 from repro.core.locks import LockManager
 from repro.core.request_handler import RequestHandler, UploadSink, response_for
 from repro.core.requests import Op, Request, Response
-from repro.core.rollback import FlatStoreGuard, RollbackGuard
+from repro.core.rollback import COUNTER_ID, FileSystemAnchor, FlatStoreGuard, RollbackGuard
 from repro.core.rotation import (
     RotationStats,
     replay_state,
@@ -241,7 +241,11 @@ class SeGShareEnclave(Enclave):
     #: One memo for verified metadata: a cache entry's slot keeps the object
     #: decoded from its bytes, and every cached read is ``StorageEngine.read``;
     #: the decoded-file and node memos gone (docs/PERF.md §28): 7599 → 7591.
-    TCB_LOC_CEILING = 7591
+    #: One file-system anchor under one counter for both guards, a kept
+    #: bucket bitmap and slots on relation writes, paid for by the per-guard
+    #: anchor, lock and counter, the engine's two-anchor branches and
+    #: ``repair_guards`` (docs/PERF.md §29): 7591 → 7588.
+    TCB_LOC_CEILING = 7588
 
     def __init__(
         self,
@@ -367,17 +371,13 @@ class SeGShareEnclave(Enclave):
             locks=self.locks,
         )
         if self._options.rollback != "off":
-            shared = dict(
-                buckets=self._options.rollback_buckets,
-                enclave=self,
-                counter=counter,
-                locks=self.locks,
-            )
+            anchor = FileSystemAnchor(self.manager, self, self.locks, counter)
+            buckets = self._options.rollback_buckets
             self.guard = self.manager.content.guard = RollbackGuard(
-                self.manager, self._root_key, **shared
+                self.manager, self._root_key, anchor, buckets
             )
             self.group_guard = self.manager.group.guard = FlatStoreGuard(
-                self.manager, self._root_key, **shared
+                self.manager, self._root_key, anchor, buckets
             )
         self._finish_recovery(journal.writer, recovered)
         # The deploy-time transactions above (ensure_root) closed their own
@@ -397,8 +397,8 @@ class SeGShareEnclave(Enclave):
         """
         engine = self.engine
         assert engine is not None and self.manager is not None
-        if record is not None:
-            engine.repair_guards(record)
+        if record is not None and engine.anchor is not None:
+            engine.anchor.repair((record.fs_main, record.group_main), record.counter)
         self.manager.dedup.sweep_orphans(writer)
         engine.journal.recover_finish(writer)
         if engine.coherence is not None and (record is not None or writer != engine.journal.writer):
@@ -419,9 +419,9 @@ class SeGShareEnclave(Enclave):
             return None
 
         def probe() -> int:
-            if not counter.exists("segshare-fs"):
+            if not counter.exists(COUNTER_ID):
                 return 0
-            return counter.read(self, "segshare-fs")
+            return counter.read(self, COUNTER_ID)
 
         return probe
 
@@ -692,7 +692,8 @@ class SeGShareEnclave(Enclave):
             # object, dedup records among them, describes the pre-restore
             # world and must go before the consistency walk reads storage.
             self.engine.drop_derived_state(restored=True)
-            self.engine.repair_guards(None)
+            if self.engine.anchor is not None:
+                self.engine.anchor.repair(None)
 
     # -- root-key rotation (production extension; see repro/core/rotation.py) ----
 
@@ -803,8 +804,8 @@ class SeGShareEnclave(Enclave):
         return record is not None
 
     @ecall
-    def cluster_verify_anchors(self) -> dict:
-        """Join catch-up: prove both anchors are fresh against the quorum.
+    def cluster_verify_anchor(self) -> bool:
+        """Join catch-up: prove the file-system anchor fresh against the quorum.
 
         A replica is admitted to the placement ring only after this
         passes — it refuses the degraded-read escape hatch, so a joining
@@ -812,12 +813,11 @@ class SeGShareEnclave(Enclave):
         rejected instead of silently serving a rolled-back snapshot.
         """
         self._check_alive()
-        guards = self.engine.guards if self.engine is not None else []
-        if len(guards) < 2:
+        anchor = self.engine.anchor if self.engine is not None else None
+        if anchor is None or len(anchor.guards) < 2:
             raise EnclaveError("cluster catch-up requires whole-FS rollback protection")
-        for guard in guards:
-            guard.verify_anchor_fresh()
-        return {"fs": True, "group": True}
+        anchor.verify_fresh()
+        return True
 
     @ecall
     def authz_reconcile(self) -> dict:
@@ -860,6 +860,9 @@ class SeGShareEnclave(Enclave):
         for name, guard in (("rollback_guard", self.guard), ("group_guard", self.group_guard)):
             if guard is not None:
                 stats[name] = guard.stats.snapshot()
+        if self.guard is not None:
+            # The one anchor's writes, counted with the content tree it roots.
+            stats["rollback_guard"]["anchor_writes"] = self.guard.anchor.writes
         if self.access is not None:
             stats["authz"] = {"backend": self.access.name, **self.access.counters()}
         return stats

@@ -64,7 +64,7 @@ _KIND_POINTER = 1
 #: which is invalid in user paths, so collisions are impossible.
 GUARD_PREFIX = "\x00rb:"
 
-#: Same, for the group store's flat guard (node + anchor).
+#: Same, for the group store's flat guard (its one node).
 GROUP_GUARD_PREFIX = "\x00rbg:"
 
 #: Group-store prefix for authorization-backend records (envelope state).
@@ -135,7 +135,9 @@ class Mount:
             raise FileSystemError(f"no file at {path!r}")
         return data
 
-    def guarded_write(self, path: str, data: bytes) -> None:
+    def guarded_write(self, path: str, data: bytes, slot: "Slot | None" = None) -> None:
+        """Write ``data`` (with the ``slot`` it was serialized from, which the
+        caller then leaves alone) through the guard."""
         old_hash = self._current_hash(path) if self.guard is not None and self.raw_exists(path) else None
         new_hash = self._content_hash(data) if self.guard is not None else b""
         if new_hash == old_hash:
@@ -144,7 +146,7 @@ class Mount:
         self.pfs.write_file(self._sp(path), data)
         if self.guard is not None:
             self.guard.on_write(path, new_hash, old_hash)
-        self._engine.write_back(self.namespace, path, data)
+        self._engine.write_back(self.namespace, path, data, slot)
 
     def guarded_delete(self, path: str) -> None:
         if not self.raw_exists(path):
@@ -220,7 +222,6 @@ class TrustedFileManager:
         self._transform = HmacPathTransform(root_key) if hide_paths else IdentityTransform()
         self.content = Mount(self, pfs(backends.content, "content"), "content", GUARD_PREFIX)
         self.group = Mount(self, pfs(backends.group, "group"), "group", GROUP_GUARD_PREFIX)
-        engine.mounts = (self.content, self.group)
         #: Unverified content-store access for the audit chain, whose
         #: records authenticate themselves (repro/core/audit.py).
         self.raw_read, self.raw_write = self.content.raw_read, self.content.raw_write
@@ -272,7 +273,7 @@ class TrustedFileManager:
         return self.content.guarded_read(path, DirectoryFile.deserialize).copy()
 
     def write_dir(self, path: str, directory: DirectoryFile) -> None:
-        self.content.guarded_write(path, directory.serialize())
+        self.content.guarded_write(path, directory.serialize(), (DirectoryFile.deserialize, directory))
 
     # -- content files ---------------------------------------------------------------
 
@@ -350,7 +351,7 @@ class TrustedFileManager:
             return None
 
     def write_acl(self, path: str, acl: AclFile) -> None:
-        self.content.guarded_write(acl_path(path), acl.serialize())
+        self.content.guarded_write(acl_path(path), acl.serialize(), (AclFile.deserialize, acl))
 
     def delete_acl(self, path: str) -> None:
         self.content.guarded_delete(acl_path(path))
@@ -369,7 +370,7 @@ class TrustedFileManager:
         return self._group_file(GroupListFile, GROUP_LIST_PATH)
 
     def write_group_list(self, group_list: GroupListFile) -> None:
-        self.group.guarded_write(GROUP_LIST_PATH, group_list.serialize())
+        self.group.guarded_write(GROUP_LIST_PATH, group_list.serialize(), (GroupListFile.deserialize, group_list))
 
     def member_list_exists(self, user_id: str) -> bool:
         return self.group.raw_exists(member_list_path(user_id))
@@ -378,7 +379,7 @@ class TrustedFileManager:
         return self._group_file(MemberListFile, member_list_path(user_id))
 
     def write_member_list(self, user_id: str, members: MemberListFile) -> None:
-        self.group.guarded_write(member_list_path(user_id), members.serialize())
+        self.group.guarded_write(member_list_path(user_id), members.serialize(), (MemberListFile.deserialize, members))
 
     # -- quota ledger (group store; resource accounting, not a security
     # -- boundary — see repro/core/request_handler.py) --------------------------------

@@ -123,9 +123,9 @@ class EpochRecord:
     ``fs_main``/``group_main`` are the rollback guards' expected root
     hashes over the committed state, empty for a guard with nothing
     pending (or absent): the epoch keeps the guard batches in enclave
-    memory, so after a crash the guards are rebuilt from the data and
-    checked against these.  ``counter`` is the whole-FS counter value at
-    the epoch's start.  ``parts`` are the record parts holding the writes the
+    memory, so after a crash the guards are rebuilt from the data, checked
+    against these, and re-anchored with a clean guard's anchored root.
+    ``counter`` is the whole-FS counter value at the epoch's start.  ``parts`` are the record parts holding the writes the
     member spilled, applied before ``writes``.  A record with no writes,
     parts or roots carries only ``intents``.
     """
@@ -165,8 +165,8 @@ class WriteAheadJournal:
     boundary; wiring it to :meth:`SgxPlatform.crashpoint` lets a fault
     plan kill the enclave at any individual journal step (the
     crash-matrix tests enumerate them).  ``counter_probe`` returns the
-    current whole-FS counter value, or is ``None`` when no counter
-    protects the deployment.
+    current whole-FS counter value for recovery, or is ``None`` when no
+    counter protects the deployment.
     """
 
     def __init__(
@@ -188,8 +188,8 @@ class WriteAheadJournal:
         self._record_key = _RECORD_PREFIX + writer
         self._part_prefix = f"{_PART_PREFIX}{writer}:"
         self._active = False
-        #: The whole-FS counter value at the open epoch's start: the guards
-        #: defer their increments to its close, so it holds for every member.
+        #: The whole-FS counter value at the open epoch's start: the anchor
+        #: defers its increment to the close, so it holds for every member.
         self._counter = 0
         #: Parts written so far; a part's number names its key.
         self._seq = 0
@@ -227,12 +227,13 @@ class WriteAheadJournal:
                 f"mutations are disabled: {self._poisoned} (restart the enclave)"
             )
 
-    def open_epoch(self, label: str) -> None:
-        """Open an epoch; no store write happens until a member commits."""
+    def open_epoch(self, label: str, counter: int = 0) -> None:
+        """Open an epoch whose start saw the whole-FS counter at ``counter``;
+        no store write happens until a member commits."""
         self.check_usable()
         if self._active:
             raise StorageError("journal epoch already open")
-        self._counter = self.counter_probe() if self.counter_probe is not None else 0
+        self._counter = counter
         self._active = True
         self.crashpoint("journal:begin")
 

@@ -423,7 +423,7 @@ class RequestHandler:
             for child in directory.children:
                 new_child = dst + child[len(src) :]
                 new_dir.add(new_child)
-                self._manager.write_dir(dst, new_dir)
+                self._manager.write_dir(dst, new_dir.copy())
                 count += self._move_tree(child, new_child)
             self._manager.delete_content(src)
         else:

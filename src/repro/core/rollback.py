@@ -14,25 +14,23 @@ implemented exactly:
   bucket — the measured effect in Fig. 5.
 
 An inner node's *main hash* combines its path, the hash of its directory
-file content (the children list), and its bucket digests.  The root main
-hash is persisted in an anchor object; with whole-file-system protection
-enabled (Section V-E) every update also increments a TEE monotonic
-counter whose value is stored in the anchor, so replaying an old
-*complete* file system (anchor included) is detected on the next read.
-
-Guard node objects and the anchor live in the guarded store itself under
-a NUL-prefixed namespace that user paths cannot reach; their freshness
-needs no separate protection because each is authenticated by its
-parent's bucket digest, up to the counter-protected root.
+file content (the children list), and its bucket digests.
 
 The paper calls protecting the group store "a straightforward adaption",
-and the code says the same: :class:`_GuardCore` owns everything that
-does not depend on the store's shape — key, batches, the counter-bound
-anchor, leaf hashing, the restore checks — over one
-:class:`~repro.core.file_manager.Mount`, and the two layouts add only
-their node naming/encoding, node main hash, node locks, and the
-update/verify walks: :class:`RollbackGuard` is the tree over the content
-store, :class:`FlatStoreGuard` the single node over the group store.
+and the code says the same: :class:`_GuardCore` owns what does not depend
+on the store's shape — key, batches, leaf hashing, the restore check —
+over one :class:`~repro.core.file_manager.Mount`, and the two layouts add
+their node naming/encoding, node main hash, node locks and walks:
+:class:`RollbackGuard` is the tree over the content store,
+:class:`FlatStoreGuard` the single node over the group store.
+
+Both are rooted in one :class:`FileSystemAnchor` (Section V-E): a sealed
+record naming both roots and the one TEE monotonic counter's value,
+written once per epoch close and once per re-anchor.  Replaying a whole
+old file system (anchor included) fails the counter check; replaying one
+store, or an older anchor, fails a root the anchor names.  Guard nodes and
+the anchor live under a NUL-prefixed namespace user paths cannot reach;
+each node is authenticated by its parent's bucket digest up to the anchor.
 """
 
 from __future__ import annotations
@@ -40,6 +38,7 @@ from __future__ import annotations
 import hashlib
 from contextlib import AbstractContextManager
 from dataclasses import asdict, dataclass
+from typing import Callable
 
 from repro.core.acl import (
     GROUP_LIST_PATH,
@@ -48,7 +47,7 @@ from repro.core.acl import (
     acl_path,
     member_list_path,
 )
-from repro.core.file_manager import Mount, TrustedFileManager
+from repro.core.file_manager import TrustedFileManager
 from repro.core.locks import LockManager
 from repro.crypto import derive_key
 from repro.crypto.mset_hash import MSetXorBuckets, Prf
@@ -59,6 +58,11 @@ from repro.sgx.enclave import Enclave
 from repro.util.serialization import Reader, Writer
 
 ROOT = "/"
+#: The one TEE monotonic counter, bound to the anchor.
+COUNTER_ID = "segshare-fs"
+#: Each guard's root slot in the anchor.
+FS_SLOT, GROUP_SLOT = 0, 1
+Mains = tuple[bytes, bytes]
 
 
 @dataclass
@@ -68,7 +72,6 @@ class GuardStats:
     verifies: int = 0
     updates: int = 0
     node_saves: int = 0
-    anchor_writes: int = 0
     batches: int = 0
     nodes_flushed: int = 0
     last_batch_nodes: int = 0
@@ -77,128 +80,262 @@ class GuardStats:
         return asdict(self)
 
 
-class _GuardCore:
-    """What both guards share, over one :class:`Mount`.
+def _decode_anchor(data: bytes) -> tuple[Mains, int]:
+    r = Reader(data)
+    record = (r.bytes(), r.bytes()), r.u64()
+    r.expect_end()
+    return record
 
-    ``counter`` enables whole-file-system protection; pass a
-    :class:`MonotonicCounter` or :class:`RoteCounterService` plus the
-    enclave that owns the counter.
 
-    A node is whatever the layout decodes — anything with a ``copy()``.
-    A layout class supplies ``_WHAT`` (for messages), ``_COUNTER_ID`` (its
-    counter's name in the counter service), the two crashpoint ids,
-    ``_node_path``/``_encode_node``/``_decode_node``, ``_node_main``,
-    ``_node_lock``/``_anchor_lock`` (kept literal there: seglint reads
-    lock names at the call site), ``_bootstrap``, and the public walks
-    ``on_write``/``on_delete``/``verify_read``/``recompute_main``/
-    ``rebuild``.
+class FileSystemAnchor:
+    """The one file-system anchor (paper §V-E) both guards verify against.
+
+    One sealed record in the content store: the content tree's root main,
+    the group node's main (empty until anchored) and the counter value,
+    incremented first by every write when ``counter`` is given.  A write
+    naming one root keeps the other from the stored record, and only from
+    a fresh one: its counter must be the TEE's, as read at the epoch's open
+    (one epoch holder at a time, even in a cluster), or now outside one.
     """
 
-    _WHAT: str
-    _COUNTER_ID: str
-    _NODE_WRITE: str
-    _COUNTER_INCREMENTED: str
-
     def __init__(
-        self,
-        mount: Mount,
-        key: bytes,
-        buckets: int,
-        enclave: Enclave,
-        counter: "MonotonicCounter | RoteCounterService | None",
-        locks: LockManager,
+        self, manager: TrustedFileManager, enclave: Enclave, locks: LockManager,
+        counter: "MonotonicCounter | RoteCounterService | None" = None,
     ) -> None:
-        self._mount = mount
-        #: Every guard HMAC — bucket element, leaf main, node main — under the key.
-        self._prf = Prf(key)
-        self._buckets = buckets
-        self._enclave = enclave
-        self._counter = counter
-        self._locks = locks
+        self._mount = manager.content
+        self._key = manager.content.guard_prefix + "anchor"
+        self.enclave, self.locks, self.counter = enclave, locks, counter
+        self.guards: list = []  # in slot order
+        self.writes = 0
         #: With the counter service unreachable (ROTE quorum lost), reads
         #: may proceed on the hash chain alone; writes still fail because
         #: the anchor cannot be re-counted.  Set False to fail reads too.
         self.allow_degraded_reads = True
-        #: Count of reads served without the counter freshness check.
         self.degraded_reads = 0
+        #: The counter value while an epoch is open.
+        self._epoch: int | None = None
+        #: The last record written or proven fresh here: the latest one while
+        #: its counter value is the TEE's (no value names two records).
+        self._last: tuple[Mains, int] | None = None
+        if counter is not None and not counter.exists(COUNTER_ID):
+            counter.create(enclave, COUNTER_ID)
+        manager.engine.anchor = self
+
+    def attach(self, guard: "_GuardCore") -> None:
+        self.guards = sorted([*self.guards, guard], key=lambda each: each._SLOT)
+
+    def _by_slot(self, main: "Callable[[_GuardCore], bytes | None]") -> "list[bytes | None]":
+        mains: list[bytes | None] = [None, None]
+        for guard in self.guards:
+            mains[guard._SLOT] = main(guard)
+        return mains
+
+    def read(self) -> tuple[Mains, int]:
+        """The stored (mains, counter value), unverified."""
+        return self._mount.raw_read(self._key, _decode_anchor)
+
+    def probe(self) -> int:
+        """The TEE counter's value (0 without whole-FS protection)."""
+        return self.counter.read(self.enclave, COUNTER_ID) if self.counter is not None else 0
+
+    def _anchored(self) -> Mains:
+        """The anchored mains, proven fresh."""
+        current = self.probe() if self._epoch is None else self._epoch
+        if self._last is not None and self._last[1] == current:
+            return self._last[0]
+        if not self._mount.raw_exists(self._key):
+            return b"", b""  # first start: nothing anchored yet
+        self._last = self.read()
+        if self._last[1] != current:
+            raise RollbackDetected(f"file system rolled back: anchor counter {self._last[1]} != TEE counter {current}")
+        return self._last[0]
+
+    def write_roots(self, mains: "list[bytes | None]") -> None:
+        """One anchor write: each slot's main, the anchored one where None."""
+        with self.locks.serial("rb-anchor", account="anchor-wait"):
+            if None in mains:
+                kept = self._anchored()
+                mains = [kept[slot] if main is None else main for slot, main in enumerate(mains)]
+            counter_value = 0
+            if self.counter is not None:
+                counter_value = self.counter.increment(self.enclave, COUNTER_ID)
+                # The window a cluster failover must close: the quorum already
+                # advanced but no anchor names the value yet.  Recovery
+                # re-anchors the roots the redo record names.
+                self.enclave.platform.crashpoint("anchor:counter-incremented")
+            fs_main, group_main = mains
+            record = (fs_main, group_main), counter_value
+            blob = Writer().bytes(fs_main).bytes(group_main).u64(counter_value).take()
+            self._mount.raw_write(self._key, blob, (_decode_anchor, record))
+            self._last = record
+            if self._epoch is not None:
+                self._epoch = counter_value
+        self.writes += 1
+
+    def verify(self, guard: "_GuardCore", main: bytes, strict: bool = False) -> None:
+        """``main`` is ``guard``'s anchored root and the anchor is fresh;
+        ``strict`` refuses the degraded-read escape hatch."""
+        mains, stored = self.read()
+        if mains[guard._SLOT] != main:
+            raise RollbackDetected(f"{guard._WHAT} root hash does not match the anchored value")
+        try:
+            current = self.probe()
+        except CounterError:
+            if strict or not self.allow_degraded_reads:
+                raise
+            # Degraded mode: the hash chain above already authenticated the
+            # state; only the whole-FS freshness bound is lost.
+            self.degraded_reads += 1
+            return
+        if stored != current:
+            raise RollbackDetected(f"{guard._WHAT} rolled back: anchor counter {stored} != TEE counter {current}")
+        self._last = mains, stored
+
+    def verify_fresh(self) -> None:
+        """Prove every root anchored and the anchor fresh, degraded mode off:
+        a replica catching up after join or takeover, whatever the quorum."""
+        for guard in self.guards:
+            self.verify(guard, guard.root_hash(), strict=True)
+
+    # -- the epoch -------------------------------------------------------------------
+    #
+    # Within a StorageEngine epoch every on_write/on_delete still updates
+    # the nodes, but in enclave memory; commit_batch() persists each dirty
+    # node once and the anchor once, at the epoch's close.  Reads inside
+    # the batch verify against the pending in-enclave root.  Until the
+    # close the committed members' redo record carries the pending roots,
+    # so a crash rebuilds the nodes from the data and checks them against it.
+
+    def begin_batch(self, counter_value: int) -> None:
+        """Open an epoch whose start saw the TEE counter at ``counter_value``."""
+        self._epoch = counter_value
+        for guard in self.guards:
+            guard.begin_batch()
+
+    def pending_roots(self) -> Mains:
+        """The pending roots, for the redo record; empty for a clean guard."""
+        fs_main, group_main = self._by_slot(lambda guard: guard.pending_root())
+        return fs_main or b"", group_main or b""
+
+    def commit_batch(self) -> None:
+        """The close: each guard writes its dirty nodes, then one anchor
+        write names both roots.  A failure part-way keeps every batch, so
+        the next close writes all of it again."""
+        mains = self._by_slot(lambda guard: guard.commit_batch())
+        if mains != [None, None]:
+            self.write_roots(mains)
+        self.end_batch(flushed=True)
+
+    def end_batch(self, flushed: bool = False) -> None:
+        """Leave the epoch; without ``flushed``, drop what it pended."""
+        for guard in self.guards:
+            guard.end_batch(flushed)
+        self._epoch = None
+
+    # -- re-anchors ------------------------------------------------------------------
+
+    def accept_current_state(self) -> None:
+        """Re-anchor the *current* storage state (CA-authorized reset, §V-G):
+        the stored roots as they are, after each guard's
+        :meth:`_GuardCore.verify_restored_state`."""
+        self.write_roots(self._by_slot(lambda guard: guard.root_hash()))
+
+    def repair(self, mains: "Mains | None", epoch_counter: int = 0) -> None:
+        """Bring the guards in line with the stored data, re-anchored once.
+
+        With a recovered redo record's ``mains`` and ``epoch_counter``, a root
+        the anchor does not name yet is checked against the data (a
+        pre-revocation member list must not be blessed) and its nodes rebuilt;
+        a clean guard keeps its anchored root, from the TEE's latest anchor or
+        the one the epoch opened on, one increment behind (the close crashed
+        in the counter's window).  Without a record (a backup restore) each
+        store is checked for internal consistency and re-anchored."""
+        if mains is None:
+            for guard in self.guards:
+                guard.verify_restored_state()
+            self.accept_current_state()
+            return
+        if mains == (b"", b""):
+            return
+        anchored, stored = self.read()
+        current = self.probe()
+        if stored != current and not stored == epoch_counter == current - 1:
+            raise RollbackDetected(f"file system rolled back: anchor counter {stored} != TEE counter {current}")
+        for guard in self.guards:
+            main = mains[guard._SLOT]
+            if main and main != anchored[guard._SLOT]:
+                if guard.recompute_main() != main:
+                    raise RollbackDetected(f"recovered {guard._WHAT} state does not match the epoch's redo record")
+                guard.rebuild_nodes()
+        self.write_roots([main or kept for main, kept in zip(mains, anchored)])
+
+
+class _GuardCore:
+    """What both guards share, over one :class:`~repro.core.file_manager.Mount`.
+
+    A node is whatever the layout decodes — anything with a ``copy()``.
+    A layout supplies ``_WHAT`` (for messages), ``_SLOT``, ``_NODE_WRITE``
+    (its crashpoint id), ``_node_path``/``_encode_node``/``_decode_node``,
+    ``_node_main``, ``_node_lock`` (kept literal there: seglint reads lock
+    names at the call site), ``_bootstrap``, and the walks
+    ``on_write``/``on_delete``/``verify_read``/``recompute_main``/
+    ``rebuild_nodes``.
+    """
+
+    _WHAT: str
+    _SLOT: int
+    _NODE_WRITE: str
+
+    def __init__(self, mount, key: bytes, buckets: int, anchor: FileSystemAnchor) -> None:
+        self._mount = mount
+        #: Every guard HMAC — bucket element, leaf main, node main — under the key.
+        self._prf = Prf(key)
+        self._buckets = buckets
+        self.anchor = anchor
+        self._enclave, self._locks = anchor.enclave, anchor.locks
         self.stats = GuardStats()
-        # Batch mode: node updates and the anchor write are deferred and
-        # flushed once at commit — O(dirty nodes) instead of O(N·depth).
+        # Batch mode: dirty nodes and the root stay in enclave memory until
+        # the epoch's close — O(dirty nodes) instead of O(N·depth).
         self._batching = False
         self._pending_nodes: dict = {}
         self._pending_main: bytes | None = None
-        if counter is not None and not counter.exists(self._COUNTER_ID):
-            counter.create(enclave, self._COUNTER_ID)
+        anchor.attach(self)
         if not mount.raw_exists(self._node_path(ROOT)):
             self._bootstrap()
 
-    # -- batched updates ------------------------------------------------------------
-    #
-    # Within a StorageEngine epoch, every on_write/on_delete still updates
-    # the nodes — but the updated nodes accumulate in enclave memory and
-    # the anchor write (with its monotonic-counter increment) is deferred.
-    # commit_batch() then persists each dirty node once and the anchor
-    # once, at the epoch's close.  Reads *inside* the batch verify against
-    # the pending in-enclave root (enclave memory is fresh by definition);
-    # the counter check resumes with the close's anchor write.  Until then
-    # the committed members' redo record carries the pending root, so a
-    # crash rebuilds the nodes from the data and checks them against it.
+    # -- batches: an epoch's, rewound per aborted member ------------------------------
 
     def begin_batch(self) -> None:
-        if self._batching:
-            return
-        self._batching = True
-        self._pending_nodes = {}
-        self._pending_main = None
-
-    def commit_batch(self) -> None:
-        """Flush dirty nodes and the deferred anchor; leaves batch mode.
-
-        A failure part-way keeps the batch, so the next close writes all
-        of it again.
-        """
         if not self._batching:
-            return
-        self._batching = False
-        try:
-            for dir_path, node in self._pending_nodes.items():
-                self._save_node(dir_path, node)
-            if self._pending_main is not None:
-                self._write_anchor(self._pending_main)
-        except BaseException:
-            self._batching = True
-            raise
-        nodes = len(self._pending_nodes)
-        self._pending_nodes, self._pending_main = {}, None
-        self.stats.batches += 1
-        self.stats.nodes_flushed += nodes
-        self.stats.last_batch_nodes = nodes
+            self._batching, self._pending_nodes, self._pending_main = True, {}, None
 
-    def abort_batch(self) -> None:
-        """Drop pending state without persisting (an epoch no member committed in)."""
-        self._batching = False
-        self._pending_nodes = {}
-        self._pending_main = None
+    def commit_batch(self) -> bytes | None:
+        """Write the batch's dirty nodes; the root they need anchored (None
+        if none).  The batch stays open until the anchor names it."""
+        if not self._batching:
+            return None
+        for dir_path, node in self._pending_nodes.items():
+            self._write_node(dir_path, node)
+        return self._pending_main
 
-    # -- group-commit epoch support ------------------------------------------------
-    #
-    # During an epoch the batch stays open across K member transactions;
-    # aborting one member must rewind the in-enclave pending state to
-    # where that member started without touching earlier members' nodes.
+    def end_batch(self, flushed: bool = False) -> None:
+        """Leave batch mode: after the anchor write if ``flushed``, else
+        dropping what it pended."""
+        if flushed and self._batching:
+            self.stats.batches += 1
+            self.stats.nodes_flushed += len(self._pending_nodes)
+            self.stats.last_batch_nodes = len(self._pending_nodes)
+        self._batching, self._pending_nodes, self._pending_main = False, {}, None
 
     def snapshot_pending(self) -> tuple[dict, bytes | None]:
         """Deep-copy the pending batch state (taken at member begin)."""
-        return (
-            {path: node.copy() for path, node in self._pending_nodes.items()},
-            self._pending_main,
-        )
+        return {path: node.copy() for path, node in self._pending_nodes.items()}, self._pending_main
 
     def restore_pending(self, snap: tuple[dict, bytes | None]) -> None:
         """Rewind the pending batch state to a member-begin snapshot."""
         nodes, main = snap
-        self._batching = True
         # Copied again: the snapshot stays good for a second rewind.
-        self._pending_nodes = {path: node.copy() for path, node in nodes.items()}
+        self._batching, self._pending_nodes = True, {path: node.copy() for path, node in nodes.items()}
         self._pending_main = main
 
     def pending_root(self) -> bytes:
@@ -208,9 +345,7 @@ class _GuardCore:
     # -- hashing -------------------------------------------------------------------
 
     def _charge_hash(self, nbytes: int) -> None:
-        self._enclave.charge(
-            self._enclave.platform.costs.hash_time(nbytes), account="rollback"
-        )
+        self._enclave.charge(self._enclave.platform.costs.hash_time(nbytes), account="rollback")
 
     def _leaf_main(self, path: str, content_hash: bytes) -> bytes:
         self._charge_hash(len(path) + len(content_hash))
@@ -221,9 +356,6 @@ class _GuardCore:
         return int.from_bytes(digest[:4], "big") % self._buckets
 
     # -- node persistence --------------------------------------------------------------
-
-    def _crashpoint(self, site: str) -> None:
-        self._enclave.platform.crashpoint(site)
 
     def _load_node(self, dir_path: str = ROOT):
         if self._batching:
@@ -238,115 +370,58 @@ class _GuardCore:
     def _save_node(self, dir_path: str, node) -> None:
         if self._batching:
             self._pending_nodes[dir_path] = node
-            return
-        self._crashpoint(self._NODE_WRITE)
+        else:
+            self._write_node(dir_path, node)
+
+    def _write_node(self, dir_path: str, node) -> None:
+        self._enclave.platform.crashpoint(self._NODE_WRITE)
         # Kept with its main in the entry's slot: the next epoch neither
         # decodes nor re-hashes it.
-        self._mount.raw_write(
-            self._node_path(dir_path), self._encode_node(node), (self._decode_node, node.copy())
-        )
+        self._mount.raw_write(self._node_path(dir_path), self._encode_node(node), (self._decode_node, node.copy()))
         self.stats.node_saves += 1
 
     def root_hash(self) -> bytes:
         """Main hash of the stored (or pending) root node."""
         return self._node_main(self._load_node(ROOT))
 
-    # -- anchor ---------------------------------------------------------------------------
+    # -- the root --------------------------------------------------------------------------
 
-    def _write_anchor(self, main: bytes) -> None:
+    def _set_root(self, main: bytes) -> None:
+        """A walk reached the root: pend it in a batch, else anchor it."""
         if self._batching:
             self._pending_main = main
-            return
-        with self._anchor_lock():
-            counter_value = 0
-            if self._counter is not None:
-                counter_value = self._counter.increment(self._enclave, self._COUNTER_ID)
-                # The window a cluster failover must close: the quorum
-                # already advanced but the anchor naming the new value is
-                # not yet persisted.  A successor's recovery re-applies the
-                # redo record and rebuilds the tree, re-counting the anchor.
-                self._crashpoint(self._COUNTER_INCREMENTED)
-            blob = Writer().bytes(main).u64(counter_value).take()
-            self._mount.raw_write(self._mount.guard_prefix + "anchor", blob)
-        self.stats.anchor_writes += 1
-
-    def _read_anchor(self) -> tuple[bytes, int]:
-        r = Reader(self._mount.raw_read(self._mount.guard_prefix + "anchor"))
-        main = r.bytes()
-        counter_value = r.u64()
-        r.expect_end()
-        return main, counter_value
+        else:  # a re-anchor of this root, keeping the other
+            self.anchor.write_roots([main if slot == self._SLOT else None for slot in (FS_SLOT, GROUP_SLOT)])
 
     def _verify_anchor(self, main: bytes) -> None:
         if self._batching and self._pending_main is not None:
-            # Mid-batch, the persisted anchor is stale by design: the
-            # authoritative root lives in enclave memory until commit.
-            # Enclave memory needs no counter freshness check.
+            # Mid-batch the authoritative root is the pending one, in enclave
+            # memory, which needs no counter freshness check.
             if main != self._pending_main:
-                raise RollbackDetected(
-                    f"{self._WHAT} root hash does not match the pending anchor"
-                )
+                raise RollbackDetected(f"{self._WHAT} root hash does not match the pending anchor")
             return
-        stored_main, stored_counter = self._read_anchor()
-        if stored_main != main:
-            raise RollbackDetected(f"{self._WHAT} root hash does not match the anchored value")
-        if self._counter is not None:
-            try:
-                current = self._counter.read(self._enclave, self._COUNTER_ID)
-            except CounterError:
-                if not self.allow_degraded_reads:
-                    raise
-                # Degraded mode: the hash chain above already authenticated
-                # the state; only the whole-FS freshness bound is lost.
-                self.degraded_reads += 1
-                return
-            if stored_counter != current:
-                raise RollbackDetected(
-                    f"{self._WHAT} rolled back: anchor counter "
-                    f"{stored_counter} != TEE counter {current}"
-                )
+        self.anchor.verify(self, main)
 
     # -- maintenance ---------------------------------------------------------------------------
+
+    def rebuild(self) -> None:
+        """Rebuild the nodes from storage and anchor the root (enabling
+        rollback protection on an existing share)."""
+        self.rebuild_nodes()
+        self._set_root(self.root_hash())
 
     def verify_restored_state(self) -> None:
         """Check a restored store's internal consistency (paper §V-G).
 
-        The main hash recomputed from the stored files must match both
-        the restored anchor's value and the restored root node — i.e. the
-        store is one complete, untampered snapshot, not a mix of two.
-        Crash recovery runs this too: a host that kills the enclave
-        mid-batch and swaps in older objects is caught here, before the
-        re-anchor would bless them.  The counter is *not* checked; the
-        caller re-anchors afterwards with :meth:`accept_current_state`.
+        The main hash recomputed from the stored files must match both the
+        anchored root and the stored root node — one complete, untampered
+        snapshot, not a mix of two.  The counter is *not* checked; the
+        caller re-anchors afterwards
+        (:meth:`FileSystemAnchor.accept_current_state`).
         """
         recomputed = self.recompute_main()
-        stored_main, _ = self._read_anchor()
-        if recomputed != stored_main or recomputed != self.root_hash():
+        if recomputed != self.anchor.read()[0][self._SLOT] or recomputed != self.root_hash():
             raise RollbackDetected(f"restored {self._WHAT} is internally inconsistent")
-
-    def accept_current_state(self) -> None:
-        """Re-anchor the *current* storage state (CA-authorized reset, §V-G).
-
-        Recomputes nothing — the stored nodes are taken as-is and the
-        anchor (plus counter) is rewritten to match them.  Only recovery
-        and the backup-restore flow may call this, after
-        :meth:`verify_restored_state`.
-        """
-        self._write_anchor(self.root_hash())
-
-    def verify_anchor_fresh(self) -> None:
-        """Prove the anchor is both ours and *fresh* — degraded mode off.
-
-        A replica catching up after join (or takeover) must not start
-        serving from a rolled-back snapshot just because the quorum is
-        momentarily unreachable, so this check refuses the degraded-read
-        escape hatch that normal reads are allowed.
-        """
-        saved, self.allow_degraded_reads = self.allow_degraded_reads, False
-        try:
-            self._verify_anchor(self.root_hash())
-        finally:
-            self.allow_degraded_reads = saved
 
 
 @dataclass
@@ -372,21 +447,14 @@ class RollbackGuard(_GuardCore):
     """The hash tree over the content store."""
 
     _WHAT = "file system"
-    _COUNTER_ID = "segshare-fs"
+    _SLOT = FS_SLOT
     _NODE_WRITE = "anchor:fs-node-write"
-    _COUNTER_INCREMENTED = "anchor:fs-counter-incremented"
 
     def __init__(
-        self,
-        manager: TrustedFileManager,
-        root_key: bytes,
-        enclave: Enclave,
-        locks: LockManager,
-        buckets: int = 64,
-        counter: "MonotonicCounter | RoteCounterService | None" = None,
+        self, manager: TrustedFileManager, root_key: bytes, anchor: FileSystemAnchor, buckets: int = 64
     ) -> None:
         key = derive_key(root_key, "segshare/rollback")
-        super().__init__(manager.content, key, buckets, enclave, counter, locks)
+        super().__init__(manager.content, key, buckets, anchor)
 
     # -- node naming, encoding, main hash ----------------------------------------------
 
@@ -407,24 +475,15 @@ class RollbackGuard(_GuardCore):
 
     # -- locks ---------------------------------------------------------------------------
 
-    # Sharded node locks: concurrent requests updating disjoint files
-    # still meet at shared inner nodes (every write propagates to the
-    # root), so each node's load-modify-save runs under a serial shard
-    # keyed by the node's path.  Node *reads* on the verify path ride on
-    # the request-level path locks — a native implementation would use
-    # per-node reader-writer locks there, and exclusive read-side shards
-    # would serialize the disjoint-read fast path this model exists to
-    # exhibit.
+    # Writes to disjoint files still meet at shared inner nodes, so each
+    # node's load-modify-save runs under a serial shard keyed by its path.
+    # Node *reads* on the verify path ride on the request's path locks:
+    # exclusive read-side shards would serialize the disjoint-read path.
 
     def _node_lock(self, dir_path: str) -> AbstractContextManager[None]:
         """The serial shard guarding one inner node's load-modify-save."""
         digest = hashlib.sha256(dir_path.encode("utf-8")).digest()
         return self._locks.shard("rb-node", int.from_bytes(digest[:4], "big"))
-
-    def _anchor_lock(self) -> AbstractContextManager[None]:
-        """The anchor write — and its counter increment — is one serial
-        resource for the whole file system."""
-        return self._locks.serial("rb-anchor", account="anchor-wait")
 
     # -- node persistence --------------------------------------------------------------
 
@@ -437,7 +496,7 @@ class RollbackGuard(_GuardCore):
             self._pending_nodes.pop(dir_path, None)
         node_path = self._node_path(dir_path)
         if self._mount.raw_exists(node_path):
-            self._crashpoint("anchor:fs-node-delete")
+            self._enclave.platform.crashpoint("anchor:fs-node-delete")
             self._mount.raw_delete(node_path)
 
     def _node_exists(self, dir_path: str) -> bool:
@@ -446,29 +505,20 @@ class RollbackGuard(_GuardCore):
         return self._mount.raw_exists(self._node_path(dir_path))
 
     def _bootstrap(self) -> None:
-        """First-ever start: anchor the current (normally empty) root directory.
-
-        Enabling the guard over a store that already contains user files is
-        a migration, not a bootstrap — the tree must be built with
-        :meth:`rebuild` in that case.
-        """
+        """First-ever start: anchor the current (normally empty) root
+        directory.  Over existing user files, :meth:`rebuild` instead."""
         if self._mount.raw_exists(ROOT):
             root_dir_data = self._mount.raw_read(ROOT)
         else:
             root_dir_data = DirectoryFile().serialize()
         root = self._empty_node(ROOT, hashlib.sha256(root_dir_data).digest())
         self._save_node(ROOT, root)
-        self._write_anchor(self._node_main(root))
+        self._set_root(self._node_main(root))
 
-    def rebuild(self) -> None:
-        """Rebuild the whole tree from current storage and re-anchor it.
-
-        Used when enabling rollback protection on an existing share and by
-        epoch crash recovery, whose stored nodes predate the committed
-        members.
-        """
+    def rebuild_nodes(self) -> None:
+        """Rebuild the whole tree from current storage, anchoring nothing;
+        epoch crash recovery's stored nodes predate the committed members."""
         self._walk_dir(ROOT, save=True)
-        self._write_anchor(self.root_hash())
 
     # -- update hooks (called by the mount) ---------------------------------------------------
 
@@ -504,7 +554,7 @@ class RollbackGuard(_GuardCore):
             self._save_node(path, node)
             new_main = self._node_main(node)
         if path == ROOT:
-            self._write_anchor(new_main)
+            self._set_root(new_main)
         else:
             self._propagate(parent(path), path, old_main, new_main)
 
@@ -528,7 +578,7 @@ class RollbackGuard(_GuardCore):
                 self._save_node(dir_path, node)
                 new_main = self._node_main(node)
             if dir_path == ROOT:
-                self._write_anchor(new_main)
+                self._set_root(new_main)
                 return
             child_path = dir_path
             old_child_main, new_child_main = old_main, new_main
@@ -547,17 +597,11 @@ class RollbackGuard(_GuardCore):
         return self._leaf_main(member, hashlib.sha256(data).digest())
 
     def _bucket_members(self, node: _Node, bucket: int) -> list[str]:
-        """All *present* children of ``node`` falling into ``bucket``.
-
-        Children are the directory file's entries plus each entry's ACL —
-        the leaf/inner population of the paper's Fig. 2.  Listed-but-
-        missing files are skipped: an attacker deleting a file cannot hide
-        it (its main hash is still in the stored bucket, so recomputation
-        mismatches), and multi-step operations like move may transiently
-        leave a listing ahead of the object it names.  The bucket test
-        comes first: only the ~1/B of candidates in ``bucket`` are
-        looked up in storage.
-        """
+        """All *present* children of ``node`` in ``bucket``: the directory
+        file's entries plus each entry's ACL (the paper's Fig. 2).  A
+        listed-but-missing file is skipped — a deleted one still mismatches
+        its stored bucket, and a move may list a name ahead of its object.
+        The bucket test comes first, so ~1/B of them are looked up."""
         directory = DirectoryFile.deserialize(self._mount.raw_read(node.path))
         members = []
         for child in directory.children:
@@ -573,12 +617,9 @@ class RollbackGuard(_GuardCore):
         return members
 
     def verify_read(self, path: str, content_hash: bytes) -> None:
-        """Validate freshness of ``path`` against the hash-tree chain.
-
-        Per level, recompute exactly one bucket hash from the files in
-        that bucket and compare against the inner node's stored digest;
-        finally compare the root main hash (and counter) with the anchor.
-        """
+        """Validate ``path``'s freshness: per level, recompute one bucket
+        from its files against the node's digest, then the root (and
+        counter) against the anchor."""
         self.stats.verifies += 1
         child = path
         if path.endswith("/"):
@@ -651,21 +692,14 @@ class FlatStoreGuard(_GuardCore):
     """
 
     _WHAT = "group store"
-    _COUNTER_ID = "segshare-group"
+    _SLOT = GROUP_SLOT
     _NODE_WRITE = "anchor:group-node-write"
-    _COUNTER_INCREMENTED = "anchor:group-counter-incremented"
 
     def __init__(
-        self,
-        manager: TrustedFileManager,
-        root_key: bytes,
-        enclave: Enclave,
-        locks: LockManager,
-        buckets: int = 64,
-        counter: "MonotonicCounter | RoteCounterService | None" = None,
+        self, manager: TrustedFileManager, root_key: bytes, anchor: FileSystemAnchor, buckets: int = 64
     ) -> None:
         key = derive_key(root_key, "segshare/rollback-group")
-        super().__init__(manager.group, key, buckets, enclave, counter, locks)
+        super().__init__(manager.group, key, buckets, anchor)
 
     # -- node naming, encoding, main hash ----------------------------------------------
 
@@ -681,8 +715,7 @@ class FlatStoreGuard(_GuardCore):
         return self._prf(b"flatnode\x00" + buckets.digests())
 
     def _charge_hash(self, nbytes: int) -> None:
-        """This guard's hashing has never been charged to the clock;
-        starting to is a benchmark-visible change of its own."""
+        """Never charged to the clock: charging is a benchmark-visible change."""
 
     # -- locks ---------------------------------------------------------------------------
 
@@ -690,30 +723,20 @@ class FlatStoreGuard(_GuardCore):
         """One inner node, so a single serial lock instead of shards."""
         return self._locks.serial("rbg-node", account="guard-shard-wait")
 
-    def _anchor_lock(self) -> AbstractContextManager[None]:
-        return self._locks.serial("rbg-anchor", account="anchor-wait")
-
     # -- leaves ----------------------------------------------------------------------------
 
     def _leaves(self, bucket: int | None = None) -> list[str]:
-        """All guarded group-store files: group list, registry, member lists.
-
-        Enumerated through the user registry so the list works under path
-        hiding too (storage keys are HMACs and cannot be enumerated).
-        With ``bucket``, only the files falling into it — filtered before
-        the existence check, so a verify looks up ~1/B of them.
-        """
+        """All guarded group-store files — group list, registry, member
+        lists — enumerated through the registry (hidden paths cannot be
+        listed); with ``bucket``, only those in it, filtered before the
+        existence check."""
         registry_path = member_list_path(USER_REGISTRY_ID)
         candidates = [GROUP_LIST_PATH, registry_path]
         if self._mount.raw_exists(registry_path):
             registry = MemberListFile.deserialize(self._mount.raw_read(registry_path))
             candidates += [member_list_path(user_id) for user_id in registry.groups]
-        return [
-            path
-            for path in candidates
-            if (bucket is None or self._bucket_of(path) == bucket)
-            and self._mount.raw_exists(path)
-        ]
+        in_bucket = [path for path in candidates if bucket is None or self._bucket_of(path) == bucket]
+        return [path for path in in_bucket if self._mount.raw_exists(path)]
 
     def _stored_leaf_main(self, path: str) -> bytes:
         data = self._mount.raw_read(path)
@@ -732,11 +755,9 @@ class FlatStoreGuard(_GuardCore):
         nothing — the consistency check of the restore flows."""
         return self._node_main(self._recompute_buckets())
 
-    def rebuild(self) -> None:
-        """Recompute the node from the stored group files and re-anchor it."""
-        buckets = self._recompute_buckets()
-        self._save_node(ROOT, buckets)
-        self._write_anchor(self._node_main(buckets))
+    def rebuild_nodes(self) -> None:
+        """Recompute the node from the stored group files, anchoring nothing."""
+        self._save_node(ROOT, self._recompute_buckets())
 
     def _bootstrap(self) -> None:
         self.rebuild()
@@ -756,7 +777,7 @@ class FlatStoreGuard(_GuardCore):
             buckets = self._load_node()
             buckets.update(self._bucket_of(path), old_main, new_main)
             self._save_node(ROOT, buckets)
-        self._write_anchor(self._node_main(buckets))
+        self._set_root(self._node_main(buckets))
 
     def verify_read(self, path: str, content_hash: bytes) -> None:
         """Recompute ``path``'s bucket from all group files in it and check

@@ -65,7 +65,8 @@ class Prf:
 
 #: An empty bucket's value (accumulator 0, count 0), which no node stores.
 _EMPTY = bytes(VALUE_SIZE)
-_BITS = bytes.maketrans(b"\0\1", b"01")
+#: A bitmap's binary digits as the 0/1 selector bytes ``compress`` takes.
+_FLAGS = bytes.maketrans(b"01", b"\0\1")
 
 
 class MSetXorBuckets:
@@ -75,19 +76,21 @@ class MSetXorBuckets:
     accumulator and 8-byte count — so copying and MAC-ing a node handle
     one buffer, and an update rewrites one 40-byte slot in place.
     Stored sparse: only the non-empty buckets' values, so a node costs
-    O(children) bytes, not O(B).
+    O(children) bytes, not O(B).  The bitmap of non-empty buckets is kept
+    beside the buffer, set and cleared by :meth:`update`.
     """
 
-    __slots__ = ("_prf", "_values")
+    __slots__ = ("_prf", "_values", "_bitmap")
 
-    def __init__(self, prf: Prf, values: bytearray) -> None:
+    def __init__(self, prf: Prf, values: bytearray, bitmap: int) -> None:
         self._prf = prf
         self._values = values
+        self._bitmap = bitmap
 
     @classmethod
     def empty(cls, prf: Prf, buckets: int) -> "MSetXorBuckets":
         """``buckets`` empty multisets."""
-        return cls(prf, bytearray(buckets * VALUE_SIZE))
+        return cls(prf, bytearray(buckets * VALUE_SIZE), 0)
 
     def __len__(self) -> int:
         return len(self._values) // VALUE_SIZE
@@ -110,7 +113,9 @@ class MSetXorBuckets:
         if new is not None:
             acc ^= int.from_bytes(self._prf(new), "big")
             count += 1
-        _VALUE.pack_into(self._values, at, acc.to_bytes(DIGEST_SIZE, "big"), count & _COUNT_MASK)
+        count &= _COUNT_MASK
+        _VALUE.pack_into(self._values, at, acc.to_bytes(DIGEST_SIZE, "big"), count)
+        self._bitmap = self._bitmap | 1 << index if acc or count else self._bitmap & ~(1 << index)
 
     def digest(self, index: int) -> bytes:
         """The 40-byte hash value of bucket ``index``."""
@@ -122,18 +127,17 @@ class MSetXorBuckets:
         return bytes(self._values)
 
     def copy(self) -> "MSetXorBuckets":
-        return MSetXorBuckets(self._prf, self._values[:])
+        return MSetXorBuckets(self._prf, self._values[:], self._bitmap)
 
     def serialize(self) -> bytes:
         """``u32 B ‖ ⌈B/8⌉-byte bitmap ‖ the non-empty buckets' values in
         bucket order``; bit i of the little-endian bitmap marks bucket i."""
-        values = struct.unpack(f"{VALUE_SIZE}s" * len(self), self._values)
-        head = Writer().u32(len(values)).take()
-        if _EMPTY not in values:  # a full node stores its buffer as it is
-            return head + ((1 << len(values)) - 1).to_bytes(-(-len(values) // 8), "little") + self._values
-        kept = bytes([value != _EMPTY for value in values])
-        bitmap = int(kept[::-1].translate(_BITS), 2)
-        return b"".join((head, bitmap.to_bytes(-(-len(values) // 8), "little"), *compress(values, kept)))
+        buckets, bitmap = len(self), self._bitmap
+        head = Writer().u32(buckets).take() + bitmap.to_bytes(-(-buckets // 8), "little")
+        if bitmap == (1 << buckets) - 1:  # a full node stores its buffer as it is
+            return head + self._values
+        kept = f"{bitmap:0{buckets}b}"[::-1].encode().translate(_FLAGS)
+        return head + b"".join(compress(struct.unpack(f"{VALUE_SIZE}s" * buckets, self._values), kept))
 
     @classmethod
     def deserialize(cls, prf: Prf, data: bytes) -> "MSetXorBuckets":
@@ -149,7 +153,7 @@ class MSetXorBuckets:
         if _EMPTY in values:
             raise SerializationError("an empty bucket is encoded")
         if len(values) == buckets:  # a full node: the values are the buffer
-            return cls(prf, bytearray(stored))
+            return cls(prf, bytearray(stored), bitmap)
         # One "%s" per stored bucket, 40 zero bytes per empty one.
         template = f"{bitmap:0{buckets}b}"[::-1].encode().replace(b"1", b"%s").replace(b"0", _EMPTY)
-        return cls(prf, bytearray(template % values))
+        return cls(prf, bytearray(template % values), bitmap)

@@ -11,7 +11,7 @@ only way to mutate it::
 
     Transaction span (engine API)
       |- commit-epoch member (redo record)  repro.core.journal
-      |- rollback-guard node/anchor batch   repro.core.rollback
+      |- rollback-guard nodes, one anchor   repro.core.rollback
       |- metadata-cache write-through       repro.core.cache
       `- DeferredStore write buffers        this module
     ProtectedFs mounts                      repro.sgx.protected_fs
@@ -43,7 +43,7 @@ from dataclasses import asdict, dataclass
 from typing import TYPE_CHECKING, Any, Callable, Iterator, Sequence
 
 from repro.core.journal import TAG_DEDUP, EpochRecord, Write, WriteAheadJournal
-from repro.errors import EnclaveCrashed, ReproError, RollbackDetected, StorageError
+from repro.errors import EnclaveCrashed, ReproError, StorageError
 from repro.storage.backends import UntrustedStore
 from repro.storage.stores import StoreSet
 
@@ -51,7 +51,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.cache import MetadataCache, Slot
     from repro.core.coherence import CoherenceManager
     from repro.core.dedup import DedupStore
-    from repro.core.file_manager import Mount
+    from repro.core.rollback import FileSystemAnchor
     from repro.sgx.enclave import Enclave
 
 #: Values above this are never kept buffered: the enclave streams large
@@ -99,8 +99,8 @@ class GroupCommitStats:
     members_total: int = 0  # member transactions committed inside epochs
     max_members: int = 0  # largest epoch seen
     record_deletes_saved: int = 0  # vs one record delete per transaction
-    anchor_writes_saved: int = 0  # vs one anchor write per guard per txn
-    counter_increments_saved: int = 0  # vs one increment per guard per txn
+    anchor_writes_saved: int = 0  # vs one anchor write per txn
+    counter_increments_saved: int = 0  # vs one increment per txn
 
     def __post_init__(self) -> None:
         #: str(members) -> count of epochs that closed at that size.
@@ -342,10 +342,9 @@ class StorageEngine:
         self.journal = journal
         self.cache = cache
         self._enclave = enclave
-        #: The content- and group-store mounts, in that order; installed by
-        #: the trusted file manager.  Each carries its attached rollback
-        #: guard (or ``None``), which is all the engine needs of them.
-        self.mounts: "tuple[Mount, ...]" = ()
+        #: The file-system anchor both rollback guards hang off (``None``
+        #: unguarded); it attaches itself.
+        self.anchor: "FileSystemAnchor | None" = None
         self.dedup: "DedupStore | None" = None
         #: True while the body of an outermost span (an epoch member)
         #: runs: transactions started inside it are nested and join it.
@@ -399,7 +398,7 @@ class StorageEngine:
     @property
     def guards(self) -> list:
         """The attached rollback guards, content store first."""
-        return [mount.guard for mount in self.mounts if mount.guard is not None]
+        return self.anchor.guards if self.anchor is not None else []
 
     def drop_derived_state(self, restored: bool = False) -> None:
         """Forget everything derived from storage that may now be stale.
@@ -476,15 +475,17 @@ class StorageEngine:
             # last member's release; the opener below rendezvouses on
             # "journal-commit" and so waits for it — honest commit-wait.
             self._close_epoch("window" if now > group.release else "cap")
+        anchor = self.anchor
         if not group.open:
             with self._commit_point():
-                journal.open_epoch(label)
+                counter = anchor.probe() if anchor is not None else 0
+                journal.open_epoch(label, counter)
             # Guard node/anchor persistence waits for the epoch's close.  Safe
             # because no member's writes reach the store before its redo
             # record, which names the pending roots: a crash rebuilds the
             # nodes from the data, and an aborted member's changes rewind.
-            for guard in self.guards:
-                guard.begin_batch()
+            if anchor is not None:
+                anchor.begin_batch(counter)
             group.open = True
             group.members = 0
             group.release = clock.now()
@@ -494,10 +495,7 @@ class StorageEngine:
         try:
             yield
             with self._commit_point():
-                mains = [
-                    mount.guard.pending_root() if mount.guard is not None else b""
-                    for mount in self.mounts
-                ] or [b"", b""]  # a bare engine has no mounts
+                mains = anchor.pending_roots() if anchor is not None else (b"", b"")
                 intents = {**self._outstanding, **self._released}
                 writes = [write for store in self._deferred for write in store.drain()]
                 self._buffering = False
@@ -597,7 +595,7 @@ class StorageEngine:
         """Flush the epoch's deferred guard state and drop the record.
 
         One batched guard-node flush, written as one group per store, one
-        anchor write (plus counter increment) per guard, one record delete
+        anchor write (plus counter increment) for both guards, one record delete
         — amortized over every member the epoch carried.  The work runs on
         a background track starting at the last member's release: no
         request waits on it directly, but the next epoch's opener meets it
@@ -642,10 +640,10 @@ class StorageEngine:
             stats.max_members = members
         if members > 1:
             saved = members - 1
-            guards = len(self.guards)
             stats.record_deletes_saved += saved
-            stats.anchor_writes_saved += saved * guards
-            stats.counter_increments_saved += saved * guards
+            if self.anchor is not None:
+                stats.anchor_writes_saved += saved
+                stats.counter_increments_saved += saved
 
     def _flush_guards(self) -> None:
         # The guards' node and anchor writes reach each store as one group,
@@ -653,8 +651,8 @@ class StorageEngine:
         for store in self._deferred:
             store.grouped = 0
         try:
-            for guard in self.guards:
-                guard.commit_batch()
+            if self.anchor is not None:
+                self.anchor.commit_batch()
         finally:
             for store in self._deferred:
                 if store.grouped:
@@ -685,8 +683,8 @@ class StorageEngine:
                 guard.restore_pending(snapshot)
             journal.rollback_member(member_base)
             if group.members == 0:
-                for guard in self.guards:
-                    guard.abort_batch()
+                if self.anchor is not None:
+                    self.anchor.end_batch()
                 journal.rollback()
                 group.open = False
         except EnclaveCrashed:
@@ -694,33 +692,6 @@ class StorageEngine:
         except ReproError as rollback_exc:
             journal.poison(f"rollback of transaction {label!r} failed: {rollback_exc}")
             group.open = False
-
-    def repair_guards(self, record: "EpochRecord | None") -> None:
-        """Bring the guards back in line with the stored data.
-
-        With a recovered redo record (restart and cluster takeover), each
-        guard whose root the record names was behind the committed data
-        (its flush was deferred to the epoch's close): the data is checked
-        against that root — the host had the store to itself, and a member
-        list swapped for its pre-revocation bytes must not be blessed — and
-        the tree is rebuilt from it.  Without a record (a backup restore)
-        each store is checked for internal consistency and re-anchored.
-        """
-        mains = (record.fs_main, record.group_main) if record is not None else (None, None)
-        for mount, main in zip(self.mounts, mains):
-            guard = mount.guard
-            if guard is None or main == b"":
-                continue
-            if main is None:
-                guard.verify_restored_state()
-                guard.accept_current_state()
-            elif guard.recompute_main() != main:
-                raise RollbackDetected(
-                    f"recovered {mount.namespace}-store state does not match "
-                    "the epoch's redo record"
-                )
-            else:
-                guard.rebuild()
 
     # -- object reclaim ---------------------------------------------------------
     #

@@ -58,15 +58,15 @@ def test_source_tree_is_seglint_clean(boundary):
 
 def test_declared_anchor_crashpoints_are_pinned():
     """The guards' crashpoint ids survive refactors of where they are
-    written: the shared guard core names two of them through class
-    constants, and the set the crash matrices must cover stays exact."""
+    written: the shared guard core names the node writes through class
+    constants, the one anchor its counter's window, and the set the crash
+    matrices must cover stays exact."""
     graph = CallGraph(load_modules([SRC / "repro" / "core"]))
     declared = declared_sites(graph, ("repro.core.rollback",), ("anchor:",))
     assert sorted({site_id for site_id, _, _ in declared}) == [
-        "anchor:fs-counter-incremented",
+        "anchor:counter-incremented",
         "anchor:fs-node-delete",
         "anchor:fs-node-write",
-        "anchor:group-counter-incremented",
         "anchor:group-node-write",
     ]
 

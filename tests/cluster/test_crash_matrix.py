@@ -116,10 +116,7 @@ def test_crash_matrix_serving_path(victim, site):
         crashed = deployment.server(victim)
         crashed.restart_enclave()
         assert cluster.admit(victim, crashed)
-        assert crashed.handle.call("cluster_verify_anchors") == {
-            "fs": True,
-            "group": True,
-        }
+        assert crashed.handle.call("cluster_verify_anchor") is True
 
 
 class TestQuotaRefusalFailover:
@@ -247,7 +244,4 @@ class TestJoinCatchupCrash:
         candidate.restart_enclave()
         assert cluster.admit("r3", candidate)
         assert cluster.membership.ring.members == ["r0", "r1", "r2", "r3"]
-        assert candidate.handle.call("cluster_verify_anchors") == {
-            "fs": True,
-            "group": True,
-        }
+        assert candidate.handle.call("cluster_verify_anchor") is True

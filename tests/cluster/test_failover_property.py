@@ -130,7 +130,7 @@ def check_seed(seed: int, site: str = "journal:") -> str:
     crashed = deployment.server(victim)
     crashed.restart_enclave()
     assert cluster.admit(victim, crashed)
-    assert crashed.handle.call("cluster_verify_anchors") == {"fs": True, "group": True}
+    assert crashed.handle.call("cluster_verify_anchor") is True
     assert logical_state(crashed) == logical_state(witness), (
         f"seed {seed}, step {step}: rejoined replica diverges"
     )

@@ -170,10 +170,7 @@ class TestRejoin:
         victim.restart_enclave()
         assert deployment.cluster.admit("r1", victim)
         # The join's catch-up gate already verified; prove it holds alone.
-        assert victim.handle.call("cluster_verify_anchors") == {
-            "fs": True,
-            "group": True,
-        }
+        assert victim.handle.call("cluster_verify_anchor") is True
 
 
 class TestStats:

@@ -1,9 +1,13 @@
 """Placement: rendezvous hashing, affinity mapping, minimal movement."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.cluster import placement
 from repro.cluster.placement import (
     PlacementRing,
+    _score,
     path_affinity,
     request_affinity,
 )
@@ -92,3 +96,28 @@ class TestRing:
     def test_empty_ring_raises(self):
         with pytest.raises(LookupError):
             PlacementRing().owner("path:x")
+
+
+#: A ring edit: add or remove one of six members.
+_EDITS = st.lists(st.tuples(st.booleans(), st.sampled_from([f"r{i}" for i in range(6)])), max_size=25)
+_AFFINITIES = st.lists(st.sampled_from([f"path:d{i}" for i in range(8)] + ["group:eng", "user:bob"]), min_size=1)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_EDITS, _AFFINITIES, st.integers(1, 5))
+def test_the_memoized_owner_is_the_rendezvous_maximum(edits, affinities, memo):
+    """After any add/remove sequence, with owners asked between the edits
+    (so stale memo entries would show), every owner is the member with
+    the highest score — also when the memo's bound makes it start over."""
+    saved, placement.OWNER_MEMO = placement.OWNER_MEMO, memo
+    try:
+        ring = PlacementRing(["r0"])
+        members = {"r0"}
+        for add, name in edits:
+            (ring.add if add else ring.remove)(name)
+            (members.add if add else members.discard)(name)
+            for affinity in affinities:
+                if members:
+                    assert ring.owner(affinity) == max(members, key=lambda member: _score(member, affinity))
+    finally:
+        placement.OWNER_MEMO = saved

@@ -13,7 +13,7 @@ from repro.core.cache import MetadataCache
 from repro.core.file_manager import TrustedFileManager
 from repro.core.locks import LockManager
 from repro.core.request_handler import RequestHandler
-from repro.core.rollback import FlatStoreGuard, RollbackGuard
+from repro.core.rollback import FileSystemAnchor, FlatStoreGuard, RollbackGuard
 from repro.sgx.enclave import Enclave
 from repro.storage.stores import StoreSet
 from tests.support.platform import engine_for, loaded_enclave
@@ -58,9 +58,10 @@ def build_world(
     handler = RequestHandler(manager, access, locks)
     guard = group_guard = None
     if rollback:
-        guard = RollbackGuard(manager, ROOT_KEY, enclave, locks, buckets=buckets)
+        anchor = FileSystemAnchor(manager, enclave, locks)
+        guard = RollbackGuard(manager, ROOT_KEY, anchor, buckets=buckets)
         manager.content.guard = guard
-        group_guard = FlatStoreGuard(manager, ROOT_KEY, enclave, locks, buckets=buckets)
+        group_guard = FlatStoreGuard(manager, ROOT_KEY, anchor, buckets=buckets)
         manager.group.guard = group_guard
     return HandlerWorld(
         stores=stores,

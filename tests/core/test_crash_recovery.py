@@ -1400,7 +1400,7 @@ class TestDegradedMode:
         # Reads still answer (degraded: hash chain verified, counter skipped).
         listing = handler.handle("alice", Request(op=Op.GET, args=("/d/",)))
         assert listing.status is Status.OK
-        assert server.enclave.guard.degraded_reads > 0
+        assert server.enclave.guard.anchor.degraded_reads > 0
         # Writes refuse with a typed UNAVAILABLE, not a crash or corruption.
         response = handler.handle("alice", Request(op=Op.PUT_DIR, args=("/e/",)))
         assert response.status is Status.UNAVAILABLE

@@ -335,7 +335,8 @@ class TestEffectiveness:
         prime(server)
         guard_stats = server.enclave.guard.stats
         batches_before = guard_stats.batches
-        anchors_before = guard_stats.anchor_writes
+        anchor = server.enclave.guard.anchor
+        anchors_before = anchor.writes
         assert (
             server.enclave.handler.put_file("alice", "/d/multi", b"payload").status
             is Status.OK
@@ -343,7 +344,7 @@ class TestEffectiveness:
         assert guard_stats.batches == batches_before + 1
         # One anchor write (one counter increment) for the whole batch,
         # despite the put touching the file, its ACL, and the directory.
-        assert guard_stats.anchor_writes == anchors_before + 1
+        assert anchor.writes == anchors_before + 1
         assert guard_stats.last_batch_nodes >= 1
 
 

@@ -11,7 +11,7 @@ from repro.core.acl import acl_path, member_list_path
 from repro.core.coherence import CoherenceManager
 from repro.core.file_manager import Mount
 from repro.core.requests import Status
-from repro.core.rollback import FlatStoreGuard, RollbackGuard, _Node
+from repro.core.rollback import COUNTER_ID, FileSystemAnchor, FlatStoreGuard, RollbackGuard, _Node
 from repro.crypto.mset_hash import MSetXorBuckets, Prf
 from repro.errors import CounterError, RollbackDetected
 from repro.fsmodel import DirectoryFile
@@ -524,7 +524,8 @@ class TestAnchoring:
         plain = make_world(stores=stores)
         plain.handler.put_dir("alice", "/d/")
         plain.handler.put_file("alice", "/d/f", b"migrated")
-        guard = RollbackGuard(plain.manager, ROOT_KEY, plain.enclave, plain.locks, buckets=16)
+        anchor = FileSystemAnchor(plain.manager, plain.enclave, plain.locks)
+        guard = RollbackGuard(plain.manager, ROOT_KEY, anchor, buckets=16)
         guard.rebuild()
         plain.manager.content.guard = guard
         assert plain.manager.read_content("/d/f") == b"migrated"
@@ -546,7 +547,7 @@ class TestFlatGuardUnit:
     def test_accept_current_state_reanchors(self, make_world):
         world = make_world(rollback=True)
         world.handler.add_user("alice", "bob", "eng")
-        world.group_guard.accept_current_state()
+        world.group_guard.anchor.accept_current_state()
         assert "eng" in world.access.user_groups("bob")
 
     def test_new_users_survive_bucket_collisions(self, make_world):
@@ -577,17 +578,17 @@ def counted(request, make_world):
     (a ``touch`` inside it joins the span instead of committing its own)."""
     world = make_world()
     counter = RoteCounterService(world.enclave.platform.clock, SgxCostModel())
-    shared = dict(buckets=4, enclave=world.enclave, locks=world.locks, counter=counter)
-    world.manager.content.guard = RollbackGuard(world.manager, ROOT_KEY, **shared)
-    world.manager.group.guard = FlatStoreGuard(world.manager, ROOT_KEY, **shared)
+    anchor = FileSystemAnchor(world.manager, world.enclave, world.locks, counter)
+    world.manager.content.guard = RollbackGuard(world.manager, ROOT_KEY, anchor, buckets=4)
+    world.manager.group.guard = FlatStoreGuard(world.manager, ROOT_KEY, anchor, buckets=4)
     serial = iter(range(1000))
     if request.param == "fs":
         world.handler.put_file("alice", "/f", b"v0")
         return SimpleNamespace(
             guard=world.manager.content.guard,
+            anchor=anchor,
             enclave=world.enclave,
             counter=counter,
-            counter_id="segshare-fs",
             store=world.stores.content,
             objects="/f",
             touch=lambda: world.handler.put_file("alice", "/f", b"v%d" % (next(serial) + 1)),
@@ -597,9 +598,9 @@ def counted(request, make_world):
     world.handler.add_user("alice", "bob", "g0")
     return SimpleNamespace(
         guard=world.manager.group.guard,
+        anchor=anchor,
         enclave=world.enclave,
         counter=counter,
-        counter_id="segshare-group",
         store=world.stores.group,
         objects="member:bob",
         touch=lambda: world.handler.add_user("alice", "bob", "g%d" % (next(serial) + 1)),
@@ -608,37 +609,39 @@ def counted(request, make_world):
     )
 
 
+def _anchored(counted) -> bytes:
+    """The guard's root as the stored anchor names it."""
+    return counted.anchor.read()[0][counted.guard._SLOT]
+
+
 class TestSharedGuardCore:
     def test_batch_defers_nodes_and_anchor_to_commit(self, counted):
-        guard, stats = counted.guard, counted.guard.stats
-        anchored = guard._read_anchor()[0]
-        before = stats.snapshot()
+        guard, stats, anchor = counted.guard, counted.guard.stats, counted.anchor
+        anchored = _anchored(counted)
+        before, writes = stats.snapshot(), anchor.writes
         with counted.transaction("batch"):
             counted.touch()
             counted.touch()
-            assert (stats.node_saves, stats.anchor_writes) == (
-                before["node_saves"],
-                before["anchor_writes"],
-            )
+            assert (stats.node_saves, anchor.writes) == (before["node_saves"], writes)
             assert guard.pending_root() == guard.root_hash() != anchored
             counted.read()  # verifies against the pending root, in enclave memory
-        assert stats.anchor_writes == before["anchor_writes"] + 1
+        assert anchor.writes == writes + 1
         assert stats.batches == before["batches"] + 1
         assert stats.last_batch_nodes >= 1
         assert stats.nodes_flushed == before["nodes_flushed"] + stats.last_batch_nodes
-        assert guard.pending_root() == b"" and guard._read_anchor()[0] == guard.root_hash()
+        assert guard.pending_root() == b"" and _anchored(counted) == guard.root_hash()
         counted.read()
         guard.verify_restored_state()
 
     def test_abort_drops_pending_state_and_persists_nothing(self, counted):
         guard = counted.guard
-        anchored = guard._read_anchor()[0]
-        writes = guard.stats.anchor_writes
+        anchored = _anchored(counted)
+        writes = counted.anchor.writes
         with counted.transaction("abort"):
             counted.touch()
-            guard.abort_batch()
+            guard.end_batch()
             assert guard.pending_root() == b"" and guard.root_hash() == anchored
-            assert guard.stats.anchor_writes == writes
+            assert counted.anchor.writes == writes
             # The data write itself still stands in the member's buffers
             # (dropping it is the abort's job), so the stored nodes no
             # longer describe what the span reads ...
@@ -688,31 +691,31 @@ class TestSharedGuardCore:
 
     def test_counter_mismatch_is_a_rollback(self, counted):
         counted.read()
-        counted.counter.increment(counted.enclave, counted.counter_id)  # anchor now stale
+        counted.counter.increment(counted.enclave, COUNTER_ID)  # anchor now stale
         with pytest.raises(RollbackDetected):
             counted.read()
         with pytest.raises(RollbackDetected):
-            counted.guard.verify_anchor_fresh()
-        counted.guard.accept_current_state()  # re-counted against the TEE
+            counted.anchor.verify_fresh()
+        counted.anchor.accept_current_state()  # re-counted against the TEE
         counted.read()
 
     def test_degraded_reads_but_never_a_degraded_freshness_proof(self, counted):
-        guard = counted.guard
+        anchor = counted.anchor
         for replica in (0, 1, 2):
             counted.counter.set_replica_up(replica, False)
         counted.read()  # hash chain verified, counter bound skipped
-        assert guard.degraded_reads == 1
+        assert anchor.degraded_reads == 1
         with pytest.raises(CounterError):
-            guard.verify_anchor_fresh()
-        assert guard.allow_degraded_reads  # the refusal was scoped to the proof
+            anchor.verify_fresh()
+        assert anchor.allow_degraded_reads  # the refusal was scoped to the proof
         with pytest.raises(CounterError):
-            guard.accept_current_state()  # an anchor write cannot be re-counted
-        guard.allow_degraded_reads = False
+            anchor.accept_current_state()  # an anchor write cannot be re-counted
+        anchor.allow_degraded_reads = False
         with pytest.raises(CounterError):
             counted.read()
         for replica in (0, 1, 2):
             counted.counter.set_replica_up(replica, True)
-        guard.verify_anchor_fresh()
+        anchor.verify_fresh()
 
     def test_restore_check_rejects_a_mixed_snapshot(self, counted):
         counted.guard.verify_restored_state()
@@ -811,7 +814,7 @@ class TestKnownAnswers:
         assert group_guard._encode_node(group_guard._decode_node(stored)) == stored
         assert group_guard.root_hash().hex() == known["group_main"]
         for each in (guard, group_guard):
-            assert each.recompute_main() == each.root_hash() == each._read_anchor()[0]
+            assert each.recompute_main() == each.root_hash() == world.guard.anchor.read()[0][each._SLOT]
 
     @pytest.mark.parametrize("which", ["fs", "group"])
     @pytest.mark.parametrize(
@@ -869,7 +872,7 @@ def test_node_cost_does_not_follow_the_bucket_count(make_world):
                 python_calls(lambda: guard._encode_node(node)),
                 python_calls(guard.snapshot_pending),
             ]
-            guard.abort_batch()
+            guard.end_batch()
         return out
 
     for small, large in zip(costs(16), costs(256)):

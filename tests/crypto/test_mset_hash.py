@@ -319,3 +319,45 @@ def test_in_place_updates_equal_the_reference(buckets, steps):
     restored = MSetXorBuckets.deserialize(PRF, vector.serialize())
     assert restored.digests() == vector.digests()
     assert restored.serialize() == vector.serialize()
+
+
+def scanned_encoding(vector: MSetXorBuckets) -> bytes:
+    """The sparse codec as it was before the vector kept its bitmap: every
+    write unpacked all B values and rebuilt the bitmap from them."""
+    empty = bytes(40)
+    values = [vector.digest(i) for i in range(len(vector))]
+    bitmap = sum(1 << i for i, value in enumerate(values) if value != empty)
+    head = Writer().u32(len(values)).take() + bitmap.to_bytes(-(-len(values) // 8), "little")
+    return head + b"".join(value for value in values if value != empty)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 70), st.data())
+def test_the_kept_bitmap_encodes_what_a_scan_of_the_values_did(buckets, data):
+    """Node bytes stay bit-identical whatever the update order, a bucket
+    emptied again — by removing what it holds — included, after a copy and
+    after a decode."""
+    vector = MSetXorBuckets.empty(PRF, buckets)
+    held: list[list[bytes]] = [[] for _ in range(buckets)]
+    for _ in range(data.draw(st.integers(0, 60))):
+        index = data.draw(st.integers(0, buckets - 1))
+        if held[index] and data.draw(st.booleans()):
+            vector.update(index, held[index].pop(), None)  # may empty the bucket again
+        else:
+            element = data.draw(st.binary(min_size=1, max_size=8))
+            vector.update(index, None, element)
+            held[index].append(element)
+        assert vector.serialize() == scanned_encoding(vector)
+    assert vector.copy().serialize() == scanned_encoding(vector)
+    decoded = MSetXorBuckets.deserialize(PRF, vector.serialize())
+    decoded.update(0, None, b"after-decode")
+    vector.update(0, None, b"after-decode")
+    assert decoded.serialize() == vector.serialize() == scanned_encoding(vector)
+
+
+def test_a_bucket_emptied_again_leaves_the_encoding():
+    vector = MSetXorBuckets.empty(PRF, 9)
+    vector.update(8, None, b"x")
+    vector.update(3, None, b"y")
+    vector.update(8, b"x", None)
+    assert vector.serialize() == scanned_encoding(vector) == Writer().u32(9).take() + b"\x08\x00" + vector.digest(3)

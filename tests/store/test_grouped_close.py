@@ -1,10 +1,12 @@
-"""An epoch's close writes each store's guard nodes and anchor as one group.
+"""An epoch's close writes each store's guard nodes, then the one anchor.
 
-The close seals every dirty guard node and the anchor straight into their
-one metadata blob each, and the engine charges one round trip per store
-for them, the way a member's commit applies its writes.  The puts still
-reach the store one by one, each node write and each anchor write behind
-its own crashpoint, so a crash between any two of them recovers.
+The close seals every dirty guard node and the file-system anchor straight
+into their one metadata blob each, and the engine charges one round trip
+per store for them, the way a member's commit applies its writes.  An
+epoch whose members wrote both stores still writes one anchor and
+increments the one counter once.  The puts reach the store one by one,
+each node write behind its own crashpoint and the anchor behind the
+counter's, so a crash between any two of them recovers.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ import collections
 import pytest
 
 from repro.core.enclave_app import SeGShareOptions
+from repro.core.rollback import COUNTER_ID
 from repro.core.requests import Status
 from repro.core.server import SeGShareServer
 from repro.errors import EnclaveCrashed
@@ -77,10 +80,11 @@ def test_an_epoch_close_is_one_round_trip_per_store(monkeypatch):
     monkeypatch.setattr(StorageEngine, "_flush_guards", counted_flush)
     _both_stores(server)
     ((round_trips, puts),) = closes
-    # The content guard wrote "/d/" and "/" and its anchor, the group guard
-    # its one node and its anchor: five puts, one round trip per store.
+    # The content guard wrote "/d/" and "/", the group guard its one node,
+    # and the anchor went to the content store: four puts, one round trip
+    # per store.
     assert [enclave.guard.stats.last_batch_nodes, enclave.group_guard.stats.last_batch_nodes] == [2, 1]
-    assert puts == [3, 2, 0]
+    assert puts == [3, 1, 0]
     assert round_trips == 2
     enclave.guard.verify_restored_state()
     enclave.group_guard.verify_restored_state()
@@ -95,22 +99,35 @@ def _close_crashpoints(prefix: str) -> int:
     return plan.seen_crashpoints(prefix)
 
 
+def test_an_epoch_over_both_stores_writes_one_anchor_and_counts_once():
+    server = _server()
+    enclave = server.enclave
+    counter = enclave.platform._segshare_counter_rote
+    anchor = enclave.guard.anchor
+    before = anchor.writes, counter.read(enclave, COUNTER_ID)
+    _both_stores(server)
+    assert (anchor.writes, counter.read(enclave, COUNTER_ID)) == (before[0] + 1, before[1] + 1)
+    (fs_main, group_main), value = anchor.read()
+    assert (fs_main, group_main) == (enclave.guard.root_hash(), enclave.group_guard.root_hash())
+    assert value == before[1] + 1
+    assert not counter.exists("segshare-group")
+
+
 @pytest.mark.parametrize(
     "site, count",
     [
         ("anchor:fs-node-write", 2),
-        ("anchor:fs-counter-incremented", 1),
         ("anchor:group-node-write", 1),
-        ("anchor:group-counter-incremented", 1),
+        ("anchor:counter-incremented", 1),
     ],
 )
 def test_each_node_and_anchor_write_keeps_its_crashpoint(site, count):
     assert _close_crashpoints(site) == count
 
 
-@pytest.mark.parametrize("step", range(1, 6))
+@pytest.mark.parametrize("step", range(1, 5))
 def test_a_crash_at_each_close_crashpoint_recovers(step):
-    assert _close_crashpoints("anchor:") == 5
+    assert _close_crashpoints("anchor:") == 4
     server = _server()
     plan = FaultPlan().crash_at_point(nth=step, site_prefix="anchor:")
     plan.attach_platform(server.platform)
