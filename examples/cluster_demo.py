@@ -3,9 +3,9 @@
 
 Three SeGShare enclaves on three platforms serve one shared repository
 behind a cluster front door (docs/CLUSTER.md): requests route to
-replicas by group affinity, a FaultPlan kills a replica at a journal
-crashpoint *mid-request*, the front door fails over — recovering the
-in-flight batch through the shared undo journal and re-routing — and
+replicas by group affinity, a FaultPlan kills a replica *mid-request*,
+past its commit point, the front door fails over — recovering the
+in-flight batch through the crashed replica's redo record — and
 the crashed replica later restarts from its sealed state, re-attests,
 catches up on anchors, and re-enters the placement ring.
 
@@ -16,7 +16,7 @@ Every client request in the run returns OK.
 
 from repro.cluster import build_cluster
 from repro.core.requests import Op, Request, Status
-from repro.faults import FaultPlan
+from repro.faults import FaultPlan, faulty_stores
 
 
 def main() -> None:
@@ -40,12 +40,17 @@ def main() -> None:
     print(f"seeded 3 directories + 3 files; routing: "
           f"{cluster.stats()['routed_by_member']}")
 
-    # Kill whichever replica owns /eng at its very next journal write —
-    # i.e. in the middle of committing a client's request.
+    # Kill whichever replica owns /eng in the middle of committing a
+    # client's request: its stores and counter report their effects to the
+    # plan, which lets the upload's object and redo record land and kills
+    # the replica before its next effect.
     victim = cluster.membership.ring.owner("path:eng")
-    plan = FaultPlan().crash_at_point(nth=1, site_prefix="journal:")
-    plan.attach_platform(deployment.server(victim).platform)
-    print(f"armed crash on {victim} (owner of /eng) at its next journal write")
+    plan = FaultPlan().crash_after_effects(2)
+    server = deployment.server(victim)
+    server.stores = faulty_stores(server.stores, plan)
+    server.restart_enclave()
+    plan.attach_platform(server.platform)
+    print(f"armed crash on {victim} (owner of /eng) past its next commit point")
 
     check(cluster.put_file("u0", "/eng/doc0", b"v2 eng"), "/eng/doc0 during crash")
     plan.detach()

@@ -65,7 +65,9 @@ def main() -> None:
           f"(simulated backoff: {backoff:.3f}s); /handbook now v2")
 
     # --- drill 2: crash between applied writes, restart, recover ---------------
-    plan.crash_at_point(nth=2, site_prefix="journal:apply")
+    # The upload's object, its redo record and two applied writes land;
+    # the enclave dies before its next effect.
+    plan.crash_after_effects(4)
     try:
         retrying.upload("/evacuation-map", b"stairwell B, then the lobby")
         raise SystemExit("UNEXPECTED: the scheduled crash never fired")

@@ -48,10 +48,6 @@ class BoundaryMap:
     untrusted: tuple[str, ...]
     internal: tuple[str, ...]
     rules: dict[str, dict[str, Any]] = field(default_factory=dict)
-    #: Directory of the boundary file; rule-table relative paths (e.g.
-    #: crashpoint-coverage ``test_paths``) resolve against it.  ``None``
-    #: for maps built from dicts.
-    base_dir: Path | None = None
 
     @classmethod
     def load(cls, path: str | Path) -> "BoundaryMap":
@@ -63,12 +59,10 @@ class BoundaryMap:
             raise BoundaryError(f"boundary map not found: {path}") from None
         except tomllib.TOMLDecodeError as exc:
             raise BoundaryError(f"malformed boundary map {path}: {exc}") from None
-        return cls.from_dict(data, base_dir=path.parent)
+        return cls.from_dict(data)
 
     @classmethod
-    def from_dict(
-        cls, data: dict[str, Any], base_dir: Path | None = None
-    ) -> "BoundaryMap":
+    def from_dict(cls, data: dict[str, Any]) -> "BoundaryMap":
         modules = data.get("modules")
         if not isinstance(modules, dict):
             raise BoundaryError("boundary map needs a [modules] table")
@@ -93,7 +87,6 @@ class BoundaryMap:
             untrusted=untrusted,
             internal=internal,
             rules=rules,
-            base_dir=base_dir,
         )
 
     # -- classification --------------------------------------------------------

@@ -15,7 +15,6 @@ from typing import TYPE_CHECKING, Callable, Iterator
 from repro.analysis.engine import Finding
 from repro.analysis.rules import (
     boundary_import,
-    crashpoint_coverage,
     epoch_typestate,
     lock_discipline,
     lock_order,
@@ -38,7 +37,6 @@ REGISTRY: dict[str, RuleFn] = {
     lock_discipline.RULE: lock_discipline.check,
     lock_order.RULE: lock_order.check,
     epoch_typestate.RULE: epoch_typestate.check,
-    crashpoint_coverage.RULE: crashpoint_coverage.check,
 }
 
 __all__ = ["REGISTRY", "RuleFn"]

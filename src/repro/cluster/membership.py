@@ -94,7 +94,6 @@ class ClusterMembership:
         # The candidate now reads the shared repository for the first
         # time; a crash in the middle leaves it un-admitted and the join
         # retryable after restart (the sealed key already persisted).
-        server.platform.crashpoint("cluster:join-catchup")
         server.handle.call("cluster_verify_anchor")
         self.members[name] = server
         self.ring.add(name)

@@ -73,9 +73,6 @@ class AccessControl:
         self._enclave = enclave
         self._counters: dict[str, int] = {key: 0 for key in COUNTER_KEYS}
 
-    def _crashpoint(self, site: str) -> None:
-        self._enclave.platform.crashpoint(site)
-
     # -- relation lookups -----------------------------------------------------
 
     def user_groups(self, user_id: str) -> set[str]:

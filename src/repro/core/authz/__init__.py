@@ -1,4 +1,4 @@
-"""The authorization-backend registry (paper Section VII / ROADMAP item 5).
+"""The authorization-backend registry (paper Section VII / ROADMAP item 7).
 
 ``enclave_acl`` is the paper's design — enclave-checked ACLs, O(1)
 metadata per membership change (:class:`repro.core.access_control.AccessControl`);

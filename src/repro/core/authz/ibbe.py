@@ -22,8 +22,8 @@ backends must answer identically (the backend-invariance property test)
 
 Envelope state lives in authz records on the group store (PFS-encrypted,
 cache-coherent, journaled); every mutation happens inside the caller's
-storage transaction, and the ``authz:*`` crashpoints let the crash
-matrices cover the re-key persistence path.
+storage transaction, so a crash anywhere in a re-key leaves the
+transaction's redo record or nothing.
 """
 
 from __future__ import annotations
@@ -173,14 +173,13 @@ class IbbeEnvelopeBackend(AccessControl):
             account="authz-crypto",
         )
 
-    # -- record persistence (all ``authz:*`` crashpoint-covered) -------------------
+    # -- record persistence ------------------------------------------------------------
 
     def _load_group(self, group_id: str) -> GroupKeyRecord | None:
         data = self._manager.read_authz_record(_GROUP_PREFIX + group_id)
         return None if data is None else GroupKeyRecord.deserialize(data)
 
     def _store_group(self, group_id: str, record: GroupKeyRecord) -> None:
-        self._crashpoint("authz:group-persist")
         self._manager.write_authz_record(_GROUP_PREFIX + group_id, record.serialize())
 
     def _load_file(self, path: str) -> FileKeyRecord | None:
@@ -188,11 +187,9 @@ class IbbeEnvelopeBackend(AccessControl):
         return None if data is None else FileKeyRecord.deserialize(data)
 
     def _store_file(self, path: str, record: FileKeyRecord) -> None:
-        self._crashpoint("authz:file-persist")
         self._manager.write_authz_record(_FILE_PREFIX + path, record.serialize())
 
     def _delete_record(self, key: str) -> None:
-        self._crashpoint("authz:record-delete")
         self._manager.delete_authz_record(key)
 
     def _load_index(self) -> list[str]:
@@ -208,7 +205,6 @@ class IbbeEnvelopeBackend(AccessControl):
         return ids
 
     def _store_index(self, group_ids: list[str]) -> None:
-        self._crashpoint("authz:index-persist")
         blob = Writer().str_list(sorted(group_ids)).take()
         self._manager.write_authz_record(_INDEX_KEY, blob)
 
@@ -301,7 +297,6 @@ class IbbeEnvelopeBackend(AccessControl):
         # File envelopes wrapped under the old GDK are stale from here on
         # (their recorded epoch lags the group's); reconcile() owes them
         # an FCK rotation + content re-encryption.
-        self._crashpoint("authz:rekey-persist")
         self._store_group(group_id, record)
 
     def delete_group(self, group_id: str) -> int:

@@ -136,9 +136,14 @@ class CoherenceManager:
         self.stats.resets_published += 1
 
     def _place(self, payload: bytes, reset: bool = False) -> None:
+        # A publish outlives the enclave: its platform's fault plan may kill
+        # it before the entry lands.
+        plan = self._engine.enclave.platform.fault_plan
         while True:
             epoch = self.board.epoch + 1
             blob = self._pae.encrypt(self._key, payload, aad=_aad(epoch))
+            if plan is not None:
+                plan.on_effect("coherence:place")
             if self.board.place(epoch, blob, reset=reset):
                 break
         # Our own publish is by definition applied: the write-through

@@ -157,16 +157,10 @@ class WriteAheadJournal:
     """Redo journal over the three untrusted stores of one deployment.
 
     ``writer`` names this enclave's record slot on the store.
-    ``crash_hook`` is called with a site name (``journal:begin``,
-    ``journal:record``, ``journal:commit``, ``journal:committed``,
-    ``journal:apply``, ``journal:epoch-close``, ``journal:epoch-closed``,
-    ``journal:intents``, ``journal:part-drop``, ``journal:reclaim``,
-    ``journal:recovered``) at every step
-    boundary; wiring it to :meth:`SgxPlatform.crashpoint` lets a fault
-    plan kill the enclave at any individual journal step (the
-    crash-matrix tests enumerate them).  ``counter_probe`` returns the
-    current whole-FS counter value for recovery, or is ``None`` when no
-    counter protects the deployment.
+    ``counter_probe`` returns the current whole-FS counter value for
+    recovery, or is ``None`` when no counter protects the deployment.
+    Every step's store writes are its only effects, so a crash anywhere
+    leaves a prefix of them, which recovery handles (docs/FAULTS.md).
     """
 
     def __init__(
@@ -174,14 +168,12 @@ class WriteAheadJournal:
         stores: StoreSet,
         root_key: bytes,
         writer: str = "",
-        crash_hook: Optional[Callable[[str], None]] = None,
         counter_probe: Optional[Callable[[], int]] = None,
     ) -> None:
         self._tagged: tuple[UntrustedStore, ...] = (stores.content, stores.group, stores.dedup)
         self._backend = stores.content
         self._key = derive_key(root_key, "segshare/journal", length=16)
         self._pae = default_pae()
-        self._crash_hook = crash_hook
         self.counter_probe = counter_probe
         #: The writer whose record slot and parts this journal keeps.
         self.writer = writer
@@ -208,10 +200,6 @@ class WriteAheadJournal:
         """True while an epoch is open (between members too)."""
         return self._active
 
-    def crashpoint(self, site: str) -> None:
-        if self._crash_hook is not None:
-            self._crash_hook(site)
-
     # -- epoch lifecycle ---------------------------------------------------------
     #
     # An epoch is a batch of member transactions.  The per-member commit
@@ -235,7 +223,6 @@ class WriteAheadJournal:
             raise StorageError("journal epoch already open")
         self._counter = counter
         self._active = True
-        self.crashpoint("journal:begin")
 
     def begin_member(self) -> int:
         """Start one member transaction; returns its first part number."""
@@ -252,7 +239,7 @@ class WriteAheadJournal:
             raise StorageError("no commit epoch is open")
         key = f"{self._part_prefix}{self._seq:08d}"
         self._seq += 1
-        self._put(key, _pack_writes(Writer(), writes).take(), "journal:record")
+        self._put(key, _pack_writes(Writer(), writes).take())
         return key
 
     def read_part(self, key: str) -> list[Write]:
@@ -280,11 +267,10 @@ class WriteAheadJournal:
         """
         if not self._active:
             raise StorageError("no commit epoch is open")
-        self.crashpoint("journal:commit")
         parts = tuple(f"{self._part_prefix}{seq:08d}" for seq in range(member_base, self._seq))
         record = EpochRecord(label, members, self._counter, fs_main, group_main, tuple(intents), parts, tuple(writes))
         self._stored = True
-        self._put(self._record_key, record.encode(), "journal:committed")
+        self._put(self._record_key, record.encode())
         self._committed_parts += parts
         return record
 
@@ -302,7 +288,6 @@ class WriteAheadJournal:
                 store.put(key, value)
             elif not tolerant or store.exists(key):
                 store.delete(key)
-            self.crashpoint("journal:apply")
 
     def rollback_member(self, member_base: int) -> None:
         """Abort one member: drop the parts it spilled; the epoch lives on.
@@ -327,10 +312,8 @@ class WriteAheadJournal:
         """
         if not self._active:
             raise StorageError("no commit epoch is open")
-        self.crashpoint("journal:epoch-close")
         self._keep(intents)
         self._active = False
-        self.crashpoint("journal:epoch-closed")
         parts, self._committed_parts = self._committed_parts, []
         self._drop_parts(parts)
 
@@ -376,7 +359,6 @@ class WriteAheadJournal:
         writer = self.writer if writer is None else writer
         for key in [_RECORD_PREFIX + writer, *self._backend.scan(f"{_PART_PREFIX}{writer}:")]:
             if self._backend.exists(key):
-                self.crashpoint("journal:recovered")
                 self._backend.delete(key)
 
     # -- request stamps (cluster exactly-once) ----------------------------------
@@ -418,17 +400,15 @@ class WriteAheadJournal:
         if intents:
             record = EpochRecord("reclaim", 0, self._counter, b"", b"", tuple(intents), (), ())
             self._stored = True
-            self._put(self._record_key, record.encode(), "journal:intents")
+            self._put(self._record_key, record.encode())
         elif self._stored:
             self._backend.delete(self._record_key)
             self._stored = False
-            self.crashpoint("journal:intents")
 
     def reclaim(self, object_id: str) -> None:
         """Delete a committed, unreferenced object, outside any record."""
         # Its intent stays until drop_intents: a crash or store
         # fault part-way is finished later.
-        self.crashpoint("journal:reclaim")
         self._delete_objects((object_id,))
 
     def _delete_objects(self, intents: Iterable[str]) -> None:
@@ -446,10 +426,9 @@ class WriteAheadJournal:
 
     # -- internals ---------------------------------------------------------------
 
-    def _put(self, key: str, plaintext: bytes, site: str) -> None:
+    def _put(self, key: str, plaintext: bytes) -> None:
         aad = _RECORD_AAD + key.encode("utf-8")
         self._backend.put(key, self._pae.encrypt(self._key, plaintext, aad=aad))
-        self.crashpoint(site)
 
     def _open(self, key: str, aad: Optional[bytes] = None) -> bytes:
         try:
@@ -462,7 +441,6 @@ class WriteAheadJournal:
         # Parts no stored record names are inert: a fault leaves them to
         # this writer's next recovery, which drops every part it left.
         for key in keys:
-            self.crashpoint("journal:part-drop")
             try:
                 self._backend.delete(key)
             except EnclaveCrashed:

@@ -12,9 +12,10 @@ schedule, so crash-consistency and retry logic can be tested exhaustively:
   .UntrustedStore`.
 * :class:`FaultyLink` / :func:`faulty_env` — a ``netsim`` link with
   drop/lose/duplicate/delay faults.
-* ``plan.attach_platform(platform)`` — arms :meth:`~repro.sgx.enclave
-  .SgxPlatform.crashpoint` so the enclave dies at chosen operation
-  boundaries (journal steps, ECALL entries, store operations).
+* ``plan.crash_after_effects(k)`` — the one crash: the enclave dies
+  before its (k+1)-th external effect (a store mutation, a counter
+  increment, a coherence publish), so sweeping k covers every crash state;
+  ``plan.attach_platform(platform)`` names the enclaves it kills.
 
 Everything is zero-overhead when unused: no wrapper, no cost.
 """

@@ -1,10 +1,9 @@
 """Deterministic, seeded fault plans.
 
 A :class:`FaultPlan` is the single source of truth for *when* failures
-happen in an experiment.  Wrappers — :class:`repro.faults.FaultyStore`,
-:class:`repro.faults.FaultyLink`, and :meth:`repro.sgx.enclave.SgxPlatform
-.crashpoint` — report every operation to the plan, which decides whether
-to inject a fault.  All randomness comes from one ``random.Random(seed)``,
+happen in an experiment.  Wrappers — :class:`repro.faults.FaultyStore` and
+:class:`repro.faults.FaultyLink` — report every operation to the plan,
+which decides whether to inject a fault.  All randomness comes from one ``random.Random(seed)``,
 so two runs of the same workload with the same seed observe byte-identical
 failure sequences (``plan.events`` records them for exactly that
 assertion).
@@ -16,8 +15,7 @@ Supported faults:
                                   on a store operation
 ``torn_write``            a ``put`` (or ranged write) persists only its first half
 ``lost_write``            a ``put`` (or ranged write) is silently discarded
-``crash_after_ops``       the enclave dies at the N-th store operation
-``crash_at_point``        the enclave dies at the N-th named crashpoint
+``crash_after_effects``   the enclave dies before its (k+1)-th external effect
 ``drop_message``          a network send raises :class:`NetworkError`
 ``lose_message``          bytes are charged but nothing is delivered
 ``duplicate_message``     the message is delivered twice (or more)
@@ -67,7 +65,7 @@ class FaultPlan:
     """A seeded schedule of storage, network, and crash faults.
 
     Construct a plan, declare rules, then hand the plan to the faulty
-    wrappers (and/or :meth:`attach_platform` for crashpoints).  The plan
+    wrappers (and :meth:`attach_platform` for the enclaves a crash kills).  The plan
     keeps global operation counters and an ``events`` log of every fault
     it injected, in order — the determinism contract is that equal seeds
     and equal workloads produce equal ``events``.
@@ -77,11 +75,12 @@ class FaultPlan:
         self.seed = seed
         self._rng = random.Random(seed)
         self._store_rules: list[_Rule] = []
-        self._crash_rules: list[_Rule] = []
         self._message_rules: list[_Rule] = []
         self._platforms: list["SgxPlatform"] = []
         self.store_ops = 0
-        self.crashpoints = 0
+        #: External effects reported so far; the crash rule counts from it.
+        self.effects = 0
+        self._crash_at: Optional[int] = None
         self.messages = 0
         self.events: list[tuple[Any, ...]] = []
 
@@ -130,26 +129,15 @@ class FaultPlan:
         )
         return self
 
-    def crash_after_ops(self, nth: int, store: Optional[str] = None) -> "FaultPlan":
-        """Kill the enclave as the N-th matching store operation begins."""
-        self._store_rules.append(
-            _Rule(action="crash", nth=nth, match=_store_match(None, store))
-        )
-        return self
+    # -- configuration: the crash ---------------------------------------------
 
-    # -- configuration: crashpoints ------------------------------------------
-
-    def crash_at_point(self, nth: int, site_prefix: str = "") -> "FaultPlan":
-        """Kill the enclave at the N-th crashpoint whose site starts with
-        ``site_prefix`` (e.g. ``"journal:"`` to enumerate journal steps)."""
-        self._crash_rules.append(
-            _Rule(
-                action="crash",
-                nth=nth,
-                param=site_prefix,
-                match=lambda site, prefix=site_prefix: site.startswith(prefix),
-            )
-        )
+    def crash_after_effects(self, k: int) -> "FaultPlan":
+        """Let the next ``k`` external effects land, then kill the enclave as
+        the one after them begins; it fires once.  An effect outlives the
+        enclave: a store mutation, a counter increment or a coherence
+        publish (docs/FAULTS.md).  ``k`` from 0 to N covers every crash
+        state of N effects."""
+        self._crash_at = self.effects + k + 1
         return self
 
     # -- configuration: network ----------------------------------------------
@@ -219,28 +207,12 @@ class FaultPlan:
         )
         return self
 
-    # -- introspection --------------------------------------------------------
-
-    def seen_crashpoints(self, site_prefix: str = "") -> int:
-        """How many crashpoints matching ``site_prefix`` this plan observed.
-
-        The global :attr:`crashpoints` counter includes every site —
-        notably the ``ecall:<name>`` sites the enclave handle fires while
-        a plan is attached — so enumeration passes (run once to count,
-        then crash at each ``nth`` in turn) must count through a matching
-        rule, not the global counter.  Declare a ``crash_at_point`` rule
-        with an unreachably large ``nth`` and read the count here.
-        """
-        for rule in self._crash_rules:
-            if rule.param == site_prefix:
-                return rule.seen
-        raise ValueError(f"no crash rule with site prefix {site_prefix!r}")
-
     # -- wiring ---------------------------------------------------------------
 
     def attach_platform(self, platform: "SgxPlatform") -> "FaultPlan":
-        """Install this plan as ``platform.fault_plan`` so crashpoints and
-        store-op crashes can kill the enclaves loaded on it."""
+        """Install this plan as ``platform.fault_plan``: the enclaves loaded
+        on it report their counter and coherence effects here, and a crash
+        kills them."""
         platform.fault_plan = self
         if platform not in self._platforms:
             self._platforms.append(platform)
@@ -259,8 +231,7 @@ class FaultPlan:
         """Decide the fate of one store operation.
 
         Returns ``None`` (proceed), ``"torn"`` or ``"lost"`` (the wrapper
-        mangles the put), or raises :class:`FaultError` / kills the
-        enclave directly.
+        mangles the put), or raises :class:`FaultError`.
         """
         self.store_ops += 1
         for rule in self._store_rules:
@@ -274,22 +245,15 @@ class FaultPlan:
                     f"injected transient fault on {op} of {key!r} "
                     f"(store op #{self.store_ops})"
                 )
-            if rule.action == "crash":
-                self._kill(f"store-op:{self.store_ops}:{op}")
             return rule.action
         return None
 
-    def on_crashpoint(self, site: str) -> bool:
-        """True if the enclave should die at this crashpoint.
-
-        :meth:`SgxPlatform.crashpoint` does the killing; this only decides.
-        """
-        self.crashpoints += 1
-        for rule in self._crash_rules:
-            if rule.match(site) and rule.decide(self._rng):
-                self.events.append(("crash", site, self.crashpoints))
-                return True
-        return False
+    def on_effect(self, what: str) -> None:
+        """One external effect is about to act: count it, or die before it."""
+        self.effects += 1
+        if self.effects == self._crash_at:
+            self.events.append(("crash", what, self.effects))
+            self.kill(f"effect {self.effects} ({what})")
 
     def on_message(self, direction: str, nbytes: int) -> Optional[tuple[Any, ...]]:
         """Decide the fate of one message: ``None``, ``("lose",)``,
@@ -313,7 +277,10 @@ class FaultPlan:
             return ("lose",)
         return None
 
-    def _kill(self, site: str) -> None:
+    def kill(self, site: str) -> None:
+        """Kill every enclave on an attached platform, and raise
+        :class:`EnclaveCrashed`; a pending crash rule is spent."""
+        self._crash_at = None
         for platform in self._platforms:
             for handle in platform.loaded_enclaves:
                 handle._enclave._destroyed = True

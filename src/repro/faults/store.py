@@ -2,11 +2,11 @@
 
 ``FaultyStore`` reports every operation to its :class:`FaultPlan` before
 delegating to the wrapped backend.  The plan may let the operation
-through, raise a transient :class:`~repro.errors.FaultError`, mangle a
-``put`` or ``put_range`` (torn or lost write), or kill the enclave
-mid-operation.  The
-wrapper itself stays dumb — all policy lives in the plan, which keeps
-fault sequences deterministic under a seed.
+through, raise a transient :class:`~repro.errors.FaultError`, or mangle a
+``put`` or ``put_range`` (torn or lost write).  Each mutation is also one
+external effect (a wrapped :class:`~repro.storage.backends.DiskStore`
+reports its own syscalls instead).  The wrapper itself stays dumb — all
+policy lives in the plan, which keeps fault sequences deterministic.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from __future__ import annotations
 from typing import Iterator, Sequence
 
 from repro.faults.plan import FaultPlan
-from repro.storage.backends import UntrustedStore
+from repro.storage.backends import DiskStore, UntrustedStore
 
 
 class FaultyStore(UntrustedStore):
@@ -24,9 +24,17 @@ class FaultyStore(UntrustedStore):
         self.inner = inner
         self._plan = plan
         self._name = name
+        self._effects = not isinstance(inner, DiskStore)
+        if isinstance(inner, DiskStore):
+            inner.effects = plan  # its syscalls are the effects
+
+    def _mutation(self, op: str, key: str) -> "str | None":
+        if self._effects:
+            self._plan.on_effect(f"{self._name}:{op} {key!r}")
+        return self._plan.on_store_op(self._name, op, key)
 
     def put(self, key: str, value: bytes) -> None:
-        action = self._plan.on_store_op(self._name, "put", key)
+        action = self._mutation("put", key)
         if action == "lost":
             return
         if action == "torn":
@@ -39,7 +47,7 @@ class FaultyStore(UntrustedStore):
         return self.inner.get(key)
 
     def put_range(self, key: str, offset: int, blobs: Sequence[bytes]) -> None:
-        action = self._plan.on_store_op(self._name, "put_range", key)
+        action = self._mutation("put_range", key)
         if action == "lost":
             return
         if action == "torn":
@@ -53,7 +61,7 @@ class FaultyStore(UntrustedStore):
         return self.inner.get_range(key, offset, length)
 
     def delete(self, key: str) -> None:
-        self._plan.on_store_op(self._name, "delete", key)
+        self._mutation("delete", key)
         self.inner.delete(key)
 
     def exists(self, key: str) -> bool:

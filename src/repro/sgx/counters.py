@@ -39,6 +39,14 @@ def _increment_rendezvous(
     return clock.exclusive(f"counter:{counter_id}", account="counter-wait")
 
 
+def _effect(enclave: Enclave) -> None:
+    """An increment outlives the enclave: its platform's fault plan may kill
+    it before the increment lands."""
+    plan = enclave.platform.fault_plan
+    if plan is not None:
+        plan.on_effect("counter:increment")
+
+
 @dataclass
 class _CounterState:
     owner_signer: bytes
@@ -78,6 +86,7 @@ class MonotonicCounter:
     def increment(self, enclave: Enclave, counter_id: str) -> int:
         """Increment and return the new value.  Slow, and wears the counter."""
         state = self._state(enclave, counter_id)
+        _effect(enclave)
         with _increment_rendezvous(self._clock, counter_id):
             self._clock.charge(self._costs.counter_increment, account="counter")
             state.value += 1
@@ -177,6 +186,7 @@ class RoteCounterService:
         up = self._up_replicas()
         if len(up) < self.quorum:
             raise CounterError("cannot reach a write quorum of ROTE replicas")
+        _effect(enclave)
         with _increment_rendezvous(self._clock, counter_id):
             self._clock.charge(self._costs.rote_increment, account="counter")
             new_value = max(replica.values[counter_id] for replica in up) + 1

@@ -204,8 +204,6 @@ class EnclaveHandle:
     def call(self, name: str, *args: Any, **kwargs: Any) -> Any:
         """Invoke ECALL ``name``."""
         self._enclave._check_alive()
-        if self._platform.fault_plan is not None:
-            self._platform.crashpoint(f"ecall:{name}")
         method = getattr(type(self._enclave), name, None)
         if method is None or not getattr(method, _ECALL_MARKER, False):
             raise EnclaveError(f"{name!r} is not an ECALL of {type(self._enclave).__name__}")
@@ -255,24 +253,9 @@ class SgxPlatform:
         self.fuse_key = fuse_key or secrets.token_bytes(32)
         self.epc = EpcModel(clock=clock, costs=costs)
         self._loaded: list[EnclaveHandle] = []
-        #: Optional :class:`repro.faults.FaultPlan`; ``None`` (the default)
-        #: keeps every crashpoint a no-op.
+        #: Optional :class:`repro.faults.FaultPlan` the enclaves loaded here
+        #: report their counter and coherence effects to; ``None`` by default.
         self.fault_plan: Any | None = None
-
-    def crashpoint(self, site: str) -> None:
-        """Fault-injection hook at an operation boundary.
-
-        When a fault plan is attached and decides to fire at ``site``, every
-        enclave loaded on this platform is killed (volatile state lost, as
-        if the host process died) and :class:`EnclaveCrashed` is raised.
-        Callers recover via ``SeGShareServer.restart_enclave``.
-        """
-        plan = self.fault_plan
-        if plan is None or not plan.on_crashpoint(site):
-            return
-        for handle in self._loaded:
-            handle._enclave._destroyed = True
-        raise EnclaveCrashed(f"fault injection: enclave killed at {site}")
 
     def load(self, enclave: Enclave) -> EnclaveHandle:
         """Load and initialize an enclave (ECREATE/EADD/EINIT analogue)."""

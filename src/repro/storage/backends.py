@@ -25,7 +25,7 @@ import os
 import tempfile
 import threading
 from abc import ABC, abstractmethod
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Any, Iterable, Iterator, Sequence
 
 from repro.errors import StorageError
 
@@ -225,9 +225,12 @@ class DiskStore(UntrustedStore):
     containing directory is fsynced — a power loss after the rename can
     resurface the old file contents (or lose a delete).  Every mutation
     therefore fsyncs the data before the rename and the directory after
-    it.  ``crash_hook`` is called with a site name between the rename (or
-    unlink) and the directory fsync, exactly the window a fault plan
-    wants to die in; the hook simulates the crash by raising.
+    it.  A new key's sidecar is written before its data and removed after
+    it, so no data file lacks its key: a crash leaves at most a sidecar
+    without data, or an unrenamed temp file, and construction removes
+    both.  Each syscall that changes the directory is reported to
+    ``effects`` (a :class:`~repro.faults.FaultPlan`, set by the
+    :class:`~repro.faults.FaultyStore` wrapping this store) before it acts.
 
     Thread-safe like :class:`InMemoryStore`: although each individual
     file write is atomic, operations that touch the data file *and* its
@@ -241,27 +244,29 @@ class DiskStore(UntrustedStore):
     def __init__(self, root: str) -> None:
         self.root = root
         self._lock = threading.RLock()
-        self.crash_hook: "Callable[[str], None] | None" = None
+        self.effects: Any = None
         os.makedirs(root, exist_ok=True)
         self._keys: set[str] = set()
         for name in os.listdir(root):
-            if not name.endswith(self._INDEX_SUFFIX):
-                continue
-            try:
-                with open(os.path.join(root, name), encoding="utf-8") as fh:
+            path = os.path.join(root, name)
+            if name.endswith(".tmp") or (
+                name.endswith(self._INDEX_SUFFIX) and not os.path.exists(path[: -len(self._INDEX_SUFFIX)])
+            ):
+                os.remove(path)
+            elif name.endswith(self._INDEX_SUFFIX):
+                with open(path, encoding="utf-8") as fh:
                     self._keys.add(fh.read())
-            except FileNotFoundError:  # pragma: no cover - racing cleanup
-                continue
 
     def _path(self, key: str) -> str:
         digest = hashlib.sha256(key.encode("utf-8")).hexdigest()
         return os.path.join(self.root, digest)
 
-    def _crashpoint(self, site: str) -> None:
-        if self.crash_hook is not None:
-            self.crash_hook(site)
+    def _effect(self, syscall: str, path: str) -> None:
+        if self.effects is not None:
+            self.effects.on_effect(f"diskstore:{syscall} {os.path.basename(path)}")
 
     def _fsync_dir(self) -> None:
+        self._effect("fsync-dir", self.root)
         fd = os.open(self.root, os.O_RDONLY | getattr(os, "O_DIRECTORY", 0))
         try:
             os.fsync(fd)
@@ -269,25 +274,30 @@ class DiskStore(UntrustedStore):
             os.close(fd)
 
     def _write_atomic(self, path: str, data: bytes) -> None:
+        self._effect("write", path)
         fd, tmp = tempfile.mkstemp(dir=self.root, suffix=".tmp")
         try:
             with os.fdopen(fd, "wb") as fh:
                 fh.write(data)
                 fh.flush()
                 os.fsync(fh.fileno())
-            os.replace(tmp, path)
-            self._crashpoint("diskstore:replace")
-            self._fsync_dir()
         except BaseException:
             with contextlib.suppress(FileNotFoundError):
                 os.remove(tmp)
             raise
+        self._effect("replace", path)
+        os.replace(tmp, path)
+        self._fsync_dir()
+
+    def _index(self, key: str, path: str) -> None:
+        if key not in self._keys:
+            self._write_atomic(path + self._INDEX_SUFFIX, key.encode("utf-8"))
 
     def put(self, key: str, value: bytes) -> None:
         with self._lock:
             path = self._path(key)
+            self._index(key, path)
             self._write_atomic(path, value)
-            self._write_atomic(path + self._INDEX_SUFFIX, key.encode("utf-8"))
             self._keys.add(key)
 
     def get(self, key: str) -> bytes:
@@ -303,6 +313,8 @@ class DiskStore(UntrustedStore):
         # written by range, so a torn one is stranded, never read.
         with self._lock:
             path = self._path(key)
+            self._index(key, path)
+            self._effect("pwrite", path)
             fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o644)
             try:
                 run = b"".join(blobs)
@@ -311,10 +323,7 @@ class DiskStore(UntrustedStore):
                 os.fsync(fd)
             finally:
                 os.close(fd)
-            self._crashpoint("diskstore:pwrite")
-            if key not in self._keys:
-                self._write_atomic(path + self._INDEX_SUFFIX, key.encode("utf-8"))
-                self._keys.add(key)
+            self._keys.add(key)
 
     def get_range(self, key: str, offset: int, length: int) -> bytes:
         with self._lock:
@@ -330,16 +339,14 @@ class DiskStore(UntrustedStore):
     def delete(self, key: str) -> None:
         with self._lock:
             path = self._path(key)
-            try:
-                os.remove(path)
-            except FileNotFoundError:
-                raise StorageError(f"no object at key {key!r}") from None
-            try:
-                os.remove(path + self._INDEX_SUFFIX)
-            except FileNotFoundError:
-                pass
+            if not os.path.exists(path):
+                raise StorageError(f"no object at key {key!r}")
+            self._effect("unlink", path)
+            os.remove(path)
             self._keys.discard(key)
-            self._crashpoint("diskstore:delete")
+            self._effect("unlink", path + self._INDEX_SUFFIX)
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(path + self._INDEX_SUFFIX)
             self._fsync_dir()
 
     def exists(self, key: str) -> bool:

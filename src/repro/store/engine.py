@@ -341,7 +341,7 @@ class StorageEngine:
         self.raw = stores
         self.journal = journal
         self.cache = cache
-        self._enclave = enclave
+        self.enclave = enclave
         #: The file-system anchor both rollback guards hang off (``None``
         #: unguarded); it attaches itself.
         self.anchor: "FileSystemAnchor | None" = None
@@ -462,7 +462,7 @@ class StorageEngine:
             return
         journal = self.journal
         group = self.group_commit
-        clock = self._enclave.platform.clock
+        clock = self.enclave.platform.clock
         if self.coherence is not None:
             # Start from a synced view: peer epochs applied before our
             # reads, so the span never builds writes over stale cache.
@@ -560,7 +560,7 @@ class StorageEngine:
         self.journal.apply(record.writes, record.parts)
         tags = {tag for tag, _, _ in record.writes}
         for _ in tags:
-            self._enclave.ocall(account="pfs-io")
+            self.enclave.ocall(account="pfs-io")
         self.stats.flush_groups += len(tags)
         self.stats.flushed_ops += len(record.writes)
         self.stats.last_flush_ops = len(record.writes)
@@ -582,7 +582,7 @@ class StorageEngine:
             except EnclaveCrashed:
                 raise
             except ReproError as exc:
-                self._enclave.abort(f"commit of {record.label!r} could not be applied: {exc}")
+                self.enclave.abort(f"commit of {record.label!r} could not be applied: {exc}")
 
     def _committed(self, puts_before: int) -> None:
         self.stats.commits += 1
@@ -606,7 +606,7 @@ class StorageEngine:
         whoever asked for the close; the next span's opener runs it again.
         """
         self.journal.check_usable()
-        clock = self._enclave.platform.clock
+        clock = self.enclave.platform.clock
         group = self.group_commit
         bg = None if group.solo else clock.open_track("group-commit-close", start=group.release)
         try:
@@ -656,7 +656,7 @@ class StorageEngine:
         finally:
             for store in self._deferred:
                 if store.grouped:
-                    self._enclave.ocall(account="pfs-io")
+                    self.enclave.ocall(account="pfs-io")
                 store.grouped = None
 
     def _abort(self, label: str, member_base: int, snapshots: list) -> None:
@@ -742,7 +742,7 @@ class StorageEngine:
         commit latency while readers stay unaffected.  On a serial clock
         this is a no-op.
         """
-        return self._enclave.platform.clock.exclusive(
+        return self.enclave.platform.clock.exclusive(
             "journal-commit", account="commit-wait"
         )
 
@@ -762,8 +762,8 @@ class StorageEngine:
 
         An epoch close publishes the union its members pooled.  Runs
         strictly after the journal commit — the entry describes only durable
-        state — and is skipped entirely when nothing was touched.  The
-        crashpoint models the one new crash window the protocol adds:
+        state — and is skipped entirely when nothing was touched.  A crash
+        before the publish leaves the one window the protocol adds:
         committed but unpublished, which takeover recovery heals with an
         authenticated reset entry.
         """
@@ -774,7 +774,6 @@ class StorageEngine:
         self._epoch_touched = {}
         if not touched:
             return
-        self.journal.crashpoint("coherence:publish")
         self.coherence.publish(touched, label)
 
     # -- cache facade --------------------------------------------------------

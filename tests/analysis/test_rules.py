@@ -251,50 +251,6 @@ def test_epoch_typestate_flags_ungated_routing_switch(findings):
     assert "proj.host.switchboard:Switchboard.swap_ok" not in flagged
 
 
-# -- crashpoint-coverage -----------------------------------------------------
-
-
-def test_crashpoint_coverage_flags_unexercised_declaration(findings):
-    assert "proj.enclave.persist:fix:page-prune" in symbols(
-        findings, "crashpoint-coverage"
-    )
-
-
-def test_crashpoint_coverage_resolves_class_constant_ids(findings):
-    """A base-class call site naming ``self._SITE`` declares every
-    subclass's id: the unexercised one is flagged, the exercised one and
-    the (crashpoint-bearing) shared mutation are not."""
-    flagged = symbols(findings, "crashpoint-coverage")
-    assert "proj.enclave.persist:fix:ledger-dead" in flagged
-    assert "proj.enclave.persist:fix:ledger-covered" not in flagged
-    assert "proj.enclave.persist:Ledger.append" not in flagged
-
-
-def test_crashpoint_coverage_flags_mutation_without_crashpoint(findings):
-    assert "proj.enclave.persist:Pager.write_uncovered" in symbols(
-        findings, "crashpoint-coverage"
-    )
-
-
-def test_crashpoint_coverage_treats_a_ranged_write_as_a_mutation(findings):
-    """A backend's ``put_range`` and ``os.pwrite`` persist bytes in place:
-    without a crashpoint each is flagged, with one it passes."""
-    flagged = symbols(findings, "crashpoint-coverage")
-    assert "proj.enclave.persist:Pager.write_range_uncovered" in flagged
-    assert "proj.enclave.persist:Pager.pwrite_uncovered" in flagged
-    assert "proj.enclave.persist:Pager.write_range_covered" not in flagged
-    assert "proj.enclave.persist:Pager.pwrite_covered" not in flagged
-
-
-def test_crashpoint_coverage_passes_covered_and_nonpersistent(findings):
-    flagged = symbols(findings, "crashpoint-coverage")
-    assert "proj.enclave.persist:Pager.write_covered" not in flagged
-    # prune's crashpoint is dead assurance but the mutation is declared.
-    assert "proj.enclave.persist:Pager.prune" not in flagged
-    # set.remove is not persistence.
-    assert "proj.enclave.persist:Pager.discard_tracking" not in flagged
-
-
 # -- call-graph migration parity ---------------------------------------------
 
 #: Byte-identical finding set of the five pre-call-graph rules on the

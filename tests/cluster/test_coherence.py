@@ -17,7 +17,7 @@ from repro.core.cache import MetadataCache
 from repro.core.coherence import CoherenceManager
 from repro.netsim.coherence import CoherenceBoard
 from repro.store.engine import StorageEngine
-from tests.support.platform import sim_platform
+from tests.support.platform import loaded_enclave, sim_platform
 
 _ROOT_KEY = b"\x07" * 32
 
@@ -30,6 +30,7 @@ class _EngineStub:
     def __init__(self) -> None:
         self.cache = MetadataCache(capacity_bytes=64 * 1024, epc=sim_platform().epc)
         self._outstanding: dict[str, int] = {}
+        self.enclave = loaded_enclave()
 
     drop_derived_state = StorageEngine.drop_derived_state
 

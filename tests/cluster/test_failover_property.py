@@ -1,8 +1,8 @@
 """Failover linearizability: crash any replica mid-request, lose nothing.
 
 Property: for any seeded multi-client schedule routed through a
-3-replica cluster, killing any single replica at any journal crashpoint
-mid-request yields per-request responses and a final logical state
+3-replica cluster, killing any single replica before any of its
+effects mid-request (tests/support/explorer.py) yields per-request responses and a final logical state
 identical to a serial no-crash witness run on a single server — the
 in-flight request either committed before the crash (the front door
 synthesizes its OK from the journal stamp) or rolled back atomically
@@ -22,9 +22,9 @@ import pytest
 
 from repro.cluster import ClusterDriver, build_cluster, cluster_options
 from repro.core.server import SeGShareServer
-from repro.faults import FaultPlan
 from repro.netsim import azure_wan_env
 from repro.pki import CertificateAuthority
+from tests.support.explorer import EFFECT_CLASSES, arm
 from tests.support.schedules import (
     USERS,
     apply_descriptor,
@@ -58,16 +58,19 @@ def make_schedule(seed: int) -> list[list[tuple]]:
     ]
 
 
-def run_cluster_schedule(seed: int, plan: FaultPlan | None, victim: str):
+def run_cluster_schedule(seed: int, crash: tuple[str, int] | None = None):
     """Build a cluster, prime it, run the seeded schedule through the
-    front door.  ``plan`` (if given) is attached to ``victim``'s platform
-    after priming.  Returns (deployment, executed, results)."""
+    front door with every replica under a plan of its own; ``crash``
+    (victim, k) kills the victim after k of its effects.  Returns
+    (deployment, executed, results, each replica's effects)."""
     deployment = build_cluster(
         replicas=REPLICAS, parallel=True, ca=_CA, seed=seed
     )
     prime(deployment.server("r0").enclave.handler)
-    if plan is not None:
-        plan.attach_platform(deployment.server(victim).platform)
+    plans = {name: arm(deployment.server(name)) for name in sorted(deployment.servers)}
+    starts = {name: len(plan.labels) for name, plan in plans.items()}
+    if crash is not None:
+        plans[crash[0]].crash_after_effects(crash[1])
     schedule = make_schedule(seed)
     executed: list[tuple] = []
     results: list[str] = []
@@ -83,9 +86,9 @@ def run_cluster_schedule(seed: int, plan: FaultPlan | None, victim: str):
     ClusterDriver(cluster).run(
         [[thunk_for(desc) for desc in stream] for stream in schedule]
     )
-    if plan is not None:
+    for plan in plans.values():
         plan.detach()
-    return deployment, executed, results
+    return deployment, executed, results, {name: plan.labels[starts[name]:] for name, plan in plans.items()}
 
 
 def run_witness(executed: list[tuple]):
@@ -97,19 +100,22 @@ def run_witness(executed: list[tuple]):
 
 def check_seed(seed: int, site: str = "journal:") -> str:
     """One property iteration; returns what the seed exercised."""
-    victim = f"r{seed % REPLICAS}"
-
-    # Counting pass: how many ``site`` crashpoints does the victim see?
-    plan = FaultPlan().crash_at_point(nth=10**9, site_prefix=site)
-    run_cluster_schedule(seed, plan, victim)
-    steps = plan.seen_crashpoints(site)
-    if steps == 0:
+    # Counting pass: which of the victim's effects are of the ``site``
+    # class?  The victim is the seed's replica, or the next one that makes
+    # such an effect: a replica that only answers reads has one crash
+    # state, after the schedule.
+    effects = run_cluster_schedule(seed)[3]
+    for offset in range(REPLICAS):
+        victim = f"r{(seed + offset) % REPLICAS}"
+        steps = [k for k, label in enumerate(effects[victim]) if EFFECT_CLASSES[site](label)]
+        if steps:
+            break
+    else:
         return "no-site-work-on-victim"
-    step = random.Random(seed).randint(1, steps)
+    step = random.Random(seed).choice(steps)
 
-    # Crash pass: the victim dies at the chosen step mid-request.
-    plan = FaultPlan().crash_at_point(nth=step, site_prefix=site)
-    deployment, executed, results = run_cluster_schedule(seed, plan, victim)
+    # Crash pass: the victim dies before the chosen effect, mid-request.
+    deployment, executed, results, _ = run_cluster_schedule(seed, (victim, step))
     cluster = deployment.cluster
     assert len(executed) == len(USERS) * OPS_PER_CLIENT
     assert len(results) == len(executed), "a client request failed outright"

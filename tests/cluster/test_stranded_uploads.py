@@ -18,6 +18,7 @@ from repro.errors import EnclaveCrashed
 from repro.faults import FaultPlan
 from repro.pki import CertificateAuthority
 from tests.support.dedup import stored_records
+from tests.support.explorer import arm
 
 #: One CA for the whole module — RSA key generation dominates setup.
 _CA = CertificateAuthority(key_bits=1024)
@@ -92,24 +93,23 @@ def objects_written_by(deployment, victim):
     return written
 
 
-def crash_mid_stream(victim, deployment, torn: bool = False) -> FaultPlan:
-    """Kill the victim at its upload's first ranged write, before its
-    transaction opens; ``torn``, that write persists only half its run."""
-    backend = deployment.backend
-    put_range = backend.put_range
-
-    def dying(key: str, offset: int, blobs) -> None:
-        if "obj:" not in key or not victim.enclave.alive:
-            put_range(key, offset, blobs)
-            return
-        run = b"".join(blobs)
-        put_range(key, offset, [run[: len(run) // 2] if torn else run])
-        victim.platform.crashpoint("test:upload-stream")
-
-    backend.put_range = dying
-    return FaultPlan().crash_at_point(nth=1, site_prefix="test:upload-stream").attach_platform(victim.platform)
+def record_put(upload) -> int:
+    """The index, among the victim's effects, of the redo-record put that
+    ``upload(cluster, victim)`` makes: the crash state the named sites
+    ``journal:begin`` and ``journal:commit`` stood before."""
+    deployment, victim, _, _ = world()
+    plan = arm(victim)
+    start = len(plan.labels)
+    upload(deployment.cluster, victim)
+    return next(k for k, label in enumerate(plan.labels[start:]) if "journal:redo" in label)
 
 
+def upload_through_cluster(cluster, victim) -> None:
+    assert cluster.put_file("u0", "/a/f", UPLOAD).status is Status.OK
+
+
+#: Where each case kills the victim's upload: after its first ranged write
+#: (whole, or torn to half its run), or before its redo record.
 SITES = ["stream", "torn-range", "journal:begin", "journal:commit"]
 
 
@@ -130,11 +130,11 @@ def test_takeover_sweeps_the_crashed_writers_stranded_upload(site):
     sink.write(LIVE[: 2 * 4096 + 5])
 
     written = objects_written_by(deployment, victim)
-    if site in ("stream", "torn-range"):
-        plan = crash_mid_stream(victim, deployment, torn=site == "torn-range")
-    else:
-        plan = FaultPlan().crash_at_point(nth=1, site_prefix=site).attach_platform(victim.platform)
-    assert cluster.put_file("u0", "/a/f", UPLOAD).status is Status.OK  # through failover
+    plan = arm(victim)
+    if site == "torn-range":
+        plan.torn_write(nth=1, store="dedup", op="put_range")
+    plan.crash_after_effects(1 if site in ("stream", "torn-range") else record_put(upload_through_cluster))
+    upload_through_cluster(cluster, victim)  # through failover
     plan.detach()
     assert cluster.stats()["failovers"] == 1 and not victim.enclave.alive
     assert written, "the victim streamed nothing before it died"
@@ -176,10 +176,13 @@ def test_a_restart_before_takeover_finishes_its_own_record():
     sink = peer.enclave.handler.open_upload("u0", f"{peer_dir}live")
     sink.write(LIVE[: 2 * 4096 + 5])
 
-    plan = FaultPlan().crash_at_point(nth=1, site_prefix="journal:committed")
-    plan.attach_platform(victim.platform)
-    with pytest.raises(EnclaveCrashed):
+    def upload(cluster, victim) -> None:
         victim.enclave.handler.put_file("u0", "/a/f", UPLOAD)
+
+    committed = record_put(upload) + 1
+    plan = arm(victim).crash_after_effects(committed)
+    with pytest.raises(EnclaveCrashed):
+        upload(cluster, victim)
     plan.detach()
     assert journal_keys_of(deployment, victim_id) != []
 
@@ -219,11 +222,10 @@ def test_takeover_keeps_an_object_the_successor_still_reads():
     first = next(chunks)
     assert handler.put_file("u0", "/a/big", b"replaced").status is Status.OK
     successor.handle.call("group_commit_quiesce")
-    plan = FaultPlan().crash_at_point(nth=1, site_prefix="ecall:")
-    plan.attach_platform(victim.platform)
+    with pytest.raises(EnclaveCrashed):
+        FaultPlan().attach_platform(victim.platform).kill("the host killed it")
     with pytest.raises(EnclaveCrashed):
         victim.handle.call("runtime_stats")
-    plan.detach()
     cluster.quiesce()  # finds the dead member and runs the takeover
     assert cluster.stats()["failovers"] == 1
     assert released in stored_object_ids(deployment)

@@ -9,6 +9,8 @@ object is served only where the plaintext would be, so it cannot hide a
 rollback.  Without a cache nothing is kept: every read decodes.
 """
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro.core.acl import AclFile, MemberListFile, acl_path
@@ -18,6 +20,7 @@ from repro.errors import RollbackDetected
 from repro.fsmodel import DirectoryFile
 from repro.netsim.coherence import CoherenceBoard
 from tests.core.conftest import ROOT_KEY, build_world
+from tests.support.platform import loaded_enclave
 
 CACHE_BYTES = 1 << 20
 
@@ -134,7 +137,8 @@ def _peer_publishes(world):
     """A peer's commit names /d/: this replica's next read discards it."""
     engine, board = world.manager.engine, CoherenceBoard(capacity=8)
     engine.attach_coherence(CoherenceManager(board, ROOT_KEY, engine))
-    CoherenceManager(board, ROOT_KEY, engine=None).publish([("content", "/d/")], "peer")
+    peer = SimpleNamespace(enclave=loaded_enclave())  # a publisher touches only its enclave
+    CoherenceManager(board, ROOT_KEY, engine=peer).publish([("content", "/d/")], "peer")
 
 
 #: The five ways an entry goes; each takes its slot with it.

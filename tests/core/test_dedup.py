@@ -443,7 +443,7 @@ class TestIndexBytes:
         def cost(entries):
             engine = engine_for(StoreSet.in_memory(), loaded_enclave())
             store = DedupStore(
-                ProtectedFs(engine.backends.dedup, master_key=bytes(16), enclave=engine._enclave),
+                ProtectedFs(engine.backends.dedup, master_key=bytes(16), enclave=engine.enclave),
                 bytes(32),
                 engine,
             )

@@ -13,7 +13,7 @@ root keys), and the Merkle/guard state is key-dependent too — instead
 the concurrent server's guard must verify its own restored state, which
 pins the guard set to the storage it protects.
 
-The crash variant kills the enclave at a journal crashpoint *inside a
+The crash variant kills the enclave before one of its effects *inside a
 lock-held journaled batch*, restarts, and requires the recovered state
 to equal a serial run of exactly the requests that completed before the
 crash: the interrupted request vanishes atomically, and the locks it
@@ -34,6 +34,8 @@ from repro.errors import EnclaveCrashed
 from repro.faults import FaultPlan
 from repro.netsim import azure_wan_env
 from repro.pki import CertificateAuthority
+from repro.storage.stores import StoreSet
+from tests.support.explorer import under_plan
 from tests.support.schedules import (
     USERS,
     apply_descriptor,
@@ -49,7 +51,7 @@ SEEDS = 100
 OPS_PER_CLIENT = 4
 
 
-def build_server(parallel: bool) -> SeGShareServer:
+def build_server(parallel: bool, stores: StoreSet | None = None) -> SeGShareServer:
     options = SeGShareOptions(
         rollback="whole_fs",
         counter_kind="rote",
@@ -58,7 +60,7 @@ def build_server(parallel: bool) -> SeGShareServer:
         switchless_workers=4,
     )
     env = parallel_env() if parallel else azure_wan_env()
-    return SeGShareServer(env, _CA.public_key, options=options)
+    return SeGShareServer(env, _CA.public_key, stores=stores, options=options)
 
 
 def make_schedule(seed: int) -> list[list[tuple]]:
@@ -138,11 +140,15 @@ class TestCrashDuringConcurrentSchedule:
 
     CRASH_SEEDS = range(8)
 
-    def _count_steps(self, seed: int) -> int:
-        server = build_server(parallel=True)
+    @staticmethod
+    def _primed() -> tuple[SeGShareServer, FaultPlan]:
+        server, plan = under_plan(lambda stores: build_server(parallel=True, stores=stores))
         prime(server.enclave.handler)
-        plan = FaultPlan().crash_at_point(nth=10**9, site_prefix="journal:")
-        plan.attach_platform(server.platform)
+        return server, plan
+
+    def _count_steps(self, seed: int) -> int:
+        server, plan = self._primed()
+        before = plan.effects
         # Re-run the schedule on this plan-armed server.
         schedule = make_schedule(seed)
         executed: list[tuple] = []
@@ -161,25 +167,22 @@ class TestCrashDuringConcurrentSchedule:
                 for stream in schedule
             ]
         )
-        plan.detach()
-        return plan.seen_crashpoints("journal:")
+        return plan.effects - before
 
     @pytest.mark.parametrize("seed", CRASH_SEEDS)
     def test_crash_recovers_to_serial_prefix(self, seed):
         steps = self._count_steps(seed)
         if steps == 0:
             pytest.skip("schedule performed no journaled mutation")
-        step = random.Random(seed).randint(1, steps)
+        step = random.Random(seed).randrange(steps)
 
-        server = build_server(parallel=True)
-        prime(server.enclave.handler)
+        server, plan = self._primed()
         old_locks = server.enclave.locks
         schedule = make_schedule(seed)
         started: list[tuple] = []
         completed: list[tuple] = []
 
-        plan = FaultPlan().crash_at_point(nth=step, site_prefix="journal:")
-        plan.attach_platform(server.platform)
+        plan.crash_after_effects(step)
 
         def thunk_for(desc: tuple):
             def thunk():

@@ -26,6 +26,7 @@ from repro.sgx.costmodel import SgxCostModel
 from repro.sgx.epc import EpcModel
 from repro.storage.stores import StoreSet
 from repro.tls.channel import StreamingResponse
+from tests.support.explorer import under_plan
 from tests.support.platform import sim_platform
 
 #: One CA for the whole module — RSA keygen dominates setup otherwise.
@@ -176,13 +177,13 @@ class TestInvalidation:
         assert b"".join(got.chunks) == b"victim content"
 
     def test_crash_recovery_discards_cache_with_the_batch(self):
-        server = build_server()
+        server, plan = under_plan(lambda stores: build_server(stores=stores))
         prime(server)
-        # Warm the cache on the victim, then crash mid-overwrite.
+        # Warm the cache on the victim, then crash mid-overwrite: the
+        # upload's data, metadata, record and first applied write land.
         assert server.enclave.manager.read_content("/d/f") == b"victim content"
         warm = server.enclave.cache
-        plan = FaultPlan().crash_at_point(nth=4, site_prefix="journal:")
-        plan.attach_platform(server.platform)
+        plan.crash_after_effects(4)
         with pytest.raises(EnclaveCrashed):
             server.enclave.handler.put_file("alice", "/d/f", b"ROLLED BACK")
         plan.detach()

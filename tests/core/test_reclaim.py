@@ -28,6 +28,7 @@ from repro.pki import CertificateAuthority
 from repro.storage.stores import StoreSet
 from repro.tls.channel import StreamingResponse, _ServerSession
 from tests.support.dedup import stored_records
+from tests.support.explorer import RecordingPlan, arm, under_plan
 
 #: One CA for the whole module — its RSA key generation dominates setup.
 _CA = CertificateAuthority(key_bits=1024)
@@ -57,6 +58,11 @@ def primed(stores=None, parallel=False, **overrides) -> SeGShareServer:
 def object_of(server: SeGShareServer, path: str) -> str:
     manager = server.enclave.manager
     return stored_records(manager.dedup)[manager._pointer_target(path)][0]
+
+
+def reclaim_deletes(labels: list[str]) -> list[int]:
+    """Where a reclaim deletes an object key, by effect index."""
+    return [k for k, label in enumerate(labels) if label.startswith("dedup:delete 'obj:")]
 
 
 def stored_objects(stores: StoreSet) -> set[str]:
@@ -206,18 +212,19 @@ class TestReclaimCrashes:
         assert journal_keys(server.stores) == []
         return server
 
+    @staticmethod
+    def _armed(parallel: bool) -> tuple[SeGShareServer, RecordingPlan]:
+        return under_plan(lambda stores: primed(stores, parallel, enable_dedup=True))
+
     def test_crash_at_every_store_op(self, parallel):
-        plan = FaultPlan()
-        server = primed(faulty_stores(StoreSet.in_memory(), plan), parallel, enable_dedup=True)
-        before = plan.store_ops
+        server, plan = self._armed(parallel)
+        before = plan.effects
         self._overwrite(server)
-        total = plan.store_ops - before
+        total = plan.effects - before
         recovered = set()
-        for nth in range(1, total + 1):
-            plan = FaultPlan()
-            server = primed(faulty_stores(StoreSet.in_memory(), plan), parallel, enable_dedup=True)
-            plan.crash_after_ops(nth)
-            plan.attach_platform(server.platform)
+        for step in range(total):
+            server, plan = self._armed(parallel)
+            plan.crash_after_effects(step)
             with pytest.raises(EnclaveCrashed):
                 self._overwrite(server)
             plan.detach()
@@ -229,21 +236,18 @@ class TestReclaimCrashes:
         assert recovered == {0, 1}
 
     def test_crash_at_each_reclaim_crashpoint(self, parallel):
-        server = primed(parallel=parallel, enable_dedup=True)
-        plan = FaultPlan().crash_at_point(nth=10**9, site_prefix="journal:reclaim")
-        plan.attach_platform(server.platform)
+        """Before each of the reclaim's two deletes, on both clocks: the
+        intent rides in the member's redo record, which a serial clock's
+        member keeps until it closes its epoch after the reclaim."""
+        server, plan = self._armed(parallel)
+        start = len(plan.labels)
         self._overwrite(server)
-        plan.detach()
-        steps = plan.seen_crashpoints("journal:reclaim")
-        # journal:reclaim before the object's deletes, on both clocks: the
-        # intent rides in the member's redo record, which a serial clock's
-        # member keeps until it closes its epoch after the reclaim.
-        assert steps == 1
-        for step in range(1, steps + 1):
-            server = primed(parallel=parallel, enable_dedup=True)
+        steps = reclaim_deletes(plan.labels[start:])
+        assert len(steps) == 2
+        for step in steps:
+            server, plan = self._armed(parallel)
             old = object_of(server, "/d/f")
-            plan = FaultPlan().crash_at_point(nth=step, site_prefix="journal:reclaim")
-            plan.attach_platform(server.platform)
+            plan.crash_after_effects(step)
             with pytest.raises(EnclaveCrashed):
                 self._overwrite(server)
             plan.detach()
@@ -379,38 +383,31 @@ class TestTakeover:
         assert self._keys_of(deployment, old) == []
         assert engine_stats(survivor)["intents_recovered"] == 1
 
-    def test_crash_at_the_reclaim_crashpoint(self):
+    def _reclaim_deletes(self) -> list[int]:
+        """The owner's overwrite's reclaim deletes, by effect index."""
+        deployment, owner, _ = self._cluster()
+        plan = arm(owner)
+        start = len(plan.labels)
+        assert deployment.cluster.put_file("u0", "/a/f", NEW).status is Status.OK
+        return reclaim_deletes(plan.labels[start:])
+
+    def _crash_before(self, step: int) -> None:
         deployment, owner, old = self._cluster()
-        plan = FaultPlan().crash_at_point(nth=1, site_prefix="journal:reclaim")
-        plan.attach_platform(owner.platform)
+        plan = arm(owner).crash_after_effects(step)
         assert deployment.cluster.put_file("u0", "/a/f", NEW).status is Status.OK
         plan.detach()
+        assert plan.events, f"effect {step}: the crash never fired"
         self._check(deployment, old)
 
+    def test_crash_at_the_reclaim_crashpoint(self):
+        """Before the reclaim's first delete, where its named site stood."""
+        self._crash_before(self._reclaim_deletes()[0])
+
     def test_crash_at_every_delete_of_the_reclaim(self):
-        deployment, _, old = self._cluster()
-        deletes = len(self._keys_of(deployment, old))
-        assert deletes == 2  # the metadata node, which carries chunk 0, and the data value
-        for nth in range(1, deletes + 1):
-            deployment, owner, old = self._cluster()
-            backend = deployment.backend
-            delete = backend.delete
-            seen = []
-
-            def dying(key: str, owner=owner, seen=seen, nth=nth) -> None:
-                if "obj:" in key and "\x00" in key and len(seen) < nth:
-                    seen.append(key)
-                    if len(seen) == nth:
-                        owner.platform.crashpoint("test:reclaim-delete")
-                delete(key)
-
-            backend.delete = dying
-            plan = FaultPlan().crash_at_point(nth=1, site_prefix="test:reclaim-delete")
-            plan.attach_platform(owner.platform)
-            assert deployment.cluster.put_file("u0", "/a/f", NEW).status is Status.OK
-            plan.detach()
-            assert len(seen) == nth, f"delete {nth}: the crash never fired"
-            self._check(deployment, old)
+        deletes = self._reclaim_deletes()
+        assert len(deletes) == 2  # the metadata node, which carries chunk 0, and the data value
+        for step in deletes:
+            self._crash_before(step)
 
 
 def test_two_replicas_keep_their_reclaim_intents_apart():
@@ -437,11 +434,8 @@ def test_two_replicas_keep_their_reclaim_intents_apart():
         assert handler.put_file("u0", path, NEW).status is Status.OK
         server.enclave.engine.quiesce()
         assert released[server] in stored_objects(server.stores)
-    plan = FaultPlan().crash_at_point(nth=1, site_prefix="ecall:")
-    plan.attach_platform(crashed.platform)
     with pytest.raises(EnclaveCrashed):
-        crashed.handle.call("runtime_stats")
-    plan.detach()
+        FaultPlan().attach_platform(crashed.platform).kill("the host killed it")
     deployment.cluster.quiesce()  # finds the dead member and runs the takeover
     assert deployment.cluster.stats()["failovers"] == 1
     assert released[crashed] not in stored_objects(survivor.stores)

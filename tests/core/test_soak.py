@@ -171,8 +171,8 @@ def test_fault_seeded_soak(user_key, env):
     seed = int(os.environ.get("SEGSHARE_FAULT_SEED", "0"))
     plan = FaultPlan(seed=seed)
     plan.fail_randomly(probability=0.004, op="put", store="content", limit=8)
-    for nth in (100, 230, 390):
-        plan.crash_at_point(nth=nth, site_prefix="journal:")
+    # Three crashes, each the given number of effects after the last start.
+    crashes = [100, 130, 160]
 
     stores = faulty_stores(StoreSet.in_memory(), plan)
     deployment = deploy(
@@ -187,6 +187,7 @@ def test_fault_seeded_soak(user_key, env):
         ),
     )
     plan.attach_platform(deployment.server.platform)
+    plan.crash_after_effects(crashes.pop(0))
     policy = RetryPolicy(attempts=6, base_delay=0.01)
     identity = deployment.user_identity("alice", key=user_key)
 
@@ -203,6 +204,8 @@ def test_fault_seeded_soak(user_key, env):
         for _ in range(6):
             try:
                 deployment.server.restart_enclave()
+                if crashes:
+                    plan.crash_after_effects(crashes.pop(0))
                 return
             except (EnclaveCrashed, StorageError):
                 continue

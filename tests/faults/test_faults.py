@@ -1,10 +1,13 @@
 """The fault-injection framework: plans, faulty stores, faulty links."""
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro.errors import EnclaveCrashed, FaultError, NetworkError, RetryPolicy
 from repro.faults import FaultPlan, FaultyStore, faulty_env, faulty_stores
 from repro.netsim.transport import connection_pair
+from repro.sgx.enclave import Enclave
 from repro.storage.backends import InMemoryStore
 from repro.storage.stores import StoreSet
 from tests.support.platform import sim_platform
@@ -97,13 +100,14 @@ class TestFaultyStore:
         assert store.get("v") == b"0123"
         platform = sim_platform()
         plan.attach_platform(platform)
-        plan.crash_after_ops(nth=1)
+        plan.crash_after_effects(0)
         with pytest.raises(EnclaveCrashed):
             store.put_range("v", 4, [b"never"])
         assert [event[:3] for event in plan.events] == [
             ("torn", "dedup", "put_range"), ("error", "dedup", "get_range"),
-            ("lost", "dedup", "put_range"), ("crash", "dedup", "put_range"),
+            ("lost", "dedup", "put_range"), ("crash", "dedup:put_range 'v'", 3),
         ]
+        assert store.get("v") == b"0123"  # the crash came before the write
 
     def test_zero_overhead_passthrough_when_no_rules(self):
         plan = FaultPlan()
@@ -163,29 +167,63 @@ class TestFaultyLink:
 
 
 class TestCrashpoints:
-    def test_crash_at_point_kills_loaded_enclave(self):
-        from repro.sgx.enclave import Enclave
+    """The one crash rule: after k external effects, the next dies before it acts."""
 
+    def test_crash_at_point_kills_loaded_enclave(self):
         class Dummy(Enclave):
             pass
 
         platform = sim_platform()
         handle = platform.load(Dummy())
-        plan = FaultPlan().crash_at_point(nth=2, site_prefix="journal:")
+        plan = FaultPlan().crash_after_effects(1)
         plan.attach_platform(platform)
-        assert plan.on_crashpoint("journal:begin") is False
+        store = FaultyStore(InMemoryStore(), plan, name="content")
+        store.put("a", b"1")
         with pytest.raises(EnclaveCrashed):
-            platform.crashpoint("journal:commit")
+            store.put("b", b"2")
+        assert store.inner.exists("a") and not store.inner.exists("b")
         with pytest.raises(EnclaveCrashed):
             handle.call("anything")  # the enclave is dead
+        store.put("b", b"2")  # the rule fired once
         plan.detach()
         assert platform.fault_plan is None
 
     def test_site_prefix_filters(self):
-        plan = FaultPlan().crash_at_point(nth=1, site_prefix="journal:")
-        assert plan.on_crashpoint("ecall:get") is False
-        assert plan.on_crashpoint("store-op:4:put") is False
-        assert plan.on_crashpoint("journal:commit") is True
+        """Only effects count, from the rule on: reads and earlier effects do not."""
+        plan = FaultPlan()
+        store = FaultyStore(InMemoryStore(), plan, name="content")
+        store.put("a", b"1")
+        plan.crash_after_effects(1)
+        store.get("a")
+        store.get_range("a", 0, 1)
+        assert store.exists("a") and list(store.keys()) == ["a"]
+        store.delete("a")
+        with pytest.raises(EnclaveCrashed):
+            store.put("a", b"2")
+        assert plan.effects == 3 and not store.inner.exists("a")
+
+    def test_counter_increments_and_coherence_publishes_are_effects(self):
+        from repro.core.coherence import CoherenceManager
+        from repro.netsim.coherence import CoherenceBoard
+        from repro.sgx.counters import MonotonicCounter
+
+        platform = sim_platform()
+        enclave = Enclave()
+        platform.load(enclave)
+        plan = FaultPlan().attach_platform(platform).crash_after_effects(1)
+        counter = MonotonicCounter(platform.clock, platform.costs)
+        counter.create(enclave, "c")
+        assert counter.increment(enclave, "c") == 1
+        with pytest.raises(EnclaveCrashed):
+            counter.increment(enclave, "c")
+        assert counter.read(enclave, "c") == 1
+        board = CoherenceBoard()
+        engine = SimpleNamespace(enclave=enclave, cache=None)
+        plan.crash_after_effects(0)
+        with pytest.raises(EnclaveCrashed):
+            CoherenceManager(board, bytes(32), engine).publish([("meta", "/a")], "t")
+        assert board.epoch == 0
+        assert [event[1] for event in plan.events] == ["counter:increment", "coherence:place"]
 
 
 class TestRetryPolicy:

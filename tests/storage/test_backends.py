@@ -5,7 +5,7 @@ import os
 import pytest
 
 from repro.errors import EnclaveCrashed, StorageError
-from repro.faults import FaultPlan
+from repro.faults import FaultPlan, FaultyStore
 from repro.storage import DiskStore, InMemoryStore
 
 
@@ -146,13 +146,10 @@ class TestDiskCrashConsistency:
         # snapshot the durable directory state, crash inside the window,
         # and restore the snapshot as "what the disk actually kept".
         durable = _dir_snapshot(root)
-
-        def die(site):
-            raise EnclaveCrashed(f"power loss at {site}")
-
-        store.crash_hook = die
+        plan = FaultPlan().crash_after_effects(2)  # temp write, replace
         with pytest.raises(EnclaveCrashed):
-            store.put("k", b"new")
+            FaultyStore(store, plan).put("k", b"new")
+        assert plan.events[0][1].startswith("diskstore:fsync-dir")
         _dir_restore(root, durable)
 
         reopened = DiskStore(root)
@@ -161,38 +158,40 @@ class TestDiskCrashConsistency:
         assert list(reopened.scan("k")) == ["k"]
 
     def test_crash_hook_wires_into_fault_plans(self, tmp_path):
-        store = DiskStore(str(tmp_path / "store"))
-        plan = FaultPlan(seed=7).crash_at_point(3, "diskstore:")
-
-        def hook(site):
-            if plan.on_crashpoint(site):
-                raise EnclaveCrashed(f"fault injection: killed at {site}")
-
-        store.crash_hook = hook
-        store.put("a", b"1")  # crashpoints #1-2: data file, then sidecar
-        with pytest.raises(EnclaveCrashed):
-            store.put("b", b"2")  # crashpoint #3: dies after the data replace
-        assert plan.events == [("crash", "diskstore:replace", 3)]
-        # The sidecar never landed; a reopen must not resurrect "b".
-        store.crash_hook = None
-        assert sorted(DiskStore(store.root).keys()) == ["a"]
+        """A wrapped DiskStore reports each syscall as one effect: a new
+        key's sidecar lands before its data, so a crash at any of a put's
+        six leaves no data file without its key, and a reopen removes a
+        sidecar whose data never landed, or an unrenamed temp file."""
+        root = str(tmp_path / "store")
+        plan = FaultPlan(seed=7)
+        store = FaultyStore(DiskStore(root), plan)
+        store.put("a", b"1")
+        assert plan.effects == 6
+        for k in range(6):
+            plan.crash_after_effects(k)
+            with pytest.raises(EnclaveCrashed):
+                store.put("b", b"2")
+            landed = k == 5  # only the directory fsync was left
+            assert sorted(DiskStore(root).keys()) == ["a", "b"][: 1 + landed]
+            assert len(os.listdir(root)) == 2 + 2 * landed  # data and sidecar each
+        syscalls = [event[1].split()[0] for event in plan.events]
+        assert syscalls == [f"diskstore:{name}" for name in ("write", "replace", "fsync-dir") * 2]
 
     def test_a_crash_after_a_ranged_write_keeps_its_bytes(self, tmp_path):
-        """A ranged write is ``pwrite`` in place, fsynced before its
-        crashpoint: a crash there leaves the run durable, and an indexed
-        value cut by the run stays cut after a reopen."""
-        store = DiskStore(str(tmp_path / "store"))
+        """A ranged write is ``pwrite`` in place, fsynced before the next
+        effect: a crash there leaves the run durable, and an indexed value
+        cut by the run stays cut after a reopen.  A fresh value's sidecar
+        lands first, so a crash before its pwrite leaves nothing."""
+        store = FaultyStore(DiskStore(str(tmp_path / "store")), FaultPlan())
         store.put_range("v", 0, [b"0123", b"4567"])
-        plan = FaultPlan().crash_at_point(1, "diskstore:pwrite")
-
-        def hook(site):
-            if plan.on_crashpoint(site):
-                raise EnclaveCrashed(f"fault injection: killed at {site}")
-
-        store.crash_hook = hook
+        store._plan.crash_after_effects(1)
+        store.put_range("v", 2, [b"xy"])
         with pytest.raises(EnclaveCrashed):
-            store.put_range("v", 2, [b"xy"])
-        assert plan.events == [("crash", "diskstore:pwrite", 1)]
-        reopened = DiskStore(store.root)
+            store.put_range("w", 0, [b"never"])
+        store._plan.crash_after_effects(3)  # the sidecar's write, replace, fsync
+        with pytest.raises(EnclaveCrashed):
+            store.put_range("w", 0, [b"never"])
+        reopened = DiskStore(store.inner.root)
         assert list(reopened.keys()) == ["v"]
         assert reopened.get("v") == b"01xy" and reopened.get_range("v", 1, 9) == b"1xy"
+        assert len(os.listdir(store.inner.root)) == 2

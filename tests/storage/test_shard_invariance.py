@@ -8,7 +8,7 @@ verify against the storage its router produced.  Placement is the host's
 concern (``repro.store.ShardedStore`` routes by public HMAC); nothing
 inside the enclave knows or cares how many shards exist.
 
-The crash variant kills the enclave at a journal crashpoint while the
+The crash variant kills the enclave before one of its effects while the
 trace runs over the 8-shard router.  A commit's buffered puts fan out
 across shards, so a crash mid-commit strands a *cross-shard* partial
 write — exactly what re-applying the redo record must finish.  After
@@ -25,7 +25,7 @@ import pytest
 from repro.core.enclave_app import SeGShareOptions
 from repro.core.server import SeGShareServer
 from repro.errors import EnclaveCrashed
-from repro.faults import FaultPlan
+from repro.faults import FaultPlan, faulty_stores
 from repro.netsim import azure_wan_env
 from repro.pki import CertificateAuthority
 from repro.storage import InMemoryStore, StoreSet
@@ -102,27 +102,29 @@ def test_shard_count_is_invisible(seed):
 class TestCrashMidCommitOnShardedStore:
     """Redo-record replay restores cross-shard atomicity."""
 
-    def _count_steps(self, seed: int) -> int:
-        server = build_server(store_variants()["eight-shards"])
-        prime(server.enclave.handler)
-        plan = FaultPlan().crash_at_point(nth=10**9, site_prefix="journal:")
+    def _primed(self) -> tuple[SeGShareServer, FaultPlan]:
+        plan = FaultPlan()
+        server = build_server(faulty_stores(store_variants()["eight-shards"], plan))
         plan.attach_platform(server.platform)
+        prime(server.enclave.handler)
+        return server, plan
+
+    def _count_steps(self, seed: int) -> int:
+        server, plan = self._primed()
+        before = plan.effects
         for desc in make_trace(seed):
             apply_descriptor(server.enclave.handler, desc)
-        plan.detach()
-        return plan.seen_crashpoints("journal:")
+        return plan.effects - before
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_crash_recovers_to_trace_prefix(self, seed):
         steps = self._count_steps(seed)
         if steps == 0:
             pytest.skip("trace performed no journaled mutation")
-        step = random.Random(seed).randint(1, steps)
+        step = random.Random(seed).randrange(steps)
 
-        server = build_server(store_variants()["eight-shards"])
-        prime(server.enclave.handler)
-        plan = FaultPlan().crash_at_point(nth=step, site_prefix="journal:")
-        plan.attach_platform(server.platform)
+        server, plan = self._primed()
+        plan.crash_after_effects(step)
 
         trace = make_trace(seed)
         completed: list[tuple] = []

@@ -25,8 +25,8 @@ from repro.netsim.coherence import CoherenceBoard
 from repro.pki import CertificateAuthority
 from repro.storage.stores import StoreSet
 from repro.store.engine import DeferredStore, TransactionStats
-from tests.support.crashpoints import StopHere, stop_at
 from tests.support.dedup import stored_records
+from tests.support.explorer import RecordingPlan, journal_site, under_plan
 from tests.support.platform import loaded_enclave
 
 #: One CA for the whole module — RSA keygen dominates setup otherwise.
@@ -479,22 +479,19 @@ class TestMovedPreImagesInAnEpoch:
         return journal + sorted(objects - named)
 
     def test_crash_between_entry_and_move_in_either_member(self):
-        probe = self._primed()
-        plan = FaultPlan().crash_at_point(nth=10**9, site_prefix="journal:")
-        plan.attach_platform(probe.platform)
+        probe, plan = under_plan(self._primed)
+        before = plan.effects
         self._remove_pair(probe)
-        plan.detach()
         # Not vacuous: both removals really did share one epoch.
         assert probe.enclave.engine.group_commit.stats.histogram.get("2", 0) >= 1
-        steps = plan.seen_crashpoints("journal:")
-        assert steps >= 8, "two removals should pass at least eight journal steps"
+        steps = plan.effects - before
+        assert steps >= 8, "two removals should make at least eight effects"
         assert self._saved(probe) == []
 
         survivors = set()
-        for step in range(1, steps + 1):
-            server = self._primed()
-            plan = FaultPlan().crash_at_point(nth=step, site_prefix="journal:")
-            plan.attach_platform(server.platform)
+        for step in range(steps):
+            server, plan = under_plan(self._primed)
+            plan.crash_after_effects(step)
             with pytest.raises(EnclaveCrashed):
                 self._remove_pair(server)
             plan.detach()
@@ -558,17 +555,39 @@ class TestGroupEntriesInAnEpoch:
 
     KEY = bytes(range(32))
 
-    def _world(self, stop_site: str, nth: int):
+    def _members(self, stores: StoreSet, plan: FaultPlan) -> None:
+        """The two members' epoch over ``stores``, whose effects ``plan`` sees."""
+        stores = faulty_stores(stores, plan)
+        journal = WriteAheadJournal(stores, self.KEY)
+        enclave, stats = loaded_enclave(), TransactionStats()
+        content = DeferredStore(stores.content, enclave, stats, journal, TAG_CONTENT)
+        dedup = DeferredStore(stores.dedup, enclave, stats, journal, TAG_DEDUP)
+        journal.open_epoch("epoch")
+        for member, name in enumerate("ab", start=1):
+            base = journal.begin_member()
+            dedup.arm()
+            content.arm()
+            for i in range(4):
+                dedup.delete(f"{name}{i}")
+            content.put("/doc", b"member %d" % member)
+            content.put(f"/new{member}", b"n")
+            dedup._spill()
+            content._spill()
+            # A second group of the same member over keys the first wrote.
+            content.put("/doc", b"member %d, again" % member)
+            content.delete(f"/new{member}")
+            writes = dedup.drain() + content.drain()
+            record = journal.commit_member(base, b"", b"", member, f"m{member}", writes=writes)
+            journal.apply(record.writes, record.parts)
+        journal.close_epoch()
+
+    def _stores(self) -> StoreSet:
         stores = StoreSet.in_memory()
         for name in "ab":
             for i in range(4):
                 stores.dedup.put(f"{name}{i}", (name + str(i)).encode() * 200)
         stores.content.put("/doc", b"v0")
-        journal = WriteAheadJournal(stores, self.KEY, crash_hook=stop_at(stop_site, nth))
-        enclave, stats = loaded_enclave(), TransactionStats()
-        content = DeferredStore(stores.content, enclave, stats, journal, TAG_CONTENT)
-        dedup = DeferredStore(stores.dedup, enclave, stats, journal, TAG_DEDUP)
-        return stores, journal, content, dedup
+        return stores
 
     @staticmethod
     def _state(stores: StoreSet) -> dict:
@@ -577,27 +596,14 @@ class TestGroupEntriesInAnEpoch:
             for name, store in (("content", stores.content), ("dedup", stores.dedup))
         }
 
-    def _run(self, stop_site: str, nth: int) -> StoreSet:
-        stores, journal, content, dedup = self._world(stop_site, nth)
-        journal.open_epoch("epoch")
-        with pytest.raises(StopHere):
-            for member, name in enumerate("ab", start=1):
-                base = journal.begin_member()
-                dedup.arm()
-                content.arm()
-                for i in range(4):
-                    dedup.delete(f"{name}{i}")
-                content.put("/doc", b"member %d" % member)
-                content.put(f"/new{member}", b"n")
-                dedup._spill()
-                content._spill()
-                # A second group of the same member over keys the first wrote.
-                content.put("/doc", b"member %d, again" % member)
-                content.delete(f"/new{member}")
-                writes = dedup.drain() + content.drain()
-                record = journal.commit_member(base, b"", b"", member, f"m{member}", writes=writes)
-                journal.apply(record.writes, record.parts)
-            journal.close_epoch()
+    def _run(self, site: str, nth: int) -> StoreSet:
+        """Crash the epoch where the named ``site`` fired ``nth``, recover;
+        the stores."""
+        plan = RecordingPlan()
+        self._members(self._stores(), plan)
+        stores = self._stores()
+        with pytest.raises(EnclaveCrashed):
+            self._members(stores, FaultPlan().crash_after_effects(journal_site(plan.labels, site, nth)))
         recovery = WriteAheadJournal(stores, self.KEY)
         recovery.recover()
         recovery.recover_finish()

@@ -5,8 +5,8 @@ into their one metadata blob each, and the engine charges one round trip
 per store for them, the way a member's commit applies its writes.  An
 epoch whose members wrote both stores still writes one anchor and
 increments the one counter once.  The puts reach the store one by one,
-each node write behind its own crashpoint and the anchor behind the
-counter's, so a crash between any two of them recovers.
+each node write its own effect and the anchor's after the counter's, so
+a crash between any two of them recovers.
 """
 
 from __future__ import annotations
@@ -20,12 +20,12 @@ from repro.core.rollback import COUNTER_ID
 from repro.core.requests import Status
 from repro.core.server import SeGShareServer
 from repro.errors import EnclaveCrashed
-from repro.faults import FaultPlan
 from repro.netsim import azure_wan_env
 from repro.pki import CertificateAuthority
 from repro.storage.backends import InMemoryStore
 from repro.storage.stores import StoreSet
 from repro.store.engine import StorageEngine
+from tests.support.explorer import under_plan
 
 _CA = CertificateAuthority(key_bits=1024)
 
@@ -90,13 +90,19 @@ def test_an_epoch_close_is_one_round_trip_per_store(monkeypatch):
     enclave.group_guard.verify_restored_state()
 
 
-def _close_crashpoints(prefix: str) -> int:
-    server = _server()
-    plan = FaultPlan().crash_at_point(nth=10**9, site_prefix=prefix)
-    plan.attach_platform(server.platform)
+#: The effect each named crash site of the old close stood before.
+_SITE_EFFECTS = {
+    "anchor:fs-node-write": "content:put '\\x00rb:node:",
+    "anchor:group-node-write": "group:put '\\x00rbg:node",
+    "anchor:counter-incremented": "content:put '\\x00rb:anchor",
+}
+
+
+def _close_effects() -> list[str]:
+    server, plan = under_plan(_server)
+    start = len(plan.labels)
     _both_stores(server)
-    plan.detach()
-    return plan.seen_crashpoints(prefix)
+    return plan.labels[start:]
 
 
 def test_an_epoch_over_both_stores_writes_one_anchor_and_counts_once():
@@ -122,15 +128,18 @@ def test_an_epoch_over_both_stores_writes_one_anchor_and_counts_once():
     ],
 )
 def test_each_node_and_anchor_write_keeps_its_crashpoint(site, count):
-    assert _close_crashpoints(site) == count
+    """Each node write, and the anchor's after the counter's, is an effect
+    of its own: a crash state of the close."""
+    assert sum(label.startswith(_SITE_EFFECTS[site]) for label in _close_effects()) == count
 
 
 @pytest.mark.parametrize("step", range(1, 5))
 def test_a_crash_at_each_close_crashpoint_recovers(step):
-    assert _close_crashpoints("anchor:") == 4
-    server = _server()
-    plan = FaultPlan().crash_at_point(nth=step, site_prefix="anchor:")
-    plan.attach_platform(server.platform)
+    labels = _close_effects()
+    targets = [k for k, label in enumerate(labels) if label.startswith(tuple(_SITE_EFFECTS.values()))]
+    assert len(targets) == 4
+    server, plan = under_plan(_server)
+    plan.crash_after_effects(targets[step - 1])
     with pytest.raises(EnclaveCrashed):
         _both_stores(server)
     plan.detach()

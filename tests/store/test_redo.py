@@ -28,12 +28,12 @@ from repro.core.journal import MAX_COUNTER_LAG
 from repro.core.requests import Op, Request, Status
 from repro.core.server import SeGShareServer
 from repro.errors import EnclaveCrashed, RollbackDetected, StorageError
-from repro.faults import FaultPlan
 from repro.netsim import azure_wan_env
 from repro.pki import CertificateAuthority
 from repro.storage.backends import InMemoryStore, UntrustedStore
 from repro.storage.stores import StoreSet
 from repro.store import engine as engine_module
+from tests.support.explorer import under_plan
 from tests.support.platform import engine_for, loaded_enclave
 
 #: One CA for the whole module — its RSA key generation dominates setup.
@@ -236,18 +236,16 @@ def test_other_members_of_a_shared_epoch_stand(monkeypatch):
 
 def _crashed_past_commit(server: SeGShareServer) -> str:
     """Kill ``server`` with a PUT_DIR's record stored but not applied; its key."""
-    plan = FaultPlan().crash_at_point(nth=1, site_prefix="journal:committed")
-    plan.attach_platform(server.platform)
+    server.platform.fault_plan.crash_after_effects(1)  # the record's put
     with pytest.raises(EnclaveCrashed):
         server.enclave.handler.handle("alice", Request(op=Op.PUT_DIR, args=("/e/",)))
-    plan.detach()
     (key,) = [key for key in server.stores.content.keys() if key.startswith(_RECORD)]
     return key
 
 
 def _server() -> SeGShareServer:
     options = SeGShareOptions(rollback="whole_fs", rollback_buckets=8)
-    server = SeGShareServer(azure_wan_env(), _CA.public_key, options=options)
+    server, _ = under_plan(lambda stores: SeGShareServer(azure_wan_env(), _CA.public_key, stores=stores, options=options))
     assert server.enclave.handler.handle("alice", Request(op=Op.PUT_DIR, args=("/d/",))).status is Status.OK
     return server
 

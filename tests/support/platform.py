@@ -35,7 +35,6 @@ def engine_for(
     enclave: Enclave,
     cache: MetadataCache | None = None,
 ) -> StorageEngine:
-    """The storage engine ``enclave`` would build over ``stores``: journaled,
-    with the journal's steps wired to the platform's crashpoints."""
-    journal = WriteAheadJournal(stores, bytes(32), crash_hook=enclave.platform.crashpoint)
+    """The storage engine ``enclave`` would build over ``stores``: journaled."""
+    journal = WriteAheadJournal(stores, bytes(32))
     return StorageEngine(stores, enclave, journal=journal, cache=cache)
