@@ -130,9 +130,9 @@ class FunctionInfo:
 
 
 class ClassInfo:
-    """Methods, string constants and inferred attribute types of one class."""
+    """Methods and inferred attribute types of one class."""
 
-    __slots__ = ("name", "module_name", "methods", "attr_types", "constants")
+    __slots__ = ("name", "module_name", "methods", "attr_types")
 
     def __init__(self, name: str, module_name: str) -> None:
         self.name = name
@@ -141,8 +141,6 @@ class ClassInfo:
         self.methods: dict[str, FuncKey] = {}
         #: attribute name -> bare type name (from ``__init__`` inference)
         self.attr_types: dict[str, str] = {}
-        #: class-level ``NAME = "literal"`` assignments
-        self.constants: dict[str, str] = {}
 
 
 #: Names whose instances are builtin containers/primitives: a method call
@@ -270,19 +268,6 @@ class CallGraph:
                     inner = ClassInfo(child.name, module.name)
                     self.classes_by_name[child.name].append(inner)
                     self._class_of[(module.name, child.name)] = inner
-                    for stmt in child.body:
-                        if isinstance(stmt, ast.Assign) and len(stmt.targets) == 1:
-                            target = stmt.targets[0]
-                        elif isinstance(stmt, ast.AnnAssign):
-                            target = stmt.target
-                        else:
-                            continue
-                        if (
-                            isinstance(target, ast.Name)
-                            and isinstance(stmt.value, ast.Constant)
-                            and isinstance(stmt.value.value, str)
-                        ):
-                            inner.constants[target.id] = stmt.value.value
                     walk(child, f"{prefix}{child.name}.", inner)
                 else:
                     walk(child, prefix, cls)
@@ -372,18 +357,6 @@ class CallGraph:
                 key[0] == p or fnmatch.fnmatchcase(key[0], p) for p in patterns
             )
         }
-
-    def class_constants(self, name: str) -> list[str]:
-        """Every class-level string constant called ``name``, in definition
-        order.  A base-class method reading ``self.NAME`` sees whichever
-        subclass's value, so — like unresolved calls — the answer is every
-        class's: over-approximate, never missing one."""
-        return [
-            cls.constants[name]
-            for infos in self.classes_by_name.values()
-            for cls in infos
-            if name in cls.constants
-        ]
 
     # -- alias resolution ------------------------------------------------------
 

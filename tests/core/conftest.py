@@ -63,6 +63,7 @@ def build_world(
         manager.content.guard = guard
         group_guard = FlatStoreGuard(manager, ROOT_KEY, anchor, buckets=buckets)
         manager.group.guard = group_guard
+        anchor.boot()
     return HandlerWorld(
         stores=stores,
         manager=manager,

@@ -519,14 +519,15 @@ class TestAnchoring:
         assert guarded.guard.recompute_main() == guarded.guard.root_hash()
 
     def test_rebuild_restores_verifiability(self, make_world):
-        """Enabling the guard over an existing unguarded share via rebuild."""
+        """Enabling the guard over an existing unguarded share: its first
+        boot builds the nodes from storage."""
         stores = StoreSet.in_memory()
         plain = make_world(stores=stores)
         plain.handler.put_dir("alice", "/d/")
         plain.handler.put_file("alice", "/d/f", b"migrated")
         anchor = FileSystemAnchor(plain.manager, plain.enclave, plain.locks)
         guard = RollbackGuard(plain.manager, ROOT_KEY, anchor, buckets=16)
-        guard.rebuild()
+        anchor.boot()
         plain.manager.content.guard = guard
         assert plain.manager.read_content("/d/f") == b"migrated"
 
@@ -581,6 +582,7 @@ def counted(request, make_world):
     anchor = FileSystemAnchor(world.manager, world.enclave, world.locks, counter)
     world.manager.content.guard = RollbackGuard(world.manager, ROOT_KEY, anchor, buckets=4)
     world.manager.group.guard = FlatStoreGuard(world.manager, ROOT_KEY, anchor, buckets=4)
+    anchor.boot()
     serial = iter(range(1000))
     if request.param == "fs":
         world.handler.put_file("alice", "/f", b"v0")
@@ -647,7 +649,8 @@ class TestSharedGuardCore:
             # longer describe what the span reads ...
             with pytest.raises(RollbackDetected):
                 guard.verify_restored_state()
-            guard.rebuild()  # ... until they are rebuilt from it.
+            guard.rebuild_nodes()  # ... until they are rebuilt from it
+            counted.anchor.accept_current_state()  # and anchored.
             guard.verify_restored_state()
             counted.read()
         guard.verify_restored_state()
