@@ -2,104 +2,80 @@
 """Replication: three enclaves on three platforms serve one share.
 
 The paper's Section V-F: all enclaves read the same central repository,
-and the root key SK_r travels from the root enclave to each replica over
-a mutually attested channel that requires **identical measurements** —
-only an enclave built for the same CA can join.
+and the root key SK_r travels from a serving enclave to each joining one
+over a mutually attested channel that requires **identical measurements**
+— only an enclave built for the same CA can join.  The cluster's
+admission (``cluster.admit``) is the one join: attest, key transfer,
+anchor catch-up, ring admission.
 
     python examples/replication_cluster.py
 """
 
-from repro.core.enclave_app import SeGShareEnclave, SeGShareOptions
-from repro.core.replication import ReplicaSet
-from repro.core.server import SeGShareServer, deploy, provision_certificate
-from repro.errors import ReplicationError
-from repro.netsim import azure_wan_env
+from repro.cluster import ClusterDeployment
+from repro.core.client import SeGShareClient
+from repro.core.enclave_app import SeGShareOptions
+from repro.core.server import provision_certificate
+from repro.crypto import rsa
+from repro.errors import MembershipError
+from repro.netsim import SimClock
 from repro.pki import CertificateAuthority
-from repro.sgx import AttestationService, SgxPlatform
-from repro.storage.backends import InMemoryStore
-from repro.storage.stores import StoreSet
+from repro.tls import TlsClient
+from repro.tls.handshake import ClientIdentity
 
 
-def make_replica(
-    deployment, shared_backend: InMemoryStore, options: SeGShareOptions
-) -> SeGShareServer:
-    """A replica on its own platform, against the shared repository."""
-    env = azure_wan_env()
-    server = SeGShareServer(
-        env,
-        deployment.ca.public_key,
-        stores=StoreSet.over(shared_backend),
-        options=options,
-        attestation_service=deployment.attestation,
-        platform=SgxPlatform(clock=env.clock),
-    )
-    deployment.attestation.register_platform(
-        server.platform.platform_id,
-        server.platform.quoting_enclave.attestation_public_key,
-    )
+def connect(deployment, server, user, key) -> SeGShareClient:
+    """Certify ``server`` (the setup phase) and open a TLS session to it."""
     provision_certificate(
         deployment.ca, deployment.attestation, server, server.enclave.measurement()
     )
-    return server
+    identity = ClientIdentity(
+        certificate=deployment.ca.issue_client_certificate(user, key.public_key),
+        private_key=key,
+    )
+    tls = TlsClient(
+        server.endpoint().connect(), identity, deployment.ca.public_key, clock=server.env.clock
+    )
+    tls.handshake()
+    return SeGShareClient(tls)
 
 
 def main() -> None:
-    shared_backend = InMemoryStore()
-    options = SeGShareOptions(replica=False)
-    replica_options = SeGShareOptions(replica=True)
+    # The paper's §V-F share: rollback protection off, no metadata cache.
+    deployment = ClusterDeployment(SimClock(), CertificateAuthority(), SeGShareOptions())
+    cluster = deployment.cluster
 
-    deployment = deploy(stores=StoreSet.over(shared_backend), options=options)
-    cluster = ReplicaSet(deployment.server)
-    print(f"root enclave up on platform {deployment.server.platform.platform_id}")
-
-    # Two replicas on fresh platforms join via attested key transfer.
-    for i in range(2):
-        replica = make_replica(deployment, shared_backend, replica_options)
-        assert not replica.enclave.ready, "replica must not serve before joining"
-        cluster.join(replica)
+    # The first enclave finds an empty repository and generates SK_r; each
+    # later one finds it keyed, starts keyless, and joins.
+    for i in range(3):
+        name = f"r{i}"
+        server = deployment.servers[name] = deployment.new_server()
+        keyless = not server.enclave.ready
+        cluster.admit(name, server)
         print(
-            f"replica {i + 1} joined on platform {replica.platform.platform_id} "
-            f"(ready={replica.enclave.ready})"
+            f"{name} up on platform {server.platform.platform_id}: "
+            f"{'joined via attested key transfer' if keyless else 'generated SK_r'} "
+            f"(ready={server.enclave.ready})"
         )
+        if not server.enclave.ready:
+            raise SystemExit(f"UNEXPECTED: {name} is not ready after admission")
 
     # A rogue enclave with a DIFFERENT CA key (hence different
     # measurement) cannot obtain SK_r.
-    rogue_ca = CertificateAuthority(name="rogue-ca")
-    rogue_env = azure_wan_env()
-    rogue_platform = SgxPlatform(clock=rogue_env.clock)
-    rogue = SeGShareServer(
-        rogue_env,
-        rogue_ca.public_key,
-        stores=StoreSet.over(shared_backend),
-        options=replica_options,
-        attestation_service=deployment.attestation,
-        platform=rogue_platform,
-    )
-    deployment.attestation.register_platform(
-        rogue_platform.platform_id,
-        rogue_platform.quoting_enclave.attestation_public_key,
-    )
+    rogue = deployment.new_server(ca=CertificateAuthority(name="rogue-ca"))
     try:
-        cluster.join(rogue)
+        cluster.admit("rogue", rogue)
         raise SystemExit("UNEXPECTED: rogue enclave obtained the root key")
-    except Exception as exc:  # AttestationError via the enclave boundary
+    except MembershipError as exc:
         print(f"rogue enclave rejected: {type(exc).__name__}")
 
     # Writes through one server are readable through any other: same
     # repository, same root key.
-    alice_on_root = deployment.new_user("alice")
-    alice_on_root.upload("/cluster.txt", b"written via the root enclave")
-
-    replica_server = cluster.replicas[0]
-    conn = replica_server.endpoint().connect()
-    from repro.tls import TlsClient
-    from repro.core.client import SeGShareClient
-
-    identity = deployment.user_identity("alice")
-    tls = TlsClient(conn, identity, deployment.ca.public_key, clock=replica_server.env.clock)
-    tls.handshake()
-    alice_on_replica = SeGShareClient(tls)
-    print("read via replica 1:", alice_on_replica.download("/cluster.txt").decode())
+    alice_key = rsa.generate_keypair(1024)
+    connect(deployment, deployment.server("r0"), "alice", alice_key).upload(
+        "/cluster.txt", b"written via the root enclave"
+    )
+    alice_on_replica = connect(deployment, deployment.server("r1"), "alice", alice_key)
+    print("read via replica r1:", alice_on_replica.download("/cluster.txt").decode())
 
 
 if __name__ == "__main__":

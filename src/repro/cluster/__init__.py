@@ -9,13 +9,14 @@ heartbeats, fails over mid-request through the shared redo journal
 membership protocol (:mod:`repro.cluster.membership`).  See
 docs/CLUSTER.md for the topology and the failover sequence.
 
-:func:`build_cluster` wires the whole thing: one shared backend, one
-virtual clock, one counter quorum, N platforms.
+:class:`ClusterDeployment` holds what the members share (one backend,
+one virtual clock, one counter quorum) and stands up every member;
+:func:`build_cluster` uses it to wire N members behind one front door.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Dict
 
 from repro.cluster.driver import ClusterDriver
@@ -27,8 +28,9 @@ from repro.core.server import SeGShareServer
 from repro.netsim import CoherenceBoard, Link, NetworkEnv, ParallelClock, SimClock
 from repro.netsim.network import AZURE_WAN
 from repro.pki import CertificateAuthority
-from repro.sgx import AttestationService, SgxPlatform
+from repro.sgx import AttestationService, RoteCounterService, SgxPlatform
 from repro.sgx.attestation import QuotingEnclave
+from repro.sgx.costmodel import DEFAULT_COSTS
 from repro.storage.backends import InMemoryStore
 from repro.storage.stores import StoreSet
 
@@ -92,19 +94,85 @@ def cluster_options(
 
 @dataclass
 class ClusterDeployment:
-    """A wired cluster: front door, named servers, shared substrate."""
+    """One share's cluster substrate, and the one way to stand up a member.
 
-    cluster: SeGShareCluster
-    servers: Dict[str, SeGShareServer]
-    backend: InMemoryStore
-    env: NetworkEnv
+    Everything that must be shared is made here exactly once: the backend
+    (all stores are prefixed views over it), the virtual clock, the
+    attestation service, the ROTE counter quorum, the front door and —
+    for a cached cluster — the coherence board.  :meth:`new_server` wires
+    a new platform onto all of them; ``cluster.admit`` then runs the one
+    join (attest, key transfer, catch-up, ring admission).
+    """
+
+    clock: SimClock
     ca: CertificateAuthority
-    attestation: AttestationService
+    #: The options every member is built with unless told otherwise.
+    options: SeGShareOptions
     #: Shared invalidation log; ``None`` for an uncached cluster.
     board: CoherenceBoard | None = None
+    seed: int = 0
+    servers: Dict[str, SeGShareServer] = field(default_factory=dict)
+    attestation: AttestationService = field(init=False)
+    backend: InMemoryStore = field(init=False)
+    rote: RoteCounterService = field(init=False)
+    cluster: SeGShareCluster = field(init=False)
+
+    def __post_init__(self) -> None:
+        self.attestation = AttestationService()
+        self.backend = InMemoryStore()
+        self.rote = RoteCounterService(self.clock, DEFAULT_COSTS)
+        membership = ClusterMembership(self.attestation)
+        self.cluster = SeGShareCluster(self.clock, membership, board=self.board)
+        self._built = 0
+
+    @property
+    def env(self) -> NetworkEnv:
+        """The first member's network environment."""
+        return next(iter(self.servers.values())).env
 
     def server(self, name: str) -> SeGShareServer:
         return self.servers[name]
+
+    def new_server(
+        self,
+        stores: StoreSet | None = None,
+        *,
+        options: SeGShareOptions | None = None,
+        ca: CertificateAuthority | None = None,
+        register: bool = True,
+    ) -> SeGShareServer:
+        """A server on a new platform over the shared substrate, not admitted.
+
+        The platform gets its quoting enclave, the shared counter quorum
+        and board (installed before the enclave loads, so even bootstrap
+        commits count on the quorum and publish their invalidations), and
+        is registered with the attestation service unless ``register`` is
+        False.  ``stores`` defaults to views over the shared backend; a
+        test passes them wrapped (``faulty_stores``).  ``options`` and
+        ``ca`` default to the share's; another CA builds an enclave with
+        another measurement.  The enclave starts keyless when another
+        platform already keyed the backend, and waits for its join.
+        """
+        platform = SgxPlatform(clock=self.clock)
+        platform.quoting_enclave = QuotingEnclave(platform)
+        platform._segshare_counter_rote = self.rote
+        if self.board is not None:
+            platform._segshare_coherence_board = self.board
+        link = Link(self.clock, AZURE_WAN, seed=self.seed * 101 + self._built)
+        self._built += 1
+        server = SeGShareServer(
+            NetworkEnv(clock=self.clock, link=link),
+            (ca or self.ca).public_key,
+            stores=stores if stores is not None else StoreSet.over(self.backend),
+            options=options or self.options,
+            attestation_service=self.attestation,
+            platform=platform,
+        )
+        if register:
+            self.attestation.register_platform(
+                platform.platform_id, platform.quoting_enclave.attestation_public_key
+            )
+        return server
 
 
 def build_cluster(
@@ -118,65 +186,33 @@ def build_cluster(
 ) -> ClusterDeployment:
     """Stand up ``replicas`` SeGShare servers behind one front door.
 
-    Everything that must be shared is shared exactly once: the backend
-    (all stores are prefixed views over it), the virtual clock (one
-    timeline, parallel tracks when ``parallel=True``), the ROTE
-    counter quorum (the root's service is installed on every platform
-    *before* its join, so ``cluster_verify_anchor`` checks against the
-    same quorum the anchor was counted on — a mis-wired quorum fails
-    the join instead of corrupting freshness), and — when ``cached`` —
-    one coherence board, installed on every platform before server
-    construction so even bootstrap commits publish their invalidations.
-    ``authz_backend`` overrides the authorization backend on every
-    replica (it otherwise passes through from ``options``); the backends
-    keep all their state in the shared, journaled stores, so failover
-    and coherence work identically for both.
+    The substrate is a :class:`ClusterDeployment`: one timeline (parallel
+    tracks when ``parallel=True``), one backend, one ROTE counter quorum
+    (installed on every platform before its enclave loads, so
+    ``cluster_verify_anchor`` checks against the same quorum the anchor
+    was counted on — a mis-wired quorum fails the join instead of
+    corrupting freshness), and — when ``cached`` — one coherence board.
+    Member ``r0`` generates SK_r on its first start; every later member
+    starts keyless and obtains it through ``admit``.  ``authz_backend``
+    overrides the authorization backend on every replica (it otherwise
+    passes through from ``options``); the backends keep all their state
+    in the shared, journaled stores, so failover and coherence work
+    identically for both.
     """
     if replicas < 1:
         raise ValueError("a cluster needs at least one replica")
     base = cluster_options(options, cached=cached)
     if authz_backend is not None:
         base = replace(base, authz_backend=authz_backend)
-    ca = ca or CertificateAuthority(key_bits=1024)
-    service = AttestationService()
-    backend = InMemoryStore()
-    clock: SimClock = ParallelClock() if parallel else SimClock()
-    board = CoherenceBoard() if cached else None
-    cluster = SeGShareCluster(clock, ClusterMembership(service), board=board)
-    servers: Dict[str, SeGShareServer] = {}
-    rote = None
+    deployment = ClusterDeployment(
+        clock=ParallelClock() if parallel else SimClock(),
+        ca=ca or CertificateAuthority(key_bits=1024),
+        options=base,
+        board=CoherenceBoard() if cached else None,
+        seed=seed,
+    )
     for i in range(replicas):
         name = f"r{i}"
-        platform = SgxPlatform(clock=clock)
-        platform.quoting_enclave = QuotingEnclave(platform)
-        if board is not None:
-            platform._segshare_coherence_board = board
-        if i > 0:
-            platform._segshare_counter_rote = rote
-        env = NetworkEnv(clock=clock, link=Link(clock, AZURE_WAN, seed=seed * 101 + i))
-        server = SeGShareServer(
-            env,
-            ca.public_key,
-            stores=StoreSet.over(backend),
-            options=replace(base, replica=(i > 0)),
-            attestation_service=service,
-            platform=platform,
-        )
-        if i == 0:
-            # Created lazily while the root built its guards; every later
-            # platform gets the same service installed above.
-            rote = platform._segshare_counter_rote
-        service.register_platform(
-            platform.platform_id, platform.quoting_enclave.attestation_public_key
-        )
-        servers[name] = server
-        cluster.admit(name, server)
-    return ClusterDeployment(
-        cluster=cluster,
-        servers=servers,
-        backend=backend,
-        env=servers["r0"].env,
-        ca=ca,
-        attestation=service,
-        board=board,
-    )
+        deployment.servers[name] = server = deployment.new_server()
+        deployment.cluster.admit(name, server)
+    return deployment

@@ -91,17 +91,18 @@ class SeGShareCluster:
         retry: RetryPolicy | None = None,
         retry_seed: int = 0,
     ) -> bool:
-        """Join ``server`` (idempotent) and start monitoring it."""
+        """Join ``server`` (idempotent) and start monitoring it.
+
+        Cache coherence is decided here, once: members write the shared
+        repository behind each other's backs, so a cached member is
+        admitted only where every member publishes to and syncs against
+        one invalidation log.  Joining members start cold: their manager
+        initializes at the board's current epoch with empty caches.
+        """
         if self.coherence_board is not None:
-            # A cached cluster's caches are only coherent among replicas
-            # that publish to and sync against the *same* log.  A
-            # candidate wired to no board (or a different one) would
-            # serve stale plaintext the moment a peer commits — reject
-            # it before any key material moves.  Joining members start
-            # cold: their manager initialized at the board's current
-            # epoch with empty caches.  Checked on the platform, not the
-            # engine — a joining replica builds its components only
-            # after the key transfer, from exactly this attribute.
+            # Checked on the platform, not the engine — a joining replica
+            # builds its components only after the key transfer, from
+            # exactly this attribute.
             installed = getattr(
                 server.enclave.platform, "_segshare_coherence_board", None
             )
@@ -109,6 +110,11 @@ class SeGShareCluster:
                 raise MembershipError(
                     f"candidate {name!r} does not share the cluster's coherence log"
                 )
+        elif server.enclave._options.metadata_cache_bytes is not None:
+            raise MembershipError(
+                f"candidate {name!r} caches metadata but the cluster has no "
+                "coherence log to keep it fresh"
+            )
         # Join catch-up verifies the *stored* anchors; flush any member's
         # open commit epoch first so they are current.
         for member in self.membership.members.values():

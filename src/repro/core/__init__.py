@@ -12,8 +12,9 @@ The pieces map one-to-one onto Fig. 1 of the paper:
 * :mod:`repro.core.server` — the untrusted server host,
 * :mod:`repro.core.client` — the user application,
 * extensions: :mod:`repro.core.dedup`, :mod:`repro.core.hiding`,
-  :mod:`repro.core.rollback`, :mod:`repro.core.replication`,
-  :mod:`repro.core.backup` (paper Section V).
+  :mod:`repro.core.rollback`, :mod:`repro.core.backup` (paper
+  Section V); replication (V-F) is the cluster's join,
+  :mod:`repro.cluster.membership`.
 
 Use :func:`repro.core.server.deploy` to stand up a complete system and
 :class:`repro.core.client.SeGShareClient` to talk to it; see

@@ -84,8 +84,6 @@ class SeGShareOptions:
     ``"whole_fs"`` (Section V-E, adds a monotonic counter).
     ``counter_kind`` picks the counter backing whole-FS protection:
     ``"sgx"`` (slow, wearing) or ``"rote"`` (replicated, fast).
-    ``replica`` starts the enclave without a root key; it must join a
-    root enclave via replication before serving (Section V-F).
     """
 
     hide_paths: bool = False
@@ -93,7 +91,6 @@ class SeGShareOptions:
     rollback: str = "off"
     counter_kind: str = "sgx"
     rollback_buckets: int = 64
-    replica: bool = False
     audit: bool = False
     quota_bytes: int | None = None
     #: Accepted only as True: benchmarks/e2e/workloads.py still passes it.
@@ -247,8 +244,10 @@ class SeGShareEnclave(Enclave):
     #: ``repair_guards`` (docs/PERF.md §29): 7591 → 7588.  Crash states as
     #: effect prefixes, the named crash sites gone, and a first start that
     #: builds both guards' nodes and anchors them in one write
-    #: (docs/FAULTS.md): 7588 → 7556.
-    TCB_LOC_CEILING = 7556
+    #: (docs/FAULTS.md): 7588 → 7556.  One join, with the ``replica``
+    #: option replaced by the store's sealed-key slots and a catch-up that
+    #: verifies whatever anchor the share has (docs/CLUSTER.md §4): 7556 → 7554.
+    TCB_LOC_CEILING = 7554
 
     def __init__(
         self,
@@ -294,10 +293,13 @@ class SeGShareEnclave(Enclave):
                 aead_bytes_per_second=self.platform.costs.aead_bytes_per_second
             ),
         )
+        # Our own sealed SK_r: unseal it.  Another platform's: this share
+        # is keyed, so start keyless and wait for the join (Section V-F).
+        # Neither: a first start, which generates SK_r.
         root_key_slot = self._slot(_SEALED_ROOT_KEY)
         if self._stores.content.exists(root_key_slot):
             self._root_key = unseal(self, self._stores.content.get(root_key_slot))
-        elif not self._options.replica:
+        elif not any(self._stores.content.scan(_SEALED_ROOT_KEY.format(platform=""))):
             self._root_key = secrets.token_bytes(32)
             self._stores.content.put(root_key_slot, seal(self, self._root_key))
         if self._root_key is not None:
@@ -730,11 +732,12 @@ class SeGShareEnclave(Enclave):
     def invalidate_metadata_cache(self) -> None:
         """Strictly invalidate enclave-resident metadata state.
 
-        Called by the untrusted host after it changed storage behind the
-        enclave's back — backup restore onto a live enclave, or another
-        replica joining the shared repository.  Dropping cached plaintext
-        is always safe (the next read re-verifies from storage); keeping
-        it would not be.
+        Called by the untrusted host after it restored a backup onto a
+        live enclave, changing storage behind its back.  (Cluster members
+        need no such call: a cached member is admitted only onto a shared
+        coherence log, docs/CLUSTER.md §4.)  Dropping cached plaintext is
+        always safe (the next read re-verifies from storage); keeping it
+        would not be.
         """
         self._check_alive()
         if self.engine is not None:
@@ -808,19 +811,19 @@ class SeGShareEnclave(Enclave):
 
     @ecall
     def cluster_verify_anchor(self) -> bool:
-        """Join catch-up: prove the file-system anchor fresh against the quorum.
+        """Join catch-up: prove the file-system anchor, if the share has one.
 
         A replica is admitted to the placement ring only after this
-        passes — it refuses the degraded-read escape hatch, so a joining
-        replica wired to the wrong (or an empty) counter quorum is
-        rejected instead of silently serving a rolled-back snapshot.
+        passes.  Under whole-FS protection it refuses the degraded-read
+        escape hatch, so a joining replica wired to the wrong (or an
+        empty) counter quorum is rejected instead of silently serving a
+        rolled-back snapshot.  Returns whether an anchor was verified.
         """
         self._check_alive()
         anchor = self.engine.anchor if self.engine is not None else None
-        if anchor is None or len(anchor.guards) < 2:
-            raise EnclaveError("cluster catch-up requires whole-FS rollback protection")
-        anchor.verify_fresh()
-        return True
+        if anchor is not None:
+            anchor.verify_fresh()
+        return anchor is not None
 
     @ecall
     def authz_reconcile(self) -> dict:

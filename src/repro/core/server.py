@@ -48,15 +48,7 @@ class SeGShareServer:
         self.platform = platform or SgxPlatform(clock=env.clock)
         if getattr(self.platform, "quoting_enclave", None) is None:
             self.platform.quoting_enclave = QuotingEnclave(self.platform)
-        self.enclave = SeGShareEnclave(
-            ca_public_key,
-            self.stores,
-            options=options,
-            attestation_service=attestation_service,
-        )
-        self.handle = self.platform.load(self.enclave)
-        # The paper uses switchless calls for all network and file traffic.
-        self.handle.use_switchless(True)
+        self._load(ca_public_key, options, attestation_service)
         # The server's worker pool: with a ParallelClock, drivers dispatch
         # requests through it onto concurrent tracks (benchmarks and the
         # concurrency tests); with a serial clock it degrades to the
@@ -66,12 +58,6 @@ class SeGShareServer:
             self.platform.costs,
             workers=self.enclave._options.switchless_workers,
         )
-        self.untrusted_tls = UntrustedTlsInterface(
-            new_session=lambda: self.handle.call("new_session"),
-            forward=lambda session_id, raw: self.handle.call("on_record", session_id, raw),
-            close_session=lambda session_id: self.handle.call("close_session", session_id),
-        )
-        self.listener = Listener(env.link, self.untrusted_tls.attach)
         #: Set by a cluster front door (repro.cluster) when this server is
         #: admitted; lets ``stats()`` surface routing/failover counters.
         self.cluster = None
@@ -132,10 +118,18 @@ class SeGShareServer:
         Volatile state is lost; sealed state (root key, TLS identity) is
         recovered — the persistence path the sealing design exists for.
         """
-        ca_public_key = self.enclave._ca_public_key
-        options = self.enclave._options
-        attestation_service = self.enclave._attestation_service
+        enclave = self.enclave
+        wiring = enclave._ca_public_key, enclave._options, enclave._attestation_service
         self.handle.destroy()
+        self._load(*wiring)
+
+    def _load(
+        self,
+        ca_public_key: rsa.RsaPublicKey,
+        options: SeGShareOptions | None,
+        attestation_service: AttestationService | None,
+    ) -> None:
+        """Load a new enclave on our platform and wire the host side to it."""
         self.enclave = SeGShareEnclave(
             ca_public_key,
             self.stores,
@@ -143,6 +137,7 @@ class SeGShareServer:
             attestation_service=attestation_service,
         )
         self.handle = self.platform.load(self.enclave)
+        # The paper uses switchless calls for all network and file traffic.
         self.handle.use_switchless(True)
         self.untrusted_tls = UntrustedTlsInterface(
             new_session=lambda: self.handle.call("new_session"),

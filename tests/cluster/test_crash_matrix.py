@@ -15,20 +15,13 @@ its join's effects, and killed once they all landed, before its catch-up.
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 import pytest
 
-from repro.cluster import build_cluster, cluster_options, path_affinity
+from repro.cluster import build_cluster, path_affinity
 from repro.core.enclave_app import SeGShareOptions
 from repro.core.requests import Op, Request, Status
-from repro.core.server import SeGShareServer
 from repro.faults import faulty_stores
-from repro.netsim import Link, NetworkEnv
-from repro.netsim.network import AZURE_WAN
 from repro.pki import CertificateAuthority
-from repro.sgx import SgxPlatform
-from repro.sgx.attestation import QuotingEnclave
 from repro.storage.stores import StoreSet
 from tests.support.explorer import EFFECT_CLASSES, RecordingPlan, arm
 
@@ -176,29 +169,6 @@ class TestQuotaRefusalFailover:
 class TestJoinCatchupCrash:
     """A candidate dying mid-join stays out, restarts, and joins cleanly."""
 
-    def make_candidate(self, deployment):
-        root = deployment.server("r0")
-        clock = root.env.clock
-        platform = SgxPlatform(clock=clock)
-        platform.quoting_enclave = QuotingEnclave(platform)
-        platform._segshare_counter_rote = root.platform._segshare_counter_rote
-        # A cached cluster admits only candidates wired to its coherence
-        # log; the router rejects the join otherwise.
-        if deployment.board is not None:
-            platform._segshare_coherence_board = deployment.board
-        env = NetworkEnv(clock=clock, link=Link(clock, AZURE_WAN, seed=991))
-        plan = RecordingPlan().attach_platform(platform)
-        server = SeGShareServer(
-            env,
-            deployment.ca.public_key,
-            stores=faulty_stores(StoreSet.over(deployment.backend), plan),
-            options=replace(cluster_options(), replica=True),
-            attestation_service=deployment.attestation,
-            platform=platform,
-        )
-        deployment.attestation.register_platform(platform.platform_id, platform.quoting_enclave.attestation_public_key)
-        return server, plan
-
     @staticmethod
     def kill_before_catchup(candidate, plan) -> None:
         """The crash state after the join's last effect: the sealed root key
@@ -215,7 +185,9 @@ class TestJoinCatchupCrash:
     def test_crash_mid_join_catchup_then_rejoin(self):
         deployment = build()
         prime(deployment)
-        candidate, plan = self.make_candidate(deployment)
+        plan = RecordingPlan()
+        candidate = deployment.new_server(faulty_stores(StoreSet.over(deployment.backend), plan))
+        plan.attach_platform(candidate.platform)
         start = plan.effects
         assert deployment.cluster.admit("r3", candidate)
         steps = plan.effects - start
@@ -225,7 +197,9 @@ class TestJoinCatchupCrash:
             deployment = build()
             prime(deployment)
             cluster = deployment.cluster
-            candidate, plan = self.make_candidate(deployment)
+            plan = RecordingPlan()
+            candidate = deployment.new_server(faulty_stores(StoreSet.over(deployment.backend), plan))
+            plan.attach_platform(candidate.platform)
             if step < steps:
                 plan.crash_after_effects(step)
             else:

@@ -1,17 +1,13 @@
 """Membership: attested join, catch-up gate, eviction, rejoin."""
 
+from dataclasses import replace
+
 import pytest
 
-from repro.cluster import build_cluster, cluster_options
+from repro.cluster import build_cluster
 from repro.core.requests import Op, Request, Status
-from repro.core.server import SeGShareServer
 from repro.errors import MembershipError
-from repro.netsim import Link, NetworkEnv
-from repro.netsim.network import AZURE_WAN
 from repro.pki import CertificateAuthority
-from repro.sgx import SgxPlatform
-from repro.sgx.attestation import QuotingEnclave
-from repro.storage.stores import StoreSet
 
 #: One CA for the whole module — RSA key generation dominates setup.
 _CA = CertificateAuthority(key_bits=1024)
@@ -35,34 +31,6 @@ def read_file(server, path):
     return b"".join(response.chunks)
 
 
-def make_candidate(deployment, register=True):
-    """A replica server on the shared backend, outside the cluster."""
-    root = deployment.server("r0")
-    clock = root.env.clock
-    platform = SgxPlatform(clock=clock)
-    platform.quoting_enclave = QuotingEnclave(platform)
-    platform._segshare_counter_rote = root.platform._segshare_counter_rote
-    # A cached cluster admits only candidates wired to its coherence log.
-    if deployment.board is not None:
-        platform._segshare_coherence_board = deployment.board
-    env = NetworkEnv(clock=clock, link=Link(clock, AZURE_WAN, seed=97))
-    from dataclasses import replace
-
-    server = SeGShareServer(
-        env,
-        deployment.ca.public_key,
-        stores=StoreSet.over(deployment.backend),
-        options=replace(cluster_options(), replica=True),
-        attestation_service=deployment.attestation,
-        platform=platform,
-    )
-    if register:
-        deployment.attestation.register_platform(
-            platform.platform_id, platform.quoting_enclave.attestation_public_key
-        )
-    return server
-
-
 class TestJoin:
     def test_build_admits_all(self):
         deployment = small_cluster()
@@ -77,13 +45,24 @@ class TestJoin:
 
     def test_name_collision_rejected(self):
         deployment = small_cluster()
-        candidate = make_candidate(deployment)
+        candidate = deployment.new_server()
         with pytest.raises(MembershipError, match="already taken"):
             deployment.cluster.admit("r1", candidate)
 
+    def test_boardless_cluster_refuses_a_cached_candidate(self):
+        """Without a coherence log a peer's write would leave a cached
+        member serving stale plaintext: refused before any key moves."""
+        deployment = build_cluster(replicas=1, ca=_CA, cached=False)
+        cached = replace(deployment.options, metadata_cache_bytes=64 * 1024)
+        candidate = deployment.new_server(options=cached)
+        with pytest.raises(MembershipError, match="no coherence log"):
+            deployment.cluster.admit("r1", candidate)
+        assert not candidate.enclave.ready
+        assert deployment.cluster.membership.ring.members == ["r0"]
+
     def test_unregistered_platform_rejected_before_key_transfer(self):
         deployment = small_cluster()
-        candidate = make_candidate(deployment, register=False)
+        candidate = deployment.new_server(register=False)
         with pytest.raises(MembershipError, match="attestation"):
             deployment.cluster.admit("r3", candidate)
         assert not candidate.enclave.ready
@@ -98,7 +77,7 @@ class TestJoin:
         )
         assert handler.put_file("alice", "/d/f", b"payload").status is Status.OK
 
-        candidate = make_candidate(deployment)
+        candidate = deployment.new_server()
         assert not candidate.enclave.ready
         assert deployment.cluster.admit("r1", candidate)
         assert candidate.enclave.ready
@@ -107,7 +86,7 @@ class TestJoin:
     def test_first_member_must_hold_root_key(self):
         deployment = small_cluster(replicas=1)
         deployment.cluster.evict("r0")
-        candidate = make_candidate(deployment)
+        candidate = deployment.new_server()
         with pytest.raises(MembershipError, match="root key"):
             deployment.cluster.admit("rX", candidate)
 

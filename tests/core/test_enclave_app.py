@@ -98,13 +98,24 @@ class TestTcb:
 
 
 class TestReadiness:
-    def test_replica_not_ready_until_joined(self):
-        env = azure_wan_env()
+    def test_first_start_generates_the_root_key(self):
+        """An empty store: no enclave keyed this share yet, so SK_r is made
+        and sealed to this platform's slot."""
         ca = CertificateAuthority(key_bits=1024)
-        server = SeGShareServer(
-            env, ca.public_key, options=SeGShareOptions(replica=True)
-        )
-        assert not server.enclave.ready
+        server = SeGShareServer(azure_wan_env(), ca.public_key)
+        assert server.enclave.ready
+        slots = list(server.stores.content.scan("\x00segshare:sealed-root-key:"))
+        assert slots == [f"\x00segshare:sealed-root-key:{server.platform.platform_id}"]
+
+    def test_replica_not_ready_until_joined(self):
+        """Another platform's sealed SK_r is in the store: wait for the join."""
+        ca = CertificateAuthority(key_bits=1024)
+        first = SeGShareServer(azure_wan_env(), ca.public_key)
+        second = SeGShareServer(azure_wan_env(), ca.public_key, stores=first.stores)
+        assert not second.enclave.ready
+        root_key = first.enclave._root_key
+        first.restart_enclave()  # its own slot: unsealed, not regenerated
+        assert first.enclave._root_key == root_key
 
     def test_options_validated(self):
         with pytest.raises(ValueError):

@@ -2,8 +2,8 @@
 
 The cache (``repro.core.cache``) may only ever make reads *faster*, never
 *different*: a stale entry must not outlive a rolled-back journal batch,
-an enclave restart, a backup restore, or a replication root-key
-transfer.  These tests pin each invalidation path individually and then
+an enclave restart, a backup restore, or another cluster member's
+write.  These tests pin each invalidation path individually and then
 hammer the equivalence with a randomized property test comparing a
 cached and an uncached deployment byte for byte.
 """
@@ -14,6 +14,7 @@ import random
 
 import pytest
 
+from repro.cluster import build_cluster
 from repro.core.cache import MetadataCache
 from repro.core.enclave_app import SeGShareOptions
 from repro.core.requests import Op, Request, Status
@@ -228,51 +229,19 @@ class TestInvalidation:
         # The cached "post-backup" entry must not survive the restore.
         assert server.enclave.manager.read_content("/d/f") == b"victim content"
 
-    def test_root_key_transfer_invalidates_root_cache(self):
-        from repro.core.replication import transfer_root_key
-        from repro.core.server import deploy, provision_certificate
-        from repro.sgx import SgxPlatform
-        from repro.storage.backends import InMemoryStore
-
-        backend = InMemoryStore()
-        deployment = deploy(
-            env=azure_wan_env(),
-            ca=_CA,
-            stores=StoreSet.over(backend),
-            options=SeGShareOptions(metadata_cache_bytes=_CACHE_BYTES),
-        )
-        root = deployment.server
+    def test_a_members_write_is_read_fresh_at_the_root(self):
+        """Two cached members over one repository: the root serves the
+        replica's write, not its cached ghost, with no manual invalidate —
+        the cluster admitted both onto one coherence log."""
+        deployment = build_cluster(replicas=2, ca=_CA)
+        root, replica = deployment.server("r0"), deployment.server("r1")
+        assert root.enclave.cache is not None and replica.enclave.cache is not None
         prime(root)
-        root.enclave.manager.read_content("/d/f")  # warm the root's cache
-
-        env = azure_wan_env()
-        replica = SeGShareServer(
-            env,
-            _CA.public_key,
-            stores=StoreSet.over(backend),
-            options=SeGShareOptions(replica=True, metadata_cache_bytes=_CACHE_BYTES),
-            attestation_service=deployment.attestation,
-            platform=SgxPlatform(clock=env.clock),
-        )
-        deployment.attestation.register_platform(
-            replica.platform.platform_id,
-            replica.platform.quoting_enclave.attestation_public_key,
-        )
-        provision_certificate(
-            _CA, deployment.attestation, replica, replica.enclave.measurement()
-        )
-
-        invalidations_before = root.enclave.cache.stats.invalidations
-        transfer_root_key(root, replica)
-        assert root.enclave.cache.stats.invalidations > invalidations_before
-
-        # The replica mutates the shared repository behind the root's back;
-        # the root must serve the replica's write, not a cached ghost.
+        assert root.enclave.manager.read_content("/d/f") == b"victim content"  # warm
         assert (
             replica.enclave.handler.put_file("alice", "/d/f", b"replica wrote").status
             is Status.OK
         )
-        root.handle.call("invalidate_metadata_cache")
         assert root.enclave.manager.read_content("/d/f") == b"replica wrote"
 
 

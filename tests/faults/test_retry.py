@@ -2,10 +2,10 @@
 
 import pytest
 
+from repro.cluster import build_cluster
 from repro.core.enclave_app import SeGShareOptions
 from repro.core.model import default_group
-from repro.core.replication import transfer_root_key
-from repro.core.server import SeGShareServer, deploy, provision_certificate
+from repro.core.server import deploy
 from repro.core.requests import Op, Request, Response, Status
 from repro.errors import (
     FaultError,
@@ -16,8 +16,6 @@ from repro.errors import (
 )
 from repro.faults import FaultPlan, faulty_env, faulty_stores
 from repro.netsim import azure_wan_env
-from repro.sgx import SgxPlatform
-from repro.storage.backends import InMemoryStore
 from repro.storage.stores import StoreSet
 from repro.webdav import HttpRequest, Method
 
@@ -286,42 +284,23 @@ class TestUnavailability:
 
 
 class TestReplicationRetry:
-    def _replica_for(self, deployment, stores):
-        env = azure_wan_env()
-        server = SeGShareServer(
-            env,
-            deployment.ca.public_key,
-            stores=stores,
-            options=SeGShareOptions(replica=True),
-            attestation_service=deployment.attestation,
-            platform=SgxPlatform(clock=env.clock),
-        )
-        deployment.attestation.register_platform(
-            server.platform.platform_id,
-            server.platform.quoting_enclave.attestation_public_key,
-        )
-        provision_certificate(
-            deployment.ca, deployment.attestation, server, server.enclave.measurement()
-        )
-        return server
+    """The join's key exchange (``transfer_root_key``) retries transient
+    faults on the candidate."""
 
     def test_transfer_root_key_retries_transient_faults(self):
         plan = FaultPlan()
-        backend = InMemoryStore()
-        deployment = deploy(env=azure_wan_env(), stores=StoreSet.over(backend))
-        replica_stores = faulty_stores(StoreSet.over(backend), plan)
-        replica = self._replica_for(deployment, replica_stores)
-        # Fail the sealed-root-key put of the join's final step once.
+        deployment = build_cluster(replicas=1)
+        candidate = deployment.new_server(faulty_stores(StoreSet.over(deployment.backend), plan))
+        # Fail the sealed-root-key put of the exchange's final step once.
         plan.fail_nth(nth=1, op="put", store="content")
-        transfer_root_key(deployment.server, replica, retry=POLICY)
-        assert replica.enclave.ready
+        assert deployment.cluster.admit("r1", candidate, retry=POLICY)
+        assert candidate.enclave.ready
 
     def test_transfer_without_retry_propagates(self):
         plan = FaultPlan()
-        backend = InMemoryStore()
-        deployment = deploy(env=azure_wan_env(), stores=StoreSet.over(backend))
-        replica_stores = faulty_stores(StoreSet.over(backend), plan)
-        replica = self._replica_for(deployment, replica_stores)
+        deployment = build_cluster(replicas=1)
+        candidate = deployment.new_server(faulty_stores(StoreSet.over(deployment.backend), plan))
         plan.fail_nth(nth=1, op="put", store="content")
         with pytest.raises(FaultError):
-            transfer_root_key(deployment.server, replica)
+            deployment.cluster.admit("r1", candidate)
+        assert deployment.cluster.membership.ring.members == ["r0"]
