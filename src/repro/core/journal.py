@@ -216,7 +216,7 @@ class WriteAheadJournal:
             )
 
     def open_epoch(self, label: str, counter: int = 0) -> None:
-        """Open an epoch whose start saw the whole-FS counter at ``counter``;
+        """Open an epoch on the anchor record counted ``counter`` (whole-FS);
         no store write happens until a member commits."""
         self.check_usable()
         if self._active:
