@@ -163,6 +163,8 @@ class CoherenceManager:
         if shared == self._applied:
             return
         self.stats.syncs += 1
+        if self._engine.anchor is not None:  # a peer's close re-anchored
+            self._engine.anchor.forget()
         lag = shared - self._applied
         if lag < 0:
             # Counter rewind: a host replaying an old board state.
@@ -194,10 +196,9 @@ class CoherenceManager:
             self._applied = epoch
 
     def _apply(self, pairs: "list[Tuple[str, str]]") -> None:
-        cache = self._engine.cache
         for namespace, key in pairs:
-            if cache is not None:
-                cache.discard(namespace, key)
+            if self._engine.cache is not None:
+                self._engine.cache.discard(namespace, key)
             self.stats.invalidations_applied += 1
 
     def _full_discard(self) -> None:

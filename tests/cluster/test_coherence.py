@@ -24,8 +24,10 @@ _ROOT_KEY = b"\x07" * 32
 
 class _EngineStub:
     """What CoherenceManager touches on its engine: the cache, the
-    released objects awaiting reclaim, and the real full-discard routine
-    over them."""
+    released objects awaiting reclaim, the anchor (none here), and the
+    real full-discard routine over them."""
+
+    anchor = None
 
     def __init__(self) -> None:
         self.cache = MetadataCache(capacity_bytes=64 * 1024, epc=sim_platform().epc)

@@ -162,3 +162,20 @@ class TestStats:
         deployment.cluster.evict("r2")
         assert root.stats()["cluster"]["evictions"] == 1
         assert "cluster" not in deployment.server("r2").stats()
+
+
+@pytest.mark.parametrize("cached", [True, False], ids=["cached", "uncached"])
+def test_members_writing_in_turn_open_on_each_others_anchor(cached):
+    """Each epoch opens on the latest anchor record whoever wrote it: a
+    cached member forgets its own once the coherence sync shows a peer's
+    close, an uncached one reads the record at every open."""
+    deployment = build_cluster(replicas=2, ca=_CA, cached=cached)
+    servers = [deployment.server("r0"), deployment.server("r1")]
+    handler = servers[0].enclave.handler
+    assert handler.handle("alice", Request(op=Op.PUT_DIR, args=("/d/",))).status is Status.OK
+    for turn in range(4):
+        writer = servers[turn % 2].enclave.handler
+        assert writer.put_file("alice", f"/d/f{turn}", b"turn %d" % turn).status is Status.OK
+    for server in servers:
+        server.enclave.guard.anchor.verify_fresh()
+        assert read_file(server, "/d/f3") == b"turn 3"
