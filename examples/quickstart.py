@@ -19,7 +19,7 @@ def main() -> None:
     # paper's setup phase.
     deployment = deploy(options=SeGShareOptions(enable_dedup=True))
     print(f"enclave measurement: {deployment.server.enclave.measurement().hex()[:16]}…")
-    print(f"server certificate subject: {deployment.server_certificate.subject}")
+    print(f"server certificate subject: {deployment.server_certificate.subject.rfc4514_string()}")
 
     # Users authenticate with CA-issued client certificates.
     alice = deployment.new_user("alice")

@@ -13,9 +13,8 @@ printer.  Run them from the command line::
     python -m repro.bench tcb       # enclave LoC report
     python -m repro.bench all
 
-Latencies are virtual-clock seconds from the calibrated Azure model; the
-pytest-benchmark files under ``benchmarks/`` additionally measure real
-wall time of the same operations.
+Latencies are virtual-clock seconds from the calibrated Azure model.
+``benchmarks/e2e`` is the repository's one wall-clock benchmark.
 """
 
 from repro.bench.concurrency import ConcurrentDriver, DriverResult, parallel_env

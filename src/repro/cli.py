@@ -27,6 +27,9 @@ import json
 import os
 import sys
 
+from cryptography import x509
+from cryptography.hazmat.primitives.serialization import Encoding
+
 from repro.core.audit import ca_authorized_export
 from repro.core.client import SeGShareClient
 from repro.core.enclave_app import SeGShareOptions
@@ -172,18 +175,16 @@ class World:
         with open(key_path, "wb") as fh:
             fh.write(key.serialize())
         with open(self.state.path("users", f"{user_id}.cert"), "wb") as fh:
-            fh.write(cert.serialize())
+            fh.write(cert.public_bytes(Encoding.DER))
 
     def connect(self, user_id: str) -> SeGShareClient:
         key_path = self.state.path("users", f"{user_id}.key")
         if not os.path.exists(key_path):
             raise SystemExit(f"unknown user {user_id!r}; run adduser first")
-        from repro.pki.certificate import Certificate
-
         with open(key_path, "rb") as fh:
             key = rsa.RsaPrivateKey.deserialize(fh.read())
         with open(self.state.path("users", f"{user_id}.cert"), "rb") as fh:
-            cert = Certificate.deserialize(fh.read())
+            cert = x509.load_der_x509_certificate(fh.read())
         tls = TlsClient(
             self.server.endpoint().connect(),
             ClientIdentity(cert, key),

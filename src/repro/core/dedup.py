@@ -237,10 +237,6 @@ class DedupStore:
             self._pfs.purge(path)
         return len(orphans)
 
-    def object_count(self) -> int:
-        """How many names have a stored record."""
-        return len(self._pfs.owners(_RECORD_PREFIX))
-
 
 class DedupUpload:
     """A streaming upload into the object store."""

@@ -19,6 +19,11 @@ from __future__ import annotations
 import secrets
 from dataclasses import dataclass
 
+from cryptography import x509
+from cryptography.hazmat.primitives import hashes
+from cryptography.hazmat.primitives.serialization import Encoding
+from cryptography.x509.oid import ExtendedKeyUsageOID, NameOID
+
 from repro.core.access_control import AccessControl
 from repro.core.authz import AUTHZ_BACKENDS, build_backend
 from repro.core.audit import AuditLog, export_message_bytes
@@ -42,6 +47,7 @@ from repro.errors import (
     AccessDenied,
     AttestationError,
     BackupError,
+    CertificateError,
     EnclaveCrashed,
     EnclaveError,
     ReplicationError,
@@ -49,7 +55,6 @@ from repro.errors import (
     RequestError,
 )
 from repro.netsim.clock import ParallelClock
-from repro.pki import Certificate, CertificateSigningRequest, CertificateUsage
 from repro.sgx import attestation as att
 from repro.sgx.counters import MonotonicCounter, RoteCounterService
 from repro.sgx.enclave import Enclave, ecall
@@ -57,7 +62,7 @@ from repro.sgx.sealing import seal, unseal
 from repro.storage.stores import StoreSet
 from repro.store.engine import StorageEngine
 from repro.tls.channel import StreamingResponse, TrustedTlsInterface
-from repro.tls.handshake import ServerIdentity
+from repro.tls.handshake import ServerIdentity, check_certificate
 from repro.tls.session import CryptoCostProfile
 from repro.util.serialization import Writer
 from repro.webdav.http import HttpRequest, HttpResponse
@@ -156,7 +161,6 @@ class SeGShareEnclave(Enclave):
         "repro.crypto.rsa",
         "repro.fsmodel.directory",
         "repro.fsmodel.paths",
-        "repro.pki.certificate",
         "repro.sgx.protected_fs",
         "repro.sgx.sealing",
         "repro.store.engine",
@@ -247,7 +251,11 @@ class SeGShareEnclave(Enclave):
     #: (docs/FAULTS.md): 7588 → 7556.  One join, with the ``replica``
     #: option replaced by the store's sealed-key slots and a catch-up that
     #: verifies whatever anchor the share has (docs/CLUSTER.md §4): 7556 → 7554.
-    TCB_LOC_CEILING = 7554
+    #: Certificates and CSRs are X.509 and PKCS#10 on OpenSSL, checked by
+    #: one ``check_certificate``; the hand-written certificate codec, the
+    #: dedup store's test-only ``object_count`` and a duplicate group-commit
+    #: counter gone, a connection's close now freeing its session: 7554 → 7463.
+    TCB_LOC_CEILING = 7463
 
     def __init__(
         self,
@@ -458,18 +466,19 @@ class SeGShareEnclave(Enclave):
 
     @ecall
     def create_csr(self) -> bytes:
-        """Generate the temporary key pair and return a CSR (setup step 2)."""
+        """Generate the temporary key pair and return a PKCS#10 CSR for a
+        ``serverAuth`` certificate whose UID is the measurement (setup step 2)."""
         self._check_alive()
         key = rsa.generate_keypair(1024)
         self._tls_key = key
         self.charge(self.platform.costs.rsa_sign * 40, "keygen")
-        csr = CertificateSigningRequest(
-            subject="segshare-enclave",
-            usage=CertificateUsage.SERVER,
-            public_key=key.public_key,
-            attributes={"measurement": self.measurement().hex()},
-        )
-        return csr.serialize()
+        subject = x509.Name([
+            x509.NameAttribute(NameOID.USER_ID, self.measurement().hex()),
+            x509.NameAttribute(NameOID.COMMON_NAME, "segshare-enclave"),
+        ])
+        builder = x509.CertificateSigningRequestBuilder().subject_name(subject)
+        builder = builder.add_extension(x509.ExtendedKeyUsage([ExtendedKeyUsageOID.SERVER_AUTH]), critical=False)
+        return builder.sign(key.openssl_key, hashes.SHA256()).public_bytes(Encoding.DER)
 
     @ecall
     def install_certificate(self, cert_bytes: bytes) -> None:
@@ -481,23 +490,21 @@ class SeGShareEnclave(Enclave):
         self._check_alive()
         if self._tls_key is None:
             raise EnclaveError("no pending CSR")
-        cert = Certificate.deserialize(cert_bytes)
-        cert.verify(self._ca_public_key)
-        cert.require_usage(CertificateUsage.SERVER)
-        if cert.public_key != self._tls_key.public_key:
-            raise EnclaveError("certificate does not match the pending key pair")
-        self._stores.content.put(self._slot(_SERVER_CERT), cert.serialize())
+        _, key = check_certificate(cert_bytes, self._ca_public_key, ExtendedKeyUsageOID.SERVER_AUTH)
+        if key != self._tls_key.public_key:
+            raise CertificateError("certificate does not match the pending key pair")
+        self._stores.content.put(self._slot(_SERVER_CERT), cert_bytes)
         self._stores.content.put(
             self._slot(_SEALED_TLS_KEY), seal(self, self._tls_key.serialize())
         )
         assert self.tls is not None
-        self.tls.install_identity(ServerIdentity(cert, self._tls_key))
+        self.tls.install_identity(ServerIdentity(cert_bytes, self._tls_key))
 
     def _restore_tls_identity(self) -> None:
         cert_slot = self._slot(_SERVER_CERT)
         key_slot = self._slot(_SEALED_TLS_KEY)
         if self._stores.content.exists(cert_slot) and self._stores.content.exists(key_slot):
-            cert = Certificate.deserialize(self._stores.content.get(cert_slot))
+            cert = self._stores.content.get(cert_slot)
             key = rsa.RsaPrivateKey.deserialize(
                 unseal(self, self._stores.content.get(key_slot))
             )
@@ -538,45 +545,45 @@ class SeGShareEnclave(Enclave):
 
     # -- TlsApplication ------------------------------------------------------------------------
 
-    def handle_message(self, client_cert: Certificate, payload: bytes) -> "bytes | StreamingResponse":
+    def handle_message(self, user_id: str, payload: bytes) -> "bytes | StreamingResponse":
         if self.handler is None:
             return Response.error("server is not ready (replica has not joined)").serialize()
         if payload.startswith(_WEBDAV_MARKER):
-            return self._handle_webdav(client_cert, payload[len(_WEBDAV_MARKER):])
+            return self._handle_webdav(user_id, payload[len(_WEBDAV_MARKER):])
         try:
             request = Request.deserialize(payload)
         except ReproError as exc:
             return Response.error(str(exc)).serialize()
-        result = self.handler.handle(client_cert.user_id, request)
+        result = self.handler.handle(user_id, request)
         if isinstance(result, StreamingResponse):
             try:
-                self._audit(client_cert.user_id, request.op.name, request.args, "ok")
+                self._audit(user_id, request.op.name, request.args, "ok")
             except BaseException:
                 result.close()  # never handed on, so nobody else would
                 raise
             return result
-        self._audit(client_cert.user_id, request.op.name, request.args, result.status.name.lower())
+        self._audit(user_id, request.op.name, request.args, result.status.name.lower())
         return result.serialize()
 
-    def open_upload(self, client_cert: Certificate, header: bytes) -> UploadSink | object:
+    def open_upload(self, user_id: str, header: bytes) -> UploadSink | object:
         if self.handler is None:
             return _RejectingSink(Response.error("server is not ready"))
         try:
             request = Request.deserialize(header)
             if request.op is not Op.PUT_FILE:
                 raise RequestError("streaming messages must be PUT_FILE")
-            sink = self.handler.open_upload(client_cert.user_id, request.args[0])
+            sink = self.handler.open_upload(user_id, request.args[0])
             if self.audit_log is not None:
-                return _AuditedSink(self, client_cert.user_id, request, sink)
+                return _AuditedSink(self, user_id, request, sink)
             return sink
         except EnclaveCrashed:
             raise
         except ReproError as exc:
             if isinstance(exc, AccessDenied):
-                self._audit(client_cert.user_id, Op.PUT_FILE.name, request.args, "denied")
+                self._audit(user_id, Op.PUT_FILE.name, request.args, "denied")
             return _RejectingSink(response_for(exc))
 
-    def _handle_webdav(self, client_cert: Certificate, raw: bytes) -> bytes:
+    def _handle_webdav(self, user_id: str, raw: bytes) -> bytes:
         """Section VI front end: a WebDAV message over the secure channel."""
         op = "DAV"
         args: tuple[str, ...] = ()
@@ -584,10 +591,10 @@ class SeGShareEnclave(Enclave):
             request = HttpRequest.parse(raw)
             op = f"DAV-{request.method.value}"
             args = (request.path,)
-            response = self.webdav.dispatch(client_cert.user_id, request)
+            response = self.webdav.dispatch(user_id, request)
         except ReproError as exc:
             response = HttpResponse(400, "Bad Request", body=str(exc).encode())
-        self._audit(client_cert.user_id, op, args, str(response.status))
+        self._audit(user_id, op, args, str(response.status))
         return response.serialize()
 
     def _audit(self, user_id: str, op: str, args: tuple, outcome: str) -> None:

@@ -1,7 +1,7 @@
 """The request handler (paper Algo. 1 plus the remaining requests).
 
 Parses each incoming request, checks its syntax, takes the user identity
-from the client certificate (the TLS layer passes it in), and processes
+(the client certificate's UID, which the TLS layer passes in), and processes
 the request with the internal operations of the access control and file
 manager components.
 

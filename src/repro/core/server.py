@@ -16,13 +16,15 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, field
 
+from cryptography import x509
+from cryptography.hazmat.primitives.serialization import Encoding
+
 from repro.core.client import SeGShareClient
 from repro.core.enclave_app import SeGShareEnclave, SeGShareOptions
 from repro.crypto import rsa
 from repro.errors import AttestationError, RetryPolicy
 from repro.netsim import Endpoint, Listener, NetworkEnv, azure_wan_env
-from repro.pki import CertificateAuthority, Certificate
-from repro.pki.certificate import CertificateSigningRequest
+from repro.pki import CertificateAuthority
 from repro.sgx import AttestationService, QuotingEnclave, SgxPlatform, SwitchlessQueue
 from repro.storage.stores import StoreSet
 from repro.tls import TlsClient
@@ -139,10 +141,14 @@ class SeGShareServer:
         self.handle = self.platform.load(self.enclave)
         # The paper uses switchless calls for all network and file traffic.
         self.handle.use_switchless(True)
+        # A connection's records and close go to the enclave that accepted
+        # it: a restarted one numbers its sessions afresh, so an old
+        # connection's id may name a new connection's session.
+        handle = self.handle
         self.untrusted_tls = UntrustedTlsInterface(
-            new_session=lambda: self.handle.call("new_session"),
-            forward=lambda session_id, raw: self.handle.call("on_record", session_id, raw),
-            close_session=lambda session_id: self.handle.call("close_session", session_id),
+            new_session=lambda: handle.call("new_session"),
+            forward=lambda session_id, raw: handle.call("on_record", session_id, raw),
+            close_session=lambda session_id: handle.call("close_session", session_id),
         )
         self.listener = Listener(self.env.link, self.untrusted_tls.attach)
 
@@ -152,11 +158,11 @@ def provision_certificate(
     service: AttestationService,
     server: SeGShareServer,
     expected_measurement: bytes,
-) -> Certificate:
+) -> x509.Certificate:
     """The setup phase of Section IV-A, CA side.
 
     Attests the enclave (quote must carry the expected measurement and
-    bind the CSR), signs the CSR, and installs the certificate.
+    bind the PKCS#10 CSR), signs the CSR, and installs the DER certificate.
     """
     from repro.sgx.attestation import Quote
 
@@ -165,9 +171,8 @@ def provision_certificate(
     service.verify(quote, expected_measurement=expected_measurement)
     if quote.report_data != hashlib.sha256(csr_bytes).digest():
         raise AttestationError("quote does not bind the CSR")
-    csr = CertificateSigningRequest.deserialize(csr_bytes)
-    cert = ca.sign_csr(csr)
-    server.install_certificate(cert.serialize())
+    cert = ca.sign_csr(x509.load_der_x509_csr(csr_bytes))
+    server.install_certificate(cert.public_bytes(Encoding.DER))
     return cert
 
 
@@ -179,7 +184,7 @@ class Deployment:
     ca: CertificateAuthority
     attestation: AttestationService
     server: SeGShareServer
-    server_certificate: Certificate
+    server_certificate: x509.Certificate
     client_cost_profile: CryptoCostProfile = field(
         # The paper's client VM (2 vCPU E5-2673 v4) is slower than the
         # server's E-2176G; ~1.8 GB/s single-core AEAD.
@@ -192,9 +197,9 @@ class Deployment:
     ) -> ClientIdentity:
         """Issue (or reuse) a client certificate for ``user_id``.
 
-        Pass ``key`` to reuse an existing RSA key (pure-Python keygen is
-        slow; tests share one key across users — certificates still bind
-        distinct identities).
+        Pass ``key`` to reuse an existing RSA key: key generation (OpenSSL)
+        is the slow step of minting a user, so scripts that mint many users
+        share one key, and the certificates still bind distinct identities.
         """
         if key is None:
             key = self._user_keys.get(user_id) or rsa.generate_keypair(key_bits)

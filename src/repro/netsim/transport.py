@@ -28,6 +28,7 @@ class Connection:
         self._is_client = is_client
         self._inbox: deque[bytes] = deque()
         self._receiver: Callable[[bytes], None] | None = None
+        self._on_close: Callable[[], None] | None = None
         self._closed = False
         self.peer: "Connection | None" = None
 
@@ -87,8 +88,21 @@ class Connection:
     def pending(self) -> int:
         return len(self._inbox)
 
+    def set_close_handler(self, handler: Callable[[], None]) -> None:
+        """Register what runs once when this end closes (a server frees the
+        connection's session)."""
+        self._on_close = handler
+
     def close(self) -> None:
+        """Close both ends, as a FIN would: closing either end runs each
+        end's close handler once."""
+        if self._closed:
+            return
         self._closed = True
+        if self.peer is not None:
+            self.peer.close()
+        if self._on_close is not None:
+            self._on_close()
 
     @property
     def closed(self) -> bool:

@@ -1,21 +1,11 @@
-"""Minimal public-key infrastructure: certificates, CSRs, and a CA.
+"""Public-key infrastructure: the file system owner's CA.
 
-Stands in for the X.509 machinery of the paper's setup phase (Section
-IV-A): the file system owner's certificate authority issues client
-certificates carrying identity information and provisions server
-certificates to attested enclaves.
+The X.509 machinery of the paper's setup phase (Section IV-A): the
+certificate authority issues client certificates carrying identity
+information and signs the PKCS#10 requests of attested enclaves.
+Certificates and CSRs are ``cryptography.x509`` objects, DER on the wire.
 """
 
 from repro.pki.ca import CertificateAuthority
-from repro.pki.certificate import (
-    Certificate,
-    CertificateSigningRequest,
-    CertificateUsage,
-)
 
-__all__ = [
-    "Certificate",
-    "CertificateAuthority",
-    "CertificateSigningRequest",
-    "CertificateUsage",
-]
+__all__ = ["CertificateAuthority"]

@@ -99,8 +99,7 @@ class GroupCommitStats:
     members_total: int = 0  # member transactions committed inside epochs
     max_members: int = 0  # largest epoch seen
     record_deletes_saved: int = 0  # vs one record delete per transaction
-    anchor_writes_saved: int = 0  # vs one anchor write per txn
-    counter_increments_saved: int = 0  # vs one increment per txn
+    anchor_writes_saved: int = 0  # vs one anchor write + counter increment per txn
     #: str(members) -> count of epochs that closed at that size.
     histogram: dict[str, int] = field(default_factory=dict)
     #: close reason ("window" / "cap" / "quiesce" / "solo") -> count.
@@ -646,7 +645,6 @@ class StorageEngine:
             stats.record_deletes_saved += saved
             if self.anchor is not None:
                 stats.anchor_writes_saved += saved
-                stats.counter_increments_saved += saved
 
     def _flush_guards(self) -> None:
         # The guards' node and anchor writes reach each store as one group,

@@ -35,7 +35,6 @@ from repro.crypto import rsa
 from repro.errors import EnclaveCrashed, NetworkError, RetryPolicy, TlsError
 from repro.netsim.clock import SimClock
 from repro.netsim.transport import Connection
-from repro.pki import Certificate
 from repro.tls import records
 from repro.tls.handshake import (
     ClientHandshake,
@@ -110,10 +109,10 @@ class UploadSink(Protocol):
 class TlsApplication(Protocol):
     """What the trusted TLS interface needs from the application layer."""
 
-    def handle_message(self, client_cert: Certificate, payload: bytes) -> "bytes | StreamingResponse":
+    def handle_message(self, user_id: str, payload: bytes) -> "bytes | StreamingResponse":
         """Process a single-payload request; return the response."""
 
-    def open_upload(self, client_cert: Certificate, header: bytes) -> UploadSink:
+    def open_upload(self, user_id: str, header: bytes) -> UploadSink:
         """Start consuming a streamed upload announced by ``header``."""
 
 
@@ -190,7 +189,7 @@ class _ServerSession:
         self._clock = clock
         self._costs = costs
         self._session: TlsSession | None = None
-        self._client_cert: Certificate | None = None
+        self._user_id: str | None = None
         self._hs_step = 0
         # In-flight inbound message state (constant-size: one chunk at a time).
         self._expect_chunks = 0
@@ -220,7 +219,7 @@ class _ServerSession:
             server_finished = self._handshake.verify_client_finished(payload)
             _charge_handshake(self._clock, "enclave-tls")
             assert self._handshake.keys is not None
-            self._client_cert = self._handshake.client_certificate
+            self._user_id = self._handshake.client_uid
             self._session = TlsSession(
                 self._handshake.keys,
                 is_client=False,
@@ -236,7 +235,7 @@ class _ServerSession:
     # -- application data -------------------------------------------------------
 
     def _data_record(self, raw: bytes, application: TlsApplication) -> list[bytes]:
-        assert self._session is not None and self._client_cert is not None
+        assert self._session is not None and self._user_id is not None
         ciphertext = records.parse_record(raw, ContentType.APPLICATION_DATA)
         plaintext = self._session.unprotect(ciphertext)
 
@@ -248,14 +247,14 @@ class _ServerSession:
         kind, n_chunks, body_len, header_payload = _parse_message_header(plaintext)
         if kind == _KIND_SINGLE:
             if n_chunks == 0:
-                response = application.handle_message(self._client_cert, header_payload)
+                response = application.handle_message(self._user_id, header_payload)
                 return self._respond(response)
             self._expect_chunks = n_chunks
             self._body_remaining = body_len
             self._single_parts = [header_payload]
             return []
         if kind == _KIND_STREAM:
-            self._upload = application.open_upload(self._client_cert, header_payload)
+            self._upload = application.open_upload(self._user_id, header_payload)
             self._expect_chunks = n_chunks
             self._body_remaining = body_len
             if n_chunks == 0:
@@ -280,7 +279,7 @@ class _ServerSession:
         if self._expect_chunks == 0:
             payload = b"".join(self._single_parts)
             self._single_parts = None
-            response = application.handle_message(self._client_cert, payload)
+            response = application.handle_message(self._user_id, payload)
             return self._respond(response)
         return []
 
@@ -345,7 +344,7 @@ class UntrustedTlsInterface:
         self,
         new_session: Callable[[], int],
         forward: Callable[[int, bytes], list[bytes]],
-        close_session: Callable[[int], None] | None = None,
+        close_session: Callable[[int], None],
     ) -> None:
         self._new_session = new_session
         self._forward = forward
@@ -353,7 +352,9 @@ class UntrustedTlsInterface:
         self.records_forwarded = 0
 
     def attach(self, conn: Connection) -> None:
-        """Bind an accepted connection: every inbound record is forwarded."""
+        """Bind an accepted connection: every inbound record is forwarded,
+        and its close frees the enclave's session (aborting a half-streamed
+        upload)."""
         session_id = self._new_session()
 
         def receiver(raw: bytes) -> None:
@@ -366,7 +367,13 @@ class UntrustedTlsInterface:
                 else:
                     conn.send_stream(reply)
 
+        def closed() -> None:
+            # A dead enclave's sessions died with it.
+            with contextlib.suppress(EnclaveCrashed):
+                self._close_session(session_id)
+
         conn.set_receiver(receiver)
+        conn.set_close_handler(closed)
 
 
 class TlsClient:
@@ -390,7 +397,7 @@ class TlsClient:
         self._session: TlsSession | None = None
         self._retry = retry
         self._retry_rng = random.Random(retry_seed)
-        self.server_certificate: Certificate | None = None
+        self.server_uid: str | None = None
 
     def _send_record(self, record: bytes, stream: bool = False) -> None:
         """Send one record, retrying transient network faults.
@@ -425,7 +432,7 @@ class TlsClient:
         hs.verify_server_finished(server_finished)
         _charge_handshake(self.clock, "client-crypto")
         assert hs.keys is not None
-        self.server_certificate = hs.server_certificate
+        self.server_uid = hs.server_uid
         self._session = TlsSession(
             hs.keys,
             is_client=True,

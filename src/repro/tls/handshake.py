@@ -14,7 +14,9 @@ Message flow (a compressed TLS 1.2 with client authentication)::
     Finished {transcript MAC}         ---->
                                       <----  Finished {transcript MAC}
 
-Both sides derive ``client_write_key``/``server_write_key`` from the DH
+Both certificates travel as DER X.509 and both ends check them with
+:func:`check_certificate`.  Both sides derive
+``client_write_key``/``server_write_key`` from the DH
 shared secret and the two randoms via HKDF.  The server signs with the
 private key whose certificate the CA provisioned during attestation, so a
 client that trusts the CA's public key knows the far end is a genuine
@@ -27,13 +29,44 @@ from __future__ import annotations
 import secrets
 from dataclasses import dataclass
 
+from cryptography import x509
+from cryptography.exceptions import UnsupportedAlgorithm
+from cryptography.hazmat.primitives.asymmetric.rsa import RSAPublicKey
+from cryptography.hazmat.primitives.serialization import Encoding
+from cryptography.x509.oid import ExtendedKeyUsageOID, NameOID
+
 from repro.crypto import dh, rsa
 from repro.crypto.kdf import derive_key, hkdf_expand, hkdf_extract
 from repro.errors import CertificateError, CryptoError, TlsError
-from repro.pki import Certificate, CertificateUsage
 from repro.util.serialization import Reader, Writer
 
 RANDOM_SIZE = 32
+
+
+def check_certificate(
+    der: bytes, ca_public_key: rsa.RsaPublicKey, usage: x509.ObjectIdentifier
+) -> tuple[str, rsa.RsaPublicKey]:
+    """Check a DER X.509 certificate; return its subject's UID and RSA key.
+
+    The pinned CA key must have signed it and its one extended key usage
+    must be ``usage``.  Neither validity dates nor revocation are checked:
+    the enclave has no trusted time, and access is revoked through group
+    membership.  Every failure is a :class:`CertificateError`.
+    """
+    try:
+        cert = x509.load_der_x509_certificate(der)
+        if not rsa.verify(ca_public_key, cert.tbs_certificate_bytes, cert.signature):
+            raise CertificateError("certificate has an invalid signature")
+        if list(cert.extensions.get_extension_for_class(x509.ExtendedKeyUsage).value) != [usage]:
+            raise CertificateError("certificate has the wrong extended key usage")
+        (uid,) = cert.subject.get_attributes_for_oid(NameOID.USER_ID)
+        key = cert.public_key()
+    except (ValueError, UnsupportedAlgorithm, x509.ExtensionNotFound) as exc:
+        raise CertificateError("malformed certificate") from exc
+    if not isinstance(key, RSAPublicKey):
+        raise CertificateError("certificate does not carry an RSA key")
+    numbers = key.public_numbers()
+    return uid.value, rsa.RsaPublicKey(n=numbers.n, e=numbers.e)
 
 
 @dataclass(frozen=True)
@@ -41,15 +74,15 @@ class ClientIdentity:
     """A user's authentication token: certificate plus private key (P1 —
     this is the *only* client-side state SeGShare requires)."""
 
-    certificate: Certificate
+    certificate: x509.Certificate
     private_key: rsa.RsaPrivateKey
 
 
 @dataclass(frozen=True)
 class ServerIdentity:
-    """The enclave's server certificate and the matching temporary key pair."""
+    """The enclave's DER server certificate and the matching temporary key pair."""
 
-    certificate: Certificate
+    certificate: bytes
     private_key: rsa.RsaPrivateKey
 
 
@@ -64,16 +97,16 @@ class SessionKeys:
 @dataclass(frozen=True)
 class ClientHello:
     client_random: bytes
-    certificate: Certificate
+    certificate: bytes
 
     def serialize(self) -> bytes:
-        return Writer().bytes(self.client_random).bytes(self.certificate.serialize()).take()
+        return Writer().bytes(self.client_random).bytes(self.certificate).take()
 
     @classmethod
     def deserialize(cls, data: bytes) -> "ClientHello":
         r = Reader(data)
         random = r.bytes()
-        certificate = Certificate.deserialize(r.bytes())
+        certificate = r.bytes()
         r.expect_end()
         if len(random) != RANDOM_SIZE:
             raise TlsError("bad client random size")
@@ -83,7 +116,7 @@ class ClientHello:
 @dataclass(frozen=True)
 class ServerHello:
     server_random: bytes
-    certificate: Certificate
+    certificate: bytes
     dh_public: bytes
     signature: bytes
 
@@ -91,7 +124,7 @@ class ServerHello:
         return (
             Writer()
             .bytes(self.server_random)
-            .bytes(self.certificate.serialize())
+            .bytes(self.certificate)
             .bytes(self.dh_public)
             .bytes(self.signature)
             .take()
@@ -102,7 +135,7 @@ class ServerHello:
         r = Reader(data)
         msg = cls(
             server_random=r.bytes(),
-            certificate=Certificate.deserialize(r.bytes()),
+            certificate=r.bytes(),
             dh_public=r.bytes(),
             signature=r.bytes(),
         )
@@ -173,10 +206,11 @@ class ClientHandshake:
         self._dh_keypair = dh.generate_keypair()
         self._transcript = b""
         self.keys: SessionKeys | None = None
-        self.server_certificate: Certificate | None = None
+        self.server_uid: str | None = None
 
     def client_hello(self) -> bytes:
-        message = ClientHello(self._client_random, self._identity.certificate).serialize()
+        certificate = self._identity.certificate.public_bytes(Encoding.DER)
+        message = ClientHello(self._client_random, certificate).serialize()
         self._transcript += message
         return message
 
@@ -185,16 +219,17 @@ class ClientHandshake:
         self._transcript += data
         hello = ServerHello.deserialize(data)
         try:
-            hello.certificate.verify(self._ca_public_key)
-            hello.certificate.require_usage(CertificateUsage.SERVER)
+            uid, server_key = check_certificate(
+                hello.certificate, self._ca_public_key, ExtendedKeyUsageOID.SERVER_AUTH
+            )
         except CertificateError as exc:
             raise TlsError(f"server certificate rejected: {exc}") from exc
         signing_input = _server_signing_input(
             self._client_random, hello.server_random, hello.dh_public
         )
-        if not rsa.verify(hello.certificate.public_key, signing_input, hello.signature):
+        if not rsa.verify(server_key, signing_input, hello.signature):
             raise TlsError("server key-exchange signature is invalid")
-        self.server_certificate = hello.certificate
+        self.server_uid = uid
 
         client_dh = self._dh_keypair.public_bytes()
         signature = rsa.sign(
@@ -236,18 +271,19 @@ class ServerHandshake:
         self._transcript = b""
         self._client_random: bytes | None = None
         self.keys: SessionKeys | None = None
-        self.client_certificate: Certificate | None = None
+        self.client_uid: str | None = None
+        self._client_key: rsa.RsaPublicKey | None = None
 
     def handle_client_hello(self, data: bytes) -> bytes:
         """Validate the client certificate and produce the ServerHello."""
         self._transcript += data
         hello = ClientHello.deserialize(data)
         try:
-            hello.certificate.verify(self._ca_public_key)
-            hello.certificate.require_usage(CertificateUsage.CLIENT)
+            self.client_uid, self._client_key = check_certificate(
+                hello.certificate, self._ca_public_key, ExtendedKeyUsageOID.CLIENT_AUTH
+            )
         except CertificateError as exc:
             raise TlsError(f"client certificate rejected: {exc}") from exc
-        self.client_certificate = hello.certificate
         self._client_random = hello.client_random
 
         dh_public = self._dh_keypair.public_bytes()
@@ -265,7 +301,7 @@ class ServerHandshake:
         return reply
 
     def handle_client_key_exchange(self, data: bytes) -> None:
-        if self.client_certificate is None or self._client_random is None:
+        if self._client_key is None or self._client_random is None:
             raise TlsError("ClientKeyExchange before ClientHello")
         self._transcript += data
         kx = ClientKeyExchange.deserialize(data)
@@ -275,7 +311,7 @@ class ServerHandshake:
             self._dh_keypair.public_bytes(),
             kx.dh_public,
         )
-        if not rsa.verify(self.client_certificate.public_key, signing_input, kx.signature):
+        if not rsa.verify(self._client_key, signing_input, kx.signature):
             raise TlsError("client key-exchange signature is invalid")
         secret = _shared_secret(self._dh_keypair, kx.dh_public)
         self.keys = derive_session_keys(secret, self._client_random, self._server_random)

@@ -5,7 +5,7 @@ import pytest
 from repro.core.enclave_app import SeGShareOptions
 from repro.core.model import default_group
 from repro.core.requests import Op, Request
-from repro.errors import AccessDenied, RequestError, TlsError
+from repro.errors import AccessDenied, EnclaveCrashed, RequestError, TlsError
 from repro.tls import records
 from repro.tls.channel import _KIND_STREAM, _message_header
 from repro.tls.session import STREAM_CHUNK
@@ -223,3 +223,38 @@ class TestDroppedSessionMidUpload:
         assert changed_keys() == set()
         reconnected = deployment.connect(deployment.user_identity("alice"))
         assert reconnected.download("/kept") == b"k" * 100
+
+    def test_closed_connection_is_aborted(self, streaming):
+        """The client closing its end runs the close_session ECALL: the
+        session goes, and so does the half-streamed upload's object."""
+        deployment, alice, _, changed_keys = streaming
+        alice.close()
+        assert deployment.server.enclave.tls._sessions == {}
+        assert changed_keys() == set()
+        reconnected = deployment.connect(deployment.user_identity("alice"))
+        assert reconnected.download("/kept") == b"k" * 100
+        assert not reconnected.exists("/evil")
+
+
+class TestSessionLifetime:
+    def test_closed_connections_leave_no_session(self, deployment):
+        identity = deployment.user_identity("alice")
+        for i in range(5):
+            client = deployment.connect(identity)
+            client.upload(f"/f{i}", b"x" * i)
+            client.close()
+        assert deployment.server.enclave.tls._sessions == {}
+
+    def test_an_old_connection_leaves_the_new_sessions_alone(self, deployment):
+        """A restarted enclave numbers its sessions afresh: a request on, or
+        the close of, a connection to the old enclave must not reach the
+        new connection's session of the same number."""
+        identity = deployment.user_identity("alice")
+        old = deployment.connect(identity)
+        deployment.server.restart_enclave()
+        new = deployment.connect(identity)
+        with pytest.raises(EnclaveCrashed):
+            old.download("/f")
+        old.close()
+        new.upload("/after", b"still here")
+        assert new.download("/after") == b"still here"

@@ -15,7 +15,7 @@ from repro.util.serialization import SerializationError
 
 from tests.core.conftest import build_world
 from tests.support.calls import python_calls
-from tests.support.dedup import stored_records
+from tests.support.dedup import object_count, stored_records
 from tests.support.platform import engine_for, loaded_enclave
 
 
@@ -37,12 +37,12 @@ class TestStoreLevel:
         h1 = dedup.put(b"same bytes")
         h2 = dedup.put(b"same bytes")
         assert h1 == h2
-        assert dedup.object_count() == 1
+        assert object_count(dedup) == 1
         assert dedup.refcount(h1) == 2
 
     def test_different_content_different_names(self, dedup):
         assert dedup.put(b"a") != dedup.put(b"b")
-        assert dedup.object_count() == 2
+        assert object_count(dedup) == 2
 
     def test_get_returns_content(self, dedup):
         h = dedup.put(b"payload")
@@ -64,10 +64,10 @@ class TestStoreLevel:
         store = dedup_over(InMemoryStore(), deduplicate=False)
         first, second = store.put(b"same"), store.put(b"same")
         assert first != second and len(first) == 32 and first != store.h_name(b"same")
-        assert store.object_count() == 2 and store.refcount(first) == 1
+        assert object_count(store) == 2 and store.refcount(first) == 1
         assert store.get(first) == store.get(second) == b"same"
         store.release(first)
-        assert store.object_count() == 1 and store.get(second) == b"same"
+        assert object_count(store) == 1 and store.get(second) == b"same"
 
     def test_a_name_never_loaded_is_read_from_storage(self):
         """A replica without a coherence log (paper §V-F) reads an object
@@ -89,7 +89,7 @@ class TestStoreLevel:
         upload = dedup.begin_upload()
         upload.write(b"doomed")
         upload.abort()
-        assert dedup.object_count() == 0
+        assert object_count(dedup) == 0
 
     def test_rolled_back_object_detected(self, dedup):
         """Content addressing doubles as rollback protection: replaying an
@@ -128,7 +128,7 @@ class TestSystemLevel:
         world = make_world(enable_dedup=True)
         world.handler.put_file("alice", "/a", b"shared content" * 100)
         world.handler.put_file("bob", "/b", b"shared content" * 100)
-        assert world.manager.dedup.object_count() == 1
+        assert object_count(world.manager.dedup) == 1
         # Both read their own path and get the content.
         assert world.manager.read_content("/a") == b"shared content" * 100
         assert world.manager.read_content("/b") == b"shared content" * 100
@@ -145,7 +145,7 @@ class TestSystemLevel:
         world.handler.set_permission("alice", "/b", "g2", "r")
         world.handler.remove_user("alice", "bob", "g1")
         assert world.access.auth_f("carol", None, "/b") is False  # not owner
-        assert world.manager.dedup.object_count() == 1
+        assert object_count(world.manager.dedup) == 1
 
     def test_delete_releases_reference(self, make_world):
         world = make_world(enable_dedup=True)
@@ -154,14 +154,14 @@ class TestSystemLevel:
         world.handler.remove("alice", "/a")
         assert world.manager.read_content("/b") == b"data"
         world.handler.remove("alice", "/b")
-        assert world.manager.dedup.object_count() == 0
+        assert object_count(world.manager.dedup) == 0
 
     def test_overwrite_repoints(self, make_world):
         world = make_world(enable_dedup=True)
         world.handler.put_file("alice", "/a", b"v1")
         world.handler.put_file("alice", "/a", b"v2")
         assert world.manager.read_content("/a") == b"v2"
-        assert world.manager.dedup.object_count() == 1  # v1 reclaimed
+        assert object_count(world.manager.dedup) == 1  # v1 reclaimed
 
     def test_move_keeps_single_copy(self, make_world):
         world = make_world(enable_dedup=True)
@@ -169,7 +169,7 @@ class TestSystemLevel:
         world.handler.put_file("alice", "/b", b"data")
         world.handler.move("alice", "/a", "/c")
         assert world.manager.read_content("/c") == b"data"
-        assert world.manager.dedup.object_count() == 1
+        assert object_count(world.manager.dedup) == 1
 
     def test_storage_savings_measurable(self, make_world):
         with_dedup = make_world(enable_dedup=True)

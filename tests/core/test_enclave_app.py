@@ -1,19 +1,27 @@
 """The SeGShare enclave itself: setup phase, sealing persistence, TCB."""
 
 import pytest
+from cryptography.hazmat.primitives.serialization import Encoding
+from cryptography.x509.oid import ExtendedKeyUsageOID, NameOID
 
 from repro.core.enclave_app import SeGShareEnclave, SeGShareOptions
 from repro.core.server import SeGShareServer, provision_certificate
-from repro.errors import AttestationError, EnclaveError
+from repro.errors import AttestationError, CertificateError, EnclaveError
 from repro.netsim import azure_wan_env
 from repro.pki import CertificateAuthority
+from repro.tls.handshake import check_certificate
+from tests.support.pki import server_certificate
 
 
 class TestSetupPhase:
     def test_deploy_provisions_server_certificate(self, deployment):
         assert deployment.server.enclave.tls.has_identity
-        assert deployment.server_certificate.subject == "segshare-enclave"
-        deployment.server_certificate.verify(deployment.ca.public_key)
+        cert = deployment.server_certificate
+        assert cert.subject.get_attributes_for_oid(NameOID.COMMON_NAME)[0].value == "segshare-enclave"
+        uid, _ = check_certificate(
+            cert.public_bytes(Encoding.DER), deployment.ca.public_key, ExtendedKeyUsageOID.SERVER_AUTH
+        )
+        assert uid == deployment.server.enclave.measurement().hex()
 
     def test_measurement_binds_ca_key(self, make_deployment):
         a = make_deployment()
@@ -25,16 +33,43 @@ class TestSetupPhase:
         rejected by the enclave."""
         server = deployment.server
         server.handle.call("create_csr")
-        rogue_cert = deployment.ca.issue_client_certificate("x", user_key.public_key)
-        with pytest.raises(Exception):
-            server.handle.call("install_certificate", rogue_cert.serialize())
+        rogue_cert = server_certificate(deployment.ca, user_key)
+        with pytest.raises(CertificateError, match="pending key pair"):
+            server.handle.call("install_certificate", rogue_cert)
+
+    @pytest.mark.parametrize(
+        "mangle",
+        [lambda der: b"", lambda der: b"\x30\x82garbage", lambda der: der[:-1]],
+        ids=["empty", "garbage", "truncated"],
+    )
+    def test_garbage_certificate_is_a_certificate_error(self, deployment, mangle):
+        server = deployment.server
+        server.handle.call("create_csr")
+        with pytest.raises(CertificateError, match="malformed certificate"):
+            server.handle.call("install_certificate", mangle(server_certificate(deployment.ca, server.enclave._tls_key)))
+
+    def test_client_certificate_is_not_installed(self, deployment):
+        """A CA-signed certificate for the right key, but for clientAuth."""
+        server = deployment.server
+        server.handle.call("create_csr")
+        key = server.enclave._tls_key
+        cert = deployment.ca.issue_client_certificate("x", key.public_key).public_bytes(Encoding.DER)
+        with pytest.raises(CertificateError, match="extended key usage"):
+            server.handle.call("install_certificate", cert)
+
+    def test_certificate_from_another_ca_is_not_installed(self, deployment):
+        server = deployment.server
+        server.handle.call("create_csr")
+        rogue = CertificateAuthority(name="rogue", key_bits=1024)
+        with pytest.raises(CertificateError, match="invalid signature"):
+            server.handle.call("install_certificate", server_certificate(rogue, server.enclave._tls_key))
 
     def test_install_without_csr_rejected(self, deployment):
         env = azure_wan_env()
         fresh = SeGShareServer(env, deployment.ca.public_key)  # never provisioned
         with pytest.raises(EnclaveError):
             fresh.enclave.install_certificate(
-                deployment.server_certificate.serialize()
+                deployment.server_certificate.public_bytes(Encoding.DER)
             )
 
     def test_provisioning_checks_measurement(self):

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from repro.core.requests import Request, Response, Status
 from repro.errors import ReproError, TlsError
+from repro.tls.handshake import ClientHandshake, ServerHandshake
 from repro.tls.records import TlsRecord
 from repro.webdav.http import HttpRequest, HttpResponse
 
@@ -55,6 +56,33 @@ def test_garbage_request_payloads_yield_error_responses(shared_deployment, paylo
         return
     response = Response.deserialize(header)
     assert response.status in (Status.ERROR, Status.DENIED)
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_mangled_client_hello_is_a_typed_error(shared_deployment, user_key, data):
+    """A real ClientHello, its DER certificate included, with a byte flipped,
+    the tail cut or bytes appended: the enclave's handshake answers or
+    raises a ReproError (TlsError, or the framing's SerializationError),
+    never the X.509 loader's bare ValueError."""
+    deployment, _ = shared_deployment
+    identity = deployment.user_identity("fuzzer", key=user_key)
+    hello = ClientHandshake(identity, deployment.ca.public_key).client_hello()
+    at = data.draw(st.integers(0, len(hello) - 1))
+    mangled = data.draw(
+        st.sampled_from(
+            [
+                hello[:at] + bytes([hello[at] ^ 0xFF]) + hello[at + 1 :],
+                hello[:at],
+                hello + data.draw(st.binary(min_size=1, max_size=8)),
+            ]
+        )
+    )
+    server_hs = ServerHandshake(deployment.server.enclave.tls._identity, deployment.ca.public_key)
+    try:
+        server_hs.handle_client_hello(mangled)
+    except ReproError:
+        pass
 
 
 @settings(max_examples=60, deadline=None)

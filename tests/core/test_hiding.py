@@ -1,6 +1,7 @@
 """Filename and directory-structure hiding (§V-C)."""
 
 from repro.core.hiding import HmacPathTransform, IdentityTransform
+from tests.support.dedup import object_count
 
 
 class TestTransforms:
@@ -65,5 +66,5 @@ class TestSystemLevel:
         world = make_world(hide_paths=True, enable_dedup=True)
         world.handler.put_file("alice", "/a", b"same")
         world.handler.put_file("alice", "/b", b"same")
-        assert world.manager.dedup.object_count() == 1
+        assert object_count(world.manager.dedup) == 1
         assert world.manager.read_content("/b") == b"same"

@@ -48,15 +48,19 @@ class TestInterleaving:
         # ...alice's session is unaffected.
         assert alice.download("/f") == b"stable"
 
-    def test_certificate_revocation_blocks_new_sessions(self, deployment, user_key):
-        """CA-side revocation: existing certificates stop working at the
-        next handshake (the CA validates at issuance; the enclave checks
-        signature+usage, the CA its revocation list)."""
+    def test_revocation_is_membership_not_certificate(self, deployment, user_key):
+        """The enclave checks no revocation list: a certificate stays valid,
+        and access is revoked through membership (the paper's design).  A
+        removed member is denied on the session it holds and on a new one."""
+        owner = deployment.new_user("owner")
+        owner.upload("/team.txt", b"plans")
+        owner.add_user("mallory", "team")
+        owner.set_permission("/team.txt", "team", "r")
         identity = deployment.user_identity("mallory", key=user_key)
         client = deployment.connect(identity)
-        client.upload("/m", b"pre-revocation")
-        deployment.ca.revoke(identity.certificate.serial)
-        # The enclave doesn't see CRLs (the paper keeps revocation at the
-        # CA); but a replaced CA certificate chain would. Here we assert
-        # the CA-side state is queryable, which deployments poll.
-        assert deployment.ca.is_revoked(identity.certificate.serial)
+        assert client.download("/team.txt") == b"plans"
+        owner.remove_user("mallory", "team")
+        with pytest.raises(AccessDenied):
+            client.download("/team.txt")
+        with pytest.raises(AccessDenied):
+            deployment.connect(identity).download("/team.txt")

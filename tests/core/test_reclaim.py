@@ -178,7 +178,7 @@ class TestDroppedStreams:
         server.enclave.audit_log.append = refuse
         payload = Request(op=Op.GET, args=("/d/f",)).serialize()
         with pytest.raises(FaultError):
-            server.enclave.handle_message(SimpleNamespace(user_id="alice"), payload)
+            server.enclave.handle_message("alice", payload)
         del server.enclave.audit_log.append
         self._overwrite_reclaims_at_once(server, old)
 

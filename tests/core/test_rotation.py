@@ -5,6 +5,7 @@ import pytest
 from repro.core.enclave_app import SeGShareOptions
 from repro.core.rotation import ca_authorized_rotation, rotate_message_bytes
 from repro.errors import AccessDenied
+from tests.support.dedup import object_count
 
 
 @pytest.fixture()
@@ -59,9 +60,9 @@ class TestRotation:
     def test_dedup_rebuilt_under_new_addresses(self, full_deployment):
         populate(full_deployment)
         enclave = full_deployment.server.enclave
-        assert enclave.manager.dedup.object_count() == 2  # a==dup, b
+        assert object_count(enclave.manager.dedup) == 2  # a==dup, b
         ca_authorized_rotation(full_deployment.ca, full_deployment.server)
-        assert enclave.manager.dedup.object_count() == 2
+        assert object_count(enclave.manager.dedup) == 2
 
     def test_audit_chain_replayed(self, full_deployment):
         populate(full_deployment)

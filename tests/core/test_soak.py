@@ -13,6 +13,7 @@ from repro.bench.workloads import unique_bytes
 from repro.core.enclave_app import SeGShareOptions
 from repro.errors import AccessDenied
 from repro.netsim import azure_wan_env
+from tests.support.dedup import object_count
 
 pytestmark = pytest.mark.slow
 
@@ -126,7 +127,7 @@ def test_soak_workload(org):
 
     # 2. Dedup store holds exactly the distinct contents.
     distinct = {bytes(v) for v in model.values()}
-    assert enclave.manager.dedup.object_count() == len(distinct)
+    assert object_count(enclave.manager.dedup) == len(distinct)
 
     # 3. Quota ledgers sum to the model's accounted bytes.
     total_used = sum(

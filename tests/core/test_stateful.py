@@ -15,6 +15,7 @@ from repro.core.requests import Status
 from repro.errors import AccessDenied, RequestError
 from repro.tls.channel import StreamingResponse
 from tests.core.conftest import build_world
+from tests.support.dedup import object_count
 
 OWNER = "owner"
 OTHER = "other"
@@ -161,7 +162,7 @@ class SeGShareMachine(RuleBasedStateMachine):
         # Every stored file resolves; the dedup store holds exactly the
         # distinct contents.
         distinct = {bytes(v) for v in self.files.values()}
-        assert self.manager.dedup.object_count() == len(distinct)
+        assert object_count(self.manager.dedup) == len(distinct)
 
 
 SeGShareMachine.TestCase.settings = settings(

@@ -94,7 +94,6 @@ class TestCoordinatorWiring:
             "closes",
             "record_deletes_saved",
             "anchor_writes_saved",
-            "counter_increments_saved",
         }
 
 
@@ -106,7 +105,6 @@ class TestEpochFormation:
         stats = engine.group_commit.stats
         epochs0, members0 = stats.epochs, stats.members_total
         deletes0, anchor0 = stats.record_deletes_saved, stats.anchor_writes_saved
-        counter0 = stats.counter_increments_saved
 
         t0 = server.env.clock.now()
         server.switchless.dispatch(put_thunk(server, "/d/a", b"one"), arrival=t0)
@@ -121,7 +119,6 @@ class TestEpochFormation:
         # the one file-system anchor + its counter increment.
         assert stats.record_deletes_saved == deletes0 + 1
         assert stats.anchor_writes_saved == anchor0 + 1
-        assert stats.counter_increments_saved == counter0 + 1
 
         manager = server.enclave.manager
         assert manager.read_content("/d/a") == b"one"

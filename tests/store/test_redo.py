@@ -33,6 +33,7 @@ from repro.pki import CertificateAuthority
 from repro.storage.backends import InMemoryStore, UntrustedStore
 from repro.storage.stores import StoreSet
 from repro.store import engine as engine_module
+from tests.support.dedup import object_count
 from tests.support.explorer import under_plan
 from tests.support.platform import engine_for, loaded_enclave
 
@@ -180,7 +181,7 @@ def _aborted_put_log(stored: int, monkeypatch) -> list[list[tuple[str, str]]]:
         for i in range(stored - 2):  # /d/f and /d/keep hold the other two
             dedup.put(b"stored object %d" % i)
     engine.quiesce()
-    assert dedup.object_count() == stored
+    assert object_count(dedup) == stored
     aborts = engine.stats.aborts
     for store in stores:
         store.log.clear()

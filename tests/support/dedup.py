@@ -14,3 +14,8 @@ def stored_records(dedup: DedupStore) -> dict[str, tuple[str, int]]:
     """name -> (object id, reference count), one entry per stored record."""
     pfs = dedup._pfs
     return {path[len("idx:"):]: decode_record(pfs.read_file(path)) for path in sorted(pfs.owners("idx:"))}
+
+
+def object_count(dedup: DedupStore) -> int:
+    """How many names have a stored record."""
+    return len(dedup._pfs.owners("idx:"))

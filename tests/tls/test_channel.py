@@ -4,12 +4,12 @@ import pytest
 
 from repro.errors import TlsError
 from repro.netsim import Endpoint, Listener, lan_env
-from repro.pki import CertificateAuthority, CertificateUsage
-from repro.pki.certificate import CertificateSigningRequest
+from repro.pki import CertificateAuthority
 from repro.tls import TlsClient, TrustedTlsInterface, UntrustedTlsInterface
 from repro.tls.channel import StreamingResponse
 from repro.tls.handshake import ClientIdentity, ServerIdentity
 from repro.tls.session import STREAM_CHUNK, TlsSession
+from tests.support.pki import server_certificate
 
 
 class EchoApp:
@@ -18,16 +18,16 @@ class EchoApp:
     def __init__(self):
         self.uploads = {}
 
-    def handle_message(self, cert, payload):
+    def handle_message(self, user_id, payload):
         if payload.startswith(b"stream:"):
             n = int(payload.split(b":")[1])
             chunks = [bytes([i % 256]) * 1000 for i in range(n)]
             return StreamingResponse(
                 header=b"streamed", chunks=chunks, body_len=1000 * n
             )
-        return b"echo:" + cert.user_id.encode() + b":" + payload
+        return b"echo:" + user_id.encode() + b":" + payload
 
-    def open_upload(self, cert, header):
+    def open_upload(self, user_id, header):
         app = self
 
         class Sink:
@@ -52,11 +52,8 @@ def _build_world(app, user_key, second_key, tamper=None):
     the list of records the enclave returns for one inbound record."""
     env = lan_env()
     ca = CertificateAuthority(key_bits=1024)
-    server_cert = ca.sign_csr(
-        CertificateSigningRequest("srv", CertificateUsage.SERVER, second_key.public_key)
-    )
     trusted = TrustedTlsInterface(app, ca.public_key, clock=env.clock)
-    trusted.install_identity(ServerIdentity(server_cert, second_key))
+    trusted.install_identity(ServerIdentity(server_certificate(ca, second_key, "srv"), second_key))
     replies = []
 
     def forward(session_id, raw):
@@ -134,10 +131,10 @@ class TestFailureModes:
 
     def test_application_error_becomes_alert(self, world):
         class BoomApp:
-            def handle_message(self, cert, payload):
+            def handle_message(self, user_id, payload):
                 raise RuntimeError("internal explosion")
 
-            def open_upload(self, cert, header):
+            def open_upload(self, user_id, header):
                 raise RuntimeError("no uploads")
 
         world["trusted"]._application = BoomApp()
@@ -158,11 +155,7 @@ class TestIdentityRotation:
     def test_server_certificate_can_be_replaced(self, world, second_key):
         """The CA may re-issue the server certificate at any time; new
         connections see the new certificate."""
-        new_cert = world["ca"].sign_csr(
-            CertificateSigningRequest(
-                "srv-renewed", CertificateUsage.SERVER, second_key.public_key
-            )
-        )
+        new_cert = server_certificate(world["ca"], second_key, "srv-renewed")
         world["trusted"].install_identity(ServerIdentity(new_cert, second_key))
         client = TlsClient(
             Endpoint(world["listener"]).connect(),
@@ -171,7 +164,7 @@ class TestIdentityRotation:
             clock=world["env"].clock,
         )
         client.handshake()
-        assert client.server_certificate.subject == "srv-renewed"
+        assert client.server_uid == "srv-renewed"
         # The old session still works (its keys are unaffected).
         assert world["client"].request(b"still alive") == b"echo:alice:still alive"
 
@@ -196,10 +189,10 @@ class StreamApp:
             self.pulled += len(chunk)
             yield chunk
 
-    def handle_message(self, cert, payload):
+    def handle_message(self, user_id, payload):
         return StreamingResponse(header=b"file", chunks=self._chunks(), body_len=self.announce)
 
-    def open_upload(self, cert, header):
+    def open_upload(self, user_id, header):
         raise AssertionError("no uploads here")
 
 

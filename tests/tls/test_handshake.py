@@ -1,12 +1,13 @@
 """The mutually-authenticated handshake: success and every failure mode."""
 
 import pytest
+from cryptography import x509
+from cryptography.hazmat.primitives.serialization import Encoding
 
 from repro.crypto import rsa
 from repro.errors import TlsError
 from repro.netsim import lan_env
-from repro.pki import CertificateAuthority, CertificateUsage
-from repro.pki.certificate import CertificateSigningRequest
+from repro.pki import CertificateAuthority
 from repro.tls import TrustedTlsInterface
 from repro.tls.handshake import (
     ClientHandshake,
@@ -20,6 +21,7 @@ from repro.tls.handshake import (
     _server_signing_input,
 )
 from repro.tls.records import ContentType, handshake_record, parse_record
+from tests.support.pki import server_certificate, with_public_key
 from tests.support.rsa_ref import REFUSED_PUBLIC_KEYS
 
 
@@ -27,14 +29,10 @@ from tests.support.rsa_ref import REFUSED_PUBLIC_KEYS
 def world(user_key, second_key):
     ca = CertificateAuthority(key_bits=1024)
     client_cert = ca.issue_client_certificate("alice", user_key.public_key)
-    csr = CertificateSigningRequest(
-        "server", CertificateUsage.SERVER, second_key.public_key
-    )
-    server_cert = ca.sign_csr(csr)
     return {
         "ca": ca,
         "client": ClientIdentity(client_cert, user_key),
-        "server": ServerIdentity(server_cert, second_key),
+        "server": ServerIdentity(server_certificate(ca, second_key), second_key),
     }
 
 
@@ -84,8 +82,8 @@ class TestSuccess:
         client_hs = ClientHandshake(world["client"], world["ca"].public_key)
         server_hs = ServerHandshake(world["server"], world["ca"].public_key)
         run_handshake(client_hs, server_hs)
-        assert server_hs.client_certificate.user_id == "alice"
-        assert client_hs.server_certificate.subject == "server"
+        assert server_hs.client_uid == "alice"
+        assert client_hs.server_uid == "server"
 
     def test_sessions_have_distinct_keys(self, world):
         keys = []
@@ -110,10 +108,7 @@ class TestCertificateRejection:
 
     def test_server_cert_from_wrong_ca(self, world, second_key):
         rogue = CertificateAuthority(name="rogue", key_bits=1024)
-        csr = CertificateSigningRequest(
-            "fake-server", CertificateUsage.SERVER, second_key.public_key
-        )
-        fake_identity = ServerIdentity(rogue.sign_csr(csr), second_key)
+        fake_identity = ServerIdentity(server_certificate(rogue, second_key, "fake-server"), second_key)
         client_hs = ClientHandshake(world["client"], world["ca"].public_key)
         # The impostor happily accepts real client certificates; what
         # matters is that the CLIENT rejects the rogue server certificate.
@@ -124,12 +119,43 @@ class TestCertificateRejection:
 
     def test_client_cert_as_server_cert_rejected(self, world, user_key):
         # A valid CLIENT certificate must not authenticate a server.
-        client_as_server = ServerIdentity(world["client"].certificate, user_key)
+        client_as_server = ServerIdentity(world["client"].certificate.public_bytes(Encoding.DER), user_key)
         client_hs = ClientHandshake(world["client"], world["ca"].public_key)
         server_hs = ServerHandshake(client_as_server, world["ca"].public_key)
         server_hello = server_hs.handle_client_hello(client_hs.client_hello())
-        with pytest.raises(TlsError):
+        with pytest.raises(TlsError, match="server certificate rejected: .*extended key usage"):
             client_hs.handle_server_hello(server_hello)
+
+    def test_server_cert_as_client_cert_rejected(self, world, second_key):
+        # ...and a valid SERVER certificate must not authenticate a client.
+        server_cert = x509.load_der_x509_certificate(world["server"].certificate)
+        client_hs = ClientHandshake(ClientIdentity(server_cert, second_key), world["ca"].public_key)
+        server_hs = ServerHandshake(world["server"], world["ca"].public_key)
+        with pytest.raises(TlsError, match="client certificate rejected: .*extended key usage"):
+            server_hs.handle_client_hello(client_hs.client_hello())
+
+    @pytest.mark.parametrize(
+        "mangle",
+        [lambda der: b"", lambda der: b"\x30\x82garbage", lambda der: der[: len(der) // 2], lambda der: der[:-1]],
+        ids=["empty", "garbage", "half", "one-byte-short"],
+    )
+    def test_garbage_der_in_client_hello(self, world, mangle):
+        """Whatever bytes stand where the client certificate should be, the
+        enclave answers with a TlsError, never an untyped parse error."""
+        client_hs = ClientHandshake(world["client"], world["ca"].public_key)
+        hello = ClientHello.deserialize(client_hs.client_hello())
+        forged = ClientHello(hello.client_random, mangle(hello.certificate)).serialize()
+        server_hs = ServerHandshake(world["server"], world["ca"].public_key)
+        with pytest.raises(TlsError, match="client certificate rejected: malformed certificate"):
+            server_hs.handle_client_hello(forged)
+
+    def test_tampered_certificate_signature(self, world):
+        client_hs = ClientHandshake(world["client"], world["ca"].public_key)
+        hello = ClientHello.deserialize(client_hs.client_hello())
+        tampered = hello.certificate[:-1] + bytes([hello.certificate[-1] ^ 1])
+        server_hs = ServerHandshake(world["server"], world["ca"].public_key)
+        with pytest.raises(TlsError, match="client certificate rejected: .*invalid signature"):
+            server_hs.handle_client_hello(ClientHello(hello.client_random, tampered).serialize())
 
 
 class TestRefusedCertifiedKeys:
@@ -139,8 +165,10 @@ class TestRefusedCertifiedKeys:
         handshake with a TlsError, in the ServerHello and the ClientHello."""
         ca = world["ca"]
         server_key = world["server"].private_key
-        csr = CertificateSigningRequest("server", CertificateUsage.SERVER, refuse(server_key.public_key))
-        refused_server = ServerIdentity(ca.sign_csr(csr), server_key)
+        server_cert = x509.load_der_x509_certificate(world["server"].certificate)
+        refused_server = ServerIdentity(
+            with_public_key(ca, server_cert, refuse(server_key.public_key)), server_key
+        )
         client_hs = ClientHandshake(world["client"], ca.public_key)
         server_hello = ServerHandshake(refused_server, ca.public_key).handle_client_hello(
             client_hs.client_hello()
@@ -149,7 +177,9 @@ class TestRefusedCertifiedKeys:
             client_hs.handle_server_hello(server_hello)
 
         client_key = world["client"].private_key
-        refused_cert = ca.issue_client_certificate("mallory", refuse(client_key.public_key))
+        refused_cert = x509.load_der_x509_certificate(
+            with_public_key(ca, world["client"].certificate, refuse(client_key.public_key))
+        )
         client_hs = ClientHandshake(ClientIdentity(refused_cert, client_key), ca.public_key)
         server_hs = ServerHandshake(world["server"], ca.public_key)
         kx = client_hs.handle_server_hello(server_hs.handle_client_hello(client_hs.client_hello()))
