@@ -21,7 +21,7 @@ the state set, joins union it, loops iterate to a fixpoint, and
 ``try`` handlers are entered from the union of every program point in
 the ``try`` body.  Violations use *must* polarity — a call is flagged
 only when **every** abstract state at that point violates the protocol —
-so conditional code (``if not group.open: journal.open_epoch(...)``)
+so conditional code (``if journal.epoch is None: journal.open_epoch(...)``)
 never produces false positives.  ``commit_member`` additionally requires
 the drained flag (set by the configured drain calls) on every reaching
 member state: domination, not mere reachability.

@@ -46,6 +46,8 @@ from repro.tls.handshake import ClientIdentity
 
 _CONFIG = "config.json"
 _CA_KEY = "ca.key"
+#: The serial the CA's next certificate gets, kept across processes.
+_CA_SERIAL = "ca-serial.json"
 
 
 class ShareState:
@@ -99,7 +101,7 @@ def init_share(state: ShareState, options: SeGShareOptions) -> None:
     os.makedirs(state.path("stores"), exist_ok=True)
     os.makedirs(state.path("users"), exist_ok=True)
     world = open_share(state)  # provisions the server certificate
-    world.persist_counters()
+    world.persist()
     print(f"initialized share at {state.root}")
     print(f"enclave measurement: {world.server.enclave.measurement().hex()}")
 
@@ -110,8 +112,13 @@ class World:
     def __init__(self, state: ShareState) -> None:
         config = state.read_config()
         self.state = state
+        self._serial_path = state.path(_CA_SERIAL)
+        next_serial = 1
+        if os.path.exists(self._serial_path):
+            with open(self._serial_path, encoding="utf-8") as fh:
+                next_serial = json.load(fh)
         self.ca = CertificateAuthority(
-            key=rsa.RsaPrivateKey.deserialize(state.load_key(_CA_KEY))
+            key=rsa.RsaPrivateKey.deserialize(state.load_key(_CA_KEY)), next_serial=next_serial
         )
         self.env = azure_wan_env()
         platform = SgxPlatform(
@@ -159,10 +166,13 @@ class World:
             with open(self._counter_path, encoding="utf-8") as fh:
                 self._counter_service.restore_state(json.load(fh))
 
-    def persist_counters(self) -> None:
+    def persist(self) -> None:
+        """Keep what the simulated hardware and the CA must not forget."""
         if self._counter_service is not None:
             with open(self._counter_path, "w", encoding="utf-8") as fh:
                 json.dump(self._counter_service.export_state(), fh)
+        with open(self._serial_path, "w", encoding="utf-8") as fh:
+            json.dump(self.ca.next_serial, fh)
 
     # -- users ------------------------------------------------------------------
 
@@ -339,7 +349,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     finally:
-        world.persist_counters()
+        world.persist()
     return 0
 
 

@@ -152,15 +152,15 @@ class SeGShareCluster:
     def _epoch_open(server: SeGShareServer) -> bool:
         """Whether ``server`` holds an open commit epoch.
 
-        The coordinator mirrors its epoch-open bit into untrusted shared
-        memory (like the switchless signal words), so the front door can
-        check without an enclave transition and pay the quiesce ECALL
-        only when there is actually an epoch to close.  The bit survives
-        an enclave crash, so a member that died mid-epoch still reads as
-        open and gets recovered on the next routing switch.
+        Whether the journal has an epoch open is mirrored into untrusted
+        shared memory (like the switchless signal words), so the front
+        door can check without an enclave transition and pay the quiesce
+        ECALL only when there is actually an epoch to close.  The mirror
+        survives an enclave crash, so a member that died mid-epoch still
+        reads as open and gets recovered on the next routing switch.
         """
         engine = server.enclave.engine
-        return engine is not None and engine.group_commit.open
+        return engine is not None and engine.journal.epoch is not None
 
     @staticmethod
     def _quiesce(server: SeGShareServer) -> bool:

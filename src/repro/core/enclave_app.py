@@ -255,7 +255,9 @@ class SeGShareEnclave(Enclave):
     #: one ``check_certificate``; the hand-written certificate codec, the
     #: dedup store's test-only ``object_count`` and a duplicate group-commit
     #: counter gone, a connection's close now freeing its session: 7554 → 7463.
-    TCB_LOC_CEILING = 7463
+    #: One ``Epoch`` record on the journal says whether an epoch is open,
+    #: in place of four copies kept by hand (docs/PERF.md §5.4): 7463 → 7452.
+    TCB_LOC_CEILING = 7452
 
     def __init__(
         self,
@@ -776,8 +778,7 @@ class SeGShareEnclave(Enclave):
         enclave's memory, so two replicas must never both hold one open:
         the front door quiesces a replica before routing traffic to
         another, before membership changes, and before a successor
-        finishes a crashed peer's record.  A no-op when no epoch (or no coordinator) is
-        open.
+        finishes a crashed peer's record.  A no-op when no epoch is open.
         """
         self._check_alive()
         if self.engine is not None:
@@ -809,7 +810,7 @@ class SeGShareEnclave(Enclave):
         # it before rebuilding the guards for the crashed peer's commits.
         self.engine.quiesce()
         journal = self.engine.journal
-        if journal.active:
+        if journal.epoch is not None:
             raise EnclaveError("cannot take over with our own transaction in flight")
         record = journal.recover(crashed)
         self.engine.drop_derived_state()

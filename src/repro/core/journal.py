@@ -62,8 +62,8 @@ is vacuous, matching the (weaker) guarantees of those modes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Collection, Iterable, Optional, Sequence
+from dataclasses import dataclass, field
+from typing import Callable, Collection, Iterable, NoReturn, Optional, Sequence
 
 from repro.crypto import default_pae, derive_key
 from repro.errors import (
@@ -98,6 +98,12 @@ _STAMP_AAD = b"segshare-journal:stamp"
 #: One buffered write: (store tag, key, value), ``None`` deleting the key.
 Write = tuple[int, str, Optional[bytes]]
 
+#: An anchor record: both guards' root mains and the whole-FS counter value.
+AnchorRecord = tuple[tuple[bytes, bytes], int]
+
+#: The record an epoch opens on without rollback guards.
+UNANCHORED: AnchorRecord = ((b"", b""), 0)
+
 
 def _pack_writes(w: Writer, writes: Sequence[Write]) -> Writer:
     w.u32(len(writes))
@@ -125,9 +131,11 @@ class EpochRecord:
     pending (or absent): the epoch keeps the guard batches in enclave
     memory, so after a crash the guards are rebuilt from the data, checked
     against these, and re-anchored with a clean guard's anchored root.
-    ``counter`` is the whole-FS counter value at the epoch's start.  ``parts`` are the record parts holding the writes the
-    member spilled, applied before ``writes``.  A record with no writes,
-    parts or roots carries only ``intents``.
+    ``counter`` is the whole-FS counter value at the epoch's start.
+
+    ``parts`` are the record parts holding the writes the member spilled,
+    applied before ``writes``.  A record with no writes, parts or roots
+    carries only ``intents``.
     """
 
     label: str
@@ -153,14 +161,34 @@ class EpochRecord:
         return record
 
 
+@dataclass
+class Epoch:
+    """The open commit epoch, in enclave memory only."""
+
+    #: The anchor record it opened on: every member's record carries its
+    #: counter, and the close's one increment proves it fresh.
+    opened: AnchorRecord
+    #: When the last member finished: a transaction beginning before it
+    #: overlapped that member and joins.
+    release: float
+    #: Members committed so far.
+    members: int = 0
+    #: Record parts the committed records named, dropped at the close.
+    parts: list[str] = field(default_factory=list)
+    #: Coherence keys the committed members touched, published at the close.
+    touched: dict[tuple[str, str], None] = field(default_factory=dict)
+
+
 class WriteAheadJournal:
     """Redo journal over the three untrusted stores of one deployment.
 
     ``writer`` names this enclave's record slot on the store.
     ``counter_probe`` returns the current whole-FS counter value for
     recovery, or is ``None`` when no counter protects the deployment.
-    Every step's store writes are its only effects, so a crash anywhere
-    leaves a prefix of them, which recovery handles (docs/FAULTS.md).
+    ``epoch`` is the open commit epoch, ``None`` between epochs: the one
+    place that says whether one is open.  Every step's store writes are its
+    only effects, so a crash anywhere leaves a prefix of them, which
+    recovery handles (docs/FAULTS.md).
     """
 
     def __init__(
@@ -179,26 +207,14 @@ class WriteAheadJournal:
         self.writer = writer
         self._record_key = _RECORD_PREFIX + writer
         self._part_prefix = f"{_PART_PREFIX}{writer}:"
-        self._active = False
-        #: The whole-FS counter value at the open epoch's start: the anchor
-        #: defers its increment to the close, so it holds for every member.
-        self._counter = 0
+        self.epoch: Optional[Epoch] = None
         #: Parts written so far; a part's number names its key.
         self._seq = 0
-        #: Parts the open epoch's committed records named, dropped at its close.
-        self._committed_parts: list[str] = []
         #: True while this journal's record may be stored.
         self._stored = False
         #: Intents completed by the recoveries this journal ran.
         self.intents_recovered = 0
         self._poisoned: Optional[str] = None
-
-    # -- step boundaries -------------------------------------------------------
-
-    @property
-    def active(self) -> bool:
-        """True while an epoch is open (between members too)."""
-        return self._active
 
     # -- epoch lifecycle ---------------------------------------------------------
     #
@@ -215,19 +231,23 @@ class WriteAheadJournal:
                 f"mutations are disabled: {self._poisoned} (restart the enclave)"
             )
 
-    def open_epoch(self, label: str, counter: int = 0) -> None:
-        """Open an epoch on the anchor record counted ``counter`` (whole-FS);
-        no store write happens until a member commits."""
+    def _refuse(self) -> NoReturn:
+        """Refuse a step the epoch's state does not allow."""
+        raise StorageError("journal epoch already open" if self.epoch is not None else "no commit epoch is open")
+
+    def open_epoch(self, label: str, opened: AnchorRecord = UNANCHORED, release: float = 0.0) -> Epoch:
+        """Open an epoch on the anchor record ``opened`` at virtual time
+        ``release``; no store write happens until a member commits."""
         self.check_usable()
-        if self._active:
-            raise StorageError("journal epoch already open")
-        self._counter = counter
-        self._active = True
+        if self.epoch is not None:
+            self._refuse()
+        self.epoch = Epoch(opened, release)
+        return self.epoch
 
     def begin_member(self) -> int:
         """Start one member transaction; returns its first part number."""
-        if not self._active:
-            raise StorageError("no commit epoch is open")
+        if self.epoch is None:
+            self._refuse()
         return self._seq
 
     def record(self, writes: Sequence[Write]) -> str:
@@ -235,8 +255,8 @@ class WriteAheadJournal:
 
         A part is inert until the member's record names it.
         """
-        if not self._active:
-            raise StorageError("no commit epoch is open")
+        if self.epoch is None:
+            self._refuse()
         key = f"{self._part_prefix}{self._seq:08d}"
         self._seq += 1
         self._put(key, _pack_writes(Writer(), writes).take())
@@ -254,24 +274,25 @@ class WriteAheadJournal:
         member_base: int,
         fs_main: bytes,
         group_main: bytes,
-        members: int,
         label: str,
         intents: Collection[str] = (),
         writes: Sequence[Write] = (),
     ) -> EpochRecord:
         """Commit one member: the record put is its atomic commit point.
 
-        The record replaces the previous member's; the epoch's close drops
-        the parts either named.  The caller applies the writes next
-        (:meth:`apply`).
+        The record replaces the previous member's and counts the member
+        into the epoch; the epoch's close drops the parts either named.  The
+        caller applies the writes next (:meth:`apply`).
         """
-        if not self._active:
-            raise StorageError("no commit epoch is open")
+        epoch = self.epoch or self._refuse()
         parts = tuple(f"{self._part_prefix}{seq:08d}" for seq in range(member_base, self._seq))
-        record = EpochRecord(label, members, self._counter, fs_main, group_main, tuple(intents), parts, tuple(writes))
+        record = EpochRecord(
+            label, epoch.members + 1, epoch.opened[1], fs_main, group_main, tuple(intents), parts, tuple(writes)
+        )
         self._stored = True
         self._put(self._record_key, record.encode())
-        self._committed_parts += parts
+        epoch.members += 1
+        epoch.parts += parts
         return record
 
     def apply(self, writes: Sequence[Write], parts: Sequence[str] = (), tolerant: bool = False) -> None:
@@ -295,13 +316,13 @@ class WriteAheadJournal:
         Its writes never left enclave memory, so no stored key changed and
         other members are untouched.
         """
-        if not self._active:
-            raise StorageError("no commit epoch is open")
+        if self.epoch is None:
+            self._refuse()
         self._drop_parts(f"{self._part_prefix}{seq:08d}" for seq in range(member_base, self._seq))
 
     def rollback(self) -> None:
         """End an epoch in which no member committed: nothing was stored."""
-        self._active = False
+        self.epoch = None
 
     def close_epoch(self, intents: Collection[str] = ()) -> None:
         """Close the epoch: the record's delete is the atomic close point.
@@ -310,12 +331,10 @@ class WriteAheadJournal:
         needs the record's roots; intents still open replace it as a
         record of their own.
         """
-        if not self._active:
-            raise StorageError("no commit epoch is open")
-        self._keep(intents)
-        self._active = False
-        parts, self._committed_parts = self._committed_parts, []
-        self._drop_parts(parts)
+        epoch = self.epoch or self._refuse()
+        self._keep(intents, epoch.opened[1])
+        self.epoch = None
+        self._drop_parts(epoch.parts)
 
     # benchmarks/e2e/layers.py wraps the journal by these older names too;
     # they stay until that harness wraps by role (ROADMAP item 1).
@@ -323,9 +342,10 @@ class WriteAheadJournal:
     commit = close_epoch
 
     def poison(self, reason: str) -> None:
-        """Refuse further epochs (an abort could not finish); reads continue."""
+        """Drop the epoch and refuse further ones (an abort could not
+        finish); reads continue."""
         self._poisoned = reason
-        self._active = False
+        self.epoch = None
 
     # -- recovery (enclave start, cluster takeover) ------------------------------
 
@@ -393,12 +413,12 @@ class WriteAheadJournal:
         While an epoch is open the stored record is its last member's; it
         is left alone until the close.
         """
-        if not self._active:
+        if self.epoch is None:
             self._keep(())
 
-    def _keep(self, intents: Collection[str]) -> None:
+    def _keep(self, intents: Collection[str], counter: int = 0) -> None:
         if intents:
-            record = EpochRecord("reclaim", 0, self._counter, b"", b"", tuple(intents), (), ())
+            record = EpochRecord("reclaim", 0, counter, b"", b"", tuple(intents), (), ())
             self._stored = True
             self._put(self._record_key, record.encode())
         elif self._stored:

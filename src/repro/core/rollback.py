@@ -113,8 +113,6 @@ class FileSystemAnchor:
         #: the anchor cannot be re-counted.  Set False to fail reads too.
         self.allow_degraded_reads = True
         self.degraded_reads = 0
-        #: The record the open epoch opened on.
-        self._epoch: tuple[Mains, int] | None = None
         #: The record this enclave last wrote, until storage may have moved
         #: on (:meth:`forget`): with a metadata cache, which a cluster keeps
         #: coherent, an epoch opens on it without a read.  A stale one costs
@@ -172,11 +170,11 @@ class FileSystemAnchor:
             raise RollbackDetected(f"file system rolled back: anchor counter {stored} != TEE counter {current}")
         return mains
 
-    def write_roots(self, mains: "list[bytes | None]") -> None:
+    def write_roots(self, mains: "list[bytes | None]", opened: "tuple[Mains, int] | None" = None) -> None:
         """One anchor write: each slot's main, the anchored one where None
-        (in an epoch, the opened record's, fresh once the count proves it)."""
+        (an epoch's close passes the record it ``opened`` on, fresh once the
+        count proves it)."""
         with self.locks.serial("rb-anchor", account="anchor-wait"):
-            opened = self._epoch
             kept = opened[0] if opened is not None else self._anchored() if None in mains else (b"", b"")
             if self._counted is None and self.counter is not None:
                 self._counted = self.counter.increment(self.enclave, COUNTER_ID)
@@ -227,32 +225,32 @@ class FileSystemAnchor:
     # close the committed members' redo record carries the pending roots,
     # so a crash rebuilds the nodes from the data and checks them against it.
 
-    def begin_batch(self) -> int:
-        """Open an epoch on the latest anchor record; its counter value."""
-        self._epoch = self._last if self._last and self._engine.cache is not None else self.read()
+    def begin_batch(self) -> tuple[Mains, int]:
+        """Open an epoch on the latest anchor record; that record."""
+        opened = self._last if self._last and self._engine.cache is not None else self.read()
         for guard in self.guards:
             guard.begin_batch()
-        return self._epoch[1]
+        return opened
 
     def pending_roots(self) -> Mains:
         """The pending roots, for the redo record; empty for a clean guard."""
         fs_main, group_main = self._by_slot(lambda guard: guard.pending_root())
         return fs_main or b"", group_main or b""
 
-    def commit_batch(self) -> None:
-        """The close: each guard writes its dirty nodes, then one anchor
-        write names both roots.  A failure part-way keeps every batch, so
-        the next close writes all of it again."""
+    def commit_batch(self, opened: tuple[Mains, int]) -> None:
+        """The close of the epoch ``opened`` on that record: each guard
+        writes its dirty nodes, then one anchor write names both roots.  A
+        failure part-way keeps every batch, so the next close writes all of
+        it again."""
         mains = self._by_slot(lambda guard: guard.commit_batch())
         if mains != [None, None]:
-            self.write_roots(mains)
+            self.write_roots(mains, opened)
         self.end_batch(flushed=True)
 
     def end_batch(self, flushed: bool = False) -> None:
         """Leave the epoch; without ``flushed``, drop what it pended."""
         for guard in self.guards:
             guard.end_batch(flushed)
-        self._epoch = None
 
     # -- re-anchors ------------------------------------------------------------------
 
@@ -320,50 +318,49 @@ class _GuardCore:
         self._enclave, self._locks = anchor.enclave, anchor.locks
         self.stats = GuardStats()
         # Batch mode: dirty nodes and the root stay in enclave memory until
-        # the epoch's close — O(dirty nodes) instead of O(N·depth).
-        self._batching = False
-        self._pending_nodes: dict = {}
+        # the epoch's close — O(dirty nodes) instead of O(N·depth).  No map
+        # means no batch.  A batch outlives a poisoned journal's epoch: the
+        # enclave's reads go on verifying against its pending root.
+        self._pending_nodes: dict | None = None
         self._pending_main: bytes | None = None
         anchor.attach(self)
 
     # -- batches: an epoch's, rewound per aborted member ------------------------------
 
     def begin_batch(self) -> None:
-        if not self._batching:
-            self._batching, self._pending_nodes, self._pending_main = True, {}, None
+        if self._pending_nodes is None:
+            self._pending_nodes = {}
 
     def commit_batch(self) -> bytes | None:
         """Write the batch's dirty nodes; the root they need anchored (None
         if none).  The batch stays open until the anchor names it."""
-        if not self._batching:
-            return None
-        for dir_path, node in self._pending_nodes.items():
+        for dir_path, node in (self._pending_nodes or {}).items():
             self._write_node(dir_path, node)
         return self._pending_main
 
     def end_batch(self, flushed: bool = False) -> None:
         """Leave batch mode: after the anchor write if ``flushed``, else
         dropping what it pended."""
-        if flushed and self._batching:
+        if flushed and self._pending_nodes is not None:
             self.stats.batches += 1
             self.stats.nodes_flushed += len(self._pending_nodes)
             self.stats.last_batch_nodes = len(self._pending_nodes)
-        self._batching, self._pending_nodes, self._pending_main = False, {}, None
+        self._pending_nodes, self._pending_main = None, None
 
     def snapshot_pending(self) -> tuple[dict, bytes | None]:
         """Deep-copy the pending batch state (taken at member begin)."""
-        return {path: node.copy() for path, node in self._pending_nodes.items()}, self._pending_main
+        return {path: node.copy() for path, node in (self._pending_nodes or {}).items()}, self._pending_main
 
     def restore_pending(self, snap: tuple[dict, bytes | None]) -> None:
         """Rewind the pending batch state to a member-begin snapshot."""
         nodes, main = snap
         # Copied again: the snapshot stays good for a second rewind.
-        self._batching, self._pending_nodes = True, {path: node.copy() for path, node in nodes.items()}
+        self._pending_nodes = {path: node.copy() for path, node in nodes.items()}
         self._pending_main = main
 
     def pending_root(self) -> bytes:
         """The root main hash the open batch will anchor; empty if none is pending."""
-        return (self._pending_main or b"") if self._batching else b""
+        return self._pending_main or b""
 
     # -- hashing -------------------------------------------------------------------
 
@@ -381,16 +378,15 @@ class _GuardCore:
     # -- node persistence --------------------------------------------------------------
 
     def _load_node(self, dir_path: str = ROOT):
-        pending = self._pending_nodes.get(dir_path)  # empty outside a batch
-        if pending is not None:
-            return pending
+        if self._pending_nodes and dir_path in self._pending_nodes:
+            return self._pending_nodes[dir_path]
         # A copy of the cache entry's slot: what the entry's own bytes decode
         # to, whatever their age, so the slot assumes nothing about freshness.
         # A node the close wrote is there with its main.
         return self._mount.raw_read(self._node_path(dir_path), self._decode_node).copy()
 
     def _save_node(self, dir_path: str, node) -> None:
-        if self._batching:
+        if self._pending_nodes is not None:
             self._pending_nodes[dir_path] = node
         else:
             self._write_node(dir_path, node)
@@ -409,13 +405,13 @@ class _GuardCore:
 
     def _set_root(self, main: bytes) -> None:
         """A walk reached the root: pend it in a batch, else anchor it."""
-        if self._batching:
+        if self._pending_nodes is not None:
             self._pending_main = main
         else:  # a re-anchor of this root, keeping the other
             self.anchor.write_roots([main if slot == self._SLOT else None for slot in (FS_SLOT, GROUP_SLOT)])
 
     def _verify_anchor(self, main: bytes) -> None:
-        if self._batching and self._pending_main is not None:
+        if self._pending_main is not None:
             # Mid-batch the authoritative root is the pending one, in enclave
             # memory, which needs no counter freshness check.
             if main != self._pending_main:
@@ -506,14 +502,14 @@ class RollbackGuard(_GuardCore):
 
     def _delete_node(self, dir_path: str) -> None:
         """Remove a directory's node (pending copy and persisted object)."""
-        if self._batching:
+        if self._pending_nodes is not None:
             self._pending_nodes.pop(dir_path, None)
         node_path = self._node_path(dir_path)
         if self._mount.raw_exists(node_path):
             self._mount.raw_delete(node_path)
 
     def _node_exists(self, dir_path: str) -> bool:
-        if self._batching and dir_path in self._pending_nodes:
+        if self._pending_nodes and dir_path in self._pending_nodes:
             return True
         return self._mount.raw_exists(self._node_path(dir_path))
 

@@ -19,7 +19,6 @@ independent of its key and of when it was issued.
 from __future__ import annotations
 
 import datetime
-import itertools
 import threading
 
 from cryptography import x509
@@ -40,7 +39,9 @@ class CertificateAuthority:
 
     ``key_bits`` defaults to 1024 rather than 2048: the smallest size
     OpenSSL generates, and the size of every other key in the deployment;
-    the signature scheme is identical.
+    the signature scheme is identical.  ``next_serial`` is the serial the
+    next certificate gets: a CA re-opened over a persisted key resumes
+    from the one it left off at, so no two certificates share a serial.
     """
 
     def __init__(
@@ -48,10 +49,11 @@ class CertificateAuthority:
         name: str = "segshare-ca",
         key_bits: int = 1024,
         key: rsa.RsaPrivateKey | None = None,
+        next_serial: int = 1,
     ) -> None:
         self.name = name
         self._key = key or rsa.generate_keypair(key_bits)
-        self._serials = itertools.count(1)
+        self.next_serial = next_serial
         self._lock = threading.Lock()
 
     @property
@@ -70,7 +72,7 @@ class CertificateAuthority:
         public_key: CertificatePublicKeyTypes,
     ) -> x509.Certificate:
         with self._lock:
-            serial = next(self._serials)
+            serial, self.next_serial = self.next_serial, self.next_serial + 1
         builder = (
             x509.CertificateBuilder()
             .subject_name(subject)

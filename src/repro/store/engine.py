@@ -42,7 +42,7 @@ from collections import OrderedDict
 from dataclasses import asdict, dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, Iterator, Sequence
 
-from repro.core.journal import TAG_DEDUP, EpochRecord, Write, WriteAheadJournal
+from repro.core.journal import TAG_DEDUP, UNANCHORED, Epoch, EpochRecord, Write, WriteAheadJournal
 from repro.errors import EnclaveCrashed, ReproError, StorageError
 from repro.storage.backends import UntrustedStore
 from repro.storage.stores import StoreSet
@@ -110,13 +110,13 @@ class GroupCommitStats:
 
 
 class GroupCommitCoordinator:
-    """Bookkeeping for one open commit epoch (enclave memory only).
+    """The group-commit policy and its counters; the open epoch itself is
+    the journal's (:class:`~repro.core.journal.Epoch`).
 
-    ``release`` is the virtual time the last member finished committing:
-    a transaction that *begins* before it overlapped an in-flight member
-    and joins the epoch; one that begins after it found the pipeline
-    drained, so the epoch closes first (group commit never delays a lone
-    writer waiting for company).
+    A transaction that *begins* before the epoch's release overlapped an
+    in-flight member and joins the epoch; one that begins after it found
+    the pipeline drained, so the epoch closes first (group commit never
+    delays a lone writer waiting for company).
     """
 
     #: Epochs close at this many members even under continuous overlap, so
@@ -130,9 +130,6 @@ class GroupCommitCoordinator:
         #: while the enclave builds, so deploy-time transactions leave no
         #: epoch open behind them.
         self.solo = True
-        self.open = False
-        self.release = 0.0
-        self.members = 0
 
 
 class DeferredStore(UntrustedStore):
@@ -169,7 +166,9 @@ class DeferredStore(UntrustedStore):
         self._journal = journal
         self._tag = tag
         self._direct = direct
-        self._armed = False
+        #: True while a member's writes are buffered: the engine defers its
+        #: cache write-backs until they land.
+        self.armed = False
         #: key -> value, or None for a buffered delete (tombstone).
         self._pending: "OrderedDict[str, bytes | None]" = OrderedDict()
         self._pending_bytes = 0
@@ -203,17 +202,17 @@ class DeferredStore(UntrustedStore):
             self._stats.pending_bytes_peak = self._pending_bytes
 
     def _passes(self, key: str) -> bool:
-        return not self._armed or (self._direct is not None and key.startswith(self._direct))
+        return not self.armed or (self._direct is not None and key.startswith(self._direct))
 
     def holds(self, key: str, write: bool = False) -> bool:
         """True if a call on ``key`` stays in enclave memory, so pays no OCALL now."""
         # A write while armed, a fresh object's excepted; a read of a value the span wrote.
-        return not self._passes(key) if write else self._armed and (key in self._pending or key in self._spilled)
+        return not self._passes(key) if write else self.armed and (key in self._pending or key in self._spilled)
 
     # -- transaction hooks ---------------------------------------------------
 
     def arm(self) -> None:
-        self._armed = True
+        self.armed = True
 
     def drain(self) -> list[Write]:
         """Hand the overlay to the commit and disarm; spilled parts stay
@@ -227,7 +226,7 @@ class DeferredStore(UntrustedStore):
         self._account(-self._pending_bytes)
         self._pending = OrderedDict()
         self._spilled = {}
-        self._armed = False
+        self.armed = False
 
     def _spill(self) -> None:
         part = self._journal.record([(self._tag, key, value) for key, value in self._pending.items()])
@@ -262,7 +261,7 @@ class DeferredStore(UntrustedStore):
         return self.get(key)[offset : offset + length] if self.holds(key) else self.inner.get_range(key, offset, length)
 
     def get(self, key: str) -> bytes:
-        if self._armed and (key in self._pending or key in self._spilled):
+        if self.armed and (key in self._pending or key in self._spilled):
             value = self._pending[key] if key in self._pending else self._read_spilled(key)
             if value is None:
                 raise StorageError(f"no object at key {key!r}")
@@ -290,7 +289,7 @@ class DeferredStore(UntrustedStore):
             self._set_pending(key, None)
 
     def exists(self, key: str) -> bool:
-        if self._armed:
+        if self.armed:
             if key in self._pending:
                 return self._pending[key] is not None
             if key in self._spilled:
@@ -301,7 +300,7 @@ class DeferredStore(UntrustedStore):
         return self.scan("")
 
     def scan(self, prefix: str) -> Iterator[str]:
-        if not self._armed or not (self._pending or self._spilled):
+        if not self.armed or not (self._pending or self._spilled):
             return self.inner.scan(prefix)
         merged = set(self.inner.scan(prefix))
         overlay = [(key, present) for key, (_, present) in self._spilled.items()]
@@ -343,9 +342,6 @@ class StorageEngine:
         #: True while the body of an outermost span (an epoch member)
         #: runs: transactions started inside it are nested and join it.
         self.in_span = False
-        #: True while a member's writes are buffered: its cache write-backs
-        #: wait for the writes to land.
-        self._buffering = False
         self.stats = TransactionStats()
         self.group_commit = GroupCommitCoordinator()
         #: Cluster request token to persist with the next transaction.
@@ -366,9 +362,6 @@ class StorageEngine:
         #: sorted names would not).  Shares the lifecycle (and therefore
         #: the thread-safety argument) of ``_write_backs``.
         self._txn_touched: "dict[tuple[str, str], None]" = {}
-        #: Union of the open epoch's committed members' touched sets;
-        #: published once at epoch close, amortized like the anchor write.
-        self._epoch_touched: "dict[tuple[str, str], None]" = {}
         #: (namespace, key) -> (value, slot); deferred cache write-through,
         #: last write per key wins.
         self._write_backs: "OrderedDict[tuple[str, str], tuple[bytes, Slot | None]]" = OrderedDict()
@@ -431,12 +424,12 @@ class StorageEngine:
         """
         self._write_backs.clear()
         self._txn_touched.clear()
-        self._epoch_touched.clear()
 
     def quiesce(self) -> None:
         """Close any open epoch (bench boundaries, cluster hand-offs)."""
-        if self.group_commit.open:
-            self._close_epoch("quiesce")
+        epoch = self.journal.epoch
+        if epoch is not None:
+            self._close_epoch(epoch, "quiesce")
 
     # -- the transaction span ------------------------------------------------
 
@@ -464,33 +457,34 @@ class StorageEngine:
             # reads, so the span never builds writes over stale cache.
             self.coherence.sync()
         now = clock.now()
-        if group.open and (now > group.release or group.members >= group.MAX_MEMBERS):
+        epoch = journal.epoch
+        if epoch is not None and (now > epoch.release or epoch.members >= group.MAX_MEMBERS):
             # This transaction did not overlap the last member (or the
             # epoch is full): flush the epoch's deferred guard state
             # first.  The close runs as background work anchored at the
             # last member's release; the opener below rendezvouses on
             # "journal-commit" and so waits for it — honest commit-wait.
-            self._close_epoch("window" if now > group.release else "cap")
+            self._close_epoch(epoch, "window" if now > epoch.release else "cap")
+            epoch = None
         anchor = self.anchor
-        if not group.open:
+        if epoch is None:
             if anchor is not None:
                 # Liveness only, outside the commit point: a lost quorum
                 # refuses the write before anything commits.
                 anchor.probe()
             # The epoch opens on the latest anchor record (the one this
             # enclave last wrote, unless a sync since saw a peer's close and
-            # made it forget), which the close's increment proves fresh.  Guard node/anchor persistence waits for that
-            # close.  Safe because no member's writes reach the store before
-            # its redo record, which names the pending roots: a crash
-            # rebuilds the nodes from the data, and an aborted member's
-            # changes rewind.  The batch begins before the journal takes the
-            # epoch: a journal that refuses one is poisoned, and until the
-            # restart its enclave only reads, which a begun batch leaves as is.
+            # made it forget), which the close's increment proves fresh.
+            # Guard node/anchor persistence waits for that close.  Safe
+            # because no member's writes reach the store before its redo
+            # record, which names the pending roots: a crash rebuilds the
+            # nodes from the data, and an aborted member's changes rewind.
+            # The batch begins before the journal takes the epoch: a
+            # journal that refuses one is poisoned, and until the restart
+            # its enclave only reads, which a begun batch leaves as is.
             with self._commit_point():
-                journal.open_epoch(label, anchor.begin_batch() if anchor is not None else 0)
-            group.open = True
-            group.members = 0
-            group.release = clock.now()
+                opened = anchor.begin_batch() if anchor is not None else UNANCHORED
+                epoch = journal.open_epoch(label, opened, clock.now())
         member_base = journal.begin_member()
         snapshots = [(guard, guard.snapshot_pending()) for guard in self.guards]
         puts_before = self._open_span()
@@ -500,26 +494,22 @@ class StorageEngine:
                 mains = anchor.pending_roots() if anchor is not None else (b"", b"")
                 intents = {**self._outstanding, **self._released}
                 writes = [write for store in self._deferred for write in store.drain()]
-                self._buffering = False
-                record = journal.commit_member(
-                    member_base, *mains, group.members + 1, label, intents, writes
-                )
+                record = journal.commit_member(member_base, *mains, label, intents, writes)
                 self._apply_committed(record)
         except EnclaveCrashed:
             # The enclave is gone; restart recovery re-applies a committed record.
             raise
         except BaseException:
-            self._abort(label, member_base, snapshots)
+            self._abort(label, epoch, member_base, snapshots)
             self.stats.aborts += 1
             raise
         else:
-            group.release = clock.now()
-            group.members += 1
+            epoch.release = clock.now()
             group.stats.members_total += 1
             self._apply_write_backs()
             # Committed members pool their touched keys; the epoch close
             # publishes them as one entry.
-            self._epoch_touched |= self._txn_touched
+            epoch.touched |= self._txn_touched
             self._txn_touched = {}
             self._committed(puts_before)
             if group.solo:
@@ -528,7 +518,7 @@ class StorageEngine:
                 # close meets: a failed close keeps the epoch open, and the
                 # next span's opener runs it again.
                 try:
-                    self._close_epoch("solo")
+                    self._close_epoch(epoch, "solo")
                 except EnclaveCrashed:
                     raise
                 except ReproError:
@@ -541,7 +531,6 @@ class StorageEngine:
         put count the span starts from."""
         for store in self._deferred:
             store.arm()
-        self._buffering = True
         stamp, self.pending_stamp = self.pending_stamp, None
         if stamp is not None:
             # Buffered like any other write: an abort (or a crash before
@@ -555,7 +544,6 @@ class StorageEngine:
     def _disarm(self) -> None:
         for store in self._deferred:
             store.discard()
-        self._buffering = False
 
     def _apply(self, record: EpochRecord) -> None:
         """Apply a committed record: one round-trip per store group."""
@@ -593,8 +581,8 @@ class StorageEngine:
         self._released = {}
         self._finish_reclaims()
 
-    def _close_epoch(self, reason: str) -> None:
-        """Flush the epoch's deferred guard state and drop the record.
+    def _close_epoch(self, epoch: Epoch, reason: str) -> None:
+        """Flush the open ``epoch``'s deferred guard state and drop the record.
 
         One batched guard-node flush, written as one group per store, one
         anchor write (plus counter increment) for both guards, one record delete
@@ -606,11 +594,11 @@ class StorageEngine:
         the epoch open — the record still describes the stored data, and a
         guard whose flush did not finish keeps its batch — and is raised to
         whoever asked for the close; the next span's opener runs it again.
+        A poisoned journal has no epoch, so it never gets here.
         """
-        self.journal.check_usable()
         clock = self.enclave.platform.clock
         group = self.group_commit
-        bg = None if group.solo else clock.open_track("group-commit-close", start=group.release)
+        bg = None if group.solo else clock.open_track("group-commit-close", start=epoch.release)
         try:
             with self._commit_point():
                 try:
@@ -620,21 +608,20 @@ class StorageEngine:
                     raise
                 except BaseException:
                     # No member joins an epoch whose close is still due.
-                    group.release = float("-inf")
+                    epoch.release = float("-inf")
                     raise
-                group.open = False
                 # Publish once per epoch, inside the same serialized
                 # close: peers learn every committed member's touched
                 # keys, and the guard keys the flush just wrote, in one
                 # entry.  A crash here leaves the epoch committed but
                 # unpublished — healed by the recovery reset (see
                 # SeGShareEnclave._finish_recovery).
-                self._publish_coherence("epoch")
+                self._publish_coherence(epoch.touched, "epoch")
         finally:
             if bg is not None:
                 clock.close_track(bg, join=False)
         stats = group.stats
-        members = group.members
+        members = epoch.members
         stats.epochs += 1
         stats.histogram[str(members)] = stats.histogram.get(str(members), 0) + 1
         stats.closes[reason] = stats.closes.get(reason, 0) + 1
@@ -652,15 +639,15 @@ class StorageEngine:
         for store in self._deferred:
             store.grouped = 0
         try:
-            if self.anchor is not None:
-                self.anchor.commit_batch()
+            if self.anchor is not None and self.journal.epoch is not None:
+                self.anchor.commit_batch(self.journal.epoch.opened)
         finally:
             for store in self._deferred:
                 if store.grouped:
                     self.enclave.ocall(account="pfs-io")
                 store.grouped = None
 
-    def _abort(self, label: str, member_base: int, snapshots: list) -> None:
+    def _abort(self, label: str, epoch: Epoch, member_base: int, snapshots: list) -> None:
         """The one rollback: a member that failed before its commit point.
 
         Its writes never left enclave memory: the buffers and the parts it
@@ -671,7 +658,6 @@ class StorageEngine:
         answers UNAVAILABLE and restart recovery starts clean.
         """
         journal = self.journal
-        group = self.group_commit
         # No stored key changed, so peers' caches are still correct:
         # nothing to publish.
         self.in_span = False
@@ -683,16 +669,16 @@ class StorageEngine:
             for guard, snapshot in snapshots:
                 guard.restore_pending(snapshot)
             journal.rollback_member(member_base)
-            if group.members == 0:
+            if epoch.members == 0:
                 if self.anchor is not None:
                     self.anchor.end_batch()
                 journal.rollback()
-                group.open = False
         except EnclaveCrashed:
             raise
         except ReproError as rollback_exc:
+            # The guards keep their batches: the poisoned enclave's reads
+            # verify against the roots its committed members left pending.
             journal.poison(f"rollback of transaction {label!r} failed: {rollback_exc}")
-            group.open = False
 
     # -- object reclaim ---------------------------------------------------------
     #
@@ -758,8 +744,9 @@ class StorageEngine:
             )
             self.stats.write_backs += len(pending)
 
-    def _publish_coherence(self, label: str) -> None:
-        """Publish the pending touched-key set as one coherence entry.
+    def _publish_coherence(self, touched: "dict[tuple[str, str], None]", label: str) -> None:
+        """Publish ``touched`` and the open span's touched keys as one
+        coherence entry.
 
         An epoch close publishes the union its members pooled.  Runs
         strictly after the journal commit — the entry describes only durable
@@ -770,9 +757,8 @@ class StorageEngine:
         """
         if self.coherence is None:
             return
-        touched = self._epoch_touched | self._txn_touched
+        touched = touched | self._txn_touched
         self._txn_touched = {}
-        self._epoch_touched = {}
         if not touched:
             return
         self.coherence.publish(touched, label)
@@ -857,7 +843,7 @@ class StorageEngine:
         self._touch_coherence(namespace, key)
         if self.cache is None:
             return
-        if self._buffering:
+        if self._deferred[0].armed:
             self._write_backs.pop((namespace, key), None)
             self._write_backs[(namespace, key)] = value, slot
         else:
@@ -873,5 +859,5 @@ class StorageEngine:
         re-reads triggered by a sync) are not captured: they do not change
         committed shared state from a peer's point of view.
         """
-        if self.coherence is not None and self.group_commit.open:
+        if self.coherence is not None and self.journal.epoch is not None:
             self._txn_touched[(namespace, key)] = None

@@ -31,6 +31,7 @@ from repro.netsim import azure_wan_env
 from repro.pki import CertificateAuthority
 from repro.storage.backends import InMemoryStore
 from repro.storage.stores import StoreSet
+from repro.tls.channel import StreamingResponse
 from tests.support.dedup import stored_records
 from tests.support.explorer import EFFECT_CLASSES, RecordingPlan, count, crash_state, explore, journal_site, under_plan
 
@@ -581,7 +582,7 @@ def _run_batch(stores: StoreSet, done: list | None = None) -> None:
     journal = WriteAheadJournal(stores, _ROOT_KEY)
     journal.open_epoch("remove-big")
     base = journal.begin_member()
-    record = journal.commit_member(base, b"", b"", 1, "remove-big", writes=_BATCH)
+    record = journal.commit_member(base, b"", b"", "remove-big", writes=_BATCH)
     if done is not None:
         done.append(1)
     journal.apply(record.writes, record.parts)
@@ -752,7 +753,7 @@ def _run_epoch(stores: StoreSet, done: list[int]) -> None:
     for member, (object_id, fill) in enumerate((("obj:1", 10), ("obj:2", 20)), start=1):
         base = journal.begin_member()
         writes = [*_deletes(object_id, fill), (TAG_CONTENT, "/edit", b"member %d" % member)]
-        record = journal.commit_member(base, b"", b"", member, f"m{member}", writes=writes)
+        record = journal.commit_member(base, b"", b"", f"m{member}", writes=writes)
         done.append(member)
         journal.apply(record.writes, record.parts)
     journal.close_epoch()
@@ -805,7 +806,7 @@ class TestMovedPreImagesInEpochs:
         journal.open_epoch("epoch")
         base = journal.begin_member()
         record = journal.commit_member(
-            base, b"", b"", 1, "m1", writes=[*_deletes("obj:1", 10), (TAG_CONTENT, "/edit", b"member 1")]
+            base, b"", b"", "m1", writes=[*_deletes("obj:1", 10), (TAG_CONTENT, "/edit", b"member 1")]
         )
         journal.apply(record.writes)
         base = journal.begin_member()
@@ -827,7 +828,7 @@ class TestMovedPreImagesInEpochs:
         journal.open_epoch("epoch")
         base = journal.begin_member()
         writes = [*_deletes("obj:1", 10), (TAG_CONTENT, "/edit", b"member 1")]
-        record = journal.commit_member(base, b"", b"", 1, "m1", writes=writes)
+        record = journal.commit_member(base, b"", b"", "m1", writes=writes)
         plan.fail_nth(nth=2, op="delete")
         with pytest.raises(FaultError):
             journal.apply(record.writes)
@@ -847,11 +848,11 @@ class TestMovedPreImagesInEpochs:
         journal.open_epoch("epoch")
         base = journal.begin_member()
         journal.record(_deletes("obj:1", 10))
-        record = journal.commit_member(base, b"", b"", 1, "m1", writes=[(TAG_CONTENT, "/edit", b"member 1")])
+        record = journal.commit_member(base, b"", b"", "m1", writes=[(TAG_CONTENT, "/edit", b"member 1")])
         journal.apply(record.writes, record.parts)
         plan.fail_nth(nth=2, op="delete")  # the record, then the part
         journal.close_epoch()
-        assert plan.events and not journal.active
+        assert plan.events and journal.epoch is None
         assert [key for key in _journal_keys(stores) if "redo" in key] == []
         assert not _recover(stores)
         assert _snapshot(stores) == states[1]
@@ -884,7 +885,7 @@ def _run_group_batch(stores: StoreSet, done: list | None = None) -> None:
     base = journal.begin_member()
     journal.record(_DEDUP_GROUP)
     journal.record(_CONTENT_GROUP)
-    record = journal.commit_member(base, b"", b"", 1, "flush", writes=_LAST_WRITES)
+    record = journal.commit_member(base, b"", b"", "flush", writes=_LAST_WRITES)
     if done is not None:
         done.append(1)
     journal.apply(record.writes, record.parts)
@@ -1152,33 +1153,83 @@ def test_sharded_deployment_leaves_no_saved_key():
     assert server.enclave.manager.read_content("/d/big") == _BIG
 
 
+def _streamed(server: SeGShareServer, path: str) -> bytes:
+    """What a GET of ``path`` streams to alice."""
+    response = server.enclave.handler.handle("alice", Request(op=Op.GET, args=(path,)))
+    assert isinstance(response, StreamingResponse), response
+    return b"".join(response.chunks)
+
+
+def _poison_with(server: SeGShareServer, plan: FaultPlan, mutate) -> None:
+    """Run ``mutate`` with its commit point and its rollback both failing."""
+
+    def rollback_fails(member_base: int) -> None:
+        raise FaultError("part drop failed")
+
+    journal = server.enclave.engine.journal
+    journal.rollback_member = rollback_fails
+    plan.fail_nth(nth=1, op="put", key="\x00journal:redo")  # the request's commit point
+    mutate()
+    del journal.rollback_member
+
+
+def _poisoned_reads_then_restarts(server: SeGShareServer, path: str, content: bytes) -> None:
+    """A poisoned enclave still serves ``path`` and quiesces; it refuses
+    the next mutation, and a restart serves ``path`` again."""
+    assert _streamed(server, path) == content
+    server.enclave.engine.quiesce()
+    assert server.enclave.handler.handle("alice", Request(op=Op.PUT_DIR, args=("/g/",))).status is Status.UNAVAILABLE
+    server.restart_enclave()
+    server.enclave.guard.verify_restored_state()
+    manager = server.enclave.manager
+    assert not manager.exists("/e/") and not manager.exists("/g/")
+    assert manager.read_content(path) == content
+    response = server.enclave.handler.handle("alice", Request(op=Op.PUT_DIR, args=("/g/",)))
+    assert response.status is Status.OK
+
+
 def test_a_failed_rollback_refuses_later_mutations_until_restart():
     """An abort that cannot drop the member's spilled parts poisons the journal.
     A later mutation must answer UNAVAILABLE, not run over enclave state
-    the abort left half-rewound; a restart starts clean, and the aborted
-    request left nothing behind."""
+    the abort left half-rewound; reads go on, a restart starts clean, and
+    the aborted request left nothing behind."""
     plan = FaultPlan()
     server = SeGShareServer(
         azure_wan_env(), _CA.public_key, stores=faulty_stores(StoreSet.in_memory(), plan),
         options=SeGShareOptions(rollback="whole_fs", counter_kind="rote", rollback_buckets=8),
     )
     prime(server)
+    handler = server.enclave.handler
+
+    def mutate() -> None:
+        assert handler.handle("alice", Request(op=Op.PUT_DIR, args=("/e/",))).status is Status.RETRY
+
+    _poison_with(server, plan, mutate)
+    _poisoned_reads_then_restarts(server, "/d/f", b"victim content")
+
+
+def test_a_failed_rollback_keeps_an_earlier_member_of_its_epoch():
+    """On a parallel clock the poisoned member shares its epoch with one
+    that committed: its guard roots are still pending in enclave memory,
+    and the reads the poisoned enclave serves verify against them."""
+    plan = FaultPlan()
+    server = build_parallel_server(faulty_stores(StoreSet.in_memory(), plan))
+    prime(server)
     engine, handler = server.enclave.engine, server.enclave.handler
+    engine.quiesce()
+    epochs = engine.group_commit.stats.epochs
+    t0 = server.env.clock.now()
 
-    def rollback_fails(member_base: int) -> None:
-        raise FaultError("part drop failed")
+    def first() -> None:
+        assert handler.put_file("alice", "/d/a", b"member one").status is Status.OK
 
-    engine.journal.rollback_member = rollback_fails
-    plan.fail_nth(nth=1, op="put", key="\x00journal:redo")  # the request's commit point
-    assert handler.handle("alice", Request(op=Op.PUT_DIR, args=("/e/",))).status is Status.RETRY
-    del engine.journal.rollback_member
-    assert handler.handle("alice", Request(op=Op.PUT_DIR, args=("/g/",))).status is Status.UNAVAILABLE
-    server.restart_enclave()
-    server.enclave.guard.verify_restored_state()
-    manager = server.enclave.manager
-    assert not manager.exists("/e/") and not manager.exists("/g/")
-    response = server.enclave.handler.handle("alice", Request(op=Op.PUT_DIR, args=("/g/",)))
-    assert response.status is Status.OK
+    def second() -> None:
+        assert handler.handle("alice", Request(op=Op.PUT_DIR, args=("/e/",))).status is Status.RETRY
+
+    server.switchless.dispatch(first, arrival=t0)
+    _poison_with(server, plan, lambda: server.switchless.dispatch(second, arrival=t0))
+    assert engine.group_commit.stats.epochs == epochs  # the two shared one epoch, never closed
+    _poisoned_reads_then_restarts(server, "/d/a", b"member one")
 
 
 def test_a_commit_that_cannot_be_applied_stands_after_restart():
@@ -1248,7 +1299,7 @@ class TestCloseFreshness:
                 assert handler.put_file("alice", p, b"burst " + p.encode()).status is Status.OK
 
             server.switchless.dispatch(thunk, arrival=t0)
-        assert server.enclave.engine.group_commit.open
+        assert server.enclave.engine.journal.epoch is not None
 
     def test_a_forked_instances_increment_fails_the_close(self):
         server = self._world()

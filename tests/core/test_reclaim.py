@@ -333,7 +333,7 @@ class TestReclaimFaults:
     def test_the_request_commits_and_the_next_commit_finishes(self):
         server, old = self._faulty_world()
         assert server.enclave.handler.put_file("alice", "/d/f", NEW).status is Status.OK
-        assert not server.enclave.engine.journal.active
+        assert server.enclave.engine.journal.epoch is None
         assert old in stored_objects(server.stores)
         assert [key.rpartition(":")[0] for key in journal_keys(server.stores)] == ["\x00journal:redo"]
         handler = server.enclave.handler

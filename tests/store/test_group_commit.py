@@ -73,7 +73,7 @@ class TestCoordinatorWiring:
         assert server.enclave.handler.put_file("alice", "/d/x", b"x").status is Status.OK
         # Each member closed its own epoch inside its commit point: nothing
         # is left open for a quiesce, and nothing was amortized.
-        assert not engine.group_commit.open
+        assert engine.journal.epoch is None
         assert not any(key.startswith("\x00journal:redo") for key in server.stores.content.keys())
         after = server.stats()["group_commit"]
         assert after["epochs"] == after["members_total"] == before["epochs"] + 2
@@ -232,7 +232,7 @@ class TestMemberAtomicity:
                     raise RuntimeError("abort after changing the index")
 
         server.switchless.dispatch(doomed, arrival=t0)
-        assert engine.group_commit.open and engine.group_commit.members == 1
+        assert engine.journal.epoch is not None and engine.journal.epoch.members == 1
         assert engine.stats.aborts == aborts0 + 1
         assert dedup.refcount(h_shared) == 2
         records = stored_records(dedup)
@@ -270,7 +270,7 @@ class TestMemberAtomicity:
                 assert dedup.refcount(h_shared) == 2
 
         server.switchless.dispatch(bumped, arrival=t0)
-        assert engine.group_commit.open and engine.group_commit.members == 2
+        assert engine.journal.epoch is not None and engine.journal.epoch.members == 2
         assert engine.stats.aborts == aborts0
         assert engine.coherence.stats.full_discards == 1
         assert dedup.refcount(h_shared) == 2
@@ -292,7 +292,7 @@ class TestEpochDurability:
         setup_dir(server)
         t0 = server.env.clock.now()
         server.switchless.dispatch(put_thunk(server, "/d/x", b"durable"), arrival=t0)
-        assert engine.group_commit.open  # crash before the epoch closes
+        assert engine.journal.epoch is not None  # crash before the epoch closes
 
         server.restart_enclave()
         server.enclave.guard.verify_restored_state()
@@ -308,7 +308,7 @@ class TestEpochDurability:
         server.handle.call("cluster_begin_request", "req:epoch-0001")
         t0 = server.env.clock.now()
         server.switchless.dispatch(put_thunk(server, "/d/y", b"stamped"), arrival=t0)
-        assert engine.group_commit.open
+        assert engine.journal.epoch is not None
 
         server.restart_enclave()
         assert server.handle.call("cluster_last_committed_stamp") == "req:epoch-0001"
@@ -359,7 +359,7 @@ class TestCloseFaults:
         setup_dir(server)
         t0 = server.env.clock.now()
         server.switchless.dispatch(put_thunk(server, "/d/a", b"committed"), arrival=t0)
-        assert server.enclave.engine.group_commit.open
+        assert server.enclave.engine.journal.epoch is not None
         return server, plan
 
     @staticmethod
@@ -574,7 +574,7 @@ class TestGroupEntriesInAnEpoch:
             content.put("/doc", b"member %d, again" % member)
             content.delete(f"/new{member}")
             writes = dedup.drain() + content.drain()
-            record = journal.commit_member(base, b"", b"", member, f"m{member}", writes=writes)
+            record = journal.commit_member(base, b"", b"", f"m{member}", writes=writes)
             journal.apply(record.writes, record.parts)
         journal.close_epoch()
 

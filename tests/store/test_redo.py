@@ -212,7 +212,7 @@ def test_other_members_of_a_shared_epoch_stand(monkeypatch):
         assert handler.put_file("alice", "/d/a", b"member one").status is Status.OK
 
     server.switchless.dispatch(first, arrival=t0)
-    assert engine.group_commit.open and engine.group_commit.members == 1
+    assert engine.journal.epoch is not None and engine.journal.epoch.members == 1
     committed = _state(stores)
     at_fault = _failing_request(monkeypatch, stores)
 
@@ -221,7 +221,7 @@ def test_other_members_of_a_shared_epoch_stand(monkeypatch):
         assert response.status is not Status.OK
 
     server.switchless.dispatch(second, arrival=t0)
-    assert at_fault and engine.group_commit.open and engine.group_commit.members == 1
+    assert at_fault and engine.journal.epoch is not None and engine.journal.epoch.members == 1
     assert _state(stores) == committed
     monkeypatch.undo()
     engine.quiesce()

@@ -1,8 +1,11 @@
 """The persistent CLI deployment, driven in-process."""
 
-import pytest
+from pathlib import Path
 
-from repro.cli import main
+import pytest
+from cryptography import x509
+
+from repro.cli import ShareState, main, open_share
 
 
 @pytest.fixture()
@@ -75,6 +78,14 @@ class TestLifecycle:
         assert run(share, "mv", "alice", "/a", "/b") == 0
         assert run(share, "rm", "alice", "/b") == 0
         assert run(share, "get", "alice", "/b") == 1
+
+    def test_every_certificate_has_its_own_serial(self, share):
+        """Each main() call re-opens the CA; it resumes at the serial the
+        last one left off at, so the server's and the users' differ."""
+        der = [Path(share, "users", f"{user}.cert").read_bytes() for user in ("alice", "bob")]
+        der.append(open_share(ShareState(share)).server.enclave.tls._identity.certificate)
+        serials = [x509.load_der_x509_certificate(blob).serial_number for blob in der]
+        assert len(set(serials)) == 3
 
     def test_info(self, share, capsys):
         assert run(share, "info") == 0
