@@ -76,6 +76,9 @@ class DriverResult:
     #: operations genuinely overlapped.
     busy_seconds: float = field(init=False)
     wait_breakdown: dict[str, float] = field(init=False)
+    #: Seconds each serial resource was held during the run
+    #: (:meth:`~repro.netsim.clock.SimClock.holds`), waits excluded.
+    serial_holds: dict[str, float] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         self.busy_seconds = sum(op.latency for op in self.ops)
@@ -108,6 +111,7 @@ class DriverResult:
             "mean_latency_s": round(self.mean_latency, 6),
             "busy_seconds": round(self.busy_seconds, 6),
             "wait_breakdown_s": self.wait_breakdown,
+            "serial_hold_s": self.serial_holds,
         }
 
 
@@ -131,7 +135,7 @@ def run_closed_loop(
     makespan, not in the next measurement.
     """
     quiesce()
-    begin = clock.now()
+    begin, held = clock.now(), clock.holds()
     # (arrival, client, op_index) — heap pops give global arrival order.
     ready = [(begin, c, 0) for c in range(len(clients)) if clients[c]]
     heapq.heapify(ready)
@@ -143,7 +147,12 @@ def run_closed_loop(
         if k + 1 < len(clients[c]):
             heapq.heappush(ready, (record.end, c, k + 1))
     quiesce()
-    return DriverResult(ops=records, makespan=clock.now() - begin)
+    holds = {
+        name: round(seconds - held.get(name, 0.0), 6)
+        for name, seconds in sorted(clock.holds().items())
+        if seconds > held.get(name, 0.0)
+    }
+    return DriverResult(ops=records, makespan=clock.now() - begin, serial_holds=holds)
 
 
 class ConcurrentDriver:

@@ -150,7 +150,7 @@ class SeGShareCluster:
 
     @staticmethod
     def _epoch_open(server: SeGShareServer) -> bool:
-        """Whether ``server`` holds an open commit epoch.
+        """Whether ``server`` holds an open commit epoch, or a close in flight.
 
         Whether the journal has an epoch open is mirrored into untrusted
         shared memory (like the switchless signal words), so the front
@@ -160,7 +160,7 @@ class SeGShareCluster:
         reads as open and gets recovered on the next routing switch.
         """
         engine = server.enclave.engine
-        return engine is not None and engine.journal.epoch is not None
+        return engine is not None and (engine.journal.epoch or engine.journal.closing) is not None
 
     @staticmethod
     def _quiesce(server: SeGShareServer) -> bool:

@@ -34,7 +34,7 @@ from repro.core.journal import EpochRecord, WriteAheadJournal
 from repro.core.locks import LockManager
 from repro.core.request_handler import RequestHandler, UploadSink, response_for
 from repro.core.requests import Op, Request, Response
-from repro.core.rollback import COUNTER_ID, FileSystemAnchor, FlatStoreGuard, RollbackGuard
+from repro.core.rollback import COUNTER_ID, FileSystemAnchor, FlatStoreGuard, RollbackGuard, stored_anchor
 from repro.core.rotation import (
     RotationStats,
     replay_state,
@@ -257,7 +257,9 @@ class SeGShareEnclave(Enclave):
     #: counter gone, a connection's close now freeing its session: 7554 → 7463.
     #: One ``Epoch`` record on the journal says whether an epoch is open,
     #: in place of four copies kept by hand (docs/PERF.md §5.4): 7463 → 7452.
-    TCB_LOC_CEILING = 7452
+    #: Pipelined closes and the recovered-record rule, offset by tighter
+    #: docstrings in the engine, journal and anchor (docs/PERF.md §31): 7452 → 7450.
+    TCB_LOC_CEILING = 7450
 
     def __init__(
         self,
@@ -339,11 +341,6 @@ class SeGShareEnclave(Enclave):
             writer=self.platform.platform_id,
             counter_probe=self._counter_probe(counter),
         )
-        # Re-apply what a crash of ours left committed but not yet applied
-        # BEFORE the trusted components read storage, so the dedup records,
-        # guard nodes, and directory files all see the committed state.  A
-        # peer's record is its own restart's or its takeover's to finish.
-        recovered = journal.recover()
         self.engine = StorageEngine(
             self._stores,
             journal=journal,
@@ -369,6 +366,11 @@ class SeGShareEnclave(Enclave):
             hide_paths=self._options.hide_paths,
             enable_dedup=self._options.enable_dedup,
         )
+        # Re-apply what a crash of ours left committed but not yet applied
+        # BEFORE the trusted components read storage, so the dedup records,
+        # guard nodes, and directory files all see the committed state.  A
+        # peer's record is its own restart's or its takeover's to finish.
+        recovered = journal.recover(anchored=lambda: stored_anchor(self.manager.content))
         self.access = build_backend(
             self._options.authz_backend,
             self.manager,
@@ -799,9 +801,9 @@ class SeGShareEnclave(Enclave):
         A restart's recovery, keyed by the crashed writer (``crashed``
         names its platform id) instead of our own: every replica writes
         its records, parts and objects under its own id, so no live peer's
-        are touched.  Cached plaintext goes between the re-apply and the
-        epilogue: the re-apply wrote behind it.  Returns True when a record
-        was found.
+        are touched.  Cached plaintext goes before the record is admitted (the
+        peer may have anchored unpublished) and after the re-apply, which
+        wrote behind it.  Returns True when a record was found.
         """
         self._check_alive()
         if self.engine is None:
@@ -812,7 +814,8 @@ class SeGShareEnclave(Enclave):
         journal = self.engine.journal
         if journal.epoch is not None:
             raise EnclaveError("cannot take over with our own transaction in flight")
-        record = journal.recover(crashed)
+        self.engine.drop_derived_state()
+        record = journal.recover(crashed, lambda: stored_anchor(self.manager.content))
         self.engine.drop_derived_state()
         self._finish_recovery(crashed, record)
         return record is not None

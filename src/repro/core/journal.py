@@ -1,17 +1,12 @@
 """Encrypted redo journal: a member's metadata writes reach the store only
 through one sealed record.
 
-The problem: one SeGShare request mutates *many* untrusted keys —
-directory files, ACLs, pointers, quota and dedup records, rollback-guard
-nodes, the anchor, and the monotonic counter.  A crash between any two
-of those writes leaves the store permanently failing ``verify_read``
-(the anchor no longer matches storage), which is indistinguishable from
-a rollback attack.
-
-The fix is no-steal redo logging, kept *inside* the trust boundary and
-run as **commit epochs**: one epoch carries one or more member
-transactions (the storage engine's group-commit coordinator decides how
-many).
+One SeGShare request mutates *many* untrusted keys — directory files,
+ACLs, pointers, quota and dedup records, guard nodes, the anchor and the
+counter — and a crash between two of those writes would leave the store
+failing ``verify_read``, like a rollback attack.  So the journal is
+no-steal redo logging inside the trust boundary, run as **commit
+epochs** of one or more member transactions:
 
 1.  A member's puts and deletes stay in the engine's write buffers in
     enclave memory; reads in the span see them there.  Nothing it writes
@@ -20,16 +15,16 @@ many).
 2.  A member commits by persisting one sealed **redo record**
     (:meth:`WriteAheadJournal.commit_member` — a single object put is its
     atomic commit point).  The record carries the member's writes, the
-    guards' expected root hashes over the committed state, the whole-FS
-    counter value, and the reclaim intents not yet completed.  The
+    guards' expected root hashes over the committed state, the counter of
+    the anchor record its epoch opened on, and the open reclaim intents.  The
     engine then applies the writes (:meth:`WriteAheadJournal.apply`).
     A span whose buffer outgrows its budget first seals the overflow
     into record **parts** (:meth:`WriteAheadJournal.record`), which the
     record names; parts without a record are never applied.
-3.  The record stays until :meth:`WriteAheadJournal.close_epoch`: the
-    next member's record replaces it, and the close, after the guards'
-    batched node flush and anchor write, deletes it — or leaves the
-    intents still open as a record of their own.
+3.  The next member's record replaces it — the next epoch's too, whose
+    records name both roots while a close is in flight — and the close
+    (:meth:`WriteAheadJournal.land`), after the guards' node flush and
+    anchor write, deletes it or leaves the open intents as a record.
 
 An abort drops the buffers (:meth:`WriteAheadJournal.rollback_member`
 drops the member's parts); no stored key changed, so nothing is undone.
@@ -39,10 +34,9 @@ after it — and the guards are checked against its root hashes and
 rebuilt (:meth:`WriteAheadJournal.recover`); its intents are completed.
 
 An object whose last reference a member drops is not deleted in the
-record: a sealed **reclaim intent**, the object's id, in the record names
-it, and its two keys go after the commit point.  Recovery
-completes every intent it finds: each names a committed, unreferenced
-object, and object ids are never reused.
+record: a **reclaim intent** in the record names it, and its two keys go
+after the commit point.  Recovery completes every intent it finds: each
+names a committed, unreferenced object, and object ids are never reused.
 
 Each enclave writes its records and parts under its own key (the
 ``writer`` id), so replicas over one shared store never replace each
@@ -52,12 +46,13 @@ neither touches a live peer's.
 
 Freshness of the journal: records are PAE-encrypted under a key derived
 from SK_r, with the record key bound as AAD, so the host can neither
-forge nor transplant them.  The host *can* replay an old record together
-with old data; the record's counter value bounds that attack — recovery
-refuses a record whose counter is more than ``MAX_COUNTER_LAG``
-increments behind the TEE counter (or ahead of it, which is outright
-forgery).  Without whole-FS protection there is no counter and the check
-is vacuous, matching the (weaker) guarantees of those modes.
+forge nor transplant them.  The host *can* replay an old record with old
+data, so recovery admits one, before any of it applies, only if it opened
+on the stored anchor (equal counters), or on the anchor's one pending
+successor (counter + 1, both roots in full, the TEE at either value), or
+the anchor names its roots; with no anchor stored, only a first start's.
+Without whole-FS protection every counter is 0 and every record is
+admitted: the weaker guarantee of those modes.
 """
 
 from __future__ import annotations
@@ -81,13 +76,6 @@ from repro.util.serialization import Reader, SerializationError, Writer
 
 #: Store tags naming which member of the :class:`StoreSet` a write goes to.
 TAG_CONTENT, TAG_GROUP, TAG_DEDUP = 0, 1, 2
-
-#: Recovery refuses a record whose counter value lags the TEE counter by
-#: more than this many increments: a replayed old record (a rollback
-#: attack staged through the recovery path) is rejected while repeated
-#: crash/recover cycles — which advance the counter a few steps per
-#: cycle — stay well inside the bound.
-MAX_COUNTER_LAG = 4096
 
 _RECORD_PREFIX = "\x00journal:redo:"
 _PART_PREFIX = "\x00journal:part:"
@@ -127,11 +115,13 @@ class EpochRecord:
     """One sealed redo record: the last committed member of an open epoch.
 
     ``fs_main``/``group_main`` are the rollback guards' expected root
-    hashes over the committed state, empty for a guard with nothing
-    pending (or absent): the epoch keeps the guard batches in enclave
+    hashes over the committed state, empty for a guard that is clean and
+    anchored (or absent): the epoch keeps the guard batches in enclave
     memory, so after a crash the guards are rebuilt from the data, checked
     against these, and re-anchored with a clean guard's anchored root.
-    ``counter`` is the whole-FS counter value at the epoch's start.
+    ``counter`` is the anchor record's the epoch opened on: the stored
+    one's, or the pending one's of a close in flight, whose roots then
+    fill the clean slots.
 
     ``parts`` are the record parts holding the writes the member spilled,
     applied before ``writes``.  A record with no writes, parts or roots
@@ -208,6 +198,8 @@ class WriteAheadJournal:
         self._record_key = _RECORD_PREFIX + writer
         self._part_prefix = f"{_PART_PREFIX}{writer}:"
         self.epoch: Optional[Epoch] = None
+        #: A closed epoch whose anchor and record drop are in flight (:meth:`land`).
+        self.closing: Optional[Epoch] = None
         #: Parts written so far; a part's number names its key.
         self._seq = 0
         #: True while this journal's record may be stored.
@@ -218,11 +210,9 @@ class WriteAheadJournal:
 
     # -- epoch lifecycle ---------------------------------------------------------
     #
-    # An epoch is a batch of member transactions.  The per-member commit
-    # point is the put of its record; the epoch-wide close point is that
-    # record's delete, after the guards' flush.  Between the two, the stored
-    # record is the last committed member's, and re-applying it rebuilds
-    # exactly the committed state.
+    # A member's commit point is its record's put, the epoch's close point
+    # that record's delete, after the guards' flush and anchor write.  In
+    # between, re-applying the last member's record rebuilds the committed state.
 
     def check_usable(self) -> None:
         """Refuse to go on after :meth:`poison`; reads continue."""
@@ -324,17 +314,20 @@ class WriteAheadJournal:
         """End an epoch in which no member committed: nothing was stored."""
         self.epoch = None
 
-    def close_epoch(self, intents: Collection[str] = ()) -> None:
-        """Close the epoch: the record's delete is the atomic close point.
+    def close_epoch(self) -> None:
+        """No member joins any more; the record stays until :meth:`land`."""
+        self.epoch, self.closing = None, self.epoch or self._refuse()
 
-        The caller has flushed the guards, so the stored state no longer
-        needs the record's roots; intents still open replace it as a
-        record of their own.
-        """
-        epoch = self.epoch or self._refuse()
-        self._keep(intents, epoch.opened[1])
-        self.epoch = None
-        self._drop_parts(epoch.parts)
+    def land(self, intents: Collection[str] = ()) -> None:
+        """After the anchor write, the record's delete is the close point:
+        open intents replace it, and a newer member's record stays."""
+        closing = self.closing
+        if closing is None:
+            return
+        if self.epoch is None or not self.epoch.members:
+            self._keep(intents, closing.opened[1])
+        self.closing = None
+        self._drop_parts(closing.parts)
 
     # benchmarks/e2e/layers.py wraps the journal by these older names too;
     # they stay until that harness wraps by role (ROADMAP item 1).
@@ -342,33 +335,39 @@ class WriteAheadJournal:
     commit = close_epoch
 
     def poison(self, reason: str) -> None:
-        """Drop the epoch and refuse further ones (an abort could not
-        finish); reads continue."""
+        """Drop the epoch, and the close in flight, and refuse further ones
+        (an abort could not finish); reads continue."""
         self._poisoned = reason
-        self.epoch = None
+        self.epoch = self.closing = None
 
     # -- recovery (enclave start, cluster takeover) ------------------------------
 
-    def recover(self, writer: Optional[str] = None) -> Optional[EpochRecord]:
+    def recover(
+        self, writer: Optional[str] = None, anchored: Callable[[], Optional[AnchorRecord]] = lambda: None
+    ) -> Optional[EpochRecord]:
         """Re-apply what ``writer``'s crashed commits left; the record applied.
 
         ``writer`` defaults to ours (a restart); a takeover passes the
-        crashed peer's.  The record is checked for freshness and re-applied,
-        and its intents are completed.  It stays until
-        :meth:`recover_finish`, after the caller checked its roots and
-        rebuilt the guards: a crash in between re-runs the whole recovery.
+        crashed peer's.  The record is admitted against the ``anchored``
+        record (module docstring), re-applied, and its intents are completed.
+        It stays until :meth:`recover_finish`, after the caller checked its
+        roots and rebuilt the guards: a crash in between re-runs it all.
         """
         key = _RECORD_PREFIX + (self.writer if writer is None else writer)
         if not self._backend.exists(key):
             return None
         record = EpochRecord.decode(self._open(key))
-        if self.counter_probe is not None:
-            current = self.counter_probe()
-            if current < record.counter or current - record.counter > MAX_COUNTER_LAG:
-                raise RollbackDetected(
-                    f"stale redo record for batch {record.label!r}: recorded "
-                    f"counter {record.counter}, TEE counter {current}"
-                )
+        current = self.counter_probe() if self.counter_probe is not None else 0
+        roots, anchor = (record.fs_main, record.group_main), anchored()
+        pending = anchor[1] + 1 if anchor is not None else -1  # the anchor's pending successor's counter
+        successor = all(roots) and record.counter == pending and current in (pending - 1, pending)
+        named = current <= 1 if anchor is None else (
+            record.counter == anchor[1] or all(m in (b"", k) for m, k in zip(roots, anchor[0])))
+        if not successor and (current < record.counter or not named):
+            raise RollbackDetected(
+                f"stale redo record for batch {record.label!r}: recorded counter "
+                f"{record.counter}, anchor {anchor and anchor[1]}, TEE counter {current}"
+            )
         self.apply(record.writes, record.parts, tolerant=True)
         self._delete_objects(record.intents)
         self.intents_recovered += len(record.intents)
@@ -410,10 +409,10 @@ class WriteAheadJournal:
     def drop_intents(self) -> None:
         """Every open intent is complete: drop this writer's record.
 
-        While an epoch is open the stored record is its last member's; it
-        is left alone until the close.
+        While an epoch is open or closing the stored record is its last
+        member's; it is left alone until the close lands.
         """
-        if self.epoch is None:
+        if self.epoch is None and self.closing is None:
             self._keep(())
 
     def _keep(self, intents: Collection[str], counter: int = 0) -> None:

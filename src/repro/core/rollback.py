@@ -47,7 +47,7 @@ from repro.core.acl import (
     acl_path,
     member_list_path,
 )
-from repro.core.file_manager import TrustedFileManager
+from repro.core.file_manager import Mount, TrustedFileManager
 from repro.core.locks import LockManager
 from repro.crypto import derive_key
 from repro.crypto.mset_hash import MSetXorBuckets, Prf
@@ -87,17 +87,20 @@ def _decode_anchor(data: bytes) -> tuple[Mains, int]:
     return record
 
 
-class FileSystemAnchor:
-    """The one file-system anchor (paper §V-E) both guards verify against.
+def stored_anchor(mount: Mount) -> tuple[Mains, int] | None:
+    """The stored anchor record, unverified; None if there is none."""
+    key = mount.guard_prefix + "anchor"
+    return mount.raw_read(key, _decode_anchor) if mount.raw_exists(key) else None
 
-    One sealed record in the content store: the content tree's root main,
-    the group node's main (empty without a group guard) and the counter value,
-    incremented by every write when ``counter`` is given.  A write naming one
-    root keeps the other from the stored record, and only from a fresh one:
-    an epoch's close proves the record the epoch opened on (one epoch holder
-    at a time, even in a cluster) by counting to one past it, a write outside
-    an epoch by a probe before it counts.
-    """
+
+class FileSystemAnchor:
+    """The one file-system anchor (paper §V-E) both guards verify against:
+    a sealed record of the content tree's root main, the group node's (empty
+    without a group guard) and the counter value, incremented by every write
+    when ``counter`` is given.  A write naming one root keeps the other from
+    a fresh record only: an epoch's close proves the one it opened on (one
+    epoch holder at a time, even in a cluster) by counting to one past it,
+    a write outside an epoch by a probe before it counts."""
 
     def __init__(
         self, manager: TrustedFileManager, enclave: Enclave, locks: LockManager,
@@ -123,6 +126,8 @@ class FileSystemAnchor:
         #: next write names it instead of counting again, so a failure in
         #: the same window leaves the same state again.
         self._counted: int | None = None
+        #: A close in flight (:meth:`land`): the roots it anchors, the record it opened on.
+        self._pending: tuple[Mains, tuple[Mains, int]] | None = None
         if counter is not None and not counter.exists(COUNTER_ID):
             counter.create(enclave, COUNTER_ID)
         manager.engine.anchor = self
@@ -190,8 +195,9 @@ class FileSystemAnchor:
 
     def verify(self, guard: "_GuardCore", main: bytes, strict: bool = False) -> None:
         """``main`` is ``guard``'s anchored root and the anchor is fresh;
-        ``strict`` refuses the degraded-read escape hatch."""
-        mains, stored = self.read()
+        ``strict`` refuses the degraded-read escape hatch; a close in flight
+        names the root, fresh while the TEE is at its opening count or one on."""
+        mains, stored = (self._pending[0], self._pending[1][1]) if self._pending else self.read()
         if mains[guard._SLOT] != main:
             raise RollbackDetected(f"{guard._WHAT} root hash does not match the anchored value")
         try:
@@ -203,7 +209,7 @@ class FileSystemAnchor:
             # state; only the whole-FS freshness bound is lost.
             self.degraded_reads += 1
             return
-        if stored != current:
+        if current != stored and not (self._pending and current == stored + 1):
             raise RollbackDetected(f"{guard._WHAT} rolled back: anchor counter {stored} != TEE counter {current}")
 
     def forget(self) -> None:
@@ -218,34 +224,41 @@ class FileSystemAnchor:
 
     # -- the epoch -------------------------------------------------------------------
     #
-    # Within a StorageEngine epoch every on_write/on_delete still updates
-    # the nodes, but in enclave memory; commit_batch() persists each dirty
-    # node once and the anchor once, at the epoch's close.  Reads inside
-    # the batch verify against the pending in-enclave root.  Until the
-    # close the committed members' redo record carries the pending roots,
-    # so a crash rebuilds the nodes from the data and checks them against it.
+    # Within an epoch the walks update nodes in enclave memory and reads
+    # verify against the pending root; the close writes each dirty node
+    # (commit_batch) and then the anchor (land), which a pipelined close
+    # leaves in flight.  Until it lands the members' redo records carry the
+    # roots, so a crash rebuilds the nodes from the data and checks them.
 
     def begin_batch(self) -> tuple[Mains, int]:
-        """Open an epoch on the latest anchor record; that record."""
-        opened = self._last if self._last and self._engine.cache is not None else self.read()
+        """Open an epoch on the latest anchor record (a close in flight's); that record."""
+        opened = (self._pending[0], self._pending[1][1] + (self.counter is not None)) if self._pending else (
+            self._last if self._last and self._engine.cache is not None else self.read())
         for guard in self.guards:
             guard.begin_batch()
         return opened
 
     def pending_roots(self) -> Mains:
-        """The pending roots, for the redo record; empty for a clean guard."""
+        """The pending roots, for the redo record; a clean guard's is a close in flight's."""
         fs_main, group_main = self._by_slot(lambda guard: guard.pending_root())
-        return fs_main or b"", group_main or b""
+        landing = self._pending[0] if self._pending else (b"", b"")
+        return fs_main or landing[0], group_main or landing[1]
 
     def commit_batch(self, opened: tuple[Mains, int]) -> None:
         """The close of the epoch ``opened`` on that record: each guard
-        writes its dirty nodes, then one anchor write names both roots.  A
-        failure part-way keeps every batch, so the next close writes all of
-        it again."""
+        writes its dirty nodes, and the anchor write that names both roots
+        is in flight until :meth:`land`.  A node write's failure keeps every
+        batch, so the next close writes all of it again."""
         mains = self._by_slot(lambda guard: guard.commit_batch())
         if mains != [None, None]:
-            self.write_roots(mains, opened)
+            self._pending = (mains[0] or opened[0][0], mains[1] or opened[0][1]), opened
         self.end_batch(flushed=True)
+
+    def land(self) -> None:
+        """A close in flight's counter increment and anchor write; a failure keeps it."""
+        if self._pending:
+            self.write_roots(list(self._pending[0]), self._pending[1])
+            self._pending = None
 
     def end_batch(self, flushed: bool = False) -> None:
         """Leave the epoch; without ``flushed``, drop what it pended."""
@@ -267,10 +280,10 @@ class FileSystemAnchor:
         the anchor does not name yet is checked against the data (a
         pre-revocation member list must not be blessed) and its nodes rebuilt;
         a clean guard keeps its anchored root, from the TEE's latest anchor or
-        the one the epoch opened on, one increment behind (the close crashed
-        in the counter's window, and the re-anchor names that increment); an
-        anchor naming the record's roots is the close's own.  Without a record
-        (a backup restore) each store is checked and re-anchored."""
+        one an increment behind (a close, the record's epoch's or the one before,
+        crashed in the counter's window; the re-anchor names that increment);
+        an anchor naming the record's roots is the close's own.  Without a
+        record (a backup restore) each store is checked and re-anchored."""
         if mains is None:
             for guard in self.guards:
                 guard.verify_restored_state()
@@ -280,7 +293,7 @@ class FileSystemAnchor:
             return
         anchored, stored = self.read()
         current = self.probe()
-        if stored != current and not stored == epoch_counter == current - 1:
+        if stored != current and not (current == stored + 1 and epoch_counter in (stored, current)):
             raise RollbackDetected(f"file system rolled back: anchor counter {stored} != TEE counter {current}")
         for guard in self.guards:
             main = mains[guard._SLOT]

@@ -41,6 +41,8 @@ class SimClock:
         self._accounts: dict[str, float] = defaultdict(float)
         #: Release time per named serial resource (see :meth:`exclusive`).
         self._resources: dict[str, float] = {}
+        #: Seconds each named resource was held, summed over its holders.
+        self._holds: dict[str, float] = defaultdict(float)
 
     def now(self) -> float:
         """Current virtual time in seconds."""
@@ -68,6 +70,14 @@ class SimClock:
 
     # -- serialization points -------------------------------------------------
 
+    def active_track(self) -> "TrackClock | None":
+        """The request timeline charges go to; a serial clock has none."""
+        return None
+
+    def holds(self) -> dict[str, float]:
+        """Seconds each serial resource was held (waits excluded), per name."""
+        return dict(self._holds)
+
     def resource_release(self, name: str) -> float:
         """When the named serial resource was last released (0.0 if never)."""
         return self._resources.get(name, 0.0)
@@ -85,13 +95,17 @@ class SimClock:
         otherwise-overlapping request tracks.
         """
         release = self._resources.get(name, 0.0)
-        if release > self.now():
+        entered = self.now()
+        if release > entered:
             self.advance_to(release, account=account)
+            entered = release
         try:
             yield
         finally:
-            if self.now() > self._resources.get(name, 0.0):
-                self._resources[name] = self.now()
+            left = self.now()
+            self._holds[name] += left - entered
+            if left > self._resources.get(name, 0.0):
+                self._resources[name] = left
 
 
 class TrackClock:

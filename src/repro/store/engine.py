@@ -1,13 +1,10 @@
 """The transactional storage engine — persistence owned end-to-end.
 
-Every paper invariant behind "a mutation is a small metadata write"
-(Section IV-B's store split, Section V-E's per-batch rollback guards)
-used to be re-assembled by hand at each call site: open a journal batch,
-begin guard batches, discard cache entries before writes, flush guard
-nodes, commit, re-anchor on abort.  The engine makes the whole protocol
-one object.  A :class:`StorageEngine` is the only component that touches
-untrusted state, and its :meth:`StorageEngine.transaction` span is the
-only way to mutate it::
+The engine makes the protocol behind "a mutation is a small metadata
+write" (Section IV-B's store split, Section V-E's per-batch rollback
+guards) one object: a :class:`StorageEngine` is the only component that
+touches untrusted state, and its :meth:`StorageEngine.transaction` span
+is the only way to mutate it::
 
     Transaction span (engine API)
       |- commit-epoch member (redo record)  repro.core.journal
@@ -21,15 +18,16 @@ only way to mutate it::
 Every outermost span is one member of a commit epoch; on a serial clock
 each member closes its own epoch, on a parallel one overlapping members
 share it.  A member's writes stay in the buffers until its commit point,
-one sealed redo record; the engine then applies them as one batched
-group per store — one simulated ocall round-trip per store instead of
-one per object — under the same ``clock.exclusive("journal-commit")``
-critical section that serializes the record, anchor and close writes.
-An abort drops the buffers: no stored key changed, so nothing is undone
-(:meth:`StorageEngine._abort`).  An epoch's close flushes the guards and
-drops the record; a close that fails keeps the epoch open and runs again.
-The seglint ``txn-discipline`` rule enforces at lint time what this
-module enforces by construction.
+one sealed redo record; the engine then applies them as one group per
+store (one simulated ocall round-trip each) under the
+``clock.exclusive("journal-commit")`` section that serializes records and
+guard flushes.  An abort drops the buffers: no stored key changed.  On a
+parallel clock a close is pipelined, as in Aether's flush pipelining: the
+flush of its guard nodes holds "journal-commit", while its counter
+increment, anchor write and record drop stay in flight and the next epoch
+commits on the pending anchor record (:meth:`StorageEngine._land`).  The
+seglint ``txn-discipline`` rule enforces at lint time what this module
+enforces by construction.
 
 This module is enclave code (``TCB_MODULES``); the host-side half of
 ``repro.store`` is the shard router in :mod:`repro.store.sharded`.
@@ -111,13 +109,10 @@ class GroupCommitStats:
 
 class GroupCommitCoordinator:
     """The group-commit policy and its counters; the open epoch itself is
-    the journal's (:class:`~repro.core.journal.Epoch`).
-
-    A transaction that *begins* before the epoch's release overlapped an
-    in-flight member and joins the epoch; one that begins after it found
-    the pipeline drained, so the epoch closes first (group commit never
-    delays a lone writer waiting for company).
-    """
+    the journal's (:class:`~repro.core.journal.Epoch`).  A transaction that
+    *begins* before the epoch's release, or while the counter still counts
+    the close before, joins it; a later one closes it first (group commit
+    never delays a lone writer waiting for company)."""
 
     #: Epochs close at this many members even under continuous overlap, so
     #: an unbounded write burst cannot defer the guard flush forever.
@@ -135,19 +130,13 @@ class GroupCommitCoordinator:
 class DeferredStore(UntrustedStore):
     """Write-buffering store view, armed for the span of one transaction.
 
-    While armed, puts and deletes land in an ordered in-enclave overlay
-    (EPC-charged) and reads consult the overlay first; :meth:`drain`
-    hands the overlay to the commit, which seals it into the member's
-    redo record and applies it.  An overlay that outgrows its budget
-    spills into a sealed record part and stays readable from there.
-    Unarmed, and for a fresh object's blobs (``direct``), every operation
-    passes straight through.
-
-    The class owns its own ocall accounting for single-key calls:
-    pass-through operations cost one round-trip each, exactly like the
-    un-deferred stack did, while the commit charges one round-trip per
-    store for the entire applied group — the batching the transaction pays
-    for.  A ranged call is charged by its caller, per node, unless
+    While armed, puts and deletes land in an ordered, EPC-charged overlay
+    that reads consult first; :meth:`drain` hands it to the commit, which
+    seals it into the member's record and applies it.  An overlay past its
+    budget spills into a sealed record part, still readable.  Unarmed, and
+    for a fresh object's blobs (``direct``), every call passes through and
+    costs one round-trip, while a commit pays one per store for its whole
+    group.  A ranged call is charged by its caller, per node, unless
     :meth:`holds` says it stays in enclave memory.
     """
 
@@ -370,6 +359,8 @@ class StorageEngine:
         #: store fault cut the post-commit phase short).
         self._released: dict[str, None] = {}
         self._outstanding: dict[str, None] = {}
+        #: When the last close in flight landed: the counter is busy until then.
+        self._counter_free = 0.0
         self._deferred = tuple(
             DeferredStore(
                 store, enclave, self.stats, journal, tag, OBJECT_PREFIX if tag == TAG_DEDUP else None
@@ -388,16 +379,11 @@ class StorageEngine:
         return self.anchor.guards if self.anchor is not None else []
 
     def drop_derived_state(self, restored: bool = False) -> None:
-        """Forget everything derived from storage that may now be stale.
-
-        Cached plaintext (the dedup records among it) and the anchor record
-        describe the store as this enclave last saw it; after a restore, a
-        takeover, or a coherence anomaly they must go before anything reads
-        storage again.  Always safe: the next read re-verifies it.  A
-        ``restored`` store (a backup) may reference the objects waiting for
-        their reclaim again, so those are forgotten too; a committed intent
-        keeps any that are still due.
-        """
+        """Forget what storage may have moved past (after a restore, a
+        takeover, a coherence anomaly): cached plaintext and the anchor
+        record; the next read re-verifies.  A ``restored`` backup may name
+        objects waiting for their reclaim again, so those go too (a
+        committed intent keeps any still due)."""
         if self.cache is not None:
             self.cache.clear()
         if self.anchor is not None:
@@ -406,27 +392,20 @@ class StorageEngine:
             self._outstanding.clear()
 
     def attach_coherence(self, coherence: "CoherenceManager | None") -> None:
-        """Join the cluster's invalidation log (see :mod:`repro.core.coherence`).
-
-        From here on every commit publishes its touched-key set and every
-        cache read syncs against the shared epoch counter first.
-        """
+        """Join the cluster's invalidation log (:mod:`repro.core.coherence`):
+        every close publishes its keys, every cache read syncs first."""
         self.coherence = coherence
 
     def discard_pending_state(self) -> None:
-        """Drop deferred write-backs and captured keys (recovery epilogue).
-
-        Takeover recovery rebuilds the guards through the raw-write path;
-        a write-back kept past it — after the router may already have
-        handed traffic to a peer — could resurrect a value the coherence
-        protocol has invalidated.  Discarding is always safe: the next
-        read re-verifies from storage.
-        """
+        """Drop deferred write-backs and captured keys (recovery epilogue):
+        one kept past a takeover's guard rebuild could resurrect a value
+        coherence invalidated.  Always safe: the next read re-verifies."""
         self._write_backs.clear()
         self._txn_touched.clear()
 
     def quiesce(self) -> None:
-        """Close any open epoch (bench boundaries, cluster hand-offs)."""
+        """Land the close in flight, then close any open epoch inline (a drain)."""
+        self._land()
         epoch = self.journal.epoch
         if epoch is not None:
             self._close_epoch(epoch, "quiesce")
@@ -435,21 +414,17 @@ class StorageEngine:
 
     @contextlib.contextmanager
     def transaction(self, label: str) -> Iterator[None]:
-        """Run a multi-key mutation as one all-or-nothing unit.
-
-        The outermost span is one member of a (possibly shared) commit
-        epoch.  Its atomic commit point is a single redo-record put
-        (:meth:`WriteAheadJournal.commit_member`); the batched guard-node
-        flush, anchor write, monotonic-counter increment and record delete
-        are paid once per *epoch*, at close — on a serial clock each
-        member closes its own.  Aborting a member drops its buffers while
-        earlier members' commits stand; a crash after a commit point is
-        rolled forward on restart.  Nested transactions join the outer one.
-        """
+        """Run a multi-key mutation as one all-or-nothing unit: one member of
+        a (possibly shared) commit epoch, whose commit point is one record
+        put; the guard flush, anchor write, counter increment and record
+        delete are paid once per epoch (:meth:`_close_epoch`).  An aborted
+        member drops its buffers, earlier members stand, a crash past a
+        commit point rolls forward on restart; nested spans join the outer."""
         if self.in_span:
             yield
             return
         journal = self.journal
+        journal.check_usable()
         group = self.group_commit
         clock = self.enclave.platform.clock
         if self.coherence is not None:
@@ -458,13 +433,10 @@ class StorageEngine:
             self.coherence.sync()
         now = clock.now()
         epoch = journal.epoch
-        if epoch is not None and (now > epoch.release or epoch.members >= group.MAX_MEMBERS):
-            # This transaction did not overlap the last member (or the
-            # epoch is full): flush the epoch's deferred guard state
-            # first.  The close runs as background work anchored at the
-            # last member's release; the opener below rendezvouses on
-            # "journal-commit" and so waits for it — honest commit-wait.
-            self._close_epoch(epoch, "window" if now > epoch.release else "cap")
+        full = epoch is not None and epoch.members >= group.MAX_MEMBERS
+        # The epoch admits members until the counter is free.
+        if epoch is not None and (full or now > max(epoch.release, self._counter_free)):
+            self._close_epoch(epoch, "cap" if full else "window")
             epoch = None
         anchor = self.anchor
         if epoch is None:
@@ -472,16 +444,10 @@ class StorageEngine:
                 # Liveness only, outside the commit point: a lost quorum
                 # refuses the write before anything commits.
                 anchor.probe()
-            # The epoch opens on the latest anchor record (the one this
-            # enclave last wrote, unless a sync since saw a peer's close and
-            # made it forget), which the close's increment proves fresh.
-            # Guard node/anchor persistence waits for that close.  Safe
-            # because no member's writes reach the store before its redo
-            # record, which names the pending roots: a crash rebuilds the
-            # nodes from the data, and an aborted member's changes rewind.
-            # The batch begins before the journal takes the epoch: a
-            # journal that refuses one is poisoned, and until the restart
-            # its enclave only reads, which a begun batch leaves as is.
+            # The epoch opens on the latest anchor record (a close in
+            # flight's, or the one this enclave last wrote unless it forgot),
+            # which the close's increment proves fresh.  Its members' records
+            # name the pending roots: a crash rebuilds the nodes from the data.
             with self._commit_point():
                 opened = anchor.begin_batch() if anchor is not None else UNANCHORED
                 epoch = journal.open_epoch(label, opened, clock.now())
@@ -512,17 +478,20 @@ class StorageEngine:
             epoch.touched |= self._txn_touched
             self._txn_touched = {}
             self._committed(puts_before)
-            if group.solo:
-                # After the reclaim, which the record's intents keep
-                # durable until the close.  The member stands whatever the
-                # close meets: a failed close keeps the epoch open, and the
-                # next span's opener runs it again.
-                try:
+            # After the reclaim, which the record's intents keep durable
+            # until the close.  A close in flight lands behind the first
+            # member of the epoch opened on its pending record.  The member
+            # stands whatever either meets: a failure keeps the close in
+            # flight (or a solo epoch open), and a later span runs it again.
+            try:
+                if journal.closing is not None:
+                    self._land()
+                if group.solo:
                     self._close_epoch(epoch, "solo")
-                except EnclaveCrashed:
-                    raise
-                except ReproError:
-                    pass
+            except EnclaveCrashed:
+                raise
+            except ReproError:
+                pass
         finally:
             self.in_span = False
 
@@ -582,65 +551,88 @@ class StorageEngine:
         self._finish_reclaims()
 
     def _close_epoch(self, epoch: Epoch, reason: str) -> None:
-        """Flush the open ``epoch``'s deferred guard state and drop the record.
+        """Close the open ``epoch``: flush its guards' dirty nodes, then land.
 
-        One batched guard-node flush, written as one group per store, one
-        anchor write (plus counter increment) for both guards, one record delete
-        — amortized over every member the epoch carried.  The work runs on
-        a background track starting at the last member's release: no
-        request waits on it directly, but the next epoch's opener meets it
-        at the "journal-commit" rendezvous and the makespan includes it; a
-        solo member closes inline.  A failure before the record's delete keeps
-        the epoch open — the record still describes the stored data, and a
-        guard whose flush did not finish keeps its batch — and is raised to
-        whoever asked for the close; the next span's opener runs it again.
-        A poisoned journal has no epoch, so it never gets here.
+        One batched guard-node flush (one group per store), one anchor write
+        and counter increment, one record delete — amortized over every
+        member.  The flush runs under "journal-commit" on background work
+        from the last member's release, where the next opener meets it; a
+        window or cap close on a parallel track leaves the rest in flight
+        (:meth:`_land`); a quiesce or solo close lands inline.  A failed
+        flush keeps the epoch open (and each guard its batch) and is raised;
+        the next span's opener runs it again.
         """
+        self._land()
         clock = self.enclave.platform.clock
         group = self.group_commit
+        # A request on the base timeline arrives after all earlier work,
+        # background included, so nothing there overlaps the counter.
+        inline = group.solo or reason == "quiesce" or clock.active_track() is None
         bg = None if group.solo else clock.open_track("group-commit-close", start=epoch.release)
         try:
             with self._commit_point():
                 try:
-                    self._flush_guards()
-                    self.journal.close_epoch(self._outstanding)
+                    self._flush_guards(land=inline)
                 except EnclaveCrashed:
                     raise
                 except BaseException:
                     # No member joins an epoch whose close is still due.
                     epoch.release = float("-inf")
                     raise
-                # Publish once per epoch, inside the same serialized
-                # close: peers learn every committed member's touched
-                # keys, and the guard keys the flush just wrote, in one
-                # entry.  A crash here leaves the epoch committed but
-                # unpublished — healed by the recovery reset (see
-                # SeGShareEnclave._finish_recovery).
-                self._publish_coherence(epoch.touched, "epoch")
+                self.journal.close_epoch()
+                # The flush's guard keys are published with the members'.
+                epoch.touched |= self._txn_touched
+                self._txn_touched = {}
+                if inline:
+                    self._land(background=False)
+            epoch.release = clock.now()  # the counter work starts here
         finally:
             if bg is not None:
                 clock.close_track(bg, join=False)
-        stats = group.stats
-        members = epoch.members
+        stats, members = group.stats, epoch.members
         stats.epochs += 1
         stats.histogram[str(members)] = stats.histogram.get(str(members), 0) + 1
         stats.closes[reason] = stats.closes.get(reason, 0) + 1
-        if members > stats.max_members:
-            stats.max_members = members
-        if members > 1:
-            saved = members - 1
-            stats.record_deletes_saved += saved
-            if self.anchor is not None:
-                stats.anchor_writes_saved += saved
+        stats.max_members, saved = max(stats.max_members, members), max(members - 1, 0)
+        stats.record_deletes_saved += saved
+        stats.anchor_writes_saved += saved if self.anchor is not None else 0
 
-    def _flush_guards(self) -> None:
+    def _land(self, background: bool = True) -> None:
+        """Land the close in flight (increment, anchor write, record drop, entry):
+        background work from the flush's end holding only the counter and
+        "rb-anchor", or on an inline close's track.  A failure keeps it in flight."""
+        closing = self.journal.closing
+        if closing is None:
+            return
+        clock = self.enclave.platform.clock
+        solo = self.group_commit.solo or not background
+        bg = None if solo else clock.open_track("group-commit-land", start=closing.release)
+        try:
+            if background:
+                self._flush_guards(flush=False)
+            self.journal.land(self._outstanding)
+            # Once per epoch, after its anchor: peers learn every committed
+            # member's touched keys and the guard keys the close wrote, in
+            # one entry.  A crash here leaves the epoch committed but
+            # unpublished — healed by the recovery reset (see
+            # SeGShareEnclave._finish_recovery).
+            self._publish_coherence(closing.touched, "epoch")
+        finally:
+            if bg is not None:
+                clock.close_track(bg, join=False)
+                self._counter_free = bg.end
+
+    def _flush_guards(self, flush: bool = True, land: bool = True) -> None:
         # The guards' node and anchor writes reach each store as one group,
         # the way _apply writes a member's: one round-trip per store.
         for store in self._deferred:
             store.grouped = 0
         try:
-            if self.anchor is not None and self.journal.epoch is not None:
-                self.anchor.commit_batch(self.journal.epoch.opened)
+            if self.anchor is not None:
+                if flush and self.journal.epoch is not None:
+                    self.anchor.commit_batch(self.journal.epoch.opened)
+                if land:
+                    self.anchor.land()
         finally:
             for store in self._deferred:
                 if store.grouped:
@@ -649,14 +641,9 @@ class StorageEngine:
 
     def _abort(self, label: str, epoch: Epoch, member_base: int, snapshots: list) -> None:
         """The one rollback: a member that failed before its commit point.
-
-        Its writes never left enclave memory: the buffers and the parts it
-        spilled go, and the guards' pending state rewinds to where the
-        member began.  Earlier members of a shared epoch are untouched; an
-        epoch no member committed in ends here with nothing to flush.  If
-        this itself fails, the journal is poisoned: the next mutation
-        answers UNAVAILABLE and restart recovery starts clean.
-        """
+        Its buffers and spilled parts go and the guards' pending state
+        rewinds; earlier members stand, and an epoch none committed in ends.
+        If this fails too, the journal is poisoned until a restart."""
         journal = self.journal
         # No stored key changed, so peers' caches are still correct:
         # nothing to publish.
@@ -720,15 +707,10 @@ class StorageEngine:
             pass
 
     def _commit_point(self) -> "contextlib.AbstractContextManager[None]":
-        """The journal's commit record is one serial resource.
-
-        An epoch's open (on the latest anchor record), persisting and applying
-        each redo record, and the close's guard flush (with its counted
-        anchor) form the transaction's critical section: requests rendezvous
+        """The journal's commit record is one serial resource: an epoch's
+        open, each record's put and apply, and a close's guard flush meet
         here, so on a parallel clock overlapping writers pay each other's
-        commit latency while readers stay unaffected.  On a serial clock
-        this is a no-op.
-        """
+        commit latency while readers do not (a no-op on a serial clock)."""
         return self.enclave.platform.clock.exclusive(
             "journal-commit", account="commit-wait"
         )
@@ -745,16 +727,10 @@ class StorageEngine:
             self.stats.write_backs += len(pending)
 
     def _publish_coherence(self, touched: "dict[tuple[str, str], None]", label: str) -> None:
-        """Publish ``touched`` and the open span's touched keys as one
-        coherence entry.
-
-        An epoch close publishes the union its members pooled.  Runs
-        strictly after the journal commit — the entry describes only durable
-        state — and is skipped entirely when nothing was touched.  A crash
-        before the publish leaves the one window the protocol adds:
-        committed but unpublished, which takeover recovery heals with an
-        authenticated reset entry.
-        """
+        """Publish ``touched`` and the open span's touched keys as one entry,
+        strictly after the journal commit (the entry describes only durable
+        state), and nothing if nothing was touched.  A crash before it leaves
+        the committed-but-unpublished window takeover's reset entry heals."""
         if self.coherence is None:
             return
         touched = touched | self._txn_touched
@@ -814,32 +790,23 @@ class StorageEngine:
         return self.cache.contains(namespace, key)
 
     def fill(self, namespace: str, key: str, value: bytes, slot: "Slot | None" = None) -> None:
-        """Read-path insertion of a just-verified value.
-
-        A value this span wrote is still buffered: its write-back enters
-        it at commit, and an abort must find it nowhere.
-        """
+        """Read-path insertion of a just-verified value, but never of one this
+        span wrote: its write-back enters it at commit, and an abort must not."""
         if self.cache is not None and (namespace, key) not in self._write_backs:
             self.cache.put(namespace, key, value, slot)
 
     def invalidate(self, namespace: str, key: str) -> None:
-        """Drop the entry before mutating: if the write or guard update
-        faults part-way, the cache must not keep serving the old value
-        over now-divergent storage.  A deferred write-back for the key is
-        dropped too — a write-then-delete inside one transaction must not
-        resurrect the entry at commit."""
+        """Drop the entry, and any deferred write-back of it, before mutating:
+        a faulted write must not leave the old value served, nor a delete
+        after a write in one span resurrect it at commit."""
         self._write_backs.pop((namespace, key), None)
         self._touch_coherence(namespace, key)
         if self.cache is not None:
             self.cache.discard(namespace, key)
 
     def write_back(self, namespace: str, key: str, value: bytes, slot: "Slot | None" = None) -> None:
-        """Write-through of a value just persisted by the caller.
-
-        ``slot`` pairs a read's decoder with the object ``value`` was
-        serialized from.  Deferred to commit while a transaction is open
-        (the store write it mirrors is itself buffered); immediate otherwise.
-        """
+        """Write-through of a value just persisted (``slot`` pairs a decoder
+        with the object it came from), deferred to the commit inside a span."""
         self._touch_coherence(namespace, key)
         if self.cache is None:
             return
@@ -850,14 +817,9 @@ class StorageEngine:
             self.cache.put(namespace, key, value, slot)
 
     def _touch_coherence(self, namespace: str, key: str) -> None:
-        """Record a key the open transaction is mutating.
-
-        Every cached-key mutation in the code base pairs ``invalidate``
-        (before the store write) with ``write_back`` (after it), so
-        capturing here makes the published invalidation set complete by
-        construction.  Mutations outside an epoch (recovery, record
-        re-reads triggered by a sync) are not captured: they do not change
-        committed shared state from a peer's point of view.
-        """
-        if self.coherence is not None and self.journal.epoch is not None:
+        """Record a key an epoch, open or closing, is mutating: every cached-key
+        mutation pairs ``invalidate`` with ``write_back``, so the published
+        set is complete by construction.  Recovery's writes are not captured:
+        they change no committed shared state a peer sees."""
+        if self.coherence is not None and (self.journal.epoch or self.journal.closing) is not None:
             self._txn_touched[(namespace, key)] = None

@@ -587,6 +587,7 @@ def _run_batch(stores: StoreSet, done: list | None = None) -> None:
         done.append(1)
     journal.apply(record.writes, record.parts)
     journal.close_epoch()
+    journal.land()
 
 
 def _recover(stores: StoreSet) -> bool:
@@ -757,6 +758,7 @@ def _run_epoch(stores: StoreSet, done: list[int]) -> None:
         done.append(member)
         journal.apply(record.writes, record.parts)
     journal.close_epoch()
+    journal.land()
 
 
 @pytest.mark.parametrize("kind", ["separate", "sharded"])
@@ -814,6 +816,7 @@ class TestMovedPreImagesInEpochs:
         journal.rollback_member(base)
         assert stores.dedup.get("obj:2\x00chunk\x000") == _object("obj:2", 20)["obj:2\x00chunk\x000"]
         journal.close_epoch()
+        journal.land()
         assert _snapshot(stores) == states[1]
         assert _journal_keys(stores) == []
 
@@ -834,6 +837,7 @@ class TestMovedPreImagesInEpochs:
             journal.apply(record.writes)
         journal.apply(record.writes, tolerant=True)
         journal.close_epoch()
+        journal.land()
         assert _snapshot(stores) == states[1]
         assert _journal_keys(stores) == []
 
@@ -852,6 +856,7 @@ class TestMovedPreImagesInEpochs:
         journal.apply(record.writes, record.parts)
         plan.fail_nth(nth=2, op="delete")  # the record, then the part
         journal.close_epoch()
+        journal.land()
         assert plan.events and journal.epoch is None
         assert [key for key in _journal_keys(stores) if "redo" in key] == []
         assert not _recover(stores)
@@ -890,6 +895,7 @@ def _run_group_batch(stores: StoreSet, done: list | None = None) -> None:
         done.append(1)
     journal.apply(record.writes, record.parts)
     journal.close_epoch()
+    journal.land()
 
 
 _PART = "\x00journal:part::"
@@ -1206,6 +1212,27 @@ def test_a_failed_rollback_refuses_later_mutations_until_restart():
 
     _poison_with(server, plan, mutate)
     _poisoned_reads_then_restarts(server, "/d/f", b"victim content")
+
+
+def test_a_poisoned_enclave_refuses_before_the_counter_or_the_anchor(monkeypatch):
+    """The refusal comes first: a mutation a poisoned journal turns away
+    makes no ROTE call and reads no anchor record."""
+    plan = FaultPlan()
+    server = build_server(faulty_stores(StoreSet.in_memory(), plan))
+    prime(server)
+    handler = server.enclave.handler
+
+    def mutate() -> None:
+        assert handler.handle("alice", Request(op=Op.PUT_DIR, args=("/e/",))).status is Status.RETRY
+
+    _poison_with(server, plan, mutate)
+    calls: list[str] = []
+    rote, anchor = getattr(server.platform, "_segshare_counter_rote"), server.enclave.engine.anchor
+    for owner, name in ((rote, "read"), (rote, "increment"), (anchor, "read")):
+        monkeypatch.setattr(owner, name, lambda *args, n=name: calls.append(n))
+    response = handler.handle("alice", Request(op=Op.PUT_DIR, args=("/g/",)))
+    assert response.status is Status.UNAVAILABLE
+    assert calls == []
 
 
 def test_a_failed_rollback_keeps_an_earlier_member_of_its_epoch():

@@ -85,6 +85,24 @@ class TestExclusive:
         assert b.accounts["serialize-wait"] == pytest.approx(2.5)
         assert b.end == pytest.approx(5.0)
 
+    def test_holds_count_each_holders_time_and_not_its_wait(self):
+        """Two overlapping holders: the second waits 2.5 s, and the ledger
+        sums only the 2 s each held."""
+        clock = ParallelClock()
+        with clock.track("a", start=0.0):
+            clock.charge(1.0, "work")
+            with clock.exclusive("res", account="serialize-wait"):
+                clock.charge(2.0, "critical")
+        with clock.track("b", start=0.0) as b:
+            clock.charge(0.5, "work")
+            with clock.exclusive("res", account="serialize-wait"):
+                clock.charge(2.0, "critical")
+            with clock.exclusive("other"):
+                clock.charge(0.25, "critical")
+        assert clock.holds() == pytest.approx({"res": 4.0, "other": 0.25})
+        assert b.accounts["serialize-wait"] == pytest.approx(2.5)
+        assert clock.accounts()["serialize-wait"] == pytest.approx(2.5)
+
     def test_uncontended_parallel_resource_is_free(self):
         clock = ParallelClock()
         with clock.track("a", start=0.0):

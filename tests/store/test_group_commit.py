@@ -125,15 +125,18 @@ class TestEpochFormation:
         assert manager.read_content("/d/b") == b"two"
         server.enclave.guard.verify_restored_state()
 
-    def test_closed_loop_client_stays_single_member(self):
-        """A single closed-loop client never overlaps its own requests:
-        every transaction misses the previous epoch's window, so groups
-        stay at K=1 and nothing is amortized (the serial cost model)."""
+    def test_closed_loop_client_joins_the_epoch_while_the_counter_counts(self):
+        """A lone closed-loop client never overlaps its own requests, but an
+        epoch admits members until the counter is free: the second write
+        closes the first's epoch and opens one on its pending anchor record,
+        and the third, which arrives while that close's increment is still
+        in flight, joins it."""
         server = build_server()
         engine = server.enclave.engine
         setup_dir(server)
         stats = engine.group_commit.stats
         epochs0, saved0 = stats.epochs, stats.record_deletes_saved
+        closes0, histogram0 = dict(stats.closes), dict(stats.histogram)
 
         arrival = server.env.clock.now()
         for i in range(3):
@@ -143,9 +146,13 @@ class TestEpochFormation:
             arrival = server.switchless.last_track.end
         engine.quiesce()
 
-        assert stats.epochs == epochs0 + 3
-        assert stats.record_deletes_saved == saved0
-        assert stats.histogram.get("2", 0) == 0
+        assert stats.epochs == epochs0 + 2
+        assert stats.record_deletes_saved == saved0 + 1
+        assert stats.closes["window"] == closes0.get("window", 0) + 1
+        assert stats.closes["quiesce"] == closes0.get("quiesce", 0) + 1
+        assert stats.histogram["1"] == histogram0.get("1", 0) + 1
+        assert stats.histogram["2"] == histogram0.get("2", 0) + 1
+        assert stats.histogram.get("3", 0) == 0
 
     def test_quiesce_close_reason_is_counted(self):
         server = build_server()
@@ -577,6 +584,7 @@ class TestGroupEntriesInAnEpoch:
             record = journal.commit_member(base, b"", b"", f"m{member}", writes=writes)
             journal.apply(record.writes, record.parts)
         journal.close_epoch()
+        journal.land()
 
     def _stores(self) -> StoreSet:
         stores = StoreSet.in_memory()

@@ -70,10 +70,10 @@ def test_an_epoch_close_is_one_round_trip_per_store(monkeypatch):
         ocalls[account] += 1
         charge(account)
 
-    def counted_flush(engine: StorageEngine) -> None:
+    def counted_flush(engine: StorageEngine, **kwargs) -> None:
         ocalls.clear()
         puts = [store.puts for store in counting]
-        flush(engine)
+        flush(engine, **kwargs)
         closes.append((ocalls["pfs-io"], [store.puts - before for store, before in zip(counting, puts)]))
 
     monkeypatch.setattr(enclave, "ocall", counted_ocall)

@@ -47,6 +47,7 @@ from collections import Counter
 from dataclasses import dataclass, field, replace
 from typing import Callable, Iterable
 
+from repro.bench.concurrency import parallel_env
 from repro.cluster import build_cluster
 from repro.cluster.placement import request_affinity
 from repro.core.enclave_app import SeGShareOptions
@@ -74,6 +75,12 @@ class Config:
     replicas: int = 1
     #: Over DiskStores, whose syscalls are the store effects.
     disk: bool = False
+    #: On a parallel clock, where an epoch's close lands in the background:
+    #: each step runs on a worker's track and ends with a quiesce, and the
+    #: primed world leaves one write's epoch open, so the scripted request
+    #: commits as the next epoch while that close's increment is in flight,
+    #: and its quiesce lands both.
+    pipelined: bool = False
 
 
 CONFIGS: dict[str, Config] = {
@@ -86,6 +93,7 @@ CONFIGS: dict[str, Config] = {
     "ibbe": Config(replace(_WHOLE_FS, authz_backend="ibbe")),
     "cluster": Config(_WHOLE_FS, replicas=3),
     "disk": Config(_WHOLE_FS, disk=True),
+    "pipelined": Config(_WHOLE_FS, pipelined=True),
 }
 
 #: Two chunks: a fresh object's data value is written by range.
@@ -114,6 +122,9 @@ KINDS: dict[str, "Request | tuple[str, bytes]"] = {
     "revoke": _req(Op.RMV_USER, "bob", "eng"),
     "delete_group": _req(Op.DELETE_GROUP, "eng"),
 }
+
+#: The pipelined world's last write, left in an open epoch.
+_LEAD = _req(Op.PUT_DIR, "/lead/")
 
 _PRIME: list["Request | tuple[str, bytes]"] = [
     _req(Op.PUT_DIR, "/d/"),
@@ -203,7 +214,7 @@ class World:
 
     def __post_init__(self) -> None:
         if self.config.replicas == 1:
-            self.env = azure_wan_env()
+            self.env = parallel_env() if self.config.pipelined else azure_wan_env()
             self.stores = faulty_stores(StoreSet.in_memory(), self.plan)
             if self.config.disk:
                 self._dir = tempfile.TemporaryDirectory()
@@ -233,11 +244,19 @@ class World:
             self.env, _CA.public_key, stores=self.stores, options=self.config.options, platform=self.platform
         )
 
-    def run(self, step: "Request | tuple[str, bytes]", user: str = "alice") -> "Response":
+    def run(self, step: "Request | tuple[str, bytes]", user: str = "alice", drain: bool = True) -> "Response":
         door = self.cluster if self.cluster is not None else self.server.enclave.handler
-        if isinstance(step, Request):
-            return door.handle(user, step)
-        return door.put_file(user, *step)
+
+        def call() -> "Response":
+            return door.handle(user, step) if isinstance(step, Request) else door.put_file(user, *step)
+
+        if not self.config.pipelined:
+            return call()
+        # A request on its own track, the way a worker serves it.
+        response = self.server.switchless.dispatch(call, arrival=self.env.clock.now())
+        if drain:
+            self.server.enclave.engine.quiesce()
+        return response
 
     def arm_victim(self, step: "Request | tuple[str, bytes]") -> None:
         """On three replicas, put the plan on the replica ``step`` routes to."""
@@ -334,6 +353,10 @@ def primed(config: Config) -> World:
     world = World(config)
     for step in _PRIME:
         assert world.run(step).status is Status.OK, step
+    if config.pipelined:
+        assert world.run(_LEAD, drain=False).status is Status.OK
+        clock = world.env.clock
+        clock.advance_to(clock.now() + 0.001)  # the next request misses its window
     return world
 
 
