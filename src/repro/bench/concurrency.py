@@ -1,16 +1,24 @@
 """Closed-loop multi-client driver over the parallel virtual clock.
 
 The paper's server is multi-threaded: SGX SDK switchless workers pull
-requests off a shared queue, so N concurrent clients see throughput
+ECALLs off a shared queue, so N concurrent clients see throughput
 scale with the worker pool until they contend on shared state.  This
 driver reproduces that shape deterministically: client request streams
 are interleaved in *virtual* time on a :class:`~repro.netsim.clock.
 ParallelClock` — Python still executes one request at a time (in global
-arrival order), but each request runs on its own track through
-:meth:`~repro.sgx.switchless.SwitchlessQueue.dispatch`, so overlapping
-independent requests cost the max, not the sum, of their durations,
-while lock waits, journal commits, and counter increments rendezvous on
-the shared serialization points.
+arrival order), but each request runs on its client's own track, so
+overlapping independent requests cost the max, not the sum, of their
+durations, while lock waits, journal commits, and counter increments
+rendezvous on the shared serialization points.
+
+The driver holds no worker.  A request takes one of the server's
+workers only while it is inside the enclave: the server forwards each
+TLS record through :meth:`~repro.sgx.switchless.SwitchlessQueue.
+dispatch` (the path ``client → TLS → switchless → handler``), and a
+harness that calls the handler directly dispatches that call itself.
+Each dispatch is a nested track whose accounts roll up into the
+client's, so an op's record still says where its time went; an op that
+never entered the pool is refused.
 
 Closed-loop means each simulated client issues its next request the
 moment its previous one completes — the standard throughput-benchmark
@@ -156,11 +164,14 @@ def run_closed_loop(
 
 
 class ConcurrentDriver:
-    """Drive N closed-loop clients through a server's switchless pool.
+    """Drive N closed-loop clients against a server's switchless pool.
 
     ``server`` must have been deployed on a :func:`parallel_env` — the
     driver refuses a serial clock, since dispatching onto it would
     silently degrade to the single-flow model and report fake scaling.
+    Each thunk is one client operation on the client's track; it must
+    enter the server's worker pool (over TLS, or by dispatching its
+    handler call), or the driver raises.
     """
 
     def __init__(self, server: Any) -> None:
@@ -176,16 +187,25 @@ class ConcurrentDriver:
 
     def run(self, clients: list[list[Callable[[], Any]]]) -> DriverResult:
         """Run every client's thunk list to completion (see :func:`run_closed_loop`)."""
-        queue = self._queue
+        clock, stats = self._clock, self._queue.stats
 
         def issue(c: int, k: int, arrival: float) -> OpRecord:
-            queue.dispatch(clients[c][k], arrival=arrival, label=f"c{c}/op{k}")
-            track = queue.last_track
-            assert track is not None and track.end is not None
+            label = f"c{c}/op{k}"
+            entered = stats.dispatched
+            track = clock.open_track(label, start=arrival)
+            try:
+                clients[c][k]()
+            finally:
+                clock.close_track(track)
+            if stats.dispatched == entered:
+                raise RuntimeError(
+                    f"{label} completed without entering the server's worker pool"
+                )
+            assert track.end is not None
             return OpRecord(
                 client=c,
                 index=k,
-                label=track.label,
+                label=label,
                 start=track.start,
                 end=track.end,
                 accounts=dict(track.accounts),

@@ -4,10 +4,13 @@ The cluster analogue of :class:`repro.bench.concurrency.ConcurrentDriver`:
 N closed-loop clients, requests dispatched in global arrival order —
 but each request goes through :meth:`SeGShareCluster.handle`, so it is
 routed by affinity onto (possibly different) replicas' worker pools,
-and survives replica failover mid-schedule.  Execution order is arrival
-order, so a cluster run is serializable by construction and the
-failover property test can compare it against a serial single-server
-witness.
+and survives replica failover mid-schedule.  The front door has no
+client leg: it dispatches the handler call itself at the op's arrival,
+and a download's stream is read inside that dispatch, so the worker's
+track carries the whole request, stored chunks included.  Execution
+order is arrival order, so a cluster run is serializable by
+construction and the failover property test can compare it against a
+serial single-server witness.
 """
 
 from __future__ import annotations

@@ -40,6 +40,7 @@ from repro.core.server import SeGShareServer
 from repro.errors import EnclaveCrashed, MembershipError, RetryPolicy
 from repro.netsim import HeartbeatMonitor
 from repro.netsim.clock import SimClock
+from repro.tls.channel import StreamingResponse
 
 if TYPE_CHECKING:
     from repro.netsim.coherence import CoherenceBoard
@@ -179,12 +180,18 @@ class SeGShareCluster:
     ) -> Any:
         """Route one request by its affinity; fails over transparently."""
         affinity = request_affinity(user_id, request)
-        return self._route(
-            affinity,
-            lambda server: server.enclave.handler.handle(user_id, request),
-            label=request.op.name,
-            arrival=arrival,
-        )
+
+        def apply(server: SeGShareServer) -> Any:
+            response = server.enclave.handler.handle(user_id, request)
+            if isinstance(response, StreamingResponse):
+                # Read to its end on the worker's track, as the TLS path's
+                # ``_respond`` reads a download inside the ECALL: the stored
+                # chunks are the serving replica's work, not the shared
+                # clock's.  Exhausting the reader closes it.
+                response.chunks = list(response.chunks)
+            return response
+
+        return self._route(affinity, apply, label=request.op.name, arrival=arrival)
 
     def put_file(
         self, user_id: str, path: str, content: bytes, arrival: float | None = None

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
+from typing import Callable
 
 from cryptography import x509
 from cryptography.hazmat.primitives.serialization import Encoding
@@ -23,9 +24,15 @@ from repro.core.client import SeGShareClient
 from repro.core.enclave_app import SeGShareEnclave, SeGShareOptions
 from repro.crypto import rsa
 from repro.errors import AttestationError, RetryPolicy
-from repro.netsim import Endpoint, Listener, NetworkEnv, azure_wan_env
+from repro.netsim import Endpoint, Listener, NetworkEnv, ParallelClock, azure_wan_env
 from repro.pki import CertificateAuthority
-from repro.sgx import AttestationService, QuotingEnclave, SgxPlatform, SwitchlessQueue
+from repro.sgx import (
+    AttestationService,
+    EnclaveHandle,
+    QuotingEnclave,
+    SgxPlatform,
+    SwitchlessQueue,
+)
 from repro.storage.stores import StoreSet
 from repro.tls import TlsClient
 from repro.tls.channel import UntrustedTlsInterface
@@ -51,10 +58,11 @@ class SeGShareServer:
         if getattr(self.platform, "quoting_enclave", None) is None:
             self.platform.quoting_enclave = QuotingEnclave(self.platform)
         self._load(ca_public_key, options, attestation_service)
-        # The server's worker pool: with a ParallelClock, drivers dispatch
-        # requests through it onto concurrent tracks (benchmarks and the
-        # concurrency tests); with a serial clock it degrades to the
-        # synchronous switchless model.
+        # The server's worker pool: with a ParallelClock, each record a
+        # request forwards enters the enclave through it on a worker's
+        # track (``_forwarder``), and harnesses that skip the client
+        # dispatch their handler calls through it; with a serial clock it
+        # degrades to the synchronous switchless model.
         self.switchless = SwitchlessQueue(
             env.clock,
             self.platform.costs,
@@ -88,6 +96,7 @@ class SeGShareServer:
             "parks": sw.parks,
             "wakes": sw.wakes,
             "queued": sw.queued,
+            "out_of_order": sw.out_of_order,
         }
         # Likewise cluster routing and failover: untrusted front-door
         # machinery, so its counters live outside the enclave.
@@ -147,10 +156,35 @@ class SeGShareServer:
         handle = self.handle
         self.untrusted_tls = UntrustedTlsInterface(
             new_session=lambda: handle.call("new_session"),
-            forward=lambda session_id, raw: handle.call("on_record", session_id, raw),
+            forward=self._forwarder(handle),
             close_session=lambda session_id: handle.call("close_session", session_id),
         )
         self.listener = Listener(self.env.link, self.untrusted_tls.attach)
+
+    def _forwarder(self, handle: EnclaveHandle) -> Callable[[int, bytes], list[bytes]]:
+        """The untrusted TLS interface's ECALL for one inbound record.
+
+        On a parallel clock, a record that arrives on a request's track
+        enters the enclave on a worker of the switchless pool (Fig. 1):
+        the worker is held for the ECALL only, and the client's TLS work
+        and both network legs stay on the client's track.  Records on the
+        base timeline (set-up, preload) and every record on a serial clock
+        are a plain switchless ECALL, as the single-flow model charges it.
+        """
+
+        def forward(session_id: int, raw: bytes) -> list[bytes]:
+            return handle.call("on_record", session_id, raw)
+
+        clock = self.env.clock
+        if not isinstance(clock, ParallelClock):
+            return forward
+
+        def forward_on_worker(session_id: int, raw: bytes) -> list[bytes]:
+            if clock.active_track() is None:
+                return forward(session_id, raw)
+            return self.switchless.dispatch(forward, session_id, raw, label="on_record")
+
+        return forward_on_worker
 
 
 def provision_certificate(

@@ -155,7 +155,8 @@ class ParallelClock(SimClock):
     work can exceed the makespan exactly when requests overlapped.
 
     Tracks nest LIFO.  A nested track models a synchronous sub-task: when
-    it closes, the enclosing timeline advances to its end.
+    it closes, the enclosing timeline advances to its end and takes over
+    its accounts (a request's ECALL on a switchless worker is one).
     """
 
     def __init__(self) -> None:
@@ -219,8 +220,16 @@ class ParallelClock(SimClock):
         track.end = track.now()
         if join and self._stack:
             # A nested track is a synchronous sub-task: its caller resumes
-            # when it finishes.
-            self._stack[-1].advance_to(track.end, account="join")
+            # when it finishes.  One that started at its caller's now (the
+            # default start) hands its accounts up, so the caller's ledger
+            # still says where its time went; any other lands as "join".
+            caller = self._stack[-1]
+            if track.start == caller.now():
+                for account, seconds in track.accounts.items():
+                    caller.accounts[account] += seconds
+                caller._now = track.end
+            else:
+                caller.advance_to(track.end, account="join")
         elif track.end > self._now:
             # Top-level join: the base timeline is the makespan so far.
             self._now = track.end

@@ -17,6 +17,15 @@ Two entry points:
   pool is saturated pays the regular transition cost *and* queues until
   the earliest worker frees — so the pool genuinely bounds request
   parallelism rather than merely repricing calls.
+
+What a worker serves is one ECALL, as in the paper's Fig. 1: the
+untrusted TLS interface forwards each record into the enclave through
+:meth:`~SwitchlessQueue.dispatch` while a request track is open
+(:class:`~repro.core.server.SeGShareServer`), so the worker's span is
+the enclave's work on that record.  The client's TLS work and both
+network legs run on the client's own track, and no worker is held
+through them.  Harnesses that skip the client dispatch their handler
+call themselves.
 """
 
 from __future__ import annotations
@@ -46,6 +55,10 @@ class SwitchlessStats:
     parks: int = 0
     wakes: int = 0
     queued: int = 0
+    #: Dispatches stamped earlier than one already processed, and the
+    #: largest such gap in virtual seconds (see :meth:`SwitchlessQueue.dispatch`).
+    out_of_order: int = 0
+    out_of_order_max_s: float = 0.0
 
 
 class SwitchlessQueue:
@@ -54,7 +67,11 @@ class SwitchlessQueue:
     ``workers`` mirrors the SDK's ``uworkers``/``tworkers`` setting.  Use
     :meth:`submit` to run a callable as a switchless call on the current
     timeline and :meth:`dispatch` to run it on a parallel track through
-    the worker pool.
+    the worker pool.  A dispatched task is one ECALL (or, where a harness
+    skips the client, one handler call): a worker is held from pickup to
+    the task's return, never across the client's network legs.
+    Dispatches must come in time order for the pool's bookkeeping to be
+    exact; ``stats.out_of_order`` counts those that do not.
     """
 
     def __init__(
@@ -85,6 +102,8 @@ class SwitchlessQueue:
         #: The track of the most recent :meth:`dispatch` (schedulers read
         #: its ``end`` to learn the completion time).
         self.last_track: TrackClock | None = None
+        #: The latest dispatch time processed so far.
+        self._latest = 0.0
 
     # -- synchronous calls (legacy single-flow model) -------------------------
 
@@ -118,7 +137,9 @@ class SwitchlessQueue:
         """Run ``fn`` on its own track through the worker pool.
 
         The task's track opens at ``arrival`` (default: the clock's
-        current time).  The pool is adaptive, after the SDK's switchless
+        current time).  Dispatched from inside a request's track, it is a
+        nested track: the request resumes at its end and takes over its
+        accounts, ``worker-wait`` and ``transitions`` included.  The pool is adaptive, after the SDK's switchless
         design: a worker finishing a task spins for ``spin_window``
         before parking, so a task arriving within the window is picked up
         as a cheap switchless call; one arriving later must wake a parked
@@ -138,10 +159,27 @@ class SwitchlessQueue:
         if not self._primed:
             self._primed = True
             self._worker_free = [when] * self.workers
-        # Dispatches are processed in arrival order, so every non-parked
-        # worker's release time is in the heap at this point: workers idle
-        # past the spin window have parked (the pool shrinking under low
-        # load).
+        # The heap and the park rule below assume dispatches come in time
+        # order.  A closed-loop driver issues *requests* in arrival order,
+        # but an ECALL is stamped at its arrival plus the client's leg, so
+        # one can come after a later-stamped ECALL of an op issued before
+        # it (most often a PUT_FILE's chunk record).  It then sees that
+        # ECALL's worker as busy, or a worker parked that had not parked
+        # yet at its own time: its error is bounded by the worker-wait and
+        # the transition it is charged.  Over edit_churn's measured rounds
+        # (seed 1), 363 of 1 728 ECALLs came out of order, by up to 0.30
+        # ms, against 0.022 ms of worker-wait and 0.006 ms of transitions
+        # per 0.31 ms op (docs/PERF.md §32); ``stats.out_of_order`` counts
+        # them.
+        if when < self._latest:
+            self.stats.out_of_order += 1
+            self.stats.out_of_order_max_s = max(
+                self.stats.out_of_order_max_s, self._latest - when
+            )
+        else:
+            self._latest = when
+        # Workers idle past the spin window have parked (the pool
+        # shrinking under low load).
         while self._worker_free and self._worker_free[0] < when - self.spin_window:
             heapq.heappop(self._worker_free)
             self.stats.parks += 1

@@ -85,9 +85,12 @@ def run_concurrent(seed: int):
     results: list[str] = []
 
     def thunk_for(desc: tuple):
+        # No client here: the handler call enters the worker pool itself.
         def thunk():
             executed.append(desc)
-            results.append(apply_descriptor(server.enclave.handler, desc))
+            results.append(
+                server.switchless.dispatch(apply_descriptor, server.enclave.handler, desc)
+            )
 
         return thunk
 
@@ -159,7 +162,9 @@ class TestCrashDuringConcurrentSchedule:
                     (
                         lambda d=desc: (
                             executed.append(d),
-                            apply_descriptor(server.enclave.handler, d),
+                            server.switchless.dispatch(
+                                apply_descriptor, server.enclave.handler, d
+                            ),
                         )
                     )
                     for desc in stream
@@ -187,7 +192,7 @@ class TestCrashDuringConcurrentSchedule:
         def thunk_for(desc: tuple):
             def thunk():
                 started.append(desc)
-                apply_descriptor(server.enclave.handler, desc)
+                server.switchless.dispatch(apply_descriptor, server.enclave.handler, desc)
                 completed.append(desc)  # only reached if the op finished
 
             return thunk

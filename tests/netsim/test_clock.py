@@ -146,15 +146,32 @@ class TestParallelClock:
         assert track.end == pytest.approx(5.0)
         assert clock.now() == pytest.approx(10.0)  # base already later
 
-    def test_nested_track_joins_parent(self):
-        """A nested track is a synchronous sub-task: parent resumes at its end."""
+    def test_nested_track_rolls_accounts_into_parent(self):
+        """A nested track is a synchronous sub-task: parent resumes at its
+        end and takes over its accounts, waits included, with no "join"."""
         clock = ParallelClock()
         with clock.track("outer") as outer:
-            clock.charge(1.0)
+            clock.charge(1.0, "network")
             with clock.track("inner"):
-                clock.charge(3.0)
-            assert outer.now() == pytest.approx(4.0)
-            assert outer.accounts["join"] == pytest.approx(3.0)
+                clock.advance_to(1.5, account="worker-wait")
+                clock.charge(3.0, "enclave")
+            assert outer.now() == pytest.approx(4.5)
+            assert dict(outer.accounts) == pytest.approx(
+                {"network": 1.0, "worker-wait": 0.5, "enclave": 3.0}
+            )
+        assert "join" not in clock.accounts()
+        assert clock.accounts()["enclave"] == pytest.approx(3.0)  # counted once
+
+    def test_nested_track_started_elsewhere_joins_as_one_lump(self):
+        """A nested track that did not start at its caller's now cannot hand
+        its accounts over: the caller waits for its end under "join"."""
+        clock = ParallelClock()
+        with clock.track("outer", start=0.0) as outer:
+            clock.charge(1.0, "network")
+            with clock.track("inner", start=2.0):
+                clock.charge(3.0, "enclave")
+            assert outer.now() == pytest.approx(5.0)
+            assert dict(outer.accounts) == pytest.approx({"network": 1.0, "join": 4.0})
 
     def test_tracks_close_lifo(self):
         clock = ParallelClock()

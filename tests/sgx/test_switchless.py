@@ -212,3 +212,15 @@ class TestAdaptivePool:
         queue.dispatch(lambda: None, arrival=3.0)
         assert queue.stats.parks == 1
         assert queue.stats.wakes == 1
+
+
+class TestTimeOrder:
+    def test_dispatches_stamped_before_one_already_processed_are_counted(self):
+        from repro.netsim import ParallelClock
+
+        clock = ParallelClock()
+        queue = SwitchlessQueue(clock, SgxCostModel(), workers=2)
+        for arrival in (1.0, 0.5, 2.0, 1.25, 2.0):
+            queue.dispatch(lambda: clock.charge(0.1, "work"), arrival=arrival)
+        assert queue.stats.out_of_order == 2
+        assert queue.stats.out_of_order_max_s == pytest.approx(0.75)
