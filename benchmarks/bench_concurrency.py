@@ -113,7 +113,6 @@ def cell_counters(server: SeGShareServer) -> dict:
     out = {
         "switchless": {
             "fast": sw.fast,
-            "fallback": sw.fallback,
             "spins": sw.spins,
             "parks": sw.parks,
             "wakes": sw.wakes,

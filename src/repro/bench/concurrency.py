@@ -12,10 +12,11 @@ durations, while lock waits, journal commits, and counter increments
 rendezvous on the shared serialization points.
 
 The driver holds no worker.  A request takes one of the server's
-workers only while it is inside the enclave: the server forwards each
-TLS record through :meth:`~repro.sgx.switchless.SwitchlessQueue.
-dispatch` (the path ``client → TLS → switchless → handler``), and a
-harness that calls the handler directly dispatches that call itself.
+workers only while it is inside the enclave: the server's handle
+enters each ECALL, one per forwarded TLS record, through
+:meth:`~repro.sgx.switchless.SwitchlessQueue.dispatch` (the path
+``client → TLS → switchless → handler``), and a harness that calls the
+handler directly dispatches that call itself.
 Each dispatch is a nested track whose accounts roll up into the
 client's, so an op's record still says where its time went; an op that
 never entered the pool is refused.

@@ -41,13 +41,22 @@ class ClusterDriver:
         self._clock = clock
 
     def run(self, clients: list[list[Callable[[float], Any]]]) -> DriverResult:
-        cluster = self._cluster
+        cluster, clock = self._cluster, self._clock
 
         def issue(c: int, k: int, arrival: float) -> OpRecord:
             clients[c][k](arrival)
-            end = max(cluster.last_completion, arrival)
+            track = cluster.last_track
+            # A response synthesised after a failover ran on no worker: it
+            # completes when the failover does, and has no track's ledger.
+            end = clock.now() if track is None else track.end
+            assert end is not None
             return OpRecord(
-                client=c, index=k, label=f"c{c}/op{k}", start=arrival, end=end, accounts={}
+                client=c,
+                index=k,
+                label=f"c{c}/op{k}",
+                start=arrival,
+                end=max(end, arrival),
+                accounts={} if track is None else dict(track.accounts),
             )
 
         # Quiescing the cluster flushes every replica's open commit epoch.

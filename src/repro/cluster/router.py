@@ -39,7 +39,7 @@ from repro.core.requests import Request, Response
 from repro.core.server import SeGShareServer
 from repro.errors import EnclaveCrashed, MembershipError, RetryPolicy
 from repro.netsim import HeartbeatMonitor
-from repro.netsim.clock import SimClock
+from repro.netsim.clock import SimClock, TrackClock
 from repro.tls.channel import StreamingResponse
 
 if TYPE_CHECKING:
@@ -65,9 +65,10 @@ class SeGShareCluster:
         self.coherence_board = board
         self.heartbeats = HeartbeatMonitor(clock)
         self._seq = 0
-        #: Virtual completion time of the most recent routed request
-        #: (closed-loop drivers schedule the client's next arrival here).
-        self.last_completion = 0.0
+        #: The worker track that served the most recent routed request,
+        #: ``None`` when a failover synthesised its response: closed-loop
+        #: drivers take the op's completion time and accounts from it.
+        self.last_track: TrackClock | None = None
         #: Member that served the previous request.  A group-commit epoch
         #: keeps guard batches over the shared tree in one replica's memory
         #: between transactions, so the front door must quiesce a replica
@@ -111,7 +112,7 @@ class SeGShareCluster:
                 raise MembershipError(
                     f"candidate {name!r} does not share the cluster's coherence log"
                 )
-        elif server.enclave._options.metadata_cache_bytes is not None:
+        elif server.options.metadata_cache_bytes is not None:
             raise MembershipError(
                 f"candidate {name!r} caches metadata but the cluster has no "
                 "coherence log to keep it fresh"
@@ -255,15 +256,10 @@ class SeGShareCluster:
                     raise
                 synthesized = self._failover(name, token)
                 if synthesized is not None:
-                    self.last_completion = self._clock.now()
+                    self.last_track = None
                     return synthesized
                 continue
-            track = server.switchless.last_track
-            self.last_completion = (
-                track.end
-                if track is not None and track.end is not None
-                else self._clock.now()
-            )
+            self.last_track = server.switchless.last_track
             return response
 
     def _recover_crashed(self, crashed: str) -> SeGShareServer:

@@ -14,8 +14,7 @@ users and client connections.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
-from typing import Callable
+from dataclasses import asdict, dataclass, field
 
 from cryptography import x509
 from cryptography.hazmat.primitives.serialization import Encoding
@@ -24,15 +23,9 @@ from repro.core.client import SeGShareClient
 from repro.core.enclave_app import SeGShareEnclave, SeGShareOptions
 from repro.crypto import rsa
 from repro.errors import AttestationError, RetryPolicy
-from repro.netsim import Endpoint, Listener, NetworkEnv, ParallelClock, azure_wan_env
+from repro.netsim import Endpoint, Listener, NetworkEnv, azure_wan_env
 from repro.pki import CertificateAuthority
-from repro.sgx import (
-    AttestationService,
-    EnclaveHandle,
-    QuotingEnclave,
-    SgxPlatform,
-    SwitchlessQueue,
-)
+from repro.sgx import AttestationService, QuotingEnclave, SgxPlatform, SwitchlessQueue
 from repro.storage.stores import StoreSet
 from repro.tls import TlsClient
 from repro.tls.channel import UntrustedTlsInterface
@@ -57,17 +50,18 @@ class SeGShareServer:
         self.platform = platform or SgxPlatform(clock=env.clock)
         if getattr(self.platform, "quoting_enclave", None) is None:
             self.platform.quoting_enclave = QuotingEnclave(self.platform)
-        self._load(ca_public_key, options, attestation_service)
-        # The server's worker pool: with a ParallelClock, each record a
-        # request forwards enters the enclave through it on a worker's
-        # track (``_forwarder``), and harnesses that skip the client
-        # dispatch their handler calls through it; with a serial clock it
-        # degrades to the synchronous switchless model.
+        # What the enclave is built with; a restart rebuilds it from these.
+        self.ca_public_key = ca_public_key
+        self.options = options or SeGShareOptions()
+        self.attestation_service = attestation_service
+        # The server's worker pool prices every ECALL of its enclave, and
+        # of a restarted one: the paper uses switchless calls for all
+        # network and file traffic.  Harnesses that skip the client
+        # dispatch their handler calls through it.
         self.switchless = SwitchlessQueue(
-            env.clock,
-            self.platform.costs,
-            workers=self.enclave._options.switchless_workers,
+            env.clock, self.platform.costs, workers=self.options.switchless_workers
         )
+        self._load()
         #: Set by a cluster front door (repro.cluster) when this server is
         #: admitted; lets ``stats()`` surface routing/failover counters.
         self.cluster = None
@@ -85,19 +79,7 @@ class SeGShareServer:
         if router is not None and hasattr(router, "stats"):
             stats["shards"] = router.stats()
         # The switchless pool is host-side machinery too.
-        sw = self.switchless.stats
-        stats["switchless"] = {
-            "submitted": sw.submitted,
-            "fast": sw.fast,
-            "fallback": sw.fallback,
-            "dispatched": sw.dispatched,
-            "worker_wait_s": round(sw.worker_wait_s, 9),
-            "spins": sw.spins,
-            "parks": sw.parks,
-            "wakes": sw.wakes,
-            "queued": sw.queued,
-            "out_of_order": sw.out_of_order,
-        }
+        stats["switchless"] = asdict(self.switchless.stats)
         # Likewise cluster routing and failover: untrusted front-door
         # machinery, so its counters live outside the enclave.
         if self.cluster is not None:
@@ -129,62 +111,27 @@ class SeGShareServer:
         Volatile state is lost; sealed state (root key, TLS identity) is
         recovered — the persistence path the sealing design exists for.
         """
-        enclave = self.enclave
-        wiring = enclave._ca_public_key, enclave._options, enclave._attestation_service
         self.handle.destroy()
-        self._load(*wiring)
+        self._load()
 
-    def _load(
-        self,
-        ca_public_key: rsa.RsaPublicKey,
-        options: SeGShareOptions | None,
-        attestation_service: AttestationService | None,
-    ) -> None:
+    def _load(self) -> None:
         """Load a new enclave on our platform and wire the host side to it."""
         self.enclave = SeGShareEnclave(
-            ca_public_key,
+            self.ca_public_key,
             self.stores,
-            options=options,
-            attestation_service=attestation_service,
+            options=self.options,
+            attestation_service=self.attestation_service,
         )
-        self.handle = self.platform.load(self.enclave)
-        # The paper uses switchless calls for all network and file traffic.
-        self.handle.use_switchless(True)
         # A connection's records and close go to the enclave that accepted
         # it: a restarted one numbers its sessions afresh, so an old
         # connection's id may name a new connection's session.
-        handle = self.handle
+        self.handle = handle = self.platform.load(self.enclave, switchless=self.switchless)
         self.untrusted_tls = UntrustedTlsInterface(
             new_session=lambda: handle.call("new_session"),
-            forward=self._forwarder(handle),
+            forward=lambda session_id, raw: handle.call("on_record", session_id, raw),
             close_session=lambda session_id: handle.call("close_session", session_id),
         )
         self.listener = Listener(self.env.link, self.untrusted_tls.attach)
-
-    def _forwarder(self, handle: EnclaveHandle) -> Callable[[int, bytes], list[bytes]]:
-        """The untrusted TLS interface's ECALL for one inbound record.
-
-        On a parallel clock, a record that arrives on a request's track
-        enters the enclave on a worker of the switchless pool (Fig. 1):
-        the worker is held for the ECALL only, and the client's TLS work
-        and both network legs stay on the client's track.  Records on the
-        base timeline (set-up, preload) and every record on a serial clock
-        are a plain switchless ECALL, as the single-flow model charges it.
-        """
-
-        def forward(session_id: int, raw: bytes) -> list[bytes]:
-            return handle.call("on_record", session_id, raw)
-
-        clock = self.env.clock
-        if not isinstance(clock, ParallelClock):
-            return forward
-
-        def forward_on_worker(session_id: int, raw: bytes) -> list[bytes]:
-            if clock.active_track() is None:
-                return forward(session_id, raw)
-            return self.switchless.dispatch(forward, session_id, raw, label="on_record")
-
-        return forward_on_worker
 
 
 def provision_certificate(

@@ -23,12 +23,15 @@ import inspect
 import secrets
 import sys
 from dataclasses import dataclass
-from typing import Any, Callable, TypeVar
+from typing import TYPE_CHECKING, Any, Callable, TypeVar
 
 from repro.errors import EnclaveCrashed, EnclaveError
 from repro.netsim.clock import SimClock
 from repro.sgx.costmodel import DEFAULT_COSTS, SgxCostModel
 from repro.sgx.epc import EpcModel
+
+if TYPE_CHECKING:
+    from repro.sgx.switchless import SwitchlessQueue
 
 _ECALL_MARKER = "_sgx_ecall"
 
@@ -186,20 +189,23 @@ class Enclave:
 class EnclaveHandle:
     """Untrusted host's view of a loaded enclave.
 
-    Only methods decorated with :func:`ecall` are reachable; every call
-    charges one enclave transition (or a cheaper switchless enqueue when
-    the handle is switched to switchless mode, Section II-A).
+    Only methods decorated with :func:`ecall` are reachable.  The
+    switchless pool the handle was loaded with prices every call
+    (Section II-A): the call enters through
+    :meth:`~repro.sgx.switchless.SwitchlessQueue.dispatch`.  A handle
+    loaded without a pool charges one regular enclave transition.
     """
 
-    def __init__(self, enclave: Enclave, platform: "SgxPlatform") -> None:
+    def __init__(
+        self,
+        enclave: Enclave,
+        platform: "SgxPlatform",
+        switchless: "SwitchlessQueue | None" = None,
+    ) -> None:
         self._enclave = enclave
         self._platform = platform
-        self._switchless = False
+        self._switchless = switchless
         self.calls = 0
-
-    def use_switchless(self, enabled: bool = True) -> None:
-        """Route subsequent ECALLs through the switchless queue."""
-        self._switchless = enabled
 
     def call(self, name: str, *args: Any, **kwargs: Any) -> Any:
         """Invoke ECALL ``name``."""
@@ -208,12 +214,9 @@ class EnclaveHandle:
         if method is None or not getattr(method, _ECALL_MARKER, False):
             raise EnclaveError(f"{name!r} is not an ECALL of {type(self._enclave).__name__}")
         self.calls += 1
-        cost = (
-            self._platform.costs.switchless_call
-            if self._switchless
-            else self._platform.costs.ecall_transition
-        )
-        self._platform.clock.charge(cost, account="transitions")
+        if self._switchless is not None:
+            return self._switchless.dispatch(method, self._enclave, *args, label=name, **kwargs)
+        self._platform.clock.charge(self._platform.costs.ecall_transition, account="transitions")
         return method(self._enclave, *args, **kwargs)
 
     def measurement(self) -> bytes:
@@ -257,12 +260,18 @@ class SgxPlatform:
         #: report their counter and coherence effects to; ``None`` by default.
         self.fault_plan: Any | None = None
 
-    def load(self, enclave: Enclave) -> EnclaveHandle:
-        """Load and initialize an enclave (ECREATE/EADD/EINIT analogue)."""
+    def load(
+        self, enclave: Enclave, switchless: "SwitchlessQueue | None" = None
+    ) -> EnclaveHandle:
+        """Load and initialize an enclave (ECREATE/EADD/EINIT analogue).
+
+        ``switchless`` is the worker pool the handle enters every ECALL
+        through; without one each ECALL is a regular transition.
+        """
         if enclave._platform is not None:
             raise EnclaveError("enclave is already loaded")
         enclave._platform = self
-        handle = EnclaveHandle(enclave, self)
+        handle = EnclaveHandle(enclave, self, switchless)
         self._loaded.append(handle)
         enclave.on_load()
         return handle

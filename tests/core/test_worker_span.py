@@ -5,8 +5,9 @@ worker of the server's switchless pool (Fig. 1).  The client's TLS work
 and both network legs run on the client's own track, so on a one-worker
 pool two clients whose network legs overlap do not wait for each other
 unless their enclave spans overlap, and then by exactly the overlap.
-Serial clocks, and the base timeline of a parallel one, keep the plain
-switchless ECALL of the single-flow model.
+The pool prices the ECALL: one on a request's track pays the worker's
+pickup and nothing else.  Serial clocks, and the base timeline of a
+parallel one, run the ECALL synchronously at one switchless call.
 """
 
 from __future__ import annotations
@@ -101,16 +102,39 @@ class TestOneWorkerTwoClients:
         assert sum(a_track.accounts.values()) == pytest.approx(a_track.elapsed)
 
 
+class TestOnePickupPerEcall:
+    """A record's ECALL on a request track is charged the pool's pickup
+    once: a spinning worker's switchless call, or a parked one's wake."""
+
+    def test_a_spin_charges_a_switchless_call_and_a_wake_a_transition(self):
+        deployment, alice, _ = _world(parallel_env(LAN))
+        costs = deployment.server.platform.costs
+        stats = deployment.server.switchless.stats
+        t0 = deployment.env.clock.now() + 1.0
+        # The pool primes at its first worker dispatch: a spin.  A second
+        # op a second later finds the worker parked: a wake.
+        spin_op, spin = _issue(deployment, lambda: alice.listdir("/a/"), t0)
+        wake_op, wake = _issue(deployment, lambda: alice.listdir("/a/"), spin_op.end + 1.0)
+        assert (stats.spins, stats.wakes) == (1, 1)
+        assert spin.accounts["transitions"] == pytest.approx(costs.switchless_call)
+        assert wake.accounts["transitions"] == pytest.approx(costs.ocall_transition)
+        # The op's own track adds no transition of its own.
+        assert spin_op.accounts["transitions"] == spin.accounts["transitions"]
+        assert wake_op.accounts["transitions"] == wake.accounts["transitions"]
+
+
 class TestSerialPathUnchanged:
     """A serial clock, and a parallel clock's base timeline, charge an
-    ECALL one switchless call and never touch the worker pool."""
+    ECALL one switchless call and open no worker track."""
 
     @pytest.mark.parametrize("env", [azure_wan_env, lambda: parallel_env(LAN)], ids=["serial", "base"])
     def test_an_ecall_charges_one_switchless_call(self, env):
         deployment, alice, _ = _world(env())
         clock, server = deployment.env.clock, deployment.server
         costs = server.platform.costs
+        stats = server.switchless.stats
         calls, before = server.handle.calls, clock.accounts()
+        submitted = stats.submitted
         alice.listdir("/a/")
         after = clock.accounts()
         ecalls = server.handle.calls - calls
@@ -119,8 +143,7 @@ class TestSerialPathUnchanged:
             ecalls * costs.switchless_call
         )
         assert set(after) == set(before)  # no worker-wait, no join
-        stats = server.switchless.stats
-        assert (stats.submitted, stats.dispatched) == (0, 0)
+        assert (stats.submitted - submitted, stats.dispatched) == (ecalls, 0)
 
 
 class TestDriverRefusesOpsOutsideThePool:

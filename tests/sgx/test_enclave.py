@@ -4,7 +4,7 @@ import pytest
 
 from repro.errors import EnclaveCrashed, EnclaveError
 from repro.netsim import SimClock
-from repro.sgx import SgxPlatform
+from repro.sgx import SgxPlatform, SwitchlessQueue
 from repro.sgx.enclave import Enclave, count_loc, ecall
 from tests.support.platform import sim_platform
 
@@ -87,9 +87,10 @@ class TestCosts:
     def test_switchless_is_cheaper(self):
         clock = SimClock()
         platform = SgxPlatform(clock=clock)
-        handle = platform.load(Counter())
-        handle.use_switchless(True)
-        handle.call("increment")
+        pool = SwitchlessQueue(clock, platform.costs)
+        handle = platform.load(Counter(), switchless=pool)
+        assert handle.call("increment") == 1
+        assert pool.stats.submitted == 1
         assert clock.accounts()["transitions"] == pytest.approx(
             platform.costs.switchless_call
         )

@@ -1,4 +1,4 @@
-"""Switchless call queues: fast path, worker exhaustion fallback."""
+"""The switchless pool: synchronous calls, worker tracks, the adaptive pool."""
 
 import pytest
 
@@ -7,9 +7,9 @@ from repro.sgx import SwitchlessQueue
 from repro.sgx.costmodel import SgxCostModel
 
 
-def test_submit_runs_and_returns():
+def test_dispatch_runs_and_returns():
     queue = SwitchlessQueue(SimClock(), SgxCostModel(), workers=2)
-    assert queue.submit(lambda a, b: a + b, 2, 3) == 5
+    assert queue.dispatch(lambda a, b: a + b, 2, 3) == 5
     assert queue.stats.submitted == 1
     assert queue.stats.fast == 1
 
@@ -18,32 +18,24 @@ def test_fast_path_charges_switchless_cost():
     clock = SimClock()
     costs = SgxCostModel()
     queue = SwitchlessQueue(clock, costs, workers=2)
-    queue.submit(lambda: None)
+    queue.dispatch(lambda: None)
     assert clock.now() == pytest.approx(costs.switchless_call)
 
 
-def test_exhausted_workers_fall_back_to_transition():
-    clock = SimClock()
-    costs = SgxCostModel()
-    queue = SwitchlessQueue(clock, costs, workers=2)
-    # Calls nested deeper than the pool: the third finds both workers busy.
-    queue.submit(queue.submit, queue.submit, lambda: None)
-    assert queue.stats.fast == 2
-    assert queue.stats.fallback == 1
-    assert clock.now() == pytest.approx(2 * costs.switchless_call + costs.ocall_transition)
-
-
 def test_exception_propagates_and_releases_slot():
-    queue = SwitchlessQueue(SimClock(), SgxCostModel(), workers=1)
+    from repro.netsim import ParallelClock
+
+    clock = ParallelClock()
+    queue = SwitchlessQueue(clock, SgxCostModel(), workers=1)
 
     def boom():
         raise RuntimeError("task failed")
 
     with pytest.raises(RuntimeError):
-        queue.submit(boom)
-    # The slot was released: the next call takes the fast path again.
-    queue.submit(lambda: None)
-    assert queue.stats.fast == 2
+        queue.dispatch(boom, arrival=0.0)
+    # The worker was released: the next task finds it spinning.
+    queue.dispatch(lambda: None, arrival=queue.last_track.end)
+    assert (queue.stats.spins, queue.stats.queued, queue.stats.wakes) == (2, 0, 0)
 
 
 # -- parallel dispatch ----------------------------------------------------------------
@@ -56,12 +48,42 @@ class TestDispatch:
         clock = ParallelClock()
         return clock, SwitchlessQueue(clock, SgxCostModel(), workers=workers)
 
-    def test_serial_clock_degrades_to_submit(self):
+    def test_serial_clock_runs_synchronously(self):
         clock = SimClock()
-        queue = SwitchlessQueue(clock, SgxCostModel(), workers=2)
-        assert queue.dispatch(lambda: 7) == 7
-        assert queue.stats.dispatched == 0  # ran via submit
+        costs = SgxCostModel()
+        queue = SwitchlessQueue(clock, costs, workers=2)
+        assert queue.dispatch(lambda: 7, arrival=0.0) == 7
+        assert queue.stats.dispatched == 0  # no worker track
         assert queue.stats.submitted == 1
+        assert clock.now() == pytest.approx(costs.switchless_call)
+
+    def test_base_timeline_call_runs_synchronously(self):
+        clock, queue = self._queue(workers=1)
+        costs = SgxCostModel()
+        queue.dispatch(lambda: None)
+        assert (queue.stats.submitted, queue.stats.dispatched) == (1, 0)
+        assert queue.last_track is None
+        assert clock.now() == pytest.approx(costs.switchless_call)
+
+    def test_a_call_on_a_worker_track_runs_synchronously(self):
+        """A worker already inside the enclave makes a nested call on its
+        own track: one switchless call, neither a wake nor a queue."""
+        clock, queue = self._queue(workers=1)
+        costs = SgxCostModel()
+        queue.dispatch(lambda: queue.dispatch(lambda: None), arrival=0.0)
+        assert (queue.stats.submitted, queue.stats.dispatched) == (2, 1)
+        assert (queue.stats.wakes, queue.stats.queued) == (0, 0)
+        assert queue.last_track.accounts["transitions"] == pytest.approx(
+            2 * costs.switchless_call
+        )
+
+    def test_a_call_on_a_request_track_runs_on_a_worker(self):
+        clock, queue = self._queue(workers=1)
+        with clock.track("request", start=0.0) as request:
+            queue.dispatch(lambda: clock.charge(1.0, "work"))
+        assert queue.stats.dispatched == 1
+        assert queue.last_track.start == request.start
+        assert request.accounts["work"] == pytest.approx(1.0)
 
     def test_overlapping_tasks_cost_max_not_sum(self):
         clock, queue = self._queue(workers=2)
@@ -89,7 +111,7 @@ class TestDispatch:
         # The worker is busy, not parked: the request queues behind it and
         # the freed worker picks it up on the spot — no SDK transition.
         assert queue.stats.queued == 1
-        assert queue.stats.fallback == 0
+        assert queue.stats.wakes == 0
         assert second.accounts["worker-wait"] == pytest.approx(
             1.0 + costs.switchless_call
         )
@@ -135,7 +157,6 @@ class TestDispatch:
         assert queue.stats.fast == 1
         assert queue.stats.parks == 1
         assert queue.stats.wakes == 1
-        assert queue.stats.fallback == 1
 
     def test_return_value_and_args_pass_through(self):
         clock, queue = self._queue(workers=2)
@@ -159,7 +180,6 @@ class TestAdaptivePool:
         queue.dispatch(lambda: None, arrival=2.0)
         assert queue.stats.parks == 1
         assert queue.stats.wakes == 1
-        assert queue.stats.fallback == 1
         track = queue.last_track
         assert track.accounts["transitions"] == pytest.approx(
             costs.ocall_transition
@@ -176,7 +196,7 @@ class TestAdaptivePool:
         assert queue.stats.fast == 2
         assert queue.stats.spins == 2
         assert queue.stats.parks == 0
-        assert queue.stats.fallback == 0
+        assert queue.stats.wakes == 0
 
     def test_closed_loop_stream_never_falls_back(self):
         """A single closed-loop client keeps its worker hot: every request
@@ -188,7 +208,7 @@ class TestAdaptivePool:
             queue.dispatch(lambda: clock.charge(0.001, "work"), arrival=arrival)
             arrival = queue.last_track.end
         assert queue.stats.fast == 20
-        assert queue.stats.fallback == 0
+        assert queue.stats.wakes == 0
         assert queue.stats.parks == 0
 
     def test_queued_reuse_charges_switchless_not_transition(self):
