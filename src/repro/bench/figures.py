@@ -25,6 +25,7 @@ from repro.bench.workloads import (
 from repro.core.enclave_app import SeGShareOptions
 from repro.core.features import format_table3
 from repro.core.model import default_group
+from repro.core.requests import Op, Request
 from repro.core.server import Deployment, deploy
 from repro.crypto import rsa
 from repro.crypto.pae import OpenSslGcmPae
@@ -231,8 +232,8 @@ def fig5(max_x: int = 8, file_size: int = 10 * KB) -> ExperimentResult:
     """Upload/download of one 10 kB file with 2^x − 1 files already stored.
 
     Four series: rollback protection {off, individual} × directory layout
-    {binary tree, flat}.  Pre-population bypasses the network (direct
-    handler calls); the measured request runs the full client path.
+    {binary tree, flat}.  Pre-population bypasses the network (requests
+    handed to the handler); the measured request runs the full client path.
     """
     result = ExperimentResult(
         experiment="fig5",
@@ -256,7 +257,7 @@ def fig5(max_x: int = 8, file_size: int = 10 * KB) -> ExperimentResult:
                 handler = deployment.server.enclave.handler
                 paths = layout_fn(count)
                 for directory in directories_of(paths + [f"/m{x}.dat"]):
-                    handler.put_dir("seeder", directory)
+                    handler.handle("seeder", Request(op=Op.PUT_DIR, args=(directory,)))
                 for i, path in enumerate(paths):
                     handler.put_file("seeder", path, unique_bytes("fig5", i, file_size))
                 identity = deployment.user_identity("u", key=shared_user_key())

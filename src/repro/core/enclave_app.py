@@ -121,6 +121,8 @@ class SeGShareOptions:
             raise ValueError(f"bad rollback mode {self.rollback!r}")
         if self.counter_kind not in ("sgx", "rote"):
             raise ValueError(f"bad counter kind {self.counter_kind!r}")
+        if self.rollback_buckets < 1:
+            raise ValueError("rollback_buckets must be at least 1")
         if self.metadata_cache_bytes is not None and self.metadata_cache_bytes <= 0:
             raise ValueError("metadata_cache_bytes must be positive or None")
         if self.switchless_workers < 1:
@@ -259,7 +261,9 @@ class SeGShareEnclave(Enclave):
     #: in place of four copies kept by hand (docs/PERF.md §5.4): 7463 → 7452.
     #: Pipelined closes and the recovered-record rule, offset by tighter
     #: docstrings in the engine, journal and anchor (docs/PERF.md §31): 7452 → 7450.
-    TCB_LOC_CEILING = 7450
+    #: A guard walk runs only inside an epoch: the unbatched write mode, the
+    #: per-walk re-anchor and the degraded-read knob gone (SECURITY.md): 7450 → 7439.
+    TCB_LOC_CEILING = 7439
 
     def __init__(
         self,

@@ -26,11 +26,12 @@ their node naming/encoding, node main hash, node locks and walks:
 
 Both are rooted in one :class:`FileSystemAnchor` (Section V-E): a sealed
 record naming both roots and the one TEE monotonic counter's value,
-written once per epoch close and once per re-anchor.  Replaying a whole
-old file system (anchor included) fails the counter check; replaying one
-store, or an older anchor, fails a root the anchor names.  Guard nodes and
-the anchor live under a NUL-prefixed namespace user paths cannot reach;
-each node is authenticated by its parent's bucket digest up to the anchor.
+written by each epoch close (a guard walk runs only inside an epoch) and
+each re-anchor.  Replaying a whole old file system (anchor included)
+fails the counter check; replaying one store, or an older anchor, fails
+a root the anchor names.  Guard nodes and the anchor live under a
+NUL-prefixed namespace user paths cannot reach; each node is
+authenticated by its parent's bucket digest up to the anchor.
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ from repro.core.file_manager import Mount, TrustedFileManager
 from repro.core.locks import LockManager
 from repro.crypto import derive_key
 from repro.crypto.mset_hash import MSetXorBuckets, Prf
-from repro.errors import CounterError, RollbackDetected
+from repro.errors import CounterError, EnclaveError, RollbackDetected
 from repro.fsmodel import DirectoryFile, parent
 from repro.sgx.counters import MonotonicCounter, RoteCounterService
 from repro.sgx.enclave import Enclave
@@ -97,10 +98,9 @@ class FileSystemAnchor:
     """The one file-system anchor (paper §V-E) both guards verify against:
     a sealed record of the content tree's root main, the group node's (empty
     without a group guard) and the counter value, incremented by every write
-    when ``counter`` is given.  A write naming one root keeps the other from
-    a fresh record only: an epoch's close proves the one it opened on (one
-    epoch holder at a time, even in a cluster) by counting to one past it,
-    a write outside an epoch by a probe before it counts."""
+    when ``counter`` is given.  An epoch's close keeps a clean guard's root
+    from the record it opened on, proven fresh (one epoch holder at a time,
+    even in a cluster) by counting to one past it."""
 
     def __init__(
         self, manager: TrustedFileManager, enclave: Enclave, locks: LockManager,
@@ -111,10 +111,9 @@ class FileSystemAnchor:
         self.enclave, self.locks, self.counter = enclave, locks, counter
         self.guards: list = []  # in slot order
         self.writes = 0
-        #: With the counter service unreachable (ROTE quorum lost), reads
-        #: may proceed on the hash chain alone; writes still fail because
-        #: the anchor cannot be re-counted.  Set False to fail reads too.
-        self.allow_degraded_reads = True
+        #: Reads served on the hash chain alone while the counter service is
+        #: unreachable (ROTE quorum lost); writes still fail, because the
+        #: anchor cannot be re-counted.
         self.degraded_reads = 0
         #: The record this enclave last wrote, until storage may have moved
         #: on (:meth:`forget`): with a metadata cache, which a cluster keeps
@@ -135,8 +134,9 @@ class FileSystemAnchor:
     def attach(self, guard: "_GuardCore") -> None:
         self.guards = sorted([*self.guards, guard], key=lambda each: each._SLOT)
 
-    def _by_slot(self, main: "Callable[[_GuardCore], bytes | None]") -> "list[bytes | None]":
-        mains: list[bytes | None] = [None, None]
+    def _by_slot(self, main: "Callable[[_GuardCore], bytes]") -> list[bytes]:
+        """``main`` of each slot's guard; empty where no guard holds it."""
+        mains = [b"", b""]
         for guard in self.guards:
             mains[guard._SLOT] = main(guard)
         return mains
@@ -165,28 +165,18 @@ class FileSystemAnchor:
         for guard in self.guards:
             guard.rebuild_nodes()
         self._counted = lagging or None
-        self.write_roots([main or b"" for main in self._by_slot(lambda guard: guard.root_hash())])
+        self.write_roots(self._by_slot(lambda guard: guard.root_hash()))
 
-    def _anchored(self) -> Mains:
-        """The stored mains, proven fresh by a probe."""
-        mains, stored = self.read()
-        current = self.probe()
-        if stored != current:
-            raise RollbackDetected(f"file system rolled back: anchor counter {stored} != TEE counter {current}")
-        return mains
-
-    def write_roots(self, mains: "list[bytes | None]", opened: "tuple[Mains, int] | None" = None) -> None:
-        """One anchor write: each slot's main, the anchored one where None
-        (an epoch's close passes the record it ``opened`` on, fresh once the
-        count proves it)."""
+    def write_roots(self, mains: list[bytes], opened: "tuple[Mains, int] | None" = None) -> None:
+        """One anchor write naming both ``mains``; an epoch's close passes
+        the record it ``opened`` on, which the count must prove fresh."""
         with self.locks.serial("rb-anchor", account="anchor-wait"):
-            kept = opened[0] if opened is not None else self._anchored() if None in mains else (b"", b"")
             if self._counted is None and self.counter is not None:
                 self._counted = self.counter.increment(self.enclave, COUNTER_ID)
             counter_value = self._counted or 0
             if opened is not None and self.counter is not None and counter_value != opened[1] + 1:
                 raise RollbackDetected(f"file system rolled back: epoch opened at {opened[1]}, TEE at {counter_value}")
-            fs_main, group_main = [kept[slot] if main is None else main for slot, main in enumerate(mains)]
+            fs_main, group_main = mains
             record = (fs_main, group_main), counter_value
             blob = Writer().bytes(fs_main).bytes(group_main).u64(counter_value).take()
             self._mount.raw_write(self._key, blob, (_decode_anchor, record))
@@ -195,15 +185,16 @@ class FileSystemAnchor:
 
     def verify(self, guard: "_GuardCore", main: bytes, strict: bool = False) -> None:
         """``main`` is ``guard``'s anchored root and the anchor is fresh;
-        ``strict`` refuses the degraded-read escape hatch; a close in flight
-        names the root, fresh while the TEE is at its opening count or one on."""
+        with the counter unreachable a read proceeds on the hash chain alone
+        unless ``strict``; a close in flight names the root, fresh while the
+        TEE is at its opening count or one on."""
         mains, stored = (self._pending[0], self._pending[1][1]) if self._pending else self.read()
         if mains[guard._SLOT] != main:
             raise RollbackDetected(f"{guard._WHAT} root hash does not match the anchored value")
         try:
             current = self.probe()
         except CounterError:
-            if strict or not self.allow_degraded_reads:
+            if strict:
                 raise
             # Degraded mode: the hash chain above already authenticated the
             # state; only the whole-FS freshness bound is lost.
@@ -250,7 +241,7 @@ class FileSystemAnchor:
         is in flight until :meth:`land`.  A node write's failure keeps every
         batch, so the next close writes all of it again."""
         mains = self._by_slot(lambda guard: guard.commit_batch())
-        if mains != [None, None]:
+        if any(mains):
             self._pending = (mains[0] or opened[0][0], mains[1] or opened[0][1]), opened
         self.end_batch(flushed=True)
 
@@ -330,10 +321,11 @@ class _GuardCore:
         self.anchor = anchor
         self._enclave, self._locks = anchor.enclave, anchor.locks
         self.stats = GuardStats()
-        # Batch mode: dirty nodes and the root stay in enclave memory until
-        # the epoch's close — O(dirty nodes) instead of O(N·depth).  No map
-        # means no batch.  A batch outlives a poisoned journal's epoch: the
-        # enclave's reads go on verifying against its pending root.
+        # The epoch's batch: dirty nodes and the root stay in enclave memory
+        # until its close — O(dirty nodes) instead of O(N·depth).  No map
+        # outside an epoch, where a walk is refused.  A batch outlives a
+        # poisoned journal's epoch: the enclave's reads go on verifying
+        # against its pending root.
         self._pending_nodes: dict | None = None
         self._pending_main: bytes | None = None
         anchor.attach(self)
@@ -344,12 +336,12 @@ class _GuardCore:
         if self._pending_nodes is None:
             self._pending_nodes = {}
 
-    def commit_batch(self) -> bytes | None:
-        """Write the batch's dirty nodes; the root they need anchored (None
+    def commit_batch(self) -> bytes:
+        """Write the batch's dirty nodes; the root they need anchored (empty
         if none).  The batch stays open until the anchor names it."""
         for dir_path, node in (self._pending_nodes or {}).items():
             self._write_node(dir_path, node)
-        return self._pending_main
+        return self.pending_root()
 
     def end_batch(self, flushed: bool = False) -> None:
         """Leave batch mode: after the anchor write if ``flushed``, else
@@ -398,11 +390,14 @@ class _GuardCore:
         # A node the close wrote is there with its main.
         return self._mount.raw_read(self._node_path(dir_path), self._decode_node).copy()
 
+    def _batch(self) -> dict:
+        """The open epoch's dirty nodes; a walk outside an epoch is refused."""
+        if self._pending_nodes is None:
+            raise EnclaveError(f"{self._WHAT} guard walk outside a commit epoch")
+        return self._pending_nodes
+
     def _save_node(self, dir_path: str, node) -> None:
-        if self._pending_nodes is not None:
-            self._pending_nodes[dir_path] = node
-        else:
-            self._write_node(dir_path, node)
+        self._batch()[dir_path] = node
 
     def _write_node(self, dir_path: str, node) -> None:
         # Kept with its main in the entry's slot: the next epoch neither
@@ -415,13 +410,6 @@ class _GuardCore:
         return self._node_main(self._load_node(ROOT))
 
     # -- the root --------------------------------------------------------------------------
-
-    def _set_root(self, main: bytes) -> None:
-        """A walk reached the root: pend it in a batch, else anchor it."""
-        if self._pending_nodes is not None:
-            self._pending_main = main
-        else:  # a re-anchor of this root, keeping the other
-            self.anchor.write_roots([main if slot == self._SLOT else None for slot in (FS_SLOT, GROUP_SLOT)])
 
     def _verify_anchor(self, main: bytes) -> None:
         if self._pending_main is not None:
@@ -515,8 +503,7 @@ class RollbackGuard(_GuardCore):
 
     def _delete_node(self, dir_path: str) -> None:
         """Remove a directory's node (pending copy and persisted object)."""
-        if self._pending_nodes is not None:
-            self._pending_nodes.pop(dir_path, None)
+        self._batch().pop(dir_path, None)
         node_path = self._node_path(dir_path)
         if self._mount.raw_exists(node_path):
             self._mount.raw_delete(node_path)
@@ -565,7 +552,7 @@ class RollbackGuard(_GuardCore):
             self._save_node(path, node)
             new_main = self._node_main(node)
         if path == ROOT:
-            self._set_root(new_main)
+            self._pending_main = new_main
         else:
             self._propagate(parent(path), path, old_main, new_main)
 
@@ -589,7 +576,7 @@ class RollbackGuard(_GuardCore):
                 self._save_node(dir_path, node)
                 new_main = self._node_main(node)
             if dir_path == ROOT:
-                self._set_root(new_main)
+                self._pending_main = new_main
                 return
             child_path = dir_path
             old_child_main, new_child_main = old_main, new_main
@@ -687,7 +674,7 @@ class RollbackGuard(_GuardCore):
                     continue
                 node.update(self._bucket_of(candidate), None, main)
         if save:
-            self._save_node(dir_path, node)
+            self._write_node(dir_path, node)
         return self._node_main(node)
 
 
@@ -767,7 +754,7 @@ class FlatStoreGuard(_GuardCore):
 
     def rebuild_nodes(self) -> None:
         """Recompute the node from the stored group files, anchoring nothing."""
-        self._save_node(ROOT, self._recompute_buckets())
+        self._write_node(ROOT, self._recompute_buckets())
 
     # -- hooks ----------------------------------------------------------------------
 
@@ -784,7 +771,7 @@ class FlatStoreGuard(_GuardCore):
             buckets = self._load_node()
             buckets.update(self._bucket_of(path), old_main, new_main)
             self._save_node(ROOT, buckets)
-        self._set_root(self._node_main(buckets))
+        self._pending_main = self._node_main(buckets)
 
     def verify_read(self, path: str, content_hash: bytes) -> None:
         """Recompute ``path``'s bucket from all group files in it and check

@@ -329,3 +329,36 @@ def test_required_collaborators_are_never_optional():
         "is the only write path; pass a real one; tests build theirs through "
         "tests/support/platform.py) — optional again at:\n  " + "\n  ".join(sites)
     )
+
+
+#: The anchor's only writers: an epoch close's landing, the first start,
+#: crash recovery and the CA-authorized reset.  A guard walk runs only
+#: inside an epoch and pends its root there (SECURITY.md), so no walk
+#: re-anchors its own root.
+ANCHOR_WRITERS = frozenset({"land", "boot", "accept_current_state", "repair"})
+
+
+def anchor_write_sites(src: Path) -> list[str]:
+    """``path:line function`` of every ``write_roots`` reference under
+    ``src`` outside a function named in ``ANCHOR_WRITERS`` (the innermost
+    enclosing one; module level counts as ``<module>``)."""
+    sites = []
+
+    def visit(node: ast.AST, function: str, rel_path: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Attribute) and child.attr == "write_roots" and function not in ANCHOR_WRITERS:
+                sites.append(f"{rel_path}:{child.lineno} {function}")
+            inner = child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else function
+            visit(child, inner, rel_path)
+
+    for module in load_modules([src]):
+        visit(module.tree, "<module>", str(module.rel_path))
+    return sorted(sites)
+
+
+def test_only_the_anchor_writers_write_the_anchor():
+    sites = anchor_write_sites(SRC)
+    assert not sites, (
+        f"FileSystemAnchor.write_roots is called only from {sorted(ANCHOR_WRITERS)}; also at:\n  "
+        + "\n  ".join(sites)
+    )

@@ -13,10 +13,12 @@ from repro.core.cache import MetadataCache
 from repro.core.file_manager import TrustedFileManager
 from repro.core.locks import LockManager
 from repro.core.request_handler import RequestHandler
+from repro.core.requests import Op, Response
 from repro.core.rollback import FileSystemAnchor, FlatStoreGuard, RollbackGuard
 from repro.sgx.enclave import Enclave
 from repro.storage.stores import StoreSet
 from tests.support.platform import engine_for, loaded_enclave
+from tests.support.requests import request
 
 ROOT_KEY = bytes(range(32))
 
@@ -31,6 +33,10 @@ class HandlerWorld:
     locks: LockManager
     guard: RollbackGuard | None = None
     group_guard: FlatStoreGuard | None = None
+
+    def request(self, user_id: str, op: Op, *args: str) -> Response:
+        """:func:`tests.support.requests.request` on this world's handler."""
+        return request(self.handler, user_id, op, *args)
 
 
 def build_world(

@@ -16,6 +16,7 @@ import pytest
 from repro.core.acl import AclFile, MemberListFile, acl_path
 from repro.core.coherence import CoherenceManager
 from repro.core.model import Permission
+from repro.core.requests import Op
 from repro.errors import RollbackDetected
 from repro.fsmodel import DirectoryFile
 from repro.netsim.coherence import CoherenceBoard
@@ -193,11 +194,11 @@ def test_a_warm_memo_does_not_hide_an_acl_rollback(cache_bytes):
     world = build_world(rollback=True, cache_bytes=cache_bytes)
     store = world.stores.content
     world.handler.put_file("alice", "/f", b"secret")
-    world.handler.add_user("alice", "bob", "eng")
-    world.handler.set_permission("alice", "/f", "eng", "r")
+    world.request("alice", Op.ADD_USER, "bob", "eng")
+    world.request("alice", Op.SET_PERM, "/f", "eng", "r")
     assert world.access.auth_f("bob", Permission.READ, "/f")
     old_acl = snapshot_matching(store, acl_path("/f"))
-    world.handler.set_permission("alice", "/f", "eng", "")
+    world.request("alice", Op.SET_PERM, "/f", "eng", "")
     assert not world.access.auth_f("bob", Permission.READ, "/f")
     cache = world.manager.engine.cache
     if cache is not None:

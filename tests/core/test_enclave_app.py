@@ -158,6 +158,13 @@ class TestReadiness:
         with pytest.raises(ValueError):
             SeGShareOptions(counter_kind="hope")
 
+    @pytest.mark.parametrize("buckets", [0, -1])
+    def test_rollback_buckets_must_be_positive(self, buckets):
+        """Zero buckets would build an enclave whose every guarded write
+        divides by zero: refused when the options are made."""
+        with pytest.raises(ValueError, match="rollback_buckets"):
+            SeGShareOptions(rollback="individual", rollback_buckets=buckets)
+
     def test_journal_cannot_be_turned_off(self):
         assert SeGShareOptions().journal
         with pytest.raises(ValueError, match="only write path"):

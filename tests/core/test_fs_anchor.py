@@ -24,6 +24,7 @@ from repro.storage.stores import StoreSet
 from tests.core.conftest import ROOT_KEY, build_world
 from tests.core.test_crash_recovery import build_server
 from tests.support.explorer import under_plan
+from tests.support.requests import request
 
 _ANCHOR = "\x00rb:anchor"
 _GROUP_NODE = "\x00rbg:node"
@@ -55,11 +56,11 @@ def _revoked_world(cache_bytes):
     server, _ = under_plan(lambda stores: build_server(stores, metadata_cache_bytes=cache_bytes))
     handler = server.enclave.handler
     assert handler.put_file("alice", "/doc", b"shared").status is Status.OK
-    assert handler.add_user("alice", "bob", "eng").status is Status.OK
-    assert handler.set_permission("alice", "/doc", "eng", "r").status is Status.OK
+    request(handler, "alice", Op.ADD_USER, "bob", "eng")
+    request(handler, "alice", Op.SET_PERM, "/doc", "eng", "r")
     assert _bob_reads(server.enclave.handler) is Status.OK
     before = _snapshot(server.stores.content), _snapshot(server.stores.group)
-    assert handler.remove_user("alice", "bob", "eng").status is Status.OK
+    request(handler, "alice", Op.RMV_USER, "bob", "eng")
     assert _bob_reads(server.enclave.handler) is Status.DENIED
     return server, before
 
@@ -205,12 +206,12 @@ def test_a_replica_keeps_the_group_root_only_from_a_fresh_anchor():
         anchor.boot()
     peer, this = replicas
     assert peer.handler.put_file("alice", "/doc", b"shared").status is Status.OK
-    assert peer.handler.add_user("alice", "bob", "eng").status is Status.OK
-    assert peer.handler.set_permission("alice", "/doc", "eng", "r").status is Status.OK
+    request(peer.handler, "alice", Op.ADD_USER, "bob", "eng")
+    request(peer.handler, "alice", Op.SET_PERM, "/doc", "eng", "r")
     assert this.handler.put_file("alice", "/warm", b"w").status is Status.OK
     assert _bob_reads(this.handler) is Status.OK
     before = _snapshot(stores.content), _snapshot(stores.group)
-    assert peer.handler.remove_user("alice", "bob", "eng").status is Status.OK
+    request(peer.handler, "alice", Op.RMV_USER, "bob", "eng")
     _put_back(stores.content, _objects(before[0], _ANCHOR))
     _put_back(stores.group, before[1])
     this.handler.put_file("alice", "/other", b"x")  # its close refuses; the member stands

@@ -1,6 +1,7 @@
 """Filename and directory-structure hiding (§V-C)."""
 
 from repro.core.hiding import HmacPathTransform, IdentityTransform
+from repro.core.requests import Op
 from tests.support.dedup import object_count
 
 
@@ -58,7 +59,7 @@ class TestSystemLevel:
 
     def test_hiding_composes_with_rollback(self, make_world):
         world = make_world(hide_paths=True, rollback=True)
-        world.handler.put_dir("alice", "/d/")
+        world.request("alice", Op.PUT_DIR, "/d/")
         world.handler.put_file("alice", "/d/f", b"guarded")
         assert world.manager.read_content("/d/f") == b"guarded"
 

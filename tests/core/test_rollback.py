@@ -10,10 +10,10 @@ import pytest
 from repro.core.acl import acl_path, member_list_path
 from repro.core.coherence import CoherenceManager
 from repro.core.file_manager import Mount
-from repro.core.requests import Status
+from repro.core.requests import Op, Status
 from repro.core.rollback import COUNTER_ID, FileSystemAnchor, FlatStoreGuard, RollbackGuard, _Node
 from repro.crypto.mset_hash import MSetXorBuckets, Prf
-from repro.errors import CounterError, RollbackDetected
+from repro.errors import CounterError, EnclaveError, RollbackDetected
 from repro.fsmodel import DirectoryFile
 from repro.netsim.coherence import CoherenceBoard
 from repro.sgx.costmodel import SgxCostModel
@@ -42,7 +42,7 @@ def guarded(make_world):
 
 class TestHappyPath:
     def test_reads_verify_after_writes(self, guarded):
-        guarded.handler.put_dir("alice", "/d/")
+        guarded.request("alice", Op.PUT_DIR, "/d/")
         guarded.handler.put_file("alice", "/d/f", b"v1")
         assert guarded.manager.read_content("/d/f") == b"v1"
         guarded.handler.put_file("alice", "/d/f", b"v2")
@@ -52,21 +52,38 @@ class TestHappyPath:
         path = "/"
         for depth in range(5):
             path = path + f"d{depth}/"
-            guarded.handler.put_dir("alice", path)
+            guarded.request("alice", Op.PUT_DIR, path)
         guarded.handler.put_file("alice", path + "leaf", b"deep")
         assert guarded.manager.read_content(path + "leaf") == b"deep"
 
     def test_delete_keeps_tree_consistent(self, guarded):
         guarded.handler.put_file("alice", "/a", b"1")
         guarded.handler.put_file("alice", "/b", b"2")
-        guarded.handler.remove("alice", "/a")
+        guarded.request("alice", Op.REMOVE, "/a")
         assert guarded.manager.read_content("/b") == b"2"
 
     def test_move_keeps_tree_consistent(self, guarded):
-        guarded.handler.put_dir("alice", "/d/")
+        guarded.request("alice", Op.PUT_DIR, "/d/")
         guarded.handler.put_file("alice", "/d/f", b"data")
-        guarded.handler.move("alice", "/d/f", "/f")
+        guarded.request("alice", Op.MOVE, "/d/f", "/f")
         assert guarded.manager.read_content("/f") == b"data"
+
+    def test_a_guard_walk_runs_only_inside_an_epoch(self, guarded):
+        """A handler method called outside any transaction walks a guard
+        with no batch open: the walk is refused with a typed error, and no
+        guard node or anchor is written for it."""
+        guarded.request("alice", Op.PUT_DIR, "/d/")
+        guard_objects = [(guarded.stores.content, "\x00rb:"), (guarded.stores.group, "\x00rbg:")]
+        before = [snapshot_matching(store, prefix) for store, prefix in guard_objects]
+        writes = guarded.guard.anchor.writes
+        for walk in (
+            lambda: guarded.handler.put_dir("alice", "/e/"),
+            lambda: guarded.handler.add_user("alice", "bob", "eng"),
+        ):
+            with pytest.raises(EnclaveError, match="guard walk outside a commit epoch"):
+                walk()
+        assert [snapshot_matching(store, prefix) for store, prefix in guard_objects] == before
+        assert guarded.guard.anchor.writes == writes
 
     def test_many_files_one_bucket_collisions_fine(self, make_world):
         world = make_world(rollback=True, buckets=2)  # force collisions
@@ -84,7 +101,7 @@ def test_bucket_walk_looks_up_only_the_targets_bucket(make_world, monkeypatch):
     buckets = 64
     world = make_world(rollback=True, buckets=buckets)
     guard = world.guard
-    world.handler.put_dir("alice", "/big/")
+    world.request("alice", Op.PUT_DIR, "/big/")
     for i in range(10):
         world.handler.put_file("alice", f"/big/f{i:04d}", b"x%d" % i)
     listing = DirectoryFile.deserialize(guard._mount.raw_read("/big/"))
@@ -131,7 +148,7 @@ class TestContentRollbackAttacks:
         carrying chunk 0.  The previous version's node replayed alone is an
         authentic whole file to the protected FS; the guard rejects it."""
         store = guarded.stores.content
-        guarded.handler.put_dir("alice", "/d/")
+        guarded.request("alice", Op.PUT_DIR, "/d/")
         old = snapshot_matching(store, "/d/\x00")
         assert list(old) == ["/d/\x00meta"]
         guarded.handler.put_file("alice", "/d/f", b"v1")
@@ -145,19 +162,19 @@ class TestContentRollbackAttacks:
         permission revocation."""
         store = guarded.stores.content
         guarded.handler.put_file("alice", "/f", b"secret")
-        guarded.handler.add_user("alice", "bob", "eng")
-        guarded.handler.set_permission("alice", "/f", "eng", "r")
+        guarded.request("alice", Op.ADD_USER, "bob", "eng")
+        guarded.request("alice", Op.SET_PERM, "/f", "eng", "r")
         old_acl = snapshot_matching(store, "/f.acl")
-        guarded.handler.set_permission("alice", "/f", "eng", "")
+        guarded.request("alice", Op.SET_PERM, "/f", "eng", "")
         restore(store, old_acl)
         with pytest.raises(RollbackDetected):
             guarded.access.auth_f("bob", None, "/f")
 
     def test_directory_rollback_detected(self, guarded):
         store = guarded.stores.content
-        guarded.handler.put_dir("alice", "/d/")
+        guarded.request("alice", Op.PUT_DIR, "/d/")
         old_root = snapshot_matching(store, "/\x00")  # root dir file chunks
-        guarded.handler.put_dir("alice", "/e/")
+        guarded.request("alice", Op.PUT_DIR, "/e/")
         restore(store, old_root)
         with pytest.raises(RollbackDetected):
             guarded.manager.read_dir("/")
@@ -167,7 +184,7 @@ class TestContentRollbackAttacks:
         store = guarded.stores.content
         guarded.handler.put_file("alice", "/f", b"deleted")
         ghost = snapshot_matching(store, "/f")
-        guarded.handler.remove("alice", "/f")
+        guarded.request("alice", Op.REMOVE, "/f")
         restore(store, ghost)
         with pytest.raises(RollbackDetected):
             guarded.manager.read_content("/f")
@@ -176,7 +193,7 @@ class TestContentRollbackAttacks:
         """Rolling back a file AND its ancestors' guard nodes still fails,
         because the root anchor does not match."""
         store = guarded.stores.content
-        guarded.handler.put_dir("alice", "/d/")
+        guarded.request("alice", Op.PUT_DIR, "/d/")
         guarded.handler.put_file("alice", "/d/f", b"v1")
         everything_v1 = {key: store.get(key) for key in store.keys()}
         guarded.handler.put_file("alice", "/d/f", b"v2")
@@ -192,7 +209,7 @@ class TestContentRollbackAttacks:
         buckets, so it is shorter.  Replayed, it is masked only while the
         enclave cache holds the fresh node; the next cold read fails."""
         world = make_world(rollback=True, buckets=64, cache_bytes=1 << 20)
-        world.handler.put_dir("alice", "/d/")
+        world.request("alice", Op.PUT_DIR, "/d/")
         world.handler.put_file("alice", "/d/a", b"first")
         node_path = world.guard._node_path("/d/")
         shorter = world.manager.content.raw_read(node_path)
@@ -237,10 +254,10 @@ class TestNoOpWrites:
     def test_acl_rollback_after_a_skipped_rewrite_is_detected(self, guarded):
         store = guarded.stores.content
         guarded.handler.put_file("alice", "/f", b"secret")
-        guarded.handler.add_user("alice", "bob", "eng")
-        guarded.handler.set_permission("alice", "/f", "eng", "r")
+        guarded.request("alice", Op.ADD_USER, "bob", "eng")
+        guarded.request("alice", Op.SET_PERM, "/f", "eng", "r")
         old_acl = snapshot_matching(store, acl_path("/f"))
-        guarded.handler.set_permission("alice", "/f", "eng", "")
+        guarded.request("alice", Op.SET_PERM, "/f", "eng", "")
         guarded.handler.put_file("alice", "/f", b"secret v2")  # rewrites the ACL unchanged
         restore(store, old_acl)
         with pytest.raises(RollbackDetected):
@@ -314,7 +331,7 @@ class TestKeptMain:
         epoch's close wrote are in the decoded-file memo with their mains,
         so neither walk hashes a "before" value: one main per level each."""
         world = make_world(rollback=True, cache_bytes=1 << 20)  # reads hit: no verify walk
-        world.handler.put_dir("alice", "/d/")
+        world.request("alice", Op.PUT_DIR, "/d/")
         world.handler.put_file("alice", "/d/a", b"1")
         world.handler.put_file("alice", "/d/b", b"1")
         hashed = []
@@ -354,7 +371,7 @@ class TestNodeMemo:
     @staticmethod
     def _versions(world, path):
         """(sealed, plain) of ``path``'s node before and after a write under it."""
-        world.handler.put_dir("alice", "/d/")
+        world.request("alice", Op.PUT_DIR, "/d/")
         world.handler.put_file("alice", "/d/a", b"first")
         node_path = world.guard._node_path(path)
         versions = []
@@ -425,7 +442,7 @@ class TestNodeMemo:
                 for world in (first, second):
                     engine = world.manager.engine
                     engine.attach_coherence(CoherenceManager(board, ROOT_KEY, engine))
-            first.handler.put_dir("alice", "/d/")
+            first.request("alice", Op.PUT_DIR, "/d/")
             assert second.manager.read_dir("/d/").children == []
             node_paths = {path: second.guard._node_path(path) for path in ("/", "/d/")}
             seen = {path: second.manager.content.raw_read(node) for path, node in node_paths.items()}
@@ -445,18 +462,18 @@ class TestGroupStoreGuard:
         revoked user regain access."""
         store = guarded.stores.group
         guarded.handler.put_file("alice", "/f", b"secret")
-        guarded.handler.add_user("alice", "bob", "eng")
+        guarded.request("alice", Op.ADD_USER, "bob", "eng")
         old_member_list = snapshot_matching(store, "member:bob")
-        guarded.handler.remove_user("alice", "bob", "eng")
+        guarded.request("alice", Op.RMV_USER, "bob", "eng")
         restore(store, old_member_list)
         with pytest.raises(RollbackDetected):
             guarded.access.user_groups("bob")
 
     def test_group_list_rollback_detected(self, guarded):
         store = guarded.stores.group
-        guarded.handler.add_user("alice", "bob", "eng")
+        guarded.request("alice", Op.ADD_USER, "bob", "eng")
         old = snapshot_matching(store, "grouplist")
-        guarded.handler.add_user("alice", "bob", "sales")
+        guarded.request("alice", Op.ADD_USER, "bob", "sales")
         restore(store, old)
         with pytest.raises(RollbackDetected):
             guarded.access.exists_g("sales")
@@ -465,11 +482,11 @@ class TestGroupStoreGuard:
         """The group node from before an ``add_user`` stores fewer buckets.
         Replayed and evicted from the enclave cache, it fails the next read."""
         world = make_world(rollback=True, buckets=64, cache_bytes=1 << 20)
-        world.handler.add_user("alice", "bob", "eng")
+        world.request("alice", Op.ADD_USER, "bob", "eng")
         mount, node_path = world.manager.group, world.group_guard._node_path("/")
         shorter = mount.raw_read(node_path)
         old = snapshot_matching(world.stores.group, node_path)
-        world.handler.add_user("alice", "carol", "ops")
+        world.request("alice", Op.ADD_USER, "carol", "ops")
         assert len(mount.raw_read(node_path)) > len(shorter)
         restore(world.stores.group, old)
         assert "eng" in world.access.user_groups("bob")
@@ -483,7 +500,7 @@ class TestGroupStoreGuard:
         up the registry plus the leaves in the target's bucket only."""
         world = make_world(rollback=True, buckets=16)
         for i in range(200):
-            world.handler.add_user("alice", f"u{i:03d}", "eng")
+            world.request("alice", Op.ADD_USER, f"u{i:03d}", "eng")
         guard = world.group_guard
         target = member_list_path("u007")
         leaves = guard._leaves()
@@ -512,10 +529,10 @@ class TestAnchoring:
         assert len(set(hashes)) == 3
 
     def test_recompute_matches_incremental(self, guarded):
-        guarded.handler.put_dir("alice", "/d/")
+        guarded.request("alice", Op.PUT_DIR, "/d/")
         guarded.handler.put_file("alice", "/d/f", b"x")
         guarded.handler.put_file("alice", "/g", b"y")
-        guarded.handler.remove("alice", "/g")
+        guarded.request("alice", Op.REMOVE, "/g")
         assert guarded.guard.recompute_main() == guarded.guard.root_hash()
 
     def test_rebuild_restores_verifiability(self, make_world):
@@ -547,7 +564,7 @@ class TestAnchoring:
 class TestFlatGuardUnit:
     def test_accept_current_state_reanchors(self, make_world):
         world = make_world(rollback=True)
-        world.handler.add_user("alice", "bob", "eng")
+        world.request("alice", Op.ADD_USER, "bob", "eng")
         world.group_guard.anchor.accept_current_state()
         assert "eng" in world.access.user_groups("bob")
 
@@ -559,7 +576,7 @@ class TestFlatGuardUnit:
         bucket.  With few buckets, collisions are guaranteed."""
         world = make_world(rollback=True, buckets=2)
         for i in range(12):
-            world.handler.add_user("alice", f"u{i}", "eng")
+            world.request("alice", Op.ADD_USER, f"u{i}", "eng")
             assert "eng" in world.access.user_groups(f"u{i}")
         assert len(world.access.known_users()) == 13  # 12 members + alice
 
@@ -597,7 +614,7 @@ def counted(request, make_world):
             read=lambda: world.manager.read_content("/f"),
             transaction=world.manager.transaction,
         )
-    world.handler.add_user("alice", "bob", "g0")
+    world.request("alice", Op.ADD_USER, "bob", "g0")
     return SimpleNamespace(
         guard=world.manager.group.guard,
         anchor=anchor,
@@ -605,7 +622,7 @@ def counted(request, make_world):
         counter=counter,
         store=world.stores.group,
         objects="member:bob",
-        touch=lambda: world.handler.add_user("alice", "bob", "g%d" % (next(serial) + 1)),
+        touch=lambda: world.request("alice", Op.ADD_USER, "bob", "g%d" % (next(serial) + 1)),
         read=lambda: world.access.user_groups("bob"),
         transaction=world.manager.transaction,
     )
@@ -710,12 +727,10 @@ class TestSharedGuardCore:
         assert anchor.degraded_reads == 1
         with pytest.raises(CounterError):
             anchor.verify_fresh()
-        assert anchor.allow_degraded_reads  # the refusal was scoped to the proof
+        counted.read()  # the refusal was scoped to the proof
+        assert anchor.degraded_reads == 2
         with pytest.raises(CounterError):
             anchor.accept_current_state()  # an anchor write cannot be re-counted
-        anchor.allow_degraded_reads = False
-        with pytest.raises(CounterError):
-            counted.read()
         for replica in (0, 1, 2):
             counted.counter.set_replica_up(replica, True)
         anchor.verify_fresh()
@@ -746,20 +761,20 @@ def scripted_world(make_world, buckets):
     """A fixed script touching every update path of both guards."""
     world = make_world(rollback=True, buckets=buckets)
     handler = world.handler
-    handler.put_dir("alice", "/d/")
-    handler.put_dir("alice", "/d/e/")
+    world.request("alice", Op.PUT_DIR, "/d/")
+    world.request("alice", Op.PUT_DIR, "/d/e/")
     for i in range(6):
         handler.put_file("alice", f"/d/f{i}", b"content-%d" % i)
     handler.put_file("alice", "/d/e/deep", b"deep")
     handler.put_file("alice", "/top", b"top-v1")
     handler.put_file("alice", "/top", b"top-v2")
-    handler.add_user("alice", "bob", "eng")
-    handler.add_user("alice", "carol", "eng")
-    handler.add_user("alice", "carol", "ops")
-    handler.set_permission("alice", "/d/", "eng", "r")
-    handler.remove_user("alice", "bob", "eng")
-    handler.remove("alice", "/d/f3")
-    handler.move("alice", "/d/f4", "/d/e/moved")
+    world.request("alice", Op.ADD_USER, "bob", "eng")
+    world.request("alice", Op.ADD_USER, "carol", "eng")
+    world.request("alice", Op.ADD_USER, "carol", "ops")
+    world.request("alice", Op.SET_PERM, "/d/", "eng", "r")
+    world.request("alice", Op.RMV_USER, "bob", "eng")
+    world.request("alice", Op.REMOVE, "/d/f3")
+    world.request("alice", Op.MOVE, "/d/f4", "/d/e/moved")
     return world
 
 
@@ -842,7 +857,7 @@ class TestKnownAnswers:
         """Both guards' nodes end in the bucket codec; mangle only that part."""
         world = make_world(rollback=True, buckets=4)
         world.handler.put_file("alice", "/f", b"a child in the root")
-        world.handler.add_user("alice", "bob", "eng")
+        world.request("alice", Op.ADD_USER, "bob", "eng")
         guard = world.guard if which == "fs" else world.group_guard
         mount = world.manager.content if which == "fs" else world.manager.group
         blob = mount.raw_read(guard._node_path("/"))

@@ -11,8 +11,8 @@ import pytest
 from hypothesis import settings
 from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
 
-from repro.core.requests import Status
-from repro.errors import AccessDenied, RequestError
+from repro.core.requests import Op, Request, Status
+from repro.errors import AccessDenied
 from repro.tls.channel import StreamingResponse
 from tests.core.conftest import build_world
 from tests.support.dedup import object_count
@@ -36,10 +36,15 @@ class SeGShareMachine(RuleBasedStateMachine):
         self.dirs: set[str] = {"/"}
         self.shared: set[str] = set()  # paths readable by OTHER via GROUP
         self.member = False  # is OTHER in GROUP?
-        self.handler.add_user(OWNER, OTHER, GROUP)
-        self.handler.remove_user(OWNER, OTHER, GROUP)
+        world.request(OWNER, Op.ADD_USER, OTHER, GROUP)
+        world.request(OWNER, Op.RMV_USER, OTHER, GROUP)
 
     # -- helpers --------------------------------------------------------------
+
+    def _handle(self, op: Op, *args: str):
+        """A mutation as the server runs it: a guard walk runs only inside
+        the transaction ``handle`` opens."""
+        return self.handler.handle(OWNER, Request(op=op, args=args))
 
     def _existing_dir(self, name: str) -> str:
         candidates = sorted(self.dirs)
@@ -52,11 +57,7 @@ class SeGShareMachine(RuleBasedStateMachine):
         parent = self._existing_dir(name)
         path = parent + name + "/"
         collision = path in self.dirs or path[:-1] in self.files
-        try:
-            response = self.handler.put_dir(OWNER, path)
-        except RequestError:
-            assert collision
-            return
+        response = self._handle(Op.PUT_DIR, path)
         if collision:
             assert response.status is not Status.OK
         else:
@@ -80,7 +81,7 @@ class SeGShareMachine(RuleBasedStateMachine):
         parent = self._existing_dir(name)
         path = parent + name
         if path in self.files:
-            assert self.handler.remove(OWNER, path).status is Status.OK
+            assert self._handle(Op.REMOVE, path).status is Status.OK
             del self.files[path]
             self.shared.discard(path)
 
@@ -89,7 +90,7 @@ class SeGShareMachine(RuleBasedStateMachine):
         parent = self._existing_dir(name)
         path = parent + name
         if path in self.files:
-            self.handler.set_permission(OWNER, path, GROUP, "r")
+            assert self._handle(Op.SET_PERM, path, GROUP, "r").status is Status.OK
             self.shared.add(path)
 
     @rule(name=_names)
@@ -97,15 +98,13 @@ class SeGShareMachine(RuleBasedStateMachine):
         parent = self._existing_dir(name)
         path = parent + name
         if path in self.files:
-            self.handler.set_permission(OWNER, path, GROUP, "")
+            assert self._handle(Op.SET_PERM, path, GROUP, "").status is Status.OK
             self.shared.discard(path)
 
     @rule()
     def toggle_membership(self) -> None:
-        if self.member:
-            self.handler.remove_user(OWNER, OTHER, GROUP)
-        else:
-            self.handler.add_user(OWNER, OTHER, GROUP)
+        op = Op.RMV_USER if self.member else Op.ADD_USER
+        assert self._handle(op, OTHER, GROUP).status is Status.OK
         self.member = not self.member
 
     @rule(name=_names, new=_names)
@@ -113,7 +112,7 @@ class SeGShareMachine(RuleBasedStateMachine):
         src = self._existing_dir(name) + name
         dst = self._existing_dir(new) + new + "-moved"
         if src in self.files and dst not in self.files and dst + "/" not in self.dirs:
-            response = self.handler.move(OWNER, src, dst)
+            response = self._handle(Op.MOVE, src, dst)
             assert response.status is Status.OK, response
             self.files[dst] = self.files.pop(src)
             if src in self.shared:

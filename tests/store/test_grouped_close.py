@@ -17,7 +17,7 @@ import pytest
 
 from repro.core.enclave_app import SeGShareOptions
 from repro.core.rollback import COUNTER_ID
-from repro.core.requests import Status
+from repro.core.requests import Op, Status
 from repro.core.server import SeGShareServer
 from repro.errors import EnclaveCrashed
 from repro.netsim import azure_wan_env
@@ -26,6 +26,7 @@ from repro.storage.backends import InMemoryStore
 from repro.storage.stores import StoreSet
 from repro.store.engine import StorageEngine
 from tests.support.explorer import under_plan
+from tests.support.requests import request
 
 _CA = CertificateAuthority(key_bits=1024)
 
@@ -44,7 +45,7 @@ def _server(stores: StoreSet | None = None) -> SeGShareServer:
     options = SeGShareOptions(rollback="whole_fs", counter_kind="rote", rollback_buckets=8)
     server = SeGShareServer(azure_wan_env(), _CA.public_key, stores=stores, options=options)
     handler = server.enclave.handler
-    handler.put_dir("alice", "/d/")
+    request(handler, "alice", Op.PUT_DIR, "/d/")
     handler.put_file("alice", "/d/f", b"v0")
     return server
 
